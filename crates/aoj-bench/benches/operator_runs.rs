@@ -3,11 +3,12 @@
 //! miniature of every evaluation dimension (runtime comparisons, skew
 //! resilience, fluctuation adaptivity).
 
+use aoj_bench::experiments::config;
 use aoj_datagen::queries::eq5;
 use aoj_datagen::stream::{fluctuating, interleave};
 use aoj_datagen::tpch::{ScaledGb, TpchDb};
 use aoj_datagen::zipf::Skew;
-use aoj_operators::{run, OperatorKind, RunConfig};
+use aoj_operators::{run, OperatorKind};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn small_db(skew: Skew) -> TpchDb {
@@ -38,8 +39,8 @@ fn bench_operator_comparison(c: &mut Criterion) {
             &kind,
             |b, &kind| {
                 b.iter(|| {
-                    let cfg = RunConfig::new(16, kind);
-                    black_box(run(&arrivals, &w.predicate, w.name, &cfg))
+                    let cfg = config(16, kind, &w);
+                    black_box(run(&arrivals, &cfg))
                 });
             },
         );
@@ -56,8 +57,8 @@ fn bench_skew_resilience(c: &mut Criterion) {
         let arrivals = interleave(&w, 7);
         g.bench_with_input(BenchmarkId::from_parameter(skew.label()), &skew, |b, _| {
             b.iter(|| {
-                let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-                black_box(run(&arrivals, &w.predicate, w.name, &cfg))
+                let cfg = config(16, OperatorKind::Dynamic, &w);
+                black_box(run(&arrivals, &cfg))
             });
         });
     }
@@ -73,8 +74,8 @@ fn bench_fluctuation(c: &mut Criterion) {
         let arrivals = fluctuating(&w, k, 1);
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
-                let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-                black_box(run(&arrivals, &w.predicate, w.name, &cfg))
+                let cfg = config(16, OperatorKind::Dynamic, &w);
+                black_box(run(&arrivals, &cfg))
             });
         });
     }

@@ -17,7 +17,7 @@ use aoj_core::tuple::{Rel, Tuple};
 use aoj_datagen::queries::fluct_join;
 use aoj_datagen::stream::fluctuating;
 use aoj_datagen::zipf::Skew;
-use aoj_operators::{human_bytes, OperatorKind, RunConfig, SourcePacing};
+use aoj_operators::{human_bytes, OperatorKind, SourcePacing};
 
 use super::common::*;
 
@@ -103,17 +103,17 @@ pub fn run_ablation_epsilon() {
     let sat = run_operator(OperatorKind::Dynamic, &w, &arrivals, 64, u64::MAX);
     let pace = SourcePacing::per_second((sat.throughput * 0.5) as u64);
     for (num, den) in [(1u32, 1u32), (1, 2), (1, 4), (1, 8)] {
-        let mut cfg = RunConfig::new(64, OperatorKind::Dynamic);
+        let mut cfg = config(64, OperatorKind::Dynamic, &w);
         let total_bytes: u64 = arrivals.iter().map(|(_, i)| i.bytes as u64).sum();
-        cfg.decision = DecisionConfig {
+        cfg.elasticity.decision = DecisionConfig {
             epsilon_num: num,
             epsilon_den: den,
             min_total: total_bytes / 100,
         };
-        cfg.pacing = pace;
-        let report = aoj_operators::run(&arrivals, &w.predicate, w.name, &cfg);
+        cfg.source.pacing = pace;
+        let report = aoj_operators::run(&arrivals, &cfg);
         let warmup = arrivals.len() as u64 / 20;
-        let cfg_eps = cfg.decision;
+        let cfg_eps = cfg.elasticity.decision;
         table.row(vec![
             format!("{}/{}", num, den),
             format!("{:.4}", cfg_eps.competitive_ratio()),
@@ -312,11 +312,11 @@ pub fn run_ablation_blocking() {
         "exec (s)",
     ]);
     for blocking in [false, true] {
-        let mut cfg = RunConfig::new(64, OperatorKind::Dynamic);
-        cfg.decision = warmup_decision(&arrivals);
-        cfg.pacing = pace;
-        cfg.blocking_migrations = blocking;
-        let report = aoj_operators::run(&arrivals, &w.predicate, w.name, &cfg);
+        let mut cfg = config(64, OperatorKind::Dynamic, &w);
+        cfg.elasticity.decision = warmup_decision(&arrivals);
+        cfg.source.pacing = pace;
+        cfg.elasticity.blocking_migrations = blocking;
+        let report = aoj_operators::run(&arrivals, &cfg);
         table.row(vec![
             if blocking {
                 "blocking".into()

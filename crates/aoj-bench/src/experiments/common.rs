@@ -6,7 +6,7 @@ use aoj_datagen::queries::Workload;
 use aoj_datagen::stream::{interleave, Arrivals};
 use aoj_datagen::tpch::{ScaledGb, TpchDb};
 use aoj_datagen::zipf::Skew;
-use aoj_operators::{run, OperatorKind, RunConfig, RunReport, SourcePacing};
+use aoj_operators::{run, OperatorKind, RunReport, SessionBuilder, SourcePacing};
 
 /// Simulated-GB → RAM-budget calibration: one simulated GB of lineitem is
 /// ~6000 rows × 144 B ≈ 0.86 "simulated MB". The paper gives each joiner a
@@ -43,6 +43,13 @@ pub fn arrivals_of(w: &Workload) -> Arrivals {
     interleave(w, SEED ^ 0x57AE)
 }
 
+/// The session configuration for `kind` on `j` joiners over `w`.
+pub fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
+
 /// Run one operator over a workload with a RAM budget.
 pub fn run_operator(
     kind: OperatorKind,
@@ -51,11 +58,7 @@ pub fn run_operator(
     j: u32,
     ram_budget: u64,
 ) -> RunReport {
-    let mut cfg = RunConfig::new(j, kind);
-    cfg.ram_budget = ram_budget;
-    cfg.spill_penalty = SPILL_PENALTY;
-    cfg.decision = warmup_decision(arrivals);
-    run(arrivals, &w.predicate, w.name, &cfg)
+    run_operator_paced(kind, w, arrivals, j, ram_budget, SourcePacing::saturating())
 }
 
 /// Run with explicit pacing (latency experiments).
@@ -67,12 +70,12 @@ pub fn run_operator_paced(
     ram_budget: u64,
     pacing: SourcePacing,
 ) -> RunReport {
-    let mut cfg = RunConfig::new(j, kind);
-    cfg.ram_budget = ram_budget;
-    cfg.spill_penalty = SPILL_PENALTY;
-    cfg.decision = warmup_decision(arrivals);
-    cfg.pacing = pacing;
-    run(arrivals, &w.predicate, w.name, &cfg)
+    let cfg = config(j, kind, w)
+        .with_ram_budget(ram_budget)
+        .with_spill_penalty(SPILL_PENALTY)
+        .with_decision(warmup_decision(arrivals))
+        .with_pacing(pacing);
+    run(arrivals, &cfg)
 }
 
 /// The paper's adaptation warm-up (§5.4: "begin adapting after at least

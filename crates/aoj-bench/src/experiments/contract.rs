@@ -21,11 +21,9 @@ use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_datagen::zipf::ZipfSampler;
-use aoj_operators::{
-    human_bytes, run, BackendChoice, ElasticConfig, OperatorKind, RunConfig, RunReport,
-};
+use aoj_operators::{human_bytes, run, BackendChoice, ElasticConfig, OperatorKind, RunReport};
 
-use super::common::{banner, Table, SEED};
+use super::common::{banner, config, Table, SEED};
 
 /// Balanced Zipf-skewed equi-join: equal stream sizes keep Alg. 2 at
 /// square mappings, so every sawtooth level is geometrically
@@ -99,26 +97,26 @@ pub fn run_contract_pair(backend: BackendChoice, n_each: usize) -> (RunReport, R
     let arrivals = interleave(&w, SEED ^ 0xC0_17AC);
     let total_bytes: u64 = arrivals.iter().map(|(_, i)| i.bytes as u64).sum();
 
-    let mut fixed = RunConfig::new(1, OperatorKind::Dynamic);
-    fixed.collect_matches = true;
-    fixed.backend = backend;
-    let static_run = run(&arrivals, &w.predicate, w.name, &fixed);
+    let mut fixed = config(1, OperatorKind::Dynamic, &w);
+    fixed.backend.collect_matches = true;
+    fixed.backend.choice = backend;
+    let static_run = run(&arrivals, &fixed);
 
-    let mut saw = RunConfig::new(1, OperatorKind::Dynamic);
-    saw.collect_matches = true;
-    saw.backend = backend;
+    let mut saw = config(1, OperatorKind::Dynamic, &w);
+    saw.backend.collect_matches = true;
+    saw.backend.choice = backend;
     // Grow phase: a capacity target the stream fills early and again
     // after the first split, so both expansions land in the front half.
     // Drain phase: the hold-off gate opens at 60% of the stream (the
     // controller samples 1/J of the ingest, so the gate must sit below
     // its last observed sequence), and the generous low-water mark then
     // merges everything back.
-    saw.elastic = Some(
+    saw.elasticity.elastic = Some(
         ElasticConfig::new(total_bytes / 6, 2)
             .with_contraction(u64::MAX / 2, 2)
             .with_contract_holdoff(3 * arrivals.len() as u64 / 5),
     );
-    let sawtooth = run(&arrivals, &w.predicate, w.name, &saw);
+    let sawtooth = run(&arrivals, &saw);
 
     assert!(
         sawtooth.expansions >= 1,

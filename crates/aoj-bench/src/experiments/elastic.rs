@@ -19,11 +19,9 @@ use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_datagen::zipf::ZipfSampler;
-use aoj_operators::{
-    human_bytes, run, BackendChoice, ElasticConfig, OperatorKind, RunConfig, RunReport,
-};
+use aoj_operators::{human_bytes, run, BackendChoice, ElasticConfig, OperatorKind, RunReport};
 
-use super::common::{banner, Table, SEED};
+use super::common::{banner, config, Table, SEED};
 
 /// Zipf-skewed equi-join: hot-headed keys, fact-vs-dimension sizing.
 fn zipf_equi_workload(nr: usize, ns: usize, key_space: u64, seed: u64) -> Workload {
@@ -100,19 +98,19 @@ pub fn run_elastic_pair(
     let total_bytes: u64 = arrivals.iter().map(|(_, i)| i.bytes as u64).sum();
     let j0 = j_full / 4;
 
-    let mut at_capacity = RunConfig::new(j_full, OperatorKind::Dynamic);
-    at_capacity.collect_matches = true;
-    at_capacity.backend = backend;
-    let full = run(&arrivals, &w.predicate, w.name, &at_capacity);
+    let mut at_capacity = config(j_full, OperatorKind::Dynamic, &w);
+    at_capacity.backend.collect_matches = true;
+    at_capacity.backend.choice = backend;
+    let full = run(&arrivals, &at_capacity);
 
-    let mut grow = RunConfig::new(j0, OperatorKind::Dynamic);
-    grow.collect_matches = true;
-    grow.backend = backend;
+    let mut grow = config(j0, OperatorKind::Dynamic, &w);
+    grow.backend.collect_matches = true;
+    grow.backend.choice = backend;
     // Capacity target such that the small grid fills past M/2 roughly a
     // third of the way through the stream: per-joiner stored bytes on a
     // square grid track ~(copies/j0) ≈ total·√j0/j0.
-    grow.elastic = Some(ElasticConfig::new(total_bytes / 3, 1));
-    let elastic = run(&arrivals, &w.predicate, w.name, &grow);
+    grow.elasticity.elastic = Some(ElasticConfig::new(total_bytes / 3, 1));
+    let elastic = run(&arrivals, &grow);
 
     assert!(
         elastic.expansions >= 1,

@@ -20,9 +20,9 @@ use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_datagen::zipf::ZipfSampler;
-use aoj_operators::{human_bytes, run, BackendChoice, OperatorKind, RunConfig, RunReport};
+use aoj_operators::{human_bytes, run, BackendChoice, OperatorKind, RunReport};
 
-use super::common::{banner, SEED};
+use super::common::{banner, config, SEED};
 
 /// The default `--batch` sweep.
 pub const DEFAULT_SWEEP: [usize; 4] = [1, 16, 64, 256];
@@ -73,22 +73,12 @@ pub fn measure_pair(
     // witnesses the same multiset equality without moving the pairs;
     // `backend_equivalence` keeps the bit-for-bit `collect_matches` path
     // honest.
-    let mut cfg = RunConfig::new(j, OperatorKind::Dynamic).with_batch_tuples(batch_tuples);
-    cfg.collect_matches = false;
-    let sim = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &cfg.clone().with_backend(BackendChoice::Sim),
-    );
+    let mut cfg = config(j, OperatorKind::Dynamic, &w).with_batch_tuples(batch_tuples);
+    cfg.backend.collect_matches = false;
+    let sim = run(&arrivals, &cfg.clone().with_backend(BackendChoice::Sim));
     let mut runs: Vec<RunReport> = (0..reps.max(1))
         .map(|_| {
-            let r = run(
-                &arrivals,
-                &w.predicate,
-                w.name,
-                &cfg.clone().with_backend(backend),
-            );
+            let r = run(&arrivals, &cfg.clone().with_backend(backend));
             assert_eq!(
                 r.matches, sim.matches,
                 "{} and simulated match counts diverged at batch_tuples={batch_tuples}",
@@ -163,10 +153,10 @@ pub fn run_wallclock(backend: BackendChoice, batch_sweep: &[usize], smoke: bool)
     {
         let w = zipf_band_workload(nr, ns, 1_000, SEED);
         let arrivals = interleave(&w, SEED ^ 0x57AE);
-        let cfg = RunConfig::new(j, OperatorKind::Dynamic)
+        let cfg = config(j, OperatorKind::Dynamic, &w)
             .with_batch_tuples(64)
             .with_backend(backend);
-        let _ = run(&arrivals, &w.predicate, w.name, &cfg);
+        let _ = run(&arrivals, &cfg);
     }
 
     let mut entries: Vec<String> = Vec::new();

@@ -57,8 +57,8 @@ pub use fault::{
 pub use ilf::{ilf, optimal_ilf, optimal_mapping};
 pub use index::{JoinIndex, ProbeStats, VecIndex};
 pub use lifecycle::{
-    Checkpoint, CheckpointFormat, EvictStats, JoinerCheckpoint, TickSource, WindowMode,
-    WindowOccupancy, WindowSpec, WindowTracker,
+    Checkpoint, EvictStats, JoinerCheckpoint, TickSource, WindowMode, WindowOccupancy, WindowSpec,
+    WindowTracker,
 };
 pub use mapping::{GridAssignment, GridPos, Mapping, Step};
 pub use migration::{plan_step, MachineStepSpec, MigrationPlan, StateClass};

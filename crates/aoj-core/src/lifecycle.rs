@@ -46,24 +46,19 @@
 //! [`Checkpoint`] is a versioned snapshot of everything a quiesced grid
 //! session needs to resume: per-joiner live state, the grid/elastic
 //! layout, the decision-maker's counters, and the source's ingest
-//! cursor + flow-control window. Two on-disk formats exist:
+//! cursor + flow-control window. There is one on-disk format: a
+//! length-prefixed little-endian binary frame in the same codec
+//! convention as the `aoj-net` wire protocol — compact enough that large
+//! joiner states don't pay text encoding, and embeddable verbatim in a
+//! wire frame ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`]).
 //!
-//! * **v2 binary** (the default, [`CheckpointFormat::Binary`]): a
-//!   length-prefixed little-endian frame in the same codec convention
-//!   as the `aoj-net` wire protocol — compact enough that large joiner
-//!   states don't pay text encoding, and embeddable verbatim in a wire
-//!   frame ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`]).
-//! * **v1 text** (`aoj-checkpoint v1`, kept behind
-//!   [`CheckpointFormat::Text`]): line-oriented, self-describing and
-//!   diff-able — handy for debugging a snapshot by eye.
-//!
-//! [`Checkpoint::read_from`] sniffs the leading magic and accepts
-//! either. Restore semantics (exactly-once match delivery) are
+//! [`Checkpoint::read_from`] rejects anything that does not start with
+//! [`CHECKPOINT_MAGIC_V2`]. Restore semantics (exactly-once match delivery) are
 //! implemented by the session layer; this module owns the data model
 //! and its (de)serialisation.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufWriter, Write as _};
+use std::io;
 use std::path::Path;
 
 use crate::decision::DeciderSnapshot;
@@ -343,25 +338,10 @@ impl WindowTracker {
 // Checkpoint model + versioned serialisation
 // ---------------------------------------------------------------------
 
-/// Text format magic + version. Bump the version on any layout
-/// change; [`Checkpoint::read_from`] rejects anything else.
-pub const CHECKPOINT_HEADER: &str = "aoj-checkpoint v1";
-
 /// Binary format magic (first 8 bytes of a v2 snapshot file or of a
-/// [`Checkpoint::to_bytes`] image). Deliberately not valid UTF-8 text
-/// headers can start with, so format sniffing is unambiguous.
+/// [`Checkpoint::to_bytes`] image). Bump it on any layout change;
+/// [`Checkpoint::read_from`] rejects anything else.
 pub const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"AOJCKPT2";
-
-/// Which on-disk encoding [`Checkpoint::write_to_with`] emits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckpointFormat {
-    /// v2 length-prefixed little-endian binary (the default): compact,
-    /// wire-embeddable, cheap to parse.
-    #[default]
-    Binary,
-    /// v1 line-oriented text: human-readable and diff-able.
-    Text,
-}
 
 /// One joiner's checkpointed state.
 #[derive(Clone, Debug, PartialEq)]
@@ -423,12 +403,6 @@ pub struct Checkpoint {
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn parse<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> io::Result<T> {
-    tok.ok_or_else(|| bad(format!("checkpoint: missing {what}")))?
-        .parse::<T>()
-        .map_err(|_| bad(format!("checkpoint: malformed {what}")))
 }
 
 // Binary body primitives. The outer frame (magic + u32 LE body
@@ -509,104 +483,9 @@ impl Bin<'_> {
 }
 
 impl Checkpoint {
-    /// Serialise to `path` in the default format (v2 binary).
+    /// Serialise to `path` as a v2 binary image ([`Checkpoint::to_bytes`]).
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        self.write_to_with(path, CheckpointFormat::default())
-    }
-
-    /// Serialise to `path` in an explicit format: the v2 binary frame
-    /// ([`Checkpoint::to_bytes`]) or the readable v1 text layout:
-    ///
-    /// ```text
-    /// aoj-checkpoint v1
-    /// session <j> <kind> <seed>
-    /// epoch <epoch>
-    /// mapping <n> <m>
-    /// pos <slots> <row> <col> ...          # per machine slot
-    /// cells <cells> <machine> ...          # row-major grid cells
-    /// layout <next_fresh> <k> <dormant> ...
-    /// elastic <expansions> <contractions>  # omitted if not elastic
-    /// decider <r> <s> <dr> <ds> <decisions> <migrations>
-    /// source <cursor> <window_copies>
-    /// joiner <machine> <evicted_tuples> <evicted_bytes> <latest_seq> <latest_tick> <n>
-    /// t <seq> <rel> <key> <aux> <bytes> <ticket>   # n of these
-    /// end
-    /// ```
-    pub fn write_to_with(&self, path: &Path, format: CheckpointFormat) -> io::Result<()> {
-        match format {
-            CheckpointFormat::Binary => std::fs::write(path, self.to_bytes()),
-            CheckpointFormat::Text => self.write_text(path),
-        }
-    }
-
-    fn write_text(&self, path: &Path) -> io::Result<()> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
-        writeln!(w, "{CHECKPOINT_HEADER}")?;
-        writeln!(w, "session {} {} {}", self.j, self.kind, self.seed)?;
-        writeln!(w, "epoch {}", self.epoch)?;
-        let mapping = self.assign.mapping();
-        writeln!(w, "mapping {} {}", mapping.n, mapping.m)?;
-        let pos = self.assign.pos_slice();
-        write!(w, "pos {}", pos.len())?;
-        for p in pos {
-            write!(w, " {} {}", p.row, p.col)?;
-        }
-        writeln!(w)?;
-        let cells: Vec<usize> = self.assign.machines().collect();
-        write!(w, "cells {}", cells.len())?;
-        for m in &cells {
-            write!(w, " {m}")?;
-        }
-        writeln!(w)?;
-        write!(
-            w,
-            "layout {} {}",
-            self.layout.high_water(),
-            self.layout.dormant().len()
-        )?;
-        for d in self.layout.dormant() {
-            write!(w, " {d}")?;
-        }
-        writeln!(w)?;
-        if let Some((e, c)) = self.elastic {
-            writeln!(w, "elastic {e} {c}")?;
-        }
-        let d = &self.decider;
-        writeln!(
-            w,
-            "decider {} {} {} {} {} {}",
-            d.r, d.s, d.dr, d.ds, d.decisions, d.migrations
-        )?;
-        writeln!(w, "source {} {}", self.source_cursor, self.window_copies)?;
-        for j in &self.joiners {
-            writeln!(
-                w,
-                "joiner {} {} {} {} {} {}",
-                j.machine,
-                j.evicted_tuples,
-                j.evicted_bytes,
-                j.latest_seq,
-                j.latest_tick,
-                j.tuples.len()
-            )?;
-            for t in &j.tuples {
-                writeln!(
-                    w,
-                    "t {} {} {} {} {} {}",
-                    t.seq,
-                    match t.rel {
-                        Rel::R => "R",
-                        Rel::S => "S",
-                    },
-                    t.key,
-                    t.aux,
-                    t.bytes,
-                    t.ticket
-                )?;
-            }
-        }
-        writeln!(w, "end")?;
-        w.flush()
+        std::fs::write(path, self.to_bytes())
     }
 
     /// Encode as a self-contained v2 binary image: the 8-byte magic, a
@@ -789,172 +668,19 @@ impl Checkpoint {
         })
     }
 
-    /// Read and validate a checkpoint in either format: the leading
-    /// magic decides (v2 binary [`CHECKPOINT_MAGIC_V2`] vs v1 text
-    /// [`CHECKPOINT_HEADER`]).
+    /// Read and validate a checkpoint file. Anything that does not
+    /// start with [`CHECKPOINT_MAGIC_V2`] — including the retired
+    /// `aoj-checkpoint v1` text layout — is `InvalidData`.
     pub fn read_from(path: &Path) -> io::Result<Checkpoint> {
         let bytes = std::fs::read(path)?;
-        if bytes.starts_with(CHECKPOINT_MAGIC_V2) {
-            Checkpoint::from_bytes(&bytes)
-        } else {
-            Checkpoint::read_text(&bytes[..])
-        }
-    }
-
-    fn read_text(r: impl BufRead) -> io::Result<Checkpoint> {
-        let mut lines = r.lines();
-        let mut next = || -> io::Result<String> {
-            lines
-                .next()
-                .ok_or_else(|| bad("checkpoint: truncated file"))?
-        };
-        let header = next()?;
-        if header.trim() != CHECKPOINT_HEADER {
+        if !bytes.starts_with(CHECKPOINT_MAGIC_V2) {
+            let head = String::from_utf8_lossy(&bytes[..bytes.len().min(24)]).into_owned();
             return Err(bad(format!(
-                "checkpoint: unsupported header {header:?} (want {CHECKPOINT_HEADER:?})"
+                "checkpoint: unsupported format (file starts {head:?}; \
+                 only the v2 binary format is readable)"
             )));
         }
-        let mut j = 0u32;
-        let mut kind = String::new();
-        let mut seed = 0u64;
-        let mut epoch = 0u32;
-        let mut mapping: Option<Mapping> = None;
-        let mut pos: Vec<GridPos> = Vec::new();
-        let mut cells: Vec<u32> = Vec::new();
-        let mut layout = ElasticLayout::new(0);
-        let mut elastic = None;
-        let mut decider = DeciderSnapshot::default();
-        let mut source_cursor = 0u64;
-        let mut window_copies = 0u64;
-        let mut joiners: Vec<JoinerCheckpoint> = Vec::new();
-        loop {
-            let line = next()?;
-            let mut tok = line.split_whitespace();
-            match tok.next() {
-                None => continue,
-                Some("session") => {
-                    j = parse(tok.next(), "j")?;
-                    kind = tok
-                        .next()
-                        .ok_or_else(|| bad("checkpoint: missing kind"))?
-                        .to_string();
-                    seed = parse(tok.next(), "seed")?;
-                }
-                Some("epoch") => epoch = parse(tok.next(), "epoch")?,
-                Some("mapping") => {
-                    let n: u32 = parse(tok.next(), "mapping n")?;
-                    let m: u32 = parse(tok.next(), "mapping m")?;
-                    mapping = Some(Mapping::new(n, m));
-                }
-                Some("pos") => {
-                    let k: usize = parse(tok.next(), "pos count")?;
-                    pos = (0..k)
-                        .map(|_| {
-                            Ok(GridPos {
-                                row: parse(tok.next(), "pos row")?,
-                                col: parse(tok.next(), "pos col")?,
-                            })
-                        })
-                        .collect::<io::Result<_>>()?;
-                }
-                Some("cells") => {
-                    let k: usize = parse(tok.next(), "cell count")?;
-                    cells = (0..k)
-                        .map(|_| parse(tok.next(), "cell machine"))
-                        .collect::<io::Result<_>>()?;
-                }
-                Some("layout") => {
-                    let next_fresh: usize = parse(tok.next(), "layout next_fresh")?;
-                    let k: usize = parse(tok.next(), "layout dormant count")?;
-                    let dormant: Vec<usize> = (0..k)
-                        .map(|_| parse(tok.next(), "layout dormant"))
-                        .collect::<io::Result<_>>()?;
-                    layout = ElasticLayout::from_parts(next_fresh, dormant);
-                }
-                Some("elastic") => {
-                    elastic = Some((
-                        parse(tok.next(), "expansions")?,
-                        parse(tok.next(), "contractions")?,
-                    ));
-                }
-                Some("decider") => {
-                    decider = DeciderSnapshot {
-                        r: parse(tok.next(), "decider r")?,
-                        s: parse(tok.next(), "decider s")?,
-                        dr: parse(tok.next(), "decider dr")?,
-                        ds: parse(tok.next(), "decider ds")?,
-                        decisions: parse(tok.next(), "decider decisions")?,
-                        migrations: parse(tok.next(), "decider migrations")?,
-                    };
-                }
-                Some("source") => {
-                    source_cursor = parse(tok.next(), "source cursor")?;
-                    window_copies = parse(tok.next(), "window copies")?;
-                }
-                Some("joiner") => {
-                    let machine: usize = parse(tok.next(), "joiner machine")?;
-                    let evicted_tuples: u64 = parse(tok.next(), "evicted tuples")?;
-                    let evicted_bytes: u64 = parse(tok.next(), "evicted bytes")?;
-                    let latest_seq: u64 = parse(tok.next(), "latest seq")?;
-                    let latest_tick: u64 = parse(tok.next(), "latest tick")?;
-                    let n: usize = parse(tok.next(), "tuple count")?;
-                    let mut tuples = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let tl = next()?;
-                        let mut tt = tl.split_whitespace();
-                        if tt.next() != Some("t") {
-                            return Err(bad("checkpoint: expected tuple line"));
-                        }
-                        let seq: u64 = parse(tt.next(), "tuple seq")?;
-                        let rel = match tt.next() {
-                            Some("R") => Rel::R,
-                            Some("S") => Rel::S,
-                            other => {
-                                return Err(bad(format!("checkpoint: bad relation {other:?}")))
-                            }
-                        };
-                        let key: i64 = parse(tt.next(), "tuple key")?;
-                        let aux: i32 = parse(tt.next(), "tuple aux")?;
-                        let bytes: u32 = parse(tt.next(), "tuple bytes")?;
-                        let ticket: u64 = parse(tt.next(), "tuple ticket")?;
-                        tuples.push(Tuple {
-                            seq,
-                            rel,
-                            key,
-                            aux,
-                            bytes,
-                            ticket,
-                        });
-                    }
-                    joiners.push(JoinerCheckpoint {
-                        machine,
-                        evicted_tuples,
-                        evicted_bytes,
-                        latest_seq,
-                        latest_tick,
-                        tuples,
-                    });
-                }
-                Some("end") => break,
-                Some(other) => return Err(bad(format!("checkpoint: unknown record {other:?}"))),
-            }
-        }
-        let mapping = mapping.ok_or_else(|| bad("checkpoint: missing mapping"))?;
-        let assign = GridAssignment::from_parts(mapping, pos, cells)
-            .map_err(|e| bad(format!("checkpoint: {e}")))?;
-        Ok(Checkpoint {
-            j,
-            kind,
-            seed,
-            epoch,
-            assign,
-            layout,
-            elastic,
-            decider,
-            source_cursor,
-            window_copies,
-            joiners,
-        })
+        Checkpoint::from_bytes(&bytes)
     }
 }
 
@@ -1103,29 +829,22 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_through_disk_in_both_formats() {
+    fn checkpoint_roundtrips_through_disk() {
         let ck = sample_checkpoint();
         let dir = std::env::temp_dir().join("aoj-lifecycle-test");
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, format) in [
-            ("roundtrip-bin.ckpt", CheckpointFormat::Binary),
-            ("roundtrip-txt.ckpt", CheckpointFormat::Text),
-        ] {
-            let path = dir.join(name);
-            ck.write_to_with(&path, format).unwrap();
-            // read_from sniffs the format from the leading magic.
-            let back = Checkpoint::read_from(&path).unwrap();
-            assert_eq!(ck, back, "{format:?} round-trip");
-            std::fs::remove_file(&path).ok();
-        }
+        let path = dir.join("roundtrip.ckpt");
+        ck.write_to(&path).unwrap();
+        assert_eq!(ck, Checkpoint::read_from(&path).unwrap());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn binary_checkpoint_roundtrips_in_memory_and_is_compact() {
         let mut ck = sample_checkpoint();
         // Negative keys/aux and a large state must survive the cast
-        // round-trip, and the binary image must actually be smaller
-        // than the text rendering (the point of the format).
+        // round-trip, and the varint image must be smaller than the
+        // tuples' in-memory size (the point of the format).
         for seq in 0..500u64 {
             ck.joiners[0]
                 .tuples
@@ -1133,17 +852,8 @@ mod tests {
         }
         let bytes = ck.to_bytes();
         assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), ck);
-        let dir = std::env::temp_dir().join("aoj-lifecycle-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("compact.ckpt");
-        ck.write_to_with(&path, CheckpointFormat::Text).unwrap();
-        let text_len = std::fs::metadata(&path).unwrap().len();
-        std::fs::remove_file(&path).ok();
-        assert!(
-            (bytes.len() as u64) < text_len,
-            "binary {} >= text {text_len}",
-            bytes.len()
-        );
+        let in_memory = ck.joiners[0].tuples.len() * std::mem::size_of::<Tuple>();
+        assert!(bytes.len() < in_memory, "{} >= {in_memory}", bytes.len());
     }
 
     #[test]
@@ -1166,13 +876,21 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_rejects_wrong_version() {
+    fn read_from_rejects_everything_but_v2_binary() {
+        // A well-formed snapshot in the retired v1 text layout, and a
+        // header from no version at all.
+        let v1 = "aoj-checkpoint v1\nsession 4 Dynamic 24301\nepoch 0\nmapping 2 2\n\
+                  pos 4 0 0 0 1 1 0 1 1\ncells 4 0 1 2 3\nlayout 4 0\n\
+                  decider 0 0 0 0 0 0\nsource 0 256\nend\n";
         let dir = std::env::temp_dir().join("aoj-lifecycle-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("badversion.ckpt");
-        std::fs::write(&path, "aoj-checkpoint v999\nend\n").unwrap();
-        let err = Checkpoint::read_from(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
+        for (name, content) in [("v1.ckpt", v1), ("v999.ckpt", "aoj-checkpoint v999\nend\n")] {
+            let path = dir.join(name);
+            std::fs::write(&path, content).unwrap();
+            let err = Checkpoint::read_from(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(err.to_string().contains("unsupported format"), "{err}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

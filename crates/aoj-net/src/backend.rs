@@ -266,8 +266,10 @@ impl NetBackend for TcpBackend {
         Arc::clone(self.gauges.as_ref().unwrap())
     }
 
-    fn install_skew_board(&mut self, board: Arc<SkewBoard>) {
-        self.skew_board = Some(board);
+    fn remote_skew_board(&mut self, slots: usize) -> Option<Arc<SkewBoard>> {
+        let board = SkewBoard::new(slots);
+        self.skew_board = Some(Arc::clone(&board));
+        Some(board)
     }
 
     fn fault_log(&mut self) -> Option<FaultLog> {
@@ -286,9 +288,8 @@ impl NetBackend for TcpBackend {
         Some(Box::new(move || abort.store(true, Ordering::SeqCst)))
     }
 
-    fn install_restore(&mut self, ckpt: &Checkpoint) -> bool {
+    fn install_restore(&mut self, ckpt: &Checkpoint) {
         self.restore = Some(ckpt.clone());
-        true
     }
 }
 

@@ -30,9 +30,7 @@ use aoj_core::lifecycle::Checkpoint;
 use aoj_operators::joiner_task::JoinerTask;
 use aoj_operators::messages::OpMsg;
 use aoj_operators::reshuffler::ReshufflerTask;
-use aoj_operators::{
-    assemble_topology, assemble_topology_restored, IngestQueue, MatchHub, SessionBuilder,
-};
+use aoj_operators::{assemble_topology, IngestQueue, MatchHub, SessionBuilder};
 use aoj_runtime::mailbox::Mailbox;
 use aoj_runtime::RuntimeConfig;
 use aoj_simnet::{MachineId, Metrics, Process, SharedGauges, SimDuration};
@@ -151,30 +149,22 @@ pub fn worker_main() -> ! {
     };
     let mut rec = TopoRecorder::default();
     let idle_poll = SimDuration::from_micros(builder.source.idle_poll_us.max(1));
-    let topo = if plan.restore.is_empty() {
-        assemble_topology(
-            &mut rec,
-            &builder,
-            IngestQueue::detached(),
-            Arc::clone(&hub),
-            Some(idle_poll),
-        )
-    } else {
-        // The plan carries a checkpoint: rebuild restored state instead
-        // of a fresh topology. Every process decodes the same snapshot,
-        // so the restored elastic layout — which decides task
-        // registration order — agrees cluster-wide.
-        let ckpt = Checkpoint::from_bytes(&plan.restore)
-            .unwrap_or_else(|e| panic!("worker {machine}: decode restore checkpoint: {e}"));
-        assemble_topology_restored(
-            &mut rec,
-            &builder,
-            &ckpt,
-            IngestQueue::detached(),
-            Arc::clone(&hub),
-            Some(idle_poll),
-        )
-    };
+    // A plan that carries a checkpoint rebuilds restored state instead
+    // of a fresh topology. Every process decodes the same snapshot, so
+    // the restored elastic layout — which decides task registration
+    // order — agrees cluster-wide.
+    let restore = (!plan.restore.is_empty()).then(|| {
+        Checkpoint::from_bytes(&plan.restore)
+            .unwrap_or_else(|e| panic!("worker {machine}: decode restore checkpoint: {e}"))
+    });
+    let topo = assemble_topology(
+        &mut rec,
+        &builder,
+        IngestQueue::detached(),
+        Arc::clone(&hub),
+        Some(idle_poll),
+        restore.as_ref(),
+    );
     // The board this worker's reshufflers publish their sketches into;
     // its merged parts ride every gauge frame to the coordinator.
     let skew_board = topo.skew_board();
@@ -185,7 +175,6 @@ pub fn worker_main() -> ! {
     );
     let slots = machine_count - 1; // joiner slots; the last machine is the source
     let task_machine = Arc::new(rec.task_machine());
-    let was_deferred = rec.deferred[machine];
     let mut tasks = rec.take_machine_tasks(machine);
     if gen > 0 {
         // A reincarnated machine starts dormant: its predecessor's state
@@ -195,21 +184,6 @@ pub fn worker_main() -> ! {
             if let Some(j) = task.as_any_mut().downcast_mut::<JoinerTask>() {
                 j.make_dormant(builder.predicate.clone(), slots);
             } else if let Some(r) = task.as_any_mut().downcast_mut::<ReshufflerTask>() {
-                r.deactivated = true;
-            }
-        }
-    } else if was_deferred {
-        // A trigger-time spawn (first activation of a deferred slot).
-        // The builder leaves its reshuffler nominally active because on
-        // the in-process backends nothing can reach it before
-        // `Activate`. Over TCP that ordering is per-socket only: the
-        // source's first `IngestBatch` (data class) can outrun the
-        // controller's `Activate` (control class). Start deactivated so
-        // any early ingest bounces back to the source — the in-protocol
-        // path for traffic without a signal barrier — until `Activate`
-        // flips the flag.
-        for task in tasks.values_mut() {
-            if let Some(r) = task.as_any_mut().downcast_mut::<ReshufflerTask>() {
                 r.deactivated = true;
             }
         }

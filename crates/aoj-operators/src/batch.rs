@@ -27,7 +27,7 @@
 use aoj_core::tuple::Tuple;
 use aoj_simnet::{SimDuration, SimTime};
 
-/// Data-plane batching knobs (`RunConfig` carries one of these).
+/// Data-plane batching knobs (resolved from `SessionBuilder::data_plane`).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Coalescing-buffer flush threshold in tuples. 1 restores the

@@ -8,35 +8,29 @@
 //! reshuffler task and one joiner task; reshuffler 0 doubles as the
 //! controller; one extra machine hosts the stream source.
 //!
-//! The offline entry points remain: [`run`] executes a pre-materialized
-//! arrival sequence and is now a thin wrapper over
-//! [`JoinSession`] — open, push everything,
-//! close — which reproduces the pre-session simulator timelines bit for
-//! bit (the golden pins in `tests/batching.rs` hold). [`run_on`] drives
-//! the same phases synchronously on any caller-built backend.
-//! [`RunConfig`] is the legacy flat configuration, kept working as an
-//! alias for [`SessionBuilder`] (see
-//! [`SessionBuilder::from_run_config`]); new code should build sessions
-//! directly.
+//! [`run`] is the offline entry point: it executes a pre-materialized
+//! arrival sequence as a thin wrapper over [`JoinSession`] — open, push
+//! everything, close — and is the only place offline-only knowledge
+//! (input length, full stream statistics) is applied. It reproduces the
+//! pre-session simulator timelines bit for bit (the golden pins in
+//! `tests/batching.rs` hold).
 
 use aoj_core::competitive::CompetitiveTracker;
-use aoj_core::decision::DecisionConfig;
+use aoj_core::elastic::ElasticLayout;
 use aoj_core::epoch::EpochJoiner;
 use aoj_core::ilf::optimal_mapping;
 use aoj_core::lifecycle::{Checkpoint, JoinerCheckpoint, WindowMode, WindowTracker};
 use aoj_core::mapping::{GridAssignment, Mapping};
-use aoj_core::predicate::Predicate;
 use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
 use aoj_datagen::stream::Arrivals;
 use aoj_joinalg::{index_for, SpillGauge};
-use aoj_simnet::{CostModel, ExecBackend, MachineId, NetworkConfig, SimDuration, SimTime, TaskId};
+use aoj_simnet::{ExecBackend, MachineId, SimDuration, SimTime, TaskId};
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::batch::{BatchConfig, DataCoalescer};
-use crate::elastic_runtime::{provisioned_joiners, ElasticConfig};
+use crate::batch::DataCoalescer;
 use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
 use crate::report::SkewSummary;
@@ -47,7 +41,7 @@ use crate::reshuffler::{
 use crate::session::{IngestQueue, JoinSession, MatchHub, SessionBuilder};
 use crate::shj::{ShjJoiner, ShjReshuffler};
 use crate::skew::{SkewBoard, SkewState};
-use crate::source::{SourcePacing, SourceTask};
+use crate::source::SourceTask;
 
 /// The four operators of §5.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -89,269 +83,31 @@ pub enum BackendChoice {
     Tcp,
 }
 
-/// Configuration of one run — the **legacy flat form** of
-/// [`SessionBuilder`], kept as a working alias for the experiment
-/// harness and the existing test corpus. Every field maps 1:1 onto a
-/// builder section ([`SessionBuilder::from_run_config`]); new code
-/// should use [`SessionBuilder`] and [`JoinSession`] directly.
-#[derive(Clone, Debug)]
-pub struct RunConfig {
-    /// Number of joiners (machines). Power of two for grid operators.
-    pub j: u32,
-    /// Which operator to run.
-    pub kind: OperatorKind,
-    /// Which backend executes it.
-    pub backend: BackendChoice,
-    /// Alg. 2 parameters (ε, warm-up) — `min_total` is in *bytes*.
-    pub decision: DecisionConfig,
-    /// Source pacing.
-    pub pacing: SourcePacing,
-    /// Per-joiner RAM budget in bytes (`u64::MAX` = in-memory).
-    pub ram_budget: u64,
-    /// Disk-tier cost multiplier.
-    pub spill_penalty: u64,
-    /// CPU cost model.
-    pub cost: CostModel,
-    /// Network parameters.
-    pub network: NetworkConfig,
-    /// Seed for ticket draws.
-    pub seed: u64,
-    /// Data-plane batch size: tuples per coalesced
-    /// [`IngestBatch`](crate::messages::OpMsg::IngestBatch)/
-    /// [`DataBatch`](crate::messages::OpMsg::DataBatch) message.
-    /// 1 restores the per-tuple data plane bit-for-bit.
-    pub batch_tuples: usize,
-    /// Age bound for partially filled coalescing buffers, in
-    /// microseconds: a buffer older than this is force-flushed so
-    /// batching adds bounded latency, never a stall.
-    pub batch_max_delay_us: u64,
-    /// Progress sample spacing in sequence numbers.
-    pub sample_every: u64,
-    /// Flow-control window: max tuple copies in flight between the source
-    /// and the joiners (0 disables backpressure). Defaults to `64 × J`.
-    pub window_copies: u64,
-    /// Run migrations in the blocking, Flux-style mode (§4.3's strawman):
-    /// joiners stall new data until state relocation completes. Used by
-    /// the `ablation-blocking` experiment; the paper's operator is
-    /// non-blocking.
-    pub blocking_migrations: bool,
-    /// Record every emitted pair's `(R seq, S seq)` identity in
-    /// [`RunReport::match_pairs`] — for cross-backend equivalence tests;
-    /// costs memory proportional to the output size.
-    pub collect_matches: bool,
-    /// Live elasticity (§4.2.2): start with `j` provisioned joiners,
-    /// expand ×4 at migration checkpoints where every active joiner
-    /// stores more than `capacity_bytes / 2`, and (when armed via
-    /// [`ElasticConfig::with_contraction`]) merge 4→1 at checkpoints
-    /// where every active joiner sits below the low-water mark.
-    /// `j · 4^max_expansions` machine *slots* are registered, but worker
-    /// shards are acquired at trigger time and handed back at
-    /// contraction (trigger-time provisioning). Dynamic only.
-    pub elastic: Option<ElasticConfig>,
-}
-
-impl RunConfig {
-    /// Sensible defaults for `j` joiners: simulator backend, saturating
-    /// source, in-memory, ε = 1, no warm-up gate.
-    pub fn new(j: u32, kind: OperatorKind) -> RunConfig {
-        RunConfig {
-            j,
-            kind,
-            backend: BackendChoice::Sim,
-            decision: DecisionConfig::default(),
-            pacing: SourcePacing::saturating(),
-            ram_budget: u64::MAX,
-            spill_penalty: 20,
-            cost: CostModel::default(),
-            network: NetworkConfig::default(),
-            seed: 0x5EED_0001,
-            batch_tuples: BatchConfig::default().batch_tuples,
-            batch_max_delay_us: BatchConfig::default().max_delay.as_micros(),
-            sample_every: 0, // derived from input size when 0
-            window_copies: 64 * j as u64,
-            blocking_migrations: false,
-            collect_matches: false,
-            elastic: None,
-        }
+/// Run `builder`'s operator over the arrival sequence and return the
+/// report: open a session, push everything, close. The wrapper adds only
+/// what an offline harness knows and a live session cannot: the ingest
+/// queue holds the whole input (the source sees everything available
+/// from the first event — that is what keeps the simulator timelines
+/// bit-identical to the pre-session code), an unset `sample_every` is
+/// derived from the input length, a [`OperatorKind::StaticOpt`] run
+/// without an explicit mapping gets the oracle's, and the competitive
+/// trace is on (the stream is in memory anyway).
+pub fn run(arrivals: &Arrivals, builder: &SessionBuilder) -> RunReport {
+    let mut b = builder.clone();
+    if b.backend.sample_every == 0 {
+        b.backend.sample_every = (arrivals.len() as u64 / 200).max(1);
     }
-
-    /// Builder: set the per-joiner RAM budget in bytes.
-    pub fn with_ram_budget(mut self, bytes: u64) -> RunConfig {
-        self.ram_budget = bytes;
-        self
-    }
-
-    /// Builder: select the execution backend.
-    pub fn with_backend(mut self, backend: BackendChoice) -> RunConfig {
-        self.backend = backend;
-        self
-    }
-
-    /// Builder: arm live elasticity (Dynamic only).
-    pub fn with_elastic(mut self, elastic: ElasticConfig) -> RunConfig {
-        self.elastic = Some(elastic);
-        self
-    }
-
-    /// Builder: set the data-plane batch size (1 = per-tuple plane).
-    pub fn with_batch_tuples(mut self, batch_tuples: usize) -> RunConfig {
-        self.batch_tuples = batch_tuples.max(1);
-        self
-    }
-
-    /// Builder: set the ticket seed.
-    pub fn with_seed(mut self, seed: u64) -> RunConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder: set the source pacing.
-    pub fn with_pacing(mut self, pacing: SourcePacing) -> RunConfig {
-        self.pacing = pacing;
-        self
-    }
-
-    /// Builder: set the flow-control window, in tuple copies (0 disables
-    /// backpressure).
-    pub fn with_window_copies(mut self, copies: u64) -> RunConfig {
-        self.window_copies = copies;
-        self
-    }
-
-    /// Builder: run migrations in the blocking, Flux-style ablation mode.
-    pub fn with_blocking_migrations(mut self, blocking: bool) -> RunConfig {
-        self.blocking_migrations = blocking;
-        self
-    }
-
-    /// Builder: record every emitted pair in
-    /// [`RunReport::match_pairs`].
-    pub fn with_collect_matches(mut self, collect: bool) -> RunConfig {
-        self.collect_matches = collect;
-        self
-    }
-
-    /// Builder: set the Alg. 2 decision parameters.
-    pub fn with_decision(mut self, decision: DecisionConfig) -> RunConfig {
-        self.decision = decision;
-        self
-    }
-
-    /// Builder: set the CPU cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> RunConfig {
-        self.cost = cost;
-        self
-    }
-
-    /// Builder: set the network parameters.
-    pub fn with_network(mut self, network: NetworkConfig) -> RunConfig {
-        self.network = network;
-        self
-    }
-
-    /// Builder: set the disk-tier cost multiplier.
-    pub fn with_spill_penalty(mut self, penalty: u64) -> RunConfig {
-        self.spill_penalty = penalty;
-        self
-    }
-
-    /// Builder: set the coalescing-buffer age bound, in microseconds.
-    pub fn with_batch_max_delay_us(mut self, us: u64) -> RunConfig {
-        self.batch_max_delay_us = us;
-        self
-    }
-
-    /// Builder: set the progress sample spacing (0 derives it from the
-    /// input size).
-    pub fn with_sample_every(mut self, every: u64) -> RunConfig {
-        self.sample_every = every;
-        self
-    }
-
-    /// The batching knobs as a [`BatchConfig`].
-    pub fn batch_config(&self) -> BatchConfig {
-        BatchConfig {
-            batch_tuples: self.batch_tuples.max(1),
-            max_delay: aoj_simnet::SimDuration::from_micros(self.batch_max_delay_us.max(1)),
-        }
-    }
-}
-
-/// Resolve a legacy [`RunConfig`] plus the offline-only knowledge (input
-/// size, full stream statistics) into a session builder.
-fn offline_builder(
-    arrivals: &Arrivals,
-    predicate: &Predicate,
-    workload_name: &str,
-    cfg: &RunConfig,
-) -> SessionBuilder {
-    let mut b = SessionBuilder::from_run_config(cfg)
-        .with_predicate(predicate.clone())
-        .with_workload(workload_name);
-    b.backend.sample_every = sample_every(cfg, arrivals.len());
-    // The offline harness materializes the whole stream up front, so the
-    // source must see everything available from the first event — that
-    // is what keeps the simulator timelines bit-identical to the
-    // pre-session code.
     b.source.queue_tuples = arrivals.len().max(1);
-    if cfg.kind == OperatorKind::StaticOpt {
+    b.backend.track_competitive = true;
+    if b.kind == OperatorKind::StaticOpt && b.oracle_mapping.is_none() {
         let (r, s) = stream_bytes(arrivals);
-        b.oracle_mapping = Some(optimal_mapping(cfg.j, r.max(1), s.max(1)));
+        b.oracle_mapping = Some(optimal_mapping(b.j, r.max(1), s.max(1)));
     }
-    b
-}
-
-/// Run `kind` over the arrival sequence on the configured backend and
-/// return the report. A thin wrapper over the live session API: open,
-/// push everything, close.
-pub fn run(
-    arrivals: &Arrivals,
-    predicate: &Predicate,
-    workload_name: &str,
-    cfg: &RunConfig,
-) -> RunReport {
-    let builder = offline_builder(arrivals, predicate, workload_name, cfg);
-    let mut session = JoinSession::open(builder);
+    let mut session = JoinSession::open(b);
     session
         .push_batch(arrivals.iter().copied())
         .expect("fresh session rejected input");
     session.close()
-}
-
-/// Run `cfg.kind` on a caller-provided backend, synchronously: the whole
-/// arrival sequence is pre-loaded into the ingest queue and the backend
-/// runs to quiescence.
-///
-/// The backend's own scheduling configuration applies. Note that
-/// `cfg.network` is still consulted for the **source machine's** egress
-/// (scaled to model `J` parallel upstream feeds) on backends with a
-/// network model — callers constructing a simulator with a custom
-/// [`NetworkConfig`] should set `cfg.network` to match, as [`run`]
-/// does. Backends without a network model ignore it.
-pub fn run_on<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
-    arrivals: &Arrivals,
-    predicate: &Predicate,
-    workload_name: &str,
-    cfg: &RunConfig,
-) -> RunReport {
-    let b = offline_builder(arrivals, predicate, workload_name, cfg);
-    let queue = IngestQueue::preloaded(arrivals);
-    let hub = MatchHub::new(0);
-    let pushed = queue.pushed();
-    match cfg.kind {
-        OperatorKind::Shj => {
-            let wiring = setup_shj(backend, &b, queue, hub, None);
-            let end = backend.run();
-            collect_shj(backend, &b, &wiring, pushed, end)
-        }
-        _ => {
-            let wiring = setup_grid(backend, &b, Arc::clone(&queue), hub, None);
-            let end = backend.run();
-            let prefix = queue.prefix();
-            collect_grid(backend, &b, &wiring, pushed, end, &prefix)
-        }
-    }
 }
 
 /// Total bytes per relation in an arrival sequence.
@@ -365,14 +121,6 @@ pub fn stream_bytes(arrivals: &Arrivals) -> (u64, u64) {
         }
     }
     (r, s)
-}
-
-fn sample_every(cfg: &RunConfig, total: usize) -> u64 {
-    if cfg.sample_every > 0 {
-        cfg.sample_every
-    } else {
-        (total as u64 / 200).max(1)
-    }
 }
 
 /// The post-run progress timeline, or empty on backends whose mid-run
@@ -397,19 +145,19 @@ fn progress_samples<B: ExecBackend<OpMsg>>(backend: &B) -> Vec<ProgressSample> {
 
 /// Build `total + 1` machine slots: one per (possibly dormant) joiner
 /// pair, plus the source machine whose egress models `J` parallel
-/// upstream feeds. Only the first `eager` joiner machines are provisioned
-/// up front; the rest are deferred slots whose execution resources —
-/// worker threads on the threaded backend — are acquired at expansion
-/// trigger time (trigger-time provisioning).
+/// upstream feeds. Only the joiner machines `eager` selects are
+/// provisioned up front; the rest are deferred slots whose execution
+/// resources — worker threads on the threaded backend — are acquired at
+/// expansion trigger time (trigger-time provisioning).
 fn add_machines<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     b: &SessionBuilder,
     total: usize,
-    eager: usize,
-) -> Vec<aoj_simnet::MachineId> {
+    eager: impl Fn(usize) -> bool,
+) -> Vec<MachineId> {
     let mut machines: Vec<_> = (0..total)
         .map(|i| {
-            if i < eager {
+            if eager(i) {
                 backend.add_machine()
             } else {
                 backend.add_deferred_machine()
@@ -459,12 +207,23 @@ pub(crate) struct ShjWiring {
 /// Setup phase: assemble a grid operator (Dynamic/StaticMid/StaticOpt)
 /// on `backend`, wired to drain `input` and emit matches into `sink`.
 /// Schedules the source's bootstrap tick; the backend has not run yet.
+///
+/// `restore` selects the state the topology starts from. A fresh start
+/// is the restore of the initial state — epoch 0, the initial grid
+/// assignment and elastic layout, machines `0..j` active, empty joiners,
+/// ingest cursor 0 — so both go through this one builder: with
+/// `Some(ckpt)` the same topology comes up in the checkpoint's grid
+/// assignment and layout, every active joiner re-seeded with its live
+/// tuples. The caller has validated `ckpt` against `b`
+/// ([`JoinSession::restore`]). Task-id order is a pure function of
+/// `(b, restore)`; the TCP workers rebuild from the same pair.
 pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
     idle_poll: Option<SimDuration>,
+    restore: Option<&Checkpoint>,
 ) -> GridWiring {
     assert!(
         b.j.is_power_of_two(),
@@ -480,14 +239,30 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
          MigrationComplete broadcast cannot reach machines that a contraction \
          deactivates mid-flight"
     );
-    let initial = match b.kind {
-        OperatorKind::Dynamic | OperatorKind::StaticMid => Mapping::square(b.j),
-        OperatorKind::StaticOpt => b.oracle_mapping.expect(
-            "StaticOpt needs an oracle mapping (with_oracle_mapping): an online session \
-             cannot know stream sizes ahead of time",
-        ),
-        OperatorKind::Shj => unreachable!(),
+    let j = b.j as usize;
+    let (assign, epoch, layout) = match restore {
+        Some(ckpt) => (ckpt.assign.clone(), ckpt.epoch, ckpt.layout.clone()),
+        None => {
+            let mapping = match b.kind {
+                OperatorKind::Dynamic | OperatorKind::StaticMid => Mapping::square(b.j),
+                OperatorKind::StaticOpt => b.oracle_mapping.expect(
+                    "StaticOpt needs an oracle mapping (with_oracle_mapping): an online \
+                     session cannot know stream sizes ahead of time",
+                ),
+                OperatorKind::Shj => unreachable!(),
+            };
+            // Expansions allocate dormant-pool slots first, fresh slots
+            // after.
+            (GridAssignment::initial(mapping), 0, ElasticLayout::new(j))
+        }
     };
+    // The grid the run starts in (after a restore, an elastic run may sit
+    // above or below `b.j` here).
+    let initial = assign.mapping();
+    // Machines `0..j` on a fresh start. After a restore the active set
+    // need not be a slot prefix: a contraction may have retired low
+    // slots while a later expansion's children stayed live.
+    let active: BTreeSet<usize> = assign.machines().collect();
     let adaptive = b.kind == OperatorKind::Dynamic;
     let sample_spacing = b.sample_spacing();
     // Windowed eviction produces the genuine state drain the 4→1
@@ -502,18 +277,13 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     });
 
     backend.metrics_mut().sample_spacing = sample_spacing;
-    let j = b.j as usize;
     // Elastic runs register the bounded machine-slot space
     // (`J₀ · 4^max_expansions` ids — cheap task objects and mailbox
-    // stubs) but **provision** only the initial `j` machines: worker
-    // shards for the rest are acquired at expansion trigger time and
-    // handed back at contraction (trigger-time provisioning).
-    let total = b
-        .elasticity
-        .elastic
-        .map(|e| provisioned_joiners(b.j, e.max_expansions) as usize)
-        .unwrap_or(j);
-    let machines = add_machines(backend, b, total, j);
+    // stubs) but **provision** only the active machines: worker shards
+    // for the rest are acquired at expansion trigger time and handed
+    // back at contraction (trigger-time provisioning).
+    let total = b.machine_slots();
+    let machines = add_machines(backend, b, total, |i| active.contains(&i));
     let reshuffler_ids: Vec<TaskId> = (0..total).map(TaskId).collect();
     let joiner_ids: Vec<TaskId> = (total..2 * total).map(TaskId).collect();
     let source_id = TaskId(2 * total);
@@ -521,24 +291,33 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     let skew_salt = skew_salt(b.seed);
 
     for i in 0..total {
-        let controller = if i == 0 {
+        let controller = (i == 0).then(|| {
             let mut cs = ControllerState::new(
-                b.j,
+                initial.j(),
                 initial,
                 b.elasticity.decision,
                 adaptive,
                 sample_spacing,
             )
             .with_elastic(elastic_cfg);
+            // The skew gate is runtime config, not checkpointed state:
+            // it is armed from the builder and the ratio re-learned live.
             cs.decider.set_skew_gate(b.skew.decision_gate_ratio);
-            Some(cs)
-        } else {
-            None
-        };
+            if let Some(ckpt) = restore {
+                cs.decider.restore(ckpt.decider);
+                cs.decider.set_grid(initial);
+                cs.last_seq = ckpt.source_cursor;
+                if let (Some(ec), Some((e, c))) = (cs.elastic.as_mut(), ckpt.elastic) {
+                    ec.expansions_done = e;
+                    ec.contractions_done = c;
+                }
+            }
+            cs
+        });
         let task = ReshufflerTask {
             index: i,
-            epoch: 0,
-            assign: GridAssignment::initial(initial),
+            epoch,
+            assign: assign.clone(),
             joiner_tasks: joiner_ids.clone(),
             reshuffler_tasks: reshuffler_ids.clone(),
             tickets: TicketGen::new(b.seed ^ (i as u64).wrapping_mul(0x9E37_79B9)),
@@ -552,10 +331,13 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             // Slots cover the full machine-slot space so elastic
             // expansions route into existing buffers.
             batch: DataCoalescer::new(b.batch_config(), total),
-            deactivated: false,
-            // Machines 0..j are live; expansions allocate dormant-pool
-            // slots first, fresh slots after.
-            layout: aoj_core::elastic::ElasticLayout::new(j),
+            // An inactive slot hears no epoch changes until `Activate`,
+            // so ingest that reaches it first must bounce back to the
+            // source. In process nothing can; over TCP the source's
+            // first `IngestBatch` (data socket) can outrun the
+            // controller's `Activate` (control socket).
+            deactivated: !active.contains(&i),
+            layout: layout.clone(),
             skew: SkewState::new(b.skew, skew_salt).with_board(Arc::clone(&skew_board), i),
         };
         let id = backend.add_task(machines[i], Box::new(task));
@@ -573,13 +355,53 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             SpillGauge::new(b.data_plane.ram_budget, b.data_plane.spill_penalty),
             b.data_plane.cost,
         );
-        if i >= j {
-            task = task.dormant(b.predicate.clone(), total);
+        let seeded = restore.and_then(|c| c.joiners.iter().find(|jc| jc.machine == i));
+        if let Some(jc) = seeded {
+            let p = b.predicate.clone();
+            task.epoch = EpochJoiner::restored(&move || index_for(&p), total, epoch, &jc.tuples);
+            task.evicted_tuples = jc.evicted_tuples;
+            task.evicted_bytes = jc.evicted_bytes;
+            task.window = b.lifecycle.window.map(|spec| {
+                // The restored state becomes one sealed sub-window. In
+                // count mode the clock must sit at (or past) the highest
+                // restored sequence number — a stale tick (e.g. a
+                // checkpoint written without a window) would expire the
+                // restored segment immediately and evict in-window
+                // tuples. Time mode keeps the checkpoint clock: ticks
+                // restart with the new backend's timeline, and "arrived
+                // at the checkpoint clock" is the conservative reading.
+                let tick = match spec.mode {
+                    WindowMode::Count => jc.latest_tick.max(jc.latest_seq),
+                    WindowMode::Time => jc.latest_tick,
+                };
+                let hi_seq = jc.tuples.iter().map(|t| t.seq).max();
+                WindowTracker::restored(spec, jc.latest_seq, tick, hi_seq)
+            });
+            // Pre-seed the gauges so stats() is truthful before the
+            // first post-restore batch refreshes them.
+            let bytes = task.epoch.stored_bytes();
+            task.gauge.set_stored(bytes);
+            backend.metrics_mut().set_stored(machines[i], bytes);
+            if jc.evicted_bytes > 0 {
+                backend
+                    .metrics_mut()
+                    .set_evicted(machines[i], jc.evicted_bytes);
+            }
+            if task.window.is_some() {
+                backend
+                    .metrics_mut()
+                    .set_window_tuples(machines[i], task.epoch.stored_tuples() as u64);
+            }
+        } else {
+            if !active.contains(&i) {
+                task = task.dormant(b.predicate.clone(), total);
+            }
+            // Every slot gets its own tracker (dormant children
+            // included): a tracker only ticks on stable batches, so an
+            // unborn joiner's window is inert until its expansion
+            // activates it.
+            task.window = b.lifecycle.window.map(WindowTracker::new);
         }
-        // Every slot gets its own tracker (dormant children included):
-        // a tracker only ticks on stable batches, so an unborn joiner's
-        // window is inert until its expansion activates it.
-        task.window = b.lifecycle.window.map(WindowTracker::new);
         task.collect_matches = b.backend.collect_matches;
         task.match_sink = Some(Arc::clone(&sink));
         let id = backend.add_task(machines[i], Box::new(task));
@@ -589,13 +411,23 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         input,
         reshuffler_ids.clone(),
         b.source.pacing,
-        b.source.window_copies,
+        // The checkpointed window carries any elastic grow/shrink
+        // rescaling.
+        restore.map_or(b.source.window_copies, |c| c.window_copies),
         b.data_plane.batch_tuples,
     );
     if let Some(poll) = idle_poll {
         src = src.with_idle_poll(poll);
     }
-    src.active.truncate(j);
+    src.active = active.iter().map(|&i| reshuffler_ids[i]).collect();
+    if let Some(ckpt) = restore {
+        // Resume the ingest cursor where the checkpoint left it.
+        // Everything up to the cursor was fully routed *and* processed
+        // in the previous incarnation, so the emitted-vs-routed gate
+        // starts balanced and the flow-control window starts fully open.
+        src.cursor = ckpt.source_cursor as usize;
+        src.routed_tuples = ckpt.source_cursor;
+    }
     let id = backend.add_task(machines[total], Box::new(src));
     debug_assert_eq!(id, source_id);
     backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
@@ -727,9 +559,9 @@ pub(crate) fn collect_grid<B: ExecBackend<OpMsg>>(
     let machines: Vec<MachineStats> = (0..total)
         .map(|i| MachineStats {
             machine: i,
-            stored_bytes: metrics.stored_bytes_of(aoj_simnet::MachineId(i)),
-            evicted_bytes: metrics.evicted_bytes_of(aoj_simnet::MachineId(i)),
-            window_tuples: metrics.window_tuples_of(aoj_simnet::MachineId(i)),
+            stored_bytes: metrics.stored_bytes_of(MachineId(i)),
+            evicted_bytes: metrics.evicted_bytes_of(MachineId(i)),
+            window_tuples: metrics.window_tuples_of(MachineId(i)),
             matches: matches_by_slot[i],
         })
         .collect();
@@ -840,207 +672,6 @@ pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
     }
 }
 
-/// Setup phase for a **restored** grid operator: rebuild the topology a
-/// [`Checkpoint`] describes — same machine-slot space, the checkpoint's
-/// grid assignment and elastic layout, every active joiner re-seeded
-/// with its live tuples — on a fresh backend of either flavour.
-pub(crate) fn restore_grid<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
-    b: &SessionBuilder,
-    ckpt: &Checkpoint,
-    input: Arc<IngestQueue>,
-    sink: Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
-) -> GridWiring {
-    assert!(
-        b.j.is_power_of_two(),
-        "grid operators need a power-of-two J"
-    );
-    assert_eq!(
-        b.elasticity.elastic.is_some(),
-        ckpt.elastic.is_some(),
-        "restore must re-supply the checkpointed session's elasticity \
-         (config is code: pass the same builder sections)"
-    );
-    let adaptive = b.kind == OperatorKind::Dynamic;
-    let sample_spacing = b.sample_spacing();
-    let elastic_cfg = b.elasticity.elastic.map(|e| {
-        if b.lifecycle.window.is_some() {
-            e.with_drain_driven(true)
-        } else {
-            e
-        }
-    });
-    backend.metrics_mut().sample_spacing = sample_spacing;
-    let j = b.j as usize;
-    let total = b
-        .elasticity
-        .elastic
-        .map(|e| provisioned_joiners(b.j, e.max_expansions) as usize)
-        .unwrap_or(j);
-    let active: BTreeSet<usize> = ckpt.assign.machines().collect();
-    assert!(
-        active.iter().all(|&m| m < total),
-        "checkpoint references machine slots outside the provisioned space"
-    );
-    // Unlike a fresh start, the provisioned set need not be a slot
-    // prefix: a contraction may have retired low slots while a later
-    // expansion's children stayed live. Provision exactly the active
-    // machines; everything else is a deferred slot.
-    let mut machines: Vec<MachineId> = (0..total)
-        .map(|i| {
-            if active.contains(&i) {
-                backend.add_machine()
-            } else {
-                backend.add_deferred_machine()
-            }
-        })
-        .collect();
-    let mut src_net = b.data_plane.network;
-    src_net.bytes_per_us = src_net.bytes_per_us.saturating_mul(b.j as u64);
-    machines.push(backend.add_machine_with_network(src_net));
-    let reshuffler_ids: Vec<TaskId> = (0..total).map(TaskId).collect();
-    let joiner_ids: Vec<TaskId> = (total..2 * total).map(TaskId).collect();
-    let source_id = TaskId(2 * total);
-    let skew_board = SkewBoard::new(total);
-    let skew_salt = skew_salt(b.seed);
-
-    for i in 0..total {
-        let controller = (i == 0).then(|| {
-            // The decider is sized to the checkpoint's *current* grid
-            // (an elastic run may sit above or below `b.j` here).
-            let mut cs = ControllerState::new(
-                ckpt.assign.mapping().j(),
-                ckpt.assign.mapping(),
-                b.elasticity.decision,
-                adaptive,
-                sample_spacing,
-            )
-            .with_elastic(elastic_cfg);
-            cs.decider.restore(ckpt.decider);
-            cs.decider.set_grid(ckpt.assign.mapping());
-            // The skew gate is runtime config, not checkpointed state:
-            // re-arm it from the builder; the ratio is re-learned live.
-            cs.decider.set_skew_gate(b.skew.decision_gate_ratio);
-            cs.last_seq = ckpt.source_cursor;
-            if let (Some(ec), Some((e, c))) = (cs.elastic.as_mut(), ckpt.elastic) {
-                ec.expansions_done = e;
-                ec.contractions_done = c;
-            }
-            cs
-        });
-        let task = ReshufflerTask {
-            index: i,
-            epoch: ckpt.epoch,
-            assign: ckpt.assign.clone(),
-            joiner_tasks: joiner_ids.clone(),
-            reshuffler_tasks: reshuffler_ids.clone(),
-            tickets: TicketGen::new(b.seed ^ (i as u64).wrapping_mul(0x9E37_79B9)),
-            cost: b.data_plane.cost,
-            controller,
-            source: source_id,
-            blocking: b.elasticity.blocking_migrations,
-            stalled: false,
-            stall_buffer: Vec::new(),
-            routed: 0,
-            batch: DataCoalescer::new(b.batch_config(), total),
-            deactivated: !active.contains(&i),
-            layout: ckpt.layout.clone(),
-            skew: SkewState::new(b.skew, skew_salt).with_board(Arc::clone(&skew_board), i),
-        };
-        let id = backend.add_task(machines[i], Box::new(task));
-        debug_assert_eq!(id, reshuffler_ids[i]);
-    }
-    for i in 0..total {
-        let mut task = JoinerTask::new(
-            i,
-            b.predicate.clone(),
-            total,
-            joiner_ids.clone(),
-            reshuffler_ids[0],
-            source_id,
-            machines[i],
-            SpillGauge::new(b.data_plane.ram_budget, b.data_plane.spill_penalty),
-            b.data_plane.cost,
-        );
-        if let Some(jc) = ckpt.joiners.iter().find(|jc| jc.machine == i) {
-            assert!(active.contains(&i), "checkpointed joiner on inactive slot");
-            let p = b.predicate.clone();
-            task.epoch =
-                EpochJoiner::restored(&move || index_for(&p), total, ckpt.epoch, &jc.tuples);
-            task.evicted_tuples = jc.evicted_tuples;
-            task.evicted_bytes = jc.evicted_bytes;
-            task.window = b.lifecycle.window.map(|spec| {
-                // The restored state becomes one sealed sub-window. In
-                // count mode the clock must sit at (or past) the highest
-                // restored sequence number — a stale tick (e.g. a
-                // checkpoint written without a window) would expire the
-                // restored segment immediately and evict in-window
-                // tuples. Time mode keeps the checkpoint clock: ticks
-                // restart with the new backend's timeline, and "arrived
-                // at the checkpoint clock" is the conservative reading.
-                let tick = match spec.mode {
-                    WindowMode::Count => jc.latest_tick.max(jc.latest_seq),
-                    WindowMode::Time => jc.latest_tick,
-                };
-                let hi_seq = jc.tuples.iter().map(|t| t.seq).max();
-                WindowTracker::restored(spec, jc.latest_seq, tick, hi_seq)
-            });
-            // Pre-seed the gauges so stats() is truthful before the
-            // first post-restore batch refreshes them.
-            let bytes = task.epoch.stored_bytes();
-            task.gauge.set_stored(bytes);
-            backend.metrics_mut().set_stored(machines[i], bytes);
-            if jc.evicted_bytes > 0 {
-                backend
-                    .metrics_mut()
-                    .set_evicted(machines[i], jc.evicted_bytes);
-            }
-            if task.window.is_some() {
-                backend
-                    .metrics_mut()
-                    .set_window_tuples(machines[i], task.epoch.stored_tuples() as u64);
-            }
-        } else {
-            task = task.dormant(b.predicate.clone(), total);
-            task.window = b.lifecycle.window.map(WindowTracker::new);
-        }
-        task.collect_matches = b.backend.collect_matches;
-        task.match_sink = Some(Arc::clone(&sink));
-        let id = backend.add_task(machines[i], Box::new(task));
-        debug_assert_eq!(id, joiner_ids[i]);
-    }
-    let mut src = SourceTask::new(
-        input,
-        reshuffler_ids.clone(),
-        b.source.pacing,
-        ckpt.window_copies,
-        b.data_plane.batch_tuples,
-    );
-    if let Some(poll) = idle_poll {
-        src = src.with_idle_poll(poll);
-    }
-    // Resume the ingest cursor where the checkpoint left it. Everything
-    // up to the cursor was fully routed *and* processed in the previous
-    // incarnation, so the emitted-vs-routed gate starts balanced and the
-    // flow-control window starts fully open.
-    src.cursor = ckpt.source_cursor as usize;
-    src.routed_tuples = ckpt.source_cursor;
-    src.active = active.iter().map(|&i| reshuffler_ids[i]).collect();
-    let id = backend.add_task(machines[total], Box::new(src));
-    debug_assert_eq!(id, source_id);
-    backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
-
-    GridWiring {
-        total,
-        reshuffler_ids,
-        joiner_ids,
-        source_id,
-        initial: ckpt.assign.mapping(),
-        skew_board,
-    }
-}
-
 /// Setup phase for the SHJ baseline.
 pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
     backend: &mut B,
@@ -1056,7 +687,7 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
     );
     backend.metrics_mut().sample_spacing = b.sample_spacing();
     let j = b.j as usize;
-    let machines = add_machines(backend, b, j, j);
+    let machines = add_machines(backend, b, j, |_| true);
     let reshuffler_ids: Vec<TaskId> = (0..j).map(TaskId).collect();
     let joiner_ids: Vec<TaskId> = (j..2 * j).map(TaskId).collect();
 

@@ -45,7 +45,7 @@ use aoj_simnet::{Ctx, MachineId, Metrics, TaskId};
 use crate::joiner_task::MIG_BATCH_TUPLES;
 use crate::messages::OpMsg;
 
-/// Elasticity knobs for a run (`RunConfig::elastic`).
+/// Elasticity knobs for a run (`SessionBuilder::with_elastic`).
 #[derive(Clone, Copy, Debug)]
 pub struct ElasticConfig {
     /// Per-joiner capacity target `M` in stored bytes. The controller

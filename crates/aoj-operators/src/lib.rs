@@ -13,17 +13,15 @@
 //!   of time);
 //! * **SHJ** — content-sensitive parallel symmetric hash join.
 //!
-//! Two entry points share the same machinery:
-//!
-//! * [`session::JoinSession`] — the **live serving API**: open a
-//!   long-lived session, push tuples with caller-visible backpressure,
-//!   stream matches through a subscription, read live gauges, close to
-//!   drain and collect the report;
-//! * [`driver::run`] — the offline experiment harness: executes one
-//!   pre-materialized arrival sequence (now a thin wrapper over the
-//!   session: open, push all, close) and returns a
-//!   [`report::RunReport`] carrying every quantity the paper's tables
-//!   and figures plot.
+//! There is one way to configure a join — [`session::SessionBuilder`] —
+//! and one path that runs it on any backend:
+//! [`session::JoinSession`], the **live serving API**: open a long-lived
+//! session, push tuples with caller-visible backpressure, stream matches
+//! through a subscription, read live gauges, close to drain and collect
+//! a [`report::RunReport`] carrying every quantity the paper's tables
+//! and figures plot. The offline experiment harness, [`driver::run`], is
+//! a thin wrapper over it (open, push a pre-materialized arrival
+//! sequence, close).
 
 pub mod batch;
 pub mod driver;
@@ -40,17 +38,16 @@ pub mod source;
 pub mod supervise;
 
 pub use batch::BatchConfig;
-pub use driver::{run, run_on, BackendChoice, OperatorKind, RunConfig};
+pub use driver::{run, BackendChoice, OperatorKind};
 pub use elastic_runtime::ElasticConfig;
 pub use grouped::{run_grouped, GroupedReport};
 pub use messages::{Match, OpMsg};
 pub use report::{human_bytes, ContractTransfer, ExpandTransfer, RunReport};
 pub use report::{MachineStats, SkewSummary};
 pub use session::{
-    assemble_topology, assemble_topology_restored, register_tcp_backend, FaultSection,
-    IngestHandle, IngestQueue, JoinSession, KeyFilter, LifecycleSection, MatchHub,
-    MatchSubscription, NetBackend, NetBackendFactory, PushError, SessionBuilder, SessionHandle,
-    SessionStats, SessionTopology,
+    assemble_topology, register_tcp_backend, FaultSection, IngestHandle, IngestQueue, JoinSession,
+    KeyFilter, LifecycleSection, MatchHub, MatchSubscription, NetBackend, NetBackendFactory,
+    PushError, SessionBuilder, SessionHandle, SessionStats, SessionTopology,
 };
 pub use skew::{SkewBoard, SkewPolicy, SkewState};
 pub use source::SourcePacing;

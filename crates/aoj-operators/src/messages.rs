@@ -75,7 +75,7 @@ pub struct IngestItem {
 /// [`IngestBatch`](OpMsg::IngestBatch)/[`DataBatch`](OpMsg::DataBatch)
 /// runs so every mailbox/NIC hop pays its per-message cost once per batch
 /// instead of once per tuple. A batch of one is the degenerate per-tuple
-/// plane (`RunConfig::batch_tuples = 1`) and reproduces it exactly.
+/// plane (`SessionBuilder::with_batch_tuples(1)`) and reproduces it exactly.
 #[derive(Clone, Debug)]
 pub enum OpMsg {
     /// Source → reshuffler: a coalesced run of raw stream tuples entering

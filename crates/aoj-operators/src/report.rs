@@ -9,8 +9,7 @@ use aoj_simnet::SimDuration;
 
 use crate::reshuffler::{ControlEvent, ProgressSample};
 
-/// Per-machine-slot gauges at quiescence — the typed replacement for the
-/// former `*_by_machine` vec fields (index = machine slot; retired
+/// Per-machine-slot gauges at quiescence (index = machine slot; retired
 /// machines read zero).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MachineStats {
@@ -189,10 +188,7 @@ pub struct RunReport {
     /// load does.
     pub peak_provisioned_machines: u64,
     /// Per-machine-slot gauges at quiescence (index = machine slot;
-    /// retired machines read zero). Empty for SHJ runs. Replaces the old
-    /// `stored_bytes_by_machine` / `evicted_bytes_by_machine` /
-    /// `window_tuples_by_machine` vec fields, which survive one release
-    /// as deprecated delegating accessors.
+    /// retired machines read zero). Empty for SHJ runs.
     pub machines: Vec<MachineStats>,
     /// Heavy-hitter and load-quantile summary merged from the
     /// reshufflers' published sketches. Default (empty) for SHJ runs and
@@ -218,7 +214,7 @@ pub struct RunReport {
     /// `ILF/ILF*` trace (adaptive runs; empty otherwise).
     pub competitive: Vec<RatioSample>,
     /// Emitted pair identities `(R seq, S seq)`, sorted — only filled
-    /// when `RunConfig::collect_matches` is set (equivalence testing).
+    /// when `SessionBuilder::with_collect_matches` is set (equivalence testing).
     pub match_pairs: Vec<(u64, u64)>,
     /// Order-independent digest of the emitted match multiset — always
     /// filled, on every backend, whether or not `collect_matches` is
@@ -247,24 +243,6 @@ impl RunReport {
     /// is configured).
     pub fn total_window_tuples(&self) -> u64 {
         self.machines.iter().map(|m| m.window_tuples).sum()
-    }
-
-    /// Stored bytes per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].stored_bytes`")]
-    pub fn stored_bytes_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.stored_bytes).collect()
-    }
-
-    /// Evicted bytes per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].evicted_bytes`")]
-    pub fn evicted_bytes_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.evicted_bytes).collect()
-    }
-
-    /// Window occupancy per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].window_tuples`")]
-    pub fn window_tuples_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.window_tuples).collect()
     }
 
     /// The progress sample closest below `frac` (0..=1) of total

@@ -33,20 +33,19 @@
 //!   on the data plane (joiners wait for the subscriber); a session
 //!   [`close`](SessionHandle::close) lifts the bound first, so a slow
 //!   subscriber can never deadlock the drain.
-//! * **Both backends** serve the same API. The threaded runtime maps
-//!   the queue onto a real MPSC handoff: worker threads run
-//!   concurrently with the caller, and the source parks on a short idle
-//!   poll while the queue is empty. The simulator is single-threaded,
+//! * **Every backend** serves the same API, and the session layer
+//!   knows only two kinds. A *live* backend (the threaded runtime, the
+//!   TCP process backend) runs on a runner thread concurrently with the
+//!   caller: the queue is a real MPSC handoff and the source parks on a
+//!   short idle poll while it is empty. The simulator is single-threaded,
 //!   so the handle *pumps* it instead: each push (and `close`) runs the
 //!   simulator to quiescence, interleaving virtual time with caller
 //!   pushes deterministically — `run()` reproduces its pre-session
 //!   timelines bit for bit.
 //!
-//! [`SessionBuilder`] is the typed configuration: the former 17-field
-//! flat `RunConfig` regrouped into [`SourceSection`],
-//! [`DataPlaneSection`], [`ElasticitySection`] and [`BackendSection`].
-//! `RunConfig` remains as a working legacy alias (every field maps 1:1;
-//! see [`SessionBuilder::from_run_config`]).
+//! [`SessionBuilder`] is the one configuration type, grouped by concern
+//! into [`SourceSection`], [`DataPlaneSection`], [`ElasticitySection`],
+//! [`LifecycleSection`], [`BackendSection`] and [`FaultSection`].
 //!
 //! [`RunReport`]: crate::report::RunReport
 
@@ -65,7 +64,7 @@ use aoj_core::mapping::Mapping;
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::StreamItem;
-use aoj_runtime::{FaultArm, KillSwitch, KillWhen, Runtime, RuntimeConfig};
+use aoj_runtime::{KillWhen, Runtime, RuntimeConfig};
 use aoj_simnet::{
     CostModel, ExecBackend, MachineId, NetworkConfig, SharedGauges, Sim, SimConfig, SimDuration,
     SimTime, TaskId,
@@ -73,10 +72,10 @@ use aoj_simnet::{
 
 use crate::batch::BatchConfig;
 use crate::driver::{
-    build_checkpoint, collect_grid, collect_shj, restore_grid, setup_grid, setup_shj,
-    BackendChoice, GridWiring, OperatorKind, RunConfig, ShjWiring,
+    build_checkpoint, collect_grid, collect_shj, setup_grid, setup_shj, BackendChoice, GridWiring,
+    OperatorKind, ShjWiring,
 };
-use crate::elastic_runtime::ElasticConfig;
+use crate::elastic_runtime::{provisioned_joiners, ElasticConfig};
 use crate::messages::{Match, OpMsg};
 use crate::report::{MachineStats, RunReport, SkewSummary};
 use crate::skew::{SkewBoard, SkewPolicy};
@@ -174,9 +173,9 @@ impl IngestQueue {
     }
 
     /// A queue pre-loaded with a full arrival sequence and already
-    /// closed — the offline-run shape ([`crate::driver::run_on`], the
-    /// grouped driver): the source sees every tuple available from the
-    /// start, exactly like the old slice-walking source did.
+    /// closed — the grouped driver's offline shape: the source sees every
+    /// tuple available from the start, exactly like the old
+    /// slice-walking source did.
     pub(crate) fn preloaded(arrivals: &[(Rel, StreamItem)]) -> Arc<IngestQueue> {
         let q = IngestQueue::bounded(arrivals.len().max(1), true);
         {
@@ -412,7 +411,7 @@ impl HubState {
 /// [`MatchSubscription`]s consume them, each with its own cursor into
 /// the shared buffer, its own lag bound, and its own [`KeyFilter`].
 /// While no consumer is attached the hub only counts (so sessions —
-/// including the legacy `run()` wrapper — pay one atomic add per match,
+/// including the offline `run()` wrapper — pay one atomic add per match,
 /// nothing more), and a match no attached consumer's filter passes is
 /// never buffered at all — on the joiner's thread, before any copy.
 ///
@@ -888,7 +887,7 @@ pub struct BackendSection {
     /// Which substrate executes the session.
     pub choice: BackendChoice,
     /// Progress sample spacing in sequence numbers (0 = a live default;
-    /// the legacy `run()` derives it from the input size).
+    /// the offline `run()` derives it from the input size).
     pub sample_every: u64,
     /// Record every emitted pair in [`RunReport::match_pairs`]
     /// (equivalence testing; memory proportional to the output).
@@ -901,8 +900,8 @@ pub struct BackendSection {
     /// Keep per-sequence stream statistics for the offline `ILF/ILF*`
     /// competitive trace. Costs 16 bytes per pushed tuple for the whole
     /// session lifetime, so live sessions default to **off** (no
-    /// unbounded growth); the legacy [`RunConfig`] conversion turns it
-    /// on, preserving the offline harness's reports.
+    /// unbounded growth); the offline [`run`](crate::driver::run)
+    /// wrapper turns it on.
     pub track_competitive: bool,
 }
 
@@ -937,8 +936,9 @@ const LIVE_SAMPLE_EVERY: u64 = 1024;
 /// Default threaded-backend subscription buffer, in matches.
 const DEFAULT_MATCH_BUFFER: usize = 1024;
 
-/// Typed session configuration: what [`RunConfig`] flattened into 17
-/// fields, regrouped by concern. Open one with [`JoinSession::open`].
+/// The session configuration, grouped by concern. Open one with
+/// [`JoinSession::open`], or hand it to the offline
+/// [`run`](crate::driver::run) wrapper.
 ///
 /// ```no_run
 /// use aoj_core::predicate::Predicate;
@@ -964,7 +964,7 @@ pub struct SessionBuilder {
     pub workload: String,
     /// Fixed mapping for [`OperatorKind::StaticOpt`] sessions. An online
     /// session cannot know stream sizes ahead of time, so the oracle
-    /// mapping must be supplied explicitly (the legacy `run()` computes
+    /// mapping must be supplied explicitly (the offline `run()` computes
     /// it from the pre-materialized arrivals).
     pub oracle_mapping: Option<Mapping>,
     /// Source, flow control and ingest handoff.
@@ -984,8 +984,8 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Defaults mirroring [`RunConfig::new`]: simulator backend,
-    /// saturating source, in-memory, ε = 1, no warm-up gate.
+    /// Sensible defaults for `j` joiners: simulator backend, saturating
+    /// source, in-memory, ε = 1, no warm-up gate.
     pub fn new(j: u32, kind: OperatorKind) -> SessionBuilder {
         SessionBuilder {
             j,
@@ -1024,30 +1024,6 @@ impl SessionBuilder {
             skew: SkewPolicy::default(),
             fault: FaultSection::default(),
         }
-    }
-
-    /// The legacy flat configuration, field for field.
-    pub fn from_run_config(cfg: &RunConfig) -> SessionBuilder {
-        let mut b = SessionBuilder::new(cfg.j, cfg.kind);
-        b.seed = cfg.seed;
-        b.source.pacing = cfg.pacing;
-        b.source.window_copies = cfg.window_copies;
-        b.data_plane.batch_tuples = cfg.batch_tuples;
-        b.data_plane.batch_max_delay_us = cfg.batch_max_delay_us;
-        b.data_plane.ram_budget = cfg.ram_budget;
-        b.data_plane.spill_penalty = cfg.spill_penalty;
-        b.data_plane.cost = cfg.cost;
-        b.data_plane.network = cfg.network;
-        b.elasticity.decision = cfg.decision;
-        b.elasticity.elastic = cfg.elastic;
-        b.elasticity.blocking_migrations = cfg.blocking_migrations;
-        b.backend.choice = cfg.backend;
-        b.backend.sample_every = cfg.sample_every;
-        b.backend.collect_matches = cfg.collect_matches;
-        // The offline harness reports the competitive trace; it holds
-        // the whole stream in memory anyway.
-        b.backend.track_competitive = true;
-        b
     }
 
     /// Builder: the join predicate.
@@ -1101,6 +1077,43 @@ impl SessionBuilder {
     /// Builder: the per-joiner RAM budget in bytes.
     pub fn with_ram_budget(mut self, bytes: u64) -> SessionBuilder {
         self.data_plane.ram_budget = bytes;
+        self
+    }
+
+    /// Builder: the disk-tier cost multiplier.
+    pub fn with_spill_penalty(mut self, penalty: u64) -> SessionBuilder {
+        self.data_plane.spill_penalty = penalty;
+        self
+    }
+
+    /// Builder: the coalescing-buffer age bound, in microseconds.
+    pub fn with_batch_max_delay_us(mut self, us: u64) -> SessionBuilder {
+        self.data_plane.batch_max_delay_us = us;
+        self
+    }
+
+    /// Builder: the CPU cost model.
+    pub fn with_cost(mut self, cost: CostModel) -> SessionBuilder {
+        self.data_plane.cost = cost;
+        self
+    }
+
+    /// Builder: the network parameters (simulator backend).
+    pub fn with_network(mut self, network: NetworkConfig) -> SessionBuilder {
+        self.data_plane.network = network;
+        self
+    }
+
+    /// Builder: the Alg. 2 decision parameters.
+    pub fn with_decision(mut self, decision: DecisionConfig) -> SessionBuilder {
+        self.elasticity.decision = decision;
+        self
+    }
+
+    /// Builder: the progress sample spacing (0 = a live default; the
+    /// offline `run()` derives it from the input size).
+    pub fn with_sample_every(mut self, every: u64) -> SessionBuilder {
+        self.backend.sample_every = every;
         self
     }
 
@@ -1220,6 +1233,14 @@ impl SessionBuilder {
         }
     }
 
+    /// Registered joiner machine slots: `j`, or the bounded
+    /// `j · 4^max_expansions` space of an elastic session.
+    pub(crate) fn machine_slots(&self) -> usize {
+        self.elasticity
+            .elastic
+            .map_or(self.j, |e| provisioned_joiners(self.j, e.max_expansions)) as usize
+    }
+
     /// The resolved ingest-queue capacity.
     fn queue_capacity(&self) -> usize {
         if self.source.queue_tuples > 0 {
@@ -1277,24 +1298,6 @@ impl SessionStats {
     pub fn total_window_tuples(&self) -> u64 {
         self.machines.iter().map(|m| m.window_tuples).sum()
     }
-
-    /// Stored bytes per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].stored_bytes`")]
-    pub fn stored_bytes_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.stored_bytes).collect()
-    }
-
-    /// Evicted bytes per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].evicted_bytes`")]
-    pub fn evicted_bytes_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.evicted_bytes).collect()
-    }
-
-    /// Window occupancy per machine slot.
-    #[deprecated(since = "0.1.0", note = "use `machines[i].window_tuples`")]
-    pub fn window_tuples_by_machine(&self) -> Vec<u64> {
-        self.machines.iter().map(|m| m.window_tuples).collect()
-    }
 }
 
 enum Wiring {
@@ -1325,27 +1328,42 @@ impl Wiring {
     }
 }
 
-/// An execution backend provided by another crate, launchable by the
-/// session layer like the built-ins. `aoj-net` registers its TCP
-/// process backend through [`register_tcp_backend`]; the indirection
-/// keeps the dependency arrow pointing outward (the backend crate
-/// depends on this one, not vice versa).
+/// A **live** execution backend: one that runs concurrently with the
+/// caller on the session's runner thread, as opposed to the simulator,
+/// which the handle pumps inline. The session layer drives every live
+/// backend through this one surface. The threaded runtime implements it
+/// here; `aoj-net` registers its TCP process backend through
+/// [`register_tcp_backend`] — the indirection keeps the dependency arrow
+/// pointing outward (the backend crate depends on this one, not vice
+/// versa).
 pub trait NetBackend: ExecBackend<OpMsg> + Send {
     /// The live gauge overlay [`SessionHandle::stats`] reads while the
     /// backend runs on its own thread.
     fn session_gauges(&mut self) -> Arc<SharedGauges>;
 
-    /// Install the coordinator-side [`SkewBoard`] the backend should
-    /// publish worker sketch summaries into (slot = worker index). The
-    /// default ignores it — a backend without sketch transport simply
-    /// reports an empty skew summary.
-    fn install_skew_board(&mut self, board: Arc<SkewBoard>) {
-        let _ = board;
+    /// Can a quiesced run of this backend be snapshotted in place —
+    /// does it hold the operator's task state once
+    /// [`run`](ExecBackend::run) returns? True for in-process backends;
+    /// false (the default) when the state lives in worker processes.
+    /// [`SessionHandle::checkpoint`] and the recovery controller's
+    /// rotation strategy both read this.
+    fn snapshots_in_place(&self) -> bool {
+        false
     }
 
-    /// The typed death log the backend's failure detector records into,
-    /// read by [`SessionHandle::health`]. `None` (the default) means the
-    /// backend has no failure detection.
+    /// A backend whose reshufflers run out of process returns the
+    /// coordinator-side [`SkewBoard`] it will feed from worker sketch
+    /// summaries (slot = worker index); it replaces the topology's own
+    /// board, which the never-executed local tasks cannot fill. `None`
+    /// (the default) keeps the topology's board.
+    fn remote_skew_board(&mut self, slots: usize) -> Option<Arc<SkewBoard>> {
+        let _ = slots;
+        None
+    }
+
+    /// The typed death log the backend records into, read by
+    /// [`SessionHandle::health`]. `None` (the default) means the run has
+    /// no death source.
     fn fault_log(&mut self) -> Option<FaultLog> {
         None
     }
@@ -1364,17 +1382,15 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
         None
     }
 
-    /// Install a checkpoint the backend's workers should restore from
-    /// instead of building fresh state. Returns `false` (the default)
-    /// when the backend cannot ship restored state to its workers.
-    fn install_restore(&mut self, ckpt: &Checkpoint) -> bool {
-        let _ = ckpt;
-        false
-    }
+    /// The checkpoint the session is being restored from. A backend
+    /// with out-of-process workers must ship it to them (or they would
+    /// silently restart from empty state); an in-process backend has
+    /// nothing to do — the topology build seeds its tasks.
+    fn install_restore(&mut self, ckpt: &Checkpoint);
 }
 
-/// Factory building a [`BackendChoice::Tcp`] backend for one session.
-/// The hub is the session's match stream: the backend re-emits matches
+/// Factory building a live backend for one session. The hub is the
+/// session's match stream: an out-of-process backend re-emits matches
 /// received from its workers into it ([`MatchHub::emit`]).
 pub type NetBackendFactory = fn(&SessionBuilder, Arc<MatchHub>) -> Box<dyn NetBackend>;
 
@@ -1386,24 +1402,89 @@ pub fn register_tcp_backend(factory: NetBackendFactory) {
     let _ = TCP_BACKEND.set(factory);
 }
 
+impl NetBackend for Runtime<OpMsg> {
+    fn session_gauges(&mut self) -> Arc<SharedGauges> {
+        self.shared_gauges()
+    }
+
+    fn snapshots_in_place(&self) -> bool {
+        true
+    }
+
+    fn fault_log(&mut self) -> Option<FaultLog> {
+        self.armed_fault().map(|arm| arm.log())
+    }
+
+    fn kill_handle(&mut self) -> Option<Box<dyn Fn(usize) + Send + Sync>> {
+        let arm = self.armed_fault()?;
+        Some(Box::new(move |machine| {
+            assert_eq!(
+                arm.victim(),
+                machine,
+                "the threaded backend's armed fault targets machine {}, not {machine}",
+                arm.victim()
+            );
+            arm.fire_now();
+        }))
+    }
+
+    // The unwedge lever: always available, so `abandon` works even on a
+    // run that crashed without an armed plan (e.g. a panic).
+    fn abort_handle(&mut self) -> Option<Box<dyn Fn() + Send + Sync>> {
+        let ks = self.kill_switch();
+        Some(Box::new(move || ks.fire()))
+    }
+
+    fn install_restore(&mut self, _ckpt: &Checkpoint) {}
+}
+
+/// The [`BackendChoice::Threaded`] factory: an `aoj-runtime` sized to the
+/// session's flow-control window, with the fault plan armed.
+fn threaded_backend(builder: &SessionBuilder, _hub: Arc<MatchHub>) -> Box<dyn NetBackend> {
+    let mut rt_cfg = RuntimeConfig::default();
+    // Keep the mailbox bound above the flow-control window so
+    // backpressure binds at the source.
+    if builder.source.window_copies > 0 {
+        rt_cfg.data_queue_capacity = rt_cfg
+            .data_queue_capacity
+            .max(4 * builder.source.window_copies as usize);
+    }
+    let mut rt: Runtime<OpMsg> = Runtime::new(rt_cfg);
+    // One armed kill per run: the victim thread vanishes and the run
+    // wedges until the kill switch fires, so a second injection could
+    // never trip.
+    if let Some(k) = builder.fault.plan.kills.first() {
+        assert!(
+            builder.fault.plan.kills.len() == 1,
+            "the threaded backend supports at most one fault injection per run \
+             (a crashed run wedges until recovery; later kills cannot trip)"
+        );
+        let when = match k.trigger {
+            FaultTrigger::AtTime { at_us } => KillWhen::AtTime(at_us),
+            FaultTrigger::AfterTuples { tuples } => KillWhen::AfterTuples(tuples),
+            // Checkpoint counting lives in the session driver; the
+            // supervisor fires this arm via `inject_kill`.
+            FaultTrigger::OnCheckpoint { .. } => KillWhen::Explicit,
+        };
+        rt.arm_fault(k.machine, when, FaultLog::new());
+    }
+    Box::new(rt)
+}
+
 enum Inner {
     /// The deterministic simulator, pumped inline by the owner.
     Sim {
         sim: Box<Sim<OpMsg>>,
         wiring: Wiring,
     },
-    /// The threaded runtime, running concurrently on its own threads.
-    Threaded {
-        runner: JoinHandle<(Runtime<OpMsg>, SimTime)>,
-        wiring: Wiring,
-        gauges: Arc<SharedGauges>,
-    },
-    /// An externally registered backend (the TCP process backend),
-    /// running concurrently like the threaded runtime.
-    External {
+    /// A live backend, running concurrently on the runner thread.
+    Live {
         runner: JoinHandle<(Box<dyn NetBackend>, SimTime)>,
         wiring: Wiring,
         gauges: Arc<SharedGauges>,
+        /// [`NetBackend::snapshots_in_place`], read before the runner
+        /// thread took the backend.
+        snapshots: bool,
     },
 }
 
@@ -1412,9 +1493,9 @@ pub struct JoinSession;
 
 impl JoinSession {
     /// Open a session: build the operator topology on the configured
-    /// backend and make it ready for pushes. On the threaded backend the
-    /// worker threads start immediately (idle until data arrives); on
-    /// the simulator nothing executes until the first push or
+    /// backend and make it ready for pushes. On a live backend the
+    /// workers start immediately (idle until data arrives); on the
+    /// simulator nothing executes until the first push or
     /// [`pump`](SessionHandle::pump).
     pub fn open(builder: SessionBuilder) -> SessionHandle {
         // Joiners park up to CREDIT_BATCH − 1 returned credits each, so a
@@ -1450,9 +1531,10 @@ impl JoinSession {
     ///
     /// `builder` must carry the same configuration the checkpointed
     /// session ran with (config is code, not data): the fingerprint
-    /// fields `j`, `kind` and `seed` are validated against the snapshot.
-    /// Works on either backend — a simulator checkpoint restores onto the
-    /// threaded runtime and vice versa.
+    /// fields `j`, `kind` and `seed`, the elasticity section and the
+    /// machine-slot space are validated against the snapshot, and a
+    /// mismatch is `InvalidData`. Works on any backend — a simulator
+    /// checkpoint restores onto the threaded runtime and vice versa.
     pub fn restore(builder: SessionBuilder, path: impl AsRef<Path>) -> io::Result<SessionHandle> {
         JoinSession::restore_at(builder, path.as_ref(), None)
     }
@@ -1493,6 +1575,28 @@ impl JoinSession {
                 builder.seed
             )));
         }
+        let elastic = (ckpt.elastic.is_some(), builder.elasticity.elastic.is_some());
+        if elastic.0 != elastic.1 {
+            return Err(invalid(format!(
+                "checkpoint elasticity mismatch: snapshot elastic = {}, builder elastic = {} \
+                 (config is code: pass the same builder sections)",
+                elastic.0, elastic.1
+            )));
+        }
+        let slots = builder.machine_slots();
+        let active: Vec<usize> = ckpt.assign.machines().collect();
+        if let Some(m) = active.iter().find(|&&m| m >= slots) {
+            return Err(invalid(format!(
+                "checkpoint references machine slot {m}, outside the builder's \
+                 {slots}-slot provisioned space"
+            )));
+        }
+        if let Some(jc) = ckpt.joiners.iter().find(|jc| !active.contains(&jc.machine)) {
+            return Err(invalid(format!(
+                "checkpoint carries joiner state for inactive machine slot {}",
+                jc.machine
+            )));
+        }
         let skip = match replay_from {
             None => 0,
             Some(from) if from <= ckpt.source_cursor => ckpt.source_cursor - from,
@@ -1516,162 +1620,92 @@ fn launch(
     queue: Arc<IngestQueue>,
     restore_from: Option<&Checkpoint>,
 ) -> SessionHandle {
-    let inner = match builder.backend.choice {
-        BackendChoice::Sim => {
-            // A blocking emit on the single-threaded simulator could
-            // only deadlock the pump: the hub is always unbounded
-            // here.
-            let hub = MatchHub::new(0);
-            let mut sim: Box<Sim<OpMsg>> = Box::new(Sim::new(SimConfig {
-                network: builder.data_plane.network,
-                machine: Default::default(),
-                deadline: None,
-            }));
-            let wiring = build_topology(&mut *sim, &builder, &queue, &hub, None, restore_from);
-            // Clock-triggered kills become simulator events up front;
-            // tuple-count and checkpoint-count triggers are lowered to
-            // `kill_now` by the supervisor via `inject_kill` (only the
-            // session driver can observe those counters).
-            for k in &builder.fault.plan.kills {
-                if let FaultTrigger::AtTime { at_us } = k.trigger {
-                    sim.schedule_kill(MachineId(k.machine), SimTime(at_us));
-                }
-            }
-            (Inner::Sim { sim, wiring }, hub, FaultControls::default())
-        }
-        BackendChoice::Threaded => {
-            let hub = MatchHub::new(builder.backend.match_buffer);
-            let mut rt_cfg = RuntimeConfig::default();
-            // Keep the mailbox bound above the flow-control window so
-            // backpressure binds at the source (see `driver::run`).
-            if builder.source.window_copies > 0 {
-                rt_cfg.data_queue_capacity = rt_cfg
-                    .data_queue_capacity
-                    .max(4 * builder.source.window_copies as usize);
-            }
-            let mut rt: Runtime<OpMsg> = Runtime::new(rt_cfg);
-            let idle_poll = SimDuration::from_micros(builder.source.idle_poll_us.max(1));
-            let wiring = build_topology(
-                &mut rt,
-                &builder,
-                &queue,
-                &hub,
-                Some(idle_poll),
-                restore_from,
-            );
-            let gauges = rt.shared_gauges();
-            // Arm the fault plan before the runner thread takes the
-            // runtime. One armed kill per run: the victim thread
-            // vanishes and the run wedges until the kill switch fires,
-            // so a second injection could never trip.
-            let mut fault = FaultControls::default();
-            if !builder.fault.plan.kills.is_empty() {
-                assert!(
-                    builder.fault.plan.kills.len() == 1,
-                    "the threaded backend supports at most one fault injection per run \
-                     (a crashed run wedges until recovery; later kills cannot trip)"
-                );
-                let k = &builder.fault.plan.kills[0];
-                let when = match k.trigger {
-                    FaultTrigger::AtTime { at_us } => KillWhen::AtTime(at_us),
-                    FaultTrigger::AfterTuples { tuples } => KillWhen::AfterTuples(tuples),
-                    // Checkpoint counting lives in the session driver;
-                    // the supervisor fires this arm via `inject_kill`.
-                    FaultTrigger::OnCheckpoint { .. } => KillWhen::Explicit,
-                };
-                let log = FaultLog::new();
-                fault.arm = Some(rt.arm_fault(k.machine, when, log.clone()));
-                fault.log = Some(log);
-            }
-            // The unwedge lever: always created, so `abandon` works even
-            // on a run that crashed without an armed plan (e.g. a panic).
-            fault.kill_sw = Some(rt.kill_switch());
-            let runner = std::thread::Builder::new()
-                .name("aoj-session".to_string())
-                .spawn(move || {
-                    let end = rt.run();
-                    (rt, end)
-                })
-                .expect("failed to spawn session runner thread");
-            (
-                Inner::Threaded {
-                    runner,
-                    wiring,
-                    gauges,
-                },
-                hub,
-                fault,
-            )
-        }
-        BackendChoice::Tcp => {
-            let factory = TCP_BACKEND.get().expect(
-                "BackendChoice::Tcp needs a registered backend: \
-                 call aoj_net::install() before opening the session",
-            );
-            let hub = MatchHub::new(builder.backend.match_buffer);
-            let mut backend = factory(&builder, Arc::clone(&hub));
-            if let Some(ckpt) = restore_from {
-                // The workers rebuild restored state from the snapshot
-                // shipped in their Plan; a backend that cannot carry it
-                // would silently restart from empty state instead.
-                assert!(
-                    backend.install_restore(ckpt),
-                    "the registered TCP backend does not support checkpoint restore"
-                );
-            }
-            let idle_poll = SimDuration::from_micros(builder.source.idle_poll_us.max(1));
-            let mut wiring = build_topology(
-                &mut backend,
-                &builder,
-                &queue,
-                &hub,
-                Some(idle_poll),
-                restore_from,
-            );
-            // The coordinator's locally-built reshuffler tasks never
-            // run, so their board never fills. Swap in a board the
-            // backend feeds from worker gauge frames (slot = worker).
-            if let Wiring::Grid(w) = &mut wiring {
-                let board = SkewBoard::new(w.total);
-                backend.install_skew_board(Arc::clone(&board));
-                w.skew_board = board;
-            }
-            let gauges = backend.session_gauges();
-            // Capture the fault surfaces before the runner thread takes
-            // the backend: the death log its failure detector records
-            // into, plus the SIGKILL and reactor-abort levers.
-            let fault = FaultControls {
-                log: backend.fault_log(),
-                arm: None,
-                kill_sw: None,
-                kill_fn: backend.kill_handle(),
-                abort_fn: backend.abort_handle(),
-            };
-            let runner = std::thread::Builder::new()
-                .name("aoj-session-net".to_string())
-                .spawn(move || {
-                    let end = backend.run();
-                    (backend, end)
-                })
-                .expect("failed to spawn session runner thread");
-            (
-                Inner::External {
-                    runner,
-                    wiring,
-                    gauges,
-                },
-                hub,
-                fault,
-            )
-        }
+    let factory: NetBackendFactory = match builder.backend.choice {
+        BackendChoice::Sim => return launch_sim(builder, queue, restore_from),
+        BackendChoice::Threaded => threaded_backend,
+        BackendChoice::Tcp => *TCP_BACKEND.get().expect(
+            "BackendChoice::Tcp needs a registered backend: \
+             call aoj_net::install() before opening the session",
+        ),
     };
-    let (inner, hub, fault) = inner;
+    let hub = MatchHub::new(builder.backend.match_buffer);
+    let mut backend = factory(&builder, Arc::clone(&hub));
+    if let Some(ckpt) = restore_from {
+        backend.install_restore(ckpt);
+    }
+    let idle_poll = SimDuration::from_micros(builder.source.idle_poll_us.max(1));
+    let mut wiring = build_topology(
+        &mut backend,
+        &builder,
+        &queue,
+        &hub,
+        Some(idle_poll),
+        restore_from,
+    );
+    if let Wiring::Grid(w) = &mut wiring {
+        if let Some(board) = backend.remote_skew_board(w.total) {
+            w.skew_board = board;
+        }
+    }
+    let gauges = backend.session_gauges();
+    // Capture the fault surfaces before the runner thread takes the
+    // backend: the death log plus the kill and abort levers.
+    let fault = FaultControls {
+        log: backend.fault_log(),
+        kill_fn: backend.kill_handle(),
+        abort_fn: backend.abort_handle(),
+    };
+    let snapshots = backend.snapshots_in_place();
+    let runner = std::thread::Builder::new()
+        .name("aoj-session".to_string())
+        .spawn(move || {
+            let end = backend.run();
+            (backend, end)
+        })
+        .expect("failed to spawn session runner thread");
     SessionHandle {
         builder,
         queue,
         hub,
-        inner: Some(inner),
+        inner: Some(Inner::Live {
+            runner,
+            wiring,
+            gauges,
+            snapshots,
+        }),
         fault,
+    }
+}
+
+fn launch_sim(
+    builder: SessionBuilder,
+    queue: Arc<IngestQueue>,
+    restore_from: Option<&Checkpoint>,
+) -> SessionHandle {
+    // A blocking emit on the single-threaded simulator could only
+    // deadlock the pump: the hub is always unbounded here.
+    let hub = MatchHub::new(0);
+    let mut sim: Box<Sim<OpMsg>> = Box::new(Sim::new(SimConfig {
+        network: builder.data_plane.network,
+        machine: Default::default(),
+        deadline: None,
+    }));
+    let wiring = build_topology(&mut *sim, &builder, &queue, &hub, None, restore_from);
+    // Clock-triggered kills become simulator events up front;
+    // tuple-count and checkpoint-count triggers are lowered to
+    // `kill_now` by the supervisor via `inject_kill` (only the session
+    // driver can observe those counters).
+    for k in &builder.fault.plan.kills {
+        if let FaultTrigger::AtTime { at_us } = k.trigger {
+            sim.schedule_kill(MachineId(k.machine), SimTime(at_us));
+        }
+    }
+    SessionHandle {
+        builder,
+        queue,
+        hub,
+        inner: Some(Inner::Sim { sim, wiring }),
+        fault: FaultControls::default(),
     }
 }
 
@@ -1685,12 +1719,16 @@ fn build_topology<B: ExecBackend<OpMsg>>(
 ) -> Wiring {
     let input = Arc::clone(queue);
     let sink = Arc::clone(hub);
-    match restore_from {
-        Some(ckpt) => Wiring::Grid(restore_grid(backend, builder, ckpt, input, sink, idle_poll)),
-        None => match builder.kind {
-            OperatorKind::Shj => Wiring::Shj(setup_shj(backend, builder, input, sink, idle_poll)),
-            _ => Wiring::Grid(setup_grid(backend, builder, input, sink, idle_poll)),
-        },
+    match builder.kind {
+        OperatorKind::Shj => Wiring::Shj(setup_shj(backend, builder, input, sink, idle_poll)),
+        _ => Wiring::Grid(setup_grid(
+            backend,
+            builder,
+            input,
+            sink,
+            idle_poll,
+            restore_from,
+        )),
     }
 }
 
@@ -1722,37 +1760,22 @@ impl SessionTopology {
 
 /// Assemble `builder`'s operator topology on any backend — the hook a
 /// worker **process** uses to rebuild the coordinator's exact task
-/// layout on its own local backend. Registration order is a pure
-/// function of the builder, so identical `TaskId`s fall out on every
-/// process that runs this over an equal builder.
+/// layout on its own local backend, fresh or (when its launch plan
+/// carries a snapshot) restored. Registration order is a pure function
+/// of `(builder, restore)` — the checkpoint's elastic layout decides
+/// which machines are provisioned and which deferred — so identical
+/// `TaskId`s fall out on every process that runs this over an equal
+/// pair.
 pub fn assemble_topology<B: ExecBackend<OpMsg>>(
     backend: &mut B,
     builder: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
     idle_poll: Option<SimDuration>,
+    restore: Option<&Checkpoint>,
 ) -> SessionTopology {
     SessionTopology {
-        wiring: build_topology(backend, builder, &input, &sink, idle_poll, None),
-    }
-}
-
-/// Like [`assemble_topology`], but restoring from a [`Checkpoint`] — the
-/// hook a worker process uses when its launch plan carries a snapshot.
-/// Every process must restore from the *same* snapshot the coordinator
-/// laid its receptacle topology out from: the checkpoint's elastic
-/// layout decides which machines are provisioned and which deferred, so
-/// task registration order (and therefore `TaskId`s) depends on it.
-pub fn assemble_topology_restored<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
-    builder: &SessionBuilder,
-    ckpt: &Checkpoint,
-    input: Arc<IngestQueue>,
-    sink: Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
-) -> SessionTopology {
-    SessionTopology {
-        wiring: build_topology(backend, builder, &input, &sink, idle_poll, Some(ckpt)),
+        wiring: build_topology(backend, builder, &input, &sink, idle_poll, restore),
     }
 }
 
@@ -1774,34 +1797,43 @@ pub struct SessionHandle {
     fault: FaultControls,
 }
 
-/// The per-backend levers `launch` collects for fault observation and
-/// recovery: the typed death log, the injection surfaces, and the
-/// abort/unwedge surfaces. Every field is optional — a backend without
-/// the capability simply leaves the lever out.
+/// The levers `launch` collects from a live backend for fault
+/// observation and recovery: the typed death log, the injection surface,
+/// and the abort/unwedge surface. Every field is optional — a backend
+/// without the capability simply leaves the lever out.
 #[derive(Default)]
 struct FaultControls {
     /// Typed deaths recorded by the backend (threaded victim self-check,
     /// TCP failure detector). The simulator reports via `Sim::deaths`.
     log: Option<FaultLog>,
-    /// Threaded backend's armed fault, for explicit `inject_kill`.
-    arm: Option<Arc<FaultArm>>,
-    /// Threaded backend's run terminator, for `abandon`.
-    kill_sw: Option<Arc<KillSwitch>>,
-    /// TCP backend's SIGKILL surface, for explicit `inject_kill`.
+    /// Kills one machine's worker, for explicit `inject_kill`.
     kill_fn: Option<Box<dyn Fn(usize) + Send + Sync>>,
-    /// TCP backend's reactor abort, for `abandon`.
+    /// Ends the run without quiescence, for `abandon`.
     abort_fn: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
+impl FaultControls {
+    /// Recorded deaths (empty on a healthy run).
+    fn deaths(&self) -> Vec<WorkerDeath> {
+        self.log.as_ref().map(|l| l.peek()).unwrap_or_default()
+    }
+
+    fn abort(&self) {
+        if let Some(abort) = &self.abort_fn {
+            abort();
+        }
+    }
+}
+
 impl SessionHandle {
-    /// Push one tuple. On the threaded backend this blocks while the
-    /// ingest queue is full (the flow-control window is closed) and
-    /// wakes when the operator returns credits. On the simulator backend
-    /// it never blocks: the push pumps the simulator, which drains the
-    /// queue in virtual time before returning.
+    /// Push one tuple. On a live backend this blocks while the ingest
+    /// queue is full (the flow-control window is closed) and wakes when
+    /// the operator returns credits. On the simulator backend it never
+    /// blocks: the push pumps the simulator, which drains the queue in
+    /// virtual time before returning.
     pub fn push(&mut self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
         match self.inner.as_mut().expect("session closed") {
-            Inner::Threaded { .. } | Inner::External { .. } => self.queue.push(rel, item),
+            Inner::Live { .. } => self.queue.push(rel, item),
             Inner::Sim { sim, wiring } => {
                 sim_push(&self.queue, sim, wiring, rel, item)?;
                 pump_sim(sim, wiring.source_id(), &self.queue);
@@ -1815,12 +1847,8 @@ impl SessionHandle {
     /// a pump drains the queue — so `Full` is retried once internally).
     pub fn try_push(&mut self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
         match self.inner.as_mut().expect("session closed") {
-            Inner::Threaded { .. } | Inner::External { .. } => self.queue.try_push(rel, item),
-            Inner::Sim { sim, wiring } => {
-                sim_push(&self.queue, sim, wiring, rel, item)?;
-                pump_sim(sim, wiring.source_id(), &self.queue);
-                Ok(())
-            }
+            Inner::Live { .. } => self.queue.try_push(rel, item),
+            Inner::Sim { .. } => self.push(rel, item),
         }
     }
 
@@ -1833,7 +1861,7 @@ impl SessionHandle {
     ) -> Result<u64, PushError> {
         let mut n = 0u64;
         match self.inner.as_mut().expect("session closed") {
-            Inner::Threaded { .. } | Inner::External { .. } => {
+            Inner::Live { .. } => {
                 for (rel, item) in items {
                     self.queue.push(rel, item)?;
                     n += 1;
@@ -1880,7 +1908,7 @@ impl SessionHandle {
     }
 
     /// Advance the simulator to quiescence on the current input
-    /// (a no-op on the threaded backend, which runs continuously).
+    /// (a no-op on a live backend, which runs continuously).
     /// `push`/`push_batch`/`close` pump implicitly; call this after
     /// feeding tuples through an [`IngestHandle`] from another thread.
     pub fn pump(&mut self) {
@@ -1909,18 +1937,13 @@ impl SessionHandle {
                     detect_latency_us: 0,
                 })
                 .collect(),
-            _ => self
-                .fault
-                .log
-                .as_ref()
-                .map(|l| l.peek())
-                .unwrap_or_default(),
+            _ => self.fault.deaths(),
         }
     }
 
-    /// A shared handle on the live backends' death log (`None` on the
+    /// A shared handle on a live backend's death log (`None` on the
     /// simulator, whose deaths are read synchronously, and on runs with
-    /// no armed plan). The recovery controller holds this clone so a
+    /// no death source). The recovery controller holds this clone so a
     /// crash that unwinds `close()`/`checkpoint()` — consuming the
     /// session handle — can still be attributed to its machine.
     pub fn fault_log(&self) -> Option<FaultLog> {
@@ -1936,55 +1959,43 @@ impl SessionHandle {
     pub fn inject_kill(&mut self, machine: usize) {
         match self.inner.as_mut().expect("session closed") {
             Inner::Sim { sim, .. } => sim.kill_now(MachineId(machine)),
-            Inner::Threaded { .. } => {
-                let arm = self
-                    .fault
-                    .arm
-                    .as_ref()
-                    .expect("inject_kill on the threaded backend needs an armed fault plan");
-                assert_eq!(
-                    arm.victim(),
-                    machine,
-                    "the threaded backend's armed fault targets machine {}, not {machine}",
-                    arm.victim()
+            Inner::Live { .. } => {
+                let kill = self.fault.kill_fn.as_ref().expect(
+                    "this backend exposes no kill surface for the session \
+                     (the threaded runtime needs an armed fault plan)",
                 );
-                arm.fire_now();
-            }
-            Inner::External { .. } => {
-                let kill = self
-                    .fault
-                    .kill_fn
-                    .as_ref()
-                    .expect("the registered TCP backend exposes no kill surface");
                 kill(machine);
             }
         }
     }
 
+    /// Can [`checkpoint`](SessionHandle::checkpoint) quiesce and
+    /// snapshot this session in place? True on the simulator and on
+    /// in-process live backends; false where the operator state lives in
+    /// worker processes ([`NetBackend::snapshots_in_place`]).
+    pub fn snapshots_in_place(&self) -> bool {
+        !matches!(
+            self.inner,
+            Some(Inner::Live {
+                snapshots: false,
+                ..
+            })
+        )
+    }
+
     /// Tear the session down without draining — the only safe exit from
     /// a crashed run, whose drain would never finish. Fires the
-    /// backend's abort levers first (threaded kill switch, TCP reactor
-    /// abort), then joins the runner, swallowing its panic: the caller
-    /// already knows the run died from [`health`](SessionHandle::health)
-    /// and is about to recover from a checkpoint.
+    /// backend's abort lever first, then joins the runner, swallowing
+    /// its panic: the caller already knows the run died from
+    /// [`health`](SessionHandle::health) and is about to recover from a
+    /// checkpoint.
     pub fn abandon(mut self) {
-        if let Some(ks) = &self.fault.kill_sw {
-            ks.fire();
-        }
-        if let Some(abort) = &self.fault.abort_fn {
-            abort();
-        }
+        self.fault.abort();
         self.hub.lift_bound();
         self.queue.close();
-        match self.inner.take() {
-            Some(Inner::Threaded { runner, .. }) => {
-                let _ = runner.join();
-            }
-            Some(Inner::External { runner, .. }) => {
-                let _ = runner.join();
-            }
-            // Nothing runs between pumps on the simulator.
-            _ => {}
+        // Nothing runs between pumps on the simulator.
+        if let Some(Inner::Live { runner, .. }) = self.inner.take() {
+            let _ = runner.join();
         }
         // Drop finishes the hub (inner is already taken, so the drop
         // path's join is a no-op).
@@ -1994,8 +2005,7 @@ impl SessionHandle {
     /// per-machine stored bytes, processed-copy counts, and the match
     /// total.
     pub fn stats(&self) -> SessionStats {
-        let inner = self.inner.as_ref().expect("session closed");
-        let (machines, processed) = match inner {
+        let (wiring, machines, processed) = match self.inner.as_ref().expect("session closed") {
             Inner::Sim { sim, wiring } => {
                 let m = sim.metrics();
                 let machines = (0..wiring.machine_slots())
@@ -2007,9 +2017,9 @@ impl SessionHandle {
                         matches: 0,
                     })
                     .collect();
-                (machines, m.data_processed)
+                (wiring, machines, m.data_processed)
             }
-            Inner::Threaded { gauges, wiring, .. } | Inner::External { gauges, wiring, .. } => {
+            Inner::Live { gauges, wiring, .. } => {
                 let machines = (0..wiring.machine_slots())
                     .map(|i| MachineStats {
                         machine: i,
@@ -2019,13 +2029,8 @@ impl SessionHandle {
                         matches: 0,
                     })
                     .collect();
-                (machines, gauges.data_processed())
+                (wiring, machines, gauges.data_processed())
             }
-        };
-        let wiring = match inner {
-            Inner::Sim { wiring, .. }
-            | Inner::Threaded { wiring, .. }
-            | Inner::External { wiring, .. } => wiring,
         };
         let skew = SkewSummary::from_sketch(wiring.skew_board().and_then(|b| b.merged()));
         SessionStats {
@@ -2043,31 +2048,65 @@ impl SessionHandle {
     /// yielding the drain's matches and then ends (`None`); the buffer
     /// bound is lifted first, so a slow subscriber cannot wedge the
     /// close.
-    pub fn close(mut self) -> RunReport {
-        // A crashed run can never drain: joining the runner below would
-        // hang forever on the wedged quiescence counter. Surface the
-        // typed deaths instead (after an abandon, so the unwind cannot
-        // re-enter the wedged join via Drop).
-        let deaths = self.health();
-        if !deaths.is_empty() {
-            let msg = deaths
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("; ");
-            self.abandon();
-            panic!(
-                "close() on a crashed session ({msg}); \
-                 recover with JoinSession::restore_with_replay"
-            );
+    pub fn close(self) -> RunReport {
+        self.refuse_if_crashed("close").drain(false).0
+    }
+
+    /// Close the session at a quiesced checkpoint and write a versioned
+    /// snapshot to `path`: every live (unevicted) tuple per joiner, the
+    /// grid mapping and elastic layout, the migration decider's counters,
+    /// and the ingest cursor. [`JoinSession::restore`] reopens the
+    /// snapshot on any backend and continues from the cursor.
+    ///
+    /// Draining first guarantees the snapshot sits at an Alg. 3 epoch
+    /// boundary — no migration in flight, no marker FIFO partially
+    /// consumed — so the restored session's first batch behaves exactly
+    /// like the next stable batch of the original run.
+    pub fn checkpoint(self, path: impl AsRef<Path>) -> io::Result<RunReport> {
+        let session = self.refuse_if_crashed("checkpoint");
+        if !session.snapshots_in_place() {
+            // Dropping the session drains it cleanly (the Drop impl
+            // joins the runner); only the snapshot is refused.
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "this backend's operator state lives in worker processes: \
+                 it cannot be checkpointed in place",
+            ));
         }
+        let (report, ckpt) = session.drain(true);
+        ckpt.expect("drain(true) snapshots")?
+            .write_to(path.as_ref())?;
+        Ok(report)
+    }
+
+    /// The entry guard of `close()`/`checkpoint()`: a crashed run can
+    /// never drain to quiescence — joining the runner would hang forever
+    /// on the wedged quiescence counter. Surface the typed deaths instead
+    /// (after an abandon, so the unwind cannot re-enter the wedged join
+    /// via Drop).
+    fn refuse_if_crashed(self, what: &str) -> SessionHandle {
+        let deaths = self.health();
+        if deaths.is_empty() {
+            return self;
+        }
+        self.abandon();
+        panic!(
+            "{what}() on a crashed session ({}); \
+             recover with JoinSession::restore_with_replay",
+            death_list(&deaths)
+        );
+    }
+
+    /// Close ingest, run the backend to quiescence and collect the
+    /// report — plus, on request, the quiesced state's [`Checkpoint`].
+    fn drain(mut self, snapshot: bool) -> (RunReport, Option<io::Result<Checkpoint>>) {
         // Lift the match bound *before* closing ingest: emitters blocked
         // on a full hub must never stall the drain.
         self.hub.lift_bound();
         self.queue.close();
         let pushed = self.queue.pushed();
         let prefix = self.queue.prefix();
-        let report = match self.inner.take().expect("session already closed") {
+        let out = match self.inner.take().expect("session already closed") {
             Inner::Sim { mut sim, wiring } => {
                 let end = pump_sim(&mut sim, wiring.source_id(), &self.queue);
                 // A clock-scheduled kill can land inside this final
@@ -2075,101 +2114,47 @@ impl SessionHandle {
                 // output the same way.
                 assert!(
                     sim.deaths().is_empty(),
-                    "close() drain crossed an injected kill; \
+                    "the drain crossed an injected kill; \
                      recover with JoinSession::restore_with_replay"
                 );
-                collect(&*sim, &self.builder, &wiring, pushed, end, &prefix)
+                quiesced(
+                    &*sim,
+                    &self.builder,
+                    &wiring,
+                    pushed,
+                    end,
+                    &prefix,
+                    snapshot,
+                )
             }
-            Inner::Threaded { runner, wiring, .. } => {
-                let (rt, end) = match join_watching(runner, &self.fault) {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                collect(&rt, &self.builder, &wiring, pushed, end, &prefix)
-            }
-            Inner::External { runner, wiring, .. } => {
-                let (backend, end) = match join_watching(runner, &self.fault) {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                collect(&backend, &self.builder, &wiring, pushed, end, &prefix)
+            Inner::Live { runner, wiring, .. } => {
+                let (backend, end) = join_watching(runner, &self.fault)
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                quiesced(
+                    &backend,
+                    &self.builder,
+                    &wiring,
+                    pushed,
+                    end,
+                    &prefix,
+                    snapshot,
+                )
             }
         };
         self.hub.finish();
-        report
+        out
     }
+}
 
-    /// Close the session at a quiesced checkpoint and write a versioned
-    /// snapshot to `path`: every live (unevicted) tuple per joiner, the
-    /// grid mapping and elastic layout, the migration decider's counters,
-    /// and the ingest cursor. [`JoinSession::restore`] reopens the
-    /// snapshot on either backend and continues from the cursor.
-    ///
-    /// Draining first guarantees the snapshot sits at an Alg. 3 epoch
-    /// boundary — no migration in flight, no marker FIFO partially
-    /// consumed — so the restored session's first batch behaves exactly
-    /// like the next stable batch of the original run.
-    pub fn checkpoint(mut self, path: impl AsRef<Path>) -> io::Result<RunReport> {
-        // Same guard as close(): a crashed run can never drain to the
-        // quiesced boundary the snapshot needs.
-        let deaths = self.health();
-        if !deaths.is_empty() {
-            let msg = deaths
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("; ");
-            self.abandon();
-            panic!(
-                "checkpoint() on a crashed session ({msg}); \
-                 recover with JoinSession::restore_with_replay"
-            );
-        }
-        if matches!(self.inner, Some(Inner::External { .. })) {
-            // Dropping `self` drains the session cleanly (the Drop impl
-            // joins the runner); only the snapshot is refused.
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "checkpointing is not supported on the TCP process backend",
-            ));
-        }
-        self.hub.lift_bound();
-        self.queue.close();
-        let pushed = self.queue.pushed();
-        let prefix = self.queue.prefix();
-        let (report, ckpt) = match self.inner.take().expect("session already closed") {
-            Inner::Sim { mut sim, wiring } => {
-                let end = pump_sim(&mut sim, wiring.source_id(), &self.queue);
-                assert!(
-                    sim.deaths().is_empty(),
-                    "checkpoint() drain crossed an injected kill; \
-                     recover with JoinSession::restore_with_replay"
-                );
-                let ckpt = checkpoint_of(&*sim, &self.builder, &wiring)?;
-                let report = collect(&*sim, &self.builder, &wiring, pushed, end, &prefix);
-                (report, ckpt)
-            }
-            Inner::Threaded { runner, wiring, .. } => {
-                let (rt, end) = match join_watching(runner, &self.fault) {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                let ckpt = checkpoint_of(&rt, &self.builder, &wiring)?;
-                let report = collect(&rt, &self.builder, &wiring, pushed, end, &prefix);
-                (report, ckpt)
-            }
-            Inner::External { .. } => unreachable!("gated to Unsupported above"),
-        };
-        self.hub.finish();
-        ckpt.write_to(path.as_ref())?;
-        Ok(report)
-    }
+fn death_list(deaths: &[WorkerDeath]) -> String {
+    let list: Vec<String> = deaths.iter().map(|d| d.to_string()).collect();
+    list.join("; ")
 }
 
 /// Join a runner thread, watching the fault log: a kill that trips
 /// *during* the drain (after close()/checkpoint()'s entry guard) would
 /// wedge this join forever on the dead worker's quiescence counter.
-/// On a recorded death the backend's abort levers fire, the runner is
+/// On a recorded death the backend's abort lever fires, the runner is
 /// reaped, and the panic mirrors the entry guard's — the supervisor
 /// recovers from the rollback base either way. A death recorded in the
 /// drain's final instants (the runner already unwedged and returned,
@@ -2180,17 +2165,12 @@ fn join_watching<T>(
     fault: &FaultControls,
 ) -> std::thread::Result<T> {
     let deaths = loop {
-        let deaths = fault.log.as_ref().map(|l| l.peek()).unwrap_or_default();
+        let deaths = fault.deaths();
         if runner.is_finished() {
             break deaths;
         }
         if !deaths.is_empty() {
-            if let Some(ks) = &fault.kill_sw {
-                ks.fire();
-            }
-            if let Some(abort) = &fault.abort_fn {
-                abort();
-            }
+            fault.abort();
             break deaths;
         }
         std::thread::sleep(Duration::from_micros(200));
@@ -2198,53 +2178,38 @@ fn join_watching<T>(
     let res = runner.join();
     if !deaths.is_empty() {
         drop(res);
-        let msg = deaths
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
         panic!(
-            "session crashed during the drain ({msg}); \
-             recover with JoinSession::restore_with_replay"
+            "session crashed during the drain ({}); \
+             recover with JoinSession::restore_with_replay",
+            death_list(&deaths)
         );
     }
     res
 }
 
-/// Drop's non-panicking variant of [`join_watching`]: fire the abort
-/// levers on a recorded death, reap the runner, swallow its panic.
-fn join_or_abort<T>(runner: std::thread::JoinHandle<T>, fault: &FaultControls) {
-    loop {
-        if runner.is_finished() {
-            let _ = runner.join();
-            return;
-        }
-        if fault.log.as_ref().is_some_and(|l| !l.is_empty()) {
-            if let Some(ks) = &fault.kill_sw {
-                ks.fire();
-            }
-            if let Some(abort) = &fault.abort_fn {
-                abort();
-            }
-            let _ = runner.join();
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
-fn checkpoint_of<B: ExecBackend<OpMsg>>(
+/// What a quiesced backend yields: the report and, when `snapshot` is
+/// set, the [`Checkpoint`] (grid operators only).
+fn quiesced<B: ExecBackend<OpMsg>>(
     backend: &B,
     builder: &SessionBuilder,
     wiring: &Wiring,
-) -> io::Result<Checkpoint> {
-    match wiring {
+    pushed: u64,
+    end: SimTime,
+    prefix: &[(u64, u64)],
+    snapshot: bool,
+) -> (RunReport, Option<io::Result<Checkpoint>>) {
+    let ckpt = snapshot.then(|| match wiring {
         Wiring::Grid(w) => Ok(build_checkpoint(backend, builder, w)),
         Wiring::Shj(_) => Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "checkpoints cover grid operators only",
         )),
-    }
+    });
+    let report = match wiring {
+        Wiring::Grid(w) => collect_grid(backend, builder, w, pushed, end, prefix),
+        Wiring::Shj(w) => collect_shj(backend, builder, w, pushed, end),
+    };
+    (report, ckpt)
 }
 
 impl Drop for SessionHandle {
@@ -2253,18 +2218,22 @@ impl Drop for SessionHandle {
         // could block another thread, in the same order close() uses.
         self.hub.lift_bound();
         self.queue.close();
-        match self.inner.take() {
-            // Wait for the runner to drain the (now closed) queue before
-            // finishing the hub: joiners may still be emitting, and a
-            // subscriber's iterator must not end while matches are in
-            // flight. A worker panic is swallowed here — resuming a
-            // panic inside drop (possibly during another unwind) would
-            // abort; close() is the path that propagates it. A recorded
-            // death fires the abort levers instead of wedging the join
-            // (panicking inside drop would abort too).
-            Some(Inner::Threaded { runner, .. }) => join_or_abort(runner, &self.fault),
-            Some(Inner::External { runner, .. }) => join_or_abort(runner, &self.fault),
-            _ => {}
+        // Wait for the runner to drain the (now closed) queue before
+        // finishing the hub: joiners may still be emitting, and a
+        // subscriber's iterator must not end while matches are in
+        // flight. A worker panic is swallowed here — resuming a panic
+        // inside drop (possibly during another unwind) would abort;
+        // close() is the path that propagates it. A recorded death fires
+        // the abort lever instead of wedging the join.
+        if let Some(Inner::Live { runner, .. }) = self.inner.take() {
+            while !runner.is_finished() {
+                if !self.fault.deaths().is_empty() {
+                    self.fault.abort();
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let _ = runner.join();
         }
         self.hub.finish();
     }
@@ -2312,20 +2281,6 @@ fn pump_sim(sim: &mut Sim<OpMsg>, source_id: TaskId, queue: &IngestQueue) -> Sim
         }
     }
     sim.pump()
-}
-
-fn collect<B: ExecBackend<OpMsg>>(
-    backend: &B,
-    builder: &SessionBuilder,
-    wiring: &Wiring,
-    pushed: u64,
-    end: SimTime,
-    prefix: &[(u64, u64)],
-) -> RunReport {
-    match wiring {
-        Wiring::Grid(w) => collect_grid(backend, builder, w, pushed, end, prefix),
-        Wiring::Shj(w) => collect_shj(backend, builder, w, pushed, end),
-    }
 }
 
 #[cfg(test)]
@@ -2473,22 +2428,5 @@ mod tests {
         assert_eq!(hub.ship_spec(), (true, vec![KeyFilter::range(0, 9)]));
         hub.detach_slot(a);
         assert_eq!(hub.ship_spec(), (false, Vec::new()));
-    }
-
-    #[test]
-    fn builder_mirrors_run_config_defaults() {
-        let cfg = RunConfig::new(8, OperatorKind::Dynamic);
-        let b = SessionBuilder::from_run_config(&cfg);
-        assert_eq!(b.j, cfg.j);
-        assert_eq!(b.seed, cfg.seed);
-        assert_eq!(b.source.window_copies, cfg.window_copies);
-        assert_eq!(b.data_plane.batch_tuples, cfg.batch_tuples);
-        assert_eq!(b.data_plane.ram_budget, cfg.ram_budget);
-        assert_eq!(b.backend.sample_every, cfg.sample_every);
-        assert!(b.elasticity.elastic.is_none());
-        // And the fresh-builder defaults match RunConfig::new's.
-        let fresh = SessionBuilder::new(8, OperatorKind::Dynamic);
-        assert_eq!(fresh.source.window_copies, 64 * 8);
-        assert_eq!(fresh.data_plane.spill_penalty, 20);
     }
 }

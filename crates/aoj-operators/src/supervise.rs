@@ -14,12 +14,14 @@
 //!
 //! 1. **Rotation invariant.** A checkpoint at ingest cursor `c` is only
 //!    adopted as the rollback base once every match of the prefix
-//!    `0..c` has been delivered to the supervisor. On the in-process
-//!    backends this holds by construction — [`SessionHandle::checkpoint`]
-//!    drains to quiescence before snapshotting. On the TCP backend the
-//!    snapshot comes from a deterministic *shadow rehearsal* on the
-//!    simulator, and a delivery barrier holds the rotation until the
-//!    live stream has covered the rehearsed prefix match set.
+//!    `0..c` has been delivered to the supervisor. On backends that
+//!    snapshot in place ([`SessionHandle::snapshots_in_place`]) this
+//!    holds by construction — [`SessionHandle::checkpoint`] drains to
+//!    quiescence before snapshotting. Where the state lives in worker
+//!    processes (the TCP backend) the snapshot comes from a
+//!    deterministic *shadow rehearsal* on the simulator, and a delivery
+//!    barrier holds the rotation until the live stream has covered the
+//!    rehearsed prefix match set.
 //! 2. **Prefix skip.** Recovery reopens from the base checkpoint with
 //!    [`JoinSession::restore_with_replay`], whose ingest cursor drops
 //!    the already-folded prefix, and replays only the logged suffix —
@@ -234,8 +236,7 @@ impl SupervisedSession {
                 return;
             }
             let (rel, item) = self.log[self.fed];
-            let inner = self.inner.as_mut().expect("session closed");
-            match inner.try_push(rel, item) {
+            match self.live().try_push(rel, item) {
                 Ok(()) => self.fed += 1,
                 Err(PushError::Full) => {
                     // Window closed: make room (a stalled subscriber
@@ -351,11 +352,12 @@ impl SupervisedSession {
     /// threshold the native arm alone might never trip; the supervisor
     /// therefore also fires it once the *pushed* count crosses the
     /// threshold (the native arm may legitimately beat it to the kill —
-    /// recovery then strips the trigger first). The TCP cluster is
-    /// never restarted by a rotation (shadow rehearsal), so its native
-    /// reactor keeps sole ownership.
+    /// recovery then strips the trigger first). A session that cannot
+    /// snapshot in place (the TCP cluster) is never restarted by a
+    /// rotation (shadow rehearsal), so its native reactor keeps sole
+    /// ownership.
     fn fire_due_tuple_triggers(&mut self) {
-        if self.builder.backend.choice == BackendChoice::Tcp {
+        if !self.live().snapshots_in_place() {
             return;
         }
         let pushed = self.pushed;
@@ -373,9 +375,8 @@ impl SupervisedSession {
         self.pending.retain(
             |t| !matches!(t.trigger, FaultTrigger::AfterTuples { tuples } if pushed >= tuples),
         );
-        let inner = self.inner.as_mut().expect("session closed");
         for t in due {
-            inner.inject_kill(t.machine);
+            self.live().inject_kill(t.machine);
         }
     }
 
@@ -394,9 +395,8 @@ impl SupervisedSession {
         }
         self.pending
             .retain(|t| !matches!(t.trigger, FaultTrigger::OnCheckpoint { k } if seq >= k));
-        let inner = self.inner.as_mut().expect("session closed");
         for t in due {
-            inner.inject_kill(t.machine);
+            self.live().inject_kill(t.machine);
         }
     }
 
@@ -405,10 +405,15 @@ impl SupervisedSession {
         if every == 0 || self.pushed - self.base_cursor < every {
             return;
         }
-        match self.builder.backend.choice {
-            BackendChoice::Sim | BackendChoice::Threaded => self.rotate_local(),
-            BackendChoice::Tcp => self.rotate_shadow(),
+        if self.live().snapshots_in_place() {
+            self.rotate_local()
+        } else {
+            self.rotate_shadow()
         }
+    }
+
+    fn live(&mut self) -> &mut SessionHandle {
+        self.inner.as_mut().expect("session closed")
     }
 
     fn next_ckpt_path(&self) -> PathBuf {
@@ -454,10 +459,10 @@ impl SupervisedSession {
         }
     }
 
-    /// TCP rotation: the live session cannot quiesce-and-snapshot
-    /// without a restart, so the snapshot comes from a deterministic
-    /// *shadow rehearsal* — the simulator replays the consumed prefix
-    /// (from the previous checkpoint) and checkpoints; backend
+    /// Rotation for a session that cannot snapshot in place (TCP): the
+    /// live cluster is never paused, so the snapshot comes from a
+    /// deterministic *shadow rehearsal* — the simulator replays the
+    /// consumed prefix (from the previous checkpoint) and checkpoints; backend
     /// equivalence makes the snapshot bit-compatible with the live
     /// run's state at the same cursor. The rehearsal's match set is the
     /// delivery barrier: the rotation is adopted only once the live

@@ -13,9 +13,16 @@
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::{run, BackendChoice, ElasticConfig, OperatorKind, RunConfig};
+use aoj_operators::{run, BackendChoice, ElasticConfig, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
 
 // The TCP process backend re-executes this test binary as its workers;
 // this declares the re-exec entry point.
@@ -50,22 +57,12 @@ fn workload(predicate: Predicate, nr: usize, ns: usize, seed: u64) -> Workload {
 fn run_both(kind: OperatorKind, predicate: Predicate, seed: u64) {
     let w = workload(predicate, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = RunConfig::new(4, kind);
-    cfg.collect_matches = true;
+    let mut cfg = config(4, kind, &w);
+    cfg.backend.collect_matches = true;
     cfg.seed = seed;
 
-    let sim = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &cfg.clone().with_backend(BackendChoice::Sim),
-    );
-    let threaded = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &cfg.with_backend(BackendChoice::Threaded),
-    );
+    let sim = run(&arrivals, &cfg.clone().with_backend(BackendChoice::Sim));
+    let threaded = run(&arrivals, &cfg.with_backend(BackendChoice::Threaded));
 
     assert_eq!(sim.backend, "sim");
     assert_eq!(threaded.backend, "threaded");
@@ -115,26 +112,21 @@ fn elastic_dynamic_expands_live_and_stays_exact_across_backends() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = RunConfig::new(2, OperatorKind::Dynamic);
-    cfg.collect_matches = true;
+    let mut cfg = config(2, OperatorKind::Dynamic, &w);
+    cfg.backend.collect_matches = true;
     cfg.seed = seed;
     // 64 B payloads, ~4.4k tuples: every joiner blows well past 32 KB of
     // stored state mid-stream, so one ×4 expansion (J 2 → 8) must fire.
-    cfg.elastic = Some(ElasticConfig::new(64 << 10, 1));
+    cfg.elasticity.elastic = Some(ElasticConfig::new(64 << 10, 1));
 
     // The non-elastic reference output (simulator).
     let mut base_cfg = cfg.clone();
-    base_cfg.elastic = None;
-    let reference = run(&arrivals, &w.predicate, w.name, &base_cfg);
+    base_cfg.elasticity.elastic = None;
+    let reference = run(&arrivals, &base_cfg);
     assert!(reference.matches > 0, "vacuous workload");
 
     for backend in [BackendChoice::Sim, BackendChoice::Threaded] {
-        let report = run(
-            &arrivals,
-            &w.predicate,
-            w.name,
-            &cfg.clone().with_backend(backend),
-        );
+        let report = run(&arrivals, &cfg.clone().with_backend(backend));
         assert!(
             report.expansions >= 1,
             "{backend:?}: no live expansion fired — the test is vacuous"
@@ -174,22 +166,12 @@ fn run_sim_vs_tcp(kind: OperatorKind, predicate: Predicate, seed: u64) {
     aoj_net::install();
     let w = workload(predicate, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = RunConfig::new(4, kind);
-    cfg.collect_matches = true;
+    let mut cfg = config(4, kind, &w);
+    cfg.backend.collect_matches = true;
     cfg.seed = seed;
 
-    let sim = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &cfg.clone().with_backend(BackendChoice::Sim),
-    );
-    let tcp = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &cfg.with_backend(BackendChoice::Tcp),
-    );
+    let sim = run(&arrivals, &cfg.clone().with_backend(BackendChoice::Sim));
+    let tcp = run(&arrivals, &cfg.with_backend(BackendChoice::Tcp));
 
     assert_eq!(tcp.backend, "tcp");
     assert!(sim.matches > 0, "vacuous workload");
@@ -236,22 +218,17 @@ fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = RunConfig::new(2, OperatorKind::Dynamic);
-    cfg.collect_matches = true;
+    let mut cfg = config(2, OperatorKind::Dynamic, &w);
+    cfg.backend.collect_matches = true;
     cfg.seed = seed;
-    cfg.elastic = Some(ElasticConfig::new(64 << 10, 1));
+    cfg.elasticity.elastic = Some(ElasticConfig::new(64 << 10, 1));
 
     let mut base_cfg = cfg.clone();
-    base_cfg.elastic = None;
-    let reference = run(&arrivals, &w.predicate, w.name, &base_cfg);
+    base_cfg.elasticity.elastic = None;
+    let reference = run(&arrivals, &base_cfg);
     assert!(reference.matches > 0, "vacuous workload");
 
-    let report = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &cfg.with_backend(BackendChoice::Tcp),
-    );
+    let report = run(&arrivals, &cfg.with_backend(BackendChoice::Tcp));
     assert!(report.expansions >= 1, "no live expansion fired");
     assert_eq!(report.final_mapping.j(), 8, "cluster did not reach 4×J₀");
     assert_eq!(
@@ -286,27 +263,22 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = RunConfig::new(2, OperatorKind::Dynamic);
-    cfg.collect_matches = true;
+    let mut cfg = config(2, OperatorKind::Dynamic, &w);
+    cfg.backend.collect_matches = true;
     cfg.seed = seed;
     // Expand once at 40 KB, then a permissive contraction threshold with
     // a short holdoff pulls the cluster back 4→1 while traffic is live.
-    cfg.elastic = Some(
+    cfg.elasticity.elastic = Some(
         ElasticConfig::new(40 << 10, 2)
             .with_contraction(1 << 40, 2)
             .with_contract_holdoff(2_000),
     );
 
     let mut base_cfg = cfg.clone();
-    base_cfg.elastic = None;
-    let reference = run(&arrivals, &w.predicate, w.name, &base_cfg);
+    base_cfg.elasticity.elastic = None;
+    let reference = run(&arrivals, &base_cfg);
 
-    let report = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &cfg.with_backend(BackendChoice::Tcp),
-    );
+    let report = run(&arrivals, &cfg.with_backend(BackendChoice::Tcp));
     assert!(report.expansions >= 1, "no expansion fired");
     assert!(report.contractions >= 1, "no contraction fired");
     assert_eq!(
@@ -334,8 +306,8 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
 fn threaded_runtime_reports_wall_clock_metrics() {
     let w = workload(Predicate::Equi, 200, 2_000, 7);
     let arrivals = interleave(&w, 7);
-    let cfg = RunConfig::new(4, OperatorKind::Dynamic).with_backend(BackendChoice::Threaded);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(4, OperatorKind::Dynamic, &w).with_backend(BackendChoice::Threaded);
+    let report = run(&arrivals, &cfg);
     assert!(
         report.exec_time.as_micros() > 0,
         "wall clock did not advance"
@@ -426,10 +398,10 @@ fn hot_key_replication_stays_exact_across_backends_and_expansion() {
     let arrivals = interleave(&w, seed ^ 0xA0A0);
 
     // Reference: default Random routing, no elastic, simulator.
-    let mut base_cfg = RunConfig::new(2, OperatorKind::Dynamic);
-    base_cfg.collect_matches = true;
+    let mut base_cfg = config(2, OperatorKind::Dynamic, &w);
+    base_cfg.backend.collect_matches = true;
     base_cfg.seed = seed;
-    let reference = run(&arrivals, &w.predicate, w.name, &base_cfg);
+    let reference = run(&arrivals, &base_cfg);
     assert!(reference.matches > 0, "vacuous workload");
 
     for backend in [

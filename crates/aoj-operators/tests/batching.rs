@@ -11,9 +11,16 @@
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::{run, OperatorKind, RunConfig, SourcePacing};
+use aoj_operators::{run, OperatorKind, SessionBuilder, SourcePacing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
 
 fn workload(predicate: Predicate, nr: usize, ns: usize, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -43,8 +50,8 @@ fn workload(predicate: Predicate, nr: usize, ns: usize, seed: u64) -> Workload {
 fn batch_of_one_reproduces_the_per_tuple_timeline_dynamic_band() {
     let w = workload(Predicate::Band { width: 2 }, 300, 3_000, 0x601D);
     let arrivals = interleave(&w, 0x601D ^ 0xA0A0);
-    let cfg = RunConfig::new(4, OperatorKind::Dynamic).with_batch_tuples(1);
-    let r = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(4, OperatorKind::Dynamic, &w).with_batch_tuples(1);
+    let r = run(&arrivals, &cfg);
     assert_eq!(r.exec_time.as_micros(), 7188, "virtual end time drifted");
     assert_eq!(r.network_messages, 10364, "message count drifted");
     assert_eq!(r.network_bytes, 568_860, "wire bytes drifted");
@@ -57,8 +64,8 @@ fn batch_of_one_reproduces_the_per_tuple_timeline_dynamic_band() {
 fn batch_of_one_reproduces_the_per_tuple_timeline_shj() {
     let w = workload(Predicate::Equi, 300, 3_000, 0x601D);
     let arrivals = interleave(&w, 0x601D ^ 0xA0A0);
-    let cfg = RunConfig::new(4, OperatorKind::Shj).with_batch_tuples(1);
-    let r = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(4, OperatorKind::Shj, &w).with_batch_tuples(1);
+    let r = run(&arrivals, &cfg);
     assert_eq!(r.exec_time.as_micros(), 5459, "virtual end time drifted");
     assert_eq!(r.network_messages, 9520, "message count drifted");
     assert_eq!(r.network_bytes, 509_252, "wire bytes drifted");
@@ -72,13 +79,13 @@ fn batch_of_one_reproduces_the_per_tuple_timeline_shj() {
 fn batched_runs_emit_identical_multisets_with_fewer_messages() {
     let w = workload(Predicate::Band { width: 2 }, 300, 3_000, 0xBA7C);
     let arrivals = interleave(&w, 0xBA7C ^ 0xA0A0);
-    let mut base = RunConfig::new(4, OperatorKind::Dynamic).with_batch_tuples(1);
-    base.collect_matches = true;
-    let unbatched = run(&arrivals, &w.predicate, w.name, &base);
+    let mut base = config(4, OperatorKind::Dynamic, &w).with_batch_tuples(1);
+    base.backend.collect_matches = true;
+    let unbatched = run(&arrivals, &base);
     assert!(unbatched.matches > 0, "vacuous workload");
     for batch in [4usize, 64, 256] {
         let cfg = base.clone().with_batch_tuples(batch);
-        let batched = run(&arrivals, &w.predicate, w.name, &cfg);
+        let batched = run(&arrivals, &cfg);
         assert_eq!(
             batched.match_pairs, unbatched.match_pairs,
             "batch={batch}: join multiset diverged from the per-tuple plane"
@@ -102,17 +109,17 @@ fn batched_runs_emit_identical_multisets_with_fewer_messages() {
 fn aged_coalescing_buffer_inflates_measured_latency() {
     let w = workload(Predicate::Equi, 200, 2_000, 0xA6ED);
     let arrivals = interleave(&w, 0xA6ED ^ 0xA0A0);
-    let mut cfg = RunConfig::new(4, OperatorKind::Dynamic).with_batch_tuples(1);
+    let mut cfg = config(4, OperatorKind::Dynamic, &w).with_batch_tuples(1);
     // Slow the source so coalescing buffers trickle-fill: the arrivals
     // spread over 4 reshufflers × 4 destinations never reach the huge
     // threshold below before the age flush fires.
-    cfg.pacing = SourcePacing::per_second(50_000);
-    let unbatched = run(&arrivals, &w.predicate, w.name, &cfg);
+    cfg.source.pacing = SourcePacing::per_second(50_000);
+    let unbatched = run(&arrivals, &cfg);
 
     let mut aged = cfg.clone();
-    aged.batch_tuples = 4_096; // never filled: flushes happen by age only
-    aged.batch_max_delay_us = 20_000;
-    let aged_run = run(&arrivals, &w.predicate, w.name, &aged);
+    aged.data_plane.batch_tuples = 4_096; // never filled: flushes happen by age only
+    aged.data_plane.batch_max_delay_us = 20_000;
+    let aged_run = run(&arrivals, &aged);
 
     assert_eq!(aged_run.matches, unbatched.matches, "exactness must hold");
     assert!(

@@ -26,11 +26,18 @@ use aoj_operators::batch::{BatchConfig, DataCoalescer};
 use aoj_operators::messages::IngestItem;
 use aoj_operators::reshuffler::ReshufflerTask;
 use aoj_operators::skew::{SkewPolicy, SkewState};
-use aoj_operators::{run, ElasticConfig, OpMsg, OperatorKind, RunConfig};
+use aoj_operators::{run, ElasticConfig, OpMsg, OperatorKind, SessionBuilder};
 use aoj_simnet::{Ctx, Effect, Metrics, Process, SimTime, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
 
 /// One observable event on a (reshuffler → joiner) channel.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -218,18 +225,18 @@ proptest! {
             s_items: (0..2_000).map(|_| item(120)).collect(),
         };
         let arrivals = interleave(&w, seed ^ 0xA0A0);
-        let mut cfg = RunConfig::new(2, OperatorKind::Dynamic).with_batch_tuples(1);
-        cfg.collect_matches = true;
+        let mut cfg = config(2, OperatorKind::Dynamic, &w).with_batch_tuples(1);
+        cfg.backend.collect_matches = true;
         cfg.seed = seed;
         // Small capacity: one ×4 expansion fires mid-stream.
-        cfg.elastic = Some(ElasticConfig::new(24 << 10, 1));
-        let reference = run(&arrivals, &w.predicate, w.name, &cfg);
+        cfg.elasticity.elastic = Some(ElasticConfig::new(24 << 10, 1));
+        let reference = run(&arrivals, &cfg);
         prop_assert!(reference.matches > 0, "vacuous workload");
         prop_assert!(reference.expansions >= 1, "expansion never fired");
 
         let mut batched_cfg = cfg.clone().with_batch_tuples(batch_tuples);
-        batched_cfg.batch_max_delay_us = max_delay_us;
-        let batched = run(&arrivals, &w.predicate, w.name, &batched_cfg);
+        batched_cfg.data_plane.batch_max_delay_us = max_delay_us;
+        let batched = run(&arrivals, &batched_cfg);
         prop_assert!(batched.expansions >= 1, "batched run lost the expansion");
         prop_assert_eq!(batched.match_pairs, reference.match_pairs,
             "batch={} delay={}us: join multiset diverged", batch_tuples, max_delay_us);

@@ -15,11 +15,16 @@ use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{reference_match_count, StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::reshuffler::ControlEvent;
-use aoj_operators::{run, run_on, BackendChoice, ElasticConfig, OperatorKind, RunConfig};
-use aoj_runtime::{Runtime, RuntimeConfig};
-use aoj_simnet::ExecBackend;
+use aoj_operators::{run, BackendChoice, ElasticConfig, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
 
 fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -39,10 +44,10 @@ fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {
 /// The sawtooth configuration: grow 1→4→16 on a tight capacity target,
 /// then — once the hold-off gate opens late in the stream — drain
 /// 16→4→1 under a generous low-water mark.
-fn sawtooth_config(seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::new(1, OperatorKind::Dynamic);
+fn sawtooth_config(seed: u64, w: &Workload) -> SessionBuilder {
+    let mut cfg = config(1, OperatorKind::Dynamic, w);
     cfg.seed = seed;
-    cfg.elastic = Some(
+    cfg.elasticity.elastic = Some(
         ElasticConfig::new(48 << 10, 2)
             .with_contraction(1 << 40, 2)
             .with_contract_holdoff(3_000),
@@ -58,7 +63,7 @@ fn sawtooth_grow_then_drain_is_exact_and_retires_clean() {
     // → (2,2) → (1,1).
     let w = workload(2_000, 2_000, 300, seed);
     let arrivals = interleave(&w, seed);
-    let report = run(&arrivals, &w.predicate, w.name, &sawtooth_config(seed));
+    let report = run(&arrivals, &sawtooth_config(seed, &w));
 
     assert_eq!(report.expansions, 2, "grow phase must reach J=16");
     assert_eq!(report.contractions, 2, "drain phase must return to J=1");
@@ -137,22 +142,22 @@ fn sawtooth_multiset_is_identical_across_backends() {
     let w = workload(400, 2_800, 250, seed);
     let arrivals = interleave(&w, seed);
 
-    let mut reference = RunConfig::new(1, OperatorKind::Dynamic);
+    let mut reference = config(1, OperatorKind::Dynamic, &w);
     reference.seed = seed;
-    reference.collect_matches = true;
-    let base = run(&arrivals, &w.predicate, w.name, &reference);
+    reference.backend.collect_matches = true;
+    let base = run(&arrivals, &reference);
 
     for backend in [BackendChoice::Sim, BackendChoice::Threaded] {
-        let mut cfg = RunConfig::new(1, OperatorKind::Dynamic);
+        let mut cfg = config(1, OperatorKind::Dynamic, &w);
         cfg.seed = seed;
-        cfg.backend = backend;
-        cfg.collect_matches = true;
-        cfg.elastic = Some(
+        cfg.backend.choice = backend;
+        cfg.backend.collect_matches = true;
+        cfg.elasticity.elastic = Some(
             ElasticConfig::new(40 << 10, 2)
                 .with_contraction(1 << 40, 2)
                 .with_contract_holdoff(2_000),
         );
-        let report = run(&arrivals, &w.predicate, w.name, &cfg);
+        let report = run(&arrivals, &cfg);
         assert!(
             report.expansions >= 1,
             "{backend:?}: the elastic run never expanded"
@@ -179,14 +184,14 @@ fn later_burst_reexpands_into_retired_machines() {
     let seed = 0x7E_2014;
     let w = workload(500, 3_000, 300, seed);
     let arrivals = interleave(&w, seed);
-    let mut cfg = RunConfig::new(1, OperatorKind::Dynamic);
+    let mut cfg = config(1, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
-    cfg.elastic = Some(
+    cfg.elasticity.elastic = Some(
         ElasticConfig::new(100 << 10, 2)
             .with_contraction(1 << 40, 1)
             .with_contract_holdoff(1_100),
     );
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let report = run(&arrivals, &cfg);
 
     assert_eq!(report.expansions, 2, "initial grow + post-drain re-grow");
     assert_eq!(report.contractions, 1);
@@ -215,26 +220,21 @@ fn trigger_time_provisioning_starts_small_on_both_backends() {
     let seed = 0x8E_2014;
     let w = workload(300, 2_100, 250, seed);
     let arrivals = interleave(&w, seed);
-    let mut cfg = RunConfig::new(4, OperatorKind::Dynamic);
+    let mut cfg = config(4, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
-    cfg.elastic = Some(ElasticConfig::new(64 << 10, 1));
+    cfg.elasticity.elastic = Some(ElasticConfig::new(64 << 10, 1));
 
     // Threaded: worker threads are the provisioned resource.
-    let mut rt: Runtime<aoj_operators::OpMsg> = Runtime::new(RuntimeConfig::default());
-    let mut tcfg = cfg.clone();
-    tcfg.backend = BackendChoice::Threaded;
-    let report = run_on(&mut rt, &arrivals, &w.predicate, w.name, &tcfg);
-    assert_eq!(
-        rt.worker_threads(),
-        5,
-        "only J0 + source threads spawn eagerly"
+    let report = run(
+        &arrivals,
+        &cfg.clone().with_backend(BackendChoice::Threaded),
     );
     if report.expansions == 1 {
-        assert_eq!(ExecBackend::peak_provisioned_machines(&rt), 17);
+        assert_eq!(report.peak_provisioned_machines, 17);
     }
 
     // Simulator: same accounting, deterministic trigger.
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.expansions, 1, "the capacity target must be hit");
     assert_eq!(report.peak_provisioned_machines, 17);
     assert_eq!(
@@ -242,12 +242,14 @@ fn trigger_time_provisioning_starts_small_on_both_backends() {
         "no contraction armed: nothing is handed back"
     );
 
-    // And a run that never expands never provisions past J0.
-    let mut quiet = cfg.clone();
-    quiet.elastic = Some(ElasticConfig::new(1 << 30, 1));
-    let report = run(&arrivals, &w.predicate, w.name, &quiet);
-    assert_eq!(report.expansions, 0);
-    assert_eq!(report.peak_provisioned_machines, 5);
+    // And a run that never expands never provisions past J0: only the
+    // J0 + source shards (threads, on the threaded backend) spawn eagerly.
+    let quiet = cfg.with_elastic(ElasticConfig::new(1 << 30, 1));
+    for backend in [BackendChoice::Sim, BackendChoice::Threaded] {
+        let report = run(&arrivals, &quiet.clone().with_backend(backend));
+        assert_eq!(report.expansions, 0, "{backend:?}");
+        assert_eq!(report.peak_provisioned_machines, 5, "{backend:?}");
+    }
 }
 
 #[test]
@@ -272,18 +274,18 @@ fn migration_after_contraction_is_exact() {
         w.s_items.push(item);
         arrivals.push((aoj_core::tuple::Rel::S, item));
     }
-    let mut cfg = RunConfig::new(1, OperatorKind::Dynamic);
+    let mut cfg = config(1, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
     // A small ε makes Alg. 2 re-evaluate eagerly, so the tail's skew is
     // acted on well before the stream ends.
-    cfg.decision.epsilon_num = 1;
-    cfg.decision.epsilon_den = 8;
-    cfg.elastic = Some(
+    cfg.elasticity.decision.epsilon_num = 1;
+    cfg.elasticity.decision.epsilon_den = 8;
+    cfg.elasticity.elastic = Some(
         ElasticConfig::new(36 << 10, 2)
             .with_contraction(1 << 40, 1)
             .with_contract_holdoff(2_200),
     );
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.expansions, 2);
     assert_eq!(report.contractions, 1);
     assert!(
@@ -308,14 +310,14 @@ fn contraction_interleaves_with_migrations_exactly() {
     let seed = 0x9E_2014;
     let w = workload(150, 4_500, 300, seed);
     let arrivals = interleave(&w, seed);
-    let mut cfg = RunConfig::new(4, OperatorKind::Dynamic);
+    let mut cfg = config(4, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
-    cfg.elastic = Some(
+    cfg.elasticity.elastic = Some(
         ElasticConfig::new(40 << 10, 1)
             .with_contraction(1 << 40, 1)
             .with_contract_holdoff(3_800),
     );
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.expansions, 1);
     assert!(
         report.migrations >= 1,

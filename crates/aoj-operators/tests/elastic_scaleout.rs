@@ -10,9 +10,16 @@ use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{reference_match_count, StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::reshuffler::ControlEvent;
-use aoj_operators::{run, ElasticConfig, OperatorKind, RunConfig};
+use aoj_operators::{run, ElasticConfig, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
 
 fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -36,10 +43,10 @@ fn chained_double_expansion_is_exact() {
     let seed = 0x2E_2014;
     let w = workload(500, 3_500, 300, seed);
     let arrivals = interleave(&w, seed);
-    let mut cfg = RunConfig::new(1, OperatorKind::Dynamic);
+    let mut cfg = config(1, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
-    cfg.elastic = Some(ElasticConfig::new(48 << 10, 2));
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    cfg.elasticity.elastic = Some(ElasticConfig::new(48 << 10, 2));
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.expansions, 2, "both expansions must fire");
     assert_eq!(report.final_mapping.j(), 16);
     assert_eq!(
@@ -63,10 +70,10 @@ fn expansions_interleave_with_migrations_exactly() {
     let seed = 0x3E_2014;
     let w = workload(150, 4_500, 300, seed);
     let arrivals = interleave(&w, seed);
-    let mut cfg = RunConfig::new(4, OperatorKind::Dynamic);
+    let mut cfg = config(4, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
-    cfg.elastic = Some(ElasticConfig::new(40 << 10, 1));
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    cfg.elasticity.elastic = Some(ElasticConfig::new(40 << 10, 1));
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.expansions, 1);
     assert!(
         report.migrations >= 1,
@@ -107,12 +114,12 @@ fn under_capacity_run_never_expands() {
     let seed = 0x4E_2014;
     let w = workload(200, 1_800, 300, seed);
     let arrivals = interleave(&w, seed);
-    let mut cfg = RunConfig::new(2, OperatorKind::Dynamic);
+    let mut cfg = config(2, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
     // Capacity far above what the stream can fill: the armed trigger
     // must stay quiet and the dormant machines idle.
-    cfg.elastic = Some(ElasticConfig::new(1 << 30, 1));
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    cfg.elasticity.elastic = Some(ElasticConfig::new(1 << 30, 1));
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.expansions, 0);
     assert_eq!(report.final_mapping.j(), 2);
     assert!(report.expand_transfers.is_empty());

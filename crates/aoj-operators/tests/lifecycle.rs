@@ -21,9 +21,7 @@ use aoj_core::lifecycle::WindowSpec;
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::{
-    run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, RunConfig, SessionBuilder,
-};
+use aoj_operators::{run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, SessionBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -358,15 +356,15 @@ fn eviction_off_sessions_reproduce_the_golden_timeline() {
         s_items: (0..3_000).map(|_| item(300)).collect(),
     };
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let cfg = RunConfig::new(4, OperatorKind::Dynamic).with_batch_tuples(1);
+    let cfg = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+        .with_batch_tuples(1);
     assert!(
-        SessionBuilder::from_run_config(&cfg)
-            .lifecycle
-            .window
-            .is_none(),
-        "the legacy config must not grow a window implicitly"
+        cfg.lifecycle.window.is_none(),
+        "the default config must not grow a window implicitly"
     );
-    let r = run(&arrivals, &w.predicate, w.name, &cfg);
+    let r = run(&arrivals, &cfg);
     assert_eq!(r.exec_time.as_micros(), 7188, "virtual end time drifted");
     assert_eq!(r.network_messages, 10364, "message count drifted");
     assert_eq!(r.network_bytes, 568_860, "wire bytes drifted");
@@ -516,6 +514,73 @@ fn restore_validates_fingerprint_and_replay_cursor() {
     let restored = JoinSession::restore(builder, &path).unwrap();
     let post = restored.close();
     assert_eq!(post.input_tuples, arrivals.len() as u64);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A snapshot from a differently *shaped* session is a bad file, not a
+/// bug: elasticity and the machine-slot space are validated next to the
+/// fingerprint and refused as `InvalidData` — never a panic out of the
+/// topology builder.
+#[test]
+fn restore_rejects_a_snapshot_from_a_differently_shaped_session() {
+    let seed = 0x11FE_0009;
+    let w = workload(2_000, 2_000, 300, seed);
+    let arrivals = interleave(&w, seed);
+    let path = ckpt_path("shape.ckpt");
+    let elastic = sawtooth_builder(&w, seed, BackendChoice::Sim);
+    let mut session = JoinSession::open(elastic.clone());
+    session
+        .push_batch(arrivals[..arrivals.len() / 2].iter().copied())
+        .unwrap();
+    let pre = session.checkpoint(&path).unwrap();
+    assert!(pre.expansions >= 1, "the snapshot must sit above J0");
+
+    let mut fixed = elastic.clone();
+    fixed.elasticity.elastic = None;
+    let cramped = elastic.with_elastic(ElasticConfig::new(48 << 10, 0));
+    for (builder, what) in [(fixed, "non-elastic"), (cramped, "too few slots")] {
+        match JoinSession::restore(builder, &path) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}"),
+            Ok(_) => panic!("restore accepted a {what} builder"),
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A fresh start *is* the restore of the initial state: a checkpoint
+/// taken at cursor 0 of a freshly opened session restores to a topology
+/// that runs the whole stream exactly like a fresh one — same simulator
+/// timeline, same control events, same matches.
+#[test]
+fn restoring_a_cursor_zero_checkpoint_equals_a_fresh_start() {
+    let seed = 0x11FE_000A;
+    let w = workload(2_000, 2_000, 300, seed);
+    let arrivals = interleave(&w, seed);
+    let path = ckpt_path("cursor-zero.ckpt");
+    let builder = sawtooth_builder(&w, seed, BackendChoice::Sim);
+
+    let mut fresh = JoinSession::open(builder.clone());
+    fresh.push_batch(arrivals.iter().copied()).unwrap();
+    let fresh = fresh.close();
+    assert!(fresh.expansions >= 1 && fresh.contractions >= 1);
+
+    let empty = JoinSession::open(builder.clone())
+        .checkpoint(&path)
+        .unwrap();
+    assert_eq!(empty.input_tuples, 0);
+    let mut restored = JoinSession::restore(builder, &path).unwrap();
+    restored.push_batch(arrivals.iter().copied()).unwrap();
+    let restored = restored.close();
+
+    assert_eq!(restored.exec_time, fresh.exec_time);
+    assert_eq!(restored.network_messages, fresh.network_messages);
+    assert_eq!(restored.network_bytes, fresh.network_bytes);
+    assert_eq!(restored.match_pairs, fresh.match_pairs);
+    assert_eq!(
+        format!("{:?}", restored.events),
+        format!("{:?}", fresh.events)
+    );
+    assert_eq!(restored.machines, fresh.machines);
     std::fs::remove_file(&path).ok();
 }
 

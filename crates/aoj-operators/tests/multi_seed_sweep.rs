@@ -6,9 +6,16 @@ use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::{fluctuating, interleave, Arrivals};
-use aoj_operators::{run, OperatorKind, RunConfig};
+use aoj_operators::{run, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
 
 fn reference_matches(arrivals: &Arrivals, predicate: &Predicate) -> u64 {
     let rs: Vec<&StreamItem> = arrivals
@@ -76,9 +83,9 @@ fn dynamic_is_exact_across_random_configurations() {
         }
         let expected = reference_matches(&arrivals, &w.predicate);
         let j = [2u32, 4, 8, 16, 32][(seed % 5) as usize];
-        let mut cfg = RunConfig::new(j, OperatorKind::Dynamic);
+        let mut cfg = config(j, OperatorKind::Dynamic, &w);
         cfg.seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let report = run(&arrivals, &w.predicate, w.name, &cfg);
+        let report = run(&arrivals, &cfg);
         assert_eq!(
             report.matches, expected,
             "seed {seed} J={j} predicate {:?}",
@@ -96,9 +103,9 @@ fn blocking_mode_is_exact_across_random_configurations() {
         }
         let expected = reference_matches(&arrivals, &w.predicate);
         let j = [4u32, 8, 16][(seed % 3) as usize];
-        let mut cfg = RunConfig::new(j, OperatorKind::Dynamic);
-        cfg.blocking_migrations = true;
-        let report = run(&arrivals, &w.predicate, w.name, &cfg);
+        let mut cfg = config(j, OperatorKind::Dynamic, &w);
+        cfg.elasticity.blocking_migrations = true;
+        let report = run(&arrivals, &cfg);
         assert_eq!(report.matches, expected, "blocking seed {seed} J={j}");
     }
 }

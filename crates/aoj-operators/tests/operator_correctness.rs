@@ -8,7 +8,7 @@ use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::{fluctuating, interleave, Arrivals};
-use aoj_operators::{run, OperatorKind, RunConfig};
+use aoj_operators::{run, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,6 +52,13 @@ fn synthetic_workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Worklo
     }
 }
 
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
+
 #[test]
 fn dynamic_is_exact_on_lopsided_equi_join() {
     // 40:1 stream ratio forces the square start to walk to an edge
@@ -59,8 +66,8 @@ fn dynamic_is_exact_on_lopsided_equi_join() {
     let w = synthetic_workload(100, 4000, 64, 11);
     let arrivals = interleave(&w, 22);
     let expected = reference_matches(&arrivals, &w.predicate);
-    let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(16, OperatorKind::Dynamic, &w);
+    let report = run(&arrivals, &cfg);
     assert!(
         report.migrations > 0,
         "lopsided input must trigger migrations"
@@ -74,8 +81,8 @@ fn dynamic_is_exact_under_fluctuation() {
     let w = synthetic_workload(3000, 3000, 48, 5);
     let arrivals = fluctuating(&w, 4, 0);
     let expected = reference_matches(&arrivals, &w.predicate);
-    let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(16, OperatorKind::Dynamic, &w);
+    let report = run(&arrivals, &cfg);
     assert!(
         report.migrations >= 2,
         "fluctuation must trigger repeated migrations, got {}",
@@ -90,8 +97,8 @@ fn dynamic_is_exact_on_band_join() {
     w.predicate = Predicate::Band { width: 2 };
     let arrivals = interleave(&w, 3);
     let expected = reference_matches(&arrivals, &w.predicate);
-    let cfg = RunConfig::new(8, OperatorKind::Dynamic);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(8, OperatorKind::Dynamic, &w);
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.matches, expected);
 }
 
@@ -101,8 +108,8 @@ fn static_operators_are_exact() {
     let arrivals = interleave(&w, 9);
     let expected = reference_matches(&arrivals, &w.predicate);
     for kind in [OperatorKind::StaticMid, OperatorKind::StaticOpt] {
-        let cfg = RunConfig::new(16, kind);
-        let report = run(&arrivals, &w.predicate, w.name, &cfg);
+        let cfg = config(16, kind, &w);
+        let report = run(&arrivals, &cfg);
         assert_eq!(report.matches, expected, "{kind:?}");
         assert_eq!(report.migrations, 0, "{kind:?} must never migrate");
     }
@@ -113,8 +120,8 @@ fn shj_is_exact_for_equi_joins() {
     let w = synthetic_workload(500, 1500, 40, 8);
     let arrivals = interleave(&w, 4);
     let expected = reference_matches(&arrivals, &w.predicate);
-    let cfg = RunConfig::new(16, OperatorKind::Shj);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(16, OperatorKind::Shj, &w);
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.matches, expected);
 }
 
@@ -129,7 +136,7 @@ fn all_operators_agree_with_each_other() {
         OperatorKind::StaticOpt,
         OperatorKind::Shj,
     ] {
-        let report = run(&arrivals, &w.predicate, w.name, &RunConfig::new(8, kind));
+        let report = run(&arrivals, &config(8, kind, &w));
         assert_eq!(report.matches, expected, "{kind:?} diverged");
     }
 }
@@ -138,8 +145,8 @@ fn all_operators_agree_with_each_other() {
 fn dynamic_converges_to_optimal_mapping() {
     let w = synthetic_workload(50, 6400, 64, 21);
     let arrivals = interleave(&w, 2);
-    let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(16, OperatorKind::Dynamic, &w);
+    let report = run(&arrivals, &cfg);
     // |S| >> |R|: the optimum is (1, 16) and Dynamic must reach it.
     assert_eq!(report.final_mapping, Mapping::new(1, 16));
 }
@@ -148,9 +155,9 @@ fn dynamic_converges_to_optimal_mapping() {
 fn runs_are_deterministic() {
     let w = synthetic_workload(400, 1200, 30, 17);
     let arrivals = interleave(&w, 1);
-    let cfg = RunConfig::new(8, OperatorKind::Dynamic);
-    let a = run(&arrivals, &w.predicate, w.name, &cfg);
-    let b = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(8, OperatorKind::Dynamic, &w);
+    let a = run(&arrivals, &cfg);
+    let b = run(&arrivals, &cfg);
     assert_eq!(a.matches, b.matches);
     assert_eq!(a.exec_time, b.exec_time);
     assert_eq!(a.migrations, b.migrations);
@@ -163,18 +170,8 @@ fn dynamic_lowers_ilf_versus_static_mid() {
     // per-joiner storage is far below the square grid's.
     let w = synthetic_workload(100, 6400, 64, 31);
     let arrivals = interleave(&w, 12);
-    let dynamic = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &RunConfig::new(16, OperatorKind::Dynamic),
-    );
-    let static_mid = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &RunConfig::new(16, OperatorKind::StaticMid),
-    );
+    let dynamic = run(&arrivals, &config(16, OperatorKind::Dynamic, &w));
+    let static_mid = run(&arrivals, &config(16, OperatorKind::StaticMid, &w));
     assert!(
         (dynamic.max_ilf_bytes as f64) < 0.6 * static_mid.max_ilf_bytes as f64,
         "dynamic ILF {} should be well below static-mid {}",
@@ -191,8 +188,8 @@ fn migration_traffic_is_bounded_by_amortized_cost() {
     // of the input volume.
     let w = synthetic_workload(2000, 2000, 64, 41);
     let arrivals = fluctuating(&w, 4, 0);
-    let cfg = RunConfig::new(16, OperatorKind::Dynamic);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    let cfg = config(16, OperatorKind::Dynamic, &w);
+    let report = run(&arrivals, &cfg);
     let input_bytes: u64 = arrivals.iter().map(|(_, i)| i.bytes as u64).sum();
     assert!(report.migrations >= 2);
     assert!(
@@ -207,14 +204,14 @@ fn migration_traffic_is_bounded_by_amortized_cost() {
 fn competitive_ratio_stays_within_bound_after_warmup() {
     let w = synthetic_workload(4000, 4000, 64, 51);
     let arrivals = fluctuating(&w, 4, 0);
-    let mut cfg = RunConfig::new(16, OperatorKind::Dynamic);
+    let mut cfg = config(16, OperatorKind::Dynamic, &w);
     // Theorem 4.6's premise is that input arrives no faster than joiners
     // process (the paper's Storm deployment has backpressure; migrations
     // are serviced at twice the data rate). A saturating source would let
     // the whole stream race ahead of in-flight migrations, which no
     // adaptive scheme could track. Pace the source below capacity.
-    cfg.pacing = aoj_operators::SourcePacing::per_second(150_000);
-    let report = run(&arrivals, &w.predicate, w.name, &cfg);
+    cfg.source.pacing = aoj_operators::SourcePacing::per_second(150_000);
+    let report = run(&arrivals, &cfg);
     // Skip the warm-up third; allow slack for the decentralised estimate
     // noise (the theorem assumes exact cardinalities).
     let max_ratio = report.max_competitive_ratio(arrivals.len() as u64 / 3);
@@ -234,13 +231,13 @@ fn blocking_migrations_are_exact_but_spike_latency() {
     let expected = reference_matches(&arrivals, &w.predicate);
 
     let rate = 150_000;
-    let mut nonblocking = RunConfig::new(16, OperatorKind::Dynamic);
-    nonblocking.pacing = aoj_operators::SourcePacing::per_second(rate);
-    let nb = run(&arrivals, &w.predicate, w.name, &nonblocking);
+    let mut nonblocking = config(16, OperatorKind::Dynamic, &w);
+    nonblocking.source.pacing = aoj_operators::SourcePacing::per_second(rate);
+    let nb = run(&arrivals, &nonblocking);
 
     let mut blocking = nonblocking.clone();
-    blocking.blocking_migrations = true;
-    let b = run(&arrivals, &w.predicate, w.name, &blocking);
+    blocking.elasticity.blocking_migrations = true;
+    let b = run(&arrivals, &blocking);
 
     assert_eq!(nb.matches, expected, "non-blocking output");
     assert_eq!(b.matches, expected, "blocking output");

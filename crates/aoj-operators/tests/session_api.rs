@@ -363,16 +363,46 @@ fn open_rejects_a_window_below_the_credit_batching_slack() {
     let _ = JoinSession::open(builder);
 }
 
-/// Live sessions must not grow memory per pushed tuple: the competitive
-/// prefix trace is opt-in (the legacy `run()` path keeps it, since the
-/// offline harness holds the whole stream anyway).
+/// `run()` is open / `push_batch` / close plus offline knowledge, and
+/// nothing else: resolving that knowledge by hand — queue sized to the
+/// input, sampling derived from its length, the competitive prefix trace
+/// on (live sessions leave it off, so memory does not grow per pushed
+/// tuple) — and driving the session explicitly reproduces the wrapper's
+/// simulator run bit for bit.
 #[test]
-fn live_sessions_do_not_track_the_competitive_prefix_by_default() {
-    let fresh = SessionBuilder::new(2, OperatorKind::Dynamic);
-    assert!(!fresh.backend.track_competitive);
-    let legacy =
-        SessionBuilder::from_run_config(&aoj_operators::RunConfig::new(2, OperatorKind::Dynamic));
-    assert!(legacy.backend.track_competitive);
+fn run_adds_only_offline_knowledge_to_an_explicit_session() {
+    let seed = 0x0FF1_0001;
+    let w = workload(300, 2_700, 200, seed);
+    let arrivals = interleave(&w, seed);
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+        .with_seed(seed);
+    assert!(!builder.backend.track_competitive);
+    let wrapped = aoj_operators::run(&arrivals, &builder);
+
+    let resolved = builder
+        .with_queue_tuples(arrivals.len())
+        .with_sample_every(arrivals.len() as u64 / 200)
+        .with_track_competitive(true);
+    let mut session = JoinSession::open(resolved);
+    session.push_batch(arrivals.iter().copied()).unwrap();
+    let explicit = session.close();
+
+    assert!(wrapped.migrations >= 1, "vacuous: nothing adapted");
+    assert!(!wrapped.competitive.is_empty(), "run() keeps the trace on");
+    assert_eq!(wrapped.exec_time, explicit.exec_time);
+    assert_eq!(wrapped.network_messages, explicit.network_messages);
+    assert_eq!(wrapped.network_bytes, explicit.network_bytes);
+    assert_eq!(wrapped.match_digest, explicit.match_digest);
+    assert_eq!(
+        format!("{:?}", wrapped.events),
+        format!("{:?}", explicit.events)
+    );
+    assert_eq!(
+        format!("{:?}", (&wrapped.samples, &wrapped.competitive)),
+        format!("{:?}", (&explicit.samples, &explicit.competitive))
+    );
 }
 
 /// Pushing after close must fail cleanly, and an unsubscribed session

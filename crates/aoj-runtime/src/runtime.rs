@@ -87,6 +87,11 @@ impl FaultArm {
         self.victim
     }
 
+    /// The death log the victim records into when the arm trips.
+    pub fn log(&self) -> FaultLog {
+        self.log.clone()
+    }
+
     /// Force the kill on the victim's next scheduling quantum,
     /// whatever `when` says.
     pub fn fire_now(&self) {
@@ -298,6 +303,11 @@ impl<M: SimMessage + Send + 'static> Runtime<M> {
         });
         self.fault = Some(Arc::clone(&arm));
         arm
+    }
+
+    /// The fault armed by [`arm_fault`](Runtime::arm_fault), if any.
+    pub fn armed_fault(&self) -> Option<Arc<FaultArm>> {
+        self.fault.clone()
     }
 
     /// The switch that can terminate a (possibly crash-wedged) run from

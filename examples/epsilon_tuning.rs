@@ -15,7 +15,9 @@ use adaptive_online_joins::core::decision::DecisionConfig;
 use adaptive_online_joins::core::Predicate;
 use adaptive_online_joins::datagen::queries::{StreamItem, Workload};
 use adaptive_online_joins::datagen::stream::fluctuating;
-use adaptive_online_joins::operators::{human_bytes, run, OperatorKind, RunConfig, SourcePacing};
+use adaptive_online_joins::operators::{
+    human_bytes, run, OperatorKind, SessionBuilder, SourcePacing,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,21 +43,23 @@ fn main() {
     );
     println!("{}", "-".repeat(95));
     for (num, den) in [(1u32, 1u32), (1, 2), (1, 4), (1, 8)] {
-        let mut cfg = RunConfig::new(16, OperatorKind::Dynamic);
-        cfg.decision = DecisionConfig {
+        let mut cfg = SessionBuilder::new(16, OperatorKind::Dynamic)
+            .with_predicate(workload.predicate.clone())
+            .with_workload(workload.name);
+        cfg.elasticity.decision = DecisionConfig {
             epsilon_num: num,
             epsilon_den: den,
             min_total: total_bytes / 100,
         };
         // Theorem 4.6 assumes flow-controlled arrivals; pace below capacity.
-        cfg.pacing = SourcePacing::per_second(400_000);
-        let report = run(&arrivals, &workload.predicate, workload.name, &cfg);
+        cfg.source.pacing = SourcePacing::per_second(400_000);
+        let report = run(&arrivals, &cfg);
         let warmup = arrivals.len() as u64 / 10;
         println!(
             "  {:>3}/{:<3}            {:>6.4}                  {:>6.4}       {:>6}        {:>10}",
             num,
             den,
-            cfg.decision.competitive_ratio(),
+            cfg.elasticity.decision.competitive_ratio(),
             report.max_competitive_ratio(warmup),
             report.migrations,
             human_bytes(report.migration_bytes),

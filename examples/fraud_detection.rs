@@ -21,7 +21,7 @@ use adaptive_online_joins::core::{Predicate, Tuple};
 use adaptive_online_joins::datagen::queries::{StreamItem, Workload};
 use adaptive_online_joins::datagen::stream::interleave;
 use adaptive_online_joins::datagen::zipf::ZipfSampler;
-use adaptive_online_joins::operators::{run, OperatorKind, RunConfig};
+use adaptive_online_joins::operators::{run, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,8 +72,10 @@ fn main() {
         OperatorKind::StaticMid,
         OperatorKind::StaticOpt,
     ] {
-        let cfg = RunConfig::new(8, kind);
-        let report = run(&arrivals, &workload.predicate, workload.name, &cfg);
+        let cfg = SessionBuilder::new(8, kind)
+            .with_predicate(workload.predicate.clone())
+            .with_workload(workload.name);
+        let report = run(&arrivals, &cfg);
         println!("{}", report.summary());
         alerts.push(report.matches);
     }

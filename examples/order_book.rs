@@ -16,7 +16,7 @@
 
 use adaptive_online_joins::core::{Predicate, Rel};
 use adaptive_online_joins::datagen::queries::{StreamItem, Workload};
-use adaptive_online_joins::operators::{human_bytes, run, OperatorKind, RunConfig};
+use adaptive_online_joins::operators::{human_bytes, run, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,8 +69,10 @@ fn main() {
     );
 
     for kind in [OperatorKind::Dynamic, OperatorKind::StaticMid] {
-        let cfg = RunConfig::new(16, kind);
-        let report = run(&arrivals, &workload.predicate, workload.name, &cfg);
+        let cfg = SessionBuilder::new(16, kind)
+            .with_predicate(workload.predicate.clone())
+            .with_workload(workload.name);
+        let report = run(&arrivals, &cfg);
         println!("{}", report.summary());
         if kind == OperatorKind::Dynamic {
             println!(

@@ -14,7 +14,7 @@ use adaptive_online_joins::core::Predicate;
 use adaptive_online_joins::datagen::queries::{StreamItem, Workload};
 use adaptive_online_joins::datagen::stream::interleave;
 use adaptive_online_joins::operators::{
-    human_bytes, run, BackendChoice, JoinSession, OperatorKind, RunConfig, SessionBuilder,
+    human_bytes, run, BackendChoice, JoinSession, OperatorKind, SessionBuilder,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,8 +44,10 @@ fn main() {
         OperatorKind::StaticMid,
         OperatorKind::StaticOpt,
     ] {
-        let cfg = RunConfig::new(16, kind);
-        let report = run(&arrivals, &workload.predicate, workload.name, &cfg);
+        let cfg = SessionBuilder::new(16, kind)
+            .with_predicate(workload.predicate.clone())
+            .with_workload(workload.name);
+        let report = run(&arrivals, &cfg);
         println!("{}", report.summary());
         reports.push(report);
     }

@@ -4,11 +4,18 @@
 
 use adaptive_online_joins::core::ilf::optimal_mapping;
 use adaptive_online_joins::core::Predicate;
-use adaptive_online_joins::datagen::queries::{self, reference_match_count};
+use adaptive_online_joins::datagen::queries::{self, reference_match_count, Workload};
 use adaptive_online_joins::datagen::stream::{fluctuating, interleave};
 use adaptive_online_joins::datagen::tpch::{ScaledGb, TpchDb};
 use adaptive_online_joins::datagen::zipf::Skew;
-use adaptive_online_joins::operators::{run, OperatorKind, RunConfig, SourcePacing};
+use adaptive_online_joins::operators::{run, OperatorKind, SessionBuilder, SourcePacing};
+
+/// The session configuration for `kind` on `j` joiners over `w`.
+fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
+    SessionBuilder::new(j, kind)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+}
 
 fn small_db(skew: Skew) -> TpchDb {
     TpchDb::generate(
@@ -33,7 +40,7 @@ fn eq5_output_is_exact_for_all_operators() {
         OperatorKind::StaticOpt,
         OperatorKind::Shj,
     ] {
-        let report = run(&arrivals, &w.predicate, w.name, &RunConfig::new(8, kind));
+        let report = run(&arrivals, &config(8, kind, &w));
         assert_eq!(report.matches, expected, "{kind:?} on EQ5");
     }
 }
@@ -44,12 +51,7 @@ fn band_join_bci_is_exact_under_adaptivity() {
     let w = queries::bci(&db);
     let expected = reference_match_count(&w);
     let arrivals = interleave(&w, 6);
-    let report = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &RunConfig::new(16, OperatorKind::Dynamic),
-    );
+    let report = run(&arrivals, &config(16, OperatorKind::Dynamic, &w));
     assert_eq!(report.matches, expected);
     assert!(report.migrations > 0, "BCI's lopsided streams should adapt");
 }
@@ -60,12 +62,7 @@ fn bnci_is_exact() {
     let w = queries::bnci(&db);
     let expected = reference_match_count(&w);
     let arrivals = interleave(&w, 8);
-    let report = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &RunConfig::new(8, OperatorKind::Dynamic),
-    );
+    let report = run(&arrivals, &config(8, OperatorKind::Dynamic, &w));
     assert_eq!(report.matches, expected);
 }
 
@@ -76,12 +73,7 @@ fn fluct_join_is_exact_across_fluctuation_factors() {
     let expected = reference_match_count(&w);
     for k in [2u64, 8] {
         let arrivals = fluctuating(&w, k, 3);
-        let report = run(
-            &arrivals,
-            &w.predicate,
-            w.name,
-            &RunConfig::new(16, OperatorKind::Dynamic),
-        );
+        let report = run(&arrivals, &config(16, OperatorKind::Dynamic, &w));
         assert_eq!(report.matches, expected, "k={k}");
         assert!(report.migrations >= 2, "k={k} should migrate repeatedly");
     }
@@ -104,12 +96,7 @@ fn dynamic_converges_to_the_oracle_mapping_on_real_workloads() {
         (r, s)
     };
     let oracle = optimal_mapping(16, r_bytes, s_bytes);
-    let report = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &RunConfig::new(16, OperatorKind::Dynamic),
-    );
+    let report = run(&arrivals, &config(16, OperatorKind::Dynamic, &w));
     assert_eq!(
         report.final_mapping, oracle,
         "Dynamic must land on the oracle mapping"
@@ -127,8 +114,8 @@ fn skew_does_not_degrade_dynamic_but_degrades_shj() {
     let run_max_ilf = |db: &TpchDb, kind| {
         let w = queries::eq5(db);
         let arrivals = interleave(&w, 4);
-        let cfg = RunConfig::new(j, kind); // unbounded RAM: compare imbalance
-        run(&arrivals, &w.predicate, w.name, &cfg).max_ilf_bytes as f64
+        let cfg = config(j, kind, &w); // unbounded RAM: compare imbalance
+        run(&arrivals, &cfg).max_ilf_bytes as f64
     };
     let shj_skew_blowup =
         run_max_ilf(&skewed, OperatorKind::Shj) / run_max_ilf(&uniform, OperatorKind::Shj);
@@ -156,12 +143,7 @@ fn theta_closure_predicates_run_through_the_full_stack() {
     }));
     let expected = reference_match_count(&w);
     let arrivals = interleave(&w, 13);
-    let report = run(
-        &arrivals,
-        &w.predicate,
-        w.name,
-        &RunConfig::new(4, OperatorKind::Dynamic),
-    );
+    let report = run(&arrivals, &config(4, OperatorKind::Dynamic, &w));
     assert_eq!(report.matches, expected);
 }
 
@@ -170,12 +152,12 @@ fn paced_latency_is_far_below_saturated_latency() {
     let db = small_db(Skew::Z0);
     let w = queries::eq7(&db);
     let arrivals = interleave(&w, 1);
-    let mut sat_cfg = RunConfig::new(8, OperatorKind::Dynamic);
-    sat_cfg.window_copies = 0; // no backpressure: queues build up
-    let saturated = run(&arrivals, &w.predicate, w.name, &sat_cfg);
-    let mut paced_cfg = RunConfig::new(8, OperatorKind::Dynamic);
-    paced_cfg.pacing = SourcePacing::per_second((saturated.throughput * 0.5) as u64);
-    let paced = run(&arrivals, &w.predicate, w.name, &paced_cfg);
+    let mut sat_cfg = config(8, OperatorKind::Dynamic, &w);
+    sat_cfg.source.window_copies = 0; // no backpressure: queues build up
+    let saturated = run(&arrivals, &sat_cfg);
+    let mut paced_cfg = config(8, OperatorKind::Dynamic, &w);
+    paced_cfg.source.pacing = SourcePacing::per_second((saturated.throughput * 0.5) as u64);
+    let paced = run(&arrivals, &paced_cfg);
     assert!(
         paced.avg_latency_us < saturated.avg_latency_us,
         "pacing must reduce queueing latency ({} vs {})",
