@@ -9,7 +9,7 @@
 //! allocations" claim, this bench tracks the cycles.
 
 use aoj_core::tuple::{Rel, Tuple};
-use aoj_net::wire::{dec_task_msg, enc_task_msg, enc_task_msg_into};
+use aoj_net::wire::{TaskMsg, Wire};
 use aoj_operators::messages::{IngestItem, OpMsg};
 use aoj_simnet::{SimTime, TaskId};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -50,18 +50,18 @@ fn mig_batch(n: usize) -> OpMsg {
     }
 }
 
-fn shapes(n: usize) -> [(&'static str, OpMsg); 3] {
+fn shapes(n: usize) -> [(&'static str, TaskMsg); 3] {
+    let (from, to) = (TaskId(7), TaskId(11));
     [
-        ("ingest_batch", ingest_batch(n)),
-        ("data_batch", data_batch(n)),
-        ("mig_batch", mig_batch(n)),
+        ("ingest_batch", (from, to, ingest_batch(n))),
+        ("data_batch", (from, to, data_batch(n))),
+        ("mig_batch", (from, to, mig_batch(n))),
     ]
 }
 
 /// Encode throughput: pooled (append into a cleared reused buffer — the
 /// steady-state TCP hot path) vs fresh (a new `Vec<u8>` per frame).
 fn bench_encode(c: &mut Criterion) {
-    let (from, to) = (TaskId(7), TaskId(11));
     for &n in &BATCH_SIZES {
         for (name, msg) in shapes(n) {
             let mut g = c.benchmark_group(format!("wire_encode_{name}"));
@@ -69,12 +69,12 @@ fn bench_encode(c: &mut Criterion) {
                 let mut buf = Vec::new();
                 b.iter(|| {
                     buf.clear();
-                    enc_task_msg_into(from, to, &msg, &mut buf);
+                    msg.encode_into(&mut buf);
                     black_box(buf.len())
                 });
             });
             g.bench_function(BenchmarkId::new("fresh", n), |b| {
-                b.iter(|| black_box(enc_task_msg(from, to, &msg).len()));
+                b.iter(|| black_box(msg.to_bytes().len()));
             });
             g.finish();
         }
@@ -85,16 +85,12 @@ fn bench_encode(c: &mut Criterion) {
 /// straight off the payload slice; its allocations are the message's
 /// own vectors, so there is no pooled/fresh axis here).
 fn bench_decode(c: &mut Criterion) {
-    let (from, to) = (TaskId(7), TaskId(11));
     for &n in &BATCH_SIZES {
         let mut g = c.benchmark_group("wire_decode");
         for (name, msg) in shapes(n) {
-            let bytes = enc_task_msg(from, to, &msg);
+            let bytes = msg.to_bytes();
             g.bench_function(BenchmarkId::new(name, n), |b| {
-                b.iter(|| {
-                    let (f, t, m) = dec_task_msg(black_box(&bytes)).expect("decode");
-                    black_box((f, t, m))
-                });
+                b.iter(|| black_box(TaskMsg::from_bytes(black_box(&bytes)).expect("decode")));
             });
         }
         g.finish();

@@ -39,17 +39,15 @@ use aoj_core::fault::{
     DeathCause, FailureDetector, FaultInjection, FaultLog, FaultTrigger, WorkerDeath,
 };
 use aoj_core::lifecycle::Checkpoint;
-use aoj_operators::joiner_task::{JoinerTask, LatencyStats};
-use aoj_operators::messages::OpMsg;
-use aoj_operators::report::MatchDigest;
+use aoj_operators::joiner_task::JoinerTask;
+use aoj_operators::messages::{Match, OpMsg};
 use aoj_operators::reshuffler::ReshufflerTask;
 use aoj_operators::shj::ShjJoiner;
-use aoj_operators::{FaultSection, KeyFilter, MatchHub, NetBackend, SessionBuilder, SkewBoard};
+use aoj_operators::{FaultSection, MatchHub, NetBackend, SessionBuilder, SkewBoard};
 use aoj_runtime::mailbox::Mailbox;
 use aoj_runtime::RuntimeConfig;
 use aoj_simnet::{
-    ExecBackend, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimDuration, SimTime,
-    TaskId,
+    ExecBackend, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimTime, TaskId,
 };
 
 use crate::node::{
@@ -57,21 +55,24 @@ use crate::node::{
     NodeShared, TopoRecorder, Writers,
 };
 use crate::wire::{
-    self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeRelay, GaugeSample, Hello, MachineUp,
-    Plan, ProbeAck, Ready, K_DRAIN_DONE, K_DRAIN_FOR, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY,
-    K_HELLO, K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK,
+    self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap,
+    Plan, ProbeAck, Ready, Wire, K_DRAIN_DONE, K_DRAIN_FOR, K_EXITING, K_FINALS, K_GAUGES,
+    K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK,
     K_PROVISION_REQ, K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
-use crate::worker::{clone_assign, ENV_COORD, ENV_GEN, ENV_MACHINE, ENV_WORKER};
+use crate::worker::{ENV_COORD, ENV_GEN, ENV_MACHINE, ENV_WORKER};
 use crate::{ReapRecord, RunSummary};
 
 /// The per-machine control links, shared between the reactor and the
 /// acceptor's handshake threads.
 type ControlLinks = Mutex<HashMap<usize, Arc<ControlOut>>>;
 
-/// Shape of the reactor's control-frame sender (see `send_to` in
-/// `run_cluster`).
-type SendFn = dyn Fn(&ControlLinks, usize, u8, &[u8]);
+/// Send one control frame to worker `m`.
+fn send_to(links: &ControlLinks, m: usize, kind: u8, msg: &impl Wire) {
+    let link = links.lock().unwrap().get(&m).cloned();
+    link.unwrap_or_else(|| panic!("no control link to machine {m}"))
+        .send(kind, msg);
+}
 
 /// Probe cadence while the cluster has work in flight. Relaxed: on a
 /// small host every probe round is a cross-process wakeup times the
@@ -132,12 +133,12 @@ impl TcpBackend {
     /// closure — arbitrary native closures cannot cross a process
     /// boundary; use a named predicate on this backend.
     pub fn factory(builder: &SessionBuilder, hub: Arc<MatchHub>) -> Box<dyn NetBackend> {
-        let builder_bytes = wire::encode_builder(builder);
+        let builder_bytes = builder.to_bytes();
         let fingerprint = wire::fingerprint(&builder_bytes);
         // The fault section rides outside the wire bytes (the decode
         // round-trip drops it by design): take it from the original.
         let fault = builder.fault.clone();
-        let builder = wire::decode_builder(&builder_bytes).expect("session plan round-trip");
+        let builder = SessionBuilder::from_bytes(&builder_bytes).expect("session plan round-trip");
         Box::new(TcpBackend {
             topo: TopoRecorder::default(),
             builder_bytes,
@@ -440,8 +441,10 @@ impl TcpBackend {
         // Live match streaming follows the session hub's attach state:
         // workers start from the Plan's snapshot and get a K_MATCH_TAP
         // whenever a subscriber attaches or detaches mid-session.
-        let mut tap_state = stream0;
-        let mut tap_filters: Vec<KeyFilter> = Vec::new();
+        let mut tap = MatchTap {
+            on: stream0,
+            filters: Vec::new(),
+        };
         let mut tap_epoch = self.hub.filter_epoch();
         let skew_board = self.skew_board.clone();
 
@@ -469,12 +472,6 @@ impl TcpBackend {
         // reactor stops the cluster instead of draining it: quiescence
         // is unreachable with a worker's state gone.
         let mut aborted = false;
-
-        let send_to = |links: &ControlLinks, m: usize, kind: u8, payload: &[u8]| {
-            let link = links.lock().unwrap().get(&m).cloned();
-            link.unwrap_or_else(|| panic!("no control link to machine {m}"))
-                .send(kind, payload);
-        };
 
         loop {
             // Session-layer abort: stop the cluster, no deaths to record.
@@ -569,15 +566,10 @@ impl TcpBackend {
                             let targets: HashSet<usize> =
                                 live.keys().copied().filter(|&w| w != machine).collect();
                             for &w in &targets {
-                                send_to(&links, w, K_DRAIN_FOR, &wire::enc_u64(machine as u64));
+                                send_to(&links, w, K_DRAIN_FOR, &(machine as u64));
                             }
                             if targets.is_empty() {
-                                send_to(
-                                    &links,
-                                    machine,
-                                    K_RETIRE_NOW,
-                                    &wire::enc_u64(eos_to[&machine]),
-                                );
+                                send_to(&links, machine, K_RETIRE_NOW, &eos_to[&machine]);
                             }
                             busy = Some(Op::Retire {
                                 machine,
@@ -593,13 +585,14 @@ impl TcpBackend {
             // subscriber wants before they ever touch the wire.
             let epoch = self.hub.filter_epoch();
             let (want_stream, filters) = self.hub.ship_spec();
-            if want_stream != tap_state || epoch != tap_epoch {
-                tap_state = want_stream;
+            if want_stream != tap.on || epoch != tap_epoch {
                 tap_epoch = epoch;
-                tap_filters = filters;
-                let payload = wire::encode_match_tap(tap_state, &tap_filters);
+                tap = MatchTap {
+                    on: want_stream,
+                    filters,
+                };
                 for &w in live.keys() {
-                    send_to(&links, w, K_MATCH_TAP, &payload);
+                    send_to(&links, w, K_MATCH_TAP, &tap);
                 }
             }
 
@@ -616,7 +609,7 @@ impl TcpBackend {
                 nonce += 1;
                 let pending: HashSet<usize> = live.keys().copied().collect();
                 for &w in &pending {
-                    send_to(&links, w, K_PROBE, &wire::enc_u64(nonce));
+                    send_to(&links, w, K_PROBE, &nonce);
                 }
                 probe = Some(Probe {
                     nonce,
@@ -693,7 +686,7 @@ impl TcpBackend {
                     detector.note_alive(machine, clock.now_us());
                     match kind {
                         K_READY => {
-                            let ready = Ready::dec(&payload).expect("ready frame");
+                            let ready = Ready::from_bytes(&payload).expect("ready frame");
                             assert_eq!(
                                 ready.fingerprint, self.fingerprint,
                                 "worker {machine} rebuilt a different plan"
@@ -708,8 +701,7 @@ impl TcpBackend {
                                 machine: machine as u64,
                                 gen,
                                 port: ready.data_port,
-                            }
-                            .enc();
+                            };
                             for (&w, _) in live.iter() {
                                 send_to(&links, w, K_MACHINE_UP, &up);
                             }
@@ -721,8 +713,7 @@ impl TcpBackend {
                                     machine: source_machine as u64,
                                     gen: 0,
                                     port: own_port,
-                                }
-                                .enc(),
+                                },
                             );
                             for (&w, &wgen) in live.iter() {
                                 let (_, port) = directory.wait_live(w);
@@ -734,17 +725,11 @@ impl TcpBackend {
                                         machine: w as u64,
                                         gen: wgen,
                                         port,
-                                    }
-                                    .enc(),
+                                    },
                                 );
                             }
-                            if tap_state != stream0 || !tap_filters.is_empty() {
-                                send_to(
-                                    &links,
-                                    machine,
-                                    K_MATCH_TAP,
-                                    &wire::encode_match_tap(tap_state, &tap_filters),
-                                );
+                            if tap.on != stream0 || !tap.filters.is_empty() {
+                                send_to(&links, machine, K_MATCH_TAP, &tap);
                             }
                             live.insert(machine, gen);
                             awaiting_ready.remove(&machine);
@@ -755,7 +740,7 @@ impl TcpBackend {
                             }
                         }
                         K_PROBE_ACK => {
-                            let ack = ProbeAck::dec(&payload).expect("probe ack");
+                            let ack = ProbeAck::from_bytes(&payload).expect("probe ack");
                             if let Some(p) = probe.as_mut() {
                                 if ack.nonce == p.nonce && p.pending.remove(&machine) {
                                     p.acc.push((machine, ack.created, ack.finished));
@@ -787,7 +772,7 @@ impl TcpBackend {
                                                 *eos_to.entry(dest).or_insert(0) += n as u64;
                                             }
                                             for (&w, _) in live.iter() {
-                                                send_to(&links, w, K_SHUTDOWN, &[]);
+                                                send_to(&links, w, K_SHUTDOWN, &());
                                             }
                                         } else {
                                             last_round = Some(round);
@@ -797,7 +782,7 @@ impl TcpBackend {
                             }
                         }
                         K_GAUGES => {
-                            let g = GaugeSample::dec(&payload).expect("gauge sample");
+                            let mut g = GaugeSample::from_bytes(&payload).expect("gauge sample");
                             let m = MachineId(g.machine as usize);
                             gauges.set_stored(m, g.stored);
                             gauges.set_evicted(m, g.evicted);
@@ -805,9 +790,12 @@ impl TcpBackend {
                             let gen = live.get(&machine).copied().unwrap_or(0);
                             data_proc.insert((machine, gen), g.data_processed);
                             gauges.set_data_processed(data_proc.values().sum());
+                            // The sketch stops here; what is relayed below is
+                            // the gauges alone.
+                            let skew_parts = std::mem::take(&mut g.skew_parts);
                             if let Some(board) = &skew_board {
-                                if !g.skew_parts.is_empty() {
-                                    board.publish(machine, g.skew_parts.clone());
+                                if !skew_parts.is_empty() {
+                                    board.publish(machine, skew_parts);
                                 }
                             }
                             // The controller machine needs the cluster view.
@@ -815,50 +803,34 @@ impl TcpBackend {
                             // closed its control socket by the time a peer's
                             // last sample drains from the reactor queue.)
                             if machine != 0 && live.contains_key(&0) && !shutting_down {
-                                send_to(
-                                    &links,
-                                    0,
-                                    K_GAUGE_RELAY,
-                                    &GaugeRelay {
-                                        origin: g.machine,
-                                        stored: g.stored,
-                                        evicted: g.evicted,
-                                        occupancy: g.occupancy,
-                                    }
-                                    .enc(),
-                                );
+                                send_to(&links, 0, K_GAUGE_RELAY, &g);
                             }
                         }
                         K_MATCH_BATCH => {
-                            for m in wire::dec_match_batch(&payload).expect("match batch") {
+                            for m in Vec::<Match>::from_bytes(&payload).expect("match batch") {
                                 self.hub.emit(m);
                             }
                         }
                         K_PROVISION_REQ => {
-                            let m = wire::dec_u64(&payload).expect("provision req") as usize;
+                            let m = u64::from_bytes(&payload).expect("provision req") as usize;
                             queue.push_back(Op::Provision { machine: m });
                         }
                         K_RETIRE_REQ => {
-                            let m = wire::dec_u64(&payload).expect("retire req") as usize;
+                            let m = u64::from_bytes(&payload).expect("retire req") as usize;
                             queue.push_back(Op::Retire {
                                 machine: m,
                                 pending: HashSet::new(),
                             });
                         }
-                        K_DRAIN_DONE => handle_drain_done(
-                            &payload,
-                            machine,
-                            &mut busy,
-                            &mut eos_to,
-                            &links,
-                            &send_to,
-                        ),
+                        K_DRAIN_DONE => {
+                            handle_drain_done(&payload, machine, &mut busy, &mut eos_to, &links)
+                        }
                         K_FINALS => {
-                            let bundle = FinalsBundle::dec(&payload).expect("finals bundle");
-                            install_finals(&mut self.topo, &bundle);
+                            let bundle = FinalsBundle::from_bytes(&payload).expect("finals bundle");
+                            install_finals(&mut self.topo, bundle);
                         }
                         K_EXITING => {
-                            let e = Exiting::dec(&payload).expect("exiting frame");
+                            let e = Exiting::from_bytes(&payload).expect("exiting frame");
                             retired_sums.0 += e.created;
                             retired_sums.1 += e.finished;
                             for &(dest, n) in &e.closed {
@@ -975,16 +947,15 @@ fn handle_drain_done(
     busy: &mut Option<Op>,
     eos_to: &mut HashMap<usize, u64>,
     links: &ControlLinks,
-    send_to: &SendFn,
 ) {
-    let dd = DrainDone::dec(payload).expect("drain done");
+    let dd = DrainDone::from_bytes(payload).expect("drain done");
     let target = dd.machine as usize;
     *eos_to.entry(target).or_insert(0) += dd.closed as u64;
     match busy {
         Some(Op::Retire { machine, pending }) if *machine == target => {
             pending.remove(&from);
             if pending.is_empty() {
-                send_to(links, target, K_RETIRE_NOW, &wire::enc_u64(eos_to[&target]));
+                send_to(links, target, K_RETIRE_NOW, &eos_to[&target]);
             }
         }
         _ => panic!("DrainDone for machine {target} outside its retire op"),
@@ -1022,7 +993,7 @@ fn spawn_control_acceptor(
                         .spawn(move || {
                             let mut read = stream.try_clone().expect("clone control stream");
                             let hello = match read_frame(&mut read) {
-                                Ok((K_HELLO, p)) => Hello::dec(&p).expect("hello frame"),
+                                Ok((K_HELLO, p)) => Hello::from_bytes(&p).expect("hello frame"),
                                 Ok((k, _)) => panic!("expected hello, got frame kind {k}"),
                                 Err(e) => panic!("read hello: {e}"),
                             };
@@ -1032,7 +1003,7 @@ fn spawn_control_acceptor(
                             // Anchor the worker's clock as late as
                             // possible: skew is one loopback hop.
                             plan.clock_anchor_us = clock.now_us();
-                            out.send(K_PLAN, &plan.enc());
+                            out.send(K_PLAN, &plan);
                             links.lock().unwrap().insert(machine, out);
                             loop {
                                 match read_frame(&mut read) {
@@ -1096,99 +1067,52 @@ fn spawn_worker(children: &mut HashMap<usize, Child>, coord_addr: &str, machine:
 /// tasks and global metrics. Counters **sum** across incarnations of a
 /// machine slot; latest-state fields (the controller's assignment)
 /// overwrite.
-fn install_finals(topo: &mut TopoRecorder, bundle: &FinalsBundle) {
-    for jf in &bundle.joiners {
-        let slot = topo.tasks[jf.task as usize]
+fn install_finals(topo: &mut TopoRecorder, bundle: FinalsBundle) {
+    fn parked(topo: &mut TopoRecorder, task: TaskId) -> &mut dyn std::any::Any {
+        topo.tasks[task.index()]
             .1
             .as_mut()
-            .expect("receptacle task parked");
-        let j = slot
+            .expect("receptacle task parked")
             .as_any_mut()
-            .downcast_mut::<JoinerTask>()
-            .expect("joiner final targets a joiner receptacle");
-        j.matches += jf.matches;
-        j.latency.merge(&LatencyStats::from_parts(
-            jf.latency.sum_us,
-            jf.latency.count,
-            jf.latency.max_us,
-            jf.latency.buckets,
-        ));
-        j.migration_tuples_in += jf.migration_tuples_in;
-        j.migration_bytes_in += jf.migration_bytes_in;
-        j.expand_stored_tuples += jf.expand_stored_tuples;
-        j.expand_sent_tuples += jf.expand_sent_tuples;
-        j.contract_stored_tuples += jf.contract_stored_tuples;
-        j.contract_sent_tuples += jf.contract_sent_tuples;
-        j.retirements += jf.retirements;
-        j.evicted_tuples += jf.evicted_tuples;
-        j.evicted_bytes += jf.evicted_bytes;
-        j.match_log.extend_from_slice(&jf.match_log);
-        j.match_digest.merge(&MatchDigest {
-            count: jf.match_digest.0,
-            sum: jf.match_digest.1,
-            xor: jf.match_digest.2,
-        });
     }
-    if let Some(cf) = &bundle.controller {
-        let slot = topo.tasks[cf.task as usize]
-            .1
-            .as_mut()
-            .expect("receptacle task parked");
-        let r = slot
-            .as_any_mut()
+    for f in bundle.joiners {
+        let slot = parked(topo, f.task);
+        if let Some(j) = slot.downcast_mut::<JoinerTask>() {
+            j.matches += f.matches;
+            j.latency.merge(&f.latency);
+            j.counters.merge(&f.counters);
+            j.match_log.extend_from_slice(&f.match_log);
+            j.match_digest.merge(&f.match_digest);
+        } else {
+            let s = slot
+                .downcast_mut::<ShjJoiner>()
+                .expect("joiner final targets a joiner receptacle");
+            s.matches += f.matches;
+            s.latency.merge(&f.latency);
+            s.match_log.extend_from_slice(&f.match_log);
+            s.match_digest.merge(&f.match_digest);
+        }
+    }
+    if let Some(cf) = bundle.controller {
+        let r = parked(topo, cf.task)
             .downcast_mut::<ReshufflerTask>()
             .expect("controller final targets a reshuffler receptacle");
-        r.assign = clone_assign(&cf.assign);
+        r.assign = cf.assign;
         let ctrl = r
             .controller
             .as_mut()
             .expect("controller receptacle has controller state");
-        ctrl.events = cf.events.clone();
-        ctrl.recorder.samples = cf.samples.clone();
-    }
-    for sf in &bundle.shj {
-        let slot = topo.tasks[sf.task as usize]
-            .1
-            .as_mut()
-            .expect("receptacle task parked");
-        let s = slot
-            .as_any_mut()
-            .downcast_mut::<ShjJoiner>()
-            .expect("shj final targets an shj receptacle");
-        s.matches += sf.matches;
-        s.latency.merge(&LatencyStats::from_parts(
-            sf.latency.sum_us,
-            sf.latency.count,
-            sf.latency.max_us,
-            sf.latency.buckets,
-        ));
-        s.match_log.extend_from_slice(&sf.match_log);
-        s.match_digest.merge(&MatchDigest {
-            count: sf.match_digest.0,
-            sum: sf.match_digest.1,
-            xor: sf.match_digest.2,
-        });
+        ctrl.events = cf.events;
+        ctrl.recorder.samples = cf.samples;
     }
     // Rebuild the shard as a Metrics and fold it into the global sink.
     let mut m = Metrics::default();
-    for _ in 0..bundle.shard.machines.len() {
+    for (i, row) in bundle.machines.into_iter().enumerate() {
         m.add_machine();
+        *m.machine_mut(MachineId(i)) = row;
     }
-    for (i, row) in bundle.shard.machines.iter().enumerate() {
-        let mm = m.machine_mut(MachineId(i));
-        mm.messages_in = row.messages_in;
-        mm.messages_out = row.messages_out;
-        mm.bytes_in = row.bytes_in;
-        mm.bytes_out = row.bytes_out;
-        mm.busy = SimDuration::from_micros(row.busy_us);
-        mm.stored_bytes = row.stored_bytes;
-        mm.peak_stored_bytes = row.peak_stored_bytes;
-        mm.spilled_bytes = row.spilled_bytes;
-        mm.evicted_bytes = row.evicted_bytes;
-        mm.window_tuples = row.window_tuples;
-    }
-    m.events = bundle.shard.events;
-    m.last_event_at = SimTime(bundle.shard.last_event_at_us);
-    m.data_processed = bundle.shard.data_processed;
+    m.events = bundle.events;
+    m.last_event_at = bundle.last_event_at;
+    m.data_processed = bundle.data_processed;
     topo.metrics.absorb(&m);
 }

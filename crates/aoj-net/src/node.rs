@@ -40,12 +40,13 @@ use std::time::{Duration, Instant};
 use aoj_operators::messages::OpMsg;
 use aoj_runtime::mailbox::{Mailbox, Work};
 use aoj_simnet::{
-    Ctx, ExecBackend, MachineId, Metrics, NetworkConfig, Process, SimDuration, SimMessage, SimTime,
-    TaskId,
+    Ctx, ExecBackend, MachineId, Metrics, MsgClass, NetworkConfig, Process, SimDuration,
+    SimMessage, SimTime, TaskId,
 };
 
 use crate::wire::{
-    self, read_frame, write_frame, BufPool, Preamble, K_EOS, K_PREAMBLE, K_TASK_MSG,
+    self, append_frame, read_frame, write_frame, BufPool, Preamble, TaskMsg, Wire, K_EOS,
+    K_PREAMBLE, K_TASK_MSG,
 };
 
 /// A boxed operator task, as registered into the topology recorder and
@@ -302,13 +303,15 @@ impl EosGate {
 
 /// The write half of a control connection: small frames written under a
 /// lock, shared between a node's control loop and its machine loop
-/// (which sends lifecycle requests from inside handlers).
-pub struct ControlOut(Mutex<TcpStream>);
+/// (which sends lifecycle requests from inside handlers). The lock also
+/// guards the frame buffer every send encodes into, so periodic frames
+/// (gauges, matches, probes) reuse one allocation.
+pub struct ControlOut(Mutex<(TcpStream, Vec<u8>)>);
 
 impl ControlOut {
     /// Wrap a connected control stream.
     pub fn new(stream: TcpStream) -> ControlOut {
-        ControlOut(Mutex::new(stream))
+        ControlOut(Mutex::new((stream, Vec::new())))
     }
 
     /// Write one frame; control frames are small and immediate, so no
@@ -316,9 +319,17 @@ impl ControlOut {
     /// crash) fails with a broken pipe, and the failure detector — not
     /// this send path — is responsible for surfacing the death. A probe
     /// broadcast racing a worker's demise must not panic the reactor.
-    pub fn send(&self, kind: u8, payload: &[u8]) {
-        let mut s = self.0.lock().unwrap();
-        let _ = write_frame(&mut *s, kind, payload);
+    pub fn send(&self, kind: u8, msg: &impl Wire) {
+        let mut guard = self.0.lock().unwrap();
+        let (stream, buf) = &mut *guard;
+        buf.clear();
+        append_frame(buf, kind, msg);
+        let _ = stream.write_all(buf);
+        if buf.capacity() > wire::POOL_MAX_CAPACITY {
+            // A one-off giant (a plan carrying a checkpoint, a finals
+            // bundle with a match log) must not pin its size.
+            *buf = Vec::new();
+        }
     }
 }
 
@@ -359,27 +370,11 @@ struct WriterHandle {
 /// connections on a node share one [`BufPool`], closing the encode →
 /// socket → return recycling loop.
 pub struct Writers {
-    inner: Mutex<HashMap<(usize, u8), WriterHandle>>,
+    inner: Mutex<HashMap<(usize, MsgClass), WriterHandle>>,
     directory: Arc<Directory>,
     pool: Arc<BufPool>,
     self_machine: usize,
     self_gen: u32,
-}
-
-fn class_byte(class: aoj_simnet::MsgClass) -> u8 {
-    match class {
-        aoj_simnet::MsgClass::Control => 0,
-        aoj_simnet::MsgClass::Data => 1,
-        aoj_simnet::MsgClass::Migration => 2,
-    }
-}
-
-fn class_of(cb: u8) -> aoj_simnet::MsgClass {
-    match cb {
-        0 => aoj_simnet::MsgClass::Control,
-        1 => aoj_simnet::MsgClass::Data,
-        _ => aoj_simnet::MsgClass::Migration,
-    }
 }
 
 impl Writers {
@@ -407,10 +402,9 @@ impl Writers {
     /// mailbox batch's frames. While the dial is still in flight the
     /// buffer parks in the connection's backlog, so a send to a machine
     /// that is still provisioning never blocks the sender.
-    pub fn enqueue(&self, dest: usize, class: aoj_simnet::MsgClass, frames: Vec<u8>) {
-        let cb = class_byte(class);
+    pub fn enqueue(&self, dest: usize, class: MsgClass, frames: Vec<u8>) {
         let mut map = self.inner.lock().unwrap();
-        let handle = map.entry((dest, cb)).or_insert_with(|| {
+        let handle = map.entry((dest, class)).or_insert_with(|| {
             let state = Arc::new(WriterState {
                 conn: Mutex::new(Conn {
                     stream: None,
@@ -428,7 +422,7 @@ impl Writers {
                 class,
             };
             let dialer = std::thread::Builder::new()
-                .name(format!("aoj-net-w{}m{dest}c{cb}", self.self_machine))
+                .name(format!("aoj-net-w{}m{dest}{class:?}", self.self_machine))
                 .spawn(move || dialer_main(st, directory, pool, dest, preamble))
                 .expect("spawn dialer thread");
             WriterHandle { state, dialer }
@@ -465,7 +459,7 @@ impl Writers {
             // Best-effort toward a possibly-dead peer: the EOS marker
             // only matters to a live retirement barrier, and a live peer
             // reliably receives it.
-            let _ = write_frame(w, K_EOS, &[]).and_then(|()| w.flush());
+            let _ = write_frame(w, K_EOS, &()).and_then(|()| w.flush());
         } else if !conn.broken {
             conn.eos = true;
         }
@@ -480,7 +474,7 @@ impl Writers {
     /// the retirement barrier at `dest` will wait on.
     pub fn close_to(&self, dest: usize) -> u32 {
         let mut map = self.inner.lock().unwrap();
-        let keys: Vec<(usize, u8)> = map.keys().copied().filter(|(d, _)| *d == dest).collect();
+        let keys: Vec<_> = map.keys().copied().filter(|(d, _)| *d == dest).collect();
         let mut closed = 0;
         for k in keys {
             let handle = map.remove(&k).unwrap();
@@ -525,7 +519,7 @@ fn dialer_main(
     let stream = dial_with_retry(port, seed).unwrap_or_else(|e| panic!("dial machine {dest}: {e}"));
     stream.set_nodelay(true).ok();
     let mut w = BufWriter::new(stream);
-    write_frame(&mut w, K_PREAMBLE, &preamble.enc()).expect("write preamble");
+    write_frame(&mut w, K_PREAMBLE, &preamble).expect("write preamble");
     // Backlog drain and stream publication happen in one critical
     // section, so a sender blocked on the lock either lands in the
     // backlog (and is drained here, in order) or writes inline strictly
@@ -538,7 +532,7 @@ fn dialer_main(
     if conn.eos {
         // Closed before the dial finished: deliver the marker and leave
         // the stream unpublished.
-        write_frame(&mut w, K_EOS, &[]).expect("write eos");
+        write_frame(&mut w, K_EOS, &()).expect("write eos");
         w.flush().expect("flush eos");
         return;
     }
@@ -555,7 +549,7 @@ fn dialer_main(
 /// [`BufPool`] without touching the allocator.
 pub struct OutStage {
     pool: Arc<BufPool>,
-    slots: HashMap<(usize, u8), Vec<u8>>,
+    slots: HashMap<(usize, MsgClass), Vec<u8>>,
 }
 
 impl OutStage {
@@ -570,30 +564,23 @@ impl OutStage {
 
     /// Append one task message, framed, to the staging buffer for
     /// `(dest, class)`.
-    pub fn push(
-        &mut self,
-        dest: usize,
-        class: aoj_simnet::MsgClass,
-        from: TaskId,
-        to: TaskId,
-        msg: &OpMsg,
-    ) {
+    pub fn push(&mut self, dest: usize, class: MsgClass, msg: &TaskMsg) {
         let pool = &self.pool;
-        let buf = self.slots.entry((dest, class_byte(class))).or_default();
+        let buf = self.slots.entry((dest, class)).or_default();
         if buf.capacity() == 0 {
             *buf = pool.get();
         }
-        wire::append_task_msg_frame(buf, from, to, msg);
+        append_frame(buf, K_TASK_MSG, msg);
     }
 
     /// Hand every dirty staging buffer to its writer. Buffers leave by
     /// value and come back through the pool once written.
     pub fn flush(&mut self, writers: &Writers) {
-        for (&(dest, cb), buf) in self.slots.iter_mut() {
+        for (&(dest, class), buf) in self.slots.iter_mut() {
             if buf.is_empty() {
                 continue;
             }
-            writers.enqueue(dest, class_of(cb), std::mem::take(buf));
+            writers.enqueue(dest, class, std::mem::take(buf));
         }
     }
 }
@@ -615,7 +602,7 @@ pub fn spawn_reader(
             stream.set_nodelay(true).ok();
             let mut r = BufReader::new(stream);
             let preamble = match read_frame(&mut r) {
-                Ok((K_PREAMBLE, p)) => Preamble::dec(&p).expect("decode preamble"),
+                Ok((K_PREAMBLE, p)) => Preamble::from_bytes(&p).expect("decode preamble"),
                 Ok((k, _)) => panic!("protocol error: first frame kind {k}, want preamble"),
                 Err(_) => return, // dialed and dropped before the preamble
             };
@@ -625,8 +612,9 @@ pub fn spawn_reader(
             loop {
                 match wire::read_frame_into(&mut r, &mut payload) {
                     Ok(K_TASK_MSG) => {
-                        let (from, to, msg) = dec_or_die(&payload);
-                        debug_assert_eq!(class_byte(msg.class()), class_byte(preamble.class));
+                        let (from, to, msg) =
+                            TaskMsg::from_bytes(&payload).expect("decode task msg");
+                        debug_assert_eq!(msg.class(), preamble.class);
                         let units = msg.tuples();
                         mailbox.push_msg(
                             msg.class(),
@@ -653,10 +641,6 @@ pub fn spawn_reader(
             }
         })
         .expect("spawn reader thread")
-}
-
-fn dec_or_die(p: &[u8]) -> (TaskId, TaskId, OpMsg) {
-    wire::dec_task_msg(p).expect("decode task msg")
 }
 
 /// Accept data-plane connections until `done`, handing each to
@@ -842,7 +826,7 @@ fn apply_effect(
                 );
             } else {
                 shard.on_send(MachineId(shared.machine), msg.bytes());
-                stage.push(dest, msg.class(), self_task, to, &msg);
+                stage.push(dest, msg.class(), &(self_task, to, msg));
             }
         }
         aoj_simnet::Effect::Timer { delay, key } => {

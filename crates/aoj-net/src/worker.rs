@@ -30,20 +30,22 @@ use aoj_core::lifecycle::Checkpoint;
 use aoj_operators::joiner_task::JoinerTask;
 use aoj_operators::messages::OpMsg;
 use aoj_operators::reshuffler::ReshufflerTask;
+use aoj_operators::shj::ShjJoiner;
 use aoj_operators::{assemble_topology, IngestQueue, MatchHub, SessionBuilder};
 use aoj_runtime::mailbox::Mailbox;
 use aoj_runtime::RuntimeConfig;
-use aoj_simnet::{MachineId, Metrics, Process, SharedGauges, SimDuration};
+use aoj_simnet::{MachineId, Metrics, Process, SharedGauges, SimDuration, TaskId};
 
 use crate::node::{
     dial_with_retry, run_machine_loop, spawn_acceptor, Clock, ControlOut, Counters, Directory,
     EosGate, Lifecycle, NodeShared, TopoRecorder, Writers,
 };
 use crate::wire::{
-    self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeRelay, GaugeSample, Hello, MachineUp,
-    Plan, ProbeAck, Ready, K_DRAIN_DONE, K_DRAIN_FOR, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY,
-    K_HELLO, K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK,
-    K_PROVISION_REQ, K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
+    self, read_frame, ControllerFinal, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello,
+    MachineUp, MatchTap, Plan, ProbeAck, Ready, TaskFinal, Wire, K_DRAIN_DONE, K_DRAIN_FOR,
+    K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH,
+    K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ, K_READY, K_RETIRE_NOW,
+    K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
 
 /// Environment: flag marking a process as a worker.
@@ -114,11 +116,10 @@ pub fn worker_main() -> ! {
             version: WIRE_VERSION,
             machine: machine as u64,
             gen,
-        }
-        .enc(),
+        },
     );
     let plan = match read_frame(&mut control_read) {
-        Ok((K_PLAN, p)) => Plan::dec(&p).expect("decode plan"),
+        Ok((K_PLAN, p)) => Plan::from_bytes(&p).expect("decode plan"),
         Ok((k, _)) => panic!("worker {machine}: expected plan, got frame kind {k}"),
         Err(e) => panic!("worker {machine}: read plan: {e}"),
     };
@@ -127,10 +128,10 @@ pub fn worker_main() -> ! {
         "worker {machine}: wire version mismatch"
     );
     let clock = Clock::new(plan.clock_anchor_us);
-    let builder: SessionBuilder = wire::decode_builder(&plan.builder).expect("decode session plan");
+    let builder = SessionBuilder::from_bytes(&plan.builder).expect("decode session plan");
     // Round-trip the decoded builder and fingerprint the re-encoding:
     // proves the plan decoded losslessly, not just parseably.
-    let fp = wire::fingerprint(&wire::encode_builder(&builder));
+    let fp = wire::fingerprint(&builder.to_bytes());
     assert_eq!(
         fp, plan.fingerprint,
         "worker {machine}: plan fingerprint mismatch after round-trip"
@@ -247,8 +248,8 @@ pub fn worker_main() -> ! {
             .name(format!("aoj-net-m{machine}"))
             .spawn(move || {
                 let lifecycle = move |ev: Lifecycle| match ev {
-                    Lifecycle::Provision(m) => ctrl.send(K_PROVISION_REQ, &wire::enc_u64(m as u64)),
-                    Lifecycle::Retire(m) => ctrl.send(K_RETIRE_REQ, &wire::enc_u64(m as u64)),
+                    Lifecycle::Provision(m) => ctrl.send(K_PROVISION_REQ, &(m as u64)),
+                    Lifecycle::Retire(m) => ctrl.send(K_RETIRE_REQ, &(m as u64)),
                     // No operator task stops the run from a handler; the
                     // coordinator owns session shutdown.
                     Lifecycle::Stopped => {}
@@ -265,8 +266,7 @@ pub fn worker_main() -> ! {
             gen,
             fingerprint: fp,
             data_port,
-        }
-        .enc(),
+        },
     );
 
     // Control frames arrive through a dedicated blocking reader: the
@@ -288,11 +288,9 @@ pub fn worker_main() -> ! {
         })
         .expect("spawn control reader");
 
-    // The stats loop reuses two encode buffers across its whole life and
-    // skips gauge frames whose values haven't moved since the last ship:
-    // an idle worker costs the control plane nothing but the timer tick.
-    let mut gauge_buf: Vec<u8> = Vec::new();
-    let mut match_buf: Vec<u8> = Vec::new();
+    // The stats loop skips gauge frames whose values haven't moved since
+    // the last ship: an idle worker costs the control plane nothing but
+    // the timer tick.
     let mut last_gauges: Option<GaugeSample> = None;
     let mut last_beat = Instant::now();
     let mut ship_stats = |fin: bool| {
@@ -313,15 +311,13 @@ pub fn worker_main() -> ! {
         // reads any frame as proof of life, and an idle worker that goes
         // fully silent is indistinguishable from a dead one.
         if fin || last_gauges.as_ref() != Some(&sample) || last_beat.elapsed() >= HEARTBEAT_PERIOD {
-            sample.enc_into(&mut gauge_buf);
+            ctrl.send(K_GAUGES, &sample);
             last_gauges = Some(sample);
             last_beat = Instant::now();
-            ctrl.send(K_GAUGES, &gauge_buf);
         }
         let matches = hub.drain_buffered();
         if !matches.is_empty() || fin {
-            wire::enc_match_batch_into(&matches, &mut match_buf);
-            ctrl.send(K_MATCH_BATCH, &match_buf);
+            ctrl.send(K_MATCH_BATCH, &matches);
         }
     };
 
@@ -341,7 +337,7 @@ pub fn worker_main() -> ! {
                 std::process::exit(1);
             }
             Ok((K_PROBE, p)) => {
-                let nonce = wire::dec_u64(&p).expect("probe nonce");
+                let nonce = u64::from_bytes(&p).expect("probe nonce");
                 let (created, finished) = counters.snapshot();
                 ctrl.send(
                     K_PROBE_ACK,
@@ -349,31 +345,30 @@ pub fn worker_main() -> ! {
                         nonce,
                         created,
                         finished,
-                    }
-                    .enc(),
+                    },
                 );
             }
             Ok((K_MACHINE_UP, p)) => {
-                let up = MachineUp::dec(&p).expect("machine-up frame");
+                let up = MachineUp::from_bytes(&p).expect("machine-up frame");
                 directory.set_live(up.machine as usize, up.gen, up.port);
             }
             Ok((K_MATCH_TAP, p)) => {
-                let (on, filters) = wire::decode_match_tap(&p).expect("match tap frame");
+                let tap = MatchTap::from_bytes(&p).expect("match tap frame");
                 // Filters first, then the stream toggle: a pair emitted
                 // between the two sees either the old complete spec or
                 // the new one, never "on with stale filters".
-                hub.set_ship_filters(filters);
-                hub.set_streaming(on);
+                hub.set_ship_filters(tap.filters);
+                hub.set_streaming(tap.on);
             }
             Ok((K_GAUGE_RELAY, p)) => {
-                let g = GaugeRelay::dec(&p).expect("gauge relay");
-                let m = MachineId(g.origin as usize);
+                let g = GaugeSample::from_bytes(&p).expect("gauge relay");
+                let m = MachineId(g.machine as usize);
                 gauges.set_stored(m, g.stored);
                 gauges.set_evicted(m, g.evicted);
                 gauges.set_occupancy(m, g.occupancy);
             }
             Ok((K_DRAIN_FOR, p)) => {
-                let target = wire::dec_u64(&p).expect("drain-for machine") as usize;
+                let target = u64::from_bytes(&p).expect("drain-for machine") as usize;
                 directory.set_retiring(target);
                 let closed = writers.close_to(target);
                 ctrl.send(
@@ -381,15 +376,14 @@ pub fn worker_main() -> ! {
                     &DrainDone {
                         machine: target as u64,
                         closed,
-                    }
-                    .enc(),
+                    },
                 );
             }
             Ok((K_RETIRE_NOW, p)) => {
                 // Every peer has closed its channels toward us; once
                 // their end-of-stream markers are all in, nothing is in
                 // flight and the backlog is complete. Drain it and go.
-                let expect = wire::dec_u64(&p).expect("retire-now count");
+                let expect = u64::from_bytes(&p).expect("retire-now count");
                 eos.wait_for(expect);
                 mailbox.complete_drain();
                 break Exit::Retired;
@@ -415,7 +409,7 @@ pub fn worker_main() -> ! {
     ship_stats(true);
     ctrl.send(
         K_FINALS,
-        &harvest_finals(machine, gen, &tasks, &shard, &gauges).enc(),
+        &harvest_finals(machine, gen, &tasks, &shard, &gauges),
     );
     let (created, finished) = counters.snapshot();
     ctrl.send(
@@ -426,8 +420,7 @@ pub fn worker_main() -> ! {
             created,
             finished,
             closed: closed.iter().map(|&(d, n)| (d as u64, n)).collect(),
-        }
-        .enc(),
+        },
     );
     std::process::exit(0);
 }
@@ -446,96 +439,43 @@ fn harvest_finals(
         gen,
         joiners: Vec::new(),
         controller: None,
-        shj: Vec::new(),
-        shard: wire::MetricsShard {
-            events: shard.events,
-            last_event_at_us: shard.last_event_at.as_micros(),
-            data_processed: gauges.data_processed(),
-            machines: shard
-                .machines()
-                .iter()
-                .map(|m| wire::MachineRow {
-                    messages_in: m.messages_in,
-                    messages_out: m.messages_out,
-                    bytes_in: m.bytes_in,
-                    bytes_out: m.bytes_out,
-                    busy_us: m.busy.as_micros(),
-                    stored_bytes: m.stored_bytes,
-                    peak_stored_bytes: m.peak_stored_bytes,
-                    spilled_bytes: m.spilled_bytes,
-                    evicted_bytes: m.evicted_bytes,
-                    window_tuples: m.window_tuples,
-                })
-                .collect(),
-        },
+        events: shard.events,
+        last_event_at: shard.last_event_at,
+        data_processed: gauges.data_processed(),
+        machines: shard.machines().to_vec(),
     };
     let mut ids: Vec<usize> = tasks.keys().copied().collect();
     ids.sort_unstable();
     for id in ids {
-        let task = &tasks[&id];
-        if let Some(j) = task.as_any().downcast_ref::<JoinerTask>() {
-            let (sum_us, count, max_us, buckets) = j.latency.to_parts();
-            bundle.joiners.push(wire::JoinerFinal {
-                task: id as u64,
+        let task = tasks[&id].as_any();
+        if let Some(j) = task.downcast_ref::<JoinerTask>() {
+            bundle.joiners.push(TaskFinal {
+                task: TaskId(id),
                 matches: j.matches,
-                latency: wire::LatencyParts {
-                    count,
-                    sum_us,
-                    max_us,
-                    buckets,
-                },
-                migration_tuples_in: j.migration_tuples_in,
-                migration_bytes_in: j.migration_bytes_in,
-                expand_stored_tuples: j.expand_stored_tuples,
-                expand_sent_tuples: j.expand_sent_tuples,
-                contract_stored_tuples: j.contract_stored_tuples,
-                contract_sent_tuples: j.contract_sent_tuples,
-                retirements: j.retirements,
-                evicted_tuples: j.evicted_tuples,
-                evicted_bytes: j.evicted_bytes,
+                latency: j.latency,
+                counters: j.counters,
                 match_log: j.match_log.clone(),
-                match_digest: (j.match_digest.count, j.match_digest.sum, j.match_digest.xor),
+                match_digest: j.match_digest,
             });
-        } else if let Some(r) = task.as_any().downcast_ref::<ReshufflerTask>() {
+        } else if let Some(s) = task.downcast_ref::<ShjJoiner>() {
+            bundle.joiners.push(TaskFinal {
+                task: TaskId(id),
+                matches: s.matches,
+                latency: s.latency,
+                counters: Default::default(),
+                match_log: s.match_log.clone(),
+                match_digest: s.match_digest,
+            });
+        } else if let Some(r) = task.downcast_ref::<ReshufflerTask>() {
             if let Some(ctrl) = &r.controller {
-                bundle.controller = Some(wire::ControllerFinal {
-                    task: id as u64,
-                    assign: clone_assign(&r.assign),
+                bundle.controller = Some(ControllerFinal {
+                    task: TaskId(id),
+                    assign: r.assign.clone(),
                     events: ctrl.events.clone(),
                     samples: ctrl.recorder.samples.clone(),
                 });
             }
-        } else if let Some(s) = task
-            .as_any()
-            .downcast_ref::<aoj_operators::shj::ShjJoiner>()
-        {
-            let (sum_us, count, max_us, buckets) = s.latency.to_parts();
-            bundle.shj.push(wire::ShjFinal {
-                task: id as u64,
-                matches: s.matches,
-                latency: wire::LatencyParts {
-                    count,
-                    sum_us,
-                    max_us,
-                    buckets,
-                },
-                match_log: s.match_log.clone(),
-                match_digest: (s.match_digest.count, s.match_digest.sum, s.match_digest.xor),
-            });
         }
     }
     bundle
-}
-
-/// Copy a [`aoj_core::mapping::GridAssignment`] through its parts (it
-/// derives no `Clone`; the parts round-trip is exact).
-pub(crate) fn clone_assign(
-    a: &aoj_core::mapping::GridAssignment,
-) -> aoj_core::mapping::GridAssignment {
-    aoj_core::mapping::GridAssignment::from_parts(
-        a.mapping(),
-        a.pos_slice().to_vec(),
-        a.machines().map(|m| m as u32).collect(),
-    )
-    .expect("assignment parts round-trip")
 }

@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aoj_core::tuple::{Rel, Tuple};
-use aoj_net::wire::{append_task_msg_frame, enc_task_msg_into, GaugeSample};
+use aoj_net::wire::{append_frame, GaugeSample, TaskMsg, Wire, K_GAUGES, K_TASK_MSG};
 use aoj_operators::messages::{IngestItem, OpMsg};
 use aoj_simnet::{SimTime, TaskId};
 
@@ -50,8 +50,9 @@ fn tuple(i: u64) -> Tuple {
 }
 
 /// The data-plane message shapes the TCP hot path ships continuously.
-fn hot_messages() -> Vec<OpMsg> {
-    vec![
+fn hot_messages() -> Vec<TaskMsg> {
+    let (from, to) = (TaskId(3), TaskId(9));
+    [
         OpMsg::IngestBatch {
             items: (0..64u64)
                 .map(|i| IngestItem {
@@ -74,20 +75,22 @@ fn hot_messages() -> Vec<OpMsg> {
         },
         OpMsg::ProcessedCopies { n: 64 },
     ]
+    .into_iter()
+    .map(|msg| (from, to, msg))
+    .collect()
 }
 
 #[test]
 fn steady_state_frame_encode_is_allocation_free() {
     let msgs = hot_messages();
-    let (from, to) = (TaskId(3), TaskId(9));
 
     // Warm-up: size the reused buffers exactly like the machine loop's
     // first staging pass does.
     let mut frame_buf = Vec::new();
     let mut payload_buf = Vec::new();
     for m in &msgs {
-        append_task_msg_frame(&mut frame_buf, from, to, m);
-        enc_task_msg_into(from, to, m, &mut payload_buf);
+        append_frame(&mut frame_buf, K_TASK_MSG, m);
+        m.encode_into(&mut payload_buf);
     }
     let mut gauge_buf = Vec::new();
     let gauge = GaugeSample {
@@ -101,7 +104,7 @@ fn steady_state_frame_encode_is_allocation_free() {
         // ships the same (possibly empty) parts each round.
         skew_parts: Vec::new(),
     };
-    gauge.enc_into(&mut gauge_buf);
+    append_frame(&mut gauge_buf, K_GAUGES, &gauge);
 
     // Steady state: coalesce all hot shapes into the frame buffer, ship,
     // return, repeat. Not one byte may come from the allocator.
@@ -109,12 +112,12 @@ fn steady_state_frame_encode_is_allocation_free() {
     for _ in 0..1_000 {
         frame_buf.clear();
         for m in &msgs {
-            append_task_msg_frame(&mut frame_buf, from, to, m);
+            append_frame(&mut frame_buf, K_TASK_MSG, m);
         }
         payload_buf.clear();
-        enc_task_msg_into(from, to, &msgs[1], &mut payload_buf);
+        msgs[1].encode_into(&mut payload_buf);
         gauge_buf.clear();
-        gauge.enc_into(&mut gauge_buf);
+        append_frame(&mut gauge_buf, K_GAUGES, &gauge);
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(

@@ -359,8 +359,8 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         if let Some(jc) = seeded {
             let p = b.predicate.clone();
             task.epoch = EpochJoiner::restored(&move || index_for(&p), total, epoch, &jc.tuples);
-            task.evicted_tuples = jc.evicted_tuples;
-            task.evicted_bytes = jc.evicted_bytes;
+            task.counters.evicted_tuples = jc.evicted_tuples;
+            task.counters.evicted_bytes = jc.evicted_bytes;
             task.window = b.lifecycle.window.map(|spec| {
                 // The restored state becomes one sealed sub-window. In
                 // count mode the clock must sit at (or past) the highest
@@ -491,21 +491,21 @@ pub(crate) fn collect_grid<B: ExecBackend<OpMsg>>(
         matches += jt.matches;
         matches_by_slot[jt.index] = jt.matches;
         latency.merge(&jt.latency);
-        migration_bytes += jt.migration_bytes_in;
+        migration_bytes += jt.counters.migration_bytes_in;
         match_pairs.extend_from_slice(&jt.match_log);
         match_digest.merge(&jt.match_digest);
-        if jt.expand_stored_tuples > 0 {
+        if jt.counters.expand_stored_tuples > 0 {
             expand_transfers.push(ExpandTransfer {
                 joiner: jt.index,
-                stored_tuples: jt.expand_stored_tuples,
-                sent_tuples: jt.expand_sent_tuples,
+                stored_tuples: jt.counters.expand_stored_tuples,
+                sent_tuples: jt.counters.expand_sent_tuples,
             });
         }
-        if jt.retirements > 0 {
+        if jt.counters.retirements > 0 {
             contract_transfers.push(ContractTransfer {
                 joiner: jt.index,
-                stored_tuples: jt.contract_stored_tuples,
-                sent_tuples: jt.contract_sent_tuples,
+                stored_tuples: jt.counters.contract_stored_tuples,
+                sent_tuples: jt.counters.contract_sent_tuples,
             });
         }
     }
@@ -646,8 +646,8 @@ pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
         };
         joiners.push(JoinerCheckpoint {
             machine,
-            evicted_tuples: jt.evicted_tuples,
-            evicted_bytes: jt.evicted_bytes,
+            evicted_tuples: jt.counters.evicted_tuples,
+            evicted_bytes: jt.counters.evicted_bytes,
             latest_seq,
             latest_tick,
             tuples,

@@ -46,7 +46,7 @@ pub struct LatencyStats {
     /// Maximum sampled latency.
     pub max_us: u64,
     /// `buckets[k]` counts samples with `floor(log2(us)) == k`.
-    buckets: [u64; LATENCY_BUCKETS],
+    pub buckets: [u64; LATENCY_BUCKETS],
 }
 
 impl Default for LatencyStats {
@@ -91,31 +91,6 @@ impl LatencyStats {
         }
     }
 
-    /// Decompose into raw parts — `(sum_us, count, max_us, buckets)` —
-    /// for wire transport between processes. [`from_parts`] inverts it
-    /// losslessly.
-    ///
-    /// [`from_parts`]: LatencyStats::from_parts
-    pub fn to_parts(&self) -> (u64, u64, u64, [u64; LATENCY_BUCKETS]) {
-        (self.sum_us, self.count, self.max_us, self.buckets)
-    }
-
-    /// Rebuild from the parts [`to_parts`](LatencyStats::to_parts)
-    /// produced.
-    pub fn from_parts(
-        sum_us: u64,
-        count: u64,
-        max_us: u64,
-        buckets: [u64; LATENCY_BUCKETS],
-    ) -> LatencyStats {
-        LatencyStats {
-            sum_us,
-            count,
-            max_us,
-            buckets,
-        }
-    }
-
     /// Approximate `q`-quantile (`0 < q <= 1`) in microseconds: the upper
     /// bound of the histogram bucket holding the rank, clamped to the
     /// observed maximum. Log₂ buckets bound the relative error at 2x.
@@ -133,6 +108,53 @@ impl LatencyStats {
             }
         }
         self.max_us
+    }
+}
+
+/// The state-transfer and eviction counters of one grid joiner. They
+/// only ever add, so a machine slot's incarnations (and, on the TCP
+/// backend, a worker's finals folded into the coordinator's receptacle
+/// task) combine with [`merge`](JoinerCounters::merge).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct JoinerCounters {
+    /// Tuples received as migration state.
+    pub migration_tuples_in: u64,
+    /// Payload bytes received as migration state.
+    pub migration_bytes_in: u64,
+    /// Expansion-parent accounting: tuples of local state classified for
+    /// a split (τ snapshots plus Δ arrivals during expansions).
+    pub expand_stored_tuples: u64,
+    /// Expansion-parent accounting: state copies shipped to children.
+    /// Theorem 4.3 bounds this by `2 × expand_stored_tuples`.
+    pub expand_sent_tuples: u64,
+    /// Contraction-retiree accounting: tuples of local state classified
+    /// for a merge (τ at retirement plus Δ arrivals during it).
+    pub contract_stored_tuples: u64,
+    /// Contraction-retiree accounting: state copies shipped to the
+    /// survivor — at most `1 × contract_stored_tuples` (each retiring
+    /// tuple is sent at most once, and the diagonal retiree sends none).
+    pub contract_sent_tuples: u64,
+    /// How many times this joiner retired into dormancy (contractions it
+    /// was merged away by).
+    pub retirements: u64,
+    /// Tuples dropped by windowed eviction.
+    pub evicted_tuples: u64,
+    /// Payload bytes dropped by windowed eviction.
+    pub evicted_bytes: u64,
+}
+
+impl JoinerCounters {
+    /// Add another incarnation's counters to these.
+    pub fn merge(&mut self, other: &JoinerCounters) {
+        self.migration_tuples_in += other.migration_tuples_in;
+        self.migration_bytes_in += other.migration_bytes_in;
+        self.expand_stored_tuples += other.expand_stored_tuples;
+        self.expand_sent_tuples += other.expand_sent_tuples;
+        self.contract_stored_tuples += other.contract_stored_tuples;
+        self.contract_sent_tuples += other.contract_sent_tuples;
+        self.retirements += other.retirements;
+        self.evicted_tuples += other.evicted_tuples;
+        self.evicted_bytes += other.evicted_bytes;
     }
 }
 
@@ -171,34 +193,12 @@ pub struct JoinerTask {
     pub match_sink: Option<Arc<MatchHub>>,
     /// Latency samples.
     pub latency: LatencyStats,
-    /// Tuples received as migration state.
-    pub migration_tuples_in: u64,
-    /// Payload bytes received as migration state.
-    pub migration_bytes_in: u64,
-    /// Expansion-parent accounting: tuples of local state classified for
-    /// a split (τ snapshots plus Δ arrivals during expansions).
-    pub expand_stored_tuples: u64,
-    /// Expansion-parent accounting: state copies shipped to children.
-    /// Theorem 4.3 bounds this by `2 × expand_stored_tuples`.
-    pub expand_sent_tuples: u64,
-    /// Contraction-retiree accounting: tuples of local state classified
-    /// for a merge (τ at retirement plus Δ arrivals during it).
-    pub contract_stored_tuples: u64,
-    /// Contraction-retiree accounting: state copies shipped to the
-    /// survivor — at most `1 × contract_stored_tuples` (each retiring
-    /// tuple is sent at most once, and the diagonal retiree sends none).
-    pub contract_sent_tuples: u64,
-    /// How many times this joiner retired into dormancy (contractions it
-    /// was merged away by).
-    pub retirements: u64,
+    /// Migration, elasticity and eviction transfer counters.
+    pub counters: JoinerCounters,
     /// Sliding-window tracker when the session has a state lifecycle
     /// configured; `None` leaves retention unbounded (and the index
     /// segmentation machinery entirely untouched).
     pub window: Option<WindowTracker>,
-    /// Tuples dropped by windowed eviction.
-    pub evicted_tuples: u64,
-    /// Payload bytes dropped by windowed eviction.
-    pub evicted_bytes: u64,
     /// Outbound state of the in-flight migration or expansion.
     outbox: Option<Outbox>,
     /// Recycled batch storage: vectors received in `DataBatch`/`MigBatch`
@@ -250,16 +250,8 @@ impl JoinerTask {
             match_digest: MatchDigest::default(),
             match_sink: None,
             latency: LatencyStats::default(),
-            migration_tuples_in: 0,
-            migration_bytes_in: 0,
-            expand_stored_tuples: 0,
-            expand_sent_tuples: 0,
-            contract_stored_tuples: 0,
-            contract_sent_tuples: 0,
-            retirements: 0,
+            counters: JoinerCounters::default(),
             window: None,
-            evicted_tuples: 0,
-            evicted_bytes: 0,
             outbox: None,
             pool: BatchPool::new(4),
             pending_done: false,
@@ -376,9 +368,10 @@ impl JoinerTask {
         }
         let stats = self.epoch.evict_before(bound);
         if stats.tuples > 0 {
-            self.evicted_tuples += stats.tuples;
-            self.evicted_bytes += stats.bytes;
-            ctx.metrics().set_evicted(self.machine, self.evicted_bytes);
+            self.counters.evicted_tuples += stats.tuples;
+            self.counters.evicted_bytes += stats.bytes;
+            ctx.metrics()
+                .set_evicted(self.machine, self.counters.evicted_bytes);
         }
     }
 
@@ -420,7 +413,7 @@ impl JoinerTask {
             // now — a retired joiner gets no more data, so credits parked
             // under the return batching would narrow the source's window
             // forever.
-            self.retirements += 1;
+            self.counters.retirements += 1;
             if self.unacked_credits > 0 {
                 ctx.send(
                     self.source,
@@ -546,9 +539,9 @@ impl Process<OpMsg> for JoinerTask {
                             // A retiree's Δ tuple joins the state being
                             // merged away: count it against the 1x
                             // contraction transfer bound.
-                            self.contract_stored_tuples += 1;
+                            self.counters.contract_stored_tuples += 1;
                             if outcome.forward_to_partner {
-                                self.contract_sent_tuples += 1;
+                                self.counters.contract_sent_tuples += 1;
                             }
                         }
                         if outcome.forward_to_partner {
@@ -561,8 +554,8 @@ impl Process<OpMsg> for JoinerTask {
                             // A Δ tuple during an expansion: part of the
                             // state being split, shipped to the covering
                             // children.
-                            self.expand_stored_tuples += 1;
-                            self.expand_sent_tuples += d.sends() as u64;
+                            self.counters.expand_stored_tuples += 1;
+                            self.counters.expand_sent_tuples += d.sends() as u64;
                             if let Some(Outbox::Expand(ob)) = &mut self.outbox {
                                 ob.route(t, d);
                             }
@@ -639,10 +632,10 @@ impl Process<OpMsg> for JoinerTask {
                     let snapshot = self.epoch.expansion_snapshot();
                     cost +=
                         SimDuration::from_micros(snapshot.len() as u64 * self.cost.store_us / 4);
-                    self.expand_stored_tuples += snapshot.len() as u64;
+                    self.counters.expand_stored_tuples += snapshot.len() as u64;
                     for t in snapshot {
                         let d = spec.destinations(&t);
-                        self.expand_sent_tuples += ob.route(t, d) as u64;
+                        self.counters.expand_sent_tuples += ob.route(t, d) as u64;
                     }
                     ob.flush(ctx, false);
                     self.outbox = Some(Outbox::Expand(ob));
@@ -677,8 +670,8 @@ impl Process<OpMsg> for JoinerTask {
                         cost += SimDuration::from_micros(
                             snapshot.len() as u64 * self.cost.store_us / 4,
                         );
-                        self.contract_stored_tuples += self.epoch.stored_tuples() as u64;
-                        self.contract_sent_tuples += snapshot.len() as u64;
+                        self.counters.contract_stored_tuples += self.epoch.stored_tuples() as u64;
+                        self.counters.contract_sent_tuples += snapshot.len() as u64;
                         self.outbox = Some(Outbox::Step {
                             partner: self.joiner_tasks[survivor],
                             batch: snapshot,
@@ -712,8 +705,8 @@ impl Process<OpMsg> for JoinerTask {
                 let collect = self.collect_matches;
                 let live = self.match_sink.as_deref().is_some_and(|h| h.attached());
                 for t in tuples.drain(..) {
-                    self.migration_tuples_in += 1;
-                    self.migration_bytes_in += t.bytes as u64;
+                    self.counters.migration_tuples_in += 1;
+                    self.counters.migration_bytes_in += t.bytes as u64;
                     let match_log = &mut self.match_log;
                     let digest = &mut self.match_digest;
                     let sink = if live {

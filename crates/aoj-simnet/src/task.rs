@@ -24,7 +24,7 @@ impl TaskId {
 ///   signals promptly.
 /// * `Migration` messages are serviced at twice the rate of `Data` while
 ///   both queues are non-empty (the premise of Theorem 4.6).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum MsgClass {
     /// Signals and acknowledgements; always serviced first.
     Control,
