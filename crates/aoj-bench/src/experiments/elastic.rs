@@ -98,12 +98,19 @@ pub fn run_elastic_pair(
     let total_bytes: u64 = arrivals.iter().map(|(_, i)| i.bytes as u64).sum();
     let j0 = j_full / 4;
 
-    let mut at_capacity = config(j_full, OperatorKind::Dynamic, &w);
+    // Both runs pin the per-tuple plane's 64·J flow-control window: the
+    // stream (3k tuples in smoke mode) and the capacity target below are
+    // sized against it. The batch-derived default (8·J·64 copies) holds a
+    // third of the smoke stream in flight, so the last ingest block — the
+    // last point the controller evaluates the trigger — passes before
+    // the stored-byte gauges reach M/2.
+    let mut at_capacity =
+        config(j_full, OperatorKind::Dynamic, &w).with_window_copies(64 * j_full as u64);
     at_capacity.backend.collect_matches = true;
     at_capacity.backend.choice = backend;
     let full = run(&arrivals, &at_capacity);
 
-    let mut grow = config(j0, OperatorKind::Dynamic, &w);
+    let mut grow = config(j0, OperatorKind::Dynamic, &w).with_window_copies(64 * j0 as u64);
     grow.backend.collect_matches = true;
     grow.backend.choice = backend;
     // Capacity target such that the small grid fills past M/2 roughly a

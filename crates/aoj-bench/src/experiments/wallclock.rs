@@ -102,7 +102,8 @@ fn json_entry(batch: usize, r: &RunReport) -> String {
         concat!(
             "{{\"batch_tuples\":{},\"backend\":\"{}\",\"exec_s\":{:.6},",
             "\"throughput_tps\":{:.1},\"p50_latency_us\":{},\"p99_latency_us\":{},",
-            "\"matches\":{},\"network_messages\":{},\"network_bytes\":{}}}"
+            "\"matches\":{},\"network_messages\":{},\"network_bytes\":{},",
+            "\"flush_batches\":{:?}}}"
         ),
         batch,
         r.backend,
@@ -113,6 +114,7 @@ fn json_entry(batch: usize, r: &RunReport) -> String {
         r.matches,
         r.network_messages,
         r.network_bytes,
+        r.flushes.batches,
     )
 }
 
@@ -175,6 +177,11 @@ pub fn run_wallclock(backend: BackendChoice, batch_sweep: &[usize], smoke: bool)
             human_bytes(measured.network_bytes),
             measured.network_messages,
         );
+        // Why the data batches left their coalescing buffers
+        // (batches/tuples): mostly `deadline` on a saturated run means
+        // buffers age out before they fill.
+        println!("    {} flushes: {}", measured.backend, measured.flushes);
+        println!("    sim flushes: {}", sim.flushes);
         if batch == 64 {
             default_batch_tps = Some(measured.throughput);
         }

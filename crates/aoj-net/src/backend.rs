@@ -45,7 +45,6 @@ use aoj_operators::reshuffler::ReshufflerTask;
 use aoj_operators::shj::ShjJoiner;
 use aoj_operators::{FaultSection, MatchHub, NetBackend, SessionBuilder, SkewBoard};
 use aoj_runtime::mailbox::Mailbox;
-use aoj_runtime::RuntimeConfig;
 use aoj_simnet::{
     ExecBackend, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimTime, TaskId,
 };
@@ -349,14 +348,10 @@ impl TcpBackend {
         );
 
         // ---- the coordinator's own node (the source machine) ----------
-        let rt_defaults = RuntimeConfig::default();
-        let mut data_cap = rt_defaults.data_queue_capacity;
-        if self.builder.source.window_copies > 0 {
-            data_cap = data_cap.max(4 * self.builder.source.window_copies as usize);
-        }
+        let rt_cfg = self.builder.runtime_config();
         let mailbox = Arc::new(Mailbox::<OpMsg>::new(
-            data_cap,
-            rt_defaults.migration_weight,
+            rt_cfg.data_queue_capacity,
+            rt_cfg.migration_weight,
         ));
         let done = Arc::new(AtomicBool::new(false));
         let directory = Directory::new();
@@ -396,7 +391,7 @@ impl TcpBackend {
                 task_machine,
             };
             let tx = tx.clone();
-            let drain_batch = rt_defaults.drain_batch;
+            let drain_batch = rt_cfg.drain_batch;
             std::thread::Builder::new()
                 .name("aoj-net-coord-node".into())
                 .spawn(move || {

@@ -56,12 +56,12 @@ use aoj_operators::session::{
 };
 use aoj_operators::{ElasticConfig, SkewPolicy, SourcePacing};
 use aoj_simnet::{
-    CostModel, MachineMetrics, MsgClass, NetworkConfig, SimDuration, SimTime, TaskId,
+    CostModel, FlushCounts, MachineMetrics, MsgClass, NetworkConfig, SimDuration, SimTime, TaskId,
 };
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -729,7 +729,7 @@ wire_struct! {
     SourcePacing { burst: u32, interval: SimDuration }
     SourceSection {
         pacing: SourcePacing,
-        window_copies: u64,
+        window_copies: Option<u64>,
         queue_tuples: usize,
         idle_poll_us: u64,
     }
@@ -990,6 +990,7 @@ wire_struct! {
         evicted_tuples: u64,
         evicted_bytes: u64,
     }
+    FlushCounts { batches: [u64; 3], tuples: [u64; 3] }
     MachineMetrics {
         messages_in: u64,
         messages_out: u64,
@@ -1001,6 +1002,7 @@ wire_struct! {
         spilled_bytes: u64,
         evicted_bytes: u64,
         window_tuples: u64,
+        flushes: FlushCounts,
     }
     ProgressSample { seq: u64, at: SimTime, max_stored_bytes: u64, total_stored_bytes: u64 }
 }

@@ -33,7 +33,6 @@ use aoj_operators::reshuffler::ReshufflerTask;
 use aoj_operators::shj::ShjJoiner;
 use aoj_operators::{assemble_topology, IngestQueue, MatchHub, SessionBuilder};
 use aoj_runtime::mailbox::Mailbox;
-use aoj_runtime::RuntimeConfig;
 use aoj_simnet::{MachineId, Metrics, Process, SharedGauges, SimDuration, TaskId};
 
 use crate::node::{
@@ -198,15 +197,11 @@ pub fn worker_main() -> ! {
     let mut shard = std::mem::take(&mut rec.metrics);
     shard.install_shared(Arc::clone(&gauges));
 
-    let rt_defaults = RuntimeConfig::default();
-    let mut data_cap = rt_defaults.data_queue_capacity;
-    if builder.source.window_copies > 0 {
-        // Same rule as the threaded session launch: keep the mailbox
-        // bound above the flow-control window so backpressure binds at
-        // the source, not inside the data plane.
-        data_cap = data_cap.max(4 * builder.source.window_copies as usize);
-    }
-    let mailbox = Arc::new(Mailbox::new(data_cap, rt_defaults.migration_weight));
+    let rt_cfg = builder.runtime_config();
+    let mailbox = Arc::new(Mailbox::new(
+        rt_cfg.data_queue_capacity,
+        rt_cfg.migration_weight,
+    ));
     let done = Arc::new(AtomicBool::new(false));
     let directory = Directory::new();
     let writers = Writers::new(Arc::clone(&directory), machine, gen);
@@ -243,7 +238,7 @@ pub fn worker_main() -> ! {
     };
     let loop_handle = {
         let ctrl = Arc::clone(&ctrl);
-        let drain_batch = rt_defaults.drain_batch;
+        let drain_batch = rt_cfg.drain_batch;
         std::thread::Builder::new()
             .name(format!("aoj-net-m{machine}"))
             .spawn(move || {

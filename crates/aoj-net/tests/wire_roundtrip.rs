@@ -29,7 +29,7 @@ use aoj_operators::messages::{IngestItem, Match, OpMsg};
 use aoj_operators::report::MatchDigest;
 use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
 use aoj_operators::{BackendChoice, ElasticConfig, KeyFilter, OperatorKind, SessionBuilder};
-use aoj_simnet::{MachineMetrics, MsgClass, SimDuration, SimTime, TaskId};
+use aoj_simnet::{FlushCounts, MachineMetrics, MsgClass, SimDuration, SimTime, TaskId};
 use proptest::prelude::*;
 
 /// The codec contract for one value of any [`Wire`] type; returns the
@@ -421,7 +421,7 @@ fn controller_final() -> impl Strategy<Value = ControllerFinal> {
 }
 
 fn machine_metrics() -> impl Strategy<Value = MachineMetrics> {
-    words(11).prop_map(|w| {
+    words(17).prop_map(|w| {
         let w = |i: usize| w.get(i).copied().unwrap_or(0);
         MachineMetrics {
             messages_in: w(0),
@@ -434,6 +434,10 @@ fn machine_metrics() -> impl Strategy<Value = MachineMetrics> {
             spilled_bytes: w(7),
             evicted_bytes: w(8),
             window_tuples: w(9),
+            flushes: FlushCounts {
+                batches: [w(10), w(11), w(12)],
+                tuples: [w(13), w(14), w(15)],
+            },
         }
     })
 }
@@ -546,6 +550,7 @@ fn full_builder() -> SessionBuilder {
         .with_backend(BackendChoice::Tcp);
     b.predicate = Predicate::Band { width: 3 };
     b.oracle_mapping = Some(Mapping::new(1, 4));
+    b.source.window_copies = Some(256);
     b.source.queue_tuples = 4096;
     b.data_plane.batch_tuples = 16;
     b.elasticity.elastic = Some(ElasticConfig::new(64 << 10, 2));
@@ -579,7 +584,7 @@ fn min_len_is_derived_from_the_field_table() {
     assert_eq!(IngestItem::MIN_LEN, 25);
     assert_eq!(Match::MIN_LEN, 32);
     assert_eq!(<(u64, u32)>::MIN_LEN, 12);
-    assert_eq!(MachineMetrics::MIN_LEN, 80);
+    assert_eq!(MachineMetrics::MIN_LEN, 80 + 48);
     assert_eq!(ControlEvent::MIN_LEN, 13);
     assert_eq!(KeyFilter::MIN_LEN, 1);
     assert_eq!(OpMsg::MIN_LEN, 1);
@@ -663,9 +668,13 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden bytes: the parent commit's hand-written encoders' output for one
-// instance of every `OpMsg` variant (in tag order) and for `full_builder`,
-// so "data-plane and plan bytes unchanged" is checked, not asserted.
+// Golden bytes: the hand-written encoders' output (PR 14's parent) for
+// one instance of every `OpMsg` variant (in tag order) and for
+// `full_builder`, so "data-plane and plan bytes unchanged" is checked, not
+// asserted. The builder image was re-pinned once, with `WIRE_VERSION` 6:
+// `SourceSection::window_copies` became `Option<u64>` (unset = derive the
+// window from the batch size), which inserts the one `01` presence byte
+// ahead of the window's eight.
 
 fn golden_opmsgs() -> Vec<OpMsg> {
     let pos = |row, col| GridPos { row, col };
@@ -790,7 +799,7 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "1208000000",
 ];
 
-const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000000010000000000000010000000000000c8000000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000000000000000000000010101e80300000000000004000000010200000000000000000100040000000000000002400000000000000080000000000000000100000014000000000001000000000000000000000004400010000000000000";
+const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e0101000000040000004000000001000000000000000100010000000000000010000000000000c8000000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000000000000000000000010101e80300000000000004000000010200000000000000000100040000000000000002400000000000000080000000000000000100000014000000000001000000000000000000000004400010000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()

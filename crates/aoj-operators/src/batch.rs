@@ -9,7 +9,7 @@
 //! buffer and ships the buffer as one message when it fills
 //! (`batch_tuples`) or ages out (`max_delay`, so a slow destination never
 //! strands tuples and the flow-control window cannot wedge on buffered
-//! copies).
+//! copies). Every shipped batch is counted by [`FlushCause`].
 //!
 //! ## FIFO contract
 //!
@@ -25,7 +25,7 @@
 //! reproduces the per-tuple data plane's event timeline exactly.
 
 use aoj_core::tuple::Tuple;
-use aoj_simnet::{SimDuration, SimTime};
+use aoj_simnet::{FlushCause, FlushCounts, MachineId, Metrics, SimDuration, SimTime};
 
 /// Data-plane batching knobs (resolved from `SessionBuilder::data_plane`).
 #[derive(Clone, Copy, Debug)]
@@ -156,6 +156,9 @@ pub struct DataCoalescer {
     pool: BatchPool,
     /// True while an age-flush timer is scheduled on the owning task.
     timer_pending: bool,
+    /// Batches shipped since the last
+    /// [`publish_flushes`](DataCoalescer::publish_flushes), by cause.
+    flushes: FlushCounts,
 }
 
 impl DataCoalescer {
@@ -175,6 +178,7 @@ impl DataCoalescer {
             buffered: 0,
             pool: BatchPool::new(Self::POOL_SPARES),
             timer_pending: false,
+            flushes: FlushCounts::default(),
         }
     }
 
@@ -194,9 +198,17 @@ impl DataCoalescer {
     }
 
     /// The age-flush timer fired: clear the pending flag (the caller
-    /// then drains the buffers; the next push re-arms).
+    /// then drains the buffers under [`FlushCause::Deadline`]; the next
+    /// push re-arms).
     pub fn on_flush_timer(&mut self) {
         self.timer_pending = false;
+    }
+
+    /// Move the flush counts accumulated since the last call into
+    /// `machine`'s metrics row.
+    pub fn publish_flushes(&mut self, metrics: &mut Metrics, machine: MachineId) {
+        let counts = std::mem::take(&mut self.flushes);
+        metrics.machine_mut(machine).flushes.merge(&counts);
     }
 
     /// The configured flush threshold.
@@ -234,17 +246,24 @@ impl DataCoalescer {
         p.tuples.len() >= self.cfg.batch_tuples
     }
 
-    /// Take `slot`'s pending batch, leaving the slot empty. `None` if the
-    /// slot holds nothing. The slot's replacement storage comes from the
-    /// recycling pool (or one exact-capacity allocation), so refilling it
-    /// never pays `Vec::new()`'s doubling growth.
+    /// Take the batch that filled `slot` ([`push`](DataCoalescer::push)
+    /// returned true), leaving the slot empty; counted as a
+    /// [`FlushCause::Size`] flush. `None` if the slot holds nothing. The
+    /// slot's replacement storage comes from the recycling pool (or one
+    /// exact-capacity allocation), so refilling it never pays
+    /// `Vec::new()`'s doubling growth.
     pub fn take(&mut self, slot: usize) -> Option<(Vec<Tuple>, Vec<SimTime>)> {
+        self.take_as(slot, FlushCause::Size)
+    }
+
+    fn take_as(&mut self, slot: usize, cause: FlushCause) -> Option<(Vec<Tuple>, Vec<SimTime>)> {
         if self.slots[slot].tuples.is_empty() {
             return None;
         }
         let (et, ea) = self.pool.get_pair(self.cfg.batch_tuples);
         let p = &mut self.slots[slot];
         self.buffered -= p.tuples.len();
+        self.flushes.note(cause, p.tuples.len());
         Some((
             std::mem::replace(&mut p.tuples, et),
             std::mem::replace(&mut p.arrived, ea),
@@ -257,11 +276,12 @@ impl DataCoalescer {
         self.pool.put_pair(tuples, arrived);
     }
 
-    /// Drain every non-empty slot in slot order: `(slot, tuples, arrived)`.
-    pub fn drain_all(&mut self) -> Vec<(usize, Vec<Tuple>, Vec<SimTime>)> {
+    /// Drain every non-empty slot in slot order, counted under `cause`:
+    /// `(slot, tuples, arrived)`.
+    pub fn drain_all(&mut self, cause: FlushCause) -> Vec<(usize, Vec<Tuple>, Vec<SimTime>)> {
         let mut out = Vec::new();
         for slot in 0..self.slots.len() {
-            if let Some((tuples, arrived)) = self.take(slot) {
+            if let Some((tuples, arrived)) = self.take_as(slot, cause) {
                 out.push((slot, tuples, arrived));
             }
         }
@@ -351,7 +371,7 @@ mod tests {
         for i in 0..9u64 {
             c.push((i % 3) as usize, t(i), SimTime(i));
         }
-        let drained = c.drain_all();
+        let drained = c.drain_all(FlushCause::Boundary);
         assert_eq!(drained.len(), 3);
         for (slot, tuples, arrived) in drained {
             let seqs: Vec<u64> = tuples.iter().map(|x| x.seq).collect();
@@ -359,6 +379,29 @@ mod tests {
             assert_eq!(arrived.len(), tuples.len());
         }
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn flushes_are_counted_by_cause_and_published_once() {
+        let mut metrics = Metrics::default();
+        metrics.add_machine();
+        let mut c = DataCoalescer::new(BatchConfig::new(4), 2);
+        for i in 0..5u64 {
+            if c.push(0, t(i), SimTime(i)) {
+                c.take(0).unwrap();
+            }
+        }
+        c.push(1, t(5), SimTime(5));
+        assert_eq!(c.drain_all(FlushCause::Deadline).len(), 2);
+        c.push(1, t(6), SimTime(6));
+        c.drain_all(FlushCause::Boundary);
+        assert!(c.drain_all(FlushCause::Boundary).is_empty(), "nothing left");
+
+        c.publish_flushes(&mut metrics, MachineId(0));
+        c.publish_flushes(&mut metrics, MachineId(0));
+        let f = metrics.total_flushes();
+        assert_eq!(f.batches, [1, 2, 1], "size, deadline, boundary");
+        assert_eq!(f.tuples, [4, 2, 1]);
     }
 
     #[test]

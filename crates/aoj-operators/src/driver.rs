@@ -413,7 +413,7 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         b.source.pacing,
         // The checkpointed window carries any elastic grow/shrink
         // rescaling.
-        restore.map_or(b.source.window_copies, |c| c.window_copies),
+        restore.map_or(b.window_copies(), |c| c.window_copies),
         b.data_plane.batch_tuples,
     );
     if let Some(poll) = idle_poll {
@@ -583,6 +583,7 @@ pub(crate) fn collect_grid<B: ExecBackend<OpMsg>>(
         total_storage_bytes: total_storage,
         network_bytes: metrics.total_bytes_sent(),
         network_messages: metrics.total_messages(),
+        flushes: metrics.total_flushes(),
         migration_bytes,
         migrations,
         expansions,
@@ -694,6 +695,7 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
     let source_id = TaskId(2 * j);
     for (i, &machine) in machines.iter().enumerate().take(j) {
         let task = ShjReshuffler {
+            machine,
             joiner_tasks: joiner_ids.clone(),
             cost: b.data_plane.cost,
             source: source_id,
@@ -718,7 +720,7 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
         input,
         reshuffler_ids,
         b.source.pacing,
-        b.source.window_copies,
+        b.window_copies(),
         b.data_plane.batch_tuples,
     );
     if let Some(poll) = idle_poll {
@@ -780,6 +782,7 @@ pub(crate) fn collect_shj<B: ExecBackend<OpMsg>>(
         total_storage_bytes: metrics.total_stored_bytes(),
         network_bytes: metrics.total_bytes_sent(),
         network_messages: metrics.total_messages(),
+        flushes: metrics.total_flushes(),
         migration_bytes: 0,
         migrations: 0,
         expansions: 0,

@@ -40,13 +40,13 @@ use aoj_core::ticket::{mix64, partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_datagen::stream::Arrivals;
 use aoj_joinalg::index_for;
-use aoj_simnet::{Ctx, Process, Sim, SimConfig, SimDuration, SimTime, TaskId};
+use aoj_simnet::{Ctx, FlushCause, Process, Sim, SimConfig, SimDuration, SimTime, TaskId};
 
 use crate::batch::DataCoalescer;
 use crate::driver::stream_bytes;
 use crate::joiner_task::LatencyStats;
 use crate::messages::OpMsg;
-use crate::source::{SourcePacing, SourceTask};
+use crate::source::{default_window_copies, SourcePacing, SourceTask};
 
 /// Reshuffler for the grouped operator: routes every tuple to all groups,
 /// marking exactly one group's copies as storage copies.
@@ -70,7 +70,8 @@ pub struct GroupedReshuffler {
     pub cost: aoj_simnet::CostModel,
     /// The source task (flow-control credits).
     pub source: TaskId,
-    /// Per-(machine, store) coalescing buffers.
+    /// Per-(machine, store) coalescing buffers. Their flush-cause counts
+    /// are never published: [`GroupedReport`] carries no flush counters.
     pub batch: DataCoalescer,
 }
 
@@ -111,8 +112,9 @@ impl GroupedReshuffler {
         }
     }
 
+    /// The age flush — the only drain this epoch-less operator has.
     fn flush_all(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
-        for (slot, tuples, arrived) in self.batch.drain_all() {
+        for (slot, tuples, arrived) in self.batch.drain_all(FlushCause::Deadline) {
             ctx.send(
                 self.joiner_tasks[slot / 2],
                 OpMsg::DataBatch {
@@ -382,7 +384,7 @@ pub fn run_grouped(arrivals: &Arrivals, predicate: &Predicate, j: u32, seed: u64
     let reshuffler_ids: Vec<TaskId> = (0..jm).map(TaskId).collect();
     let joiner_ids: Vec<TaskId> = (jm..2 * jm).map(TaskId).collect();
     let source_id = TaskId(2 * jm);
-    let window = 64 * j as u64;
+    let window = default_window_copies(j, batch_cfg.batch_tuples);
 
     for (i, &machine) in machines.iter().enumerate().take(jm) {
         let task = GroupedReshuffler {

@@ -5,7 +5,7 @@ use aoj_core::competitive::RatioSample;
 use aoj_core::mapping::Mapping;
 use aoj_core::sketch::{HeavyHitter, SkewSketch};
 use aoj_core::ticket::mix64;
-use aoj_simnet::SimDuration;
+use aoj_simnet::{FlushCounts, SimDuration};
 
 use crate::reshuffler::{ControlEvent, ProgressSample};
 
@@ -163,6 +163,10 @@ pub struct RunReport {
     pub network_bytes: u64,
     /// Total network messages.
     pub network_messages: u64,
+    /// Data batches the coalescing buffers shipped, by cause — size,
+    /// age deadline, epoch boundary — summed over machines (see
+    /// [`FlushCounts`] for how to read them).
+    pub flushes: FlushCounts,
     /// Bytes of state moved by migrations (including expansion fan-out —
     /// expansion state travels in the same Migration class).
     pub migration_bytes: u64,

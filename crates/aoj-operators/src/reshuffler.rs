@@ -14,7 +14,7 @@ use aoj_core::mapping::{steps_between, GridAssignment, Mapping};
 use aoj_core::migration::plan_step;
 use aoj_core::ticket::{partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
-use aoj_simnet::{Ctx, MachineId, Process, SimDuration, SimTime, TaskId};
+use aoj_simnet::{Ctx, FlushCause, MachineId, Process, SimDuration, SimTime, TaskId};
 
 use crate::batch::DataCoalescer;
 use crate::elastic_runtime::{contraction_due, expansion_due, ElasticConfig, ElasticControl};
@@ -329,11 +329,11 @@ impl ReshufflerTask {
     /// Ship every buffered tuple under the **current** epoch tag. Called
     /// before adopting a new mapping or expansion, so the epoch-change
     /// signals sent afterwards stay FIFO behind all old-epoch data.
-    fn flush_all(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
+    fn flush_all(&mut self, ctx: &mut Ctx<'_, OpMsg>, cause: FlushCause) {
         // Flush points also publish the sketch, so close-time summaries
         // include the stream's tail.
         self.skew.publish();
-        for (mach, tuples, arrived) in self.batch.drain_all() {
+        for (mach, tuples, arrived) in self.batch.drain_all(cause) {
             ctx.send(
                 self.joiner_tasks[mach],
                 OpMsg::DataBatch {
@@ -344,6 +344,12 @@ impl ReshufflerTask {
                 },
             );
         }
+        self.publish_flushes(ctx);
+    }
+
+    fn publish_flushes(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
+        self.batch
+            .publish_flushes(ctx.metrics(), MachineId(self.index));
     }
 
     /// Controller: evaluate Alg. 2 and, when due, broadcast the next
@@ -600,6 +606,7 @@ impl Process<OpMsg> for ReshufflerTask {
                         tuples: n_tuples,
                     },
                 );
+                self.publish_flushes(ctx);
                 self.batch.arm_flush_timer(ctx, Self::FLUSH);
                 self.maybe_trigger(ctx);
                 SimDuration::from_micros(
@@ -611,7 +618,7 @@ impl Process<OpMsg> for ReshufflerTask {
                 // Epoch boundary: ship everything buffered under the old
                 // tag before signalling, so the Signal stays FIFO behind
                 // the data it covers.
-                self.flush_all(ctx);
+                self.flush_all(ctx, FlushCause::Boundary);
                 // Every reshuffler that routed old-epoch data signals:
                 // the active count, which migrations preserve.
                 let expected_signals = self.assign.j();
@@ -640,7 +647,7 @@ impl Process<OpMsg> for ReshufflerTask {
                 assert_eq!(new_epoch, self.epoch + 1, "reshuffler skipped an epoch");
                 // Same flush-before-adopt as MappingChange: the
                 // ExpandSignals must trail every old-epoch tuple.
-                self.flush_all(ctx);
+                self.flush_all(ctx, FlushCause::Boundary);
                 // Plan against the pre-expansion assignment, then adopt
                 // the (2n, 2m) grid. Every reshuffler — the already
                 // active ones and the machines this expansion activates
@@ -675,7 +682,7 @@ impl Process<OpMsg> for ReshufflerTask {
                 assert_eq!(new_epoch, self.epoch + 1, "reshuffler skipped an epoch");
                 // Flush-before-adopt, exactly like the other changes: the
                 // ContractSignals must trail every old-epoch tuple.
-                self.flush_all(ctx);
+                self.flush_all(ctx, FlushCause::Boundary);
                 let expected_signals = self.assign.j();
                 let plan = plan_contraction(&self.assign);
                 // `apply_contraction` relabels by the same plan (it is
@@ -752,7 +759,7 @@ impl Process<OpMsg> for ReshufflerTask {
                 for (rel, key, aux, bytes, seq, arrived) in buffered {
                     copies_total += self.route(ctx, rel, key, aux, bytes, seq, arrived);
                 }
-                self.flush_all(ctx);
+                self.flush_all(ctx, FlushCause::Boundary);
                 if copies_total > 0 {
                     ctx.send(
                         self.source,
@@ -823,7 +830,7 @@ impl Process<OpMsg> for ReshufflerTask {
         // (or a closed flow-control window) never strands buffered
         // copies. The next routed tuple re-arms the timer.
         self.batch.on_flush_timer();
-        self.flush_all(ctx);
+        self.flush_all(ctx, FlushCause::Deadline);
         SimDuration::from_micros(self.cost.control_us)
     }
 }

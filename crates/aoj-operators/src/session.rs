@@ -79,7 +79,7 @@ use crate::elastic_runtime::{provisioned_joiners, ElasticConfig};
 use crate::messages::{Match, OpMsg};
 use crate::report::{MachineStats, RunReport, SkewSummary};
 use crate::skew::{SkewBoard, SkewPolicy};
-use crate::source::{SourcePacing, SourceTask};
+use crate::source::{default_window_copies, SourcePacing, SourceTask};
 
 /// Why a push was refused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -820,9 +820,14 @@ pub struct SourceSection {
     /// Emission pacing (burst size and tick interval).
     pub pacing: SourcePacing,
     /// Flow-control window: max tuple copies in flight between the
-    /// source and the joiners (0 disables backpressure). The elastic
-    /// controller rescales it with the active joiner count.
-    pub window_copies: u64,
+    /// source and the joiners (`Some(0)` disables backpressure). `None`
+    /// follows the batch size — `max(64·J, 8·J·batch_tuples)`, eight
+    /// coalesced batches per joiner, so buffers fill before the window
+    /// closes ([`SessionBuilder::window_copies`] resolves it). Latency
+    /// at saturation and the tuples a migration or expansion trigger
+    /// lags the source by both grow with it. The elastic controller
+    /// rescales it with the active joiner count.
+    pub window_copies: Option<u64>,
     /// Ingest-queue capacity in tuples; 0 derives a default from the
     /// window and batch size. This is the session's admission bound —
     /// [`SessionHandle::try_push`] reports [`PushError::Full`] once it
@@ -996,7 +1001,7 @@ impl SessionBuilder {
             oracle_mapping: None,
             source: SourceSection {
                 pacing: SourcePacing::saturating(),
-                window_copies: 64 * j as u64,
+                window_copies: None,
                 queue_tuples: 0,
                 idle_poll_us: 200,
             },
@@ -1056,9 +1061,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Builder: the flow-control window, in tuple copies.
+    /// Builder: the flow-control window, in tuple copies — honoured
+    /// verbatim instead of following the batch size; 0 disables flow
+    /// control.
     pub fn with_window_copies(mut self, copies: u64) -> SessionBuilder {
-        self.source.window_copies = copies;
+        self.source.window_copies = Some(copies);
         self
     }
 
@@ -1241,12 +1248,35 @@ impl SessionBuilder {
             .map_or(self.j, |e| provisioned_joiners(self.j, e.max_expansions)) as usize
     }
 
+    /// The resolved flow-control window in tuple copies (0 = flow
+    /// control off): the explicit [`SourceSection::window_copies`], else
+    /// the batch-derived default. Everything sized against the window —
+    /// the source, the ingest queue, the mailbox bounds on every backend
+    /// — reads it here.
+    pub fn window_copies(&self) -> u64 {
+        self.source
+            .window_copies
+            .unwrap_or_else(|| default_window_copies(self.j, self.data_plane.batch_tuples))
+    }
+
+    /// The `aoj-runtime` knobs a live backend services this session's
+    /// mailboxes with: the defaults, with the data-queue bound kept above
+    /// the flow-control window so backpressure binds at the source, not
+    /// inside the data plane.
+    pub fn runtime_config(&self) -> RuntimeConfig {
+        let mut cfg = RuntimeConfig::default();
+        cfg.data_queue_capacity = cfg
+            .data_queue_capacity
+            .max(4 * self.window_copies() as usize);
+        cfg
+    }
+
     /// The resolved ingest-queue capacity.
     fn queue_capacity(&self) -> usize {
         if self.source.queue_tuples > 0 {
             self.source.queue_tuples
         } else {
-            (2 * self.source.window_copies as usize)
+            (2 * self.window_copies() as usize)
                 .max(4 * self.data_plane.batch_tuples)
                 .max(1024)
         }
@@ -1441,15 +1471,7 @@ impl NetBackend for Runtime<OpMsg> {
 /// The [`BackendChoice::Threaded`] factory: an `aoj-runtime` sized to the
 /// session's flow-control window, with the fault plan armed.
 fn threaded_backend(builder: &SessionBuilder, _hub: Arc<MatchHub>) -> Box<dyn NetBackend> {
-    let mut rt_cfg = RuntimeConfig::default();
-    // Keep the mailbox bound above the flow-control window so
-    // backpressure binds at the source.
-    if builder.source.window_copies > 0 {
-        rt_cfg.data_queue_capacity = rt_cfg
-            .data_queue_capacity
-            .max(4 * builder.source.window_copies as usize);
-    }
-    let mut rt: Runtime<OpMsg> = Runtime::new(rt_cfg);
+    let mut rt: Runtime<OpMsg> = Runtime::new(builder.runtime_config());
     // One armed kill per run: the victim thread vanishes and the run
     // wedges until the kill switch fires, so a second injection could
     // never trip.
@@ -1504,12 +1526,13 @@ impl JoinSession {
         // the configuration up front. (Elastic rescaling multiplies the
         // window by the active-set ratio, so a valid window stays valid.)
         let credit_slack = crate::joiner_task::JoinerTask::CREDIT_BATCH as u64 * builder.j as u64;
+        let window = builder.window_copies();
         assert!(
-            builder.source.window_copies == 0 || builder.source.window_copies >= credit_slack,
+            window == 0 || window >= credit_slack,
             "window_copies = {} cannot cover the joiners' credit-return batching \
              ({} joiners × {} credit batch): the flow-control window could wedge. \
              Use at least {credit_slack}, or 0 to disable flow control.",
-            builder.source.window_copies,
+            window,
             builder.j,
             crate::joiner_task::JoinerTask::CREDIT_BATCH,
         );

@@ -9,7 +9,7 @@ use aoj_core::index::{process_stream_batch, JoinIndex, ProbeStats};
 use aoj_core::ticket::mix64;
 use aoj_core::tuple::Tuple;
 use aoj_joinalg::{SpillGauge, SymmetricHashIndex};
-use aoj_simnet::{Ctx, MachineId, Process, SimDuration, TaskId};
+use aoj_simnet::{Ctx, FlushCause, MachineId, Process, SimDuration, TaskId};
 
 use std::sync::Arc;
 
@@ -23,6 +23,8 @@ use crate::session::MatchHub;
 /// SHJ's reshuffler: key-hash routing, no statistics, no epochs. Routed
 /// tuples coalesce into per-joiner batches like the grid operator's.
 pub struct ShjReshuffler {
+    /// This reshuffler's machine (metrics).
+    pub machine: MachineId,
     /// Joiner task ids by machine index.
     pub joiner_tasks: Vec<TaskId>,
     /// Cost model.
@@ -55,8 +57,8 @@ impl ShjReshuffler {
         }
     }
 
-    fn flush_all(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
-        for (dst, tuples, arrived) in self.batch.drain_all() {
+    fn flush_all(&mut self, ctx: &mut Ctx<'_, OpMsg>, cause: FlushCause) {
+        for (dst, tuples, arrived) in self.batch.drain_all(cause) {
             ctx.send(
                 self.joiner_tasks[dst],
                 OpMsg::DataBatch {
@@ -67,6 +69,7 @@ impl ShjReshuffler {
                 },
             );
         }
+        self.batch.publish_flushes(ctx.metrics(), self.machine);
     }
 }
 
@@ -102,6 +105,7 @@ impl Process<OpMsg> for ShjReshuffler {
                         tuples: n_tuples,
                     },
                 );
+                self.batch.publish_flushes(ctx.metrics(), self.machine);
                 self.batch.arm_flush_timer(ctx, Self::FLUSH);
                 SimDuration::from_micros(
                     self.cost.recv_overhead_us + n_tuples as u64 * self.cost.store_us / 2,
@@ -114,7 +118,7 @@ impl Process<OpMsg> for ShjReshuffler {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, OpMsg>, key: u64) -> SimDuration {
         debug_assert_eq!(key, Self::FLUSH);
         self.batch.on_flush_timer();
-        self.flush_all(ctx);
+        self.flush_all(ctx, FlushCause::Deadline);
         SimDuration::from_micros(self.cost.control_us)
     }
 }

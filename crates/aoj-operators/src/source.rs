@@ -46,6 +46,19 @@ impl SourcePacing {
     }
 }
 
+/// The flow-control window a session runs with when the caller sets
+/// none, in tuple copies: eight coalesced batches per joiner, and never
+/// below the per-tuple plane's `64·J`. A window under `J·batch_tuples`
+/// closes before any coalescing buffer can fill, so every batch would
+/// wait out its age bound and throughput would be window ÷ timer. Four
+/// batches per joiner clear that cliff too but measured 15 % below
+/// eight on the TCP backend, whose credit round trip crosses sockets.
+/// The price of a wider window is queueing: saturated latency is
+/// window ÷ throughput, and triggers lag the source by up to a window.
+pub fn default_window_copies(j: u32, batch_tuples: usize) -> u64 {
+    j as u64 * (8 * batch_tuples as u64).max(64)
+}
+
 /// The source task: timer-paced emission under credit-based flow control.
 ///
 /// The paper's substrate (Storm) bounds the number of un-processed tuples

@@ -20,8 +20,9 @@
 //!    quiescence before snapshotting. Where the state lives in worker
 //!    processes (the TCP backend) the snapshot comes from a
 //!    deterministic *shadow rehearsal* on the simulator, and a delivery
-//!    barrier holds the rotation until the live stream has covered the
-//!    rehearsed prefix match set.
+//!    barrier holds the rotation until the live incarnation itself has
+//!    delivered the rehearsed prefix match set (what a dead predecessor
+//!    delivered does not count: the replay re-emits it).
 //! 2. **Prefix skip.** Recovery reopens from the base checkpoint with
 //!    [`JoinSession::restore_with_replay`], whose ingest cursor drops
 //!    the already-folded prefix, and replays only the logged suffix —
@@ -46,7 +47,7 @@
 //! count crosses the threshold), and every `OnCheckpoint` trigger
 //! (only the supervisor counts checkpoints).
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -110,8 +111,12 @@ pub struct SupervisedSession {
     fed: usize,
     /// Total tuples accepted from the caller (absolute cursor).
     pushed: u64,
-    /// Identities of matches delivered since the last rotation.
-    seen: HashSet<(u64, u64)>,
+    /// Identities of matches delivered since the last rotation, each
+    /// with the incarnation that delivered it last (what the shadow
+    /// rotation's delivery barrier counts).
+    seen: HashMap<(u64, u64), u32>,
+    /// Ordinal of the live incarnation; every reopen starts the next.
+    incarnation: u32,
     delivered: Vec<Match>,
     /// Fault-plan triggers that have not fired yet; reopened
     /// incarnations carry exactly this remainder.
@@ -144,7 +149,8 @@ impl SupervisedSession {
             log: Vec::new(),
             fed: 0,
             pushed: 0,
-            seen: HashSet::new(),
+            seen: HashMap::new(),
+            incarnation: 0,
             delivered: Vec::new(),
             pending,
             live_log: None,
@@ -296,6 +302,7 @@ impl SupervisedSession {
         self.sub = Some(handle.subscribe());
         self.inner = Some(handle);
         self.fed = 0;
+        self.incarnation += 1;
     }
 
     /// Account for a crash that unwound out of `close()`/`checkpoint()`
@@ -337,11 +344,21 @@ impl SupervisedSession {
     }
 
     fn record(&mut self, m: Match) {
-        if self.seen.insert((m.r_seq, m.s_seq)) {
-            self.delivered.push(m);
-        } else {
-            self.stats.deduped_matches += 1;
+        match self.seen.insert((m.r_seq, m.s_seq), self.incarnation) {
+            None => self.delivered.push(m),
+            Some(_) => self.stats.deduped_matches += 1,
         }
+    }
+
+    /// The shadow rotation's delivery barrier: has the live incarnation
+    /// itself delivered every match of the rehearsed `prefix`? What a
+    /// dead predecessor delivered does not count — the replay re-emits
+    /// it, and adopting (which clears `seen`) before those re-emissions
+    /// have arrived would let them through as new.
+    fn live_stream_covers(&self, prefix: &[(u64, u64)]) -> bool {
+        prefix
+            .iter()
+            .all(|id| self.seen.get(id) == Some(&self.incarnation))
     }
 
     /// Lower the tuple-count triggers this layer must observe itself.
@@ -498,7 +515,7 @@ impl SupervisedSession {
         // the replay re-delivers the missing matches.
         loop {
             self.drain_matches();
-            if prefix.iter().all(|id| self.seen.contains(id)) {
+            if self.live_stream_covers(&prefix) {
                 break;
             }
             if self.check_and_recover() {
@@ -522,5 +539,46 @@ impl SupervisedSession {
         self.ckpt_path = Some(path);
         self.ckpt_seq += 1;
         self.stats.checkpoints += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::OperatorKind;
+
+    /// A crash before the first rotation: incarnation 1 delivers a match
+    /// and dies, incarnation 2 replays from sequence 0. The delivery
+    /// barrier must stay shut until incarnation 2 has re-delivered that
+    /// match itself. Counting the dead incarnation's delivery (the bug)
+    /// opens the barrier at once; `adopt` then clears the dedup
+    /// identities and the replay's re-emission is delivered twice.
+    #[test]
+    fn delivery_barrier_counts_only_the_live_incarnation() {
+        let dir = std::env::temp_dir().join(format!("aoj-barrier-{}", std::process::id()));
+        let mut b = SessionBuilder::new(4, OperatorKind::Dynamic);
+        b.backend.choice = BackendChoice::Sim;
+        let mut s = SupervisedSession::open(b, &dir);
+        let m = Match {
+            r_seq: 3,
+            s_seq: 7,
+            r_key: 1,
+            s_key: 1,
+        };
+        let prefix = [(m.r_seq, m.s_seq)];
+
+        s.record(m);
+        assert!(s.live_stream_covers(&prefix));
+        s.reopen();
+        assert!(
+            !s.live_stream_covers(&prefix),
+            "a dead incarnation's delivery must not open the barrier"
+        );
+        s.record(m);
+        assert!(s.live_stream_covers(&prefix));
+        assert_eq!(s.delivered().len(), 1, "the re-emission is deduplicated");
+        assert_eq!(s.stats().deduped_matches, 1);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -28,6 +28,14 @@ fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
 // this declares the re-exec entry point.
 aoj_net::worker_entry!();
 
+/// The elastic scenarios size their ~4.4k-tuple streams and KB-scale
+/// capacity targets against the per-tuple plane's `64·J` flow-control
+/// window (J₀ = 2) and pin it: under the batch-derived default
+/// (`8·J·64` copies) a quarter of the stream is in flight before the
+/// stored-byte gauges — periodic frames on TCP — can report the fill, and
+/// the mid-stream expansion they assert may never fire.
+const ELASTIC_WINDOW: u64 = 64 * 2;
+
 /// TCP runs record a process-global [`aoj_net::last_run_summary`], so
 /// the tests asserting on it must not interleave their runs.
 static TCP_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -112,7 +120,7 @@ fn elastic_dynamic_expands_live_and_stays_exact_across_backends() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = config(2, OperatorKind::Dynamic, &w);
+    let mut cfg = config(2, OperatorKind::Dynamic, &w).with_window_copies(ELASTIC_WINDOW);
     cfg.backend.collect_matches = true;
     cfg.seed = seed;
     // 64 B payloads, ~4.4k tuples: every joiner blows well past 32 KB of
@@ -218,7 +226,7 @@ fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = config(2, OperatorKind::Dynamic, &w);
+    let mut cfg = config(2, OperatorKind::Dynamic, &w).with_window_copies(ELASTIC_WINDOW);
     cfg.backend.collect_matches = true;
     cfg.seed = seed;
     cfg.elasticity.elastic = Some(ElasticConfig::new(64 << 10, 1));
@@ -263,7 +271,7 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = config(2, OperatorKind::Dynamic, &w);
+    let mut cfg = config(2, OperatorKind::Dynamic, &w).with_window_copies(ELASTIC_WINDOW);
     cfg.backend.collect_matches = true;
     cfg.seed = seed;
     // Expand once at 40 KB, then a permissive contraction threshold with
@@ -378,6 +386,7 @@ fn hot_split_session(
         // Same capacity target as the elastic equivalence pin: one ×4
         // expansion (J 2 → 8) fires mid-stream on every backend.
         .with_elastic(ElasticConfig::new(64 << 10, 1))
+        .with_window_copies(ELASTIC_WINDOW)
         .with_collect_matches(true);
     let mut session = aoj_operators::JoinSession::open(builder);
     session.push_batch(arrivals.iter().copied()).unwrap();

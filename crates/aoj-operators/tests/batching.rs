@@ -6,12 +6,17 @@
 //! * any batch size yields the identical join multiset;
 //! * batching cuts message counts and per-tuple latency accounting
 //!   survives coalescing (p50/p99 come from each tuple's own arrival
-//!   time, so a deliberately aged buffer inflates measured latency).
+//!   time, so a deliberately aged buffer inflates measured latency);
+//! * a saturated source is paced by the joiners, not by the coalescers'
+//!   age timer: the default flow-control window follows the batch size
+//!   (an explicit one is verbatim) — while a trickling source keeps its
+//!   timeline, quantity for quantity.
 
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::{run, OperatorKind, SessionBuilder, SourcePacing};
+use aoj_operators::{run, OperatorKind, RunReport, SessionBuilder, SourcePacing};
+use aoj_simnet::FlushCause;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -133,4 +138,107 @@ fn aged_coalescing_buffer_inflates_measured_latency() {
         aged_run.p50_latency_us,
         unbatched.p50_latency_us
     );
+}
+
+/// A uniform equi-join at about one match per tuple, |R| = |S|.
+fn uniform_equi(n: usize, seed: u64) -> Workload {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let key_space = (n / 4) as i64;
+    let mut item = || StreamItem {
+        key: rng.gen_range(0..key_space),
+        aux: 0,
+        bytes: 64,
+    };
+    Workload {
+        name: "cliff",
+        predicate: Predicate::Equi,
+        r_items: (0..n / 2).map(|_| item()).collect(),
+        s_items: (0..n / 2).map(|_| item()).collect(),
+    }
+}
+
+fn tuples_per_batch(r: &RunReport) -> f64 {
+    let shipped: u64 = r.flushes.tuples.iter().sum();
+    shipped as f64 / r.flushes.total_batches() as f64
+}
+
+/// The throughput cliff: at batch 64 the old default window of `64·J`
+/// copies was two ingest blocks on the (2,2) grid, every coalescing slot
+/// stopped at half a batch, and every data batch left on the 200 µs age
+/// timer — 392,434 tuples/s on this stream at J = 4 against 733,366 with
+/// flow control off, in exactly repeating virtual time. With the window
+/// derived from the batch size, flow control costs a saturated stream
+/// neither throughput nor batch fill.
+#[test]
+fn default_window_does_not_throttle_a_saturated_stream() {
+    let w = uniform_equi(40_000, 0xC11F);
+    let arrivals = interleave(&w, 0xC11F ^ 0xA0A0);
+    for j in [4u32, 16] {
+        let cfg = config(j, OperatorKind::Dynamic, &w);
+        let windowed = run(&arrivals, &cfg);
+        let unbounded = run(&arrivals, &cfg.clone().with_window_copies(0));
+        assert_eq!(windowed.matches, unbounded.matches);
+        assert!(
+            windowed.throughput >= 0.9 * unbounded.throughput,
+            "J={j}: {:.0} tuples/s under the default window vs {:.0} without flow control",
+            windowed.throughput,
+            unbounded.throughput
+        );
+        // The machines are CPU-bound here, so the age bound still trims
+        // batches (a slot takes longer than 200 µs to fill) — but no
+        // more than it does with no window at all. The old window held
+        // every batch to half a slot.
+        assert!(
+            tuples_per_batch(&windowed) >= 0.9 * tuples_per_batch(&unbounded),
+            "J={j}: {:.1} tuples per data batch under the default window vs {:.1} without \
+             flow control ({} vs {})",
+            tuples_per_batch(&windowed),
+            tuples_per_batch(&unbounded),
+            windowed.flushes,
+            unbounded.flushes
+        );
+    }
+}
+
+/// What the cliff looks like in the counters, and that an explicit
+/// window is honoured verbatim: pinned back to the old `64·J` copies,
+/// this stream's coalescers hardly ever fill — 97 % of the data batches
+/// leave on the age timer at half a slot and throughput is window ÷ timer again.
+#[test]
+fn an_explicit_small_window_starves_the_coalescers_and_the_counters_say_so() {
+    let w = uniform_equi(40_000, 0xC11F);
+    let arrivals = interleave(&w, 0xC11F ^ 0xA0A0);
+    let cfg = config(4, OperatorKind::Dynamic, &w);
+    let default = run(&arrivals, &cfg);
+    let starved = run(&arrivals, &cfg.clone().with_window_copies(64 * 4));
+    assert_eq!(starved.matches, default.matches);
+    let aged = starved.flushes.batches(FlushCause::Deadline);
+    assert!(
+        aged * 100 >= starved.flushes.total_batches() * 95,
+        "a starved window ships on the age timer: {}",
+        starved.flushes
+    );
+    assert!(
+        starved.throughput <= 0.6 * default.throughput,
+        "{:.0} tuples/s under 64·J copies vs {:.0} under the default window",
+        starved.throughput,
+        default.throughput
+    );
+}
+
+/// A source paced at 50k tuples/s never comes near either window, so the
+/// window rule must not move it: every batch leaves on the age bound and
+/// the timeline is the parent commit's (1a81506), quantity for quantity.
+#[test]
+fn trickling_source_keeps_the_age_bound_and_the_timeline() {
+    let w = uniform_equi(20_000, 0x7121);
+    let arrivals = interleave(&w, 0x7121 ^ 0xA0A0);
+    let cfg = config(4, OperatorKind::Dynamic, &w).with_pacing(SourcePacing::per_second(50_000));
+    let r = run(&arrivals, &cfg);
+    assert_eq!(r.flushes.batches, [0, 5_000, 0], "{}", r.flushes);
+    assert_eq!(r.exec_time.as_micros(), 400_243, "virtual end time drifted");
+    assert_eq!(r.network_messages, 9_801, "message count drifted");
+    assert_eq!(r.network_bytes, 4_048_732, "wire bytes drifted");
+    assert_eq!(r.matches, 20_294);
+    assert_eq!((r.p50_latency_us, r.p99_latency_us), (338, 338));
 }

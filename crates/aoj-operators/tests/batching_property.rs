@@ -96,7 +96,10 @@ fn drive(
     boundaries: &mut dyn FnMut(u64) -> u64,
 ) -> Vec<Vec<Ev>> {
     let mut channels: Vec<Vec<Ev>> = vec![Vec::new(); 16];
+    // The reshuffler reports flush counts into its machine's row (1).
     let mut metrics = Metrics::default();
+    metrics.add_machine();
+    metrics.add_machine();
     let record = |channels: &mut Vec<Vec<Ev>>, effects: Vec<Effect<OpMsg>>| {
         for e in effects {
             if let Effect::Send { to, msg } = e {
@@ -225,7 +228,12 @@ proptest! {
             s_items: (0..2_000).map(|_| item(120)).collect(),
         };
         let arrivals = interleave(&w, seed ^ 0xA0A0);
-        let mut cfg = config(2, OperatorKind::Dynamic, &w).with_batch_tuples(1);
+        // The 2,200-tuple stream is sized against the per-tuple plane's
+        // 64·J window: the batch-derived default (up to 8·J·199 copies)
+        // would put all of it in flight before the capacity gauges move.
+        let mut cfg = config(2, OperatorKind::Dynamic, &w)
+            .with_batch_tuples(1)
+            .with_window_copies(128);
         cfg.backend.collect_matches = true;
         cfg.seed = seed;
         // Small capacity: one ×4 expansion fires mid-stream.

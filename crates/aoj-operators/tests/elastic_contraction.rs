@@ -19,11 +19,17 @@ use aoj_operators::{run, BackendChoice, ElasticConfig, OperatorKind, SessionBuil
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The session configuration for `kind` on `j` joiners over `w`.
+/// The session configuration for `kind` on `j` joiners over `w`. These
+/// scenarios size their few-thousand-tuple streams and KB-scale capacity
+/// targets against the per-tuple plane's `64·J` flow-control window, so
+/// they pin it: under the batch-derived default (`8·J·64` copies) most of
+/// a stream is in flight before the stored-byte gauges move, and the
+/// expand → drain → re-expand schedules they assert never get to run.
 fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
     SessionBuilder::new(j, kind)
         .with_predicate(w.predicate.clone())
         .with_workload(w.name)
+        .with_window_copies(64 * j as u64)
 }
 
 fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {

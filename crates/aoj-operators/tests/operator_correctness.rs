@@ -188,7 +188,11 @@ fn migration_traffic_is_bounded_by_amortized_cost() {
     // of the input volume.
     let w = synthetic_workload(2000, 2000, 64, 41);
     let arrivals = fluctuating(&w, 4, 0);
-    let cfg = config(16, OperatorKind::Dynamic, &w);
+    // 4,000 tuples are 16,000 copies at J = 16: the stream is sized
+    // against the per-tuple plane's 64·J window. The batch-derived
+    // default (8·J·64 copies) would hold half of it in flight, and the
+    // fluctuations would be over before a second migration could start.
+    let cfg = config(16, OperatorKind::Dynamic, &w).with_window_copies(64 * 16);
     let report = run(&arrivals, &cfg);
     let input_bytes: u64 = arrivals.iter().map(|(_, i)| i.bytes as u64).sum();
     assert!(report.migrations >= 2);

@@ -363,6 +363,25 @@ fn open_rejects_a_window_below_the_credit_batching_slack() {
     let _ = JoinSession::open(builder);
 }
 
+/// The window follows the batch when the caller sets none — eight
+/// batches per joiner, never below the per-tuple plane's `64·J` — and an
+/// explicit one is honoured verbatim, 0 (flow control off) included.
+#[test]
+fn unset_window_follows_the_batch_size_and_an_explicit_one_is_verbatim() {
+    let b = |j, batch| SessionBuilder::new(j, OperatorKind::Dynamic).with_batch_tuples(batch);
+    assert_eq!(b(4, 64).window_copies(), 8 * 4 * 64);
+    assert_eq!(b(16, 256).window_copies(), 8 * 16 * 256);
+    assert_eq!(b(4, 1).window_copies(), 64 * 4, "per-tuple goldens hold");
+    assert_eq!(b(4, 8).window_copies(), 64 * 4);
+    // Order of the setters does not matter: the window resolves on use.
+    let late = SessionBuilder::new(4, OperatorKind::Dynamic).with_batch_tuples(16);
+    assert_eq!(late.with_batch_tuples(128).window_copies(), 8 * 4 * 128);
+    assert_eq!(b(4, 64).with_window_copies(96).window_copies(), 96);
+    assert_eq!(b(4, 64).with_window_copies(0).window_copies(), 0);
+    // The mailbox bound stays above whichever window is in force.
+    assert!(b(16, 256).runtime_config().data_queue_capacity >= 4 * 8 * 16 * 256);
+}
+
 /// `run()` is open / `push_batch` / close plus offline knowledge, and
 /// nothing else: resolving that knowledge by hand — queue sized to the
 /// input, sampling derived from its length, the competitive prefix trace

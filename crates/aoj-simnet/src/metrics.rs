@@ -128,6 +128,71 @@ pub struct ProgressPoint {
     pub total_stored: u64,
 }
 
+/// Why a data-plane coalescing buffer shipped a batch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FlushCause {
+    /// The buffer reached its `batch_tuples` threshold.
+    Size,
+    /// The buffer reached its age bound (`batch_max_delay_us`).
+    Deadline,
+    /// An epoch or expansion boundary force-flushed the buffers.
+    Boundary,
+}
+
+/// Data batches and tuples shipped, by [`FlushCause`] (reported by the
+/// tasks that own coalescing buffers). `Deadline` batches aged out
+/// before they filled. Under saturation that only trims batch size while
+/// the machines stay busy; when nearly every batch is a `Deadline` one
+/// *and* the machines sit idle, the flow-control window is closing
+/// before a buffer can fill and the age timer is pacing the pipeline.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct FlushCounts {
+    /// Batches shipped, indexed by `FlushCause as usize`.
+    pub batches: [u64; 3],
+    /// Tuples those batches carried, same indexing.
+    pub tuples: [u64; 3],
+}
+
+impl FlushCounts {
+    /// Count one shipped batch of `tuples` tuples under `cause`.
+    #[inline]
+    pub fn note(&mut self, cause: FlushCause, tuples: usize) {
+        self.batches[cause as usize] += 1;
+        self.tuples[cause as usize] += tuples as u64;
+    }
+
+    /// Batches shipped for `cause`.
+    pub fn batches(&self, cause: FlushCause) -> u64 {
+        self.batches[cause as usize]
+    }
+
+    /// Batches shipped for any cause.
+    pub fn total_batches(&self) -> u64 {
+        self.batches.iter().sum()
+    }
+
+    /// Add `other`'s counts into `self`.
+    pub fn merge(&mut self, other: &FlushCounts) {
+        for i in 0..3 {
+            self.batches[i] += other.batches[i];
+            self.tuples[i] += other.tuples[i];
+        }
+    }
+}
+
+/// `size 701/44864 deadline 1078/34496 boundary 0/0`
+/// (batches/tuples per cause).
+impl std::fmt::Display for FlushCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (b, t) = (&self.batches, &self.tuples);
+        write!(
+            f,
+            "size {}/{} deadline {}/{} boundary {}/{}",
+            b[0], t[0], b[1], t[1], b[2], t[2]
+        )
+    }
+}
+
 /// Counters for one machine.
 #[derive(Clone, Debug, Default)]
 pub struct MachineMetrics {
@@ -152,6 +217,9 @@ pub struct MachineMetrics {
     pub evicted_bytes: u64,
     /// Stored tuple count — window occupancy (reported by tasks).
     pub window_tuples: u64,
+    /// Data batches this machine's coalescing buffers shipped, by cause
+    /// (reported by tasks).
+    pub flushes: FlushCounts,
 }
 
 /// Global metric sink. Tasks may update the per-machine storage gauges via
@@ -298,6 +366,15 @@ impl Metrics {
         self.per_machine.iter().map(|m| m.messages_out).sum()
     }
 
+    /// Data batches shipped across the cluster, by cause.
+    pub fn total_flushes(&self) -> FlushCounts {
+        let mut total = FlushCounts::default();
+        for m in &self.per_machine {
+            total.merge(&m.flushes);
+        }
+        total
+    }
+
     /// Total operator state currently stored across the cluster.
     pub fn total_stored_bytes(&self) -> u64 {
         (0..self.per_machine.len())
@@ -423,6 +500,7 @@ impl Metrics {
             // Single-writer per machine: the owning shard's value wins.
             mine.evicted_bytes = mine.evicted_bytes.max(theirs.evicted_bytes);
             mine.window_tuples = mine.window_tuples.max(theirs.window_tuples);
+            mine.flushes.merge(&theirs.flushes);
         }
         self.events += other.events;
         self.last_event_at = self.last_event_at.max(other.last_event_at);

@@ -153,7 +153,7 @@ fn paced_latency_is_far_below_saturated_latency() {
     let w = queries::eq7(&db);
     let arrivals = interleave(&w, 1);
     let mut sat_cfg = config(8, OperatorKind::Dynamic, &w);
-    sat_cfg.source.window_copies = 0; // no backpressure: queues build up
+    sat_cfg.source.window_copies = Some(0); // no backpressure: queues build up
     let saturated = run(&arrivals, &sat_cfg);
     let mut paced_cfg = config(8, OperatorKind::Dynamic, &w);
     paced_cfg.source.pacing = SourcePacing::per_second((saturated.throughput * 0.5) as u64);
