@@ -1,224 +1,54 @@
-//! `reproduce` — regenerate every table and figure of the paper's
-//! evaluation section (§5) on the simulated cluster, or run the
-//! wall-clock benchmark on the threaded runtime.
+//! `reproduce` — regenerate the tables and figures of the paper's
+//! evaluation section (§5) on the simulated cluster, and run the
+//! verified scenarios on the simulator and the live backends.
 //!
 //! ```text
-//! cargo run --release -p aoj-bench --bin reproduce -- <experiment>
-//! cargo run --release -p aoj-bench --bin reproduce -- --backend threaded
-//! cargo run --release -p aoj-bench --bin reproduce -- elastic --smoke
-//! cargo run --release -p aoj-bench --bin reproduce -- wallclock --batch 1,64,256
-//! cargo run --release -p aoj-bench --bin reproduce -- --backend tcp wallclock --smoke
+//! cargo run --release -p aoj-bench --bin reproduce -- --help
+//! cargo run --release -p aoj-bench --bin reproduce -- table2
+//! cargo run --release -p aoj-bench --bin reproduce -- scenarios
 //! ```
 //!
-//! Experiments: `table2`, `fig6a`..`fig6d`, `fig6`, `fig7a`..`fig7d`,
-//! `fig7`, `fig8a`..`fig8d`, `fig8`, `ablation-migration`,
-//! `ablation-epsilon`, `ablation-blocking`, `ablation-elastic`,
-//! `ablation-groups`, `ablations`, `wallclock`, `elastic`, `contract`,
-//! `lifecycle`, `skew`, `faults`, or `all`.
-//!
-//! `lifecycle` exercises the state lifecycle subsystem — windowed
-//! eviction and a checkpoint→restore→verify round-trip — on **both**
-//! backends in one invocation and writes `BENCH_lifecycle[_smoke].json`.
-//!
-//! `faults` is the chaos experiment: on **all three** backends it kills
-//! a live worker mid-stream (simulator event kill, thread abort, process
-//! SIGKILL), lets the supervised session detect and recover it, verifies
-//! the delivered match multiset against the fault-free simulator witness
-//! exactly, and writes `BENCH_faults[_smoke].json`.
-//!
-//! `--backend threaded` selects the multi-threaded runtime, which hosts
-//! the wall-clock benchmark (`wallclock`), the live `elastic` /
-//! `contract` scale-out and scale-in experiments, and the `skew`
-//! routing comparison; `--backend tcp` selects the multi-process TCP
-//! backend (`aoj-net`), which hosts the `wallclock` smoke point and
-//! the `skew` comparison (the binary re-execs itself as the worker
-//! processes); the paper-figure experiments are simulator-only
-//! because their figures are defined in virtual time. `--smoke` shrinks
-//! the `elastic` workload (and the `wallclock` sweep) to a CI-sized run.
-//! `--batch N[,N...]` overrides the `wallclock` data-plane batch-size
-//! sweep (each size runs on **both** backends and writes
-//! `BENCH_wallclock.json`).
+//! One optional argument: a name from
+//! [`EXPERIMENTS`](aoj_bench::experiments::EXPERIMENTS), `scenarios`, or
+//! `all` (the default). There are no options, and nothing is written:
+//! an experiment prints its tables and panics on a violated invariant.
+//! `--help` lists the names. Speed is measured by `bash
+//! benchmark/run.sh`, never here.
 
-use aoj_bench::experiments::{
-    ablation, contract, elastic, faults, fig6, fig7, fig8, lifecycle, skew, table2, wallclock,
-};
-use aoj_operators::BackendChoice;
+use aoj_bench::experiments::{select, usage};
 
 fn main() {
-    // When this binary is re-exec'd by the TCP backend as a worker
-    // process, divert to the worker loop before anything else; in the
+    // The TCP backend re-execs this binary as its worker processes:
+    // divert to the worker loop before anything else. In the
     // coordinator role this returns immediately.
     aoj_net::init_worker();
-    let mut backend = "sim".to_string();
-    let mut smoke = false;
-    let mut batch_sweep: Vec<usize> = Vec::new();
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--backend" => {
-                backend = args
-                    .next()
-                    .unwrap_or_else(|| die("--backend needs a value: sim | threaded | tcp"));
-            }
-            other if other.starts_with("--backend=") => {
-                backend = other["--backend=".len()..].to_string();
-            }
-            "--smoke" => smoke = true,
-            "--batch" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| die("--batch needs a value: N or N,N,..."));
-                batch_sweep = parse_batch_sweep(&v);
-            }
-            other if other.starts_with("--batch=") => {
-                batch_sweep = parse_batch_sweep(&other["--batch=".len()..]);
-            }
-            other => positional.push(other.to_string()),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = match args.as_slice() {
+        [] => "all",
+        [help] if help == "--help" || help == "-h" => {
+            print!("{}", usage());
+            return;
         }
-    }
-    let backend_choice = match backend.as_str() {
-        "sim" => BackendChoice::Sim,
-        "threaded" => BackendChoice::Threaded,
-        "tcp" => BackendChoice::Tcp,
-        other => die(&format!(
-            "unknown backend `{other}`; use sim | threaded | tcp"
-        )),
+        [name] => name.as_str(),
+        _ => usage_error("expected at most one experiment name"),
     };
-    // The process backend registers itself into the session layer; every
-    // tcp session opened below resolves through this factory. Registered
-    // unconditionally: experiments that sweep both live backends in one
-    // invocation (skew's full mode) open tcp sessions without
-    // `--backend tcp`, and registration alone costs nothing.
+    let Some(entries) = select(name) else {
+        usage_error(&format!("unknown experiment `{name}`"));
+    };
+    // Scenarios that cover the tcp backend resolve it through this
+    // registration; it costs nothing when none runs.
     aoj_net::install();
-    let what = match backend_choice {
-        BackendChoice::Sim => positional
-            .first()
-            .map(|s| s.as_str())
-            .unwrap_or("all")
-            .to_string(),
-        BackendChoice::Threaded => {
-            // The threaded runtime hosts the wall-clock benchmark and the
-            // elastic scale-out; the figure experiments are defined in
-            // virtual time.
-            match positional.first().map(|s| s.as_str()) {
-                None | Some("wallclock") | Some("all") => "wallclock".to_string(),
-                Some("elastic") => "elastic".to_string(),
-                Some("contract") => "contract".to_string(),
-                Some("lifecycle") => "lifecycle".to_string(),
-                Some("skew") => "skew".to_string(),
-                Some("faults") => "faults".to_string(),
-                Some(other) => die(&format!(
-                    "experiment `{other}` is simulator-only; `--backend threaded` \
-                     runs `wallclock`, `elastic`, `contract`, `lifecycle`, `skew` or `faults`"
-                )),
-            }
-        }
-        BackendChoice::Tcp => {
-            // The TCP backend's bench surface is the wall-clock smoke
-            // point; the elastic/contract live experiments have their
-            // process-lifecycle coverage in the equivalence suite.
-            match positional.first().map(|s| s.as_str()) {
-                None | Some("wallclock") | Some("all") => "wallclock".to_string(),
-                Some("skew") => "skew".to_string(),
-                Some("faults") => "faults".to_string(),
-                Some(other) => die(&format!(
-                    "`--backend tcp` runs `wallclock`, `skew` or `faults`; experiment \
-                     `{other}` is not wired to the process backend"
-                )),
-            }
-        }
-    };
-
-    if !batch_sweep.is_empty() && what != "wallclock" && what != "all" {
-        die(&format!(
-            "--batch only applies to the `wallclock` sweep (or `all`); \
-             experiment `{what}` would silently ignore it"
-        ));
-    }
-
-    // `wallclock` always measures a wall-clock backend against the
-    // simulator witness: tcp when asked for, the threaded runtime
-    // otherwise (including the default sim-backend `all` route).
-    let wallclock_backend = if backend_choice == BackendChoice::Tcp {
-        BackendChoice::Tcp
-    } else {
-        BackendChoice::Threaded
-    };
     let start = std::time::Instant::now();
-    match what.as_str() {
-        "table2" => table2::run_table2(),
-        "fig6a" => fig6::run_fig6a(),
-        "fig6b" => fig6::run_fig6b(),
-        "fig6c" => fig6::run_fig6c(),
-        "fig6d" => fig6::run_fig6d(),
-        "fig6" => fig6::run_fig6(),
-        "fig7a" => fig7::run_fig7a(),
-        "fig7b" => fig7::run_fig7b(),
-        "fig7c" => fig7::run_fig7c(),
-        "fig7d" => fig7::run_fig7d(),
-        "fig7" => fig7::run_fig7(),
-        "fig8a" => fig8::run_fig8a(),
-        "fig8b" => fig8::run_fig8b(),
-        "fig8c" => fig8::run_fig8c(),
-        "fig8d" => fig8::run_fig8d(),
-        "fig8" => fig8::run_fig8(),
-        "ablation-migration" => ablation::run_ablation_migration(),
-        "ablation-epsilon" => ablation::run_ablation_epsilon(),
-        "ablation-blocking" => ablation::run_ablation_blocking(),
-        "ablation-elastic" => ablation::run_ablation_elastic(),
-        "ablation-groups" => ablation::run_ablation_groups(),
-        "ablations" => ablation::run_ablations(),
-        "wallclock" => wallclock::run_wallclock(wallclock_backend, &batch_sweep, smoke),
-        "elastic" => elastic::run_elastic(backend_choice, smoke),
-        "contract" => contract::run_contract(backend_choice, smoke),
-        "lifecycle" => lifecycle::run_lifecycle(smoke),
-        "faults" => faults::run_faults(smoke),
-        "skew" => skew::run_skew(
-            if backend_choice == BackendChoice::Tcp {
-                BackendChoice::Tcp
-            } else {
-                BackendChoice::Threaded
-            },
-            smoke,
-        ),
-        "all" => {
-            table2::run_table2();
-            fig6::run_fig6();
-            fig7::run_fig7();
-            fig8::run_fig8();
-            ablation::run_ablations();
-            wallclock::run_wallclock(wallclock_backend, &batch_sweep, smoke);
-            elastic::run_elastic(backend_choice, smoke);
-            contract::run_contract(backend_choice, smoke);
-            lifecycle::run_lifecycle(smoke);
-            skew::run_skew(wallclock_backend, smoke);
-            faults::run_faults(smoke);
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`; see --help in the module docs");
-            std::process::exit(1);
-        }
+    for (_, run) in entries {
+        run();
     }
     eprintln!(
-        "\n[reproduce {what}: {:.1}s wall clock]",
+        "\n[reproduce {name}: {:.1}s wall clock]",
         start.elapsed().as_secs_f64()
     );
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
-}
-
-fn parse_batch_sweep(v: &str) -> Vec<usize> {
-    v.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| die(&format!("--batch: `{s}` is not a positive integer")))
-        })
-        .collect()
+fn usage_error(msg: &str) -> ! {
+    eprint!("reproduce: {msg}\n\n{}", usage());
+    std::process::exit(2);
 }

@@ -29,8 +29,8 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour, and the `aoj-bench`
 //! crate for the harness that regenerates every table and figure of the
-//! paper's evaluation section (plus `reproduce --backend threaded` for the
-//! wall-clock benchmark).
+//! paper's evaluation section (plus `reproduce scenarios`, which verifies
+//! the live subsystems on every backend; `benchmark/` measures speed).
 
 pub use aoj_core as core;
 pub use aoj_datagen as datagen;
