@@ -19,10 +19,10 @@
 //!   cluster-wide created = finished mean nothing is running and
 //!   nothing is in flight — the distributed analogue of the threaded
 //!   runtime's idle tracking;
-//! * installs each worker's **finals** (joiner counters, match logs,
-//!   controller event log, metrics shard) into the parked receptacle
-//!   tasks recorded at build time, so the session's collect phase reads
-//!   the same task objects it would on any other backend;
+//! * merges each worker's **finals** (joiner counters, match logs,
+//!   controller event log) into one `Finals` — what the session's
+//!   collect phase harvests from the tasks themselves on an in-process
+//!   backend — and absorbs its metrics shard;
 //! * **reaps** every worker with `Child::wait` and records the exit in
 //!   the run summary — a retired machine's process is waitpid-confirmed
 //!   gone, not just disconnected.
@@ -39,14 +39,12 @@ use aoj_core::fault::{
     DeathCause, FailureDetector, FaultInjection, FaultLog, FaultTrigger, WorkerDeath,
 };
 use aoj_core::lifecycle::Checkpoint;
-use aoj_operators::joiner_task::JoinerTask;
 use aoj_operators::messages::{Match, OpMsg};
-use aoj_operators::reshuffler::ReshufflerTask;
-use aoj_operators::shj::ShjJoiner;
+use aoj_operators::report::Finals;
 use aoj_operators::{FaultSection, MatchHub, NetBackend, SessionBuilder, SkewBoard};
 use aoj_runtime::mailbox::Mailbox;
 use aoj_simnet::{
-    ExecBackend, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimTime, TaskId,
+    ExecBackend, Gauge, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimTime, TaskId,
 };
 
 use crate::node::{
@@ -102,6 +100,8 @@ pub struct TcpBackend {
     /// `skew_parts` of incoming gauge frames. Installed by the session
     /// layer; `None` when the session never asks for skew summaries.
     skew_board: Option<Arc<SkewBoard>>,
+    /// The workers' finals, merged as their exit bundles arrive.
+    finals: Finals,
     /// Machine-count bookkeeping frozen at the end of `run()`.
     final_provisioned: Option<usize>,
     final_peak: Option<usize>,
@@ -146,6 +146,7 @@ impl TcpBackend {
             hub,
             gauges: None,
             skew_board: None,
+            finals: Finals::default(),
             final_provisioned: None,
             final_peak: None,
             fault,
@@ -270,6 +271,10 @@ impl NetBackend for TcpBackend {
         let board = SkewBoard::new(slots);
         self.skew_board = Some(Arc::clone(&board));
         Some(board)
+    }
+
+    fn take_finals(&mut self) -> Option<Finals> {
+        Some(std::mem::take(&mut self.finals))
     }
 
     fn fault_log(&mut self) -> Option<FaultLog> {
@@ -779,9 +784,9 @@ impl TcpBackend {
                         K_GAUGES => {
                             let mut g = GaugeSample::from_bytes(&payload).expect("gauge sample");
                             let m = MachineId(g.machine as usize);
-                            gauges.set_stored(m, g.stored);
-                            gauges.set_evicted(m, g.evicted);
-                            gauges.set_occupancy(m, g.occupancy);
+                            for (gauge, value) in Gauge::ALL.into_iter().zip(g.gauges) {
+                                gauges.set(m, gauge, value);
+                            }
                             let gen = live.get(&machine).copied().unwrap_or(0);
                             data_proc.insert((machine, gen), g.data_processed);
                             gauges.set_data_processed(data_proc.values().sum());
@@ -822,7 +827,18 @@ impl TcpBackend {
                         }
                         K_FINALS => {
                             let bundle = FinalsBundle::from_bytes(&payload).expect("finals bundle");
-                            install_finals(&mut self.topo, bundle);
+                            self.finals.merge(bundle.finals);
+                            // Rebuild the worker's shard as a `Metrics`
+                            // and fold it into the global sink.
+                            let mut shard = Metrics::default();
+                            for (i, row) in bundle.machines.into_iter().enumerate() {
+                                shard.add_machine();
+                                *shard.machine_mut(MachineId(i)) = row;
+                            }
+                            shard.events = bundle.events;
+                            shard.last_event_at = bundle.last_event_at;
+                            shard.data_processed = bundle.data_processed;
+                            self.topo.metrics.absorb(&shard);
                         }
                         K_EXITING => {
                             let e = Exiting::from_bytes(&payload).expect("exiting frame");
@@ -1056,58 +1072,4 @@ fn spawn_worker(children: &mut HashMap<usize, Child>, coord_addr: &str, machine:
         .expect("spawn worker process");
     let prev = children.insert(machine, child);
     assert!(prev.is_none(), "machine {machine} spawned twice");
-}
-
-/// Fold one worker's finals into the coordinator's parked receptacle
-/// tasks and global metrics. Counters **sum** across incarnations of a
-/// machine slot; latest-state fields (the controller's assignment)
-/// overwrite.
-fn install_finals(topo: &mut TopoRecorder, bundle: FinalsBundle) {
-    fn parked(topo: &mut TopoRecorder, task: TaskId) -> &mut dyn std::any::Any {
-        topo.tasks[task.index()]
-            .1
-            .as_mut()
-            .expect("receptacle task parked")
-            .as_any_mut()
-    }
-    for f in bundle.joiners {
-        let slot = parked(topo, f.task);
-        if let Some(j) = slot.downcast_mut::<JoinerTask>() {
-            j.matches += f.matches;
-            j.latency.merge(&f.latency);
-            j.counters.merge(&f.counters);
-            j.match_log.extend_from_slice(&f.match_log);
-            j.match_digest.merge(&f.match_digest);
-        } else {
-            let s = slot
-                .downcast_mut::<ShjJoiner>()
-                .expect("joiner final targets a joiner receptacle");
-            s.matches += f.matches;
-            s.latency.merge(&f.latency);
-            s.match_log.extend_from_slice(&f.match_log);
-            s.match_digest.merge(&f.match_digest);
-        }
-    }
-    if let Some(cf) = bundle.controller {
-        let r = parked(topo, cf.task)
-            .downcast_mut::<ReshufflerTask>()
-            .expect("controller final targets a reshuffler receptacle");
-        r.assign = cf.assign;
-        let ctrl = r
-            .controller
-            .as_mut()
-            .expect("controller receptacle has controller state");
-        ctrl.events = cf.events;
-        ctrl.recorder.samples = cf.samples;
-    }
-    // Rebuild the shard as a Metrics and fold it into the global sink.
-    let mut m = Metrics::default();
-    for (i, row) in bundle.machines.into_iter().enumerate() {
-        m.add_machine();
-        *m.machine_mut(MachineId(i)) = row;
-    }
-    m.events = bundle.events;
-    m.last_event_at = bundle.last_event_at;
-    m.data_processed = bundle.data_processed;
-    topo.metrics.absorb(&m);
 }

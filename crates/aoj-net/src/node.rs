@@ -24,9 +24,9 @@
 //! * [`spawn_reader`]/[`spawn_acceptor`] — inbound connections push into
 //!   the bounded mailbox, so TCP backpressure propagates into the same
 //!   tuple-unit accounting the threaded runtime uses;
-//! * [`run_machine_loop`] — the handler loop, a line-for-line mirror of
-//!   `aoj_runtime`'s worker loop (arrive/busy accounting, effect
-//!   application, per-item finish counting).
+//! * [`run_machine_loop`] — the handler loop: the runtime's
+//!   [`dispatch`] per work item, effects staged onto the sockets, one
+//!   finish count per item.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -38,10 +38,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aoj_operators::messages::OpMsg;
-use aoj_runtime::mailbox::{Mailbox, Work};
+use aoj_runtime::mailbox::{dispatch, Mailbox, Work};
 use aoj_simnet::{
-    Ctx, ExecBackend, MachineId, Metrics, MsgClass, NetworkConfig, Process, SimDuration,
-    SimMessage, SimTime, TaskId,
+    ExecBackend, MachineId, Metrics, MsgClass, NetworkConfig, Process, SimMessage, SimTime, TaskId,
 };
 
 use crate::wire::{
@@ -718,8 +717,8 @@ pub struct NodeShared {
 }
 
 /// Run this node's machine loop to completion: service the mailbox
-/// batch-wise exactly like `aoj_runtime`'s worker loop, applying
-/// effects as they surface. Returns the metrics shard and the tasks
+/// batch-wise through the runtime's [`dispatch`], applying effects as
+/// they surface. Returns the metrics shard and the tasks
 /// (so finals can be harvested) once the node shuts down or its
 /// retirement drain completes.
 pub fn run_machine_loop(
@@ -749,38 +748,7 @@ pub fn run_machine_loop(
         }
         for work in batch.drain(..) {
             let now = SimTime(shared.clock.now_us());
-            let started = Instant::now();
-            let mut stopped = false;
-            let (self_task, effects) = match work {
-                Work::Msg { from, to, msg } => {
-                    shard.on_arrive(mid, msg.bytes());
-                    let task = tasks
-                        .get_mut(&to.index())
-                        .unwrap_or_else(|| panic!("message for non-local task {}", to.index()));
-                    let mut ctx = Ctx::new(now, to, &mut shard, &mut stopped);
-                    task.on_message(&mut ctx, from, msg);
-                    (to, ctx.take_effects())
-                }
-                Work::Timer { task: tid, key } => {
-                    let task = tasks
-                        .get_mut(&tid.index())
-                        .unwrap_or_else(|| panic!("timer for non-local task {}", tid.index()));
-                    let mut ctx = Ctx::new(now, tid, &mut shard, &mut stopped);
-                    task.on_timer(&mut ctx, key);
-                    (tid, ctx.take_effects())
-                }
-                Work::Flush { .. } => {
-                    // The TCP backend's drain barrier is connection-level
-                    // (EOS frames), not token-level.
-                    panic!("flush token on a TCP-backend mailbox")
-                }
-            };
-            shard.on_busy(
-                mid,
-                SimDuration::from_micros(started.elapsed().as_micros() as u64),
-            );
-            shard.events += 1;
-            shard.last_event_at = now;
+            let (self_task, effects, stopped) = dispatch(work, &mut tasks, &mut shard, mid, now);
             for effect in effects {
                 apply_effect(shared, self_task, effect, &mut shard, &mut stage, lifecycle);
             }
@@ -844,10 +812,10 @@ fn apply_effect(
 
 /// An [`ExecBackend`] that only records the topology: machines, tasks,
 /// bootstrap timers. Both sides of the wire build the session topology
-/// through `aoj_operators::assemble_topology` into one of these — the
-/// coordinator to park receptacle tasks it will fill with finals, the
-/// workers to extract their own machine's live tasks — so task ids and
-/// machine assignments agree across processes by construction.
+/// through `aoj_operators::assemble_topology` into one of these and take
+/// out their own machine's tasks to run — the coordinator the source
+/// machine's, each worker its joiner machine's — so task ids and machine
+/// assignments agree across processes by construction.
 #[derive(Default)]
 pub struct TopoRecorder {
     /// Per machine slot: was it registered deferred?

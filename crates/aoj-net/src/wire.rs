@@ -46,9 +46,9 @@ use aoj_core::sketch::SkewConfig;
 use aoj_core::ticket::RoutingMode;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_operators::driver::{BackendChoice, OperatorKind};
-use aoj_operators::joiner_task::{JoinerCounters, LatencyStats};
+use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
-use aoj_operators::report::MatchDigest;
+use aoj_operators::report::{ControllerFinal, Finals, MatchDigest};
 use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
 use aoj_operators::session::{
     BackendSection, DataPlaneSection, ElasticitySection, FaultSection, KeyFilter, LifecycleSection,
@@ -56,12 +56,13 @@ use aoj_operators::session::{
 };
 use aoj_operators::{ElasticConfig, SkewPolicy, SourcePacing};
 use aoj_simnet::{
-    CostModel, FlushCounts, MachineMetrics, MsgClass, NetworkConfig, SimDuration, SimTime, TaskId,
+    CostModel, FlushCounts, Gauge, MachineMetrics, MsgClass, NetworkConfig, SimDuration, SimTime,
+    TaskId,
 };
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -731,7 +732,6 @@ wire_struct! {
         pacing: SourcePacing,
         window_copies: Option<u64>,
         queue_tuples: usize,
-        idle_poll_us: u64,
     }
     CostModel {
         recv_overhead_us: u64,
@@ -908,12 +908,8 @@ wire_struct! {
     pub struct GaugeSample {
         /// The reporting machine.
         pub machine: u64,
-        /// Stored operator-state bytes.
-        pub stored: u64,
-        /// Cumulative evicted bytes (windowed expiry).
-        pub evicted: u64,
-        /// Stored tuple count (window occupancy).
-        pub occupancy: u64,
+        /// The machine's [`Gauge`] row, in table order.
+        pub gauges: [u64; Gauge::COUNT],
         /// Data items processed by this worker so far (absolute,
         /// per-worker; the coordinator sums across workers).
         pub data_processed: u64,
@@ -997,11 +993,9 @@ wire_struct! {
         bytes_in: u64,
         bytes_out: u64,
         busy: SimDuration,
-        stored_bytes: u64,
+        gauges: [u64; Gauge::COUNT],
         peak_stored_bytes: u64,
         spilled_bytes: u64,
-        evicted_bytes: u64,
-        window_tuples: u64,
         flushes: FlushCounts,
     }
     ProgressSample { seq: u64, at: SimTime, max_stored_bytes: u64, total_stored_bytes: u64 }
@@ -1015,40 +1009,18 @@ wire_enum!(ControlEvent {
     5 => ExpandComplete { at: SimTime, epoch: u32 },
 });
 wire_struct! {
-    /// What one joiner task (grid or SHJ) emitted and moved over its
-    /// process's lifetime.
-    #[derive(Clone, Debug)]
-    pub struct TaskFinal {
-        /// The joiner's task id.
-        pub task: TaskId,
-        /// Total matches emitted.
-        pub matches: u64,
-        /// Latency statistics.
-        pub latency: LatencyStats,
-        /// State-transfer and eviction counters (all zero for an SHJ
-        /// joiner, which never migrates).
-        pub counters: JoinerCounters,
-        /// Emitted pair identities `(R seq, S seq)` (only when
-        /// `collect_matches`).
-        pub match_log: Vec<(u64, u64)>,
-        /// Order-independent digest of every pair this joiner emitted —
-        /// the always-on exactness witness.
-        pub match_digest: MatchDigest,
+    JoinerFinal {
+        slot: usize,
+        matches: u64,
+        latency: LatencyStats,
+        counters: JoinerCounters,
+        match_log: Vec<(u64, u64)>,
+        match_digest: MatchDigest,
     }
-
-    /// Final control-plane state of the controller (reshuffler 0).
-    #[derive(Clone, Debug)]
-    pub struct ControllerFinal {
-        /// The reshuffler's task id.
-        pub task: TaskId,
-        /// Final grid assignment (mapping + per-slot positions + cells).
-        pub assign: GridAssignment,
-        /// The decision/migration event log.
-        pub events: Vec<ControlEvent>,
-        /// Progress samples (cluster-wide gauge timeline).
-        pub samples: Vec<ProgressSample>,
-    }
-
+    ControllerFinal { assign: GridAssignment, events: Vec<ControlEvent>, samples: Vec<ProgressSample> }
+    Finals { joiners: Vec<JoinerFinal>, controller: Option<ControllerFinal> }
+}
+wire_struct! {
     /// Everything a worker ships home when it exits: per-task finals plus
     /// its private metrics shard ([`K_FINALS`]).
     #[derive(Clone, Debug, Default)]
@@ -1057,10 +1029,9 @@ wire_struct! {
         pub machine: u64,
         /// Incarnation.
         pub gen: u32,
-        /// Joiner finals (at most one per worker).
-        pub joiners: Vec<TaskFinal>,
-        /// Controller final (worker 0 only).
-        pub controller: Option<ControllerFinal>,
+        /// What the worker's tasks produced: its joiner's final and, on
+        /// worker 0, the controller's.
+        pub finals: Finals,
         /// Shard: events processed.
         pub events: u64,
         /// Shard: clock at the last processed event.

@@ -15,11 +15,10 @@
 //!    gauge samples and matches to the coordinator, apply gauge relays
 //!    (machine 0 hosts the controller, which reads cluster-wide
 //!    storage), and run the drain barrier when told to retire;
-//! 5. ship finals (joiner counters, controller log, metrics shard) and
+//! 5. ship finals (the tasks' harvested `Finals`, the metrics shard) and
 //!    exit — `0` for a clean retirement or shutdown, so the
 //!    coordinator's `waitpid` distinguishes clean teardown from a crash.
 
-use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -28,23 +27,21 @@ use std::time::{Duration, Instant};
 
 use aoj_core::lifecycle::Checkpoint;
 use aoj_operators::joiner_task::JoinerTask;
-use aoj_operators::messages::OpMsg;
+use aoj_operators::report::harvest;
 use aoj_operators::reshuffler::ReshufflerTask;
-use aoj_operators::shj::ShjJoiner;
 use aoj_operators::{assemble_topology, IngestQueue, MatchHub, SessionBuilder};
 use aoj_runtime::mailbox::Mailbox;
-use aoj_simnet::{MachineId, Metrics, Process, SharedGauges, SimDuration, TaskId};
+use aoj_simnet::{Gauge, MachineId, SharedGauges, TaskId};
 
 use crate::node::{
     dial_with_retry, run_machine_loop, spawn_acceptor, Clock, ControlOut, Counters, Directory,
     EosGate, Lifecycle, NodeShared, TopoRecorder, Writers,
 };
 use crate::wire::{
-    self, read_frame, ControllerFinal, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello,
-    MachineUp, MatchTap, Plan, ProbeAck, Ready, TaskFinal, Wire, K_DRAIN_DONE, K_DRAIN_FOR,
-    K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH,
-    K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ, K_READY, K_RETIRE_NOW,
-    K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
+    self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap,
+    Plan, ProbeAck, Ready, Wire, K_DRAIN_DONE, K_DRAIN_FOR, K_EXITING, K_FINALS, K_GAUGES,
+    K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK,
+    K_PROVISION_REQ, K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
 
 /// Environment: flag marking a process as a worker.
@@ -148,7 +145,6 @@ pub fn worker_main() -> ! {
         MatchHub::counter()
     };
     let mut rec = TopoRecorder::default();
-    let idle_poll = SimDuration::from_micros(builder.source.idle_poll_us.max(1));
     // A plan that carries a checkpoint rebuilds restored state instead
     // of a fresh topology. Every process decodes the same snapshot, so
     // the restored elastic layout — which decides task registration
@@ -162,7 +158,7 @@ pub fn worker_main() -> ! {
         &builder,
         IngestQueue::detached(),
         Arc::clone(&hub),
-        Some(idle_poll),
+        true,
         restore.as_ref(),
     );
     // The board this worker's reshufflers publish their sketches into;
@@ -292,9 +288,7 @@ pub fn worker_main() -> ! {
         let m = MachineId(machine);
         let sample = GaugeSample {
             machine: machine as u64,
-            stored: gauges.stored(m),
-            evicted: gauges.evicted(m),
-            occupancy: gauges.occupancy(m),
+            gauges: Gauge::ALL.map(|g| gauges.get(m, g)),
             data_processed: gauges.data_processed(),
             skew_parts: skew_board
                 .as_ref()
@@ -358,9 +352,9 @@ pub fn worker_main() -> ! {
             Ok((K_GAUGE_RELAY, p)) => {
                 let g = GaugeSample::from_bytes(&p).expect("gauge relay");
                 let m = MachineId(g.machine as usize);
-                gauges.set_stored(m, g.stored);
-                gauges.set_evicted(m, g.evicted);
-                gauges.set_occupancy(m, g.occupancy);
+                for (gauge, value) in Gauge::ALL.into_iter().zip(g.gauges) {
+                    gauges.set(m, gauge, value);
+                }
             }
             Ok((K_DRAIN_FOR, p)) => {
                 let target = u64::from_bytes(&p).expect("drain-for machine") as usize;
@@ -404,7 +398,17 @@ pub fn worker_main() -> ! {
     ship_stats(true);
     ctrl.send(
         K_FINALS,
-        &harvest_finals(machine, gen, &tasks, &shard, &gauges),
+        &FinalsBundle {
+            machine: machine as u64,
+            gen,
+            finals: harvest(tasks.keys().map(|&id| TaskId(id)), |id| {
+                tasks[&id.index()].as_any()
+            }),
+            events: shard.events,
+            last_event_at: shard.last_event_at,
+            data_processed: gauges.data_processed(),
+            machines: shard.machines().to_vec(),
+        },
     );
     let (created, finished) = counters.snapshot();
     ctrl.send(
@@ -418,59 +422,4 @@ pub fn worker_main() -> ! {
         },
     );
     std::process::exit(0);
-}
-
-/// Build the worker's [`FinalsBundle`] from its quiesced tasks and
-/// metrics shard.
-fn harvest_finals(
-    machine: usize,
-    gen: u32,
-    tasks: &HashMap<usize, Box<dyn Process<OpMsg> + Send>>,
-    shard: &Metrics,
-    gauges: &SharedGauges,
-) -> FinalsBundle {
-    let mut bundle = FinalsBundle {
-        machine: machine as u64,
-        gen,
-        joiners: Vec::new(),
-        controller: None,
-        events: shard.events,
-        last_event_at: shard.last_event_at,
-        data_processed: gauges.data_processed(),
-        machines: shard.machines().to_vec(),
-    };
-    let mut ids: Vec<usize> = tasks.keys().copied().collect();
-    ids.sort_unstable();
-    for id in ids {
-        let task = tasks[&id].as_any();
-        if let Some(j) = task.downcast_ref::<JoinerTask>() {
-            bundle.joiners.push(TaskFinal {
-                task: TaskId(id),
-                matches: j.matches,
-                latency: j.latency,
-                counters: j.counters,
-                match_log: j.match_log.clone(),
-                match_digest: j.match_digest,
-            });
-        } else if let Some(s) = task.downcast_ref::<ShjJoiner>() {
-            bundle.joiners.push(TaskFinal {
-                task: TaskId(id),
-                matches: s.matches,
-                latency: s.latency,
-                counters: Default::default(),
-                match_log: s.match_log.clone(),
-                match_digest: s.match_digest,
-            });
-        } else if let Some(r) = task.downcast_ref::<ReshufflerTask>() {
-            if let Some(ctrl) = &r.controller {
-                bundle.controller = Some(ControllerFinal {
-                    task: TaskId(id),
-                    assign: r.assign.clone(),
-                    events: ctrl.events.clone(),
-                    samples: ctrl.recorder.samples.clone(),
-                });
-            }
-        }
-    }
-    bundle
 }

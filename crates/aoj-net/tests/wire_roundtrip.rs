@@ -20,16 +20,15 @@ use aoj_core::predicate::Predicate;
 use aoj_core::ticket::RoutingMode;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_net::wire::{
-    append_frame, read_frame, ControllerFinal, DrainDone, Exiting, FinalsBundle, GaugeSample,
-    Hello, MachineUp, MatchTap, Plan, Preamble, ProbeAck, Ready, TaskFinal, TaskMsg, Wire,
-    K_TASK_MSG,
+    append_frame, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp,
+    MatchTap, Plan, Preamble, ProbeAck, Ready, TaskMsg, Wire, K_FINALS, K_GAUGES, K_TASK_MSG,
 };
-use aoj_operators::joiner_task::{JoinerCounters, LatencyStats};
+use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
-use aoj_operators::report::MatchDigest;
+use aoj_operators::report::{ControllerFinal, Finals, MatchDigest};
 use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
 use aoj_operators::{BackendChoice, ElasticConfig, KeyFilter, OperatorKind, SessionBuilder};
-use aoj_simnet::{FlushCounts, MachineMetrics, MsgClass, SimDuration, SimTime, TaskId};
+use aoj_simnet::{FlushCounts, Gauge, MachineMetrics, MsgClass, SimDuration, SimTime, TaskId};
 use proptest::prelude::*;
 
 /// The codec contract for one value of any [`Wire`] type; returns the
@@ -363,7 +362,7 @@ fn latency() -> impl Strategy<Value = LatencyStats> {
     })
 }
 
-fn task_final() -> impl Strategy<Value = TaskFinal> {
+fn joiner_final() -> impl Strategy<Value = JoinerFinal> {
     (
         0usize..1024,
         any::<u64>(),
@@ -373,10 +372,10 @@ fn task_final() -> impl Strategy<Value = TaskFinal> {
         (any::<u64>(), any::<u64>(), any::<u64>()),
     )
         .prop_map(
-            |(task, matches, latency, c, match_log, (count, sum, xor))| {
+            |(slot, matches, latency, c, match_log, (count, sum, xor))| {
                 let c = |i: usize| c.get(i).copied().unwrap_or(0);
-                TaskFinal {
-                    task: TaskId(task),
+                JoinerFinal {
+                    slot,
                     matches,
                     latency,
                     counters: JoinerCounters {
@@ -407,13 +406,11 @@ fn controller_final() -> impl Strategy<Value = ControllerFinal> {
         },
     );
     (
-        0usize..1024,
         assignment(),
         proptest::collection::vec(control_event(), 0..6),
         proptest::collection::vec(sample, 0..6),
     )
-        .prop_map(|(task, assign, events, samples)| ControllerFinal {
-            task: TaskId(task),
+        .prop_map(|(assign, events, samples)| ControllerFinal {
             assign,
             events,
             samples,
@@ -429,14 +426,12 @@ fn machine_metrics() -> impl Strategy<Value = MachineMetrics> {
             bytes_in: w(2),
             bytes_out: w(3),
             busy: SimDuration::from_micros(w(4)),
-            stored_bytes: w(5),
-            peak_stored_bytes: w(6),
-            spilled_bytes: w(7),
-            evicted_bytes: w(8),
-            window_tuples: w(9),
+            gauges: Gauge::ALL.map(|g| w(5 + g as usize)),
+            peak_stored_bytes: w(9),
+            spilled_bytes: w(10),
             flushes: FlushCounts {
-                batches: [w(10), w(11), w(12)],
-                tuples: [w(13), w(14), w(15)],
+                batches: [w(11), w(12), w(13)],
+                tuples: [w(14), w(15), w(16)],
             },
         }
     })
@@ -445,7 +440,7 @@ fn machine_metrics() -> impl Strategy<Value = MachineMetrics> {
 fn finals_bundle() -> impl Strategy<Value = FinalsBundle> {
     (
         (any::<u64>(), any::<u32>()),
-        proptest::collection::vec(task_final(), 0..3),
+        proptest::collection::vec(joiner_final(), 0..3),
         prop_oneof![Just(None), controller_final().prop_map(Some)],
         (any::<u64>(), any::<u64>(), any::<u64>()),
         proptest::collection::vec(machine_metrics(), 0..5),
@@ -455,8 +450,10 @@ fn finals_bundle() -> impl Strategy<Value = FinalsBundle> {
                 FinalsBundle {
                     machine,
                     gen,
-                    joiners,
-                    controller,
+                    finals: Finals {
+                        joiners,
+                        controller,
+                    },
                     events,
                     last_event_at: SimTime(at),
                     data_processed,
@@ -511,6 +508,7 @@ proptest! {
     #[test]
     fn control_frames_roundtrip(
         nums in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        gauges in words(Gauge::COUNT + 1),
         gen in any::<u32>(),
         on in any::<bool>(),
         skew_parts in words(24),
@@ -525,10 +523,8 @@ proptest! {
         // K_GAUGES, and K_GAUGE_RELAY with the sketch dropped.
         roundtrip_eq(&GaugeSample {
             machine: a,
-            stored: b,
-            evicted: c,
-            occupancy: d,
-            data_processed: e,
+            gauges: Gauge::ALL.map(|g| gauges.get(g as usize).copied().unwrap_or(0)),
+            data_processed: d ^ e,
             skew_parts,
         });
         roundtrip_eq(&Exiting { machine: a, gen, created: b, finished: c, closed });
@@ -584,7 +580,7 @@ fn min_len_is_derived_from_the_field_table() {
     assert_eq!(IngestItem::MIN_LEN, 25);
     assert_eq!(Match::MIN_LEN, 32);
     assert_eq!(<(u64, u32)>::MIN_LEN, 12);
-    assert_eq!(MachineMetrics::MIN_LEN, 80 + 48);
+    assert_eq!(MachineMetrics::MIN_LEN, 56 + 8 * Gauge::COUNT + 48);
     assert_eq!(ControlEvent::MIN_LEN, 13);
     assert_eq!(KeyFilter::MIN_LEN, 1);
     assert_eq!(OpMsg::MIN_LEN, 1);
@@ -641,19 +637,12 @@ fn match_tap_with_non_boolean_on_is_rejected() {
 /// same checked `u32` as every other list, rejected before allocating.
 #[test]
 fn gauge_sample_count_exceeding_payload_is_rejected() {
-    let sample = GaugeSample {
-        machine: 1,
-        stored: 2,
-        evicted: 3,
-        occupancy: 4,
-        data_processed: 5,
-        skew_parts: vec![6, 7],
-    };
-    let image = sample.to_bytes();
-    assert_eq!(image.len(), 5 * 8 + 4 + 2 * 8);
+    let image = golden_gauge_sample().to_bytes();
+    let count_at = (2 + Gauge::COUNT) * 8;
+    assert_eq!(image.len(), count_at + 4 + 2 * 8);
     for count in [3u32, u32::MAX] {
         let mut image = image.clone();
-        image[40..44].copy_from_slice(&count.to_le_bytes());
+        image[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
         assert_invalid::<GaugeSample>(&image);
     }
     // A DataBatch whose two lists disagree is well-formed list by list
@@ -671,10 +660,18 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // Golden bytes: the hand-written encoders' output (PR 14's parent) for
 // one instance of every `OpMsg` variant (in tag order) and for
 // `full_builder`, so "data-plane and plan bytes unchanged" is checked, not
-// asserted. The builder image was re-pinned once, with `WIRE_VERSION` 6:
+// asserted. The builder image was re-pinned twice. `WIRE_VERSION` 6:
 // `SourceSection::window_copies` became `Option<u64>` (unset = derive the
 // window from the batch size), which inserts the one `01` presence byte
-// ahead of the window's eight.
+// ahead of the window's eight. `WIRE_VERSION` 7: `SourceSection` lost
+// `idle_poll_us` (one value was ever in use; now the constant
+// `source::IDLE_POLL_US`), which removes the eight bytes `c8 00…` after
+// the queue capacity.
+//
+// The same bump covers the two control-plane frames pinned below them:
+// [`GaugeSample`] is one word per [`Gauge`] (the `Matches` word is new)
+// and [`FinalsBundle`] carries the operators' own `Finals`. Adding a row
+// to either table changes these bytes: bump `WIRE_VERSION` with it.
 
 fn golden_opmsgs() -> Vec<OpMsg> {
     let pos = |row, col| GridPos { row, col };
@@ -799,7 +796,86 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "1208000000",
 ];
 
-const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e0101000000040000004000000001000000000000000100010000000000000010000000000000c8000000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000000000000000000000010101e80300000000000004000000010200000000000000000100040000000000000002400000000000000080000000000000000100000014000000000001000000000000000000000004400010000000000000";
+const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000000000000000000000010101e80300000000000004000000010200000000000000000100040000000000000002400000000000000080000000000000000100000014000000000001000000000000000000000004400010000000000000";
+
+fn golden_gauge_sample() -> GaugeSample {
+    GaugeSample {
+        machine: 1,
+        gauges: [2, 3, 4, 9],
+        data_processed: 5,
+        skew_parts: vec![6, 7],
+    }
+}
+
+/// A gauge row is as wide as the [`Gauge`] table, nothing else.
+const _: () = assert!(GaugeSample::MIN_LEN == 8 + 8 * Gauge::COUNT + 8 + 4);
+
+const GOLDEN_GAUGES: &str = "440000000c0100000000000000020000000000000003000000000000000400000000000000090000000000000005000000000000000200000006000000000000000700000000000000";
+
+fn golden_finals_bundle() -> FinalsBundle {
+    let mut latency = LatencyStats::default();
+    latency.record(3);
+    latency.record(900);
+    let mut match_digest = MatchDigest::default();
+    match_digest.fold(11, 12);
+    let gauges = [40, 50, 60, 70];
+    FinalsBundle {
+        machine: 2,
+        gen: 1,
+        finals: Finals {
+            joiners: vec![JoinerFinal {
+                slot: 2,
+                matches: 70,
+                latency,
+                counters: JoinerCounters {
+                    migration_tuples_in: 1,
+                    migration_bytes_in: 2,
+                    expand_stored_tuples: 3,
+                    expand_sent_tuples: 4,
+                    contract_stored_tuples: 5,
+                    contract_sent_tuples: 6,
+                    retirements: 7,
+                    evicted_tuples: 8,
+                    evicted_bytes: 50,
+                },
+                match_log: vec![(11, 12)],
+                match_digest,
+            }],
+            controller: Some(ControllerFinal {
+                assign: GridAssignment::initial(Mapping::new(1, 2)),
+                events: vec![ControlEvent::Complete {
+                    at: SimTime(21),
+                    epoch: 1,
+                }],
+                samples: vec![ProgressSample {
+                    seq: 30,
+                    at: SimTime(31),
+                    max_stored_bytes: 32,
+                    total_stored_bytes: 33,
+                }],
+            }),
+        },
+        events: 13,
+        last_event_at: SimTime(14),
+        data_processed: 15,
+        machines: vec![MachineMetrics {
+            messages_in: 1,
+            messages_out: 2,
+            bytes_in: 3,
+            bytes_out: 4,
+            busy: SimDuration::from_micros(5),
+            gauges,
+            peak_stored_bytes: 41,
+            spilled_bytes: 6,
+            flushes: FlushCounts {
+                batches: [7, 8, 9],
+                tuples: [10, 11, 12],
+            },
+        }],
+    }
+}
+
+const GOLDEN_FINALS: &str = "ae0200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f01010000000200000002000000000000000000000000000000010000000200000000000000010000000100000001150000000000000001000000010000001e000000000000001f00000000000000200000000000000021000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -818,4 +894,15 @@ fn opmsg_and_plan_bytes_match_the_hand_written_codec() {
         );
     }
     assert_eq!(hex(&full_builder().to_bytes()), GOLDEN_BUILDER);
+}
+
+#[test]
+fn gauge_and_finals_frames_match_their_golden_bytes() {
+    fn frame_hex(kind: u8, msg: &impl Wire) -> String {
+        let mut buf = Vec::new();
+        append_frame(&mut buf, kind, msg);
+        hex(&buf)
+    }
+    assert_eq!(frame_hex(K_GAUGES, &golden_gauge_sample()), GOLDEN_GAUGES);
+    assert_eq!(frame_hex(K_FINALS, &golden_finals_bundle()), GOLDEN_FINALS);
 }

@@ -95,9 +95,7 @@ fn steady_state_frame_encode_is_allocation_free() {
     let mut gauge_buf = Vec::new();
     let gauge = GaugeSample {
         machine: 2,
-        stored: 123,
-        evicted: 45,
-        occupancy: 678,
+        gauges: [123, 45, 678, 9],
         data_processed: 9_000,
         // Empty on most samples: a worker only carries parts once its
         // reshufflers have published a sketch, and an idle steady state

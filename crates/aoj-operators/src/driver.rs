@@ -25,7 +25,7 @@ use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
 use aoj_datagen::stream::Arrivals;
 use aoj_joinalg::{index_for, SpillGauge};
-use aoj_simnet::{ExecBackend, MachineId, SimDuration, SimTime, TaskId};
+use aoj_simnet::{ExecBackend, Gauge, MachineId, SimTime, TaskId};
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -33,8 +33,9 @@ use std::sync::Arc;
 use crate::batch::DataCoalescer;
 use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
-use crate::report::SkewSummary;
-use crate::report::{ContractTransfer, ExpandTransfer, MachineStats, MatchDigest, RunReport};
+use crate::report::{
+    machine_stats, ContractTransfer, ExpandTransfer, Finals, MatchDigest, RunReport, SkewSummary,
+};
 use crate::reshuffler::{
     ControlEvent, ControllerState, ProgressRecorder, ProgressSample, ReshufflerTask,
 };
@@ -123,26 +124,6 @@ pub fn stream_bytes(arrivals: &Arrivals) -> (u64, u64) {
     (r, s)
 }
 
-/// The post-run progress timeline, or empty on backends whose mid-run
-/// metrics are per-worker shards (cluster-wide samples would be wrong
-/// there; see [`ExecBackend::has_global_metrics_view`]).
-fn progress_samples<B: ExecBackend<OpMsg>>(backend: &B) -> Vec<ProgressSample> {
-    if !backend.has_global_metrics_view() {
-        return Vec::new();
-    }
-    backend
-        .metrics()
-        .progress
-        .iter()
-        .map(|p| ProgressSample {
-            seq: p.processed,
-            at: p.at,
-            max_stored_bytes: p.max_stored,
-            total_stored_bytes: p.total_stored,
-        })
-        .collect()
-}
-
 /// Build `total + 1` machine slots: one per (possibly dormant) joiner
 /// pair, plus the source machine whose egress models `J` parallel
 /// upstream feeds. Only the joiner machines `eager` selects are
@@ -174,17 +155,23 @@ fn add_machines<B: ExecBackend<OpMsg>>(
     machines
 }
 
-/// Task/machine layout of an assembled grid operator, handed from the
-/// setup phase to the drain/collect phase.
-pub(crate) struct GridWiring {
+/// Task/machine layout of an assembled operator, handed from the setup
+/// phase to the drain/collect phase.
+pub(crate) struct Wiring {
     /// Registered joiner machine slots (including dormant elastic ones).
-    pub total: usize,
-    /// Reshuffler task ids by machine index.
-    pub reshuffler_ids: Vec<TaskId>,
+    pub slots: usize,
     /// Joiner task ids by machine index.
     pub joiner_ids: Vec<TaskId>,
     /// The source task.
     pub source_id: TaskId,
+    /// What only grid operators have; `None` for the SHJ baseline.
+    pub grid: Option<GridWiring>,
+}
+
+/// The controller side of an assembled grid operator.
+pub(crate) struct GridWiring {
+    /// Reshuffler 0, which doubles as the controller.
+    pub controller_id: TaskId,
     /// The initial mapping the run started with.
     pub initial: Mapping,
     /// The shared skew board the reshufflers publish their sketches to
@@ -194,14 +181,12 @@ pub(crate) struct GridWiring {
     pub skew_board: Arc<SkewBoard>,
 }
 
-/// Task/machine layout of an assembled SHJ operator.
-pub(crate) struct ShjWiring {
-    /// Number of joiner machines.
-    pub j: usize,
-    /// Joiner task ids by machine index.
-    pub joiner_ids: Vec<TaskId>,
-    /// The source task.
-    pub source_id: TaskId,
+impl Wiring {
+    /// The tasks [`harvest`](crate::report::harvest) reads results from.
+    pub fn result_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
+        let controller = self.grid.as_ref().map(|g| g.controller_id);
+        self.joiner_ids.iter().copied().chain(controller)
+    }
 }
 
 /// Setup phase: assemble a grid operator (Dynamic/StaticMid/StaticOpt)
@@ -222,9 +207,9 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
+    idle_poll: bool,
     restore: Option<&Checkpoint>,
-) -> GridWiring {
+) -> Wiring {
     assert!(
         b.j.is_power_of_two(),
         "grid operators need a power-of-two J"
@@ -381,16 +366,12 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             // first post-restore batch refreshes them.
             let bytes = task.epoch.stored_bytes();
             task.gauge.set_stored(bytes);
-            backend.metrics_mut().set_stored(machines[i], bytes);
-            if jc.evicted_bytes > 0 {
-                backend
-                    .metrics_mut()
-                    .set_evicted(machines[i], jc.evicted_bytes);
-            }
+            let metrics = backend.metrics_mut();
+            metrics.set_gauge(machines[i], Gauge::Stored, bytes);
+            metrics.set_gauge(machines[i], Gauge::Evicted, jc.evicted_bytes);
             if task.window.is_some() {
-                backend
-                    .metrics_mut()
-                    .set_window_tuples(machines[i], task.epoch.stored_tuples() as u64);
+                let tuples = task.epoch.stored_tuples() as u64;
+                metrics.set_gauge(machines[i], Gauge::Occupancy, tuples);
             }
         } else {
             if !active.contains(&i) {
@@ -402,8 +383,8 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             // activates it.
             task.window = b.lifecycle.window.map(WindowTracker::new);
         }
-        task.collect_matches = b.backend.collect_matches;
-        task.match_sink = Some(Arc::clone(&sink));
+        task.tally.collect = b.backend.collect_matches;
+        task.tally.sink = Some(Arc::clone(&sink));
         let id = backend.add_task(machines[i], Box::new(task));
         debug_assert_eq!(id, joiner_ids[i]);
     }
@@ -416,9 +397,7 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         restore.map_or(b.window_copies(), |c| c.window_copies),
         b.data_plane.batch_tuples,
     );
-    if let Some(poll) = idle_poll {
-        src = src.with_idle_poll(poll);
-    }
+    src.idle_poll = idle_poll;
     src.active = active.iter().map(|&i| reshuffler_ids[i]).collect();
     if let Some(ckpt) = restore {
         // Resume the ingest cursor where the checkpoint left it.
@@ -432,13 +411,15 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     debug_assert_eq!(id, source_id);
     backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
 
-    GridWiring {
-        total,
-        reshuffler_ids,
+    Wiring {
+        slots: total,
         joiner_ids,
         source_id,
-        initial,
-        skew_board,
+        grid: Some(GridWiring {
+            controller_id: reshuffler_ids[0],
+            initial,
+            skew_board,
+        }),
     }
 }
 
@@ -449,7 +430,7 @@ pub(crate) fn skew_salt(seed: u64) -> u64 {
     aoj_core::ticket::mix64(seed ^ 0x5EED_5CA1_E5A1_7AB1)
 }
 
-/// Drain check shared by both collect phases: a quiesced run must have
+/// The collect phase's drain check: a quiesced run must have
 /// drained the whole stream — anything less means the flow-control
 /// window wedged (silent output loss).
 fn assert_drained<B: ExecBackend<OpMsg>>(backend: &B, source_id: TaskId, pushed: u64) {
@@ -463,111 +444,86 @@ fn assert_drained<B: ExecBackend<OpMsg>>(backend: &B, source_id: TaskId, pushed:
     );
 }
 
-/// Drain/collect phase for grid operators: verify the stream drained and
-/// extract the [`RunReport`] from the quiesced backend.
-pub(crate) fn collect_grid<B: ExecBackend<OpMsg>>(
+/// Drain/collect phase: verify the stream drained and assemble the
+/// [`RunReport`] from the run's [`Finals`] and the quiesced backend's
+/// metrics. The SHJ baseline is the run without a controller: no
+/// decisions, no per-machine rows, no skew summary, the `(1, 1)` mapping.
+pub(crate) fn collect<B: ExecBackend<OpMsg>>(
     backend: &B,
     b: &SessionBuilder,
-    wiring: &GridWiring,
+    wiring: &Wiring,
+    finals: Finals,
     pushed: u64,
     end: SimTime,
     prefix: &[(u64, u64)],
 ) -> RunReport {
     assert_drained(backend, wiring.source_id, pushed);
-    let total = wiring.total;
+    let metrics = backend.metrics();
+    let ctrl = finals.controller.as_ref();
+    assert_eq!(
+        ctrl.is_some(),
+        wiring.grid.is_some(),
+        "a grid run, and only a grid run, reports a controller"
+    );
+    // Mid-run cluster-wide gauge readings — the routing-side samples
+    // behind the competitive trace, the processing-side timeline behind
+    // the ILF/progress figures — are only meaningful when the backend
+    // has a global metrics view; on sharded backends they would be
+    // per-worker approximations, so report none rather than wrong ones.
+    let global = backend.has_global_metrics_view();
 
-    // Collect joiner-side stats (dormant children that never activated
-    // contribute zeroes).
+    // Per-joiner-machine gauges at quiescence (index = machine): retired
+    // machines must store zero here. Dormant children that never
+    // activated contribute zeroes.
+    let mut machines = match ctrl {
+        Some(_) => machine_stats(wiring.slots, |m, g| metrics.gauge(m, g)),
+        None => Vec::new(),
+    };
     let mut matches = 0u64;
-    let mut matches_by_slot = vec![0u64; total];
     let mut latency = LatencyStats::default();
     let mut migration_bytes = 0u64;
     let mut match_pairs: Vec<(u64, u64)> = Vec::new();
     let mut match_digest = MatchDigest::default();
     let mut expand_transfers: Vec<ExpandTransfer> = Vec::new();
     let mut contract_transfers: Vec<ContractTransfer> = Vec::new();
-    for &jid in &wiring.joiner_ids {
-        let jt = backend.task_ref::<JoinerTask>(jid);
-        matches += jt.matches;
-        matches_by_slot[jt.index] = jt.matches;
-        latency.merge(&jt.latency);
-        migration_bytes += jt.counters.migration_bytes_in;
-        match_pairs.extend_from_slice(&jt.match_log);
-        match_digest.merge(&jt.match_digest);
-        if jt.counters.expand_stored_tuples > 0 {
+    for f in finals.joiners {
+        matches += f.matches;
+        // The finals sum over a slot's incarnations; the gauge is the
+        // last incarnation's.
+        if let Some(row) = machines.get_mut(f.slot) {
+            row.matches = f.matches;
+        }
+        latency.merge(&f.latency);
+        migration_bytes += f.counters.migration_bytes_in;
+        match_pairs.extend(f.match_log);
+        match_digest.merge(&f.match_digest);
+        if f.counters.expand_stored_tuples > 0 {
             expand_transfers.push(ExpandTransfer {
-                joiner: jt.index,
-                stored_tuples: jt.counters.expand_stored_tuples,
-                sent_tuples: jt.counters.expand_sent_tuples,
+                joiner: f.slot,
+                stored_tuples: f.counters.expand_stored_tuples,
+                sent_tuples: f.counters.expand_sent_tuples,
             });
         }
-        if jt.counters.retirements > 0 {
+        if f.counters.retirements > 0 {
             contract_transfers.push(ContractTransfer {
-                joiner: jt.index,
-                stored_tuples: jt.counters.contract_stored_tuples,
-                sent_tuples: jt.counters.contract_sent_tuples,
+                joiner: f.slot,
+                stored_tuples: f.counters.contract_stored_tuples,
+                sent_tuples: f.counters.contract_sent_tuples,
             });
         }
     }
     match_pairs.sort_unstable();
-    let controller = backend.task_ref::<ReshufflerTask>(wiring.reshuffler_ids[0]);
-    let ctrl = controller
-        .controller
-        .as_ref()
-        .expect("reshuffler 0 is the controller");
-    let events = ctrl.events.clone();
-    // The routing-side samples drive the competitive trace (they map to
-    // arrival prefixes); the processing-side timeline drives the
-    // ILF/progress figures. Both read cluster-wide storage gauges from
-    // *inside* handlers, which is only meaningful when the backend has a
-    // global metrics view — on sharded backends the readings would be
-    // per-worker approximations, so report none rather than wrong ones.
-    let routing_samples = if backend.has_global_metrics_view() {
-        ctrl.recorder.samples.clone()
-    } else {
-        Vec::new()
+
+    let events = ctrl.map_or_else(Vec::new, |c| c.events.clone());
+    let count = |is: fn(&ControlEvent) -> bool| events.iter().filter(|e| is(e)).count() as u64;
+    let competitive = match (ctrl, &wiring.grid) {
+        (Some(c), Some(g)) if global => {
+            competitive_trace(b.j, prefix, &events, &c.samples, g.initial)
+        }
+        _ => Vec::new(),
     };
-    let samples = progress_samples(backend);
-    let final_mapping = controller.assign.mapping();
-    let final_j = controller.assign.j();
-    let migrations = events
-        .iter()
-        .filter(|e| matches!(e, ControlEvent::Complete { .. }))
-        .count() as u64;
-    let expansions = events
-        .iter()
-        .filter(|e| matches!(e, ControlEvent::ExpandComplete { .. }))
-        .count() as u64;
-    let contractions = events
-        .iter()
-        .filter(|e| matches!(e, ControlEvent::ContractComplete { .. }))
-        .count() as u64;
-    let provisioned_machines = backend.provisioned_machines() as u64;
-    let peak_provisioned_machines = backend.peak_provisioned_machines() as u64;
-
-    let metrics = backend.metrics();
-    let total_storage: u64 = metrics.total_stored_bytes();
-    let max_ilf = metrics.max_stored_bytes();
-    let max_spilled = metrics
-        .machines()
-        .iter()
-        .map(|m| m.spilled_bytes)
-        .max()
-        .unwrap_or(0);
-    // Per-joiner-machine gauges at quiescence (index = machine):
-    // retired machines must read zero here.
-    let machines: Vec<MachineStats> = (0..total)
-        .map(|i| MachineStats {
-            machine: i,
-            stored_bytes: metrics.stored_bytes_of(MachineId(i)),
-            evicted_bytes: metrics.evicted_bytes_of(MachineId(i)),
-            window_tuples: metrics.window_tuples_of(MachineId(i)),
-            matches: matches_by_slot[i],
-        })
-        .collect();
-    let skew = SkewSummary::from_sketch(wiring.skew_board.merged());
-
-    let competitive = competitive_trace(b.j, prefix, &events, &routing_samples, wiring.initial);
+    let total_storage = metrics.total_stored_bytes();
+    let max_spilled = metrics.machines().iter().map(|m| m.spilled_bytes).max();
 
     RunReport {
         operator: b.kind.label(),
@@ -578,29 +534,33 @@ pub(crate) fn collect_grid<B: ExecBackend<OpMsg>>(
         exec_time: end.since(SimTime::ZERO),
         matches,
         throughput: pushed as f64 / end.as_secs_f64().max(1e-9),
-        max_ilf_bytes: max_ilf,
-        avg_ilf_bytes: total_storage as f64 / final_j as f64,
+        max_ilf_bytes: metrics.max_stored_bytes(),
+        avg_ilf_bytes: total_storage as f64 / ctrl.map_or(b.j, |c| c.assign.j()) as f64,
         total_storage_bytes: total_storage,
         network_bytes: metrics.total_bytes_sent(),
         network_messages: metrics.total_messages(),
         flushes: metrics.total_flushes(),
         migration_bytes,
-        migrations,
-        expansions,
-        contractions,
+        migrations: count(|e| matches!(e, ControlEvent::Complete { .. })),
+        expansions: count(|e| matches!(e, ControlEvent::ExpandComplete { .. })),
+        contractions: count(|e| matches!(e, ControlEvent::ContractComplete { .. })),
         expand_transfers,
         contract_transfers,
-        provisioned_machines,
-        peak_provisioned_machines,
+        provisioned_machines: backend.provisioned_machines() as u64,
+        peak_provisioned_machines: backend.peak_provisioned_machines() as u64,
         machines,
-        skew,
-        max_spilled_bytes: max_spilled,
+        skew: SkewSummary::from_sketch(wiring.grid.as_ref().and_then(|g| g.skew_board.merged())),
+        max_spilled_bytes: max_spilled.unwrap_or(0),
         avg_latency_us: latency.avg_us(),
         p50_latency_us: latency.percentile_us(0.50),
         p99_latency_us: latency.percentile_us(0.99),
         max_latency_us: latency.max_us,
-        final_mapping,
-        samples,
+        final_mapping: ctrl.map_or(Mapping::new(1, 1), |c| c.assign.mapping()),
+        samples: if global {
+            metrics.progress.clone()
+        } else {
+            Vec::new()
+        },
         events,
         competitive,
         match_pairs,
@@ -618,9 +578,10 @@ pub(crate) fn collect_grid<B: ExecBackend<OpMsg>>(
 pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
     backend: &B,
     b: &SessionBuilder,
-    w: &GridWiring,
+    w: &Wiring,
 ) -> Checkpoint {
-    let controller = backend.task_ref::<ReshufflerTask>(w.reshuffler_ids[0]);
+    let grid = w.grid.as_ref().expect("checkpoints cover grid operators");
+    let controller = backend.task_ref::<ReshufflerTask>(grid.controller_id);
     let ctrl = controller
         .controller
         .as_ref()
@@ -679,8 +640,8 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
-) -> ShjWiring {
+    idle_poll: bool,
+) -> Wiring {
     assert!(
         b.lifecycle.window.is_none(),
         "windowed eviction requires a grid operator \
@@ -712,8 +673,8 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
             SpillGauge::new(b.data_plane.ram_budget, b.data_plane.spill_penalty),
             source_id,
         );
-        task.collect_matches = b.backend.collect_matches;
-        task.match_sink = Some(Arc::clone(&sink));
+        task.tally.collect = b.backend.collect_matches;
+        task.tally.sink = Some(Arc::clone(&sink));
         backend.add_task(machine, Box::new(task));
     }
     let mut src = SourceTask::new(
@@ -723,87 +684,16 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
         b.window_copies(),
         b.data_plane.batch_tuples,
     );
-    if let Some(poll) = idle_poll {
-        src = src.with_idle_poll(poll);
-    }
+    src.idle_poll = idle_poll;
     let id = backend.add_task(machines[j], Box::new(src));
     debug_assert_eq!(id, source_id);
     backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
 
-    ShjWiring {
-        j,
+    Wiring {
+        slots: j,
         joiner_ids,
         source_id,
-    }
-}
-
-/// Drain/collect phase for the SHJ baseline.
-pub(crate) fn collect_shj<B: ExecBackend<OpMsg>>(
-    backend: &B,
-    b: &SessionBuilder,
-    wiring: &ShjWiring,
-    pushed: u64,
-    end: SimTime,
-) -> RunReport {
-    assert_drained(backend, wiring.source_id, pushed);
-
-    let mut matches = 0u64;
-    let mut latency = LatencyStats::default();
-    let mut match_pairs: Vec<(u64, u64)> = Vec::new();
-    let mut match_digest = MatchDigest::default();
-    for &jid in &wiring.joiner_ids {
-        let jt = backend.task_ref::<ShjJoiner>(jid);
-        matches += jt.matches;
-        latency.merge(&jt.latency);
-        match_pairs.extend_from_slice(&jt.match_log);
-        match_digest.merge(&jt.match_digest);
-    }
-    match_pairs.sort_unstable();
-    let samples = progress_samples(backend);
-    let metrics = backend.metrics();
-    let max_spilled = metrics
-        .machines()
-        .iter()
-        .map(|m| m.spilled_bytes)
-        .max()
-        .unwrap_or(0);
-
-    RunReport {
-        operator: OperatorKind::Shj.label(),
-        backend: backend.backend_name(),
-        workload: b.workload.clone(),
-        j: b.j,
-        input_tuples: pushed,
-        exec_time: end.since(SimTime::ZERO),
-        matches,
-        throughput: pushed as f64 / end.as_secs_f64().max(1e-9),
-        max_ilf_bytes: metrics.max_stored_bytes(),
-        avg_ilf_bytes: metrics.total_stored_bytes() as f64 / b.j as f64,
-        total_storage_bytes: metrics.total_stored_bytes(),
-        network_bytes: metrics.total_bytes_sent(),
-        network_messages: metrics.total_messages(),
-        flushes: metrics.total_flushes(),
-        migration_bytes: 0,
-        migrations: 0,
-        expansions: 0,
-        contractions: 0,
-        expand_transfers: Vec::new(),
-        contract_transfers: Vec::new(),
-        provisioned_machines: backend.provisioned_machines() as u64,
-        peak_provisioned_machines: backend.peak_provisioned_machines() as u64,
-        machines: Vec::new(),
-        skew: SkewSummary::default(),
-        max_spilled_bytes: max_spilled,
-        avg_latency_us: latency.avg_us(),
-        p50_latency_us: latency.percentile_us(0.50),
-        p99_latency_us: latency.percentile_us(0.99),
-        max_latency_us: latency.max_us,
-        final_mapping: Mapping::new(1, 1),
-        samples,
-        events: Vec::new(),
-        competitive: Vec::new(),
-        match_pairs,
-        match_digest,
+        grid: None,
     }
 }
 
@@ -815,7 +705,7 @@ fn competitive_trace(
     j: u32,
     prefix: &[(u64, u64)],
     events: &[ControlEvent],
-    samples: &[crate::reshuffler::ProgressSample],
+    samples: &[ProgressSample],
     initial: Mapping,
 ) -> Vec<aoj_core::competitive::RatioSample> {
     // No samples, or prefix tracking disabled: no trace.

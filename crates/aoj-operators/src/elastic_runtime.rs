@@ -40,7 +40,7 @@
 
 use aoj_core::elastic::{ExpandDestinations, ExpandSpec};
 use aoj_core::tuple::Tuple;
-use aoj_simnet::{Ctx, MachineId, Metrics, TaskId};
+use aoj_simnet::{Ctx, Gauge, MachineId, Metrics, TaskId};
 
 use crate::joiner_task::MIG_BATCH_TUPLES;
 use crate::messages::OpMsg;
@@ -231,8 +231,10 @@ pub fn expansion_due(
     let mut any = false;
     for i in active {
         any = true;
-        if !aoj_core::elastic::should_expand(metrics.stored_bytes_of(MachineId(i)), capacity_bytes)
-        {
+        if !aoj_core::elastic::should_expand(
+            metrics.gauge(MachineId(i), Gauge::Stored),
+            capacity_bytes,
+        ) {
             return false;
         }
     }
@@ -250,7 +252,10 @@ pub fn contraction_due(
     let mut any = false;
     for i in active {
         any = true;
-        if !aoj_core::elastic::should_contract(metrics.stored_bytes_of(MachineId(i)), below_bytes) {
+        if !aoj_core::elastic::should_contract(
+            metrics.gauge(MachineId(i), Gauge::Stored),
+            below_bytes,
+        ) {
             return false;
         }
     }
@@ -339,9 +344,9 @@ mod tests {
         for _ in 0..3 {
             m.add_machine();
         }
-        m.set_stored(MachineId(0), 600);
-        m.set_stored(MachineId(1), 501);
-        m.set_stored(MachineId(2), 400); // dormant/idle machine
+        m.set_gauge(MachineId(0), Gauge::Stored, 600);
+        m.set_gauge(MachineId(1), Gauge::Stored, 501);
+        m.set_gauge(MachineId(2), Gauge::Stored, 400); // dormant/idle machine
         assert!(expansion_due(&m, 0..2, 1000), "both active joiners > M/2");
         assert!(
             !expansion_due(&m, 0..3, 1000),
@@ -358,9 +363,9 @@ mod tests {
         for _ in 0..3 {
             m.add_machine();
         }
-        m.set_stored(MachineId(0), 100);
-        m.set_stored(MachineId(1), 399);
-        m.set_stored(MachineId(2), 400);
+        m.set_gauge(MachineId(0), Gauge::Stored, 100);
+        m.set_gauge(MachineId(1), Gauge::Stored, 399);
+        m.set_gauge(MachineId(2), Gauge::Stored, 400);
         assert!(contraction_due(&m, 0..2, 400), "all strictly below");
         assert!(!contraction_due(&m, 0..3, 400), "one at the mark blocks");
         assert!(!contraction_due(&m, 0..2, 0), "0 disables contraction");

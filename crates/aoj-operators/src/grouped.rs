@@ -40,11 +40,11 @@ use aoj_core::ticket::{mix64, partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_datagen::stream::Arrivals;
 use aoj_joinalg::index_for;
-use aoj_simnet::{Ctx, FlushCause, Process, Sim, SimConfig, SimDuration, SimTime, TaskId};
+use aoj_simnet::{Ctx, FlushCause, Gauge, Process, Sim, SimConfig, SimDuration, SimTime, TaskId};
 
 use crate::batch::DataCoalescer;
 use crate::driver::stream_bytes;
-use crate::joiner_task::LatencyStats;
+use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
 use crate::source::{default_window_copies, SourcePacing, SourceTask};
 
@@ -328,11 +328,11 @@ impl Process<OpMsg> for GroupedJoiner {
                     matches_total += matches;
                 }
                 let bytes = self.store.bytes();
-                ctx.metrics().set_stored(self.machine, bytes);
+                ctx.metrics().set_gauge(self.machine, Gauge::Stored, bytes);
                 let now = ctx.now();
                 ctx.metrics().note_data_processed(n, now);
                 self.unacked_credits += n as u32;
-                if self.unacked_credits >= 8 {
+                if self.unacked_credits >= JoinerTask::CREDIT_BATCH {
                     ctx.send(
                         self.source,
                         OpMsg::ProcessedCopies {
@@ -439,7 +439,7 @@ pub fn run_grouped(arrivals: &Arrivals, predicate: &Predicate, j: u32, seed: u64
         .map(|g| {
             groups
                 .machine_range(g)
-                .map(|m| sim.metrics().machine(aoj_simnet::MachineId(m)).stored_bytes)
+                .map(|m| sim.metrics().gauge(aoj_simnet::MachineId(m), Gauge::Stored))
                 .sum()
         })
         .collect();

@@ -8,7 +8,7 @@ use aoj_core::lifecycle::WindowTracker;
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_joinalg::{index_for, SpillGauge};
-use aoj_simnet::{Ctx, MachineId, Process, SimDuration, TaskId};
+use aoj_simnet::{Ctx, Gauge, MachineId, Process, SimDuration, SimTime, TaskId};
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ const LATENCY_BUCKETS: usize = 32;
 /// Latency statistics kept by each joiner: sum/count/max plus a log₂
 /// histogram for percentile estimates (the paper reports averages in
 /// Fig. 7b; the wall-clock benchmark also wants p50/p99).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Sum of sampled latencies in microseconds.
     pub sum_us: u64,
@@ -112,9 +112,8 @@ impl LatencyStats {
 }
 
 /// The state-transfer and eviction counters of one grid joiner. They
-/// only ever add, so a machine slot's incarnations (and, on the TCP
-/// backend, a worker's finals folded into the coordinator's receptacle
-/// task) combine with [`merge`](JoinerCounters::merge).
+/// only ever add, so a machine slot's incarnations combine with
+/// [`merge`](JoinerCounters::merge).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinerCounters {
     /// Tuples received as migration state.
@@ -158,6 +157,137 @@ impl JoinerCounters {
     }
 }
 
+/// The emit side of a joiner — grid or SHJ: what it has produced so far
+/// and where produced pairs go.
+#[derive(Default)]
+pub struct MatchTally {
+    /// Matches emitted.
+    pub matches: u64,
+    /// When set, every emitted pair's identity is appended to
+    /// [`log`](MatchTally::log) (backend-equivalence tests).
+    pub collect: bool,
+    /// Emitted pair identities, `(R seq, S seq)`, when collection is on.
+    pub log: Vec<(u64, u64)>,
+    /// Order-independent digest of every emitted pair — always
+    /// maintained (two u64 folds per pair), the cheap exactness witness
+    /// wall-clock benchmarks compare across backends.
+    pub digest: MatchDigest,
+    /// Live match-emission path: every produced pair is handed to the
+    /// session's [`MatchHub`] (which counts it, and buffers it for the
+    /// subscriber when one is attached).
+    pub sink: Option<Arc<MatchHub>>,
+    /// Latency samples.
+    pub latency: LatencyStats,
+}
+
+/// The per-match callback [`MatchTally::emit`] lends to a probe.
+pub struct Emitter<'a> {
+    n: u64,
+    collect: bool,
+    log: &'a mut Vec<(u64, u64)>,
+    digest: &'a mut MatchDigest,
+    live: Option<&'a MatchHub>,
+}
+
+impl Emitter<'_> {
+    /// One produced pair.
+    #[inline]
+    pub fn pair(&mut self, a: &Tuple, b: &Tuple) {
+        self.n += 1;
+        let key = pair_key(a, b);
+        self.digest.fold(key.0, key.1);
+        if self.collect {
+            self.log.push(key);
+        }
+        if let Some(hub) = self.live {
+            hub.emit(Match::of(a, b));
+        }
+    }
+}
+
+impl MatchTally {
+    /// Run `probe`, folding every pair it reports into the tally, and
+    /// return its result with the number of pairs. Pairs go to the hub
+    /// one by one only while a consumer is attached; otherwise the whole
+    /// probe is counted with one atomic add (the shared counter is a
+    /// serial bottleneck at millions of matches per second).
+    #[inline]
+    pub fn emit<R>(&mut self, probe: impl FnOnce(&mut Emitter<'_>) -> R) -> (R, u64) {
+        let hub = self.sink.as_deref();
+        let mut em = Emitter {
+            n: 0,
+            collect: self.collect,
+            log: &mut self.log,
+            digest: &mut self.digest,
+            live: hub.filter(|h| h.attached()),
+        };
+        let out = probe(&mut em);
+        let n = em.n;
+        match (em.live, hub) {
+            (None, Some(hub)) if n > 0 => hub.add_emitted(n),
+            _ => {}
+        }
+        self.matches += n;
+        (out, n)
+    }
+
+    /// Sample the latency of every tuple of a batch that matched
+    /// (`per_tuple[i] > 0`). Samples come from each tuple's own arrival
+    /// time, so time spent coalescing is measured, not hidden.
+    pub(crate) fn sample_matched(&mut self, now: SimTime, per_tuple: &[u32], arrived: &[SimTime]) {
+        for (&m, &at) in per_tuple.iter().zip(arrived) {
+            if m > 0 {
+                self.latency.record(now.since(at).as_micros());
+            }
+        }
+    }
+
+    /// What this joiner contributes to the run's [`Finals`](crate::report::Finals).
+    pub fn to_final(&self, slot: usize, counters: JoinerCounters) -> JoinerFinal {
+        JoinerFinal {
+            slot,
+            matches: self.matches,
+            latency: self.latency,
+            counters,
+            match_log: self.log.clone(),
+            match_digest: self.digest,
+        }
+    }
+}
+
+/// What one joiner (grid or SHJ) emitted and moved, harvested when its
+/// backend quiesces — or, on the TCP backend, when its process exits.
+/// Every field only ever adds, so a machine slot's incarnations combine
+/// with [`merge`](JoinerFinal::merge).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct JoinerFinal {
+    /// The joiner's machine slot.
+    pub slot: usize,
+    /// Total matches emitted.
+    pub matches: u64,
+    /// Latency statistics.
+    pub latency: LatencyStats,
+    /// State-transfer and eviction counters (all zero for an SHJ joiner,
+    /// which never migrates).
+    pub counters: JoinerCounters,
+    /// Emitted pair identities `(R seq, S seq)` (only when
+    /// `collect_matches`).
+    pub match_log: Vec<(u64, u64)>,
+    /// Order-independent digest of every pair this joiner emitted.
+    pub match_digest: MatchDigest,
+}
+
+impl JoinerFinal {
+    /// Add another incarnation of the same slot to this one.
+    pub fn merge(&mut self, other: JoinerFinal) {
+        self.matches += other.matches;
+        self.latency.merge(&other.latency);
+        self.counters.merge(&other.counters);
+        self.match_log.extend(other.match_log);
+        self.match_digest.merge(&other.match_digest);
+    }
+}
+
 /// The joiner task.
 pub struct JoinerTask {
     /// This joiner's machine index within the operator (grid identity).
@@ -176,23 +306,8 @@ pub struct JoinerTask {
     pub machine: MachineId,
     /// CPU cost model.
     pub cost: aoj_simnet::CostModel,
-    /// Matches emitted by this joiner.
-    pub matches: u64,
-    /// When set, every emitted pair's identity is appended to
-    /// [`match_log`](JoinerTask::match_log) (backend-equivalence tests).
-    pub collect_matches: bool,
-    /// Emitted pair identities, `(R seq, S seq)`, when collection is on.
-    pub match_log: Vec<(u64, u64)>,
-    /// Order-independent digest of every pair this joiner emitted —
-    /// always maintained (two u64 folds per pair), the cheap exactness
-    /// witness wall-clock benchmarks compare across backends.
-    pub match_digest: MatchDigest,
-    /// Live match-emission path: every produced pair is handed to the
-    /// session's [`MatchHub`] (which counts it, and buffers it for the
-    /// subscriber when one is attached).
-    pub match_sink: Option<Arc<MatchHub>>,
-    /// Latency samples.
-    pub latency: LatencyStats,
+    /// Matches emitted, their digest, log, sink and latency samples.
+    pub tally: MatchTally,
     /// Migration, elasticity and eviction transfer counters.
     pub counters: JoinerCounters,
     /// Sliding-window tracker when the session has a state lifecycle
@@ -244,12 +359,7 @@ impl JoinerTask {
             source,
             machine,
             cost,
-            matches: 0,
-            collect_matches: false,
-            match_log: Vec::new(),
-            match_digest: MatchDigest::default(),
-            match_sink: None,
-            latency: LatencyStats::default(),
+            tally: MatchTally::default(),
             counters: JoinerCounters::default(),
             window: None,
             outbox: None,
@@ -336,7 +446,7 @@ impl JoinerTask {
         &mut self,
         ctx: &mut Ctx<'_, OpMsg>,
         seqs: &[(u64, i32)],
-        arrived: &[aoj_simnet::SimTime],
+        arrived: &[SimTime],
     ) {
         let Some(w) = self.window.as_mut() else {
             return;
@@ -371,17 +481,19 @@ impl JoinerTask {
             self.counters.evicted_tuples += stats.tuples;
             self.counters.evicted_bytes += stats.bytes;
             ctx.metrics()
-                .set_evicted(self.machine, self.counters.evicted_bytes);
+                .set_gauge(self.machine, Gauge::Evicted, self.counters.evicted_bytes);
         }
     }
 
     fn refresh_storage_metrics(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
         let bytes = self.epoch.stored_bytes();
         self.gauge.set_stored(bytes);
-        ctx.metrics().set_stored(self.machine, bytes);
+        let metrics = ctx.metrics();
+        metrics.set_gauge(self.machine, Gauge::Stored, bytes);
+        metrics.set_gauge(self.machine, Gauge::Matches, self.tally.matches);
         if self.window.is_some() {
-            ctx.metrics()
-                .set_window_tuples(self.machine, self.epoch.stored_tuples() as u64);
+            let tuples = self.epoch.stored_tuples() as u64;
+            metrics.set_gauge(self.machine, Gauge::Occupancy, tuples);
         }
         if self.gauge.is_spilling() {
             // Gauge high-water is authoritative; mirror into sim metrics.
@@ -447,7 +559,6 @@ impl Process<OpMsg> for JoinerTask {
                 ..
             } => {
                 let n = tuples.len() as u64;
-                let collect = self.collect_matches;
                 let mut stats = ProbeStats::default();
                 // Window bookkeeping only ticks on stable-phase batches;
                 // capture the seqs up front because the per-tuple path
@@ -464,76 +575,24 @@ impl Process<OpMsg> for JoinerTask {
                     // bulk insert) — semantically identical to per-tuple
                     // processing, including intra-batch pairs.
                     let mut per_tuple = vec![0u32; tuples.len()];
-                    // Per-match `emit` only while a consumer is attached;
-                    // otherwise the whole batch is counted with one
-                    // atomic add below (the shared counter is a serial
-                    // bottleneck at millions of matches per second).
-                    let live = self.match_sink.as_deref().is_some_and(|h| h.attached());
-                    {
-                        let match_log = &mut self.match_log;
-                        let digest = &mut self.match_digest;
-                        let sink = if live {
-                            self.match_sink.as_deref()
-                        } else {
-                            None
-                        };
-                        stats = self.epoch.on_data_batch(tag, &tuples, &mut |i, stored| {
+                    (stats, _) = self.tally.emit(|em| {
+                        self.epoch.on_data_batch(tag, &tuples, &mut |i, stored| {
                             per_tuple[i] += 1;
-                            let key = pair_key(&tuples[i], stored);
-                            digest.fold(key.0, key.1);
-                            if collect {
-                                match_log.push(key);
-                            }
-                            if let Some(hub) = sink {
-                                hub.emit(Match::of(&tuples[i], stored));
-                            }
-                        });
-                    }
-                    if !live {
-                        if let Some(hub) = self.match_sink.as_deref() {
-                            hub.add_emitted(stats.matches);
-                        }
-                    }
-                    // Latency samples come from each tuple's own arrival
-                    // time, so time spent coalescing is measured, not
-                    // hidden.
-                    let now = ctx.now();
-                    for (i, &m) in per_tuple.iter().enumerate() {
-                        if m > 0 {
-                            self.latency.record(now.since(arrived[i]).as_micros());
-                        }
-                    }
-                    self.matches += stats.matches;
+                            em.pair(&tuples[i], stored);
+                        })
+                    });
+                    self.tally.sample_matched(ctx.now(), &per_tuple, &arrived);
                 } else {
                     // Mid-migration (or a batch of one): per-tuple Alg. 3
                     // handling, with Δ forwarding to the outbox streams.
-                    let live = self.match_sink.as_deref().is_some_and(|h| h.attached());
-                    let mut unshipped = 0u64;
                     for (i, t) in tuples.drain(..).enumerate() {
-                        let mut matches = 0u64;
-                        let match_log = &mut self.match_log;
-                        let digest = &mut self.match_digest;
-                        let sink = if live {
-                            self.match_sink.as_deref()
-                        } else {
-                            None
-                        };
-                        let outcome = self.epoch.on_data(tag, t, &mut |a, b| {
-                            matches += 1;
-                            let key = pair_key(a, b);
-                            digest.fold(key.0, key.1);
-                            if collect {
-                                match_log.push(key);
-                            }
-                            if let Some(hub) = sink {
-                                hub.emit(Match::of(a, b));
-                            }
-                        });
+                        let (outcome, matches) = self
+                            .tally
+                            .emit(|em| self.epoch.on_data(tag, t, &mut |a, b| em.pair(a, b)));
                         stats += outcome.stats;
-                        self.matches += matches;
-                        unshipped += matches;
                         if matches > 0 {
-                            self.latency.record(ctx.now().since(arrived[i]).as_micros());
+                            let waited = ctx.now().since(arrived[i]);
+                            self.tally.latency.record(waited.as_micros());
                         }
                         if self.epoch.is_retiring() && tag == self.epoch.epoch() {
                             // A retiree's Δ tuple joins the state being
@@ -560,11 +619,6 @@ impl Process<OpMsg> for JoinerTask {
                                 ob.route(t, d);
                             }
                             self.flush_batch(ctx, false);
-                        }
-                    }
-                    if !live {
-                        if let Some(hub) = self.match_sink.as_deref() {
-                            hub.add_emitted(unshipped);
                         }
                     }
                 }
@@ -700,38 +754,16 @@ impl Process<OpMsg> for JoinerTask {
             }
             OpMsg::MigBatch { mut tuples } => {
                 let n = tuples.len() as u64;
-                let mut stats = ProbeStats::default();
-                let mut matches = 0u64;
-                let collect = self.collect_matches;
-                let live = self.match_sink.as_deref().is_some_and(|h| h.attached());
-                for t in tuples.drain(..) {
-                    self.counters.migration_tuples_in += 1;
-                    self.counters.migration_bytes_in += t.bytes as u64;
-                    let match_log = &mut self.match_log;
-                    let digest = &mut self.match_digest;
-                    let sink = if live {
-                        self.match_sink.as_deref()
-                    } else {
-                        None
-                    };
-                    stats += self.epoch.on_migration_tuple(t, &mut |a, b| {
-                        matches += 1;
-                        let key = pair_key(a, b);
-                        digest.fold(key.0, key.1);
-                        if collect {
-                            match_log.push(key);
-                        }
-                        if let Some(hub) = sink {
-                            hub.emit(Match::of(a, b));
-                        }
-                    });
-                }
-                self.matches += matches;
-                if !live {
-                    if let Some(hub) = self.match_sink.as_deref() {
-                        hub.add_emitted(matches);
+                let (epoch, counters) = (&mut self.epoch, &mut self.counters);
+                let (stats, _) = self.tally.emit(|em| {
+                    let mut stats = ProbeStats::default();
+                    for t in tuples.drain(..) {
+                        counters.migration_tuples_in += 1;
+                        counters.migration_bytes_in += t.bytes as u64;
+                        stats += epoch.on_migration_tuple(t, &mut |a, b| em.pair(a, b));
                     }
-                }
+                    stats
+                });
                 self.pool.put_tuples(tuples);
                 self.refresh_storage_metrics(ctx);
                 // Probe work plus one store per batched tuple, all through

@@ -1,21 +1,25 @@
 //! Post-run reporting: everything the paper's tables and figures plot,
 //! extracted from one simulated run.
 
+use std::any::Any;
+
 use aoj_core::competitive::RatioSample;
-use aoj_core::mapping::Mapping;
+use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::sketch::{HeavyHitter, SkewSketch};
 use aoj_core::ticket::mix64;
-use aoj_simnet::{FlushCounts, SimDuration};
+use aoj_simnet::{FlushCounts, Gauge, MachineId, SimDuration, TaskId};
 
-use crate::reshuffler::{ControlEvent, ProgressSample};
+use crate::joiner_task::{JoinerFinal, JoinerTask};
+use crate::reshuffler::{ControlEvent, ProgressSample, ReshufflerTask};
+use crate::shj::ShjJoiner;
 
-/// Per-machine-slot gauges at quiescence (index = machine slot; retired
-/// machines read zero).
+/// Per-machine-slot gauges, live or at quiescence (index = machine slot;
+/// retired machines store zero).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// The joiner machine slot this row describes.
     pub machine: usize,
-    /// Stored bytes at quiescence.
+    /// Stored bytes.
     pub stored_bytes: u64,
     /// Cumulative bytes dropped by windowed eviction (0 with no window;
     /// a restored session carries the checkpoint's totals forward).
@@ -25,11 +29,99 @@ pub struct MachineStats {
     /// Matches this machine's joiner emitted — the per-machine
     /// *processing* load, which storage bytes understate under skew
     /// (a hot key's quadratic match work concentrates wherever its
-    /// tuples meet). Populated in final [`RunReport`]s on every
-    /// backend; live [`SessionStats`](crate::SessionStats) snapshots
-    /// read 0 here (per-joiner totals are only collected at
-    /// quiescence).
+    /// tuples meet). Live in [`SessionStats`](crate::SessionStats)
+    /// snapshots on every backend, as of the joiner's last batch.
     pub matches: u64,
+}
+
+/// One [`MachineStats`] row per machine slot, from any per-machine
+/// [`Gauge`] view: the simulator's `Metrics`, a live backend's
+/// `SharedGauges` overlay, or a quiesced backend's merged sink.
+pub(crate) fn machine_stats(
+    slots: usize,
+    gauge: impl Fn(MachineId, Gauge) -> u64,
+) -> Vec<MachineStats> {
+    (0..slots)
+        .map(|i| MachineStats {
+            machine: i,
+            stored_bytes: gauge(MachineId(i), Gauge::Stored),
+            evicted_bytes: gauge(MachineId(i), Gauge::Evicted),
+            window_tuples: gauge(MachineId(i), Gauge::Occupancy),
+            matches: gauge(MachineId(i), Gauge::Matches),
+        })
+        .collect()
+}
+
+/// Final control-plane state of the controller (reshuffler 0).
+#[derive(Clone, Debug)]
+pub struct ControllerFinal {
+    /// Final grid assignment (mapping + per-slot positions + cells).
+    pub assign: GridAssignment,
+    /// The decision/migration event log.
+    pub events: Vec<ControlEvent>,
+    /// Routing-side progress samples (cluster-wide gauge timeline).
+    pub samples: Vec<ProgressSample>,
+}
+
+/// Everything the collect phase reads out of the operator's tasks once
+/// they have stopped — on any backend. In-process backends
+/// [`harvest`] it from their quiesced tasks; a TCP worker harvests its
+/// own tasks the same way at exit and the coordinator
+/// [`merge`](Finals::merge)s the bundles as they arrive.
+#[derive(Clone, Debug, Default)]
+pub struct Finals {
+    /// One entry per joiner that reported, ordered by machine slot.
+    pub joiners: Vec<JoinerFinal>,
+    /// The controller's final state; `None` for the SHJ baseline, which
+    /// has no controller.
+    pub controller: Option<ControllerFinal>,
+}
+
+impl Finals {
+    /// Fold `other` in. A machine slot's incarnations **sum** (a slot
+    /// retired by a contraction and re-provisioned later runs as two
+    /// processes on the TCP backend); the controller's state is
+    /// latest-wins.
+    pub fn merge(&mut self, other: Finals) {
+        other.joiners.into_iter().for_each(|f| self.add(f));
+        if other.controller.is_some() {
+            self.controller = other.controller;
+        }
+    }
+
+    fn add(&mut self, f: JoinerFinal) {
+        match self.joiners.binary_search_by_key(&f.slot, |j| j.slot) {
+            Ok(at) => self.joiners[at].merge(f),
+            Err(at) => self.joiners.insert(at, f),
+        }
+    }
+}
+
+/// Harvest the [`Finals`] of the stopped tasks `ids` — joiners of either
+/// flavour and the controller; any other task contributes nothing. The
+/// one place results are pulled out of task objects.
+pub fn harvest<'a>(
+    ids: impl IntoIterator<Item = TaskId>,
+    task_any: impl Fn(TaskId) -> &'a dyn Any,
+) -> Finals {
+    let mut finals = Finals::default();
+    for id in ids {
+        let task = task_any(id);
+        if let Some(j) = task.downcast_ref::<JoinerTask>() {
+            finals.add(j.tally.to_final(j.index, j.counters));
+        } else if let Some(s) = task.downcast_ref::<ShjJoiner>() {
+            finals.add(s.tally.to_final(s.machine.index(), Default::default()));
+        } else if let Some(r) = task.downcast_ref::<ReshufflerTask>() {
+            if let Some(ctrl) = &r.controller {
+                finals.controller = Some(ControllerFinal {
+                    assign: r.assign.clone(),
+                    events: ctrl.events.clone(),
+                    samples: ctrl.recorder.samples.clone(),
+                });
+            }
+        }
+    }
+    finals
 }
 
 /// Session-wide skew summary, merged from the per-reshuffler sketches in

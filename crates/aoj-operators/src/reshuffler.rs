@@ -14,6 +14,7 @@ use aoj_core::mapping::{steps_between, GridAssignment, Mapping};
 use aoj_core::migration::plan_step;
 use aoj_core::ticket::{partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
+pub use aoj_simnet::ProgressSample;
 use aoj_simnet::{Ctx, FlushCause, MachineId, Process, SimDuration, SimTime, TaskId};
 
 use crate::batch::DataCoalescer;
@@ -91,20 +92,6 @@ pub enum ControlEvent {
     },
 }
 
-/// A periodic sample of cluster state taken by the controller while
-/// routing (progress timelines for Figs. 6a/6c).
-#[derive(Clone, Copy, Debug)]
-pub struct ProgressSample {
-    /// Global sequence number at the sample.
-    pub seq: u64,
-    /// Virtual time.
-    pub at: SimTime,
-    /// Max per-machine stored bytes (the ILF of the fullest joiner).
-    pub max_stored_bytes: u64,
-    /// Total stored bytes across the cluster.
-    pub total_stored_bytes: u64,
-}
-
 /// Periodic progress sampling shared by all operator flavours.
 #[derive(Clone, Debug)]
 pub struct ProgressRecorder {
@@ -130,16 +117,8 @@ impl ProgressRecorder {
             return;
         }
         self.next_at = seq + self.every;
-        let (max_b, total_b) = {
-            let m = ctx.metrics();
-            (m.max_stored_bytes(), m.total_stored_bytes())
-        };
-        self.samples.push(ProgressSample {
-            seq,
-            at: ctx.now(),
-            max_stored_bytes: max_b,
-            total_stored_bytes: total_b,
-        });
+        let at = ctx.now();
+        self.samples.push(ctx.metrics().progress_sample(seq, at));
     }
 }
 

@@ -72,12 +72,11 @@ use aoj_simnet::{
 
 use crate::batch::BatchConfig;
 use crate::driver::{
-    build_checkpoint, collect_grid, collect_shj, setup_grid, setup_shj, BackendChoice, GridWiring,
-    OperatorKind, ShjWiring,
+    build_checkpoint, collect, setup_grid, setup_shj, BackendChoice, OperatorKind, Wiring,
 };
 use crate::elastic_runtime::{provisioned_joiners, ElasticConfig};
 use crate::messages::{Match, OpMsg};
-use crate::report::{MachineStats, RunReport, SkewSummary};
+use crate::report::{harvest, machine_stats, Finals, MachineStats, RunReport, SkewSummary};
 use crate::skew::{SkewBoard, SkewPolicy};
 use crate::source::{default_window_copies, SourcePacing, SourceTask};
 
@@ -833,11 +832,6 @@ pub struct SourceSection {
     /// [`SessionHandle::try_push`] reports [`PushError::Full`] once it
     /// fills.
     pub queue_tuples: usize,
-    /// How often the source re-checks an empty-but-open ingest queue on
-    /// the threaded backend, in microseconds (the push-visibility
-    /// latency floor while the operator is idle). The simulator backend
-    /// quiesces instead and is re-armed by the next push.
-    pub idle_poll_us: u64,
 }
 
 /// Data-plane knobs: batching, storage tiers and the cost/network model.
@@ -1003,7 +997,6 @@ impl SessionBuilder {
                 pacing: SourcePacing::saturating(),
                 window_copies: None,
                 queue_tuples: 0,
-                idle_poll_us: 200,
             },
             data_plane: DataPlaneSection {
                 batch_tuples: BatchConfig::default().batch_tuples,
@@ -1093,24 +1086,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Builder: the coalescing-buffer age bound, in microseconds.
-    pub fn with_batch_max_delay_us(mut self, us: u64) -> SessionBuilder {
-        self.data_plane.batch_max_delay_us = us;
-        self
-    }
-
-    /// Builder: the CPU cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> SessionBuilder {
-        self.data_plane.cost = cost;
-        self
-    }
-
-    /// Builder: the network parameters (simulator backend).
-    pub fn with_network(mut self, network: NetworkConfig) -> SessionBuilder {
-        self.data_plane.network = network;
-        self
-    }
-
     /// Builder: the Alg. 2 decision parameters.
     pub fn with_decision(mut self, decision: DecisionConfig) -> SessionBuilder {
         self.elasticity.decision = decision;
@@ -1142,18 +1117,6 @@ impl SessionBuilder {
         self.with_window(WindowSpec::count(tuples))
     }
 
-    /// Builder: a time window over the last `micros` microseconds of
-    /// arrivals.
-    pub fn with_time_window_us(self, micros: u64) -> SessionBuilder {
-        self.with_window(WindowSpec::time_micros(micros))
-    }
-
-    /// Builder: the blocking-migration ablation.
-    pub fn with_blocking_migrations(mut self, blocking: bool) -> SessionBuilder {
-        self.elasticity.blocking_migrations = blocking;
-        self
-    }
-
     /// Builder: record every emitted pair in the report.
     pub fn with_collect_matches(mut self, collect: bool) -> SessionBuilder {
         self.backend.collect_matches = collect;
@@ -1165,13 +1128,6 @@ impl SessionBuilder {
     /// unbounded).
     pub fn with_match_buffer(mut self, matches: usize) -> SessionBuilder {
         self.backend.match_buffer = matches;
-        self
-    }
-
-    /// Builder: the oracle mapping a [`OperatorKind::StaticOpt`] session
-    /// runs with.
-    pub fn with_oracle_mapping(mut self, mapping: Mapping) -> SessionBuilder {
-        self.oracle_mapping = Some(mapping);
         self
     }
 
@@ -1205,13 +1161,6 @@ impl SessionBuilder {
     /// checkpoints.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> SessionBuilder {
         self.fault.plan = plan;
-        self
-    }
-
-    /// Builder: the failure-detector heartbeat timeout, microseconds
-    /// (TCP backend).
-    pub fn with_detector_timeout_us(mut self, timeout_us: u64) -> SessionBuilder {
-        self.fault.detector.timeout_us = timeout_us;
         self
     }
 
@@ -1330,34 +1279,6 @@ impl SessionStats {
     }
 }
 
-enum Wiring {
-    Grid(GridWiring),
-    Shj(ShjWiring),
-}
-
-impl Wiring {
-    fn source_id(&self) -> TaskId {
-        match self {
-            Wiring::Grid(w) => w.source_id,
-            Wiring::Shj(w) => w.source_id,
-        }
-    }
-
-    fn machine_slots(&self) -> usize {
-        match self {
-            Wiring::Grid(w) => w.total,
-            Wiring::Shj(w) => w.j,
-        }
-    }
-
-    fn skew_board(&self) -> Option<&Arc<SkewBoard>> {
-        match self {
-            Wiring::Grid(w) => Some(&w.skew_board),
-            Wiring::Shj(_) => None,
-        }
-    }
-}
-
 /// A **live** execution backend: one that runs concurrently with the
 /// caller on the session's runner thread, as opposed to the simulator,
 /// which the handle pumps inline. The session layer drives every live
@@ -1388,6 +1309,14 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
     /// (the default) keeps the topology's board.
     fn remote_skew_board(&mut self, slots: usize) -> Option<Arc<SkewBoard>> {
         let _ = slots;
+        None
+    }
+
+    /// A backend whose operator tasks ran out of process returns the
+    /// [`Finals`] it merged from its workers' exit bundles. `None` (the
+    /// default) has the session harvest them from the backend's own
+    /// quiesced tasks.
+    fn take_finals(&mut self) -> Option<Finals> {
         None
     }
 
@@ -1656,18 +1585,10 @@ fn launch(
     if let Some(ckpt) = restore_from {
         backend.install_restore(ckpt);
     }
-    let idle_poll = SimDuration::from_micros(builder.source.idle_poll_us.max(1));
-    let mut wiring = build_topology(
-        &mut backend,
-        &builder,
-        &queue,
-        &hub,
-        Some(idle_poll),
-        restore_from,
-    );
-    if let Wiring::Grid(w) = &mut wiring {
-        if let Some(board) = backend.remote_skew_board(w.total) {
-            w.skew_board = board;
+    let mut wiring = build_topology(&mut backend, &builder, &queue, &hub, true, restore_from);
+    if let Some(grid) = &mut wiring.grid {
+        if let Some(board) = backend.remote_skew_board(wiring.slots) {
+            grid.skew_board = board;
         }
     }
     let gauges = backend.session_gauges();
@@ -1713,7 +1634,7 @@ fn launch_sim(
         machine: Default::default(),
         deadline: None,
     }));
-    let wiring = build_topology(&mut *sim, &builder, &queue, &hub, None, restore_from);
+    let wiring = build_topology(&mut *sim, &builder, &queue, &hub, false, restore_from);
     // Clock-triggered kills become simulator events up front;
     // tuple-count and checkpoint-count triggers are lowered to
     // `kill_now` by the supervisor via `inject_kill` (only the session
@@ -1737,21 +1658,14 @@ fn build_topology<B: ExecBackend<OpMsg>>(
     builder: &SessionBuilder,
     queue: &Arc<IngestQueue>,
     hub: &Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
+    idle_poll: bool,
     restore_from: Option<&Checkpoint>,
 ) -> Wiring {
     let input = Arc::clone(queue);
     let sink = Arc::clone(hub);
     match builder.kind {
-        OperatorKind::Shj => Wiring::Shj(setup_shj(backend, builder, input, sink, idle_poll)),
-        _ => Wiring::Grid(setup_grid(
-            backend,
-            builder,
-            input,
-            sink,
-            idle_poll,
-            restore_from,
-        )),
+        OperatorKind::Shj => setup_shj(backend, builder, input, sink, idle_poll),
+        _ => setup_grid(backend, builder, input, sink, idle_poll, restore_from),
     }
 }
 
@@ -1764,12 +1678,12 @@ pub struct SessionTopology {
 impl SessionTopology {
     /// The source task's id (hosted on the last-registered machine).
     pub fn source_id(&self) -> TaskId {
-        self.wiring.source_id()
+        self.wiring.source_id
     }
 
     /// Registered joiner machine slots (excluding the source machine).
     pub fn machine_slots(&self) -> usize {
-        self.wiring.machine_slots()
+        self.wiring.slots
     }
 
     /// The skew board this topology's reshufflers publish into (grid
@@ -1777,7 +1691,8 @@ impl SessionTopology {
     /// in its gauge frames so the coordinator sees the cluster-wide
     /// sketch.
     pub fn skew_board(&self) -> Option<Arc<SkewBoard>> {
-        self.wiring.skew_board().cloned()
+        let grid = self.wiring.grid.as_ref()?;
+        Some(Arc::clone(&grid.skew_board))
     }
 }
 
@@ -1794,7 +1709,7 @@ pub fn assemble_topology<B: ExecBackend<OpMsg>>(
     builder: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
-    idle_poll: Option<SimDuration>,
+    idle_poll: bool,
     restore: Option<&Checkpoint>,
 ) -> SessionTopology {
     SessionTopology {
@@ -1859,7 +1774,7 @@ impl SessionHandle {
             Inner::Live { .. } => self.queue.push(rel, item),
             Inner::Sim { sim, wiring } => {
                 sim_push(&self.queue, sim, wiring, rel, item)?;
-                pump_sim(sim, wiring.source_id(), &self.queue);
+                pump_sim(sim, wiring.source_id, &self.queue);
                 Ok(())
             }
         }
@@ -1895,7 +1810,7 @@ impl SessionHandle {
                     sim_push(&self.queue, sim, wiring, rel, item)?;
                     n += 1;
                 }
-                pump_sim(sim, wiring.source_id(), &self.queue);
+                pump_sim(sim, wiring.source_id, &self.queue);
             }
         }
         Ok(n)
@@ -1936,7 +1851,7 @@ impl SessionHandle {
     /// feeding tuples through an [`IngestHandle`] from another thread.
     pub fn pump(&mut self) {
         if let Some(Inner::Sim { sim, wiring }) = self.inner.as_mut() {
-            pump_sim(sim, wiring.source_id(), &self.queue);
+            pump_sim(sim, wiring.source_id, &self.queue);
         }
     }
 
@@ -2031,31 +1946,16 @@ impl SessionHandle {
         let (wiring, machines, processed) = match self.inner.as_ref().expect("session closed") {
             Inner::Sim { sim, wiring } => {
                 let m = sim.metrics();
-                let machines = (0..wiring.machine_slots())
-                    .map(|i| MachineStats {
-                        machine: i,
-                        stored_bytes: m.stored_bytes_of(MachineId(i)),
-                        evicted_bytes: m.evicted_bytes_of(MachineId(i)),
-                        window_tuples: m.window_tuples_of(MachineId(i)),
-                        matches: 0,
-                    })
-                    .collect();
+                let machines = machine_stats(wiring.slots, |i, g| m.gauge(i, g));
                 (wiring, machines, m.data_processed)
             }
             Inner::Live { gauges, wiring, .. } => {
-                let machines = (0..wiring.machine_slots())
-                    .map(|i| MachineStats {
-                        machine: i,
-                        stored_bytes: gauges.stored(MachineId(i)),
-                        evicted_bytes: gauges.evicted(MachineId(i)),
-                        window_tuples: gauges.occupancy(MachineId(i)),
-                        matches: 0,
-                    })
-                    .collect();
+                let machines = machine_stats(wiring.slots, |i, g| gauges.get(i, g));
                 (wiring, machines, gauges.data_processed())
             }
         };
-        let skew = SkewSummary::from_sketch(wiring.skew_board().and_then(|b| b.merged()));
+        let board = wiring.grid.as_ref().and_then(|g| g.skew_board.merged());
+        let skew = SkewSummary::from_sketch(board);
         SessionStats {
             pushed_tuples: self.queue.pushed(),
             queued_tuples: self.queue.queued(),
@@ -2131,7 +2031,7 @@ impl SessionHandle {
         let prefix = self.queue.prefix();
         let out = match self.inner.take().expect("session already closed") {
             Inner::Sim { mut sim, wiring } => {
-                let end = pump_sim(&mut sim, wiring.source_id(), &self.queue);
+                let end = pump_sim(&mut sim, wiring.source_id, &self.queue);
                 // A clock-scheduled kill can land inside this final
                 // pump, after the entry guard: refuse the partial
                 // output the same way.
@@ -2144,6 +2044,7 @@ impl SessionHandle {
                     &*sim,
                     &self.builder,
                     &wiring,
+                    None,
                     pushed,
                     end,
                     &prefix,
@@ -2151,12 +2052,14 @@ impl SessionHandle {
                 )
             }
             Inner::Live { runner, wiring, .. } => {
-                let (backend, end) = join_watching(runner, &self.fault)
+                let (mut backend, end) = join_watching(runner, &self.fault)
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                let remote = backend.take_finals();
                 quiesced(
                     &backend,
                     &self.builder,
                     &wiring,
+                    remote,
                     pushed,
                     end,
                     &prefix,
@@ -2211,27 +2114,30 @@ fn join_watching<T>(
 }
 
 /// What a quiesced backend yields: the report and, when `snapshot` is
-/// set, the [`Checkpoint`] (grid operators only).
+/// set, the [`Checkpoint`] (grid operators only). `remote` is
+/// [`NetBackend::take_finals`]' answer; without one the finals are
+/// harvested from the backend's own tasks.
+#[allow(clippy::too_many_arguments)]
 fn quiesced<B: ExecBackend<OpMsg>>(
     backend: &B,
     builder: &SessionBuilder,
     wiring: &Wiring,
+    remote: Option<Finals>,
     pushed: u64,
     end: SimTime,
     prefix: &[(u64, u64)],
     snapshot: bool,
 ) -> (RunReport, Option<io::Result<Checkpoint>>) {
-    let ckpt = snapshot.then(|| match wiring {
-        Wiring::Grid(w) => Ok(build_checkpoint(backend, builder, w)),
-        Wiring::Shj(_) => Err(io::Error::new(
+    let ckpt = snapshot.then(|| match wiring.grid {
+        Some(_) => Ok(build_checkpoint(backend, builder, wiring)),
+        None => Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "checkpoints cover grid operators only",
         )),
     });
-    let report = match wiring {
-        Wiring::Grid(w) => collect_grid(backend, builder, w, pushed, end, prefix),
-        Wiring::Shj(w) => collect_shj(backend, builder, w, pushed, end),
-    };
+    let finals =
+        remote.unwrap_or_else(|| harvest(wiring.result_tasks(), |id| backend.task_any(id)));
+    let report = collect(backend, builder, wiring, finals, pushed, end, prefix);
     (report, ckpt)
 }
 
@@ -2278,7 +2184,7 @@ fn sim_push(
 ) -> Result<(), PushError> {
     match queue.try_push(rel, item) {
         Err(PushError::Full) => {
-            pump_sim(sim, wiring.source_id(), queue);
+            pump_sim(sim, wiring.source_id, queue);
             match queue.try_push(rel, item) {
                 Err(PushError::Full) => panic!(
                     "flow-control wedge: the simulator quiesced with the ingest queue \

@@ -9,16 +9,12 @@ use aoj_core::index::{process_stream_batch, JoinIndex, ProbeStats};
 use aoj_core::ticket::mix64;
 use aoj_core::tuple::Tuple;
 use aoj_joinalg::{SpillGauge, SymmetricHashIndex};
-use aoj_simnet::{Ctx, FlushCause, MachineId, Process, SimDuration, TaskId};
-
-use std::sync::Arc;
+use aoj_simnet::{Ctx, FlushCause, Gauge, MachineId, Process, SimDuration, TaskId};
 
 use crate::batch::DataCoalescer;
-use crate::joiner_task::{pair_key, LatencyStats};
-use crate::messages::{Match, OpMsg};
-use crate::report::MatchDigest;
+use crate::joiner_task::MatchTally;
+use crate::messages::OpMsg;
 use crate::reshuffler::ProgressRecorder;
-use crate::session::MatchHub;
 
 /// SHJ's reshuffler: key-hash routing, no statistics, no epochs. Routed
 /// tuples coalesce into per-joiner batches like the grid operator's.
@@ -135,20 +131,8 @@ pub struct ShjJoiner {
     pub cost: aoj_simnet::CostModel,
     /// The source task (credit returns).
     pub source: TaskId,
-    /// Matches emitted.
-    pub matches: u64,
-    /// When set, emitted pair identities are appended to `match_log`.
-    pub collect_matches: bool,
-    /// Emitted pair identities, `(R seq, S seq)`, when collection is on.
-    pub match_log: Vec<(u64, u64)>,
-    /// Order-independent digest of every emitted pair (see
-    /// [`JoinerTask::match_digest`](crate::joiner_task::JoinerTask::match_digest)).
-    pub match_digest: MatchDigest,
-    /// Live match-emission path (see
-    /// [`JoinerTask::match_sink`](crate::joiner_task::JoinerTask::match_sink)).
-    pub match_sink: Option<Arc<MatchHub>>,
-    /// Latency samples.
-    pub latency: LatencyStats,
+    /// Matches emitted, their digest, log, sink and latency samples.
+    pub tally: MatchTally,
     /// Credits accumulated but not yet returned.
     unacked_credits: u32,
 }
@@ -167,12 +151,7 @@ impl ShjJoiner {
             machine,
             cost,
             source,
-            matches: 0,
-            collect_matches: false,
-            match_log: Vec::new(),
-            match_digest: MatchDigest::default(),
-            match_sink: None,
-            latency: LatencyStats::default(),
+            tally: MatchTally::default(),
             unacked_credits: 0,
         }
     }
@@ -185,49 +164,22 @@ impl Process<OpMsg> for ShjJoiner {
                 tuples, arrived, ..
             } => {
                 let n = tuples.len() as u64;
-                let collect = self.collect_matches;
                 // One bulk pass: grouped probes against the hash state,
                 // intra-batch pairs included (stream semantics).
                 let mut per_tuple = vec![0u32; tuples.len()];
-                // Per-match `emit` only while a consumer is attached; a
-                // detached hub gets the batch total in one atomic add
-                // (see `MatchHub::add_emitted`).
-                let live = self.match_sink.as_deref().is_some_and(|h| h.attached());
-                let stats: ProbeStats = {
-                    let match_log = &mut self.match_log;
-                    let digest = &mut self.match_digest;
-                    let sink = if live {
-                        self.match_sink.as_deref()
-                    } else {
-                        None
-                    };
+                let (stats, _): (ProbeStats, _) = self.tally.emit(|em| {
                     process_stream_batch(&mut self.index, &tuples, &mut |i, stored| {
                         per_tuple[i] += 1;
-                        let key = pair_key(&tuples[i], stored);
-                        digest.fold(key.0, key.1);
-                        if collect {
-                            match_log.push(key);
-                        }
-                        if let Some(hub) = sink {
-                            hub.emit(Match::of(&tuples[i], stored));
-                        }
+                        em.pair(&tuples[i], stored);
                     })
-                };
-                if !live {
-                    if let Some(hub) = self.match_sink.as_deref() {
-                        hub.add_emitted(stats.matches);
-                    }
-                }
+                });
                 let now = ctx.now();
-                for (i, &m) in per_tuple.iter().enumerate() {
-                    self.matches += m as u64;
-                    if m > 0 {
-                        self.latency.record(now.since(arrived[i]).as_micros());
-                    }
-                }
+                self.tally.sample_matched(now, &per_tuple, &arrived);
                 let bytes = self.index.bytes();
                 self.gauge.set_stored(bytes);
-                ctx.metrics().set_stored(self.machine, bytes);
+                ctx.metrics().set_gauge(self.machine, Gauge::Stored, bytes);
+                ctx.metrics()
+                    .set_gauge(self.machine, Gauge::Matches, self.tally.matches);
                 ctx.metrics().note_data_processed(n, now);
                 self.unacked_credits += n as u32;
                 if self.unacked_credits >= crate::joiner_task::JoinerTask::CREDIT_BATCH {

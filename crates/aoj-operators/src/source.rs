@@ -19,6 +19,11 @@ use aoj_simnet::{Ctx, Process, SimDuration, TaskId};
 use crate::messages::{IngestItem, OpMsg};
 use crate::session::IngestQueue;
 
+/// How often a live session's source re-checks an empty-but-open ingest
+/// queue, in microseconds — the push-visibility latency floor while the
+/// operator is idle.
+pub const IDLE_POLL_US: u64 = 200;
+
 /// Emission pacing.
 #[derive(Clone, Copy, Debug)]
 pub struct SourcePacing {
@@ -101,12 +106,12 @@ pub struct SourceTask {
     pub routed_tuples: u64,
     /// Copies fully processed so far (reported by joiners).
     pub processed_copies: u64,
-    /// How often to re-check an empty-but-open queue. `Some` on live
-    /// threaded sessions, where the pending poll timer is also what
-    /// keeps the run from terminating while the session is open; `None`
-    /// on the simulator, which quiesces instead and is re-armed by the
+    /// Re-check an empty-but-open queue every [`IDLE_POLL_US`]. Set on
+    /// live sessions, where the pending poll timer is also what keeps
+    /// the run from terminating while the session is open; clear on the
+    /// simulator, which quiesces instead and is re-armed by the
     /// session's pump on the next push.
-    pub idle_poll: Option<SimDuration>,
+    pub idle_poll: bool,
     /// True while an emission tick is scheduled.
     tick_pending: bool,
     /// Scratch buffer for queue drains.
@@ -138,7 +143,7 @@ impl SourceTask {
             routed_copies: 0,
             routed_tuples: 0,
             processed_copies: 0,
-            idle_poll: None,
+            idle_poll: false,
             tick_pending: true, // the driver schedules the first tick
             scratch: Vec::new(),
         }
@@ -160,13 +165,6 @@ impl SourceTask {
             window_copies,
             batch_tuples,
         )
-    }
-
-    /// Builder: poll an empty-but-open queue every `interval` instead of
-    /// quiescing (live threaded sessions).
-    pub fn with_idle_poll(mut self, interval: SimDuration) -> SourceTask {
-        self.idle_poll = Some(interval);
-        self
     }
 
     /// Re-arm the source from outside the backend (the simulator
@@ -255,11 +253,9 @@ impl SourceTask {
             self.tick_pending = true;
             ctx.schedule(self.pacing.interval, Self::TICK);
         } else if empty && !closed {
-            if let Some(poll) = self.idle_poll {
-                self.tick_pending = true;
-                ctx.schedule(poll, Self::TICK);
-            } else {
-                self.tick_pending = false;
+            self.tick_pending = self.idle_poll;
+            if self.idle_poll {
+                ctx.schedule(SimDuration::from_micros(IDLE_POLL_US), Self::TICK);
             }
         } else {
             self.tick_pending = false;

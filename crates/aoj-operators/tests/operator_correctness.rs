@@ -3,12 +3,16 @@
 //! every workload shape, including runs where the Dynamic operator
 //! migrates repeatedly while data is in flight.
 
-use aoj_core::mapping::Mapping;
+use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::{fluctuating, interleave, Arrivals};
+use aoj_operators::joiner_task::JoinerFinal;
+use aoj_operators::report::{ControllerFinal, Finals, MatchDigest};
+use aoj_operators::reshuffler::ControlEvent;
 use aoj_operators::{run, OperatorKind, SessionBuilder};
+use aoj_simnet::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -121,8 +125,91 @@ fn shj_is_exact_for_equi_joins() {
     let arrivals = interleave(&w, 4);
     let expected = reference_matches(&arrivals, &w.predicate);
     let cfg = config(16, OperatorKind::Shj, &w);
-    let report = run(&arrivals, &cfg);
+    let mut report = run(&arrivals, &cfg);
     assert_eq!(report.matches, expected);
+    // The one collect phase serves SHJ as "the run without a controller":
+    // every field is what the dedicated SHJ collect produced (captured at
+    // c73ed95, timeline and pair log elided).
+    let timeline = std::mem::take(&mut report.samples);
+    assert_eq!(
+        format!("{report:?}|{}|{:?}", timeline.len(), timeline.last()),
+        "RunReport { operator: \"SHJ\", backend: \"sim\", workload: \"synthetic\", j: 16, \
+         input_tuples: 2000, exec_time: 2069us, matches: 18674, throughput: 966650.5558240695, \
+         max_ilf_bytes: 22208, avg_ilf_bytes: 8000.0, total_storage_bytes: 128000, \
+         network_bytes: 312540, network_messages: 457, \
+         flushes: FlushCounts { batches: [0, 256, 0], tuples: [0, 2000, 0] }, \
+         migration_bytes: 0, migrations: 0, expansions: 0, contractions: 0, \
+         expand_transfers: [], contract_transfers: [], provisioned_machines: 17, \
+         peak_provisioned_machines: 17, machines: [], \
+         skew: SkewSummary { hot_keys: [], load_p50: 0.0, load_p99: 0.0, skew_ratio: 0.0, \
+         observed_bytes: 0 }, max_spilled_bytes: 0, avg_latency_us: 632.8030785562632, \
+         p50_latency_us: 1023, p99_latency_us: 1674, max_latency_us: 1674, \
+         final_mapping: Mapping { n: 1, m: 1 }, samples: [], events: [], competitive: [], \
+         match_pairs: [], match_digest: MatchDigest { count: 18674, \
+         sum: 3144252334477007610, xor: 15676485725139494612 } }|133|\
+         Some(ProgressSample { seq: 2000, at: t=1812us, max_stored_bytes: 22208, \
+         total_stored_bytes: 128000 })"
+    );
+}
+
+/// A machine slot that ran as two incarnations (retired by a contraction,
+/// re-provisioned later — two processes on the TCP backend) reports twice:
+/// what it counted sums, the controller's state is the later one.
+#[test]
+fn finals_merge_sums_a_slots_incarnations_and_takes_the_later_controller() {
+    let incarnation = |slot, matches: u64, pair: (u64, u64)| {
+        let mut f = JoinerFinal {
+            slot,
+            matches,
+            match_log: vec![pair],
+            ..Default::default()
+        };
+        f.latency.record(matches);
+        f.counters.migration_bytes_in = 10 * matches;
+        f.counters.retirements = 1;
+        f.match_digest.fold(pair.0, pair.1);
+        f
+    };
+    let controller = |n, m, epoch| ControllerFinal {
+        assign: GridAssignment::initial(Mapping::new(n, m)),
+        events: vec![ControlEvent::Complete {
+            at: SimTime(epoch as u64),
+            epoch,
+        }],
+        samples: Vec::new(),
+    };
+    let mut finals = Finals {
+        joiners: vec![incarnation(3, 5, (1, 2))],
+        controller: Some(controller(2, 2, 1)),
+    };
+    finals.merge(Finals {
+        joiners: vec![incarnation(1, 4, (7, 8)), incarnation(3, 6, (3, 4))],
+        controller: None,
+    });
+    let slots: Vec<usize> = finals.joiners.iter().map(|f| f.slot).collect();
+    assert_eq!(slots, [1, 3], "one entry per slot, in slot order");
+    let merged = &finals.joiners[1];
+    assert_eq!(merged.matches, 11);
+    assert_eq!(merged.match_log, [(1, 2), (3, 4)]);
+    assert_eq!(merged.counters.migration_bytes_in, 110);
+    assert_eq!(merged.counters.retirements, 2);
+    assert_eq!((merged.latency.count, merged.latency.sum_us), (2, 11));
+    let mut digest = MatchDigest::default();
+    digest.fold(1, 2);
+    digest.fold(3, 4);
+    assert_eq!(merged.match_digest, digest);
+    // A bundle without a controller leaves it; one with, replaces it.
+    assert_eq!(finals.controller.as_ref().unwrap().assign.j(), 4);
+    finals.merge(Finals {
+        joiners: Vec::new(),
+        controller: Some(controller(1, 8, 2)),
+    });
+    let ctrl = finals.controller.unwrap();
+    assert_eq!(ctrl.assign.mapping(), Mapping::new(1, 8));
+    assert!(matches!(
+        ctrl.events[..],
+        [ControlEvent::Complete { epoch: 2, .. }]
+    ));
 }
 
 #[test]

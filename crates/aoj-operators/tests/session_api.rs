@@ -8,7 +8,10 @@
 //!   exactly when the ingest queue (behind the closed flow-control
 //!   window) is exhausted, a blocked `push` wakes once the operator
 //!   returns credits, and a slow — even fully stalled — subscriber never
-//!   deadlocks the data plane or the close/drain path.
+//!   deadlocks the data plane or the close/drain path;
+//! * `stats()` reports each machine's match count live, on every backend,
+//!   and the per-machine counts add up to the session total once the
+//!   pushed input has drained.
 
 use std::time::{Duration, Instant};
 
@@ -16,7 +19,8 @@ use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{reference_match_count, StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::{
-    BackendChoice, ElasticConfig, JoinSession, KeyFilter, OperatorKind, PushError, SessionBuilder,
+    BackendChoice, ElasticConfig, JoinSession, KeyFilter, OperatorKind, PushError, RunReport,
+    SessionBuilder, SessionHandle,
 };
 
 // TCP session tests re-exec this binary as the worker process.
@@ -43,6 +47,34 @@ fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {
         r_items: (0..nr).map(|_| item(key_space)).collect(),
         s_items: (0..ns).map(|_| item(key_space)).collect(),
     }
+}
+
+/// The live per-machine `matches` gauges, summed.
+fn matches_by_machine(session: &SessionHandle) -> u64 {
+    session.stats().machines.iter().map(|m| m.matches).sum()
+}
+
+/// Once everything pushed so far has drained, the per-machine gauges add
+/// up to the session's match total (`expected`). Live backends publish
+/// gauges asynchronously — per batch on threads, every few milliseconds
+/// over TCP — so poll.
+fn await_machine_matches(session: &SessionHandle, expected: u64) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while (matches_by_machine(session), session.stats().matches) != (expected, expected) {
+        assert!(
+            Instant::now() < deadline,
+            "per-machine matches settled at {} of {expected} (session total {})",
+            matches_by_machine(session),
+            session.stats().matches
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The final report's per-machine rows carry the same split.
+fn assert_report_splits_matches(report: &RunReport) {
+    let by_machine: u64 = report.machines.iter().map(|m| m.matches).sum();
+    assert_eq!(by_machine, report.matches);
 }
 
 /// Simulator sessions interleave caller pushes with virtual time: after
@@ -124,10 +156,15 @@ fn subscription_equals_match_pairs_across_live_expansion_sim() {
         if !streamed.is_empty() {
             saw_match_before_done = true;
         }
+        // Each push pumps the simulator to quiescence: the per-machine
+        // split is exact after every chunk, expansion or not.
+        assert_eq!(matches_by_machine(&session), session.stats().matches);
     }
     assert!(saw_match_before_done, "no matches arrived mid-session");
+    assert_eq!(matches_by_machine(&session), reference_match_count(&w));
 
     let report = session.close();
+    assert_report_splits_matches(&report);
     streamed.extend(sub.by_ref().map(|m| m.pair()));
     streamed.sort_unstable();
     assert!(
@@ -176,7 +213,9 @@ fn subscription_equals_match_pairs_across_live_expansion_threaded() {
     });
     let pushed = producer.join().unwrap();
     assert_eq!(pushed as usize, arrivals.len());
+    await_machine_matches(&session, reference_match_count(&w));
     let report = session.close();
+    assert_report_splits_matches(&report);
     let mut streamed = subscriber.join().unwrap();
     streamed.sort_unstable();
 
@@ -642,6 +681,36 @@ fn dropping_one_subscriber_leaves_the_rest_exact() {
 /// subscriber against worker processes. The filtered stream is pruned
 /// worker-side (the tap ships only passing pairs), yet remains exactly
 /// the passing subset; the full streams stay exact.
+/// Worker processes ship their gauge rows — the `Matches` word included —
+/// to the coordinator's overlay, so `stats()` splits matches by machine
+/// on a TCP session too.
+#[test]
+fn machine_matches_are_live_on_tcp() {
+    let _serial = TCP_RUNS.lock().unwrap();
+    aoj_net::install();
+    let seed = 0xFA_0005;
+    let w = workload(150, 1_350, 120, seed);
+    let builder = SessionBuilder::new(2, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_seed(seed)
+        .with_backend(BackendChoice::Tcp);
+    let mut session = JoinSession::open(builder);
+    // The session total counts what the workers stream home, which they
+    // only do for a subscriber.
+    let sub = session.subscribe();
+    let subscriber = std::thread::spawn(move || sub.count());
+    session.push_batch(interleave(&w, seed)).unwrap();
+    await_machine_matches(&session, reference_match_count(&w));
+    let stats = session.stats();
+    assert!(
+        stats.machines.iter().all(|m| m.matches > 0),
+        "every joiner of the (1, 2) grid emits: {:?}",
+        stats.machines
+    );
+    assert_report_splits_matches(&session.close());
+    assert_eq!(subscriber.join().unwrap() as u64, stats.matches);
+}
+
 #[test]
 fn multiple_subscribers_fan_out_on_tcp() {
     let _serial = TCP_RUNS.lock().unwrap();

@@ -15,7 +15,7 @@
 //! ## Tuple units
 //!
 //! The batch-first data plane coalesces many tuples into one message
-//! ([`SimMessage::tuples`](aoj_simnet::SimMessage::tuples)), so both the
+//! ([`SimMessage::tuples`]), so both the
 //! Data-queue bound and the weighted service policy account in **tuples**
 //! rather than messages: a 64-tuple batch occupies 64 slots of the data
 //! capacity, and while both queues are backlogged the policy serves
@@ -58,7 +58,7 @@
 //! loopback pushes (a worker sending to its own mailbox) never wait.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -69,7 +69,9 @@ use std::time::{Duration, Instant};
 /// without visible stalls.
 pub const BACKPRESSURE_WAIT: Duration = Duration::from_millis(20);
 
-use aoj_simnet::{MsgClass, TaskId};
+use aoj_simnet::{
+    Ctx, Effect, MachineId, Metrics, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId,
+};
 
 /// A unit of work queued at a machine.
 ///
@@ -403,6 +405,54 @@ impl<M> Mailbox<M> {
         st.migration = VecDeque::new();
         st.timers = BinaryHeap::new();
     }
+}
+
+/// The tasks a machine loop hosts, by task index.
+pub type TaskMap<M> = HashMap<usize, Box<dyn Process<M> + Send>>;
+
+/// Service one popped unit of work: run the addressed task's handler at
+/// `now`, charge machine `mid`'s row of `shard` (arrival, real CPU
+/// occupancy — not the modeled cost the handler returns —, event count)
+/// and hand back `(task, effects, stopped)`. Every live machine loop
+/// (this crate's worker threads, `aoj-net`'s nodes) dispatches through
+/// here; applying the effects — thread spawn or socket stage — is the
+/// backend's own.
+#[inline]
+pub fn dispatch<M: SimMessage>(
+    work: Work<M>,
+    tasks: &mut TaskMap<M>,
+    shard: &mut Metrics,
+    mid: MachineId,
+    now: SimTime,
+) -> (TaskId, Vec<Effect<M>>, bool) {
+    let mut stopped = false;
+    let started = Instant::now();
+    let (self_task, effects) = match work {
+        Work::Msg { from, to, msg } => {
+            shard.on_arrive(mid, msg.bytes());
+            let task = tasks
+                .get_mut(&to.index())
+                .expect("message routed to a machine not hosting its task");
+            let mut ctx = Ctx::new(now, to, shard, &mut stopped);
+            task.on_message(&mut ctx, from, msg);
+            (to, ctx.take_effects())
+        }
+        Work::Timer { task: tid, key } => {
+            let task = tasks
+                .get_mut(&tid.index())
+                .expect("timer fired on a machine not hosting its task");
+            let mut ctx = Ctx::new(now, tid, shard, &mut stopped);
+            task.on_timer(&mut ctx, key);
+            (tid, ctx.take_effects())
+        }
+        // The runtime consumes its flush tokens before dispatch; the TCP
+        // backend's drain barrier is connection-level and posts none.
+        Work::Flush { .. } => panic!("flush token reached task dispatch"),
+    };
+    shard.on_busy(mid, SimDuration(started.elapsed().as_micros() as u64));
+    shard.events += 1;
+    shard.last_event_at = now;
+    (self_task, effects, stopped)
 }
 
 #[cfg(test)]

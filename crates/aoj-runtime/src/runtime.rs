@@ -12,11 +12,11 @@ use std::time::Instant;
 
 use aoj_core::{DeathCause, FaultLog, WorkerDeath};
 use aoj_simnet::{
-    Ctx, Effect, ExecBackend, MachineId, Metrics, NetworkConfig, Process, SharedGauges,
-    SimDuration, SimMessage, SimTime, TaskId,
+    Effect, ExecBackend, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimMessage,
+    SimTime, TaskId,
 };
 
-use crate::mailbox::{Mailbox, Work};
+use crate::mailbox::{dispatch, Mailbox, TaskMap, Work};
 
 /// Threaded-backend knobs.
 #[derive(Clone, Copy, Debug)]
@@ -351,7 +351,6 @@ impl<M: SimMessage + Send + 'static> Runtime<M> {
     }
 }
 
-type TaskMap<M> = HashMap<usize, Box<dyn Process<M> + Send>>;
 /// A worker thread returns its tasks and its metrics shard.
 type WorkerHandle<M> = JoinHandle<(TaskMap<M>, Metrics)>;
 
@@ -418,40 +417,8 @@ fn worker<M: SimMessage + Send + 'static>(
                 }
                 other => other,
             };
-            let (self_task, effects, stopped) = {
-                let mut stopped = false;
-                let started = Instant::now();
-                let now = SimTime(shared.now_us());
-                let (self_task, effects) = match work {
-                    Work::Msg { from, to, msg } => {
-                        shard.on_arrive(mid, msg.bytes());
-                        let task = tasks
-                            .get_mut(&to.index())
-                            .expect("message routed to a machine not hosting its task");
-                        let mut ctx: Ctx<'_, M> = Ctx::new(now, to, &mut shard, &mut stopped);
-                        let _modeled_cost = task.on_message(&mut ctx, from, msg);
-                        let effects = ctx.take_effects();
-                        (to, effects)
-                    }
-                    Work::Timer { task: tid, key } => {
-                        let task = tasks
-                            .get_mut(&tid.index())
-                            .expect("timer fired on a machine not hosting its task");
-                        let mut ctx: Ctx<'_, M> = Ctx::new(now, tid, &mut shard, &mut stopped);
-                        let _modeled_cost = task.on_timer(&mut ctx, key);
-                        let effects = ctx.take_effects();
-                        (tid, effects)
-                    }
-                    Work::Flush { .. } => unreachable!("flush tokens are consumed before dispatch"),
-                };
-                // Real CPU occupancy, not the modeled cost: this backend
-                // runs as fast as the hardware allows.
-                let elapsed = SimDuration(started.elapsed().as_micros() as u64);
-                shard.on_busy(mid, elapsed);
-                shard.events += 1;
-                shard.last_event_at = SimTime(shared.now_us());
-                (self_task, effects, stopped)
-            };
+            let now = SimTime(shared.now_us());
+            let (self_task, effects, stopped) = dispatch(work, &mut tasks, &mut shard, mid, now);
 
             for effect in effects {
                 match effect {

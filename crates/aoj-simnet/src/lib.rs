@@ -74,7 +74,9 @@ pub mod time;
 pub use config::{CostModel, SimConfig};
 pub use exec::ExecBackend;
 pub use machine::{MachineConfig, MachineId};
-pub use metrics::{FlushCause, FlushCounts, MachineMetrics, Metrics, SharedGauges};
+pub use metrics::{
+    FlushCause, FlushCounts, Gauge, MachineMetrics, Metrics, ProgressSample, SharedGauges,
+};
 pub use network::NetworkConfig;
 pub use sim::Sim;
 pub use task::{Ctx, Effect, MsgClass, Process, SimMessage, TaskId};

@@ -12,63 +12,93 @@ use std::sync::Arc;
 use crate::machine::MachineId;
 use crate::time::{SimDuration, SimTime};
 
+/// The per-machine gauges tasks report and every backend carries to
+/// [`Metrics::gauge`] readers — one row per gauge. A new gauge is a row
+/// here plus the owning task's [`Metrics::set_gauge`]; the overlay, the
+/// TCP gauge frame and `stats()` follow from [`Gauge::ALL`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Gauge {
+    /// Bytes of operator state currently held. Its high-water mark is
+    /// kept in [`MachineMetrics::peak_stored_bytes`].
+    Stored,
+    /// Cumulative bytes dropped by windowed state expiry (0 unless a
+    /// retention window is configured). The joiner owns the running total
+    /// and reports it whole, so a restored session carries a checkpoint's
+    /// base count forward; a report never lowers it.
+    Evicted,
+    /// Stored tuple count — window occupancy.
+    Occupancy,
+    /// Join matches the machine's joiner has emitted so far.
+    Matches,
+}
+
+impl Gauge {
+    /// Every gauge, in table (and wire) order.
+    pub const ALL: [Gauge; 4] = [
+        Gauge::Stored,
+        Gauge::Evicted,
+        Gauge::Occupancy,
+        Gauge::Matches,
+    ];
+    /// Number of gauges — the width of a table row.
+    pub const COUNT: usize = Gauge::ALL.len();
+}
+
 /// Cluster-wide gauge overlay for sharded backends.
 ///
 /// The threaded runtime gives every worker a private [`Metrics`] shard so
 /// handlers never contend on a lock — but that makes *mid-run* cluster-wide
 /// readings (progress/ILF timelines, the elastic controller's
 /// stored-state trigger) impossible: each shard sees only its own
-/// machine's gauges. `SharedGauges` fixes exactly that: a lock-free array
-/// of per-machine stored-byte gauges plus the cluster-wide
-/// data-processed counter, shared by every shard via `Arc`. Writes stay
-/// single-writer per slot (each worker only ever sets its own machines'
-/// gauges), reads are racy-by-design point-in-time samples — the same
-/// semantics the paper's controller gets from its monitoring plane.
+/// machine's gauges. `SharedGauges` fixes exactly that: a lock-free
+/// per-machine [`Gauge`] table plus the cluster-wide data-processed
+/// counter, shared by every shard via `Arc`. Writes stay single-writer
+/// per row (each worker only ever sets its own machines' gauges), reads
+/// are racy-by-design point-in-time samples — the same semantics the
+/// paper's controller gets from its monitoring plane.
 ///
 /// Backends with one global `Metrics` (the simulator) never install one;
-/// all reads fall through to the plain per-machine fields.
+/// all reads fall through to the plain per-machine rows.
 #[derive(Debug, Default)]
 pub struct SharedGauges {
-    stored: Box<[AtomicU64]>,
-    evicted: Box<[AtomicU64]>,
-    occupancy: Box<[AtomicU64]>,
+    table: Box<[[AtomicU64; Gauge::COUNT]]>,
     data_processed: AtomicU64,
     next_sample_at: AtomicU64,
 }
 
 impl SharedGauges {
-    /// A gauge array for `machines` machines, all zero.
+    /// A gauge table for `machines` machines, all zero.
     pub fn new(machines: usize) -> Arc<SharedGauges> {
         Arc::new(SharedGauges {
-            stored: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            evicted: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            occupancy: (0..machines).map(|_| AtomicU64::new(0)).collect(),
+            table: (0..machines).map(|_| Default::default()).collect(),
             data_processed: AtomicU64::new(0),
             next_sample_at: AtomicU64::new(0),
         })
     }
 
-    /// Stored bytes currently reported for machine `m`.
+    /// Machine `m`'s current reading of `g`.
     #[inline]
-    pub fn stored(&self, m: MachineId) -> u64 {
-        self.stored[m.index()].load(Ordering::Relaxed)
+    pub fn get(&self, m: MachineId, g: Gauge) -> u64 {
+        self.table[m.index()][g as usize].load(Ordering::Relaxed)
     }
 
-    /// Cumulative bytes evicted by windowed state expiry on machine `m`.
+    /// Overwrite machine `m`'s reading of `g`.
+    ///
+    /// Tasks never call this — they go through [`Metrics::set_gauge`],
+    /// which keeps the local shard and the overlay in step. It exists for
+    /// backends whose gauge writers are in **another process**: the TCP
+    /// backend's coordinator applies the periodic gauge frames its
+    /// workers stream to the session overlay, and relays remote machines'
+    /// values into the controller worker's overlay so the elastic trigger
+    /// sees the whole cluster.
     #[inline]
-    pub fn evicted(&self, m: MachineId) -> u64 {
-        self.evicted[m.index()].load(Ordering::Relaxed)
+    pub fn set(&self, m: MachineId, g: Gauge, value: u64) {
+        self.table[m.index()][g as usize].store(value, Ordering::Relaxed);
     }
 
-    /// Stored tuple count (window occupancy) reported for machine `m`.
-    #[inline]
-    pub fn occupancy(&self, m: MachineId) -> u64 {
-        self.occupancy[m.index()].load(Ordering::Relaxed)
-    }
-
-    /// How many machines the gauge array covers.
+    /// How many machines the gauge table covers.
     pub fn machine_count(&self) -> usize {
-        self.stored.len()
+        self.table.len()
     }
 
     /// Data items processed cluster-wide so far.
@@ -77,55 +107,31 @@ impl SharedGauges {
         self.data_processed.load(Ordering::Relaxed)
     }
 
-    /// Overwrite machine `m`'s stored-byte gauge.
-    ///
-    /// Tasks never call this — they go through [`Metrics::set_stored`],
-    /// which keeps the local shard and the overlay in step. The direct
-    /// setters exist for backends whose gauge writers are in **another
-    /// process**: the TCP backend's coordinator applies the periodic
-    /// gauge frames its workers stream to the session overlay, and
-    /// relays remote machines' values into the controller worker's
-    /// overlay so the elastic trigger sees the whole cluster.
-    #[inline]
-    pub fn set_stored(&self, m: MachineId, bytes: u64) {
-        self.stored[m.index()].store(bytes, Ordering::Relaxed);
-    }
-
-    /// Overwrite machine `m`'s evicted-byte gauge (see
-    /// [`set_stored`](SharedGauges::set_stored)).
-    #[inline]
-    pub fn set_evicted(&self, m: MachineId, bytes: u64) {
-        self.evicted[m.index()].store(bytes, Ordering::Relaxed);
-    }
-
-    /// Overwrite machine `m`'s window-occupancy gauge (see
-    /// [`set_stored`](SharedGauges::set_stored)).
-    #[inline]
-    pub fn set_occupancy(&self, m: MachineId, tuples: u64) {
-        self.occupancy[m.index()].store(tuples, Ordering::Relaxed);
-    }
-
     /// Overwrite the cluster-wide data-processed counter (see
-    /// [`set_stored`](SharedGauges::set_stored); the coordinator sets it
-    /// to the sum of its workers' reported counts).
+    /// [`set`](SharedGauges::set); the coordinator sets it to the sum of
+    /// its workers' reported counts).
     #[inline]
     pub fn set_data_processed(&self, n: u64) {
         self.data_processed.store(n, Ordering::Relaxed);
     }
 }
 
-/// A point on the cluster-wide progress timeline, recorded by worker
-/// tasks as they process data items (see [`Metrics::note_data_processed`]).
+/// A point on a progress timeline: the cluster's storage when `seq` was
+/// reached. Worker tasks record one per sampling boundary of processed
+/// data items ([`Metrics::note_data_processed`], Figs. 6a/6c); the
+/// controller records one per boundary of routed sequence numbers (the
+/// competitive trace).
 #[derive(Clone, Copy, Debug)]
-pub struct ProgressPoint {
-    /// Data items processed across the cluster when the point was taken.
-    pub processed: u64,
+pub struct ProgressSample {
+    /// Data items processed cluster-wide, or the global sequence number
+    /// routed, when the sample was taken.
+    pub seq: u64,
     /// Virtual time.
     pub at: SimTime,
-    /// Maximum per-machine stored bytes at that instant.
-    pub max_stored: u64,
+    /// Max per-machine stored bytes (the ILF of the fullest joiner).
+    pub max_stored_bytes: u64,
     /// Total stored bytes across the cluster.
-    pub total_stored: u64,
+    pub total_stored_bytes: u64,
 }
 
 /// Why a data-plane coalescing buffer shipped a batch.
@@ -206,17 +212,13 @@ pub struct MachineMetrics {
     pub bytes_out: u64,
     /// Total virtual CPU time consumed by handlers on this machine.
     pub busy: SimDuration,
-    /// Bytes of operator state currently held (reported by tasks).
-    pub stored_bytes: u64,
-    /// High-water mark of `stored_bytes`.
+    /// The machine's [`Gauge`] row, indexed by `Gauge as usize`
+    /// (reported by tasks).
+    pub gauges: [u64; Gauge::COUNT],
+    /// High-water mark of [`Gauge::Stored`].
     pub peak_stored_bytes: u64,
     /// Bytes of state that live beyond the RAM budget (simulated spill).
     pub spilled_bytes: u64,
-    /// Cumulative bytes dropped by windowed state expiry (reported by
-    /// tasks; 0 unless a retention window is configured).
-    pub evicted_bytes: u64,
-    /// Stored tuple count — window occupancy (reported by tasks).
-    pub window_tuples: u64,
     /// Data batches this machine's coalescing buffers shipped, by cause
     /// (reported by tasks).
     pub flushes: FlushCounts,
@@ -234,7 +236,7 @@ pub struct Metrics {
     /// Data items processed cluster-wide (maintained by worker tasks).
     pub data_processed: u64,
     /// Progress timeline, sampled every `sample_spacing` processed items.
-    pub progress: Vec<ProgressPoint>,
+    pub progress: Vec<ProgressSample>,
     /// Sampling spacing for the progress timeline (0 disables sampling).
     pub sample_spacing: u64,
     next_sample_at: u64,
@@ -281,74 +283,42 @@ impl Metrics {
         self.shared.as_ref()
     }
 
-    /// Record that a task on `m` now stores `bytes` of operator state.
-    pub fn set_stored(&mut self, m: MachineId, bytes: u64) {
+    /// Record machine `m`'s reading of `g` (tasks report their own
+    /// machine's row).
+    #[inline]
+    pub fn set_gauge(&mut self, m: MachineId, g: Gauge, value: u64) {
         let mm = &mut self.per_machine[m.index()];
-        mm.stored_bytes = bytes;
-        if bytes > mm.peak_stored_bytes {
-            mm.peak_stored_bytes = bytes;
+        let value = match g {
+            Gauge::Evicted => value.max(mm.gauges[g as usize]),
+            _ => value,
+        };
+        mm.gauges[g as usize] = value;
+        if g == Gauge::Stored && value > mm.peak_stored_bytes {
+            mm.peak_stored_bytes = value;
         }
         if let Some(sh) = &self.shared {
-            sh.stored[m.index()].store(bytes, Ordering::Relaxed);
+            sh.set(m, g, value);
         }
     }
 
-    /// Stored bytes currently reported for machine `m` — cluster-wide
-    /// consistent even on sharded backends (reads the shared overlay when
-    /// one is installed).
-    pub fn stored_bytes_of(&self, m: MachineId) -> u64 {
+    /// Machine `m`'s reading of `g` — cluster-wide consistent even on
+    /// sharded backends (reads the shared overlay when one is installed).
+    #[inline]
+    pub fn gauge(&self, m: MachineId, g: Gauge) -> u64 {
         match &self.shared {
-            Some(sh) => sh.stored(m),
-            None => self.per_machine[m.index()].stored_bytes,
+            Some(sh) => sh.get(m, g),
+            None => self.per_machine[m.index()].gauges[g as usize],
         }
     }
 
-    /// Record machine `m`'s cumulative evicted-byte total. A gauge of a
-    /// single-writer counter (the joiner owns it and reports its running
-    /// total), not an increment — so a restored session can carry a
-    /// checkpoint's base count through shard absorption unchanged.
-    pub fn set_evicted(&mut self, m: MachineId, total: u64) {
-        let mm = &mut self.per_machine[m.index()];
-        mm.evicted_bytes = mm.evicted_bytes.max(total);
-        if let Some(sh) = &self.shared {
-            sh.evicted[m.index()].store(mm.evicted_bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Cumulative evicted bytes for machine `m` — cluster-wide consistent
-    /// even on sharded backends (reads the shared overlay when one is
-    /// installed).
-    pub fn evicted_bytes_of(&self, m: MachineId) -> u64 {
-        match &self.shared {
-            Some(sh) => sh.evicted(m),
-            None => self.per_machine[m.index()].evicted_bytes,
-        }
+    fn gauge_column(&self, g: Gauge) -> impl Iterator<Item = u64> + '_ {
+        (0..self.per_machine.len()).map(move |i| self.gauge(MachineId(i), g))
     }
 
     /// Total bytes dropped by windowed eviction across the cluster — the
     /// genuine-drain signal behind the elastic contraction trigger.
     pub fn total_evicted_bytes(&self) -> u64 {
-        (0..self.per_machine.len())
-            .map(|i| self.evicted_bytes_of(MachineId(i)))
-            .sum()
-    }
-
-    /// Record that machine `m` currently stores `tuples` tuples (window
-    /// occupancy gauge).
-    pub fn set_window_tuples(&mut self, m: MachineId, tuples: u64) {
-        self.per_machine[m.index()].window_tuples = tuples;
-        if let Some(sh) = &self.shared {
-            sh.occupancy[m.index()].store(tuples, Ordering::Relaxed);
-        }
-    }
-
-    /// Window occupancy for machine `m` — overlay-aware like
-    /// [`stored_bytes_of`](Metrics::stored_bytes_of).
-    pub fn window_tuples_of(&self, m: MachineId) -> u64 {
-        match &self.shared {
-            Some(sh) => sh.occupancy(m),
-            None => self.per_machine[m.index()].window_tuples,
-        }
+        self.gauge_column(Gauge::Evicted).sum()
     }
 
     /// Record simulated spill volume on machine `m`.
@@ -377,18 +347,23 @@ impl Metrics {
 
     /// Total operator state currently stored across the cluster.
     pub fn total_stored_bytes(&self) -> u64 {
-        (0..self.per_machine.len())
-            .map(|i| self.stored_bytes_of(MachineId(i)))
-            .sum()
+        self.gauge_column(Gauge::Stored).sum()
     }
 
     /// Maximum per-machine stored bytes (the paper's "maximum ILF per
     /// machine", Fig 6a).
     pub fn max_stored_bytes(&self) -> u64 {
-        (0..self.per_machine.len())
-            .map(|i| self.stored_bytes_of(MachineId(i)))
-            .max()
-            .unwrap_or(0)
+        self.gauge_column(Gauge::Stored).max().unwrap_or(0)
+    }
+
+    /// The cluster's storage at `seq`, as a timeline point.
+    pub fn progress_sample(&self, seq: u64, at: SimTime) -> ProgressSample {
+        ProgressSample {
+            seq,
+            at,
+            max_stored_bytes: self.max_stored_bytes(),
+            total_stored_bytes: self.total_stored_bytes(),
+        }
     }
 
     /// Maximum per-machine busy time; the makespan lower bound.
@@ -414,12 +389,7 @@ impl Metrics {
             None => {
                 if self.data_processed >= self.next_sample_at {
                     self.next_sample_at = self.data_processed + self.sample_spacing;
-                    let point = ProgressPoint {
-                        processed: self.data_processed,
-                        at,
-                        max_stored: self.max_stored_bytes(),
-                        total_stored: self.total_stored_bytes(),
-                    };
+                    let point = self.progress_sample(self.data_processed, at);
                     self.progress.push(point);
                 }
             }
@@ -442,12 +412,7 @@ impl Metrics {
                         )
                         .is_ok()
                 {
-                    let point = ProgressPoint {
-                        processed: total,
-                        at,
-                        max_stored: self.max_stored_bytes(),
-                        total_stored: self.total_stored_bytes(),
-                    };
+                    let point = self.progress_sample(total, at);
                     self.progress.push(point);
                 }
             }
@@ -494,19 +459,19 @@ impl Metrics {
             mine.bytes_in += theirs.bytes_in;
             mine.bytes_out += theirs.bytes_out;
             mine.busy += theirs.busy;
-            mine.stored_bytes = mine.stored_bytes.max(theirs.stored_bytes);
+            // Single-writer per machine: the owning shard's value wins.
+            for (g, theirs) in mine.gauges.iter_mut().zip(theirs.gauges) {
+                *g = (*g).max(theirs);
+            }
             mine.peak_stored_bytes = mine.peak_stored_bytes.max(theirs.peak_stored_bytes);
             mine.spilled_bytes = mine.spilled_bytes.max(theirs.spilled_bytes);
-            // Single-writer per machine: the owning shard's value wins.
-            mine.evicted_bytes = mine.evicted_bytes.max(theirs.evicted_bytes);
-            mine.window_tuples = mine.window_tuples.max(theirs.window_tuples);
             mine.flushes.merge(&theirs.flushes);
         }
         self.events += other.events;
         self.last_event_at = self.last_event_at.max(other.last_event_at);
         self.data_processed += other.data_processed;
         self.progress.extend(other.progress.iter().copied());
-        self.progress.sort_by_key(|p| (p.at, p.processed));
+        self.progress.sort_by_key(|p| (p.at, p.seq));
     }
 }
 
@@ -514,18 +479,93 @@ impl Metrics {
 mod tests {
     use super::*;
 
-    #[test]
-    fn storage_gauges_track_peak() {
+    fn cluster(machines: usize) -> Metrics {
         let mut m = Metrics::default();
-        m.add_machine();
-        m.add_machine();
-        m.set_stored(MachineId(0), 100);
-        m.set_stored(MachineId(0), 40);
-        m.set_stored(MachineId(1), 70);
-        assert_eq!(m.machine(MachineId(0)).stored_bytes, 40);
+        (0..machines).for_each(|_| m.add_machine());
+        m
+    }
+
+    #[test]
+    fn stored_tracks_its_peak() {
+        let mut m = cluster(2);
+        m.set_gauge(MachineId(0), Gauge::Stored, 100);
+        m.set_gauge(MachineId(0), Gauge::Stored, 40);
+        m.set_gauge(MachineId(1), Gauge::Stored, 70);
+        assert_eq!(m.gauge(MachineId(0), Gauge::Stored), 40);
         assert_eq!(m.machine(MachineId(0)).peak_stored_bytes, 100);
         assert_eq!(m.total_stored_bytes(), 110);
         assert_eq!(m.max_stored_bytes(), 70);
+        // Only `Stored` has a peak.
+        m.set_gauge(MachineId(1), Gauge::Occupancy, 500);
+        assert_eq!(m.machine(MachineId(1)).peak_stored_bytes, 70);
+    }
+
+    #[test]
+    fn every_gauge_round_trips_with_and_without_an_overlay() {
+        let shared = SharedGauges::new(2);
+        let mut sharded = cluster(2);
+        sharded.install_shared(Arc::clone(&shared));
+        for (mut m, overlay) in [(cluster(2), false), (sharded, true)] {
+            for (k, g) in Gauge::ALL.into_iter().enumerate() {
+                assert_eq!(g as usize, k, "ALL is in table order");
+                let value = 10 + k as u64;
+                m.set_gauge(MachineId(1), g, value);
+                assert_eq!(m.gauge(MachineId(1), g), value);
+                assert_eq!(m.gauge(MachineId(0), g), 0, "rows are per machine");
+                assert_eq!(m.machine(MachineId(1)).gauges[k], value);
+                if overlay {
+                    assert_eq!(shared.get(MachineId(1), g), value);
+                    // A remote writer's value is what readers see.
+                    shared.set(MachineId(0), g, 7);
+                    assert_eq!(m.gauge(MachineId(0), g), 7);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_never_decreases() {
+        let shared = SharedGauges::new(1);
+        let mut m = cluster(1);
+        m.install_shared(Arc::clone(&shared));
+        m.set_gauge(MachineId(0), Gauge::Evicted, 300);
+        m.set_gauge(MachineId(0), Gauge::Evicted, 120);
+        assert_eq!(m.gauge(MachineId(0), Gauge::Evicted), 300);
+        assert_eq!(shared.get(MachineId(0), Gauge::Evicted), 300);
+        assert_eq!(m.total_evicted_bytes(), 300);
+        // The other gauges are plain readings.
+        m.set_gauge(MachineId(0), Gauge::Occupancy, 9);
+        m.set_gauge(MachineId(0), Gauge::Occupancy, 4);
+        assert_eq!(m.gauge(MachineId(0), Gauge::Occupancy), 4);
+    }
+
+    #[test]
+    fn absorb_adds_counters_and_keeps_gauges_single_writer() {
+        // Two shards, each writing only its own machine's row.
+        let (mut a, mut b) = (cluster(2), cluster(2));
+        for (k, g) in Gauge::ALL.into_iter().enumerate() {
+            a.set_gauge(MachineId(0), g, 100 + k as u64);
+            b.set_gauge(MachineId(1), g, 200 + k as u64);
+        }
+        a.set_gauge(MachineId(0), Gauge::Stored, 1);
+        a.on_send(MachineId(0), 10);
+        b.on_send(MachineId(0), 5);
+        a.data_processed = 3;
+        b.data_processed = 4;
+        let mut merged = Metrics::default();
+        merged.absorb(&a);
+        merged.absorb(&b);
+        assert_eq!(merged.machine(MachineId(0)).bytes_out, 15);
+        assert_eq!(merged.machine(MachineId(0)).messages_out, 2);
+        assert_eq!(merged.data_processed, 7);
+        assert_eq!(merged.gauge(MachineId(0), Gauge::Stored), 1);
+        assert_eq!(merged.machine(MachineId(0)).peak_stored_bytes, 100);
+        for (k, g) in Gauge::ALL.into_iter().enumerate().skip(1) {
+            assert_eq!(merged.gauge(MachineId(0), g), 100 + k as u64);
+        }
+        for (k, g) in Gauge::ALL.into_iter().enumerate() {
+            assert_eq!(merged.gauge(MachineId(1), g), 200 + k as u64);
+        }
     }
 
     #[test]
@@ -555,11 +595,11 @@ mod tests {
             m
         };
         let (mut a, mut b) = (shard(0), shard(1));
-        a.set_stored(MachineId(0), 100);
-        b.set_stored(MachineId(1), 70);
+        a.set_gauge(MachineId(0), Gauge::Stored, 100);
+        b.set_gauge(MachineId(1), Gauge::Stored, 70);
         // Each shard now sees the *other* machine's gauge too.
-        assert_eq!(a.stored_bytes_of(MachineId(1)), 70);
-        assert_eq!(b.stored_bytes_of(MachineId(0)), 100);
+        assert_eq!(a.gauge(MachineId(1), Gauge::Stored), 70);
+        assert_eq!(b.gauge(MachineId(0), Gauge::Stored), 100);
         assert_eq!(a.total_stored_bytes(), 170);
         assert_eq!(b.max_stored_bytes(), 100);
         // Progress counting is cluster-wide, and each boundary is claimed
@@ -572,7 +612,7 @@ mod tests {
         let mut merged = Metrics::default();
         merged.absorb(&a);
         merged.absorb(&b);
-        let processed: Vec<u64> = merged.progress.iter().map(|p| p.processed).collect();
+        let processed: Vec<u64> = merged.progress.iter().map(|p| p.seq).collect();
         assert_eq!(processed, vec![1, 3], "one claim per boundary");
     }
 
