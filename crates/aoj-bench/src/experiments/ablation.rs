@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices the README ("Live elasticity") and
+//! `aoj_core::epoch`'s module docs call out:
 //!
 //! * locality-aware vs naive (full-repartition) migration volume;
 //! * the ε optimality/communication trade-off of Theorem 4.2;

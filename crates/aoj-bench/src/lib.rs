@@ -1,6 +1,7 @@
 //! # aoj-bench — regenerating the paper's evaluation, verifying the rest
 //!
-//! One module per table/figure of §5 (see DESIGN.md §4 for the index),
+//! One module per table/figure of §5 (the README's "Running" section and
+//! `reproduce --help` are the index),
 //! the verified scenarios for what the repo adds to the paper's operator
 //! ([`experiments::scenarios`]), and a
 //! [`bin/reproduce`](../src/bin/reproduce.rs) CLI that runs any of them

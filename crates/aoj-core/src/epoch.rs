@@ -1,17 +1,19 @@
-//! The eventually consistent, non-blocking migration protocol
-//! (Alg. 3, §4.3.1).
+//! The eventually consistent, non-blocking epoch-change protocol
+//! (Alg. 3, §4.3.1) — the operator's **one** adaptivity mechanism. A
+//! migration step (Lemma 4.4), a ×4 expansion (§4.2.2, Fig. 5) and a 4→1
+//! contraction are the same protocol run with three forwarding rules.
 //!
 //! Blocking state relocation stalls the stream for as long as the transfer
 //! takes — unacceptable for operators holding full history. Instead, the
-//! operator divides execution into **epochs**: every mapping change
-//! increments the epoch, reshufflers tag tuples with the epoch they route
-//! under, and joiners reason about four tuple sets:
+//! operator divides execution into **epochs**: every change of the mapping
+//! ([`Reconfig`]) increments the epoch, reshufflers tag tuples with the
+//! epoch they route under, and joiners reason about four tuple sets:
 //!
-//! * `τ` — state received before the migration decision,
-//! * `Δ` — tuples tagged with the *old* epoch arriving during migration
+//! * `τ` — state received before the change was decided,
+//! * `Δ` — tuples tagged with the *old* epoch arriving during the change
 //!   (routed under the old mapping by reshufflers that had not yet heard),
 //! * `Δ′` — tuples tagged with the *new* epoch (already routed correctly),
-//! * `µ` — state copies received from the exchange partner.
+//! * `µ` — state copies received from other joiners.
 //!
 //! Lemma 4.6 decomposes the correct output into seven joins; Alg. 3
 //! computes each exactly once while tuples keep flowing:
@@ -20,157 +22,263 @@
 //! |-------------------------|-----------------------------------------------|
 //! | old-epoch tuple `t`     | `{t} ⋈ (τ ∪ Δ)`; if `t ∈ Keep`: `{t} ⋈ Δ′`    |
 //! | new-epoch tuple `t`     | `{t} ⋈ (µ ∪ Δ′)`; `{t} ⋈ Keep(τ ∪ Δ)`         |
-//! | migration tuple `t`     | `{t} ⋈ Δ′`                                    |
+//! | relocated tuple `t`     | `{t} ⋈ Δ′`                                    |
 //!
-//! Old-epoch tuples of the coarsening relation are additionally forwarded
-//! to the partner (they are part of the exchanged state). When a joiner has
-//! received the epoch-change signal from **every** reshuffler (FIFO
-//! channels ⇒ no more old-epoch tuples can arrive) and the partner's
-//! end-of-state marker, it *finalises*: discards are dropped and
-//! `τ ← Keep(τ∪Δ) ∪ µ ∪ Δ′` — the state is consistent with the new mapping
-//! (Theorem 4.5).
+//! The first epoch-change signal ships the part of `τ` the joiner's
+//! [`Role`] forwards, and every later old-epoch arrival the role forwards
+//! follows it (it is part of the relocated state). When a joiner has
+//! received the signal from **every** reshuffler (FIFO channels ⇒ no more
+//! old-epoch tuples can arrive) it sends each receiver of its state an
+//! end-of-state marker; when it also holds every marker its role awaits,
+//! it *finalises*: discards are dropped and `τ ← Keep(τ∪Δ) ∪ µ ∪ Δ′` — the
+//! state is consistent with the new mapping (Theorem 4.5).
 //!
-//! The ordering contract this module demands from its host (satisfied by
-//! `aoj-simnet`'s channels and message classes):
+//! ## One protocol, three forwarding rules
+//!
+//! What differs between the kinds of change is only what [`Role`] answers:
+//!
+//! | role                | `Keep`                      | forwards where                                   | markers awaited | transfer bound              |
+//! |---------------------|-----------------------------|--------------------------------------------------|-----------------|-----------------------------|
+//! | step (Lemma 4.4)    | exchange relation, and the refining relation's matching bit | exchange relation → partner | 1 (the partner) | the exchange: `\|R\|/n` per machine |
+//! | expansion parent    | what lands in child `(0,0)` | every tuple → the 1–2 children whose cells cover it | 0          | ≤ 2× stored (Theorem 4.3)   |
+//! | contraction survivor| everything                  | nothing                                          | 3 (its retirees)| —                           |
+//! | contraction retiree | nothing                     | its forward relation → the survivor (S from the row sibling, R from the column sibling, nothing from the diagonal) | 0 | ≤ 1× stored |
+//!
+//! An expansion **child** has no role: it starts *unborn* — empty state,
+//! no epoch. New-epoch tuples routed to it accumulate in `Δ′` (probing
+//! `µ ∪ Δ′`, Alg. 3's new-epoch path with `Keep(τ ∪ Δ) = ∅`), parent state
+//! accumulates in `µ` (probing `Δ′`), and the parent's end-of-state marker
+//! — FIFO behind all of `µ` — is its only completion condition: every old
+//! tuple relevant to the child flows through its parent, so it needs no
+//! reshuffler signals. At *birth* it finalises `τ ← µ ∪ Δ′` and joins the
+//! cluster at the expansion epoch. A retiree finalises into that same
+//! dormant state, ready for a later expansion to re-activate it; new-epoch
+//! tuples can never reach it (reshufflers only route to survivors under
+//! the contracted mapping).
+//!
+//! Exactly-once coverage is the seven-join argument with `µ` sourced from
+//! one partner, one parent or three retirees. Each old×old pair is
+//! emitted at the unique old cell covering it (parents and retirees keep
+//! probing `τ ∪ Δ` until their `Δ` closes — the receiver never stored the
+//! sender's complement partitions); each old×new pair at the one machine
+//! whose new cell covers it (via `Keep(τ ∪ Δ)` for its own state, via
+//! `µ ⋈ Δ′` for relocated state — every forwarding rule delivers a
+//! relocated tuple to each new owner exactly once; the diagonal retiree
+//! forwards nothing because both of its partitions reach the survivor
+//! from the other two); each new×new pair there via `Δ′`.
+//!
+//! ## Ordering contract
+//!
+//! What this module demands from its host (satisfied by `aoj-simnet`'s
+//! channels and message classes):
 //!
 //! 1. per-channel FIFO between any two tasks *within a message class*;
 //! 2. a reshuffler's epoch signal travels in the same class/channel as its
 //!    data tuples;
-//! 3. the partner's end marker travels in the same class/channel as
-//!    migration state.
-//!
-//! ## Elastic expansion (§4.2.2, Fig. 5)
-//!
-//! The same state machine also hosts the ×4 **expansion** protocol, where
-//! the mapping goes `(n, m) → (2n, 2m)` and every machine splits into
-//! four. The correctness argument is the migration argument with the
-//! partner exchange replaced by a parent → children **fan-out**:
-//!
-//! * a **parent** treats the expansion like a migration in which it keeps
-//!   only the state landing in child `(0,0)` and ships every stored tuple
-//!   to the 1–2 children whose new grid cells cover it
-//!   ([`ExpandSpec::destinations`]); it expects no partner state, so it
-//!   finalises as soon as every reshuffler has signalled;
-//! * a **child** starts *unborn* — empty state, no epoch. New-epoch
-//!   tuples routed to it accumulate in `Δ′` (probing `µ ∪ Δ′`, exactly
-//!   Alg. 3's new-epoch path with `Keep(τ ∪ Δ) = ∅`), parent state
-//!   accumulates in `µ` (probing `Δ′`), and the parent's end-of-state
-//!   marker — FIFO behind all of `µ` on the Migration channel — is the
-//!   only completion condition: every old tuple relevant to the child
-//!   flows through its parent, so no reshuffler signals are needed. At
-//!   *birth* the child finalises `τ ← µ ∪ Δ′` and joins the cluster as a
-//!   normal joiner at the expansion epoch.
-//!
-//! Every old×old pair was emitted at the parent level, every old×new and
-//! new×new pair is emitted at exactly the one machine whose new grid cell
-//! covers it — the seven-join decomposition of Lemma 4.6 carries over
-//! with `µ` sourced from one parent instead of one partner.
-//!
-//! ## Elastic contraction (the reverse 4→1 merge)
-//!
-//! The same machinery also hosts the **contraction**, where each aligned
-//! 2×2 cell group merges into one survivor and the mapping goes
-//! `(n, m) → (n/2, m/2)`. It is the migration argument with the partner
-//! exchange replaced by a retiree → survivor **fan-in**:
-//!
-//! * the **survivor** runs Alg. 3 with `Keep(τ ∪ Δ) = τ ∪ Δ` (its whole
-//!   cell is inside the merged cell, so nothing is discarded) and `µ`
-//!   sourced from its three retirees instead of one partner — it expects
-//!   three end-of-state markers, each FIFO behind that retiree's state on
-//!   the Migration channel;
-//! * a **retiree** runs Alg. 3 with `Keep(τ ∪ Δ) = ∅`: old-epoch tuples
-//!   probe `τ ∪ Δ` exactly as usual (that emission is *not* covered by
-//!   the survivor, which never stored the retiree's complement
-//!   partitions), and tuples of the retiree's *forward relation* — S for
-//!   the survivor's row sibling, R for its column sibling, nothing for
-//!   the diagonal — are shipped to the survivor like step-migration
-//!   state. New-epoch tuples can never arrive (reshufflers only route to
-//!   survivors under the contracted mapping), so the retiree finalises as
-//!   soon as every reshuffler has signalled: it discards everything and
-//!   goes **dormant** — back to the unborn-child state, ready for a later
-//!   expansion to re-activate it.
-//!
-//! Exactly-once coverage: each old×old pair is emitted at the unique old
-//! cell covering it (retirees keep probing until their Δ closes); each
-//! new×old pair at the survivor (via `Keep(τ ∪ Δ)` for its own state,
-//! via `µ ⋈ Δ′` for forwarded state — the forward pattern delivers each
-//! retiree-held tuple to the survivor exactly once); each new×new pair at
-//! the survivor via `Δ′`. The diagonal retiree forwards nothing because
-//! both of its partitions reach the survivor from the other two retirees.
+//! 3. an end-of-state marker travels in the same class/channel as the
+//!    relocated state it closes.
 
-use crate::elastic::{ContractRole, ExpandDestinations, ExpandSpec};
+use crate::elastic::{
+    plan_contraction, plan_expansion_with, ContractRole, ElasticLayout, ExpandSpec,
+};
 use crate::index::{JoinIndex, ProbeStats};
 use crate::lifecycle::EvictStats;
-use crate::migration::MachineStepSpec;
+use crate::mapping::{GridAssignment, Mapping, Step};
+use crate::migration::{plan_step, MachineStepSpec};
 use crate::tuple::{Rel, Tuple};
 
-/// Epoch counter. The system starts in epoch 0; each migration increments.
+/// Epoch counter. The system starts in epoch 0; each change increments.
 pub type Epoch = u32;
+
+/// The kind of an epoch change, as the control plane names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reconfig {
+    /// A one-step migration `(n, m) → (n/2, 2m)` or `(2n, m/2)`.
+    Step(Step),
+    /// The ×4 expansion `(n, m) → (2n, 2m)`: every machine splits in four.
+    Expand,
+    /// The 4→1 contraction `(n, m) → (n/2, m/2)`: every aligned 2×2 cell
+    /// group merges into one survivor.
+    Contract,
+}
+
+impl Reconfig {
+    /// The mapping this change leads to, if `from` admits it.
+    pub fn apply(self, from: Mapping) -> Option<Mapping> {
+        match self {
+            Reconfig::Step(step) => step.apply(from),
+            Reconfig::Expand => Some(Mapping::new(from.n * 2, from.m * 2)),
+            Reconfig::Contract => {
+                (from.n >= 2 && from.m >= 2).then(|| Mapping::new(from.n / 2, from.m / 2))
+            }
+        }
+    }
+
+    /// Plan this change against `assign` (and the machine-slot `layout`
+    /// an expansion allocates children from), apply it to both, and return
+    /// each participating machine's [`Role`] in the order reshufflers
+    /// signal them. Deterministic, so every reshuffler holding the same
+    /// pre-change view computes the same roles without coordination.
+    pub fn adopt(
+        self,
+        assign: &mut GridAssignment,
+        layout: &mut ElasticLayout,
+    ) -> Vec<(usize, Role)> {
+        match self {
+            Reconfig::Step(step) => {
+                let plan = plan_step(assign, step);
+                assign.apply_step(step);
+                let roles = plan.specs.into_iter();
+                roles.map(|s| (s.machine, Role::Step(s))).collect()
+            }
+            Reconfig::Expand => {
+                let children = layout.allocate_children(3 * assign.j() as usize);
+                let plan = plan_expansion_with(assign, &children);
+                assign.apply_expansion_with(&children);
+                let roles = plan.specs.into_iter();
+                roles.map(|s| (s.machine, Role::Expand(s))).collect()
+            }
+            Reconfig::Contract => {
+                let plan = plan_contraction(assign);
+                // `apply_contraction` relabels by the same plan, so the
+                // grid and the signalled roles cannot disagree; the
+                // retired machines join the dormant pool a later
+                // re-expansion allocates from.
+                layout.release(&assign.apply_contraction());
+                let roles = plan.specs.into_iter();
+                roles.map(|s| (s.machine, Role::Contract(s.role))).collect()
+            }
+        }
+    }
+}
+
+/// Up to three machine indices held inline: where one tuple is forwarded
+/// ([`Role::forwards`], at most two) or where a role's state streams go
+/// ([`Role::streams_to`]). Derefs to the slice of them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Machines {
+    len: u8,
+    ids: [usize; 3],
+}
+
+impl Machines {
+    fn of(ids: &[usize]) -> Machines {
+        let mut out = Machines::default();
+        ids.iter().for_each(|&id| out.push(id));
+        out
+    }
+
+    fn push(&mut self, id: usize) {
+        self.ids[self.len as usize] = id;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Machines {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+/// One machine's part in an epoch change: everything Alg. 3 needs to know
+/// about the kind of change (see the module docs' table).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// A one-step migration (Lemma 4.4): partner exchange + keep bit.
+    Step(MachineStepSpec),
+    /// A ×4 expansion parent (Fig. 5): split state across four children.
+    Expand(ExpandSpec),
+    /// A 4→1 contraction: the survivor keeps everything and absorbs three
+    /// retirees' state streams; a retiree keeps nothing, forwards one
+    /// relation to the survivor, then goes dormant.
+    Contract(ContractRole),
+}
+
+impl Role {
+    /// Does this machine's post-change state include `t`?
+    pub fn keeps(&self, t: &Tuple) -> bool {
+        match self {
+            Role::Step(spec) => spec.is_kept(t),
+            Role::Expand(spec) => spec.destinations(t).keep,
+            Role::Contract(role) => *role == ContractRole::Survive,
+        }
+    }
+
+    /// The machines a copy of old-state tuple `t` must be sent to.
+    pub fn forwards(&self, t: &Tuple) -> Machines {
+        match self {
+            Role::Step(spec) if spec.is_migrated(t) => Machines::of(&[spec.partner]),
+            Role::Expand(spec) => {
+                // Copies go to every child whose new cell covers `t`.
+                let d = spec.destinations(t);
+                let mut out = Machines::default();
+                for (child, go) in spec.children.into_iter().zip([d.to_01, d.to_10, d.to_11]) {
+                    if go {
+                        out.push(child);
+                    }
+                }
+                out
+            }
+            // The other relation's copies reach the survivor through the
+            // retiree's row/column siblings (or the survivor's own state).
+            Role::Contract(ContractRole::Retire {
+                survivor,
+                forward_rel,
+            }) if *forward_rel == Some(t.rel) => Machines::of(&[*survivor]),
+            _ => Machines::default(),
+        }
+    }
+
+    /// The machines this role streams state to; each is owed an
+    /// end-of-state marker once every reshuffler has signalled (the
+    /// diagonal retiree forwards nothing and still owes its marker).
+    pub fn streams_to(&self) -> Machines {
+        match self {
+            Role::Step(spec) => Machines::of(&[spec.partner]),
+            Role::Expand(spec) => Machines::of(&spec.children),
+            Role::Contract(ContractRole::Retire { survivor, .. }) => Machines::of(&[*survivor]),
+            Role::Contract(ContractRole::Survive) => Machines::default(),
+        }
+    }
+
+    /// End-of-state markers this role waits for before finalising.
+    pub fn markers_awaited(&self) -> usize {
+        match self {
+            Role::Step(_) => 1,
+            // Parents and retirees receive no relocated state.
+            Role::Expand(_) | Role::Contract(ContractRole::Retire { .. }) => 0,
+            // A survivor absorbs all three retirees of its group.
+            Role::Contract(ContractRole::Survive) => 3,
+        }
+    }
+
+    /// True for a contraction retiree.
+    pub fn retires(&self) -> bool {
+        matches!(self, Role::Contract(ContractRole::Retire { .. }))
+    }
+}
 
 /// Outcome of feeding one data tuple to the joiner.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DataOutcome {
     /// Probe statistics accumulated across all sets probed.
     pub stats: ProbeStats,
-    /// The caller must forward a copy of the tuple to the exchange partner
-    /// (old-epoch tuple of the coarsening relation, Alg. 3 line 19–20).
-    pub forward_to_partner: bool,
-    /// Expansion parents only: the caller must forward copies of this
-    /// old-epoch tuple to the children selected by the destinations (the
-    /// Δ analogue of the Fig. 5 state fan-out).
-    pub expand_forward: Option<ExpandDestinations>,
-}
-
-/// What kind of reconfiguration this joiner is executing, and its role.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MigrationRole {
-    /// A one-step migration (Lemma 4.4): partner exchange + keep bit.
-    Step(MachineStepSpec),
-    /// A ×4 expansion parent (Fig. 5): split state across four children.
-    Expand(ExpandSpec),
-    /// A 4→1 contraction survivor: keep everything, absorb three
-    /// retirees' state streams.
-    Merge,
-    /// A 4→1 contraction retiree: keep nothing, forward `forward_rel`
-    /// of the state to the survivor, then go dormant.
-    Retire {
-        /// The relation this retiree ships (None for the diagonal).
-        forward_rel: Option<Rel>,
-    },
-}
-
-impl MigrationRole {
-    /// Does this machine's post-reconfiguration state include `t`?
-    fn keeps(&self, t: &Tuple) -> bool {
-        match self {
-            MigrationRole::Step(spec) => spec.is_kept(t),
-            MigrationRole::Expand(spec) => spec.destinations(t).keep,
-            MigrationRole::Merge => true,
-            MigrationRole::Retire { .. } => false,
-        }
-    }
-
-    /// End-of-state markers this role waits for before finalising.
-    fn partners_expected(&self) -> usize {
-        match self {
-            MigrationRole::Step(_) => 1,
-            // Expansion parents and contraction retirees receive no
-            // relocated state.
-            MigrationRole::Expand(_) | MigrationRole::Retire { .. } => 0,
-            // A survivor absorbs all three retirees of its group.
-            MigrationRole::Merge => 3,
-        }
-    }
+    /// The caller must forward a copy of the tuple to these machines: it
+    /// is an old-epoch arrival its role relocates (Alg. 3 line 19–20, the
+    /// Δ analogue of the first signal's state shipment).
+    pub forward: Machines,
 }
 
 /// Outcome of an epoch-change signal.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SignalOutcome {
-    /// First signal of this migration: the caller must ship
-    /// [`EpochJoiner::migration_snapshot`] to the partner (Alg. 3 line 3).
+    /// First signal of this change: the caller must ship
+    /// [`EpochJoiner::snapshot`] as its role forwards it (Alg. 3 line 3).
     pub start_migration: bool,
-    /// All reshufflers have signalled: the caller must send the
-    /// end-of-state marker to the partner.
+    /// All reshufflers have signalled: the caller must send an
+    /// end-of-state marker to every machine its role streams to.
     pub all_signals: bool,
 }
 
@@ -189,7 +297,7 @@ pub struct EpochJoiner {
     epoch: Epoch,
     migrating: bool,
     new_epoch: Epoch,
-    role: Option<MigrationRole>,
+    role: Option<Role>,
     signals: Vec<bool>,
     signals_remaining: usize,
     /// End-of-state markers received for the in-flight reconfiguration.
@@ -428,26 +536,8 @@ impl EpochJoiner {
                 };
                 outcome.stats += self.delta_prime.probe(&t, &mut cb);
             }
-            match role {
-                MigrationRole::Step(spec) => {
-                    outcome.forward_to_partner = spec.is_migrated(&t);
-                }
-                MigrationRole::Expand(spec) => {
-                    // A Δ tuple is part of the state being split: copies
-                    // go to every child whose new cell covers it.
-                    outcome.expand_forward = Some(spec.destinations(&t));
-                }
-                // A survivor's Δ is entirely inside the merged cell:
-                // nothing to forward.
-                MigrationRole::Merge => {}
-                MigrationRole::Retire { forward_rel } => {
-                    // A retiree's Δ tuple of its forward relation is part
-                    // of the state being merged into the survivor; the
-                    // other relation's copies reach the survivor through
-                    // its row/column siblings (or its own replicas).
-                    outcome.forward_to_partner = forward_rel == Some(t.rel);
-                }
-            }
+            // A Δ tuple is part of the state being relocated.
+            outcome.forward = role.forwards(&t);
             self.delta.insert(t);
         } else {
             // New-epoch tuple: Alg. 3 lines 12–14 / 24–26.
@@ -458,7 +548,7 @@ impl EpochJoiner {
             );
             let role = self.role.expect("migrating implies a role");
             assert!(
-                !matches!(role, MigrationRole::Retire { .. }),
+                !role.retires(),
                 "retiring joiner received new-epoch data (reshufflers must \
                  only route to survivors under the contracted mapping)"
             );
@@ -524,70 +614,17 @@ impl EpochJoiner {
         stats
     }
 
-    /// An epoch-change signal from reshuffler `from`, carrying the new
-    /// epoch index, this machine's migration role, and the number of
-    /// reshufflers that route old-epoch data (and therefore must signal):
-    /// the **active** reshuffler count at the moment of the change, which
-    /// under trigger-time provisioning is no longer a constant.
+    /// An epoch-change signal from reshuffler `from` (it travels FIFO
+    /// behind that reshuffler's old-epoch data), carrying the new epoch
+    /// index, this machine's [`Role`] in the change, and the number of
+    /// reshufflers that must signal: every machine active on either side
+    /// of the change, which under trigger-time provisioning is not a
+    /// run-wide constant.
     pub fn on_signal(
         &mut self,
         from: usize,
         new_epoch: Epoch,
-        spec: MachineStepSpec,
-        expected_signals: usize,
-    ) -> SignalOutcome {
-        self.begin_reconfiguration(from, new_epoch, MigrationRole::Step(spec), expected_signals)
-    }
-
-    /// An expansion signal from reshuffler `from` (§4.2.2): this machine is
-    /// a **parent** splitting into four. Like [`EpochJoiner::on_signal`], the signal
-    /// travels FIFO behind the reshuffler's data; on the first one the
-    /// caller must ship [`expansion_snapshot`](EpochJoiner::expansion_snapshot)
-    /// to the children, and after the last one send each child the
-    /// end-of-state marker. Parents receive no partner state, so they are
-    /// ready to finalise as soon as every reshuffler has signalled.
-    pub fn on_expand_signal(
-        &mut self,
-        from: usize,
-        new_epoch: Epoch,
-        spec: ExpandSpec,
-        expected_signals: usize,
-    ) -> SignalOutcome {
-        self.begin_reconfiguration(
-            from,
-            new_epoch,
-            MigrationRole::Expand(spec),
-            expected_signals,
-        )
-    }
-
-    /// A contraction signal from reshuffler `from`: this machine is either
-    /// the **survivor** of its 2×2 group (merge everything, await three
-    /// end-of-state markers) or a **retiree** (forward its role's relation
-    /// to the survivor, then go dormant at finalisation). On a retiree's
-    /// first signal the caller must ship
-    /// [`migration_snapshot`](EpochJoiner::migration_snapshot) to the
-    /// survivor, and after its last signal send the survivor the
-    /// end-of-state marker.
-    pub fn on_contract_signal(
-        &mut self,
-        from: usize,
-        new_epoch: Epoch,
-        role: ContractRole,
-        expected_signals: usize,
-    ) -> SignalOutcome {
-        let role = match role {
-            ContractRole::Survive => MigrationRole::Merge,
-            ContractRole::Retire { forward_rel, .. } => MigrationRole::Retire { forward_rel },
-        };
-        self.begin_reconfiguration(from, new_epoch, role, expected_signals)
-    }
-
-    fn begin_reconfiguration(
-        &mut self,
-        from: usize,
-        new_epoch: Epoch,
-        role: MigrationRole,
+        role: Role,
         expected_signals: usize,
     ) -> SignalOutcome {
         assert!(self.born, "dormant child received a reshuffler signal");
@@ -608,7 +645,7 @@ impl EpochJoiner {
                 self.n_reshufflers
             );
             self.signals_remaining = expected_signals;
-            self.partners_expected = role.partners_expected();
+            self.partners_expected = role.markers_awaited();
             assert!(
                 self.partners_done <= self.partners_expected,
                 "more end-of-state markers than this role's senders"
@@ -628,55 +665,28 @@ impl EpochJoiner {
         outcome
     }
 
-    /// The state to ship when a migration (or contraction) starts: for a
-    /// step migration, copies of all stored tuples of the coarsening
-    /// relation (Alg. 3 line 3, "Send τ for migration" — the tuples stay
-    /// in `τ`, the exchange keeps both halves, Lemma 4.4); for a
-    /// contraction retiree, all stored tuples of its forward relation
-    /// (empty for the diagonal retiree).
-    pub fn migration_snapshot(&self) -> Vec<Tuple> {
-        let rel = match self.role {
-            Some(MigrationRole::Step(spec)) => Some(spec.exchange_rel),
-            Some(MigrationRole::Retire { forward_rel }) => match forward_rel {
-                Some(rel) => Some(rel),
-                None => return Vec::new(),
-            },
-            _ => panic!("migration snapshot requires a step migration or a retiring role"),
-        };
+    /// This joiner's role in the in-flight change (`None` while stable or
+    /// unborn).
+    #[inline]
+    pub fn role(&self) -> Option<&Role> {
+        self.role.as_ref()
+    }
+
+    /// The state to ship when a change starts: copies of every stored
+    /// tuple the role [forwards](Role::forwards) (Alg. 3 line 3, "Send τ
+    /// for migration"). A step ships the coarsening relation (the tuples
+    /// stay in `τ` — the exchange keeps both halves, Lemma 4.4), an
+    /// expansion parent **all** of `τ` (Fig. 5 splits along both ticket
+    /// axes; the non-kept tuples are dropped at finalisation), a retiree
+    /// its forward relation, a survivor and the diagonal retiree nothing.
+    pub fn snapshot(&self) -> Vec<Tuple> {
+        let role = self.role.expect("snapshot requires an in-flight change");
         let mut snap = Vec::new();
         self.tau.for_each(&mut |t| {
-            if Some(t.rel) == rel {
+            if !role.forwards(t).is_empty() {
                 snap.push(*t);
             }
         });
-        snap
-    }
-
-    /// True while this joiner is a contraction retiree mid-merge.
-    #[inline]
-    pub fn is_retiring(&self) -> bool {
-        self.migrating && matches!(self.role, Some(MigrationRole::Retire { .. }))
-    }
-
-    /// True while this joiner is a contraction survivor mid-merge.
-    #[inline]
-    pub fn is_merging(&self) -> bool {
-        self.migrating && matches!(self.role, Some(MigrationRole::Merge))
-    }
-
-    /// The state an expansion parent ships to its children when the
-    /// expansion starts: **every** stored tuple of `τ`, of both relations
-    /// (Fig. 5 splits along both ticket axes). The caller classifies each
-    /// tuple with [`ExpandSpec::destinations`] and sends copies to the
-    /// 1–2 children that cover it; kept tuples stay in `τ` and the
-    /// non-kept ones are dropped at finalisation.
-    pub fn expansion_snapshot(&self) -> Vec<Tuple> {
-        assert!(
-            matches!(self.role, Some(MigrationRole::Expand(_))),
-            "expansion snapshot requires an active expansion"
-        );
-        let mut snap = Vec::with_capacity(self.tau.len());
-        self.tau.for_each(&mut |t| snap.push(*t));
         snap
     }
 
@@ -780,7 +790,7 @@ impl EpochJoiner {
             return summary;
         }
         let role = self.role.take().expect("migrating implies a role");
-        if let MigrationRole::Retire { .. } = role {
+        if role.retires() {
             // Retirement: nothing survives locally. Δ′ and µ must be
             // empty — no reshuffler routes new-epoch data to a retiree
             // and nobody relocates state into one.
@@ -831,8 +841,6 @@ impl EpochJoiner {
 mod tests {
     use super::*;
     use crate::index::VecIndex;
-    use crate::mapping::{GridAssignment, Mapping, Step};
-    use crate::migration::plan_step;
     use crate::predicate::Predicate;
     use crate::ticket::TicketGen;
 
@@ -896,7 +904,7 @@ mod tests {
         let (mut a, _b, plan) = mid_migration_pair();
         assert!(a.stable_for(0));
         assert!(!a.stable_for(1));
-        a.on_signal(0, 1, plan.specs[0], 2);
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
         assert!(
             !a.stable_for(0),
             "mid-migration batches need per-tuple handling"
@@ -917,11 +925,11 @@ mod tests {
     #[test]
     fn signal_protocol_tracks_start_and_completion() {
         let (mut a, _b, plan) = mid_migration_pair();
-        let s0 = a.on_signal(0, 1, plan.specs[0], 2);
+        let s0 = a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
         assert!(s0.start_migration);
         assert!(!s0.all_signals);
         assert!(a.is_migrating());
-        let s1 = a.on_signal(1, 1, plan.specs[0], 2);
+        let s1 = a.on_signal(1, 1, Role::Step(plan.specs[0]), 2);
         assert!(!s1.start_migration);
         assert!(s1.all_signals);
         assert!(!a.ready_to_finalize());
@@ -941,12 +949,13 @@ mod tests {
         let s_old = Tuple::new(Rel::S, 1, 7, 0); // refine_bit(0, 1) == 0
         a.on_data(0, s_old, &mut collect_pairs(&mut pairs));
         // Migration starts.
-        a.on_signal(0, 1, plan.specs[0], 2);
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
         // Old-epoch R tuple arrives: joins τ∪Δ (the S tuple), forwarded.
         let r_old = Tuple::new(Rel::R, 2, 7, 0);
         let outcome = a.on_data(0, r_old, &mut collect_pairs(&mut pairs));
-        assert!(
-            outcome.forward_to_partner,
+        assert_eq!(
+            outcome.forward[..],
+            [plan.specs[0].partner],
             "coarsening-relation Δ tuple must migrate"
         );
         assert_eq!(pairs, vec![(2, 1)]);
@@ -963,7 +972,7 @@ mod tests {
         let s_drop = Tuple::new(Rel::S, 2, 7, 1 << 63); // refine_bit = 1
         a.on_data(0, s_keep, &mut collect_pairs(&mut pairs));
         a.on_data(0, s_drop, &mut collect_pairs(&mut pairs));
-        a.on_signal(0, 1, spec, 2);
+        a.on_signal(0, 1, Role::Step(spec), 2);
         // New-epoch R tuple: joins µ ∪ Δ′ (empty) and Keep(τ∪Δ) = {s_keep}.
         let r_new = Tuple::new(Rel::R, 3, 7, 0);
         a.on_data(1, r_new, &mut collect_pairs(&mut pairs));
@@ -974,7 +983,7 @@ mod tests {
     fn migration_tuples_join_delta_prime_only() {
         let (mut a, _b, plan) = mid_migration_pair();
         let mut pairs = Vec::new();
-        a.on_signal(0, 1, plan.specs[0], 2);
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
         // Δ′ gets an S tuple.
         let s_new = Tuple::new(Rel::S, 1, 9, 0);
         a.on_data(1, s_new, &mut collect_pairs(&mut pairs));
@@ -1000,8 +1009,8 @@ mod tests {
         assert_eq!(a.set_sizes(), [0, 0, 0, 1]);
         a.on_partner_done();
         // Now the signals arrive and the migration completes.
-        a.on_signal(0, 1, plan.specs[0], 2);
-        a.on_signal(1, 1, plan.specs[0], 2);
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
+        a.on_signal(1, 1, Role::Step(plan.specs[0]), 2);
         assert!(a.ready_to_finalize());
         let summary = a.finalize();
         assert_eq!(summary.merged, 1);
@@ -1020,13 +1029,13 @@ mod tests {
         let s_drop = Tuple::new(Rel::S, 2, 7, 1 << 63);
         a.on_data(0, s_keep, &mut collect_pairs(&mut sink));
         a.on_data(0, s_drop, &mut collect_pairs(&mut sink));
-        a.on_signal(0, 1, spec, 2);
+        a.on_signal(0, 1, Role::Step(spec), 2);
         // Old-epoch S arrivals during migration, one of each class.
         let s_keep2 = Tuple::new(Rel::S, 3, 7, 1); // bit 0
         let s_drop2 = Tuple::new(Rel::S, 4, 7, (1 << 63) | 1); // bit 1
         a.on_data(0, s_keep2, &mut collect_pairs(&mut sink));
         a.on_data(0, s_drop2, &mut collect_pairs(&mut sink));
-        a.on_signal(1, 1, spec, 2);
+        a.on_signal(1, 1, Role::Step(spec), 2);
         a.on_partner_done();
         let summary = a.finalize();
         assert_eq!(summary.discarded, 2);
@@ -1038,8 +1047,8 @@ mod tests {
     #[should_panic(expected = "old-epoch tuple after all reshuffler signals")]
     fn old_epoch_after_all_signals_is_a_protocol_violation() {
         let (mut a, _b, plan) = mid_migration_pair();
-        a.on_signal(0, 1, plan.specs[0], 2);
-        a.on_signal(1, 1, plan.specs[0], 2);
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
+        a.on_signal(1, 1, Role::Step(plan.specs[0]), 2);
         let mut sink = |_: &Tuple, _: &Tuple| {};
         a.on_data(0, Tuple::new(Rel::R, 1, 1, 0), &mut sink);
     }
@@ -1048,8 +1057,8 @@ mod tests {
     #[should_panic(expected = "duplicate signal")]
     fn duplicate_signals_panic() {
         let (mut a, _b, plan) = mid_migration_pair();
-        a.on_signal(0, 1, plan.specs[0], 2);
-        a.on_signal(0, 1, plan.specs[0], 2);
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
     }
 
     fn expand_spec_1x1() -> ExpandSpec {
@@ -1075,23 +1084,22 @@ mod tests {
         p.on_data(0, s_move, &mut collect_pairs(&mut pairs));
         assert_eq!(pairs, vec![(1, 2)]);
         let spec = expand_spec_1x1();
-        let so = p.on_expand_signal(0, 1, spec, 2);
+        let so = p.on_signal(0, 1, Role::Expand(spec), 2);
         assert!(so.start_migration && !so.all_signals);
-        assert_eq!(p.expansion_snapshot().len(), 2, "both relations ship");
+        assert_eq!(p.snapshot().len(), 2, "both relations ship");
         // Old-epoch R with row-bit 1: joins τ∪Δ, forwarded to two children,
         // not kept here.
         let r_old = Tuple::new(Rel::R, 3, 7, 1 << 63);
         let o = p.on_data(0, r_old, &mut collect_pairs(&mut pairs));
-        let d = o.expand_forward.expect("Δ tuples fan out to children");
-        assert!(!d.keep);
-        assert_eq!(d.sends(), 2);
+        assert_eq!(o.forward[..], [2, 3], "Δ tuples fan out to children");
+        assert!(!Role::Expand(spec).keeps(&r_old));
         assert_eq!(pairs, vec![(1, 2), (3, 2)]);
         // New-epoch S with col-bit 0 (parent's own new cell): joins
         // Keep(τ∪Δ) = {r_keep} only.
         let s_new = Tuple::new(Rel::S, 4, 7, 0);
         p.on_data(1, s_new, &mut collect_pairs(&mut pairs));
         assert_eq!(pairs, vec![(1, 2), (3, 2), (1, 4)]);
-        let so = p.on_expand_signal(1, 1, spec, 2);
+        let so = p.on_signal(1, 1, Role::Expand(spec), 2);
         assert!(so.all_signals);
         // Parents await no partner state: ready right after the signals.
         assert!(p.ready_to_finalize());
@@ -1160,18 +1168,18 @@ mod tests {
         let s_mu = Tuple::new(Rel::S, 2, 5, u64::MAX);
         s.on_migration_tuple(s_mu, &mut collect_pairs(&mut pairs));
         s.on_partner_done();
-        let so = s.on_contract_signal(0, 1, ContractRole::Survive, 2);
+        let so = s.on_signal(0, 1, Role::Contract(ContractRole::Survive), 2);
         assert!(so.start_migration && !so.all_signals);
-        assert!(s.is_merging());
+        assert_eq!(s.role().map(Role::markers_awaited), Some(3));
         // Old-epoch data still joins τ∪Δ — and Δ′ too, since a survivor
         // keeps everything.
         let s_old = Tuple::new(Rel::S, 3, 5, 0);
         let o = s.on_data(0, s_old, &mut collect_pairs(&mut pairs));
-        assert!(!o.forward_to_partner, "survivors forward nothing");
+        assert!(o.forward.is_empty(), "survivors forward nothing");
         // New-epoch data joins µ ∪ Δ′ and Keep(τ∪Δ) = all of τ∪Δ.
         let r_new = Tuple::new(Rel::R, 4, 5, 0);
         s.on_data(1, r_new, &mut collect_pairs(&mut pairs));
-        let so = s.on_contract_signal(1, 1, ContractRole::Survive, 2);
+        let so = s.on_signal(1, 1, Role::Contract(ContractRole::Survive), 2);
         assert!(so.all_signals);
         assert!(!s.ready_to_finalize(), "two retiree markers still missing");
         s.on_partner_done();
@@ -1200,26 +1208,26 @@ mod tests {
         r.on_data(0, r_old, &mut collect_pairs(&mut pairs));
         r.on_data(0, s_old, &mut collect_pairs(&mut pairs));
         assert_eq!(pairs, vec![(1, 2)]);
-        let role = ContractRole::Retire {
+        let role = Role::Contract(ContractRole::Retire {
             survivor: 0,
             forward_rel: Some(Rel::S),
-        };
-        let so = r.on_contract_signal(0, 1, role, 2);
+        });
+        let so = r.on_signal(0, 1, role, 2);
         assert!(so.start_migration);
-        assert!(r.is_retiring());
-        let snap = r.migration_snapshot();
+        assert!(r.role().is_some_and(Role::retires));
+        let snap = r.snapshot();
         assert_eq!(snap.len(), 1, "only the forward relation ships");
         assert_eq!(snap[0].rel, Rel::S);
         // Old-epoch Δ arrivals keep joining τ∪Δ; only S is forwarded.
         let s_delta = Tuple::new(Rel::S, 3, 7, 1);
         let o = r.on_data(0, s_delta, &mut collect_pairs(&mut pairs));
-        assert!(o.forward_to_partner, "Δ tuple of the forward relation");
+        assert_eq!(o.forward[..], [0], "Δ tuple of the forward relation");
         let r_delta = Tuple::new(Rel::R, 4, 7, 1);
         let o = r.on_data(0, r_delta, &mut collect_pairs(&mut pairs));
-        assert!(!o.forward_to_partner, "the other relation stays");
+        assert!(o.forward.is_empty(), "the other relation stays");
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 2), (1, 3), (4, 2), (4, 3)]);
-        let so = r.on_contract_signal(1, 1, role, 2);
+        let so = r.on_signal(1, 1, role, 2);
         assert!(so.all_signals);
         assert!(r.ready_to_finalize(), "retirees await no markers");
         let summary = r.finalize();
@@ -1244,15 +1252,15 @@ mod tests {
         let mut sink = |_: &Tuple, _: &Tuple| {};
         r.on_data(0, Tuple::new(Rel::R, 1, 1, 0), &mut sink);
         r.on_data(0, Tuple::new(Rel::S, 2, 1, 0), &mut sink);
-        let role = ContractRole::Retire {
+        let role = Role::Contract(ContractRole::Retire {
             survivor: 0,
             forward_rel: None,
-        };
-        r.on_contract_signal(0, 1, role, 2);
-        assert!(r.migration_snapshot().is_empty());
+        });
+        r.on_signal(0, 1, role, 2);
+        assert!(r.snapshot().is_empty());
         let o = r.on_data(0, Tuple::new(Rel::S, 3, 1, 1), &mut sink);
-        assert!(!o.forward_to_partner);
-        r.on_contract_signal(1, 1, role, 2);
+        assert!(o.forward.is_empty());
+        r.on_signal(1, 1, role, 2);
         assert!(r.ready_to_finalize());
         r.finalize();
         assert!(!r.is_born());
@@ -1263,15 +1271,11 @@ mod tests {
     fn retiree_rejects_new_epoch_data() {
         let mut r = make_joiner(2);
         let mut sink = |_: &Tuple, _: &Tuple| {};
-        r.on_contract_signal(
-            0,
-            1,
-            ContractRole::Retire {
-                survivor: 0,
-                forward_rel: Some(Rel::R),
-            },
-            2,
-        );
+        let role = Role::Contract(ContractRole::Retire {
+            survivor: 0,
+            forward_rel: Some(Rel::R),
+        });
+        r.on_signal(0, 1, role, 2);
         r.on_data(1, Tuple::new(Rel::R, 1, 1, 0), &mut sink);
     }
 
@@ -1284,8 +1288,8 @@ mod tests {
             let rel = if i % 2 == 0 { Rel::R } else { Rel::S };
             a.on_data(0, Tuple::new(rel, i, i as i64, gen.next()), &mut sink);
         }
-        a.on_signal(0, 1, plan.specs[0], 2);
-        let snap = a.migration_snapshot();
+        a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
+        let snap = a.snapshot();
         assert_eq!(snap.len(), 5);
         assert!(snap.iter().all(|t| t.rel == Rel::R));
         // Snapshot does not remove: τ still holds everything.

@@ -49,7 +49,9 @@ pub mod tuple;
 
 pub use competitive::CompetitiveTracker;
 pub use decision::{DeciderSnapshot, Decision, DecisionConfig, MigrationDecider};
-pub use epoch::{DataOutcome, Epoch, EpochJoiner, FinalizeSummary, SignalOutcome};
+pub use epoch::{
+    DataOutcome, Epoch, EpochJoiner, FinalizeSummary, Machines, Reconfig, Role, SignalOutcome,
+};
 pub use fault::{
     DeathCause, DetectorConfig, FailureDetector, FaultInjection, FaultLog, FaultPlan, FaultTrigger,
     RecoveryStats, WorkerDeath,

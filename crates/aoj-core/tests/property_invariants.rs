@@ -2,7 +2,8 @@
 //! invariants the paper's proofs rest on must hold for *arbitrary* inputs,
 //! not just the hand-picked cases of the unit tests.
 
-use aoj_core::elastic::plan_expansion;
+use aoj_core::elastic::{plan_expansion, ContractRole, ElasticLayout};
+use aoj_core::epoch::{Reconfig, Role};
 use aoj_core::ilf::{
     continuous_lower_bound, effective_cardinalities, ilf, optimal_ilf, optimal_mapping,
 };
@@ -134,6 +135,13 @@ proptest! {
         let t = Tuple::new(rel, 0, 0, ticket);
         for spec in &plan.specs {
             let class = spec.classify(&t);
+            // The step's `Role` is this classification: what it keeps,
+            // and the one partner it forwards the exchanged copy to.
+            let role = Role::Step(*spec);
+            prop_assert_eq!(role.keeps(&t), class.kept());
+            let partner = [spec.partner];
+            let forwarded: &[usize] = if class.migrated() { &partner } else { &[] };
+            prop_assert_eq!(&role.forwards(&t)[..], forwarded);
             if rel == step.coarsens() {
                 prop_assert_eq!(class, StateClass::KeepAndMigrate);
             } else {
@@ -192,11 +200,17 @@ proptest! {
                 if d.keep {
                     actual.push(h);
                 }
+                let mut sent = Vec::new();
                 for (child, go) in spec.children.iter().zip([d.to_01, d.to_10, d.to_11]) {
                     if go {
-                        actual.push(*child);
+                        sent.push(*child);
                     }
                 }
+                // The parent's `Role` is these destinations.
+                let role = Role::Expand(spec);
+                prop_assert_eq!(role.keeps(&t), d.keep);
+                prop_assert_eq!(&role.forwards(&t)[..], &sent[..]);
+                actual.extend(sent);
             }
             expected.sort_unstable();
             actual.sort_unstable();
@@ -204,6 +218,81 @@ proptest! {
                 actual, expected,
                 "copies of {:?} tuple with ticket {:#x} not partitioned to its covering cells",
                 rel, ticket
+            );
+        }
+    }
+
+    /// The one placement argument behind every kind of epoch change: on
+    /// ANY grid (the initial one relabelled by a random chain of steps),
+    /// for the roles [`Reconfig::adopt`] plans, keep ∪ forward over a
+    /// tuple's old holders lands one copy on exactly the machines whose
+    /// new cells cover it — with at most one destination per copy for a
+    /// step or a retiree, two for an expansion parent, none for a
+    /// survivor (Lemma 4.4's exchange, Theorem 4.3's 2×, the
+    /// contraction's 1×).
+    #[test]
+    fn roles_place_each_tuple_on_exactly_its_new_cells(
+        mapping in mapping_strategy(),
+        prelude in prop::collection::vec(any::<bool>(), 0..4),
+        kind in prop_oneof![
+            Just(Reconfig::Step(Step::HalveRows)),
+            Just(Reconfig::Step(Step::HalveCols)),
+            Just(Reconfig::Expand),
+            Just(Reconfig::Contract),
+        ],
+        tickets in prop::collection::vec((any::<u64>(), any::<bool>()), 1..40),
+    ) {
+        let mut assign = GridAssignment::initial(mapping);
+        for halve_rows in prelude {
+            let step = if halve_rows { Step::HalveRows } else { Step::HalveCols };
+            if step.apply(assign.mapping()).is_some() {
+                assign.apply_step(step);
+            }
+        }
+        let from = assign.mapping();
+        prop_assume!(kind.apply(from).is_some());
+        let mut next = assign.clone();
+        let mut layout = ElasticLayout::new(from.j() as usize);
+        let roles = kind.adopt(&mut next, &mut layout);
+        let to = next.mapping();
+        prop_assert_eq!(Some(to), kind.apply(from));
+        prop_assert_eq!(roles.len(), from.j() as usize, "every old machine has a role");
+        for (i, (ticket, is_r)) in tickets.iter().enumerate() {
+            let rel = if *is_r { Rel::R } else { Rel::S };
+            let t = Tuple::new(rel, i as u64, 0, *ticket);
+            let holders: Vec<usize> = match rel {
+                Rel::R => assign.machines_for_row(partition(*ticket, from.n)).collect(),
+                Rel::S => assign.machines_for_col(partition(*ticket, from.m)).collect(),
+            };
+            let mut expected: Vec<usize> = match rel {
+                Rel::R => next.machines_for_row(partition(*ticket, to.n)).collect(),
+                Rel::S => next.machines_for_col(partition(*ticket, to.m)).collect(),
+            };
+            let mut actual: Vec<usize> = Vec::new();
+            for &h in &holders {
+                let role = roles.iter().find(|(m, _)| *m == h).expect("holder has a role").1;
+                let forward = role.forwards(&t);
+                let bound = match role {
+                    Role::Expand(_) => 2,
+                    Role::Contract(ContractRole::Survive) => 0,
+                    Role::Step(_) | Role::Contract(ContractRole::Retire { .. }) => 1,
+                };
+                prop_assert!(forward.len() <= bound, "{:?} forwards to {:?}", role, forward);
+                prop_assert!(
+                    forward.iter().all(|m| role.streams_to().contains(m)),
+                    "a role forwards only along its own streams"
+                );
+                if role.keeps(&t) {
+                    actual.push(h);
+                }
+                actual.extend(forward.iter());
+            }
+            expected.sort_unstable();
+            actual.sort_unstable();
+            prop_assert_eq!(
+                actual, expected,
+                "{:?}: copies of {:?} tuple with ticket {:#x} not placed on its covering cells",
+                kind, rel, ticket
             );
         }
     }

@@ -1,27 +1,33 @@
-//! End-to-end correctness of the non-blocking migration protocol
+//! End-to-end correctness of the non-blocking epoch-change protocol
 //! (Theorem 4.5): a synchronous mini-cluster drives reshufflers and
 //! joiners through adversarially interleaved deliveries and checks that
 //! the union of all joiner outputs equals the reference join — no
-//! duplicates, no misses — and that post-migration state matches the grid.
+//! duplicates, no misses — and that the state after every change matches
+//! the grid. Every kind of change runs through it: migration steps, ×4
+//! expansions (children unborn until their parent's marker) and 4→1
+//! contractions (retirees dormant once finalised).
 //!
 //! The harness honours exactly the ordering the real transport
 //! (`aoj-simnet`) provides: per-channel FIFO, with a reshuffler's epoch
-//! signal travelling behind its earlier data, and the partner's end marker
-//! behind its migration state. Everything else — the interleaving across
-//! channels, how late each reshuffler adopts a mapping change — is driven
-//! by a seeded RNG and deliberately hostile.
+//! signal travelling behind its earlier data, and an end-of-state marker
+//! behind the relocated state it closes. Everything else — the
+//! interleaving across channels, how late each reshuffler adopts a
+//! change — is driven by a seeded RNG and deliberately hostile.
 
 use std::collections::VecDeque;
 
-use aoj_core::epoch::EpochJoiner;
+use aoj_core::elastic::ElasticLayout;
+use aoj_core::epoch::{EpochJoiner, Reconfig, Role};
 use aoj_core::index::VecIndex;
 use aoj_core::mapping::{GridAssignment, Mapping, Step};
-use aoj_core::migration::{plan_step, MigrationPlan};
 use aoj_core::predicate::Predicate;
 use aoj_core::ticket::{partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const ROWS: Reconfig = Reconfig::Step(Step::HalveRows);
+const COLS: Reconfig = Reconfig::Step(Step::HalveCols);
 
 /// Messages on a reshuffler→joiner or joiner→joiner channel.
 #[derive(Clone, Debug)]
@@ -33,18 +39,29 @@ enum Msg {
     Signal {
         from_reshuffler: usize,
         new_epoch: u32,
+        role: Role,
     },
     MigTuple(Tuple),
+    /// A partner's or retiree's end-of-state marker.
     MigDone,
+    /// An expansion parent's end-of-state marker, carrying the birth epoch.
+    ExpandDone(u32),
 }
 
 struct Cluster {
-    assign: GridAssignment,      // canonical (controller's) view
-    plan: Option<MigrationPlan>, // in-flight migration plan
+    /// The canonical (controller's) view.
+    assign: GridAssignment,
+    layout: ElasticLayout,
+    /// The change in flight, if any.
+    in_flight: Option<Reconfig>,
+    /// One joiner per machine slot; the ones outside the initial grid
+    /// start dormant.
     joiners: Vec<EpochJoiner>,
     n_reshufflers: usize,
-    /// Reshuffler views: (epoch, assignment).
-    resh: Vec<(u32, GridAssignment)>,
+    /// Reshuffler views: (epoch, assignment, slot layout). Unlike the
+    /// operator's, the harness's reshufflers are not tied to machines:
+    /// all of them route and signal across every change.
+    resh: Vec<(u32, GridAssignment, ElasticLayout)>,
     ticket_gen: TicketGen,
     /// channels[src][dst]: src 0..R are reshufflers, R.. are joiners.
     channels: Vec<Vec<VecDeque<Msg>>>,
@@ -53,23 +70,36 @@ struct Cluster {
 }
 
 impl Cluster {
-    fn new(mapping: Mapping, n_reshufflers: usize, predicate: Predicate, seed: u64) -> Cluster {
+    fn new(
+        mapping: Mapping,
+        slots: usize,
+        n_reshufflers: usize,
+        predicate: Predicate,
+        seed: u64,
+    ) -> Cluster {
         let j = mapping.j() as usize;
         let assign = GridAssignment::initial(mapping);
-        let joiners = (0..j)
-            .map(|_| {
+        let layout = ElasticLayout::new(j);
+        let joiners = (0..slots)
+            .map(|k| {
                 let p = predicate.clone();
-                EpochJoiner::new(&move || Box::new(VecIndex::new(p.clone())), n_reshufflers)
+                let index = move || Box::new(VecIndex::new(p.clone())) as _;
+                if k < j {
+                    EpochJoiner::new(&index, n_reshufflers)
+                } else {
+                    EpochJoiner::new_dormant(&index, n_reshufflers)
+                }
             })
             .collect();
         Cluster {
             assign: assign.clone(),
-            plan: None,
+            layout: layout.clone(),
+            in_flight: None,
             joiners,
             n_reshufflers,
-            resh: vec![(0, assign); n_reshufflers],
+            resh: vec![(0, assign, layout); n_reshufflers],
             ticket_gen: TicketGen::new(seed ^ 0xABCD),
-            channels: vec![vec![VecDeque::new(); j]; n_reshufflers + j],
+            channels: vec![vec![VecDeque::new(); slots]; n_reshufflers + slots],
             emitted: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
@@ -78,7 +108,7 @@ impl Cluster {
     fn route(&mut self, reshuffler: usize, rel: Rel, key: i64, seq: u64) {
         let ticket = self.ticket_gen.next();
         let t = Tuple::new(rel, seq, key, ticket);
-        let (epoch, assign) = self.resh[reshuffler].clone();
+        let (epoch, assign, _) = self.resh[reshuffler].clone();
         let mp = assign.mapping();
         match rel {
             Rel::R => {
@@ -96,19 +126,20 @@ impl Cluster {
         }
     }
 
-    /// Reshuffler `r` adopts the in-flight mapping change: queues the epoch
-    /// signal on every joiner channel (FIFO: behind its old-epoch data),
-    /// then routes under the new mapping.
+    /// Reshuffler `r` adopts the in-flight change: plans it against its
+    /// own view, queues the epoch signal on the channel of every joiner
+    /// the plan gives a role (FIFO: behind its old-epoch data), then
+    /// routes under the new mapping.
     fn adopt(&mut self, r: usize) {
-        let plan = self.plan.as_ref().expect("no migration in flight");
-        let (epoch, assign) = &mut self.resh[r];
+        let kind = self.in_flight.expect("no change in flight");
+        let (epoch, assign, layout) = &mut self.resh[r];
         *epoch += 1;
         let new_epoch = *epoch;
-        assign.apply_step(plan.step);
-        for dst in 0..self.joiners.len() {
-            self.channels[r][dst].push_back(Msg::Signal {
+        for (machine, role) in kind.adopt(assign, layout) {
+            self.channels[r][machine].push_back(Msg::Signal {
                 from_reshuffler: r,
                 new_epoch,
+                role,
             });
         }
     }
@@ -132,49 +163,53 @@ impl Cluster {
         }
         let (src, dst) = nonempty[self.rng.gen_range(0..nonempty.len())];
         let msg = self.channels[src][dst].pop_front().unwrap();
-        self.handle(src, dst, msg);
+        self.handle(dst, msg);
         true
     }
 
-    fn handle(&mut self, _src: usize, dst: usize, msg: Msg) {
-        let r_joiner_base = self.n_reshufflers;
+    fn handle(&mut self, dst: usize, msg: Msg) {
+        let outbox = &mut self.channels[self.n_reshufflers + dst];
         let mut out_pairs: Vec<(u64, u64)> = Vec::new();
         let mut out = |r: &Tuple, s: &Tuple| out_pairs.push((r.seq, s.seq));
         match msg {
             Msg::Data { tag, t } => {
                 let outcome = self.joiners[dst].on_data(tag, t, &mut out);
-                if outcome.forward_to_partner {
-                    let spec = self.plan.as_ref().unwrap().specs[dst];
-                    self.channels[r_joiner_base + dst][spec.partner].push_back(Msg::MigTuple(t));
+                for &to in outcome.forward.iter() {
+                    outbox[to].push_back(Msg::MigTuple(t));
                 }
             }
             Msg::Signal {
                 from_reshuffler,
                 new_epoch,
+                role,
             } => {
-                let spec = self.plan.as_ref().expect("signal without plan").specs[dst];
                 let so = self.joiners[dst].on_signal(
                     from_reshuffler,
                     new_epoch,
-                    spec,
+                    role,
                     self.n_reshufflers,
                 );
                 if so.start_migration {
-                    for t in self.joiners[dst].migration_snapshot() {
-                        self.channels[r_joiner_base + dst][spec.partner]
-                            .push_back(Msg::MigTuple(t));
+                    for t in self.joiners[dst].snapshot() {
+                        for &to in role.forwards(&t).iter() {
+                            outbox[to].push_back(Msg::MigTuple(t));
+                        }
                     }
                 }
                 if so.all_signals {
-                    self.channels[r_joiner_base + dst][spec.partner].push_back(Msg::MigDone);
+                    for &to in role.streams_to().iter() {
+                        outbox[to].push_back(match role {
+                            Role::Expand(_) => Msg::ExpandDone(new_epoch),
+                            _ => Msg::MigDone,
+                        });
+                    }
                 }
             }
             Msg::MigTuple(t) => {
                 self.joiners[dst].on_migration_tuple(t, &mut out);
             }
-            Msg::MigDone => {
-                self.joiners[dst].on_partner_done();
-            }
+            Msg::MigDone => self.joiners[dst].on_partner_done(),
+            Msg::ExpandDone(epoch) => self.joiners[dst].on_parent_done(epoch),
         }
         self.emitted.extend(out_pairs);
         if self.joiners[dst].ready_to_finalize() {
@@ -184,50 +219,53 @@ impl Cluster {
 
     fn flush(&mut self) {
         while self.deliver_one() {}
-        // A completed migration leaves every joiner stable.
-        if self.plan.is_some() {
-            assert!(
-                self.joiners.iter().all(|j| !j.is_migrating()),
-                "flush must complete the in-flight migration"
-            );
-            self.plan = None;
+        // A completed change leaves every active joiner born and stable,
+        // and every other slot dormant.
+        if self.in_flight.take().is_some() {
+            let active: Vec<usize> = self.assign.machines().collect();
+            for (k, joiner) in self.joiners.iter().enumerate() {
+                assert!(!joiner.is_migrating(), "flush must complete the change");
+                assert_eq!(joiner.is_born(), active.contains(&k), "slot {k}");
+            }
         }
     }
 
-    /// Begin a migration step: compute the plan against the canonical
-    /// assignment, advance it, and return. Reshufflers adopt it later (via
-    /// [`Cluster::adopt`]) at staggered points chosen by the caller.
-    fn start_migration(&mut self, step: Step) {
-        assert!(self.plan.is_none(), "controller gating violated");
-        let plan = plan_step(&self.assign, step);
-        self.assign.apply_step(step);
-        self.plan = Some(plan);
+    /// Begin a change: advance the canonical assignment and return.
+    /// Reshufflers adopt it later (via [`Cluster::adopt`]) at staggered
+    /// points chosen by the caller.
+    fn start(&mut self, kind: Reconfig) {
+        assert!(self.in_flight.is_none(), "controller gating violated");
+        kind.adopt(&mut self.assign, &mut self.layout);
+        self.in_flight = Some(kind);
     }
 
     /// Verify every joiner's state matches the grid for the final mapping.
     fn assert_grid_invariant(&self, universe: &[Tuple]) {
         let mp = self.assign.mapping();
-        for k in 0..self.joiners.len() {
+        let active: Vec<usize> = self.assign.machines().collect();
+        for (k, joiner) in self.joiners.iter().enumerate() {
+            if !active.contains(&k) {
+                assert_eq!(joiner.stored_tuples(), 0, "dormant slot {k} holds state");
+                continue;
+            }
             let pos = self.assign.pos_of(k);
-            let mut expected: Vec<u64> = universe
+            let expected = universe
                 .iter()
                 .filter(|t| match t.rel {
                     Rel::R => partition(t.ticket, mp.n) == pos.row,
                     Rel::S => partition(t.ticket, mp.m) == pos.col,
                 })
-                .map(|t| t.seq)
-                .collect();
-            expected.sort_unstable();
+                .count();
             // Joiner state is all in τ after stabilisation.
-            assert!(!self.joiners[k].is_migrating());
-            let sizes = self.joiners[k].set_sizes();
+            assert!(!joiner.is_migrating());
+            let sizes = joiner.set_sizes();
             assert_eq!(sizes[1] + sizes[2] + sizes[3], 0, "non-τ state after flush");
             // VecIndex snapshots are not exposed through EpochJoiner, so
             // counts are checked here; exact membership is covered by the
-            // migration-plan unit tests.
+            // plan-level unit and property tests.
             assert_eq!(
-                self.joiners[k].stored_tuples(),
-                expected.len(),
+                joiner.stored_tuples(),
+                expected,
                 "joiner {k} at {pos:?} stores wrong tuple count"
             );
         }
@@ -251,7 +289,7 @@ fn reference_join(universe: &[Tuple], predicate: &Predicate) -> Vec<(u64, u64)> 
 }
 
 /// Drive a full scenario: stream `n_tuples` tuples with keys in
-/// `0..key_space`, performing the given migration steps at the given
+/// `0..key_space`, performing the given epoch changes at the given
 /// stream positions, with adversarial interleaving from `seed`.
 fn run_scenario(
     mapping: Mapping,
@@ -259,10 +297,13 @@ fn run_scenario(
     predicate: Predicate,
     n_tuples: u64,
     key_space: i64,
-    migrations: &[(u64, Step)],
+    migrations: &[(u64, Reconfig)],
     seed: u64,
 ) {
-    let mut cluster = Cluster::new(mapping, n_reshufflers, predicate.clone(), seed);
+    // Room for every expansion's children.
+    let expansions = migrations.iter().filter(|m| m.1 == Reconfig::Expand);
+    let slots = mapping.j() as usize * 4usize.pow(expansions.count() as u32);
+    let mut cluster = Cluster::new(mapping, slots, n_reshufflers, predicate.clone(), seed);
     let mut key_rng = StdRng::seed_from_u64(seed ^ 0x5EED);
     let mut universe: Vec<Tuple> = Vec::new();
     // Track tickets: the cluster's generator is deterministic, so we mirror
@@ -275,12 +316,12 @@ fn run_scenario(
     let mut pending_adopt: Vec<Option<u64>> = vec![None; n_reshufflers];
 
     for seq in 0..n_tuples {
-        if let Some(&&(at, step)) = mig_iter.peek() {
+        if let Some(&&(at, kind)) = mig_iter.peek() {
             if seq == at {
                 mig_iter.next();
                 // Complete any previous migration first (controller gating).
                 cluster.flush();
-                cluster.start_migration(step);
+                cluster.start(kind);
                 for slot in pending_adopt.iter_mut() {
                     let lag = key_rng.gen_range(0..20u64);
                     *slot = Some(seq + lag);
@@ -340,7 +381,7 @@ fn single_migration_equi_join_is_exact() {
             Predicate::Equi,
             600,
             40,
-            &[(200, Step::HalveRows)],
+            &[(200, ROWS)],
             seed,
         );
     }
@@ -355,7 +396,7 @@ fn single_migration_other_direction_is_exact() {
             Predicate::Equi,
             600,
             40,
-            &[(250, Step::HalveCols)],
+            &[(250, COLS)],
             seed,
         );
     }
@@ -370,12 +411,7 @@ fn chained_migrations_are_exact() {
             Predicate::Equi,
             1_200,
             60,
-            &[
-                (200, Step::HalveRows),
-                (500, Step::HalveRows),
-                (800, Step::HalveCols),
-                (1_000, Step::HalveCols),
-            ],
+            &[(200, ROWS), (500, ROWS), (800, COLS), (1_000, COLS)],
             seed,
         );
     }
@@ -390,7 +426,7 @@ fn band_join_under_migration_is_exact() {
             Predicate::Band { width: 2 },
             500,
             80,
-            &[(150, Step::HalveRows), (350, Step::HalveCols)],
+            &[(150, ROWS), (350, COLS)],
             seed,
         );
     }
@@ -406,7 +442,7 @@ fn inequality_join_under_migration_is_exact() {
             Predicate::NotEqual,
             300,
             10,
-            &[(120, Step::HalveCols)],
+            &[(120, COLS)],
             seed,
         );
     }
@@ -421,7 +457,7 @@ fn cross_product_under_migration_is_exact() {
             Predicate::CrossProduct,
             240,
             5,
-            &[(100, Step::HalveRows)],
+            &[(100, ROWS)],
             seed,
         );
     }
@@ -444,11 +480,7 @@ fn migration_to_edge_mapping_is_exact() {
             Predicate::Equi,
             1_000,
             64,
-            &[
-                (200, Step::HalveRows),
-                (450, Step::HalveRows),
-                (700, Step::HalveRows),
-            ],
+            &[(200, ROWS), (450, ROWS), (700, ROWS)],
             seed,
         );
     }
@@ -463,7 +495,87 @@ fn two_joiner_minimum_cluster_is_exact() {
             Predicate::Equi,
             300,
             20,
-            &[(100, Step::HalveRows), (220, Step::HalveCols)],
+            &[(100, ROWS), (220, COLS)],
+            seed,
+        );
+    }
+}
+
+#[test]
+fn expansion_is_exact() {
+    // (2,2) → (4,4): every parent splits into four while tuples flow;
+    // children are born from their parent's marker alone.
+    for seed in 0..8 {
+        run_scenario(
+            Mapping::new(2, 2),
+            3,
+            Predicate::Equi,
+            700,
+            40,
+            &[(250, Reconfig::Expand)],
+            seed,
+        );
+    }
+    // From a single joiner, under a band predicate, then a step on the
+    // grown grid.
+    for seed in 0..4 {
+        run_scenario(
+            Mapping::new(1, 1),
+            2,
+            Predicate::Band { width: 2 },
+            500,
+            80,
+            &[(150, Reconfig::Expand), (350, ROWS)],
+            seed,
+        );
+    }
+}
+
+#[test]
+fn contraction_is_exact() {
+    // (4,4) → (2,2): four 2×2 groups merge into their survivors; the
+    // retirees end dormant and empty.
+    for seed in 0..8 {
+        run_scenario(
+            Mapping::new(4, 4),
+            4,
+            Predicate::Equi,
+            900,
+            50,
+            &[(300, Reconfig::Contract)],
+            seed,
+        );
+    }
+    // Down to a single joiner, after a step reshaped the grid.
+    for seed in 0..4 {
+        run_scenario(
+            Mapping::new(4, 1),
+            3,
+            Predicate::Equi,
+            500,
+            30,
+            &[(120, ROWS), (320, Reconfig::Contract)],
+            seed,
+        );
+    }
+}
+
+#[test]
+fn sawtooth_is_exact() {
+    // 1 → 4 → 1 → 4: the second expansion is born into the machines the
+    // contraction retired.
+    for seed in 0..8 {
+        run_scenario(
+            Mapping::new(1, 1),
+            2,
+            Predicate::Equi,
+            900,
+            40,
+            &[
+                (150, Reconfig::Expand),
+                (400, Reconfig::Contract),
+                (650, Reconfig::Expand),
+            ],
             seed,
         );
     }

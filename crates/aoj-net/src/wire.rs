@@ -37,7 +37,8 @@
 use std::io::{self, Read, Write};
 
 use aoj_core::decision::DecisionConfig;
-use aoj_core::elastic::{ContractRole, ContractSpec, ElasticLayout, ExpandSpec};
+use aoj_core::elastic::{ContractRole, ElasticLayout, ExpandSpec};
+use aoj_core::epoch::{Reconfig, Role};
 use aoj_core::lifecycle::{TickSource, WindowMode, WindowSpec};
 use aoj_core::mapping::{GridAssignment, GridPos, Mapping, Step};
 use aoj_core::migration::MachineStepSpec;
@@ -62,7 +63,7 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 7;
+pub const WIRE_VERSION: u8 = 8;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -483,23 +484,28 @@ macro_rules! wire_struct {
 }
 
 /// `wire_enum!(Type { tag => Variant { field: Ty, ... }, ... })`: one tag
-/// byte, then the variant's listed fields; an unknown tag is an error and
-/// a variant missing from the table does not compile. Optional tails:
+/// byte, then the variant's listed fields (`Variant(name: Ty)` for a
+/// one-field tuple variant); an unknown tag is an error and a variant
+/// missing from the table does not compile. Optional tails:
 /// `, else pattern => expr` is the encoder's arm for a variant that
 /// cannot travel, and `, check |v| ...` rejects a decoded value with a
 /// `String` reason.
 macro_rules! wire_enum {
-    ($name:ty { $($tag:literal => $var:ident $({ $($f:ident: $ty:ty),* $(,)? })?),* $(,)? }
+    ($name:ty { $($tag:literal => $var:ident
+        $({ $($f:ident: $ty:ty),* $(,)? })? $(($nf:ident: $nty:ty))?),* $(,)? }
      $(, else $pat:pat => $else:expr)?
      $(, check $check:expr)?) => {
         impl Wire for $name {
-            const MIN_LEN: usize = 1 + min_of(&[$(0 $($(+ <$ty as Wire>::MIN_LEN)*)?),*]);
+            const MIN_LEN: usize = 1 + min_of(&[
+                $(0 $($(+ <$ty as Wire>::MIN_LEN)*)? $(+ <$nty as Wire>::MIN_LEN)?),*
+            ]);
             #[inline]
             fn encode_into(&self, out: &mut Vec<u8>) {
                 match self {
-                    $(Self::$var { $($($f),*)? } => {
+                    $(Self::$var $({ $($f),* })? $(($nf))? => {
                         out.push($tag);
                         $($($f.encode_into(out);)*)?
+                        $($nf.encode_into(out);)?
                     })*
                     $($pat => $else,)?
                 }
@@ -507,7 +513,9 @@ macro_rules! wire_enum {
             #[inline]
             fn decode(d: &mut Dec) -> io::Result<Self> {
                 let v = match d.u8()? {
-                    $($tag => Self::$var { $($($f: <$ty as Wire>::decode(d)?),*)? },)*
+                    $($tag => Self::$var
+                        $({ $($f: <$ty as Wire>::decode(d)?),* })?
+                        $((<$nty as Wire>::decode(d)?))?,)*
                     b => return Err(bad(format!("bad {} tag {b}", stringify!($name)))),
                 };
                 $(let check: fn(&Self) -> Result<(), String> = $check;
@@ -592,7 +600,6 @@ wire_struct! {
         n_before: u32,
         m_before: u32,
     }
-    ContractSpec { machine: usize, role: ContractRole }
 }
 wire_via!(Mapping as (u32, u32), |m| (m.n, m.m), |(n, m)| {
     if n.is_power_of_two() && m.is_power_of_two() {
@@ -601,34 +608,16 @@ wire_via!(Mapping as (u32, u32), |m| (m.n, m.m), |(n, m)| {
         Err(format!("mapping ({n},{m}) not powers of two"))
     }
 });
-// `[0]` to survive, or `[1][survivor][forward: 0 = none, 1 = R, 2 = S]`
-// to retire — the packed forward byte is the layout since PR 4, kept so
-// `OpMsg` bytes stay put.
-wire_via!(
-    ContractRole as Option<(usize, u8)>,
-    |role| match *role {
-        ContractRole::Survive => None,
-        ContractRole::Retire {
-            survivor,
-            forward_rel,
-        } => Some((survivor, forward_rel.map_or(0, |rel| 1 + rel.index() as u8))),
-    },
-    |parts| {
-        let Some((survivor, forward)) = parts else {
-            return Ok(ContractRole::Survive);
-        };
-        let forward_rel = match forward {
-            0 => None,
-            1 => Some(Rel::R),
-            2 => Some(Rel::S),
-            b => return Err(format!("bad forward_rel byte {b}")),
-        };
-        Ok(ContractRole::Retire {
-            survivor,
-            forward_rel,
-        })
-    }
-);
+wire_enum!(ContractRole {
+    0 => Survive,
+    1 => Retire { survivor: usize, forward_rel: Option<Rel> },
+});
+wire_enum!(Reconfig { 0 => Step(step: Step), 1 => Expand, 2 => Contract });
+wire_enum!(Role {
+    0 => Step(spec: MachineStepSpec),
+    1 => Expand(spec: ExpandSpec),
+    2 => Contract(role: ContractRole),
+});
 // The raw tables: mapping, per-slot positions, row-major cell → machine.
 wire_via!(
     GridAssignment as (Mapping, Vec<GridPos>, Vec<u32>),
@@ -650,32 +639,14 @@ wire_enum!(OpMsg {
     0 => IngestBatch { items: Vec<IngestItem> },
     1 => IngestBounced { items: Vec<IngestItem> },
     2 => DataBatch { tag: u32, store: bool, tuples: Vec<Tuple>, arrived: Vec<SimTime> },
-    3 => MappingChange { new_epoch: u32, step: Step },
+    3 => Change { new_epoch: u32, kind: Reconfig },
     4 => MigrationComplete { epoch: u32 },
-    5 => Signal {
-        from_reshuffler: usize,
-        new_epoch: u32,
-        expected_signals: u32,
-        spec: MachineStepSpec,
-    },
-    6 => ExpandChange { new_epoch: u32 },
-    7 => ExpandSignal {
-        from_reshuffler: usize,
-        new_epoch: u32,
-        expected_signals: u32,
-        spec: ExpandSpec,
-    },
-    8 => ContractChange { new_epoch: u32 },
-    9 => ContractSignal {
-        from_reshuffler: usize,
-        new_epoch: u32,
-        expected_signals: u32,
-        spec: ContractSpec,
-    },
+    5 => Signal { from_reshuffler: usize, new_epoch: u32, expected_signals: u32, role: Role },
+    // Tags 6–9 and 13 were the per-kind change, signal and source rows
+    // until `WIRE_VERSION` 8; the other rows keep their tags and bytes.
     10 => Activate { epoch: u32, assign: GridAssignment, layout: ElasticLayout },
     11 => ExpandDone { epoch: u32 },
-    12 => SourceGrow { reshufflers: Vec<TaskId> },
-    13 => SourceShrink { reshufflers: Vec<TaskId> },
+    12 => SourceResize { reshufflers: Vec<TaskId> },
     14 => MigBatch { tuples: Vec<Tuple> },
     15 => MigDone,
     16 => Ack { joiner: usize, epoch: u32 },
@@ -1001,12 +972,8 @@ wire_struct! {
     ProgressSample { seq: u64, at: SimTime, max_stored_bytes: u64, total_stored_bytes: u64 }
 }
 wire_enum!(ControlEvent {
-    0 => Decide { seq: u64, at: SimTime, from: Mapping, to: Mapping, epoch: u32 },
-    1 => Complete { at: SimTime, epoch: u32 },
-    2 => Contract { seq: u64, at: SimTime, from: Mapping, to: Mapping, epoch: u32 },
-    3 => ContractComplete { at: SimTime, epoch: u32 },
-    4 => Expand { seq: u64, at: SimTime, from: Mapping, to: Mapping, epoch: u32 },
-    5 => ExpandComplete { at: SimTime, epoch: u32 },
+    0 => Begin { kind: Reconfig, seq: u64, at: SimTime, from: Mapping, to: Mapping, epoch: u32 },
+    1 => Complete { kind: Reconfig, at: SimTime, epoch: u32 },
 });
 wire_struct! {
     JoinerFinal {

@@ -1,6 +1,6 @@
 //! Property tests for the aoj-net wire format. One generic helper,
 //! [`roundtrip`], states the codec contract for any [`Wire`] type, and
-//! every frame type on the wire is fed through it: all 19 [`OpMsg`]
+//! every frame type on the wire is fed through it: all 14 [`OpMsg`]
 //! variants across batch shapes, task messages, match batches, the
 //! session plan, each control frame, and the finals bundle.
 //!
@@ -12,7 +12,8 @@
 
 use std::io::ErrorKind;
 
-use aoj_core::elastic::{ContractRole, ContractSpec, ElasticLayout, ExpandSpec};
+use aoj_core::elastic::{ContractRole, ElasticLayout, ExpandSpec};
+use aoj_core::epoch::{Reconfig, Role};
 use aoj_core::lifecycle::{TickSource, WindowMode, WindowSpec};
 use aoj_core::mapping::{GridAssignment, GridPos, Mapping, Step};
 use aoj_core::migration::MachineStepSpec;
@@ -177,19 +178,29 @@ fn expand_spec() -> impl Strategy<Value = ExpandSpec> {
         })
 }
 
-fn contract_spec() -> impl Strategy<Value = ContractSpec> {
-    let role = prop_oneof![
-        Just(ContractRole::Survive),
-        (
-            0usize..256,
-            prop_oneof![Just(None), Just(Some(Rel::R)), Just(Some(Rel::S))]
-        )
-            .prop_map(|(survivor, forward_rel)| ContractRole::Retire {
-                survivor,
-                forward_rel,
-            }),
-    ];
-    (0usize..256, role).prop_map(|(machine, role)| ContractSpec { machine, role })
+fn reconfig() -> impl Strategy<Value = Reconfig> {
+    prop_oneof![
+        step().prop_map(Reconfig::Step),
+        Just(Reconfig::Expand),
+        Just(Reconfig::Contract)
+    ]
+}
+
+fn role() -> impl Strategy<Value = Role> {
+    let retire = (
+        0usize..256,
+        prop_oneof![Just(None), Just(Some(Rel::R)), Just(Some(Rel::S))],
+    )
+        .prop_map(|(survivor, forward_rel)| ContractRole::Retire {
+            survivor,
+            forward_rel,
+        });
+    prop_oneof![
+        machine_step_spec().prop_map(Role::Step),
+        expand_spec().prop_map(Role::Expand),
+        Just(Role::Contract(ContractRole::Survive)),
+        retire.prop_map(Role::Contract),
+    ]
 }
 
 fn elastic_layout() -> impl Strategy<Value = ElasticLayout> {
@@ -225,33 +236,14 @@ fn opmsg() -> impl Strategy<Value = OpMsg> {
         items().prop_map(|items| OpMsg::IngestBatch { items }),
         items().prop_map(|items| OpMsg::IngestBounced { items }),
         data_batch,
-        (any::<u32>(), step())
-            .prop_map(|(new_epoch, step)| OpMsg::MappingChange { new_epoch, step }),
+        (any::<u32>(), reconfig()).prop_map(|(new_epoch, kind)| OpMsg::Change { new_epoch, kind }),
         any::<u32>().prop_map(|epoch| OpMsg::MigrationComplete { epoch }),
-        (0usize..256, any::<u32>(), any::<u32>(), machine_step_spec()).prop_map(
-            |(from_reshuffler, new_epoch, expected_signals, spec)| OpMsg::Signal {
+        (0usize..256, any::<u32>(), any::<u32>(), role()).prop_map(
+            |(from_reshuffler, new_epoch, expected_signals, role)| OpMsg::Signal {
                 from_reshuffler,
                 new_epoch,
                 expected_signals,
-                spec,
-            }
-        ),
-        any::<u32>().prop_map(|new_epoch| OpMsg::ExpandChange { new_epoch }),
-        (0usize..256, any::<u32>(), any::<u32>(), expand_spec()).prop_map(
-            |(from_reshuffler, new_epoch, expected_signals, spec)| OpMsg::ExpandSignal {
-                from_reshuffler,
-                new_epoch,
-                expected_signals,
-                spec,
-            }
-        ),
-        any::<u32>().prop_map(|new_epoch| OpMsg::ContractChange { new_epoch }),
-        (0usize..256, any::<u32>(), any::<u32>(), contract_spec()).prop_map(
-            |(from_reshuffler, new_epoch, expected_signals, spec)| OpMsg::ContractSignal {
-                from_reshuffler,
-                new_epoch,
-                expected_signals,
-                spec,
+                role,
             }
         ),
         (any::<u32>(), assignment(), elastic_layout()).prop_map(|(epoch, assign, layout)| {
@@ -262,8 +254,7 @@ fn opmsg() -> impl Strategy<Value = OpMsg> {
             }
         }),
         any::<u32>().prop_map(|epoch| OpMsg::ExpandDone { epoch }),
-        task_ids().prop_map(|reshufflers| OpMsg::SourceGrow { reshufflers }),
-        task_ids().prop_map(|reshufflers| OpMsg::SourceShrink { reshufflers }),
+        task_ids().prop_map(|reshufflers| OpMsg::SourceResize { reshufflers }),
         tuples.prop_map(|tuples| OpMsg::MigBatch { tuples }),
         Just(OpMsg::MigDone),
         (0usize..256, any::<u32>()).prop_map(|(joiner, epoch)| OpMsg::Ack { joiner, epoch }),
@@ -307,49 +298,29 @@ fn words(max: usize) -> impl Strategy<Value = Vec<u64>> {
 }
 
 fn control_event() -> impl Strategy<Value = ControlEvent> {
-    let decided = || {
-        (
-            any::<u64>(),
-            any::<u64>(),
-            mapping(),
-            mapping(),
-            any::<u32>(),
-        )
-    };
-    let completed = || (any::<u64>(), any::<u32>());
+    let begun = (
+        reconfig(),
+        any::<u64>(),
+        any::<u64>(),
+        mapping(),
+        mapping(),
+        any::<u32>(),
+    );
     prop_oneof![
-        decided().prop_map(|(seq, at, from, to, epoch)| ControlEvent::Decide {
+        begun.prop_map(|(kind, seq, at, from, to, epoch)| ControlEvent::Begin {
+            kind,
             seq,
             at: SimTime(at),
             from,
             to,
             epoch,
         }),
-        completed().prop_map(|(at, epoch)| ControlEvent::Complete {
-            at: SimTime(at),
-            epoch,
-        }),
-        decided().prop_map(|(seq, at, from, to, epoch)| ControlEvent::Contract {
-            seq,
-            at: SimTime(at),
-            from,
-            to,
-            epoch,
-        }),
-        completed().prop_map(|(at, epoch)| ControlEvent::ContractComplete {
-            at: SimTime(at),
-            epoch,
-        }),
-        decided().prop_map(|(seq, at, from, to, epoch)| ControlEvent::Expand {
-            seq,
-            at: SimTime(at),
-            from,
-            to,
-            epoch,
-        }),
-        completed().prop_map(|(at, epoch)| ControlEvent::ExpandComplete {
-            at: SimTime(at),
-            epoch,
+        (reconfig(), any::<u64>(), any::<u32>()).prop_map(|(kind, at, epoch)| {
+            ControlEvent::Complete {
+                kind,
+                at: SimTime(at),
+                epoch,
+            }
         }),
     ]
 }
@@ -581,7 +552,11 @@ fn min_len_is_derived_from_the_field_table() {
     assert_eq!(Match::MIN_LEN, 32);
     assert_eq!(<(u64, u32)>::MIN_LEN, 12);
     assert_eq!(MachineMetrics::MIN_LEN, 56 + 8 * Gauge::COUNT + 48);
-    assert_eq!(ControlEvent::MIN_LEN, 13);
+    // The shorter variant: tag, kind tag, `at`, `epoch`.
+    assert_eq!(ControlEvent::MIN_LEN, 1 + 1 + 8 + 4);
+    assert_eq!(Reconfig::MIN_LEN, 1);
+    // A survivor's role: role tag, contract-role tag.
+    assert_eq!(Role::MIN_LEN, 2);
     assert_eq!(KeyFilter::MIN_LEN, 1);
     assert_eq!(OpMsg::MIN_LEN, 1);
 }
@@ -660,7 +635,14 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // Golden bytes: the hand-written encoders' output (PR 14's parent) for
 // one instance of every `OpMsg` variant (in tag order) and for
 // `full_builder`, so "data-plane and plan bytes unchanged" is checked, not
-// asserted. The builder image was re-pinned twice. `WIRE_VERSION` 6:
+// asserted. `WIRE_VERSION` 8 re-pinned the control rows only: the three
+// change broadcasts became `Change` (tag 3 — one instance per `Reconfig`
+// kind), the three signals `Signal` (tag 5 — one instance per `Role`
+// kind; the role's tag byte now precedes the spec, and a retiree's
+// forward relation is an ordinary `Option<Rel>`), the source's grow and
+// shrink messages became `SourceResize` (tag 12); tags 6–9 and 13 are
+// holes, and every other row kept its tag and its bytes. The builder
+// image was re-pinned twice. `WIRE_VERSION` 6:
 // `SourceSection::window_copies` became `Option<u64>` (unset = derive the
 // window from the batch size), which inserts the one `01` presence byte
 // ahead of the window's eight. `WIRE_VERSION` 7: `SourceSection` lost
@@ -672,6 +654,8 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // [`GaugeSample`] is one word per [`Gauge`] (the `Matches` word is new)
 // and [`FinalsBundle`] carries the operators' own `Finals`. Adding a row
 // to either table changes these bytes: bump `WIRE_VERSION` with it.
+// `WIRE_VERSION` 8 re-pinned the finals frame: the `ControlEvent` it
+// embeds now names its `Reconfig` kind (one more byte after the tag).
 
 fn golden_opmsgs() -> Vec<OpMsg> {
     let pos = |row, col| GridPos { row, col };
@@ -703,16 +687,24 @@ fn golden_opmsgs() -> Vec<OpMsg> {
             tuples: vec![tuple(0), tuple(1)],
             arrived: vec![SimTime(17), SimTime(18)],
         },
-        OpMsg::MappingChange {
+        OpMsg::Change {
             new_epoch: 4,
-            step: Step::HalveCols,
+            kind: Reconfig::Step(Step::HalveCols),
+        },
+        OpMsg::Change {
+            new_epoch: 7,
+            kind: Reconfig::Expand,
+        },
+        OpMsg::Change {
+            new_epoch: 9,
+            kind: Reconfig::Contract,
         },
         OpMsg::MigrationComplete { epoch: 5 },
         OpMsg::Signal {
             from_reshuffler: 2,
             new_epoch: 6,
             expected_signals: 4,
-            spec: MachineStepSpec {
+            role: Role::Step(MachineStepSpec {
                 machine: 1,
                 old_pos: pos(0, 1),
                 new_pos: pos(1, 0),
@@ -721,33 +713,34 @@ fn golden_opmsgs() -> Vec<OpMsg> {
                 refine_rel: Rel::S,
                 keep_bit: 1,
                 refine_parts_before: 2,
-            },
+            }),
         },
-        OpMsg::ExpandChange { new_epoch: 7 },
-        OpMsg::ExpandSignal {
+        OpMsg::Signal {
             from_reshuffler: 1,
             new_epoch: 8,
             expected_signals: 2,
-            spec: ExpandSpec {
+            role: Role::Expand(ExpandSpec {
                 machine: 0,
                 old_pos: pos(0, 0),
                 children: [4, 5, 6],
                 n_before: 1,
                 m_before: 2,
-            },
+            }),
         },
-        OpMsg::ContractChange { new_epoch: 9 },
-        OpMsg::ContractSignal {
+        OpMsg::Signal {
+            from_reshuffler: 0,
+            new_epoch: 10,
+            expected_signals: 4,
+            role: Role::Contract(ContractRole::Survive),
+        },
+        OpMsg::Signal {
             from_reshuffler: 3,
             new_epoch: 10,
             expected_signals: 4,
-            spec: ContractSpec {
-                machine: 2,
-                role: ContractRole::Retire {
-                    survivor: 0,
-                    forward_rel: Some(Rel::S),
-                },
-            },
+            role: Role::Contract(ContractRole::Retire {
+                survivor: 0,
+                forward_rel: Some(Rel::S),
+            }),
         },
         OpMsg::Activate {
             epoch: 11,
@@ -755,11 +748,8 @@ fn golden_opmsgs() -> Vec<OpMsg> {
             layout: ElasticLayout::from_parts(8, vec![5, 6]),
         },
         OpMsg::ExpandDone { epoch: 12 },
-        OpMsg::SourceGrow {
+        OpMsg::SourceResize {
             reshufflers: vec![TaskId(1), TaskId(9)],
-        },
-        OpMsg::SourceShrink {
-            reshufflers: vec![TaskId(1)],
         },
         OpMsg::MigBatch {
             tuples: vec![tuple(2)],
@@ -778,17 +768,17 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "000200000000fdffffffffffffff07000000400000000b0000000000000001feffffffffffffff06000000410000000c00000000000000",
     "010100000000ffffffffffffffff05000000420000000d00000000000000",
     "020300000001020000006400000000000000010500000000000000feffffff6000000000000000efbeadde6500000000000000000400000000000000ffffffff6000000001000000efbeadde0200000011000000000000001200000000000000",
-    "030400000001",
+    "03040000000001",
+    "030700000001",
+    "030900000002",
     "0405000000",
-    "0502000000000000000600000004000000010000000000000000000000010000000100000000000000030000000000000000010100000002000000",
-    "0607000000",
-    "0701000000000000000800000002000000000000000000000000000000000000000400000000000000050000000000000006000000000000000100000002000000",
-    "0809000000",
-    "0903000000000000000a00000004000000020000000000000001000000000000000002",
+    "050200000000000000060000000400000000010000000000000000000000010000000100000000000000030000000000000000010100000002000000",
+    "050100000000000000080000000200000001000000000000000000000000000000000400000000000000050000000000000006000000000000000100000002000000",
+    "0500000000000000000a000000040000000200",
+    "0503000000000000000a00000004000000020100000000000000000101",
     "0a0b0000000200000002000000040000000000000000000000000000000100000001000000000000000100000001000000040000000000000001000000020000000300000008000000000000000200000005000000000000000600000000000000",
     "0b0c000000",
     "0c0200000001000000000000000900000000000000",
-    "0d010000000100000000000000",
     "0e010000006600000000000000010300000000000000000000006000000002000000efbeadde",
     "0f",
     "1003000000000000000d000000",
@@ -844,6 +834,7 @@ fn golden_finals_bundle() -> FinalsBundle {
             controller: Some(ControllerFinal {
                 assign: GridAssignment::initial(Mapping::new(1, 2)),
                 events: vec![ControlEvent::Complete {
+                    kind: Reconfig::Step(Step::HalveRows),
                     at: SimTime(21),
                     epoch: 1,
                 }],
@@ -875,7 +866,7 @@ fn golden_finals_bundle() -> FinalsBundle {
     }
 }
 
-const GOLDEN_FINALS: &str = "ae0200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f01010000000200000002000000000000000000000000000000010000000200000000000000010000000100000001150000000000000001000000010000001e000000000000001f00000000000000200000000000000021000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
+const GOLDEN_FINALS: &str = "b00200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f00000000000000200000000000000021000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -885,14 +876,19 @@ fn hex(bytes: &[u8]) -> String {
 fn opmsg_and_plan_bytes_match_the_hand_written_codec() {
     let msgs = golden_opmsgs();
     assert_eq!(msgs.len(), GOLDEN_OPMSGS.len());
-    for (tag, (msg, golden)) in msgs.iter().zip(GOLDEN_OPMSGS).enumerate() {
+    let mut tags = Vec::new();
+    for (msg, golden) in msgs.iter().zip(GOLDEN_OPMSGS) {
+        let tag = msg.to_bytes()[0];
         assert_eq!(hex(&msg.to_bytes()), golden, "OpMsg variant with tag {tag}");
-        assert_eq!(
-            msg.to_bytes()[0] as usize,
-            tag,
-            "one instance per variant, in tag order"
-        );
+        tags.push(tag);
     }
+    assert!(tags.is_sorted(), "instances are in tag order");
+    tags.dedup();
+    assert_eq!(
+        tags,
+        [0, 1, 2, 3, 4, 5, 10, 11, 12, 14, 15, 16, 17, 18],
+        "every variant has an instance, and the uncollapsed rows kept their tags"
+    );
     assert_eq!(hex(&full_builder().to_bytes()), GOLDEN_BUILDER);
 }
 

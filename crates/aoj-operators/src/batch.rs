@@ -17,8 +17,9 @@
 //! (reshuffler → joiner) channel, tuples leave in route order, and the
 //! epoch protocol's markers stay correct because every epoch or store
 //! boundary **force-flushes** the buffers before the boundary message is
-//! sent — a `Signal`/`ExpandSignal` therefore still travels FIFO behind
-//! every tuple its epoch covers (Alg. 3's ordering assumption, §4.3.1).
+//! sent — a `Signal`, whatever kind of change it announces, therefore
+//! still travels FIFO behind every tuple its epoch covers (Alg. 3's
+//! ordering assumption, §4.3.1).
 //!
 //! A batch of one tuple is the degenerate case: `batch_tuples = 1`
 //! flushes inside the routing handler, schedules no timers, and

@@ -17,7 +17,7 @@
 
 use aoj_core::competitive::CompetitiveTracker;
 use aoj_core::elastic::ElasticLayout;
-use aoj_core::epoch::EpochJoiner;
+use aoj_core::epoch::{EpochJoiner, Reconfig};
 use aoj_core::ilf::optimal_mapping;
 use aoj_core::lifecycle::{Checkpoint, JoinerCheckpoint, WindowMode, WindowTracker};
 use aoj_core::mapping::{GridAssignment, Mapping};
@@ -33,9 +33,7 @@ use std::sync::Arc;
 use crate::batch::DataCoalescer;
 use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
-use crate::report::{
-    machine_stats, ContractTransfer, ExpandTransfer, Finals, MatchDigest, RunReport, SkewSummary,
-};
+use crate::report::{machine_stats, Finals, MatchDigest, RunReport, SkewSummary, StateTransfer};
 use crate::reshuffler::{
     ControlEvent, ControllerState, ProgressRecorder, ProgressSample, ReshufflerTask,
 };
@@ -484,8 +482,13 @@ pub(crate) fn collect<B: ExecBackend<OpMsg>>(
     let mut migration_bytes = 0u64;
     let mut match_pairs: Vec<(u64, u64)> = Vec::new();
     let mut match_digest = MatchDigest::default();
-    let mut expand_transfers: Vec<ExpandTransfer> = Vec::new();
-    let mut contract_transfers: Vec<ContractTransfer> = Vec::new();
+    let mut expand_transfers: Vec<StateTransfer> = Vec::new();
+    let mut contract_transfers: Vec<StateTransfer> = Vec::new();
+    let transfer = |joiner, stored_tuples, sent_tuples| StateTransfer {
+        joiner,
+        stored_tuples,
+        sent_tuples,
+    };
     for f in finals.joiners {
         matches += f.matches;
         // The finals sum over a slot's incarnations; the gauge is the
@@ -497,25 +500,24 @@ pub(crate) fn collect<B: ExecBackend<OpMsg>>(
         migration_bytes += f.counters.migration_bytes_in;
         match_pairs.extend(f.match_log);
         match_digest.merge(&f.match_digest);
-        if f.counters.expand_stored_tuples > 0 {
-            expand_transfers.push(ExpandTransfer {
-                joiner: f.slot,
-                stored_tuples: f.counters.expand_stored_tuples,
-                sent_tuples: f.counters.expand_sent_tuples,
-            });
+        let c = &f.counters;
+        if c.expand_stored_tuples > 0 {
+            let parent = transfer(f.slot, c.expand_stored_tuples, c.expand_sent_tuples);
+            expand_transfers.push(parent);
         }
-        if f.counters.retirements > 0 {
-            contract_transfers.push(ContractTransfer {
-                joiner: f.slot,
-                stored_tuples: f.counters.contract_stored_tuples,
-                sent_tuples: f.counters.contract_sent_tuples,
-            });
+        if c.retirements > 0 {
+            let retiree = transfer(f.slot, c.contract_stored_tuples, c.contract_sent_tuples);
+            contract_transfers.push(retiree);
         }
     }
     match_pairs.sort_unstable();
 
     let events = ctrl.map_or_else(Vec::new, |c| c.events.clone());
-    let count = |is: fn(&ControlEvent) -> bool| events.iter().filter(|e| is(e)).count() as u64;
+    let completed = |of: fn(Reconfig) -> bool| {
+        let done =
+            |e: &&ControlEvent| matches!(e, ControlEvent::Complete { kind, .. } if of(*kind));
+        events.iter().filter(done).count() as u64
+    };
     let competitive = match (ctrl, &wiring.grid) {
         (Some(c), Some(g)) if global => {
             competitive_trace(b.j, prefix, &events, &c.samples, g.initial)
@@ -541,9 +543,9 @@ pub(crate) fn collect<B: ExecBackend<OpMsg>>(
         network_messages: metrics.total_messages(),
         flushes: metrics.total_flushes(),
         migration_bytes,
-        migrations: count(|e| matches!(e, ControlEvent::Complete { .. })),
-        expansions: count(|e| matches!(e, ControlEvent::ExpandComplete { .. })),
-        contractions: count(|e| matches!(e, ControlEvent::ContractComplete { .. })),
+        migrations: completed(|k| matches!(k, Reconfig::Step(_))),
+        expansions: completed(|k| k == Reconfig::Expand),
+        contractions: completed(|k| k == Reconfig::Contract),
         expand_transfers,
         contract_transfers,
         provisioned_machines: backend.provisioned_machines() as u64,
@@ -587,7 +589,7 @@ pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
         .as_ref()
         .expect("reshuffler 0 is the controller");
     assert!(
-        !ctrl.in_flight && !ctrl.expanding && !ctrl.contracting && ctrl.acks_pending == 0,
+        ctrl.in_flight.is_none() && ctrl.acks_pending == 0,
         "checkpoint requires a quiesced controller (reconfiguration in flight)"
     );
     let assign = controller.assign.clone();
@@ -715,12 +717,9 @@ fn competitive_trace(
     // The ILF/ILF* trace is defined against a fixed J; once an elastic
     // expansion changes the cluster size mid-run the fixed-J reference
     // is meaningless, so report no trace rather than a wrong one.
-    if events.iter().any(|e| {
-        matches!(
-            e,
-            ControlEvent::Expand { .. } | ControlEvent::Contract { .. }
-        )
-    }) {
+    let resizes =
+        |e: &ControlEvent| matches!(e, ControlEvent::Begin { from, to, .. } if from.j() != to.j());
+    if events.iter().any(resizes) {
         return Vec::new();
     }
     let mut tracker = CompetitiveTracker::new(j, 0);
@@ -729,7 +728,7 @@ fn competitive_trace(
         let mut migrating = false;
         for e in events {
             match e {
-                ControlEvent::Decide { at, to, .. } if *at <= sample.at => {
+                ControlEvent::Begin { at, to, .. } if *at <= sample.at => {
                     mapping = *to;
                     migrating = true;
                 }

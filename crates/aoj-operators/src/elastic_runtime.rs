@@ -17,33 +17,33 @@
 //!   worker shards) and, at a migration checkpoint where **every** active
 //!   joiner stores more than `capacity/2`
 //!   ([`should_expand_cluster`](aoj_core::elastic::should_expand_cluster)),
+//!   begins a [`Reconfig::Expand`](aoj_core::epoch::Reconfig): it
 //!   provisions the children, hands each newly activated reshuffler a
-//!   control-plane snapshot (`Activate`), and broadcasts the `(2n, 2m)`
-//!   mapping; at a checkpoint where every active joiner sits **below**
-//!   [`ElasticConfig::contract_below_bytes`] it broadcasts the reverse
-//!   `(n/2, m/2)` merge instead;
-//! * each expansion parent splits its state along both ticket axes and
-//!   streams it to its three children in Migration-class batches
-//!   ([`ExpandOutbox`]); children are born when the parent's end-of-state
-//!   marker arrives. Each contraction retiree streams one relation of its
-//!   state to its group's survivor and goes dormant on the ack, ready for
-//!   a later burst to re-expand into it (see `aoj_core::epoch`'s module
-//!   docs for the correctness argument in both directions);
+//!   control-plane snapshot (`Activate`), and broadcasts the change; at a
+//!   checkpoint where every active joiner sits **below**
+//!   [`ElasticConfig::contract_below_bytes`] it begins the reverse
+//!   `Reconfig::Contract` instead;
+//! * from there on both are the ordinary epoch change — `Change` →
+//!   `Signal` → state stream → `Ack`, the path a migration step takes —
+//!   run with a different [`Role`](aoj_core::epoch::Role) per joiner;
 //! * the source grows and shrinks its round-robin set and flow-control
-//!   window with the active machine set (`SourceGrow` / `SourceShrink`).
+//!   window with the active machine set (`SourceResize`).
 //!
-//! Each expansion parent ships at most two copies of every stored tuple
-//! (Theorem 4.3: transmitted ≤ 2 × stored, amortised cost `8/ε`); each
-//! contraction retiree ships at most **one** (the diagonal retiree ships
-//! none). The `n : m` ratio is unchanged either way, so the ILF
+//! What a joiner's role changes, and what that costs:
+//!
+//! | change      | who keeps what                         | who forwards where                                | markers awaited     | transfer bound            |
+//! |-------------|----------------------------------------|---------------------------------------------------|---------------------|---------------------------|
+//! | step        | everyone: the merged relation, half of the split one | everyone: the merged relation → partner | 1                   | the exchange (Lemma 4.4)  |
+//! | expansion   | parent: what lands in child `(0,0)`    | parent: every tuple → the 1–2 covering children   | parent 0, child 1   | ≤ 2 × stored (Theorem 4.3, amortised `8/ε`) |
+//! | contraction | survivor: everything; retiree: nothing | retiree: one relation → survivor (diagonal: none) | survivor 3, retiree 0 | ≤ 1 × stored            |
+//!
+//! Children are born when the parent's end-of-state marker arrives; a
+//! retiree goes dormant on its ack, ready for a later burst to re-expand
+//! into it (`aoj_core::epoch`'s module docs hold the correctness
+//! argument). The `n : m` ratio is unchanged either way, so the ILF
 //! competitive ratio is unaffected.
 
-use aoj_core::elastic::{ExpandDestinations, ExpandSpec};
-use aoj_core::tuple::Tuple;
-use aoj_simnet::{Ctx, Gauge, MachineId, Metrics, TaskId};
-
-use crate::joiner_task::MIG_BATCH_TUPLES;
-use crate::messages::OpMsg;
+use aoj_simnet::{Gauge, MachineId, Metrics};
 
 /// Elasticity knobs for a run (`SessionBuilder::with_elastic`).
 #[derive(Clone, Copy, Debug)]
@@ -262,73 +262,9 @@ pub fn contraction_due(
     any
 }
 
-/// A parent's outbound state fan-out: one Migration-class batch stream
-/// per child, mirroring the single-partner batching of step migrations.
-#[derive(Debug)]
-pub struct ExpandOutbox {
-    children: [TaskId; 3],
-    batches: [Vec<Tuple>; 3],
-    /// Recycled batch storage for the shipped vectors' replacements.
-    pool: crate::batch::BatchPool,
-}
-
-impl ExpandOutbox {
-    /// An empty outbox towards the three children `(0,1)`, `(1,0)`,
-    /// `(1,1)` (the parent itself stays child `(0,0)`).
-    pub fn new(children: [TaskId; 3]) -> ExpandOutbox {
-        ExpandOutbox {
-            children,
-            batches: [Vec::new(), Vec::new(), Vec::new()],
-            pool: crate::batch::BatchPool::new(3),
-        }
-    }
-
-    /// Resolve an [`ExpandSpec`]'s child machine ids to task ids.
-    pub fn from_spec(spec: &ExpandSpec, joiner_tasks: &[TaskId]) -> ExpandOutbox {
-        ExpandOutbox::new(spec.children.map(|c| joiner_tasks[c]))
-    }
-
-    /// Queue `t` for every child its destinations select. Returns the
-    /// number of copies queued (≤ 2 by Fig. 5's split geometry — the
-    /// substance of Theorem 4.3's `transmitted ≤ 2 × stored` bound).
-    pub fn route(&mut self, t: Tuple, d: ExpandDestinations) -> u32 {
-        let mut copies = 0;
-        for (idx, go) in [d.to_01, d.to_10, d.to_11].into_iter().enumerate() {
-            if go {
-                self.batches[idx].push(t);
-                copies += 1;
-            }
-        }
-        debug_assert_eq!(copies, d.sends());
-        copies
-    }
-
-    /// Ship every batch that is full (or, with `force`, non-empty).
-    pub fn flush(&mut self, ctx: &mut Ctx<'_, OpMsg>, force: bool) {
-        for (idx, batch) in self.batches.iter_mut().enumerate() {
-            if !batch.is_empty() && (force || batch.len() >= MIG_BATCH_TUPLES) {
-                let spare = self.pool.get_tuples(MIG_BATCH_TUPLES);
-                let tuples = std::mem::replace(batch, spare);
-                ctx.send(self.children[idx], OpMsg::MigBatch { tuples });
-            }
-        }
-    }
-
-    /// Force-flush and send each child its end-of-state marker (FIFO
-    /// behind the state on the Migration channel).
-    pub fn finish(&mut self, ctx: &mut Ctx<'_, OpMsg>, epoch: aoj_core::epoch::Epoch) {
-        self.flush(ctx, true);
-        for &child in &self.children {
-            ctx.send(child, OpMsg::ExpandDone { epoch });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aoj_core::tuple::Rel;
-    use aoj_simnet::{Effect, SimTime};
 
     #[test]
     fn provisioning_is_j0_times_4_to_the_k() {
@@ -443,53 +379,5 @@ mod tests {
             el.armed_contract(0, 1),
             "genuine drain arms regardless of stream position"
         );
-    }
-
-    #[test]
-    fn outbox_batches_per_child_and_finishes_with_markers() {
-        let children = [TaskId(7), TaskId(8), TaskId(9)];
-        let mut ob = ExpandOutbox::new(children);
-        let mut metrics = Metrics::default();
-        let mut stopped = false;
-        let mut ctx: Ctx<'_, OpMsg> =
-            Ctx::new(SimTime::ZERO, TaskId(0), &mut metrics, &mut stopped);
-        // An R tuple with row-bit 0 goes to child (0,1) only; an S tuple
-        // with col-bit 1 goes to (0,1) and (1,1).
-        let r = Tuple::new(Rel::R, 1, 0, 0);
-        let s = Tuple::new(Rel::S, 2, 0, u64::MAX);
-        let spec = aoj_core::elastic::plan_expansion(&aoj_core::mapping::GridAssignment::initial(
-            aoj_core::mapping::Mapping::new(1, 1),
-        ))
-        .specs[0];
-        assert_eq!(ob.route(r, spec.destinations(&r)), 1);
-        assert_eq!(ob.route(s, spec.destinations(&s)), 2);
-        ob.finish(&mut ctx, 3);
-        let effects = ctx.take_effects();
-        // Two non-empty batches + three done markers, state before marker
-        // per child.
-        let mut batches = 0;
-        let mut dones = 0;
-        for e in &effects {
-            match e {
-                Effect::Send {
-                    msg: OpMsg::MigBatch { tuples },
-                    ..
-                } => {
-                    batches += 1;
-                    assert!(!tuples.is_empty());
-                }
-                Effect::Send {
-                    msg: OpMsg::ExpandDone { epoch },
-                    to,
-                } => {
-                    dones += 1;
-                    assert_eq!(*epoch, 3);
-                    assert!(children.contains(to));
-                }
-                _ => panic!("unexpected effect"),
-            }
-        }
-        assert_eq!(batches, 2);
-        assert_eq!(dones, 3);
     }
 }

@@ -12,7 +12,7 @@
 //! The paper serialises deliveries through per-block forwarding leaders so
 //! that any two tuples are seen in the same order by every machine that
 //! could join them. We implement the equivalent guarantee differently
-//! (documented in DESIGN.md §5): a pair is emitted only at the machine
+//! (this section is the whole argument): a pair is emitted only at the machine
 //! where the pair's **earlier** tuple (by global sequence number) is
 //! *stored*. In the common in-order case the later tuple simply probes
 //! the store and finds it. For the out-of-order case — the later tuple
@@ -29,8 +29,8 @@
 //! mapping for the workload). Per-group adaptivity composes with the same
 //! epoch machinery as the single-group operator — the grouped *math*
 //! (nested mappings, storage shares, work balance) is tested in
-//! `aoj_core::groups`; wiring per-group epochs is future work tracked in
-//! DESIGN.md.
+//! `aoj_core::groups`; wiring per-group epochs (the protocol in
+//! `aoj_core::epoch`'s module docs) is future work tracked in ROADMAP.md.
 
 use aoj_core::groups::GroupSet;
 use aoj_core::index::JoinIndex;

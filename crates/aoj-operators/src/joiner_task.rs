@@ -2,7 +2,7 @@
 //! machine over a pluggable local join index, with spill-aware cost
 //! accounting and latency sampling.
 
-use aoj_core::epoch::EpochJoiner;
+use aoj_core::epoch::{Epoch, EpochJoiner, Machines, Role};
 use aoj_core::index::ProbeStats;
 use aoj_core::lifecycle::WindowTracker;
 use aoj_core::predicate::Predicate;
@@ -13,7 +13,6 @@ use aoj_simnet::{Ctx, Gauge, MachineId, Process, SimDuration, SimTime, TaskId};
 use std::sync::Arc;
 
 use crate::batch::BatchPool;
-use crate::elastic_runtime::ExpandOutbox;
 use crate::messages::{Match, OpMsg};
 use crate::report::MatchDigest;
 use crate::session::MatchHub;
@@ -143,6 +142,23 @@ pub struct JoinerCounters {
 }
 
 impl JoinerCounters {
+    /// Count `stored` local tuples classified for relocation and `sent`
+    /// copies shipped against the transfer bound of `role`'s kind:
+    /// Theorem 4.3's 2× for an expansion parent, 1× for a contraction
+    /// retiree. The other roles have no bound to check.
+    fn note_transfer(&mut self, role: &Role, stored: u64, sent: u64) {
+        let (stored_total, sent_total) = match role {
+            Role::Expand(_) => (&mut self.expand_stored_tuples, &mut self.expand_sent_tuples),
+            _ if role.retires() => (
+                &mut self.contract_stored_tuples,
+                &mut self.contract_sent_tuples,
+            ),
+            _ => return,
+        };
+        *stored_total += stored;
+        *sent_total += sent;
+    }
+
     /// Add another incarnation's counters to these.
     pub fn merge(&mut self, other: &JoinerCounters) {
         self.migration_tuples_in += other.migration_tuples_in;
@@ -314,25 +330,71 @@ pub struct JoinerTask {
     /// configured; `None` leaves retention unbounded (and the index
     /// segmentation machinery entirely untouched).
     pub window: Option<WindowTracker>,
-    /// Outbound state of the in-flight migration or expansion.
+    /// Outbound state of the in-flight epoch change.
     outbox: Option<Outbox>,
     /// Recycled batch storage: vectors received in `DataBatch`/`MigBatch`
     /// messages are cleared and reused for this joiner's own migration
     /// sends, so steady-state batch traffic allocates nothing.
     pool: BatchPool,
-    /// Set when the end-of-state marker must be sent after the batch.
-    pending_done: bool,
     /// Flow-control credits accumulated but not yet returned.
     unacked_credits: u32,
 }
 
-/// Where relocated state is headed: one exchange partner (step
-/// migrations, Lemma 4.4) or three children (×4 expansions, Fig. 5).
-enum Outbox {
-    /// A step migration's single-partner batch stream.
-    Step { partner: TaskId, batch: Vec<Tuple> },
-    /// An expansion's per-child batch streams.
-    Expand(ExpandOutbox),
+/// Where the in-flight change's relocated state is headed: one
+/// Migration-class batch stream per machine the joiner's [`Role`] streams
+/// to — one exchange partner (Lemma 4.4), three children (Fig. 5) or one
+/// survivor — and the end-of-state marker each of them is owed.
+struct Outbox {
+    /// `(machine, its joiner task, the batch being filled)` per stream.
+    streams: Vec<(usize, TaskId, Vec<Tuple>)>,
+    marker: OpMsg,
+}
+
+impl Outbox {
+    /// Empty streams towards every machine `role` streams to.
+    fn new(role: &Role, new_epoch: Epoch, joiner_tasks: &[TaskId]) -> Outbox {
+        let stream = |&m: &usize| (m, joiner_tasks[m], Vec::new());
+        Outbox {
+            streams: role.streams_to().iter().map(stream).collect(),
+            marker: match role {
+                // A child learns its birth epoch from its parent's marker.
+                Role::Expand(_) => OpMsg::ExpandDone { epoch: new_epoch },
+                _ => OpMsg::MigDone,
+            },
+        }
+    }
+
+    /// Queue a copy of `t` for every machine in `to`; returns how many
+    /// (≤ 2 by Fig. 5's split geometry — the substance of Theorem 4.3's
+    /// `transmitted ≤ 2 × stored` bound — and ≤ 1 for the other kinds).
+    fn route(&mut self, t: Tuple, to: Machines) -> u64 {
+        for (machine, _, batch) in &mut self.streams {
+            if to.contains(machine) {
+                batch.push(t);
+            }
+        }
+        to.len() as u64
+    }
+
+    /// Ship every batch that is full (or, with `force`, non-empty),
+    /// drawing the shipped vectors' replacements from `pool`.
+    fn flush(&mut self, ctx: &mut Ctx<'_, OpMsg>, pool: &mut BatchPool, force: bool) {
+        for (_, task, batch) in &mut self.streams {
+            if !batch.is_empty() && (force || batch.len() >= MIG_BATCH_TUPLES) {
+                let tuples = std::mem::replace(batch, pool.get_tuples(MIG_BATCH_TUPLES));
+                ctx.send(*task, OpMsg::MigBatch { tuples });
+            }
+        }
+    }
+
+    /// Force-flush and send each stream its end-of-state marker (FIFO
+    /// behind the state on the Migration channel).
+    fn finish(&mut self, ctx: &mut Ctx<'_, OpMsg>, pool: &mut BatchPool) {
+        self.flush(ctx, pool, true);
+        for (_, task, _) in &self.streams {
+            ctx.send(*task, self.marker.clone());
+        }
+    }
 }
 
 impl JoinerTask {
@@ -364,7 +426,6 @@ impl JoinerTask {
             window: None,
             outbox: None,
             pool: BatchPool::new(4),
-            pending_done: false,
             unacked_credits: 0,
         }
     }
@@ -416,24 +477,6 @@ impl JoinerTask {
     fn data_work_cost(&self, stats: ProbeStats, n: u64) -> SimDuration {
         let base = self.cost.batch_cost(n, stats.candidates, stats.matches);
         SimDuration::from_micros(self.gauge.effective_cost(base.as_micros()))
-    }
-
-    fn flush_batch(&mut self, ctx: &mut Ctx<'_, OpMsg>, force: bool) {
-        match &mut self.outbox {
-            None => {}
-            Some(Outbox::Step { partner, batch }) => {
-                if !batch.is_empty() && (force || batch.len() >= MIG_BATCH_TUPLES) {
-                    let spare = self.pool.get_tuples(MIG_BATCH_TUPLES);
-                    let tuples = std::mem::replace(batch, spare);
-                    ctx.send(*partner, OpMsg::MigBatch { tuples });
-                }
-                if force && self.pending_done {
-                    self.pending_done = false;
-                    ctx.send(*partner, OpMsg::MigDone);
-                }
-            }
-            Some(Outbox::Expand(ob)) => ob.flush(ctx, force),
-        }
     }
 
     /// Advance the window clock over a just-processed batch and drop every
@@ -509,7 +552,7 @@ impl JoinerTask {
         if !self.epoch.ready_to_finalize() {
             return SimDuration::ZERO;
         }
-        let retiring = self.epoch.is_retiring();
+        let retiring = self.epoch.role().is_some_and(Role::retires);
         let summary = self.epoch.finalize();
         self.outbox = None;
         let epoch = self.epoch.epoch();
@@ -594,31 +637,21 @@ impl Process<OpMsg> for JoinerTask {
                             let waited = ctx.now().since(arrived[i]);
                             self.tally.latency.record(waited.as_micros());
                         }
-                        if self.epoch.is_retiring() && tag == self.epoch.epoch() {
-                            // A retiree's Δ tuple joins the state being
-                            // merged away: count it against the 1x
-                            // contraction transfer bound.
-                            self.counters.contract_stored_tuples += 1;
-                            if outcome.forward_to_partner {
-                                self.counters.contract_sent_tuples += 1;
+                        if tag == self.epoch.epoch() {
+                            if let Some(role) = self.epoch.role() {
+                                // An old-epoch arrival mid-change (a Δ
+                                // tuple) joins the state being relocated:
+                                // count it against its kind's transfer
+                                // bound.
+                                let sent = outcome.forward.len() as u64;
+                                self.counters.note_transfer(role, 1, sent);
                             }
                         }
-                        if outcome.forward_to_partner {
-                            if let Some(Outbox::Step { batch, .. }) = &mut self.outbox {
-                                batch.push(t);
+                        if !outcome.forward.is_empty() {
+                            if let Some(ob) = &mut self.outbox {
+                                ob.route(t, outcome.forward);
+                                ob.flush(ctx, &mut self.pool, false);
                             }
-                            self.flush_batch(ctx, false);
-                        }
-                        if let Some(d) = outcome.expand_forward {
-                            // A Δ tuple during an expansion: part of the
-                            // state being split, shipped to the covering
-                            // children.
-                            self.counters.expand_stored_tuples += 1;
-                            self.counters.expand_sent_tuples += d.sends() as u64;
-                            if let Some(Outbox::Expand(ob)) = &mut self.outbox {
-                                ob.route(t, d);
-                            }
-                            self.flush_batch(ctx, false);
                         }
                     }
                 }
@@ -638,111 +671,43 @@ impl Process<OpMsg> for JoinerTask {
                 from_reshuffler,
                 new_epoch,
                 expected_signals,
-                spec,
+                role,
             } => {
                 let so = self.epoch.on_signal(
                     from_reshuffler,
                     new_epoch,
-                    spec,
+                    role,
                     expected_signals as usize,
                 );
                 let mut cost = SimDuration::from_micros(self.cost.control_us);
                 if so.start_migration {
-                    let snapshot = self.epoch.migration_snapshot();
+                    // Ship the part of τ the role forwards — the exchange
+                    // relation to the partner, all of τ split along both
+                    // ticket axes to the children (Fig. 5), a retiree's
+                    // forward relation to the survivor, nothing from a
+                    // survivor — in Migration-class batches, each
+                    // stream's end marker FIFO behind its state.
+                    let [tau, ..] = self.epoch.set_sizes();
+                    let snapshot = self.epoch.snapshot();
                     // Serialising the snapshot costs CPU proportional to
                     // its size; transmission time is paid by the NIC.
                     cost +=
                         SimDuration::from_micros(snapshot.len() as u64 * self.cost.store_us / 4);
-                    self.outbox = Some(Outbox::Step {
-                        partner: self.joiner_tasks[spec.partner],
-                        batch: snapshot,
-                    });
-                    self.flush_batch(ctx, false);
-                }
-                if so.all_signals {
-                    self.pending_done = true;
-                    self.flush_batch(ctx, true);
-                }
-                cost + self.maybe_finalize(ctx)
-            }
-            OpMsg::ExpandSignal {
-                from_reshuffler,
-                new_epoch,
-                expected_signals,
-                spec,
-            } => {
-                let so = self.epoch.on_expand_signal(
-                    from_reshuffler,
-                    new_epoch,
-                    spec,
-                    expected_signals as usize,
-                );
-                let mut cost = SimDuration::from_micros(self.cost.control_us);
-                if so.start_migration {
-                    // Ship the whole of τ, split along both ticket axes
-                    // (Fig. 5): each tuple goes to the 1–2 children whose
-                    // new grid cells cover it.
-                    let mut ob = ExpandOutbox::from_spec(&spec, &self.joiner_tasks);
-                    let snapshot = self.epoch.expansion_snapshot();
-                    cost +=
-                        SimDuration::from_micros(snapshot.len() as u64 * self.cost.store_us / 4);
-                    self.counters.expand_stored_tuples += snapshot.len() as u64;
+                    let mut ob = Outbox::new(&role, new_epoch, &self.joiner_tasks);
+                    let mut sent = 0;
                     for t in snapshot {
-                        let d = spec.destinations(&t);
-                        self.counters.expand_sent_tuples += ob.route(t, d) as u64;
+                        sent += ob.route(t, role.forwards(&t));
                     }
-                    ob.flush(ctx, false);
-                    self.outbox = Some(Outbox::Expand(ob));
+                    self.counters.note_transfer(&role, tau as u64, sent);
+                    ob.flush(ctx, &mut self.pool, false);
+                    self.outbox = Some(ob);
                 }
                 if so.all_signals {
-                    if let Some(Outbox::Expand(ob)) = &mut self.outbox {
-                        ob.finish(ctx, new_epoch);
-                    }
-                }
-                cost + self.maybe_finalize(ctx)
-            }
-            OpMsg::ContractSignal {
-                from_reshuffler,
-                new_epoch,
-                expected_signals,
-                spec,
-            } => {
-                let so = self.epoch.on_contract_signal(
-                    from_reshuffler,
-                    new_epoch,
-                    spec.role,
-                    expected_signals as usize,
-                );
-                let mut cost = SimDuration::from_micros(self.cost.control_us);
-                if so.start_migration {
-                    if let aoj_core::elastic::ContractRole::Retire { survivor, .. } = spec.role {
-                        // A retiree streams its forward relation to the
-                        // survivor through the step-migration plumbing:
-                        // one partner, Migration-class batches, end
-                        // marker FIFO behind the state.
-                        let snapshot = self.epoch.migration_snapshot();
-                        cost += SimDuration::from_micros(
-                            snapshot.len() as u64 * self.cost.store_us / 4,
-                        );
-                        self.counters.contract_stored_tuples += self.epoch.stored_tuples() as u64;
-                        self.counters.contract_sent_tuples += snapshot.len() as u64;
-                        self.outbox = Some(Outbox::Step {
-                            partner: self.joiner_tasks[survivor],
-                            batch: snapshot,
-                        });
-                        self.flush_batch(ctx, false);
-                    }
-                }
-                if so.all_signals {
-                    // Retirees: flush the last state and send the
-                    // end-of-state marker. Survivors have no outbox and
-                    // simply wait for their three markers.
-                    if matches!(
-                        self.outbox,
-                        Some(Outbox::Step { .. }) if self.epoch.is_retiring()
-                    ) {
-                        self.pending_done = true;
-                        self.flush_batch(ctx, true);
+                    // This joiner's Δ is closed: flush the last state and
+                    // send the end-of-state markers. (A survivor streams
+                    // to nobody and simply waits for its three.)
+                    if let Some(ob) = &mut self.outbox {
+                        ob.finish(ctx, &mut self.pool);
                     }
                 }
                 cost + self.maybe_finalize(ctx)
@@ -784,6 +749,58 @@ impl Process<OpMsg> for JoinerTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aoj_simnet::{Effect, Metrics};
+
+    #[test]
+    fn outbox_batches_per_child_and_finishes_with_markers() {
+        let joiner_tasks: Vec<TaskId> = (6..10).map(TaskId).collect();
+        let children = &joiner_tasks[1..];
+        let spec = aoj_core::elastic::plan_expansion(&aoj_core::mapping::GridAssignment::initial(
+            aoj_core::mapping::Mapping::new(1, 1),
+        ))
+        .specs[0];
+        let role = Role::Expand(spec);
+        let mut ob = Outbox::new(&role, 3, &joiner_tasks);
+        let mut pool = BatchPool::new(3);
+        let mut metrics = Metrics::default();
+        let mut stopped = false;
+        let mut ctx: Ctx<'_, OpMsg> =
+            Ctx::new(SimTime::ZERO, TaskId(0), &mut metrics, &mut stopped);
+        // An R tuple with row-bit 0 goes to child (0,1) only; an S tuple
+        // with col-bit 1 goes to (0,1) and (1,1).
+        let r = Tuple::new(Rel::R, 1, 0, 0);
+        let s = Tuple::new(Rel::S, 2, 0, u64::MAX);
+        assert_eq!(ob.route(r, role.forwards(&r)), 1);
+        assert_eq!(ob.route(s, role.forwards(&s)), 2);
+        ob.finish(&mut ctx, &mut pool);
+        let effects = ctx.take_effects();
+        // Two non-empty batches + three done markers, state before marker
+        // per child.
+        let mut batches = 0;
+        let mut dones = 0;
+        for e in &effects {
+            match e {
+                Effect::Send {
+                    msg: OpMsg::MigBatch { tuples },
+                    ..
+                } => {
+                    batches += 1;
+                    assert!(!tuples.is_empty());
+                }
+                Effect::Send {
+                    msg: OpMsg::ExpandDone { epoch },
+                    to,
+                } => {
+                    dones += 1;
+                    assert_eq!(*epoch, 3);
+                    assert!(children.contains(to));
+                }
+                _ => panic!("unexpected effect"),
+            }
+        }
+        assert_eq!(batches, 2);
+        assert_eq!(dones, 3);
+    }
 
     #[test]
     fn latency_stats_track_avg_and_max() {

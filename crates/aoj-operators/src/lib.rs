@@ -42,7 +42,7 @@ pub use driver::{run, BackendChoice, OperatorKind};
 pub use elastic_runtime::ElasticConfig;
 pub use grouped::{run_grouped, GroupedReport};
 pub use messages::{Match, OpMsg};
-pub use report::{human_bytes, ContractTransfer, ExpandTransfer, RunReport};
+pub use report::{human_bytes, RunReport, StateTransfer};
 pub use report::{MachineStats, SkewSummary};
 pub use session::{
     assemble_topology, register_tcp_backend, FaultSection, IngestHandle, IngestQueue, JoinSession,

@@ -1,17 +1,26 @@
 //! The operator's message vocabulary and its mapping onto the simulator's
 //! scheduling classes.
 //!
-//! Class assignment is load-bearing for protocol correctness (see
-//! `aoj_core::epoch`): an epoch-change [`OpMsg::Signal`] must stay FIFO
-//! with the data tuples its reshuffler routed earlier, so it travels in
-//! the `Data` class; the partner's [`OpMsg::MigDone`] marker must stay
-//! FIFO with the migrated state, so it travels in the `Migration` class
-//! (which the machine services at twice the data rate, §4.3.2).
+//! Every change of the mapping — a migration step, a ×4 expansion, a 4→1
+//! contraction — is one path through this vocabulary (the protocol and
+//! its per-kind forwarding rules are `aoj_core::epoch`'s module docs):
+//!
+//! | message                              | from → to                 | class     |
+//! |--------------------------------------|---------------------------|-----------|
+//! | [`Change`](OpMsg::Change) `{ kind }` | controller → reshufflers  | Control   |
+//! | [`Signal`](OpMsg::Signal) `{ role }` | reshuffler → joiner       | Data      |
+//! | [`MigBatch`](OpMsg::MigBatch), then [`MigDone`](OpMsg::MigDone) / [`ExpandDone`](OpMsg::ExpandDone) | joiner → joiner | Migration |
+//! | [`Ack`](OpMsg::Ack)                  | joiner → controller       | Control   |
+//!
+//! Class assignment is load-bearing for protocol correctness: a `Signal`
+//! must stay FIFO with the data tuples its reshuffler routed earlier, so
+//! it travels in the `Data` class; an end-of-state marker must stay FIFO
+//! with the relocated state it closes, so it travels in the `Migration`
+//! class (which the machine services at twice the data rate, §4.3.2).
 
-use aoj_core::elastic::{ContractSpec, ElasticLayout, ExpandSpec};
-use aoj_core::epoch::Epoch;
-use aoj_core::mapping::{GridAssignment, Step};
-use aoj_core::migration::MachineStepSpec;
+use aoj_core::elastic::ElasticLayout;
+use aoj_core::epoch::{Epoch, Reconfig, Role};
+use aoj_core::mapping::GridAssignment;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_simnet::{MsgClass, SimMessage, SimTime, TaskId};
 
@@ -113,12 +122,15 @@ pub enum OpMsg {
         /// the batch flush time).
         arrived: Vec<SimTime>,
     },
-    /// Controller → reshuffler: adopt a new mapping (broadcast).
-    MappingChange {
+    /// Controller → every reshuffler active after the change: adopt a new
+    /// mapping — force-flush, plan `kind` against the current assignment
+    /// ([`Reconfig::adopt`]), and signal every participating joiner its
+    /// [`Role`].
+    Change {
         /// The epoch being entered.
         new_epoch: Epoch,
-        /// The single migration step to apply.
-        step: Step,
+        /// What kind of change.
+        kind: Reconfig,
     },
     /// Controller → reshuffler: all joiners finalised the migration.
     /// Only used by the blocking baseline, which stalls routing until
@@ -128,74 +140,34 @@ pub enum OpMsg {
         epoch: Epoch,
     },
     /// Reshuffler → joiner: epoch-change signal (travels behind the
-    /// reshuffler's earlier data).
+    /// reshuffler's earlier data). Sent to every joiner the change gives
+    /// a role — contraction retirees included: a retiree needs every
+    /// signal to know its Δ is closed before it sends its end-of-state
+    /// marker. Expansion children are the exception; they are born from
+    /// their parent's marker alone.
     Signal {
         /// Index of the signalling reshuffler.
         from_reshuffler: usize,
         /// The epoch being entered.
         new_epoch: Epoch,
-        /// How many reshufflers were active (routing old-epoch data) at
-        /// the change — the signal count the joiner must collect. No
-        /// longer a run-wide constant under trigger-time provisioning.
+        /// How many reshufflers signal — the count the joiner must
+        /// collect: every machine active on either side of the change
+        /// (machines an expansion activates never routed old-epoch data,
+        /// but their signal must still precede the new-epoch data they
+        /// route). Not a run-wide constant under trigger-time
+        /// provisioning.
         expected_signals: u32,
-        /// The receiving joiner's role in the migration.
-        spec: MachineStepSpec,
-    },
-    /// Controller → every reshuffler (active and dormant): the cluster
-    /// expands ×4 — apply [`GridAssignment::apply_expansion`] and signal
-    /// every parent joiner (§4.2.2, Fig. 5).
-    ///
-    /// [`GridAssignment::apply_expansion`]: aoj_core::mapping::GridAssignment::apply_expansion
-    ExpandChange {
-        /// The epoch being entered.
-        new_epoch: Epoch,
-    },
-    /// Reshuffler → parent joiner: expansion signal (travels behind the
-    /// reshuffler's earlier data, like [`OpMsg::Signal`]).
-    ExpandSignal {
-        /// Index of the signalling reshuffler.
-        from_reshuffler: usize,
-        /// The epoch being entered.
-        new_epoch: Epoch,
-        /// Active reshuffler count at the change (machines activated by
-        /// this expansion never routed old-epoch data and do not signal).
-        expected_signals: u32,
-        /// The receiving parent's split role.
-        spec: ExpandSpec,
-    },
-    /// Controller → every **active** reshuffler: the cluster contracts
-    /// 4→1 — apply [`GridAssignment::apply_contraction`] and signal every
-    /// active joiner with its merge role (the reverse of
-    /// [`OpMsg::ExpandChange`]).
-    ///
-    /// [`GridAssignment::apply_contraction`]: aoj_core::mapping::GridAssignment::apply_contraction
-    ContractChange {
-        /// The epoch being entered.
-        new_epoch: Epoch,
-    },
-    /// Reshuffler → joiner: contraction signal (travels behind the
-    /// reshuffler's earlier data, like [`OpMsg::Signal`]). Sent to
-    /// survivors and retirees alike — a retiree needs every signal to
-    /// know its Δ is closed before it sends its end-of-state marker.
-    ContractSignal {
-        /// Index of the signalling reshuffler.
-        from_reshuffler: usize,
-        /// The epoch being entered.
-        new_epoch: Epoch,
-        /// Active reshuffler count at the change.
-        expected_signals: u32,
-        /// The receiving joiner's merge role.
-        spec: ContractSpec,
+        /// The receiving joiner's part in the change.
+        role: Role,
     },
     /// Controller → a machine activated by an expansion: adopt this
     /// **pre-change** control-plane snapshot wholesale. Under
     /// trigger-time provisioning a dormant machine receives no broadcast
     /// traffic, so a freshly provisioned (or pool-reused) reshuffler is
     /// synced to the state every active reshuffler held just before the
-    /// expansion, then receives the same [`OpMsg::ExpandChange`] — it
-    /// runs the identical handler, and in particular **signals the
-    /// parents** so that on its channels, too, the signal precedes any
-    /// new-epoch data.
+    /// expansion, then receives the same [`OpMsg::Change`] — it runs the
+    /// identical handler, and in particular **signals the parents** so
+    /// that on its channels, too, the signal precedes any new-epoch data.
     Activate {
         /// The epoch the cluster was in before the expansion.
         epoch: Epoch,
@@ -212,28 +184,23 @@ pub enum OpMsg {
         /// The expansion epoch the child is born into.
         epoch: Epoch,
     },
-    /// Controller → source: the active reshuffler set grew (elastic
-    /// expansion) — replace the round-robin set and scale the
-    /// flow-control window up with it. Carries the explicit task list
-    /// because after contractions the active machines are no longer a
-    /// prefix of the provisioned index space.
-    SourceGrow {
+    /// Controller → source: the active reshuffler set grew (expansion) or
+    /// shrank (contraction) — replace the round-robin set, so retiring
+    /// machines are no longer fed, and scale the flow-control window with
+    /// it. Carries the explicit task list because after contractions the
+    /// active machines are no longer a prefix of the provisioned index
+    /// space.
+    SourceResize {
         /// The new active reshufflers, in machine-index order.
         reshufflers: Vec<TaskId>,
     },
-    /// Controller → source: the active reshuffler set shrank (elastic
-    /// contraction) — stop feeding retiring machines and scale the
-    /// flow-control window down with the survivor count.
-    SourceShrink {
-        /// The surviving reshufflers, in machine-index order.
-        reshufflers: Vec<TaskId>,
-    },
-    /// Joiner → partner joiner: a batch of exchanged state.
+    /// Joiner → joiner: a batch of relocated state (to the exchange
+    /// partner, a child, or the survivor).
     MigBatch {
-        /// The tuples (all of the coarsening relation).
+        /// The tuples the sender's role forwards.
         tuples: Vec<Tuple>,
     },
-    /// Joiner → partner joiner: no more state will follow.
+    /// Joiner → partner or survivor: no more state will follow.
     MigDone,
     /// Joiner → controller: migration finalised locally.
     Ack {
@@ -271,20 +238,24 @@ impl SimMessage for OpMsg {
                 .iter()
                 .map(|t| t.bytes as u64 + TUPLE_HEADER_BYTES)
                 .sum(),
-            OpMsg::MappingChange { .. } => 24,
+            // Priced per kind: a step names its direction, an expansion
+            // parent's role lists its three children.
+            OpMsg::Change {
+                kind: Reconfig::Step(_),
+                ..
+            } => 24,
+            OpMsg::Change { .. } => 16,
             OpMsg::MigrationComplete { .. } => 16,
+            OpMsg::Signal {
+                role: Role::Expand(_),
+                ..
+            } => 56,
             OpMsg::Signal { .. } => 48,
-            OpMsg::ExpandChange { .. } => 16,
-            OpMsg::ExpandSignal { .. } => 56,
-            OpMsg::ContractChange { .. } => 16,
-            OpMsg::ContractSignal { .. } => 48,
             // The activation snapshot ships the grid assignment: price it
             // proportionally to the active cell count.
             OpMsg::Activate { assign, .. } => 64 + 8 * assign.j() as u64,
             OpMsg::ExpandDone { .. } => 16,
-            OpMsg::SourceGrow { reshufflers } | OpMsg::SourceShrink { reshufflers } => {
-                8 + 8 * reshufflers.len() as u64
-            }
+            OpMsg::SourceResize { reshufflers } => 8 + 8 * reshufflers.len() as u64,
             OpMsg::MigBatch { tuples } => {
                 tuples.iter().map(|t| t.bytes as u64).sum::<u64>()
                     + TUPLE_HEADER_BYTES * tuples.len() as u64
@@ -297,14 +268,11 @@ impl SimMessage for OpMsg {
 
     fn class(&self) -> MsgClass {
         match self {
-            // Expansion/contraction signals must stay FIFO with the
-            // reshuffler's earlier data, exactly like step-migration
-            // signals.
-            OpMsg::IngestBatch { .. }
-            | OpMsg::DataBatch { .. }
-            | OpMsg::Signal { .. }
-            | OpMsg::ExpandSignal { .. }
-            | OpMsg::ContractSignal { .. } => MsgClass::Data,
+            // A signal of any kind must stay FIFO with the reshuffler's
+            // earlier data.
+            OpMsg::IngestBatch { .. } | OpMsg::DataBatch { .. } | OpMsg::Signal { .. } => {
+                MsgClass::Data
+            }
             // The child's end-of-state marker must stay FIFO with the
             // parent's state batches.
             OpMsg::MigBatch { .. } | OpMsg::MigDone | OpMsg::ExpandDone { .. } => {
@@ -313,13 +281,10 @@ impl SimMessage for OpMsg {
             // Bounced ingest travels Control so the source re-routes it
             // promptly (it is already counted against the flow window).
             OpMsg::IngestBounced { .. }
-            | OpMsg::MappingChange { .. }
+            | OpMsg::Change { .. }
             | OpMsg::MigrationComplete { .. }
-            | OpMsg::ExpandChange { .. }
-            | OpMsg::ContractChange { .. }
             | OpMsg::Activate { .. }
-            | OpMsg::SourceGrow { .. }
-            | OpMsg::SourceShrink { .. }
+            | OpMsg::SourceResize { .. }
             | OpMsg::Ack { .. }
             | OpMsg::RoutedCopies { .. }
             | OpMsg::ProcessedCopies { .. } => MsgClass::Control,
@@ -346,12 +311,11 @@ mod tests {
 
     #[test]
     fn classes_preserve_protocol_ordering() {
-        // Signals must share the Data class with routed tuples.
-        let sig = OpMsg::Signal {
+        let signal = |role| OpMsg::Signal {
             from_reshuffler: 0,
             new_epoch: 1,
-            expected_signals: 2,
-            spec: dummy_spec(),
+            expected_signals: 4,
+            role,
         };
         let data = OpMsg::DataBatch {
             tag: 0,
@@ -359,27 +323,25 @@ mod tests {
             tuples: vec![Tuple::new(Rel::R, 0, 0, 0)],
             arrived: vec![SimTime::ZERO],
         };
-        assert_eq!(sig.class(), data.class());
-        // Expansion signals share the Data class too (FIFO behind the
-        // reshuffler's old-epoch tuples).
-        let expand_sig = OpMsg::ExpandSignal {
-            from_reshuffler: 0,
-            new_epoch: 1,
-            expected_signals: 4,
-            spec: dummy_expand_spec(),
-        };
-        assert_eq!(expand_sig.class(), data.class());
-        // Contraction signals likewise trail the reshuffler's data.
-        let contract_sig = OpMsg::ContractSignal {
-            from_reshuffler: 0,
-            new_epoch: 1,
-            expected_signals: 4,
-            spec: aoj_core::elastic::ContractSpec {
-                machine: 0,
-                role: aoj_core::elastic::ContractRole::Survive,
-            },
-        };
-        assert_eq!(contract_sig.class(), data.class());
+        // Signals of every kind share the Data class with routed tuples
+        // (FIFO behind the reshuffler's old-epoch data), at the sizes the
+        // simulator has always priced them.
+        for (role, bytes) in [
+            (Role::Step(dummy_spec()), 48),
+            (Role::Expand(dummy_expand_spec()), 56),
+            (Role::Contract(aoj_core::elastic::ContractRole::Survive), 48),
+        ] {
+            assert_eq!(signal(role).class(), data.class());
+            assert_eq!(signal(role).bytes(), bytes);
+        }
+        for (kind, bytes) in [
+            (Reconfig::Step(aoj_core::mapping::Step::HalveRows), 24),
+            (Reconfig::Expand, 16),
+            (Reconfig::Contract, 16),
+        ] {
+            let change = OpMsg::Change { new_epoch: 1, kind };
+            assert_eq!((change.class(), change.bytes()), (MsgClass::Control, bytes));
+        }
         // The end markers must share the Migration class with state batches.
         assert_eq!(
             OpMsg::MigDone.class(),
@@ -434,14 +396,14 @@ mod tests {
         assert_eq!(OpMsg::RoutedCopies { n: 4, tuples: 2 }.tuples(), 1);
     }
 
-    fn dummy_spec() -> MachineStepSpec {
+    fn dummy_spec() -> aoj_core::migration::MachineStepSpec {
         use aoj_core::mapping::{GridAssignment, Mapping, Step};
         use aoj_core::migration::plan_step;
         let a = GridAssignment::initial(Mapping::new(2, 1));
         plan_step(&a, Step::HalveRows).specs[0]
     }
 
-    fn dummy_expand_spec() -> ExpandSpec {
+    fn dummy_expand_spec() -> aoj_core::elastic::ExpandSpec {
         use aoj_core::elastic::plan_expansion;
         use aoj_core::mapping::{GridAssignment, Mapping};
         let a = GridAssignment::initial(Mapping::new(2, 2));

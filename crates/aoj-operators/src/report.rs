@@ -157,31 +157,19 @@ impl SkewSummary {
     }
 }
 
-/// One expansion parent's state-transfer accounting (Theorem 4.3).
+/// One joiner's state-transfer accounting for one kind of elastic change:
+/// an expansion parent's (Theorem 4.3) or a contraction retiree's.
 #[derive(Clone, Copy, Debug)]
-pub struct ExpandTransfer {
-    /// The parent's machine index.
+pub struct StateTransfer {
+    /// The parent's or retiree's machine index.
     pub joiner: usize,
-    /// Local state tuples the parent classified for the split (τ
-    /// snapshot plus Δ arrivals during the expansion).
+    /// Local state tuples the joiner classified for relocation (τ at its
+    /// first signal plus Δ arrivals during the change).
     pub stored_tuples: u64,
-    /// Copies shipped to the parent's three children — at most
-    /// `2 × stored_tuples` by Fig. 5's split geometry.
-    pub sent_tuples: u64,
-}
-
-/// One contraction retiree's state-transfer accounting (the 1× mirror of
-/// [`ExpandTransfer`]'s 2× bound).
-#[derive(Clone, Copy, Debug)]
-pub struct ContractTransfer {
-    /// The retiree's machine index.
-    pub joiner: usize,
-    /// Local state tuples the retiree classified for the merge (τ at
-    /// retirement plus Δ arrivals during it).
-    pub stored_tuples: u64,
-    /// Copies shipped to the survivor — at most `1 × stored_tuples`
-    /// (each tuple is sent at most once; the diagonal retiree sends
-    /// none).
+    /// Copies shipped: to a parent's three children at most
+    /// `2 × stored_tuples` by Fig. 5's split geometry; to a retiree's
+    /// survivor at most `1 ×` (each tuple is sent at most once, and the
+    /// diagonal retiree sends none).
     pub sent_tuples: u64,
 }
 
@@ -270,10 +258,10 @@ pub struct RunReport {
     pub contractions: u64,
     /// Per-parent expansion transfer accounting, for the Theorem 4.3
     /// `transmitted ≤ 2 × stored` bound. Empty when nothing expanded.
-    pub expand_transfers: Vec<ExpandTransfer>,
+    pub expand_transfers: Vec<StateTransfer>,
     /// Per-retiree contraction transfer accounting (`sent ≤ 1 × stored`).
     /// Empty when nothing contracted.
-    pub contract_transfers: Vec<ContractTransfer>,
+    pub contract_transfers: Vec<StateTransfer>,
     /// Machines still holding execution resources at quiescence
     /// (trigger-time provisioning: grows at expansions, shrinks at
     /// contractions; includes the source machine).

@@ -8,10 +8,9 @@
 //! (migration decisions) and gates migrations on joiner acks.
 
 use aoj_core::decision::{Decision, DecisionConfig, MigrationDecider};
-use aoj_core::elastic::{plan_contraction, plan_expansion_with, ElasticLayout};
-use aoj_core::epoch::Epoch;
+use aoj_core::elastic::{plan_contraction, ElasticLayout};
+use aoj_core::epoch::{Epoch, Reconfig};
 use aoj_core::mapping::{steps_between, GridAssignment, Mapping};
-use aoj_core::migration::plan_step;
 use aoj_core::ticket::{partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
 pub use aoj_simnet::ProgressSample;
@@ -26,68 +25,30 @@ use crate::skew::SkewState;
 /// shading, EXPERIMENTS.md narratives).
 #[derive(Clone, Copy, Debug)]
 pub enum ControlEvent {
-    /// A migration decision was taken.
-    Decide {
+    /// The controller decided an epoch change and broadcast it.
+    Begin {
+        /// What kind of change.
+        kind: Reconfig,
         /// Global sequence number of the triggering tuple.
         seq: u64,
         /// Virtual time of the decision.
         at: SimTime,
         /// Mapping before.
         from: Mapping,
-        /// Mapping after this step.
+        /// Mapping after.
         to: Mapping,
         /// The epoch entered.
         epoch: Epoch,
     },
-    /// All joiners acked the migration.
+    /// Every participating joiner acked: the cluster is consistent with
+    /// the new mapping (and a contraction's retirees are dormant with
+    /// zero stored bytes).
     Complete {
+        /// What kind of change.
+        kind: Reconfig,
         /// Virtual time of the last ack.
         at: SimTime,
-        /// The epoch whose migration completed.
-        epoch: Epoch,
-    },
-    /// An elastic 4→1 contraction was triggered (the reverse of
-    /// [`ControlEvent::Expand`]).
-    Contract {
-        /// Global sequence number of the triggering tuple.
-        seq: u64,
-        /// Virtual time of the decision.
-        at: SimTime,
-        /// Mapping before: `(n, m)` over `J` machines.
-        from: Mapping,
-        /// Mapping after: `(n/2, m/2)` over `J/4` machines.
-        to: Mapping,
-        /// The epoch entered.
-        epoch: Epoch,
-    },
-    /// Every survivor and retiree acked the contraction; the shrunk
-    /// cluster is consistent with the `(n/2, m/2)` mapping and the
-    /// retired machines are dormant with zero stored bytes.
-    ContractComplete {
-        /// Virtual time of the last ack.
-        at: SimTime,
-        /// The epoch whose contraction completed.
-        epoch: Epoch,
-    },
-    /// An elastic ×4 expansion was triggered (§4.2.2).
-    Expand {
-        /// Global sequence number of the triggering tuple.
-        seq: u64,
-        /// Virtual time of the decision.
-        at: SimTime,
-        /// Mapping before: `(n, m)` over `J` machines.
-        from: Mapping,
-        /// Mapping after: `(2n, 2m)` over `4J` machines.
-        to: Mapping,
-        /// The epoch entered.
-        epoch: Epoch,
-    },
-    /// Every parent and child acked the expansion; the grown cluster is
-    /// consistent with the `(2n, 2m)` mapping.
-    ExpandComplete {
-        /// Virtual time of the last ack.
-        at: SimTime,
-        /// The epoch whose expansion completed.
+        /// The epoch whose change completed.
         epoch: Epoch,
     },
 }
@@ -129,18 +90,14 @@ pub struct ControllerState {
     /// Whether the controller may trigger migrations (false for the
     /// Static operators, which still sample and count).
     pub adaptive: bool,
-    /// True while a migration is in flight (gates decisions).
-    pub in_flight: bool,
-    /// True while the in-flight reconfiguration is an elastic expansion.
-    pub expanding: bool,
-    /// True while the in-flight reconfiguration is an elastic contraction.
-    pub contracting: bool,
-    /// Machines to hand back to the backend once the in-flight
-    /// contraction completes (every retiree acked).
+    /// The epoch change in flight, if any (gates decisions).
+    pub in_flight: Option<Reconfig>,
+    /// Machines to hand back to the backend once the in-flight change
+    /// completes (a contraction's retirees, once every one acked).
     pub pending_retire: Vec<usize>,
     /// Elasticity state, present when the run may scale out (§4.2.2).
     pub elastic: Option<ElasticControl>,
-    /// Acks still awaited for the in-flight migration.
+    /// Acks still awaited for the in-flight change.
     pub acks_pending: usize,
     /// The target mapping the controller is stepping towards (multi-step
     /// chains are executed one epoch at a time).
@@ -213,9 +170,7 @@ impl ControllerState {
         ControllerState {
             decider: MigrationDecider::new(j, initial, cfg),
             adaptive,
-            in_flight: false,
-            expanding: false,
-            contracting: false,
+            in_flight: None,
             pending_retire: Vec::new(),
             elastic: None,
             acks_pending: 0,
@@ -331,12 +286,12 @@ impl ReshufflerTask {
             .publish_flushes(ctx.metrics(), MachineId(self.index));
     }
 
-    /// Controller: evaluate Alg. 2 and, when due, broadcast the next
-    /// migration step (one step per epoch; chains continue after acks).
-    /// On elastic runs, a migration checkpoint where every active joiner
-    /// is past half capacity fires a ×4 expansion instead (§4.2.2), and
-    /// one where every active joiner sits below the low-water mark fires
-    /// the reverse 4→1 contraction.
+    /// Controller: evaluate Alg. 2 and, when due, begin the next migration
+    /// step (one step per epoch; chains continue after acks). On elastic
+    /// runs, a migration checkpoint where every active joiner is past
+    /// half capacity begins a ×4 expansion instead (§4.2.2), and one
+    /// where every active joiner sits below the low-water mark begins the
+    /// reverse 4→1 contraction.
     fn maybe_trigger(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
         if self.controller.is_none() {
             return;
@@ -349,150 +304,33 @@ impl ReshufflerTask {
             return;
         };
         ctrl.decider.note_skew(skew_ratio);
-        if !ctrl.adaptive || ctrl.in_flight {
+        if !ctrl.adaptive || ctrl.in_flight.is_some() {
             return;
         }
         let current = self.assign.mapping();
         // Elasticity first, and only at a true checkpoint (no multi-step
         // chain pending): cluster-wide fullness is a capacity problem
         // that no (n, m) reshape fixes, so scale-out takes priority over
-        // shape changes (and scale-in over both).
-        if ctrl.target.is_none() {
-            let last_seq = ctrl.last_seq;
-            if let Some(el) = &mut ctrl.elastic {
-                // The due-checks run on the controller's per-batch ingest
-                // path: feed them the grid's machine iterator directly (no
-                // allocation); the active set is only materialised and
-                // sorted inside the rare fired branches that need ordered
-                // broadcasts. (After a contraction the active machines
-                // are no longer a prefix of the slot space, hence the
-                // explicit set.)
-                if el.armed_expand()
-                    && expansion_due(
-                        ctx.metrics(),
-                        self.assign.machines(),
-                        // Skewed load quarters the effective capacity so a
-                        // melting hot cell expands before the byte gauges
-                        // look full.
-                        el.effective_capacity(skew_ratio),
-                    )
-                {
-                    let mut active: Vec<usize> = self.assign.machines().collect();
-                    active.sort_unstable();
-                    el.expansions_done += 1;
-                    let old_j = self.assign.j();
-                    let new_epoch = self.epoch + 1;
-                    let to = Mapping::new(current.n * 2, current.m * 2);
-                    ctrl.in_flight = true;
-                    ctrl.expanding = true;
-                    ctrl.acks_pending = 4 * old_j as usize;
-                    ctrl.decider.expand();
-                    ctrl.events.push(ControlEvent::Expand {
-                        seq: ctrl.last_seq,
-                        at: ctx.now(),
-                        from: current,
-                        to,
-                        epoch: new_epoch,
-                    });
-                    // Trigger-time provisioning: acquire the children's
-                    // machines now — dormant pool first, fresh slots
-                    // after. Each newly activated reshuffler heard no
-                    // broadcasts while dormant, so it first gets a
-                    // **pre-change** control-plane snapshot (`Activate`)
-                    // and then the same `ExpandChange` as everyone else:
-                    // it runs the identical handler and — crucially —
-                    // signals the parents too, so on every channel that
-                    // will ever carry new-epoch data a signal travels
-                    // first. Provision precedes the sends per machine;
-                    // effects apply in emission order.
-                    let children = self.layout.peek_children(3 * old_j as usize);
-                    // ALL provisions strictly before the first send: an
-                    // early-activated child signals its parents, whose
-                    // joiners immediately stream state to *other*
-                    // children — on real threads that fan-out races the
-                    // rest of this effect list, so every child machine
-                    // must already hold its worker shard.
-                    for &c in &children {
-                        ctx.provision(MachineId(c));
-                    }
-                    for &c in &children {
-                        ctx.send(
-                            self.reshuffler_tasks[c],
-                            OpMsg::Activate {
-                                epoch: self.epoch,
-                                assign: self.assign.clone(),
-                                layout: self.layout.clone(),
-                            },
-                        );
-                        ctx.send(self.reshuffler_tasks[c], OpMsg::ExpandChange { new_epoch });
-                    }
-                    // Already-active reshufflers adopt the grown grid and
-                    // signal the parents; the source starts feeding the
-                    // newly active machines too.
-                    for &m in &active {
-                        ctx.send(self.reshuffler_tasks[m], OpMsg::ExpandChange { new_epoch });
-                    }
-                    let mut new_active = active;
-                    new_active.extend(children);
-                    new_active.sort_unstable();
-                    ctx.send(
-                        self.source,
-                        OpMsg::SourceGrow {
-                            reshufflers: new_active
-                                .iter()
-                                .map(|&m| self.reshuffler_tasks[m])
-                                .collect(),
-                        },
-                    );
-                    return;
-                }
-                if el.armed_contract(last_seq, ctx.metrics().total_evicted_bytes())
-                    && current.n >= 2
-                    && current.m >= 2
-                    && contraction_due(
-                        ctx.metrics(),
-                        self.assign.machines(),
-                        el.cfg.contract_below_bytes,
-                    )
-                {
-                    let mut active: Vec<usize> = self.assign.machines().collect();
-                    active.sort_unstable();
-                    el.contractions_done += 1;
-                    let plan = plan_contraction(&self.assign);
-                    let new_epoch = self.epoch + 1;
-                    ctrl.in_flight = true;
-                    ctrl.contracting = true;
-                    // Survivors and retirees all ack.
-                    ctrl.acks_pending = self.assign.j() as usize;
-                    ctrl.decider.contract();
-                    ctrl.pending_retire = plan.retired.clone();
-                    ctrl.events.push(ControlEvent::Contract {
-                        seq: ctrl.last_seq,
-                        at: ctx.now(),
-                        from: current,
-                        to: plan.to,
-                        epoch: new_epoch,
-                    });
-                    for &m in &active {
-                        ctx.send(
-                            self.reshuffler_tasks[m],
-                            OpMsg::ContractChange { new_epoch },
-                        );
-                    }
-                    // The source stops feeding retiring machines and
-                    // narrows its window to the survivor count.
-                    ctx.send(
-                        self.source,
-                        OpMsg::SourceShrink {
-                            reshufflers: plan
-                                .survivors
-                                .iter()
-                                .map(|&m| self.reshuffler_tasks[m])
-                                .collect(),
-                        },
-                    );
-                    return;
-                }
+        // shape changes (and scale-in over both). The due-checks run on
+        // the controller's per-batch ingest path, so they read the grid's
+        // machine iterator directly (no allocation); after a contraction
+        // the active machines are no longer a prefix of the slot space.
+        if let (None, Some(el)) = (ctrl.target, &ctrl.elastic) {
+            // Skewed load quarters the effective capacity so a melting
+            // hot cell expands before the byte gauges look full.
+            let capacity = el.effective_capacity(skew_ratio);
+            if el.armed_expand() && expansion_due(ctx.metrics(), self.assign.machines(), capacity) {
+                return self.begin(ctx, Reconfig::Expand);
+            }
+            if el.armed_contract(ctrl.last_seq, ctx.metrics().total_evicted_bytes())
+                && Reconfig::Contract.apply(current).is_some()
+                && contraction_due(
+                    ctx.metrics(),
+                    self.assign.machines(),
+                    el.cfg.contract_below_bytes,
+                )
+            {
+                return self.begin(ctx, Reconfig::Contract);
             }
         }
         // Continue an unfinished multi-step chain first.
@@ -512,26 +350,104 @@ impl ReshufflerTask {
         let step = steps_between(current, target)[0];
         let next = step.apply(current).expect("valid step");
         ctrl.target = if next == target { None } else { Some(target) };
-        ctrl.decider.set_current(next);
-        ctrl.in_flight = true;
-        ctrl.acks_pending = self.assign.j() as usize;
+        self.begin(ctx, Reconfig::Step(step));
+    }
+
+    /// Controller: begin the epoch change `kind` — log it, acquire the
+    /// machines it activates, broadcast it, and tell the source when the
+    /// active set changes size. It completes when every participating
+    /// joiner has acked.
+    fn begin(&mut self, ctx: &mut Ctx<'_, OpMsg>, kind: Reconfig) {
+        let ctrl = self
+            .controller
+            .as_mut()
+            .expect("only the controller begins epoch changes");
+        let from = self.assign.mapping();
+        let to = kind.apply(from).expect("valid reconfiguration");
         let new_epoch = self.epoch + 1;
-        ctrl.events.push(ControlEvent::Decide {
+        // The machines the change activates (dormant pool first, fresh
+        // slots after) and the ones it retires.
+        let elastic = ctrl.elastic.as_mut();
+        let (joining, leaving) = match kind {
+            Reconfig::Step(_) => {
+                ctrl.decider.set_current(to);
+                (Vec::new(), Vec::new())
+            }
+            Reconfig::Expand => {
+                elastic.expect("only elastic runs expand").expansions_done += 1;
+                ctrl.decider.expand();
+                let children = self.layout.peek_children(3 * from.j() as usize);
+                (children, Vec::new())
+            }
+            Reconfig::Contract => {
+                elastic
+                    .expect("only elastic runs contract")
+                    .contractions_done += 1;
+                ctrl.decider.contract();
+                (Vec::new(), plan_contraction(&self.assign).retired)
+            }
+        };
+        ctrl.in_flight = Some(kind);
+        // Every machine active on either side of the change takes part:
+        // parents and children, survivors and retirees all ack.
+        ctrl.acks_pending = from.j().max(to.j()) as usize;
+        ctrl.events.push(ControlEvent::Begin {
+            kind,
             seq: ctrl.last_seq,
             at: ctx.now(),
-            from: current,
-            to: next,
+            from,
+            to,
             epoch: new_epoch,
         });
-        // Broadcast to the **active** reshufflers only: dormant machines
-        // hear nothing while retired (they get a full snapshot when an
-        // expansion re-activates them).
-        for m in self.assign.machines() {
-            ctx.send(
-                self.reshuffler_tasks[m],
-                OpMsg::MappingChange { new_epoch, step },
-            );
+        let change = || OpMsg::Change { new_epoch, kind };
+        // Trigger-time provisioning: acquire the joining machines now.
+        // ALL provisions strictly before the first send: an
+        // early-activated child signals its parents, whose joiners
+        // immediately stream state to *other* children — on real threads
+        // that fan-out races the rest of this effect list, so every child
+        // machine must already hold its worker shard.
+        for &c in &joining {
+            ctx.provision(MachineId(c));
         }
+        // Each newly activated reshuffler heard no broadcasts while
+        // dormant, so it first gets a **pre-change** control-plane
+        // snapshot (`Activate`) and then the same `Change` as everyone
+        // else: it runs the identical handler and — crucially — signals
+        // the parents too, so on every channel that will ever carry
+        // new-epoch data a signal travels first.
+        for &c in &joining {
+            ctx.send(
+                self.reshuffler_tasks[c],
+                OpMsg::Activate {
+                    epoch: self.epoch,
+                    assign: self.assign.clone(),
+                    layout: self.layout.clone(),
+                },
+            );
+            ctx.send(self.reshuffler_tasks[c], change());
+        }
+        // Broadcast to the **active** reshufflers only: dormant machines
+        // hear nothing while retired. A step goes out in grid order, a
+        // resize in the machine-index order of the source's list (the
+        // orders they have always had — effects apply in emission order).
+        let mut active: Vec<usize> = self.assign.machines().collect();
+        let resized = from.j() != to.j();
+        if resized {
+            active.sort_unstable();
+        }
+        for &m in &active {
+            ctx.send(self.reshuffler_tasks[m], change());
+        }
+        if resized {
+            // The source starts feeding the joining machines and stops
+            // feeding the leaving ones.
+            active.retain(|m| !leaving.contains(m));
+            active.extend(&joining);
+            active.sort_unstable();
+            let reshufflers = active.iter().map(|&m| self.reshuffler_tasks[m]).collect();
+            ctx.send(self.source, OpMsg::SourceResize { reshufflers });
+        }
+        ctrl.pending_retire = leaving;
     }
 }
 
@@ -592,104 +508,40 @@ impl Process<OpMsg> for ReshufflerTask {
                     self.cost.recv_overhead_us + copies as u64 * self.cost.store_us / 2,
                 )
             }
-            OpMsg::MappingChange { new_epoch, step } => {
+            OpMsg::Change { new_epoch, kind } => {
                 assert_eq!(new_epoch, self.epoch + 1, "reshuffler skipped an epoch");
                 // Epoch boundary: ship everything buffered under the old
                 // tag before signalling, so the Signal stays FIFO behind
                 // the data it covers.
                 self.flush_all(ctx, FlushCause::Boundary);
-                // Every reshuffler that routed old-epoch data signals:
-                // the active count, which migrations preserve.
-                let expected_signals = self.assign.j();
-                let plan = plan_step(&self.assign, step);
-                self.assign.apply_step(step);
+                // Plan against the pre-change assignment, then adopt the
+                // new grid. Every reshuffler — the already active ones
+                // and the machines an expansion activates (synced by
+                // `Activate` to the pre-change state first) — computes
+                // the same deterministic plan, so the roles and child
+                // allocations agree.
+                let before = self.assign.j();
+                let roles = kind.adopt(&mut self.assign, &mut self.layout);
                 self.epoch = new_epoch;
-                // Signal the machines the plan covers — the *active*
-                // grid.
-                for spec in plan.specs {
+                // Every machine active on either side of the change
+                // signals: the ones an expansion activates have no
+                // old-epoch data (trivially FIFO) but their signal must
+                // still precede any new-epoch data they route.
+                let expected_signals = before.max(self.assign.j());
+                // A machine the change retired stops routing (stragglers
+                // bounce to the source) until an expansion reactivates it.
+                self.deactivated = !self.assign.machines().any(|m| m == self.index);
+                // Signal every machine the plan gives a role — retirees
+                // included: a retiree needs every signal to know its Δ
+                // closed before it sends its end-of-state marker.
+                for (machine, role) in roles {
                     ctx.send(
-                        self.joiner_tasks[spec.machine],
+                        self.joiner_tasks[machine],
                         OpMsg::Signal {
                             from_reshuffler: self.index,
                             new_epoch,
                             expected_signals,
-                            spec,
-                        },
-                    );
-                }
-                if self.blocking {
-                    self.stalled = true;
-                }
-                SimDuration::from_micros(self.cost.control_us * 2)
-            }
-            OpMsg::ExpandChange { new_epoch } => {
-                assert_eq!(new_epoch, self.epoch + 1, "reshuffler skipped an epoch");
-                // Same flush-before-adopt as MappingChange: the
-                // ExpandSignals must trail every old-epoch tuple.
-                self.flush_all(ctx, FlushCause::Boundary);
-                // Plan against the pre-expansion assignment, then adopt
-                // the (2n, 2m) grid. Every reshuffler — the already
-                // active ones and the machines this expansion activates
-                // (synced by `Activate` to the pre-change state first) —
-                // computes the same deterministic plan, so the per-parent
-                // specs and child allocations agree. All 4J post-change
-                // reshufflers signal: the new ones have no old-epoch data
-                // (trivially FIFO) but their signal must still precede
-                // any new-epoch data they route.
-                let expected_signals = 4 * self.assign.j();
-                let children = self.layout.allocate_children(3 * self.assign.j() as usize);
-                let plan = plan_expansion_with(&self.assign, &children);
-                self.assign.apply_expansion_with(&children);
-                self.epoch = new_epoch;
-                for spec in plan.specs {
-                    ctx.send(
-                        self.joiner_tasks[spec.machine],
-                        OpMsg::ExpandSignal {
-                            from_reshuffler: self.index,
-                            new_epoch,
-                            expected_signals,
-                            spec,
-                        },
-                    );
-                }
-                if self.blocking {
-                    self.stalled = true;
-                }
-                SimDuration::from_micros(self.cost.control_us * 2)
-            }
-            OpMsg::ContractChange { new_epoch } => {
-                assert_eq!(new_epoch, self.epoch + 1, "reshuffler skipped an epoch");
-                // Flush-before-adopt, exactly like the other changes: the
-                // ContractSignals must trail every old-epoch tuple.
-                self.flush_all(ctx, FlushCause::Boundary);
-                let expected_signals = self.assign.j();
-                let plan = plan_contraction(&self.assign);
-                // `apply_contraction` relabels by the same plan (it is
-                // derived from it), so the grid and the signalled roles
-                // cannot disagree.
-                let retired = self.assign.apply_contraction();
-                // Retired machines join the dormant pool every active
-                // reshuffler tracks, so a later re-expansion allocates
-                // them deterministically.
-                self.layout.release(&retired);
-                if retired.binary_search(&self.index).is_ok() {
-                    // This machine is retiring: stop routing (stragglers
-                    // bounce to the source) until an expansion
-                    // reactivates it.
-                    self.deactivated = true;
-                }
-                self.epoch = new_epoch;
-                // Survivors and retirees both get every signal: a retiree
-                // needs them to know its Δ closed before it sends the
-                // survivor its end-of-state marker.
-                for spec in plan.specs {
-                    ctx.send(
-                        self.joiner_tasks[spec.machine],
-                        OpMsg::ContractSignal {
-                            from_reshuffler: self.index,
-                            new_epoch,
-                            expected_signals,
-                            spec,
+                            role,
                         },
                     );
                 }
@@ -705,7 +557,9 @@ impl Process<OpMsg> for ReshufflerTask {
             } => {
                 // This machine was just provisioned by an expansion (first
                 // activation or pool reuse after retirement): adopt the
-                // post-expansion control plane wholesale. Routing state
+                // **pre-change** control plane wholesale — the ordinary
+                // `Change` broadcast that follows takes it across the
+                // expansion like every other reshuffler. Routing state
                 // (tickets, coalescing buffers) is position-independent
                 // and carries over; a pool-reused reshuffler's buffers
                 // were force-flushed before it went dormant.
@@ -753,42 +607,26 @@ impl Process<OpMsg> for ReshufflerTask {
                 )
             }
             OpMsg::Ack { joiner: _, epoch } => {
-                let now_mapping = self.assign.mapping();
                 let ctrl = self
                     .controller
                     .as_mut()
                     .expect("only the controller receives acks");
-                assert!(ctrl.in_flight, "ack without in-flight migration");
+                let kind = ctrl.in_flight.expect("ack without in-flight change");
                 assert_eq!(epoch, self.epoch, "stale ack");
                 ctrl.acks_pending -= 1;
                 if ctrl.acks_pending == 0 {
-                    ctrl.in_flight = false;
-                    if ctrl.expanding {
-                        ctrl.expanding = false;
-                        ctrl.events.push(ControlEvent::ExpandComplete {
-                            at: ctx.now(),
-                            epoch,
-                        });
-                    } else if ctrl.contracting {
-                        ctrl.contracting = false;
-                        ctrl.events.push(ControlEvent::ContractComplete {
-                            at: ctx.now(),
-                            epoch,
-                        });
-                        // Every retiree acked dormant: hand their
-                        // machines back to the backend. Straggler
-                        // control-plane work still drains; a later
-                        // expansion re-provisions them.
-                        for m in std::mem::take(&mut ctrl.pending_retire) {
-                            ctx.retire(MachineId(m));
-                        }
-                    } else {
-                        ctrl.events.push(ControlEvent::Complete {
-                            at: ctx.now(),
-                            epoch,
-                        });
+                    ctrl.in_flight = None;
+                    ctrl.events.push(ControlEvent::Complete {
+                        kind,
+                        at: ctx.now(),
+                        epoch,
+                    });
+                    // Every retiree acked dormant: hand their machines
+                    // back to the backend. Straggler control-plane work
+                    // still drains; a later expansion re-provisions them.
+                    for m in std::mem::take(&mut ctrl.pending_retire) {
+                        ctx.retire(MachineId(m));
                     }
-                    let _ = now_mapping;
                     if self.blocking {
                         for m in self.assign.machines() {
                             ctx.send(self.reshuffler_tasks[m], OpMsg::MigrationComplete { epoch });

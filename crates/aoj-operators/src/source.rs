@@ -86,9 +86,9 @@ pub struct SourceTask {
     /// space under an elastic run).
     pub reshufflers: Vec<TaskId>,
     /// The active round-robin targets, in machine-index order. Replaced
-    /// wholesale by [`OpMsg::SourceGrow`] (elastic expansion) and
-    /// [`OpMsg::SourceShrink`] (contraction) — an explicit list, because
-    /// after contractions the active machines are not an index prefix.
+    /// wholesale by [`OpMsg::SourceResize`] (elastic expansion and
+    /// contraction) — an explicit list, because after contractions the
+    /// active machines are not an index prefix.
     pub active: Vec<TaskId>,
     /// Pacing.
     pub pacing: SourcePacing,
@@ -288,26 +288,27 @@ impl Process<OpMsg> for SourceTask {
                 // reshuffler — keyed by the batch's block so the
                 // re-route is deterministic. If another contraction
                 // raced us the target may bounce again; each hop makes
-                // progress because this list converges via SourceShrink.
+                // progress because this list converges via SourceResize.
                 if let Some(first) = items.first() {
                     let block = first.seq as usize / self.batch_tuples;
                     let dst = self.active[block % self.active.len()];
                     ctx.send(dst, OpMsg::IngestBatch { items });
                 }
             }
-            OpMsg::SourceGrow { reshufflers } => {
-                // Elastic expansion: the freshly activated machines'
-                // reshufflers join the round-robin set.
+            OpMsg::SourceResize { reshufflers } => {
+                // An expansion's freshly activated reshufflers join the
+                // round-robin set; a contraction's retiring ones leave it.
                 assert!(
-                    reshufflers.len() <= self.reshufflers.len(),
-                    "cannot grow past the provisioned reshuffler set"
+                    !reshufflers.is_empty() && reshufflers.len() <= self.reshufflers.len(),
+                    "the active set is never empty, never past the provisioned set"
                 );
                 assert!(
-                    reshufflers.len() > self.active.len(),
-                    "SourceGrow must widen the active set"
+                    reshufflers.len() != self.active.len(),
+                    "SourceResize must change the active set's size"
                 );
+                let grew = reshufflers.len() > self.active.len();
                 // The window bounds in-flight copies *per joiner*, so
-                // it must grow with the cluster — otherwise the
+                // it must scale with the cluster — otherwise the
                 // joiners' batched credit returns (up to
                 // CREDIT_BATCH − 1 stuck per joiner) could exceed a
                 // fixed window outright and wedge the source.
@@ -319,27 +320,13 @@ impl Process<OpMsg> for SourceTask {
                         .max(1);
                 }
                 self.active = reshufflers;
-                // The wider window may re-open emission.
-                if !self.tick_pending {
+                // A wider window may re-open emission. A narrowed one
+                // cannot: the in-flight copies above it drain as the
+                // survivors (and the retirees' last Δ batches) return
+                // credits, and emission stays paused meanwhile.
+                if grew && !self.tick_pending {
                     self.pump(ctx);
                 }
-            }
-            OpMsg::SourceShrink { reshufflers } => {
-                // Elastic contraction: stop feeding retiring machines and
-                // scale the window back down with the survivor count. The
-                // in-flight copies above the narrowed window drain as the
-                // survivors (and the retirees' last Δ batches) return
-                // credits; emission stays paused meanwhile.
-                assert!(
-                    !reshufflers.is_empty() && reshufflers.len() < self.active.len(),
-                    "SourceShrink must narrow the active set"
-                );
-                if self.window_copies > 0 {
-                    self.window_copies = (self.window_copies * reshufflers.len() as u64
-                        / self.active.len() as u64)
-                        .max(1);
-                }
-                self.active = reshufflers;
             }
             other => panic!("source received unexpected message {other:?}"),
         }

@@ -4,19 +4,21 @@
 //!
 //! * **Routing equivalence** — a reshuffler fed the same ingest stream
 //!   chopped into *random* ingest-batch boundaries, with *random*
-//!   coalescing flush thresholds and an elastic ×4 expansion injected at
-//!   a random position, must deliver the **identical per-channel tuple
+//!   coalescing flush thresholds and an epoch change of a random kind
+//!   (either migration step, a ×4 expansion, a 4→1 contraction) injected
+//!   at a random position, must deliver the **identical per-channel tuple
 //!   sequence** (same tuples, same tickets, same epoch tags, same order
 //!   per (reshuffler → joiner) channel) as the per-tuple plane
-//!   (`batch_tuples = 1`), with every expansion marker FIFO between the
-//!   old-epoch and new-epoch tuples it separates. Coalescing groups;
+//!   (`batch_tuples = 1`), with every epoch-change signal FIFO between
+//!   the old-epoch and new-epoch tuples it separates. Coalescing groups;
 //!   it must never reorder.
 //!
 //! * **End-to-end exactness** — full simulator runs under random batch
 //!   sizes (including across a live ×4 expansion) must emit the
 //!   identical join multiset as the per-tuple plane.
 
-use aoj_core::mapping::{GridAssignment, Mapping};
+use aoj_core::epoch::Reconfig;
+use aoj_core::mapping::{GridAssignment, Mapping, Step};
 use aoj_core::predicate::Predicate;
 use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
@@ -44,15 +46,17 @@ fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
 enum Ev {
     /// A routed tuple: (epoch tag, seq, ticket).
     Tuple(u32, u64, u64),
-    /// An expansion signal entering the given epoch.
+    /// An epoch-change signal entering the given epoch.
     Signal(u32),
 }
 
 /// Build a reshuffler routing a (2,2) grid over 16 provisioned joiners
-/// (so one ×4 expansion has machines to grow into).
+/// (so one ×4 expansion has machines to grow into). It sits on machine 0,
+/// the one a contraction of this grid keeps, so it routes on either side
+/// of every kind of change.
 fn reshuffler(seed: u64, batch_tuples: usize) -> ReshufflerTask {
     ReshufflerTask {
-        index: 1,
+        index: 0,
         epoch: 0,
         assign: GridAssignment::initial(Mapping::new(2, 2)),
         joiner_tasks: (0..16).map(TaskId).collect(),
@@ -87,16 +91,17 @@ fn items(range: std::ops::Range<u64>) -> Vec<IngestItem> {
 }
 
 /// Drive `task` through the whole stream with the given ingest-batch
-/// boundaries and an `ExpandChange` after `expand_at` tuples; return the
-/// per-channel event sequences.
+/// boundaries and a `Change` of the given kind after `change_at` tuples;
+/// return the per-channel event sequences.
 fn drive(
     task: &mut ReshufflerTask,
+    kind: Reconfig,
     n_tuples: u64,
-    expand_at: u64,
+    change_at: u64,
     boundaries: &mut dyn FnMut(u64) -> u64,
 ) -> Vec<Vec<Ev>> {
     let mut channels: Vec<Vec<Ev>> = vec![Vec::new(); 16];
-    // The reshuffler reports flush counts into its machine's row (1).
+    // The reshuffler reports flush counts into its machine's row (0).
     let mut metrics = Metrics::default();
     metrics.add_machine();
     metrics.add_machine();
@@ -109,7 +114,7 @@ fn drive(
                             channels[to.index()].push(Ev::Tuple(tag, t.seq, t.ticket));
                         }
                     }
-                    OpMsg::ExpandSignal { new_epoch, .. } => {
+                    OpMsg::Signal { new_epoch, .. } => {
                         channels[to.index()].push(Ev::Signal(new_epoch));
                     }
                     OpMsg::RoutedCopies { .. } => {}
@@ -126,16 +131,17 @@ fn drive(
         record(channels, ctx.take_effects());
     };
     let mut cursor = 0u64;
-    let mut expanded = false;
+    let mut changed = false;
+    let change = || OpMsg::Change { new_epoch: 1, kind };
     while cursor < n_tuples {
-        if !expanded && cursor >= expand_at {
-            deliver(task, &mut channels, OpMsg::ExpandChange { new_epoch: 1 });
-            expanded = true;
+        if !changed && cursor >= change_at {
+            deliver(task, &mut channels, change());
+            changed = true;
             continue;
         }
         let mut end = cursor + boundaries(n_tuples - cursor).max(1);
-        if !expanded {
-            end = end.min(expand_at);
+        if !changed {
+            end = end.min(change_at);
         }
         let end = end.min(n_tuples);
         deliver(
@@ -147,8 +153,8 @@ fn drive(
         );
         cursor = end;
     }
-    if !expanded {
-        deliver(task, &mut channels, OpMsg::ExpandChange { new_epoch: 1 });
+    if !changed {
+        deliver(task, &mut channels, change());
     }
     // Age-flush whatever is still coalescing (the timer path).
     let mut stopped = false;
@@ -163,37 +169,49 @@ proptest! {
 
     /// Random flush thresholds and random ingest chopping leave every
     /// channel's tuple sequence identical to the per-tuple plane, and
-    /// the expansion marker sits exactly between the epochs.
+    /// the epoch-change signal — of whichever kind — sits exactly
+    /// between the epochs.
     #[test]
     fn batched_routing_preserves_per_channel_order(
         seed in any::<u64>(),
+        kind in prop_oneof![
+            Just(Reconfig::Step(Step::HalveRows)),
+            Just(Reconfig::Step(Step::HalveCols)),
+            Just(Reconfig::Expand),
+            Just(Reconfig::Contract),
+        ],
         batch_tuples in 1usize..200,
         n_tuples in 50u64..300,
-        expand_frac in 0u64..100,
+        change_frac in 0u64..100,
     ) {
-        let expand_at = n_tuples * expand_frac / 100;
+        let change_at = n_tuples * change_frac / 100;
         // Reference: per-tuple plane, one-item ingest batches.
         let mut reference = reshuffler(seed, 1);
-        let ref_channels = drive(&mut reference, n_tuples, expand_at, &mut |_| 1);
+        let ref_channels = drive(&mut reference, kind, n_tuples, change_at, &mut |_| 1);
         // Batched: random coalescing threshold, random ingest chopping.
         let mut chopper = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
         let mut batched = reshuffler(seed, batch_tuples);
-        let got_channels = drive(&mut batched, n_tuples, expand_at, &mut |remaining| {
+        let got_channels = drive(&mut batched, kind, n_tuples, change_at, &mut |remaining| {
             chopper.gen_range(1..=remaining.min(40))
         });
         prop_assert_eq!(&got_channels, &ref_channels,
             "per-channel delivery order must be batching-invariant");
         // Marker FIFO: on every channel, no old-epoch tuple after the
-        // signal and no new-epoch tuple before it.
+        // signal and no new-epoch tuple before it. Every joiner the
+        // change gives a role is signalled (a contraction's retirees
+        // too); only an expansion's children are not, and they see
+        // nothing but new-epoch tuples.
+        let signalled = got_channels.iter().filter(|evs| evs.contains(&Ev::Signal(1))).count();
+        prop_assert_eq!(signalled, 4, "every active joiner gets the signal");
         for (ch, evs) in got_channels.iter().enumerate() {
             let sig = evs.iter().position(|e| matches!(e, Ev::Signal(_)));
             for (i, e) in evs.iter().enumerate() {
                 if let Ev::Tuple(tag, seq, _) = e {
                     match (sig, *tag) {
                         (Some(s), 0) => prop_assert!(i < s,
-                            "channel {ch}: old-epoch tuple {seq} after the expand signal"),
+                            "channel {ch}: old-epoch tuple {seq} after the signal"),
                         (Some(s), _) => prop_assert!(i > s,
-                            "channel {ch}: new-epoch tuple {seq} before the expand signal"),
+                            "channel {ch}: new-epoch tuple {seq} before the signal"),
                         (None, tag) => prop_assert_eq!(tag, 1,
                             "channel {ch}: old-epoch tuple on a signal-less (child) channel"),
                     }

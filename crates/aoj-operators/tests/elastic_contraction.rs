@@ -115,28 +115,24 @@ fn sawtooth_grow_then_drain_is_exact_and_retires_clean() {
     assert_eq!(report.provisioned_machines, 2);
 
     // Event-log sanity: reconfigurations serialise and the epochs climb.
-    let mut in_flight = false;
+    let mut in_flight = None;
     let mut last_epoch = 0;
     for e in &report.events {
-        match e {
-            ControlEvent::Decide { epoch, .. }
-            | ControlEvent::Expand { epoch, .. }
-            | ControlEvent::Contract { epoch, .. } => {
-                assert!(!in_flight, "reconfigurations overlapped");
-                assert_eq!(*epoch, last_epoch + 1);
-                last_epoch = *epoch;
-                in_flight = true;
+        match *e {
+            ControlEvent::Begin { kind, epoch, .. } => {
+                assert_eq!(in_flight, None, "reconfigurations overlapped");
+                assert_eq!(epoch, last_epoch + 1);
+                last_epoch = epoch;
+                in_flight = Some(kind);
             }
-            ControlEvent::Complete { epoch, .. }
-            | ControlEvent::ExpandComplete { epoch, .. }
-            | ControlEvent::ContractComplete { epoch, .. } => {
-                assert!(in_flight);
-                assert_eq!(*epoch, last_epoch);
-                in_flight = false;
+            ControlEvent::Complete { kind, epoch, .. } => {
+                assert_eq!(in_flight, Some(kind));
+                assert_eq!(epoch, last_epoch);
+                in_flight = None;
             }
         }
     }
-    assert!(!in_flight, "a reconfiguration never completed");
+    assert_eq!(in_flight, None, "a reconfiguration never completed");
 }
 
 #[test]

@@ -83,27 +83,23 @@ fn expansions_interleave_with_migrations_exactly() {
     assert_eq!(report.matches, reference_match_count(&w));
     assert_eq!(report.final_mapping.j(), 16);
 
-    // Event-log sanity: reconfigurations never overlap — every
-    // Decide/Expand is completed before the next one starts — and the
+    // Event-log sanity: reconfigurations never overlap — every change
+    // of any kind is completed before the next one starts — and the
     // expansion epoch advances past prior migrations.
-    let mut in_flight = false;
+    let mut in_flight = None;
     let mut last_epoch = 0;
     for e in &report.events {
-        match e {
-            ControlEvent::Decide { epoch, .. }
-            | ControlEvent::Expand { epoch, .. }
-            | ControlEvent::Contract { epoch, .. } => {
-                assert!(!in_flight, "reconfigurations overlapped");
-                assert_eq!(*epoch, last_epoch + 1, "epoch must advance by one");
-                last_epoch = *epoch;
-                in_flight = true;
+        match *e {
+            ControlEvent::Begin { kind, epoch, .. } => {
+                assert_eq!(in_flight, None, "reconfigurations overlapped");
+                assert_eq!(epoch, last_epoch + 1, "epoch must advance by one");
+                last_epoch = epoch;
+                in_flight = Some(kind);
             }
-            ControlEvent::Complete { epoch, .. }
-            | ControlEvent::ExpandComplete { epoch, .. }
-            | ControlEvent::ContractComplete { epoch, .. } => {
-                assert!(in_flight, "completion without a decision");
-                assert_eq!(*epoch, last_epoch);
-                in_flight = false;
+            ControlEvent::Complete { kind, epoch, .. } => {
+                assert_eq!(in_flight, Some(kind), "completion without its decision");
+                assert_eq!(epoch, last_epoch);
+                in_flight = None;
             }
         }
     }

@@ -3,6 +3,7 @@
 //! every workload shape, including runs where the Dynamic operator
 //! migrates repeatedly while data is in flight.
 
+use aoj_core::epoch::Reconfig;
 use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
@@ -173,6 +174,7 @@ fn finals_merge_sums_a_slots_incarnations_and_takes_the_later_controller() {
     let controller = |n, m, epoch| ControllerFinal {
         assign: GridAssignment::initial(Mapping::new(n, m)),
         events: vec![ControlEvent::Complete {
+            kind: Reconfig::Expand,
             at: SimTime(epoch as u64),
             epoch,
         }],
