@@ -334,7 +334,7 @@ pub fn run_contract() {
 pub fn run_lifecycle() {
     let span = 3_000u64;
     banner(&format!(
-        "state lifecycle: {span}-tuple count window + checkpoint/restore, J=4, sim and threaded"
+        "state lifecycle: {span}-tuple count window + checkpoint/restore, J=4, sim, threaded, tcp"
     ));
     let (w, arrivals) = equi_stream("zipf-lifecycle", 64, 0x11FE, [8_000, 8_000]);
     let cfg = config(4, OperatorKind::Dynamic, &w)
@@ -343,7 +343,7 @@ pub fn run_lifecycle() {
     let witness = sim_witness(&cfg, &arrivals);
 
     let mut rows: Vec<(&str, RunReport)> = Vec::new();
-    for backend in [Sim, Threaded] {
+    for backend in [Sim, Threaded, Tcp] {
         let baseline = run_verified(&cfg, &arrivals, backend, &witness);
         let label = baseline.backend;
         let windowed = run(
@@ -412,7 +412,7 @@ pub fn run_lifecycle() {
         ],
     );
     println!(
-        "  verified on both backends: eviction bounds steady-state storage, \
+        "  verified on all three backends: eviction bounds steady-state storage, \
          the round-trip multiset is exact"
     );
 }

@@ -344,7 +344,7 @@ impl WindowTracker {
 pub const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"AOJCKPT2";
 
 /// One joiner's checkpointed state.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinerCheckpoint {
     /// Machine index hosting this joiner.
     pub machine: usize,

@@ -321,12 +321,6 @@ impl TcpBackend {
             "127.0.0.1:{}",
             control_listener.local_addr().unwrap().port()
         );
-        // One attach-state snapshot serves both the Plan (what every
-        // worker is told at handshake) and the reactor's tap baseline:
-        // reading `hub.attached()` twice would race a subscriber
-        // attaching in between, leaving the reactor convinced the tap is
-        // already on while the workers were told it is off.
-        let stream0 = self.hub.attached();
         let (tx, rx) = mpsc::channel::<Ev>();
         let links: Arc<ControlLinks> = Arc::new(Mutex::new(HashMap::new()));
         let accept_done = Arc::new(AtomicBool::new(false));
@@ -341,7 +335,6 @@ impl TcpBackend {
                 machines: machines as u64,
                 source_machine: source_machine as u64,
                 clock_anchor_us: 0, // rewritten per handshake
-                stream_matches: stream0,
                 builder: self.builder_bytes.clone(),
                 restore: self
                     .restore
@@ -439,13 +432,14 @@ impl TcpBackend {
         let mut probe_period = PROBE_PERIOD_SETTLED;
         let mut shutting_down = false;
         // Live match streaming follows the session hub's attach state:
-        // workers start from the Plan's snapshot and get a K_MATCH_TAP
-        // whenever a subscriber attaches or detaches mid-session.
-        let mut tap = MatchTap {
-            on: stream0,
-            filters: Vec::new(),
-        };
+        // a worker buffers what it emits until its first K_MATCH_TAP,
+        // sent when it reports Ready, and gets another whenever a
+        // subscriber attaches or detaches. (The epoch is read first: a
+        // subscriber attaching in between only costs one redundant
+        // broadcast.)
         let mut tap_epoch = self.hub.filter_epoch();
+        let (on, filters) = self.hub.ship_spec();
+        let mut tap = MatchTap { on, filters };
         let skew_board = self.skew_board.clone();
 
         // ---- failure detection & fault injection ----------------------
@@ -481,9 +475,10 @@ impl TcpBackend {
             }
 
             // Deterministic fault injection: SIGKILL a victim whose
-            // trigger is due (once it is live — killing a worker that
-            // has not reached Ready would test the spawn path, not the
-            // crash path), plus any explicit session-layer request.
+            // trigger is due, or that the session layer asked for — in
+            // both cases once it is live: killing a worker that has not
+            // reached Ready would test the spawn path, not the crash
+            // path, and no detector is watching it yet.
             let now_us = clock.now_us();
             let mut to_kill: Vec<usize> = Vec::new();
             pending_kills.retain(|k| {
@@ -501,7 +496,13 @@ impl TcpBackend {
                     true
                 }
             });
-            to_kill.extend(self.kill_requests.lock().unwrap().drain(..));
+            self.kill_requests.lock().unwrap().retain(|m| {
+                let is_live = live.contains_key(m);
+                if is_live {
+                    to_kill.push(*m);
+                }
+                !is_live
+            });
             for m in to_kill {
                 if let Some(child) = children.get_mut(&m) {
                     injected.insert(m);
@@ -728,9 +729,7 @@ impl TcpBackend {
                                     },
                                 );
                             }
-                            if tap.on != stream0 || !tap.filters.is_empty() {
-                                send_to(&links, machine, K_MATCH_TAP, &tap);
-                            }
+                            send_to(&links, machine, K_MATCH_TAP, &tap);
                             live.insert(machine, gen);
                             awaiting_ready.remove(&machine);
                             if matches!(busy, Some(Op::Provision { machine: m }) if m == machine) {
@@ -771,8 +770,11 @@ impl TcpBackend {
                                             for (dest, n) in flushed {
                                                 *eos_to.entry(dest).or_insert(0) += n as u64;
                                             }
+                                            // A checkpointing drain asks the
+                                            // workers' state home with it.
+                                            let snapshot = self.hub.snapshot_wanted();
                                             for (&w, _) in live.iter() {
-                                                send_to(&links, w, K_SHUTDOWN, &());
+                                                send_to(&links, w, K_SHUTDOWN, &snapshot);
                                             }
                                         } else {
                                             last_round = Some(round);

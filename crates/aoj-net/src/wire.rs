@@ -36,10 +36,10 @@
 
 use std::io::{self, Read, Write};
 
-use aoj_core::decision::DecisionConfig;
+use aoj_core::decision::{DeciderSnapshot, DecisionConfig};
 use aoj_core::elastic::{ContractRole, ElasticLayout, ExpandSpec};
 use aoj_core::epoch::{Reconfig, Role};
-use aoj_core::lifecycle::{TickSource, WindowMode, WindowSpec};
+use aoj_core::lifecycle::{JoinerCheckpoint, TickSource, WindowMode, WindowSpec};
 use aoj_core::mapping::{GridAssignment, GridPos, Mapping, Step};
 use aoj_core::migration::MachineStepSpec;
 use aoj_core::predicate::Predicate;
@@ -49,7 +49,7 @@ use aoj_core::tuple::{Rel, Tuple};
 use aoj_operators::driver::{BackendChoice, OperatorKind};
 use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
-use aoj_operators::report::{ControllerFinal, Finals, MatchDigest};
+use aoj_operators::report::{ControllerFinal, Finals, MatchDigest, Resume};
 use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
 use aoj_operators::session::{
     BackendSection, DataPlaneSection, ElasticitySection, FaultSection, KeyFilter, LifecycleSection,
@@ -63,7 +63,7 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 8;
+pub const WIRE_VERSION: u8 = 9;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -108,7 +108,9 @@ pub const K_MATCH_BATCH: u8 = 14;
 /// Worker → coordinator: final task counters, shipped once at exit
 /// ([`FinalsBundle`]).
 pub const K_FINALS: u8 = 15;
-/// Coordinator → workers: the session is over; drain and exit (`()`).
+/// Coordinator → workers: the session is over; drain and exit. The
+/// `bool` asks for the operator state in the [`K_FINALS`] bundle (the
+/// drain ends in a checkpoint).
 pub const K_SHUTDOWN: u8 = 16;
 /// Worker → coordinator: last frame before process exit ([`Exiting`]).
 pub const K_EXITING: u8 = 17;
@@ -121,9 +123,9 @@ pub const K_TASK_MSG: u8 = 19;
 /// connection (the TCP analogue of the runtime's flush token; `()`).
 pub const K_EOS: u8 = 20;
 /// Coordinator → worker (control): toggle live match streaming
-/// ([`MatchTap`]). While off (the default for sessions opened without a
-/// subscriber) workers count matches but never buffer or ship pair
-/// identities.
+/// ([`MatchTap`]). A worker buffers from its first match until the first
+/// tap, which answers its [`Ready`]; while off, workers count matches but
+/// never buffer or ship pair identities.
 pub const K_MATCH_TAP: u8 = 21;
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -812,10 +814,6 @@ wire_struct! {
         /// handshake time, in microseconds. Workers offset their own
         /// monotonic clock by this so timestamps are comparable.
         pub clock_anchor_us: u64,
-        /// Whether workers should buffer and ship match identities from the
-        /// start (a subscriber or collector was attached at session open).
-        /// Toggled live by [`K_MATCH_TAP`].
-        pub stream_matches: bool,
         /// The [`SessionBuilder`]'s wire image.
         pub builder: Vec<u8>,
         /// Checkpoint snapshot bytes (`Checkpoint::to_bytes`) every worker
@@ -975,6 +973,25 @@ wire_enum!(ControlEvent {
     0 => Begin { kind: Reconfig, seq: u64, at: SimTime, from: Mapping, to: Mapping, epoch: u32 },
     1 => Complete { kind: Reconfig, at: SimTime, epoch: u32 },
 });
+// What a checkpointing shutdown adds to the finals: the joiners' stored
+// state and where the controller resumes.
+wire_struct! {
+    JoinerCheckpoint {
+        machine: usize,
+        evicted_tuples: u64,
+        evicted_bytes: u64,
+        latest_seq: u64,
+        latest_tick: u64,
+        tuples: Vec<Tuple>,
+    }
+    DeciderSnapshot { r: u64, s: u64, dr: u64, ds: u64, decisions: u64, migrations: u64 }
+    Resume {
+        epoch: u32,
+        layout: ElasticLayout,
+        elastic: Option<(u32, u32)>,
+        decider: DeciderSnapshot,
+    }
+}
 wire_struct! {
     JoinerFinal {
         slot: usize,
@@ -983,8 +1000,14 @@ wire_struct! {
         counters: JoinerCounters,
         match_log: Vec<(u64, u64)>,
         match_digest: MatchDigest,
+        state: Option<JoinerCheckpoint>,
     }
-    ControllerFinal { assign: GridAssignment, events: Vec<ControlEvent>, samples: Vec<ProgressSample> }
+    ControllerFinal {
+        assign: GridAssignment,
+        events: Vec<ControlEvent>,
+        samples: Vec<ProgressSample>,
+        resume: Option<Resume>,
+    }
     Finals { joiners: Vec<JoinerFinal>, controller: Option<ControllerFinal> }
 }
 wire_struct! {

@@ -15,9 +15,11 @@
 //!    gauge samples and matches to the coordinator, apply gauge relays
 //!    (machine 0 hosts the controller, which reads cluster-wide
 //!    storage), and run the drain barrier when told to retire;
-//! 5. ship finals (the tasks' harvested `Finals`, the metrics shard) and
-//!    exit — `0` for a clean retirement or shutdown, so the
-//!    coordinator's `waitpid` distinguishes clean teardown from a crash.
+//! 5. ship finals (the tasks' harvested `Finals` — with the joiner's
+//!    stored state when the shutdown frame says the session is
+//!    checkpointing — and the metrics shard) and exit — `0` for a clean
+//!    retirement or shutdown, so the coordinator's `waitpid`
+//!    distinguishes clean teardown from a crash.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,8 +83,10 @@ enum Exit {
     /// Retirement drain complete — this process's machine left the
     /// session mid-run.
     Retired,
-    /// Session shutdown — the coordinator saw cluster quiescence.
-    Shutdown,
+    /// Session shutdown — the coordinator saw cluster quiescence. With
+    /// `snapshot` the session is checkpointing: the finals carry this
+    /// machine's operator state home.
+    Shutdown { snapshot: bool },
 }
 
 /// Run one worker to completion. Never returns: exits the process.
@@ -136,14 +140,13 @@ pub fn worker_main() -> ! {
     // Rebuild the topology. The ingest queue and match hub are local
     // stand-ins: the real source runs in the coordinator, and matches
     // are collected here and shipped over the control connection.
-    let hub = if plan.stream_matches {
-        MatchHub::collector()
-    } else {
-        // No subscriber at session open: count matches locally and ship
-        // only the digest in the finals. The coordinator flips the tap
-        // with K_MATCH_TAP if a subscriber attaches mid-session.
-        MatchHub::counter()
-    };
+    // Buffer emitted matches until the coordinator's first K_MATCH_TAP
+    // (its answer to our Ready) says whether anyone subscribed: a
+    // restored joiner matches from its first batch, and a pair emitted
+    // before the tap lands must not be lost to a subscriber that was
+    // attached all along. With the tap off, matches are only counted
+    // and the finals carry their digest.
+    let hub = MatchHub::collector();
     let mut rec = TopoRecorder::default();
     // A plan that carries a checkpoint rebuilds restored state instead
     // of a fresh topology. Every process decodes the same snapshot, so
@@ -377,10 +380,11 @@ pub fn worker_main() -> ! {
                 mailbox.complete_drain();
                 break Exit::Retired;
             }
-            Ok((K_SHUTDOWN, _)) => {
+            Ok((K_SHUTDOWN, p)) => {
+                let snapshot = bool::from_bytes(&p).expect("shutdown frame");
                 done.store(true, Ordering::SeqCst);
                 mailbox.wake_all();
-                break Exit::Shutdown;
+                break Exit::Shutdown { snapshot };
             }
             Ok((k, _)) => panic!("worker {machine}: unexpected control frame kind {k}"),
         }
@@ -389,7 +393,8 @@ pub fn worker_main() -> ! {
     // The machine loop exits on its own: after `complete_drain` it runs
     // the backlog dry (retirement), or it observes `done` (shutdown).
     let (shard, tasks) = loop_handle.join().expect("machine loop panicked");
-    let _ = exit; // both paths finalize identically; the exit code says which
+    // A machine retired mid-run holds no state: the contraction moved it.
+    let snapshot = matches!(exit, Exit::Shutdown { snapshot: true });
 
     // Final sequence: flush outbound channels, then ship authoritative
     // finals. Ordering matters — gauges and matches before the finals
@@ -401,9 +406,11 @@ pub fn worker_main() -> ! {
         &FinalsBundle {
             machine: machine as u64,
             gen,
-            finals: harvest(tasks.keys().map(|&id| TaskId(id)), |id| {
-                tasks[&id.index()].as_any()
-            }),
+            finals: harvest(
+                tasks.keys().map(|&id| TaskId(id)),
+                |id| tasks[&id.index()].as_any(),
+                snapshot,
+            ),
             events: shard.events,
             last_event_at: shard.last_event_at,
             data_processed: gauges.data_processed(),

@@ -12,9 +12,10 @@
 
 use std::io::ErrorKind;
 
+use aoj_core::decision::DeciderSnapshot;
 use aoj_core::elastic::{ContractRole, ElasticLayout, ExpandSpec};
 use aoj_core::epoch::{Reconfig, Role};
-use aoj_core::lifecycle::{TickSource, WindowMode, WindowSpec};
+use aoj_core::lifecycle::{JoinerCheckpoint, TickSource, WindowMode, WindowSpec};
 use aoj_core::mapping::{GridAssignment, GridPos, Mapping, Step};
 use aoj_core::migration::MachineStepSpec;
 use aoj_core::predicate::Predicate;
@@ -22,11 +23,12 @@ use aoj_core::ticket::RoutingMode;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_net::wire::{
     append_frame, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp,
-    MatchTap, Plan, Preamble, ProbeAck, Ready, TaskMsg, Wire, K_FINALS, K_GAUGES, K_TASK_MSG,
+    MatchTap, Plan, Preamble, ProbeAck, Ready, TaskMsg, Wire, K_FINALS, K_GAUGES, K_SHUTDOWN,
+    K_TASK_MSG,
 };
 use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
-use aoj_operators::report::{ControllerFinal, Finals, MatchDigest};
+use aoj_operators::report::{ControllerFinal, Finals, MatchDigest, Resume};
 use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
 use aoj_operators::{BackendChoice, ElasticConfig, KeyFilter, OperatorKind, SessionBuilder};
 use aoj_simnet::{FlushCounts, Gauge, MachineMetrics, MsgClass, SimDuration, SimTime, TaskId};
@@ -333,6 +335,29 @@ fn latency() -> impl Strategy<Value = LatencyStats> {
     })
 }
 
+/// A joiner's checkpointed state: what a snapshotting shutdown adds to
+/// its final.
+fn joiner_checkpoint() -> impl Strategy<Value = JoinerCheckpoint> {
+    (
+        0usize..1024,
+        words(4),
+        proptest::collection::vec(tuple(), 0..6),
+    )
+        .prop_map(|(machine, w, tuples)| {
+            let w = |i: usize| w.get(i).copied().unwrap_or(0);
+            JoinerCheckpoint {
+                machine,
+                evicted_tuples: w(0),
+                evicted_bytes: w(1),
+                latest_seq: w(2),
+                latest_tick: w(3),
+                tuples,
+            }
+        })
+}
+
+/// With and without `state`: a bare close ships `None`, a checkpointing
+/// one the joiner's τ.
 fn joiner_final() -> impl Strategy<Value = JoinerFinal> {
     (
         0usize..1024,
@@ -340,10 +365,13 @@ fn joiner_final() -> impl Strategy<Value = JoinerFinal> {
         latency(),
         words(10),
         proptest::collection::vec((any::<u64>(), any::<u64>()), 0..8),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            prop_oneof![Just(None), joiner_checkpoint().prop_map(Some)],
+        ),
     )
         .prop_map(
-            |(slot, matches, latency, c, match_log, (count, sum, xor))| {
+            |(slot, matches, latency, c, match_log, ((count, sum, xor), state))| {
                 let c = |i: usize| c.get(i).copied().unwrap_or(0);
                 JoinerFinal {
                     slot,
@@ -362,6 +390,7 @@ fn joiner_final() -> impl Strategy<Value = JoinerFinal> {
                     },
                     match_log,
                     match_digest: MatchDigest { count, sum, xor },
+                    state,
                 }
             },
         )
@@ -376,15 +405,39 @@ fn controller_final() -> impl Strategy<Value = ControllerFinal> {
             total_stored_bytes,
         },
     );
+    let resume = (
+        any::<u32>(),
+        elastic_layout(),
+        prop_oneof![Just(None), (any::<u32>(), any::<u32>()).prop_map(Some)],
+        words(6),
+    )
+        .prop_map(|(epoch, layout, elastic, w)| {
+            let w = |i: usize| w.get(i).copied().unwrap_or(0);
+            Resume {
+                epoch,
+                layout,
+                elastic,
+                decider: DeciderSnapshot {
+                    r: w(0),
+                    s: w(1),
+                    dr: w(2),
+                    ds: w(3),
+                    decisions: w(4),
+                    migrations: w(5),
+                },
+            }
+        });
     (
         assignment(),
         proptest::collection::vec(control_event(), 0..6),
         proptest::collection::vec(sample, 0..6),
+        prop_oneof![Just(None), resume.prop_map(Some)],
     )
-        .prop_map(|(assign, events, samples)| ControllerFinal {
+        .prop_map(|(assign, events, samples, resume)| ControllerFinal {
             assign,
             events,
             samples,
+            resume,
         })
 }
 
@@ -455,11 +508,11 @@ proptest! {
     #[test]
     fn handshake_frames_roundtrip(
         ids in (any::<u8>(), any::<u64>(), any::<u32>(), any::<u16>()),
-        plan in (any::<u64>(), any::<u64>(), any::<bool>(), bytes(300), bytes(300)),
+        plan in (any::<u64>(), any::<u64>(), bytes(300), bytes(300)),
         class in msg_class(),
     ) {
         let (version, machine, gen, port) = ids;
-        let (fingerprint, anchor, stream_matches, builder, restore) = plan;
+        let (fingerprint, anchor, builder, restore) = plan;
         roundtrip_eq(&Hello { version, machine, gen });
         roundtrip_eq(&Plan {
             version,
@@ -467,7 +520,6 @@ proptest! {
             machines: machine,
             source_machine: anchor,
             clock_anchor_us: anchor,
-            stream_matches,
             builder,
             restore,
         });
@@ -505,6 +557,38 @@ proptest! {
     #[test]
     fn finals_bundle_roundtrip(bundle in finals_bundle()) {
         roundtrip(&bundle);
+    }
+
+    #[test]
+    fn joiner_final_roundtrip_with_and_without_state(f in joiner_final()) {
+        roundtrip_eq(&f);
+    }
+}
+
+/// A slot retired by a contraction and re-provisioned later reports as
+/// two processes: the retired incarnation ships no state, the one alive
+/// at the checkpointing shutdown ships the slot's. The merge sums the
+/// counters and keeps the state, whichever bundle arrives first.
+#[test]
+fn finals_merge_keeps_the_live_incarnations_state() {
+    let golden = golden_finals_bundle(true).finals;
+    let live = golden.joiners[0].clone();
+    assert!(live.state.is_some());
+    let retired = JoinerFinal {
+        state: None,
+        ..live.clone()
+    };
+    for (first, second) in [(&retired, &live), (&live, &retired)] {
+        let mut finals = Finals::default();
+        for f in [first, second] {
+            finals.merge(Finals {
+                joiners: vec![f.clone()],
+                controller: None,
+            });
+        }
+        assert_eq!(finals.joiners.len(), 1);
+        assert_eq!(finals.joiners[0].matches, 2 * live.matches);
+        assert_eq!(finals.joiners[0].state, live.state);
     }
 }
 
@@ -802,7 +886,10 @@ const _: () = assert!(GaugeSample::MIN_LEN == 8 + 8 * Gauge::COUNT + 8 + 4);
 
 const GOLDEN_GAUGES: &str = "440000000c0100000000000000020000000000000003000000000000000400000000000000090000000000000005000000000000000200000006000000000000000700000000000000";
 
-fn golden_finals_bundle() -> FinalsBundle {
+/// The finals bundle of a bare close (`snapshot` false) or of a
+/// checkpointing one, which adds a one-tuple joiner `state` and the
+/// controller's `resume`.
+fn golden_finals_bundle(snapshot: bool) -> FinalsBundle {
     let mut latency = LatencyStats::default();
     latency.record(3);
     latency.record(900);
@@ -830,6 +917,21 @@ fn golden_finals_bundle() -> FinalsBundle {
                 },
                 match_log: vec![(11, 12)],
                 match_digest,
+                state: snapshot.then(|| JoinerCheckpoint {
+                    machine: 2,
+                    evicted_tuples: 8,
+                    evicted_bytes: 50,
+                    latest_seq: 90,
+                    latest_tick: 91,
+                    tuples: vec![Tuple {
+                        seq: 80,
+                        rel: Rel::S,
+                        key: -81,
+                        aux: 82,
+                        bytes: 83,
+                        ticket: 84,
+                    }],
+                }),
             }],
             controller: Some(ControllerFinal {
                 assign: GridAssignment::initial(Mapping::new(1, 2)),
@@ -844,6 +946,19 @@ fn golden_finals_bundle() -> FinalsBundle {
                     max_stored_bytes: 32,
                     total_stored_bytes: 33,
                 }],
+                resume: snapshot.then(|| Resume {
+                    epoch: 1,
+                    layout: ElasticLayout::from_parts(4, vec![3]),
+                    elastic: Some((2, 1)),
+                    decider: DeciderSnapshot {
+                        r: 100,
+                        s: 101,
+                        dr: 102,
+                        ds: 103,
+                        decisions: 104,
+                        migrations: 105,
+                    },
+                }),
             }),
         },
         events: 13,
@@ -866,7 +981,15 @@ fn golden_finals_bundle() -> FinalsBundle {
     }
 }
 
-const GOLDEN_FINALS: &str = "b00200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f00000000000000200000000000000021000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
+// Re-pinned at `WIRE_VERSION` 9: `JoinerFinal` gained `state` and
+// `ControllerFinal` gained `resume`, so a bare close's bundle is the
+// version-8 bytes plus two `None` presence bytes (after the joiner's
+// digest and after the controller's samples) and ships no state.
+const GOLDEN_FINALS: &str = "b20200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f00010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
+
+// The same bundle from a checkpointing shutdown: both options present,
+// carrying a one-tuple joiner state and the controller's resume point.
+const GOLDEN_FINALS_SNAPSHOT: &str = "500300000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f010200000000000000080000000000000032000000000000005a000000000000005b0000000000000001000000500000000000000001afffffffffffffff52000000530000005400000000000000010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000010100000004000000000000000100000003000000000000000102000000010000006400000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -900,5 +1023,15 @@ fn gauge_and_finals_frames_match_their_golden_bytes() {
         hex(&buf)
     }
     assert_eq!(frame_hex(K_GAUGES, &golden_gauge_sample()), GOLDEN_GAUGES);
-    assert_eq!(frame_hex(K_FINALS, &golden_finals_bundle()), GOLDEN_FINALS);
+    assert_eq!(
+        frame_hex(K_FINALS, &golden_finals_bundle(false)),
+        GOLDEN_FINALS
+    );
+    assert_eq!(
+        frame_hex(K_FINALS, &golden_finals_bundle(true)),
+        GOLDEN_FINALS_SNAPSHOT
+    );
+    // `K_SHUTDOWN` carries whether the drain ends in a checkpoint.
+    assert_eq!(frame_hex(K_SHUTDOWN, &false), "010000001000");
+    assert_eq!(frame_hex(K_SHUTDOWN, &true), "010000001001");
 }

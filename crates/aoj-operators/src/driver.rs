@@ -19,7 +19,7 @@ use aoj_core::competitive::CompetitiveTracker;
 use aoj_core::elastic::ElasticLayout;
 use aoj_core::epoch::{EpochJoiner, Reconfig};
 use aoj_core::ilf::optimal_mapping;
-use aoj_core::lifecycle::{Checkpoint, JoinerCheckpoint, WindowMode, WindowTracker};
+use aoj_core::lifecycle::{Checkpoint, WindowMode, WindowTracker};
 use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
@@ -28,6 +28,7 @@ use aoj_joinalg::{index_for, SpillGauge};
 use aoj_simnet::{ExecBackend, Gauge, MachineId, SimTime, TaskId};
 
 use std::collections::BTreeSet;
+use std::io;
 use std::sync::Arc;
 
 use crate::batch::DataCoalescer;
@@ -570,70 +571,52 @@ pub(crate) fn collect<B: ExecBackend<OpMsg>>(
     }
 }
 
-/// Snapshot a quiesced grid session into a [`Checkpoint`].
-///
-/// The backend must have drained to quiescence first (the session layer
-/// guarantees this by closing the ingest queue and running/joining the
-/// backend): no migration, expansion, or contraction is in flight, so
-/// every active joiner's state is exactly its τ set and the marker FIFO
-/// argument of Alg. 3 has nothing mid-air to lose.
-pub(crate) fn build_checkpoint<B: ExecBackend<OpMsg>>(
-    backend: &B,
+/// Assemble the [`Checkpoint`] of a quiesced grid session from what its
+/// tasks shipped home: `finals` harvested with `snapshot` set (so the
+/// quiescence asserts already fired where the tasks are — no change in
+/// flight, every born joiner stable, each joiner's state exactly its τ
+/// set), plus the source's ingest cursor and current flow-control window.
+/// The same on every backend; on TCP the finals crossed the wire.
+pub(crate) fn build_checkpoint(
     b: &SessionBuilder,
-    w: &Wiring,
-) -> Checkpoint {
-    let grid = w.grid.as_ref().expect("checkpoints cover grid operators");
-    let controller = backend.task_ref::<ReshufflerTask>(grid.controller_id);
-    let ctrl = controller
-        .controller
+    finals: &Finals,
+    source_cursor: u64,
+    window_copies: u64,
+) -> io::Result<Checkpoint> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let ctrl = finals.controller.as_ref().ok_or_else(|| {
+        let msg = "checkpoints cover grid operators only";
+        io::Error::new(io::ErrorKind::Unsupported, msg)
+    })?;
+    let resume = ctrl
+        .resume
         .as_ref()
-        .expect("reshuffler 0 is the controller");
-    assert!(
-        ctrl.in_flight.is_none() && ctrl.acks_pending == 0,
-        "checkpoint requires a quiesced controller (reconfiguration in flight)"
-    );
-    let assign = controller.assign.clone();
-    let active: BTreeSet<usize> = assign.machines().collect();
-    let mut joiners = Vec::with_capacity(active.len());
-    for &machine in &active {
-        let jt = backend.task_ref::<JoinerTask>(w.joiner_ids[machine]);
-        assert!(
-            jt.epoch.is_born() && !jt.epoch.is_migrating(),
-            "checkpoint requires every active joiner to be stable"
-        );
-        let tuples = jt.epoch.live_snapshot();
-        let (latest_seq, latest_tick) = match jt.window.as_ref() {
-            Some(win) => win.latest(),
-            // No window: the stream clock is only needed if the restore
-            // side configures one, so derive a safe seed from the state.
-            None => (tuples.iter().map(|t| t.seq).max().unwrap_or(0), 0),
-        };
-        joiners.push(JoinerCheckpoint {
-            machine,
-            evicted_tuples: jt.counters.evicted_tuples,
-            evicted_bytes: jt.counters.evicted_bytes,
-            latest_seq,
-            latest_tick,
-            tuples,
-        });
-    }
-    let src = backend.task_ref::<SourceTask>(w.source_id);
-    Checkpoint {
+        .ok_or_else(|| invalid("the controller's finals carry no resume state".into()))?;
+    let active: BTreeSet<usize> = ctrl.assign.machines().collect();
+    let state_of = |machine: usize| {
+        let slot = finals.joiners.iter().find(|f| f.slot == machine);
+        slot.and_then(|f| f.state.clone()).ok_or_else(|| {
+            invalid(format!(
+                "the finals carry no joiner state for active machine slot {machine}"
+            ))
+        })
+    };
+    Ok(Checkpoint {
         j: b.j,
         kind: b.kind.label().to_string(),
         seed: b.seed,
-        epoch: controller.epoch,
-        assign,
-        layout: controller.layout.clone(),
-        elastic: ctrl
-            .elastic
-            .as_ref()
-            .map(|e| (e.expansions_done, e.contractions_done)),
-        decider: ctrl.decider.snapshot(),
-        source_cursor: src.cursor as u64,
-        window_copies: src.window_copies,
-        joiners,
-    }
+        epoch: resume.epoch,
+        assign: ctrl.assign.clone(),
+        layout: resume.layout.clone(),
+        elastic: resume.elastic,
+        decider: resume.decider,
+        source_cursor,
+        window_copies,
+        joiners: active
+            .into_iter()
+            .map(state_of)
+            .collect::<io::Result<_>>()?,
+    })
 }
 
 /// Setup phase for the SHJ baseline.
@@ -743,4 +726,50 @@ fn competitive_trace(
         tracker.record(sample.seq, r, s, mapping, migrating);
     }
     tracker.samples().to_vec()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::harvest;
+    use aoj_simnet::{Sim, SimConfig};
+
+    /// A bare close pays nothing for checkpointing: only a harvest asked
+    /// for a snapshot carries state, and a checkpoint cannot be built
+    /// from finals that lack an active slot's — a typed error naming the
+    /// slot, as when a TCP worker's bundle went missing.
+    #[test]
+    fn only_a_snapshot_harvest_carries_state_and_a_checkpoint_needs_all_of_it() {
+        let b = SessionBuilder::new(2, OperatorKind::Dynamic);
+        let mut sim: Sim<OpMsg> = Sim::new(SimConfig {
+            network: b.data_plane.network,
+            machine: Default::default(),
+            deadline: None,
+        });
+        let w = setup_grid(
+            &mut sim,
+            &b,
+            IngestQueue::detached(),
+            MatchHub::collector(),
+            false,
+            None,
+        );
+        let bare = harvest(w.result_tasks(), |id| sim.task_any(id), false);
+        assert_eq!(bare.joiners.len(), 2);
+        assert!(bare.joiners.iter().all(|f| f.state.is_none()));
+        assert!(bare.controller.as_ref().unwrap().resume.is_none());
+        let err = build_checkpoint(&b, &bare, 0, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let mut finals = harvest(w.result_tasks(), |id| sim.task_any(id), true);
+        assert!(finals.joiners.iter().all(|f| f.state.is_some()));
+        let ckpt = build_checkpoint(&b, &finals, 7, 9).expect("complete finals");
+        assert_eq!((ckpt.source_cursor, ckpt.window_copies), (7, 9));
+        assert_eq!(ckpt.joiners.len(), 2);
+
+        finals.joiners[1].state = None;
+        let err = build_checkpoint(&b, &finals, 7, 9).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("machine slot 1"), "{err}");
+    }
 }

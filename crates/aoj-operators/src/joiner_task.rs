@@ -4,7 +4,7 @@
 
 use aoj_core::epoch::{Epoch, EpochJoiner, Machines, Role};
 use aoj_core::index::ProbeStats;
-use aoj_core::lifecycle::WindowTracker;
+use aoj_core::lifecycle::{JoinerCheckpoint, WindowTracker};
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_joinalg::{index_for, SpillGauge};
@@ -188,9 +188,9 @@ pub struct MatchTally {
     /// maintained (two u64 folds per pair), the cheap exactness witness
     /// wall-clock benchmarks compare across backends.
     pub digest: MatchDigest,
-    /// Live match-emission path: every produced pair is handed to the
-    /// session's [`MatchHub`] (which counts it, and buffers it for the
-    /// subscriber when one is attached).
+    /// Live match-emission path: while a subscriber is attached every
+    /// produced pair is handed to the session's [`MatchHub`], which
+    /// buffers it for them.
     pub sink: Option<Arc<MatchHub>>,
     /// Latency samples.
     pub latency: LatencyStats,
@@ -224,25 +224,20 @@ impl Emitter<'_> {
 impl MatchTally {
     /// Run `probe`, folding every pair it reports into the tally, and
     /// return its result with the number of pairs. Pairs go to the hub
-    /// one by one only while a consumer is attached; otherwise the whole
-    /// probe is counted with one atomic add (the shared counter is a
-    /// serial bottleneck at millions of matches per second).
+    /// only while a consumer is attached; otherwise they are counted
+    /// here and nowhere else (a shared counter is a serial bottleneck at
+    /// millions of matches per second).
     #[inline]
     pub fn emit<R>(&mut self, probe: impl FnOnce(&mut Emitter<'_>) -> R) -> (R, u64) {
-        let hub = self.sink.as_deref();
         let mut em = Emitter {
             n: 0,
             collect: self.collect,
             log: &mut self.log,
             digest: &mut self.digest,
-            live: hub.filter(|h| h.attached()),
+            live: self.sink.as_deref().filter(|h| h.attached()),
         };
         let out = probe(&mut em);
         let n = em.n;
-        match (em.live, hub) {
-            (None, Some(hub)) if n > 0 => hub.add_emitted(n),
-            _ => {}
-        }
         self.matches += n;
         (out, n)
     }
@@ -267,13 +262,14 @@ impl MatchTally {
             counters,
             match_log: self.log.clone(),
             match_digest: self.digest,
+            state: None,
         }
     }
 }
 
 /// What one joiner (grid or SHJ) emitted and moved, harvested when its
 /// backend quiesces — or, on the TCP backend, when its process exits.
-/// Every field only ever adds, so a machine slot's incarnations combine
+/// The counters only ever add, so a machine slot's incarnations combine
 /// with [`merge`](JoinerFinal::merge).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JoinerFinal {
@@ -291,16 +287,24 @@ pub struct JoinerFinal {
     pub match_log: Vec<(u64, u64)>,
     /// Order-independent digest of every pair this joiner emitted.
     pub match_digest: MatchDigest,
+    /// The quiesced joiner's stored state — only when the harvest was
+    /// asked for a snapshot, and only of a born joiner (a dormant or
+    /// retired slot holds none).
+    pub state: Option<JoinerCheckpoint>,
 }
 
 impl JoinerFinal {
-    /// Add another incarnation of the same slot to this one.
+    /// Add another incarnation of the same slot to this one. At most one
+    /// incarnation is alive at quiescence; its `state` is the slot's.
     pub fn merge(&mut self, other: JoinerFinal) {
         self.matches += other.matches;
         self.latency.merge(&other.latency);
         self.counters.merge(&other.counters);
         self.match_log.extend(other.match_log);
         self.match_digest.merge(&other.match_digest);
+        if other.state.is_some() {
+            self.state = other.state;
+        }
     }
 }
 
@@ -446,6 +450,35 @@ impl JoinerTask {
     pub fn make_dormant(&mut self, predicate: Predicate, n_reshufflers: usize) {
         let p = predicate;
         self.epoch = EpochJoiner::new_dormant(&move || index_for(&p), n_reshufflers);
+    }
+
+    /// This joiner's share of a checkpoint: its τ set, stream clock and
+    /// eviction counters. `None` for an unborn (dormant or retired)
+    /// joiner. A born one must be stable — the caller quiesced the
+    /// backend, so Alg. 3's marker FIFO has nothing mid-air to lose.
+    pub fn checkpoint_state(&self) -> Option<JoinerCheckpoint> {
+        if !self.epoch.is_born() {
+            return None;
+        }
+        assert!(
+            !self.epoch.is_migrating(),
+            "checkpoint requires every active joiner to be stable"
+        );
+        let tuples = self.epoch.live_snapshot();
+        let (latest_seq, latest_tick) = match self.window.as_ref() {
+            Some(win) => win.latest(),
+            // No window: the stream clock is only needed if the restore
+            // side configures one, so derive a safe seed from the state.
+            None => (tuples.iter().map(|t| t.seq).max().unwrap_or(0), 0),
+        };
+        Some(JoinerCheckpoint {
+            machine: self.index,
+            evicted_tuples: self.counters.evicted_tuples,
+            evicted_bytes: self.counters.evicted_bytes,
+            latest_seq,
+            latest_tick,
+            tuples,
+        })
     }
 
     /// Batch size for credit returns: small enough to keep the source's

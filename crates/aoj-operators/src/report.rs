@@ -4,6 +4,8 @@
 use std::any::Any;
 
 use aoj_core::competitive::RatioSample;
+use aoj_core::decision::DeciderSnapshot;
+use aoj_core::elastic::ElasticLayout;
 use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::sketch::{HeavyHitter, SkewSketch};
 use aoj_core::ticket::mix64;
@@ -61,6 +63,23 @@ pub struct ControllerFinal {
     pub events: Vec<ControlEvent>,
     /// Routing-side progress samples (cluster-wide gauge timeline).
     pub samples: Vec<ProgressSample>,
+    /// Where a restored controller picks up — filled only when the
+    /// harvest was asked for a snapshot.
+    pub resume: Option<Resume>,
+}
+
+/// The controller's share of a [`Checkpoint`](aoj_core::lifecycle::Checkpoint):
+/// what `setup_grid` seeds a restored control plane with.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Resume {
+    /// The cluster-wide epoch at quiescence.
+    pub epoch: u32,
+    /// Elastic machine-slot bookkeeping (dormant pool, fresh frontier).
+    pub layout: ElasticLayout,
+    /// `(expansions_done, contractions_done)` of an elastic session.
+    pub elastic: Option<(u32, u32)>,
+    /// Alg. 2's committed statistics.
+    pub decider: DeciderSnapshot,
 }
 
 /// Everything the collect phase reads out of the operator's tasks once
@@ -99,24 +118,44 @@ impl Finals {
 
 /// Harvest the [`Finals`] of the stopped tasks `ids` — joiners of either
 /// flavour and the controller; any other task contributes nothing. The
-/// one place results are pulled out of task objects.
+/// one place results are pulled out of task objects. With `snapshot` the
+/// tasks must have stopped at quiescence — an Alg. 3 epoch boundary, no
+/// reconfiguration in flight — and the finals also carry the operator's
+/// state ([`JoinerFinal::state`], [`ControllerFinal::resume`]): every
+/// backend takes a checkpoint this way.
 pub fn harvest<'a>(
     ids: impl IntoIterator<Item = TaskId>,
     task_any: impl Fn(TaskId) -> &'a dyn Any,
+    snapshot: bool,
 ) -> Finals {
     let mut finals = Finals::default();
     for id in ids {
         let task = task_any(id);
         if let Some(j) = task.downcast_ref::<JoinerTask>() {
-            finals.add(j.tally.to_final(j.index, j.counters));
+            let mut f = j.tally.to_final(j.index, j.counters);
+            if snapshot {
+                f.state = j.checkpoint_state();
+            }
+            finals.add(f);
         } else if let Some(s) = task.downcast_ref::<ShjJoiner>() {
             finals.add(s.tally.to_final(s.machine.index(), Default::default()));
         } else if let Some(r) = task.downcast_ref::<ReshufflerTask>() {
             if let Some(ctrl) = &r.controller {
+                assert!(
+                    !snapshot || (ctrl.in_flight.is_none() && ctrl.acks_pending == 0),
+                    "checkpoint requires a quiesced controller (reconfiguration in flight)"
+                );
+                let elastic = ctrl.elastic.as_ref();
                 finals.controller = Some(ControllerFinal {
                     assign: r.assign.clone(),
                     events: ctrl.events.clone(),
                     samples: ctrl.recorder.samples.clone(),
+                    resume: snapshot.then(|| Resume {
+                        epoch: r.epoch,
+                        layout: r.layout.clone(),
+                        elastic: elastic.map(|e| (e.expansions_done, e.contractions_done)),
+                        decider: ctrl.decider.snapshot(),
+                    }),
                 });
             }
         }

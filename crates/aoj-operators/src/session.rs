@@ -409,10 +409,11 @@ impl HubState {
 /// Joiners `emit` every produced pair; any number of independent
 /// [`MatchSubscription`]s consume them, each with its own cursor into
 /// the shared buffer, its own lag bound, and its own [`KeyFilter`].
-/// While no consumer is attached the hub only counts (so sessions —
-/// including the offline `run()` wrapper — pay one atomic add per match,
-/// nothing more), and a match no attached consumer's filter passes is
-/// never buffered at all — on the joiner's thread, before any copy.
+/// While no consumer is attached the hub does nothing (sessions —
+/// including the offline `run()` wrapper — pay one relaxed load per
+/// probe; matches are counted by the joiners' own tallies), and a match
+/// no attached consumer's filter passes is never buffered at all — on
+/// the joiner's thread, before any copy.
 ///
 /// Backpressure follows the **slowest subscriber**: once any active
 /// subscriber lags by its bound, emitters wait — match backpressure
@@ -429,10 +430,13 @@ pub struct MatchHub {
     /// Cache of `HubState::any_attached`, readable without the lock on
     /// the per-match fast path.
     attached: AtomicBool,
-    emitted: AtomicU64,
     /// Bumped whenever the subscriber set (or its filters) changes; the
     /// TCP backend polls it to re-broadcast the match tap.
     filter_epoch: AtomicU64,
+    /// Set by [`SessionHandle::checkpoint`] before it closes ingest: the
+    /// drain that follows ends in a snapshot. The TCP backend reads it
+    /// when it tells its workers to shut down.
+    snapshot: AtomicBool,
     /// Default lag bound for new subscribers. 0 = unbounded (the
     /// simulator's single-threaded sessions, where a blocking emit could
     /// only deadlock).
@@ -454,8 +458,8 @@ impl MatchHub {
             ready: Condvar::new(),
             space: Condvar::new(),
             attached: AtomicBool::new(false),
-            emitted: AtomicU64::new(0),
             filter_epoch: AtomicU64::new(0),
+            snapshot: AtomicBool::new(false),
             capacity,
         })
     }
@@ -470,15 +474,6 @@ impl MatchHub {
         hub.state.lock().unwrap().collecting = true;
         hub.attached.store(true, Ordering::Relaxed);
         hub
-    }
-
-    /// A hub that counts emitted matches but never buffers them: the
-    /// per-pair cost is one relaxed counter increment, with no lock and
-    /// no allocation. Remote workers use one of these when the session
-    /// has no match subscriber, so match identities never touch the
-    /// control plane.
-    pub fn counter() -> Arc<MatchHub> {
-        MatchHub::new(0)
     }
 
     /// Is any consumer currently attached (emitted matches may be
@@ -528,28 +523,10 @@ impl MatchHub {
         out
     }
 
-    /// Total matches emitted by the joiners so far (counted whether or
-    /// not anyone subscribed, filtered or not).
-    pub fn emitted(&self) -> u64 {
-        self.emitted.load(Ordering::Relaxed)
-    }
-
-    /// Bulk-count `n` matches that were produced but not shipped (no
-    /// consumer was attached when their batch was processed). The
-    /// joiners' hot path folds a whole batch into one atomic add here
-    /// instead of contending on [`MatchHub::emit`]'s counter per pair —
-    /// with millions of matches per second across every joiner thread,
-    /// that shared cache line is otherwise the operator's serial
-    /// bottleneck.
-    pub fn add_emitted(&self, n: u64) {
-        self.emitted.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Called by joiners for every produced pair. Also the entry point
     /// an out-of-process backend uses to re-emit matches received from
     /// its workers into the session's stream.
     pub fn emit(&self, m: Match) {
-        self.emitted.fetch_add(1, Ordering::Relaxed);
         if !self.attached.load(Ordering::Relaxed) {
             return;
         }
@@ -648,6 +625,14 @@ impl MatchHub {
     /// cue to re-broadcast the match tap with fresh filters).
     pub fn filter_epoch(&self) -> u64 {
         self.filter_epoch.load(Ordering::Relaxed)
+    }
+
+    /// Does the session's drain end in a checkpoint? An out-of-process
+    /// backend passes this to its workers with the shutdown, so their
+    /// exit bundles carry the operator state home
+    /// ([`harvest`]'s `snapshot`).
+    pub fn snapshot_wanted(&self) -> bool {
+        self.snapshot.load(Ordering::Acquire)
     }
 
     /// What remote workers should ship for the current subscriber set:
@@ -1242,7 +1227,9 @@ pub struct SessionStats {
     pub queued_tuples: usize,
     /// Tuple copies fully processed by the joiners.
     pub processed_copies: u64,
-    /// Join matches emitted so far.
+    /// Join matches emitted so far: the sum of the per-machine
+    /// [`MachineStats::matches`] rows below, on every backend, whether
+    /// or not anyone subscribed.
     pub matches: u64,
     /// Per-joiner-machine gauges, one entry per machine slot (dormant
     /// and retired slots read zero; eviction totals survive restore).
@@ -1282,7 +1269,9 @@ impl SessionStats {
 /// A **live** execution backend: one that runs concurrently with the
 /// caller on the session's runner thread, as opposed to the simulator,
 /// which the handle pumps inline. The session layer drives every live
-/// backend through this one surface. The threaded runtime implements it
+/// backend through this one surface, and nothing in it asks where the
+/// operator's tasks run — results and checkpointed state alike come
+/// back as [`Finals`]. The threaded runtime implements it
 /// here; `aoj-net` registers its TCP process backend through
 /// [`register_tcp_backend`] — the indirection keeps the dependency arrow
 /// pointing outward (the backend crate depends on this one, not vice
@@ -1291,16 +1280,6 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
     /// The live gauge overlay [`SessionHandle::stats`] reads while the
     /// backend runs on its own thread.
     fn session_gauges(&mut self) -> Arc<SharedGauges>;
-
-    /// Can a quiesced run of this backend be snapshotted in place —
-    /// does it hold the operator's task state once
-    /// [`run`](ExecBackend::run) returns? True for in-process backends;
-    /// false (the default) when the state lives in worker processes.
-    /// [`SessionHandle::checkpoint`] and the recovery controller's
-    /// rotation strategy both read this.
-    fn snapshots_in_place(&self) -> bool {
-        false
-    }
 
     /// A backend whose reshufflers run out of process returns the
     /// coordinator-side [`SkewBoard`] it will feed from worker sketch
@@ -1313,9 +1292,11 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
     }
 
     /// A backend whose operator tasks ran out of process returns the
-    /// [`Finals`] it merged from its workers' exit bundles. `None` (the
-    /// default) has the session harvest them from the backend's own
-    /// quiesced tasks.
+    /// [`Finals`] it merged from its workers' exit bundles — including,
+    /// when [`MatchHub::snapshot_wanted`] was set at shutdown, the
+    /// operator state a checkpoint is built from. `None` (the default)
+    /// has the session harvest them from the backend's own quiesced
+    /// tasks.
     fn take_finals(&mut self) -> Option<Finals> {
         None
     }
@@ -1364,10 +1345,6 @@ pub fn register_tcp_backend(factory: NetBackendFactory) {
 impl NetBackend for Runtime<OpMsg> {
     fn session_gauges(&mut self) -> Arc<SharedGauges> {
         self.shared_gauges()
-    }
-
-    fn snapshots_in_place(&self) -> bool {
-        true
     }
 
     fn fault_log(&mut self) -> Option<FaultLog> {
@@ -1433,9 +1410,6 @@ enum Inner {
         runner: JoinHandle<(Box<dyn NetBackend>, SimTime)>,
         wiring: Wiring,
         gauges: Arc<SharedGauges>,
-        /// [`NetBackend::snapshots_in_place`], read before the runner
-        /// thread took the backend.
-        snapshots: bool,
     },
 }
 
@@ -1599,7 +1573,6 @@ fn launch(
         kill_fn: backend.kill_handle(),
         abort_fn: backend.abort_handle(),
     };
-    let snapshots = backend.snapshots_in_place();
     let runner = std::thread::Builder::new()
         .name("aoj-session".to_string())
         .spawn(move || {
@@ -1615,7 +1588,6 @@ fn launch(
             runner,
             wiring,
             gauges,
-            snapshots,
         }),
         fault,
     }
@@ -1744,7 +1716,8 @@ struct FaultControls {
     /// Typed deaths recorded by the backend (threaded victim self-check,
     /// TCP failure detector). The simulator reports via `Sim::deaths`.
     log: Option<FaultLog>,
-    /// Kills one machine's worker, for explicit `inject_kill`.
+    /// Kills one machine's worker, for explicit `inject_kill` (on TCP
+    /// once the worker is live: its detector is registered by then).
     kill_fn: Option<Box<dyn Fn(usize) + Send + Sync>>,
     /// Ends the run without quiescence, for `abandon`.
     abort_fn: Option<Box<dyn Fn() + Send + Sync>>,
@@ -1825,8 +1798,9 @@ impl SessionHandle {
 
     /// Subscribe to the match stream. Any number of subscriptions may be
     /// live at once; each consumes independently from its attach point
-    /// onward (matches emitted while nobody was attached are counted but
-    /// not buffered), and the pipeline throttles to the slowest one.
+    /// onward (matches emitted while nobody was attached are counted in
+    /// [`stats`](SessionHandle::stats) but not buffered), and the
+    /// pipeline throttles to the slowest one.
     pub fn subscribe(&mut self) -> MatchSubscription {
         self.subscribe_filtered(KeyFilter::All)
     }
@@ -1907,20 +1881,6 @@ impl SessionHandle {
         }
     }
 
-    /// Can [`checkpoint`](SessionHandle::checkpoint) quiesce and
-    /// snapshot this session in place? True on the simulator and on
-    /// in-process live backends; false where the operator state lives in
-    /// worker processes ([`NetBackend::snapshots_in_place`]).
-    pub fn snapshots_in_place(&self) -> bool {
-        !matches!(
-            self.inner,
-            Some(Inner::Live {
-                snapshots: false,
-                ..
-            })
-        )
-    }
-
     /// Tear the session down without draining — the only safe exit from
     /// a crashed run, whose drain would never finish. Fires the
     /// backend's abort lever first, then joins the runner, swallowing
@@ -1960,7 +1920,7 @@ impl SessionHandle {
             pushed_tuples: self.queue.pushed(),
             queued_tuples: self.queue.queued(),
             processed_copies: processed,
-            matches: self.hub.emitted(),
+            matches: machines.iter().map(|m| m.matches).sum(),
             machines,
             skew,
         }
@@ -1984,19 +1944,13 @@ impl SessionHandle {
     /// Draining first guarantees the snapshot sits at an Alg. 3 epoch
     /// boundary — no migration in flight, no marker FIFO partially
     /// consumed — so the restored session's first batch behaves exactly
-    /// like the next stable batch of the original run.
+    /// like the next stable batch of the original run. Every backend
+    /// takes it the same way: the quiesced tasks' state comes back in
+    /// the run's [`Finals`] (over the wire from TCP workers) and the
+    /// file is built from that. Finals that lack the state of an active
+    /// machine slot are `InvalidData`, naming the slot.
     pub fn checkpoint(self, path: impl AsRef<Path>) -> io::Result<RunReport> {
-        let session = self.refuse_if_crashed("checkpoint");
-        if !session.snapshots_in_place() {
-            // Dropping the session drains it cleanly (the Drop impl
-            // joins the runner); only the snapshot is refused.
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "this backend's operator state lives in worker processes: \
-                 it cannot be checkpointed in place",
-            ));
-        }
-        let (report, ckpt) = session.drain(true);
+        let (report, ckpt) = self.refuse_if_crashed("checkpoint").drain(true);
         ckpt.expect("drain(true) snapshots")?
             .write_to(path.as_ref())?;
         Ok(report)
@@ -2024,7 +1978,10 @@ impl SessionHandle {
     /// report — plus, on request, the quiesced state's [`Checkpoint`].
     fn drain(mut self, snapshot: bool) -> (RunReport, Option<io::Result<Checkpoint>>) {
         // Lift the match bound *before* closing ingest: emitters blocked
-        // on a full hub must never stall the drain.
+        // on a full hub must never stall the drain. The snapshot intent
+        // goes first of all: no backend quiesces before ingest closes
+        // (this `Release` pairs with `snapshot_wanted`'s `Acquire`).
+        self.hub.snapshot.store(snapshot, Ordering::Release);
         self.hub.lift_bound();
         self.queue.close();
         let pushed = self.queue.pushed();
@@ -2114,9 +2071,9 @@ fn join_watching<T>(
 }
 
 /// What a quiesced backend yields: the report and, when `snapshot` is
-/// set, the [`Checkpoint`] (grid operators only). `remote` is
-/// [`NetBackend::take_finals`]' answer; without one the finals are
-/// harvested from the backend's own tasks.
+/// set, the [`Checkpoint`] (grid operators only) built from the same
+/// finals. `remote` is [`NetBackend::take_finals`]' answer; without one
+/// the finals are harvested from the backend's own tasks.
 #[allow(clippy::too_many_arguments)]
 fn quiesced<B: ExecBackend<OpMsg>>(
     backend: &B,
@@ -2128,15 +2085,13 @@ fn quiesced<B: ExecBackend<OpMsg>>(
     prefix: &[(u64, u64)],
     snapshot: bool,
 ) -> (RunReport, Option<io::Result<Checkpoint>>) {
-    let ckpt = snapshot.then(|| match wiring.grid {
-        Some(_) => Ok(build_checkpoint(backend, builder, wiring)),
-        None => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "checkpoints cover grid operators only",
-        )),
+    let finals = remote
+        .unwrap_or_else(|| harvest(wiring.result_tasks(), |id| backend.task_any(id), snapshot));
+    let ckpt = snapshot.then(|| {
+        // The source runs in process on every backend.
+        let src = backend.task_ref::<SourceTask>(wiring.source_id);
+        build_checkpoint(builder, &finals, src.cursor as u64, src.window_copies)
     });
-    let finals =
-        remote.unwrap_or_else(|| harvest(wiring.result_tasks(), |id| backend.task_any(id)));
     let report = collect(backend, builder, wiring, finals, pushed, end, prefix);
     (report, ckpt)
 }
@@ -2266,15 +2221,14 @@ mod tests {
     }
 
     #[test]
-    fn hub_counts_without_subscriber_and_buffers_with_one() {
+    fn hub_drops_without_subscriber_and_buffers_with_one() {
         let hub = MatchHub::new(4);
         let m = pair(0, 0);
         hub.emit(m);
-        assert_eq!(hub.emitted(), 1);
-        assert!(!hub.attached(), "unattached hubs only count");
+        assert!(!hub.attached(), "unattached hubs buffer nothing");
+        assert!(hub.state.lock().unwrap().buf.is_empty());
         let slot = hub.subscribe_slot(KeyFilter::All, 4);
         hub.emit(m);
-        assert_eq!(hub.emitted(), 2);
         assert_eq!(hub.try_recv(slot), Some(m));
         hub.finish();
         assert_eq!(hub.recv(slot), None);
@@ -2308,7 +2262,6 @@ mod tests {
         hub.emit(pair(5, 5)); // no subscriber wants it: dropped at emit
         hub.emit(pair(12, 12));
         hub.emit(pair(42, 42));
-        assert_eq!(hub.emitted(), 3, "counting is filter-blind");
         assert_eq!(hub.state.lock().unwrap().buf.len(), 1);
         assert_eq!(hub.try_recv(slot), Some(pair(12, 12)));
         assert!(hub.try_recv(slot).is_none());

@@ -211,7 +211,7 @@ fn threaded_crash_near_expansion_recovers() {
 /// The coordinator's failure detector confirms the death (connection
 /// reset or heartbeat timeout), surfaces it as a typed
 /// [`aoj_core::fault::WorkerDeath`], and the supervisor respawns the
-/// cluster from the latest shadow checkpoint and replays — the
+/// cluster from the latest adopted checkpoint and replays — the
 /// subscribed match stream still equals the fault-free simulator
 /// witness exactly.
 #[test]
@@ -236,7 +236,7 @@ fn tcp_sigkill_detect_respawn_exactly_once() {
     );
     assert!(
         outcome.stats.checkpoints >= 1,
-        "no shadow checkpoint was adopted before the crash"
+        "no checkpoint was adopted before the crash"
     );
     assert_eq!(
         got, expect,

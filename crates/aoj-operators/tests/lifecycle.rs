@@ -8,10 +8,12 @@
 //!   partitionings;
 //! * eviction-off sessions reproduce the pre-lifecycle simulator
 //!   timeline bit for bit (golden pin);
-//! * a checkpoint written mid-sawtooth restores onto **either** backend
-//!   and the pre+post match multisets union to exactly the
-//!   uninterrupted run's output — including under replay from an
-//!   upstream log (exactly-once);
+//! * a checkpoint written mid-sawtooth on **any** backend — simulator,
+//!   threads, TCP worker processes — restores onto any other and the
+//!   pre+post match multisets union to exactly the uninterrupted run's
+//!   output — including under replay from an upstream log
+//!   (exactly-once), and under a supervisor's checkpoint cadence on a
+//!   windowed TCP session;
 //! * the elastic 4→1 contraction arms from genuine eviction drain, with
 //!   no stream-position hold-off configured.
 
@@ -21,10 +23,27 @@ use aoj_core::lifecycle::WindowSpec;
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::{run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, SessionBuilder};
+use aoj_operators::{
+    run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, SessionBuilder, SupervisedSession,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+// The TCP process backend re-executes this test binary as its workers;
+// this declares the re-exec entry point.
+aoj_net::worker_entry!();
+
+/// TCP runs record a process-global [`aoj_net::last_run_summary`] and
+/// spawn a process per machine, so the tests using them do not
+/// interleave their runs.
+static TCP_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+const BACKENDS: [BackendChoice; 3] = [
+    BackendChoice::Sim,
+    BackendChoice::Threaded,
+    BackendChoice::Tcp,
+];
 
 fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -389,11 +408,14 @@ fn sawtooth_builder(w: &Workload, seed: u64, backend: BackendChoice) -> SessionB
 
 /// Checkpoint mid-sawtooth, restore, continue: the union of the
 /// pre-checkpoint and post-restore match multisets equals the
-/// uninterrupted output exactly — across every backend pairing,
-/// including simulator checkpoints restored onto real threads and
-/// vice versa.
+/// uninterrupted output exactly — across backend pairings, including
+/// simulator checkpoints restored onto real threads or worker processes
+/// and vice versa (a TCP checkpoint is the workers' state, shipped home
+/// in their finals).
 #[test]
 fn restore_mid_sawtooth_multiset_identity_across_backends() {
+    let _serial = TCP_RUNS.lock().unwrap();
+    aoj_net::install();
     let seed = 0x11FE_0004;
     let w = workload(2_000, 2_000, 300, seed);
     let arrivals = interleave(&w, seed);
@@ -404,6 +426,8 @@ fn restore_mid_sawtooth_multiset_identity_across_backends() {
         (BackendChoice::Sim, BackendChoice::Sim),
         (BackendChoice::Sim, BackendChoice::Threaded),
         (BackendChoice::Threaded, BackendChoice::Sim),
+        (BackendChoice::Tcp, BackendChoice::Sim),
+        (BackendChoice::Sim, BackendChoice::Tcp),
     ] {
         let path = ckpt_path(&format!("sawtooth-{first:?}-{second:?}.ckpt"));
         let mut session = JoinSession::open(sawtooth_builder(&w, seed, first));
@@ -437,40 +461,48 @@ fn restore_mid_sawtooth_multiset_identity_across_backends() {
 
 /// Exactly-once under upstream replay: the caller re-pushes the whole
 /// stream from sequence 0 and the session silently skips the
-/// already-processed prefix — no lost pairs, no duplicates.
+/// already-processed prefix — no lost pairs, no duplicates — whichever
+/// backend took the checkpoint.
 #[test]
 fn restore_with_replay_is_exactly_once() {
+    let _serial = TCP_RUNS.lock().unwrap();
+    aoj_net::install();
     let seed = 0x11FE_0005;
     let w = workload(700, 700, 120, seed);
     let arrivals = interleave(&w, seed);
     let expected = in_window_pairs(&arrivals, u64::MAX);
     let cut = arrivals.len() / 2;
-    let path = ckpt_path("replay.ckpt");
 
-    let builder = |_| {
+    let builder = || {
         SessionBuilder::new(4, OperatorKind::Dynamic)
             .with_predicate(w.predicate.clone())
             .with_seed(seed)
             .with_collect_matches(true)
     };
-    let mut session = JoinSession::open(builder(()));
-    session.push_batch(arrivals[..cut].iter().copied()).unwrap();
-    let pre = session.checkpoint(&path).unwrap();
+    for checkpointing in BACKENDS {
+        let path = ckpt_path(&format!("replay-{checkpointing:?}.ckpt"));
+        let mut session = JoinSession::open(builder().with_backend(checkpointing));
+        session.push_batch(arrivals[..cut].iter().copied()).unwrap();
+        let pre = session.checkpoint(&path).unwrap();
 
-    let mut restored = JoinSession::restore_with_replay(builder(()), &path, 0).unwrap();
-    // Replay the *entire* stream; the session must drop the prefix.
-    restored.push_batch(arrivals.iter().copied()).unwrap();
-    let post = restored.close();
+        let mut restored = JoinSession::restore_with_replay(builder(), &path, 0).unwrap();
+        // Replay the *entire* stream; the session must drop the prefix.
+        restored.push_batch(arrivals.iter().copied()).unwrap();
+        let post = restored.close();
 
-    let mut union: Vec<(u64, u64)> = pre
-        .match_pairs
-        .iter()
-        .chain(post.match_pairs.iter())
-        .copied()
-        .collect();
-    union.sort_unstable();
-    assert_eq!(union, expected, "replay broke exactly-once delivery");
-    std::fs::remove_file(&path).ok();
+        let mut union: Vec<(u64, u64)> = pre
+            .match_pairs
+            .iter()
+            .chain(post.match_pairs.iter())
+            .copied()
+            .collect();
+        union.sort_unstable();
+        assert_eq!(
+            union, expected,
+            "{checkpointing:?}: replay broke exactly-once delivery"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// Restore refuses a mismatched configuration: the checkpoint
@@ -586,46 +618,129 @@ fn restoring_a_cursor_zero_checkpoint_equals_a_fresh_start() {
 
 /// A windowed checkpoint restores the window clock too: continuing the
 /// stream keeps evicting, stats stay continuous (the evicted counter
-/// never goes backwards across the restore), and storage stays bounded.
+/// never goes backwards across the restore), and storage stays bounded
+/// — whichever backend took the checkpoint. (The live backends publish
+/// their gauges asynchronously, so the base count is read off the
+/// checkpointing session's final report.)
 #[test]
 fn windowed_restore_carries_the_eviction_counters() {
+    let _serial = TCP_RUNS.lock().unwrap();
+    aoj_net::install();
     let seed = 0x11FE_0007;
     let span = 1_000u64;
     let w = workload(3_000, 3_000, 200, seed);
     let arrivals = interleave(&w, seed);
     let cut = arrivals.len() / 2;
-    let path = ckpt_path("windowed.ckpt");
     let builder = || {
         SessionBuilder::new(4, OperatorKind::Dynamic)
             .with_predicate(w.predicate.clone())
             .with_seed(seed)
             .with_count_window(span)
     };
-    let mut session = JoinSession::open(builder());
-    session.push_batch(arrivals[..cut].iter().copied()).unwrap();
-    let pre_evicted = session.stats().total_evicted_bytes();
-    assert!(pre_evicted > 0, "no eviction before the checkpoint");
-    session.checkpoint(&path).unwrap();
+    for checkpointing in BACKENDS {
+        let path = ckpt_path(&format!("windowed-{checkpointing:?}.ckpt"));
+        let mut session = JoinSession::open(builder().with_backend(checkpointing));
+        session.push_batch(arrivals[..cut].iter().copied()).unwrap();
+        let pre_evicted = session.checkpoint(&path).unwrap().total_evicted_bytes();
+        assert!(
+            pre_evicted > 0,
+            "{checkpointing:?}: no eviction before the checkpoint"
+        );
 
-    let mut restored = JoinSession::restore(builder(), &path).unwrap();
+        let mut restored = JoinSession::restore(builder(), &path).unwrap();
+        assert!(
+            restored.stats().total_evicted_bytes() >= pre_evicted,
+            "{checkpointing:?}: evicted gauge lost the checkpoint's base count"
+        );
+        restored
+            .push_batch(arrivals[cut..].iter().copied())
+            .unwrap();
+        let stats = restored.stats();
+        assert!(
+            stats.total_evicted_bytes() > pre_evicted,
+            "{checkpointing:?}: eviction stalled after restore"
+        );
+        assert!(
+            stats.total_stored_bytes() <= 2 * span * 64 * 3,
+            "{checkpointing:?}: restored window stopped bounding storage"
+        );
+        restored.close();
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A supervised **windowed** TCP session on a checkpoint cadence: every
+/// rotation drains the cluster, takes the workers' state home and
+/// reopens from the file, so adoption waits on nothing but the drain —
+/// in particular not on a second run of the interval emitting the same
+/// match set, which at a window's edge (where each run evicts at its own
+/// instants) it does not. Delivery is exactly-once: no pair twice, every
+/// pair well inside the window present, nothing but join pairs.
+#[test]
+fn supervised_windowed_tcp_session_rotates_and_closes() {
+    let _serial = TCP_RUNS.lock().unwrap();
+    aoj_net::install();
+    let seed = 0x11FE_000B;
+    // Shorter than the cadence: a restore flattens the checkpointed
+    // segments into one sealed sub-window, which only expires whole.
+    let span = 900u64;
+    let w = workload(1_500, 1_500, 40, seed);
+    let arrivals = interleave(&w, seed);
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_seed(seed)
+        .with_backend(BackendChoice::Tcp)
+        .with_count_window(span)
+        // Bounds how far one joiner's stream clock can run ahead of a
+        // tuple another reshuffler still holds (see below).
+        .with_window_copies(64)
+        .with_batch_tuples(16)
+        .with_checkpoint_every(1_000);
+    let dir = std::env::temp_dir().join(format!("aoj-lifecycle-sup-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut session = SupervisedSession::open(builder, &dir);
+    for &(rel, item) in &arrivals {
+        session.push(rel, item);
+    }
+    let outcome = session.close();
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(
-        restored.stats().total_evicted_bytes() >= pre_evicted,
-        "evicted gauge lost the checkpoint's base count"
+        outcome.stats.checkpoints >= 2,
+        "only {} checkpoints adopted over {} tuples",
+        outcome.stats.checkpoints,
+        arrivals.len()
     );
-    restored
-        .push_batch(arrivals[cut..].iter().copied())
-        .unwrap();
-    let stats = restored.stats();
+    assert_eq!(outcome.stats.crashes, 0);
     assert!(
-        stats.total_evicted_bytes() > pre_evicted,
-        "eviction stalled after restore"
+        outcome.report.total_evicted_bytes() > 0,
+        "the window never evicted: not a windowed run"
     );
+
+    let mut got: Vec<(u64, u64)> = outcome.matches.iter().map(|m| (m.r_seq, m.s_seq)).collect();
+    got.sort_unstable();
+    let delivered = got.len();
+    got.dedup();
+    assert_eq!(got.len(), delivered, "a pair was delivered twice");
+    let all = in_window_pairs(&arrivals, u64::MAX);
     assert!(
-        stats.total_stored_bytes() <= 2 * span * 64 * 3,
-        "restored window stopped bounding storage"
+        got.iter().all(|p| all.binary_search(p).is_ok()),
+        "a delivered pair is not a join pair of the stream"
     );
-    restored.close();
-    std::fs::remove_file(&path).ok();
+    // Each joiner evicts against its own stream clock, which runs ahead
+    // of tuples still in flight from another reshuffler (ROADMAP item
+    // 5(ii)). Between worker processes the lead is whatever the source's
+    // window lets the other three route while one is descheduled with
+    // its share unrouted: 64 tuples in 16-tuple batches here, so about
+    // four rounds of 64. A third of the span is inside the window by
+    // twice that.
+    for p in in_window_pairs(&arrivals, span / 3) {
+        assert!(
+            got.binary_search(&p).is_ok(),
+            "in-window pair {p:?} (gap < {}) was never delivered",
+            span / 3
+        );
+    }
 }
 
 /// Drain-driven contraction (the satellite that retires the hold-off

@@ -179,6 +179,7 @@ fn finals_merge_sums_a_slots_incarnations_and_takes_the_later_controller() {
             epoch,
         }],
         samples: Vec::new(),
+        resume: None,
     };
     let mut finals = Finals {
         joiners: vec![incarnation(3, 5, (1, 2))],

@@ -273,8 +273,20 @@ impl Metrics {
     }
 
     /// Install a cluster-wide gauge overlay (sharded backends only). The
-    /// overlay must be sized to the final machine count.
+    /// overlay must be sized to the final machine count. Readings this
+    /// sink recorded before the overlay existed are published into it —
+    /// a restored topology pre-seeds its joiners' gauges at setup, ahead
+    /// of the live backends' overlays (zero is the overlay's initial
+    /// state, so a fresh shard publishes nothing).
     pub fn install_shared(&mut self, shared: Arc<SharedGauges>) {
+        for (i, mm) in self.per_machine.iter().enumerate() {
+            for g in Gauge::ALL {
+                let value = mm.gauges[g as usize];
+                if value != 0 {
+                    shared.set(MachineId(i), g, value);
+                }
+            }
+        }
         self.shared = Some(shared);
     }
 
@@ -521,6 +533,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A restored topology seeds its gauges before a live backend makes
+    /// its overlay: installing it must not hide them, and a fresh shard
+    /// installing the same overlay later must not zero them.
+    #[test]
+    fn installing_an_overlay_publishes_earlier_readings() {
+        let shared = SharedGauges::new(2);
+        let mut seeded = cluster(2);
+        seeded.set_gauge(MachineId(1), Gauge::Evicted, 300);
+        seeded.install_shared(Arc::clone(&shared));
+        assert_eq!(seeded.gauge(MachineId(1), Gauge::Evicted), 300);
+        cluster(2).install_shared(Arc::clone(&shared));
+        assert_eq!(shared.get(MachineId(1), Gauge::Evicted), 300);
     }
 
     #[test]
