@@ -110,13 +110,6 @@ pub struct MigrationDecider {
     ds: u64,
     decisions: u64,
     migrations: u64,
-    // Skew-aware gate (runtime state, not configuration and not part of a
-    // checkpoint: a restored controller re-learns the ratio within one
-    // sketch publish interval). When `skew_gate > 0` and the last reported
-    // p99/p50 load ratio reaches it, the warm-up threshold drops to
-    // `min_total / 8` so a skewed-but-small state can still trigger a step.
-    skew_gate: f64,
-    skew_ratio: f64,
 }
 
 impl MigrationDecider {
@@ -134,32 +127,6 @@ impl MigrationDecider {
             ds: 0,
             decisions: 0,
             migrations: 0,
-            skew_gate: 0.0,
-            skew_ratio: 1.0,
-        }
-    }
-
-    /// Arm the skew-aware warm-up gate: when the reported p99/p50 load
-    /// ratio (see [`crate::sketch::SkewSketch::skew_ratio`]) reaches
-    /// `gate`, the `min_total` warm-up threshold is divided by 8 so the
-    /// decider reacts to skewed-but-small state. `0.0` disables (default).
-    pub fn set_skew_gate(&mut self, gate: f64) {
-        self.skew_gate = gate.max(0.0);
-    }
-
-    /// Report the latest observed p99/p50 per-key load ratio.
-    pub fn note_skew(&mut self, ratio: f64) {
-        if ratio.is_finite() {
-            self.skew_ratio = ratio.max(1.0);
-        }
-    }
-
-    /// The warm-up threshold currently in force, after any skew discount.
-    pub fn effective_min_total(&self) -> u64 {
-        if self.skew_gate > 0.0 && self.skew_ratio >= self.skew_gate {
-            self.cfg.min_total / 8
-        } else {
-            self.cfg.min_total
         }
     }
 
@@ -210,8 +177,7 @@ impl MigrationDecider {
     /// Evaluate the Alg. 2 condition without new arrivals.
     pub fn check(&mut self) -> Decision {
         // Warm-up gate: do nothing until enough volume has been seen.
-        // Heavily skewed load discounts the threshold (see `set_skew_gate`).
-        if self.r + self.s + self.dr + self.ds < self.effective_min_total() {
+        if self.r + self.s + self.dr + self.ds < self.cfg.min_total {
             return Decision::Stay;
         }
         // |ΔR| ≥ ε|R| or |ΔS| ≥ ε|S|, in exact arithmetic:
@@ -334,33 +300,6 @@ mod tests {
         };
         assert!((half.competitive_ratio() - 4.0 / 3.5).abs() < 1e-12);
         assert!((half.amortized_cost_bound() - 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skew_gate_discounts_the_warmup_threshold() {
-        let cfg = DecisionConfig {
-            min_total: 800,
-            ..DecisionConfig::default()
-        };
-        let mut d = MigrationDecider::new(4, Mapping::square(4), cfg);
-        // 200 tuples: under min_total, no decision point.
-        assert_eq!(d.observe(true, 200), Decision::Stay);
-        assert_eq!(d.counters().0, 0);
-        // Arm the gate but report a benign ratio: still dormant.
-        d.set_skew_gate(8.0);
-        d.note_skew(2.0);
-        assert_eq!(d.effective_min_total(), 800);
-        assert_eq!(d.check(), Decision::Stay);
-        assert_eq!(d.counters().0, 0);
-        // A skewed load report drops the threshold to min_total/8 = 100,
-        // which the 200 buffered tuples already exceed.
-        d.note_skew(20.0);
-        assert_eq!(d.effective_min_total(), 100);
-        d.check();
-        assert_eq!(d.counters().0, 1, "skewed-but-small state must decide");
-        // Non-finite reports are ignored.
-        d.note_skew(f64::NAN);
-        assert_eq!(d.effective_min_total(), 100);
     }
 
     #[test]

@@ -442,14 +442,6 @@ impl EpochJoiner {
         self.tau.len() + self.delta.len() + self.delta_prime.len() + self.mu.len()
     }
 
-    /// Stored tuples of one relation across all four sets.
-    pub fn stored_tuples_rel(&self, rel: Rel) -> usize {
-        self.tau.len_rel(rel)
-            + self.delta.len_rel(rel)
-            + self.delta_prime.len_rel(rel)
-            + self.mu.len_rel(rel)
-    }
-
     /// Stored bytes across all four sets (the joiner's ILF contribution).
     pub fn stored_bytes(&self) -> u64 {
         self.tau.bytes() + self.delta.bytes() + self.delta_prime.bytes() + self.mu.bytes()

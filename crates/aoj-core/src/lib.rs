@@ -20,8 +20,8 @@
 //!
 //! Beyond the paper, [`sketch`] adds mergeable streaming summaries
 //! (SpaceSaving heavy hitters + t-digest load quantiles) that make the
-//! routing and elasticity layers skew-aware — a capability the original
-//! operator lacked — and [`fault`] adds the deterministic
+//! routing layer skew-aware — a capability the original operator
+//! lacked — and [`fault`] adds the deterministic
 //! fault-injection plan, failure detector, and recovery bookkeeping
 //! behind the self-healing session layer.
 //!

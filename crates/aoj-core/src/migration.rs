@@ -150,12 +150,6 @@ pub fn plan_step(assign: &GridAssignment, step: Step) -> MigrationPlan {
     }
 }
 
-/// Tuples moved by the locality-aware plan, given per-machine counts of the
-/// coarsening relation's state: exactly the exchanged copies (Lemma 4.4).
-pub fn locality_moved_tuples(per_machine_exchange_state: &[u64]) -> u64 {
-    per_machine_exchange_state.iter().sum()
-}
-
 /// Tuples moved by the naive full-repartition baseline (the blocking
 /// approach of Flux-style operators, §4.3): all previous state is
 /// re-shuffled through the new grid with fresh partition assignments, so a

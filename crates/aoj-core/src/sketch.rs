@@ -11,9 +11,9 @@
 //!   `N/k` is tracked, and no estimate overshoots the truth by more than
 //!   `N/k`. The reshuffler consults it on every routed tuple to decide
 //!   whether a key is *hot* and must be split across the joiner grid.
-//! * [`TDigest`] summarises the distribution of per-key load so the
-//!   elasticity triggers can compare tail against median (`p99 / p50`) —
-//!   a scale-free skew signal that fires even when total bytes look small.
+//! * [`TDigest`] summarises the distribution of per-key load so reports
+//!   can compare tail against median (`p99 / p50`) — a scale-free skew
+//!   signal that shows even when total bytes look small.
 //!
 //! Both summaries merge **deterministically**: merging the per-shard
 //! sketches of a threaded or TCP run yields the same summary regardless

@@ -5,7 +5,7 @@
 use aoj_core::index::{JoinIndex, VecIndex};
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
-use aoj_joinalg::{index_for, BandIndex, NestedLoopIndex, SymmetricHashIndex};
+use aoj_joinalg::{index_for, BandIndex, SymmetricHashIndex};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -114,15 +114,6 @@ proptest! {
         width in 0..4i64,
     ) {
         check_equivalence(Box::new(BandIndex::new(width)), Predicate::Band { width }, ops);
-    }
-
-    #[test]
-    fn nested_loop_equals_reference(ops in prop::collection::vec(op_strategy(8), 0..100)) {
-        check_equivalence(
-            Box::new(NestedLoopIndex::new(Predicate::NotEqual)),
-            Predicate::NotEqual,
-            ops,
-        );
     }
 
     #[test]

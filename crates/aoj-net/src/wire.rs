@@ -63,7 +63,7 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 9;
+pub const WIRE_VERSION: u8 = 10;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -737,7 +737,6 @@ wire_struct! {
         max_contractions: u32,
         contract_holdoff_tuples: u64,
         drain_driven: bool,
-        skew_expand_ratio: f64,
     }
     ElasticitySection {
         decision: DecisionConfig,
@@ -757,7 +756,6 @@ wire_struct! {
     SkewPolicy {
         routing: RoutingMode,
         sketch: SkewConfig,
-        decision_gate_ratio: f64,
         publish_every: u64,
     }
     // The plan every worker rebuilds its topology from. Encoding panics on

@@ -614,7 +614,6 @@ fn full_builder() -> SessionBuilder {
     });
     b.backend.collect_matches = true;
     b.skew.routing = RoutingMode::KeyedHotSplit;
-    b.skew.decision_gate_ratio = 2.5;
     b
 }
 
@@ -726,13 +725,16 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // forward relation is an ordinary `Option<Rel>`), the source's grow and
 // shrink messages became `SourceResize` (tag 12); tags 6–9 and 13 are
 // holes, and every other row kept its tag and its bytes. The builder
-// image was re-pinned twice. `WIRE_VERSION` 6:
+// image was re-pinned three times. `WIRE_VERSION` 6:
 // `SourceSection::window_copies` became `Option<u64>` (unset = derive the
 // window from the batch size), which inserts the one `01` presence byte
 // ahead of the window's eight. `WIRE_VERSION` 7: `SourceSection` lost
 // `idle_poll_us` (one value was ever in use; now the constant
 // `source::IDLE_POLL_US`), which removes the eight bytes `c8 00…` after
-// the queue capacity.
+// the queue capacity. `WIRE_VERSION` 10: `ElasticConfig` and `SkewPolicy`
+// each lost the ratio that armed a skew discount (off in every caller;
+// two `f64` rows, the eight zero bytes after `drain_driven` and the `2.5`
+// ahead of `publish_every`); no other pinned image moved.
 //
 // The same bump covers the two control-plane frames pinned below them:
 // [`GaugeSample`] is one word per [`Gauge`] (the `Matches` word is new)
@@ -870,7 +872,7 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "1208000000",
 ];
 
-const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000000000000000000000010101e80300000000000004000000010200000000000000000100040000000000000002400000000000000080000000000000000100000014000000000001000000000000000000000004400010000000000000";
+const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d00000000000000200000000000000000000000000000000100000001000000000000000000000001000001000000000002000000000000000000000000000000000000000000000000010101e8030000000000000400000001020000000000000000010004000000000000000240000000000000008000000000000000010000001400000000000100000000000010000000000000";
 
 fn golden_gauge_sample() -> GaugeSample {
     GaugeSample {

@@ -15,7 +15,7 @@
 //!
 //! Coalescing groups tuples; it never reorders them. Within one
 //! (reshuffler → joiner) channel, tuples leave in route order, and the
-//! epoch protocol's markers stay correct because every epoch or store
+//! epoch protocol's markers stay correct because every epoch
 //! boundary **force-flushes** the buffers before the boundary message is
 //! sent — a `Signal`, whatever kind of change it announces, therefore
 //! still travels FIFO behind every tuple its epoch covers (Alg. 3's
@@ -141,11 +141,9 @@ impl BatchPool {
 
 /// Per-destination coalescing buffers for routed data tuples.
 ///
-/// Slots are caller-defined destinations (a joiner machine, or a
-/// (machine, store-class) pair in the grouped operator). The coalescer
-/// only groups; the caller ships the flushed runs, attaching the
-/// epoch tag / store flag its slots encode — which is what hoists those
-/// fields to batch level.
+/// Slots are caller-defined destinations (one per joiner machine). The
+/// coalescer only groups; the caller ships the flushed runs, attaching
+/// its epoch tag — which is what hoists that field to batch level.
 pub struct DataCoalescer {
     cfg: BatchConfig,
     slots: Vec<Pending>,

@@ -284,9 +284,6 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
                 sample_spacing,
             )
             .with_elastic(elastic_cfg);
-            // The skew gate is runtime config, not checkpointed state:
-            // it is armed from the builder and the ratio re-learned live.
-            cs.decider.set_skew_gate(b.skew.decision_gate_ratio);
             if let Some(ckpt) = restore {
                 cs.decider.restore(ckpt.decider);
                 cs.decider.set_grid(initial);

@@ -85,13 +85,6 @@ pub struct ElasticConfig {
     /// gauge never moves and the stream-position gate remains the only
     /// sound arming signal.
     pub drain_driven: bool,
-    /// Skew-aware expansion: when the controller's sketched p99/p50
-    /// per-key load ratio (see [`aoj_core::sketch::SkewSketch::skew_ratio`])
-    /// reaches this value, the expansion trigger evaluates against
-    /// `capacity_bytes / 4` instead of `capacity_bytes` — a skewed joiner
-    /// melts long before the byte gauges look full, so the controller
-    /// spreads the hot state early. `0.0` disables (default).
-    pub skew_expand_ratio: f64,
 }
 
 impl ElasticConfig {
@@ -105,7 +98,6 @@ impl ElasticConfig {
             max_contractions: 0,
             contract_holdoff_tuples: 0,
             drain_driven: false,
-            skew_expand_ratio: 0.0,
         }
     }
 
@@ -129,13 +121,6 @@ impl ElasticConfig {
     /// [`drain_driven`](ElasticConfig::drain_driven)).
     pub fn with_drain_driven(mut self, on: bool) -> ElasticConfig {
         self.drain_driven = on;
-        self
-    }
-
-    /// Builder: arm the skew-aware expansion discount (see
-    /// [`skew_expand_ratio`](ElasticConfig::skew_expand_ratio)).
-    pub fn with_skew_expand(mut self, ratio: f64) -> ElasticConfig {
-        self.skew_expand_ratio = ratio.max(0.0);
         self
     }
 }
@@ -175,18 +160,6 @@ impl ElasticControl {
     /// reuses retired machines (the dormant pool) before fresh slots.
     pub fn armed_expand(&self) -> bool {
         self.expansions_done < self.cfg.max_expansions
-    }
-
-    /// The per-joiner capacity the expansion trigger should evaluate
-    /// against, given the controller's current sketched skew ratio: the
-    /// configured capacity, or a quarter of it once the ratio crosses
-    /// [`ElasticConfig::skew_expand_ratio`].
-    pub fn effective_capacity(&self, skew_ratio: f64) -> u64 {
-        if self.cfg.skew_expand_ratio > 0.0 && skew_ratio >= self.cfg.skew_expand_ratio {
-            (self.cfg.capacity_bytes / 4).max(1)
-        } else {
-            self.cfg.capacity_bytes
-        }
     }
 
     /// May another contraction fire at stream position `last_seq` with
@@ -348,16 +321,6 @@ mod tests {
         };
         assert!(!el2.armed_contract(499, 0), "hold-off gate still closed");
         assert!(el2.armed_contract(500, 0));
-    }
-
-    #[test]
-    fn skewed_load_quarters_the_effective_capacity() {
-        let el = ElasticControl::new(ElasticConfig::new(1000, 1).with_skew_expand(8.0));
-        assert_eq!(el.effective_capacity(1.0), 1000, "benign load: full M");
-        assert_eq!(el.effective_capacity(7.9), 1000);
-        assert_eq!(el.effective_capacity(8.0), 250, "skewed load: M/4");
-        let off = ElasticControl::new(ElasticConfig::new(1000, 1));
-        assert_eq!(off.effective_capacity(1e9), 1000, "0.0 disables");
     }
 
     #[test]

@@ -26,7 +26,6 @@
 pub mod batch;
 pub mod driver;
 pub mod elastic_runtime;
-pub mod grouped;
 pub mod joiner_task;
 pub mod messages;
 pub mod report;
@@ -40,7 +39,6 @@ pub mod supervise;
 pub use batch::BatchConfig;
 pub use driver::{run, BackendChoice, OperatorKind};
 pub use elastic_runtime::ElasticConfig;
-pub use grouped::{run_grouped, GroupedReport};
 pub use messages::{Match, OpMsg};
 pub use report::{human_bytes, RunReport, StateTransfer};
 pub use report::{MachineStats, SkewSummary};

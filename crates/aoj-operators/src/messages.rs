@@ -103,16 +103,18 @@ pub enum OpMsg {
         items: Vec<IngestItem>,
     },
     /// Reshuffler → joiner: a coalesced run of routed tuples. The epoch
-    /// tag and store flag are hoisted to batch level — the routing
-    /// reshuffler force-flushes its buffers before adopting a new epoch,
-    /// so no batch ever spans an epoch (or store-class) boundary and the
-    /// epoch-change markers stay FIFO behind every tuple they cover.
+    /// tag is hoisted to batch level — the routing reshuffler
+    /// force-flushes its buffers before adopting a new epoch, so no
+    /// batch ever spans an epoch boundary and the epoch-change markers
+    /// stay FIFO behind every tuple they cover.
     DataBatch {
         /// The epoch the routing reshuffler was in (all tuples).
         tag: Epoch,
-        /// Whether the receiving joiner stores these tuples. Always true
-        /// in single-group operators; in the §4.2.2 grouped operator a
-        /// tuple is stored in exactly one group and probe-only elsewhere.
+        /// Always `true` and read by nobody: every joiner stores what it
+        /// receives. The field and its wire row stay only because
+        /// `benchmark/` (frozen outside `benchmark`-archetype PRs) builds
+        /// this variant by field name; removing it belongs to such a PR
+        /// (ROADMAP).
         store: bool,
         /// The routed tuples (tickets already assigned), in route order.
         tuples: Vec<Tuple>,

@@ -293,17 +293,9 @@ impl ReshufflerTask {
     /// where every active joiner sits below the low-water mark begins the
     /// reverse 4→1 contraction.
     fn maybe_trigger(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
-        if self.controller.is_none() {
-            return;
-        }
-        // The controller's own shard sees a uniform 1/J sample of the
-        // stream and p99/p50 is a ratio, so its local sketch is the skew
-        // signal — no cross-machine relay on the decision path.
-        let skew_ratio = self.skew.local_ratio();
         let Some(ctrl) = self.controller.as_mut() else {
             return;
         };
-        ctrl.decider.note_skew(skew_ratio);
         if !ctrl.adaptive || ctrl.in_flight.is_some() {
             return;
         }
@@ -316,10 +308,9 @@ impl ReshufflerTask {
         // machine iterator directly (no allocation); after a contraction
         // the active machines are no longer a prefix of the slot space.
         if let (None, Some(el)) = (ctrl.target, &ctrl.elastic) {
-            // Skewed load quarters the effective capacity so a melting
-            // hot cell expands before the byte gauges look full.
-            let capacity = el.effective_capacity(skew_ratio);
-            if el.armed_expand() && expansion_due(ctx.metrics(), self.assign.machines(), capacity) {
+            if el.armed_expand()
+                && expansion_due(ctx.metrics(), self.assign.machines(), el.cfg.capacity_bytes)
+            {
                 return self.begin(ctx, Reconfig::Expand);
             }
             if el.armed_contract(ctrl.last_seq, ctx.metrics().total_evicted_bytes())

@@ -171,23 +171,6 @@ impl IngestQueue {
         q
     }
 
-    /// A queue pre-loaded with a full arrival sequence and already
-    /// closed — the grouped driver's offline shape: the source sees every
-    /// tuple available from the start, exactly like the old
-    /// slice-walking source did.
-    pub(crate) fn preloaded(arrivals: &[(Rel, StreamItem)]) -> Arc<IngestQueue> {
-        let q = IngestQueue::bounded(arrivals.len().max(1), true);
-        {
-            let mut st = q.state.lock().unwrap();
-            for &(rel, item) in arrivals {
-                st.note_push(rel);
-                st.items.push_back((rel, item));
-            }
-            st.closed = true;
-        }
-        q
-    }
-
     /// An empty, already-closed queue — the shape a remote worker's
     /// topology rebuild needs. The worker's copy of the source task
     /// never executes (the coordinator process hosts the real source),
@@ -1113,14 +1096,6 @@ impl SessionBuilder {
     /// unbounded).
     pub fn with_match_buffer(mut self, matches: usize) -> SessionBuilder {
         self.backend.match_buffer = matches;
-        self
-    }
-
-    /// Builder: the routing policy and skew-detection knobs (see
-    /// [`SkewPolicy`]). The default — random tickets, detection on but
-    /// consequence-free — reproduces pre-skew sessions bit for bit.
-    pub fn with_skew(mut self, skew: SkewPolicy) -> SessionBuilder {
-        self.skew = skew;
         self
     }
 
@@ -2195,20 +2170,6 @@ mod tests {
         assert_eq!(q.pushed(), 3);
         // Prefix counts follow push order: R, S, R.
         assert_eq!(q.prefix(), vec![(0, 0), (1, 0), (1, 1), (2, 1)]);
-    }
-
-    #[test]
-    fn preloaded_queue_is_closed_with_everything_available() {
-        let arrivals = vec![(Rel::R, item(1)), (Rel::S, item(1)), (Rel::S, item(2))];
-        let q = IngestQueue::preloaded(&arrivals);
-        let (empty, closed) = q.status();
-        assert!(!empty);
-        assert!(closed);
-        assert_eq!(q.pushed(), 3);
-        let mut out = Vec::new();
-        q.pop_upto(10, &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(q.status(), (true, true));
     }
 
     fn pair(r_key: i64, s_key: i64) -> Match {

@@ -12,10 +12,9 @@
 //!   parts to its gauge-sample frames, and the coordinator republishes
 //!   them into its own board — the same path `SharedGauges` travel.
 //!
-//! The controller does **not** read the board to trigger: its own local
-//! sketch sees a uniform `1/J` sample of the stream and the trigger
-//! signal (`p99/p50` per-key load) is a scale-free ratio, so no
-//! cross-machine relay sits on the decision path.
+//! The board is read for reporting only: hot-key flagging uses each
+//! reshuffler's own sketch, and no migration or elasticity trigger reads
+//! either.
 //!
 //! Routing policy never affects exactness. In the matrix assignment any
 //! row and any column intersect in exactly one cell, so the ticket choice
@@ -41,10 +40,6 @@ pub struct SkewPolicy {
     pub routing: RoutingMode,
     /// Sketch sizing and the heavy-hitter threshold.
     pub sketch: SkewConfig,
-    /// Arm the [`MigrationDecider`](aoj_core::decision::MigrationDecider)
-    /// skew gate at this p99/p50 load ratio (`0.0` = off): a skewed load
-    /// divides the decider's warm-up threshold by 8.
-    pub decision_gate_ratio: f64,
     /// Publish the local sketch to the board every this many routed
     /// tuples (flush points always publish).
     pub publish_every: u64,
@@ -55,7 +50,6 @@ impl Default for SkewPolicy {
         SkewPolicy {
             routing: RoutingMode::Random,
             sketch: SkewConfig::default(),
-            decision_gate_ratio: 0.0,
             publish_every: 4096,
         }
     }
@@ -71,12 +65,6 @@ impl SkewPolicy {
     /// Builder: set the sketch configuration.
     pub fn with_sketch(mut self, sketch: SkewConfig) -> SkewPolicy {
         self.sketch = sketch;
-        self
-    }
-
-    /// Builder: arm the decider's skew gate at the given load ratio.
-    pub fn with_decision_gate(mut self, ratio: f64) -> SkewPolicy {
-        self.decision_gate_ratio = ratio.max(0.0);
         self
     }
 }
@@ -238,12 +226,6 @@ impl SkewState {
                 }
             }
         }
-    }
-
-    /// The local p99/p50 per-key load ratio (the controller's trigger
-    /// signal — scale-free, so its `1/J` sample needs no rescaling).
-    pub fn local_ratio(&mut self) -> f64 {
-        self.sketch.skew_ratio()
     }
 
     /// Publish the local sketch to the board now (also called on flush

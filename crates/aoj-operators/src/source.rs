@@ -5,10 +5,7 @@
 //! Since the live-session redesign the source pulls from an external
 //! bounded [`IngestQueue`] instead of walking a pre-materialized slice:
 //! callers push tuples while the operator runs, and closing the queue is
-//! the end-of-stream signal. A queue pre-loaded with the whole arrival
-//! sequence and closed up front ([`SourceTask::preloaded`], what the
-//! offline drivers build) reproduces the old slice-walking behaviour
-//! exactly — same blocks, same sequence numbers, same emitted messages.
+//! the end-of-stream signal.
 
 use std::sync::Arc;
 
@@ -147,24 +144,6 @@ impl SourceTask {
             tick_pending: true, // the driver schedules the first tick
             scratch: Vec::new(),
         }
-    }
-
-    /// Build a source over a pre-materialized arrival sequence (an
-    /// already-closed queue) — the offline experiment shape.
-    pub fn preloaded(
-        arrivals: &[(Rel, StreamItem)],
-        reshufflers: Vec<TaskId>,
-        pacing: SourcePacing,
-        window_copies: u64,
-        batch_tuples: usize,
-    ) -> SourceTask {
-        SourceTask::new(
-            IngestQueue::preloaded(arrivals),
-            reshufflers,
-            pacing,
-            window_copies,
-            batch_tuples,
-        )
     }
 
     /// Re-arm the source from outside the backend (the simulator
@@ -357,7 +336,8 @@ mod tests {
 
     #[test]
     fn external_arm_is_edge_triggered() {
-        let mut src = SourceTask::preloaded(&[], vec![TaskId(0)], SourcePacing::saturating(), 0, 1);
+        let input = IngestQueue::detached();
+        let mut src = SourceTask::new(input, vec![TaskId(0)], SourcePacing::saturating(), 0, 1);
         // Fresh sources have the bootstrap tick pending.
         assert!(!src.arm_external_tick());
         src.tick_pending = false;

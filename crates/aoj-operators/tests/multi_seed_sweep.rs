@@ -109,17 +109,3 @@ fn blocking_mode_is_exact_across_random_configurations() {
         assert_eq!(report.matches, expected, "blocking seed {seed} J={j}");
     }
 }
-
-#[test]
-fn grouped_is_exact_across_random_configurations() {
-    for seed in 0..8u64 {
-        let (w, arrivals) = random_workload(seed);
-        if matches!(w.predicate, Predicate::NotEqual) && w.total() > 1_500 {
-            continue;
-        }
-        let expected = reference_matches(&arrivals, &w.predicate);
-        let j = [3u32, 5, 7, 11, 20][(seed % 5) as usize];
-        let report = aoj_operators::run_grouped(&arrivals, &w.predicate, j, seed);
-        assert_eq!(report.matches, expected, "grouped seed {seed} J={j}");
-    }
-}

@@ -333,11 +333,6 @@ impl Metrics {
         self.gauge_column(Gauge::Evicted).sum()
     }
 
-    /// Record simulated spill volume on machine `m`.
-    pub fn add_spilled(&mut self, m: MachineId, bytes: u64) {
-        self.per_machine[m.index()].spilled_bytes += bytes;
-    }
-
     /// Total bytes sent across the cluster.
     pub fn total_bytes_sent(&self) -> u64 {
         self.per_machine.iter().map(|m| m.bytes_out).sum()

@@ -129,20 +129,10 @@ impl<M: SimMessage + 'static> Sim<M> {
         self.task_machine[task.index()]
     }
 
-    /// Number of registered tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Inject a message from outside the simulation (e.g. bootstrap), to be
     /// delivered at the current virtual time without paying network costs.
     pub fn inject(&mut self, from: TaskId, to: TaskId, msg: M) {
         let at = self.now;
-        self.queue.push(at, EventKind::Arrive { from, to, msg });
-    }
-
-    /// Inject a message arriving at an explicit virtual time.
-    pub fn inject_at(&mut self, at: SimTime, from: TaskId, to: TaskId, msg: M) {
         self.queue.push(at, EventKind::Arrive { from, to, msg });
     }
 
