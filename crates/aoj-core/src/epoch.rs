@@ -581,8 +581,8 @@ impl EpochJoiner {
 
     /// Bulk fast path for a coalesced batch of stable-phase data tuples:
     /// `τ` is the only live set, so the whole batch goes through the
-    /// index's bulk probe/insert operations
-    /// ([`process_stream_batch`](crate::index::process_stream_batch)) —
+    /// index's bulk probe/insert path
+    /// ([`JoinIndex::stream_batch`]) —
     /// semantically identical to feeding each tuple to
     /// [`on_data`](EpochJoiner::on_data) in order, including intra-batch
     /// pairs. `out(i, stored)` receives the batch index of the *probing*
@@ -601,7 +601,7 @@ impl EpochJoiner {
             self.stable_for(tag),
             "bulk data path requires a stable joiner at the batch epoch"
         );
-        let stats = crate::index::process_stream_batch(self.tau.as_mut(), batch, out);
+        let stats = self.tau.stream_batch(batch, out);
         self.matches_emitted += stats.matches;
         stats
     }

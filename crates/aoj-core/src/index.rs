@@ -95,6 +95,44 @@ pub trait JoinIndex: Send {
         stats
     }
 
+    /// Stream-process a batch of arriving tuples: every tuple probes the
+    /// state *as it stood at the tuple's own position in the stream*
+    /// (earlier batch tuples included), then is inserted — exactly
+    /// equivalent to per-tuple `probe` + `insert`, which is what a
+    /// batch-of-one degenerates to. `on_match(i, stored)` receives the
+    /// index of the probing tuple within `batch` plus the matched stored
+    /// tuple; as for [`probe_batch`](JoinIndex::probe_batch), the
+    /// invocation order is unspecified.
+    ///
+    /// The default keeps bulk probes exact with one observation: probes
+    /// only ever scan the *opposite* relation, so tuples of the same
+    /// relation can never match each other. Splitting the batch into
+    /// maximal single-relation runs therefore lets a whole run probe via
+    /// [`probe_batch`](JoinIndex::probe_batch) before any of it is
+    /// inserted, with earlier runs already in the index when later runs
+    /// probe — no intra-batch pair is missed or duplicated. An index
+    /// whose probe and insert share one lookup per tuple overrides this.
+    fn stream_batch(
+        &mut self,
+        batch: &[Tuple],
+        on_match: &mut dyn FnMut(usize, &Tuple),
+    ) -> ProbeStats {
+        let mut stats = ProbeStats::default();
+        let mut start = 0;
+        while start < batch.len() {
+            let rel = batch[start].rel;
+            let mut end = start + 1;
+            while end < batch.len() && batch[end].rel == rel {
+                end += 1;
+            }
+            let run = &batch[start..end];
+            stats += self.probe_batch(run, &mut |i, stored| on_match(start + i, stored));
+            self.insert_batch(run);
+            start = end;
+        }
+        stats
+    }
+
     /// Probe counting matches only.
     fn probe_count(&mut self, t: &Tuple) -> ProbeStats {
         self.probe_filtered(t, &mut |_| true, &mut |_| {})
@@ -161,42 +199,6 @@ pub trait JoinIndex: Send {
         self.for_each(&mut |t| v.push(*t));
         v
     }
-}
-
-/// Stream-process a batch of arriving tuples against `idx` using the bulk
-/// index operations: every tuple probes the state *as it stood at the
-/// tuple's own position in the stream* (earlier batch tuples included),
-/// then is inserted — exactly equivalent to per-tuple `probe` + `insert`,
-/// which is what a batch-of-one degenerates to.
-///
-/// The trick that keeps bulk probes exact: probes only ever scan the
-/// *opposite* relation, so tuples of the same relation can never match
-/// each other. Splitting the batch into maximal single-relation runs
-/// therefore lets a whole run probe via [`JoinIndex::probe_batch`] before
-/// any of it is inserted, with earlier runs already in the index when
-/// later runs probe — no intra-batch pair is missed or duplicated.
-///
-/// `on_match(i, stored)` receives the index of the probing tuple within
-/// `batch` plus the matched stored tuple.
-pub fn process_stream_batch(
-    idx: &mut dyn JoinIndex,
-    batch: &[Tuple],
-    on_match: &mut dyn FnMut(usize, &Tuple),
-) -> ProbeStats {
-    let mut stats = ProbeStats::default();
-    let mut start = 0;
-    while start < batch.len() {
-        let rel = batch[start].rel;
-        let mut end = start + 1;
-        while end < batch.len() && batch[end].rel == rel {
-            end += 1;
-        }
-        let run = &batch[start..end];
-        stats += idx.probe_batch(run, &mut |i, stored| on_match(start + i, stored));
-        idx.insert_batch(run);
-        start = end;
-    }
-    stats
 }
 
 /// One sealed sub-window of a [`VecIndex`]: a closed run of tuples that
@@ -549,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn process_stream_batch_matches_sequential_processing() {
+    fn stream_batch_matches_sequential_processing() {
         // Mixed-relation batch with intra-batch pairs: bulk processing
         // must produce exactly the pairs sequential probe+insert does.
         let batch: Vec<Tuple> = vec![
@@ -570,7 +572,7 @@ mod tests {
         }
         let mut bulk_idx = VecIndex::new(Predicate::Equi);
         let mut bulk_pairs = Vec::new();
-        let stats = process_stream_batch(&mut bulk_idx, &batch, &mut |i, m| {
+        let stats = bulk_idx.stream_batch(&batch, &mut |i, m| {
             bulk_pairs.push((batch[i].seq.min(m.seq), batch[i].seq.max(m.seq)))
         });
         seq_pairs.sort_unstable();

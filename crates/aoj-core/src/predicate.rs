@@ -44,7 +44,9 @@ impl Predicate {
         debug_assert_eq!(s.rel, Rel::S);
         match self {
             Predicate::Equi => r.key == s.key,
-            Predicate::Band { width } => (r.key - s.key).abs() <= *width,
+            Predicate::Band { width } => {
+                u64::try_from(*width).is_ok_and(|w| r.key.abs_diff(s.key) <= w)
+            }
             Predicate::NotEqual => r.key != s.key,
             Predicate::LessThan => r.key < s.key,
             Predicate::CrossProduct => true,
@@ -107,6 +109,9 @@ mod tests {
         assert!(p.matches(&r(11), &s(10)));
         assert!(p.matches(&r(10), &s(10)));
         assert!(!p.matches(&r(10), &s(12)));
+        // The key distance cannot overflow at the extremes.
+        assert!(!p.matches(&r(i64::MIN), &s(i64::MAX)));
+        assert!(p.matches(&r(i64::MAX), &s(i64::MAX - 1)));
     }
 
     #[test]

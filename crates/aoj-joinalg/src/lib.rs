@@ -9,8 +9,10 @@
 //! band joins and hashmaps for equi-joins"), both implementing
 //! [`aoj_core::JoinIndex`]:
 //!
-//! * [`SymmetricHashIndex`] — hash map per side, for equi-joins (the local
-//!   half of the classic symmetric hash join);
+//! * [`SymmetricHashIndex`] — for equi-joins (the local half of the
+//!   classic symmetric hash join): per segment, one tuple arena and one
+//!   map from key to both relations' heads, short key-sides chained
+//!   through the arena, hot ones in contiguous runs;
 //! * [`BandIndex`] — B-tree per side with range probes, for band joins
 //!   `|r.key − s.key| ≤ w`.
 //!

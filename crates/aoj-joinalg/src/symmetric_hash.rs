@@ -1,111 +1,298 @@
 //! The local half of the symmetric hash join (Wilschut & Apers \[42\]):
-//! one hash index per relation, keyed by the join key. Each arriving tuple
-//! probes the opposite index and is inserted into its own — fully
-//! pipelined, never blocking.
+//! each arriving tuple probes the stored tuples of the opposite relation
+//! that share its key, then is stored itself — fully pipelined, never
+//! blocking.
+//!
+//! Layout: the index is a list of **segments** — the live run plus each
+//! sealed sub-window (PanJoin, arXiv:1811.05065) — and each segment is
+//! one tuple arena plus one map from key to the heads of its two
+//! key-sides (its stored R tuples and its stored S tuples).
+//!
+//! * A key-side of up to `CHAIN_MAX` tuples lives in the arena as a chain
+//!   of slots linked by `u32`s in a parallel array: nothing is allocated
+//!   per key.
+//! * The next tuple moves the key-side to a run of its own, one
+//!   contiguous `Vec<Tuple>`, so a hot key's partners are read as a slice
+//!   rather than by a pointer chase.
+//! * Iteration, draining and extraction visit the arena in insertion
+//!   order, then the runs in promotion order, never the map: the order is
+//!   a function of the inserts alone. Only runs own an allocation, so an
+//!   expired sub-window is freed as a handful of blocks, not one per key.
+//!
+//! Keys hash as `mix64(key ^ salt)` with a salt drawn per index from
+//! `RandomState`. SHJ routes keys to joiners by `mix64(key) % J`, so the
+//! unsalted mixer would hold log₂J low hash bits constant at every
+//! joiner; nothing iterates the map, so the salt reaches no output.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use aoj_core::index::{JoinIndex, ProbeStats};
 use aoj_core::lifecycle::EvictStats;
+use aoj_core::ticket::mix64;
 use aoj_core::tuple::{Rel, Tuple};
 
-/// One sealed sub-window: a closed pair of hash maps that stays fully
-/// probe-able and expires wholesale (see
-/// [`JoinIndex::seal_segment`]/[`JoinIndex::evict_before`]).
+/// Longest key-side kept as a chain; its next tuple promotes it to a run.
+/// A chain costs one dependent cache miss per partner.
+const CHAIN_MAX: usize = 8;
+/// Head word of an empty key-side, and the link that ends a chain.
+const NIL: u32 = u32::MAX;
+/// Head-word flag: the low bits index [`Arena::runs`], not the slots.
+const RUN: u32 = 1 << 31;
+/// Link of an arena slot whose tuple was promoted into a run.
+const MOVED: u32 = NIL - 1;
+
+/// `n` as a slot or run index: below `RUN - 1`, so a slot never carries
+/// the run flag and `RUN | i` is never `NIL`. A wrapped index would
+/// silently link a tuple into another key's chain.
+fn index_u32(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(i) if i < RUN - 1 => i,
+        _ => panic!("hash index segment overflow: entry {n} does not fit its 31-bit links"),
+    }
+}
+
+/// Builds the key hasher: one `mix64` of the salted key.
+#[derive(Clone, Copy)]
+struct KeyHash {
+    salt: u64,
+}
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher {
+            salt: self.salt,
+            hash: 0,
+        }
+    }
+}
+
+struct KeyHasher {
+    salt: u64,
+    hash: u64,
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the key map hashes i64 keys only");
+    }
+
+    #[inline]
+    fn write_i64(&mut self, key: i64) {
+        self.hash = mix64(key as u64 ^ self.salt);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A segment's tuples, grouped into key-sides. A key-side is named by a
+/// head word: `NIL`, the newest slot of a chain, or `RUN | i` for
+/// `runs[i]`.
 #[derive(Default)]
-struct HashSegment {
-    r: HashMap<i64, Vec<Tuple>>,
-    s: HashMap<i64, Vec<Tuple>>,
-    r_len: usize,
-    s_len: usize,
+struct Arena {
+    /// Chained tuples in insertion order, plus the dead copies of those
+    /// since promoted.
+    tuples: Vec<Tuple>,
+    /// `links[slot]`: the next-older slot of `tuples[slot]`'s chain,
+    /// `NIL`, or `MOVED`.
+    links: Vec<u32>,
+    /// Promoted key-sides, oldest tuple first.
+    runs: Vec<Vec<Tuple>>,
+}
+
+impl Arena {
+    /// Visit every tuple of the key-side `head` names; returns how many.
+    #[inline]
+    fn walk(&self, head: u32, f: &mut impl FnMut(&Tuple)) -> u64 {
+        if head == NIL {
+            return 0;
+        }
+        if head & RUN != 0 {
+            let run = &self.runs[(head & !RUN) as usize];
+            for t in run {
+                f(t);
+            }
+            return run.len() as u64;
+        }
+        let mut n = 0;
+        let mut slot = head;
+        while slot != NIL {
+            f(&self.tuples[slot as usize]);
+            n += 1;
+            slot = self.links[slot as usize];
+        }
+        n
+    }
+
+    /// Append `t` to the key-side `head` names, promoting a full chain.
+    #[inline]
+    fn push(&mut self, head: &mut u32, t: Tuple) {
+        if *head != NIL && *head & RUN != 0 {
+            self.runs[(*head & !RUN) as usize].push(t);
+            return;
+        }
+        let mut chain = [NIL; CHAIN_MAX];
+        let mut len = 0;
+        let mut slot = *head;
+        while slot != NIL {
+            chain[len] = slot;
+            len += 1;
+            slot = self.links[slot as usize];
+        }
+        if len < CHAIN_MAX {
+            let slot = index_u32(self.tuples.len());
+            self.tuples.push(t);
+            self.links.push(*head);
+            *head = slot;
+            return;
+        }
+        let mut run = Vec::with_capacity(2 * CHAIN_MAX);
+        for &slot in chain.iter().rev() {
+            run.push(self.tuples[slot as usize]);
+            self.links[slot as usize] = MOVED;
+        }
+        run.push(t);
+        *head = RUN | index_u32(self.runs.len());
+        self.runs.push(run);
+    }
+
+    /// Visit every stored tuple: the arena's in insertion order, then
+    /// each run's.
+    fn for_each(&self, f: &mut impl FnMut(&Tuple)) {
+        for (t, &link) in self.tuples.iter().zip(&self.links) {
+            if link != MOVED {
+                f(t);
+            }
+        }
+        for t in self.runs.iter().flatten() {
+            f(t);
+        }
+    }
+}
+
+/// One segment — the live run or a sealed sub-window — probe-able until
+/// it expires whole (see
+/// [`JoinIndex::seal_segment`]/[`JoinIndex::evict_before`]).
+struct Segment {
+    arena: Arena,
+    /// Key → head word per relation, indexed by [`Rel::index`].
+    heads: HashMap<i64, [u32; 2], KeyHash>,
+    len_rel: [usize; 2],
     bytes: u64,
     max_seq: u64,
 }
 
-impl HashSegment {
-    fn side(&self, rel: Rel) -> &HashMap<i64, Vec<Tuple>> {
-        match rel {
-            Rel::R => &self.r,
-            Rel::S => &self.s,
+impl Segment {
+    fn new(hash: KeyHash) -> Segment {
+        Segment {
+            arena: Arena::default(),
+            heads: HashMap::with_hasher(hash),
+            len_rel: [0; 2],
+            bytes: 0,
+            max_seq: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.r_len + self.s_len
+        self.len_rel[0] + self.len_rel[1]
+    }
+
+    /// Store `t`; returns its key's head words afterwards, so a probe can
+    /// reuse the one map lookup.
+    #[inline]
+    fn insert(&mut self, t: Tuple) -> [u32; 2] {
+        self.len_rel[t.rel.index()] += 1;
+        self.bytes += t.bytes as u64;
+        self.max_seq = self.max_seq.max(t.seq);
+        let heads = self.heads.entry(t.key).or_insert([NIL; 2]);
+        self.arena.push(&mut heads[t.rel.index()], t);
+        *heads
+    }
+
+    /// Visit the stored `rel` tuples with key `key`; returns how many.
+    #[inline]
+    fn probe(&self, key: i64, rel: Rel, f: &mut impl FnMut(&Tuple)) -> u64 {
+        self.heads
+            .get(&key)
+            .map_or(0, |heads| self.arena.walk(heads[rel.index()], f))
+    }
+
+    /// Move the tuples `pred` accepts to `out` and rebuild the segment
+    /// from the rest, so key-sides that shrank become chains again. A
+    /// stale `max_seq` only delays eviction, so it stays.
+    fn extract(&mut self, pred: &mut dyn FnMut(&Tuple) -> bool, out: &mut Vec<Tuple>) {
+        let before = out.len();
+        let mut kept = Vec::with_capacity(self.len());
+        self.arena.for_each(&mut |t| {
+            if pred(t) {
+                out.push(*t);
+            } else {
+                kept.push(*t);
+            }
+        });
+        if out.len() == before {
+            return;
+        }
+        let max_seq = self.max_seq;
+        *self = Segment::new(*self.heads.hasher());
+        for t in kept {
+            self.insert(t);
+        }
+        self.max_seq = max_seq;
     }
 }
 
 /// Hash-indexed [`JoinIndex`] for **equi-joins** (`r.key == s.key`).
 /// The active run lives in `live`; sealed sub-windows keep their own
-/// hash maps and are dropped whole on eviction.
-#[derive(Default)]
+/// arenas and maps and are dropped whole on eviction.
 pub struct SymmetricHashIndex {
-    live: HashSegment,
-    sealed: Vec<HashSegment>,
+    hash: KeyHash,
+    live: Segment,
+    sealed: Vec<Segment>,
+}
+
+impl Default for SymmetricHashIndex {
+    fn default() -> SymmetricHashIndex {
+        SymmetricHashIndex::new()
+    }
 }
 
 impl SymmetricHashIndex {
-    /// Create an empty index.
+    /// Create an empty index with a fresh key-hash salt.
     pub fn new() -> SymmetricHashIndex {
-        SymmetricHashIndex::default()
+        let hash = KeyHash {
+            salt: RandomState::new().hash_one(0u64),
+        };
+        SymmetricHashIndex {
+            hash,
+            live: Segment::new(hash),
+            sealed: Vec::new(),
+        }
     }
 
     /// Sealed segments oldest-first, then the live run.
-    fn segments(&self) -> impl Iterator<Item = &HashSegment> {
+    fn segments(&self) -> impl Iterator<Item = &Segment> {
         self.sealed.iter().chain(std::iter::once(&self.live))
     }
 
-    fn segments_mut(&mut self) -> impl Iterator<Item = &mut HashSegment> {
-        self.sealed
-            .iter_mut()
-            .chain(std::iter::once(&mut self.live))
-    }
-}
-
-/// Probe one segment's hash map with a sorted `(key, probe index)` run,
-/// sharing a bucket lookup between equal keys.
-fn probe_grouped(
-    side: &HashMap<i64, Vec<Tuple>>,
-    order: &[(i64, u32)],
-    stats: &mut ProbeStats,
-    on_match: &mut dyn FnMut(usize, &Tuple),
-) {
-    let mut j = 0;
-    while j < order.len() {
-        let key = order[j].0;
-        let mut k = j + 1;
-        while k < order.len() && order[k].0 == key {
-            k += 1;
-        }
-        if let Some(bucket) = side.get(&key) {
-            for &(_, i) in &order[j..k] {
-                stats.candidates += bucket.len() as u64;
-                stats.matches += bucket.len() as u64;
-                for other in bucket {
-                    on_match(i as usize, other);
-                }
-            }
-        }
-        j = k;
+    /// Visit every stored partner of `t` in every segment; returns how
+    /// many.
+    #[inline]
+    fn probe_all(&self, t: &Tuple, f: &mut impl FnMut(&Tuple)) -> u64 {
+        let other = t.rel.other();
+        self.segments().map(|seg| seg.probe(t.key, other, f)).sum()
     }
 }
 
 impl JoinIndex for SymmetricHashIndex {
     fn insert(&mut self, t: Tuple) {
-        let live = &mut self.live;
-        live.bytes += t.bytes as u64;
-        live.max_seq = live.max_seq.max(t.seq);
-        let side = match t.rel {
-            Rel::R => {
-                live.r_len += 1;
-                &mut live.r
-            }
-            Rel::S => {
-                live.s_len += 1;
-                &mut live.s
-            }
-        };
-        side.entry(t.key).or_default().push(t);
+        self.live.insert(t);
     }
 
     fn probe_filtered(
@@ -114,20 +301,17 @@ impl JoinIndex for SymmetricHashIndex {
         filter: &mut dyn FnMut(&Tuple) -> bool,
         on_match: &mut dyn FnMut(&Tuple),
     ) -> ProbeStats {
-        let mut stats = ProbeStats::default();
-        let other_rel = t.rel.other();
-        for seg in self.sealed.iter().chain(std::iter::once(&self.live)) {
-            if let Some(bucket) = seg.side(other_rel).get(&t.key) {
-                stats.candidates += bucket.len() as u64;
-                for other in bucket {
-                    if filter(other) {
-                        stats.matches += 1;
-                        on_match(other);
-                    }
-                }
+        let mut matches = 0;
+        let candidates = self.probe_all(t, &mut |other| {
+            if filter(other) {
+                matches += 1;
+                on_match(other);
             }
+        });
+        ProbeStats {
+            candidates,
+            matches,
         }
-        stats
     }
 
     fn probe_batch(
@@ -135,46 +319,46 @@ impl JoinIndex for SymmetricHashIndex {
         probes: &[Tuple],
         on_match: &mut dyn FnMut(usize, &Tuple),
     ) -> ProbeStats {
-        if probes.len() == 1 {
-            // A single-tuple run: one plain lookup, no sort overhead.
-            return self.probe_filtered(&probes[0], &mut |_| true, &mut |s| on_match(0, s));
+        let mut n = 0;
+        for (i, t) in probes.iter().enumerate() {
+            n += self.probe_all(t, &mut |other| on_match(i, other));
         }
-        // Group the probes by key so duplicate keys — the common case
-        // under skew, which is exactly when probing is expensive — share
-        // one bucket lookup instead of hashing per tuple. Sorting
-        // (key, index) pairs keeps the comparator free of random
-        // probe-array loads. Each segment is probed with the same run.
-        let mut stats = ProbeStats::default();
-        for rel in [Rel::R, Rel::S] {
-            let mut order: Vec<(i64, u32)> = probes
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.rel == rel)
-                .map(|(i, t)| (t.key, i as u32))
-                .collect();
-            if order.is_empty() {
-                continue;
-            }
-            order.sort_unstable();
-            let other_rel = rel.other();
-            for seg in self.sealed.iter().chain(std::iter::once(&self.live)) {
-                probe_grouped(seg.side(other_rel), &order, &mut stats, on_match);
-            }
+        ProbeStats {
+            candidates: n,
+            matches: n,
         }
-        stats
+    }
+
+    /// One live-map entry per tuple serves both halves: append the tuple
+    /// to its own key-side, then walk the opposite one (sealed segments
+    /// are probe-only lookups).
+    fn stream_batch(
+        &mut self,
+        batch: &[Tuple],
+        on_match: &mut dyn FnMut(usize, &Tuple),
+    ) -> ProbeStats {
+        let mut n = 0;
+        for (i, t) in batch.iter().enumerate() {
+            let mut emit = |other: &Tuple| on_match(i, other);
+            let other = t.rel.other();
+            for seg in &self.sealed {
+                n += seg.probe(t.key, other, &mut emit);
+            }
+            let heads = self.live.insert(*t);
+            n += self.live.arena.walk(heads[other.index()], &mut emit);
+        }
+        ProbeStats {
+            candidates: n,
+            matches: n,
+        }
     }
 
     fn len(&self) -> usize {
-        self.segments().map(HashSegment::len).sum()
+        self.segments().map(Segment::len).sum()
     }
 
     fn len_rel(&self, rel: Rel) -> usize {
-        self.segments()
-            .map(|seg| match rel {
-                Rel::R => seg.r_len,
-                Rel::S => seg.s_len,
-            })
-            .sum()
+        self.segments().map(|seg| seg.len_rel[rel.index()]).sum()
     }
 
     fn bytes(&self) -> u64 {
@@ -183,46 +367,20 @@ impl JoinIndex for SymmetricHashIndex {
 
     fn drain(&mut self) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(self.len());
-        for seg in self
-            .sealed
-            .drain(..)
-            .chain(std::iter::once(std::mem::take(&mut self.live)))
-        {
-            for (_, bucket) in seg.r {
-                out.extend(bucket);
-            }
-            for (_, bucket) in seg.s {
-                out.extend(bucket);
-            }
-        }
+        self.for_each(&mut |t| out.push(*t));
+        self.sealed.clear();
+        self.live = Segment::new(self.hash);
         out
     }
 
     fn extract(&mut self, pred: &mut dyn FnMut(&Tuple) -> bool) -> Vec<Tuple> {
         let mut out = Vec::new();
-        for seg in self.segments_mut() {
-            let before = out.len();
-            for side in [&mut seg.r, &mut seg.s] {
-                side.retain(|_, bucket| {
-                    let mut i = 0;
-                    while i < bucket.len() {
-                        if pred(&bucket[i]) {
-                            out.push(bucket.swap_remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    !bucket.is_empty()
-                });
-            }
-            // Stale max_seq after removals only delays eviction — safe.
-            for t in &out[before..] {
-                seg.bytes -= t.bytes as u64;
-                match t.rel {
-                    Rel::R => seg.r_len -= 1,
-                    Rel::S => seg.s_len -= 1,
-                }
-            }
+        for seg in self
+            .sealed
+            .iter_mut()
+            .chain(std::iter::once(&mut self.live))
+        {
+            seg.extract(pred, &mut out);
         }
         self.sealed.retain(|seg| seg.len() > 0);
         out
@@ -230,22 +388,14 @@ impl JoinIndex for SymmetricHashIndex {
 
     fn for_each(&self, f: &mut dyn FnMut(&Tuple)) {
         for seg in self.segments() {
-            for bucket in seg.r.values() {
-                for t in bucket {
-                    f(t);
-                }
-            }
-            for bucket in seg.s.values() {
-                for t in bucket {
-                    f(t);
-                }
-            }
+            seg.arena.for_each(&mut |t| f(t));
         }
     }
 
     fn seal_segment(&mut self) {
         if self.live.len() > 0 {
-            self.sealed.push(std::mem::take(&mut self.live));
+            let live = std::mem::replace(&mut self.live, Segment::new(self.hash));
+            self.sealed.push(live);
         }
     }
 
@@ -338,14 +488,14 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_grouping_equals_independent_probes() {
+    fn probe_batch_equals_independent_probes() {
         let mut idx = SymmetricHashIndex::new();
         for i in 0..200u64 {
             let key = (i as i64 * 13) % 23;
             idx.insert(if i % 4 == 0 { r(i, key) } else { s(i, key) });
         }
-        // Heavy key duplication in the probe batch (the skew case the
-        // grouping optimises).
+        // Heavy key duplication in the probe batch, against key-sides
+        // long enough to be runs.
         let probes: Vec<Tuple> = (0..64u64)
             .map(|i| {
                 let key = (i as i64 * 7) % 5;
@@ -407,5 +557,82 @@ mod tests {
         idx.for_each(&mut |_| n += 1);
         assert_eq!(n, 2);
         assert_eq!(idx.snapshot().len(), 2);
+    }
+
+    #[test]
+    fn iteration_order_is_independent_of_the_salt() {
+        // Hot keys (promoted to runs) and cold ones, across a seal: two
+        // indexes with independent salts iterate, extract and drain in
+        // the same order.
+        let tuples: Vec<Tuple> = (0..300u64)
+            .map(|i| {
+                let key = if i % 3 == 0 { 7 } else { i as i64 * 31 };
+                if i % 2 == 0 {
+                    r(i, key)
+                } else {
+                    s(i, key)
+                }
+            })
+            .collect();
+        let build = || {
+            let mut idx = SymmetricHashIndex::new();
+            idx.insert_batch(&tuples[..150]);
+            idx.seal_segment();
+            idx.insert_batch(&tuples[150..]);
+            idx
+        };
+        let (mut a, mut b) = (build(), build());
+        assert_ne!(a.hash.salt, b.hash.salt);
+        assert_eq!(a.snapshot(), b.snapshot());
+        let pulled = a.extract(&mut |t| t.seq % 5 == 0);
+        assert_eq!(pulled, b.extract(&mut |t| t.seq % 5 == 0));
+        assert_eq!(a.drain(), b.drain());
+        // With no key-side promoted, iteration is insertion order.
+        let cold: Vec<Tuple> = tuples.iter().filter(|t| t.key != 7).copied().collect();
+        let mut c = SymmetricHashIndex::new();
+        c.insert_batch(&cold);
+        assert_eq!(c.snapshot(), cold);
+    }
+
+    #[test]
+    fn hot_key_sides_promote_and_shrink_back() {
+        let mut idx = SymmetricHashIndex::new();
+        for i in 0..40u64 {
+            idx.insert(r(i, 1));
+        }
+        assert_eq!(idx.live.arena.runs.len(), 1, "40 tuples promote to a run");
+        assert_eq!(idx.probe_count(&s(99, 1)).matches, 40);
+        let removed = idx.extract(&mut |t| t.seq >= 3);
+        assert_eq!(removed.len(), 37);
+        assert!(idx.live.arena.runs.is_empty(), "three tuples are a chain");
+        let mut partners = Vec::new();
+        idx.probe(&s(100, 1), &mut |t| partners.push(t.seq));
+        partners.sort_unstable();
+        assert_eq!(partners, vec![0, 1, 2]);
+        for i in 40..60u64 {
+            idx.insert(r(i, 1));
+        }
+        assert_eq!(idx.live.arena.runs.len(), 1);
+        assert_eq!(idx.probe_count(&s(101, 1)).matches, 23);
+    }
+
+    #[test]
+    fn stream_batch_pairs_within_the_batch() {
+        let mut idx = SymmetricHashIndex::new();
+        idx.insert(r(0, 5));
+        idx.seal_segment();
+        let batch = [s(1, 5), r(2, 5), s(3, 5), s(4, 6)];
+        let mut pairs = Vec::new();
+        let stats = idx.stream_batch(&batch, &mut |i, m| pairs.push((batch[i].seq, m.seq)));
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(1, 0), (2, 1), (3, 0), (3, 2)]);
+        assert_eq!((stats.candidates, stats.matches), (4, 4));
+        assert_eq!(idx.len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "hash index segment overflow")]
+    fn slot_indices_refuse_to_wrap() {
+        index_u32(RUN as usize - 1);
     }
 }

@@ -5,7 +5,7 @@
 //! keys pile onto few machines, which is precisely what Table 2
 //! demonstrates. Only valid for equi-joins.
 
-use aoj_core::index::{process_stream_batch, JoinIndex, ProbeStats};
+use aoj_core::index::{JoinIndex, ProbeStats};
 use aoj_core::ticket::mix64;
 use aoj_core::tuple::Tuple;
 use aoj_joinalg::{SpillGauge, SymmetricHashIndex};
@@ -164,11 +164,11 @@ impl Process<OpMsg> for ShjJoiner {
                 tuples, arrived, ..
             } => {
                 let n = tuples.len() as u64;
-                // One bulk pass: grouped probes against the hash state,
-                // intra-batch pairs included (stream semantics).
+                // One bulk pass against the hash state, intra-batch pairs
+                // included (stream semantics).
                 let mut per_tuple = vec![0u32; tuples.len()];
                 let (stats, _): (ProbeStats, _) = self.tally.emit(|em| {
-                    process_stream_batch(&mut self.index, &tuples, &mut |i, stored| {
+                    self.index.stream_batch(&tuples, &mut |i, stored| {
                         per_tuple[i] += 1;
                         em.pair(&tuples[i], stored);
                     })

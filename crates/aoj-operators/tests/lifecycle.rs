@@ -616,6 +616,35 @@ fn restoring_a_cursor_zero_checkpoint_equals_a_fresh_start() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A checkpoint is a function of the session's inputs: two simulator
+/// sessions with the same builder, seed and stream write byte-identical
+/// files. Joiner state is serialised in the index's own iteration order,
+/// so an index that iterates in a per-process hash order (`RandomState`)
+/// reshuffles the tuples in the file from run to run.
+#[test]
+fn same_inputs_write_byte_identical_checkpoints() {
+    let seed = 0x11FE_000C;
+    let w = workload(2_000, 2_000, 300, seed);
+    let arrivals = interleave(&w, seed);
+    let cut = arrivals.len() * 3 / 5;
+    let files: Vec<Vec<u8>> = (0..2)
+        .map(|run| {
+            let path = ckpt_path(&format!("deterministic-{run}.ckpt"));
+            let mut session = JoinSession::open(sawtooth_builder(&w, seed, BackendChoice::Sim));
+            session.push_batch(arrivals[..cut].iter().copied()).unwrap();
+            session.checkpoint(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        })
+        .collect();
+    assert!(files[0].len() > 1_000, "the checkpoint holds joiner state");
+    assert!(
+        files[0] == files[1],
+        "two identical sessions wrote different checkpoints"
+    );
+}
+
 /// A windowed checkpoint restores the window clock too: continuing the
 /// stream keeps evicting, stats stay continuous (the evicted counter
 /// never goes backwards across the restore), and storage stays bounded
