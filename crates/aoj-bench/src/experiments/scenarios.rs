@@ -437,18 +437,20 @@ fn imbalance(r: &RunReport, load: impl Fn(&MachineStats) -> u64) -> f64 {
 /// cell — so the reshufflers may spread a hot key's build tuples across
 /// whole joiner rows and round-robin its probes across columns without
 /// changing the output. Per Zipf exponent and backend the same band-join
-/// runs **keyed** (skew-blind: the Zipf head piles onto one joiner) and
+/// runs **keyed** (skew-blind: the Zipf head piles onto one joiner),
 /// **split** ([`RoutingMode::KeyedHotSplit`]: the reshufflers' mergeable
-/// SpaceSaving sketches flag the head keys online); every run must emit
-/// the keyed simulator run's multiset. The payoff is hardware-independent
-/// in two forms: **processing imbalance** `max(matches) / mean(matches)`
-/// over the joiners — where the match work sat — and the simulator's
+/// SpaceSaving sketches flag the head keys online) and **random** (the
+/// paper's content-insensitive default, [`RoutingMode::Random`], whose
+/// sketches see a 1-in-64 sample); every run must emit the keyed
+/// simulator run's multiset. The payoff is hardware-independent in two
+/// forms: **processing imbalance** `max(matches) / mean(matches)` over
+/// the joiners — where the match work sat — and the simulator's
 /// **modelled makespan**, where the `J` machines genuinely overlap (a
 /// live backend gains only as far as the host has spare hardware threads).
 pub fn run_skew() {
     let j = 4u32;
     banner(&format!(
-        "skew handling: Zipf band-join J={j}, keyed vs hot-split routing, \
+        "skew handling: Zipf band-join J={j}, keyed vs hot-split vs random routing, \
          z in [1.0, 1.4], sim, threaded, tcp"
     ));
     let mut rows: Vec<(String, RunReport)> = Vec::new();
@@ -466,11 +468,16 @@ pub fn run_skew() {
                 .with_routing(routing)
                 .with_window_copies(0)
         };
-        let (keyed, split) = (cfg(RoutingMode::Keyed), cfg(RoutingMode::KeyedHotSplit));
+        let (keyed, split, random) = (
+            cfg(RoutingMode::Keyed),
+            cfg(RoutingMode::KeyedHotSplit),
+            cfg(RoutingMode::Random),
+        );
         let witness = sim_witness(&keyed, &arrivals);
         for backend in [Sim, Threaded, Tcp] {
             let keyed = run_verified(&keyed, &arrivals, backend, &witness);
             let split = run_verified(&split, &arrivals, backend, &witness);
+            let random = run_verified(&random, &arrivals, backend, &witness);
             if head_heavy {
                 let label = keyed.backend;
                 let keyed_imb = imbalance(&keyed, |m| m.matches);
@@ -489,6 +496,7 @@ pub fn run_skew() {
             rows.extend([
                 (format!("z{z}-keyed"), keyed),
                 (format!("z{z}-split"), split),
+                (format!("z{z}-random"), random),
             ]);
         }
     }
@@ -504,9 +512,6 @@ pub fn run_skew() {
                 format!("{:.2}", imbalance(r, |m| m.stored_bytes))
             }),
             ("virtual (s)", |(_, r)| virtual_secs(r)),
-            ("sketch p99/p50", |(_, r)| {
-                format!("{:.2}", r.skew.skew_ratio)
-            }),
             ("hot keys", |(_, r)| r.skew.hot_keys.len().to_string()),
         ],
     );

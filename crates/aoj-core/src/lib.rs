@@ -18,10 +18,9 @@
 //! | §4.2.2 elasticity, Fig. 5, Theorem 4.3 | [`elastic`] |
 //! | §5.4 `ILF/ILF*` instrumentation (Fig. 8c) | [`competitive`] |
 //!
-//! Beyond the paper, [`sketch`] adds mergeable streaming summaries
-//! (SpaceSaving heavy hitters + t-digest load quantiles) that make the
-//! routing layer skew-aware — a capability the original operator
-//! lacked — and [`fault`] adds the deterministic
+//! Beyond the paper, [`sketch`] adds mergeable SpaceSaving heavy-hitter
+//! summaries that make the routing layer skew-aware — a capability the
+//! original operator lacked — and [`fault`] adds the deterministic
 //! fault-injection plan, failure detector, and recovery bookkeeping
 //! behind the self-healing session layer.
 //!
@@ -65,6 +64,6 @@ pub use lifecycle::{
 pub use mapping::{GridAssignment, GridPos, Mapping, Step};
 pub use migration::{plan_step, MachineStepSpec, MigrationPlan, StateClass};
 pub use predicate::Predicate;
-pub use sketch::{HeavyHitter, SkewConfig, SkewRel, SkewSketch, SpaceSaving, TDigest};
+pub use sketch::{HeavyHitter, SkewConfig, SkewRel, SkewSketch, SpaceSaving};
 pub use ticket::RoutingMode;
 pub use tuple::{Rel, Tuple};

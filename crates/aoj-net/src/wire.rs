@@ -63,7 +63,7 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 10;
+pub const WIRE_VERSION: u8 = 11;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -752,12 +752,8 @@ wire_struct! {
         match_buffer: usize,
         track_competitive: bool,
     }
-    SkewConfig { keys: usize, centroids: usize, hot_num: u32, hot_den: u32, min_total: u64 }
-    SkewPolicy {
-        routing: RoutingMode,
-        sketch: SkewConfig,
-        publish_every: u64,
-    }
+    SkewConfig { keys: usize, hot_num: u32, hot_den: u32, min_total: u64 }
+    SkewPolicy { routing: RoutingMode, sketch: SkewConfig }
     // The plan every worker rebuilds its topology from. Encoding panics on
     // `Predicate::Theta` — an arbitrary closure cannot cross a process
     // boundary; every named predicate the paper evaluates round-trips.

@@ -734,7 +734,11 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // the queue capacity. `WIRE_VERSION` 10: `ElasticConfig` and `SkewPolicy`
 // each lost the ratio that armed a skew discount (off in every caller;
 // two `f64` rows, the eight zero bytes after `drain_driven` and the `2.5`
-// ahead of `publish_every`); no other pinned image moved.
+// ahead of `publish_every`); no other pinned image moved. `WIRE_VERSION`
+// 11: `SkewConfig` lost the t-digest's centroid limit (the `80 00…` word
+// after the sketch's key count) and `SkewPolicy` lost `publish_every`,
+// now a constant (the `00 10…` word after `min_total`); the gauge frame's
+// sketch words are opaque to the codec, so `GOLDEN_GAUGES` did not move.
 //
 // The same bump covers the two control-plane frames pinned below them:
 // [`GaugeSample`] is one word per [`Gauge`] (the `Matches` word is new)
@@ -872,7 +876,7 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "1208000000",
 ];
 
-const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d00000000000000200000000000000000000000000000000100000001000000000000000000000001000001000000000002000000000000000000000000000000000000000000000000010101e8030000000000000400000001020000000000000000010004000000000000000240000000000000008000000000000000010000001400000000000100000000000010000000000000";
+const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d00000000000000200000000000000000000000000000000100000001000000000000000000000001000001000000000002000000000000000000000000000000000000000000000000010101e80300000000000004000000010200000000000000000100040000000000000002400000000000000001000000140000000000010000000000";
 
 fn golden_gauge_sample() -> GaugeSample {
     GaugeSample {

@@ -169,28 +169,23 @@ pub fn harvest<'a>(
 pub struct SkewSummary {
     /// Keys above the heavy-hitter threshold, heaviest first.
     pub hot_keys: Vec<HeavyHitter>,
-    /// Median per-key load estimate (bytes).
-    pub load_p50: f64,
-    /// 99th-percentile per-key load estimate (bytes).
-    pub load_p99: f64,
-    /// `p99 / max(p50, 1)` — the trigger signal; 1.0 on uniform keys.
-    pub skew_ratio: f64,
     /// Total weight the merged sketches observed (0 = no shard has
     /// published yet, e.g. a run too short to reach a publish point).
+    /// Exact under the keyed routing modes; under
+    /// [`RoutingMode::Random`](aoj_core::ticket::RoutingMode::Random) an
+    /// unbiased estimate, since the sketches see a 1-in-64 sample of the
+    /// routed tuples weighted ×64.
     pub observed_bytes: u64,
 }
 
 impl SkewSummary {
     /// Summarise a merged sketch (or an empty summary for `None`).
     pub fn from_sketch(sketch: Option<SkewSketch>) -> SkewSummary {
-        let Some(mut sk) = sketch else {
+        let Some(sk) = sketch else {
             return SkewSummary::default();
         };
         SkewSummary {
             hot_keys: sk.hot_keys(),
-            load_p50: sk.load_quantile(0.5),
-            load_p99: sk.load_quantile(0.99),
-            skew_ratio: sk.skew_ratio(),
             observed_bytes: sk.total(),
         }
     }

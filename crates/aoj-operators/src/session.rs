@@ -1209,9 +1209,9 @@ pub struct SessionStats {
     /// Per-joiner-machine gauges, one entry per machine slot (dormant
     /// and retired slots read zero; eviction totals survive restore).
     pub machines: Vec<MachineStats>,
-    /// The live skew picture merged from every reshuffler's sketch:
-    /// heavy hitters, per-key load quantiles and the trigger ratio.
-    /// Empty until the first sketch publish (~4k routed tuples).
+    /// The live skew picture merged from every reshuffler's sketch: the
+    /// heavy hitters and the weight they were picked from. Empty until
+    /// the first sketch publish (~4k routed tuples).
     pub skew: SkewSummary,
 }
 

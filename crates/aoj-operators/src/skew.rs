@@ -6,15 +6,16 @@
 //! wire form. The board is how the rest of the system sees skew:
 //!
 //! * `stats()` / `RunReport` merge the published shards (deterministic
-//!   slot order) into the session-wide heavy-hitter and load-quantile
-//!   summaries;
+//!   slot order) into the session-wide heavy-hitter summary;
 //! * on the TCP backend the worker attaches each machine's published
 //!   parts to its gauge-sample frames, and the coordinator republishes
 //!   them into its own board — the same path `SharedGauges` travel.
 //!
 //! The board is read for reporting only: hot-key flagging uses each
 //! reshuffler's own sketch, and no migration or elasticity trigger reads
-//! either.
+//! either. Under [`RoutingMode::Random`] nothing routes by the sketch at
+//! all, so there it is fed a sample of one tuple in 64, chosen by the
+//! ticket the tuple draws anyway (see [`SkewState::ticket`]).
 //!
 //! Routing policy never affects exactness. In the matrix assignment any
 //! row and any column intersect in exactly one cell, so the ticket choice
@@ -30,9 +31,17 @@ use aoj_core::sketch::{SkewConfig, SkewRel, SkewSketch};
 use aoj_core::ticket::{column_ticket, keyed_ticket, RoutingMode, TicketGen};
 use aoj_core::tuple::Rel;
 
+/// Under [`RoutingMode::Random`] a reshuffler's sketch observes one routed
+/// tuple in `SAMPLE` (a power of two), weighted `SAMPLE ×` its bytes.
+const SAMPLE: u64 = 64;
+
+/// A reshuffler publishes its sketch to the board every this many routed
+/// tuples (flush points always publish).
+const PUBLISH_EVERY: u64 = 4096;
+
 /// Run-level skew-handling knobs (the `skew` section of
 /// [`SessionBuilder`](crate::session::SessionBuilder)).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SkewPolicy {
     /// How reshufflers pick tickets (default [`RoutingMode::Random`], the
     /// paper's content-insensitive operator — bit-identical to runs
@@ -40,19 +49,6 @@ pub struct SkewPolicy {
     pub routing: RoutingMode,
     /// Sketch sizing and the heavy-hitter threshold.
     pub sketch: SkewConfig,
-    /// Publish the local sketch to the board every this many routed
-    /// tuples (flush points always publish).
-    pub publish_every: u64,
-}
-
-impl Default for SkewPolicy {
-    fn default() -> SkewPolicy {
-        SkewPolicy {
-            routing: RoutingMode::Random,
-            sketch: SkewConfig::default(),
-            publish_every: 4096,
-        }
-    }
 }
 
 impl SkewPolicy {
@@ -146,7 +142,6 @@ pub struct SkewState {
     /// and tests; routing consults it through [`SkewState::ticket`]).
     pub sketch: SkewSketch,
     rr: u64,
-    publish_every: u64,
     since_publish: u64,
     board: Option<(Arc<SkewBoard>, usize)>,
 }
@@ -161,7 +156,6 @@ impl SkewState {
             salt,
             sketch: SkewSketch::new(policy.sketch),
             rr: 0,
-            publish_every: policy.publish_every.max(1),
             since_publish: 0,
             board: None,
         }
@@ -184,7 +178,14 @@ impl SkewState {
     ///
     /// [`RoutingMode::Random`] draws exactly one ticket from `tickets`
     /// per call, preserving bit-identical placement with runs that
-    /// predate skew handling.
+    /// predate skew handling. Nothing routes by the sketch in that mode,
+    /// so it observes only tuples whose ticket has its low `log2 SAMPLE`
+    /// bits clear, weighted `SAMPLE ×` their bytes: the ticket is uniform
+    /// and independent of the key, so this is an unbiased Bernoulli
+    /// sample that needs no counter and is deterministic per seed (a
+    /// fixed stride would alias with any stream whose relation or key
+    /// pattern repeats). The keyed modes route by the sketch and observe
+    /// every tuple.
     pub fn ticket(
         &mut self,
         tickets: &mut TicketGen,
@@ -197,16 +198,17 @@ impl SkewState {
             Rel::R => SkewRel::R,
             Rel::S => SkewRel::S,
         };
-        self.sketch.observe(srel, key, bytes as u64);
-        self.since_publish += 1;
-        if self.since_publish >= self.publish_every {
-            self.publish();
-        }
-        match self.mode {
-            RoutingMode::Random => tickets.next(),
-            RoutingMode::Keyed => keyed_ticket(key, self.salt),
-            RoutingMode::KeyedHotSplit => {
-                if self.sketch.is_hot(key) {
+        let ticket = match self.mode {
+            RoutingMode::Random => {
+                let ticket = tickets.next();
+                if ticket & (SAMPLE - 1) == 0 {
+                    self.sketch.observe(srel, key, u64::from(bytes) * SAMPLE);
+                }
+                ticket
+            }
+            mode => {
+                self.sketch.observe(srel, key, u64::from(bytes));
+                if mode == RoutingMode::KeyedHotSplit && self.sketch.is_hot(key) {
                     match rel {
                         // Hot build side: spread replicas over every row
                         // (a fresh uniform ticket), so no single row
@@ -225,7 +227,12 @@ impl SkewState {
                     keyed_ticket(key, self.salt)
                 }
             }
+        };
+        self.since_publish += 1;
+        if self.since_publish >= PUBLISH_EVERY {
+            self.publish();
         }
+        ticket
     }
 
     /// Publish the local sketch to the board now (also called on flush
@@ -326,28 +333,66 @@ mod tests {
         assert!(board.parts(0).is_some());
     }
 
+    /// Under `Random` the sketch sees a ticket-chosen sample scaled back
+    /// up: its total is a whole number of `SAMPLE × bytes` weights, the
+    /// same seed samples the same tuples, and a strict R,S alternation
+    /// (which a 1-in-64 counter would sample on one side only) shows both
+    /// relations. The keyed modes count every tuple exactly.
+    #[test]
+    fn random_mode_samples_by_ticket_and_keyed_modes_count_exactly() {
+        let n = 20_000u64;
+        let run = |policy: SkewPolicy| {
+            let mut st = SkewState::new(policy, 3);
+            let mut gen = TicketGen::new(17);
+            for i in 0..n {
+                // Key = relation, so each relation's key carries half.
+                let (rel, key) = if i % 2 == 0 { (Rel::R, 0) } else { (Rel::S, 1) };
+                st.ticket(&mut gen, rel, key, 64, 2);
+            }
+            st.sketch
+        };
+        let sampled = run(SkewPolicy::default());
+        let truth = n * 64;
+        assert_eq!(sampled.total() % (SAMPLE * 64), 0);
+        assert_eq!(sampled.total(), run(SkewPolicy::default()).total());
+        // ~312 samples: the estimate sits within a few standard errors.
+        assert!(
+            sampled.total().abs_diff(truth) < truth / 4,
+            "sampled total {} far from {truth}",
+            sampled.total()
+        );
+        let mut hot: Vec<i64> = sampled.hot_keys().iter().map(|h| h.key).collect();
+        hot.sort_unstable();
+        assert_eq!(hot, [0, 1], "both relations must be sampled");
+        for mode in [RoutingMode::Keyed, RoutingMode::KeyedHotSplit] {
+            let exact = run(SkewPolicy::default().with_routing(mode));
+            assert_eq!(exact.total(), truth, "{mode:?} observes every tuple");
+        }
+    }
+
     #[test]
     fn state_publishes_on_interval_and_on_demand() {
         let board = SkewBoard::new(1);
-        let mut st = SkewState::new(
-            SkewPolicy {
-                publish_every: 10,
-                ..SkewPolicy::default()
-            },
-            0,
-        )
-        .with_board(board.clone(), 0);
+        // A keyed policy observes every tuple, so the totals are exact.
+        let mut st = SkewState::new(SkewPolicy::default().with_routing(RoutingMode::Keyed), 0)
+            .with_board(board.clone(), 0);
         let mut gen = TicketGen::new(0);
-        for i in 0..9 {
+        for i in 0..PUBLISH_EVERY as i64 - 1 {
             st.ticket(&mut gen, Rel::R, i, 64, 2);
         }
         assert!(board.parts(0).is_none(), "below the publish interval");
-        st.ticket(&mut gen, Rel::R, 9, 64, 2);
+        st.ticket(&mut gen, Rel::R, -1, 64, 2);
         let auto = board.parts(0).expect("interval publish");
-        assert_eq!(SkewSketch::from_parts(&auto).unwrap().total(), 10 * 64);
-        st.ticket(&mut gen, Rel::R, 10, 64, 2);
+        assert_eq!(
+            SkewSketch::from_parts(&auto).unwrap().total(),
+            PUBLISH_EVERY * 64
+        );
+        st.ticket(&mut gen, Rel::R, -2, 64, 2);
         st.publish();
         let forced = board.parts(0).expect("forced publish");
-        assert_eq!(SkewSketch::from_parts(&forced).unwrap().total(), 11 * 64);
+        assert_eq!(
+            SkewSketch::from_parts(&forced).unwrap().total(),
+            (PUBLISH_EVERY + 1) * 64
+        );
     }
 }

@@ -10,10 +10,16 @@
 //! sorted `(R seq, S seq)` multisets across backends exercises exactly
 //! that guarantee on real threads.
 
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
 use aoj_core::predicate::Predicate;
+use aoj_core::tuple::Rel;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::{run, BackendChoice, ElasticConfig, OperatorKind, SessionBuilder};
+use aoj_operators::{
+    run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, RunReport, SessionBuilder,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,7 +44,7 @@ const ELASTIC_WINDOW: u64 = 64 * 2;
 
 /// TCP runs record a process-global [`aoj_net::last_run_summary`], so
 /// the tests asserting on it must not interleave their runs.
-static TCP_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static TCP_RUNS: Mutex<()> = Mutex::new(());
 
 /// A lopsided, moderately skewed workload: R dimension-like, S fact-like,
 /// overlapping key space so the join produces real output.
@@ -170,7 +176,7 @@ fn elastic_dynamic_expands_live_and_stays_exact_across_backends() {
 /// so this exercises the wire codec, the per-class sockets, and the
 /// connection-level EOS/drain protocol end to end.
 fn run_sim_vs_tcp(kind: OperatorKind, predicate: Predicate, seed: u64) {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let w = workload(predicate, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
@@ -215,13 +221,51 @@ fn tcp_shj_join_results_match_sim() {
     run_sim_vs_tcp(OperatorKind::Shj, Predicate::Equi, 0x54_2014);
 }
 
+/// Runs an elastic session on the TCP backend, pushing `arrivals` in two
+/// parts so the expansion trigger can see the fill.
+///
+/// Stored-byte gauges reach the controller only through the workers'
+/// periodic gauge frames, and a few-thousand-tuple stream drains in
+/// about one relay period. So this pushes three fifths of the stream,
+/// waits until the coordinator sees both initial joiners past the
+/// trigger's `capacity/2`, lets a few more frames land, and only then
+/// pushes the rest: the trigger is evaluated as that ingest reaches the
+/// controller.
+fn run_tcp_elastic(cfg: SessionBuilder, arrivals: &[(Rel, StreamItem)]) -> RunReport {
+    let half = cfg
+        .elasticity
+        .elastic
+        .expect("an elastic run")
+        .capacity_bytes
+        / 2;
+    let mut session = JoinSession::open(cfg.with_backend(BackendChoice::Tcp));
+    let (head, tail) = arrivals.split_at(arrivals.len() * 3 / 5);
+    session.push_batch(head.iter().copied()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = session.stats();
+        if stats.machines[..2].iter().all(|m| m.stored_bytes > half) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the initial joiners never reported {half} stored bytes: {:?}",
+            stats.machines
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    session.push_batch(tail.iter().copied()).unwrap();
+    session.close()
+}
+
 /// The elastic Dynamic operator on the TCP backend: a live ×4 expansion
 /// must fire **mid-stream**, provisioning real worker processes at
 /// trigger time, and the join multiset must still be exactly the
 /// non-elastic simulator reference.
 #[test]
 fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
@@ -236,7 +280,7 @@ fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
     let reference = run(&arrivals, &base_cfg);
     assert!(reference.matches > 0, "vacuous workload");
 
-    let report = run(&arrivals, &cfg.with_backend(BackendChoice::Tcp));
+    let report = run_tcp_elastic(cfg, &arrivals);
     assert!(report.expansions >= 1, "no live expansion fired");
     assert_eq!(report.final_mapping.j(), 8, "cluster did not reach 4×J₀");
     assert_eq!(
@@ -266,7 +310,7 @@ fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
 /// (waitpid-confirmed), and the join multiset stays exact.
 #[test]
 fn tcp_contraction_retires_processes_and_stays_exact() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
@@ -286,7 +330,7 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     base_cfg.elasticity.elastic = None;
     let reference = run(&arrivals, &base_cfg);
 
-    let report = run(&arrivals, &cfg.with_backend(BackendChoice::Tcp));
+    let report = run_tcp_elastic(cfg, &arrivals);
     assert!(report.expansions >= 1, "no expansion fired");
     assert!(report.contractions >= 1, "no contraction fired");
     assert_eq!(
@@ -372,12 +416,12 @@ fn hot_key_workload(nr: usize, ns: usize, seed: u64) -> Workload {
 }
 
 fn hot_split_session(
-    arrivals: &[(aoj_core::tuple::Rel, StreamItem)],
+    arrivals: &[(Rel, StreamItem)],
     w: &Workload,
     seed: u64,
     backend: BackendChoice,
-) -> aoj_operators::RunReport {
-    let builder = aoj_operators::SessionBuilder::new(2, OperatorKind::Dynamic)
+) -> RunReport {
+    let builder = SessionBuilder::new(2, OperatorKind::Dynamic)
         .with_predicate(w.predicate.clone())
         .with_workload(w.name)
         .with_seed(seed)
@@ -388,7 +432,7 @@ fn hot_split_session(
         .with_elastic(ElasticConfig::new(64 << 10, 1))
         .with_window_copies(ELASTIC_WINDOW)
         .with_collect_matches(true);
-    let mut session = aoj_operators::JoinSession::open(builder);
+    let mut session = JoinSession::open(builder);
     session.push_batch(arrivals.iter().copied()).unwrap();
     session.close()
 }
@@ -400,7 +444,7 @@ fn hot_split_session(
 /// join multiset is bit-identical to the skew-blind simulator reference.
 #[test]
 fn hot_key_replication_stays_exact_across_backends_and_expansion() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0x407_2014;
     let w = hot_key_workload(500, 5_000, seed);
@@ -412,6 +456,14 @@ fn hot_key_replication_stays_exact_across_backends_and_expansion() {
     base_cfg.seed = seed;
     let reference = run(&arrivals, &base_cfg);
     assert!(reference.matches > 0, "vacuous workload");
+    // Random routing feeds its sketches a 1-in-64 ticket-chosen sample,
+    // which still finds a key carrying ~30% of the stream.
+    assert!(
+        reference.skew.hot_keys.iter().any(|h| h.key == 0),
+        "the sampled sketch missed the hot key (hot: {:?}, observed {} bytes)",
+        reference.skew.hot_keys,
+        reference.skew.observed_bytes
+    );
 
     for backend in [
         BackendChoice::Sim,

@@ -9,6 +9,8 @@
 //! it, and compares the delivered `(R seq, S seq)` multiset against a
 //! fault-free simulator witness of the same seeded workload.
 
+use std::sync::{Mutex, PoisonError};
+
 use aoj_core::fault::FaultPlan;
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{StreamItem, Workload};
@@ -26,7 +28,7 @@ aoj_net::worker_entry!();
 
 /// TCP runs record a process-global [`aoj_net::last_run_summary`], so
 /// the tests asserting on it must not interleave their runs.
-static TCP_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static TCP_RUNS: Mutex<()> = Mutex::new(());
 
 fn workload(nr: usize, ns: usize, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -216,7 +218,7 @@ fn threaded_crash_near_expansion_recovers() {
 /// witness exactly.
 #[test]
 fn tcp_sigkill_detect_respawn_exactly_once() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0xFA_0005;
     let w = workload(300, 3_000, seed);
@@ -249,7 +251,7 @@ fn tcp_sigkill_detect_respawn_exactly_once() {
 /// base — and still be exactly-once.
 #[test]
 fn tcp_sigkill_without_checkpoint_replays_from_scratch() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0xFA_0006;
     let w = workload(200, 2_000, seed);

@@ -17,6 +17,7 @@
 //! * the elastic 4→1 contraction arms from genuine eviction drain, with
 //!   no stream-position hold-off configured.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use aoj_core::lifecycle::WindowSpec;
@@ -37,7 +38,7 @@ aoj_net::worker_entry!();
 /// TCP runs record a process-global [`aoj_net::last_run_summary`] and
 /// spawn a process per machine, so the tests using them do not
 /// interleave their runs.
-static TCP_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static TCP_RUNS: Mutex<()> = Mutex::new(());
 
 const BACKENDS: [BackendChoice; 3] = [
     BackendChoice::Sim,
@@ -414,7 +415,7 @@ fn sawtooth_builder(w: &Workload, seed: u64, backend: BackendChoice) -> SessionB
 /// in their finals).
 #[test]
 fn restore_mid_sawtooth_multiset_identity_across_backends() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0x11FE_0004;
     let w = workload(2_000, 2_000, 300, seed);
@@ -465,7 +466,7 @@ fn restore_mid_sawtooth_multiset_identity_across_backends() {
 /// backend took the checkpoint.
 #[test]
 fn restore_with_replay_is_exactly_once() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0x11FE_0005;
     let w = workload(700, 700, 120, seed);
@@ -653,7 +654,7 @@ fn same_inputs_write_byte_identical_checkpoints() {
 /// checkpointing session's final report.)
 #[test]
 fn windowed_restore_carries_the_eviction_counters() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0x11FE_0007;
     let span = 1_000u64;
@@ -707,7 +708,7 @@ fn windowed_restore_carries_the_eviction_counters() {
 /// pair well inside the window present, nothing but join pairs.
 #[test]
 fn supervised_windowed_tcp_session_rotates_and_closes() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0x11FE_000B;
     // Shorter than the cadence: a restore flattens the checkpointed

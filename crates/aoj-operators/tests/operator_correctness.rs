@@ -142,7 +142,7 @@ fn shj_is_exact_for_equi_joins() {
          migration_bytes: 0, migrations: 0, expansions: 0, contractions: 0, \
          expand_transfers: [], contract_transfers: [], provisioned_machines: 17, \
          peak_provisioned_machines: 17, machines: [], \
-         skew: SkewSummary { hot_keys: [], load_p50: 0.0, load_p99: 0.0, skew_ratio: 0.0, \
+         skew: SkewSummary { hot_keys: [], \
          observed_bytes: 0 }, max_spilled_bytes: 0, avg_latency_us: 632.8030785562632, \
          p50_latency_us: 1023, p99_latency_us: 1674, max_latency_us: 1674, \
          final_mapping: Mapping { n: 1, m: 1 }, samples: [], events: [], competitive: [], \

@@ -13,6 +13,7 @@
 //!   and the per-machine counts add up to the session total once the
 //!   pushed input has drained.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use aoj_core::predicate::Predicate;
@@ -28,7 +29,7 @@ aoj_net::worker_entry!();
 
 /// TCP runs record a process-global [`aoj_net::last_run_summary`], so
 /// they must not interleave within this binary.
-static TCP_RUNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static TCP_RUNS: Mutex<()> = Mutex::new(());
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -686,7 +687,7 @@ fn dropping_one_subscriber_leaves_the_rest_exact() {
 /// on a TCP session too.
 #[test]
 fn machine_matches_are_live_on_tcp() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0xFA_0005;
     let w = workload(150, 1_350, 120, seed);
@@ -711,7 +712,7 @@ fn machine_matches_are_live_on_tcp() {
 
 #[test]
 fn multiple_subscribers_fan_out_on_tcp() {
-    let _serial = TCP_RUNS.lock().unwrap();
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0xFA_0004;
     let w = workload(150, 1_350, 120, seed);
