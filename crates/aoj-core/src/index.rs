@@ -4,10 +4,10 @@
 //! adopted at each joiner task." [`JoinIndex`] is that plug-in point: a
 //! two-sided tuple store that supports the insert/probe pattern of local
 //! non-blocking joins plus the bulk operations migrations need (drain,
-//! filtered extraction, iteration). `aoj-joinalg` provides indexed
-//! implementations (symmetric hash, B-tree band, nested loop);
-//! [`VecIndex`] here is the obvious-by-inspection reference used by tests
-//! and by the epoch-protocol correctness proofs.
+//! filtered extraction, iteration). `aoj-joinalg` provides the indexed
+//! implementations (symmetric hash, B-tree band); [`VecIndex`] here is
+//! the obvious-by-inspection reference used by tests, by the
+//! epoch-protocol correctness proofs and for arbitrary theta predicates.
 
 use crate::lifecycle::EvictStats;
 use crate::predicate::Predicate;
@@ -79,10 +79,10 @@ pub trait JoinIndex: Send {
     /// Semantically identical to `probes.iter().map(|t| self.probe(t))` —
     /// probes are **not** matched against each other and are **not**
     /// inserted — but implementations may amortise the per-probe index
-    /// work across the batch (sorting and merging a range scan, sharing
-    /// bucket lookups between equal keys). The invocation *order* of
-    /// `on_match` is unspecified; the per-probe match sets and the summed
-    /// [`ProbeStats`] are not.
+    /// work across the batch ([`VecIndex`] serves every probe with one
+    /// pass over its state) or skip the default's per-match filter call.
+    /// The invocation *order* of `on_match` is unspecified; the per-probe
+    /// match sets and the summed [`ProbeStats`] are not.
     fn probe_batch(
         &mut self,
         probes: &[Tuple],
@@ -110,8 +110,10 @@ pub trait JoinIndex: Send {
     /// maximal single-relation runs therefore lets a whole run probe via
     /// [`probe_batch`](JoinIndex::probe_batch) before any of it is
     /// inserted, with earlier runs already in the index when later runs
-    /// probe — no intra-batch pair is missed or duplicated. An index
-    /// whose probe and insert share one lookup per tuple overrides this.
+    /// probe — no intra-batch pair is missed or duplicated. Both indexed
+    /// implementations override this with a per-tuple loop: the hash
+    /// index shares one map entry between probe and insert, and the band
+    /// index's range scan costs the same in or out of a batch.
     fn stream_batch(
         &mut self,
         batch: &[Tuple],

@@ -1,6 +1,10 @@
 //! B-tree-indexed band join: the paper's joiners "use balanced binary
 //! trees for band joins" (§5). A probe for key `k` with band width `w`
-//! scans the opposite tree over `[k − w, k + w]`.
+//! scans the opposite tree over `[k − w, k + w]`: O(log n + band) per
+//! tuple, and batches are served one such scan per tuple. Sorting a batch
+//! and merging it against the tree instead walks every bucket between
+//! the batch's smallest and largest key; it lost to per-tuple scans at
+//! every key-space density measured (5× at 20k Zipf keys, 13× at 125k).
 
 use std::collections::BTreeMap;
 
@@ -69,52 +73,28 @@ impl BandIndex {
             .iter_mut()
             .chain(std::iter::once(&mut self.live))
     }
-}
 
-/// Merge one sorted `(key, probe index)` run against one segment's tree:
-/// a single ascending pass maintains the sliding window of buckets
-/// covering the current probe's band (see
-/// [`JoinIndex::probe_batch`] docs in the impl below).
-fn probe_merge(
-    side: &BTreeMap<i64, Vec<Tuple>>,
-    width: i64,
-    order: &[(i64, u32)],
-    stats: &mut ProbeStats,
-    on_match: &mut dyn FnMut(usize, &Tuple),
-) {
-    let global_lo = order[0].0.saturating_sub(width);
-    let mut fresh = side.range(global_lo..);
-    let mut next_bucket = fresh.next();
-    // The window is a grow-only Vec plus a start cursor (probes
-    // ascend, so evicted buckets never return): contiguous
-    // iteration in the innermost per-match loop, no ring-buffer
-    // wrap checks.
-    let mut window: Vec<(i64, &Vec<Tuple>)> = Vec::new();
-    let mut start = 0usize;
-    for &(key, i) in order {
-        let i = i as usize;
-        let lo = key.saturating_sub(width);
-        let hi = key.saturating_add(width);
-        while let Some((&k, bucket)) = next_bucket {
-            if k > hi {
-                break;
-            }
-            window.push((k, bucket));
-            next_bucket = fresh.next();
+    /// The opposite relation's buckets in `t`'s band `[k − w, k + w]`:
+    /// one B-tree range scan per segment.
+    fn band(&self, t: &Tuple) -> impl Iterator<Item = &Vec<Tuple>> {
+        let lo = t.key.saturating_sub(self.width);
+        let hi = t.key.saturating_add(self.width);
+        let other = t.rel.other();
+        self.segments()
+            .flat_map(move |seg| seg.side(other).range(lo..=hi).map(|(_, bucket)| bucket))
+    }
+
+    /// Unfiltered probe: every tuple in the band matches, so both counts
+    /// are the in-band bucket lengths.
+    fn scan(&self, t: &Tuple, on_match: &mut impl FnMut(&Tuple)) -> ProbeStats {
+        let mut n = 0;
+        for bucket in self.band(t) {
+            n += bucket.len() as u64;
+            bucket.iter().for_each(&mut *on_match);
         }
-        while start < window.len() && window[start].0 < lo {
-            start += 1;
-        }
-        // Window invariant: every bucket key in [start..] is in
-        // [lo, hi] — keys below lo were just skipped, and nothing
-        // above this probe's hi was pulled in (earlier probes
-        // have smaller keys, so smaller his).
-        for &(_, bucket) in &window[start..] {
-            stats.candidates += bucket.len() as u64;
-            stats.matches += bucket.len() as u64;
-            for other in bucket {
-                on_match(i, other);
-            }
+        ProbeStats {
+            candidates: n,
+            matches: n,
         }
     }
 }
@@ -143,17 +123,12 @@ impl JoinIndex for BandIndex {
         on_match: &mut dyn FnMut(&Tuple),
     ) -> ProbeStats {
         let mut stats = ProbeStats::default();
-        let lo = t.key.saturating_sub(self.width);
-        let hi = t.key.saturating_add(self.width);
-        let other_rel = t.rel.other();
-        for seg in self.sealed.iter().chain(std::iter::once(&self.live)) {
-            for (_, bucket) in seg.side(other_rel).range(lo..=hi) {
-                stats.candidates += bucket.len() as u64;
-                for other in bucket {
-                    if filter(other) {
-                        stats.matches += 1;
-                        on_match(other);
-                    }
+        for bucket in self.band(t) {
+            stats.candidates += bucket.len() as u64;
+            for other in bucket {
+                if filter(other) {
+                    stats.matches += 1;
+                    on_match(other);
                 }
             }
         }
@@ -165,39 +140,23 @@ impl JoinIndex for BandIndex {
         probes: &[Tuple],
         on_match: &mut dyn FnMut(usize, &Tuple),
     ) -> ProbeStats {
-        if probes.len() == 1 {
-            // A single-tuple run: the plain range scan, no sort overhead.
-            return self.probe_filtered(&probes[0], &mut |_| true, &mut |s| on_match(0, s));
-        }
-        // Sort the probes by key and merge once against the opposite
-        // tree: instead of N independent `range(k−w ..= k+w)` descents, a
-        // single ascending pass maintains the sliding window of buckets
-        // covering the current probe's band. Each tree bucket is pulled
-        // into the window once; overlapping bands rescan only the window.
-        // Sorting (key, index) pairs keeps the comparator free of random
-        // probe-array loads. Each segment is merged with the same run.
         let mut stats = ProbeStats::default();
-        for rel in [Rel::R, Rel::S] {
-            let mut order: Vec<(i64, u32)> = probes
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.rel == rel)
-                .map(|(i, t)| (t.key, i as u32))
-                .collect();
-            if order.is_empty() {
-                continue;
-            }
-            order.sort_unstable();
-            let other_rel = rel.other();
-            for seg in self.sealed.iter().chain(std::iter::once(&self.live)) {
-                probe_merge(
-                    seg.side(other_rel),
-                    self.width,
-                    &order,
-                    &mut stats,
-                    on_match,
-                );
-            }
+        for (i, t) in probes.iter().enumerate() {
+            stats += self.scan(t, &mut |other| on_match(i, other));
+        }
+        stats
+    }
+
+    /// Each tuple in stream order: its own range scan, then its insert.
+    fn stream_batch(
+        &mut self,
+        batch: &[Tuple],
+        on_match: &mut dyn FnMut(usize, &Tuple),
+    ) -> ProbeStats {
+        let mut stats = ProbeStats::default();
+        for (i, t) in batch.iter().enumerate() {
+            stats += self.scan(t, &mut |other| on_match(i, other));
+            self.insert(*t);
         }
         stats
     }
@@ -373,22 +332,38 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_merge_equals_independent_range_scans() {
-        // Random-ish keys, duplicates, overlapping bands, extreme values:
-        // the sorted merge must agree with N independent probes, match
-        // for match and stat for stat.
+    fn stream_batch_equals_per_tuple_probe_then_insert() {
+        // Duplicates, overlapping bands, intra-batch pairs, a sealed
+        // segment and extreme keys: a 64-tuple mixed batch must match the
+        // per-tuple probe-then-insert loop, match for match and stat for
+        // stat.
         for width in [0i64, 1, 3, 17] {
-            let mut idx = BandIndex::new(width);
+            let mut bulk = BandIndex::new(width);
+            let mut twin = BandIndex::new(width);
             for i in 0..300u64 {
                 let key = ((i as i64 * 67) % 97) - 48;
-                idx.insert(if i % 3 == 0 { r(i, key) } else { s(i, key) });
+                let t = if i % 3 == 0 { r(i, key) } else { s(i, key) };
+                bulk.insert(t);
+                twin.insert(t);
+                if i == 150 {
+                    bulk.seal_segment();
+                    twin.seal_segment();
+                }
             }
-            idx.insert(s(900, i64::MAX - 1));
-            idx.insert(r(901, i64::MIN + 1));
-            let probes: Vec<Tuple> = (0..64u64)
+            let extremes = [
+                s(900, i64::MAX),
+                s(901, i64::MAX - 1),
+                r(902, i64::MIN),
+                r(903, i64::MIN + 1),
+            ];
+            for t in extremes {
+                bulk.insert(t);
+                twin.insert(t);
+            }
+            let batch: Vec<Tuple> = (0..62u64)
                 .map(|i| {
                     let key = ((i as i64 * 41) % 90) - 45;
-                    if i % 2 == 0 {
+                    if i % 4 == 0 {
                         r(1000 + i, key)
                     } else {
                         s(1000 + i, key)
@@ -396,23 +371,26 @@ mod tests {
                 })
                 .chain([r(2000, i64::MAX), s(2001, i64::MIN)])
                 .collect();
-            let mut independent = vec![Vec::new(); probes.len()];
-            let mut ind_stats = ProbeStats::default();
-            for (i, p) in probes.iter().enumerate() {
-                ind_stats += idx.probe(p, &mut |m| independent[i].push(m.seq));
+            assert_eq!(batch.len(), 64);
+            let mut per_tuple = vec![Vec::new(); batch.len()];
+            let mut twin_stats = ProbeStats::default();
+            for (i, t) in batch.iter().enumerate() {
+                twin_stats += twin.probe(t, &mut |m| per_tuple[i].push(m.seq));
+                twin.insert(*t);
             }
-            let mut merged = vec![Vec::new(); probes.len()];
-            let merged_stats = idx.probe_batch(&probes, &mut |i, m| merged[i].push(m.seq));
-            for (a, b) in independent.iter_mut().zip(merged.iter_mut()) {
+            let mut streamed = vec![Vec::new(); batch.len()];
+            let stats = bulk.stream_batch(&batch, &mut |i, m| streamed[i].push(m.seq));
+            for (a, b) in per_tuple.iter_mut().zip(streamed.iter_mut()) {
                 a.sort_unstable();
                 b.sort_unstable();
             }
-            assert_eq!(independent, merged, "width {width}: match sets diverge");
-            assert_eq!(
-                (ind_stats.candidates, ind_stats.matches),
-                (merged_stats.candidates, merged_stats.matches),
-                "width {width}: stats diverge"
+            assert_eq!(per_tuple, streamed, "width {width}: match sets diverge");
+            assert_eq!(stats, twin_stats, "width {width}: stats diverge");
+            assert!(
+                per_tuple[62].contains(&900) && per_tuple[63].contains(&902),
+                "width {width}: extreme keys must meet their neighbours"
             );
+            assert_eq!(bulk.len(), twin.len());
         }
     }
 

@@ -51,8 +51,15 @@ fn key_strategy(key_space: i64) -> impl Strategy<Value = i64> {
     ]
 }
 
+/// Batches of up to 64 tuples, the data plane's default batch. Half draw
+/// each tuple's relation evenly; the other half skew it about 1:10, like
+/// the benchmark's band stream, so long single-relation runs occur.
 fn batch_strategy(key_space: i64) -> impl Strategy<Value = Vec<(bool, i64)>> {
-    prop::collection::vec((any::<bool>(), key_strategy(key_space)), 1..24)
+    let skewed_rel = prop_oneof![1 => Just(true), 10 => Just(false)];
+    prop_oneof![
+        prop::collection::vec((any::<bool>(), key_strategy(key_space)), 1..65),
+        prop::collection::vec((skewed_rel, key_strategy(key_space)), 1..65),
+    ]
 }
 
 fn op_strategy(key_space: i64) -> impl Strategy<Value = Op> {
@@ -238,6 +245,16 @@ proptest! {
     fn band_index_equals_reference(
         ops in prop::collection::vec(op_strategy(20), 0..120),
         width in 0..4i64,
+    ) {
+        check_equivalence(&|| Box::new(BandIndex::new(width)), Predicate::Band { width }, ops);
+    }
+
+    /// A key space far wider than any batch's share of it: bands that
+    /// hold a few tuples each, or none.
+    #[test]
+    fn band_index_equals_reference_on_wide_keys(
+        ops in prop::collection::vec(op_strategy(1 << 20), 0..120),
+        width in prop_oneof![0..4i64, 0..8192i64],
     ) {
         check_equivalence(&|| Box::new(BandIndex::new(width)), Predicate::Band { width }, ops);
     }
