@@ -12,8 +12,9 @@
 //! * services the **control plane**: plan handshakes, quiescence
 //!   probes, gauge samples (fed into the session's [`SharedGauges`] and
 //!   relayed to the controller's machine), match streams (re-emitted
-//!   into the session's [`MatchHub`]), and the retirement drain
-//!   barrier;
+//!   into the session's [`MatchHub`]), and the retirement barrier's
+//!   bookkeeping: which peers consumed their retirement token, and how
+//!   many end-of-stream markers the retiree must wait for;
 //! * detects cluster quiescence with a **double probe**: two
 //!   consecutive probe rounds with identical per-node counters and
 //!   cluster-wide created = finished mean nothing is running and
@@ -33,6 +34,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aoj_core::fault::{
@@ -48,12 +50,12 @@ use aoj_simnet::{
 };
 
 use crate::node::{
-    run_machine_loop, spawn_acceptor, Clock, ControlOut, Counters, Directory, EosGate, Lifecycle,
-    NodeShared, TopoRecorder, Writers,
+    run_machine_loop, spawn_acceptor, wake_acceptor, Clock, ControlOut, Counters, Directory,
+    EosGate, Lifecycle, NodeShared, TopoRecorder, Writers,
 };
 use crate::wire::{
     self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap,
-    Plan, ProbeAck, Ready, Wire, K_DRAIN_DONE, K_DRAIN_FOR, K_EXITING, K_FINALS, K_GAUGES,
+    Plan, ProbeAck, Ready, RetireReq, Wire, K_DRAIN_DONE, K_EXITING, K_FINALS, K_GAUGES,
     K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK,
     K_PROVISION_REQ, K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
@@ -176,13 +178,60 @@ enum Ev {
 enum Op {
     /// Spawn `machine`'s worker process; completes on its `Ready`.
     Provision { machine: usize },
-    /// Drain-barrier teardown of `machine`; completes when its process
-    /// has exited and been reaped.
+    /// Drain-barrier teardown of `req.machine`, whose peers were sent
+    /// retirement tokens by the node that applied the retire; completes
+    /// when its process has exited and been reaped.
     Retire {
-        machine: usize,
-        /// Workers whose `DrainDone` is still outstanding.
-        pending: HashSet<usize>,
+        req: RetireReq,
+        /// `K_RETIRE_NOW` sent: every tokened peer reported `DrainDone`.
+        released: bool,
     },
+}
+
+/// The retirement barrier's coordinator-side tally.
+#[derive(Default)]
+struct Barrier {
+    /// Per machine: end-of-stream markers its current generation will
+    /// receive (from token-driven closes and from exited peers).
+    eos_to: HashMap<usize, u64>,
+    /// Per retiring `(machine, gen)`: the nodes that reported
+    /// `DrainDone`. A report can overtake the `RetireReq` it answers
+    /// (they travel on different control links), and a co-retiree's
+    /// token can be consumed while an earlier retirement is still busy.
+    drained: HashMap<(usize, u32), HashSet<usize>>,
+}
+
+impl Barrier {
+    /// Node `from` consumed its token for `d.machine`.
+    fn drain_done(&mut self, from: usize, d: DrainDone) {
+        *self.eos_to.entry(d.machine as usize).or_insert(0) += d.closed as u64;
+        self.drained
+            .entry((d.machine as usize, d.gen))
+            .or_default()
+            .insert(from);
+    }
+
+    /// Send `K_RETIRE_NOW` to a busy retiree once every tokened peer has
+    /// closed its connections to it.
+    fn release(&mut self, busy: &mut Option<Op>, links: &ControlLinks) {
+        let Some(Op::Retire { req, released }) = busy else {
+            return;
+        };
+        let m = req.machine as usize;
+        let reported = self.drained.get(&(m, req.gen));
+        if *released
+            || !req
+                .peers
+                .iter()
+                .all(|&p| reported.is_some_and(|r| r.contains(&(p as usize))))
+        {
+            return;
+        }
+        self.drained.remove(&(m, req.gen));
+        *released = true;
+        let expect = self.eos_to.get(&m).copied().unwrap_or(0);
+        send_to(links, m, K_RETIRE_NOW, &expect);
+    }
 }
 
 /// An in-flight probe round.
@@ -317,14 +366,12 @@ impl TcpBackend {
         // ---- control plane listener -----------------------------------
         let control_listener =
             TcpListener::bind("127.0.0.1:0").expect("bind coordinator control port");
-        let coord_addr = format!(
-            "127.0.0.1:{}",
-            control_listener.local_addr().unwrap().port()
-        );
+        let control_port = control_listener.local_addr().unwrap().port();
+        let coord_addr = format!("127.0.0.1:{control_port}");
         let (tx, rx) = mpsc::channel::<Ev>();
         let links: Arc<ControlLinks> = Arc::new(Mutex::new(HashMap::new()));
         let accept_done = Arc::new(AtomicBool::new(false));
-        spawn_control_acceptor(
+        let control_acceptor = spawn_control_acceptor(
             control_listener,
             tx.clone(),
             Arc::clone(&links),
@@ -358,7 +405,7 @@ impl TcpBackend {
         let counters = Arc::new(Counters::default());
         let data_listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator data port");
         let own_port = data_listener.local_addr().unwrap().port();
-        spawn_acceptor(
+        let data_acceptor = spawn_acceptor(
             data_listener,
             Arc::clone(&mailbox),
             Arc::clone(&done),
@@ -387,6 +434,7 @@ impl TcpBackend {
                 counters: Arc::clone(&counters),
                 writers: Arc::clone(&writers),
                 task_machine,
+                directory: Arc::clone(&directory),
             };
             let tx = tx.clone();
             let drain_batch = rt_cfg.drain_batch;
@@ -396,7 +444,7 @@ impl TcpBackend {
                     let lifecycle = move |ev: Lifecycle| {
                         tx.send(Ev::Local(ev)).expect("coordinator reactor gone");
                     };
-                    run_machine_loop(&shared, own_tasks, own_shard, drain_batch, &lifecycle)
+                    run_machine_loop(&shared, own_tasks, own_shard, drain_batch, &lifecycle, None)
                 })
                 .expect("spawn coordinator node")
         };
@@ -419,9 +467,10 @@ impl TcpBackend {
 
         // ---- the reactor ----------------------------------------------
         let mut live: BTreeMap<usize, u32> = BTreeMap::new();
+        let mut ports: HashMap<usize, u16> = HashMap::new();
         let mut busy: Option<Op> = None;
         let mut queue: VecDeque<Op> = VecDeque::new();
-        let mut eos_to: HashMap<usize, u64> = HashMap::new();
+        let mut barrier = Barrier::default();
         let mut retired_sums = (0u64, 0u64);
         let mut data_proc: HashMap<(usize, u32), u64> = HashMap::new();
         let mut reaped: Vec<ReapRecord> = Vec::new();
@@ -432,14 +481,21 @@ impl TcpBackend {
         let mut probe_period = PROBE_PERIOD_SETTLED;
         let mut shutting_down = false;
         // Live match streaming follows the session hub's attach state:
-        // a worker buffers what it emits until its first K_MATCH_TAP,
-        // sent when it reports Ready, and gets another whenever a
-        // subscriber attaches or detaches. (The epoch is read first: a
-        // subscriber attaching in between only costs one redundant
-        // broadcast.)
+        // a worker ships everything it emits until its first K_MATCH_TAP,
+        // and gets another whenever a subscriber attaches or detaches.
+        // Taps start going out once a subscriber exists or the first
+        // match batch arrives, never before: workers come up within
+        // milliseconds of `open`, and a tap(off) sent ahead of a
+        // subscriber that attaches before its first push would make them
+        // drop that subscriber's pairs until the next broadcast lands. A
+        // match batch proves ingest began, so a subscriber attached before
+        // the first push is already visible by then. (The epoch is read
+        // first: a subscriber attaching in between only costs one
+        // redundant broadcast.)
         let mut tap_epoch = self.hub.filter_epoch();
         let (on, filters) = self.hub.ship_spec();
         let mut tap = MatchTap { on, filters };
+        let mut tapping = tap.on;
         let skew_board = self.skew_board.clone();
 
         // ---- failure detection & fault injection ----------------------
@@ -550,32 +606,28 @@ impl TcpBackend {
                             let gen = gens.get(&machine).map(|g| g + 1).unwrap_or(0);
                             gens.insert(machine, gen);
                             // A fresh process, a fresh end-of-stream gate.
-                            eos_to.insert(machine, 0);
+                            barrier.eos_to.insert(machine, 0);
                             spawn_worker(&mut children, &coord_addr, machine, gen);
                             awaiting_ready.insert(machine);
                             spawned += 1;
                             busy = Some(Op::Provision { machine });
                         }
-                        Op::Retire { machine, .. } => {
-                            // Quiesce barrier: every peer (the coordinator
-                            // included) flushes and closes its channels
-                            // toward the retiree; each close ends in an
-                            // EOS marker the retiree will count.
-                            directory.set_retiring(machine);
-                            let own_closed = writers.close_to(machine);
-                            *eos_to.entry(machine).or_insert(0) += own_closed as u64;
-                            let targets: HashSet<usize> =
-                                live.keys().copied().filter(|&w| w != machine).collect();
-                            for &w in &targets {
-                                send_to(&links, w, K_DRAIN_FOR, &(machine as u64));
-                            }
-                            if targets.is_empty() {
-                                send_to(&links, machine, K_RETIRE_NOW, &eos_to[&machine]);
-                            }
+                        Op::Retire { req, .. } => {
+                            // Quiesce barrier: the applying node closed its
+                            // channels toward the retiree and sent every
+                            // other live peer (the coordinator's node
+                            // included) a token on the data plane; each
+                            // peer closes its own channels when it consumes
+                            // it. Every close ends in an EOS marker the
+                            // retiree will count.
+                            let m = req.machine as usize;
+                            debug_assert_eq!(gens.get(&m), Some(&req.gen));
+                            *barrier.eos_to.entry(m).or_insert(0) += req.closed as u64;
                             busy = Some(Op::Retire {
-                                machine,
-                                pending: targets,
+                                req,
+                                released: false,
                             });
+                            barrier.release(&mut busy, &links);
                         }
                     }
                 }
@@ -584,14 +636,8 @@ impl TcpBackend {
             // Re-broadcast the tap whenever the subscriber set (or any
             // subscriber's filter) changes: workers then drop pairs no
             // subscriber wants before they ever touch the wire.
-            let epoch = self.hub.filter_epoch();
-            let (want_stream, filters) = self.hub.ship_spec();
-            if want_stream != tap.on || epoch != tap_epoch {
-                tap_epoch = epoch;
-                tap = MatchTap {
-                    on: want_stream,
-                    filters,
-                };
+            if refresh_tap(&self.hub, &mut tap, &mut tap_epoch) && (tapping || tap.on) {
+                tapping = true;
                 for &w in live.keys() {
                     send_to(&links, w, K_MATCH_TAP, &tap);
                 }
@@ -629,10 +675,14 @@ impl TcpBackend {
             };
             match ev {
                 Ev::Local(Lifecycle::Provision(m)) => queue.push_back(Op::Provision { machine: m }),
-                Ev::Local(Lifecycle::Retire(m)) => queue.push_back(Op::Retire {
-                    machine: m,
-                    pending: HashSet::new(),
+                Ev::Local(Lifecycle::Retire(req)) => queue.push_back(Op::Retire {
+                    req,
+                    released: false,
                 }),
+                Ev::Local(Lifecycle::Drained(d)) => {
+                    barrier.drain_done(source_machine, d);
+                    barrier.release(&mut busy, &links);
+                }
                 Ev::Local(Lifecycle::Stopped) => {}
                 Ev::Gone { machine } => {
                     // A retired or shut-down worker's connection drop is
@@ -698,6 +748,7 @@ impl TcpBackend {
                             // the full current directory (coordinator
                             // included); everyone else learns its port.
                             directory.set_live(machine, gen, ready.data_port);
+                            ports.insert(machine, ready.data_port);
                             let up = MachineUp {
                                 machine: machine as u64,
                                 gen,
@@ -717,7 +768,7 @@ impl TcpBackend {
                                 },
                             );
                             for (&w, &wgen) in live.iter() {
-                                let (_, port) = directory.wait_live(w);
+                                let port = ports[&w];
                                 send_to(
                                     &links,
                                     machine,
@@ -729,8 +780,16 @@ impl TcpBackend {
                                     },
                                 );
                             }
-                            send_to(&links, machine, K_MATCH_TAP, &tap);
                             live.insert(machine, gen);
+                            // The newcomer's first tap reads the hub now, not
+                            // at the loop top.
+                            let changed = refresh_tap(&self.hub, &mut tap, &mut tap_epoch);
+                            if tapping || tap.on {
+                                tapping = true;
+                                for &w in live.keys().filter(|&&w| changed || w == machine) {
+                                    send_to(&links, w, K_MATCH_TAP, &tap);
+                                }
+                            }
                             awaiting_ready.remove(&machine);
                             if matches!(busy, Some(Op::Provision { machine: m }) if m == machine) {
                                 busy = None;
@@ -768,7 +827,8 @@ impl TcpBackend {
                                             shutting_down = true;
                                             let flushed = writers.close_all();
                                             for (dest, n) in flushed {
-                                                *eos_to.entry(dest).or_insert(0) += n as u64;
+                                                *barrier.eos_to.entry(dest).or_insert(0) +=
+                                                    n as u64;
                                             }
                                             // A checkpointing drain asks the
                                             // workers' state home with it.
@@ -812,20 +872,29 @@ impl TcpBackend {
                             for m in Vec::<Match>::from_bytes(&payload).expect("match batch") {
                                 self.hub.emit(m);
                             }
+                            if !tapping {
+                                tapping = true;
+                                refresh_tap(&self.hub, &mut tap, &mut tap_epoch);
+                                for &w in live.keys() {
+                                    send_to(&links, w, K_MATCH_TAP, &tap);
+                                }
+                            }
                         }
                         K_PROVISION_REQ => {
                             let m = u64::from_bytes(&payload).expect("provision req") as usize;
                             queue.push_back(Op::Provision { machine: m });
                         }
                         K_RETIRE_REQ => {
-                            let m = u64::from_bytes(&payload).expect("retire req") as usize;
+                            let req = RetireReq::from_bytes(&payload).expect("retire req");
                             queue.push_back(Op::Retire {
-                                machine: m,
-                                pending: HashSet::new(),
+                                req,
+                                released: false,
                             });
                         }
                         K_DRAIN_DONE => {
-                            handle_drain_done(&payload, machine, &mut busy, &mut eos_to, &links)
+                            let d = DrainDone::from_bytes(&payload).expect("drain done");
+                            barrier.drain_done(machine, d);
+                            barrier.release(&mut busy, &links);
                         }
                         K_FINALS => {
                             let bundle = FinalsBundle::from_bytes(&payload).expect("finals bundle");
@@ -847,10 +916,10 @@ impl TcpBackend {
                             retired_sums.0 += e.created;
                             retired_sums.1 += e.finished;
                             for &(dest, n) in &e.closed {
-                                *eos_to.entry(dest as usize).or_insert(0) += n as u64;
+                                *barrier.eos_to.entry(dest as usize).or_insert(0) += n as u64;
                             }
                             let planned = shutting_down
-                                || matches!(busy, Some(Op::Retire { machine: m, .. }) if m == machine);
+                                || matches!(&busy, Some(Op::Retire { req, .. }) if req.machine as usize == machine);
                             live.remove(&machine);
                             detector.deregister(machine);
                             links.lock().unwrap().remove(&machine);
@@ -928,6 +997,12 @@ impl TcpBackend {
         accept_done.store(true, Ordering::SeqCst);
         done.store(true, Ordering::SeqCst);
         mailbox.wake_all();
+        // Both acceptors block in accept(): one connect each wakes them
+        // to see their flag, and their listeners close as they return.
+        wake_acceptor(control_port);
+        wake_acceptor(own_port);
+        control_acceptor.join().expect("control acceptor panicked");
+        data_acceptor.join().expect("data acceptor panicked");
         match loop_handle.join() {
             Ok((shard, tasks)) => {
                 self.topo.restore_tasks(tasks);
@@ -946,37 +1021,28 @@ impl TcpBackend {
             spawned,
             peak_provisioned: peak,
             reaped,
+            listeners: [control_port, own_port],
         });
         end
     }
 }
 
-/// Dispatch helper for `DrainDone` (kept out of the giant match for
-/// borrow clarity): fold the closed-count into the retiree's
-/// end-of-stream tally and fire `RetireNow` once every peer reported.
-fn handle_drain_done(
-    payload: &[u8],
-    from: usize,
-    busy: &mut Option<Op>,
-    eos_to: &mut HashMap<usize, u64>,
-    links: &ControlLinks,
-) {
-    let dd = DrainDone::from_bytes(payload).expect("drain done");
-    let target = dd.machine as usize;
-    *eos_to.entry(target).or_insert(0) += dd.closed as u64;
-    match busy {
-        Some(Op::Retire { machine, pending }) if *machine == target => {
-            pending.remove(&from);
-            if pending.is_empty() {
-                send_to(links, target, K_RETIRE_NOW, &eos_to[&target]);
-            }
-        }
-        _ => panic!("DrainDone for machine {target} outside its retire op"),
+/// Re-read the session hub's subscriber set into `tap`; true when it
+/// changed since `epoch`.
+fn refresh_tap(hub: &MatchHub, tap: &mut MatchTap, epoch: &mut u64) -> bool {
+    let now = hub.filter_epoch();
+    let (on, filters) = hub.ship_spec();
+    if on == tap.on && now == *epoch {
+        return false;
     }
+    *epoch = now;
+    *tap = MatchTap { on, filters };
+    true
 }
 
 /// Accept control connections, run the plan handshake on each, and pump
-/// subsequent frames into the reactor.
+/// subsequent frames into the reactor. Blocks in `accept`; teardown sets
+/// `done` and wakes it with [`wake_acceptor`].
 fn spawn_control_acceptor(
     listener: TcpListener,
     tx: mpsc::Sender<Ev>,
@@ -984,19 +1050,15 @@ fn spawn_control_acceptor(
     done: Arc<AtomicBool>,
     plan_template: Plan,
     clock: Clock,
-) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
+) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("aoj-net-ctrl-accept".into())
         .spawn(move || loop {
-            if done.load(Ordering::Relaxed) {
-                return;
-            }
             match listener.accept() {
                 Ok((stream, _)) => {
-                    stream.set_nonblocking(false).expect("blocking conn");
+                    if done.load(Ordering::SeqCst) {
+                        return; // the teardown's wake-up call
+                    }
                     stream.set_nodelay(true).ok();
                     let tx = tx.clone();
                     let links = Arc::clone(&links);
@@ -1041,9 +1103,6 @@ fn spawn_control_acceptor(
                         })
                         .expect("spawn control rx");
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
                 Err(e) => {
                     if !done.load(Ordering::Relaxed) {
                         panic!("control accept failed: {e}");
@@ -1052,7 +1111,7 @@ fn spawn_control_acceptor(
                 }
             }
         })
-        .expect("spawn control acceptor");
+        .expect("spawn control acceptor")
 }
 
 /// Self-execute one worker process for `machine` at incarnation `gen`.

@@ -27,11 +27,20 @@
 //! ## Elasticity as process lifecycle
 //!
 //! `Effect::Provision` from the controller surfaces at the coordinator
-//! as a **process spawn at trigger time**; `Effect::Retire` runs a
-//! quiesce barrier (every peer flushes and closes its channels toward
-//! the retiree, the retiree drains to the per-channel EOS markers) that
-//! ends in `std::process::exit(0)` — and the coordinator waitpid-reaps
-//! the child, so retirement is confirmed by the OS, not inferred.
+//! as a **process spawn at trigger time**; `Effect::Retire` runs the
+//! threaded runtime's flush-token barrier over the data plane: the node
+//! that applies it closes its channels to the retiring generation and
+//! sends every live peer a retirement token, FIFO behind the epoch
+//! change that stopped that peer sending there; each peer consumes its
+//! token in its machine loop and closes its own channels; the retiree
+//! drains to the per-channel EOS markers and ends in
+//! `std::process::exit(0)` — and the coordinator waitpid-reaps the
+//! child, so retirement is confirmed by the OS, not inferred. Writers
+//! are generation-aware: a slot re-provisioned while its old process
+//! still drains gets a fresh process whose connections are new ones,
+//! and the controller re-provisioning a slot it retired waits for the
+//! old generation to be gone first, as the threaded runtime's
+//! `Provision` does.
 //!
 //! ## Using it
 //!
@@ -82,6 +91,9 @@ pub struct RunSummary {
     pub peak_provisioned: usize,
     /// Every worker exit, in reap order.
     pub reaped: Vec<ReapRecord>,
+    /// The coordinator's listening ports, control then data. Both are
+    /// closed by the time `run()` returns.
+    pub listeners: [u16; 2],
 }
 
 static LAST_RUN: Mutex<Option<RunSummary>> = Mutex::new(None);

@@ -16,17 +16,37 @@
 //!   by `MachineUp` frames; writer threads block here until their
 //!   destination is reachable, which is what makes trigger-time
 //!   provisioning race-free (a send to a machine the controller just
-//!   provisioned simply waits for that machine's `Ready`);
-//! * [`Writers`] — one writer thread per (destination, class): each owns
-//!   one TCP connection, so per-class FIFO falls out of TCP's byte-stream
-//!   ordering, and a backed-up data stream cannot delay migration or
-//!   control traffic (the §4.3.2 service-rate property end-to-end);
+//!   provisioned simply waits for that machine's `Ready`, and a send to
+//!   a slot whose old generation is still retiring waits for the new
+//!   one);
+//! * [`Writers`] — one connection per (destination, class), each bound
+//!   to the generation it dials: per-class FIFO falls out of TCP's
+//!   byte-stream ordering, and a backed-up data stream cannot delay
+//!   migration or control traffic (the §4.3.2 service-rate property
+//!   end-to-end);
 //! * [`spawn_reader`]/[`spawn_acceptor`] — inbound connections push into
 //!   the bounded mailbox, so TCP backpressure propagates into the same
-//!   tuple-unit accounting the threaded runtime uses;
+//!   tuple-unit accounting the threaded runtime uses; the acceptor blocks
+//!   in `accept` and teardown wakes it with [`wake_acceptor`];
 //! * [`run_machine_loop`] — the handler loop: the runtime's
 //!   [`dispatch`] per work item, effects staged onto the sockets, one
-//!   finish count per item.
+//!   finish count per item, and one end-of-batch hook (a worker ships
+//!   its buffered matches there).
+//!
+//! Retirement is the threaded runtime's flush-token barrier carried over
+//! the data plane. The node that applies `Effect::Retire(m)` sends what
+//! it staged, closes its connections to `m`'s current generation and
+//! stages a [`K_FLUSH`] token to every other live peer on its Control
+//! connection — FIFO behind the epoch change that stopped that peer
+//! sending to `m`. A peer's machine loop consumes the token the way the
+//! runtime's workers do: it sends what it staged, closes its own
+//! connections to that generation (each ends in a [`K_EOS`] the retiree
+//! counts), and reports `DrainDone` to the coordinator. Sends to `m`
+//! after the token dial its next generation and wait for it. A token is
+//! FIFO only with its own socket, and an epoch change's signals travel on
+//! the Data one; so the controller, re-provisioning a slot it retired,
+//! waits until the old generation is gone — every token consumed —
+//! before it sends anything more, as the runtime's `Provision` does.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -44,8 +64,8 @@ use aoj_simnet::{
 };
 
 use crate::wire::{
-    self, append_frame, read_frame, write_frame, BufPool, Preamble, TaskMsg, Wire, K_EOS,
-    K_PREAMBLE, K_TASK_MSG,
+    self, append_frame, read_frame, write_frame, BufPool, DrainDone, Preamble, RetireReq, TaskMsg,
+    Wire, K_EOS, K_FLUSH, K_PREAMBLE, K_TASK_MSG,
 };
 
 /// A boxed operator task, as registered into the topology recorder and
@@ -192,8 +212,9 @@ impl Counters {
 enum Peer {
     /// Data listener up at this generation/port.
     Live { gen: u32, port: u16 },
-    /// Draining toward process exit; new channels are a protocol error.
-    Retiring,
+    /// Generation `gen` is draining toward process exit: a new channel
+    /// to it is a protocol error, one to a later generation waits.
+    Retiring { gen: u32 },
 }
 
 /// The machine directory: who is reachable, where, at which incarnation.
@@ -218,37 +239,84 @@ impl Directory {
         self.cv.notify_all();
     }
 
-    /// Mark a machine as draining: writer creation toward it becomes a
-    /// protocol error until a higher generation comes up.
-    pub fn set_retiring(&self, machine: usize) {
+    /// Mark generation `gen` of `machine` as draining (see
+    /// [`Writers::retire`]). A later generation already live is left
+    /// alone.
+    fn set_retiring(&self, machine: usize, gen: u32) {
         let mut st = self.state.lock().unwrap();
-        st.insert(machine, Peer::Retiring);
+        if !matches!(st.get(&machine), Some(Peer::Live { gen: g, .. }) if *g > gen) {
+            st.insert(machine, Peer::Retiring { gen });
+        }
         drop(st);
         self.cv.notify_all();
     }
 
-    /// Block until `machine` is live and return its `(gen, port)`.
+    /// The generation `machine` is live at, if it is live.
+    pub(crate) fn live_gen(&self, machine: usize) -> Option<u32> {
+        match self.state.lock().unwrap().get(&machine) {
+            Some(Peer::Live { gen, .. }) => Some(*gen),
+            _ => None,
+        }
+    }
+
+    /// The generation `machine` is retiring, if it is retiring.
+    pub(crate) fn retiring_gen(&self, machine: usize) -> Option<u32> {
+        match self.state.lock().unwrap().get(&machine) {
+            Some(Peer::Retiring { gen }) => Some(*gen),
+            _ => None,
+        }
+    }
+
+    /// Every machine currently live, ascending.
+    pub(crate) fn live_machines(&self) -> Vec<usize> {
+        let st = self.state.lock().unwrap();
+        let mut live: Vec<usize> = st
+            .iter()
+            .filter(|(_, p)| matches!(p, Peer::Live { .. }))
+            .map(|(&m, _)| m)
+            .collect();
+        live.sort_unstable();
+        live
+    }
+
+    /// `machine`'s `(gen, port)` if it is live at `min_gen` or later.
+    /// Panics on a send to a retiring generation at or past `min_gen`.
+    fn resolve(st: &HashMap<usize, Peer>, machine: usize, min_gen: u32) -> Option<(u32, u16)> {
+        match st.get(&machine) {
+            Some(Peer::Live { gen, port }) if *gen >= min_gen => Some((*gen, *port)),
+            Some(Peer::Retiring { gen }) if *gen >= min_gen => {
+                panic!("protocol error: send to retiring machine {machine} (generation {gen})")
+            }
+            _ => None,
+        }
+    }
+
+    /// `machine`'s `(gen, port)` if it is live at `min_gen` or later,
+    /// without waiting.
+    fn lookup(&self, machine: usize, min_gen: u32) -> Option<(u32, u16)> {
+        Directory::resolve(&self.state.lock().unwrap(), machine, min_gen)
+    }
+
+    /// Block until `machine` is live at generation `min_gen` or later and
+    /// return its `(gen, port)`. An older generation — live or retiring —
+    /// is waited out: its successor is being provisioned.
     ///
     /// # Panics
     ///
-    /// If the machine is marked retiring (sending to a retiring machine
-    /// is a protocol error, mirroring the threaded runtime's panics) or
-    /// does not come up within [`PEER_WAIT`].
-    pub fn wait_live(&self, machine: usize) -> (u32, u16) {
+    /// If generation `min_gen` or later is marked retiring (sending to a
+    /// retiring generation is a protocol error, mirroring the threaded
+    /// runtime's panics) or does not come up within [`PEER_WAIT`].
+    pub fn wait_live(&self, machine: usize, min_gen: u32) -> (u32, u16) {
         let deadline = Instant::now() + PEER_WAIT;
         let mut st = self.state.lock().unwrap();
         loop {
-            match st.get(&machine) {
-                Some(Peer::Live { gen, port }) => return (*gen, *port),
-                Some(Peer::Retiring) => {
-                    panic!("protocol error: send to retiring machine {machine}")
-                }
-                None => {}
+            if let Some(target) = Directory::resolve(&st, machine, min_gen) {
+                return target;
             }
             let now = Instant::now();
             assert!(
                 now < deadline,
-                "machine {machine} did not come up within {PEER_WAIT:?}"
+                "machine {machine} generation {min_gen} did not come up within {PEER_WAIT:?}"
             );
             st = self.cv.wait_timeout(st, deadline - now).unwrap().0;
         }
@@ -359,6 +427,22 @@ struct WriterHandle {
     /// The dialer; joined on close so the backlog + EOS handover is
     /// complete before the close is reported upstream.
     dialer: JoinHandle<()>,
+    /// The lowest generation of the destination this connection may
+    /// dial (its floor when it was opened).
+    gen: u32,
+}
+
+/// The connections of a [`Writers`] set, by state.
+#[derive(Default)]
+struct Handles {
+    /// One per (destination, class) for the generation sends go to now.
+    open: HashMap<(usize, MsgClass), WriterHandle>,
+    /// Connections to a retiring generation, parked by
+    /// [`Writers::retire`] until [`Writers::close_to`].
+    parked: Vec<(usize, WriterHandle)>,
+    /// Per destination: the lowest generation a new connection may dial
+    /// (0 when absent), raised past each retired generation.
+    floor: HashMap<usize, u32>,
 }
 
 /// Outbound connections: one per (destination machine, message class),
@@ -369,7 +453,7 @@ struct WriterHandle {
 /// connections on a node share one [`BufPool`], closing the encode →
 /// socket → return recycling loop.
 pub struct Writers {
-    inner: Mutex<HashMap<(usize, MsgClass), WriterHandle>>,
+    inner: Mutex<Handles>,
     directory: Arc<Directory>,
     pool: Arc<BufPool>,
     self_machine: usize,
@@ -381,7 +465,7 @@ impl Writers {
     /// `self_gen`.
     pub fn new(directory: Arc<Directory>, self_machine: usize, self_gen: u32) -> Arc<Writers> {
         Arc::new(Writers {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(Handles::default()),
             directory,
             pool: Arc::new(BufPool::new()),
             self_machine,
@@ -400,10 +484,17 @@ impl Writers {
     /// flush per call, no thread handoff; one call may carry a whole
     /// mailbox batch's frames. While the dial is still in flight the
     /// buffer parks in the connection's backlog, so a send to a machine
-    /// that is still provisioning never blocks the sender.
+    /// that is still provisioning never blocks the sender. A new
+    /// connection dials the lowest generation of `dest` not yet retired.
     pub fn enqueue(&self, dest: usize, class: MsgClass, frames: Vec<u8>) {
         let mut map = self.inner.lock().unwrap();
-        let handle = map.entry((dest, class)).or_insert_with(|| {
+        let Handles { open, floor, .. } = &mut *map;
+        let handle = open.entry((dest, class)).or_insert_with(|| {
+            let gen = floor.get(&dest).copied().unwrap_or(0);
+            // Bind to the generation live right now, if any: a retire
+            // that parks this connection before its dialer runs must
+            // not leave the dialer facing a retiring directory entry.
+            let target = self.directory.lookup(dest, gen);
             let state = Arc::new(WriterState {
                 conn: Mutex::new(Conn {
                     stream: None,
@@ -422,9 +513,12 @@ impl Writers {
             };
             let dialer = std::thread::Builder::new()
                 .name(format!("aoj-net-w{}m{dest}{class:?}", self.self_machine))
-                .spawn(move || dialer_main(st, directory, pool, dest, preamble))
+                .spawn(move || {
+                    let (_gen, port) = target.unwrap_or_else(|| directory.wait_live(dest, gen));
+                    dialer_main(st, pool, dest, port, preamble)
+                })
                 .expect("spawn dialer thread");
-            WriterHandle { state, dialer }
+            WriterHandle { state, dialer, gen }
         });
         let state = Arc::clone(&handle.state);
         drop(map);
@@ -468,17 +562,40 @@ impl Writers {
         handle.dialer.join().expect("dialer thread panicked");
     }
 
-    /// Close every connection toward `dest` (flush + trailing
-    /// [`K_EOS`] + join), returning how many were closed — the count
-    /// the retirement barrier at `dest` will wait on.
+    /// Retire generation `gen` of `dest`: park every connection that may
+    /// carry traffic to it for [`close_to`](Writers::close_to), mark it
+    /// retiring in the directory, and route later sends to `dest` onto
+    /// fresh connections that wait for generation `gen + 1`.
+    pub fn retire(&self, dest: usize, gen: u32) {
+        let mut map = self.inner.lock().unwrap();
+        let keys: Vec<_> = map
+            .open
+            .iter()
+            .filter(|((d, _), h)| *d == dest && h.gen <= gen)
+            .map(|(&k, _)| k)
+            .collect();
+        for k in keys {
+            let handle = map.open.remove(&k).unwrap();
+            map.parked.push((dest, handle));
+        }
+        let floor = map.floor.entry(dest).or_insert(0);
+        *floor = (*floor).max(gen + 1);
+        self.directory.set_retiring(dest, gen);
+    }
+
+    /// Close the connections [`retire`](Writers::retire) parked toward
+    /// `dest` (flush + trailing [`K_EOS`] + join), returning how many
+    /// were closed — the count the retirement barrier at `dest` will
+    /// wait on. Connections to a later generation stay open.
     pub fn close_to(&self, dest: usize) -> u32 {
         let mut map = self.inner.lock().unwrap();
-        let keys: Vec<_> = map.keys().copied().filter(|(d, _)| *d == dest).collect();
-        let mut closed = 0;
-        for k in keys {
-            let handle = map.remove(&k).unwrap();
+        let (to_dest, rest) = std::mem::take(&mut map.parked)
+            .into_iter()
+            .partition::<Vec<_>, _>(|(d, _)| *d == dest);
+        map.parked = rest;
+        let closed = to_dest.len() as u32;
+        for (_, handle) in to_dest {
             Writers::close(handle);
-            closed += 1;
         }
         closed
     }
@@ -490,8 +607,14 @@ impl Writers {
     /// stays exact for *later* retirement barriers.
     pub fn close_all(&self) -> Vec<(usize, u32)> {
         let mut map = self.inner.lock().unwrap();
+        let Handles { open, parked, .. } = &mut *map;
+        let all: Vec<_> = open
+            .drain()
+            .map(|((dest, _), h)| (dest, h))
+            .chain(parked.drain(..))
+            .collect();
         let mut per_dest: HashMap<usize, u32> = HashMap::new();
-        for ((dest, _), handle) in map.drain() {
+        for (dest, handle) in all {
             Writers::close(handle);
             *per_dest.entry(dest).or_insert(0) += 1;
         }
@@ -501,19 +624,18 @@ impl Writers {
     }
 }
 
-/// Establish one outbound connection, then get out of the way: wait for
-/// the destination to appear in the directory, dial, send the preamble,
-/// drain whatever the senders staged in the meantime, and publish the
-/// stream for inline writing. The thread's whole life is the dial — it
-/// plays no part in steady-state traffic.
+/// Establish one outbound connection, then get out of the way: dial
+/// the destination's resolved `port`, send the preamble, drain whatever
+/// the senders staged in the meantime, and publish the stream for
+/// inline writing. The thread's whole life is the dial — it plays no
+/// part in steady-state traffic.
 fn dialer_main(
     state: Arc<WriterState>,
-    directory: Arc<Directory>,
     pool: Arc<BufPool>,
     dest: usize,
+    port: u16,
     preamble: Preamble,
 ) {
-    let (_gen, port) = directory.wait_live(dest);
     let seed = (preamble.from_machine << 32) ^ (dest as u64) ^ (port as u64);
     let stream = dial_with_retry(port, seed).unwrap_or_else(|e| panic!("dial machine {dest}: {e}"));
     stream.set_nodelay(true).ok();
@@ -561,15 +683,30 @@ impl OutStage {
         }
     }
 
-    /// Append one task message, framed, to the staging buffer for
-    /// `(dest, class)`.
-    pub fn push(&mut self, dest: usize, class: MsgClass, msg: &TaskMsg) {
+    fn slot(&mut self, dest: usize, class: MsgClass) -> &mut Vec<u8> {
         let pool = &self.pool;
         let buf = self.slots.entry((dest, class)).or_default();
         if buf.capacity() == 0 {
             *buf = pool.get();
         }
-        append_frame(buf, K_TASK_MSG, msg);
+        buf
+    }
+
+    /// Append one task message, framed, to the staging buffer for
+    /// `(dest, class)`.
+    pub fn push(&mut self, dest: usize, class: MsgClass, msg: &TaskMsg) {
+        append_frame(self.slot(dest, class), K_TASK_MSG, msg);
+    }
+
+    /// Append a retirement token for generation `gen` of `machine` to
+    /// `dest`'s Control-class buffer, behind every Control message
+    /// already staged there.
+    pub fn push_flush(&mut self, dest: usize, machine: usize, gen: u32) {
+        append_frame(
+            self.slot(dest, MsgClass::Control),
+            K_FLUSH,
+            &(machine as u64, gen),
+        );
     }
 
     /// Hand every dirty staging buffer to its writer. Buffers leave by
@@ -588,7 +725,8 @@ impl OutStage {
 /// then push every [`K_TASK_MSG`] into the mailbox under the sender's
 /// declared class (bounded for data, so TCP backpressure feeds the same
 /// tuple-unit accounting the threaded runtime uses). A [`K_EOS`] marks
-/// the channel closed and trips the retirement barrier.
+/// the channel closed and trips the retirement barrier; a [`K_FLUSH`]
+/// token joins the Control queue as a `Work::Flush`, in order.
 pub fn spawn_reader(
     stream: TcpStream,
     mailbox: Arc<Mailbox<OpMsg>>,
@@ -623,6 +761,21 @@ pub fn spawn_reader(
                             &done,
                         );
                     }
+                    Ok(K_FLUSH) => {
+                        debug_assert_eq!(preamble.class, MsgClass::Control);
+                        let (machine, gen) =
+                            <(u64, u32)>::from_bytes(&payload).expect("decode flush token");
+                        mailbox.push_msg(
+                            MsgClass::Control,
+                            Work::Flush {
+                                machine: machine as usize,
+                                gen,
+                            },
+                            1,
+                            true,
+                            &done,
+                        );
+                    }
                     Ok(K_EOS) => {
                         eos.arrived();
                         return;
@@ -643,35 +796,29 @@ pub fn spawn_reader(
 }
 
 /// Accept data-plane connections until `done`, handing each to
-/// [`spawn_reader`]. The listener is polled non-blocking so the thread
-/// exits promptly at shutdown.
+/// [`spawn_reader`]. The thread blocks in `accept`; teardown sets `done`
+/// and then wakes it with [`wake_acceptor`]. A worker's acceptor is
+/// never woken: it ends with its process.
 pub fn spawn_acceptor(
     listener: TcpListener,
     mailbox: Arc<Mailbox<OpMsg>>,
     done: Arc<AtomicBool>,
     eos: Arc<EosGate>,
 ) -> JoinHandle<()> {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
     std::thread::Builder::new()
         .name("aoj-net-accept".into())
         .spawn(move || loop {
-            if done.load(Ordering::Relaxed) {
-                return;
-            }
             match listener.accept() {
                 Ok((stream, _)) => {
-                    stream.set_nonblocking(false).expect("blocking conn");
+                    if done.load(Ordering::SeqCst) {
+                        return; // the teardown's wake-up call
+                    }
                     spawn_reader(
                         stream,
                         Arc::clone(&mailbox),
                         Arc::clone(&done),
                         Arc::clone(&eos),
                     );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
                 }
                 Err(e) => {
                     if !done.load(Ordering::Relaxed) {
@@ -684,15 +831,28 @@ pub fn spawn_acceptor(
         .expect("spawn acceptor thread")
 }
 
+/// Wake an acceptor blocked on the loopback listener at `port` whose
+/// `done` flag is already set: one connect, which it accepts, drops and
+/// returns on — closing the listener with it.
+pub fn wake_acceptor(port: u16) {
+    let _ = TcpStream::connect(("127.0.0.1", port));
+}
+
 /// A lifecycle request surfaced by a handler on this node, to be acted
 /// on by the coordinator (locally, or via a control frame from a
 /// worker).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Lifecycle {
     /// `Effect::Provision` — spawn the machine's worker process.
     Provision(usize),
-    /// `Effect::Retire` — run the drain barrier, then let it exit.
-    Retire(usize),
+    /// `Effect::Retire`, applied here: this node's connections to the
+    /// retiring generation are closed and each listed peer holds a
+    /// token. The coordinator lets the retiree exit once every peer
+    /// reported [`Lifecycle::Drained`].
+    Retire(RetireReq),
+    /// A retirement token consumed: this node's connections to the
+    /// retiring generation are closed.
+    Drained(DrainDone),
     /// A task requested the run to stop.
     Stopped,
 }
@@ -711,6 +871,8 @@ pub struct NodeShared {
     pub counters: Arc<Counters>,
     /// Outbound connections.
     pub writers: Arc<Writers>,
+    /// The machine directory the writers dial through.
+    pub directory: Arc<Directory>,
     /// Task index → hosting machine (identical in every process: it is
     /// derived from the same plan).
     pub task_machine: Arc<Vec<usize>>,
@@ -718,7 +880,9 @@ pub struct NodeShared {
 
 /// Run this node's machine loop to completion: service the mailbox
 /// batch-wise through the runtime's [`dispatch`], applying effects as
-/// they surface. Returns the metrics shard and the tasks
+/// they surface and consuming retirement tokens in queue order. After
+/// each batch's staged frames leave, `batch_end` runs (a worker ships
+/// its buffered matches there). Returns the metrics shard and the tasks
 /// (so finals can be harvested) once the node shuts down or its
 /// retirement drain completes.
 pub fn run_machine_loop(
@@ -727,6 +891,7 @@ pub fn run_machine_loop(
     mut shard: Metrics,
     drain_batch: usize,
     lifecycle: &(dyn Fn(Lifecycle) + Sync),
+    batch_end: Option<&dyn Fn()>,
 ) -> (Metrics, HashMap<usize, BoxedTask>) {
     let mid = MachineId(shared.machine);
     let mut batch: Vec<Work<OpMsg>> = Vec::with_capacity(drain_batch);
@@ -747,6 +912,22 @@ pub fn run_machine_loop(
             return (shard, tasks);
         }
         for work in batch.drain(..) {
+            if let Work::Flush { machine, gen } = work {
+                // The epoch change that stopped this node sending to the
+                // retiree was consumed ahead of the token: ship what is
+                // staged, then close the retiring generation's
+                // connections behind it, as the runtime's workers do.
+                stage.flush(&shared.writers);
+                shared.writers.retire(machine, gen);
+                let closed = shared.writers.close_to(machine);
+                lifecycle(Lifecycle::Drained(DrainDone {
+                    machine: machine as u64,
+                    gen,
+                    closed,
+                }));
+                shared.counters.finished.fetch_add(1, Ordering::AcqRel);
+                continue;
+            }
             let now = SimTime(shared.clock.now_us());
             let (self_task, effects, stopped) = dispatch(work, &mut tasks, &mut shard, mid, now);
             for effect in effects {
@@ -761,6 +942,9 @@ pub fn run_machine_loop(
         // message: everything the batch staged goes out now, before the
         // loop can block in pop_batch.
         stage.flush(&shared.writers);
+        if let Some(hook) = batch_end {
+            hook();
+        }
     }
 }
 
@@ -804,9 +988,55 @@ fn apply_effect(
                 .push_timer(shared.clock.now_us() + delay.as_micros(), self_task, key);
         }
         aoj_simnet::Effect::Provision { machine } => {
-            lifecycle(Lifecycle::Provision(machine.index()))
+            let m = machine.index();
+            lifecycle(Lifecycle::Provision(m));
+            // Re-provisioning a slot whose retirement this node started
+            // waits, like the threaded runtime's `Provision`, until the
+            // retiring generation is gone: the coordinator brings up the
+            // next one only after every peer consumed its token and the
+            // old process exited. Nothing this handler sends afterwards —
+            // the new generation's activation, the epoch change whose
+            // signals reach peers on their Data connections — can then
+            // overtake a token and reach the old generation.
+            if let Some(gen) = shared.directory.retiring_gen(m) {
+                stage.flush(&shared.writers);
+                shared.directory.wait_live(m, gen + 1);
+            }
         }
-        aoj_simnet::Effect::Retire { machine } => lifecycle(Lifecycle::Retire(machine.index())),
+        aoj_simnet::Effect::Retire { machine } => {
+            // The runtime's flush-token post, across processes: what this
+            // node sent the retiree leaves on the retiring generation's
+            // connections, which close behind it; every live peer this
+            // node has not itself retired gets a token behind what it was
+            // sent. (A peer retired here already — a contraction retires
+            // several machines in one handler — is skipped: its token
+            // would wait for a generation that is not coming.)
+            let m = machine.index();
+            stage.flush(&shared.writers);
+            let gen = shared
+                .directory
+                .live_gen(m)
+                .unwrap_or_else(|| panic!("retire of machine {m}, which is not live"));
+            shared.writers.retire(m, gen);
+            let closed = shared.writers.close_to(m);
+            let peers: Vec<u64> = shared
+                .directory
+                .live_machines()
+                .into_iter()
+                .filter(|&p| p != shared.machine)
+                .map(|p| p as u64)
+                .collect();
+            for &p in &peers {
+                shared.counters.created.fetch_add(1, Ordering::AcqRel);
+                stage.push_flush(p as usize, m, gen);
+            }
+            lifecycle(Lifecycle::Retire(RetireReq {
+                machine: m as u64,
+                gen,
+                peers,
+                closed,
+            }));
+        }
     }
 }
 
@@ -923,5 +1153,109 @@ impl ExecBackend<OpMsg> for TopoRecorder {
             .as_ref()
             .expect("task is live on a node")
             .as_any()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accept one connection within five seconds (a dialer that never
+    /// comes fails the test instead of hanging it).
+    fn accept(listener: &TcpListener) -> BufReader<TcpStream> {
+        listener.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(5)))
+                        .unwrap();
+                    return BufReader::new(stream);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "no connection arrived");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        }
+    }
+
+    /// One framed payload, as the machine loop's stage would hand it over.
+    fn frames(n: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        append_frame(&mut buf, K_TASK_MSG, &n);
+        buf
+    }
+
+    /// The next frame on `conn`: the payload of a task frame, `None` for
+    /// the end-of-stream marker.
+    fn next(conn: &mut BufReader<TcpStream>) -> Option<u64> {
+        match read_frame(conn).expect("read frame") {
+            (K_TASK_MSG, p) => Some(u64::from_bytes(&p).unwrap()),
+            (K_EOS, _) => None,
+            (k, _) => panic!("unexpected frame kind {k}"),
+        }
+    }
+
+    /// A connection's preamble: the class it carries.
+    fn class_of(conn: &mut BufReader<TcpStream>) -> MsgClass {
+        match read_frame(conn).expect("read preamble") {
+            (K_PREAMBLE, p) => Preamble::from_bytes(&p).unwrap().class,
+            (k, _) => panic!("first frame kind {k}, want preamble"),
+        }
+    }
+
+    /// Two loopback listeners stand in for generations 0 and 1 of machine
+    /// 3. Retiring generation 0 parks its connections: later sends dial
+    /// generation 1 once it comes up, `close_to` ends only the parked
+    /// connections, and the new one stays open until the node shuts down.
+    #[test]
+    fn retire_parks_the_old_generation_and_sends_dial_the_next() {
+        let gen0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let gen1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let directory = Directory::new();
+        directory.set_live(3, 0, gen0.local_addr().unwrap().port());
+        let writers = Writers::new(Arc::clone(&directory), 9, 0);
+
+        writers.enqueue(3, MsgClass::Data, frames(1));
+        let mut data0 = accept(&gen0);
+        assert_eq!(class_of(&mut data0), MsgClass::Data);
+        assert_eq!(next(&mut data0), Some(1));
+        writers.enqueue(3, MsgClass::Control, frames(2));
+        let mut control0 = accept(&gen0);
+        assert_eq!(class_of(&mut control0), MsgClass::Control);
+        assert_eq!(next(&mut control0), Some(2));
+
+        writers.retire(3, 0);
+        // Generation 1 is not up yet: the send parks in the backlog of a
+        // connection that waits for it.
+        writers.enqueue(3, MsgClass::Data, frames(3));
+        directory.set_live(3, 1, gen1.local_addr().unwrap().port());
+        let mut data1 = accept(&gen1);
+        assert_eq!(class_of(&mut data1), MsgClass::Data);
+        assert_eq!(next(&mut data1), Some(3));
+
+        assert_eq!(writers.close_to(3), 2, "only generation 0 is closed");
+        assert_eq!(next(&mut data0), None);
+        assert_eq!(next(&mut control0), None);
+        writers.enqueue(3, MsgClass::Data, frames(4));
+        assert_eq!(next(&mut data1), Some(4));
+
+        assert_eq!(writers.close_all(), vec![(3, 1)]);
+        assert_eq!(next(&mut data1), None);
+    }
+
+    /// Sending to the generation being retired is still a protocol error.
+    #[test]
+    #[should_panic(expected = "send to retiring machine 3 (generation 0)")]
+    fn a_send_to_the_retiring_generation_panics() {
+        let gen0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let directory = Directory::new();
+        directory.set_live(3, 0, gen0.local_addr().unwrap().port());
+        Writers::new(Arc::clone(&directory), 9, 0).retire(3, 0);
+        directory.wait_live(3, 0);
     }
 }

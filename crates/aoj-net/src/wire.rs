@@ -30,7 +30,8 @@
 //!   exception — a function pointer cannot cross a process boundary, and
 //!   the codec says so loudly instead of guessing.
 //! * **Control traffic**: handshakes, machine directory updates,
-//!   lifecycle (provision / drain / retire), quiescence probes, gauge
+//!   lifecycle (provision / retire, and the retirement token that rides
+//!   the data plane), quiescence probes, gauge
 //!   samples, streamed matches, and the per-worker [`FinalsBundle`] that
 //!   carries task-level counters home when a worker exits.
 
@@ -63,7 +64,7 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 11;
+pub const WIRE_VERSION: u8 = 12;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -86,12 +87,11 @@ pub const K_PROBE: u8 = 5;
 pub const K_PROBE_ACK: u8 = 6;
 /// Worker → coordinator: an `Effect::Provision` for this machine index.
 pub const K_PROVISION_REQ: u8 = 7;
-/// Worker → coordinator: an `Effect::Retire` for this machine index.
+/// Worker → coordinator: an `Effect::Retire` this worker applied
+/// ([`RetireReq`]).
 pub const K_RETIRE_REQ: u8 = 8;
-/// Coordinator → workers: close your data channels to this retiring machine.
-pub const K_DRAIN_FOR: u8 = 9;
-/// Worker → coordinator: channels to the retiring machine are closed
-/// ([`DrainDone`]).
+/// Worker → coordinator: a retirement token consumed, channels to the
+/// retiring generation closed ([`DrainDone`]).
 pub const K_DRAIN_DONE: u8 = 10;
 /// Coordinator → retiring worker: all peers closed; finish and exit once
 /// this many end-of-stream markers are in.
@@ -120,13 +120,22 @@ pub const K_PREAMBLE: u8 = 18;
 /// Data-plane frame: one routed [`OpMsg`] between two tasks ([`TaskMsg`]).
 pub const K_TASK_MSG: u8 = 19;
 /// Data-plane / drain marker: no more frames will follow on this
-/// connection (the TCP analogue of the runtime's flush token; `()`).
+/// connection; a retiree counts these to know nothing is still in
+/// flight toward it (`()`).
 pub const K_EOS: u8 = 20;
 /// Coordinator → worker (control): toggle live match streaming
-/// ([`MatchTap`]). A worker buffers from its first match until the first
-/// tap, which answers its [`Ready`]; while off, workers count matches but
-/// never buffer or ship pair identities.
+/// ([`MatchTap`]). A worker ships every match it emits until its first
+/// tap, which the coordinator sends once a subscriber exists or matches
+/// arrive; while off, workers count matches but never buffer or ship pair
+/// identities.
 pub const K_MATCH_TAP: u8 = 21;
+/// Data-plane frame on a Control-class connection: a retirement token
+/// `(machine, gen)` — the TCP form of the threaded runtime's
+/// `Work::Flush`. The node that applies `Effect::Retire` stages one to
+/// every live peer, FIFO behind everything it sent that peer before; the
+/// peer consumes it in its machine loop, closes its connections to that
+/// generation and reports [`DrainDone`].
+pub const K_FLUSH: u8 = 22;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("wire: {}", msg.into()))
@@ -854,12 +863,31 @@ wire_struct! {
         pub finished: u64,
     }
 
-    /// Worker → coordinator: data channels toward a retiring machine are
-    /// closed ([`K_DRAIN_DONE`]).
+    /// Worker → coordinator: the node that applied an `Effect::Retire`
+    /// closed its own connections to the retiring generation and staged
+    /// a [`K_FLUSH`] token to each of `peers` ([`K_RETIRE_REQ`]).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct RetireReq {
+        /// The retiring machine.
+        pub machine: u64,
+        /// The generation it retires.
+        pub gen: u32,
+        /// The live peers that were sent a token; each answers with a
+        /// [`DrainDone`].
+        pub peers: Vec<u64>,
+        /// How many per-class connections the applying node closed toward
+        /// the retiree (each carried a trailing [`K_EOS`]).
+        pub closed: u32,
+    }
+
+    /// Worker → coordinator: a [`K_FLUSH`] token consumed, data channels
+    /// toward the retiring generation closed ([`K_DRAIN_DONE`]).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct DrainDone {
         /// The retiring machine.
         pub machine: u64,
+        /// The generation it retires.
+        pub gen: u32,
         /// How many per-class connections this node closed toward it (each
         /// carried a trailing [`K_EOS`] the retiree must count).
         pub closed: u32,

@@ -10,11 +10,14 @@
 //!    fall out in every process — and keep only its own machine's tasks
 //!    (a reincarnated worker re-parks them dormant: its predecessor's
 //!    state left with the contraction that retired it);
-//! 3. bind a data listener, report `Ready`, and run the machine loop;
+//! 3. bind a data listener, report `Ready`, and run the machine loop,
+//!    which ships the matches each batch produced to the coordinator as
+//!    the batch ends and consumes retirement tokens (see [`crate::node`]);
 //! 4. service the control connection: answer quiescence probes, stream
-//!    gauge samples and matches to the coordinator, apply gauge relays
-//!    (machine 0 hosts the controller, which reads cluster-wide
-//!    storage), and run the drain barrier when told to retire;
+//!    gauge samples to the coordinator, apply gauge relays (machine 0
+//!    hosts the controller, which reads cluster-wide storage), and, when
+//!    told to retire, wait for the end-of-stream markers its peers'
+//!    token-driven closes sent, then drain;
 //! 5. ship finals (the tasks' harvested `Finals` — with the joiner's
 //!    stored state when the shutdown frame says the session is
 //!    checkpointing — and the metrics shard) and exit — `0` for a clean
@@ -40,10 +43,10 @@ use crate::node::{
     EosGate, Lifecycle, NodeShared, TopoRecorder, Writers,
 };
 use crate::wire::{
-    self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap,
-    Plan, ProbeAck, Ready, Wire, K_DRAIN_DONE, K_DRAIN_FOR, K_EXITING, K_FINALS, K_GAUGES,
-    K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK,
-    K_PROVISION_REQ, K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
+    self, read_frame, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap, Plan,
+    ProbeAck, Ready, Wire, K_DRAIN_DONE, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO,
+    K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ,
+    K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
 
 /// Environment: flag marking a process as a worker.
@@ -55,10 +58,11 @@ pub const ENV_MACHINE: &str = "AOJ_NET_MACHINE";
 /// Environment: the machine's incarnation number.
 pub const ENV_GEN: &str = "AOJ_NET_GEN";
 
-/// How often the control loop ships gauge samples and buffered matches.
-/// Kept tight so short runs still deliver enough ILF samples for the
-/// controller to trigger mid-stream migrations/expansions; the
-/// ship-on-change dedup keeps the idle cost of the fast cadence at zero.
+/// How often the control loop ships gauge samples. Kept tight so short
+/// runs still deliver enough ILF samples for the controller to trigger
+/// mid-stream migrations/expansions; the ship-on-change dedup keeps the
+/// idle cost of the fast cadence at zero. (Matches do not wait for it:
+/// they leave at the end of the batch that produced them.)
 const STATS_PERIOD: Duration = Duration::from_millis(5);
 
 /// Longest an idle worker stays silent before resending its (unchanged)
@@ -140,12 +144,12 @@ pub fn worker_main() -> ! {
     // Rebuild the topology. The ingest queue and match hub are local
     // stand-ins: the real source runs in the coordinator, and matches
     // are collected here and shipped over the control connection.
-    // Buffer emitted matches until the coordinator's first K_MATCH_TAP
-    // (its answer to our Ready) says whether anyone subscribed: a
-    // restored joiner matches from its first batch, and a pair emitted
-    // before the tap lands must not be lost to a subscriber that was
-    // attached all along. With the tap off, matches are only counted
-    // and the finals carry their digest.
+    // Ship every emitted match (at the end of the batch that made it)
+    // until the coordinator's first K_MATCH_TAP says whether anyone
+    // subscribed: a restored joiner matches from its first batch, and a
+    // pair emitted before the tap lands must not be lost to a subscriber
+    // that was attached all along. With the tap off, matches are only
+    // counted and the finals carry their digest.
     let hub = MatchHub::collector();
     let mut rec = TopoRecorder::default();
     // A plan that carries a checkpoint rebuilds restored state instead
@@ -234,21 +238,41 @@ pub fn worker_main() -> ! {
         counters: Arc::clone(&counters),
         writers: Arc::clone(&writers),
         task_machine,
+        directory: Arc::clone(&directory),
     };
     let loop_handle = {
         let ctrl = Arc::clone(&ctrl);
+        let hub = Arc::clone(&hub);
         let drain_batch = rt_cfg.drain_batch;
         std::thread::Builder::new()
             .name(format!("aoj-net-m{machine}"))
             .spawn(move || {
-                let lifecycle = move |ev: Lifecycle| match ev {
+                let lifecycle = |ev: Lifecycle| match ev {
                     Lifecycle::Provision(m) => ctrl.send(K_PROVISION_REQ, &(m as u64)),
-                    Lifecycle::Retire(m) => ctrl.send(K_RETIRE_REQ, &(m as u64)),
+                    Lifecycle::Retire(req) => ctrl.send(K_RETIRE_REQ, &req),
+                    Lifecycle::Drained(done) => ctrl.send(K_DRAIN_DONE, &done),
                     // No operator task stops the run from a handler; the
                     // coordinator owns session shutdown.
                     Lifecycle::Stopped => {}
                 };
-                run_machine_loop(&shared, tasks, shard, drain_batch, &lifecycle)
+                // Matches leave with the batch that made them; with no
+                // subscriber this costs one relaxed load per batch.
+                let batch_end = || {
+                    if hub.attached() {
+                        let matches = hub.drain_buffered();
+                        if !matches.is_empty() {
+                            ctrl.send(K_MATCH_BATCH, &matches);
+                        }
+                    }
+                };
+                run_machine_loop(
+                    &shared,
+                    tasks,
+                    shard,
+                    drain_batch,
+                    &lifecycle,
+                    Some(&batch_end),
+                )
             })
             .expect("spawn machine loop")
     };
@@ -307,9 +331,8 @@ pub fn worker_main() -> ! {
             last_gauges = Some(sample);
             last_beat = Instant::now();
         }
-        let matches = hub.drain_buffered();
-        if !matches.is_empty() || fin {
-            ctrl.send(K_MATCH_BATCH, &matches);
+        if fin {
+            ctrl.send(K_MATCH_BATCH, &hub.drain_buffered());
         }
     };
 
@@ -358,18 +381,6 @@ pub fn worker_main() -> ! {
                 for (gauge, value) in Gauge::ALL.into_iter().zip(g.gauges) {
                     gauges.set(m, gauge, value);
                 }
-            }
-            Ok((K_DRAIN_FOR, p)) => {
-                let target = u64::from_bytes(&p).expect("drain-for machine") as usize;
-                directory.set_retiring(target);
-                let closed = writers.close_to(target);
-                ctrl.send(
-                    K_DRAIN_DONE,
-                    &DrainDone {
-                        machine: target as u64,
-                        closed,
-                    },
-                );
             }
             Ok((K_RETIRE_NOW, p)) => {
                 // Every peer has closed its channels toward us; once

@@ -23,8 +23,8 @@ use aoj_core::ticket::RoutingMode;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_net::wire::{
     append_frame, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp,
-    MatchTap, Plan, Preamble, ProbeAck, Ready, TaskMsg, Wire, K_FINALS, K_GAUGES, K_SHUTDOWN,
-    K_TASK_MSG,
+    MatchTap, Plan, Preamble, ProbeAck, Ready, RetireReq, TaskMsg, Wire, K_FINALS, K_GAUGES,
+    K_SHUTDOWN, K_TASK_MSG,
 };
 use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
@@ -539,10 +539,17 @@ proptest! {
         filters in proptest::collection::vec(key_filter(), 0..5),
     ) {
         let (a, b, c, d, e) = nums;
-        roundtrip_eq(&a); // K_PROBE, K_PROVISION_REQ, K_RETIRE_REQ, K_DRAIN_FOR, K_RETIRE_NOW
+        roundtrip_eq(&a); // K_PROBE, K_PROVISION_REQ, K_RETIRE_NOW
         roundtrip_eq(&()); // K_SHUTDOWN, K_EOS
+        roundtrip_eq(&(a, gen)); // K_FLUSH
         roundtrip_eq(&ProbeAck { nonce: a, created: b, finished: c });
-        roundtrip_eq(&DrainDone { machine: a, closed: gen });
+        roundtrip_eq(&RetireReq {
+            machine: a,
+            gen,
+            peers: closed.iter().map(|&(p, _)| p).collect(),
+            closed: gen ^ 1,
+        });
+        roundtrip_eq(&DrainDone { machine: a, gen, closed: gen ^ 1 });
         // K_GAUGES, and K_GAUGE_RELAY with the sketch dropped.
         roundtrip_eq(&GaugeSample {
             machine: a,

@@ -19,6 +19,7 @@ use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::{
     run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, RunReport, SessionBuilder,
+    SessionHandle, SessionStats,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -232,6 +233,19 @@ fn tcp_shj_join_results_match_sim() {
 /// pushes the rest: the trigger is evaluated as that ingest reaches the
 /// controller.
 fn run_tcp_elastic(cfg: SessionBuilder, arrivals: &[(Rel, StreamItem)]) -> RunReport {
+    let (mut session, tail) = open_and_fill(cfg, arrivals);
+    session.push_batch(tail.iter().copied()).unwrap();
+    session.close()
+}
+
+/// Opens `cfg` on the TCP backend, pushes three fifths of `arrivals` and
+/// waits until the expansion trigger can see both initial joiners past
+/// `capacity/2` (see [`run_tcp_elastic`]). Returns the session and the
+/// arrivals not pushed yet.
+fn open_and_fill(
+    cfg: SessionBuilder,
+    arrivals: &[(Rel, StreamItem)],
+) -> (SessionHandle, &[(Rel, StreamItem)]) {
     let half = cfg
         .elasticity
         .elastic
@@ -241,22 +255,30 @@ fn run_tcp_elastic(cfg: SessionBuilder, arrivals: &[(Rel, StreamItem)]) -> RunRe
     let mut session = JoinSession::open(cfg.with_backend(BackendChoice::Tcp));
     let (head, tail) = arrivals.split_at(arrivals.len() * 3 / 5);
     session.push_batch(head.iter().copied()).unwrap();
+    wait_for_gauges(&session, "both initial joiners past capacity/2", |s| {
+        s.machines[..2].iter().all(|m| m.stored_bytes > half)
+    });
+    (session, tail)
+}
+
+/// Polls the coordinator's gauge view until `reached` holds (failing
+/// with `what` after five seconds), then lets a few more gauge frames
+/// reach the controller.
+fn wait_for_gauges(session: &SessionHandle, what: &str, reached: impl Fn(&SessionStats) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let stats = session.stats();
-        if stats.machines[..2].iter().all(|m| m.stored_bytes > half) {
+        if reached(&stats) {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "the initial joiners never reported {half} stored bytes: {:?}",
+            "the gauges never showed {what}: {:?}",
             stats.machines
         );
         std::thread::sleep(Duration::from_millis(1));
     }
     std::thread::sleep(Duration::from_millis(20));
-    session.push_batch(tail.iter().copied()).unwrap();
-    session.close()
 }
 
 /// The elastic Dynamic operator on the TCP backend: a live ×4 expansion
@@ -305,9 +327,11 @@ fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
     }
 }
 
-/// A forced elastic contraction on the TCP backend: retired machines'
-/// processes perform the quiesce-barrier teardown and **exit mid-run**
-/// (waitpid-confirmed), and the join multiset stays exact.
+/// A forced elastic contraction on the TCP backend, then a re-expansion
+/// onto the slots it retired: retired machines' processes perform the
+/// quiesce-barrier teardown and **exit mid-run** (waitpid-confirmed),
+/// their slots come back as generation-1 processes, and the join
+/// multiset stays exact.
 #[test]
 fn tcp_contraction_retires_processes_and_stays_exact() {
     let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
@@ -318,10 +342,15 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     let mut cfg = config(2, OperatorKind::Dynamic, &w).with_window_copies(ELASTIC_WINDOW);
     cfg.backend.collect_matches = true;
     cfg.seed = seed;
-    // Expand once at 40 KB, then a permissive contraction threshold with
-    // a short holdoff pulls the cluster back 4→1 while traffic is live.
+    // Expand at 72 KB a joiner — three fifths of the stream fill J₀ = 2
+    // past that (~90 KB each), four fifths leave every one of the eight
+    // children below it (~60 KB) — so a permissive contraction
+    // threshold with a short holdoff pulls the cluster back 4→1 before
+    // any second expansion could fire; the rest of the stream, pushed
+    // once the contraction is visible, re-expands onto the retired slots
+    // and contracts again.
     cfg.elasticity.elastic = Some(
-        ElasticConfig::new(40 << 10, 2)
+        ElasticConfig::new(144 << 10, 2)
             .with_contraction(1 << 40, 2)
             .with_contract_holdoff(2_000),
     );
@@ -330,8 +359,24 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     base_cfg.elasticity.elastic = None;
     let reference = run(&arrivals, &base_cfg);
 
-    let report = run_tcp_elastic(cfg, &arrivals);
-    assert!(report.expansions >= 1, "no expansion fired");
+    let (mut session, rest) = open_and_fill(cfg, &arrivals);
+    let filled = session.stats().max_stored_bytes();
+    let (middle, tail) = rest.split_at(arrivals.len() / 5);
+    session.push_batch(middle.iter().copied()).unwrap();
+    // Expanded and contracted again: two slots hold everything, each
+    // well past what the first three fifths filled a joiner to.
+    wait_for_gauges(&session, "the contraction back to two joiners", |s| {
+        let holding: Vec<u64> = s
+            .machines
+            .iter()
+            .map(|m| m.stored_bytes)
+            .filter(|&b| b > 0)
+            .collect();
+        holding.len() == 2 && holding.iter().all(|&b| b > filled + filled * 3 / 20)
+    });
+    session.push_batch(tail.iter().copied()).unwrap();
+    let report = session.close();
+    assert!(report.expansions >= 2, "no re-expansion fired");
     assert!(report.contractions >= 1, "no contraction fired");
     assert_eq!(
         report.match_pairs, reference.match_pairs,
@@ -342,6 +387,20 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     assert!(
         !mid_run.is_empty(),
         "contraction did not retire any worker process mid-run"
+    );
+    // The re-expansion lands on the slots the contraction retired — in
+    // about half the runs from the very handler that retired them — so
+    // some slot ran as generation 0 and as generation 1 (both exit 0,
+    // below): the retire-then-reprovision ordering (every token consumed
+    // before the new generation's first frame) stays exercised.
+    assert!(
+        summary.reaped.iter().any(|old| old.gen == 0
+            && summary
+                .reaped
+                .iter()
+                .any(|new| new.machine == old.machine && new.gen == 1)),
+        "no slot was retired and re-provisioned: {:?}",
+        summary.reaped
     );
     for r in &summary.reaped {
         assert_eq!(

@@ -95,16 +95,23 @@ pub enum Work<M> {
         /// Timer key.
         key: u64,
     },
-    /// A retirement flush token (control priority). The runtime pushes
-    /// one into every live peer's mailbox when a machine retires; the
-    /// worker that consumes the **last** token for a retiring machine
-    /// knows every peer has passed the point after which it can no
-    /// longer send to it, and calls
-    /// [`complete_drain`](Mailbox::complete_drain) on that machine's
-    /// mailbox so its worker can tear down for real.
+    /// A retirement flush token (control priority), posted into every
+    /// live peer's control queue when a machine retires, FIFO behind
+    /// whatever the retiring node sent that peer before. A peer consuming
+    /// it has passed the point after which it can no longer send to the
+    /// retiree. In the threaded runtime the worker that consumes the
+    /// **last** token calls [`complete_drain`](Mailbox::complete_drain)
+    /// on the retiree's mailbox so its worker can tear down for real; an
+    /// `aoj-net` node that consumes one closes its connections to the
+    /// retiring generation, and the retiree drains once every peer has.
     Flush {
         /// Index of the retiring machine the token vouches for.
         machine: usize,
+        /// The incarnation it retires: an `aoj-net` node closes only its
+        /// connections to that generation of the machine's process. The
+        /// threaded runtime, whose re-provisioned machine reuses the same
+        /// mailbox, posts 0.
+        gen: u32,
     },
 }
 
@@ -445,8 +452,9 @@ pub fn dispatch<M: SimMessage>(
             task.on_timer(&mut ctx, key);
             (tid, ctx.take_effects())
         }
-        // The runtime consumes its flush tokens before dispatch; the TCP
-        // backend's drain barrier is connection-level and posts none.
+        // Flush tokens address the machine loop, not a task: both the
+        // runtime's workers and `aoj-net`'s nodes consume them before
+        // dispatch.
         Work::Flush { .. } => panic!("flush token reached task dispatch"),
     };
     shard.on_busy(mid, SimDuration(started.elapsed().as_micros() as u64));
@@ -472,7 +480,7 @@ mod tests {
         match w {
             Work::Msg { msg, .. } => msg,
             Work::Timer { key, .. } => 1_000_000 + key,
-            Work::Flush { machine } => 2_000_000 + machine as u64,
+            Work::Flush { machine, .. } => 2_000_000 + machine as u64,
         }
     }
 

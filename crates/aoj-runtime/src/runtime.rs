@@ -408,7 +408,7 @@ fn worker<M: SimMessage + Send + 'static>(
             // the retiring machine; the last consumer completes that
             // machine's drain.
             let work = match work {
-                Work::Flush { machine } => {
+                Work::Flush { machine, .. } => {
                     if shared.flush_pending[machine].fetch_sub(1, Ordering::SeqCst) == 1 {
                         shared.mailboxes[machine].complete_drain();
                     }
@@ -557,6 +557,7 @@ fn worker<M: SimMessage + Send + 'static>(
                                     aoj_simnet::MsgClass::Control,
                                     Work::Flush {
                                         machine: machine.index(),
+                                        gen: 0,
                                     },
                                     1,
                                     false,
