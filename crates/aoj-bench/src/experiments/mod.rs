@@ -114,8 +114,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         entry: ("skew", scenarios::run_skew),
-        about:
-            "keyed vs hot-split at Zipf 1.0/1.4: imbalance, modelled makespan (sim, threaded, tcp)",
+        about: "random routing at Zipf 1.0/1.4: imbalance, makespan, hot keys (sim, threaded, tcp)",
         panels: &[],
         scenario: true,
     },

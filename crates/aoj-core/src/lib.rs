@@ -19,8 +19,8 @@
 //! | §5.4 `ILF/ILF*` instrumentation (Fig. 8c) | [`competitive`] |
 //!
 //! Beyond the paper, [`sketch`] adds mergeable SpaceSaving heavy-hitter
-//! summaries that make the routing layer skew-aware — a capability the
-//! original operator lacked — and [`fault`] adds the deterministic
+//! summaries that report which keys are hot (routing never reads them),
+//! and [`fault`] adds the deterministic
 //! fault-injection plan, failure detector, and recovery bookkeeping
 //! behind the self-healing session layer.
 //!
@@ -65,5 +65,4 @@ pub use mapping::{GridAssignment, GridPos, Mapping, Step};
 pub use migration::{plan_step, MachineStepSpec, MigrationPlan, StateClass};
 pub use predicate::Predicate;
 pub use sketch::{HeavyHitter, SkewConfig, SkewRel, SkewSketch, SpaceSaving};
-pub use ticket::RoutingMode;
 pub use tuple::{Rel, Tuple};

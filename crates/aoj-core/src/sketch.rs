@@ -7,19 +7,16 @@
 //! replaces exact accounting with `k` counters: every key whose weight
 //! exceeds `N/k` is tracked, and no estimate overshoots the weight it was
 //! fed by more than `N/k`. [`SkewSketch`] keeps one per relation, answers
-//! "is this key hot?" ([`SkewSketch::is_hot`]) and "which keys are hot?"
-//! ([`SkewSketch::hot_keys`]), and carries a flat `Vec<u64>` wire form
-//! (`to_parts` / `from_parts`) so shards can ride the existing
-//! gauge-sample frames.
+//! "which keys are hot?" ([`SkewSketch::hot_keys`]), and carries a flat
+//! `Vec<u64>` wire form (`to_parts` / `from_parts`) so shards can ride the
+//! existing gauge-sample frames.
 //!
-//! The sketch is fed whatever weight its caller chooses. A keyed routing
-//! mode, which routes by [`SkewSketch::is_hot`], feeds it every tuple. The
-//! paper's random routing reads nothing from it, so a reshuffler there
-//! feeds it a Bernoulli(1/s) sample of its tuples, each weighted `s ×
-//! bytes`: the weight fed per key (and in total) is an unbiased estimate
-//! of the true bytes, with a relative standard error of about
-//! `√(s / (share · n))` for a key carrying `share` of `n` routed tuples,
-//! on top of SpaceSaving's `N/k` overestimate.
+//! The sketch is observability only: routing never reads it, so a
+//! reshuffler feeds it a Bernoulli(1/s) sample of its tuples, each
+//! weighted `s × bytes`. The weight fed per key (and in total) is an
+//! unbiased estimate of the true bytes, with a relative standard error of
+//! about `√(s / (share · n))` for a key carrying `share` of `n` routed
+//! tuples, on top of SpaceSaving's `N/k` overestimate.
 //!
 //! Summaries merge **deterministically**: merging the per-shard sketches
 //! of a threaded or TCP run yields the same summary regardless of machine
@@ -297,20 +294,6 @@ impl SkewSketch {
         }
     }
 
-    /// Whether `key` currently crosses the heavy-hitter threshold on the
-    /// combined (R+S) estimate. Never true before `min_total` weight.
-    pub fn is_hot(&self, key: i64) -> bool {
-        let total = self.total();
-        if total < self.cfg.min_total {
-            return false;
-        }
-        // A key can be hot through either relation or their sum; consult
-        // the tracked estimates only (untracked keys cannot be hot: their
-        // true weight is at most N/k < threshold).
-        let tracked = |ss: &SpaceSaving| ss.index.get(&key).map_or(0, |&i| ss.counters[i].count);
-        tracked(&self.r) + tracked(&self.s) >= self.cfg.threshold(total).max(1)
-    }
-
     /// Heavy hitters over the combined estimate, heaviest first.
     pub fn hot_keys(&self) -> Vec<HeavyHitter> {
         let total = self.total();
@@ -488,9 +471,8 @@ mod tests {
             };
             skewed.observe(SkewRel::S, key, 64);
         }
-        assert!(skewed.is_hot(0));
-        assert!(!uniform.is_hot(0));
-        assert_eq!(skewed.hot_keys()[0].key, 0);
+        let hot: Vec<i64> = skewed.hot_keys().iter().map(|h| h.key).collect();
+        assert_eq!(hot, [0]);
         assert!(uniform.hot_keys().is_empty());
     }
 

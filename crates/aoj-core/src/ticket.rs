@@ -81,57 +81,6 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How a reshuffler chooses the ticket for each routed tuple.
-///
-/// Exactness never depends on this choice: in the matrix assignment any
-/// row and any column intersect in exactly one cell, so *any* ticket —
-/// random, key-derived, or hot-split — still produces every matching pair
-/// exactly once. The mode is pure placement policy and can even change
-/// mid-stream without a transition protocol.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RoutingMode {
-    /// Fresh uniform ticket per tuple (the paper's operator). Best-balanced
-    /// storage, but every cell must be probed for every tuple.
-    #[default]
-    Random,
-    /// Ticket derived from the join key ([`keyed_ticket`]): all state for a
-    /// key concentrates on one row/column. Skew-blind — a hot key melts a
-    /// single cell. This is the baseline the skew experiment measures
-    /// against.
-    Keyed,
-    /// [`RoutingMode::Keyed`] for cold keys, but once a key crosses the
-    /// heavy-hitter threshold its build side draws fresh random tickets
-    /// (spreading replicas across the whole row dimension) and its probe
-    /// side round-robins columns via [`column_ticket`] — splitting the hot
-    /// cell across the grid while every pair still meets exactly once.
-    KeyedHotSplit,
-}
-
-/// Deterministic ticket for key-concentrated routing: every tuple of a key
-/// draws the same ticket, so its row (for R) and column (for S) are fixed.
-/// `salt` must be shared by all reshufflers of a run so they agree on the
-/// placement; vary it per run to avoid cross-run key-position aliasing.
-#[inline]
-pub fn keyed_ticket(key: i64, salt: u64) -> u64 {
-    mix64((key as u64) ^ salt)
-}
-
-/// A ticket whose leading `log2 m` bits select column `col` among `m`,
-/// with the remaining bits drawn from `entropy` so nested refinement (and
-/// thus elastic expansion) keeps working on hot-split tuples.
-#[inline]
-pub fn column_ticket(col: u32, m: u32, entropy: u64) -> u64 {
-    debug_assert!(m.is_power_of_two(), "m must be a power of two");
-    debug_assert!(col < m.max(1));
-    if m <= 1 {
-        return entropy;
-    }
-    let bits = m.trailing_zeros();
-    let head = (col as u64) << (64 - bits);
-    let mask = u64::MAX >> bits;
-    head | (entropy & mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,44 +148,6 @@ mod tests {
         };
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn keyed_ticket_is_stable_and_salt_sensitive() {
-        assert_eq!(keyed_ticket(42, 7), keyed_ticket(42, 7));
-        assert_ne!(keyed_ticket(42, 7), keyed_ticket(42, 8));
-        assert_ne!(keyed_ticket(42, 7), keyed_ticket(43, 7));
-    }
-
-    #[test]
-    fn column_ticket_pins_the_column_and_keeps_refinement() {
-        let mut gen = TicketGen::new(3);
-        for m in [1u32, 2, 4, 8] {
-            for col in 0..m {
-                for _ in 0..100 {
-                    let t = column_ticket(col, m, gen.next());
-                    if m > 1 {
-                        assert_eq!(partition(t, m), col);
-                    }
-                    // Nested refinement still holds on the synthetic ticket.
-                    assert_eq!(partition(t, 2 * m), partition(t, m) * 2 + refine_bit(t, m));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn column_ticket_low_bits_spread() {
-        // The refinement bit below the column prefix must stay uniform so
-        // a x4 expansion splits hot-split state evenly.
-        let mut gen = TicketGen::new(5);
-        let mut ones = 0;
-        for _ in 0..10_000 {
-            if refine_bit(column_ticket(2, 4, gen.next()), 4) == 1 {
-                ones += 1;
-            }
-        }
-        assert!((4000..6000).contains(&ones), "refine bit biased: {ones}");
     }
 
     #[test]

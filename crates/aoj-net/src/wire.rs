@@ -44,8 +44,6 @@ use aoj_core::lifecycle::{JoinerCheckpoint, TickSource, WindowMode, WindowSpec};
 use aoj_core::mapping::{GridAssignment, GridPos, Mapping, Step};
 use aoj_core::migration::MachineStepSpec;
 use aoj_core::predicate::Predicate;
-use aoj_core::sketch::SkewConfig;
-use aoj_core::ticket::RoutingMode;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_operators::driver::{BackendChoice, OperatorKind};
 use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
@@ -56,7 +54,7 @@ use aoj_operators::session::{
     BackendSection, DataPlaneSection, ElasticitySection, FaultSection, KeyFilter, LifecycleSection,
     SessionBuilder, SourceSection,
 };
-use aoj_operators::{ElasticConfig, SkewPolicy, SourcePacing};
+use aoj_operators::{ElasticConfig, SourcePacing};
 use aoj_simnet::{
     CostModel, FlushCounts, Gauge, MachineMetrics, MsgClass, NetworkConfig, SimDuration, SimTime,
     TaskId,
@@ -64,7 +62,7 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 12;
+pub const WIRE_VERSION: u8 = 13;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -701,7 +699,6 @@ wire_enum!(Predicate {
      use a named predicate on the TCP backend"
 ));
 wire_enum!(BackendChoice { 0 => Sim, 1 => Threaded, 2 => Tcp });
-wire_enum!(RoutingMode { 0 => Random, 1 => Keyed, 2 => KeyedHotSplit });
 wire_enum!(WindowMode { 0 => Count, 1 => Time });
 wire_enum!(TickSource { 0 => Arrival, 1 => AuxEventTime });
 // The fault section stays home — it travels as nothing and a worker
@@ -761,8 +758,6 @@ wire_struct! {
         match_buffer: usize,
         track_competitive: bool,
     }
-    SkewConfig { keys: usize, hot_num: u32, hot_den: u32, min_total: u64 }
-    SkewPolicy { routing: RoutingMode, sketch: SkewConfig }
     // The plan every worker rebuilds its topology from. Encoding panics on
     // `Predicate::Theta` — an arbitrary closure cannot cross a process
     // boundary; every named predicate the paper evaluates round-trips.
@@ -778,7 +773,6 @@ wire_struct! {
         elasticity: ElasticitySection,
         lifecycle: LifecycleSection,
         backend: BackendSection,
-        skew: SkewPolicy,
         fault: FaultSection,
     }
 }

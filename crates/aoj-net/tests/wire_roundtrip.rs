@@ -19,7 +19,6 @@ use aoj_core::lifecycle::{JoinerCheckpoint, TickSource, WindowMode, WindowSpec};
 use aoj_core::mapping::{GridAssignment, GridPos, Mapping, Step};
 use aoj_core::migration::MachineStepSpec;
 use aoj_core::predicate::Predicate;
-use aoj_core::ticket::RoutingMode;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_net::wire::{
     append_frame, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp,
@@ -620,7 +619,6 @@ fn full_builder() -> SessionBuilder {
         ticks: TickSource::AuxEventTime,
     });
     b.backend.collect_matches = true;
-    b.skew.routing = RoutingMode::KeyedHotSplit;
     b
 }
 
@@ -746,6 +744,11 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // after the sketch's key count) and `SkewPolicy` lost `publish_every`,
 // now a constant (the `00 10…` word after `min_total`); the gauge frame's
 // sketch words are opaque to the codec, so `GOLDEN_GAUGES` did not move.
+// `WIRE_VERSION` 13: `SessionBuilder` lost its `skew` section (random
+// routing is the only placement, and no caller ever set the sketch's
+// configuration), which removes the builder's last 25 bytes: the
+// routing-mode tag `02` and the `SkewConfig` words `40 00…`, `01 00…`,
+// `14 00…` and `00 00 01 00…`. No other pinned image moved.
 //
 // The same bump covers the two control-plane frames pinned below them:
 // [`GaugeSample`] is one word per [`Gauge`] (the `Matches` word is new)
@@ -883,7 +886,7 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "1208000000",
 ];
 
-const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d00000000000000200000000000000000000000000000000100000001000000000000000000000001000001000000000002000000000000000000000000000000000000000000000000010101e80300000000000004000000010200000000000000000100040000000000000002400000000000000001000000140000000000010000000000";
+const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d00000000000000200000000000000000000000000000000100000001000000000000000000000001000001000000000002000000000000000000000000000000000000000000000000010101e803000000000000040000000102000000000000000001000400000000000000";
 
 fn golden_gauge_sample() -> GaugeSample {
     GaugeSample {

@@ -40,7 +40,7 @@ use crate::reshuffler::{
 };
 use crate::session::{IngestQueue, JoinSession, MatchHub, SessionBuilder};
 use crate::shj::{ShjJoiner, ShjReshuffler};
-use crate::skew::{SkewBoard, SkewState};
+use crate::skew::{SkewBoard, SkewPolicy, SkewState};
 use crate::source::SourceTask;
 
 /// The four operators of §5.
@@ -272,7 +272,6 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     let joiner_ids: Vec<TaskId> = (total..2 * total).map(TaskId).collect();
     let source_id = TaskId(2 * total);
     let skew_board = SkewBoard::new(total);
-    let skew_salt = skew_salt(b.seed);
 
     for i in 0..total {
         let controller = (i == 0).then(|| {
@@ -319,7 +318,7 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             // controller's `Activate` (control socket).
             deactivated: !active.contains(&i),
             layout: layout.clone(),
-            skew: SkewState::new(b.skew, skew_salt).with_board(Arc::clone(&skew_board), i),
+            skew: SkewState::new(SkewPolicy::default(), 0).with_board(Arc::clone(&skew_board), i),
         };
         let id = backend.add_task(machines[i], Box::new(task));
         debug_assert_eq!(id, reshuffler_ids[i]);
@@ -417,13 +416,6 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             skew_board,
         }),
     }
-}
-
-/// The salt every reshuffler hashes keys with under keyed routing —
-/// derived from the session seed so distinct sessions place keys
-/// differently, shared across shards so they place keys identically.
-pub(crate) fn skew_salt(seed: u64) -> u64 {
-    aoj_core::ticket::mix64(seed ^ 0x5EED_5CA1_E5A1_7AB1)
 }
 
 /// The collect phase's drain check: a quiesced run must have

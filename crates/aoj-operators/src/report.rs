@@ -171,10 +171,8 @@ pub struct SkewSummary {
     pub hot_keys: Vec<HeavyHitter>,
     /// Total weight the merged sketches observed (0 = no shard has
     /// published yet, e.g. a run too short to reach a publish point).
-    /// Exact under the keyed routing modes; under
-    /// [`RoutingMode::Random`](aoj_core::ticket::RoutingMode::Random) an
-    /// unbiased estimate, since the sketches see a 1-in-64 sample of the
-    /// routed tuples weighted ×64.
+    /// An unbiased estimate, since the sketches see a 1-in-64 sample of
+    /// the routed tuples weighted ×64.
     pub observed_bytes: u64,
 }
 

@@ -153,8 +153,8 @@ pub struct ReshufflerTask {
     /// active reshuffler evolves an identical copy (same change
     /// sequence), so expansion child allocation needs no coordination.
     pub layout: ElasticLayout,
-    /// Routing policy plus the per-relation skew sketch this reshuffler
-    /// maintains as it routes (published to the session's `SkewBoard`).
+    /// The sampled per-relation skew sketch this reshuffler maintains as
+    /// it routes (published to the session's `SkewBoard`).
     pub skew: SkewState,
 }
 
@@ -206,9 +206,9 @@ impl ReshufflerTask {
         arrived: SimTime,
     ) -> u32 {
         let mp = self.assign.mapping();
-        // The only policy decision in the hot path: the ticket. Anything
-        // the policy picks is exact — every row × column pair meets in
-        // exactly one cell — so hot keys can switch placement mid-stream.
+        // The paper's uniform random ticket: every row × column pair
+        // meets in exactly one cell, and load balances under any key
+        // distribution.
         let ticket = self.skew.ticket(&mut self.tickets, rel, key, bytes, mp.m);
         let t = Tuple {
             seq,

@@ -77,7 +77,7 @@ use crate::driver::{
 use crate::elastic_runtime::{provisioned_joiners, ElasticConfig};
 use crate::messages::{Match, OpMsg};
 use crate::report::{harvest, machine_stats, Finals, MachineStats, RunReport, SkewSummary};
-use crate::skew::{SkewBoard, SkewPolicy};
+use crate::skew::SkewBoard;
 use crate::source::{default_window_copies, SourcePacing, SourceTask};
 
 /// Why a push was refused.
@@ -944,8 +944,6 @@ pub struct SessionBuilder {
     pub lifecycle: LifecycleSection,
     /// Backend choice and observability.
     pub backend: BackendSection,
-    /// Routing policy and skew detection (see [`SkewPolicy`]).
-    pub skew: SkewPolicy,
     /// Fault injection, failure detection and recovery cadence.
     pub fault: FaultSection,
 }
@@ -987,7 +985,6 @@ impl SessionBuilder {
                 match_buffer: DEFAULT_MATCH_BUFFER,
                 track_competitive: false,
             },
-            skew: SkewPolicy::default(),
             fault: FaultSection::default(),
         }
     }
@@ -1096,13 +1093,6 @@ impl SessionBuilder {
     /// unbounded).
     pub fn with_match_buffer(mut self, matches: usize) -> SessionBuilder {
         self.backend.match_buffer = matches;
-        self
-    }
-
-    /// Builder: just the routing mode, keeping the default sketch
-    /// configuration.
-    pub fn with_routing(mut self, routing: aoj_core::RoutingMode) -> SessionBuilder {
-        self.skew.routing = routing;
         self
     }
 

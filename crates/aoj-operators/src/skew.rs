@@ -1,9 +1,10 @@
-//! Skew-aware routing state and the cross-shard sketch board.
+//! The reshufflers' sampled skew sketch and the cross-shard sketch board.
 //!
-//! Each reshuffler owns a [`SkewState`]: the run's routing policy, a
-//! per-relation [`SkewSketch`] it feeds as it routes, and a slot on the
-//! shared [`SkewBoard`] where it periodically publishes its sketch in
-//! wire form. The board is how the rest of the system sees skew:
+//! Each reshuffler owns a [`SkewState`]: the ticket generator's one draw
+//! per routed tuple, a per-relation [`SkewSketch`] fed a sample of those
+//! tuples, and a slot on the shared [`SkewBoard`] where it periodically
+//! publishes its sketch in wire form. The board is how the rest of the
+//! system sees skew:
 //!
 //! * `stats()` / `RunReport` merge the published shards (deterministic
 //!   slot order) into the session-wide heavy-hitter summary;
@@ -11,58 +12,33 @@
 //!   parts to its gauge-sample frames, and the coordinator republishes
 //!   them into its own board — the same path `SharedGauges` travel.
 //!
-//! The board is read for reporting only: hot-key flagging uses each
-//! reshuffler's own sketch, and no migration or elasticity trigger reads
-//! either. Under [`RoutingMode::Random`] nothing routes by the sketch at
-//! all, so there it is fed a sample of one tuple in 64, chosen by the
-//! ticket the tuple draws anyway (see [`SkewState::ticket`]).
-//!
-//! Routing policy never affects exactness. In the matrix assignment any
-//! row and any column intersect in exactly one cell, so the ticket choice
-//! — uniform, key-derived, or hot-split — only moves *where* state lands,
-//! never *whether* a pair meets. That is why [`SkewState::ticket`] can
-//! flip a key from keyed to hot-split placement mid-stream with no
-//! transition protocol, and why the cross-backend multiset tests pin
-//! bit-identical join outputs across routing modes' backends.
+//! The sketch and the board are read for reporting only: placement is the
+//! paper's uniform random ticket, and no routing, migration or elasticity
+//! decision reads either. So the sketch is fed a sample of one tuple in
+//! 64, chosen by the ticket the tuple draws anyway (see
+//! [`SkewState::ticket`]). Random tickets balance storage and join work
+//! under any key distribution, so a hot key needs no countermeasure.
 
 use std::sync::{Arc, Mutex};
 
 use aoj_core::sketch::{SkewConfig, SkewRel, SkewSketch};
-use aoj_core::ticket::{column_ticket, keyed_ticket, RoutingMode, TicketGen};
+use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
 
-/// Under [`RoutingMode::Random`] a reshuffler's sketch observes one routed
-/// tuple in `SAMPLE` (a power of two), weighted `SAMPLE ×` its bytes.
+/// A reshuffler's sketch observes one routed tuple in `SAMPLE` (a power of
+/// two), weighted `SAMPLE ×` its bytes.
 const SAMPLE: u64 = 64;
 
 /// A reshuffler publishes its sketch to the board every this many routed
 /// tuples (flush points always publish).
 const PUBLISH_EVERY: u64 = 4096;
 
-/// Run-level skew-handling knobs (the `skew` section of
-/// [`SessionBuilder`](crate::session::SessionBuilder)).
+/// [`SkewState::new`]'s sketch configuration (always the default), kept
+/// until the next `benchmark` change drops it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SkewPolicy {
-    /// How reshufflers pick tickets (default [`RoutingMode::Random`], the
-    /// paper's content-insensitive operator — bit-identical to runs
-    /// predating this module).
-    pub routing: RoutingMode,
     /// Sketch sizing and the heavy-hitter threshold.
     pub sketch: SkewConfig,
-}
-
-impl SkewPolicy {
-    /// Builder: set the routing mode.
-    pub fn with_routing(mut self, routing: RoutingMode) -> SkewPolicy {
-        self.routing = routing;
-        self
-    }
-
-    /// Builder: set the sketch configuration.
-    pub fn with_sketch(mut self, sketch: SkewConfig) -> SkewPolicy {
-        self.sketch = sketch;
-        self
-    }
 }
 
 /// Shared board of per-machine published sketches (wire `parts` form).
@@ -132,30 +108,23 @@ impl SkewBoard {
     }
 }
 
-/// Per-reshuffler skew state: the routing policy plus the sketch it
-/// maintains while routing.
+/// Per-reshuffler skew state: the sampled sketch it maintains while
+/// routing, and where it publishes it.
 #[derive(Debug)]
 pub struct SkewState {
-    mode: RoutingMode,
-    salt: u64,
     /// The local per-relation sketch (public for checkpoint inspection
-    /// and tests; routing consults it through [`SkewState::ticket`]).
+    /// and tests).
     pub sketch: SkewSketch,
-    rr: u64,
     since_publish: u64,
     board: Option<(Arc<SkewBoard>, usize)>,
 }
 
 impl SkewState {
-    /// Fresh state under `policy`. `salt` keys the deterministic
-    /// key→ticket placement and must be identical across the run's
-    /// reshufflers (derive it from the run seed).
-    pub fn new(policy: SkewPolicy, salt: u64) -> SkewState {
+    /// Fresh state with `policy`'s sketch configuration.
+    /// `_salt` is ignored until the next `benchmark` change drops it.
+    pub fn new(policy: SkewPolicy, _salt: u64) -> SkewState {
         SkewState {
-            mode: policy.routing,
-            salt,
             sketch: SkewSketch::new(policy.sketch),
-            rr: 0,
             since_publish: 0,
             board: None,
         }
@@ -167,67 +136,33 @@ impl SkewState {
         self
     }
 
-    /// The active routing mode.
-    pub fn mode(&self) -> RoutingMode {
-        self.mode
-    }
-
-    /// Observe one routed tuple and choose its ticket under the active
-    /// policy. `m` is the current mapping's column count (the round-robin
-    /// span for hot probe-side tuples).
+    /// Draw one routed tuple's ticket from `tickets` and observe the tuple
+    /// in the sketch if it is sampled.
+    /// `_m` is ignored until the next `benchmark` change drops it.
     ///
-    /// [`RoutingMode::Random`] draws exactly one ticket from `tickets`
-    /// per call, preserving bit-identical placement with runs that
-    /// predate skew handling. Nothing routes by the sketch in that mode,
-    /// so it observes only tuples whose ticket has its low `log2 SAMPLE`
-    /// bits clear, weighted `SAMPLE ×` their bytes: the ticket is uniform
-    /// and independent of the key, so this is an unbiased Bernoulli
-    /// sample that needs no counter and is deterministic per seed (a
-    /// fixed stride would alias with any stream whose relation or key
-    /// pattern repeats). The keyed modes route by the sketch and observe
-    /// every tuple.
+    /// Exactly one ticket is drawn per call, so placement is the bare
+    /// [`TicketGen`] sequence. The sketch observes only tuples whose
+    /// ticket has its low `log2 SAMPLE` bits clear, weighted `SAMPLE ×`
+    /// their bytes: the ticket is uniform and independent of the key, so
+    /// this is an unbiased Bernoulli sample that needs no counter and is
+    /// deterministic per seed (a fixed stride would alias with any stream
+    /// whose relation or key pattern repeats).
     pub fn ticket(
         &mut self,
         tickets: &mut TicketGen,
         rel: Rel,
         key: i64,
         bytes: u32,
-        m: u32,
+        _m: u32,
     ) -> u64 {
-        let srel = match rel {
-            Rel::R => SkewRel::R,
-            Rel::S => SkewRel::S,
-        };
-        let ticket = match self.mode {
-            RoutingMode::Random => {
-                let ticket = tickets.next();
-                if ticket & (SAMPLE - 1) == 0 {
-                    self.sketch.observe(srel, key, u64::from(bytes) * SAMPLE);
-                }
-                ticket
-            }
-            mode => {
-                self.sketch.observe(srel, key, u64::from(bytes));
-                if mode == RoutingMode::KeyedHotSplit && self.sketch.is_hot(key) {
-                    match rel {
-                        // Hot build side: spread replicas over every row
-                        // (a fresh uniform ticket), so no single row
-                        // stores the whole hot key.
-                        Rel::R => tickets.next(),
-                        // Hot probe side: round-robin the columns; the
-                        // sub-column bits stay uniform so refinement
-                        // (elastic expansion) still splits evenly.
-                        Rel::S => {
-                            let col = (self.rr % m.max(1) as u64) as u32;
-                            self.rr += 1;
-                            column_ticket(col, m, tickets.next())
-                        }
-                    }
-                } else {
-                    keyed_ticket(key, self.salt)
-                }
-            }
-        };
+        let ticket = tickets.next();
+        if ticket & (SAMPLE - 1) == 0 {
+            let srel = match rel {
+                Rel::R => SkewRel::R,
+                Rel::S => SkewRel::S,
+            };
+            self.sketch.observe(srel, key, u64::from(bytes) * SAMPLE);
+        }
         self.since_publish += 1;
         if self.since_publish >= PUBLISH_EVERY {
             self.publish();
@@ -249,16 +184,6 @@ impl SkewState {
 mod tests {
     use super::*;
     use aoj_core::sketch::HeavyHitter;
-    use aoj_core::ticket::partition;
-
-    fn hot_policy() -> SkewPolicy {
-        SkewPolicy::default()
-            .with_routing(RoutingMode::KeyedHotSplit)
-            .with_sketch(SkewConfig {
-                min_total: 1000,
-                ..SkewConfig::default()
-            })
-    }
 
     #[test]
     fn random_mode_matches_bare_ticketgen() {
@@ -269,36 +194,6 @@ mod tests {
             let t = st.ticket(&mut gen_a, Rel::R, i, 64, 2);
             assert_eq!(t, gen_b.next(), "Random mode must stay bit-identical");
         }
-    }
-
-    #[test]
-    fn keyed_mode_concentrates_and_hot_split_spreads() {
-        let policy = hot_policy();
-        let mut st = SkewState::new(policy, 99);
-        let mut gen = TicketGen::new(1);
-        let (n, m) = (2u32, 2u32);
-        // Warm up far past min_total with a hot key taking half the
-        // stream: is_hot(0) flips on.
-        for i in 0..2000i64 {
-            st.ticket(&mut gen, Rel::S, i % 2 * i, 64, m);
-        }
-        assert!(st.sketch.is_hot(0));
-        // Cold keys stay keyed: same key, same ticket, one column.
-        let a = st.ticket(&mut gen, Rel::S, 12345, 64, m);
-        let b = st.ticket(&mut gen, Rel::S, 12345, 64, m);
-        assert_eq!(a, b);
-        // Hot probe tuples round-robin every column.
-        let mut cols = std::collections::HashSet::new();
-        for _ in 0..8 {
-            cols.insert(partition(st.ticket(&mut gen, Rel::S, 0, 64, m), m));
-        }
-        assert_eq!(cols.len(), m as usize, "hot S must cover all columns");
-        // Hot build tuples draw fresh tickets: rows vary.
-        let mut rows = std::collections::HashSet::new();
-        for _ in 0..64 {
-            rows.insert(partition(st.ticket(&mut gen, Rel::R, 0, 64, m), n));
-        }
-        assert!(rows.len() > 1, "hot R must spread across rows");
     }
 
     #[test]
@@ -333,16 +228,15 @@ mod tests {
         assert!(board.parts(0).is_some());
     }
 
-    /// Under `Random` the sketch sees a ticket-chosen sample scaled back
-    /// up: its total is a whole number of `SAMPLE × bytes` weights, the
-    /// same seed samples the same tuples, and a strict R,S alternation
-    /// (which a 1-in-64 counter would sample on one side only) shows both
-    /// relations. The keyed modes count every tuple exactly.
+    /// The sketch sees a ticket-chosen sample scaled back up: its total is
+    /// a whole number of `SAMPLE × bytes` weights, the same seed samples
+    /// the same tuples, and a strict R,S alternation (which a 1-in-64
+    /// counter would sample on one side only) shows both relations.
     #[test]
-    fn random_mode_samples_by_ticket_and_keyed_modes_count_exactly() {
+    fn random_mode_samples_by_ticket() {
         let n = 20_000u64;
-        let run = |policy: SkewPolicy| {
-            let mut st = SkewState::new(policy, 3);
+        let run = || {
+            let mut st = SkewState::new(SkewPolicy::default(), 3);
             let mut gen = TicketGen::new(17);
             for i in 0..n {
                 // Key = relation, so each relation's key carries half.
@@ -351,10 +245,10 @@ mod tests {
             }
             st.sketch
         };
-        let sampled = run(SkewPolicy::default());
+        let sampled = run();
         let truth = n * 64;
         assert_eq!(sampled.total() % (SAMPLE * 64), 0);
-        assert_eq!(sampled.total(), run(SkewPolicy::default()).total());
+        assert_eq!(sampled.total(), run().total());
         // ~312 samples: the estimate sits within a few standard errors.
         assert!(
             sampled.total().abs_diff(truth) < truth / 4,
@@ -364,18 +258,12 @@ mod tests {
         let mut hot: Vec<i64> = sampled.hot_keys().iter().map(|h| h.key).collect();
         hot.sort_unstable();
         assert_eq!(hot, [0, 1], "both relations must be sampled");
-        for mode in [RoutingMode::Keyed, RoutingMode::KeyedHotSplit] {
-            let exact = run(SkewPolicy::default().with_routing(mode));
-            assert_eq!(exact.total(), truth, "{mode:?} observes every tuple");
-        }
     }
 
     #[test]
     fn state_publishes_on_interval_and_on_demand() {
         let board = SkewBoard::new(1);
-        // A keyed policy observes every tuple, so the totals are exact.
-        let mut st = SkewState::new(SkewPolicy::default().with_routing(RoutingMode::Keyed), 0)
-            .with_board(board.clone(), 0);
+        let mut st = SkewState::new(SkewPolicy::default(), 0).with_board(board.clone(), 0);
         let mut gen = TicketGen::new(0);
         for i in 0..PUBLISH_EVERY as i64 - 1 {
             st.ticket(&mut gen, Rel::R, i, 64, 2);
@@ -383,16 +271,18 @@ mod tests {
         assert!(board.parts(0).is_none(), "below the publish interval");
         st.ticket(&mut gen, Rel::R, -1, 64, 2);
         let auto = board.parts(0).expect("interval publish");
-        assert_eq!(
-            SkewSketch::from_parts(&auto).unwrap().total(),
-            PUBLISH_EVERY * 64
-        );
-        st.ticket(&mut gen, Rel::R, -2, 64, 2);
+        assert_eq!(auto, st.sketch.to_parts());
+        // Route until a later tuple is sampled, so the forced publish
+        // must differ from the interval one.
+        while st.sketch.to_parts() == auto {
+            st.ticket(&mut gen, Rel::S, -2, 64, 2);
+        }
         st.publish();
         let forced = board.parts(0).expect("forced publish");
-        assert_eq!(
-            SkewSketch::from_parts(&forced).unwrap().total(),
-            (PUBLISH_EVERY + 1) * 64
+        assert_eq!(forced, st.sketch.to_parts());
+        assert!(
+            SkewSketch::from_parts(&forced).unwrap().total()
+                > SkewSketch::from_parts(&auto).unwrap().total()
         );
     }
 }

@@ -453,8 +453,7 @@ fn threaded_runtime_reports_wall_clock_metrics() {
 
 /// A workload with one genuinely hot key: ~30% of both streams land on
 /// key 0, the rest spread over the quadratic-skew tail. Hot enough that
-/// the SpaceSaving sketch must flag it and `KeyedHotSplit` must actually
-/// replicate it across the grid.
+/// the sampled SpaceSaving sketch must flag it.
 fn hot_key_workload(nr: usize, ns: usize, seed: u64) -> Workload {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut item = |key_space: i64| StreamItem {
@@ -474,7 +473,7 @@ fn hot_key_workload(nr: usize, ns: usize, seed: u64) -> Workload {
     }
 }
 
-fn hot_split_session(
+fn hot_key_session(
     arrivals: &[(Rel, StreamItem)],
     w: &Workload,
     seed: u64,
@@ -485,7 +484,6 @@ fn hot_split_session(
         .with_workload(w.name)
         .with_seed(seed)
         .with_backend(backend)
-        .with_routing(aoj_core::RoutingMode::KeyedHotSplit)
         // Same capacity target as the elastic equivalence pin: one ×4
         // expansion (J 2 → 8) fires mid-stream on every backend.
         .with_elastic(ElasticConfig::new(64 << 10, 1))
@@ -496,50 +494,42 @@ fn hot_split_session(
     session.close()
 }
 
-/// The tentpole exactness pin: hot-key replication (`KeyedHotSplit`
-/// routing — hot build tuples spread across joiner rows, hot probe
-/// tuples round-robined across columns) changes only *placement*, never
-/// the output. Across a live ×4 expansion, on all three backends, the
-/// join multiset is bit-identical to the skew-blind simulator reference.
+/// A stream with one hot key stays exact across a live ×4 expansion on
+/// all three backends — the join multiset is bit-identical to the fixed-size
+/// simulator reference — and every backend's merged sampled sketch flags
+/// the hot key.
 #[test]
-fn hot_key_replication_stays_exact_across_backends_and_expansion() {
+fn hot_key_stream_stays_exact_and_flagged_across_backends_and_expansion() {
     let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0x407_2014;
     let w = hot_key_workload(500, 5_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
 
-    // Reference: default Random routing, no elastic, simulator.
+    // Reference: no elastic, simulator.
     let mut base_cfg = config(2, OperatorKind::Dynamic, &w);
     base_cfg.backend.collect_matches = true;
     base_cfg.seed = seed;
     let reference = run(&arrivals, &base_cfg);
     assert!(reference.matches > 0, "vacuous workload");
-    // Random routing feeds its sketches a 1-in-64 ticket-chosen sample,
-    // which still finds a key carrying ~30% of the stream.
-    assert!(
-        reference.skew.hot_keys.iter().any(|h| h.key == 0),
-        "the sampled sketch missed the hot key (hot: {:?}, observed {} bytes)",
-        reference.skew.hot_keys,
-        reference.skew.observed_bytes
-    );
 
     for backend in [
         BackendChoice::Sim,
         BackendChoice::Threaded,
         BackendChoice::Tcp,
     ] {
-        let report = hot_split_session(&arrivals, &w, seed, backend);
+        let report = hot_key_session(&arrivals, &w, seed, backend);
         assert!(
             report.expansions >= 1,
             "{backend:?}: no live expansion fired — the test is vacuous"
         );
         assert_eq!(
             report.match_pairs, reference.match_pairs,
-            "{backend:?}: hot-key split routing changed the join multiset"
+            "{backend:?}: the expansion changed the join multiset"
         );
-        // The sketches must actually have seen the skew: key 0 carries
-        // ~30% of the load, far above the 5% heavy-hitter threshold.
+        // The sketches' 1-in-64 ticket-chosen sample must still see the
+        // skew: key 0 carries ~30% of the load, far above the 5%
+        // heavy-hitter threshold.
         assert!(
             report.skew.hot_keys.iter().any(|h| h.key == 0),
             "{backend:?}: merged sketch failed to flag the hot key \
