@@ -581,8 +581,7 @@ impl EpochJoiner {
 
     /// Bulk fast path for a coalesced batch of stable-phase data tuples:
     /// `τ` is the only live set, so the whole batch goes through the
-    /// index's bulk probe/insert path
-    /// ([`JoinIndex::stream_batch`]) —
+    /// index's [`JoinIndex::stream_batch`] —
     /// semantically identical to feeding each tuple to
     /// [`on_data`](EpochJoiner::on_data) in order, including intra-batch
     /// pairs. `out(i, stored)` receives the batch index of the *probing*
@@ -859,6 +858,10 @@ mod tests {
 
     #[test]
     fn bulk_batch_equals_per_tuple_on_data() {
+        // The stream as one 20-tuple batch, then as 19 tuples and a
+        // batch of one: same pairs, same stored state and the same
+        // ProbeStats (candidates included — the simulator prices virtual
+        // time from them) as per-tuple on_data.
         let mk = || make_joiner(1);
         let batch: Vec<Tuple> = (0..20)
             .map(|i| {
@@ -866,29 +869,36 @@ mod tests {
                 Tuple::new(rel, i, (i as i64 * 7) % 6, i)
             })
             .collect();
-        let mut a = mk();
-        let mut seq_pairs = Vec::new();
-        for t in &batch {
-            a.on_data(0, *t, &mut collect_pairs(&mut seq_pairs));
-        }
-        let mut b = mk();
-        assert!(b.stable_for(0));
-        let mut bulk_pairs = Vec::new();
-        let stats = b.on_data_batch(0, &batch, &mut |i, stored| {
-            let t = &batch[i];
-            if t.rel == Rel::R {
-                bulk_pairs.push((t.seq, stored.seq));
-            } else {
-                bulk_pairs.push((stored.seq, t.seq));
+        for batches in [vec![&batch[..]], vec![&batch[..19], &batch[19..]]] {
+            let mut a = mk();
+            let mut seq_pairs = Vec::new();
+            let mut seq_stats = ProbeStats::default();
+            let mut b = mk();
+            let mut bulk_pairs = Vec::new();
+            let mut bulk_stats = ProbeStats::default();
+            for part in batches {
+                for t in part {
+                    seq_stats += a.on_data(0, *t, &mut collect_pairs(&mut seq_pairs)).stats;
+                }
+                assert!(b.stable_for(0));
+                bulk_stats += b.on_data_batch(0, part, &mut |i, stored| {
+                    let t = &part[i];
+                    if t.rel == Rel::R {
+                        bulk_pairs.push((t.seq, stored.seq));
+                    } else {
+                        bulk_pairs.push((stored.seq, t.seq));
+                    }
+                });
+                assert_eq!(seq_stats, bulk_stats, "batch of {}", part.len());
             }
-        });
-        seq_pairs.sort_unstable();
-        bulk_pairs.sort_unstable();
-        assert_eq!(seq_pairs, bulk_pairs);
-        assert_eq!(a.matches_emitted, b.matches_emitted);
-        assert_eq!(stats.matches, b.matches_emitted);
-        assert_eq!(a.stored_tuples(), b.stored_tuples());
-        assert_eq!(a.stored_bytes(), b.stored_bytes());
+            seq_pairs.sort_unstable();
+            bulk_pairs.sort_unstable();
+            assert_eq!(seq_pairs, bulk_pairs);
+            assert_eq!(a.matches_emitted, b.matches_emitted);
+            assert_eq!(bulk_stats.matches, b.matches_emitted);
+            assert_eq!(a.stored_tuples(), b.stored_tuples());
+            assert_eq!(a.stored_bytes(), b.stored_bytes());
+        }
     }
 
     #[test]

@@ -61,83 +61,29 @@ pub trait JoinIndex: Send {
         on_match: &mut dyn FnMut(&Tuple),
     ) -> ProbeStats;
 
-    /// Unfiltered probe.
+    /// Unfiltered probe. An override must report what `probe_filtered`
+    /// with an accept-all filter reports.
     fn probe(&mut self, t: &Tuple, on_match: &mut dyn FnMut(&Tuple)) -> ProbeStats {
         self.probe_filtered(t, &mut |_| true, on_match)
     }
 
-    /// Insert every tuple of `batch` (in order).
-    fn insert_batch(&mut self, batch: &[Tuple]) {
-        for t in batch {
-            self.insert(*t);
-        }
-    }
-
-    /// Probe each `probes[i]` against the stored state, invoking
-    /// `on_match(i, stored)` once per match of `probes[i]`.
-    ///
-    /// Semantically identical to `probes.iter().map(|t| self.probe(t))` —
-    /// probes are **not** matched against each other and are **not**
-    /// inserted — but implementations may amortise the per-probe index
-    /// work across the batch ([`VecIndex`] serves every probe with one
-    /// pass over its state) or skip the default's per-match filter call.
-    /// The invocation *order* of `on_match` is unspecified; the per-probe
-    /// match sets and the summed [`ProbeStats`] are not.
-    fn probe_batch(
-        &mut self,
-        probes: &[Tuple],
-        on_match: &mut dyn FnMut(usize, &Tuple),
-    ) -> ProbeStats {
-        let mut stats = ProbeStats::default();
-        for (i, t) in probes.iter().enumerate() {
-            stats += self.probe(t, &mut |stored| on_match(i, stored));
-        }
-        stats
-    }
-
-    /// Stream-process a batch of arriving tuples: every tuple probes the
-    /// state *as it stood at the tuple's own position in the stream*
-    /// (earlier batch tuples included), then is inserted — exactly
-    /// equivalent to per-tuple `probe` + `insert`, which is what a
-    /// batch-of-one degenerates to. `on_match(i, stored)` receives the
-    /// index of the probing tuple within `batch` plus the matched stored
-    /// tuple; as for [`probe_batch`](JoinIndex::probe_batch), the
-    /// invocation order is unspecified.
-    ///
-    /// The default keeps bulk probes exact with one observation: probes
-    /// only ever scan the *opposite* relation, so tuples of the same
-    /// relation can never match each other. Splitting the batch into
-    /// maximal single-relation runs therefore lets a whole run probe via
-    /// [`probe_batch`](JoinIndex::probe_batch) before any of it is
-    /// inserted, with earlier runs already in the index when later runs
-    /// probe — no intra-batch pair is missed or duplicated. Both indexed
-    /// implementations override this with a per-tuple loop: the hash
-    /// index shares one map entry between probe and insert, and the band
-    /// index's range scan costs the same in or out of a batch.
+    /// Stream-process a batch of arriving tuples: each tuple, in order,
+    /// probes the state (earlier batch tuples included), then is
+    /// inserted. `on_match(i, stored)` receives the index of the probing
+    /// tuple within `batch` plus the matched stored tuple; the invocation
+    /// order is unspecified. An override must keep the per-tuple match
+    /// sets and the summed [`ProbeStats`] of this loop.
     fn stream_batch(
         &mut self,
         batch: &[Tuple],
         on_match: &mut dyn FnMut(usize, &Tuple),
     ) -> ProbeStats {
         let mut stats = ProbeStats::default();
-        let mut start = 0;
-        while start < batch.len() {
-            let rel = batch[start].rel;
-            let mut end = start + 1;
-            while end < batch.len() && batch[end].rel == rel {
-                end += 1;
-            }
-            let run = &batch[start..end];
-            stats += self.probe_batch(run, &mut |i, stored| on_match(start + i, stored));
-            self.insert_batch(run);
-            start = end;
+        for (i, t) in batch.iter().enumerate() {
+            stats += self.probe(t, &mut |stored| on_match(i, stored));
+            self.insert(*t);
         }
         stats
-    }
-
-    /// Probe counting matches only.
-    fn probe_count(&mut self, t: &Tuple) -> ProbeStats {
-        self.probe_filtered(t, &mut |_| true, &mut |_| {})
     }
 
     /// Number of stored tuples, both sides.
@@ -168,38 +114,50 @@ pub trait JoinIndex: Send {
     /// PanJoin-style sub-window, arXiv:1811.05065): sealed tuples stay
     /// fully probe-able, but [`evict_before`](JoinIndex::evict_before)
     /// may later drop the segment wholesale instead of deleting tuples
-    /// one at a time. Sealing an empty run is a no-op. The default does
-    /// nothing — an index without segment support simply falls back to
-    /// per-tuple eviction.
-    fn seal_segment(&mut self) {}
+    /// one at a time. Sealing an empty run is a no-op.
+    fn seal_segment(&mut self);
 
     /// Drop stored tuples that are entirely outside the retention
     /// window: every **sealed segment** whose maximum sequence number is
-    /// below `bound` is discarded whole (O(1) per segment for segmented
-    /// indexes). Tuples in the active (unsealed) run, and sealed
-    /// segments straddling the bound, are retained — eviction is
-    /// conservative, never early. Returns what was dropped.
-    ///
-    /// The default implementation extracts per-tuple (`seq < bound`),
-    /// for indexes without segment support.
-    fn evict_before(&mut self, bound: u64) -> EvictStats {
-        let removed = self.extract(&mut |t| t.seq < bound);
-        EvictStats {
-            tuples: removed.len() as u64,
-            bytes: removed.iter().map(|t| t.bytes as u64).sum(),
-        }
-    }
+    /// below `bound` is discarded whole. Tuples in the active (unsealed)
+    /// run, and sealed segments straddling the bound, are retained —
+    /// eviction is conservative, never early. Returns what was dropped.
+    fn evict_before(&mut self, bound: u64) -> EvictStats;
 
-    /// Sealed segments currently held (0 for unsegmented indexes).
-    fn sealed_segments(&self) -> usize {
-        0
-    }
+    /// Sealed segments currently held.
+    fn sealed_segments(&self) -> usize;
 
-    /// Collect every stored tuple (testing convenience).
+    /// Collect every stored tuple (checkpoints, tests).
     fn snapshot(&self) -> Vec<Tuple> {
         let mut v = Vec::with_capacity(self.len());
         self.for_each(&mut |t| v.push(*t));
         v
+    }
+}
+
+/// Batch helpers over any boxed index. Not trait methods, so no index
+/// can override them: each is the per-tuple loop it names.
+impl dyn JoinIndex {
+    /// Insert every tuple of `batch` (in order).
+    pub fn insert_batch(&mut self, batch: &[Tuple]) {
+        for t in batch {
+            self.insert(*t);
+        }
+    }
+
+    /// Probe each `probes[i]` against the stored state, invoking
+    /// `on_match(i, stored)` once per match of `probes[i]`. Probes are
+    /// **not** matched against each other and are **not** inserted.
+    pub fn probe_batch(
+        &mut self,
+        probes: &[Tuple],
+        on_match: &mut dyn FnMut(usize, &Tuple),
+    ) -> ProbeStats {
+        let mut stats = ProbeStats::default();
+        for (i, t) in probes.iter().enumerate() {
+            stats += self.probe(t, &mut |stored| on_match(i, stored));
+        }
+        stats
     }
 }
 
@@ -276,42 +234,6 @@ impl JoinIndex for VecIndex {
                 if self.predicate.matches_pair(t, other) && filter(other) {
                     stats.matches += 1;
                     on_match(other);
-                }
-            }
-        }
-        stats
-    }
-
-    fn probe_batch(
-        &mut self,
-        probes: &[Tuple],
-        on_match: &mut dyn FnMut(usize, &Tuple),
-    ) -> ProbeStats {
-        // One sequential scan of each stored side serves every probe of
-        // the opposite relation — same predicate evaluations as N
-        // independent probes, one pass over the state.
-        let mut stats = ProbeStats::default();
-        for rel in [Rel::R, Rel::S] {
-            let idxs: Vec<usize> = (0..probes.len())
-                .filter(|&i| probes[i].rel == rel)
-                .collect();
-            if idxs.is_empty() {
-                continue;
-            }
-            let other_rel = rel.other();
-            let sealed_sides = self.sealed.iter().map(|seg| match other_rel {
-                Rel::R => &seg.r,
-                Rel::S => &seg.s,
-            });
-            for others in sealed_sides.chain(std::iter::once(self.side(other_rel))) {
-                stats.candidates += (others.len() * idxs.len()) as u64;
-                for other in others {
-                    for &i in &idxs {
-                        if self.predicate.matches_pair(&probes[i], other) {
-                            stats.matches += 1;
-                            on_match(i, other);
-                        }
-                    }
                 }
             }
         }
@@ -458,15 +380,15 @@ mod tests {
     #[test]
     fn insert_probe_symmetric_hash_pattern() {
         let mut idx = VecIndex::new(Predicate::Equi);
-        assert_eq!(idx.probe_count(&r(0, 5)).matches, 0);
+        assert_eq!(idx.probe(&r(0, 5), &mut |_| {}).matches, 0);
         idx.insert(r(0, 5));
         idx.insert(r(1, 6));
-        let stats = idx.probe_count(&s(2, 5));
+        let stats = idx.probe(&s(2, 5), &mut |_| {});
         assert_eq!(stats.matches, 1);
         assert_eq!(stats.candidates, 2);
         idx.insert(s(2, 5));
         // R probe sees the stored S tuple.
-        assert_eq!(idx.probe_count(&r(3, 5)).matches, 1);
+        assert_eq!(idx.probe(&r(3, 5), &mut |_| {}).matches, 1);
     }
 
     #[test]
@@ -543,13 +465,14 @@ mod tests {
         for (i, p) in probes.iter().enumerate() {
             loop_stats += idx.probe(p, &mut |m| per_tuple[i].push(m.seq));
         }
+        let idx: &mut dyn JoinIndex = &mut idx;
         let batch_stats = idx.probe_batch(&probes, &mut |i, m| batched[i].push(m.seq));
         for (a, b) in per_tuple.iter_mut().zip(batched.iter_mut()) {
             a.sort_unstable();
             b.sort_unstable();
         }
         assert_eq!(per_tuple, batched);
-        assert_eq!(loop_stats.matches, batch_stats.matches);
+        assert_eq!(loop_stats, batch_stats);
     }
 
     #[test]
@@ -593,7 +516,7 @@ mod tests {
     fn insert_batch_inserts_in_order() {
         let mut idx = VecIndex::new(Predicate::Equi);
         let batch = vec![r(0, 1), s(1, 1), r(2, 2)];
-        idx.insert_batch(&batch);
+        (&mut idx as &mut dyn JoinIndex).insert_batch(&batch);
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.bytes(), 3 * 64);
     }
@@ -616,7 +539,7 @@ mod tests {
         assert_eq!(idx.len(), 25);
         assert_eq!(idx.bytes(), 25 * 64);
         // Probes see sealed + active state.
-        assert_eq!(idx.probe_count(&s(100, 1)).matches, 25);
+        assert_eq!(idx.probe(&s(100, 1), &mut |_| {}).matches, 25);
         // Bound 10 drops exactly the first segment (max_seq 9).
         let evicted = idx.evict_before(10);
         assert_eq!(
@@ -627,7 +550,7 @@ mod tests {
             }
         );
         assert_eq!(idx.len(), 15);
-        assert_eq!(idx.probe_count(&s(101, 1)).matches, 15);
+        assert_eq!(idx.probe(&s(101, 1), &mut |_| {}).matches, 15);
         // Bound 15 straddles the second segment (max_seq 19): retained.
         assert_eq!(idx.evict_before(15), EvictStats::default());
         assert_eq!(idx.len(), 15);
@@ -652,58 +575,6 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.bytes(), 0);
         assert_eq!(idx.sealed_segments(), 0);
-    }
-
-    #[test]
-    fn default_evict_before_falls_back_to_per_tuple() {
-        // A minimal unsegmented JoinIndex exercising the trait default.
-        struct Flat(VecIndex);
-        impl JoinIndex for Flat {
-            fn insert(&mut self, t: Tuple) {
-                self.0.insert(t);
-            }
-            fn probe_filtered(
-                &mut self,
-                t: &Tuple,
-                filter: &mut dyn FnMut(&Tuple) -> bool,
-                on_match: &mut dyn FnMut(&Tuple),
-            ) -> ProbeStats {
-                self.0.probe_filtered(t, filter, on_match)
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn len_rel(&self, rel: Rel) -> usize {
-                self.0.len_rel(rel)
-            }
-            fn bytes(&self) -> u64 {
-                self.0.bytes()
-            }
-            fn drain(&mut self) -> Vec<Tuple> {
-                self.0.drain()
-            }
-            fn extract(&mut self, pred: &mut dyn FnMut(&Tuple) -> bool) -> Vec<Tuple> {
-                self.0.extract(pred)
-            }
-            fn for_each(&self, f: &mut dyn FnMut(&Tuple)) {
-                self.0.for_each(f)
-            }
-        }
-        let mut idx = Flat(VecIndex::new(Predicate::Equi));
-        for i in 0..8u64 {
-            idx.insert(r(i, 0));
-        }
-        idx.seal_segment(); // default: no-op
-        assert_eq!(idx.sealed_segments(), 0);
-        let stats = idx.evict_before(5);
-        assert_eq!(
-            stats,
-            EvictStats {
-                tuples: 5,
-                bytes: 5 * 64
-            }
-        );
-        assert_eq!(idx.len(), 3);
     }
 
     #[test]

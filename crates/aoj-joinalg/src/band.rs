@@ -135,19 +135,14 @@ impl JoinIndex for BandIndex {
         stats
     }
 
-    fn probe_batch(
-        &mut self,
-        probes: &[Tuple],
-        on_match: &mut dyn FnMut(usize, &Tuple),
-    ) -> ProbeStats {
-        let mut stats = ProbeStats::default();
-        for (i, t) in probes.iter().enumerate() {
-            stats += self.scan(t, &mut |other| on_match(i, other));
-        }
-        stats
+    fn probe(&mut self, t: &Tuple, mut on_match: &mut dyn FnMut(&Tuple)) -> ProbeStats {
+        self.scan(t, &mut on_match)
     }
 
-    /// Each tuple in stream order: its own range scan, then its insert.
+    /// The provided loop with `scan` in place of `probe`: the per-match
+    /// callback is this closure, not a `dyn` one wrapping `on_match`.
+    /// Worth 5 % of `band_zipf_sat` throughput (≈ 99 matches per tuple;
+    /// 9 of 10 alternating pairs against the provided loop, 2-core host).
     fn stream_batch(
         &mut self,
         batch: &[Tuple],
@@ -296,16 +291,16 @@ mod tests {
         let mut idx = BandIndex::new(0);
         idx.insert(s(1, 5));
         idx.insert(s(2, 6));
-        assert_eq!(idx.probe_count(&r(3, 5)).matches, 1);
+        assert_eq!(idx.probe(&r(3, 5), &mut |_| {}).matches, 1);
     }
 
     #[test]
     fn saturating_bounds_at_extremes() {
         let mut idx = BandIndex::new(10);
         idx.insert(s(1, i64::MAX - 3));
-        assert_eq!(idx.probe_count(&r(2, i64::MAX)).matches, 1);
+        assert_eq!(idx.probe(&r(2, i64::MAX), &mut |_| {}).matches, 1);
         idx.insert(s(3, i64::MIN + 2));
-        assert_eq!(idx.probe_count(&r(4, i64::MIN)).matches, 1);
+        assert_eq!(idx.probe(&r(4, i64::MIN), &mut |_| {}).matches, 1);
     }
 
     #[test]
@@ -407,12 +402,12 @@ mod tests {
         assert_eq!(idx.sealed_segments(), 1);
         assert_eq!(idx.len(), 20);
         // Band probe spans sealed + live.
-        assert_eq!(idx.probe_count(&r(99, 11)).matches, 20);
+        assert_eq!(idx.probe(&r(99, 11), &mut |_| {}).matches, 20);
         let evicted = idx.evict_before(10);
         assert_eq!((evicted.tuples, evicted.bytes), (10, 640));
         assert_eq!(idx.len(), 10);
         assert_eq!(idx.bytes(), 10 * 64);
-        assert_eq!(idx.probe_count(&r(100, 11)).matches, 10);
+        assert_eq!(idx.probe(&r(100, 11), &mut |_| {}).matches, 10);
     }
 
     #[test]

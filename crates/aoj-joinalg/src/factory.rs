@@ -43,7 +43,9 @@ mod tests {
         ] {
             let mut idx = index_for(&pred);
             idx.insert(Tuple::new(Rel::R, 1, key_r, 0));
-            let got = idx.probe_count(&Tuple::new(Rel::S, 2, key_s, 0)).matches;
+            let got = idx
+                .probe(&Tuple::new(Rel::S, 2, key_s, 0), &mut |_| {})
+                .matches;
             assert_eq!(got, expect, "predicate {pred:?} keys ({key_r},{key_s})");
         }
     }
@@ -58,7 +60,7 @@ mod tests {
         idx.insert(Tuple::new(Rel::R, 1, 2, 0).with_aux(5));
         idx.insert(Tuple::new(Rel::R, 2, 4, 0).with_aux(50));
         let probe = Tuple::new(Rel::S, 3, 8, 0).with_aux(10);
-        let stats = idx.probe_count(&probe);
+        let stats = idx.probe(&probe, &mut |_| {});
         assert_eq!(stats.matches, 1, "only the aux<10 tuple matches");
         assert_eq!(stats.candidates, 2, "the linear scan visits everything");
     }

@@ -314,21 +314,6 @@ impl JoinIndex for SymmetricHashIndex {
         }
     }
 
-    fn probe_batch(
-        &mut self,
-        probes: &[Tuple],
-        on_match: &mut dyn FnMut(usize, &Tuple),
-    ) -> ProbeStats {
-        let mut n = 0;
-        for (i, t) in probes.iter().enumerate() {
-            n += self.probe_all(t, &mut |other| on_match(i, other));
-        }
-        ProbeStats {
-            candidates: n,
-            matches: n,
-        }
-    }
-
     /// One live-map entry per tuple serves both halves: append the tuple
     /// to its own key-side, then walk the opposite one (sealed segments
     /// are probe-only lookups).
@@ -435,19 +420,19 @@ mod tests {
         idx.insert(r(1, 10));
         idx.insert(r(2, 11));
         idx.insert(r(3, 10));
-        let stats = idx.probe_count(&s(4, 10));
+        let stats = idx.probe(&s(4, 10), &mut |_| {});
         assert_eq!(stats.matches, 2);
         assert_eq!(stats.candidates, 2, "only the bucket is scanned");
-        assert_eq!(idx.probe_count(&s(5, 99)).matches, 0);
+        assert_eq!(idx.probe(&s(5, 99), &mut |_| {}).matches, 0);
     }
 
     #[test]
     fn probe_is_symmetric() {
         let mut idx = SymmetricHashIndex::new();
         idx.insert(s(1, 7));
-        assert_eq!(idx.probe_count(&r(2, 7)).matches, 1);
+        assert_eq!(idx.probe(&r(2, 7), &mut |_| {}).matches, 1);
         assert_eq!(
-            idx.probe_count(&s(3, 7)).matches,
+            idx.probe(&s(3, 7), &mut |_| {}).matches,
             0,
             "same side never matches"
         );
@@ -512,6 +497,7 @@ mod tests {
             ind_stats += idx.probe(p, &mut |m| independent[i].push(m.seq));
         }
         let mut grouped = vec![Vec::new(); probes.len()];
+        let idx: &mut dyn JoinIndex = &mut idx;
         let grouped_stats = idx.probe_batch(&probes, &mut |i, m| grouped[i].push(m.seq));
         for (a, b) in independent.iter_mut().zip(grouped.iter_mut()) {
             a.sort_unstable();
@@ -536,11 +522,11 @@ mod tests {
         }
         assert_eq!(idx.sealed_segments(), 1);
         assert_eq!(idx.len(), 20);
-        assert_eq!(idx.probe_count(&s(99, 7)).matches, 20);
+        assert_eq!(idx.probe(&s(99, 7), &mut |_| {}).matches, 20);
         let evicted = idx.evict_before(10);
         assert_eq!((evicted.tuples, evicted.bytes), (10, 640));
         assert_eq!(idx.len(), 10);
-        assert_eq!(idx.probe_count(&s(100, 7)).matches, 10);
+        assert_eq!(idx.probe(&s(100, 7), &mut |_| {}).matches, 10);
         assert_eq!(idx.bytes(), 10 * 64);
         // Straddling segment stays.
         idx.seal_segment();
@@ -576,9 +562,9 @@ mod tests {
             .collect();
         let build = || {
             let mut idx = SymmetricHashIndex::new();
-            idx.insert_batch(&tuples[..150]);
+            tuples[..150].iter().for_each(|t| idx.insert(*t));
             idx.seal_segment();
-            idx.insert_batch(&tuples[150..]);
+            tuples[150..].iter().for_each(|t| idx.insert(*t));
             idx
         };
         let (mut a, mut b) = (build(), build());
@@ -590,7 +576,7 @@ mod tests {
         // With no key-side promoted, iteration is insertion order.
         let cold: Vec<Tuple> = tuples.iter().filter(|t| t.key != 7).copied().collect();
         let mut c = SymmetricHashIndex::new();
-        c.insert_batch(&cold);
+        cold.iter().for_each(|t| c.insert(*t));
         assert_eq!(c.snapshot(), cold);
     }
 
@@ -601,7 +587,7 @@ mod tests {
             idx.insert(r(i, 1));
         }
         assert_eq!(idx.live.arena.runs.len(), 1, "40 tuples promote to a run");
-        assert_eq!(idx.probe_count(&s(99, 1)).matches, 40);
+        assert_eq!(idx.probe(&s(99, 1), &mut |_| {}).matches, 40);
         let removed = idx.extract(&mut |t| t.seq >= 3);
         assert_eq!(removed.len(), 37);
         assert!(idx.live.arena.runs.is_empty(), "three tuples are a chain");
@@ -613,7 +599,7 @@ mod tests {
             idx.insert(r(i, 1));
         }
         assert_eq!(idx.live.arena.runs.len(), 1);
-        assert_eq!(idx.probe_count(&s(101, 1)).matches, 23);
+        assert_eq!(idx.probe(&s(101, 1), &mut |_| {}).matches, 23);
     }
 
     #[test]

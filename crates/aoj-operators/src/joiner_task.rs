@@ -645,11 +645,7 @@ impl Process<OpMsg> for JoinerTask {
                     } else {
                         None
                     };
-                if self.epoch.stable_for(tag) && tuples.len() > 1 {
-                    // Stable phase: the whole batch goes through the bulk
-                    // index path (one merge/grouped probe per batch, one
-                    // bulk insert) — semantically identical to per-tuple
-                    // processing, including intra-batch pairs.
+                if self.epoch.stable_for(tag) {
                     let mut per_tuple = vec![0u32; tuples.len()];
                     (stats, _) = self.tally.emit(|em| {
                         self.epoch.on_data_batch(tag, &tuples, &mut |i, stored| {
@@ -659,8 +655,8 @@ impl Process<OpMsg> for JoinerTask {
                     });
                     self.tally.sample_matched(ctx.now(), &per_tuple, &arrived);
                 } else {
-                    // Mid-migration (or a batch of one): per-tuple Alg. 3
-                    // handling, with Δ forwarding to the outbox streams.
+                    // Unborn or mid-migration: per-tuple Alg. 3 handling,
+                    // with Δ forwarding to the outbox streams.
                     for (i, t) in tuples.drain(..).enumerate() {
                         let (outcome, matches) = self
                             .tally

@@ -2012,17 +2012,7 @@ fn join_watching<T>(
     runner: std::thread::JoinHandle<T>,
     fault: &FaultControls,
 ) -> std::thread::Result<T> {
-    let deaths = loop {
-        let deaths = fault.deaths();
-        if runner.is_finished() {
-            break deaths;
-        }
-        if !deaths.is_empty() {
-            fault.abort();
-            break deaths;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    };
+    let deaths = await_runner(&runner, fault);
     let res = runner.join();
     if !deaths.is_empty() {
         drop(res);
@@ -2033,6 +2023,23 @@ fn join_watching<T>(
         );
     }
     res
+}
+
+/// Poll until `runner` has finished or a worker death is recorded; on a
+/// death while the runner still runs, fire the abort lever so the runner
+/// unwedges. Returns the deaths read on the last poll.
+fn await_runner<T>(runner: &std::thread::JoinHandle<T>, fault: &FaultControls) -> Vec<WorkerDeath> {
+    loop {
+        let deaths = fault.deaths();
+        if runner.is_finished() {
+            return deaths;
+        }
+        if !deaths.is_empty() {
+            fault.abort();
+            return deaths;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
 }
 
 /// What a quiesced backend yields: the report and, when `snapshot` is
@@ -2075,13 +2082,7 @@ impl Drop for SessionHandle {
         // close() is the path that propagates it. A recorded death fires
         // the abort lever instead of wedging the join.
         if let Some(Inner::Live { runner, .. }) = self.inner.take() {
-            while !runner.is_finished() {
-                if !self.fault.deaths().is_empty() {
-                    self.fault.abort();
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
+            await_runner(&runner, &self.fault);
             let _ = runner.join();
         }
         self.hub.finish();

@@ -72,16 +72,6 @@ impl<M> EventQueue<M> {
     pub fn pop(&mut self) -> Option<Event<M>> {
         self.heap.pop()
     }
-
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +110,6 @@ mod tests {
         })
         .collect();
         assert_eq!(keys, vec![10, 50, 51]);
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        assert!(q.pop().is_none());
     }
 }
