@@ -83,20 +83,6 @@ impl BandIndex {
         self.segments()
             .flat_map(move |seg| seg.side(other).range(lo..=hi).map(|(_, bucket)| bucket))
     }
-
-    /// Unfiltered probe: every tuple in the band matches, so both counts
-    /// are the in-band bucket lengths.
-    fn scan(&self, t: &Tuple, on_match: &mut impl FnMut(&Tuple)) -> ProbeStats {
-        let mut n = 0;
-        for bucket in self.band(t) {
-            n += bucket.len() as u64;
-            bucket.iter().for_each(&mut *on_match);
-        }
-        ProbeStats {
-            candidates: n,
-            matches: n,
-        }
-    }
 }
 
 impl JoinIndex for BandIndex {
@@ -135,25 +121,18 @@ impl JoinIndex for BandIndex {
         stats
     }
 
-    fn probe(&mut self, t: &Tuple, mut on_match: &mut dyn FnMut(&Tuple)) -> ProbeStats {
-        self.scan(t, &mut on_match)
-    }
-
-    /// The provided loop with `scan` in place of `probe`: the per-match
-    /// callback is this closure, not a `dyn` one wrapping `on_match`.
-    /// Worth 5 % of `band_zipf_sat` throughput (≈ 99 matches per tuple;
-    /// 9 of 10 alternating pairs against the provided loop, 2-core host).
-    fn stream_batch(
-        &mut self,
-        batch: &[Tuple],
-        on_match: &mut dyn FnMut(usize, &Tuple),
-    ) -> ProbeStats {
-        let mut stats = ProbeStats::default();
-        for (i, t) in batch.iter().enumerate() {
-            stats += self.scan(t, &mut |other| on_match(i, other));
-            self.insert(*t);
+    /// Unfiltered probe: every tuple in the band matches, so both counts
+    /// are the in-band bucket lengths.
+    fn probe(&mut self, t: &Tuple, on_match: &mut dyn FnMut(&Tuple)) -> ProbeStats {
+        let mut n = 0;
+        for bucket in self.band(t) {
+            n += bucket.len() as u64;
+            bucket.iter().for_each(&mut *on_match);
         }
-        stats
+        ProbeStats {
+            candidates: n,
+            matches: n,
+        }
     }
 
     fn len(&self) -> usize {
