@@ -525,13 +525,13 @@ fn run_chaos(
 /// `faults`: crash recovery under chaos. One fault-free simulator run
 /// fixes the exact join multiset; then every backend runs the same
 /// stream through a [`SupervisedSession`] with a worker killed
-/// mid-stream by the backend's native primitive (simulator event kill,
-/// thread abort, process SIGKILL), two legs each:
+/// mid-stream by the backend's own primitive (simulator kill, thread
+/// crash, process SIGKILL), two legs each:
 ///
 /// * **ckpt-replay** — automatic checkpoints on a tuple cadence, the
 ///   kill right after the second checkpoint adoption: recovery rolls
 ///   back to that checkpoint and replays the suffix;
-/// * **scratch-replay** — no cadence, the kill on a processed-tuple
+/// * **scratch-replay** — no cadence, the kill on an accepted-tuple
 ///   threshold: a fresh incarnation replays from sequence 0.
 ///
 /// Every leg must deliver the witness multiset exactly — no loss, no
@@ -543,17 +543,14 @@ pub fn run_faults() {
     let (w, arrivals) = equi_stream("zipf-faults", 64, 0xFA17, [6_000, 6_000]);
     let total = arrivals.len() as u64;
     let every = total / 6;
-    // The scratch leg's kill lands just before mid-stream. (The
-    // threaded runtime's native threshold counts joiner-processed
-    // tuples — replicated across the join-matrix row — so its crash
-    // point sits earlier in the pushed stream than the simulator's;
-    // the verified multiset is crash-point independent.)
-    let kill_at = (total * 2) / 5;
+    // The scratch leg's kill fires once the supervisor has accepted
+    // tuple `kill_after`, just before mid-stream, on every backend.
+    let kill_after = (total * 2) / 5;
     let cfg = config(4, OperatorKind::Dynamic, &w).with_seed(SEED);
     let witness = sim_witness(&cfg.clone().with_collect_matches(true), &arrivals);
     println!(
         "  witness: {} matches over {total} tuples; checkpoint every {every} tuples, \
-         kill on the 2nd adoption (ckpt-replay) / near tuple {kill_at} (scratch-replay)",
+         kill on the 2nd adoption (ckpt-replay) / after tuple {kill_after} (scratch-replay)",
         witness.matches,
     );
 
@@ -570,7 +567,7 @@ pub fn run_faults() {
         );
         let scratch = run_chaos(
             "scratch-replay",
-            live.with_fault_plan(FaultPlan::new().kill_after_tuples(2, kill_at)),
+            live.with_fault_plan(FaultPlan::new().kill_after_tuples(2, kill_after)),
             &arrivals,
             &witness,
         );

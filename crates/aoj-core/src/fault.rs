@@ -4,12 +4,15 @@
 //! every execution backend):
 //!
 //! * [`FaultPlan`] — a *deterministic* fault-injection schedule: kill
-//!   machine M at virtual/session time T, after N processed data items,
-//!   or on the Kth background checkpoint. The session layer lowers each
-//!   injection onto the backend's native kill primitive (an
-//!   event-scheduled kill in the simulator, a worker-thread abort on
-//!   the threaded runtime, a SIGKILL of the worker process on the TCP
-//!   backend), so every recovery path is reproducible and testable.
+//!   machine M once N tuples have been accepted, or on the Kth
+//!   background checkpoint. One layer reads it: the recovery controller
+//!   (`aoj_operators::SupervisedSession`) counts both and fires each
+//!   due kill through the session's one injection surface, which every
+//!   backend serves with its own kill primitive (a between-pumps kill
+//!   in the simulator, a worker-thread crash on the threaded runtime, a
+//!   SIGKILL of the worker process on the TCP backend). The kill point
+//!   is the same on every backend, so every recovery path is
+//!   reproducible and testable.
 //! * [`FailureDetector`] — the coordinator-side timeout/suspicion state
 //!   machine. Liveness evidence is any control-plane frame from a
 //!   worker (gauge samples double as heartbeats — see the TCP
@@ -33,22 +36,15 @@ use std::sync::{Arc, Mutex};
 /// When an injected fault fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultTrigger {
-    /// At session time `at_us` (virtual microseconds on the simulator,
-    /// wall microseconds since `run()` on the live backends).
-    AtTime {
-        /// Microseconds on the backend's session clock.
-        at_us: u64,
-    },
-    /// Once the cluster has processed at least this many data items
-    /// (the backends' `data_processed` gauge — deterministic on the
-    /// simulator, monotone on the live backends).
+    /// Once the recovery controller has accepted at least this many
+    /// tuples from its caller — the same point in the stream on every
+    /// backend.
     AfterTuples {
-        /// Processed-data threshold.
+        /// Accepted-tuple threshold.
         tuples: u64,
     },
     /// Immediately after the Kth automatic background checkpoint
-    /// completes (1-based). Lowered by the recovery controller, which
-    /// is the only layer that counts checkpoints.
+    /// completes (1-based).
     OnCheckpoint {
         /// 1-based checkpoint ordinal.
         k: u32,
@@ -65,7 +61,7 @@ pub struct FaultInjection {
 }
 
 /// A deterministic fault-injection schedule, carried on the session
-/// builder and lowered onto backend-native kill primitives at launch.
+/// builder and fired by the recovery controller.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The scheduled kills, in declaration order.
@@ -78,17 +74,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Schedule a kill of `machine` at session time `at_us`.
-    pub fn kill_at(mut self, machine: usize, at_us: u64) -> FaultPlan {
-        self.kills.push(FaultInjection {
-            machine,
-            trigger: FaultTrigger::AtTime { at_us },
-        });
-        self
-    }
-
-    /// Schedule a kill of `machine` once `tuples` data items have been
-    /// processed cluster-wide.
+    /// Schedule a kill of `machine` once `tuples` tuples have been
+    /// accepted.
     pub fn kill_after_tuples(mut self, machine: usize, tuples: u64) -> FaultPlan {
         self.kills.push(FaultInjection {
             machine,
@@ -133,9 +120,9 @@ pub enum DeathCause {
         /// The exit code, if the process exited (vs. was signalled).
         exit_code: Option<i32>,
     },
-    /// An injected kill on an in-process backend (simulator event kill
-    /// or threaded worker abort) — observed directly, no detector
-    /// round-trip involved.
+    /// A kill the session injected: recorded directly on the in-process
+    /// backends (simulator kill, threaded worker crash), and by the TCP
+    /// coordinator when the process it SIGKILLed is detected dead.
     Injected,
 }
 
@@ -340,16 +327,14 @@ mod tests {
     #[test]
     fn plan_builders_accumulate() {
         let plan = FaultPlan::new()
-            .kill_at(1, 500)
             .kill_after_tuples(2, 1000)
             .kill_on_checkpoint(3, 2);
-        assert_eq!(plan.kills.len(), 3);
-        assert_eq!(plan.kills[0].trigger, FaultTrigger::AtTime { at_us: 500 });
+        assert_eq!(plan.kills.len(), 2);
         assert_eq!(
-            plan.kills[1].trigger,
+            plan.kills[0].trigger,
             FaultTrigger::AfterTuples { tuples: 1000 }
         );
-        assert_eq!(plan.kills[2].trigger, FaultTrigger::OnCheckpoint { k: 2 });
+        assert_eq!(plan.kills[1].trigger, FaultTrigger::OnCheckpoint { k: 2 });
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
     }

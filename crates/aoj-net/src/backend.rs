@@ -37,13 +37,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use aoj_core::fault::{
-    DeathCause, FailureDetector, FaultInjection, FaultLog, FaultTrigger, WorkerDeath,
-};
+use aoj_core::fault::{DeathCause, DetectorConfig, FailureDetector, FaultLog, WorkerDeath};
 use aoj_core::lifecycle::Checkpoint;
 use aoj_operators::messages::{Match, OpMsg};
 use aoj_operators::report::Finals;
-use aoj_operators::{FaultSection, MatchHub, NetBackend, SessionBuilder, SkewBoard};
+use aoj_operators::{MatchHub, NetBackend, SessionBuilder, SkewBoard};
 use aoj_runtime::mailbox::Mailbox;
 use aoj_simnet::{
     ExecBackend, Gauge, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimTime, TaskId,
@@ -107,10 +105,9 @@ pub struct TcpBackend {
     /// Machine-count bookkeeping frozen at the end of `run()`.
     final_provisioned: Option<usize>,
     final_peak: Option<usize>,
-    /// The fault section of the *original* builder (deliberately not
-    /// wire-serialized — workers must not know they are scheduled to
-    /// die, or the injection would perturb the run it is testing).
-    fault: FaultSection,
+    /// Failure-detector timing from the *original* builder (the fault
+    /// section is deliberately not wire-serialized).
+    detector: DetectorConfig,
     /// Checkpoint installed by the session layer for a restore launch;
     /// shipped to every worker in its Plan.
     restore: Option<Checkpoint>,
@@ -138,7 +135,7 @@ impl TcpBackend {
         let fingerprint = wire::fingerprint(&builder_bytes);
         // The fault section rides outside the wire bytes (the decode
         // round-trip drops it by design): take it from the original.
-        let fault = builder.fault.clone();
+        let detector = builder.fault.detector;
         let builder = SessionBuilder::from_bytes(&builder_bytes).expect("session plan round-trip");
         Box::new(TcpBackend {
             topo: TopoRecorder::default(),
@@ -151,7 +148,7 @@ impl TcpBackend {
             finals: Finals::default(),
             final_provisioned: None,
             final_peak: None,
-            fault,
+            detector,
             restore: None,
             fault_log: FaultLog::new(),
             kill_requests: Arc::new(Mutex::new(Vec::new())),
@@ -326,20 +323,18 @@ impl NetBackend for TcpBackend {
         Some(std::mem::take(&mut self.finals))
     }
 
-    fn fault_log(&mut self) -> Option<FaultLog> {
-        Some(self.fault_log.clone())
+    fn fault_log(&mut self) -> FaultLog {
+        self.fault_log.clone()
     }
 
-    fn kill_handle(&mut self) -> Option<Box<dyn Fn(usize) + Send + Sync>> {
+    fn kill_handle(&mut self) -> Box<dyn Fn(usize) + Send + Sync> {
         let reqs = Arc::clone(&self.kill_requests);
-        Some(Box::new(move |machine| {
-            reqs.lock().unwrap().push(machine);
-        }))
+        Box::new(move |machine| reqs.lock().unwrap().push(machine))
     }
 
-    fn abort_handle(&mut self) -> Option<Box<dyn Fn() + Send + Sync>> {
+    fn abort_handle(&mut self) -> Box<dyn Fn() + Send + Sync> {
         let abort = Arc::clone(&self.abort);
-        Some(Box::new(move || abort.store(true, Ordering::SeqCst)))
+        Box::new(move || abort.store(true, Ordering::SeqCst))
     }
 
     fn install_restore(&mut self, ckpt: &Checkpoint) {
@@ -502,18 +497,7 @@ impl TcpBackend {
         // Every control frame is liveness evidence; workers heartbeat
         // their gauge sample when idle, so a registered machine silent
         // past the timeout is dead, not quiet.
-        let mut detector = FailureDetector::new(self.fault.detector);
-        // Clock- and tuple-count-triggered kills fire from the reactor
-        // (it owns the children); checkpoint-count triggers arrive as
-        // kill requests from the session driver.
-        let mut pending_kills: Vec<FaultInjection> = self
-            .fault
-            .plan
-            .kills
-            .iter()
-            .filter(|k| !matches!(k.trigger, FaultTrigger::OnCheckpoint { .. }))
-            .copied()
-            .collect();
+        let mut detector = FailureDetector::new(self.detector);
         // Machines we SIGKILLed on purpose: their deaths are classified
         // `Injected`, not `ConnectionLost`.
         let mut injected: HashSet<usize> = HashSet::new();
@@ -530,28 +514,11 @@ impl TcpBackend {
                 break;
             }
 
-            // Deterministic fault injection: SIGKILL a victim whose
-            // trigger is due, or that the session layer asked for — in
-            // both cases once it is live: killing a worker that has not
-            // reached Ready would test the spawn path, not the crash
-            // path, and no detector is watching it yet.
-            let now_us = clock.now_us();
+            // Fault injection: SIGKILL a victim the session layer asked
+            // for once it is live — killing a worker that has not reached
+            // Ready would test the spawn path, not the crash path, and no
+            // detector is watching it yet.
             let mut to_kill: Vec<usize> = Vec::new();
-            pending_kills.retain(|k| {
-                let due = match k.trigger {
-                    FaultTrigger::AtTime { at_us } => now_us >= at_us,
-                    FaultTrigger::AfterTuples { tuples } => {
-                        data_proc.values().sum::<u64>() >= tuples
-                    }
-                    FaultTrigger::OnCheckpoint { .. } => false,
-                };
-                if due && live.contains_key(&k.machine) {
-                    to_kill.push(k.machine);
-                    false
-                } else {
-                    true
-                }
-            });
             self.kill_requests.lock().unwrap().retain(|m| {
                 let is_live = live.contains_key(m);
                 if is_live {

@@ -58,13 +58,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use aoj_core::decision::DecisionConfig;
-use aoj_core::fault::{DeathCause, DetectorConfig, FaultLog, FaultPlan, FaultTrigger, WorkerDeath};
+use aoj_core::fault::{DeathCause, DetectorConfig, FaultLog, FaultPlan, WorkerDeath};
 use aoj_core::lifecycle::{Checkpoint, WindowSpec};
 use aoj_core::mapping::Mapping;
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::StreamItem;
-use aoj_runtime::{KillWhen, Runtime, RuntimeConfig};
+use aoj_runtime::{Runtime, RuntimeConfig};
 use aoj_simnet::{
     CostModel, ExecBackend, MachineId, NetworkConfig, SharedGauges, Sim, SimConfig, SimDuration,
     SimTime, TaskId,
@@ -884,9 +884,10 @@ pub struct BackendSection {
 /// execution was scripted could not crash *unexpectedly*.
 #[derive(Clone, Debug, Default)]
 pub struct FaultSection {
-    /// Scheduled kills, lowered onto backend-native primitives at
-    /// launch: simulator event-queue kills, threaded worker aborts, TCP
-    /// worker SIGKILLs.
+    /// Scheduled kills, read by
+    /// [`SupervisedSession`](crate::supervise::SupervisedSession) like
+    /// `checkpoint_every_tuples`: it fires each one through
+    /// [`SessionHandle::inject_kill`].
     pub plan: FaultPlan,
     /// Failure-detector timing (TCP backend heartbeats).
     pub detector: DetectorConfig,
@@ -1105,10 +1106,8 @@ impl SessionBuilder {
     }
 
     /// Builder: the deterministic fault-injection plan (see
-    /// [`FaultPlan`]). Lowered onto backend-native kill primitives at
-    /// launch; [`FaultTrigger::OnCheckpoint`] kills are lowered by the
-    /// recovery controller, which is the only layer counting
-    /// checkpoints.
+    /// [`FaultPlan`]). Honoured by
+    /// [`crate::supervise::SupervisedSession`], not by a bare session.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> SessionBuilder {
         self.fault.plan = plan;
         self
@@ -1267,25 +1266,16 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
     }
 
     /// The typed death log the backend records into, read by
-    /// [`SessionHandle::health`]. `None` (the default) means the run has
-    /// no death source.
-    fn fault_log(&mut self) -> Option<FaultLog> {
-        None
-    }
+    /// [`SessionHandle::health`].
+    fn fault_log(&mut self) -> FaultLog;
 
     /// A handle that kills the given machine's worker (SIGKILL or
     /// equivalent) mid-run — the [`SessionHandle::inject_kill`] surface.
-    /// `None` (the default) means the backend cannot inject kills.
-    fn kill_handle(&mut self) -> Option<Box<dyn Fn(usize) + Send + Sync>> {
-        None
-    }
+    fn kill_handle(&mut self) -> Box<dyn Fn(usize) + Send + Sync>;
 
     /// A handle that aborts the backend's run loop without waiting for
-    /// quiescence — the [`SessionHandle::abandon`] surface. `None` (the
-    /// default) means the run can only end by draining.
-    fn abort_handle(&mut self) -> Option<Box<dyn Fn() + Send + Sync>> {
-        None
-    }
+    /// quiescence — the [`SessionHandle::abandon`] surface.
+    fn abort_handle(&mut self) -> Box<dyn Fn() + Send + Sync>;
 
     /// The checkpoint the session is being restored from. A backend
     /// with out-of-process workers must ship it to them (or they would
@@ -1312,56 +1302,27 @@ impl NetBackend for Runtime<OpMsg> {
         self.shared_gauges()
     }
 
-    fn fault_log(&mut self) -> Option<FaultLog> {
-        self.armed_fault().map(|arm| arm.log())
+    fn fault_log(&mut self) -> FaultLog {
+        self.death_log()
     }
 
-    fn kill_handle(&mut self) -> Option<Box<dyn Fn(usize) + Send + Sync>> {
-        let arm = self.armed_fault()?;
-        Some(Box::new(move |machine| {
-            assert_eq!(
-                arm.victim(),
-                machine,
-                "the threaded backend's armed fault targets machine {}, not {machine}",
-                arm.victim()
-            );
-            arm.fire_now();
-        }))
-    }
-
-    // The unwedge lever: always available, so `abandon` works even on a
-    // run that crashed without an armed plan (e.g. a panic).
-    fn abort_handle(&mut self) -> Option<Box<dyn Fn() + Send + Sync>> {
+    fn kill_handle(&mut self) -> Box<dyn Fn(usize) + Send + Sync> {
         let ks = self.kill_switch();
-        Some(Box::new(move || ks.fire()))
+        Box::new(move |machine| ks.kill(machine))
+    }
+
+    fn abort_handle(&mut self) -> Box<dyn Fn() + Send + Sync> {
+        let ks = self.kill_switch();
+        Box::new(move || ks.fire())
     }
 
     fn install_restore(&mut self, _ckpt: &Checkpoint) {}
 }
 
 /// The [`BackendChoice::Threaded`] factory: an `aoj-runtime` sized to the
-/// session's flow-control window, with the fault plan armed.
+/// session's flow-control window.
 fn threaded_backend(builder: &SessionBuilder, _hub: Arc<MatchHub>) -> Box<dyn NetBackend> {
-    let mut rt: Runtime<OpMsg> = Runtime::new(builder.runtime_config());
-    // One armed kill per run: the victim thread vanishes and the run
-    // wedges until the kill switch fires, so a second injection could
-    // never trip.
-    if let Some(k) = builder.fault.plan.kills.first() {
-        assert!(
-            builder.fault.plan.kills.len() == 1,
-            "the threaded backend supports at most one fault injection per run \
-             (a crashed run wedges until recovery; later kills cannot trip)"
-        );
-        let when = match k.trigger {
-            FaultTrigger::AtTime { at_us } => KillWhen::AtTime(at_us),
-            FaultTrigger::AfterTuples { tuples } => KillWhen::AfterTuples(tuples),
-            // Checkpoint counting lives in the session driver; the
-            // supervisor fires this arm via `inject_kill`.
-            FaultTrigger::OnCheckpoint { .. } => KillWhen::Explicit,
-        };
-        rt.arm_fault(k.machine, when, FaultLog::new());
-    }
-    Box::new(rt)
+    Box::new(Runtime::<OpMsg>::new(builder.runtime_config()))
 }
 
 enum Inner {
@@ -1375,6 +1336,11 @@ enum Inner {
         runner: JoinHandle<(Box<dyn NetBackend>, SimTime)>,
         wiring: Wiring,
         gauges: Arc<SharedGauges>,
+        /// Kills one machine's worker, for `inject_kill` (on TCP once
+        /// the worker is live: its detector is registered by then).
+        kill: Box<dyn Fn(usize) + Send + Sync>,
+        /// Ends the run without quiescence, for `abandon`.
+        abort: Box<dyn Fn() + Send + Sync>,
     },
 }
 
@@ -1533,11 +1499,9 @@ fn launch(
     let gauges = backend.session_gauges();
     // Capture the fault surfaces before the runner thread takes the
     // backend: the death log plus the kill and abort levers.
-    let fault = FaultControls {
-        log: backend.fault_log(),
-        kill_fn: backend.kill_handle(),
-        abort_fn: backend.abort_handle(),
-    };
+    let deaths = backend.fault_log();
+    let kill = backend.kill_handle();
+    let abort = backend.abort_handle();
     let runner = std::thread::Builder::new()
         .name("aoj-session".to_string())
         .spawn(move || {
@@ -1553,8 +1517,10 @@ fn launch(
             runner,
             wiring,
             gauges,
+            kill,
+            abort,
         }),
-        fault,
+        deaths,
     }
 }
 
@@ -1572,21 +1538,12 @@ fn launch_sim(
         deadline: None,
     }));
     let wiring = build_topology(&mut *sim, &builder, &queue, &hub, false, restore_from);
-    // Clock-triggered kills become simulator events up front;
-    // tuple-count and checkpoint-count triggers are lowered to
-    // `kill_now` by the supervisor via `inject_kill` (only the session
-    // driver can observe those counters).
-    for k in &builder.fault.plan.kills {
-        if let FaultTrigger::AtTime { at_us } = k.trigger {
-            sim.schedule_kill(MachineId(k.machine), SimTime(at_us));
-        }
-    }
     SessionHandle {
         builder,
         queue,
         hub,
         inner: Some(Inner::Sim { sim, wiring }),
-        fault: FaultControls::default(),
+        deaths: FaultLog::new(),
     }
 }
 
@@ -1669,35 +1626,29 @@ pub struct SessionHandle {
     queue: Arc<IngestQueue>,
     hub: Arc<MatchHub>,
     inner: Option<Inner>,
-    fault: FaultControls,
+    /// Typed deaths, on every backend: the simulator's injected kills,
+    /// the threaded runtime's crashed workers, the TCP failure detector.
+    deaths: FaultLog,
 }
 
-/// The levers `launch` collects from a live backend for fault
-/// observation and recovery: the typed death log, the injection surface,
-/// and the abort/unwedge surface. Every field is optional — a backend
-/// without the capability simply leaves the lever out.
-#[derive(Default)]
-struct FaultControls {
-    /// Typed deaths recorded by the backend (threaded victim self-check,
-    /// TCP failure detector). The simulator reports via `Sim::deaths`.
-    log: Option<FaultLog>,
-    /// Kills one machine's worker, for explicit `inject_kill` (on TCP
-    /// once the worker is live: its detector is registered by then).
-    kill_fn: Option<Box<dyn Fn(usize) + Send + Sync>>,
-    /// Ends the run without quiescence, for `abandon`.
-    abort_fn: Option<Box<dyn Fn() + Send + Sync>>,
+/// Why a session could not drain: a worker died, so quiescence is
+/// unreachable. The crate-private value form of a crash —
+/// [`SupervisedSession`](crate::supervise::SupervisedSession) recovers
+/// from it, the public `close()`/`checkpoint()` refuse with a panic.
+pub(crate) struct Crashed {
+    /// The deaths the session had recorded when it gave up.
+    pub(crate) deaths: Vec<WorkerDeath>,
 }
 
-impl FaultControls {
-    /// Recorded deaths (empty on a healthy run).
-    fn deaths(&self) -> Vec<WorkerDeath> {
-        self.log.as_ref().map(|l| l.peek()).unwrap_or_default()
-    }
-
-    fn abort(&self) {
-        if let Some(abort) = &self.abort_fn {
-            abort();
-        }
+impl Crashed {
+    /// The public surfaces' refusal: a bare session cannot recover.
+    fn refuse(self, what: &str) -> ! {
+        let list: Vec<String> = self.deaths.iter().map(|d| d.to_string()).collect();
+        panic!(
+            "{what}() on a crashed session ({}); \
+             recover with JoinSession::restore_with_replay",
+            list.join("; ")
+        );
     }
 }
 
@@ -1800,49 +1751,28 @@ impl SessionHandle {
     /// handle and reopening from the latest checkpoint with
     /// [`JoinSession::restore_with_replay`].
     pub fn health(&self) -> Vec<WorkerDeath> {
-        match self.inner.as_ref() {
-            // The simulator's only death source is injection, applied
-            // synchronously between pumps: detection is immediate.
-            Some(Inner::Sim { sim, .. }) => sim
-                .deaths()
-                .iter()
-                .map(|&(m, at)| WorkerDeath {
-                    machine: m.index(),
-                    gen: 0,
-                    at_us: at.as_micros(),
-                    cause: DeathCause::Injected,
-                    detect_latency_us: 0,
-                })
-                .collect(),
-            _ => self.fault.deaths(),
-        }
+        self.deaths.peek()
     }
 
-    /// A shared handle on a live backend's death log (`None` on the
-    /// simulator, whose deaths are read synchronously, and on runs with
-    /// no death source). The recovery controller holds this clone so a
-    /// crash that unwinds `close()`/`checkpoint()` — consuming the
-    /// session handle — can still be attributed to its machine.
-    pub fn fault_log(&self) -> Option<FaultLog> {
-        self.fault.log.clone()
-    }
-
-    /// Kill `machine`'s worker right now, whatever the armed plan says —
-    /// the lever the supervisor uses to lower tuple-count and
-    /// checkpoint-count fault triggers, which only the session driver
-    /// can observe. On the simulator the machine dies between pumps; on
-    /// the threaded backend the armed victim's thread vanishes on its
-    /// next quantum; on the TCP backend the worker process is SIGKILLed.
+    /// Kill `machine`'s worker right now — the one lever every fault-plan
+    /// trigger fires through. On the simulator the machine dies between
+    /// pumps and its death is recorded at once; on the threaded backend
+    /// the victim's thread vanishes on its next drain batch; on the TCP
+    /// backend the worker process is SIGKILLed once it is live.
     pub fn inject_kill(&mut self, machine: usize) {
         match self.inner.as_mut().expect("session closed") {
-            Inner::Sim { sim, .. } => sim.kill_now(MachineId(machine)),
-            Inner::Live { .. } => {
-                let kill = self.fault.kill_fn.as_ref().expect(
-                    "this backend exposes no kill surface for the session \
-                     (the threaded runtime needs an armed fault plan)",
-                );
-                kill(machine);
+            Inner::Sim { sim, .. } => {
+                if sim.kill_now(MachineId(machine)) {
+                    self.deaths.record(WorkerDeath {
+                        machine,
+                        gen: 0,
+                        at_us: sim.now().as_micros(),
+                        cause: DeathCause::Injected,
+                        detect_latency_us: 0,
+                    });
+                }
             }
+            Inner::Live { kill, .. } => kill(machine),
         }
     }
 
@@ -1853,11 +1783,11 @@ impl SessionHandle {
     /// [`health`](SessionHandle::health) and is about to recover from a
     /// checkpoint.
     pub fn abandon(mut self) {
-        self.fault.abort();
-        self.hub.lift_bound();
-        self.queue.close();
         // Nothing runs between pumps on the simulator.
-        if let Some(Inner::Live { runner, .. }) = self.inner.take() {
+        if let Some(Inner::Live { runner, abort, .. }) = self.inner.take() {
+            abort();
+            self.hub.lift_bound();
+            self.queue.close();
             let _ = runner.join();
         }
         // Drop finishes the hub (inner is already taken, so the drop
@@ -1895,9 +1825,11 @@ impl SessionHandle {
     /// collect the final [`RunReport`]. An attached subscription keeps
     /// yielding the drain's matches and then ends (`None`); the buffer
     /// bound is lifted first, so a slow subscriber cannot wedge the
-    /// close.
+    /// close. Panics on a crashed session (a worker death recorded
+    /// before or during the drain): a bare session cannot recover, a
+    /// [`SupervisedSession`](crate::supervise::SupervisedSession) does.
     pub fn close(self) -> RunReport {
-        self.refuse_if_crashed("close").drain(false).0
+        self.finish(false).unwrap_or_else(|c| c.refuse("close")).0
     }
 
     /// Close the session at a quiesced checkpoint and write a versioned
@@ -1913,35 +1845,34 @@ impl SessionHandle {
     /// takes it the same way: the quiesced tasks' state comes back in
     /// the run's [`Finals`] (over the wire from TCP workers) and the
     /// file is built from that. Finals that lack the state of an active
-    /// machine slot are `InvalidData`, naming the slot.
+    /// machine slot are `InvalidData`, naming the slot. Panics on a
+    /// crashed session, like [`close`](SessionHandle::close).
     pub fn checkpoint(self, path: impl AsRef<Path>) -> io::Result<RunReport> {
-        let (report, ckpt) = self.refuse_if_crashed("checkpoint").drain(true);
-        ckpt.expect("drain(true) snapshots")?
+        let (report, ckpt) = self.finish(true).unwrap_or_else(|c| c.refuse("checkpoint"));
+        ckpt.expect("finish(true) snapshots")?
             .write_to(path.as_ref())?;
         Ok(report)
     }
 
-    /// The entry guard of `close()`/`checkpoint()`: a crashed run can
-    /// never drain to quiescence — joining the runner would hang forever
-    /// on the wedged quiescence counter. Surface the typed deaths instead
-    /// (after an abandon, so the unwind cannot re-enter the wedged join
-    /// via Drop).
-    fn refuse_if_crashed(self, what: &str) -> SessionHandle {
-        let deaths = self.health();
-        if deaths.is_empty() {
-            return self;
-        }
-        self.abandon();
-        panic!(
-            "{what}() on a crashed session ({}); \
-             recover with JoinSession::restore_with_replay",
-            death_list(&deaths)
-        );
-    }
-
     /// Close ingest, run the backend to quiescence and collect the
     /// report — plus, on request, the quiesced state's [`Checkpoint`].
-    fn drain(mut self, snapshot: bool) -> (RunReport, Option<io::Result<Checkpoint>>) {
+    ///
+    /// A crashed run can never drain: a death recorded before the drain
+    /// abandons the handle at once, and one recorded during it fires the
+    /// abort lever so the join cannot wedge on the dead worker's
+    /// quiescence counter. A death recorded in the drain's final
+    /// instants (the runner already returned, e.g. the TCP reactor's
+    /// abort path) counts the same: the report would silently cover a
+    /// partial run. Either way the answer is [`Crashed`].
+    pub(crate) fn finish(
+        mut self,
+        snapshot: bool,
+    ) -> Result<(RunReport, Option<io::Result<Checkpoint>>), Crashed> {
+        let deaths = self.health();
+        if !deaths.is_empty() {
+            self.abandon();
+            return Err(Crashed { deaths });
+        }
         // Lift the match bound *before* closing ingest: emitters blocked
         // on a full hub must never stall the drain. The snapshot intent
         // goes first of all: no backend quiesces before ingest closes
@@ -1952,16 +1883,9 @@ impl SessionHandle {
         let pushed = self.queue.pushed();
         let prefix = self.queue.prefix();
         let out = match self.inner.take().expect("session already closed") {
+            // Nothing kills a simulator machine inside a pump.
             Inner::Sim { mut sim, wiring } => {
                 let end = pump_sim(&mut sim, wiring.source_id, &self.queue);
-                // A clock-scheduled kill can land inside this final
-                // pump, after the entry guard: refuse the partial
-                // output the same way.
-                assert!(
-                    sim.deaths().is_empty(),
-                    "the drain crossed an injected kill; \
-                     recover with JoinSession::restore_with_replay"
-                );
                 quiesced(
                     &*sim,
                     &self.builder,
@@ -1973,9 +1897,22 @@ impl SessionHandle {
                     snapshot,
                 )
             }
-            Inner::Live { runner, wiring, .. } => {
-                let (mut backend, end) = join_watching(runner, &self.fault)
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            Inner::Live {
+                runner,
+                wiring,
+                abort,
+                ..
+            } => {
+                await_runner(&runner, &self.deaths, &*abort);
+                let joined = runner.join();
+                // Read after the join, which sees every death the run
+                // recorded, however late.
+                let deaths = self.health();
+                if !deaths.is_empty() {
+                    return Err(Crashed { deaths });
+                }
+                let (mut backend, end) =
+                    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                 let remote = backend.take_finals();
                 quiesced(
                     &backend,
@@ -1990,53 +1927,18 @@ impl SessionHandle {
             }
         };
         self.hub.finish();
-        out
+        Ok(out)
     }
-}
-
-fn death_list(deaths: &[WorkerDeath]) -> String {
-    let list: Vec<String> = deaths.iter().map(|d| d.to_string()).collect();
-    list.join("; ")
-}
-
-/// Join a runner thread, watching the fault log: a kill that trips
-/// *during* the drain (after close()/checkpoint()'s entry guard) would
-/// wedge this join forever on the dead worker's quiescence counter.
-/// On a recorded death the backend's abort lever fires, the runner is
-/// reaped, and the panic mirrors the entry guard's — the supervisor
-/// recovers from the rollback base either way. A death recorded in the
-/// drain's final instants (the runner already unwedged and returned,
-/// e.g. the TCP reactor's abort path) is refused the same way: the
-/// report would silently cover a partial run.
-fn join_watching<T>(
-    runner: std::thread::JoinHandle<T>,
-    fault: &FaultControls,
-) -> std::thread::Result<T> {
-    let deaths = await_runner(&runner, fault);
-    let res = runner.join();
-    if !deaths.is_empty() {
-        drop(res);
-        panic!(
-            "session crashed during the drain ({}); \
-             recover with JoinSession::restore_with_replay",
-            death_list(&deaths)
-        );
-    }
-    res
 }
 
 /// Poll until `runner` has finished or a worker death is recorded; on a
 /// death while the runner still runs, fire the abort lever so the runner
-/// unwedges. Returns the deaths read on the last poll.
-fn await_runner<T>(runner: &std::thread::JoinHandle<T>, fault: &FaultControls) -> Vec<WorkerDeath> {
-    loop {
-        let deaths = fault.deaths();
-        if runner.is_finished() {
-            return deaths;
-        }
+/// unwedges.
+fn await_runner<T>(runner: &std::thread::JoinHandle<T>, deaths: &FaultLog, abort: &dyn Fn()) {
+    while !runner.is_finished() {
         if !deaths.is_empty() {
-            fault.abort();
-            return deaths;
+            abort();
+            return;
         }
         std::thread::sleep(Duration::from_micros(200));
     }
@@ -2081,8 +1983,8 @@ impl Drop for SessionHandle {
         // inside drop (possibly during another unwind) would abort;
         // close() is the path that propagates it. A recorded death fires
         // the abort lever instead of wedging the join.
-        if let Some(Inner::Live { runner, .. }) = self.inner.take() {
-            await_runner(&runner, &self.fault);
+        if let Some(Inner::Live { runner, abort, .. }) = self.inner.take() {
+            await_runner(&runner, &self.deaths, &*abort);
             let _ = runner.join();
         }
         self.hub.finish();

@@ -15,8 +15,8 @@
 //! 1. **Rotation invariant.** A checkpoint at ingest cursor `c` is only
 //!    adopted as the rollback base once every match of the prefix
 //!    `0..c` has been delivered to the supervisor. This holds by
-//!    construction on every backend: [`SessionHandle::checkpoint`]
-//!    drains the incarnation to quiescence before it snapshots, so when
+//!    construction on every backend: a checkpoint drains the
+//!    incarnation to quiescence before it snapshots, so when
 //!    it returns the subscription holds the last prefix match — nothing
 //!    waits on a second run to agree with the first.
 //! 2. **Prefix skip.** Recovery reopens from the base checkpoint with
@@ -33,23 +33,25 @@
 //!
 //! ## Fault-trigger lowering
 //!
-//! [`aoj_core::fault::FaultPlan`] triggers the backends can observe
-//! natively are lowered at launch (see [`crate::session`]); the ones
-//! only this layer can count reliably are fired here through
-//! [`SessionHandle::inject_kill`]: tuple-count triggers on the
-//! simulator (the driver owns the pump) and on the live backends (their
-//! native processed counters restart with every checkpoint rotation,
-//! which reopens the incarnation, so the supervisor guarantees the kill
-//! once the pushed count crosses the threshold), and every
-//! `OnCheckpoint` trigger (only the supervisor counts checkpoints).
+//! This layer is the only reader of an [`aoj_core::fault::FaultPlan`]:
+//! it counts accepted tuples and completed checkpoints, and fires every
+//! due kill through [`SessionHandle::inject_kill`], the one injection
+//! surface each backend serves with its own kill primitive. A trigger
+//! is spent when it fires, so a reopened incarnation never re-trips it,
+//! and `AfterTuples { n }` kills at the same point of the stream on
+//! every backend.
+//!
+//! A crash reaches this layer as a value: the live incarnation's
+//! [`health`](SessionHandle::health) between pushes, or a `Crashed`
+//! answer from the drain a close or checkpoint runs. Either way the
+//! recovery is the same rollback.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 pub use aoj_core::fault::RecoveryStats;
-use aoj_core::fault::{FaultInjection, FaultLog, FaultTrigger, WorkerDeath};
+use aoj_core::fault::{FaultInjection, FaultTrigger, WorkerDeath};
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::StreamItem;
 
@@ -107,13 +109,8 @@ pub struct SupervisedSession {
     /// Identities of matches delivered since the last rotation.
     seen: HashSet<(u64, u64)>,
     delivered: Vec<Match>,
-    /// Fault-plan triggers that have not fired yet; reopened
-    /// incarnations carry exactly this remainder.
+    /// Fault-plan triggers that have not fired yet.
     pending: Vec<FaultInjection>,
-    /// Clone of the live incarnation's shared death log: still readable
-    /// after a crash unwinds `close()`/`checkpoint()` and consumes the
-    /// handle, so the spent trigger can be attributed and stripped.
-    live_log: Option<FaultLog>,
     /// Completed background checkpoints (the `OnCheckpoint` ordinal).
     ckpt_seq: u32,
     stats: RecoveryStats,
@@ -141,7 +138,6 @@ impl SupervisedSession {
             seen: HashSet::new(),
             delivered: Vec::new(),
             pending,
-            live_log: None,
             ckpt_seq: 0,
             stats: RecoveryStats::default(),
         };
@@ -157,14 +153,6 @@ impl SupervisedSession {
         self.log.push((rel, item));
         self.pushed += 1;
         self.pump_to_cursor();
-        // The simulator's pump is driver-owned, so its `AfterTuples`
-        // kills fire here. A live backend's native threshold counts
-        // *joiner-processed* tuples — a counter that restarts with every
-        // checkpoint rotation, so under a cadence shorter than the
-        // threshold the native arm alone might never trip; the
-        // supervisor therefore also fires it once the *pushed* count
-        // crosses the threshold (the native arm may legitimately beat it
-        // to the kill — recovery then strips the trigger first).
         let pushed = self.pushed;
         self.fire_due(|t| matches!(t, FaultTrigger::AfterTuples { tuples } if pushed >= tuples));
         self.drain_matches();
@@ -196,23 +184,20 @@ impl SupervisedSession {
         loop {
             self.pump_to_cursor();
             self.drain_matches();
-            let handle = self.inner.take().expect("session closed");
-            let res = catch_unwind(AssertUnwindSafe(|| handle.close()));
+            let res = self.inner.take().expect("session closed").finish(false);
             // Either way the hub is finished: the subscription yields
             // the drain's tail (or what the dead incarnation did
             // deliver) and then runs dry.
             self.drain_matches();
             match res {
-                Ok(report) => {
+                Ok((report, _)) => {
                     return SupervisedOutcome {
                         report,
                         matches: std::mem::take(&mut self.delivered),
                         stats: self.stats,
                     };
                 }
-                // close() hit a crashed-session guard: the handle
-                // abandoned itself before panicking. Roll back.
-                Err(_) => self.recover_from_unwind(),
+                Err(crashed) => self.roll_back(&crashed.deaths, Instant::now()),
             }
         }
     }
@@ -261,15 +246,12 @@ impl SupervisedSession {
         true
     }
 
-    /// The bookkeeping every recovery shares: count the deaths, strip
-    /// the triggers they spent (a reopened incarnation must not re-arm
-    /// them, or the deterministic replay would re-trip the same fault
-    /// forever), rewind the log and open the next incarnation.
+    /// The bookkeeping every recovery shares: count the deaths, rewind
+    /// the log and open the next incarnation.
     fn roll_back(&mut self, deaths: &[WorkerDeath], since: Instant) {
         for d in deaths {
             self.stats.crashes += 1;
             self.stats.detection_latency_us += d.detect_latency_us;
-            self.pending.retain(|t| t.machine != d.machine);
         }
         self.stats.replayed_tuples += self.log.len() as u64;
         self.reopen();
@@ -279,35 +261,15 @@ impl SupervisedSession {
     /// Open the next incarnation: from the adopted checkpoint when one
     /// exists (replay cursor = its ingest cursor), fresh otherwise.
     fn reopen(&mut self) {
-        let mut b = self.builder.clone();
-        b.fault.plan.kills = self.pending.clone();
+        let b = self.builder.clone();
         let mut handle = match &self.ckpt_path {
             Some(p) => JoinSession::restore_with_replay(b, p, self.base_cursor)
                 .expect("recovery restore from the background checkpoint failed"),
             None => JoinSession::open(b),
         };
-        self.live_log = handle.fault_log();
         self.sub = Some(handle.subscribe());
         self.inner = Some(handle);
         self.fed = 0;
-    }
-
-    /// Recover from a crash that unwound out of `close()`/`checkpoint()`
-    /// (the handle tore itself down before panicking; its typed deaths
-    /// survive only in the shared log clone).
-    fn recover_from_unwind(&mut self) {
-        let t0 = Instant::now();
-        let deaths = self.live_log.as_ref().map(|l| l.peek()).unwrap_or_default();
-        if deaths.is_empty() {
-            // The simulator keeps its deaths on the (now consumed)
-            // handle. Only clock-scheduled kills can fire inside its
-            // drain pump — the supervisor lowers the other kinds itself
-            // and strips them at fire time.
-            self.pending
-                .retain(|t| !matches!(t.trigger, FaultTrigger::AtTime { .. }));
-            self.stats.crashes += 1;
-        }
-        self.roll_back(&deaths, t0);
     }
 
     fn drain_matches(&mut self) {
@@ -330,7 +292,7 @@ impl SupervisedSession {
         }
     }
 
-    /// Lower the pending fault-plan triggers `due` selects: each fires
+    /// Fire the pending fault-plan triggers `due` selects: each fires
     /// once, through [`SessionHandle::inject_kill`], and is spent.
     fn fire_due(&mut self, due: impl Fn(FaultTrigger) -> bool) {
         let (fire, keep) = std::mem::take(&mut self.pending)
@@ -346,32 +308,33 @@ impl SupervisedSession {
         self.inner.as_mut().expect("session closed")
     }
 
-    /// Rotate the rollback base: [`SessionHandle::checkpoint`] drains the
-    /// incarnation to quiescence (so every prefix match is delivered —
-    /// the rotation invariant), snapshots, and the supervisor reopens
-    /// from the snapshot — the same on every backend. A crash racing the
-    /// drain trips the checkpoint's crashed-session guard; the rotation
-    /// is skipped and ordinary recovery rolls back to the *previous*
-    /// base.
+    /// Rotate the rollback base: the drain that closes the incarnation
+    /// reaches quiescence (so every prefix match is delivered — the
+    /// rotation invariant), snapshots, and the supervisor reopens from
+    /// the snapshot — the same on every backend. A crash racing the
+    /// drain comes back as `Crashed`; the rotation is skipped and
+    /// ordinary recovery rolls back to the *previous* base.
     fn rotate(&mut self) {
         let path = self.ckpt_dir.join(format!("auto-{}.ckpt", self.ckpt_seq));
-        let handle = self.inner.take().expect("session closed");
-        let res = catch_unwind(AssertUnwindSafe(|| handle.checkpoint(&path)));
+        let res = self.inner.take().expect("session closed").finish(true);
         // Either way the hub is finished; the subscription holds the
         // final drain (or the partial pre-crash deliveries).
         self.drain_matches();
         match res {
-            Ok(Ok(_report)) => {
+            Ok((_report, ckpt)) => {
+                let written = ckpt
+                    .expect("finish(true) snapshots")
+                    .and_then(|c| c.write_to(&path));
+                if let Err(e) = written {
+                    panic!("automatic background checkpoint failed: {e}");
+                }
                 self.adopt(path);
                 self.reopen();
                 // `OnCheckpoint` triggers whose ordinal has been reached.
                 let seq = self.ckpt_seq;
                 self.fire_due(|t| matches!(t, FaultTrigger::OnCheckpoint { k } if seq >= k));
             }
-            Ok(Err(e)) => panic!("automatic background checkpoint failed: {e}"),
-            // checkpoint() tore the crashed handle down before
-            // panicking. Roll back to the previous base.
-            Err(_) => self.recover_from_unwind(),
+            Err(crashed) => self.roll_back(&crashed.deaths, Instant::now()),
         }
     }
 

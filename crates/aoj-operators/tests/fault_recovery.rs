@@ -3,10 +3,11 @@
 //! multiset — no lost matches (at-least-once replay from the rollback
 //! base) and no duplicates (the supervisor's identity dedup).
 //!
-//! Each test kills a real worker mid-stream through the backend's
-//! native primitive (simulator event kill, threaded worker abort, TCP
-//! worker SIGKILL), lets the [`SupervisedSession`] detect and recover
-//! it, and compares the delivered `(R seq, S seq)` multiset against a
+//! Each test has the [`SupervisedSession`] fire its plan's kills
+//! through `inject_kill`, which kills a real worker mid-stream with the
+//! backend's own primitive (simulator kill between pumps, threaded
+//! worker crash, TCP worker SIGKILL); the supervisor detects and
+//! recovers each crash, and the test compares the delivered `(R seq, S seq)` multiset against a
 //! fault-free simulator witness of the same seeded workload.
 
 use std::sync::{Mutex, PoisonError};
@@ -271,4 +272,41 @@ fn tcp_sigkill_without_checkpoint_replays_from_scratch() {
         "full replay expected with no rollback base"
     );
     assert_eq!(got, expect, "scratch replay lost or duplicated matches");
+}
+
+/// Two kills in one plan, on two machines: the supervisor fires each
+/// once its accepted-tuple count crosses the threshold, so the second
+/// lands on the incarnation the first recovery reopened. Both crashes
+/// are recovered, and the delivered stream is still exactly the
+/// fault-free witness — on the threaded and the TCP backend alike.
+#[test]
+fn two_kills_recover_exactly_once() {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    let seed = 0xFA_0007;
+    let w = workload(300, 3_000, seed);
+    let arrivals = interleave(&w, seed ^ 0xA0A0);
+    let b = builder(seed);
+    let expect = witness(&b, &arrivals);
+
+    for (backend, tag) in [
+        (BackendChoice::Threaded, "two-thr"),
+        (BackendChoice::Tcp, "two-tcp"),
+    ] {
+        let faulty = b
+            .clone()
+            .with_backend(backend)
+            .with_checkpoint_every(700)
+            .with_fault_plan(
+                FaultPlan::new()
+                    .kill_after_tuples(1, 900)
+                    .kill_after_tuples(2, 2_000),
+            );
+        let (got, outcome) = supervised(faulty, &arrivals, &tmpdir(tag));
+        assert_eq!(outcome.stats.crashes, 2, "{tag}: both kills must land");
+        assert_eq!(
+            got, expect,
+            "{tag}: two-kill recovery lost or duplicated matches"
+        );
+    }
 }

@@ -11,11 +11,14 @@
 //!   deadlocks the data plane or the close/drain path;
 //! * `stats()` reports each machine's match count live, on every backend,
 //!   and the per-machine counts add up to the session total once the
-//!   pushed input has drained.
+//!   pushed input has drained;
+//! * an injected kill on a bare session shows up once in `health()` on
+//!   every backend, and `close()` refuses the crashed run.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use aoj_core::fault::DeathCause;
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{reference_match_count, StreamItem, Workload};
 use aoj_datagen::stream::interleave;
@@ -765,4 +768,52 @@ fn multiple_subscribers_fan_out_on_tcp() {
             r.machine
         );
     }
+}
+
+/// A bare session (no supervisor) that loses machine 1: the death is
+/// recorded exactly once, typed `Injected`, and `close()` refuses the
+/// partial run instead of wedging on the dead worker.
+fn bare_session_crash(backend: BackendChoice) {
+    let seed = 0xDEAD_0001;
+    let w = workload(50, 450, 120, seed);
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_seed(seed)
+        .with_backend(backend);
+    let mut session = JoinSession::open(builder);
+    session.push_batch(interleave(&w, seed)).unwrap();
+    session.inject_kill(1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while session.health().is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "the injected kill was never recorded"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let deaths = session.health();
+    assert_eq!(deaths.len(), 1, "{deaths:?}");
+    assert_eq!(deaths[0].machine, 1);
+    assert_eq!(deaths[0].cause, DeathCause::Injected);
+    session.close();
+}
+
+#[test]
+#[should_panic(expected = "close() on a crashed session")]
+fn bare_session_kill_is_one_typed_death_on_sim() {
+    bare_session_crash(BackendChoice::Sim);
+}
+
+#[test]
+#[should_panic(expected = "close() on a crashed session")]
+fn bare_session_kill_is_one_typed_death_on_threaded() {
+    bare_session_crash(BackendChoice::Threaded);
+}
+
+#[test]
+#[should_panic(expected = "close() on a crashed session")]
+fn bare_session_kill_is_one_typed_death_on_tcp() {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    bare_session_crash(BackendChoice::Tcp);
 }

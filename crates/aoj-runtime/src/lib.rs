@@ -72,4 +72,4 @@
 pub mod mailbox;
 pub mod runtime;
 
-pub use runtime::{FaultArm, KillSwitch, KillWhen, Runtime, RuntimeConfig};
+pub use runtime::{KillSwitch, Runtime, RuntimeConfig};

@@ -137,6 +137,8 @@ struct State<M> {
     /// `false` (while the global run continues) as soon as every queue
     /// and pending timer has been serviced, letting the worker exit.
     drained: bool,
+    /// Set by [`Mailbox::interrupt`]: the next `pop_batch` returns early.
+    interrupted: bool,
 }
 
 /// One machine's inbound queue set.
@@ -170,6 +172,7 @@ impl<M> Mailbox<M> {
                 migration_credit: 0,
                 overflowed: false,
                 drained: false,
+                interrupted: false,
             }),
             work_ready: Condvar::new(),
             space_free: Condvar::new(),
@@ -255,7 +258,8 @@ impl<M> Mailbox<M> {
     /// [`complete_drain`](Mailbox::complete_drain), once every queue
     /// and pending timer has been serviced (the consumer distinguishes
     /// the two by checking its shutdown flag). Returns `true` with
-    /// `out` non-empty otherwise.
+    /// `out` non-empty otherwise — or with `out` empty right after an
+    /// [`interrupt`](Mailbox::interrupt), even one that raced shutdown.
     ///
     /// The per-message selection inside the batch is byte-identical to
     /// repeated single pops at the same instant: due timers and control
@@ -273,6 +277,11 @@ impl<M> Mailbox<M> {
         let max = max.max(1);
         let mut st = self.state.lock().unwrap();
         loop {
+            // An interrupt beats shutdown: the consumer re-checks its own
+            // flags before it may exit.
+            if std::mem::take(&mut st.interrupted) {
+                return true;
+            }
             if done.load(Ordering::Relaxed) {
                 return false;
             }
@@ -375,6 +384,15 @@ impl<M> Mailbox<M> {
         let _guard = self.state.lock().unwrap();
         self.work_ready.notify_all();
         self.space_free.notify_all();
+    }
+
+    /// Wake the consumer with nothing to service: its next (or current,
+    /// idle) [`pop_batch`](Mailbox::pop_batch) returns `true` with an
+    /// empty batch, so the consumer re-checks its own flags (the
+    /// threaded runtime's kill request) without waiting for work.
+    pub fn interrupt(&self) {
+        self.state.lock().unwrap().interrupted = true;
+        self.work_ready.notify_all();
     }
 
     /// Mark the retirement flush barrier complete: no producer will

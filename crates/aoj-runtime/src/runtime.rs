@@ -51,85 +51,53 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// When an armed threaded-backend kill fires. The session layer lowers
-/// `aoj_core::FaultTrigger` onto this: the clock and data-progress
-/// variants are checked by the victim itself (once per drain batch, on
-/// its own thread — no cross-thread signalling, so the crash point is
-/// as reproducible as wall time allows); `Explicit` fires only through
-/// [`FaultArm::fire_now`].
-#[derive(Clone, Copy, Debug)]
-pub enum KillWhen {
-    /// Wall microseconds since `run()` started.
-    AtTime(u64),
-    /// Cluster-wide processed-data threshold (the shared gauge).
-    AfterTuples(u64),
-    /// Only when [`FaultArm::fire_now`] is called.
-    Explicit,
-}
-
-/// An armed deterministic kill of one worker thread.
+/// Crashes one machine's worker, or ends a whole run, from outside it.
 ///
-/// When it trips, the victim records a [`WorkerDeath`] into the shared
-/// [`FaultLog`] and its thread returns **without** retiring its
-/// outstanding work or depositing its tasks — the run wedges exactly
-/// like a thread lost to a real crash would, until the recovery layer
-/// notices the log entry and fires the [`KillSwitch`].
-pub struct FaultArm {
-    victim: usize,
-    when: KillWhen,
-    now: AtomicBool,
-    log: FaultLog,
-}
-
-impl FaultArm {
-    /// The machine index this arm kills.
-    pub fn victim(&self) -> usize {
-        self.victim
-    }
-
-    /// The death log the victim records into when the arm trips.
-    pub fn log(&self) -> FaultLog {
-        self.log.clone()
-    }
-
-    /// Force the kill on the victim's next scheduling quantum,
-    /// whatever `when` says.
-    pub fn fire_now(&self) {
-        self.now.store(true, Ordering::SeqCst);
-    }
-
-    fn tripped(&self, now_us: u64, data_processed: u64) -> bool {
-        if self.now.load(Ordering::SeqCst) {
-            return true;
-        }
-        match self.when {
-            KillWhen::AtTime(at_us) => now_us >= at_us,
-            KillWhen::AfterTuples(tuples) => data_processed >= tuples,
-            KillWhen::Explicit => false,
-        }
-    }
-}
-
-/// Terminates a crashed run from outside.
+/// [`kill`](KillSwitch::kill) crashes one machine's worker thread: the
+/// victim checks for the request once per drain batch (the request also
+/// wakes it when idle), records a [`WorkerDeath`] into the runtime's
+/// [`death_log`](Runtime::death_log), and returns **without** retiring
+/// its outstanding work or depositing its tasks — the run wedges
+/// exactly like a thread lost to a real crash would.
 ///
-/// A killed worker leaves the outstanding-work counter permanently
-/// positive, so [`ExecBackend::run`] would block in `join` forever.
-/// The caller that supervises the run holds this switch (obtained
-/// *before* `run`, via [`Runtime::kill_switch`]) and fires it once the
-/// death is confirmed: every surviving worker wakes, drains out, and
-/// `run` returns. Firing before `run` starts is remembered and applied
-/// at startup; firing twice is harmless.
-pub struct KillSwitch {
-    fired: AtomicBool,
-    action: Mutex<Option<Box<dyn Fn() + Send>>>,
+/// [`fire`](KillSwitch::fire) ends such a run: a killed worker leaves
+/// the outstanding-work counter permanently positive, so
+/// [`ExecBackend::run`] would block in `join` forever. The caller that
+/// supervises the run holds this switch (obtained *before* `run`, via
+/// [`Runtime::kill_switch`]) and fires it once the death is confirmed:
+/// every surviving worker wakes, drains out, and `run` returns.
+///
+/// Either request made before `run` starts is remembered and applied at
+/// startup; repeating one is harmless.
+pub struct KillSwitch<M: SimMessage + Send + 'static> {
+    state: Mutex<SwitchState<M>>,
 }
 
-impl KillSwitch {
+struct SwitchState<M: SimMessage + Send + 'static> {
+    fired: bool,
+    /// Machines whose crash was requested before the run began.
+    kills: Vec<usize>,
+    /// The run in progress, if any.
+    run: Option<Arc<Shared<M>>>,
+}
+
+impl<M: SimMessage + Send + 'static> KillSwitch<M> {
     /// End the run now (or at startup, if it has not begun).
     pub fn fire(&self) {
-        self.fired.store(true, Ordering::SeqCst);
-        if let Some(f) = self.action.lock().unwrap().as_ref() {
-            f();
+        let mut st = self.state.lock().unwrap();
+        st.fired = true;
+        if let Some(run) = &st.run {
+            run.shutdown();
+        }
+    }
+
+    /// Crash `machine`'s worker on its next drain batch (or at startup,
+    /// if the run has not begun).
+    pub fn kill(&self, machine: usize) {
+        let mut st = self.state.lock().unwrap();
+        match &st.run {
+            Some(run) => run.request_kill(machine),
+            None => st.kills.push(machine),
         }
     }
 }
@@ -171,8 +139,10 @@ struct Shared<M: SimMessage + Send + 'static> {
     /// 2 = retired (the worker drains its backlog behind the flush
     /// barrier, then exits for real).
     machine_state: Vec<AtomicU8>,
-    /// The armed deterministic kill, if any (see [`FaultArm`]).
-    fault: Option<Arc<FaultArm>>,
+    /// Per-machine crash requests (see [`KillSwitch::kill`]).
+    kill_requested: Vec<AtomicBool>,
+    /// Where a crashed worker records its death.
+    deaths: FaultLog,
 }
 
 const MACHINE_DEFERRED: u8 = 0;
@@ -221,6 +191,14 @@ impl<M: SimMessage + Send + 'static> Shared<M> {
         }
     }
 
+    /// Ask `machine`'s worker to crash, waking it if it idles. The flag
+    /// publishes no other data, so `Relaxed` suffices; an idle victim
+    /// re-reads it after taking the mailbox lock the interrupt released.
+    fn request_kill(&self, machine: usize) {
+        self.kill_requested[machine].store(true, Ordering::Relaxed);
+        self.mailboxes[machine].interrupt();
+    }
+
     /// Retire one processed work item; the last one ends the run.
     fn finish_item(&self) {
         if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -265,10 +243,10 @@ pub struct Runtime<M: SimMessage + Send + 'static> {
     /// Gauge overlay created ahead of `run` (live sessions read it from
     /// the caller thread while workers execute).
     pre_gauges: Option<Arc<SharedGauges>>,
-    /// Armed deterministic kill, installed into the next `run`.
-    fault: Option<Arc<FaultArm>>,
-    /// External run terminator, installed into the next `run`.
-    kill_sw: Option<Arc<KillSwitch>>,
+    /// Deaths of workers crashed through the kill switch.
+    deaths: FaultLog,
+    /// External kill lever, installed into the next `run`.
+    kill_sw: Option<Arc<KillSwitch<M>>>,
 }
 
 impl<M: SimMessage + Send + 'static> Runtime<M> {
@@ -285,40 +263,29 @@ impl<M: SimMessage + Send + 'static> Runtime<M> {
             provisioned: 0,
             peak_provisioned: 0,
             pre_gauges: None,
-            fault: None,
+            deaths: FaultLog::new(),
             kill_sw: None,
         }
     }
 
-    /// Arm a deterministic kill: `victim`'s worker thread crashes when
-    /// `when` trips, recording a [`WorkerDeath`] into `log`. At most
-    /// one fault can be armed per run; the returned handle can force
-    /// the kill early ([`FaultArm::fire_now`]).
-    pub fn arm_fault(&mut self, victim: usize, when: KillWhen, log: FaultLog) -> Arc<FaultArm> {
-        let arm = Arc::new(FaultArm {
-            victim,
-            when,
-            now: AtomicBool::new(false),
-            log,
-        });
-        self.fault = Some(Arc::clone(&arm));
-        arm
+    /// The log a worker crashed through [`KillSwitch::kill`] records
+    /// its death into.
+    pub fn death_log(&self) -> FaultLog {
+        self.deaths.clone()
     }
 
-    /// The fault armed by [`arm_fault`](Runtime::arm_fault), if any.
-    pub fn armed_fault(&self) -> Option<Arc<FaultArm>> {
-        self.fault.clone()
-    }
-
-    /// The switch that can terminate a (possibly crash-wedged) run from
+    /// The switch that can crash a worker of, or terminate, a run from
     /// another thread; created on first call, installed by `run`.
-    pub fn kill_switch(&mut self) -> Arc<KillSwitch> {
+    pub fn kill_switch(&mut self) -> Arc<KillSwitch<M>> {
         if let Some(ks) = &self.kill_sw {
             return Arc::clone(ks);
         }
         let ks = Arc::new(KillSwitch {
-            fired: AtomicBool::new(false),
-            action: Mutex::new(None),
+            state: Mutex::new(SwitchState {
+                fired: false,
+                kills: Vec::new(),
+                run: None,
+            }),
         });
         self.kill_sw = Some(Arc::clone(&ks));
         ks
@@ -365,24 +332,20 @@ fn worker<M: SimMessage + Send + 'static>(
     let mailbox = Arc::clone(&shared.mailboxes[mid.index()]);
     let mut batch = Vec::with_capacity(drain_batch);
     'run: loop {
-        if let Some(arm) = shared.fault.as_ref() {
-            if arm.victim == mid.index()
-                && arm.tripped(shared.now_us(), shared.gauges.data_processed())
-            {
-                // Crash, not shutdown: no finish_item, no task deposit.
-                // The run wedges exactly as if the thread were lost to
-                // a real crash, until the recovery layer reads the log
-                // entry and fires the kill switch.
-                arm.log.record(WorkerDeath {
-                    machine: mid.index(),
-                    gen: 0,
-                    at_us: shared.now_us(),
-                    cause: DeathCause::Injected,
-                    detect_latency_us: 0,
-                });
-                drop(guard);
-                return (TaskMap::new(), shard);
-            }
+        if shared.kill_requested[mid.index()].load(Ordering::Relaxed) {
+            // Crash, not shutdown: no finish_item, no task deposit. The
+            // run wedges exactly as if the thread were lost to a real
+            // crash, until the recovery layer reads the log entry and
+            // fires the kill switch.
+            shared.deaths.record(WorkerDeath {
+                machine: mid.index(),
+                gen: 0,
+                at_us: shared.now_us(),
+                cause: DeathCause::Injected,
+                detect_latency_us: 0,
+            });
+            drop(guard);
+            return (TaskMap::new(), shard);
         }
         // One lock acquisition drains up to `drain_batch` messages, in
         // exactly the order repeated single pops would have produced.
@@ -691,15 +654,19 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
                 .iter()
                 .map(|&d| AtomicU8::new(if d { MACHINE_DEFERRED } else { MACHINE_ACTIVE }))
                 .collect(),
-            fault: self.fault.clone(),
+            kill_requested: (0..self.machines).map(|_| AtomicBool::new(false)).collect(),
+            deaths: self.deaths.clone(),
         });
 
         if let Some(ks) = &self.kill_sw {
-            let s = Arc::clone(&shared);
-            *ks.action.lock().unwrap() = Some(Box::new(move || s.shutdown()));
-            if ks.fired.load(Ordering::SeqCst) {
-                // Fired before the run began: honour it at startup.
+            let mut st = ks.state.lock().unwrap();
+            st.run = Some(Arc::clone(&shared));
+            // Requested before the run began: honour them at startup.
+            if st.fired {
                 shared.shutdown();
+            }
+            for m in st.kills.drain(..) {
+                shared.request_kill(m);
             }
         }
 
@@ -770,8 +737,8 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
             }
         }
         if let Some(ks) = &self.kill_sw {
-            // Disarm: the closure holds the run's Shared alive.
-            *ks.action.lock().unwrap() = None;
+            // Disarm: the switch holds the run's Shared alive.
+            ks.state.lock().unwrap().run = None;
         }
         if let Some(p) = panic_payload {
             std::panic::resume_unwind(p);

@@ -1,12 +1,12 @@
-//! Crash semantics of the threaded backend: an armed fault makes the
+//! Crash semantics of the threaded backend: a kill request makes the
 //! victim worker vanish mid-run (recording a typed death), and the
 //! kill switch lets a supervisor terminate the wedged run.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aoj_core::{DeathCause, FaultLog};
-use aoj_runtime::{KillWhen, Runtime, RuntimeConfig};
+use aoj_runtime::{KillSwitch, Runtime, RuntimeConfig};
 use aoj_simnet::{Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, TaskId};
 
 #[derive(Clone, Debug)]
@@ -46,70 +46,70 @@ impl Process<Tick> for Sink {
     }
 }
 
-#[test]
-fn armed_fault_crashes_victim_and_kill_switch_unwedges_run() {
+/// The supervisor's side: wait up to `limit` for a death in `log`, then
+/// end the run whether or not one arrived. Returns how long the death
+/// took to show up, `None` if it never did.
+fn end_run_on_death(
+    log: FaultLog,
+    ks: Arc<KillSwitch<Tick>>,
+    limit: Duration,
+) -> std::thread::JoinHandle<Option<Duration>> {
+    std::thread::spawn(move || {
+        let t0 = Instant::now();
+        while log.is_empty() && t0.elapsed() < limit {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let seen = (!log.is_empty()).then(|| t0.elapsed());
+        ks.fire();
+        seen
+    })
+}
+
+/// Machine 0 pumps ticks into a sink on machine 1.
+fn pump_and_sink() -> (Runtime<Tick>, usize) {
     let mut rt: Runtime<Tick> = Runtime::new(RuntimeConfig::default());
     let m0 = rt.add_machine();
     let m1 = rt.add_machine();
     let sink = rt.add_task(m1, Box::new(Sink));
     let pump = rt.add_task(m0, Box::new(Pump { to: sink }));
     rt.start_timer_at(aoj_simnet::SimTime::ZERO, pump, 0);
+    (rt, m1.index())
+}
 
-    let log = FaultLog::new();
-    rt.arm_fault(m1.index(), KillWhen::AtTime(10_000), log.clone());
+#[test]
+fn kill_request_crashes_victim_and_kill_switch_unwedges_run() {
+    let (mut rt, victim) = pump_and_sink();
+    let log = rt.death_log();
     let ks = rt.kill_switch();
-
-    // The supervisor: once the death shows up in the log, end the run.
-    let watcher_log = log.clone();
-    let watcher_ks = Arc::clone(&ks);
-    let watcher = std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while watcher_log.is_empty() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "armed fault never fired"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        watcher_ks.fire();
+    let requester = Arc::clone(&ks);
+    std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(10));
+        requester.kill(victim);
     });
+    let watcher = end_run_on_death(log.clone(), ks, Duration::from_secs(20));
 
     // Without the kill switch this would block forever: the pump never
     // stops and the crashed sink never retires its outstanding work.
     rt.run();
-    watcher.join().unwrap();
+    assert!(watcher.join().unwrap().is_some(), "the kill never landed");
 
     let deaths = log.drain();
     assert_eq!(deaths.len(), 1);
-    assert_eq!(deaths[0].machine, m1.index());
+    assert_eq!(deaths[0].machine, victim);
     assert_eq!(deaths[0].cause, DeathCause::Injected);
-    assert!(deaths[0].at_us >= 10_000);
 }
 
 #[test]
-fn fire_now_overrides_the_trigger_and_prefire_is_remembered() {
-    // fire_now: the victim dies on its next quantum even though the
-    // armed clock trigger is far in the future.
-    let mut rt: Runtime<Tick> = Runtime::new(RuntimeConfig::default());
-    let m0 = rt.add_machine();
-    let m1 = rt.add_machine();
-    let sink = rt.add_task(m1, Box::new(Sink));
-    let pump = rt.add_task(m0, Box::new(Pump { to: sink }));
-    rt.start_timer_at(aoj_simnet::SimTime::ZERO, pump, 0);
-    let log = FaultLog::new();
-    let arm = rt.arm_fault(m1.index(), KillWhen::AtTime(u64::MAX), log.clone());
-    arm.fire_now();
+fn requests_made_before_the_run_are_remembered() {
+    // A kill requested before run(): the victim dies on its first
+    // quantum.
+    let (mut rt, victim) = pump_and_sink();
+    let log = rt.death_log();
     let ks = rt.kill_switch();
-    let watcher_log = log.clone();
-    let watcher_ks = Arc::clone(&ks);
-    let watcher = std::thread::spawn(move || {
-        while watcher_log.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        watcher_ks.fire();
-    });
+    ks.kill(victim);
+    let watcher = end_run_on_death(log.clone(), ks, Duration::from_secs(20));
     rt.run();
-    watcher.join().unwrap();
+    assert!(watcher.join().unwrap().is_some(), "the early kill was lost");
     assert_eq!(log.drain().len(), 1);
 
     // A switch fired before run() begins ends the run at startup.
@@ -120,4 +120,35 @@ fn fire_now_overrides_the_trigger_and_prefire_is_remembered() {
     rt2.start_timer_at(aoj_simnet::SimTime::ZERO, pump2, 0);
     rt2.kill_switch().fire();
     rt2.run(); // returns promptly instead of pumping forever
+}
+
+#[test]
+fn kill_request_wakes_an_idle_victim() {
+    // Machine 2 hosts a sink nobody sends to: its worker sleeps on an
+    // empty mailbox with no timer, so only the request can wake it.
+    let (mut rt, _) = pump_and_sink();
+    let idle = rt.add_machine();
+    rt.add_task(idle, Box::new(Sink));
+    let log = rt.death_log();
+    let ks = rt.kill_switch();
+    let requester = Arc::clone(&ks);
+    let watched = log.clone();
+    let watcher = std::thread::spawn(move || {
+        // Let the run start and the idle worker park.
+        std::thread::sleep(Duration::from_millis(50));
+        requester.kill(idle.index());
+        end_run_on_death(watched, requester, Duration::from_secs(5))
+            .join()
+            .unwrap()
+    });
+    rt.run();
+    let took = watcher.join().unwrap().expect("the idle victim never died");
+    assert!(
+        took < Duration::from_secs(1),
+        "death recorded after {took:?}"
+    );
+    let deaths = log.drain();
+    assert_eq!(deaths.len(), 1);
+    assert_eq!(deaths[0].machine, idle.index());
+    assert_eq!(deaths[0].cause, DeathCause::Injected);
 }

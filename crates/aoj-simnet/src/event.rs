@@ -16,8 +16,6 @@ pub(crate) enum EventKind<M> {
     ProcessNext { machine: MachineId },
     /// A task timer fires.
     Timer { task: TaskId, key: u64 },
-    /// A scheduled fault fires: the machine dies abruptly.
-    Kill { machine: MachineId },
 }
 
 pub(crate) struct Event<M> {

@@ -29,7 +29,7 @@ enum MachineState {
     /// Previously active, resources handed back; straggler work still
     /// drains (see [`Effect::Retire`]) and a later provision revives it.
     Retired,
-    /// Killed by a scheduled fault ([`Sim::schedule_kill`]): its queued
+    /// Killed by an injected fault ([`Sim::kill_now`]): its queued
     /// work is gone and anything later delivered to it is dropped on
     /// the floor — the simulated analogue of a SIGKILL'd worker whose
     /// peers keep writing into a dead socket.
@@ -51,7 +51,6 @@ pub struct Sim<M: SimMessage> {
     metrics: Metrics,
     now: SimTime,
     stopped: bool,
-    deaths: Vec<(MachineId, SimTime)>,
 }
 
 impl<M: SimMessage + 'static> Sim<M> {
@@ -70,7 +69,6 @@ impl<M: SimMessage + 'static> Sim<M> {
             metrics: Metrics::default(),
             now: SimTime::ZERO,
             stopped: false,
-            deaths: Vec::new(),
         }
     }
 
@@ -147,32 +145,15 @@ impl<M: SimMessage + 'static> Sim<M> {
         self.now
     }
 
-    /// Schedule a deterministic fault: `machine` dies abruptly at
-    /// virtual time `at`. Like a real SIGKILL, the victim gets no
-    /// goodbye — its queued work vanishes and later deliveries to it
-    /// drop silently (no panic, no back-pressure). Idempotent per
-    /// machine; kills are ordered against all other events by the
-    /// `(time, sequence)` queue, so runs stay reproducible.
-    pub fn schedule_kill(&mut self, machine: MachineId, at: SimTime) {
-        self.queue.push(at, EventKind::Kill { machine });
-    }
-
-    /// Kill `machine` at the current virtual time (the between-pumps
-    /// form used to lower tuple-count and checkpoint-count fault
-    /// triggers, which only the session driver can observe).
-    pub fn kill_now(&mut self, machine: MachineId) {
-        self.apply_kill(machine);
-    }
-
-    /// Machines that died, in kill order, with their times of death.
-    pub fn deaths(&self) -> &[(MachineId, SimTime)] {
-        &self.deaths
-    }
-
-    fn apply_kill(&mut self, m: MachineId) {
-        let state = &mut self.machine_state[m.index()];
+    /// Kill `machine` at the current virtual time, between pumps. Like a
+    /// real SIGKILL, the victim gets no goodbye: its queued work vanishes
+    /// and later deliveries to it drop silently (no panic, no
+    /// back-pressure). Returns whether the machine was alive; killing it
+    /// again is a no-op.
+    pub fn kill_now(&mut self, machine: MachineId) -> bool {
+        let state = &mut self.machine_state[machine.index()];
         if *state == MachineState::Dead {
-            return;
+            return false;
         }
         if *state == MachineState::Active {
             self.provisioned -= 1;
@@ -180,8 +161,8 @@ impl<M: SimMessage + 'static> Sim<M> {
         *state = MachineState::Dead;
         // Queued work dies with the machine; a stale ProcessNext event
         // is defused by the Dead check in `process_next`.
-        self.machines[m.index()] = Machine::new(self.cfg.machine);
-        self.deaths.push((m, self.now));
+        self.machines[machine.index()] = Machine::new(self.cfg.machine);
+        true
     }
 
     /// Accumulated metrics.
@@ -280,9 +261,6 @@ impl<M: SimMessage + 'static> Sim<M> {
                             msg: Work::Timer(key),
                         },
                     );
-                }
-                EventKind::Kill { machine } => {
-                    self.apply_kill(machine);
                 }
             }
         }
