@@ -140,8 +140,9 @@ pub fn run_batching() {
         }
     }
     // Mostly `deadline` flushes on a saturated run means the buffers age
-    // out before they fill. Simulator counts repeat exactly; live ones
-    // vary run to run.
+    // out before they fill; `idle` ones left early because their live
+    // machine ran out of work (the simulator never fires an age timer
+    // early). Simulator counts repeat exactly; live ones vary run to run.
     print_table(
         &rows,
         &[

@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// When an injected fault fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -267,11 +267,26 @@ impl FailureDetector {
 }
 
 /// A shared, append-only log of confirmed deaths: backends (or their
-/// reactor threads) record, the session layer drains. Cheap to clone
-/// (it is an `Arc` inside).
+/// reactor threads) record, the session layer drains. It also carries
+/// whether the run it watches has returned, so a waiter can sleep until
+/// either happens ([`await_end_or_death`](FaultLog::await_end_or_death)).
+/// Cheap to clone (it is an `Arc` inside).
 #[derive(Clone, Debug, Default)]
 pub struct FaultLog {
-    deaths: Arc<Mutex<Vec<WorkerDeath>>>,
+    inner: Arc<LogInner>,
+}
+
+#[derive(Debug, Default)]
+struct LogInner {
+    state: Mutex<LogState>,
+    /// Signalled on every death and at the run's end.
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct LogState {
+    deaths: Vec<WorkerDeath>,
+    run_ended: bool,
 }
 
 impl FaultLog {
@@ -280,24 +295,46 @@ impl FaultLog {
         FaultLog::default()
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, LogState> {
+        self.inner.state.lock().unwrap()
+    }
+
     /// Append one confirmed death.
     pub fn record(&self, death: WorkerDeath) {
-        self.deaths.lock().unwrap().push(death);
+        self.state().deaths.push(death);
+        self.inner.changed.notify_all();
     }
 
     /// Take every recorded death, leaving the log empty.
     pub fn drain(&self) -> Vec<WorkerDeath> {
-        std::mem::take(&mut *self.deaths.lock().unwrap())
+        std::mem::take(&mut self.state().deaths)
     }
 
     /// Snapshot the current deaths without consuming them.
     pub fn peek(&self) -> Vec<WorkerDeath> {
-        self.deaths.lock().unwrap().clone()
+        self.state().deaths.clone()
     }
 
     /// Has anything died?
     pub fn is_empty(&self) -> bool {
-        self.deaths.lock().unwrap().is_empty()
+        self.state().deaths.is_empty()
+    }
+
+    /// The run this log watches has returned (normally or not).
+    pub fn end_run(&self) {
+        self.state().run_ended = true;
+        self.inner.changed.notify_all();
+    }
+
+    /// Block until the watched run has returned or a death is recorded,
+    /// whichever comes first; true when the run has returned.
+    pub fn await_end_or_death(&self) -> bool {
+        let st = self
+            .inner
+            .changed
+            .wait_while(self.state(), |st| !st.run_ended && st.deaths.is_empty())
+            .unwrap();
+        st.run_ended
     }
 }
 
@@ -396,6 +433,35 @@ mod tests {
         assert_eq!(drained, peeked);
         assert!(log.is_empty());
         assert!(log.drain().is_empty());
+    }
+
+    #[test]
+    fn fault_log_wakes_its_waiter_on_a_death_or_the_run_end() {
+        let death = WorkerDeath {
+            machine: 1,
+            gen: 0,
+            at_us: 5,
+            cause: DeathCause::Injected,
+            detect_latency_us: 0,
+        };
+        for ends in [false, true] {
+            let log = FaultLog::new();
+            let (rec, d) = (log.clone(), death.clone());
+            let other = std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                if ends {
+                    rec.end_run();
+                } else {
+                    rec.record(d);
+                }
+            });
+            assert_eq!(log.await_end_or_death(), ends);
+            other.join().unwrap();
+        }
+        // Already settled: no wait at all.
+        let log = FaultLog::new();
+        log.end_run();
+        assert!(log.await_end_or_death());
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct TcpBackend {
     /// The plan fingerprint workers must echo in `Ready`.
     fingerprint: u64,
     /// The coordinator's own decoded copy of the plan (mailbox sizing,
-    /// idle-poll interval) — decoded from `builder_bytes`, so the
+    /// drain batch) — decoded from `builder_bytes`, so the
     /// coordinator and its workers provably configure from the same
     /// bits.
     builder: SessionBuilder,
@@ -417,7 +417,7 @@ impl TcpBackend {
         for &(at_us, task, key) in &self.topo.timers {
             if task_machine[task.index()] == source_machine {
                 counters.created.fetch_add(1, Ordering::AcqRel);
-                mailbox.push_timer(at_us, task, key);
+                mailbox.push_timer(at_us, task, key, false);
             }
         }
         let loop_handle = {

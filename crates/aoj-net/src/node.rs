@@ -58,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aoj_operators::messages::OpMsg;
-use aoj_runtime::mailbox::{dispatch, Mailbox, Work};
+use aoj_runtime::mailbox::{dispatch, install_wakers, Mailbox, Work};
 use aoj_simnet::{
     ExecBackend, MachineId, Metrics, MsgClass, NetworkConfig, Process, SimMessage, SimTime, TaskId,
 };
@@ -894,6 +894,7 @@ pub fn run_machine_loop(
     batch_end: Option<&dyn Fn()>,
 ) -> (Metrics, HashMap<usize, BoxedTask>) {
     let mid = MachineId(shared.machine);
+    install_wakers(&shared.mailbox, &mut tasks);
     let mut batch: Vec<Work<OpMsg>> = Vec::with_capacity(drain_batch);
     let mut stage = OutStage::new(shared.writers.pool());
     loop {
@@ -981,11 +982,20 @@ fn apply_effect(
                 stage.push(dest, msg.class(), &(self_task, to, msg));
             }
         }
-        aoj_simnet::Effect::Timer { delay, key } => {
+        aoj_simnet::Effect::Timer {
+            delay,
+            key,
+            or_idle,
+        } => {
             shared.counters.created.fetch_add(1, Ordering::AcqRel);
-            shared
-                .mailbox
-                .push_timer(shared.clock.now_us() + delay.as_micros(), self_task, key);
+            let at = shared.clock.now_us() + delay.as_micros();
+            shared.mailbox.push_timer(at, self_task, key, or_idle);
+        }
+        // Counted as created until it fires, so the quiescence probe
+        // sees an open session's parked source as work in flight.
+        aoj_simnet::Effect::Park { key } => {
+            shared.counters.created.fetch_add(1, Ordering::AcqRel);
+            shared.mailbox.park(self_task, key);
         }
         aoj_simnet::Effect::Provision { machine } => {
             let m = machine.index();

@@ -56,13 +56,13 @@ use aoj_operators::session::{
 };
 use aoj_operators::{ElasticConfig, SourcePacing};
 use aoj_simnet::{
-    CostModel, FlushCounts, Gauge, MachineMetrics, MsgClass, NetworkConfig, SimDuration, SimTime,
-    TaskId,
+    CostModel, FlushCause, FlushCounts, Gauge, MachineMetrics, MsgClass, NetworkConfig,
+    SimDuration, SimTime, TaskId,
 };
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 13;
+pub const WIRE_VERSION: u8 = 14;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -971,7 +971,7 @@ wire_struct! {
         evicted_tuples: u64,
         evicted_bytes: u64,
     }
-    FlushCounts { batches: [u64; 3], tuples: [u64; 3] }
+    FlushCounts { batches: [u64; FlushCause::COUNT], tuples: [u64; FlushCause::COUNT] }
     MachineMetrics {
         messages_in: u64,
         messages_out: u64,

@@ -165,7 +165,6 @@ pub fn worker_main() -> ! {
         &builder,
         IngestQueue::detached(),
         Arc::clone(&hub),
-        true,
         restore.as_ref(),
     );
     // The board this worker's reshufflers publish their sketches into;
@@ -226,7 +225,7 @@ pub fn worker_main() -> ! {
     for &(at_us, task, key) in &rec.timers {
         if task_machine[task.index()] == machine {
             counters.created.fetch_add(1, Ordering::AcqRel);
-            mailbox.push_timer(at_us, task, key);
+            mailbox.push_timer(at_us, task, key, false);
         }
     }
 

@@ -30,7 +30,9 @@ use aoj_operators::messages::{IngestItem, Match, OpMsg};
 use aoj_operators::report::{ControllerFinal, Finals, MatchDigest, Resume};
 use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
 use aoj_operators::{BackendChoice, ElasticConfig, KeyFilter, OperatorKind, SessionBuilder};
-use aoj_simnet::{FlushCounts, Gauge, MachineMetrics, MsgClass, SimDuration, SimTime, TaskId};
+use aoj_simnet::{
+    FlushCause, FlushCounts, Gauge, MachineMetrics, MsgClass, SimDuration, SimTime, TaskId,
+};
 use proptest::prelude::*;
 
 /// The codec contract for one value of any [`Wire`] type; returns the
@@ -441,7 +443,7 @@ fn controller_final() -> impl Strategy<Value = ControllerFinal> {
 }
 
 fn machine_metrics() -> impl Strategy<Value = MachineMetrics> {
-    words(17).prop_map(|w| {
+    words(19).prop_map(|w| {
         let w = |i: usize| w.get(i).copied().unwrap_or(0);
         MachineMetrics {
             messages_in: w(0),
@@ -453,8 +455,8 @@ fn machine_metrics() -> impl Strategy<Value = MachineMetrics> {
             peak_stored_bytes: w(9),
             spilled_bytes: w(10),
             flushes: FlushCounts {
-                batches: [w(11), w(12), w(13)],
-                tuples: [w(14), w(15), w(16)],
+                batches: [w(11), w(12), w(13), w(17)],
+                tuples: [w(14), w(15), w(16), w(18)],
             },
         }
     })
@@ -639,7 +641,10 @@ fn min_len_is_derived_from_the_field_table() {
     assert_eq!(IngestItem::MIN_LEN, 25);
     assert_eq!(Match::MIN_LEN, 32);
     assert_eq!(<(u64, u32)>::MIN_LEN, 12);
-    assert_eq!(MachineMetrics::MIN_LEN, 56 + 8 * Gauge::COUNT + 48);
+    assert_eq!(
+        MachineMetrics::MIN_LEN,
+        56 + 8 * Gauge::COUNT + 16 * FlushCause::COUNT
+    );
     // The shorter variant: tag, kind tag, `at`, `epoch`.
     assert_eq!(ControlEvent::MIN_LEN, 1 + 1 + 8 + 4);
     assert_eq!(Reconfig::MIN_LEN, 1);
@@ -734,8 +739,8 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // `SourceSection::window_copies` became `Option<u64>` (unset = derive the
 // window from the batch size), which inserts the one `01` presence byte
 // ahead of the window's eight. `WIRE_VERSION` 7: `SourceSection` lost
-// `idle_poll_us` (one value was ever in use; now the constant
-// `source::IDLE_POLL_US`), which removes the eight bytes `c8 00…` after
+// `idle_poll_us` (one value was ever in use; the constant that replaced
+// it is gone too: the source parks), which removes the eight bytes `c8 00…` after
 // the queue capacity. `WIRE_VERSION` 10: `ElasticConfig` and `SkewPolicy`
 // each lost the ratio that armed a skew discount (off in every caller;
 // two `f64` rows, the eight zero bytes after `drain_driven` and the `2.5`
@@ -756,6 +761,10 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // to either table changes these bytes: bump `WIRE_VERSION` with it.
 // `WIRE_VERSION` 8 re-pinned the finals frame: the `ControlEvent` it
 // embeds now names its `Reconfig` kind (one more byte after the tag).
+// `WIRE_VERSION` 14 re-pinned it again: `FlushCounts` gained the `Idle`
+// cause, one more word at the end of each of its two rows (the `2a 00…`
+// after the batches' `09 00…` and the `2b 00…` after the tuples'
+// `0c 00…`), and the frame's length prefix grew by those 16 bytes.
 
 fn golden_opmsgs() -> Vec<OpMsg> {
     let pos = |row, col| GridPos { row, col };
@@ -990,8 +999,8 @@ fn golden_finals_bundle(snapshot: bool) -> FinalsBundle {
             peak_stored_bytes: 41,
             spilled_bytes: 6,
             flushes: FlushCounts {
-                batches: [7, 8, 9],
-                tuples: [10, 11, 12],
+                batches: [7, 8, 9, 42],
+                tuples: [10, 11, 12, 43],
             },
         }],
     }
@@ -1001,11 +1010,11 @@ fn golden_finals_bundle(snapshot: bool) -> FinalsBundle {
 // `ControllerFinal` gained `resume`, so a bare close's bundle is the
 // version-8 bytes plus two `None` presence bytes (after the joiner's
 // digest and after the controller's samples) and ships no state.
-const GOLDEN_FINALS: &str = "b20200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f00010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
+const GOLDEN_FINALS: &str = "c20200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f00010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000002a000000000000000a000000000000000b000000000000000c000000000000002b00000000000000";
 
 // The same bundle from a checkpointing shutdown: both options present,
 // carrying a one-tuple joiner state and the controller's resume point.
-const GOLDEN_FINALS_SNAPSHOT: &str = "500300000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f010200000000000000080000000000000032000000000000005a000000000000005b0000000000000001000000500000000000000001afffffffffffffff52000000530000005400000000000000010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000010100000004000000000000000100000003000000000000000102000000010000006400000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c00000000000000";
+const GOLDEN_FINALS_SNAPSHOT: &str = "600300000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f010200000000000000080000000000000032000000000000005a000000000000005b0000000000000001000000500000000000000001afffffffffffffff52000000530000005400000000000000010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000010100000004000000000000000100000003000000000000000102000000010000006400000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000002a000000000000000a000000000000000b000000000000000c000000000000002b00000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()

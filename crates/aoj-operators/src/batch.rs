@@ -9,7 +9,10 @@
 //! buffer and ships the buffer as one message when it fills
 //! (`batch_tuples`) or ages out (`max_delay`, so a slow destination never
 //! strands tuples and the flow-control window cannot wedge on buffered
-//! copies). Every shipped batch is counted by [`FlushCause`].
+//! copies). On the live backends the age timer is *or-idle*: a machine
+//! that runs out of work ships its partial batches at once instead of
+//! waiting out the bound, so at low load a tuple pays no timer at all.
+//! Every shipped batch is counted by [`FlushCause`].
 //!
 //! ## FIFO contract
 //!
@@ -37,7 +40,10 @@ pub struct BatchConfig {
     /// Age flush: an armed coalescer schedules a timer this far ahead
     /// and force-flushes everything still buffered when it fires, so a
     /// trickle of tuples (or a closed flow-control window) cannot strand
-    /// a partial batch.
+    /// a partial batch. The bound is an upper one: on the live backends
+    /// the timer also fires as soon as the owning machine has nothing
+    /// else to run ([`FlushCause::Idle`]), so only a busy machine holds a
+    /// partial batch this long. The simulator always waits it out.
     pub max_delay: SimDuration,
 }
 
@@ -153,8 +159,8 @@ pub struct DataCoalescer {
     /// batches back off the mailbox refill it via
     /// [`recycle`](DataCoalescer::recycle).
     pool: BatchPool,
-    /// True while an age-flush timer is scheduled on the owning task.
-    timer_pending: bool,
+    /// When the pending age-flush timer was armed, if one is.
+    armed_at: Option<SimTime>,
     /// Batches shipped since the last
     /// [`publish_flushes`](DataCoalescer::publish_flushes), by cause.
     flushes: FlushCounts,
@@ -176,13 +182,13 @@ impl DataCoalescer {
             slots: (0..slots).map(|_| Pending::default()).collect(),
             buffered: 0,
             pool: BatchPool::new(Self::POOL_SPARES),
-            timer_pending: false,
+            armed_at: None,
             flushes: FlushCounts::default(),
         }
     }
 
-    /// Arm the owning task's age-flush timer (under `key`) if anything
-    /// is buffered and no timer is already pending. With
+    /// Arm the owning task's or-idle age-flush timer (under `key`) if
+    /// anything is buffered and no timer is already pending. With
     /// `batch_tuples = 1` buffers never survive a handler, so no timer
     /// is ever scheduled and the per-tuple event timeline is untouched.
     pub fn arm_flush_timer<M: aoj_simnet::SimMessage>(
@@ -190,17 +196,21 @@ impl DataCoalescer {
         ctx: &mut aoj_simnet::Ctx<'_, M>,
         key: u64,
     ) {
-        if !self.is_empty() && !self.timer_pending {
-            self.timer_pending = true;
-            ctx.schedule(self.cfg.max_delay, key);
+        if !self.is_empty() && self.armed_at.is_none() {
+            self.armed_at = Some(ctx.now());
+            ctx.schedule_or_idle(self.cfg.max_delay, key);
         }
     }
 
-    /// The age-flush timer fired: clear the pending flag (the caller
-    /// then drains the buffers under [`FlushCause::Deadline`]; the next
-    /// push re-arms).
-    pub fn on_flush_timer(&mut self) {
-        self.timer_pending = false;
+    /// The age-flush timer fired at `now`: disarm, and say why the
+    /// caller drains the buffers — [`FlushCause::Idle`] when it fired
+    /// before the age bound ran out (its machine went idle), else
+    /// [`FlushCause::Deadline`]. The next push re-arms.
+    pub fn on_flush_timer(&mut self, now: SimTime) -> FlushCause {
+        match self.armed_at.take() {
+            Some(armed_at) if now < armed_at + self.cfg.max_delay => FlushCause::Idle,
+            _ => FlushCause::Deadline,
+        }
     }
 
     /// Move the flush counts accumulated since the last call into
@@ -396,11 +406,49 @@ mod tests {
         c.drain_all(FlushCause::Boundary);
         assert!(c.drain_all(FlushCause::Boundary).is_empty(), "nothing left");
 
+        c.push(0, t(7), SimTime(7));
+        c.drain_all(FlushCause::Idle);
+
         c.publish_flushes(&mut metrics, MachineId(0));
         c.publish_flushes(&mut metrics, MachineId(0));
         let f = metrics.total_flushes();
-        assert_eq!(f.batches, [1, 2, 1], "size, deadline, boundary");
-        assert_eq!(f.tuples, [4, 2, 1]);
+        assert_eq!(f.batches, [1, 2, 1, 1], "size, deadline, boundary, idle");
+        assert_eq!(f.tuples, [4, 2, 1, 1]);
+    }
+
+    #[test]
+    fn the_age_timer_is_or_idle_and_names_an_early_fire_idle() {
+        use crate::messages::OpMsg;
+        use aoj_simnet::{Ctx, Effect, TaskId};
+        let mut metrics = Metrics::default();
+        let mut stopped = false;
+        let mut c = DataCoalescer::new(BatchConfig::new(4), 1);
+        let mut ctx: Ctx<'_, OpMsg> =
+            Ctx::new(SimTime(1_000), TaskId(0), &mut metrics, &mut stopped);
+        c.arm_flush_timer(&mut ctx, 9);
+        assert!(ctx.take_effects().is_empty(), "nothing buffered, no timer");
+        for _ in 0..2 {
+            c.push(0, t(0), SimTime(1_000));
+            c.arm_flush_timer(&mut ctx, 9);
+        }
+        let effects = ctx.take_effects();
+        assert_eq!(effects.len(), 1, "one timer per armed episode");
+        assert!(matches!(
+            effects[0],
+            Effect::Timer {
+                key: 9,
+                or_idle: true,
+                ..
+            }
+        ));
+        // Fired 50 µs after arming, 150 µs ahead of its 200 µs bound.
+        assert_eq!(c.on_flush_timer(SimTime(1_050)), FlushCause::Idle);
+        // Re-armed; fired at the bound, as the simulator always fires it.
+        let mut ctx: Ctx<'_, OpMsg> =
+            Ctx::new(SimTime(2_000), TaskId(0), &mut metrics, &mut stopped);
+        c.arm_flush_timer(&mut ctx, 9);
+        assert_eq!(ctx.take_effects().len(), 1);
+        assert_eq!(c.on_flush_timer(SimTime(2_200)), FlushCause::Deadline);
     }
 
     #[test]

@@ -206,7 +206,6 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
-    idle_poll: bool,
     restore: Option<&Checkpoint>,
 ) -> Wiring {
     assert!(
@@ -392,7 +391,6 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         restore.map_or(b.window_copies(), |c| c.window_copies),
         b.data_plane.batch_tuples,
     );
-    src.idle_poll = idle_poll;
     src.active = active.iter().map(|&i| reshuffler_ids[i]).collect();
     if let Some(ckpt) = restore {
         // Resume the ingest cursor where the checkpoint left it.
@@ -614,7 +612,6 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
-    idle_poll: bool,
 ) -> Wiring {
     assert!(
         b.lifecycle.window.is_none(),
@@ -651,14 +648,13 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
         task.tally.sink = Some(Arc::clone(&sink));
         backend.add_task(machine, Box::new(task));
     }
-    let mut src = SourceTask::new(
+    let src = SourceTask::new(
         input,
         reshuffler_ids,
         b.source.pacing,
         b.window_copies(),
         b.data_plane.batch_tuples,
     );
-    src.idle_poll = idle_poll;
     let id = backend.add_task(machines[j], Box::new(src));
     debug_assert_eq!(id, source_id);
     backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
@@ -740,7 +736,6 @@ mod tests {
             &b,
             IngestQueue::detached(),
             MatchHub::collector(),
-            false,
             None,
         );
         let bare = harvest(w.result_tasks(), |id| sim.task_any(id), false);

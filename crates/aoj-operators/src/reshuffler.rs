@@ -637,8 +637,8 @@ impl Process<OpMsg> for ReshufflerTask {
         // Age flush: ship every partial batch so a trickle of arrivals
         // (or a closed flow-control window) never strands buffered
         // copies. The next routed tuple re-arms the timer.
-        self.batch.on_flush_timer();
-        self.flush_all(ctx, FlushCause::Deadline);
+        let cause = self.batch.on_flush_timer(ctx.now());
+        self.flush_all(ctx, cause);
         SimDuration::from_micros(self.cost.control_us)
     }
 }

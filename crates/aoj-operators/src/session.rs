@@ -36,8 +36,9 @@
 //! * **Every backend** serves the same API, and the session layer
 //!   knows only two kinds. A *live* backend (the threaded runtime, the
 //!   TCP process backend) runs on a runner thread concurrently with the
-//!   caller: the queue is a real MPSC handoff and the source parks on a
-//!   short idle poll while it is empty. The simulator is single-threaded,
+//!   caller: the queue is a real MPSC handoff, and the source parks while
+//!   it is empty — no timer, no poll — until a push or `close` wakes it
+//!   through its machine's mailbox. The simulator is single-threaded,
 //!   so the handle *pumps* it instead: each push (and `close`) runs the
 //!   simulator to quiescence, interleaving virtual time with caller
 //!   pushes deterministically — `run()` reproduces its pre-session
@@ -55,7 +56,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use aoj_core::decision::DecisionConfig;
 use aoj_core::fault::{DeathCause, DetectorConfig, FaultLog, FaultPlan, WorkerDeath};
@@ -67,7 +67,7 @@ use aoj_datagen::queries::StreamItem;
 use aoj_runtime::{Runtime, RuntimeConfig};
 use aoj_simnet::{
     CostModel, ExecBackend, MachineId, NetworkConfig, SharedGauges, Sim, SimConfig, SimDuration,
-    SimTime, TaskId,
+    SimTime, TaskId, Waker,
 };
 
 use crate::batch::BatchConfig;
@@ -118,6 +118,24 @@ struct QueueState {
     /// competitive trace needs. Maintained under the push lock so
     /// multi-producer sessions stay exact; empty when tracking is off.
     prefix: Vec<(u64, u64)>,
+    /// The source found the queue empty and open, and parked.
+    parked: bool,
+    /// Wakes the parked source; installed by a live backend before the
+    /// source first runs. Without one (the simulator) a push leaves the
+    /// source parked for [`IngestQueue::unpark_ready`] to take.
+    waker: Option<Waker>,
+}
+
+/// What the source finds when it looks at the queue at the end of a
+/// pump ([`IngestQueue::poll_or_park`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Inlet {
+    /// Tuples are queued.
+    Ready,
+    /// Empty and open: the source is now parked.
+    Parked,
+    /// Empty and closed: the stream has ended.
+    Drained,
 }
 
 /// The bounded ingest queue between callers and the source task.
@@ -133,6 +151,8 @@ pub struct IngestQueue {
     /// Producer-side wakeups: space freed or queue closed.
     space: Condvar,
     capacity: usize,
+    /// Timer events the source has handled: pacing ticks and wake-ups.
+    source_wakeups: AtomicU64,
 }
 
 impl IngestQueue {
@@ -151,9 +171,12 @@ impl IngestQueue {
                 } else {
                     Vec::new()
                 },
+                parked: false,
+                waker: None,
             }),
             space: Condvar::new(),
             capacity: capacity.max(1),
+            source_wakeups: AtomicU64::new(0),
         })
     }
 
@@ -196,6 +219,7 @@ impl IngestQueue {
             if st.items.len() < self.capacity {
                 st.note_push(rel);
                 st.items.push_back((rel, item));
+                st.unpark();
                 return Ok(());
             }
             st = self.space.wait(st).unwrap();
@@ -218,13 +242,60 @@ impl IngestQueue {
         }
         st.note_push(rel);
         st.items.push_back((rel, item));
+        st.unpark();
         Ok(())
     }
 
-    /// No further pushes; pending items still drain. Idempotent.
+    /// No further pushes; pending items still drain, and a parked source
+    /// is woken to see the end. Idempotent.
     pub(crate) fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        let mut st = self.state.lock().unwrap();
+        st.closed = true;
+        st.unpark();
         self.space.notify_all();
+    }
+
+    /// The source's end-of-pump look at the queue. An empty, open queue
+    /// marks the source parked under the same lock as the check, so the
+    /// push or `close` that follows is the one that wakes it.
+    pub(crate) fn poll_or_park(&self) -> Inlet {
+        let mut st = self.state.lock().unwrap();
+        match (st.items.is_empty(), st.closed) {
+            (false, _) => Inlet::Ready,
+            (true, true) => Inlet::Drained,
+            (true, false) => {
+                st.parked = true;
+                Inlet::Parked
+            }
+        }
+    }
+
+    /// Route wake-ups of the parked source through `waker` (a live
+    /// backend's mailbox unpark).
+    pub(crate) fn install_waker(&self, waker: Waker) {
+        self.state.lock().unwrap().waker = Some(waker);
+    }
+
+    /// The simulator's wake-up, taken by the session pump: true — and no
+    /// longer parked — when the source parked and tuples have arrived
+    /// since. The pump then starts the source's timer at the current
+    /// virtual instant.
+    pub(crate) fn unpark_ready(&self) -> bool {
+        let mut st = self.state.lock().unwrap();
+        let ready = st.parked && !st.items.is_empty();
+        st.parked &= !ready;
+        ready
+    }
+
+    /// Count one timer event handled by the source.
+    pub(crate) fn note_source_wakeup(&self) {
+        self.source_wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Timer events the source has handled so far (see
+    /// [`SessionStats::source_wakeups`]).
+    pub(crate) fn source_wakeups(&self) -> u64 {
+        self.source_wakeups.load(Ordering::Relaxed)
     }
 
     /// Pop up to `max` items in arrival order into `out`. Frees producer
@@ -240,12 +311,6 @@ impl IngestQueue {
             drop(st);
             self.space.notify_all();
         }
-    }
-
-    /// `(queue empty, closed)` in one consistent read.
-    pub(crate) fn status(&self) -> (bool, bool) {
-        let st = self.state.lock().unwrap();
-        (st.items.is_empty(), st.closed)
     }
 
     /// Tuples accepted so far (including ones already drained).
@@ -266,6 +331,18 @@ impl IngestQueue {
 }
 
 impl QueueState {
+    /// Wake a parked source through the installed waker. Runs under the
+    /// queue lock: the waker takes only the source machine's mailbox
+    /// lock, and nothing holding that lock takes this one. Without a
+    /// waker (the simulator) the source stays parked for the session
+    /// pump.
+    fn unpark(&mut self) {
+        if let (true, Some(waker)) = (self.parked, &self.waker) {
+            self.parked = false;
+            waker();
+        }
+    }
+
     fn note_push(&mut self, rel: Rel) {
         self.pushed += 1;
         match rel {
@@ -1202,6 +1279,10 @@ pub struct SessionStats {
     /// heavy hitters and the weight they were picked from. Empty until
     /// the first sketch publish (~4k routed tuples).
     pub skew: SkewSummary,
+    /// Timer events the source has handled: pacing ticks while input is
+    /// queued, and one wake-up per push that found it parked. It stays
+    /// flat while an open session idles.
+    pub source_wakeups: u64,
 }
 
 impl SessionStats {
@@ -1490,7 +1571,7 @@ fn launch(
     if let Some(ckpt) = restore_from {
         backend.install_restore(ckpt);
     }
-    let mut wiring = build_topology(&mut backend, &builder, &queue, &hub, true, restore_from);
+    let mut wiring = build_topology(&mut backend, &builder, &queue, &hub, restore_from);
     if let Some(grid) = &mut wiring.grid {
         if let Some(board) = backend.remote_skew_board(wiring.slots) {
             grid.skew_board = board;
@@ -1502,9 +1583,13 @@ fn launch(
     let deaths = backend.fault_log();
     let kill = backend.kill_handle();
     let abort = backend.abort_handle();
+    let run_log = deaths.clone();
     let runner = std::thread::Builder::new()
         .name("aoj-session".to_string())
         .spawn(move || {
+            // Marks the run ended on the way out, unwinding included, so
+            // a `close()` waiting in `await_runner` wakes at once.
+            let _ended = RunEnded(run_log);
             let end = backend.run();
             (backend, end)
         })
@@ -1537,7 +1622,7 @@ fn launch_sim(
         machine: Default::default(),
         deadline: None,
     }));
-    let wiring = build_topology(&mut *sim, &builder, &queue, &hub, false, restore_from);
+    let wiring = build_topology(&mut *sim, &builder, &queue, &hub, restore_from);
     SessionHandle {
         builder,
         queue,
@@ -1552,14 +1637,13 @@ fn build_topology<B: ExecBackend<OpMsg>>(
     builder: &SessionBuilder,
     queue: &Arc<IngestQueue>,
     hub: &Arc<MatchHub>,
-    idle_poll: bool,
     restore_from: Option<&Checkpoint>,
 ) -> Wiring {
     let input = Arc::clone(queue);
     let sink = Arc::clone(hub);
     match builder.kind {
-        OperatorKind::Shj => setup_shj(backend, builder, input, sink, idle_poll),
-        _ => setup_grid(backend, builder, input, sink, idle_poll, restore_from),
+        OperatorKind::Shj => setup_shj(backend, builder, input, sink),
+        _ => setup_grid(backend, builder, input, sink, restore_from),
     }
 }
 
@@ -1603,11 +1687,10 @@ pub fn assemble_topology<B: ExecBackend<OpMsg>>(
     builder: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
-    idle_poll: bool,
     restore: Option<&Checkpoint>,
 ) -> SessionTopology {
     SessionTopology {
-        wiring: build_topology(backend, builder, &input, &sink, idle_poll, restore),
+        wiring: build_topology(backend, builder, &input, &sink, restore),
     }
 }
 
@@ -1818,6 +1901,7 @@ impl SessionHandle {
             matches: machines.iter().map(|m| m.matches).sum(),
             machines,
             skew,
+            source_wakeups: self.queue.source_wakeups(),
         }
     }
 
@@ -1903,7 +1987,7 @@ impl SessionHandle {
                 abort,
                 ..
             } => {
-                await_runner(&runner, &self.deaths, &*abort);
+                await_runner(&self.deaths, &*abort);
                 let joined = runner.join();
                 // Read after the join, which sees every death the run
                 // recorded, however late.
@@ -1931,16 +2015,22 @@ impl SessionHandle {
     }
 }
 
-/// Poll until `runner` has finished or a worker death is recorded; on a
-/// death while the runner still runs, fire the abort lever so the runner
-/// unwedges.
-fn await_runner<T>(runner: &std::thread::JoinHandle<T>, deaths: &FaultLog, abort: &dyn Fn()) {
-    while !runner.is_finished() {
-        if !deaths.is_empty() {
-            abort();
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(200));
+/// Marks the session's [`FaultLog`] when the runner thread leaves the
+/// backend's run, however it leaves.
+struct RunEnded(FaultLog);
+
+impl Drop for RunEnded {
+    fn drop(&mut self) {
+        self.0.end_run();
+    }
+}
+
+/// Sleep until the runner has left the backend's run or a worker death
+/// is recorded; on a death while the runner still runs, fire the abort
+/// lever so the runner unwedges.
+fn await_runner(deaths: &FaultLog, abort: &dyn Fn()) {
+    if !deaths.await_end_or_death() {
+        abort();
     }
 }
 
@@ -1984,7 +2074,7 @@ impl Drop for SessionHandle {
         // close() is the path that propagates it. A recorded death fires
         // the abort lever instead of wedging the join.
         if let Some(Inner::Live { runner, abort, .. }) = self.inner.take() {
-            await_runner(&runner, &self.deaths, &*abort);
+            await_runner(&self.deaths, &*abort);
             let _ = runner.join();
         }
         self.hub.finish();
@@ -2021,16 +2111,13 @@ fn sim_push(
     }
 }
 
-/// The simulator's external-event pump: re-arm the source if new input
-/// arrived while it was quiescent, then run queued events to quiescence.
+/// The simulator's external-event pump: wake the source if it parked
+/// and new input arrived since — its timer starts at the current virtual
+/// instant — then run queued events to quiescence.
 fn pump_sim(sim: &mut Sim<OpMsg>, source_id: TaskId, queue: &IngestQueue) -> SimTime {
-    let (empty, _) = queue.status();
-    if !empty {
+    if queue.unpark_ready() {
         let now = sim.now();
-        let src = sim.task_mut::<SourceTask>(source_id);
-        if src.arm_external_tick() {
-            sim.start_timer_at(now, source_id, SourceTask::TICK);
-        }
+        sim.start_timer_at(now, source_id, SourceTask::TICK);
     }
     sim.pump()
 }
@@ -2063,6 +2150,61 @@ mod tests {
         assert_eq!(q.pushed(), 3);
         // Prefix counts follow push order: R, S, R.
         assert_eq!(q.prefix(), vec![(0, 0), (1, 0), (1, 1), (2, 1)]);
+    }
+
+    /// A waker that counts its wakes.
+    fn counting_waker() -> (Waker, Arc<AtomicU64>) {
+        let wakes = Arc::new(AtomicU64::new(0));
+        let w = Arc::clone(&wakes);
+        let waker: Waker = Arc::new(move || {
+            w.fetch_add(1, Ordering::SeqCst);
+        });
+        (waker, wakes)
+    }
+
+    #[test]
+    fn a_push_or_close_wakes_a_parked_source_once() {
+        let q = IngestQueue::bounded(8, false);
+        let (waker, wakes) = counting_waker();
+        q.install_waker(waker);
+        assert_eq!(q.poll_or_park(), Inlet::Parked);
+        q.push(Rel::R, item(1)).unwrap();
+        q.push(Rel::S, item(2)).unwrap();
+        assert_eq!(wakes.load(Ordering::SeqCst), 1, "one wake per park");
+        assert_eq!(q.poll_or_park(), Inlet::Ready, "tuples queued: no park");
+        let mut out = Vec::new();
+        q.pop_upto(8, &mut out);
+        assert_eq!(q.poll_or_park(), Inlet::Parked);
+        q.close();
+        assert_eq!(
+            wakes.load(Ordering::SeqCst),
+            2,
+            "close wakes the parked source"
+        );
+        assert_eq!(q.poll_or_park(), Inlet::Drained);
+        q.close();
+        assert_eq!(
+            wakes.load(Ordering::SeqCst),
+            2,
+            "nothing parked, nothing woken"
+        );
+    }
+
+    #[test]
+    fn without_a_waker_the_park_waits_for_the_sim_pump() {
+        let q = IngestQueue::bounded(8, false);
+        assert_eq!(q.poll_or_park(), Inlet::Parked);
+        assert!(!q.unpark_ready(), "parked on an empty queue: nothing to do");
+        q.try_push(Rel::R, item(1)).unwrap();
+        assert!(q.unpark_ready(), "input arrived while parked");
+        assert!(!q.unpark_ready(), "taken once");
+        // A close alone does not restart the simulator's source: the
+        // simulator quiesces around a parked source anyway.
+        let mut out = Vec::new();
+        q.pop_upto(8, &mut out);
+        assert_eq!(q.poll_or_park(), Inlet::Parked);
+        q.close();
+        assert!(!q.unpark_ready());
     }
 
     fn pair(r_key: i64, s_key: i64) -> Match {

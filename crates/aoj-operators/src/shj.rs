@@ -113,8 +113,8 @@ impl Process<OpMsg> for ShjReshuffler {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, OpMsg>, key: u64) -> SimDuration {
         debug_assert_eq!(key, Self::FLUSH);
-        self.batch.on_flush_timer();
-        self.flush_all(ctx, FlushCause::Deadline);
+        let cause = self.batch.on_flush_timer(ctx.now());
+        self.flush_all(ctx, cause);
         SimDuration::from_micros(self.cost.control_us)
     }
 }

@@ -5,21 +5,17 @@
 //! Since the live-session redesign the source pulls from an external
 //! bounded [`IngestQueue`] instead of walking a pre-materialized slice:
 //! callers push tuples while the operator runs, and closing the queue is
-//! the end-of-stream signal.
+//! the end-of-stream signal. A source that finds the queue empty and
+//! open parks until the next push or `close` wakes it; it does not poll.
 
 use std::sync::Arc;
 
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::StreamItem;
-use aoj_simnet::{Ctx, Process, SimDuration, TaskId};
+use aoj_simnet::{Ctx, Process, SimDuration, TaskId, Waker};
 
 use crate::messages::{IngestItem, OpMsg};
-use crate::session::IngestQueue;
-
-/// How often a live session's source re-checks an empty-but-open ingest
-/// queue, in microseconds — the push-visibility latency floor while the
-/// operator is idle.
-pub const IDLE_POLL_US: u64 = 200;
+use crate::session::{IngestQueue, Inlet};
 
 /// Emission pacing.
 #[derive(Clone, Copy, Debug)]
@@ -61,7 +57,8 @@ pub fn default_window_copies(j: u32, batch_tuples: usize) -> u64 {
     j as u64 * (8 * batch_tuples as u64).max(64)
 }
 
-/// The source task: timer-paced emission under credit-based flow control.
+/// The source task: timer-paced emission under credit-based flow control,
+/// parked while the ingest queue is empty.
 ///
 /// The paper's substrate (Storm) bounds the number of un-processed tuples
 /// a spout may have outstanding; without that backpressure, a saturating
@@ -73,6 +70,14 @@ pub fn default_window_copies(j: u32, batch_tuples: usize) -> u64 {
 /// session API surfaces to callers: while it is closed the source stops
 /// draining the ingest queue, the queue fills, and pushes block (or
 /// report `Full`).
+///
+/// An empty, open queue parks the source ([`Ctx::park`]): a timer with
+/// no deadline that every backend counts as outstanding work, so an idle
+/// open session stays alive without waking. The park is recorded under
+/// the queue's lock together with the emptiness check, and the push or
+/// `close` that next finds the source parked wakes it — through the
+/// [`Waker`] a live backend installs, or, on the simulator, through the
+/// session pump, which starts the source's timer at the current instant.
 pub struct SourceTask {
     /// The external ingest queue this source drains.
     pub input: Arc<IngestQueue>,
@@ -103,13 +108,7 @@ pub struct SourceTask {
     pub routed_tuples: u64,
     /// Copies fully processed so far (reported by joiners).
     pub processed_copies: u64,
-    /// Re-check an empty-but-open queue every [`IDLE_POLL_US`]. Set on
-    /// live sessions, where the pending poll timer is also what keeps
-    /// the run from terminating while the session is open; clear on the
-    /// simulator, which quiesces instead and is re-armed by the
-    /// session's pump on the next push.
-    pub idle_poll: bool,
-    /// True while an emission tick is scheduled.
+    /// True while an emission tick is scheduled or the source is parked.
     tick_pending: bool,
     /// Scratch buffer for queue drains.
     scratch: Vec<(Rel, StreamItem)>,
@@ -140,22 +139,9 @@ impl SourceTask {
             routed_copies: 0,
             routed_tuples: 0,
             processed_copies: 0,
-            idle_poll: false,
             tick_pending: true, // the driver schedules the first tick
             scratch: Vec::new(),
         }
-    }
-
-    /// Re-arm the source from outside the backend (the simulator
-    /// session's pump, after new input arrived while the source was
-    /// quiescent). Returns true when the caller must schedule a
-    /// [`SourceTask::TICK`] timer; false when one is already pending.
-    pub(crate) fn arm_external_tick(&mut self) -> bool {
-        if self.tick_pending {
-            return false;
-        }
-        self.tick_pending = true;
-        true
     }
 
     fn window_open(&self) -> bool {
@@ -224,20 +210,19 @@ impl SourceTask {
             ctx.send(dst, OpMsg::IngestBatch { items });
         }
         // Reschedule: pace on while input is ready and the window open;
-        // idle-poll (live threaded sessions) while the queue is open but
-        // empty; otherwise go quiet — credits re-pump a closed window,
-        // and the session pump re-arms a quiescent simulator source.
-        let (empty, closed) = self.input.status();
-        if !empty && self.window_open() {
-            self.tick_pending = true;
-            ctx.schedule(self.pacing.interval, Self::TICK);
-        } else if empty && !closed {
-            self.tick_pending = self.idle_poll;
-            if self.idle_poll {
-                ctx.schedule(SimDuration::from_micros(IDLE_POLL_US), Self::TICK);
+        // park while the queue is open but empty (the next push or close
+        // wakes the source); otherwise go quiet — credits re-pump a
+        // closed window, and a drained, closed queue is the end.
+        match self.input.poll_or_park() {
+            Inlet::Ready if self.window_open() => {
+                self.tick_pending = true;
+                ctx.schedule(self.pacing.interval, Self::TICK);
             }
-        } else {
-            self.tick_pending = false;
+            Inlet::Parked => {
+                self.tick_pending = true;
+                ctx.park(Self::TICK);
+            }
+            Inlet::Ready | Inlet::Drained => self.tick_pending = false,
         }
     }
 }
@@ -313,15 +298,80 @@ impl Process<OpMsg> for SourceTask {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, OpMsg>, _key: u64) -> SimDuration {
+        self.input.note_source_wakeup();
         self.tick_pending = false;
         self.pump(ctx);
         SimDuration::ZERO
+    }
+
+    fn install_waker(&mut self, waker: Waker) {
+        self.input.install_waker(waker);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Run one source timer event and return its effects.
+    fn tick(src: &mut SourceTask) -> Vec<aoj_simnet::Effect<OpMsg>> {
+        let mut metrics = aoj_simnet::Metrics::default();
+        let mut stopped = false;
+        let mut ctx = Ctx::new(
+            aoj_simnet::SimTime::ZERO,
+            TaskId(9),
+            &mut metrics,
+            &mut stopped,
+        );
+        src.on_timer(&mut ctx, SourceTask::TICK);
+        ctx.take_effects()
+    }
+
+    #[test]
+    fn an_empty_open_queue_parks_the_source_and_a_push_wakes_it() {
+        use aoj_simnet::Effect;
+        let input = IngestQueue::bounded(64, false);
+        let wakes = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut src = SourceTask::new(
+            Arc::clone(&input),
+            vec![TaskId(0)],
+            SourcePacing::saturating(),
+            0,
+            4,
+        );
+        let w = Arc::clone(&wakes);
+        src.install_waker(Arc::new(move || {
+            w.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }));
+        let effects = tick(&mut src);
+        assert!(matches!(
+            effects[..],
+            [Effect::Park {
+                key: SourceTask::TICK
+            }]
+        ));
+        assert_eq!(input.source_wakeups(), 1);
+        // While parked, credits do not re-pump: the park is the pending tick.
+        assert!(src.tick_pending);
+        let item = StreamItem {
+            key: 1,
+            aux: 0,
+            bytes: 64,
+        };
+        input.push(Rel::R, item).unwrap();
+        assert_eq!(wakes.load(std::sync::atomic::Ordering::SeqCst), 1);
+        // The woken source emits the tuple and parks again.
+        let effects = tick(&mut src);
+        assert!(matches!(
+            effects[..],
+            [Effect::Send { .. }, Effect::Park { .. }]
+        ));
+        // Closed and drained: the source goes quiet for good.
+        input.close();
+        assert_eq!(wakes.load(std::sync::atomic::Ordering::SeqCst), 2);
+        assert!(tick(&mut src).is_empty());
+        assert!(!src.tick_pending);
+    }
 
     #[test]
     fn pacing_constructors() {
@@ -332,16 +382,5 @@ mod tests {
         assert_eq!(p.interval.as_micros(), 16);
         let slow = SourcePacing::per_second(1);
         assert!(slow.interval.as_micros() >= 1_000_000);
-    }
-
-    #[test]
-    fn external_arm_is_edge_triggered() {
-        let input = IngestQueue::detached();
-        let mut src = SourceTask::new(input, vec![TaskId(0)], SourcePacing::saturating(), 0, 1);
-        // Fresh sources have the bootstrap tick pending.
-        assert!(!src.arm_external_tick());
-        src.tick_pending = false;
-        assert!(src.arm_external_tick());
-        assert!(!src.arm_external_tick(), "second arm must be a no-op");
     }
 }

@@ -235,7 +235,7 @@ fn trickling_source_keeps_the_age_bound_and_the_timeline() {
     let arrivals = interleave(&w, 0x7121 ^ 0xA0A0);
     let cfg = config(4, OperatorKind::Dynamic, &w).with_pacing(SourcePacing::per_second(50_000));
     let r = run(&arrivals, &cfg);
-    assert_eq!(r.flushes.batches, [0, 5_000, 0], "{}", r.flushes);
+    assert_eq!(r.flushes.batches, [0, 5_000, 0, 0], "{}", r.flushes);
     assert_eq!(r.exec_time.as_micros(), 400_243, "virtual end time drifted");
     assert_eq!(r.network_messages, 9_801, "message count drifted");
     assert_eq!(r.network_bytes, 4_048_732, "wire bytes drifted");

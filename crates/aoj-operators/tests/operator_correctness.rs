@@ -138,7 +138,7 @@ fn shj_is_exact_for_equi_joins() {
          input_tuples: 2000, exec_time: 2069us, matches: 18674, throughput: 966650.5558240695, \
          max_ilf_bytes: 22208, avg_ilf_bytes: 8000.0, total_storage_bytes: 128000, \
          network_bytes: 312540, network_messages: 457, \
-         flushes: FlushCounts { batches: [0, 256, 0], tuples: [0, 2000, 0] }, \
+         flushes: FlushCounts { batches: [0, 256, 0, 0], tuples: [0, 2000, 0, 0] }, \
          migration_bytes: 0, migrations: 0, expansions: 0, contractions: 0, \
          expand_transfers: [], contract_transfers: [], provisioned_machines: 17, \
          peak_provisioned_machines: 17, machines: [], \

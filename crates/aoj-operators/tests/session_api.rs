@@ -13,7 +13,11 @@
 //!   and the per-machine counts add up to the session total once the
 //!   pushed input has drained;
 //! * an injected kill on a bare session shows up once in `health()` on
-//!   every backend, and `close()` refuses the crashed run.
+//!   every backend, and `close()` refuses the crashed run;
+//! * at low load the live backends add no timer to a tuple's path: the
+//!   coalescers ship when their machine goes idle, an open idle session
+//!   parks its source instead of polling, and a push after a pause still
+//!   reaches the joiners at once.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -26,6 +30,7 @@ use aoj_operators::{
     BackendChoice, ElasticConfig, JoinSession, KeyFilter, OperatorKind, PushError, RunReport,
     SessionBuilder, SessionHandle,
 };
+use aoj_simnet::FlushCause;
 
 // TCP session tests re-exec this binary as the worker process.
 aoj_net::worker_entry!();
@@ -816,4 +821,128 @@ fn bare_session_kill_is_one_typed_death_on_tcp() {
     let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     bare_session_crash(BackendChoice::Tcp);
+}
+
+/// The low-load stream: 5k tuples pushed in 16-tuple chunks, 1 ms apart
+/// (about 13k tuples/s), on `backend`. Returns the report (with its
+/// sorted match log) once the session drains.
+fn low_load_trickle(backend: BackendChoice) -> RunReport {
+    let seed = 0x1D1E_0001;
+    let w = workload(2_500, 2_500, 400, seed);
+    let arrivals = interleave(&w, seed);
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+        .with_seed(seed)
+        .with_collect_matches(true)
+        .with_backend(backend);
+    let mut session = JoinSession::open(builder);
+    for chunk in arrivals.chunks(16) {
+        session.push_batch(chunk.iter().copied()).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let report = session.close();
+    assert_eq!(report.matches, reference_match_count(&w));
+    report
+}
+
+/// At low load a live machine runs out of work after every chunk, so its
+/// coalescers ship on going idle, not on the 200 µs age deadline. The
+/// simulator fires every age timer at its deadline, and the join
+/// multiset is the same on all three backends.
+fn low_load_batches_leave_on_idle(backend: BackendChoice) {
+    let sim = low_load_trickle(BackendChoice::Sim);
+    assert_eq!(
+        sim.flushes.batches(FlushCause::Idle),
+        0,
+        "the simulator fired an age timer early: {}",
+        sim.flushes
+    );
+    let live = low_load_trickle(backend);
+    let idle = live.flushes.batches(FlushCause::Idle);
+    assert!(
+        idle * 10 >= live.flushes.total_batches() * 9,
+        "{backend:?}: under 90 % of the data batches left on idle: {}",
+        live.flushes
+    );
+    assert_eq!(live.match_pairs, sim.match_pairs, "{backend:?} multiset");
+}
+
+#[test]
+fn low_load_batches_leave_on_idle_threaded() {
+    low_load_batches_leave_on_idle(BackendChoice::Threaded);
+}
+
+#[test]
+fn low_load_batches_leave_on_idle_tcp() {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    low_load_batches_leave_on_idle(BackendChoice::Tcp);
+}
+
+/// An open session with nothing to do parks its source: 50 ms of
+/// silence cost no source timer events, and the next push still reaches
+/// the joiners within `visible_within`. A wake lost to the park would
+/// never arrive; the bound is how soon `stats()` can show it.
+fn low_load_idle_session_parks(backend: BackendChoice, visible_within: Duration) {
+    let seed = 0x1D1E_0002;
+    let w = workload(64, 64, 50, seed);
+    let arrivals = interleave(&w, seed);
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+        .with_seed(seed)
+        .with_backend(backend);
+    let mut session = JoinSession::open(builder);
+    session.push_batch(arrivals[..16].iter().copied()).unwrap();
+    // Let the chunk drain and the credits come home.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while session.stats().processed_copies == 0 {
+        assert!(Instant::now() < deadline, "the first chunk never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let before = session.stats();
+    std::thread::sleep(Duration::from_millis(50));
+    let after = session.stats();
+    assert_eq!(
+        after.source_wakeups, before.source_wakeups,
+        "{backend:?}: the idle source woke up"
+    );
+    assert_eq!(after.processed_copies, before.processed_copies);
+    // A push after the pause is not lost to the park.
+    let pushed_at = Instant::now();
+    session
+        .push_batch(arrivals[16..32].iter().copied())
+        .unwrap();
+    while session.stats().processed_copies == before.processed_copies {
+        assert!(
+            pushed_at.elapsed() < Duration::from_secs(10),
+            "{backend:?}: the push after the pause never arrived"
+        );
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let visible = pushed_at.elapsed();
+    assert!(
+        visible <= visible_within,
+        "{backend:?}: the push after the pause took {visible:?} to reach the joiners"
+    );
+    session.push_batch(arrivals[32..].iter().copied()).unwrap();
+    let report = session.close();
+    assert_eq!(report.matches, reference_match_count(&w));
+}
+
+#[test]
+fn low_load_idle_session_parks_threaded() {
+    low_load_idle_session_parks(BackendChoice::Threaded, Duration::from_millis(10));
+}
+
+/// TCP workers publish `processed_copies` on their 5 ms gauge cadence, so
+/// the push reaches `stats()` up to a cadence (and a relay hop) later
+/// than it reaches the joiners.
+#[test]
+fn low_load_idle_session_parks_tcp() {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    low_load_idle_session_parks(BackendChoice::Tcp, Duration::from_millis(25));
 }

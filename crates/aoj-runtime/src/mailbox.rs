@@ -56,11 +56,33 @@
 //! producers to one message per wait interval, a cliff rather than
 //! degradation. Control and migration traffic is never bounded, and
 //! loopback pushes (a worker sending to its own mailbox) never wait.
+//!
+//! ## Timers that need not run out
+//!
+//! Two kinds of timer spare an idle machine from sleeping on a clock:
+//!
+//! * an **or-idle** timer ([`Ctx::schedule_or_idle`]) fires at its
+//!   deadline or as soon as [`pop_batch`](Mailbox::pop_batch) finds
+//!   nothing runnable, whichever comes first. A coalescer's age bound is
+//!   one: under load it fires at the deadline, on an idle machine the
+//!   partial batch leaves at once.
+//! * a **parked** timer ([`Ctx::park`]) has no deadline. It fires when
+//!   [`unpark`](Mailbox::unpark) names its task, from any thread; an
+//!   unpark that arrives before the park is kept and makes the park due
+//!   the moment it is recorded. The consumer yields its CPU once before
+//!   serving an unparked timer: the unpark comes from a producer's first
+//!   push into an idle session, and a producer pushing tuple by tuple is
+//!   still mid-burst. On a shared core the woken consumer would preempt
+//!   it and drain the burst piecemeal, one message downstream per piece;
+//!   after the yield it drains the burst whole.
+//!
+//! [`Ctx::schedule_or_idle`]: aoj_simnet::Ctx::schedule_or_idle
+//! [`Ctx::park`]: aoj_simnet::Ctx::park
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Longest a producer waits for data-queue space before overflowing the
@@ -71,6 +93,7 @@ pub const BACKPRESSURE_WAIT: Duration = Duration::from_millis(20);
 
 use aoj_simnet::{
     Ctx, Effect, MachineId, Metrics, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId,
+    Waker,
 };
 
 /// A unit of work queued at a machine.
@@ -117,7 +140,7 @@ pub enum Work<M> {
 
 /// A pending timer: `(deadline_us, seq)` ordering keeps same-deadline
 /// timers in schedule order.
-type TimerEntry = Reverse<(u64, u64, usize, u64)>; // (at, seq, task, key)
+type TimerEntry = Reverse<(u64, u64, usize, u64, bool)>; // (at, seq, task, key, or_idle)
 
 struct State<M> {
     control: VecDeque<(Work<M>, u64)>,
@@ -125,6 +148,15 @@ struct State<M> {
     migration: VecDeque<(Work<M>, u64)>,
     timers: BinaryHeap<TimerEntry>,
     timer_seq: u64,
+    /// How many of `timers` fire early when nothing else is runnable.
+    or_idle_timers: usize,
+    /// Parked timers `(task, key)`: no deadline, made due by `unpark`.
+    parked: Vec<(usize, u64)>,
+    /// Tasks unparked before their park was recorded.
+    early_unparks: Vec<usize>,
+    /// An unpark made a parked timer due: the consumer yields once before
+    /// serving it (see the module docs).
+    yield_first: bool,
     /// Tuple units currently queued in `data` (the bounded quantity).
     data_units: u64,
     /// Migration tuple units served since the last data service.
@@ -168,6 +200,10 @@ impl<M> Mailbox<M> {
                 migration: VecDeque::new(),
                 timers: BinaryHeap::new(),
                 timer_seq: 0,
+                or_idle_timers: 0,
+                parked: Vec::new(),
+                early_unparks: Vec::new(),
+                yield_first: false,
                 data_units: 0,
                 migration_credit: 0,
                 overflowed: false,
@@ -228,15 +264,53 @@ impl<M> Mailbox<M> {
         self.work_ready.notify_one();
     }
 
-    /// Register a timer firing at `at_us` (wall micros since run start).
-    pub fn push_timer(&self, at_us: u64, task: TaskId, key: u64) {
+    /// Register a timer firing at `at_us` (wall micros since run start),
+    /// or — `or_idle` — as soon as the consumer finds nothing runnable,
+    /// if that comes first.
+    pub fn push_timer(&self, at_us: u64, task: TaskId, key: u64, or_idle: bool) {
         let mut st = self.state.lock().unwrap();
         let seq = st.timer_seq;
         st.timer_seq += 1;
-        st.timers.push(Reverse((at_us, seq, task.index(), key)));
+        st.timers
+            .push(Reverse((at_us, seq, task.index(), key, or_idle)));
+        st.or_idle_timers += or_idle as usize;
         drop(st);
-        // The new timer may be earlier than whatever the worker sleeps on.
+        // The new timer may be earlier than whatever the worker sleeps on
+        // (or, being or-idle, due at once on an idle worker).
         self.work_ready.notify_one();
+    }
+
+    /// Park `task` under `key`: a timer with no deadline, due once
+    /// [`unpark`](Mailbox::unpark) names the task — at once if an unpark
+    /// already came in ahead of this park.
+    pub fn park(&self, task: TaskId, key: u64) {
+        let mut st = self.state.lock().unwrap();
+        match st.early_unparks.iter().position(|&t| t == task.index()) {
+            Some(i) => {
+                st.early_unparks.swap_remove(i);
+                st.control.push_back((Work::Timer { task, key }, 1));
+                drop(st);
+                self.work_ready.notify_one();
+            }
+            None => st.parked.push((task.index(), key)),
+        }
+    }
+
+    /// Make `task`'s parked timer due now. An unpark that finds no park
+    /// is kept for the task's next [`park`](Mailbox::park): the waker
+    /// may beat the backend recording the park it answers.
+    pub fn unpark(&self, task: TaskId) {
+        let mut st = self.state.lock().unwrap();
+        match st.parked.iter().position(|&(t, _)| t == task.index()) {
+            Some(i) => {
+                let (_, key) = st.parked.swap_remove(i);
+                st.control.push_back((Work::Timer { task, key }, 1));
+                st.yield_first = true;
+                drop(st);
+                self.work_ready.notify_one();
+            }
+            None => st.early_unparks.push(task.index()),
+        }
     }
 
     /// Dequeue the next unit of work per the weighted policy, blocking
@@ -265,7 +339,9 @@ impl<M> Mailbox<M> {
     /// repeated single pops at the same instant: due timers and control
     /// first, then migration/data under the `migration_weight : 1` credit
     /// scheme — batching amortises the lock without changing the service
-    /// order the epoch protocol's Theorem 4.6 argument assumes.
+    /// order the epoch protocol's Theorem 4.6 argument assumes. Only when
+    /// that finds nothing to serve do the pending or-idle timers fire,
+    /// ahead of their deadlines.
     pub fn pop_batch(
         &self,
         max: usize,
@@ -285,13 +361,20 @@ impl<M> Mailbox<M> {
             if done.load(Ordering::Relaxed) {
                 return false;
             }
+            // Let the producer that unparked a task finish its burst.
+            if std::mem::take(&mut st.yield_first) {
+                drop(st);
+                std::thread::yield_now();
+                st = self.state.lock().unwrap();
+            }
             let now = now_us();
             // Promote due timers into the control queue, in deadline order.
-            while let Some(&Reverse((at, _, task, key))) = st.timers.peek() {
+            while let Some(&Reverse((at, _, task, key, or_idle))) = st.timers.peek() {
                 if at > now {
                     break;
                 }
                 st.timers.pop();
+                st.or_idle_timers -= or_idle as usize;
                 st.control.push_back((
                     Work::Timer {
                         task: TaskId(task),
@@ -350,11 +433,17 @@ impl<M> Mailbox<M> {
                 }
                 return true;
             }
+            // Nothing runnable: the or-idle timers need not wait out
+            // their deadlines. Promote them, in deadline order, and serve.
+            if st.or_idle_timers > 0 {
+                st.fire_or_idle_timers();
+                continue;
+            }
             // Retirement drain complete *and* nothing left to service —
-            // not even an undue timer (a pending age-flush must still
-            // fire and be processed before teardown): the consumer may
-            // exit while the global run continues.
-            if st.drained && st.timers.is_empty() {
+            // not even an undue or parked timer (a pending age-flush must
+            // still fire and be processed before teardown): the consumer
+            // may exit while the global run continues.
+            if st.drained && st.timers.is_empty() && st.parked.is_empty() {
                 return false;
             }
             // Nothing runnable: sleep until the next timer deadline or a
@@ -370,8 +459,8 @@ impl<M> Mailbox<M> {
     }
 
     /// True while any queue holds unserviced work (pending-but-undue
-    /// timers do not count: a worker waiting out a timer deadline is
-    /// genuinely idle). Producers consult their **own** mailbox through
+    /// and parked timers do not count: a worker waiting out a timer
+    /// deadline is genuinely idle). Producers consult their **own** mailbox through
     /// this before paying the backpressure wait on a full destination —
     /// see the module docs for the progress argument.
     pub fn has_queued_work(&self) -> bool {
@@ -429,11 +518,49 @@ impl<M> Mailbox<M> {
         st.data = VecDeque::new();
         st.migration = VecDeque::new();
         st.timers = BinaryHeap::new();
+        st.or_idle_timers = 0;
+        st.parked = Vec::new();
+        st.early_unparks = Vec::new();
+    }
+}
+
+impl<M> State<M> {
+    /// Move every pending or-idle timer into the control queue in
+    /// deadline order, leaving the deadline-only timers pending.
+    fn fire_or_idle_timers(&mut self) {
+        let mut pending: Vec<_> = std::mem::take(&mut self.timers)
+            .into_iter()
+            .map(|Reverse(t)| t)
+            .collect();
+        pending.sort_unstable();
+        for (at, seq, task, key, or_idle) in pending {
+            if or_idle {
+                let task = TaskId(task);
+                self.control.push_back((Work::Timer { task, key }, 1));
+            } else {
+                self.timers.push(Reverse((at, seq, task, key, or_idle)));
+            }
+        }
+        self.or_idle_timers = 0;
     }
 }
 
 /// The tasks a machine loop hosts, by task index.
 pub type TaskMap<M> = HashMap<usize, Box<dyn Process<M> + Send>>;
+
+/// Hand every task in `tasks` the [`Waker`] that unparks it on
+/// `mailbox`. Every live machine loop calls this before it services its
+/// first work item.
+pub fn install_wakers<M: SimMessage + Send + 'static>(
+    mailbox: &Arc<Mailbox<M>>,
+    tasks: &mut TaskMap<M>,
+) {
+    for (&idx, task) in tasks.iter_mut() {
+        let mb = Arc::clone(mailbox);
+        let waker: Waker = Arc::new(move || mb.unpark(TaskId(idx)));
+        task.install_waker(waker);
+    }
+}
 
 /// Service one popped unit of work: run the addressed task's handler at
 /// `now`, charge machine `mid`'s row of `shard` (arrival, real CPU
@@ -608,7 +735,7 @@ mod tests {
         let mb: Mailbox<u64> = Mailbox::new(1024, 2);
         let done = AtomicBool::new(false);
         mb.push_msg(MsgClass::Data, msg(1), 1, true, &done);
-        mb.push_timer(5, TaskId(9), 7);
+        mb.push_timer(5, TaskId(9), 7, false);
         mb.push_msg(MsgClass::Control, msg(3), 1, true, &done);
         // At t=10 the timer is due: control first, then the timer, then data.
         assert_eq!(val(mb.pop(|| 10, &done).unwrap()), 3);
@@ -620,7 +747,7 @@ mod tests {
     fn undue_timers_do_not_fire() {
         let mb: Mailbox<u64> = Mailbox::new(1024, 2);
         let done = AtomicBool::new(false);
-        mb.push_timer(1_000, TaskId(0), 1);
+        mb.push_timer(1_000, TaskId(0), 1, false);
         mb.push_msg(MsgClass::Data, msg(42), 1, true, &done);
         assert_eq!(val(mb.pop(|| 0, &done).unwrap()), 42);
     }
@@ -634,7 +761,6 @@ mod tests {
 
     #[test]
     fn bounded_data_push_waits_for_space_then_preserves_fifo() {
-        use std::sync::Arc;
         let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(2, 2));
         let done = Arc::new(AtomicBool::new(false));
         mb.push_msg(MsgClass::Data, msg(0), 1, true, &done);
@@ -657,7 +783,7 @@ mod tests {
         let mb: Mailbox<u64> = Mailbox::new(1024, 2);
         let done = AtomicBool::new(false);
         mb.push_msg(MsgClass::Data, msg(1), 1, true, &done);
-        mb.push_timer(50, TaskId(3), 9);
+        mb.push_timer(50, TaskId(3), 9, false);
         mb.complete_drain();
         // Queued work still comes out, drained or not...
         assert_eq!(val(mb.pop(|| 0, &done).unwrap()), 1);
@@ -683,7 +809,7 @@ mod tests {
         assert!(!mb.has_queued_work(), "fresh mailbox is idle");
         // A pending-but-undue timer is not work: a worker sleeping one
         // out must still pay the backpressure wait as a producer.
-        mb.push_timer(1_000_000, TaskId(0), 1);
+        mb.push_timer(1_000_000, TaskId(0), 1, false);
         assert!(!mb.has_queued_work());
         mb.push_msg(MsgClass::Data, msg(7), 1, true, &done);
         assert!(mb.has_queued_work(), "queued data is work");
@@ -735,5 +861,133 @@ mod tests {
             start.elapsed() >= BACKPRESSURE_WAIT,
             "fresh episode should pay the backpressure wait"
         );
+    }
+
+    /// Pop with a watchdog: `done` is raised after `patience`, so a pop
+    /// that would block forever returns `None` instead of hanging.
+    fn pop_within(mb: &Arc<Mailbox<u64>>, now: u64, patience: Duration) -> Option<u64> {
+        let done = Arc::new(AtomicBool::new(false));
+        let (mb2, done2) = (Arc::clone(mb), Arc::clone(&done));
+        let (popped, wait) = std::sync::mpsc::channel::<()>();
+        let watchdog = std::thread::spawn(move || {
+            if wait.recv_timeout(patience).is_err() {
+                done2.store(true, Ordering::SeqCst);
+                mb2.wake_all();
+            }
+        });
+        let got = mb.pop(|| now, &done).map(val);
+        let _ = popped.send(());
+        watchdog.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn or_idle_timer_fires_before_its_deadline_when_nothing_is_runnable() {
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1024, 2));
+        mb.push_timer(1_000_000, TaskId(4), 3, true);
+        // Far before the deadline, but the mailbox is otherwise empty.
+        let patience = Duration::from_secs(5);
+        assert_eq!(pop_within(&mb, 0, patience), Some(1_000_003));
+        // A plain timer at the same deadline would have blocked instead.
+        mb.push_timer(1_000_000, TaskId(4), 5, false);
+        assert_eq!(pop_within(&mb, 0, Duration::from_millis(20)), None);
+    }
+
+    #[test]
+    fn or_idle_timer_waits_while_any_class_of_work_is_queued() {
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1024, 2));
+        let done = AtomicBool::new(false);
+        mb.push_timer(1_000_000, TaskId(0), 1, true);
+        mb.push_msg(MsgClass::Data, msg(10), 1, true, &done);
+        mb.push_msg(MsgClass::Migration, msg(11), 1, true, &done);
+        mb.push_msg(MsgClass::Control, msg(12), 1, true, &done);
+        // A batch that finds work returns the work only.
+        let mut buf = Vec::new();
+        assert!(mb.pop_batch(8, &mut buf, || 0, &done));
+        assert_eq!(buf.drain(..).map(val).collect::<Vec<_>>(), [12, 11, 10]);
+        // One message at a time: the timer waits behind each class.
+        for (class, n) in [
+            (MsgClass::Control, 20),
+            (MsgClass::Migration, 21),
+            (MsgClass::Data, 22),
+        ] {
+            mb.push_msg(class, msg(n), 1, true, &done);
+            assert_eq!(val(mb.pop(|| 0, &done).unwrap()), n);
+        }
+        // Only the empty mailbox fires it.
+        assert_eq!(pop_within(&mb, 0, Duration::from_secs(5)), Some(1_000_001));
+    }
+
+    #[test]
+    fn or_idle_timer_fires_at_its_deadline_under_sustained_load() {
+        let mb: Mailbox<u64> = Mailbox::new(1024, 2);
+        let done = AtomicBool::new(false);
+        mb.push_timer(50, TaskId(0), 7, true);
+        let mut order = Vec::new();
+        // The consumer never finds the mailbox empty: one data message
+        // arrives per pop, and the clock passes the deadline at t = 50.
+        for (i, now) in [0u64, 20, 40, 60, 80].into_iter().enumerate() {
+            mb.push_msg(MsgClass::Data, msg(i as u64), 1, true, &done);
+            order.push(val(mb.pop(|| now, &done).unwrap()));
+        }
+        assert_eq!(order, [0, 1, 2, 1_000_007, 3]);
+        assert_eq!(val(mb.pop(|| 80, &done).unwrap()), 4);
+    }
+
+    #[test]
+    fn or_idle_timer_keeps_a_drained_mailbox_alive_until_it_fires() {
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1024, 2));
+        let done = AtomicBool::new(false);
+        mb.push_msg(MsgClass::Data, msg(1), 1, true, &done);
+        mb.push_timer(1_000_000, TaskId(3), 9, true);
+        mb.complete_drain();
+        assert_eq!(val(mb.pop(|| 0, &done).unwrap()), 1);
+        // Drained, yet the pending age flush still runs first.
+        assert_eq!(pop_within(&mb, 0, Duration::from_secs(5)), Some(1_000_009));
+        let mut buf = Vec::new();
+        assert!(!mb.pop_batch(8, &mut buf, || 0, &done));
+    }
+
+    #[test]
+    fn a_parked_timer_waits_for_its_unpark_and_never_fires_on_idle() {
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1024, 2));
+        mb.park(TaskId(2), 1);
+        assert!(!mb.has_queued_work(), "a parked timer is not work");
+        assert_eq!(pop_within(&mb, u64::MAX, Duration::from_millis(20)), None);
+        // An unpark from another thread wakes a consumer blocked on it.
+        let mb2 = Arc::clone(&mb);
+        let waker = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            mb2.unpark(TaskId(2));
+        });
+        assert_eq!(pop_within(&mb, 0, Duration::from_secs(5)), Some(1_000_001));
+        waker.join().unwrap();
+    }
+
+    #[test]
+    fn an_unpark_that_races_a_park_is_never_lost() {
+        // Ahead of the park: kept, and the park is due at once.
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1024, 2));
+        mb.unpark(TaskId(1));
+        mb.park(TaskId(1), 6);
+        assert_eq!(pop_within(&mb, 0, Duration::from_secs(5)), Some(1_000_006));
+        // Either order, from two threads, many times: every park fires.
+        for round in 0..200u64 {
+            let mb2 = Arc::clone(&mb);
+            let unparker = std::thread::spawn(move || mb2.unpark(TaskId(1)));
+            mb.park(TaskId(1), round);
+            unparker.join().unwrap();
+            assert_eq!(
+                pop_within(&mb, 0, Duration::from_secs(5)),
+                Some(1_000_000 + round),
+                "round {round}: the wake was lost"
+            );
+        }
+        // A drained mailbox holding a parked timer stays alive for it.
+        mb.park(TaskId(1), 1);
+        mb.complete_drain();
+        assert_eq!(pop_within(&mb, 0, Duration::from_millis(20)), None);
+        mb.unpark(TaskId(1));
+        assert_eq!(pop_within(&mb, 0, Duration::from_secs(5)), Some(1_000_001));
     }
 }

@@ -16,7 +16,7 @@ use aoj_simnet::{
     SimTime, TaskId,
 };
 
-use crate::mailbox::{dispatch, Mailbox, TaskMap, Work};
+use crate::mailbox::{dispatch, install_wakers, Mailbox, TaskMap, Work};
 
 /// Threaded-backend knobs.
 #[derive(Clone, Copy, Debug)]
@@ -330,6 +330,7 @@ fn worker<M: SimMessage + Send + 'static>(
 ) -> (TaskMap<M>, Metrics) {
     let guard = PanicGuard(&shared);
     let mailbox = Arc::clone(&shared.mailboxes[mid.index()]);
+    install_wakers(&mailbox, &mut tasks);
     let mut batch = Vec::with_capacity(drain_batch);
     'run: loop {
         if shared.kill_requested[mid.index()].load(Ordering::Relaxed) {
@@ -427,10 +428,20 @@ fn worker<M: SimMessage + Send + 'static>(
                             &shared.done,
                         );
                     }
-                    Effect::Timer { delay, key } => {
+                    Effect::Timer {
+                        delay,
+                        key,
+                        or_idle,
+                    } => {
                         shared.outstanding.fetch_add(1, Ordering::SeqCst);
                         let at = shared.now_us() + delay.as_micros();
-                        mailbox.push_timer(at, self_task, key);
+                        mailbox.push_timer(at, self_task, key, or_idle);
+                    }
+                    // A parked timer is outstanding work like any other:
+                    // an open session's parked source keeps the run alive.
+                    Effect::Park { key } => {
+                        shared.outstanding.fetch_add(1, Ordering::SeqCst);
+                        mailbox.park(self_task, key);
                     }
                     Effect::Provision { machine } => {
                         // Trigger-time provisioning: activating a machine
@@ -686,7 +697,7 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
                 !self.deferred[m.index()],
                 "bootstrap timer on a deferred machine"
             );
-            shared.mailboxes[m.index()].push_timer(at.as_micros(), task, key);
+            shared.mailboxes[m.index()].push_timer(at.as_micros(), task, key, false);
         }
         if shared.outstanding.load(Ordering::SeqCst) == 0 {
             // Nothing to do: quiesce immediately.

@@ -79,5 +79,5 @@ pub use metrics::{
 };
 pub use network::NetworkConfig;
 pub use sim::Sim;
-pub use task::{Ctx, Effect, MsgClass, Process, SimMessage, TaskId};
+pub use task::{Ctx, Effect, MsgClass, Process, SimMessage, TaskId, Waker};
 pub use time::{SimDuration, SimTime};

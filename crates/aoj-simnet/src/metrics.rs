@@ -143,6 +143,15 @@ pub enum FlushCause {
     Deadline,
     /// An epoch or expansion boundary force-flushed the buffers.
     Boundary,
+    /// The age timer fired before its deadline because the machine had
+    /// nothing else to run (live backends only: the simulator fires
+    /// every age timer at its deadline).
+    Idle,
+}
+
+impl FlushCause {
+    /// Number of causes — the width of a [`FlushCounts`] row.
+    pub const COUNT: usize = 4;
 }
 
 /// Data batches and tuples shipped, by [`FlushCause`] (reported by the
@@ -151,12 +160,14 @@ pub enum FlushCause {
 /// the machines stay busy; when nearly every batch is a `Deadline` one
 /// *and* the machines sit idle, the flow-control window is closing
 /// before a buffer can fill and the age timer is pacing the pipeline.
+/// `Idle` batches left early because their machine ran out of work: a
+/// live run at low load ships nearly all of its batches that way.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FlushCounts {
     /// Batches shipped, indexed by `FlushCause as usize`.
-    pub batches: [u64; 3],
+    pub batches: [u64; FlushCause::COUNT],
     /// Tuples those batches carried, same indexing.
-    pub tuples: [u64; 3],
+    pub tuples: [u64; FlushCause::COUNT],
 }
 
 impl FlushCounts {
@@ -179,22 +190,22 @@ impl FlushCounts {
 
     /// Add `other`'s counts into `self`.
     pub fn merge(&mut self, other: &FlushCounts) {
-        for i in 0..3 {
+        for i in 0..FlushCause::COUNT {
             self.batches[i] += other.batches[i];
             self.tuples[i] += other.tuples[i];
         }
     }
 }
 
-/// `size 701/44864 deadline 1078/34496 boundary 0/0`
+/// `size 701/44864 deadline 1078/34496 boundary 0/0 idle 0/0`
 /// (batches/tuples per cause).
 impl std::fmt::Display for FlushCounts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (b, t) = (&self.batches, &self.tuples);
         write!(
             f,
-            "size {}/{} deadline {}/{} boundary {}/{}",
-            b[0], t[0], b[1], t[1], b[2], t[2]
+            "size {}/{} deadline {}/{} boundary {}/{} idle {}/{}",
+            b[0], t[0], b[1], t[1], b[2], t[2], b[3], t[3]
         )
     }
 }

@@ -358,10 +358,16 @@ impl<M: SimMessage + 'static> Sim<M> {
                         );
                     }
                 }
-                Effect::Timer { delay, key } => {
+                // Virtual time has no idle shortcut: an or-idle timer
+                // fires at its deadline, so every timeline is the same.
+                Effect::Timer { delay, key, .. } => {
                     self.queue
                         .push(done + delay, EventKind::Timer { task: to, key });
                 }
+                // A timer with no deadline never fires in virtual time;
+                // the session pump starts the parked task's timer when
+                // new input arrives.
+                Effect::Park { .. } => {}
                 Effect::Provision { machine } => {
                     let state = &mut self.machine_state[machine.index()];
                     assert!(

@@ -1,6 +1,8 @@
 //! Tasks: the unit of computation hosted on simulated machines, and the
 //! context through which they interact with the world.
 
+use std::sync::Arc;
+
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 
@@ -77,12 +79,27 @@ pub trait Process<M: SimMessage>: AsAny {
     /// Handle a message delivered from `from`. Returns the CPU cost.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: TaskId, msg: M) -> SimDuration;
 
-    /// Handle a timer previously scheduled through [`Ctx::schedule`].
-    /// Returns the CPU cost. Default: ignore, free of charge.
+    /// Handle a timer previously scheduled through [`Ctx::schedule`],
+    /// [`Ctx::schedule_or_idle`] or [`Ctx::park`]. Returns the CPU cost.
+    /// Default: ignore, free of charge.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _key: u64) -> SimDuration {
         SimDuration::ZERO
     }
+
+    /// Receive the [`Waker`] that makes this task's parked timer due
+    /// from another thread. Live backends install one per task before
+    /// the task's machine services its first work item; the simulator
+    /// installs none (nothing runs between its pumps, and the session
+    /// pump restarts a parked task itself). Default: drop it.
+    fn install_waker(&mut self, _waker: Waker) {}
 }
+
+/// Makes one task's parked timer ([`Ctx::park`]) due now when called,
+/// from any thread. A wake that reaches the backend before the park it
+/// answers is kept and makes that park due at once, so a wake is never
+/// lost to the race between a handler deciding to park and its backend
+/// recording the park.
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 /// An outgoing effect recorded by a handler, applied by the hosting
 /// backend after the handler returns: the simulator stamps sends at
@@ -100,6 +117,18 @@ pub enum Effect<M> {
     Timer {
         /// Delay from handler completion.
         delay: SimDuration,
+        /// Key passed back to `on_timer`.
+        key: u64,
+        /// Fire early, as soon as the hosting machine finds nothing else
+        /// to run (live backends). The simulator fires at the deadline.
+        or_idle: bool,
+    },
+    /// Park the emitting task: a timer with no deadline, counted as
+    /// outstanding work until it fires. It fires when the task's
+    /// [`Waker`] is woken. The simulator records nothing: it runs to
+    /// quiescence between pumps, and its session pump starts the task's
+    /// timer itself.
+    Park {
         /// Key passed back to `on_timer`.
         key: u64,
     },
@@ -185,7 +214,31 @@ impl<'a, M: SimMessage> Ctx<'a, M> {
     /// Schedule [`Process::on_timer`] on this task after `delay`.
     #[inline]
     pub fn schedule(&mut self, delay: SimDuration, key: u64) {
-        self.effects.push(Effect::Timer { delay, key });
+        self.effects.push(Effect::Timer {
+            delay,
+            key,
+            or_idle: false,
+        });
+    }
+
+    /// Schedule [`Process::on_timer`] on this task after `delay`, or
+    /// earlier on a live backend, as soon as this task's machine has
+    /// nothing else runnable: an age bound that an idle machine need not
+    /// wait out. The simulator fires it at the deadline.
+    #[inline]
+    pub fn schedule_or_idle(&mut self, delay: SimDuration, key: u64) {
+        self.effects.push(Effect::Timer {
+            delay,
+            key,
+            or_idle: true,
+        });
+    }
+
+    /// Park this task until its [`Waker`] is woken (see
+    /// [`Effect::Park`]); [`Process::on_timer`] then runs with `key`.
+    #[inline]
+    pub fn park(&mut self, key: u64) {
+        self.effects.push(Effect::Park { key });
     }
 
     /// Acquire execution resources for `machine` (trigger-time
