@@ -38,7 +38,7 @@ use crate::report::{machine_stats, Finals, MatchDigest, RunReport, SkewSummary, 
 use crate::reshuffler::{
     ControlEvent, ControllerState, ProgressRecorder, ProgressSample, ReshufflerTask,
 };
-use crate::session::{IngestQueue, JoinSession, MatchHub, SessionBuilder};
+use crate::session::{ArrivalBits, IngestQueue, JoinSession, MatchHub, SessionBuilder};
 use crate::shj::{ShjJoiner, ShjReshuffler};
 use crate::skew::{SkewBoard, SkewPolicy, SkewState};
 use crate::source::SourceTask;
@@ -441,7 +441,7 @@ pub(crate) fn collect<B: ExecBackend<OpMsg>>(
     finals: Finals,
     pushed: u64,
     end: SimTime,
-    prefix: &[(u64, u64)],
+    arrivals: Option<&ArrivalBits>,
 ) -> RunReport {
     assert_drained(backend, wiring.source_id, pushed);
     let metrics = backend.metrics();
@@ -506,9 +506,9 @@ pub(crate) fn collect<B: ExecBackend<OpMsg>>(
             |e: &&ControlEvent| matches!(e, ControlEvent::Complete { kind, .. } if of(*kind));
         events.iter().filter(done).count() as u64
     };
-    let competitive = match (ctrl, &wiring.grid) {
-        (Some(c), Some(g)) if global => {
-            competitive_trace(b.j, prefix, &events, &c.samples, g.initial)
+    let competitive = match (ctrl, &wiring.grid, arrivals) {
+        (Some(c), Some(g), Some(a)) if global => {
+            competitive_trace(b.j, a, &events, &c.samples, g.initial)
         }
         _ => Vec::new(),
     };
@@ -668,18 +668,18 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
 }
 
 /// Reconstruct the `ILF/ILF*` trace (Fig. 8c) offline: at every progress
-/// sample, the true cardinalities come from the pushed stream's prefix
-/// counts (`prefix[k]` = (R, S) after `k` arrivals) and the operator's
-/// mapping from the controller's decision log.
+/// sample, the true cardinalities come from the pushed stream's
+/// arrivals (`arrivals.counts(k)` = (R, S) among the first `k`) and the
+/// operator's mapping from the controller's decision log.
 fn competitive_trace(
     j: u32,
-    prefix: &[(u64, u64)],
+    arrivals: &ArrivalBits,
     events: &[ControlEvent],
     samples: &[ProgressSample],
     initial: Mapping,
 ) -> Vec<aoj_core::competitive::RatioSample> {
-    // No samples, or prefix tracking disabled: no trace.
-    if samples.is_empty() || prefix.len() <= 1 {
+    // No samples, or no arrivals: no trace.
+    if samples.is_empty() || arrivals.len() == 0 {
         return Vec::new();
     }
     // The ILF/ILF* trace is defined against a fixed J; once an elastic
@@ -706,8 +706,7 @@ fn competitive_trace(
                 _ => {}
             }
         }
-        let idx = (sample.seq as usize + 1).min(prefix.len() - 1);
-        let (r, s) = prefix[idx];
+        let (r, s) = arrivals.counts(sample.seq + 1);
         tracker.record(sample.seq, r, s, mapping, migrating);
     }
     tracker.samples().to_vec()

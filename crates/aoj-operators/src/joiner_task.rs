@@ -194,6 +194,9 @@ pub struct MatchTally {
     pub sink: Option<Arc<MatchHub>>,
     /// Latency samples.
     pub latency: LatencyStats,
+    /// [`emit_batch`](MatchTally::emit_batch)'s scratch: which tuples of
+    /// the batch matched. Reused, so a batch allocates nothing.
+    matched: Vec<bool>,
 }
 
 /// The per-match callback [`MatchTally::emit`] lends to a probe.
@@ -242,15 +245,36 @@ impl MatchTally {
         (out, n)
     }
 
-    /// Sample the latency of every tuple of a batch that matched
-    /// (`per_tuple[i] > 0`). Samples come from each tuple's own arrival
-    /// time, so time spent coalescing is measured, not hidden.
-    pub(crate) fn sample_matched(&mut self, now: SimTime, per_tuple: &[u32], arrived: &[SimTime]) {
-        for (&m, &at) in per_tuple.iter().zip(arrived) {
-            if m > 0 {
+    /// Run a whole-batch probe — `stream` reports each pair as
+    /// `(i, stored)` for `batch[i]`, the shape of
+    /// [`JoinIndex::stream_batch`](aoj_core::index::JoinIndex::stream_batch)
+    /// — fold its pairs into the tally, and sample the latency of every
+    /// tuple of the batch that matched. Samples come from each tuple's
+    /// own arrival time (`arrived[i]`), so time spent coalescing is
+    /// measured, not hidden.
+    pub(crate) fn emit_batch(
+        &mut self,
+        now: SimTime,
+        batch: &[Tuple],
+        arrived: &[SimTime],
+        stream: impl FnOnce(&mut dyn FnMut(usize, &Tuple)) -> ProbeStats,
+    ) -> ProbeStats {
+        let mut matched = std::mem::take(&mut self.matched);
+        matched.clear();
+        matched.resize(batch.len(), false);
+        let (stats, _) = self.emit(|em| {
+            stream(&mut |i, stored| {
+                matched[i] = true;
+                em.pair(&batch[i], stored);
+            })
+        });
+        for (&m, &at) in matched.iter().zip(arrived) {
+            if m {
                 self.latency.record(now.since(at).as_micros());
             }
         }
+        self.matched = matched;
+        stats
     }
 
     /// What this joiner contributes to the run's [`Finals`](crate::report::Finals).
@@ -518,12 +542,7 @@ impl JoinerTask {
     /// argument is untouched: migrating state is never evicted mid-flight,
     /// and tuples arriving during a migration simply age once the next
     /// stable batch (or the migration checkpoint itself) ticks the clock.
-    fn observe_window(
-        &mut self,
-        ctx: &mut Ctx<'_, OpMsg>,
-        seqs: &[(u64, i32)],
-        arrived: &[SimTime],
-    ) {
+    fn observe_window(&mut self, ctx: &mut Ctx<'_, OpMsg>, batch: &[Tuple], arrived: &[SimTime]) {
         let Some(w) = self.window.as_mut() else {
             return;
         };
@@ -531,8 +550,8 @@ impl JoinerTask {
         // clock, or real event time from the tuple `aux` column.
         let spec = w.spec();
         let mut seal = false;
-        for (i, &(seq, aux)) in seqs.iter().enumerate() {
-            if w.observe(seq, spec.tick_of(arrived[i].as_micros(), aux)) {
+        for (t, at) in batch.iter().zip(arrived) {
+            if w.observe(t.seq, spec.tick_of(at.as_micros(), t.aux)) {
                 seal = true;
             }
         }
@@ -636,24 +655,11 @@ impl Process<OpMsg> for JoinerTask {
             } => {
                 let n = tuples.len() as u64;
                 let mut stats = ProbeStats::default();
-                // Window bookkeeping only ticks on stable-phase batches;
-                // capture the seqs up front because the per-tuple path
-                // consumes the batch.
-                let win_seqs: Option<Vec<(u64, i32)>> =
-                    if self.window.is_some() && self.epoch.stable_for(tag) {
-                        Some(tuples.iter().map(|t| (t.seq, t.aux)).collect())
-                    } else {
-                        None
-                    };
-                if self.epoch.stable_for(tag) {
-                    let mut per_tuple = vec![0u32; tuples.len()];
-                    (stats, _) = self.tally.emit(|em| {
-                        self.epoch.on_data_batch(tag, &tuples, &mut |i, stored| {
-                            per_tuple[i] += 1;
-                            em.pair(&tuples[i], stored);
-                        })
+                let stable = self.epoch.stable_for(tag);
+                if stable {
+                    stats = self.tally.emit_batch(ctx.now(), &tuples, &arrived, |out| {
+                        self.epoch.on_data_batch(tag, &tuples, out)
                     });
-                    self.tally.sample_matched(ctx.now(), &per_tuple, &arrived);
                 } else {
                     // Unborn or mid-migration: per-tuple Alg. 3 handling,
                     // with Δ forwarding to the outbox streams.
@@ -684,8 +690,10 @@ impl Process<OpMsg> for JoinerTask {
                         }
                     }
                 }
-                if let Some(seqs) = win_seqs {
-                    self.observe_window(ctx, &seqs, &arrived);
+                // Window bookkeeping only ticks on stable-phase batches,
+                // whose tuples the bulk path leaves in place.
+                if stable {
+                    self.observe_window(ctx, &tuples, &arrived);
                 }
                 // The batch's heap storage feeds the next migration
                 // flush instead of the allocator.

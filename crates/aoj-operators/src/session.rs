@@ -54,7 +54,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use aoj_core::decision::DecisionConfig;
@@ -64,7 +64,7 @@ use aoj_core::mapping::Mapping;
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::StreamItem;
-use aoj_runtime::{Runtime, RuntimeConfig};
+use aoj_runtime::{CountedCondvar, Runtime, RuntimeConfig};
 use aoj_simnet::{
     CostModel, ExecBackend, MachineId, NetworkConfig, SharedGauges, Sim, SimConfig, SimDuration,
     SimTime, TaskId, Waker,
@@ -106,18 +106,16 @@ struct QueueState {
     items: VecDeque<(Rel, StreamItem)>,
     closed: bool,
     pushed: u64,
-    r_pushed: u64,
-    s_pushed: u64,
     /// Restored sessions replaying from an upstream log: this many
     /// leading pushes are already reflected in the checkpointed state and
     /// are silently dropped (accepted but not enqueued) — the exactly-once
     /// dedup of [`JoinSession::restore_with_replay`].
     skip: u64,
-    /// `prefix[k]` = (R count, S count) after the first `k` arrivals —
-    /// the per-sequence stream statistics the offline `ILF/ILF*`
-    /// competitive trace needs. Maintained under the push lock so
-    /// multi-producer sessions stay exact; empty when tracking is off.
-    prefix: Vec<(u64, u64)>,
+    /// Every arrival's relation, in push order — the per-sequence
+    /// stream statistics the offline `ILF/ILF*` competitive trace needs.
+    /// Maintained under the push lock so multi-producer sessions stay
+    /// exact; `None` when tracking is off.
+    arrivals: Option<ArrivalBits>,
     /// The source found the queue empty and open, and parked.
     parked: bool,
     /// Wakes the parked source; installed by a live backend before the
@@ -148,8 +146,9 @@ pub(crate) enum Inlet {
 /// caller instead of buffering without bound.
 pub struct IngestQueue {
     state: Mutex<QueueState>,
-    /// Producer-side wakeups: space freed or queue closed.
-    space: Condvar,
+    /// Producer-side wakeups: space freed or queue closed. A pop
+    /// notifies only producers that sleep.
+    space: CountedCondvar,
     capacity: usize,
     /// Timer events the source has handled: pacing ticks and wake-ups.
     source_wakeups: AtomicU64,
@@ -157,24 +156,18 @@ pub struct IngestQueue {
 
 impl IngestQueue {
     /// An open queue admitting at most `capacity` queued tuples.
-    pub(crate) fn bounded(capacity: usize, track_prefix: bool) -> Arc<IngestQueue> {
+    pub(crate) fn bounded(capacity: usize, track_arrivals: bool) -> Arc<IngestQueue> {
         Arc::new(IngestQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
                 pushed: 0,
-                r_pushed: 0,
-                s_pushed: 0,
                 skip: 0,
-                prefix: if track_prefix {
-                    vec![(0, 0)]
-                } else {
-                    Vec::new()
-                },
+                arrivals: track_arrivals.then(ArrivalBits::default),
                 parked: false,
                 waker: None,
             }),
-            space: Condvar::new(),
+            space: CountedCondvar::new(),
             capacity: capacity.max(1),
             source_wakeups: AtomicU64::new(0),
         })
@@ -222,7 +215,7 @@ impl IngestQueue {
                 st.unpark();
                 return Ok(());
             }
-            st = self.space.wait(st).unwrap();
+            st = self.space.wait(st);
         }
     }
 
@@ -308,8 +301,7 @@ impl IngestQueue {
         let n = max.min(st.items.len());
         out.extend(st.items.drain(..n));
         if n > 0 {
-            drop(st);
-            self.space.notify_all();
+            self.space.notify_all_unlock(st);
         }
     }
 
@@ -323,10 +315,57 @@ impl IngestQueue {
         self.state.lock().unwrap().items.len()
     }
 
-    /// The per-sequence `(R, S)` prefix counts (empty when tracking is
-    /// disabled).
-    pub(crate) fn prefix(&self) -> Vec<(u64, u64)> {
-        self.state.lock().unwrap().prefix.clone()
+    /// Take the tracked arrivals out of the queue (`None` when tracking
+    /// is off or they were taken). Final once the queue is closed: no
+    /// push lands after that.
+    pub(crate) fn take_arrivals(&self) -> Option<ArrivalBits> {
+        self.state.lock().unwrap().arrivals.take()
+    }
+}
+
+/// The pushed stream's relations, one bit per arrival (set = R), in
+/// push order: the `ILF/ILF*` competitive trace reads the true `(R, S)`
+/// cardinalities at each progress sample from it
+/// ([`counts`](ArrivalBits::counts)). A bit instead of a running count
+/// pair keeps a long session's trace at 1/128 of the memory.
+#[derive(Debug, Default)]
+pub(crate) struct ArrivalBits {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl ArrivalBits {
+    fn push(&mut self, rel: Rel) {
+        let bit = self.len % 64;
+        if bit == 0 {
+            self.words.push(0);
+        }
+        if rel == Rel::R {
+            *self.words.last_mut().expect("pushed above") |= 1 << bit;
+        }
+        self.len += 1;
+    }
+
+    /// Arrivals recorded.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// `(R, S)` among the first `k` arrivals (all of them when `k`
+    /// exceeds [`len`](ArrivalBits::len)): a popcount over the whole words,
+    /// plus the masked last one.
+    pub(crate) fn counts(&self, k: u64) -> (u64, u64) {
+        let k = k.min(self.len);
+        let whole = (k / 64) as usize;
+        let mut r: u64 = self.words[..whole]
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
+        let rest = k % 64;
+        if rest > 0 {
+            r += u64::from((self.words[whole] & ((1 << rest) - 1)).count_ones());
+        }
+        (r, k - r)
     }
 }
 
@@ -345,12 +384,8 @@ impl QueueState {
 
     fn note_push(&mut self, rel: Rel) {
         self.pushed += 1;
-        match rel {
-            Rel::R => self.r_pushed += 1,
-            Rel::S => self.s_pushed += 1,
-        }
-        if !self.prefix.is_empty() {
-            self.prefix.push((self.r_pushed, self.s_pushed));
+        if let Some(arrivals) = &mut self.arrivals {
+            arrivals.push(rel);
         }
     }
 }
@@ -483,10 +518,12 @@ impl HubState {
 /// a stalled subscriber can never deadlock the shutdown path.
 pub struct MatchHub {
     state: Mutex<HubState>,
-    /// Subscriber-side wakeups (new matches, finish).
-    ready: Condvar,
-    /// Emitter-side wakeups (space freed, bound lifted, detach).
-    space: Condvar,
+    /// Subscriber-side wakeups (new matches, finish). An emit notifies
+    /// only subscribers that sleep.
+    ready: CountedCondvar,
+    /// Emitter-side wakeups (space freed, bound lifted, detach). A
+    /// receive notifies only emitters that sleep.
+    space: CountedCondvar,
     /// Cache of `HubState::any_attached`, readable without the lock on
     /// the per-match fast path.
     attached: AtomicBool,
@@ -515,8 +552,8 @@ impl MatchHub {
                 ship: Vec::new(),
                 subs: Vec::new(),
             }),
-            ready: Condvar::new(),
-            space: Condvar::new(),
+            ready: CountedCondvar::new(),
+            space: CountedCondvar::new(),
             attached: AtomicBool::new(false),
             filter_epoch: AtomicU64::new(0),
             snapshot: AtomicBool::new(false),
@@ -576,9 +613,8 @@ impl MatchHub {
         for s in &mut st.subs {
             s.cursor = s.cursor.max(base);
         }
-        drop(st);
         if !out.is_empty() {
-            self.space.notify_all();
+            self.space.notify_all_unlock(st);
         }
         out
     }
@@ -601,11 +637,10 @@ impl MatchHub {
             if st.draining || !st.bound_reached() {
                 break;
             }
-            st = self.space.wait(st).unwrap();
+            st = self.space.wait(st);
         }
         st.buf.push_back(m);
-        drop(st);
-        self.ready.notify_all();
+        self.ready.notify_all_unlock(st);
     }
 
     /// Attach a new subscriber with its own cursor (starting at the
@@ -734,13 +769,12 @@ impl MatchHub {
                 let pass = st.subs[idx].filter.passes(&m);
                 let freed = self.trim_locked(&mut st);
                 if pass {
-                    drop(st);
                     if freed {
-                        self.space.notify_all();
+                        self.space.notify_all_unlock(st);
                     }
                     return Some(m);
                 }
-                if freed {
+                if freed && self.space.has_sleepers(&st) {
                     // Skipping non-matching entries can free space too.
                     self.space.notify_all();
                 }
@@ -748,7 +782,7 @@ impl MatchHub {
             if st.finished {
                 return None;
             }
-            st = self.ready.wait(st).unwrap();
+            st = self.ready.wait(st);
         }
     }
 
@@ -768,9 +802,8 @@ impl MatchHub {
                 break;
             }
         }
-        drop(st);
         if freed {
-            self.space.notify_all();
+            self.space.notify_all_unlock(st);
         }
         out
     }
@@ -942,7 +975,7 @@ pub struct BackendSection {
     /// single-threaded simulator is always unbounded). 0 = unbounded.
     pub match_buffer: usize,
     /// Keep per-sequence stream statistics for the offline `ILF/ILF*`
-    /// competitive trace. Costs 16 bytes per pushed tuple for the whole
+    /// competitive trace. Costs one bit per pushed tuple for the whole
     /// session lifetime, so live sessions default to **off** (no
     /// unbounded growth); the offline [`run`](crate::driver::run)
     /// wrapper turns it on.
@@ -1175,7 +1208,7 @@ impl SessionBuilder {
     }
 
     /// Builder: keep per-sequence stream statistics for the offline
-    /// `ILF/ILF*` competitive trace (16 bytes per pushed tuple for the
+    /// `ILF/ILF*` competitive trace (one bit per pushed tuple for the
     /// session lifetime — leave off for long-lived serving sessions).
     pub fn with_track_competitive(mut self, track: bool) -> SessionBuilder {
         self.backend.track_competitive = track;
@@ -1965,7 +1998,7 @@ impl SessionHandle {
         self.hub.lift_bound();
         self.queue.close();
         let pushed = self.queue.pushed();
-        let prefix = self.queue.prefix();
+        let arrivals = self.queue.take_arrivals();
         let out = match self.inner.take().expect("session already closed") {
             // Nothing kills a simulator machine inside a pump.
             Inner::Sim { mut sim, wiring } => {
@@ -1977,7 +2010,7 @@ impl SessionHandle {
                     None,
                     pushed,
                     end,
-                    &prefix,
+                    arrivals.as_ref(),
                     snapshot,
                 )
             }
@@ -2005,7 +2038,7 @@ impl SessionHandle {
                     remote,
                     pushed,
                     end,
-                    &prefix,
+                    arrivals.as_ref(),
                     snapshot,
                 )
             }
@@ -2046,7 +2079,7 @@ fn quiesced<B: ExecBackend<OpMsg>>(
     remote: Option<Finals>,
     pushed: u64,
     end: SimTime,
-    prefix: &[(u64, u64)],
+    arrivals: Option<&ArrivalBits>,
     snapshot: bool,
 ) -> (RunReport, Option<io::Result<Checkpoint>>) {
     let finals = remote
@@ -2056,7 +2089,7 @@ fn quiesced<B: ExecBackend<OpMsg>>(
         let src = backend.task_ref::<SourceTask>(wiring.source_id);
         build_checkpoint(builder, &finals, src.cursor as u64, src.window_copies)
     });
-    let report = collect(backend, builder, wiring, finals, pushed, end, prefix);
+    let report = collect(backend, builder, wiring, finals, pushed, end, arrivals);
     (report, ckpt)
 }
 
@@ -2148,8 +2181,111 @@ mod tests {
         assert_eq!(q.try_push(Rel::R, item(4)), Err(PushError::Closed));
         assert_eq!(q.push(Rel::R, item(4)), Err(PushError::Closed));
         assert_eq!(q.pushed(), 3);
-        // Prefix counts follow push order: R, S, R.
-        assert_eq!(q.prefix(), vec![(0, 0), (1, 0), (1, 1), (2, 1)]);
+    }
+
+    #[test]
+    fn arrival_bits_count_like_a_running_prefix() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const N: u64 = 100_003;
+        let q = IngestQueue::bounded(N as usize, true);
+        let mut rng = StdRng::seed_from_u64(38);
+        // The naive trace: `(R, S)` after the first `k` arrivals.
+        let mut prefix = vec![(0u64, 0u64)];
+        for i in 0..N {
+            let rel = if rng.gen_bool(0.3) { Rel::R } else { Rel::S };
+            q.try_push(rel, item(i as i64)).unwrap();
+            let (r, s) = *prefix.last().unwrap();
+            prefix.push(if rel == Rel::R {
+                (r + 1, s)
+            } else {
+                (r, s + 1)
+            });
+        }
+        q.close();
+        let bits = q.take_arrivals().expect("tracking on");
+        assert_eq!(bits.len(), N);
+        let mut ks = vec![0, 1, 63, 64, 65, N];
+        ks.extend((0..1_000).map(|_| rng.gen_range(0..=N)));
+        for k in ks {
+            assert_eq!(bits.counts(k), prefix[k as usize], "k = {k}");
+        }
+        assert_eq!(bits.counts(N + 5), prefix[N as usize], "clamped to the end");
+        let heap = bits.words.capacity() * std::mem::size_of::<u64>();
+        assert!(heap <= 16 * 1024, "{heap} B for {N} arrivals");
+        assert!(q.take_arrivals().is_none(), "taken once");
+        assert!(IngestQueue::bounded(4, false).take_arrivals().is_none());
+    }
+
+    /// Run `blocked` on its own thread; once `asleep` sees it waiting on
+    /// its condvar, run `release` here. A 2 s watchdog fails the test,
+    /// instead of hanging it, if the thread never sleeps or never wakes.
+    fn wakes_within(
+        asleep: impl Fn() -> bool,
+        blocked: impl FnOnce() + Send + 'static,
+        release: impl FnOnce(),
+    ) {
+        use std::time::{Duration, Instant};
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t = std::thread::spawn(move || {
+            blocked();
+            let _ = tx.send(());
+        });
+        let watchdog = Instant::now() + Duration::from_secs(2);
+        while !asleep() {
+            assert!(Instant::now() < watchdog, "never went to sleep");
+            std::thread::yield_now();
+        }
+        release();
+        let woke = rx.recv_timeout(Duration::from_secs(2)).is_ok();
+        assert!(woke, "the wake-up was lost");
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn wake_ingest_push_on_a_full_queue_wakes_on_pop_upto() {
+        let q = IngestQueue::bounded(1, false);
+        q.try_push(Rel::R, item(1)).unwrap();
+        let q2 = Arc::clone(&q);
+        wakes_within(
+            || q.space.has_sleepers(&q.state.lock().unwrap()),
+            move || q2.push(Rel::S, item(2)).unwrap(),
+            || q.pop_upto(1, &mut Vec::new()),
+        );
+        assert_eq!(q.queued(), 1);
+    }
+
+    #[test]
+    fn wake_hub_blocking_next_wakes_on_a_later_emit() {
+        let hub = MatchHub::new(0);
+        let slot = hub.subscribe_slot(KeyFilter::All, 0);
+        let mut sub = MatchSubscription {
+            hub: Arc::clone(&hub),
+            slot,
+        };
+        wakes_within(
+            || hub.ready.has_sleepers(&hub.state.lock().unwrap()),
+            move || assert_eq!(sub.next(), Some(pair(7, 7))),
+            || hub.emit(pair(7, 7)),
+        );
+    }
+
+    #[test]
+    fn wake_hub_emitter_blocked_at_its_bound_wakes_on_try_next() {
+        let hub = MatchHub::new(1);
+        let slot = hub.subscribe_slot(KeyFilter::All, 1);
+        let mut sub = MatchSubscription {
+            hub: Arc::clone(&hub),
+            slot,
+        };
+        hub.emit(pair(1, 1));
+        let hub2 = Arc::clone(&hub);
+        wakes_within(
+            || hub.space.has_sleepers(&hub.state.lock().unwrap()),
+            move || hub2.emit(pair(2, 2)),
+            || assert_eq!(sub.try_next(), Some(pair(1, 1))),
+        );
+        assert_eq!(sub.try_next(), Some(pair(2, 2)));
     }
 
     /// A waker that counts its wakes.

@@ -5,7 +5,7 @@
 //! keys pile onto few machines, which is precisely what Table 2
 //! demonstrates. Only valid for equi-joins.
 
-use aoj_core::index::{JoinIndex, ProbeStats};
+use aoj_core::index::JoinIndex;
 use aoj_core::ticket::mix64;
 use aoj_core::tuple::Tuple;
 use aoj_joinalg::{SpillGauge, SymmetricHashIndex};
@@ -164,17 +164,12 @@ impl Process<OpMsg> for ShjJoiner {
                 tuples, arrived, ..
             } => {
                 let n = tuples.len() as u64;
+                let now = ctx.now();
                 // One bulk pass against the hash state, intra-batch pairs
                 // included (stream semantics).
-                let mut per_tuple = vec![0u32; tuples.len()];
-                let (stats, _): (ProbeStats, _) = self.tally.emit(|em| {
-                    self.index.stream_batch(&tuples, &mut |i, stored| {
-                        per_tuple[i] += 1;
-                        em.pair(&tuples[i], stored);
-                    })
+                let stats = self.tally.emit_batch(now, &tuples, &arrived, |out| {
+                    self.index.stream_batch(&tuples, out)
                 });
-                let now = ctx.now();
-                self.tally.sample_matched(now, &per_tuple, &arrived);
                 let bytes = self.index.bytes();
                 self.gauge.set_stored(bytes);
                 ctx.metrics().set_gauge(self.machine, Gauge::Stored, bytes);

@@ -69,7 +69,9 @@
 //! assert_eq!(rt.task_ref::<Echo>(a).got, 3);
 //! ```
 
+pub mod condvar;
 pub mod mailbox;
 pub mod runtime;
 
+pub use condvar::CountedCondvar;
 pub use runtime::{KillSwitch, Runtime, RuntimeConfig};

@@ -76,13 +76,22 @@
 //!   it and drain the burst piecemeal, one message downstream per piece;
 //!   after the yield it drains the burst whole.
 //!
+//! ## Wake-ups only for sleepers
+//!
+//! Both condvars are [`CountedCondvar`]s: a push, timer, park or unpark
+//! wakes the consumer, and a pop wakes blocked producers, only when one
+//! sleeps. A busy consumer is the common case under load, and a futex
+//! wake that finds nobody costs several times the lock it follows.
+//! Shutdown, [`interrupt`](Mailbox::interrupt) and
+//! [`complete_drain`](Mailbox::complete_drain) notify unconditionally.
+//!
 //! [`Ctx::schedule_or_idle`]: aoj_simnet::Ctx::schedule_or_idle
 //! [`Ctx::park`]: aoj_simnet::Ctx::park
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Longest a producer waits for data-queue space before overflowing the
@@ -91,6 +100,7 @@ use std::time::{Duration, Instant};
 /// without visible stalls.
 pub const BACKPRESSURE_WAIT: Duration = Duration::from_millis(20);
 
+use crate::condvar::CountedCondvar;
 use aoj_simnet::{
     Ctx, Effect, MachineId, Metrics, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId,
     Waker,
@@ -180,10 +190,12 @@ struct State<M> {
 /// pins here.
 pub struct Mailbox<M> {
     state: Mutex<State<M>>,
-    /// Consumer-side wakeups (new work, shutdown).
-    work_ready: Condvar,
-    /// Producer-side wakeups (data space freed, shutdown).
-    space_free: Condvar,
+    /// Consumer-side wakeups (new work, shutdown). The per-message
+    /// sites notify only a consumer that sleeps.
+    work_ready: CountedCondvar,
+    /// Producer-side wakeups (data space freed, shutdown). A pop
+    /// notifies only producers that sleep.
+    space_free: CountedCondvar,
     data_capacity: usize,
     migration_weight: u32,
 }
@@ -210,8 +222,8 @@ impl<M> Mailbox<M> {
                 drained: false,
                 interrupted: false,
             }),
-            work_ready: Condvar::new(),
-            space_free: Condvar::new(),
+            work_ready: CountedCondvar::new(),
+            space_free: CountedCondvar::new(),
             data_capacity: data_capacity.max(1),
             migration_weight: migration_weight.max(1),
         }
@@ -248,7 +260,7 @@ impl<M> Mailbox<M> {
                         st.overflowed = true;
                         break;
                     }
-                    st = self.space_free.wait_timeout(st, deadline - now).unwrap().0;
+                    st = self.space_free.wait_timeout(st, deadline - now);
                 }
             }
         }
@@ -260,8 +272,7 @@ impl<M> Mailbox<M> {
             }
             MsgClass::Migration => st.migration.push_back((work, units)),
         }
-        drop(st);
-        self.work_ready.notify_one();
+        self.work_ready.notify_one_unlock(st);
     }
 
     /// Register a timer firing at `at_us` (wall micros since run start),
@@ -274,10 +285,9 @@ impl<M> Mailbox<M> {
         st.timers
             .push(Reverse((at_us, seq, task.index(), key, or_idle)));
         st.or_idle_timers += or_idle as usize;
-        drop(st);
         // The new timer may be earlier than whatever the worker sleeps on
         // (or, being or-idle, due at once on an idle worker).
-        self.work_ready.notify_one();
+        self.work_ready.notify_one_unlock(st);
     }
 
     /// Park `task` under `key`: a timer with no deadline, due once
@@ -289,8 +299,7 @@ impl<M> Mailbox<M> {
             Some(i) => {
                 st.early_unparks.swap_remove(i);
                 st.control.push_back((Work::Timer { task, key }, 1));
-                drop(st);
-                self.work_ready.notify_one();
+                self.work_ready.notify_one_unlock(st);
             }
             None => st.parked.push((task.index(), key)),
         }
@@ -306,8 +315,7 @@ impl<M> Mailbox<M> {
                 let (_, key) = st.parked.swap_remove(i);
                 st.control.push_back((Work::Timer { task, key }, 1));
                 st.yield_first = true;
-                drop(st);
-                self.work_ready.notify_one();
+                self.work_ready.notify_one_unlock(st);
             }
             None => st.early_unparks.push(task.index()),
         }
@@ -429,7 +437,7 @@ impl<M> Mailbox<M> {
             if !out.is_empty() {
                 if data_popped {
                     // Data slots freed; wake blocked producers.
-                    self.space_free.notify_all();
+                    self.space_free.notify_all_unlock(st);
                 }
                 return true;
             }
@@ -451,9 +459,9 @@ impl<M> Mailbox<M> {
             st = match st.timers.peek() {
                 Some(&Reverse((at, ..))) => {
                     let wait = Duration::from_micros(at.saturating_sub(now));
-                    self.work_ready.wait_timeout(st, wait).unwrap().0
+                    self.work_ready.wait_timeout(st, wait)
                 }
-                None => self.work_ready.wait(st).unwrap(),
+                None => self.work_ready.wait(st),
             };
         }
     }
@@ -989,5 +997,86 @@ mod tests {
         assert_eq!(pop_within(&mb, 0, Duration::from_millis(20)), None);
         mb.unpark(TaskId(1));
         assert_eq!(pop_within(&mb, 0, Duration::from_secs(5)), Some(1_000_001));
+    }
+
+    /// Run `blocked` on its own thread; once `asleep` sees it waiting on
+    /// its condvar, run `release` here. A 2 s watchdog fails the test,
+    /// instead of hanging it, if the thread never sleeps or never wakes.
+    fn wakes_within(
+        asleep: impl Fn() -> bool,
+        blocked: impl FnOnce() + Send + 'static,
+        release: impl FnOnce(),
+    ) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t = std::thread::spawn(move || {
+            blocked();
+            let _ = tx.send(());
+        });
+        let watchdog = Instant::now() + Duration::from_secs(2);
+        while !asleep() {
+            assert!(Instant::now() < watchdog, "never went to sleep");
+            std::thread::yield_now();
+        }
+        release();
+        let woke = rx.recv_timeout(Duration::from_secs(2)).is_ok();
+        assert!(woke, "the wake-up was lost");
+        t.join().unwrap();
+    }
+
+    /// A consumer thread blocked in `pop_batch` on `mb`, expecting `want`.
+    fn consumer(mb: &Arc<Mailbox<u64>>, want: u64) -> impl FnOnce() + Send + 'static {
+        let mb = Arc::clone(mb);
+        move || {
+            let done = AtomicBool::new(false);
+            assert_eq!(mb.pop(|| 0, &done).map(val), Some(want));
+        }
+    }
+
+    fn consumer_asleep(mb: &Mailbox<u64>) -> bool {
+        mb.work_ready.has_sleepers(&mb.state.lock().unwrap())
+    }
+
+    #[test]
+    fn wake_consumer_with_no_timer_wakes_on_one_push_msg() {
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1024, 2));
+        let done = AtomicBool::new(false);
+        wakes_within(
+            || consumer_asleep(&mb),
+            consumer(&mb, 5),
+            || mb.push_msg(MsgClass::Data, msg(5), 1, true, &done),
+        );
+    }
+
+    #[test]
+    fn wake_consumer_with_no_timer_wakes_on_one_unpark() {
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1024, 2));
+        mb.park(TaskId(2), 4);
+        wakes_within(
+            || consumer_asleep(&mb),
+            consumer(&mb, 1_000_004),
+            || mb.unpark(TaskId(2)),
+        );
+    }
+
+    #[test]
+    fn wake_bounded_producer_on_a_full_queue_wakes_on_a_pop() {
+        let mb: Arc<Mailbox<u64>> = Arc::new(Mailbox::new(1, 2));
+        let done = AtomicBool::new(false);
+        mb.push_msg(MsgClass::Data, msg(0), 1, true, &done);
+        let mb2 = Arc::clone(&mb);
+        wakes_within(
+            || mb.space_free.has_sleepers(&mb.state.lock().unwrap()),
+            move || {
+                let start = Instant::now();
+                mb2.push_msg(MsgClass::Data, msg(1), 1, true, &AtomicBool::new(false));
+                let waited = start.elapsed();
+                assert!(
+                    waited < BACKPRESSURE_WAIT,
+                    "woke at the backpressure deadline ({waited:?}), not on the pop"
+                );
+            },
+            || assert_eq!(mb.pop(|| 0, &done).map(val), Some(0)),
+        );
+        assert_eq!(mb.pop(|| 0, &done).map(val), Some(1));
     }
 }
