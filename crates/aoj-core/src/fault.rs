@@ -346,8 +346,11 @@ pub struct RecoveryStats {
     pub crashes: u64,
     /// Sum of injection-to-confirmation latencies, microseconds.
     pub detection_latency_us: u64,
-    /// Sum of confirmation-to-resume (rollback + respawn + replay)
-    /// times, microseconds.
+    /// Sum of reopen times, microseconds: each recovery's restore of the
+    /// next incarnation from the adopted checkpoint (or its fresh open),
+    /// up to a live handle. Tearing down the dead incarnation and
+    /// replaying the log are excluded, so a crash costs the same here
+    /// whether it was seen between pushes or surfaced in a drain.
     pub recovery_time_us: u64,
     /// Input tuples replayed from the source cursor across recoveries.
     pub replayed_tuples: u64,

@@ -1,7 +1,8 @@
 //! The coordinator: an [`ExecBackend`] whose machines are OS processes.
 //!
-//! [`TcpBackend`] records the session topology like any backend, but
-//! `run()` does not execute the joiner machines in-process. Instead it
+//! [`TcpBackend`] is built from the session's [`Topology`] like any
+//! backend, but `run()` does not execute the joiner machines in-process.
+//! Instead it
 //!
 //! * self-executes one **worker process** per eager machine (deferred
 //!   elastic slots stay unspawned until an `Effect::Provision` fires at
@@ -43,13 +44,11 @@ use aoj_operators::messages::{Match, OpMsg};
 use aoj_operators::report::Finals;
 use aoj_operators::{MatchHub, NetBackend, SessionBuilder, SkewBoard};
 use aoj_runtime::mailbox::Mailbox;
-use aoj_simnet::{
-    ExecBackend, Gauge, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimTime, TaskId,
-};
+use aoj_simnet::{ExecBackend, Gauge, MachineId, Metrics, SharedGauges, SimTime, TaskId, Topology};
 
 use crate::node::{
     run_machine_loop, spawn_acceptor, wake_acceptor, Clock, ControlOut, Counters, Directory,
-    EosGate, Lifecycle, NodeShared, TopoRecorder, Writers,
+    EosGate, Lifecycle, NodeShared, Writers,
 };
 use crate::wire::{
     self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap,
@@ -84,7 +83,10 @@ const PROBE_PERIOD_SETTLED: Duration = Duration::from_millis(2);
 
 /// The multi-process TCP execution backend (see the module docs).
 pub struct TcpBackend {
-    topo: TopoRecorder,
+    /// The session topology. The coordinator runs the source machine's
+    /// tasks itself; the joiner machines' stay here unrun, as each
+    /// worker rebuilds its own from the plan.
+    topo: Topology<OpMsg>,
     /// The canonical plan bytes every worker receives.
     builder_bytes: Vec<u8>,
     /// The plan fingerprint workers must echo in `Ready`.
@@ -95,7 +97,11 @@ pub struct TcpBackend {
     /// bits.
     builder: SessionBuilder,
     hub: Arc<MatchHub>,
-    gauges: Option<Arc<SharedGauges>>,
+    /// The session's gauge overlay, which the workers' gauge frames
+    /// feed; post-run metric reads (stored/evicted/window per machine)
+    /// go through it, and the workers' final frames make it
+    /// authoritative.
+    gauges: Arc<SharedGauges>,
     /// Coordinator-side skew board (one slot per worker), fed from the
     /// `skew_parts` of incoming gauge frames. Installed by the session
     /// layer; `None` when the session never asks for skew summaries.
@@ -108,9 +114,9 @@ pub struct TcpBackend {
     /// Failure-detector timing from the *original* builder (the fault
     /// section is deliberately not wire-serialized).
     detector: DetectorConfig,
-    /// Checkpoint installed by the session layer for a restore launch;
-    /// shipped to every worker in its Plan.
-    restore: Option<Checkpoint>,
+    /// The encoded checkpoint of a restore launch (empty for a fresh
+    /// one), shipped to every worker in its Plan.
+    restore: Vec<u8>,
     /// Typed deaths surfaced to the session layer (`fault_log` hook).
     fault_log: FaultLog,
     /// Kill requests from the session layer (`kill_handle` hook),
@@ -123,14 +129,23 @@ pub struct TcpBackend {
 
 impl TcpBackend {
     /// The factory registered with
-    /// `aoj_operators::register_tcp_backend` (see [`crate::install`]).
+    /// `aoj_operators::register_tcp_backend` (see [`crate::install`]):
+    /// a coordinator for `topo`, whose workers start from `restore`
+    /// when the session is restored from a checkpoint.
     ///
     /// # Panics
     ///
     /// If the builder carries a [`aoj_core::predicate::Predicate::Theta`]
     /// closure — arbitrary native closures cannot cross a process
     /// boundary; use a named predicate on this backend.
-    pub fn factory(builder: &SessionBuilder, hub: Arc<MatchHub>) -> Box<dyn NetBackend> {
+    pub fn factory(
+        builder: &SessionBuilder,
+        hub: Arc<MatchHub>,
+        mut topo: Topology<OpMsg>,
+        restore: Option<&Checkpoint>,
+    ) -> Box<dyn NetBackend> {
+        let gauges = SharedGauges::new(topo.machines().len());
+        topo.metrics.install_shared(Arc::clone(&gauges));
         let builder_bytes = builder.to_bytes();
         let fingerprint = wire::fingerprint(&builder_bytes);
         // The fault section rides outside the wire bytes (the decode
@@ -138,18 +153,18 @@ impl TcpBackend {
         let detector = builder.fault.detector;
         let builder = SessionBuilder::from_bytes(&builder_bytes).expect("session plan round-trip");
         Box::new(TcpBackend {
-            topo: TopoRecorder::default(),
+            topo,
             builder_bytes,
             fingerprint,
             builder,
             hub,
-            gauges: None,
+            gauges,
             skew_board: None,
             finals: Finals::default(),
             final_provisioned: None,
             final_peak: None,
             detector,
-            restore: None,
+            restore: restore.map(Checkpoint::to_bytes).unwrap_or_default(),
             fault_log: FaultLog::new(),
             kill_requests: Arc::new(Mutex::new(Vec::new())),
             abort: Arc::new(AtomicBool::new(false)),
@@ -246,38 +261,18 @@ impl ExecBackend<OpMsg> for TcpBackend {
         "tcp"
     }
 
-    fn add_machine(&mut self) -> MachineId {
-        self.topo.add_machine()
-    }
-
-    fn add_machine_with_network(&mut self, network: NetworkConfig) -> MachineId {
-        self.topo.add_machine_with_network(network)
-    }
-
-    fn add_deferred_machine(&mut self) -> MachineId {
-        self.topo.add_deferred_machine()
-    }
-
     fn provisioned_machines(&self) -> usize {
         self.final_provisioned
-            .unwrap_or_else(|| self.topo.provisioned_machines())
+            .unwrap_or_else(|| self.topo.eager_machines())
     }
 
     fn peak_provisioned_machines(&self) -> usize {
         self.final_peak
-            .unwrap_or_else(|| self.topo.provisioned_machines())
-    }
-
-    fn add_task(&mut self, machine: MachineId, task: Box<dyn Process<OpMsg> + Send>) -> TaskId {
-        self.topo.add_task(machine, task)
-    }
-
-    fn start_timer_at(&mut self, at: SimTime, task: TaskId, key: u64) {
-        self.topo.start_timer_at(at, task, key)
+            .unwrap_or_else(|| self.topo.eager_machines())
     }
 
     fn metrics(&self) -> &Metrics {
-        self.topo.metrics()
+        &self.topo.metrics
     }
 
     fn has_global_metrics_view(&self) -> bool {
@@ -285,10 +280,6 @@ impl ExecBackend<OpMsg> for TcpBackend {
         // a few milliseconds stale, not the simulator's exact global
         // view. Collection phases that need exactness skip them.
         false
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        self.topo.metrics_mut()
     }
 
     fn run(&mut self) -> SimTime {
@@ -301,16 +292,8 @@ impl ExecBackend<OpMsg> for TcpBackend {
 }
 
 impl NetBackend for TcpBackend {
-    fn session_gauges(&mut self) -> Arc<SharedGauges> {
-        if self.gauges.is_none() {
-            let g = SharedGauges::new(self.topo.deferred.len());
-            // Post-run metric reads (stored/evicted/window per machine)
-            // go through the overlay, which the workers' final gauge
-            // frames make authoritative.
-            self.topo.metrics.install_shared(Arc::clone(&g));
-            self.gauges = Some(g);
-        }
-        Arc::clone(self.gauges.as_ref().unwrap())
+    fn session_gauges(&self) -> Arc<SharedGauges> {
+        Arc::clone(&self.gauges)
     }
 
     fn remote_skew_board(&mut self, slots: usize) -> Option<Arc<SkewBoard>> {
@@ -336,26 +319,24 @@ impl NetBackend for TcpBackend {
         let abort = Arc::clone(&self.abort);
         Box::new(move || abort.store(true, Ordering::SeqCst))
     }
-
-    fn install_restore(&mut self, ckpt: &Checkpoint) {
-        self.restore = Some(ckpt.clone());
-    }
 }
 
 impl TcpBackend {
     fn run_cluster(&mut self) -> SimTime {
-        let machines = self.topo.deferred.len();
+        let machines = self.topo.machines().len();
         assert!(machines >= 2, "a session has at least one joiner machine");
         let source_machine = self
             .topo
-            .networked_machine()
+            .machines()
+            .iter()
+            .position(|m| m.network.is_some())
             .expect("the driver registers the source machine with a network config");
         assert_eq!(
             source_machine,
             machines - 1,
             "the source machine is registered last"
         );
-        let gauges = self.session_gauges();
+        let gauges = Arc::clone(&self.gauges);
         let clock = Clock::new(0);
 
         // ---- control plane listener -----------------------------------
@@ -378,11 +359,7 @@ impl TcpBackend {
                 source_machine: source_machine as u64,
                 clock_anchor_us: 0, // rewritten per handshake
                 builder: self.builder_bytes.clone(),
-                restore: self
-                    .restore
-                    .as_ref()
-                    .map(|c| c.to_bytes())
-                    .unwrap_or_default(),
+                restore: self.restore.clone(),
             },
             clock,
         );
@@ -407,17 +384,17 @@ impl TcpBackend {
             Arc::clone(&eos),
         );
 
-        let own_tasks = self.topo.take_machine_tasks(source_machine);
-        let task_machine = Arc::new(self.topo.task_machine());
+        let own_tasks = self.topo.take_machine_tasks(MachineId(source_machine));
+        let task_machine = Arc::new(self.topo.task_machine().to_vec());
         let mut own_shard = Metrics::default();
         for _ in 0..machines {
             own_shard.add_machine();
         }
         own_shard.sample_spacing = self.topo.metrics.sample_spacing;
-        for &(at_us, task, key) in &self.topo.timers {
-            if task_machine[task.index()] == source_machine {
+        for &(at, task, key) in self.topo.timers() {
+            if task_machine[task.index()] == MachineId(source_machine) {
                 counters.created.fetch_add(1, Ordering::AcqRel);
-                mailbox.push_timer(at_us, task, key, false);
+                mailbox.push_timer(at.as_micros(), task, key, false);
             }
         }
         let loop_handle = {
@@ -449,10 +426,10 @@ impl TcpBackend {
         let mut gens: HashMap<usize, u32> = HashMap::new();
         let mut awaiting_ready: HashSet<usize> = HashSet::new();
         let mut spawned = 0u64;
-        let mut provisioned = self.topo.provisioned_machines();
+        let mut provisioned = self.topo.eager_machines();
         let mut peak = provisioned;
         for m in 0..machines - 1 {
-            if !self.topo.deferred[m] {
+            if !self.topo.machines()[m].deferred {
                 spawn_worker(&mut children, &coord_addr, m, 0);
                 gens.insert(m, 0);
                 awaiting_ready.insert(m);

@@ -10,14 +10,16 @@
 //! ## Topology
 //!
 //! * The **coordinator** ([`backend::TcpBackend`]) lives in the
-//!   session's process. It runs the source machine's node itself (so
+//!   session's process and is built from the session's
+//!   [`aoj_simnet::Topology`]. It runs the source machine's node itself (so
 //!   ingest pushes feed the data plane directly), spawns one **worker
 //!   process** per joiner machine by re-executing the current binary
 //!   with `AOJ_NET_WORKER=1`, and services the control plane.
-//! * Each **worker** rebuilds the identical topology from the plan
+//! * Each **worker** rebuilds the identical `Topology` from the plan
 //!   frame (a serialized [`aoj_operators::SessionBuilder`], guarded by
-//!   a version byte and a fingerprint), keeps only its own machine's
-//!   tasks live, and runs them on a mailbox with the same per-class
+//!   a version byte and a fingerprint, plus the checkpoint a restored
+//!   session starts from), takes only its own machine's tasks, and runs
+//!   them on a mailbox with the same per-class
 //!   bounded semantics as the threaded runtime.
 //! * **Per-class sockets:** every directed machine pair uses separate
 //!   TCP connections for control, data, and migration traffic, so a

@@ -59,18 +59,12 @@ use std::time::{Duration, Instant};
 
 use aoj_operators::messages::OpMsg;
 use aoj_runtime::mailbox::{dispatch, install_wakers, Mailbox, Work};
-use aoj_simnet::{
-    ExecBackend, MachineId, Metrics, MsgClass, NetworkConfig, Process, SimMessage, SimTime, TaskId,
-};
+use aoj_simnet::{MachineId, Metrics, MsgClass, SimMessage, SimTime, TaskId, TaskMap};
 
 use crate::wire::{
     self, append_frame, read_frame, write_frame, BufPool, DrainDone, Preamble, RetireReq, TaskMsg,
     Wire, K_EOS, K_FLUSH, K_PREAMBLE, K_TASK_MSG,
 };
-
-/// A boxed operator task, as registered into the topology recorder and
-/// hosted by a node's machine loop.
-pub type BoxedTask = Box<dyn Process<OpMsg> + Send>;
 
 /// How long a writer waits for its destination to appear in the
 /// directory (or a retiree waits for its end-of-stream barrier) before
@@ -875,7 +869,7 @@ pub struct NodeShared {
     pub directory: Arc<Directory>,
     /// Task index → hosting machine (identical in every process: it is
     /// derived from the same plan).
-    pub task_machine: Arc<Vec<usize>>,
+    pub task_machine: Arc<Vec<MachineId>>,
 }
 
 /// Run this node's machine loop to completion: service the mailbox
@@ -887,12 +881,12 @@ pub struct NodeShared {
 /// retirement drain completes.
 pub fn run_machine_loop(
     shared: &NodeShared,
-    mut tasks: HashMap<usize, BoxedTask>,
+    mut tasks: TaskMap<OpMsg>,
     mut shard: Metrics,
     drain_batch: usize,
     lifecycle: &(dyn Fn(Lifecycle) + Sync),
     batch_end: Option<&dyn Fn()>,
-) -> (Metrics, HashMap<usize, BoxedTask>) {
+) -> (Metrics, TaskMap<OpMsg>) {
     let mid = MachineId(shared.machine);
     install_wakers(&shared.mailbox, &mut tasks);
     let mut batch: Vec<Work<OpMsg>> = Vec::with_capacity(drain_batch);
@@ -960,7 +954,7 @@ fn apply_effect(
     match effect {
         aoj_simnet::Effect::Send { to, msg } => {
             shared.counters.created.fetch_add(1, Ordering::AcqRel);
-            let dest = shared.task_machine[to.index()];
+            let dest = shared.task_machine[to.index()].index();
             if dest == shared.machine {
                 // Loopback: straight into our own mailbox, unbounded
                 // (blocking on our own full queue would self-deadlock)
@@ -1047,122 +1041,6 @@ fn apply_effect(
                 closed,
             }));
         }
-    }
-}
-
-/// An [`ExecBackend`] that only records the topology: machines, tasks,
-/// bootstrap timers. Both sides of the wire build the session topology
-/// through `aoj_operators::assemble_topology` into one of these and take
-/// out their own machine's tasks to run — the coordinator the source
-/// machine's, each worker its joiner machine's — so task ids and machine
-/// assignments agree across processes by construction.
-#[derive(Default)]
-pub struct TopoRecorder {
-    /// Per machine slot: was it registered deferred?
-    pub deferred: Vec<bool>,
-    /// Per machine slot: the explicit network config, if any (the
-    /// operator driver uses one only for the source machine, which is
-    /// how the coordinator knows which machine it hosts itself).
-    pub networked: Vec<Option<NetworkConfig>>,
-    /// Task id → (hosting machine, the task object). The box is taken
-    /// (`None`) while a live node runs it.
-    pub tasks: Vec<(usize, Option<BoxedTask>)>,
-    /// Bootstrap timers `(at_us, task, key)`.
-    pub timers: Vec<(u64, TaskId, u64)>,
-    /// The metrics sink (machines registered; counters filled post-run).
-    pub metrics: Metrics,
-}
-
-impl TopoRecorder {
-    /// Task index → hosting machine, for every registered task.
-    pub fn task_machine(&self) -> Vec<usize> {
-        self.tasks.iter().map(|(m, _)| *m).collect()
-    }
-
-    /// The machine registered with an explicit network config (the
-    /// operator driver's source machine), if any.
-    pub fn networked_machine(&self) -> Option<usize> {
-        self.networked.iter().position(|n| n.is_some())
-    }
-
-    /// Take the task boxes hosted on `machine`, keyed by task index.
-    pub fn take_machine_tasks(&mut self, machine: usize) -> HashMap<usize, BoxedTask> {
-        let mut out = HashMap::new();
-        for (idx, (m, slot)) in self.tasks.iter_mut().enumerate() {
-            if *m == machine {
-                out.insert(idx, slot.take().expect("task already taken"));
-            }
-        }
-        out
-    }
-
-    /// Put harvested task boxes back into their recorder slots.
-    pub fn restore_tasks(&mut self, tasks: HashMap<usize, BoxedTask>) {
-        for (idx, task) in tasks {
-            self.tasks[idx].1 = Some(task);
-        }
-    }
-}
-
-impl ExecBackend<OpMsg> for TopoRecorder {
-    fn backend_name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn add_machine(&mut self) -> MachineId {
-        self.deferred.push(false);
-        self.networked.push(None);
-        self.metrics.add_machine();
-        MachineId(self.deferred.len() - 1)
-    }
-
-    fn add_machine_with_network(&mut self, network: NetworkConfig) -> MachineId {
-        let id = self.add_machine();
-        self.networked[id.index()] = Some(network);
-        id
-    }
-
-    fn add_deferred_machine(&mut self) -> MachineId {
-        let id = self.add_machine();
-        self.deferred[id.index()] = true;
-        id
-    }
-
-    fn provisioned_machines(&self) -> usize {
-        self.deferred.iter().filter(|d| !**d).count()
-    }
-
-    fn peak_provisioned_machines(&self) -> usize {
-        self.provisioned_machines()
-    }
-
-    fn add_task(&mut self, machine: MachineId, task: BoxedTask) -> TaskId {
-        self.tasks.push((machine.index(), Some(task)));
-        TaskId(self.tasks.len() - 1)
-    }
-
-    fn start_timer_at(&mut self, at: SimTime, task: TaskId, key: u64) {
-        self.timers.push((at.as_micros(), task, key));
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    fn run(&mut self) -> SimTime {
-        unreachable!("the topology recorder never executes")
-    }
-
-    fn task_any(&self, id: TaskId) -> &dyn std::any::Any {
-        self.tasks[id.index()]
-            .1
-            .as_ref()
-            .expect("task is live on a node")
-            .as_any()
     }
 }
 

@@ -36,11 +36,11 @@ use aoj_operators::report::harvest;
 use aoj_operators::reshuffler::ReshufflerTask;
 use aoj_operators::{assemble_topology, IngestQueue, MatchHub, SessionBuilder};
 use aoj_runtime::mailbox::Mailbox;
-use aoj_simnet::{Gauge, MachineId, SharedGauges, TaskId};
+use aoj_simnet::{Gauge, MachineId, SharedGauges, TaskId, Topology};
 
 use crate::node::{
     dial_with_retry, run_machine_loop, spawn_acceptor, Clock, ControlOut, Counters, Directory,
-    EosGate, Lifecycle, NodeShared, TopoRecorder, Writers,
+    EosGate, Lifecycle, NodeShared, Writers,
 };
 use crate::wire::{
     self, read_frame, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap, Plan,
@@ -151,7 +151,7 @@ pub fn worker_main() -> ! {
     // that was attached all along. With the tap off, matches are only
     // counted and the finals carry their digest.
     let hub = MatchHub::collector();
-    let mut rec = TopoRecorder::default();
+    let mut graph = Topology::new();
     // A plan that carries a checkpoint rebuilds restored state instead
     // of a fresh topology. Every process decodes the same snapshot, so
     // the restored elastic layout — which decides task registration
@@ -161,7 +161,7 @@ pub fn worker_main() -> ! {
             .unwrap_or_else(|e| panic!("worker {machine}: decode restore checkpoint: {e}"))
     });
     let topo = assemble_topology(
-        &mut rec,
+        &mut graph,
         &builder,
         IngestQueue::detached(),
         Arc::clone(&hub),
@@ -170,14 +170,14 @@ pub fn worker_main() -> ! {
     // The board this worker's reshufflers publish their sketches into;
     // its merged parts ride every gauge frame to the coordinator.
     let skew_board = topo.skew_board();
-    let machine_count = rec.deferred.len();
+    let machine_count = graph.machines().len();
     assert_eq!(
         machine_count as u64, plan.machines,
         "worker {machine}: rebuilt machine count disagrees with the plan"
     );
     let slots = machine_count - 1; // joiner slots; the last machine is the source
-    let task_machine = Arc::new(rec.task_machine());
-    let mut tasks = rec.take_machine_tasks(machine);
+    let task_machine = Arc::new(graph.task_machine().to_vec());
+    let mut tasks = graph.take_machine_tasks(MachineId(machine));
     if gen > 0 {
         // A reincarnated machine starts dormant: its predecessor's state
         // migrated away with the contraction that retired it, and the
@@ -196,7 +196,7 @@ pub fn worker_main() -> ! {
     // on machine 0 the overlay also receives the coordinator's relays,
     // giving the elastic controller its cluster-wide storage view.
     let gauges = SharedGauges::new(machine_count);
-    let mut shard = std::mem::take(&mut rec.metrics);
+    let mut shard = std::mem::take(&mut graph.metrics);
     shard.install_shared(Arc::clone(&gauges));
 
     let rt_cfg = builder.runtime_config();
@@ -222,10 +222,10 @@ pub fn worker_main() -> ! {
     // Bootstrap timers for tasks we host (normally none: the only
     // bootstrap timer is the source tick, which lives with the
     // coordinator).
-    for &(at_us, task, key) in &rec.timers {
-        if task_machine[task.index()] == machine {
+    for &(at, task, key) in graph.timers() {
+        if task_machine[task.index()] == MachineId(machine) {
             counters.created.fetch_add(1, Ordering::AcqRel);
-            mailbox.push_timer(at_us, task, key, false);
+            mailbox.push_timer(at.as_micros(), task, key, false);
         }
     }
 

@@ -1,5 +1,6 @@
 //! The run driver, split into the three phases a live session needs:
-//! **setup** (assemble the operator topology on an execution backend),
+//! **setup** (assemble the operator [`Topology`] every backend is built
+//! from),
 //! **ingest** (the source drains the session's ingest queue while the
 //! backend executes), and **drain/collect** (run to quiescence and
 //! extract a [`RunReport`]).
@@ -25,7 +26,7 @@ use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
 use aoj_datagen::stream::Arrivals;
 use aoj_joinalg::{index_for, SpillGauge};
-use aoj_simnet::{ExecBackend, Gauge, MachineId, SimTime, TaskId};
+use aoj_simnet::{ExecBackend, Gauge, MachineId, SimTime, TaskId, Topology};
 
 use std::collections::BTreeSet;
 use std::io;
@@ -129,8 +130,8 @@ pub fn stream_bytes(arrivals: &Arrivals) -> (u64, u64) {
 /// provisioned up front; the rest are deferred slots whose execution
 /// resources — worker threads on the threaded backend — are acquired at
 /// expansion trigger time (trigger-time provisioning).
-fn add_machines<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
+fn add_machines(
+    topo: &mut Topology<OpMsg>,
     b: &SessionBuilder,
     total: usize,
     eager: impl Fn(usize) -> bool,
@@ -138,9 +139,9 @@ fn add_machines<B: ExecBackend<OpMsg>>(
     let mut machines: Vec<_> = (0..total)
         .map(|i| {
             if eager(i) {
-                backend.add_machine()
+                topo.add_machine()
             } else {
-                backend.add_deferred_machine()
+                topo.add_deferred_machine()
             }
         })
         .collect();
@@ -150,7 +151,7 @@ fn add_machines<B: ExecBackend<OpMsg>>(
     // has no NIC model and ignores this.)
     let mut src_net = b.data_plane.network;
     src_net.bytes_per_us = src_net.bytes_per_us.saturating_mul(b.j as u64);
-    machines.push(backend.add_machine_with_network(src_net));
+    machines.push(topo.add_machine_with_network(src_net));
     machines
 }
 
@@ -189,8 +190,8 @@ impl Wiring {
 }
 
 /// Setup phase: assemble a grid operator (Dynamic/StaticMid/StaticOpt)
-/// on `backend`, wired to drain `input` and emit matches into `sink`.
-/// Schedules the source's bootstrap tick; the backend has not run yet.
+/// into `topo`, wired to drain `input` and emit matches into `sink`.
+/// Schedules the source's bootstrap tick.
 ///
 /// `restore` selects the state the topology starts from. A fresh start
 /// is the restore of the initial state — epoch 0, the initial grid
@@ -201,8 +202,8 @@ impl Wiring {
 /// tuples. The caller has validated `ckpt` against `b`
 /// ([`JoinSession::restore`]). Task-id order is a pure function of
 /// `(b, restore)`; the TCP workers rebuild from the same pair.
-pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
+pub(crate) fn setup_grid(
+    topo: &mut Topology<OpMsg>,
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
@@ -259,14 +260,14 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         }
     });
 
-    backend.metrics_mut().sample_spacing = sample_spacing;
+    topo.metrics.sample_spacing = sample_spacing;
     // Elastic runs register the bounded machine-slot space
     // (`J₀ · 4^max_expansions` ids — cheap task objects and mailbox
     // stubs) but **provision** only the active machines: worker shards
     // for the rest are acquired at expansion trigger time and handed
     // back at contraction (trigger-time provisioning).
     let total = b.machine_slots();
-    let machines = add_machines(backend, b, total, |i| active.contains(&i));
+    let machines = add_machines(topo, b, total, |i| active.contains(&i));
     let reshuffler_ids: Vec<TaskId> = (0..total).map(TaskId).collect();
     let joiner_ids: Vec<TaskId> = (total..2 * total).map(TaskId).collect();
     let source_id = TaskId(2 * total);
@@ -319,7 +320,7 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             layout: layout.clone(),
             skew: SkewState::new(SkewPolicy::default(), 0).with_board(Arc::clone(&skew_board), i),
         };
-        let id = backend.add_task(machines[i], Box::new(task));
+        let id = topo.add_task(machines[i], Box::new(task));
         debug_assert_eq!(id, reshuffler_ids[i]);
     }
     for i in 0..total {
@@ -360,7 +361,7 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
             // first post-restore batch refreshes them.
             let bytes = task.epoch.stored_bytes();
             task.gauge.set_stored(bytes);
-            let metrics = backend.metrics_mut();
+            let metrics = &mut topo.metrics;
             metrics.set_gauge(machines[i], Gauge::Stored, bytes);
             metrics.set_gauge(machines[i], Gauge::Evicted, jc.evicted_bytes);
             if task.window.is_some() {
@@ -379,7 +380,7 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         }
         task.tally.collect = b.backend.collect_matches;
         task.tally.sink = Some(Arc::clone(&sink));
-        let id = backend.add_task(machines[i], Box::new(task));
+        let id = topo.add_task(machines[i], Box::new(task));
         debug_assert_eq!(id, joiner_ids[i]);
     }
     let mut src = SourceTask::new(
@@ -400,9 +401,9 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
         src.cursor = ckpt.source_cursor as usize;
         src.routed_tuples = ckpt.source_cursor;
     }
-    let id = backend.add_task(machines[total], Box::new(src));
+    let id = topo.add_task(machines[total], Box::new(src));
     debug_assert_eq!(id, source_id);
-    backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
+    topo.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
 
     Wiring {
         slots: total,
@@ -416,11 +417,18 @@ pub(crate) fn setup_grid<B: ExecBackend<OpMsg>>(
     }
 }
 
+/// The source task's final state (the source runs in process on every
+/// backend).
+pub(crate) fn source_task<B: ExecBackend<OpMsg> + ?Sized>(backend: &B, id: TaskId) -> &SourceTask {
+    let task = backend.task_any(id).downcast_ref();
+    task.expect("task type mismatch")
+}
+
 /// The collect phase's drain check: a quiesced run must have
 /// drained the whole stream — anything less means the flow-control
 /// window wedged (silent output loss).
-fn assert_drained<B: ExecBackend<OpMsg>>(backend: &B, source_id: TaskId, pushed: u64) {
-    let src_task = backend.task_ref::<SourceTask>(source_id);
+fn assert_drained<B: ExecBackend<OpMsg> + ?Sized>(backend: &B, source_id: TaskId, pushed: u64) {
+    let src_task = source_task(backend, source_id);
     assert_eq!(
         src_task.cursor as u64,
         pushed,
@@ -434,7 +442,7 @@ fn assert_drained<B: ExecBackend<OpMsg>>(backend: &B, source_id: TaskId, pushed:
 /// [`RunReport`] from the run's [`Finals`] and the quiesced backend's
 /// metrics. The SHJ baseline is the run without a controller: no
 /// decisions, no per-machine rows, no skew summary, the `(1, 1)` mapping.
-pub(crate) fn collect<B: ExecBackend<OpMsg>>(
+pub(crate) fn collect<B: ExecBackend<OpMsg> + ?Sized>(
     backend: &B,
     b: &SessionBuilder,
     wiring: &Wiring,
@@ -607,8 +615,8 @@ pub(crate) fn build_checkpoint(
 }
 
 /// Setup phase for the SHJ baseline.
-pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
+pub(crate) fn setup_shj(
+    topo: &mut Topology<OpMsg>,
     b: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
@@ -618,9 +626,9 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
         "windowed eviction requires a grid operator \
          (the SHJ baseline keeps no segmented index)"
     );
-    backend.metrics_mut().sample_spacing = b.sample_spacing();
+    topo.metrics.sample_spacing = b.sample_spacing();
     let j = b.j as usize;
-    let machines = add_machines(backend, b, j, |_| true);
+    let machines = add_machines(topo, b, j, |_| true);
     let reshuffler_ids: Vec<TaskId> = (0..j).map(TaskId).collect();
     let joiner_ids: Vec<TaskId> = (j..2 * j).map(TaskId).collect();
 
@@ -635,7 +643,7 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
             recorder: (i == 0).then(|| ProgressRecorder::new(b.sample_spacing())),
             batch: DataCoalescer::new(b.batch_config(), j),
         };
-        backend.add_task(machine, Box::new(task));
+        topo.add_task(machine, Box::new(task));
     }
     for &machine in machines.iter().take(j) {
         let mut task = ShjJoiner::new(
@@ -646,7 +654,7 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
         );
         task.tally.collect = b.backend.collect_matches;
         task.tally.sink = Some(Arc::clone(&sink));
-        backend.add_task(machine, Box::new(task));
+        topo.add_task(machine, Box::new(task));
     }
     let src = SourceTask::new(
         input,
@@ -655,9 +663,9 @@ pub(crate) fn setup_shj<B: ExecBackend<OpMsg>>(
         b.window_copies(),
         b.data_plane.batch_tuples,
     );
-    let id = backend.add_task(machines[j], Box::new(src));
+    let id = topo.add_task(machines[j], Box::new(src));
     debug_assert_eq!(id, source_id);
-    backend.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
+    topo.start_timer_at(SimTime::ZERO, source_id, SourceTask::TICK);
 
     Wiring {
         slots: j,
@@ -725,18 +733,20 @@ mod tests {
     #[test]
     fn only_a_snapshot_harvest_carries_state_and_a_checkpoint_needs_all_of_it() {
         let b = SessionBuilder::new(2, OperatorKind::Dynamic);
-        let mut sim: Sim<OpMsg> = Sim::new(SimConfig {
-            network: b.data_plane.network,
-            machine: Default::default(),
-            deadline: None,
-        });
+        let mut topo = Topology::new();
         let w = setup_grid(
-            &mut sim,
+            &mut topo,
             &b,
             IngestQueue::detached(),
             MatchHub::collector(),
             None,
         );
+        let cfg = SimConfig {
+            network: b.data_plane.network,
+            machine: Default::default(),
+            deadline: None,
+        };
+        let sim: Sim<OpMsg> = Sim::new(cfg, topo);
         let bare = harvest(w.result_tasks(), |id| sim.task_any(id), false);
         assert_eq!(bare.joiners.len(), 2);
         assert!(bare.joiners.iter().all(|f| f.state.is_none()));

@@ -67,12 +67,13 @@ use aoj_datagen::queries::StreamItem;
 use aoj_runtime::{CountedCondvar, Runtime, RuntimeConfig};
 use aoj_simnet::{
     CostModel, ExecBackend, MachineId, NetworkConfig, SharedGauges, Sim, SimConfig, SimDuration,
-    SimTime, TaskId, Waker,
+    SimTime, TaskId, Topology, Waker,
 };
 
 use crate::batch::BatchConfig;
 use crate::driver::{
-    build_checkpoint, collect, setup_grid, setup_shj, BackendChoice, OperatorKind, Wiring,
+    build_checkpoint, collect, setup_grid, setup_shj, source_task, BackendChoice, OperatorKind,
+    Wiring,
 };
 use crate::elastic_runtime::{provisioned_joiners, ElasticConfig};
 use crate::messages::{Match, OpMsg};
@@ -855,8 +856,8 @@ impl Drop for MatchSubscription {
 /// A clonable, `Send` ingest endpoint for producer threads
 /// ([`SessionHandle::ingest`]).
 ///
-/// Meaningful on the threaded backend, where the operator runs
-/// concurrently with producers. On the simulator backend pushes only
+/// Meaningful on a live backend, where the operator runs concurrently
+/// with producers. On the simulator backend pushes only
 /// enqueue — the session owner must still call
 /// [`SessionHandle::pump`] (or `push`/`close`) to advance virtual time,
 /// and a blocking [`push`](IngestHandle::push) from another thread can
@@ -1357,7 +1358,7 @@ impl SessionStats {
 pub trait NetBackend: ExecBackend<OpMsg> + Send {
     /// The live gauge overlay [`SessionHandle::stats`] reads while the
     /// backend runs on its own thread.
-    fn session_gauges(&mut self) -> Arc<SharedGauges>;
+    fn session_gauges(&self) -> Arc<SharedGauges>;
 
     /// A backend whose reshufflers run out of process returns the
     /// coordinator-side [`SkewBoard`] it will feed from worker sketch
@@ -1390,18 +1391,17 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
     /// A handle that aborts the backend's run loop without waiting for
     /// quiescence — the [`SessionHandle::abandon`] surface.
     fn abort_handle(&mut self) -> Box<dyn Fn() + Send + Sync>;
-
-    /// The checkpoint the session is being restored from. A backend
-    /// with out-of-process workers must ship it to them (or they would
-    /// silently restart from empty state); an in-process backend has
-    /// nothing to do — the topology build seeds its tasks.
-    fn install_restore(&mut self, ckpt: &Checkpoint);
 }
 
-/// Factory building a live backend for one session. The hub is the
-/// session's match stream: an out-of-process backend re-emits matches
-/// received from its workers into it ([`MatchHub::emit`]).
-pub type NetBackendFactory = fn(&SessionBuilder, Arc<MatchHub>) -> Box<dyn NetBackend>;
+/// Factory building a live backend that runs one session's topology.
+/// The hub is the session's match stream: an out-of-process backend
+/// re-emits matches received from its workers into it
+/// ([`MatchHub::emit`]). The checkpoint is the one the session is
+/// restored from, if any: the topology's in-process tasks are already
+/// seeded from it, and a backend with out-of-process workers must ship
+/// it to them (or they would silently restart from empty state).
+pub type NetBackendFactory =
+    fn(&SessionBuilder, Arc<MatchHub>, Topology<OpMsg>, Option<&Checkpoint>) -> Box<dyn NetBackend>;
 
 static TCP_BACKEND: OnceLock<NetBackendFactory> = OnceLock::new();
 
@@ -1412,7 +1412,7 @@ pub fn register_tcp_backend(factory: NetBackendFactory) {
 }
 
 impl NetBackend for Runtime<OpMsg> {
-    fn session_gauges(&mut self) -> Arc<SharedGauges> {
+    fn session_gauges(&self) -> Arc<SharedGauges> {
         self.shared_gauges()
     }
 
@@ -1429,14 +1429,17 @@ impl NetBackend for Runtime<OpMsg> {
         let ks = self.kill_switch();
         Box::new(move || ks.fire())
     }
-
-    fn install_restore(&mut self, _ckpt: &Checkpoint) {}
 }
 
 /// The [`BackendChoice::Threaded`] factory: an `aoj-runtime` sized to the
 /// session's flow-control window.
-fn threaded_backend(builder: &SessionBuilder, _hub: Arc<MatchHub>) -> Box<dyn NetBackend> {
-    Box::new(Runtime::<OpMsg>::new(builder.runtime_config()))
+fn threaded_backend(
+    builder: &SessionBuilder,
+    _hub: Arc<MatchHub>,
+    topo: Topology<OpMsg>,
+    _restore: Option<&Checkpoint>,
+) -> Box<dyn NetBackend> {
+    Box::new(Runtime::new(builder.runtime_config(), topo))
 }
 
 enum Inner {
@@ -1586,25 +1589,43 @@ impl JoinSession {
     }
 }
 
+/// Build the session's topology once and start it on the chosen
+/// backend: the simulator is pumped inline by the handle, a live
+/// backend runs on the runner thread.
 fn launch(
     builder: SessionBuilder,
     queue: Arc<IngestQueue>,
     restore_from: Option<&Checkpoint>,
 ) -> SessionHandle {
+    let sim = builder.backend.choice == BackendChoice::Sim;
+    // A blocking emit on the single-threaded simulator could only
+    // deadlock the pump: the hub is always unbounded there.
+    let hub = MatchHub::new(if sim { 0 } else { builder.backend.match_buffer });
+    let mut topo = Topology::new();
+    let mut wiring = build_topology(&mut topo, &builder, &queue, &hub, restore_from);
     let factory: NetBackendFactory = match builder.backend.choice {
-        BackendChoice::Sim => return launch_sim(builder, queue, restore_from),
+        BackendChoice::Sim => {
+            let cfg = SimConfig {
+                network: builder.data_plane.network,
+                machine: Default::default(),
+                deadline: None,
+            };
+            let sim = Box::new(Sim::new(cfg, topo));
+            return SessionHandle {
+                builder,
+                queue,
+                hub,
+                inner: Some(Inner::Sim { sim, wiring }),
+                deaths: FaultLog::new(),
+            };
+        }
         BackendChoice::Threaded => threaded_backend,
         BackendChoice::Tcp => *TCP_BACKEND.get().expect(
             "BackendChoice::Tcp needs a registered backend: \
              call aoj_net::install() before opening the session",
         ),
     };
-    let hub = MatchHub::new(builder.backend.match_buffer);
-    let mut backend = factory(&builder, Arc::clone(&hub));
-    if let Some(ckpt) = restore_from {
-        backend.install_restore(ckpt);
-    }
-    let mut wiring = build_topology(&mut backend, &builder, &queue, &hub, restore_from);
+    let mut backend = factory(&builder, Arc::clone(&hub), topo, restore_from);
     if let Some(grid) = &mut wiring.grid {
         if let Some(board) = backend.remote_skew_board(wiring.slots) {
             grid.skew_board = board;
@@ -1621,7 +1642,7 @@ fn launch(
         .name("aoj-session".to_string())
         .spawn(move || {
             // Marks the run ended on the way out, unwinding included, so
-            // a `close()` waiting in `await_runner` wakes at once.
+            // a drain waiting in `end` wakes at once.
             let _ended = RunEnded(run_log);
             let end = backend.run();
             (backend, end)
@@ -1642,31 +1663,8 @@ fn launch(
     }
 }
 
-fn launch_sim(
-    builder: SessionBuilder,
-    queue: Arc<IngestQueue>,
-    restore_from: Option<&Checkpoint>,
-) -> SessionHandle {
-    // A blocking emit on the single-threaded simulator could only
-    // deadlock the pump: the hub is always unbounded here.
-    let hub = MatchHub::new(0);
-    let mut sim: Box<Sim<OpMsg>> = Box::new(Sim::new(SimConfig {
-        network: builder.data_plane.network,
-        machine: Default::default(),
-        deadline: None,
-    }));
-    let wiring = build_topology(&mut *sim, &builder, &queue, &hub, restore_from);
-    SessionHandle {
-        builder,
-        queue,
-        hub,
-        inner: Some(Inner::Sim { sim, wiring }),
-        deaths: FaultLog::new(),
-    }
-}
-
-fn build_topology<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
+fn build_topology(
+    topo: &mut Topology<OpMsg>,
     builder: &SessionBuilder,
     queue: &Arc<IngestQueue>,
     hub: &Arc<MatchHub>,
@@ -1675,8 +1673,8 @@ fn build_topology<B: ExecBackend<OpMsg>>(
     let input = Arc::clone(queue);
     let sink = Arc::clone(hub);
     match builder.kind {
-        OperatorKind::Shj => setup_shj(backend, builder, input, sink),
-        _ => setup_grid(backend, builder, input, sink, restore_from),
+        OperatorKind::Shj => setup_shj(topo, builder, input, sink),
+        _ => setup_grid(topo, builder, input, sink, restore_from),
     }
 }
 
@@ -1707,23 +1705,22 @@ impl SessionTopology {
     }
 }
 
-/// Assemble `builder`'s operator topology on any backend — the hook a
+/// Assemble `builder`'s operator topology into `topo` — the hook a
 /// worker **process** uses to rebuild the coordinator's exact task
-/// layout on its own local backend, fresh or (when its launch plan
-/// carries a snapshot) restored. Registration order is a pure function
-/// of `(builder, restore)` — the checkpoint's elastic layout decides
-/// which machines are provisioned and which deferred — so identical
-/// `TaskId`s fall out on every process that runs this over an equal
-/// pair.
-pub fn assemble_topology<B: ExecBackend<OpMsg>>(
-    backend: &mut B,
+/// layout, fresh or (when its launch plan carries a snapshot) restored.
+/// Registration order is a pure function of `(builder, restore)` — the
+/// checkpoint's elastic layout decides which machines are provisioned
+/// and which deferred — so identical `TaskId`s fall out on every process
+/// that runs this over an equal pair.
+pub fn assemble_topology(
+    topo: &mut Topology<OpMsg>,
     builder: &SessionBuilder,
     input: Arc<IngestQueue>,
     sink: Arc<MatchHub>,
     restore: Option<&Checkpoint>,
 ) -> SessionTopology {
     SessionTopology {
-        wiring: build_topology(backend, builder, &input, &sink, restore),
+        wiring: build_topology(topo, builder, &input, &sink, restore),
     }
 }
 
@@ -1775,14 +1772,7 @@ impl SessionHandle {
     /// blocks: the push pumps the simulator, which drains the queue in
     /// virtual time before returning.
     pub fn push(&mut self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
-        match self.inner.as_mut().expect("session closed") {
-            Inner::Live { .. } => self.queue.push(rel, item),
-            Inner::Sim { sim, wiring } => {
-                sim_push(&self.queue, sim, wiring, rel, item)?;
-                pump_sim(sim, wiring.source_id, &self.queue);
-                Ok(())
-            }
-        }
+        self.push_batch([(rel, item)]).map(|_| ())
     }
 
     /// Non-blocking push: [`PushError::Full`] when the ingest queue is
@@ -1899,15 +1889,7 @@ impl SessionHandle {
     /// [`health`](SessionHandle::health) and is about to recover from a
     /// checkpoint.
     pub fn abandon(mut self) {
-        // Nothing runs between pumps on the simulator.
-        if let Some(Inner::Live { runner, abort, .. }) = self.inner.take() {
-            abort();
-            self.hub.lift_bound();
-            self.queue.close();
-            let _ = runner.join();
-        }
-        // Drop finishes the hub (inner is already taken, so the drop
-        // path's join is a no-op).
+        let _ = self.end(End::Abort);
     }
 
     /// A live snapshot of the gauges the elastic controller reads:
@@ -1972,80 +1954,127 @@ impl SessionHandle {
     }
 
     /// Close ingest, run the backend to quiescence and collect the
-    /// report — plus, on request, the quiesced state's [`Checkpoint`].
-    ///
-    /// A crashed run can never drain: a death recorded before the drain
-    /// abandons the handle at once, and one recorded during it fires the
-    /// abort lever so the join cannot wedge on the dead worker's
-    /// quiescence counter. A death recorded in the drain's final
-    /// instants (the runner already returned, e.g. the TCP reactor's
-    /// abort path) counts the same: the report would silently cover a
-    /// partial run. Either way the answer is [`Crashed`].
+    /// report — plus, on request, the quiesced state's [`Checkpoint`] —
+    /// or [`Crashed`] (see [`End::Drain`]).
     pub(crate) fn finish(
         mut self,
         snapshot: bool,
     ) -> Result<(RunReport, Option<io::Result<Checkpoint>>), Crashed> {
-        let deaths = self.health();
-        if !deaths.is_empty() {
-            self.abandon();
-            return Err(Crashed { deaths });
-        }
-        // Lift the match bound *before* closing ingest: emitters blocked
-        // on a full hub must never stall the drain. The snapshot intent
-        // goes first of all: no backend quiesces before ingest closes
-        // (this `Release` pairs with `snapshot_wanted`'s `Acquire`).
+        // The snapshot intent goes first of all: no backend quiesces
+        // before ingest closes (this `Release` pairs with
+        // `snapshot_wanted`'s `Acquire`).
         self.hub.snapshot.store(snapshot, Ordering::Release);
-        self.hub.lift_bound();
-        self.queue.close();
+        let Drained {
+            backend,
+            remote,
+            wiring,
+            end,
+        } = self.end(End::Drain)?.expect("session already closed");
+        let (b, backend) = (&self.builder, &*backend);
         let pushed = self.queue.pushed();
         let arrivals = self.queue.take_arrivals();
-        let out = match self.inner.take().expect("session already closed") {
-            // Nothing kills a simulator machine inside a pump.
-            Inner::Sim { mut sim, wiring } => {
+        let finals = remote
+            .unwrap_or_else(|| harvest(wiring.result_tasks(), |id| backend.task_any(id), snapshot));
+        let ckpt = snapshot.then(|| {
+            let src = source_task(backend, wiring.source_id);
+            build_checkpoint(b, &finals, src.cursor as u64, src.window_copies)
+        });
+        let report = collect(backend, b, &wiring, finals, pushed, end, arrivals.as_ref());
+        Ok((report, ckpt))
+    }
+
+    /// The one path a session's run ends by. It lifts the match bound
+    /// (emitters blocked on a full hub must never stall the end) and
+    /// closes ingest; then it pumps the simulator, or waits for the live
+    /// runner — firing the abort lever at once on [`End::Abort`] or as
+    /// soon as a worker death is recorded, so the join cannot wedge on
+    /// the dead worker's quiescence counter — and joins it. Every way
+    /// ends by finishing the hub: subscriptions yield what was emitted
+    /// and then end. A second call finds no run.
+    fn end(&mut self, how: End) -> Result<Option<Drained>, Crashed> {
+        // Captured before an abort, which may record more.
+        let mut deaths = self.health();
+        let drain = how == End::Drain && deaths.is_empty();
+        self.hub.lift_bound();
+        self.queue.close();
+        let run = match self.inner.take() {
+            // Nothing runs between pumps, and nothing kills a simulator
+            // machine inside one.
+            Some(Inner::Sim { mut sim, wiring }) if drain => {
                 let end = pump_sim(&mut sim, wiring.source_id, &self.queue);
-                quiesced(
-                    &*sim,
-                    &self.builder,
-                    &wiring,
-                    None,
-                    pushed,
+                Some(Drained {
+                    backend: sim,
+                    remote: None,
+                    wiring,
                     end,
-                    arrivals.as_ref(),
-                    snapshot,
-                )
+                })
             }
-            Inner::Live {
+            Some(Inner::Live {
                 runner,
                 wiring,
                 abort,
                 ..
-            } => {
-                await_runner(&self.deaths, &*abort);
-                let joined = runner.join();
-                // Read after the join, which sees every death the run
-                // recorded, however late.
-                let deaths = self.health();
-                if !deaths.is_empty() {
-                    return Err(Crashed { deaths });
+            }) => {
+                if how == End::Abort || !self.deaths.await_end_or_death() {
+                    abort();
                 }
-                let (mut backend, end) =
-                    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                let remote = backend.take_finals();
-                quiesced(
-                    &backend,
-                    &self.builder,
-                    &wiring,
-                    remote,
-                    pushed,
-                    end,
-                    arrivals.as_ref(),
-                    snapshot,
-                )
+                let joined = runner.join();
+                if drain {
+                    // Read after the join, which sees every death the
+                    // run recorded, however late.
+                    deaths = self.health();
+                }
+                match joined {
+                    // Only a healthy drain propagates a runner panic:
+                    // resuming one inside a drop (possibly during
+                    // another unwind) would abort.
+                    _ if !drain || !deaths.is_empty() => None,
+                    Ok((mut backend, end)) => Some(Drained {
+                        remote: backend.take_finals(),
+                        backend,
+                        wiring,
+                        end,
+                    }),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
             }
+            _ => None,
         };
         self.hub.finish();
-        Ok(out)
+        match how {
+            End::Drain if !deaths.is_empty() => Err(Crashed { deaths }),
+            _ => Ok(run),
+        }
     }
+}
+
+/// How [`SessionHandle::end`] ends a run.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// Run to quiescence and hand the backend to collection (`close`,
+    /// `checkpoint`). A worker death recorded before the drain, during
+    /// it, or in its final instants (the runner already returned, e.g.
+    /// the TCP reactor's abort path) makes it [`Crashed`] instead: the
+    /// report would silently cover a partial run.
+    Drain,
+    /// Fire the abort lever at once (`abandon`): the only safe exit
+    /// from a crashed run, whose drain would never finish.
+    Abort,
+    /// Let a live runner drain the closed queue, so a subscriber's
+    /// iterator does not end while matches are in flight, and swallow
+    /// its panic (a handle dropped without `close`).
+    Release,
+}
+
+/// A drained run, ready for collection.
+struct Drained {
+    /// The quiesced backend.
+    backend: Box<dyn ExecBackend<OpMsg>>,
+    /// [`NetBackend::take_finals`]' answer; without one the finals are
+    /// harvested from the backend's own tasks.
+    remote: Option<Finals>,
+    wiring: Wiring,
+    end: SimTime,
 }
 
 /// Marks the session's [`FaultLog`] when the runner thread leaves the
@@ -2058,59 +2087,9 @@ impl Drop for RunEnded {
     }
 }
 
-/// Sleep until the runner has left the backend's run or a worker death
-/// is recorded; on a death while the runner still runs, fire the abort
-/// lever so the runner unwedges.
-fn await_runner(deaths: &FaultLog, abort: &dyn Fn()) {
-    if !deaths.await_end_or_death() {
-        abort();
-    }
-}
-
-/// What a quiesced backend yields: the report and, when `snapshot` is
-/// set, the [`Checkpoint`] (grid operators only) built from the same
-/// finals. `remote` is [`NetBackend::take_finals`]' answer; without one
-/// the finals are harvested from the backend's own tasks.
-#[allow(clippy::too_many_arguments)]
-fn quiesced<B: ExecBackend<OpMsg>>(
-    backend: &B,
-    builder: &SessionBuilder,
-    wiring: &Wiring,
-    remote: Option<Finals>,
-    pushed: u64,
-    end: SimTime,
-    arrivals: Option<&ArrivalBits>,
-    snapshot: bool,
-) -> (RunReport, Option<io::Result<Checkpoint>>) {
-    let finals = remote
-        .unwrap_or_else(|| harvest(wiring.result_tasks(), |id| backend.task_any(id), snapshot));
-    let ckpt = snapshot.then(|| {
-        // The source runs in process on every backend.
-        let src = backend.task_ref::<SourceTask>(wiring.source_id);
-        build_checkpoint(builder, &finals, src.cursor as u64, src.window_copies)
-    });
-    let report = collect(backend, builder, wiring, finals, pushed, end, arrivals);
-    (report, ckpt)
-}
-
 impl Drop for SessionHandle {
     fn drop(&mut self) {
-        // A handle dropped without close(): release everything that
-        // could block another thread, in the same order close() uses.
-        self.hub.lift_bound();
-        self.queue.close();
-        // Wait for the runner to drain the (now closed) queue before
-        // finishing the hub: joiners may still be emitting, and a
-        // subscriber's iterator must not end while matches are in
-        // flight. A worker panic is swallowed here — resuming a panic
-        // inside drop (possibly during another unwind) would abort;
-        // close() is the path that propagates it. A recorded death fires
-        // the abort lever instead of wedging the join.
-        if let Some(Inner::Live { runner, abort, .. }) = self.inner.take() {
-            await_runner(&self.deaths, &*abort);
-            let _ = runner.join();
-        }
-        self.hub.finish();
+        let _ = self.end(End::Release);
     }
 }
 

@@ -197,7 +197,7 @@ impl SupervisedSession {
                         stats: self.stats,
                     };
                 }
-                Err(crashed) => self.roll_back(&crashed.deaths, Instant::now()),
+                Err(crashed) => self.roll_back(&crashed.deaths),
             }
         }
     }
@@ -237,25 +237,26 @@ impl SupervisedSession {
         if deaths.is_empty() {
             return false;
         }
-        let t0 = Instant::now();
         self.inner.take().expect("session closed").abandon();
         // The abandon finished the hub: collect the partial deliveries
         // the dead incarnation managed (the dedup needs them).
         self.drain_matches();
-        self.roll_back(&deaths, t0);
+        self.roll_back(&deaths);
         true
     }
 
     /// The bookkeeping every recovery shares: count the deaths, rewind
-    /// the log and open the next incarnation.
-    fn roll_back(&mut self, deaths: &[WorkerDeath], since: Instant) {
+    /// the log and open the next incarnation, timing only the reopen
+    /// (see [`RecoveryStats::recovery_time_us`]).
+    fn roll_back(&mut self, deaths: &[WorkerDeath]) {
         for d in deaths {
             self.stats.crashes += 1;
             self.stats.detection_latency_us += d.detect_latency_us;
         }
         self.stats.replayed_tuples += self.log.len() as u64;
+        let t0 = Instant::now();
         self.reopen();
-        self.stats.recovery_time_us += since.elapsed().as_micros() as u64;
+        self.stats.recovery_time_us += t0.elapsed().as_micros() as u64;
     }
 
     /// Open the next incarnation: from the adopted checkpoint when one
@@ -334,7 +335,7 @@ impl SupervisedSession {
                 let seq = self.ckpt_seq;
                 self.fire_due(|t| matches!(t, FaultTrigger::OnCheckpoint { k } if seq >= k));
             }
-            Err(crashed) => self.roll_back(&crashed.deaths, Instant::now()),
+            Err(crashed) => self.roll_back(&crashed.deaths),
         }
     }
 

@@ -489,6 +489,11 @@ fn hot_key_session(
         .with_elastic(ElasticConfig::new(64 << 10, 1))
         .with_window_copies(ELASTIC_WINDOW)
         .with_collect_matches(true);
+    if backend == BackendChoice::Tcp {
+        // The trigger sees stored bytes only through periodic gauge
+        // frames: push in two parts so the expansion can fire.
+        return run_tcp_elastic(builder, arrivals);
+    }
     let mut session = JoinSession::open(builder);
     session.push_batch(arrivals.iter().copied()).unwrap();
     session.close()

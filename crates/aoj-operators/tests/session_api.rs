@@ -17,7 +17,9 @@
 //! * at low load the live backends add no timer to a tuple's path: the
 //!   coalescers ship when their machine goes idle, an open idle session
 //!   parks its source instead of polling, and a push after a pause still
-//!   reaches the joiners at once.
+//!   reaches the joiners at once;
+//! * a handle dropped without `close()` drains what was pushed, and its
+//!   subscriptions see every match and then end.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -945,4 +947,40 @@ fn low_load_idle_session_parks_tcp() {
     let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     low_load_idle_session_parks(BackendChoice::Tcp, Duration::from_millis(25));
+}
+
+/// A handle dropped without `close()` still drains what was pushed
+/// before it: a subscriber counting on its own thread sees every match,
+/// and its iterator ends within the watchdog instead of hanging.
+fn drop_open_session_drains_and_ends_subscriptions(backend: BackendChoice) {
+    let seed = 0xD20_0001;
+    let w = workload(200, 1_800, 150, seed);
+    let arrivals = interleave(&w, seed);
+    let builder = SessionBuilder::new(2, OperatorKind::Dynamic)
+        .with_predicate(w.predicate.clone())
+        .with_workload(w.name)
+        .with_seed(seed)
+        .with_backend(backend);
+    let mut session = JoinSession::open(builder);
+    let sub = session.subscribe();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(sub.count() as u64));
+    session.push_batch(arrivals).unwrap();
+    drop(session);
+    let seen = rx
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{backend:?}: the subscription outlived the dropped session"));
+    assert_eq!(seen, reference_match_count(&w), "{backend:?}");
+}
+
+#[test]
+fn drop_open_session_drains_and_ends_subscriptions_threaded() {
+    drop_open_session_drains_and_ends_subscriptions(BackendChoice::Threaded);
+}
+
+#[test]
+fn drop_open_session_drains_and_ends_subscriptions_tcp() {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    drop_open_session_drains_and_ends_subscriptions(BackendChoice::Tcp);
 }

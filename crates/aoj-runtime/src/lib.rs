@@ -7,9 +7,11 @@
 //! threads for wall-clock measurements (throughput in tuples/s, real
 //! match latency, real queueing and backpressure).
 //!
-//! [`Runtime`] implements [`aoj_simnet::ExecBackend`], so anything
-//! written against the backend abstraction (notably
-//! `aoj_operators::driver`) runs unchanged on either substrate:
+//! [`Runtime::new`] takes the same [`aoj_simnet::Topology`] value the
+//! simulator is built from, and [`Runtime`] implements
+//! [`aoj_simnet::ExecBackend`], so anything written against the backend
+//! abstraction (notably `aoj_operators::driver`) runs unchanged on
+//! either substrate:
 //!
 //! * one **worker thread per machine**, servicing a class-aware
 //!   mailbox with the simulator's weighted policy
@@ -29,12 +31,14 @@
 //! * **metrics without a global lock**: each worker owns a private
 //!   [`aoj_simnet::Metrics`] shard, folded together after the run.
 //!
-//! Task ids are assigned sequentially by `add_task` (exactly like the
-//! simulator), so mutually-referencing tasks can be wired up front:
+//! Task ids are assigned sequentially by `Topology::add_task`, so
+//! mutually-referencing tasks can be wired up front:
 //!
 //! ```
 //! use aoj_runtime::{Runtime, RuntimeConfig};
-//! use aoj_simnet::{Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId};
+//! use aoj_simnet::{
+//!     Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId, Topology,
+//! };
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping(u32);
@@ -56,12 +60,13 @@
 //!     }
 //! }
 //!
-//! let mut rt: Runtime<Ping> = Runtime::new(RuntimeConfig::default());
-//! let m0 = rt.add_machine();
-//! let m1 = rt.add_machine();
-//! let a = rt.add_task(m0, Box::new(Echo { peer: TaskId(1), got: 99 }));
-//! let b = rt.add_task(m1, Box::new(Echo { peer: TaskId(0), got: 99 }));
-//! rt.start_timer_at(SimTime::ZERO, a, 0);
+//! let mut topo = Topology::new();
+//! let m0 = topo.add_machine();
+//! let m1 = topo.add_machine();
+//! let a = topo.add_task(m0, Box::new(Echo { peer: TaskId(1), got: 99 }));
+//! let b = topo.add_task(m1, Box::new(Echo { peer: TaskId(0), got: 99 }));
+//! topo.start_timer_at(SimTime::ZERO, a, 0);
+//! let mut rt = Runtime::new(RuntimeConfig::default(), topo);
 //! rt.run();
 //! // Same rally as the aoj-simnet front-page example: b received 0 and
 //! // 2, a received 1 and the final 3.

@@ -89,7 +89,7 @@
 //! [`Ctx::park`]: aoj_simnet::Ctx::park
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -102,7 +102,7 @@ pub const BACKPRESSURE_WAIT: Duration = Duration::from_millis(20);
 
 use crate::condvar::CountedCondvar;
 use aoj_simnet::{
-    Ctx, Effect, MachineId, Metrics, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId,
+    Ctx, Effect, MachineId, Metrics, MsgClass, SimDuration, SimMessage, SimTime, TaskId, TaskMap,
     Waker,
 };
 
@@ -552,9 +552,6 @@ impl<M> State<M> {
         self.or_idle_timers = 0;
     }
 }
-
-/// The tasks a machine loop hosts, by task index.
-pub type TaskMap<M> = HashMap<usize, Box<dyn Process<M> + Send>>;
 
 /// Hand every task in `tasks` the [`Waker`] that unparks it on
 /// `mailbox`. Every live machine loop calls this before it services its

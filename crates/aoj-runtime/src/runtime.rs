@@ -12,11 +12,11 @@ use std::time::Instant;
 
 use aoj_core::{DeathCause, FaultLog, WorkerDeath};
 use aoj_simnet::{
-    Effect, ExecBackend, MachineId, Metrics, NetworkConfig, Process, SharedGauges, SimMessage,
-    SimTime, TaskId,
+    Effect, ExecBackend, MachineId, Metrics, SharedGauges, SimMessage, SimTime, TaskId, TaskMap,
+    Topology,
 };
 
-use crate::mailbox::{dispatch, install_wakers, Mailbox, TaskMap, Work};
+use crate::mailbox::{dispatch, install_wakers, Mailbox, Work};
 
 /// Threaded-backend knobs.
 #[derive(Clone, Copy, Debug)]
@@ -221,7 +221,7 @@ impl<M: SimMessage + Send + 'static> Drop for PanicGuard<'_, M> {
 
 /// The multi-threaded execution backend.
 ///
-/// Hosts the same [`Process`] task graph the simulator runs, on one OS
+/// Hosts the same [`Topology`] the simulator runs, on one OS
 /// thread per machine. Guarantees the [`ExecBackend`] contract: FIFO
 /// delivery per (sender, receiver, class) — producers enqueue under the
 /// destination's lock in program order — and weighted class service in
@@ -230,19 +230,13 @@ impl<M: SimMessage + Send + 'static> Drop for PanicGuard<'_, M> {
 /// latency are real measurements.
 pub struct Runtime<M: SimMessage + Send + 'static> {
     cfg: RuntimeConfig,
-    machines: usize,
-    /// Machines registered deferred: no worker thread until a mid-run
-    /// provision effect names them.
-    deferred: Vec<bool>,
-    tasks: Vec<Option<Box<dyn Process<M> + Send>>>,
-    task_machine: Vec<MachineId>,
-    pending_timers: Vec<(SimTime, TaskId, u64)>,
-    metrics: Metrics,
+    /// The task graph; its tasks live on worker threads during `run`
+    /// and return to it afterwards.
+    topo: Topology<M>,
     provisioned: usize,
     peak_provisioned: usize,
-    /// Gauge overlay created ahead of `run` (live sessions read it from
-    /// the caller thread while workers execute).
-    pre_gauges: Option<Arc<SharedGauges>>,
+    /// The cluster-wide gauge overlay every worker shard carries.
+    gauges: Arc<SharedGauges>,
     /// Deaths of workers crashed through the kill switch.
     deaths: FaultLog,
     /// External kill lever, installed into the next `run`.
@@ -250,19 +244,17 @@ pub struct Runtime<M: SimMessage + Send + 'static> {
 }
 
 impl<M: SimMessage + Send + 'static> Runtime<M> {
-    /// An empty runtime; add machines and tasks, then `run`.
-    pub fn new(cfg: RuntimeConfig) -> Runtime<M> {
+    /// A runtime for `topology`, ready to `run`.
+    pub fn new(cfg: RuntimeConfig, mut topology: Topology<M>) -> Runtime<M> {
+        let gauges = SharedGauges::new(topology.machines().len());
+        topology.metrics.install_shared(Arc::clone(&gauges));
+        let eager = topology.eager_machines();
         Runtime {
             cfg,
-            machines: 0,
-            deferred: Vec::new(),
-            tasks: Vec::new(),
-            task_machine: Vec::new(),
-            pending_timers: Vec::new(),
-            metrics: Metrics::default(),
-            provisioned: 0,
-            peak_provisioned: 0,
-            pre_gauges: None,
+            topo: topology,
+            provisioned: eager,
+            peak_provisioned: eager,
+            gauges,
             deaths: FaultLog::new(),
             kill_sw: None,
         }
@@ -294,27 +286,16 @@ impl<M: SimMessage + Send + 'static> Runtime<M> {
     /// Worker threads the run starts with (one per eagerly provisioned
     /// machine; deferred machines get theirs at trigger time).
     pub fn worker_threads(&self) -> usize {
-        self.deferred.iter().filter(|&&d| !d).count()
+        self.topo.eager_machines()
     }
 
-    /// The cluster-wide gauge overlay ([`SharedGauges`]), created on
-    /// first call and reused by [`run`](ExecBackend::run).
-    ///
-    /// Live sessions call this **after the topology is built** and keep
-    /// the `Arc` on the caller side: the per-machine stored-byte gauges
-    /// and the cluster-wide processed counter are then readable from any
-    /// thread while the run executes — the same view the elastic
-    /// controller triggers on. The overlay is sized to the machine count
-    /// at the time of the call; adding machines afterwards panics in
-    /// `run`.
-    pub fn shared_gauges(&mut self) -> Arc<SharedGauges> {
-        if let Some(g) = &self.pre_gauges {
-            return Arc::clone(g);
-        }
-        let g = SharedGauges::new(self.machines);
-        self.metrics.install_shared(Arc::clone(&g));
-        self.pre_gauges = Some(Arc::clone(&g));
-        g
+    /// The cluster-wide gauge overlay ([`SharedGauges`]) every worker
+    /// shard writes through. Live sessions keep the `Arc` on the caller
+    /// side: the per-machine stored-byte gauges and the cluster-wide
+    /// processed counter are then readable from any thread while the
+    /// run executes — the same view the elastic controller triggers on.
+    pub fn shared_gauges(&self) -> Arc<SharedGauges> {
+        Arc::clone(&self.gauges)
     }
 }
 
@@ -560,46 +541,12 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
         "threaded"
     }
 
-    fn add_machine(&mut self) -> MachineId {
-        let id = MachineId(self.machines);
-        self.machines += 1;
-        self.deferred.push(false);
-        self.metrics.add_machine();
-        id
-    }
-
-    fn add_machine_with_network(&mut self, _network: NetworkConfig) -> MachineId {
-        // Real threads share memory; there is no per-machine NIC to model.
-        ExecBackend::<M>::add_machine(self)
-    }
-
-    fn add_deferred_machine(&mut self) -> MachineId {
-        let id = MachineId(self.machines);
-        self.machines += 1;
-        self.deferred.push(true);
-        self.metrics.add_machine();
-        id
-    }
-
     fn provisioned_machines(&self) -> usize {
         self.provisioned
     }
 
     fn peak_provisioned_machines(&self) -> usize {
         self.peak_provisioned
-    }
-
-    fn add_task(&mut self, machine: MachineId, task: Box<dyn Process<M> + Send>) -> TaskId {
-        assert!(machine.index() < self.machines, "unknown machine");
-        let id = TaskId(self.tasks.len());
-        self.tasks.push(Some(task));
-        self.task_machine.push(machine);
-        id
-    }
-
-    fn start_timer_at(&mut self, at: SimTime, task: TaskId, key: u64) {
-        assert!(task.index() < self.tasks.len(), "unknown task");
-        self.pending_timers.push((at, task, key));
     }
 
     fn has_global_metrics_view(&self) -> bool {
@@ -612,30 +559,13 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &self.topo.metrics
     }
 
     fn run(&mut self) -> SimTime {
-        let gauges = match self.pre_gauges.take() {
-            Some(g) => {
-                assert_eq!(
-                    g.machine_count(),
-                    self.machines,
-                    "shared_gauges() was called before the topology was complete"
-                );
-                g
-            }
-            None => {
-                let g = SharedGauges::new(self.machines);
-                self.metrics.install_shared(Arc::clone(&g));
-                g
-            }
-        };
-        let mailboxes: Vec<Arc<Mailbox<M>>> = (0..self.machines)
+        let deferred: Vec<bool> = self.topo.machines().iter().map(|m| m.deferred).collect();
+        let machines = deferred.len();
+        let mailboxes: Vec<Arc<Mailbox<M>>> = (0..machines)
             .map(|_| {
                 Arc::new(Mailbox::new(
                     self.cfg.data_queue_capacity,
@@ -646,26 +576,25 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
         let eager = self.worker_threads();
         let shared = Arc::new(Shared {
             mailboxes,
-            task_machine: self.task_machine.clone(),
+            task_machine: self.topo.task_machine().to_vec(),
             outstanding: AtomicI64::new(0),
             done: AtomicBool::new(false),
             end_us: AtomicU64::new(0),
             start: Instant::now(),
             parked: Mutex::new(HashMap::new()),
             dynamic: Mutex::new(Vec::new()),
-            gauges: Arc::clone(&gauges),
-            sample_spacing: self.metrics.sample_spacing,
-            machines: self.machines,
+            gauges: Arc::clone(&self.gauges),
+            sample_spacing: self.topo.metrics.sample_spacing,
+            machines,
             drain_batch: self.cfg.drain_batch.max(1),
             provisioned: AtomicUsize::new(eager),
             peak_provisioned: AtomicUsize::new(eager),
-            flush_pending: (0..self.machines).map(|_| AtomicUsize::new(0)).collect(),
-            machine_state: self
-                .deferred
+            flush_pending: (0..machines).map(|_| AtomicUsize::new(0)).collect(),
+            machine_state: deferred
                 .iter()
                 .map(|&d| AtomicU8::new(if d { MACHINE_DEFERRED } else { MACHINE_ACTIVE }))
                 .collect(),
-            kill_requested: (0..self.machines).map(|_| AtomicBool::new(false)).collect(),
+            kill_requested: (0..machines).map(|_| AtomicBool::new(false)).collect(),
             deaths: self.deaths.clone(),
         });
 
@@ -681,20 +610,12 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
             }
         }
 
-        // Partition tasks onto their machines.
-        let mut per_machine: Vec<TaskMap<M>> = (0..self.machines).map(|_| HashMap::new()).collect();
-        for (idx, slot) in self.tasks.iter_mut().enumerate() {
-            if let Some(task) = slot.take() {
-                per_machine[self.task_machine[idx].index()].insert(idx, task);
-            }
-        }
-
         // Bootstrap timers are the run's initial work.
-        for (at, task, key) in self.pending_timers.drain(..) {
+        for &(at, task, key) in self.topo.timers() {
             shared.outstanding.fetch_add(1, Ordering::SeqCst);
             let m = shared.task_machine[task.index()];
             assert!(
-                !self.deferred[m.index()],
+                !deferred[m.index()],
                 "bootstrap timer on a deferred machine"
             );
             shared.mailboxes[m.index()].push_timer(at.as_micros(), task, key, false);
@@ -709,9 +630,10 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
         // Park them all *before* the first eager worker starts: a
         // bootstrap handler may provision a deferred machine in its very
         // first effects, and the provision must find the tasks parked.
-        let mut eager_machines = Vec::with_capacity(self.machines);
-        for (i, tasks) in per_machine.into_iter().enumerate() {
-            if self.deferred[i] {
+        let mut eager_machines = Vec::with_capacity(machines);
+        for (i, &d) in deferred.iter().enumerate() {
+            let tasks = self.topo.take_machine_tasks(MachineId(i));
+            if d {
                 shared.parked.lock().unwrap().insert(i, tasks);
             } else {
                 eager_machines.push((i, tasks));
@@ -723,19 +645,16 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
             .collect();
 
         let mut panic_payload: Option<Box<dyn Any + Send>> = None;
-        let mut collect = |result: thread::Result<(TaskMap<M>, Metrics)>,
-                           tasks_out: &mut Vec<Option<Box<dyn Process<M> + Send>>>,
-                           metrics: &mut Metrics| match result {
+        let topo = &mut self.topo;
+        let mut collect = |result: thread::Result<(TaskMap<M>, Metrics)>| match result {
             Ok((tasks, shard)) => {
-                for (idx, task) in tasks {
-                    tasks_out[idx] = Some(task);
-                }
-                metrics.absorb(&shard);
+                topo.restore_tasks(tasks);
+                topo.metrics.absorb(&shard);
             }
             Err(p) => panic_payload = Some(p),
         };
         for handle in handles {
-            collect(handle.join(), &mut self.tasks, &mut self.metrics);
+            collect(handle.join());
         }
         // Workers spawned at trigger time finish like the initial ones
         // (shutdown wakes every mailbox); no new spawns can occur once
@@ -743,7 +662,7 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
         loop {
             let handle = shared.dynamic.lock().unwrap().pop();
             match handle {
-                Some(h) => collect(h.join(), &mut self.tasks, &mut self.metrics),
+                Some(h) => collect(h.join()),
                 None => break,
             }
         }
@@ -756,11 +675,8 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
         }
         // Machines whose trigger never fired: hand their tasks back so
         // post-run inspection sees them (dormant, zero state).
-        for (idx, tasks) in shared.parked.lock().unwrap().drain() {
-            let _ = idx;
-            for (tid, task) in tasks {
-                self.tasks[tid] = Some(task);
-            }
+        for (_, tasks) in shared.parked.lock().unwrap().drain() {
+            self.topo.restore_tasks(tasks);
         }
         self.provisioned = shared.provisioned.load(Ordering::SeqCst);
         self.peak_provisioned = shared.peak_provisioned.load(Ordering::SeqCst);
@@ -768,9 +684,6 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
     }
 
     fn task_any(&self, id: TaskId) -> &dyn Any {
-        self.tasks[id.index()]
-            .as_ref()
-            .expect("task unavailable (run in progress or never returned)")
-            .as_any()
+        self.topo.task_any(id)
     }
 }

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use aoj_core::{DeathCause, FaultLog};
 use aoj_runtime::{KillSwitch, Runtime, RuntimeConfig};
-use aoj_simnet::{Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, TaskId};
+use aoj_simnet::{Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, TaskId, Topology};
 
 #[derive(Clone, Debug)]
 struct Tick;
@@ -66,19 +66,20 @@ fn end_run_on_death(
 }
 
 /// Machine 0 pumps ticks into a sink on machine 1.
-fn pump_and_sink() -> (Runtime<Tick>, usize) {
-    let mut rt: Runtime<Tick> = Runtime::new(RuntimeConfig::default());
-    let m0 = rt.add_machine();
-    let m1 = rt.add_machine();
-    let sink = rt.add_task(m1, Box::new(Sink));
-    let pump = rt.add_task(m0, Box::new(Pump { to: sink }));
-    rt.start_timer_at(aoj_simnet::SimTime::ZERO, pump, 0);
-    (rt, m1.index())
+fn pump_and_sink() -> (Topology<Tick>, usize) {
+    let mut topo = Topology::new();
+    let m0 = topo.add_machine();
+    let m1 = topo.add_machine();
+    let sink = topo.add_task(m1, Box::new(Sink));
+    let pump = topo.add_task(m0, Box::new(Pump { to: sink }));
+    topo.start_timer_at(aoj_simnet::SimTime::ZERO, pump, 0);
+    (topo, m1.index())
 }
 
 #[test]
 fn kill_request_crashes_victim_and_kill_switch_unwedges_run() {
-    let (mut rt, victim) = pump_and_sink();
+    let (topo, victim) = pump_and_sink();
+    let mut rt = Runtime::new(RuntimeConfig::default(), topo);
     let log = rt.death_log();
     let ks = rt.kill_switch();
     let requester = Arc::clone(&ks);
@@ -103,7 +104,8 @@ fn kill_request_crashes_victim_and_kill_switch_unwedges_run() {
 fn requests_made_before_the_run_are_remembered() {
     // A kill requested before run(): the victim dies on its first
     // quantum.
-    let (mut rt, victim) = pump_and_sink();
+    let (topo, victim) = pump_and_sink();
+    let mut rt = Runtime::new(RuntimeConfig::default(), topo);
     let log = rt.death_log();
     let ks = rt.kill_switch();
     ks.kill(victim);
@@ -113,11 +115,12 @@ fn requests_made_before_the_run_are_remembered() {
     assert_eq!(log.drain().len(), 1);
 
     // A switch fired before run() begins ends the run at startup.
-    let mut rt2: Runtime<Tick> = Runtime::new(RuntimeConfig::default());
-    let m = rt2.add_machine();
-    let sink2 = rt2.add_task(m, Box::new(Sink));
-    let pump2 = rt2.add_task(m, Box::new(Pump { to: sink2 }));
-    rt2.start_timer_at(aoj_simnet::SimTime::ZERO, pump2, 0);
+    let mut topo2 = Topology::new();
+    let m = topo2.add_machine();
+    let sink2 = topo2.add_task(m, Box::new(Sink));
+    let pump2 = topo2.add_task(m, Box::new(Pump { to: sink2 }));
+    topo2.start_timer_at(aoj_simnet::SimTime::ZERO, pump2, 0);
+    let mut rt2 = Runtime::new(RuntimeConfig::default(), topo2);
     rt2.kill_switch().fire();
     rt2.run(); // returns promptly instead of pumping forever
 }
@@ -126,9 +129,10 @@ fn requests_made_before_the_run_are_remembered() {
 fn kill_request_wakes_an_idle_victim() {
     // Machine 2 hosts a sink nobody sends to: its worker sleeps on an
     // empty mailbox with no timer, so only the request can wake it.
-    let (mut rt, _) = pump_and_sink();
-    let idle = rt.add_machine();
-    rt.add_task(idle, Box::new(Sink));
+    let (mut topo, _) = pump_and_sink();
+    let idle = topo.add_machine();
+    topo.add_task(idle, Box::new(Sink));
+    let mut rt = Runtime::new(RuntimeConfig::default(), topo);
     let log = rt.death_log();
     let ks = rt.kill_switch();
     let requester = Arc::clone(&ks);

@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aoj_runtime::{Runtime, RuntimeConfig};
-use aoj_simnet::{Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId};
+use aoj_simnet::{
+    Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId, Topology,
+};
 
 #[derive(Clone, Debug)]
 struct Payload {
@@ -88,12 +90,12 @@ impl Process<Payload> for Receiver {
 fn per_channel_fifo_within_class_on_real_threads() {
     let n_senders = 4usize;
     let per_sender = 500u64;
-    let mut rt: Runtime<Payload> = Runtime::new(RuntimeConfig::default());
-    let recv_machine = rt.add_machine();
-    let recv_id = rt.add_task(recv_machine, Box::new(Receiver::default()));
+    let mut topo = Topology::new();
+    let recv_machine = topo.add_machine();
+    let recv_id = topo.add_task(recv_machine, Box::new(Receiver::default()));
     for s in 0..n_senders {
-        let m = rt.add_machine();
-        let t = rt.add_task(
+        let m = topo.add_machine();
+        let t = topo.add_task(
             m,
             Box::new(Sender {
                 idx: s,
@@ -102,8 +104,9 @@ fn per_channel_fifo_within_class_on_real_threads() {
                 sent: 0,
             }),
         );
-        rt.start_timer_at(SimTime::ZERO, t, 0);
+        topo.start_timer_at(SimTime::ZERO, t, 0);
     }
+    let mut rt: Runtime<Payload> = Runtime::new(RuntimeConfig::default(), topo);
     assert_eq!(rt.worker_threads(), n_senders + 1);
     rt.run();
 
@@ -130,9 +133,10 @@ fn per_channel_fifo_within_class_on_real_threads() {
 
 #[test]
 fn empty_run_terminates_immediately() {
-    let mut rt: Runtime<Payload> = Runtime::new(RuntimeConfig::default());
-    let m = rt.add_machine();
-    rt.add_task(m, Box::new(Receiver::default()));
+    let mut topo = Topology::new();
+    let m = topo.add_machine();
+    topo.add_task(m, Box::new(Receiver::default()));
+    let mut rt: Runtime<Payload> = Runtime::new(RuntimeConfig::default(), topo);
     let end = rt.run();
     // No bootstrap work: quiesces without hanging.
     assert!(
@@ -206,13 +210,10 @@ impl Process<Payload> for MutualFlooder {
 #[test]
 fn mutual_data_floods_do_not_deadlock() {
     let burst = 2_000u64;
-    let mut rt: Runtime<Payload> = Runtime::new(RuntimeConfig {
-        data_queue_capacity: 8, // far below the in-flight volume
-        ..RuntimeConfig::default()
-    });
-    let m0 = rt.add_machine();
-    let m1 = rt.add_machine();
-    let a = rt.add_task(
+    let mut topo = Topology::new();
+    let m0 = topo.add_machine();
+    let m1 = topo.add_machine();
+    let a = topo.add_task(
         m0,
         Box::new(MutualFlooder {
             peer: TaskId(1),
@@ -220,7 +221,7 @@ fn mutual_data_floods_do_not_deadlock() {
             received: 0,
         }),
     );
-    let b = rt.add_task(
+    let b = topo.add_task(
         m1,
         Box::new(MutualFlooder {
             peer: TaskId(0),
@@ -228,8 +229,13 @@ fn mutual_data_floods_do_not_deadlock() {
             received: 0,
         }),
     );
-    rt.start_timer_at(SimTime::ZERO, a, 0);
-    rt.start_timer_at(SimTime::ZERO, b, 0);
+    topo.start_timer_at(SimTime::ZERO, a, 0);
+    topo.start_timer_at(SimTime::ZERO, b, 0);
+    let cfg = RuntimeConfig {
+        data_queue_capacity: 8, // far below the in-flight volume
+        ..RuntimeConfig::default()
+    };
+    let mut rt: Runtime<Payload> = Runtime::new(cfg, topo);
     rt.run();
     assert_eq!(rt.task_ref::<MutualFlooder>(a).received, burst);
     assert_eq!(rt.task_ref::<MutualFlooder>(b).received, burst);
@@ -238,11 +244,11 @@ fn mutual_data_floods_do_not_deadlock() {
 #[test]
 fn termination_waits_for_message_chains() {
     let hops = Arc::new(AtomicU64::new(10_000));
-    let mut rt: Runtime<Payload> = Runtime::new(RuntimeConfig::default());
+    let mut topo = Topology::new();
     let n = 5usize;
-    let machines: Vec<_> = (0..n).map(|_| rt.add_machine()).collect();
+    let machines: Vec<_> = (0..n).map(|_| topo.add_machine()).collect();
     for (i, &machine) in machines.iter().enumerate() {
-        let id = rt.add_task(
+        let id = topo.add_task(
             machine,
             Box::new(Ring {
                 next: TaskId((i + 1) % n),
@@ -251,7 +257,8 @@ fn termination_waits_for_message_chains() {
         );
         assert_eq!(id, TaskId(i));
     }
-    rt.start_timer_at(SimTime::ZERO, TaskId(0), 0);
+    topo.start_timer_at(SimTime::ZERO, TaskId(0), 0);
+    let mut rt: Runtime<Payload> = Runtime::new(RuntimeConfig::default(), topo);
     rt.run();
     // The full chain was consumed before the run was declared quiescent.
     assert_eq!(hops.load(Ordering::SeqCst), 0);

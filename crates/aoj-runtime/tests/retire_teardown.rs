@@ -11,6 +11,7 @@
 use aoj_runtime::{Runtime, RuntimeConfig};
 use aoj_simnet::{
     Ctx, ExecBackend, MachineId, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId,
+    Topology,
 };
 
 /// Live thread count of this process, from `/proc/self/status`.
@@ -136,12 +137,12 @@ impl Process<TestMsg> for Driver {
 
 #[test]
 fn retired_workers_release_their_threads_and_reprovision_cleanly() {
-    let mut rt: Runtime<TestMsg> = Runtime::new(RuntimeConfig::default());
-    let m0 = rt.add_machine();
-    let m1 = rt.add_deferred_machine();
+    let mut topo = Topology::new();
+    let m0 = topo.add_machine();
+    let m1 = topo.add_deferred_machine();
     // Echo first so the driver can be built knowing its id.
-    let echo_task = rt.add_task(m1, Box::new(Echo::default()));
-    let driver_task = rt.add_task(
+    let echo_task = topo.add_task(m1, Box::new(Echo::default()));
+    let driver_task = topo.add_task(
         m0,
         Box::new(Driver {
             echo_task,
@@ -153,7 +154,8 @@ fn retired_workers_release_their_threads_and_reprovision_cleanly() {
             success: false,
         }),
     );
-    rt.start_timer_at(SimTime(0), driver_task, BOOT);
+    topo.start_timer_at(SimTime(0), driver_task, BOOT);
+    let mut rt: Runtime<TestMsg> = Runtime::new(RuntimeConfig::default(), topo);
     rt.run();
 
     let driver: &Driver = rt.task_ref(driver_task);

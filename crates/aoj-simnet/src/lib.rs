@@ -21,6 +21,9 @@
 //! * A **task** ([`Process`]) is a state machine hosted on a machine. Tasks
 //!   receive messages and timers, perform work priced by the
 //!   [`CostModel`], and send messages through their [`Ctx`].
+//! * A [`Topology`] is the task graph as a value — machine slots, the
+//!   tasks they host, bootstrap timers — that [`Sim::new`] and every
+//!   other backend is built from.
 //! * The [`Sim`] driver pops events in `(time, sequence)` order, so runs
 //!   are bit-for-bit reproducible for a given configuration and seed.
 //!
@@ -28,7 +31,7 @@
 //! paper's reshuffler/joiner/controller topology on top.
 //!
 //! ```
-//! use aoj_simnet::{Sim, SimConfig, Process, Ctx, SimMessage, MsgClass, SimDuration, TaskId};
+//! use aoj_simnet::{Sim, SimConfig, Process, Ctx, SimMessage, MsgClass, SimDuration, TaskId, Topology};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping(u32);
@@ -48,11 +51,12 @@
 //!     }
 //! }
 //!
-//! let mut sim = Sim::new(SimConfig::default());
-//! let m0 = sim.add_machine();
-//! let m1 = sim.add_machine();
-//! let a = sim.add_task(m0, Box::new(Echo { peer: None, got: 0 }));
-//! let b = sim.add_task(m1, Box::new(Echo { peer: Some(a), got: 0 }));
+//! let mut topo = Topology::new();
+//! let m0 = topo.add_machine();
+//! let m1 = topo.add_machine();
+//! let a = topo.add_task(m0, Box::new(Echo { peer: None, got: 0 }));
+//! let b = topo.add_task(m1, Box::new(Echo { peer: Some(a), got: 0 }));
+//! let mut sim = Sim::new(SimConfig::default(), topo);
 //! sim.task_mut::<Echo>(a).peer = Some(b);
 //! sim.inject(a, b, Ping(0));
 //! sim.run();
@@ -72,7 +76,7 @@ pub mod task;
 pub mod time;
 
 pub use config::{CostModel, SimConfig};
-pub use exec::ExecBackend;
+pub use exec::{ExecBackend, MachineSlot, TaskMap, Topology};
 pub use machine::{MachineConfig, MachineId};
 pub use metrics::{
     FlushCause, FlushCounts, Gauge, MachineMetrics, Metrics, ProgressSample, SharedGauges,

@@ -1,11 +1,11 @@
-//! The simulation driver: owns machines, tasks, the event queue and the
-//! metrics, and runs events to quiescence.
+//! The simulation driver: owns a [`Topology`]'s machines, tasks and
+//! metrics plus the event queue, and runs events to quiescence.
 
 use std::any::Any;
 
 use crate::config::SimConfig;
 use crate::event::{EventKind, EventQueue};
-use crate::exec::ExecBackend;
+use crate::exec::{ExecBackend, Topology};
 use crate::machine::{Machine, MachineId, Queued};
 use crate::metrics::Metrics;
 use crate::network::NetworkConfig;
@@ -40,12 +40,12 @@ enum MachineState {
 pub struct Sim<M: SimMessage> {
     cfg: SimConfig,
     /// Per-machine network parameters (defaults to `cfg.network`).
-    machine_network: Vec<crate::network::NetworkConfig>,
+    machine_network: Vec<NetworkConfig>,
     machines: Vec<Machine<Work<M>>>,
     machine_state: Vec<MachineState>,
     provisioned: usize,
     peak_provisioned: usize,
-    tasks: Vec<Option<Box<dyn Process<M>>>>,
+    tasks: Vec<Option<Box<dyn Process<M> + Send>>>,
     task_machine: Vec<MachineId>,
     queue: EventQueue<M>,
     metrics: Metrics,
@@ -54,53 +54,47 @@ pub struct Sim<M: SimMessage> {
 }
 
 impl<M: SimMessage + 'static> Sim<M> {
-    /// Create an empty cluster.
-    pub fn new(cfg: SimConfig) -> Self {
-        Sim {
+    /// A cluster running `topology`: its machines come up (deferred
+    /// slots unprovisioned), machines without their own network
+    /// parameters take `cfg.network`, and its bootstrap timers are
+    /// queued in registration order.
+    pub fn new(cfg: SimConfig, topology: Topology<M>) -> Self {
+        let provisioned = topology.eager_machines();
+        let Topology {
+            machines: slots,
+            task_machine,
+            tasks,
+            timers,
+            metrics,
+        } = topology;
+        let state = |d: bool| {
+            if d {
+                MachineState::Deferred
+            } else {
+                MachineState::Active
+            }
+        };
+        let mut sim = Sim {
             cfg,
-            machine_network: Vec::new(),
-            machines: Vec::new(),
-            machine_state: Vec::new(),
-            provisioned: 0,
-            peak_provisioned: 0,
-            tasks: Vec::new(),
-            task_machine: Vec::new(),
+            machine_network: slots
+                .iter()
+                .map(|s| s.network.unwrap_or(cfg.network))
+                .collect(),
+            machines: slots.iter().map(|_| Machine::new(cfg.machine)).collect(),
+            machine_state: slots.iter().map(|s| state(s.deferred)).collect(),
+            provisioned,
+            peak_provisioned: provisioned,
+            tasks,
+            task_machine,
             queue: EventQueue::new(),
-            metrics: Metrics::default(),
+            metrics,
             now: SimTime::ZERO,
             stopped: false,
+        };
+        for (at, task, key) in timers {
+            sim.start_timer_at(at, task, key);
         }
-    }
-
-    /// Add a machine to the cluster.
-    pub fn add_machine(&mut self) -> MachineId {
-        self.add_machine_with_network(self.cfg.network)
-    }
-
-    /// Add a machine with its own network parameters (e.g. a source stage
-    /// that models `J` parallel upstream feeds rather than one NIC).
-    pub fn add_machine_with_network(&mut self, network: NetworkConfig) -> MachineId {
-        let id = self.push_machine(network);
-        self.machine_state[id.index()] = MachineState::Active;
-        self.provisioned += 1;
-        self.peak_provisioned = self.peak_provisioned.max(self.provisioned);
-        id
-    }
-
-    /// Register a machine slot whose execution resources arrive only with
-    /// a mid-run [`Effect::Provision`]; until then, delivering any work to
-    /// it is a protocol error (and panics).
-    pub fn add_deferred_machine(&mut self) -> MachineId {
-        self.push_machine(self.cfg.network)
-    }
-
-    fn push_machine(&mut self, network: NetworkConfig) -> MachineId {
-        let id = MachineId(self.machines.len());
-        self.machines.push(Machine::new(self.cfg.machine));
-        self.machine_network.push(network);
-        self.machine_state.push(MachineState::Deferred);
-        self.metrics.add_machine();
-        id
+        sim
     }
 
     /// Machines currently holding execution resources.
@@ -111,15 +105,6 @@ impl<M: SimMessage + 'static> Sim<M> {
     /// High-water mark of simultaneously provisioned machines.
     pub fn peak_provisioned_machines(&self) -> usize {
         self.peak_provisioned
-    }
-
-    /// Register a task hosted on `machine`.
-    pub fn add_task(&mut self, machine: MachineId, task: Box<dyn Process<M>>) -> TaskId {
-        assert!(machine.index() < self.machines.len(), "unknown machine");
-        let id = TaskId(self.tasks.len());
-        self.tasks.push(Some(task));
-        self.task_machine.push(machine);
-        id
     }
 
     /// The machine hosting `task`.
@@ -168,12 +153,6 @@ impl<M: SimMessage + 'static> Sim<M> {
     /// Accumulated metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Mutable access to the metrics (drivers may reset gauges between
-    /// measurement windows).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Mutable access to a task by concrete type. Panics if the id is wrong
@@ -409,18 +388,6 @@ impl<M: SimMessage + 'static> ExecBackend<M> for Sim<M> {
         "sim"
     }
 
-    fn add_machine(&mut self) -> MachineId {
-        Sim::add_machine(self)
-    }
-
-    fn add_machine_with_network(&mut self, network: NetworkConfig) -> MachineId {
-        Sim::add_machine_with_network(self, network)
-    }
-
-    fn add_deferred_machine(&mut self) -> MachineId {
-        Sim::add_deferred_machine(self)
-    }
-
     fn provisioned_machines(&self) -> usize {
         Sim::provisioned_machines(self)
     }
@@ -429,20 +396,8 @@ impl<M: SimMessage + 'static> ExecBackend<M> for Sim<M> {
         Sim::peak_provisioned_machines(self)
     }
 
-    fn add_task(&mut self, machine: MachineId, task: Box<dyn Process<M> + Send>) -> TaskId {
-        Sim::add_task(self, machine, task)
-    }
-
-    fn start_timer_at(&mut self, at: SimTime, task: TaskId, key: u64) {
-        Sim::start_timer_at(self, at, task, key)
-    }
-
     fn metrics(&self) -> &Metrics {
         Sim::metrics(self)
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        Sim::metrics_mut(self)
     }
 
     fn run(&mut self) -> SimTime {

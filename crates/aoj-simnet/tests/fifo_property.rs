@@ -2,7 +2,9 @@
 //! within one message class, any (sender, receiver) channel is FIFO, for
 //! arbitrary topologies, message sizes, and handler costs.
 
-use aoj_simnet::{Ctx, MsgClass, Process, Sim, SimConfig, SimDuration, SimMessage, TaskId};
+use aoj_simnet::{
+    Ctx, MsgClass, Process, Sim, SimConfig, SimDuration, SimMessage, TaskId, Topology,
+};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -76,14 +78,14 @@ proptest! {
         recv_cost in 0u64..20,
         migration_mask in any::<u64>(),
     ) {
-        let mut sim: Sim<Payload> = Sim::new(SimConfig::default());
+        let mut topo: Topology<Payload> = Topology::new();
         let mut machines = Vec::new();
         for _ in 0..n_senders + 1 {
-            machines.push(sim.add_machine());
+            machines.push(topo.add_machine());
         }
         let recv_id = TaskId(0);
         let recv = Receiver { seen: Vec::new(), cost_us: recv_cost };
-        let id = sim.add_task(machines[0], Box::new(recv));
+        let id = topo.add_task(machines[0], Box::new(recv));
         prop_assert_eq!(id, recv_id);
         for s in 0..n_senders {
             let script: Vec<Payload> = (0..msgs_per_sender)
@@ -94,12 +96,13 @@ proptest! {
                     class_migration: (migration_mask >> (i % 64)) & 1 == 1,
                 })
                 .collect();
-            let t = sim.add_task(
+            let t = topo.add_task(
                 machines[s + 1],
                 Box::new(Sender { script, cursor: 0, to: recv_id }),
             );
-            sim.start_timer_at(aoj_simnet::SimTime(s as u64), t, 0);
+            topo.start_timer_at(aoj_simnet::SimTime(s as u64), t, 0);
         }
+        let mut sim = Sim::new(SimConfig::default(), topo);
         sim.run();
         let seen = &sim.task_ref::<Receiver>(recv_id).seen;
         prop_assert_eq!(seen.len(), n_senders * msgs_per_sender);

@@ -2,7 +2,7 @@
 //! weighted migration scheduling, timers, determinism.
 
 use aoj_simnet::{
-    Ctx, MsgClass, Process, Sim, SimConfig, SimDuration, SimMessage, SimTime, TaskId,
+    Ctx, MsgClass, Process, Sim, SimConfig, SimDuration, SimMessage, SimTime, TaskId, Topology,
 };
 
 #[derive(Clone, Debug)]
@@ -57,12 +57,12 @@ impl Process<Msg> for Recorder {
 }
 
 fn two_node_sim() -> (Sim<Msg>, TaskId, TaskId) {
-    let mut sim = Sim::new(SimConfig::default());
-    let m0 = sim.add_machine();
-    let m1 = sim.add_machine();
-    let sender = sim.add_task(m0, Box::new(Recorder::default()));
-    let receiver = sim.add_task(m1, Box::new(Recorder::default()));
-    (sim, sender, receiver)
+    let mut topo = Topology::new();
+    let m0 = topo.add_machine();
+    let m1 = topo.add_machine();
+    let sender = topo.add_task(m0, Box::new(Recorder::default()));
+    let receiver = topo.add_task(m1, Box::new(Recorder::default()));
+    (Sim::new(SimConfig::default(), topo), sender, receiver)
 }
 
 #[test]
@@ -113,15 +113,16 @@ fn cpu_serialises_processing() {
 
 #[test]
 fn migration_is_served_two_to_one() {
-    let mut sim = Sim::new(SimConfig::default());
-    let m = sim.add_machine();
-    let t = sim.add_task(
+    let mut topo = Topology::new();
+    let m = topo.add_machine();
+    let t = topo.add_task(
         m,
         Box::new(Recorder {
             cost_us: 10,
             ..Default::default()
         }),
     );
+    let mut sim = Sim::new(SimConfig::default(), topo);
     // Arrange for both queues to be backlogged at t=0.
     for i in 0..4 {
         sim.inject(t, t, Msg::Data(i));
@@ -144,9 +145,10 @@ fn migration_is_served_two_to_one() {
 
 #[test]
 fn timers_fire_at_requested_time() {
-    let mut sim = Sim::new(SimConfig::default());
-    let m = sim.add_machine();
-    let t = sim.add_task(m, Box::new(Recorder::default()));
+    let mut topo = Topology::new();
+    let m = topo.add_machine();
+    let t = topo.add_task(m, Box::new(Recorder::default()));
+    let mut sim = Sim::new(SimConfig::default(), topo);
     sim.start_timer_at(SimTime(500), t, 7);
     sim.start_timer_at(SimTime(100), t, 3);
     sim.run();
@@ -156,12 +158,12 @@ fn timers_fire_at_requested_time() {
 
 #[test]
 fn network_metrics_count_remote_but_not_loopback() {
-    let mut sim = Sim::new(SimConfig::default());
-    let m0 = sim.add_machine();
-    let a = sim.add_task(m0, Box::new(Recorder::default()));
-    let b = sim.add_task(m0, Box::new(Recorder::default())); // same machine
-    let m1 = sim.add_machine();
-    let c = sim.add_task(m1, Box::new(Recorder::default()));
+    let mut topo = Topology::new();
+    let m0 = topo.add_machine();
+    let a = topo.add_task(m0, Box::new(Recorder::default()));
+    let b = topo.add_task(m0, Box::new(Recorder::default())); // same machine
+    let m1 = topo.add_machine();
+    let c = topo.add_task(m1, Box::new(Recorder::default()));
 
     // a -> b is loopback; a -> c is remote.
     struct Fanout {
@@ -175,8 +177,9 @@ fn network_metrics_count_remote_but_not_loopback() {
             SimDuration::from_micros(1)
         }
     }
-    let m2 = sim.add_machine();
-    let f = sim.add_task(m2, Box::new(Fanout { b, c }));
+    let m2 = topo.add_machine();
+    let f = topo.add_task(m2, Box::new(Fanout { b, c }));
+    let mut sim = Sim::new(SimConfig::default(), topo);
     sim.inject(a, f, Msg::Data(0));
     sim.run();
 
@@ -191,9 +194,9 @@ fn network_metrics_count_remote_but_not_loopback() {
 
 #[test]
 fn loopback_send_is_free_of_network_cost() {
-    let mut sim = Sim::new(SimConfig::default());
-    let m0 = sim.add_machine();
-    let a = sim.add_task(m0, Box::new(Recorder::default()));
+    let mut topo = Topology::new();
+    let m0 = topo.add_machine();
+    let a = topo.add_task(m0, Box::new(Recorder::default()));
 
     struct SelfSender {
         target: TaskId,
@@ -208,13 +211,14 @@ fn loopback_send_is_free_of_network_cost() {
             SimDuration::from_micros(1)
         }
     }
-    let s = sim.add_task(
+    let s = topo.add_task(
         m0,
         Box::new(SelfSender {
             target: a,
             sent: false,
         }),
     );
+    let mut sim = Sim::new(SimConfig::default(), topo);
     sim.inject(a, s, Msg::Data(0));
     sim.run();
     assert_eq!(sim.metrics().machine(m0).messages_out, 0);
@@ -270,9 +274,10 @@ fn deadline_stops_the_run() {
         deadline: Some(SimTime(150)),
         ..SimConfig::default()
     };
-    let mut sim = Sim::new(cfg);
-    let m = sim.add_machine();
-    let t = sim.add_task(m, Box::new(Recorder::default()));
+    let mut topo = Topology::new();
+    let m = topo.add_machine();
+    let t = topo.add_task(m, Box::new(Recorder::default()));
+    let mut sim = Sim::new(cfg, topo);
     sim.start_timer_at(SimTime(100), t, 1);
     sim.start_timer_at(SimTime(200), t, 2);
     sim.run();
