@@ -13,9 +13,11 @@
 //! * services the **control plane**: plan handshakes, quiescence
 //!   probes, gauge samples (fed into the session's [`SharedGauges`] and
 //!   relayed to the controller's machine), match streams (re-emitted
-//!   into the session's [`MatchHub`]), and the retirement barrier's
-//!   bookkeeping: which peers consumed their retirement token, and how
-//!   many end-of-stream markers the retiree must wait for;
+//!   into the session's [`MatchHub`]), and the lifecycle operations,
+//!   one at a time: a spawn completes on the worker's `Ready`, and a
+//!   retirement on the retiree's confirmed exit, which waits for the
+//!   coordinator's go-ahead and for the retiree's own drain count (see
+//!   [`crate::node`]);
 //! * detects cluster quiescence with a **double probe**: two
 //!   consecutive probe rounds with identical per-node counters and
 //!   cluster-wide created = finished mean nothing is running and
@@ -44,17 +46,20 @@ use aoj_operators::messages::{Match, OpMsg};
 use aoj_operators::report::Finals;
 use aoj_operators::{MatchHub, NetBackend, SessionBuilder, SkewBoard};
 use aoj_runtime::mailbox::Mailbox;
-use aoj_simnet::{ExecBackend, Gauge, MachineId, Metrics, SharedGauges, SimTime, TaskId, Topology};
+use aoj_simnet::{
+    ExecBackend, Gauge, MachineId, Metrics, SharedGauges, SimTime, TaskId, Topology,
+    MIGRATION_WEIGHT,
+};
 
 use crate::node::{
     run_machine_loop, spawn_acceptor, wake_acceptor, Clock, ControlOut, Counters, Directory,
-    EosGate, Lifecycle, NodeShared, Writers,
+    DrainCount, Lifecycle, NodeShared, Writers,
 };
 use crate::wire::{
-    self, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap,
-    Plan, ProbeAck, Ready, RetireReq, Wire, K_DRAIN_DONE, K_EXITING, K_FINALS, K_GAUGES,
-    K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK,
-    K_PROVISION_REQ, K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
+    self, read_frame, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap, Plan,
+    ProbeAck, Ready, RetireReq, Wire, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO,
+    K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ,
+    K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
 use crate::worker::{ENV_COORD, ENV_GEN, ENV_MACHINE, ENV_WORKER};
 use crate::{ReapRecord, RunSummary};
@@ -91,10 +96,9 @@ pub struct TcpBackend {
     builder_bytes: Vec<u8>,
     /// The plan fingerprint workers must echo in `Ready`.
     fingerprint: u64,
-    /// The coordinator's own decoded copy of the plan (mailbox sizing,
-    /// drain batch) — decoded from `builder_bytes`, so the
-    /// coordinator and its workers provably configure from the same
-    /// bits.
+    /// The coordinator's own decoded copy of the plan (mailbox sizing) —
+    /// decoded from `builder_bytes`, so the coordinator and its workers
+    /// provably configure from the same bits.
     builder: SessionBuilder,
     hub: Arc<MatchHub>,
     /// The session's gauge overlay, which the workers' gauge frames
@@ -190,60 +194,11 @@ enum Ev {
 enum Op {
     /// Spawn `machine`'s worker process; completes on its `Ready`.
     Provision { machine: usize },
-    /// Drain-barrier teardown of `req.machine`, whose peers were sent
-    /// retirement tokens by the node that applied the retire; completes
-    /// when its process has exited and been reaped.
-    Retire {
-        req: RetireReq,
-        /// `K_RETIRE_NOW` sent: every tokened peer reported `DrainDone`.
-        released: bool,
-    },
-}
-
-/// The retirement barrier's coordinator-side tally.
-#[derive(Default)]
-struct Barrier {
-    /// Per machine: end-of-stream markers its current generation will
-    /// receive (from token-driven closes and from exited peers).
-    eos_to: HashMap<usize, u64>,
-    /// Per retiring `(machine, gen)`: the nodes that reported
-    /// `DrainDone`. A report can overtake the `RetireReq` it answers
-    /// (they travel on different control links), and a co-retiree's
-    /// token can be consumed while an earlier retirement is still busy.
-    drained: HashMap<(usize, u32), HashSet<usize>>,
-}
-
-impl Barrier {
-    /// Node `from` consumed its token for `d.machine`.
-    fn drain_done(&mut self, from: usize, d: DrainDone) {
-        *self.eos_to.entry(d.machine as usize).or_insert(0) += d.closed as u64;
-        self.drained
-            .entry((d.machine as usize, d.gen))
-            .or_default()
-            .insert(from);
-    }
-
-    /// Send `K_RETIRE_NOW` to a busy retiree once every tokened peer has
-    /// closed its connections to it.
-    fn release(&mut self, busy: &mut Option<Op>, links: &ControlLinks) {
-        let Some(Op::Retire { req, released }) = busy else {
-            return;
-        };
-        let m = req.machine as usize;
-        let reported = self.drained.get(&(m, req.gen));
-        if *released
-            || !req
-                .peers
-                .iter()
-                .all(|&p| reported.is_some_and(|r| r.contains(&(p as usize))))
-        {
-            return;
-        }
-        self.drained.remove(&(m, req.gen));
-        *released = true;
-        let expect = self.eos_to.get(&m).copied().unwrap_or(0);
-        send_to(links, m, K_RETIRE_NOW, &expect);
-    }
+    /// Teardown of `req.machine`, whose peers were sent retirement
+    /// tokens by the node that applied the retire: starts with the
+    /// go-ahead (`K_RETIRE_NOW`), completes when the retiree, its drain
+    /// counted, has exited and been reaped.
+    Retire { req: RetireReq },
 }
 
 /// An in-flight probe round.
@@ -368,12 +323,13 @@ impl TcpBackend {
         let rt_cfg = self.builder.runtime_config();
         let mailbox = Arc::new(Mailbox::<OpMsg>::new(
             rt_cfg.data_queue_capacity,
-            rt_cfg.migration_weight,
+            MIGRATION_WEIGHT,
         ));
         let done = Arc::new(AtomicBool::new(false));
         let directory = Directory::new();
         let writers = Writers::new(Arc::clone(&directory), source_machine, 0);
-        let eos = EosGate::new();
+        // The coordinator's machine never retires: nothing reads this.
+        let drain = DrainCount::new();
         let counters = Arc::new(Counters::default());
         let data_listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator data port");
         let own_port = data_listener.local_addr().unwrap().port();
@@ -381,7 +337,7 @@ impl TcpBackend {
             data_listener,
             Arc::clone(&mailbox),
             Arc::clone(&done),
-            Arc::clone(&eos),
+            drain,
         );
 
         let own_tasks = self.topo.take_machine_tasks(MachineId(source_machine));
@@ -409,14 +365,13 @@ impl TcpBackend {
                 directory: Arc::clone(&directory),
             };
             let tx = tx.clone();
-            let drain_batch = rt_cfg.drain_batch;
             std::thread::Builder::new()
                 .name("aoj-net-coord-node".into())
                 .spawn(move || {
                     let lifecycle = move |ev: Lifecycle| {
                         tx.send(Ev::Local(ev)).expect("coordinator reactor gone");
                     };
-                    run_machine_loop(&shared, own_tasks, own_shard, drain_batch, &lifecycle, None)
+                    run_machine_loop(&shared, own_tasks, own_shard, &lifecycle, None)
                 })
                 .expect("spawn coordinator node")
         };
@@ -442,7 +397,6 @@ impl TcpBackend {
         let mut ports: HashMap<usize, u16> = HashMap::new();
         let mut busy: Option<Op> = None;
         let mut queue: VecDeque<Op> = VecDeque::new();
-        let mut barrier = Barrier::default();
         let mut retired_sums = (0u64, 0u64);
         let mut data_proc: HashMap<(usize, u32), u64> = HashMap::new();
         let mut reaped: Vec<ReapRecord> = Vec::new();
@@ -549,29 +503,21 @@ impl TcpBackend {
                         Op::Provision { machine } => {
                             let gen = gens.get(&machine).map(|g| g + 1).unwrap_or(0);
                             gens.insert(machine, gen);
-                            // A fresh process, a fresh end-of-stream gate.
-                            barrier.eos_to.insert(machine, 0);
                             spawn_worker(&mut children, &coord_addr, machine, gen);
                             awaiting_ready.insert(machine);
                             spawned += 1;
                             busy = Some(Op::Provision { machine });
                         }
-                        Op::Retire { req, .. } => {
-                            // Quiesce barrier: the applying node closed its
-                            // channels toward the retiree and sent every
-                            // other live peer (the coordinator's node
-                            // included) a token on the data plane; each
-                            // peer closes its own channels when it consumes
-                            // it. Every close ends in an EOS marker the
-                            // retiree will count.
+                        Op::Retire { req } => {
+                            // The applying node sent every other live peer
+                            // (the coordinator's node included) a token on
+                            // the data plane, and the retiree counts their
+                            // answers itself: it exits once that drain is
+                            // complete and this go-ahead is in.
                             let m = req.machine as usize;
                             debug_assert_eq!(gens.get(&m), Some(&req.gen));
-                            *barrier.eos_to.entry(m).or_insert(0) += req.closed as u64;
-                            busy = Some(Op::Retire {
-                                req,
-                                released: false,
-                            });
-                            barrier.release(&mut busy, &links);
+                            send_to(&links, m, K_RETIRE_NOW, &());
+                            busy = Some(Op::Retire { req });
                         }
                     }
                 }
@@ -619,14 +565,7 @@ impl TcpBackend {
             };
             match ev {
                 Ev::Local(Lifecycle::Provision(m)) => queue.push_back(Op::Provision { machine: m }),
-                Ev::Local(Lifecycle::Retire(req)) => queue.push_back(Op::Retire {
-                    req,
-                    released: false,
-                }),
-                Ev::Local(Lifecycle::Drained(d)) => {
-                    barrier.drain_done(source_machine, d);
-                    barrier.release(&mut busy, &links);
-                }
+                Ev::Local(Lifecycle::Retire(req)) => queue.push_back(Op::Retire { req }),
                 Ev::Local(Lifecycle::Stopped) => {}
                 Ev::Gone { machine } => {
                     // A retired or shut-down worker's connection drop is
@@ -769,11 +708,7 @@ impl TcpBackend {
                                             // Second identical all-settled
                                             // round: the cluster is done.
                                             shutting_down = true;
-                                            let flushed = writers.close_all();
-                                            for (dest, n) in flushed {
-                                                *barrier.eos_to.entry(dest).or_insert(0) +=
-                                                    n as u64;
-                                            }
+                                            writers.close_all();
                                             // A checkpointing drain asks the
                                             // workers' state home with it.
                                             let snapshot = self.hub.snapshot_wanted();
@@ -830,15 +765,7 @@ impl TcpBackend {
                         }
                         K_RETIRE_REQ => {
                             let req = RetireReq::from_bytes(&payload).expect("retire req");
-                            queue.push_back(Op::Retire {
-                                req,
-                                released: false,
-                            });
-                        }
-                        K_DRAIN_DONE => {
-                            let d = DrainDone::from_bytes(&payload).expect("drain done");
-                            barrier.drain_done(machine, d);
-                            barrier.release(&mut busy, &links);
+                            queue.push_back(Op::Retire { req });
                         }
                         K_FINALS => {
                             let bundle = FinalsBundle::from_bytes(&payload).expect("finals bundle");
@@ -859,11 +786,8 @@ impl TcpBackend {
                             let e = Exiting::from_bytes(&payload).expect("exiting frame");
                             retired_sums.0 += e.created;
                             retired_sums.1 += e.finished;
-                            for &(dest, n) in &e.closed {
-                                *barrier.eos_to.entry(dest as usize).or_insert(0) += n as u64;
-                            }
                             let planned = shutting_down
-                                || matches!(&busy, Some(Op::Retire { req, .. }) if req.machine as usize == machine);
+                                || matches!(&busy, Some(Op::Retire { req }) if req.machine as usize == machine);
                             live.remove(&machine);
                             detector.deregister(machine);
                             links.lock().unwrap().remove(&machine);

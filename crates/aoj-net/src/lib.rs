@@ -21,23 +21,24 @@
 //!   session starts from), takes only its own machine's tasks, and runs
 //!   them on a mailbox with the same per-class
 //!   bounded semantics as the threaded runtime.
-//! * **Per-class sockets:** every directed machine pair uses separate
-//!   TCP connections for control, data, and migration traffic, so a
-//!   bulk migration stream cannot head-of-line-block a control signal
-//!   — mirroring the per-class mailbox lanes of `aoj-runtime`.
+//! * **One link per machine pair:** every directed pair of machine
+//!   incarnations uses one TCP connection, carrying control, data and
+//!   migration traffic in send order; the receiver's mailbox serves the
+//!   classes by the same weighted policy as `aoj-runtime`'s.
 //!
 //! ## Elasticity as process lifecycle
 //!
 //! `Effect::Provision` from the controller surfaces at the coordinator
 //! as a **process spawn at trigger time**; `Effect::Retire` runs the
 //! threaded runtime's flush-token barrier over the data plane: the node
-//! that applies it closes its channels to the retiring generation and
-//! sends every live peer a retirement token, FIFO behind the epoch
-//! change that stopped that peer sending there; each peer consumes its
-//! token in its machine loop and closes its own channels; the retiree
-//! drains to the per-channel EOS markers and ends in
-//! `std::process::exit(0)` — and the coordinator waitpid-reaps the
-//! child, so retirement is confirmed by the OS, not inferred. Writers
+//! that applies it sends every live peer a retirement token, FIFO
+//! behind the epoch change that stopped that peer sending there, and
+//! tells the retiree how many it sent; each peer consumes its token in
+//! its machine loop and answers the retiree last on its link. The
+//! retiree counts its own drain — the announcement and every answer —
+//! and, given the coordinator's go-ahead, drains and ends in
+//! `std::process::exit(0)`; the coordinator waitpid-reaps the child,
+//! so retirement is confirmed by the OS, not inferred. Writers
 //! are generation-aware: a slot re-provisioned while its old process
 //! still drains gets a fresh process whose connections are new ones,
 //! and the controller re-provisioning a slot it retired waits for the

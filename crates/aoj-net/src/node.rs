@@ -3,8 +3,8 @@
 //! Every process in a TCP session — the coordinator included — runs one
 //! **node**: a machine loop servicing an [`aoj_runtime::mailbox::Mailbox`] with
 //! the exact weighted-class semantics of the threaded runtime, an
-//! accept loop feeding inbound per-class connections into that mailbox,
-//! and a set of lazily-dialed writer threads carrying outbound traffic.
+//! accept loop feeding inbound connections into that mailbox, and a set
+//! of lazily-dialed connections carrying outbound traffic.
 //!
 //! The pieces:
 //!
@@ -19,34 +19,37 @@
 //!   provisioned simply waits for that machine's `Ready`, and a send to
 //!   a slot whose old generation is still retiring waits for the new
 //!   one);
-//! * [`Writers`] — one connection per (destination, class), each bound
-//!   to the generation it dials: per-class FIFO falls out of TCP's
-//!   byte-stream ordering, and a backed-up data stream cannot delay
-//!   migration or control traffic (the §4.3.2 service-rate property
-//!   end-to-end);
+//! * [`Writers`] — one connection per destination, bound to the
+//!   generation it dials, carrying every message class in send order:
+//!   per-channel FIFO falls out of TCP's byte-stream ordering, and the
+//!   receiving mailbox applies the weighted class service (§4.3.2), as
+//!   the threaded runtime's does;
 //! * [`spawn_reader`]/[`spawn_acceptor`] — inbound connections push into
 //!   the bounded mailbox, so TCP backpressure propagates into the same
 //!   tuple-unit accounting the threaded runtime uses; the acceptor blocks
 //!   in `accept` and teardown wakes it with [`wake_acceptor`];
+//! * [`DrainCount`] — the retiree's side of the retirement barrier;
 //! * [`run_machine_loop`] — the handler loop: the runtime's
 //!   [`dispatch`] per work item, effects staged onto the sockets, one
 //!   finish count per item, and one end-of-batch hook (a worker ships
 //!   its buffered matches there).
 //!
 //! Retirement is the threaded runtime's flush-token barrier carried over
-//! the data plane. The node that applies `Effect::Retire(m)` sends what
-//! it staged, closes its connections to `m`'s current generation and
-//! stages a [`K_FLUSH`] token to every other live peer on its Control
-//! connection — FIFO behind the epoch change that stopped that peer
-//! sending to `m`. A peer's machine loop consumes the token the way the
-//! runtime's workers do: it sends what it staged, closes its own
-//! connections to that generation (each ends in a [`K_EOS`] the retiree
-//! counts), and reports `DrainDone` to the coordinator. Sends to `m`
-//! after the token dial its next generation and wait for it. A token is
-//! FIFO only with its own socket, and an epoch change's signals travel on
-//! the Data one; so the controller, re-provisioning a slot it retired,
-//! waits until the old generation is gone — every token consumed —
-//! before it sends anything more, as the runtime's `Provision` does.
+//! the data plane. The node that applies `Effect::Retire(m)` stages a
+//! [`K_FLUSH`] token to every other live peer — FIFO behind the epoch
+//! change that stopped that peer sending to `m` — and ends its link to
+//! `m`'s current generation with a [`K_FLUSH_SENT`] naming how many
+//! tokens it sent. A peer's machine loop consumes its token the way the
+//! runtime's workers do: it ends its own link to that generation with a
+//! [`K_FLUSHED`] answer behind everything it staged, dialing first if it
+//! never sent `m` anything. Each link is FIFO, so `m` has received
+//! everything it will once the announcement and every answer are in —
+//! the runtime's rule that the last consumed token completes the drain.
+//! Sends to `m` after the token dial its next generation and wait for
+//! it. A peer can still receive another machine's `Signal` before its
+//! token; so the controller, re-provisioning a slot it retired, waits
+//! until the old generation is gone — every token consumed — before it
+//! sends anything more, as the runtime's `Provision` does.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -59,15 +62,16 @@ use std::time::{Duration, Instant};
 
 use aoj_operators::messages::OpMsg;
 use aoj_runtime::mailbox::{dispatch, install_wakers, Mailbox, Work};
+use aoj_runtime::DRAIN_BATCH;
 use aoj_simnet::{MachineId, Metrics, MsgClass, SimMessage, SimTime, TaskId, TaskMap};
 
 use crate::wire::{
-    self, append_frame, read_frame, write_frame, BufPool, DrainDone, Preamble, RetireReq, TaskMsg,
-    Wire, K_EOS, K_FLUSH, K_PREAMBLE, K_TASK_MSG,
+    self, append_frame, read_frame, write_frame, BufPool, Preamble, RetireReq, TaskMsg, Wire,
+    K_EOS, K_FLUSH, K_FLUSHED, K_FLUSH_SENT, K_PREAMBLE, K_TASK_MSG,
 };
 
 /// How long a writer waits for its destination to appear in the
-/// directory (or a retiree waits for its end-of-stream barrier) before
+/// directory (or a retiree waits for its drain to complete) before
 /// declaring the cluster wedged. Generous: provisioning a worker is a
 /// process spawn plus a topology rebuild.
 pub const PEER_WAIT: Duration = Duration::from_secs(60);
@@ -317,47 +321,63 @@ impl Directory {
     }
 }
 
-/// Counts `Eos` frames received on inbound connections — the retirement
-/// barrier. A retiring worker is told how many connections its peers
-/// closed ([`wire::K_RETIRE_NOW`] carries the sum) and waits here until
-/// every one of them has delivered its end-of-stream marker, at which
-/// point nothing can be in flight toward it.
+/// The retiree's side of the retirement barrier, counted by its readers:
+/// the [`K_FLUSH_SENT`] announcement of the node that applied the retire
+/// (how many peers it gave a token) and one [`K_FLUSHED`] answer per peer
+/// that consumed its token, in either order. Each arrives last on its
+/// link, behind everything that sender sent this generation, so once the
+/// announcement and as many answers as it names are in, nothing is in
+/// flight toward the retiree.
 #[derive(Default)]
-pub struct EosGate {
-    n: Mutex<u64>,
+pub struct DrainCount {
+    /// `(tokens announced, once the announcement is in; answers in)`.
+    st: Mutex<(Option<u64>, u64)>,
     cv: Condvar,
 }
 
-impl EosGate {
-    /// A zeroed gate.
-    pub fn new() -> Arc<EosGate> {
-        Arc::new(EosGate::default())
+impl DrainCount {
+    /// A count with nothing in.
+    pub fn new() -> Arc<DrainCount> {
+        Arc::new(DrainCount::default())
     }
 
-    /// Record one end-of-stream marker.
-    pub fn arrived(&self) {
-        let mut n = self.n.lock().unwrap();
-        *n += 1;
-        drop(n);
+    /// The applying node gave `tokens` peers a token.
+    pub fn announced(&self, tokens: u64) {
+        self.st.lock().unwrap().0 = Some(tokens);
         self.cv.notify_all();
     }
 
-    /// Block until at least `target` markers have arrived.
+    /// One peer consumed its token.
+    pub fn answered(&self) {
+        self.st.lock().unwrap().1 += 1;
+        self.cv.notify_all();
+    }
+
+    /// The announcement and every answer it names are in.
+    pub fn is_complete(&self) -> bool {
+        DrainCount::complete(&self.st.lock().unwrap())
+    }
+
+    fn complete(st: &(Option<u64>, u64)) -> bool {
+        matches!(*st, (Some(k), n) if n >= k)
+    }
+
+    /// Block until the drain is complete.
     ///
     /// # Panics
     ///
-    /// If the barrier does not complete within [`PEER_WAIT`].
-    pub fn wait_for(&self, target: u64) {
+    /// If it does not complete within [`PEER_WAIT`].
+    pub fn wait(&self) {
         let deadline = Instant::now() + PEER_WAIT;
-        let mut n = self.n.lock().unwrap();
-        while *n < target {
+        let mut st = self.st.lock().unwrap();
+        while !DrainCount::complete(&st) {
             let now = Instant::now();
             assert!(
                 now < deadline,
-                "eos barrier stuck at {}/{target} after {PEER_WAIT:?}",
-                *n
+                "retirement drain stuck at {:?} after {PEER_WAIT:?}",
+                *st
             );
-            n = self.cv.wait_timeout(n, deadline - now).unwrap().0;
+            st = self.cv.wait_timeout(st, deadline - now).unwrap().0;
         }
     }
 }
@@ -403,7 +423,7 @@ struct Conn {
     /// Pre-framed buffers staged before the connection came up; the
     /// dialer drains them, in order, ahead of any inline write.
     backlog: VecDeque<Vec<u8>>,
-    /// Set when the channel was closed before the dial finished; the
+    /// Set when the connection was closed before the dial finished; the
     /// dialer appends the end-of-stream frame after the backlog.
     eos: bool,
     /// Set when an inline write failed (the peer died): subsequent
@@ -429,8 +449,8 @@ struct WriterHandle {
 /// The connections of a [`Writers`] set, by state.
 #[derive(Default)]
 struct Handles {
-    /// One per (destination, class) for the generation sends go to now.
-    open: HashMap<(usize, MsgClass), WriterHandle>,
+    /// One per destination, for the generation sends go to now.
+    open: HashMap<usize, WriterHandle>,
     /// Connections to a retiring generation, parked by
     /// [`Writers::retire`] until [`Writers::close_to`].
     parked: Vec<(usize, WriterHandle)>,
@@ -439,11 +459,12 @@ struct Handles {
     floor: HashMap<usize, u32>,
 }
 
-/// Outbound connections: one per (destination machine, message class),
-/// dialed lazily by a short-lived dialer thread. Once a connection is
-/// up, senders write to it inline — the per-message writer-thread
-/// wakeup is gone from the steady-state path, which matters enormously
-/// on a host where every wakeup is a contended scheduler handoff. All
+/// Outbound connections: one per destination machine, carrying every
+/// message class in send order, dialed lazily by a short-lived dialer
+/// thread. Once a connection is up, senders write to it inline — the
+/// per-message writer-thread wakeup is gone from the steady-state path,
+/// which matters enormously on a host where every wakeup is a contended
+/// scheduler handoff. All
 /// connections on a node share one [`BufPool`], closing the encode →
 /// socket → return recycling loop.
 pub struct Writers {
@@ -472,18 +493,17 @@ impl Writers {
         Arc::clone(&self.pool)
     }
 
-    /// Send a buffer of pre-framed [`K_TASK_MSG`] bytes toward `dest` on
-    /// the `class` connection, dialing it first if needed. An
-    /// established connection is written inline — one `write` plus one
-    /// flush per call, no thread handoff; one call may carry a whole
-    /// mailbox batch's frames. While the dial is still in flight the
+    /// Send a buffer of pre-framed bytes toward `dest`, dialing its
+    /// connection first if needed. An established connection is written
+    /// inline — one `write` plus one flush per call, no thread handoff;
+    /// one call may carry a whole mailbox batch's frames. While the dial is still in flight the
     /// buffer parks in the connection's backlog, so a send to a machine
     /// that is still provisioning never blocks the sender. A new
     /// connection dials the lowest generation of `dest` not yet retired.
-    pub fn enqueue(&self, dest: usize, class: MsgClass, frames: Vec<u8>) {
+    pub fn enqueue(&self, dest: usize, frames: Vec<u8>) {
         let mut map = self.inner.lock().unwrap();
         let Handles { open, floor, .. } = &mut *map;
-        let handle = open.entry((dest, class)).or_insert_with(|| {
+        let handle = open.entry(dest).or_insert_with(|| {
             let gen = floor.get(&dest).copied().unwrap_or(0);
             // Bind to the generation live right now, if any: a retire
             // that parks this connection before its dialer runs must
@@ -503,10 +523,9 @@ impl Writers {
             let preamble = Preamble {
                 from_machine: self.self_machine as u64,
                 gen: self.self_gen,
-                class,
             };
             let dialer = std::thread::Builder::new()
-                .name(format!("aoj-net-w{}m{dest}{class:?}", self.self_machine))
+                .name(format!("aoj-net-w{}m{dest}", self.self_machine))
                 .spawn(move || {
                     let (_gen, port) = target.unwrap_or_else(|| directory.wait_live(dest, gen));
                     dialer_main(st, pool, dest, port, preamble)
@@ -543,9 +562,8 @@ impl Writers {
     fn close(handle: WriterHandle) {
         let mut conn = handle.state.conn.lock().unwrap();
         if let Some(w) = conn.stream.as_mut() {
-            // Best-effort toward a possibly-dead peer: the EOS marker
-            // only matters to a live retirement barrier, and a live peer
-            // reliably receives it.
+            // Best-effort toward a possibly-dead peer: the EOS marker is
+            // an uncounted goodbye that ends the peer's reader quietly.
             let _ = write_frame(w, K_EOS, &()).and_then(|()| w.flush());
         } else if !conn.broken {
             conn.eos = true;
@@ -556,20 +574,14 @@ impl Writers {
         handle.dialer.join().expect("dialer thread panicked");
     }
 
-    /// Retire generation `gen` of `dest`: park every connection that may
+    /// Retire generation `gen` of `dest`: park the connection that may
     /// carry traffic to it for [`close_to`](Writers::close_to), mark it
-    /// retiring in the directory, and route later sends to `dest` onto
-    /// fresh connections that wait for generation `gen + 1`.
+    /// retiring in the directory, and route later sends to `dest` onto a
+    /// fresh connection that waits for generation `gen + 1`.
     pub fn retire(&self, dest: usize, gen: u32) {
         let mut map = self.inner.lock().unwrap();
-        let keys: Vec<_> = map
-            .open
-            .iter()
-            .filter(|((d, _), h)| *d == dest && h.gen <= gen)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            let handle = map.open.remove(&k).unwrap();
+        if map.open.get(&dest).is_some_and(|h| h.gen <= gen) {
+            let handle = map.open.remove(&dest).unwrap();
             map.parked.push((dest, handle));
         }
         let floor = map.floor.entry(dest).or_insert(0);
@@ -577,44 +589,28 @@ impl Writers {
         self.directory.set_retiring(dest, gen);
     }
 
-    /// Close the connections [`retire`](Writers::retire) parked toward
-    /// `dest` (flush + trailing [`K_EOS`] + join), returning how many
-    /// were closed — the count the retirement barrier at `dest` will
-    /// wait on. Connections to a later generation stay open.
-    pub fn close_to(&self, dest: usize) -> u32 {
+    /// Close the connection [`retire`](Writers::retire) parked toward
+    /// `dest` (flush + trailing [`K_EOS`] + join). A connection to a later
+    /// generation stays open.
+    pub fn close_to(&self, dest: usize) {
         let mut map = self.inner.lock().unwrap();
         let (to_dest, rest) = std::mem::take(&mut map.parked)
             .into_iter()
             .partition::<Vec<_>, _>(|(d, _)| *d == dest);
         map.parked = rest;
-        let closed = to_dest.len() as u32;
         for (_, handle) in to_dest {
             Writers::close(handle);
         }
-        closed
     }
 
     /// Close every connection (flush + trailing [`K_EOS`] + join); the
-    /// node's shutdown path. Returns how many connections were closed
-    /// toward each destination — a retiring worker reports these in its
-    /// `Exiting` frame so the coordinator's end-of-stream bookkeeping
-    /// stays exact for *later* retirement barriers.
-    pub fn close_all(&self) -> Vec<(usize, u32)> {
+    /// node's shutdown path.
+    pub fn close_all(&self) {
         let mut map = self.inner.lock().unwrap();
         let Handles { open, parked, .. } = &mut *map;
-        let all: Vec<_> = open
-            .drain()
-            .map(|((dest, _), h)| (dest, h))
-            .chain(parked.drain(..))
-            .collect();
-        let mut per_dest: HashMap<usize, u32> = HashMap::new();
-        for (dest, handle) in all {
+        for (_, handle) in open.drain().chain(parked.drain(..)) {
             Writers::close(handle);
-            *per_dest.entry(dest).or_insert(0) += 1;
         }
-        let mut out: Vec<(usize, u32)> = per_dest.into_iter().collect();
-        out.sort_unstable();
-        out
     }
 }
 
@@ -656,15 +652,14 @@ fn dialer_main(
 }
 
 /// Per-batch outbound staging: while the machine loop works through one
-/// mailbox batch, frames bound for the same (destination, class) are
-/// encoded back to back into one pooled buffer, then handed to the
-/// socket writer as a single queue item at batch end. One map lock, one
-/// queue lock, one condvar wakeup, and one socket write cover the whole
-/// batch — and in steady state the buffers cycle through the
-/// [`BufPool`] without touching the allocator.
+/// mailbox batch, frames bound for the same destination are encoded back
+/// to back into one pooled buffer, in send order, then handed to its
+/// connection as a single write at batch end. One map lock and one
+/// socket write cover the whole batch — and in steady state the buffers
+/// cycle through the [`BufPool`] without touching the allocator.
 pub struct OutStage {
     pool: Arc<BufPool>,
-    slots: HashMap<(usize, MsgClass), Vec<u8>>,
+    slots: HashMap<usize, Vec<u8>>,
 }
 
 impl OutStage {
@@ -677,62 +672,47 @@ impl OutStage {
         }
     }
 
-    fn slot(&mut self, dest: usize, class: MsgClass) -> &mut Vec<u8> {
-        let pool = &self.pool;
-        let buf = self.slots.entry((dest, class)).or_default();
+    /// Append one frame of `kind` to `dest`'s staging buffer, behind
+    /// everything already staged there.
+    pub fn push(&mut self, dest: usize, kind: u8, msg: &impl Wire) {
+        let buf = self.slots.entry(dest).or_default();
         if buf.capacity() == 0 {
-            *buf = pool.get();
+            *buf = self.pool.get();
         }
-        buf
-    }
-
-    /// Append one task message, framed, to the staging buffer for
-    /// `(dest, class)`.
-    pub fn push(&mut self, dest: usize, class: MsgClass, msg: &TaskMsg) {
-        append_frame(self.slot(dest, class), K_TASK_MSG, msg);
-    }
-
-    /// Append a retirement token for generation `gen` of `machine` to
-    /// `dest`'s Control-class buffer, behind every Control message
-    /// already staged there.
-    pub fn push_flush(&mut self, dest: usize, machine: usize, gen: u32) {
-        append_frame(
-            self.slot(dest, MsgClass::Control),
-            K_FLUSH,
-            &(machine as u64, gen),
-        );
+        append_frame(buf, kind, msg);
     }
 
     /// Hand every dirty staging buffer to its writer. Buffers leave by
     /// value and come back through the pool once written.
     pub fn flush(&mut self, writers: &Writers) {
-        for (&(dest, class), buf) in self.slots.iter_mut() {
+        for (&dest, buf) in self.slots.iter_mut() {
             if buf.is_empty() {
                 continue;
             }
-            writers.enqueue(dest, class, std::mem::take(buf));
+            writers.enqueue(dest, std::mem::take(buf));
         }
     }
 }
 
 /// Service one accepted data-plane connection: read the [`Preamble`],
-/// then push every [`K_TASK_MSG`] into the mailbox under the sender's
-/// declared class (bounded for data, so TCP backpressure feeds the same
-/// tuple-unit accounting the threaded runtime uses). A [`K_EOS`] marks
-/// the channel closed and trips the retirement barrier; a [`K_FLUSH`]
-/// token joins the Control queue as a `Work::Flush`, in order.
+/// then push every [`K_TASK_MSG`] into the mailbox under its message's
+/// class (bounded for data, so TCP backpressure feeds the same
+/// tuple-unit accounting the threaded runtime uses). A [`K_FLUSH`] token
+/// joins the Control queue as a `Work::Flush`, in order; a
+/// [`K_FLUSH_SENT`] or [`K_FLUSHED`] counts toward this node's own
+/// retirement `drain`; a [`K_EOS`] ends the connection.
 pub fn spawn_reader(
     stream: TcpStream,
     mailbox: Arc<Mailbox<OpMsg>>,
     done: Arc<AtomicBool>,
-    eos: Arc<EosGate>,
+    drain: Arc<DrainCount>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("aoj-net-reader".into())
         .spawn(move || {
             stream.set_nodelay(true).ok();
             let mut r = BufReader::new(stream);
-            let preamble = match read_frame(&mut r) {
+            match read_frame(&mut r) {
                 Ok((K_PREAMBLE, p)) => Preamble::from_bytes(&p).expect("decode preamble"),
                 Ok((k, _)) => panic!("protocol error: first frame kind {k}, want preamble"),
                 Err(_) => return, // dialed and dropped before the preamble
@@ -745,7 +725,6 @@ pub fn spawn_reader(
                     Ok(K_TASK_MSG) => {
                         let (from, to, msg) =
                             TaskMsg::from_bytes(&payload).expect("decode task msg");
-                        debug_assert_eq!(msg.class(), preamble.class);
                         let units = msg.tuples();
                         mailbox.push_msg(
                             msg.class(),
@@ -756,7 +735,6 @@ pub fn spawn_reader(
                         );
                     }
                     Ok(K_FLUSH) => {
-                        debug_assert_eq!(preamble.class, MsgClass::Control);
                         let (machine, gen) =
                             <(u64, u32)>::from_bytes(&payload).expect("decode flush token");
                         mailbox.push_msg(
@@ -770,10 +748,11 @@ pub fn spawn_reader(
                             &done,
                         );
                     }
-                    Ok(K_EOS) => {
-                        eos.arrived();
-                        return;
+                    Ok(K_FLUSH_SENT) => {
+                        drain.announced(u64::from_bytes(&payload).expect("decode flush count"))
                     }
+                    Ok(K_FLUSHED) => drain.answered(),
+                    Ok(K_EOS) => return,
                     Ok(k) => panic!("protocol error: frame kind {k} on data connection"),
                     Err(e) => {
                         // A reset is normal once the session is done (the
@@ -797,7 +776,7 @@ pub fn spawn_acceptor(
     listener: TcpListener,
     mailbox: Arc<Mailbox<OpMsg>>,
     done: Arc<AtomicBool>,
-    eos: Arc<EosGate>,
+    drain: Arc<DrainCount>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("aoj-net-accept".into())
@@ -811,7 +790,7 @@ pub fn spawn_acceptor(
                         stream,
                         Arc::clone(&mailbox),
                         Arc::clone(&done),
-                        Arc::clone(&eos),
+                        Arc::clone(&drain),
                     );
                 }
                 Err(e) => {
@@ -839,14 +818,10 @@ pub fn wake_acceptor(port: u16) {
 pub enum Lifecycle {
     /// `Effect::Provision` — spawn the machine's worker process.
     Provision(usize),
-    /// `Effect::Retire`, applied here: this node's connections to the
-    /// retiring generation are closed and each listed peer holds a
-    /// token. The coordinator lets the retiree exit once every peer
-    /// reported [`Lifecycle::Drained`].
+    /// `Effect::Retire`, applied here: every live peer holds a token and
+    /// the retiree counts its own drain. The coordinator gives it the
+    /// go-ahead to exit when the retirement's turn comes.
     Retire(RetireReq),
-    /// A retirement token consumed: this node's connections to the
-    /// retiring generation are closed.
-    Drained(DrainDone),
     /// A task requested the run to stop.
     Stopped,
 }
@@ -883,17 +858,16 @@ pub fn run_machine_loop(
     shared: &NodeShared,
     mut tasks: TaskMap<OpMsg>,
     mut shard: Metrics,
-    drain_batch: usize,
     lifecycle: &(dyn Fn(Lifecycle) + Sync),
     batch_end: Option<&dyn Fn()>,
 ) -> (Metrics, TaskMap<OpMsg>) {
     let mid = MachineId(shared.machine);
     install_wakers(&shared.mailbox, &mut tasks);
-    let mut batch: Vec<Work<OpMsg>> = Vec::with_capacity(drain_batch);
+    let mut batch: Vec<Work<OpMsg>> = Vec::with_capacity(DRAIN_BATCH);
     let mut stage = OutStage::new(shared.writers.pool());
     loop {
         if !shared.mailbox.pop_batch(
-            drain_batch,
+            DRAIN_BATCH,
             &mut batch,
             || shared.clock.now_us(),
             &shared.done,
@@ -909,17 +883,13 @@ pub fn run_machine_loop(
         for work in batch.drain(..) {
             if let Work::Flush { machine, gen } = work {
                 // The epoch change that stopped this node sending to the
-                // retiree was consumed ahead of the token: ship what is
-                // staged, then close the retiring generation's
-                // connections behind it, as the runtime's workers do.
+                // retiree was consumed ahead of the token: answer it
+                // behind what is staged and close the link to the
+                // retiring generation, as the runtime's workers do.
+                stage.push(machine, K_FLUSHED, &());
                 stage.flush(&shared.writers);
                 shared.writers.retire(machine, gen);
-                let closed = shared.writers.close_to(machine);
-                lifecycle(Lifecycle::Drained(DrainDone {
-                    machine: machine as u64,
-                    gen,
-                    closed,
-                }));
+                shared.writers.close_to(machine);
                 shared.counters.finished.fetch_add(1, Ordering::AcqRel);
                 continue;
             }
@@ -973,7 +943,7 @@ fn apply_effect(
                 );
             } else {
                 shard.on_send(MachineId(shared.machine), msg.bytes());
-                stage.push(dest, msg.class(), &(self_task, to, msg));
+                stage.push(dest, K_TASK_MSG, &(self_task, to, msg));
             }
         }
         aoj_simnet::Effect::Timer {
@@ -1000,45 +970,40 @@ fn apply_effect(
             // next one only after every peer consumed its token and the
             // old process exited. Nothing this handler sends afterwards —
             // the new generation's activation, the epoch change whose
-            // signals reach peers on their Data connections — can then
-            // overtake a token and reach the old generation.
+            // signals other machines relay to a peer — can then overtake
+            // a token and reach the old generation.
             if let Some(gen) = shared.directory.retiring_gen(m) {
                 stage.flush(&shared.writers);
                 shared.directory.wait_live(m, gen + 1);
             }
         }
         aoj_simnet::Effect::Retire { machine } => {
-            // The runtime's flush-token post, across processes: what this
-            // node sent the retiree leaves on the retiring generation's
-            // connections, which close behind it; every live peer this
-            // node has not itself retired gets a token behind what it was
-            // sent. (A peer retired here already — a contraction retires
-            // several machines in one handler — is skipped: its token
-            // would wait for a generation that is not coming.)
+            // The runtime's flush-token post, across processes: every live
+            // peer this node has not itself retired gets a token behind
+            // what it was sent, and the link to the retiree ends with how
+            // many went out. (A peer retired here already — a contraction
+            // retires several machines in one handler — is skipped: its
+            // token would wait for a generation that is not coming.)
             let m = machine.index();
-            stage.flush(&shared.writers);
             let gen = shared
                 .directory
                 .live_gen(m)
                 .unwrap_or_else(|| panic!("retire of machine {m}, which is not live"));
-            shared.writers.retire(m, gen);
-            let closed = shared.writers.close_to(m);
-            let peers: Vec<u64> = shared
-                .directory
-                .live_machines()
-                .into_iter()
-                .filter(|&p| p != shared.machine)
-                .map(|p| p as u64)
-                .collect();
-            for &p in &peers {
-                shared.counters.created.fetch_add(1, Ordering::AcqRel);
-                stage.push_flush(p as usize, m, gen);
+            let mut tokens = 0u64;
+            for p in shared.directory.live_machines() {
+                if p != shared.machine && p != m {
+                    shared.counters.created.fetch_add(1, Ordering::AcqRel);
+                    stage.push(p, K_FLUSH, &(m as u64, gen));
+                    tokens += 1;
+                }
             }
+            stage.push(m, K_FLUSH_SENT, &tokens);
+            stage.flush(&shared.writers);
+            shared.writers.retire(m, gen);
+            shared.writers.close_to(m);
             lifecycle(Lifecycle::Retire(RetireReq {
                 machine: m as u64,
                 gen,
-                peers,
-                closed,
             }));
         }
     }
@@ -1088,18 +1053,113 @@ mod tests {
         }
     }
 
-    /// A connection's preamble: the class it carries.
-    fn class_of(conn: &mut BufReader<TcpStream>) -> MsgClass {
+    /// A connection's preamble: who dialed it, at which generation.
+    fn preamble(conn: &mut BufReader<TcpStream>) -> Preamble {
         match read_frame(conn).expect("read preamble") {
-            (K_PREAMBLE, p) => Preamble::from_bytes(&p).unwrap().class,
+            (K_PREAMBLE, p) => Preamble::from_bytes(&p).unwrap(),
             (k, _) => panic!("first frame kind {k}, want preamble"),
         }
     }
 
+    /// A Data, a Migration and a Control message, then a retirement
+    /// token, staged to one peer leave on one connection in that order:
+    /// the class is the receiving mailbox's business, not the link's.
+    #[test]
+    fn one_connection_per_peer_carries_every_class_in_send_order() {
+        use aoj_core::tuple::{Rel, Tuple};
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let directory = Directory::new();
+        directory.set_live(3, 0, peer.local_addr().unwrap().port());
+        let writers = Writers::new(Arc::clone(&directory), 9, 0);
+        let sent = [
+            OpMsg::DataBatch {
+                tag: 0,
+                store: true,
+                tuples: vec![Tuple::new(Rel::R, 7, 0, 0)],
+                arrived: vec![SimTime::ZERO],
+            },
+            OpMsg::MigDone,
+            OpMsg::Ack {
+                joiner: 3,
+                epoch: 1,
+            },
+        ];
+        let mut stage = OutStage::new(writers.pool());
+        for msg in &sent {
+            stage.push(3, K_TASK_MSG, &(TaskId(0), TaskId(1), msg.clone()));
+        }
+        stage.push(3, K_FLUSH, &(5u64, 2u32));
+        stage.flush(&writers);
+
+        let mut conn = accept(&peer);
+        assert_eq!(
+            preamble(&mut conn),
+            Preamble {
+                from_machine: 9,
+                gen: 0
+            }
+        );
+        let mut classes = Vec::new();
+        for msg in &sent {
+            let (kind, payload) = read_frame(&mut conn).unwrap();
+            assert_eq!(kind, K_TASK_MSG);
+            let (from, to, got) = TaskMsg::from_bytes(&payload).unwrap();
+            assert_eq!((from, to), (TaskId(0), TaskId(1)));
+            assert_eq!(got.to_bytes(), msg.to_bytes());
+            classes.push(got.class());
+        }
+        assert_eq!(
+            classes,
+            [MsgClass::Data, MsgClass::Migration, MsgClass::Control]
+        );
+        let (kind, payload) = read_frame(&mut conn).unwrap();
+        assert_eq!(kind, K_FLUSH);
+        assert_eq!(<(u64, u32)>::from_bytes(&payload).unwrap(), (5, 2));
+
+        // Closing joins every dialer: a second connection would be in
+        // the listener's queue by now.
+        writers.close_all();
+        assert_eq!(next(&mut conn), None);
+        assert_eq!(
+            peer.accept().map(|_| ()).unwrap_err().kind(),
+            std::io::ErrorKind::WouldBlock,
+            "a second connection was dialed"
+        );
+    }
+
+    /// The retiree's drain completes once the announcement and the k-th
+    /// answer are in, whichever comes last; k - 1 answers never do, and
+    /// an announcement of no tokens completes it at once.
+    #[test]
+    fn the_retiree_drain_completes_on_the_announcement_and_every_answer() {
+        let announced_first = DrainCount::new();
+        announced_first.announced(2);
+        announced_first.answered();
+        assert!(!announced_first.is_complete(), "k - 1 answers");
+        announced_first.answered();
+        assert!(announced_first.is_complete());
+        announced_first.wait();
+
+        let answered_first = DrainCount::new();
+        answered_first.answered();
+        answered_first.answered();
+        assert!(!answered_first.is_complete(), "no announcement yet");
+        answered_first.announced(3);
+        assert!(!answered_first.is_complete(), "k - 1 answers");
+        answered_first.answered();
+        assert!(answered_first.is_complete());
+
+        let no_peers = DrainCount::new();
+        assert!(!no_peers.is_complete());
+        no_peers.announced(0);
+        assert!(no_peers.is_complete());
+        no_peers.wait();
+    }
+
     /// Two loopback listeners stand in for generations 0 and 1 of machine
-    /// 3. Retiring generation 0 parks its connections: later sends dial
+    /// 3. Retiring generation 0 parks its one connection: later sends dial
     /// generation 1 once it comes up, `close_to` ends only the parked
-    /// connections, and the new one stays open until the node shuts down.
+    /// connection, and the new one stays open until the node shuts down.
     #[test]
     fn retire_parks_the_old_generation_and_sends_dial_the_next() {
         let gen0 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1108,32 +1168,42 @@ mod tests {
         directory.set_live(3, 0, gen0.local_addr().unwrap().port());
         let writers = Writers::new(Arc::clone(&directory), 9, 0);
 
-        writers.enqueue(3, MsgClass::Data, frames(1));
-        let mut data0 = accept(&gen0);
-        assert_eq!(class_of(&mut data0), MsgClass::Data);
-        assert_eq!(next(&mut data0), Some(1));
-        writers.enqueue(3, MsgClass::Control, frames(2));
-        let mut control0 = accept(&gen0);
-        assert_eq!(class_of(&mut control0), MsgClass::Control);
-        assert_eq!(next(&mut control0), Some(2));
+        writers.enqueue(3, frames(1));
+        let mut conn0 = accept(&gen0);
+        assert_eq!(
+            preamble(&mut conn0),
+            Preamble {
+                from_machine: 9,
+                gen: 0
+            }
+        );
+        assert_eq!(next(&mut conn0), Some(1));
+        writers.enqueue(3, frames(2));
+        assert_eq!(next(&mut conn0), Some(2), "one connection per generation");
 
         writers.retire(3, 0);
         // Generation 1 is not up yet: the send parks in the backlog of a
         // connection that waits for it.
-        writers.enqueue(3, MsgClass::Data, frames(3));
+        writers.enqueue(3, frames(3));
         directory.set_live(3, 1, gen1.local_addr().unwrap().port());
-        let mut data1 = accept(&gen1);
-        assert_eq!(class_of(&mut data1), MsgClass::Data);
-        assert_eq!(next(&mut data1), Some(3));
+        let mut conn1 = accept(&gen1);
+        assert_eq!(preamble(&mut conn1).from_machine, 9);
+        assert_eq!(next(&mut conn1), Some(3));
 
-        assert_eq!(writers.close_to(3), 2, "only generation 0 is closed");
-        assert_eq!(next(&mut data0), None);
-        assert_eq!(next(&mut control0), None);
-        writers.enqueue(3, MsgClass::Data, frames(4));
-        assert_eq!(next(&mut data1), Some(4));
+        writers.close_to(3);
+        assert_eq!(next(&mut conn0), None, "generation 0 is closed");
+        writers.enqueue(3, frames(4));
+        assert_eq!(next(&mut conn1), Some(4), "generation 1 stays open");
 
-        assert_eq!(writers.close_all(), vec![(3, 1)]);
-        assert_eq!(next(&mut data1), None);
+        writers.close_all();
+        assert_eq!(next(&mut conn1), None);
+        for listener in [&gen0, &gen1] {
+            assert_eq!(
+                listener.accept().map(|_| ()).unwrap_err().kind(),
+                std::io::ErrorKind::WouldBlock,
+                "one connection per generation"
+            );
+        }
     }
 
     /// Sending to the generation being retired is still a protocol error.

@@ -56,21 +56,22 @@ use aoj_operators::session::{
 };
 use aoj_operators::{ElasticConfig, SourcePacing};
 use aoj_simnet::{
-    CostModel, FlushCause, FlushCounts, Gauge, MachineMetrics, MsgClass, NetworkConfig,
-    SimDuration, SimTime, TaskId,
+    CostModel, FlushCause, FlushCounts, Gauge, MachineMetrics, NetworkConfig, SimDuration, SimTime,
+    TaskId,
 };
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 14;
+pub const WIRE_VERSION: u8 = 15;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
 pub const MAX_FRAME: usize = 256 << 20;
 
 // Frame kinds, each with its payload type (a bare `u64` where one number
-// says it all). One flat namespace across all connection classes; each
-// endpoint only accepts the kinds meaningful for its connection.
+// says it all). One flat namespace across control and data-plane
+// connections; each endpoint only accepts the kinds meaningful for its
+// connection.
 /// Worker → coordinator: first frame on the control connection ([`Hello`]).
 pub const K_HELLO: u8 = 1;
 /// Coordinator → worker: the session [`Plan`] (handshake reply).
@@ -88,11 +89,14 @@ pub const K_PROVISION_REQ: u8 = 7;
 /// Worker → coordinator: an `Effect::Retire` this worker applied
 /// ([`RetireReq`]).
 pub const K_RETIRE_REQ: u8 = 8;
-/// Worker → coordinator: a retirement token consumed, channels to the
-/// retiring generation closed ([`DrainDone`]).
-pub const K_DRAIN_DONE: u8 = 10;
-/// Coordinator → retiring worker: all peers closed; finish and exit once
-/// this many end-of-stream markers are in.
+/// Data-plane frame, last on the link to a retiring generation from the
+/// node that applied its `Effect::Retire`: how many peers it sent a
+/// [`K_FLUSH`] token (`u64`). The retiree's drain is complete once this
+/// and as many [`K_FLUSHED`] answers are in.
+pub const K_FLUSH_SENT: u8 = 10;
+/// Coordinator → retiring worker: the retirement's turn among the
+/// serialized lifecycle operations has come; drain and exit once the
+/// drain is complete (`()`).
 pub const K_RETIRE_NOW: u8 = 11;
 /// Worker → coordinator: periodic [`GaugeSample`] for the session overlay.
 pub const K_GAUGES: u8 = 12;
@@ -112,14 +116,13 @@ pub const K_FINALS: u8 = 15;
 pub const K_SHUTDOWN: u8 = 16;
 /// Worker → coordinator: last frame before process exit ([`Exiting`]).
 pub const K_EXITING: u8 = 17;
-/// First frame on every data-plane connection: who is dialing, and for
-/// which message class ([`Preamble`]).
+/// First frame on every data-plane connection: who is dialing
+/// ([`Preamble`]).
 pub const K_PREAMBLE: u8 = 18;
 /// Data-plane frame: one routed [`OpMsg`] between two tasks ([`TaskMsg`]).
 pub const K_TASK_MSG: u8 = 19;
-/// Data-plane / drain marker: no more frames will follow on this
-/// connection; a retiree counts these to know nothing is still in
-/// flight toward it (`()`).
+/// Data-plane goodbye: no more frames will follow on this connection,
+/// whose reader ends quietly (`()`). Nothing counts these.
 pub const K_EOS: u8 = 20;
 /// Coordinator → worker (control): toggle live match streaming
 /// ([`MatchTap`]). A worker ships every match it emits until its first
@@ -127,13 +130,15 @@ pub const K_EOS: u8 = 20;
 /// arrive; while off, workers count matches but never buffer or ship pair
 /// identities.
 pub const K_MATCH_TAP: u8 = 21;
-/// Data-plane frame on a Control-class connection: a retirement token
-/// `(machine, gen)` — the TCP form of the threaded runtime's
-/// `Work::Flush`. The node that applies `Effect::Retire` stages one to
-/// every live peer, FIFO behind everything it sent that peer before; the
-/// peer consumes it in its machine loop, closes its connections to that
-/// generation and reports [`DrainDone`].
+/// Data-plane frame: a retirement token `(machine, gen)` — the TCP form
+/// of the threaded runtime's `Work::Flush`. The node that applies
+/// `Effect::Retire` stages one to every live peer, FIFO behind everything
+/// it sent that peer before; the peer consumes it in its machine loop and
+/// ends its link to that generation with a [`K_FLUSHED`].
 pub const K_FLUSH: u8 = 22;
+/// Data-plane frame, last on a peer's link to a retiring generation: the
+/// peer consumed its [`K_FLUSH`] token (`()`).
+pub const K_FLUSHED: u8 = 23;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("wire: {}", msg.into()))
@@ -585,7 +590,6 @@ wire_via!(String as Vec<u8>, |s| s.as_bytes().to_vec(), |bytes| {
 });
 
 wire_enum!(Rel { 0 => R, 1 => S });
-wire_enum!(MsgClass { 0 => Control, 1 => Data, 2 => Migration });
 wire_enum!(Step { 0 => HalveRows, 1 => HalveCols });
 wire_struct! {
     Tuple { seq: u64, rel: Rel, key: i64, aux: i32, bytes: u32, ticket: u64 }
@@ -858,33 +862,14 @@ wire_struct! {
     }
 
     /// Worker → coordinator: the node that applied an `Effect::Retire`
-    /// closed its own connections to the retiring generation and staged
-    /// a [`K_FLUSH`] token to each of `peers` ([`K_RETIRE_REQ`]).
-    #[derive(Clone, Debug, PartialEq, Eq)]
+    /// sent every live peer a [`K_FLUSH`] token and the retiree a
+    /// [`K_FLUSH_SENT`] ([`K_RETIRE_REQ`]).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct RetireReq {
         /// The retiring machine.
         pub machine: u64,
         /// The generation it retires.
         pub gen: u32,
-        /// The live peers that were sent a token; each answers with a
-        /// [`DrainDone`].
-        pub peers: Vec<u64>,
-        /// How many per-class connections the applying node closed toward
-        /// the retiree (each carried a trailing [`K_EOS`]).
-        pub closed: u32,
-    }
-
-    /// Worker → coordinator: a [`K_FLUSH`] token consumed, data channels
-    /// toward the retiring generation closed ([`K_DRAIN_DONE`]).
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct DrainDone {
-        /// The retiring machine.
-        pub machine: u64,
-        /// The generation it retires.
-        pub gen: u32,
-        /// How many per-class connections this node closed toward it (each
-        /// carried a trailing [`K_EOS`] the retiree must count).
-        pub closed: u32,
     }
 
     /// Worker → coordinator: a periodic (or final) gauge sample for this
@@ -930,27 +915,19 @@ wire_struct! {
         pub created: u64,
         /// Final finished-work count.
         pub finished: u64,
-        /// Connections closed by the exit-time flush, as `(destination
-        /// machine, count)`. The coordinator folds these into its running
-        /// per-destination end-of-stream tally, so a *later* retirement
-        /// barrier toward one of those destinations expects the markers
-        /// this exit already delivered.
-        pub closed: Vec<(u64, u32)>,
     }
 
     /// First frame on every data-plane connection ([`K_PREAMBLE`]): who is
-    /// dialing and which message class the connection carries. One TCP
-    /// connection per (sender, receiver, class) keeps per-class FIFO order
-    /// — the property the epoch protocol relies on — while letting
-    /// migration and control traffic bypass a backed-up data stream.
+    /// dialing. One TCP connection per (sender generation, receiver
+    /// generation) carries every message class in send order, which keeps
+    /// the per-channel FIFO order the epoch protocol relies on; the
+    /// receiving mailbox applies the weighted class service.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct Preamble {
         /// The dialing machine.
         pub from_machine: u64,
         /// The dialing machine's incarnation.
         pub gen: u32,
-        /// The class every subsequent [`K_TASK_MSG`] frame belongs to.
-        pub class: MsgClass,
     }
 }
 

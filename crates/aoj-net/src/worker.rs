@@ -16,8 +16,9 @@
 //! 4. service the control connection: answer quiescence probes, stream
 //!    gauge samples to the coordinator, apply gauge relays (machine 0
 //!    hosts the controller, which reads cluster-wide storage), and, when
-//!    told to retire, wait for the end-of-stream markers its peers'
-//!    token-driven closes sent, then drain;
+//!    the coordinator's go-ahead to retire arrives, wait until its own
+//!    drain count is complete (see [`crate::node::DrainCount`]), then
+//!    drain;
 //! 5. ship finals (the tasks' harvested `Finals` — with the joiner's
 //!    stored state when the shutdown frame says the session is
 //!    checkpointing — and the metrics shard) and exit — `0` for a clean
@@ -36,17 +37,17 @@ use aoj_operators::report::harvest;
 use aoj_operators::reshuffler::ReshufflerTask;
 use aoj_operators::{assemble_topology, IngestQueue, MatchHub, SessionBuilder};
 use aoj_runtime::mailbox::Mailbox;
-use aoj_simnet::{Gauge, MachineId, SharedGauges, TaskId, Topology};
+use aoj_simnet::{Gauge, MachineId, SharedGauges, TaskId, Topology, MIGRATION_WEIGHT};
 
 use crate::node::{
     dial_with_retry, run_machine_loop, spawn_acceptor, Clock, ControlOut, Counters, Directory,
-    EosGate, Lifecycle, NodeShared, Writers,
+    DrainCount, Lifecycle, NodeShared, Writers,
 };
 use crate::wire::{
     self, read_frame, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap, Plan,
-    ProbeAck, Ready, Wire, K_DRAIN_DONE, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO,
-    K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ,
-    K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
+    ProbeAck, Ready, Wire, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP,
+    K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ, K_READY,
+    K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
 
 /// Environment: flag marking a process as a worker.
@@ -199,15 +200,14 @@ pub fn worker_main() -> ! {
     let mut shard = std::mem::take(&mut graph.metrics);
     shard.install_shared(Arc::clone(&gauges));
 
-    let rt_cfg = builder.runtime_config();
     let mailbox = Arc::new(Mailbox::new(
-        rt_cfg.data_queue_capacity,
-        rt_cfg.migration_weight,
+        builder.runtime_config().data_queue_capacity,
+        MIGRATION_WEIGHT,
     ));
     let done = Arc::new(AtomicBool::new(false));
     let directory = Directory::new();
     let writers = Writers::new(Arc::clone(&directory), machine, gen);
-    let eos = EosGate::new();
+    let drain = DrainCount::new();
     let counters = Arc::new(Counters::default());
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind data listener");
@@ -216,7 +216,7 @@ pub fn worker_main() -> ! {
         listener,
         Arc::clone(&mailbox),
         Arc::clone(&done),
-        Arc::clone(&eos),
+        Arc::clone(&drain),
     );
 
     // Bootstrap timers for tasks we host (normally none: the only
@@ -242,14 +242,12 @@ pub fn worker_main() -> ! {
     let loop_handle = {
         let ctrl = Arc::clone(&ctrl);
         let hub = Arc::clone(&hub);
-        let drain_batch = rt_cfg.drain_batch;
         std::thread::Builder::new()
             .name(format!("aoj-net-m{machine}"))
             .spawn(move || {
                 let lifecycle = |ev: Lifecycle| match ev {
                     Lifecycle::Provision(m) => ctrl.send(K_PROVISION_REQ, &(m as u64)),
                     Lifecycle::Retire(req) => ctrl.send(K_RETIRE_REQ, &req),
-                    Lifecycle::Drained(done) => ctrl.send(K_DRAIN_DONE, &done),
                     // No operator task stops the run from a handler; the
                     // coordinator owns session shutdown.
                     Lifecycle::Stopped => {}
@@ -264,14 +262,7 @@ pub fn worker_main() -> ! {
                         }
                     }
                 };
-                run_machine_loop(
-                    &shared,
-                    tasks,
-                    shard,
-                    drain_batch,
-                    &lifecycle,
-                    Some(&batch_end),
-                )
+                run_machine_loop(&shared, tasks, shard, &lifecycle, Some(&batch_end))
             })
             .expect("spawn machine loop")
     };
@@ -381,12 +372,11 @@ pub fn worker_main() -> ! {
                     gauges.set(m, gauge, value);
                 }
             }
-            Ok((K_RETIRE_NOW, p)) => {
-                // Every peer has closed its channels toward us; once
-                // their end-of-stream markers are all in, nothing is in
-                // flight and the backlog is complete. Drain it and go.
-                let expect = u64::from_bytes(&p).expect("retire-now count");
-                eos.wait_for(expect);
+            Ok((K_RETIRE_NOW, _)) => {
+                // The go-ahead: once every token holder has answered,
+                // nothing is in flight toward us and the backlog is
+                // complete. Drain it and go.
+                drain.wait();
                 mailbox.complete_drain();
                 break Exit::Retired;
             }
@@ -409,7 +399,7 @@ pub fn worker_main() -> ! {
     // Final sequence: flush outbound channels, then ship authoritative
     // finals. Ordering matters — gauges and matches before the finals
     // bundle, the exit notice last.
-    let closed = writers.close_all();
+    writers.close_all();
     ship_stats(true);
     ctrl.send(
         K_FINALS,
@@ -435,7 +425,6 @@ pub fn worker_main() -> ! {
             gen,
             created,
             finished,
-            closed: closed.iter().map(|&(d, n)| (d as u64, n)).collect(),
         },
     );
     std::process::exit(0);

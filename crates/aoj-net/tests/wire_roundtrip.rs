@@ -21,18 +21,16 @@ use aoj_core::migration::MachineStepSpec;
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_net::wire::{
-    append_frame, read_frame, DrainDone, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp,
-    MatchTap, Plan, Preamble, ProbeAck, Ready, RetireReq, TaskMsg, Wire, K_FINALS, K_GAUGES,
-    K_SHUTDOWN, K_TASK_MSG,
+    append_frame, read_frame, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap, Plan,
+    Preamble, ProbeAck, Ready, RetireReq, TaskMsg, Wire, K_FINALS, K_GAUGES, K_SHUTDOWN,
+    K_TASK_MSG,
 };
 use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
 use aoj_operators::report::{ControllerFinal, Finals, MatchDigest, Resume};
 use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
 use aoj_operators::{BackendChoice, ElasticConfig, KeyFilter, OperatorKind, SessionBuilder};
-use aoj_simnet::{
-    FlushCause, FlushCounts, Gauge, MachineMetrics, MsgClass, SimDuration, SimTime, TaskId,
-};
+use aoj_simnet::{FlushCause, FlushCounts, Gauge, MachineMetrics, SimDuration, SimTime, TaskId};
 use proptest::prelude::*;
 
 /// The codec contract for one value of any [`Wire`] type; returns the
@@ -277,14 +275,6 @@ fn match_val() -> impl Strategy<Value = Match> {
     )
 }
 
-fn msg_class() -> impl Strategy<Value = MsgClass> {
-    prop_oneof![
-        Just(MsgClass::Control),
-        Just(MsgClass::Data),
-        Just(MsgClass::Migration)
-    ]
-}
-
 fn key_filter() -> impl Strategy<Value = KeyFilter> {
     prop_oneof![
         Just(KeyFilter::All),
@@ -510,7 +500,6 @@ proptest! {
     fn handshake_frames_roundtrip(
         ids in (any::<u8>(), any::<u64>(), any::<u32>(), any::<u16>()),
         plan in (any::<u64>(), any::<u64>(), bytes(300), bytes(300)),
-        class in msg_class(),
     ) {
         let (version, machine, gen, port) = ids;
         let (fingerprint, anchor, builder, restore) = plan;
@@ -526,7 +515,7 @@ proptest! {
         });
         roundtrip_eq(&Ready { machine, gen, fingerprint, data_port: port });
         roundtrip_eq(&MachineUp { machine, gen, port });
-        roundtrip_eq(&Preamble { from_machine: machine, gen, class });
+        roundtrip_eq(&Preamble { from_machine: machine, gen });
     }
 
     #[test]
@@ -536,21 +525,14 @@ proptest! {
         gen in any::<u32>(),
         on in any::<bool>(),
         skew_parts in words(24),
-        closed in proptest::collection::vec((any::<u64>(), any::<u32>()), 0..6),
         filters in proptest::collection::vec(key_filter(), 0..5),
     ) {
         let (a, b, c, d, e) = nums;
-        roundtrip_eq(&a); // K_PROBE, K_PROVISION_REQ, K_RETIRE_NOW
-        roundtrip_eq(&()); // K_SHUTDOWN, K_EOS
+        roundtrip_eq(&a); // K_PROBE, K_PROVISION_REQ, K_FLUSH_SENT
+        roundtrip_eq(&()); // K_RETIRE_NOW, K_EOS, K_FLUSHED
         roundtrip_eq(&(a, gen)); // K_FLUSH
         roundtrip_eq(&ProbeAck { nonce: a, created: b, finished: c });
-        roundtrip_eq(&RetireReq {
-            machine: a,
-            gen,
-            peers: closed.iter().map(|&(p, _)| p).collect(),
-            closed: gen ^ 1,
-        });
-        roundtrip_eq(&DrainDone { machine: a, gen, closed: gen ^ 1 });
+        roundtrip_eq(&RetireReq { machine: a, gen });
         // K_GAUGES, and K_GAUGE_RELAY with the sketch dropped.
         roundtrip_eq(&GaugeSample {
             machine: a,
@@ -558,7 +540,7 @@ proptest! {
             data_processed: d ^ e,
             skew_parts,
         });
-        roundtrip_eq(&Exiting { machine: a, gen, created: b, finished: c, closed });
+        roundtrip_eq(&Exiting { machine: a, gen, created: b, finished: c });
         roundtrip_eq(&MatchTap { on, filters });
     }
 

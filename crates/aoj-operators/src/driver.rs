@@ -743,7 +743,6 @@ mod tests {
         );
         let cfg = SimConfig {
             network: b.data_plane.network,
-            machine: Default::default(),
             deadline: None,
         };
         let sim: Sim<OpMsg> = Sim::new(cfg, topo);

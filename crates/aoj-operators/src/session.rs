@@ -1607,7 +1607,6 @@ fn launch(
         BackendChoice::Sim => {
             let cfg = SimConfig {
                 network: builder.data_plane.network,
-                machine: Default::default(),
                 deadline: None,
             };
             let sim = Box::new(Sim::new(cfg, topo));

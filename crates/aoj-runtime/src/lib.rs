@@ -79,4 +79,4 @@ pub mod mailbox;
 pub mod runtime;
 
 pub use condvar::CountedCondvar;
-pub use runtime::{KillSwitch, Runtime, RuntimeConfig};
+pub use runtime::{KillSwitch, Runtime, RuntimeConfig, DRAIN_BATCH};

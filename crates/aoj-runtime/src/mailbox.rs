@@ -134,16 +134,18 @@ pub enum Work<M> {
     /// it has passed the point after which it can no longer send to the
     /// retiree. In the threaded runtime the worker that consumes the
     /// **last** token calls [`complete_drain`](Mailbox::complete_drain)
-    /// on the retiree's mailbox so its worker can tear down for real; an
-    /// `aoj-net` node that consumes one closes its connections to the
-    /// retiring generation, and the retiree drains once every peer has.
+    /// on the retiree's mailbox so its worker can tear down for real. An
+    /// `aoj-net` node that consumes one answers the retiree last on its
+    /// link to the retiring generation and closes it; the retiree counts
+    /// those answers itself, so there too the last consumed token
+    /// completes the drain.
     Flush {
         /// Index of the retiring machine the token vouches for.
         machine: usize,
-        /// The incarnation it retires: an `aoj-net` node closes only its
-        /// connections to that generation of the machine's process. The
-        /// threaded runtime, whose re-provisioned machine reuses the same
-        /// mailbox, posts 0.
+        /// The incarnation it retires: an `aoj-net` node answers and
+        /// closes only its link to that generation of the machine's
+        /// process. The threaded runtime, whose re-provisioned machine
+        /// reuses the same mailbox, posts 0.
         gen: u32,
     },
 }

@@ -13,7 +13,7 @@ use std::time::Instant;
 use aoj_core::{DeathCause, FaultLog, WorkerDeath};
 use aoj_simnet::{
     Effect, ExecBackend, MachineId, Metrics, SharedGauges, SimMessage, SimTime, TaskId, TaskMap,
-    Topology,
+    Topology, MIGRATION_WEIGHT,
 };
 
 use crate::mailbox::{dispatch, install_wakers, Mailbox, Work};
@@ -29,27 +29,21 @@ pub struct RuntimeConfig {
     /// loopback traffic is never bounded (see the `mailbox` module docs
     /// for why the wait must be bounded).
     pub data_queue_capacity: usize,
-    /// Migration-to-data service ratio while both queues are backlogged.
-    /// The paper fixes this to 2 (§4.3.2); mirrors
-    /// [`aoj_simnet::MachineConfig::migration_weight`].
-    pub migration_weight: u32,
-    /// How many messages a worker drains from its mailbox per lock
-    /// acquisition. The weighted service policy is applied per message
-    /// *inside* the batch, so the service order is identical to draining
-    /// one at a time — batching only amortises the lock. 1 restores the
-    /// unbatched behaviour.
-    pub drain_batch: usize,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             data_queue_capacity: 16 * 1024,
-            migration_weight: 2,
-            drain_batch: 32,
         }
     }
 }
+
+/// How many messages a live machine loop drains from its mailbox per
+/// lock acquisition. The weighted service policy is applied per message
+/// *inside* the batch, so the service order is identical to draining one
+/// at a time — batching only amortises the lock.
+pub const DRAIN_BATCH: usize = 32;
 
 /// Crashes one machine's worker, or ends a whole run, from outside it.
 ///
@@ -124,7 +118,6 @@ struct Shared<M: SimMessage + Send + 'static> {
     gauges: Arc<SharedGauges>,
     sample_spacing: u64,
     machines: usize,
-    drain_batch: usize,
     /// Machines currently holding a worker thread.
     provisioned: AtomicUsize,
     peak_provisioned: AtomicUsize,
@@ -168,10 +161,9 @@ impl<M: SimMessage + Send + 'static> Shared<M> {
     fn spawn_worker(self: &Arc<Self>, mid: MachineId, tasks: TaskMap<M>) -> WorkerHandle<M> {
         let shared = Arc::clone(self);
         let shard = self.fresh_shard();
-        let drain_batch = self.drain_batch;
         thread::Builder::new()
             .name(format!("aoj-worker-{}", mid.index()))
-            .spawn(move || worker(mid, shared, tasks, shard, drain_batch))
+            .spawn(move || worker(mid, shared, tasks, shard))
             .expect("failed to spawn worker thread")
     }
 
@@ -307,12 +299,11 @@ fn worker<M: SimMessage + Send + 'static>(
     shared: Arc<Shared<M>>,
     mut tasks: TaskMap<M>,
     mut shard: Metrics,
-    drain_batch: usize,
 ) -> (TaskMap<M>, Metrics) {
     let guard = PanicGuard(&shared);
     let mailbox = Arc::clone(&shared.mailboxes[mid.index()]);
     install_wakers(&mailbox, &mut tasks);
-    let mut batch = Vec::with_capacity(drain_batch);
+    let mut batch = Vec::with_capacity(DRAIN_BATCH);
     'run: loop {
         if shared.kill_requested[mid.index()].load(Ordering::Relaxed) {
             // Crash, not shutdown: no finish_item, no task deposit. The
@@ -329,9 +320,9 @@ fn worker<M: SimMessage + Send + 'static>(
             drop(guard);
             return (TaskMap::new(), shard);
         }
-        // One lock acquisition drains up to `drain_batch` messages, in
+        // One lock acquisition drains up to `DRAIN_BATCH` messages, in
         // exactly the order repeated single pops would have produced.
-        if !mailbox.pop_batch(drain_batch, &mut batch, || shared.now_us(), &shared.done) {
+        if !mailbox.pop_batch(DRAIN_BATCH, &mut batch, || shared.now_us(), &shared.done) {
             if shared.done.load(Ordering::SeqCst) {
                 break;
             }
@@ -566,12 +557,7 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
         let deferred: Vec<bool> = self.topo.machines().iter().map(|m| m.deferred).collect();
         let machines = deferred.len();
         let mailboxes: Vec<Arc<Mailbox<M>>> = (0..machines)
-            .map(|_| {
-                Arc::new(Mailbox::new(
-                    self.cfg.data_queue_capacity,
-                    self.cfg.migration_weight,
-                ))
-            })
+            .map(|_| Arc::new(Mailbox::new(self.cfg.data_queue_capacity, MIGRATION_WEIGHT)))
             .collect();
         let eager = self.worker_threads();
         let shared = Arc::new(Shared {
@@ -586,7 +572,6 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
             gauges: Arc::clone(&self.gauges),
             sample_spacing: self.topo.metrics.sample_spacing,
             machines,
-            drain_batch: self.cfg.drain_batch.max(1),
             provisioned: AtomicUsize::new(eager),
             peak_provisioned: AtomicUsize::new(eager),
             flush_pending: (0..machines).map(|_| AtomicUsize::new(0)).collect(),

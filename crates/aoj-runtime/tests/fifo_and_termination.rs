@@ -233,7 +233,6 @@ fn mutual_data_floods_do_not_deadlock() {
     topo.start_timer_at(SimTime::ZERO, b, 0);
     let cfg = RuntimeConfig {
         data_queue_capacity: 8, // far below the in-flight volume
-        ..RuntimeConfig::default()
     };
     let mut rt: Runtime<Payload> = Runtime::new(cfg, topo);
     rt.run();

@@ -1,7 +1,6 @@
 //! Simulation-wide configuration: the network parameters and the CPU cost
 //! model used by operator tasks to price their work.
 
-use crate::machine::MachineConfig;
 use crate::network::NetworkConfig;
 use crate::time::SimDuration;
 
@@ -90,8 +89,6 @@ impl CostModel {
 pub struct SimConfig {
     /// Network parameters (latency, bandwidth, framing overhead).
     pub network: NetworkConfig,
-    /// Per-machine scheduling parameters.
-    pub machine: MachineConfig,
     /// Optional hard stop: the simulation aborts past this virtual time.
     /// `None` runs to quiescence.
     pub deadline: Option<crate::time::SimTime>,

@@ -22,7 +22,8 @@
 //!    in send order (the epoch protocol's ordering assumption, §4.3.1 of
 //!    the paper);
 //! 2. **Weighted class service**: control messages preempt, and
-//!    migration-class messages are serviced at `migration_weight` times
+//!    migration-class messages are serviced at
+//!    [`MIGRATION_WEIGHT`](crate::MIGRATION_WEIGHT) times
 //!    the data rate while both queues are backlogged (§4.3.2).
 //!
 //! Time is [`SimTime`] in both cases: virtual microseconds under the

@@ -77,7 +77,7 @@ pub mod time;
 
 pub use config::{CostModel, SimConfig};
 pub use exec::{ExecBackend, MachineSlot, TaskMap, Topology};
-pub use machine::{MachineConfig, MachineId};
+pub use machine::{MachineId, MIGRATION_WEIGHT};
 pub use metrics::{
     FlushCause, FlushCounts, Gauge, MachineMetrics, Metrics, ProgressSample, SharedGauges,
 };

@@ -19,23 +19,12 @@ impl MachineId {
     }
 }
 
-/// Per-machine knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct MachineConfig {
-    /// How many `Migration`-class messages are serviced for every
-    /// `Data`-class message while both queues are backlogged. The paper
-    /// fixes this to 2 (§4.3.2): "We set the joiners to process migrated
-    /// tuples at twice the rate of processing new incoming tuples."
-    pub migration_weight: u32,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig {
-            migration_weight: 2,
-        }
-    }
-}
+/// How many `Migration`-class messages are serviced for every
+/// `Data`-class message while both queues are backlogged. The paper fixes
+/// this to 2 (§4.3.2): "We set the joiners to process migrated tuples at
+/// twice the rate of processing new incoming tuples." The live backends'
+/// mailboxes serve at the same ratio.
+pub const MIGRATION_WEIGHT: u32 = 2;
 
 /// A queued message awaiting CPU service.
 pub(crate) struct Queued<M> {
@@ -46,7 +35,6 @@ pub(crate) struct Queued<M> {
 
 /// Internal machine state.
 pub(crate) struct Machine<M> {
-    pub cfg: MachineConfig,
     pub nic: Nic,
     /// CPU is busy until this time.
     pub busy_until: SimTime,
@@ -61,9 +49,8 @@ pub(crate) struct Machine<M> {
 }
 
 impl<M> Machine<M> {
-    pub fn new(cfg: MachineConfig) -> Self {
+    pub fn new() -> Self {
         Machine {
-            cfg,
             nic: Nic::default(),
             busy_until: SimTime::ZERO,
             scheduled: false,
@@ -87,7 +74,7 @@ impl<M> Machine<M> {
     }
 
     /// Pick the next message to service. Control preempts everything;
-    /// migration is served `migration_weight` times per data message while
+    /// migration is served [`MIGRATION_WEIGHT`] times per data message while
     /// both queues are non-empty; otherwise whichever queue has work.
     pub fn pop_next(&mut self) -> Option<Queued<M>> {
         if let Some(item) = self.control_q.pop_front() {
@@ -103,7 +90,7 @@ impl<M> Machine<M> {
                 self.data_q.pop_front()
             }
             (true, true) => {
-                if self.migration_credit < self.cfg.migration_weight {
+                if self.migration_credit < MIGRATION_WEIGHT {
                     self.migration_credit += 1;
                     self.migration_q.pop_front()
                 } else {
@@ -129,7 +116,7 @@ mod tests {
 
     #[test]
     fn weighted_service_is_two_to_one() {
-        let mut m: Machine<u32> = Machine::new(MachineConfig::default());
+        let mut m: Machine<u32> = Machine::new();
         for i in 0..6 {
             m.enqueue(MsgClass::Migration, q(100 + i));
         }
@@ -143,7 +130,7 @@ mod tests {
 
     #[test]
     fn control_preempts() {
-        let mut m: Machine<u32> = Machine::new(MachineConfig::default());
+        let mut m: Machine<u32> = Machine::new();
         m.enqueue(MsgClass::Data, q(1));
         m.enqueue(MsgClass::Migration, q(2));
         m.enqueue(MsgClass::Control, q(3));
@@ -152,7 +139,7 @@ mod tests {
 
     #[test]
     fn drains_single_class() {
-        let mut m: Machine<u32> = Machine::new(MachineConfig::default());
+        let mut m: Machine<u32> = Machine::new();
         for i in 0..4 {
             m.enqueue(MsgClass::Data, q(i));
         }
@@ -162,7 +149,7 @@ mod tests {
 
     #[test]
     fn migration_only_drains_fifo() {
-        let mut m: Machine<u32> = Machine::new(MachineConfig::default());
+        let mut m: Machine<u32> = Machine::new();
         for i in 0..4 {
             m.enqueue(MsgClass::Migration, q(i));
         }

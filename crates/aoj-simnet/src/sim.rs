@@ -80,7 +80,7 @@ impl<M: SimMessage + 'static> Sim<M> {
                 .iter()
                 .map(|s| s.network.unwrap_or(cfg.network))
                 .collect(),
-            machines: slots.iter().map(|_| Machine::new(cfg.machine)).collect(),
+            machines: slots.iter().map(|_| Machine::new()).collect(),
             machine_state: slots.iter().map(|s| state(s.deferred)).collect(),
             provisioned,
             peak_provisioned: provisioned,
@@ -146,7 +146,7 @@ impl<M: SimMessage + 'static> Sim<M> {
         *state = MachineState::Dead;
         // Queued work dies with the machine; a stale ProcessNext event
         // is defused by the Dead check in `process_next`.
-        self.machines[machine.index()] = Machine::new(self.cfg.machine);
+        self.machines[machine.index()] = Machine::new();
         true
     }
 
