@@ -136,6 +136,10 @@ pub fn run_fig8c() {
         "bound",
         "within",
     ]);
+    // Theorem 4.6 bound plus slack for the decentralised estimator
+    // (the theorem assumes exact cardinalities; Alg. 1 samples).
+    let bound = 1.25 * 1.15;
+    let mut over = Vec::new();
     for k in [2u64, 4, 6, 8] {
         let arrivals = fluctuating(&w, k, SEED);
         // Theorem 4.6 assumes arrivals are flow-controlled relative to
@@ -152,24 +156,25 @@ pub fn run_fig8c() {
         );
         let warmup = arrivals.len() as u64 / 20; // 5%: past initial adaptation
         let max_ratio = report.max_competitive_ratio(warmup);
-        // Theorem 4.6 bound plus slack for the decentralised estimator
-        // (the theorem assumes exact cardinalities; Alg. 1 samples).
-        let bound = 1.25 * 1.15;
+        let within = max_ratio <= bound;
+        if !within {
+            over.push((k, max_ratio));
+        }
         table.row(vec![
             k.to_string(),
             report.migrations.to_string(),
             format!("{max_ratio:.3}"),
             "1.25 (+est. slack)".into(),
-            if max_ratio <= bound {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
+            if within { "yes".into() } else { "NO".into() },
         ]);
     }
     table.print();
     println!(
         "  paper shape: ratio never exceeds 1.25 at any fluctuation rate; many migrations fire."
+    );
+    assert!(
+        over.is_empty(),
+        "Fig 8c: max ILF/ILF* above {bound:.4} at (k, ratio) {over:?}"
     );
 }
 

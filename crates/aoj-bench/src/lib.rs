@@ -8,7 +8,7 @@
 //! by name from one table ([`experiments::EXPERIMENTS`]).
 //!
 //! Scale: experiments run the paper's dataset sizes through
-//! [`aoj_datagen::ScaledGb`] (row counts reduced ~1000x, ratios intact)
+//! [`aoj_datagen::tpch::ScaledGb`] (row counts reduced ~1000x, ratios intact)
 //! on the simulated cluster. Absolute numbers are simulation units; the
 //! *shapes* — who wins, by what factor, where the crossovers are — are
 //! the reproduction targets, recorded in EXPERIMENTS.md. Nothing here

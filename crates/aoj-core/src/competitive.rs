@@ -1,11 +1,13 @@
-//! Online ILF competitiveness tracking — the instrumentation behind
+//! Online ILF competitiveness samples — the instrumentation behind
 //! Fig. 8c, which plots `ILF/ILF*` against tuples processed and verifies it
-//! never exceeds the proven bound.
+//! never exceeds the proven bound. The worst ratio of a run is
+//! `RunReport::max_competitive_ratio` (in `aoj-operators`).
 
 use crate::ilf::{ilf, optimal_ilf};
 use crate::mapping::Mapping;
 
-/// One sample of the tracker.
+/// One point of the `ILF/ILF*` trace, against an oracle that knows the
+/// true cardinalities (the comparison of §5.4).
 #[derive(Clone, Copy, Debug)]
 pub struct RatioSample {
     /// Tuples processed when the sample was taken.
@@ -15,14 +17,28 @@ pub struct RatioSample {
     /// True `|S|` at that instant.
     pub s: u64,
     /// ILF of the mapping the operator was actually running.
-    pub ilf_actual: f64,
+    ilf_actual: f64,
     /// ILF of the oracle-optimal mapping for the true cardinalities.
-    pub ilf_optimal: f64,
-    /// Was a migration in flight?
-    pub migrating: bool,
+    ilf_optimal: f64,
 }
 
 impl RatioSample {
+    /// The state of a `j`-joiner operator after processing `tuples` tuples
+    /// in total, with true cardinalities `(r, s)`, running `current`;
+    /// `None` before the first tuple (`r = s = 0`), where no ILF exists.
+    pub fn new(j: u32, tuples: u64, r: u64, s: u64, current: Mapping) -> Option<RatioSample> {
+        if r == 0 && s == 0 {
+            return None;
+        }
+        Some(RatioSample {
+            tuples,
+            r,
+            s,
+            ilf_actual: ilf(r, s, current),
+            ilf_optimal: optimal_ilf(j, r, s),
+        })
+    }
+
     /// `ILF / ILF*` (1.0 when optimal).
     pub fn ratio(&self) -> f64 {
         if self.ilf_optimal == 0.0 {
@@ -33,115 +49,12 @@ impl RatioSample {
     }
 }
 
-/// Records `ILF/ILF*` over the lifetime of a run, against an oracle that
-/// knows the true cardinalities (the comparison of §5.4).
-#[derive(Clone, Debug)]
-pub struct CompetitiveTracker {
-    j: u32,
-    samples: Vec<RatioSample>,
-    /// Ignore samples before this many tuples (the operator's warm-up; the
-    /// bound only applies once adaptation is enabled, §5.4).
-    warmup_tuples: u64,
-}
-
-impl CompetitiveTracker {
-    /// Track a `j`-joiner operator, ignoring the first `warmup_tuples`.
-    pub fn new(j: u32, warmup_tuples: u64) -> CompetitiveTracker {
-        CompetitiveTracker {
-            j,
-            samples: Vec::new(),
-            warmup_tuples,
-        }
-    }
-
-    /// Record the operator state after processing `tuples` tuples in total,
-    /// with true cardinalities `(r, s)`, running `current`.
-    pub fn record(&mut self, tuples: u64, r: u64, s: u64, current: Mapping, migrating: bool) {
-        if r == 0 && s == 0 {
-            return;
-        }
-        self.samples.push(RatioSample {
-            tuples,
-            r,
-            s,
-            ilf_actual: ilf(r, s, current),
-            ilf_optimal: optimal_ilf(self.j, r, s),
-            migrating,
-        });
-    }
-
-    /// All samples.
-    pub fn samples(&self) -> &[RatioSample] {
-        &self.samples
-    }
-
-    /// Worst ratio observed after warm-up.
-    pub fn max_ratio(&self) -> f64 {
-        self.samples
-            .iter()
-            .filter(|s| s.tuples >= self.warmup_tuples)
-            .map(|s| s.ratio())
-            .fold(1.0, f64::max)
-    }
-
-    /// Worst ratio over samples where the cardinality ratio respects the
-    /// theorem's `|R|/|S| ≤ J` assumption (outside it, the §4.2.2 padding
-    /// bound of 1.875 applies instead).
-    pub fn max_ratio_within_assumptions(&self) -> f64 {
-        self.samples
-            .iter()
-            .filter(|s| s.tuples >= self.warmup_tuples)
-            .filter(|s| {
-                let (lo, hi) = (s.r.min(s.s), s.r.max(s.s));
-                lo > 0 && hi <= lo * self.j as u64
-            })
-            .map(|s| s.ratio())
-            .fold(1.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn optimal_mapping_has_ratio_one() {
-        let mut t = CompetitiveTracker::new(16, 0);
-        t.record(100, 50, 50, Mapping::new(4, 4), false);
-        assert!((t.max_ratio() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stale_mapping_shows_elevated_ratio() {
-        let mut t = CompetitiveTracker::new(16, 0);
-        // R:S = 16:1 but still running square: ILF = 16/4 + 1/4 = 4.25
-        // vs optimal (16,1): 16/16 + 1/1 = 2. Ratio = 2.125.
-        t.record(17, 16, 1, Mapping::new(4, 4), false);
-        assert!((t.max_ratio() - 2.125).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warmup_samples_are_ignored() {
-        let mut t = CompetitiveTracker::new(16, 1000);
-        t.record(10, 16, 1, Mapping::new(4, 4), false); // terrible, but warm-up
-        t.record(2000, 50, 50, Mapping::new(4, 4), false);
-        assert!((t.max_ratio() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn assumption_filter_drops_extreme_ratios() {
-        let mut t = CompetitiveTracker::new(4, 0);
-        // Ratio 100:1 > J=4: excluded from the within-assumptions max.
-        t.record(101, 100, 1, Mapping::new(2, 2), false);
-        t.record(200, 100, 100, Mapping::new(2, 2), false);
-        assert!(t.max_ratio() > 1.0);
-        assert!((t.max_ratio_within_assumptions() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_state_is_skipped() {
-        let mut t = CompetitiveTracker::new(4, 0);
-        t.record(0, 0, 0, Mapping::new(2, 2), false);
-        assert!(t.samples().is_empty());
+        assert!(RatioSample::new(4, 0, 0, 0, Mapping::new(2, 2)).is_none());
     }
 }

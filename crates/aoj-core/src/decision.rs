@@ -15,9 +15,11 @@
 //! * **Lemma 4.5 / Theorem 4.2** — amortised migration cost is `O(1/ε)`
 //!   per input tuple.
 //!
-//! The decider is pure bookkeeping over cardinality estimates; feeding it
-//! the controller's [`ScaledEstimator`](crate::stats::ScaledEstimator)
-//! output reproduces the paper's decentralised control loop.
+//! The decider is pure bookkeeping over cardinality estimates. The
+//! controller feeds it Alg. 1's scaled increments: reshuffler 0 sees one
+//! in `J` of the tuples and calls [`MigrationDecider::observe_only`] with
+//! `J ×` each one's size (`aoj_operators::reshuffler`), which reproduces
+//! the paper's decentralised control loop.
 
 use crate::ilf::{effective_cardinalities, ilf_numerator, optimal_mapping};
 use crate::mapping::Mapping;
@@ -50,7 +52,7 @@ impl Default for DecisionConfig {
 
 impl DecisionConfig {
     /// ε as a float (reporting only; decisions use exact integer math).
-    pub fn epsilon(&self) -> f64 {
+    pub(crate) fn epsilon(&self) -> f64 {
         self.epsilon_num as f64 / self.epsilon_den as f64
     }
 
@@ -59,12 +61,6 @@ impl DecisionConfig {
     pub fn competitive_ratio(&self) -> f64 {
         let e = self.epsilon();
         (3.0 + 2.0 * e) / (3.0 + e)
-    }
-
-    /// The proven amortised communication cost `8/ε` per input tuple
-    /// (Theorem 4.2).
-    pub fn amortized_cost_bound(&self) -> f64 {
-        8.0 / self.epsilon()
     }
 }
 
@@ -128,29 +124,6 @@ impl MigrationDecider {
             decisions: 0,
             migrations: 0,
         }
-    }
-
-    /// The mapping the decider believes the operator is running.
-    #[inline]
-    pub fn current(&self) -> Mapping {
-        self.current
-    }
-
-    /// Committed totals `(|R|, |S|)`.
-    #[inline]
-    pub fn committed(&self) -> (u64, u64) {
-        (self.r, self.s)
-    }
-
-    /// Deltas `(|ΔR|, |ΔS|)` since the last decision point.
-    #[inline]
-    pub fn deltas(&self) -> (u64, u64) {
-        (self.dr, self.ds)
-    }
-
-    /// Decision points evaluated and migrations triggered so far.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.decisions, self.migrations)
     }
 
     /// Record `units` newly arrived units on R (resp. S) and check the
@@ -285,6 +258,20 @@ impl MigrationDecider {
 mod tests {
     use super::*;
 
+    // Oracles of the decision tests; the controller reads the decider through `snapshot`.
+    impl MigrationDecider {
+        /// The mapping the decider believes the operator is running.
+        #[inline]
+        fn current(&self) -> Mapping {
+            self.current
+        }
+
+        /// Decision points evaluated and migrations triggered so far.
+        fn counters(&self) -> (u64, u64) {
+            (self.decisions, self.migrations)
+        }
+    }
+
     fn decider(j: u32) -> MigrationDecider {
         MigrationDecider::new(j, Mapping::square(j), DecisionConfig::default())
     }
@@ -299,7 +286,6 @@ mod tests {
             ..cfg
         };
         assert!((half.competitive_ratio() - 4.0 / 3.5).abs() < 1e-12);
-        assert!((half.amortized_cost_bound() - 16.0).abs() < 1e-12);
     }
 
     #[test]
@@ -310,7 +296,8 @@ mod tests {
         // operator already runs — so the decision point fires but no
         // migration is needed.
         assert_eq!(d.observe(true, 1), Decision::Stay);
-        assert_eq!(d.committed(), (1, 0), "deltas must be committed");
+        let snap = d.snapshot();
+        assert_eq!((snap.r, snap.s), (1, 0), "deltas must be committed");
         assert_eq!(d.counters().0, 1, "a decision point must have fired");
     }
 
@@ -478,11 +465,9 @@ mod tests {
             d.observe(i % 2 == 0, 1);
         }
         // Thresholds fired repeatedly; deltas must have been folded in.
-        assert_eq!(
-            d.committed().0 + d.committed().1 + d.deltas().0 + d.deltas().1,
-            16
-        );
-        assert!(d.committed().0 > 0);
+        let snap = d.snapshot();
+        assert_eq!(snap.r + snap.s + snap.dr + snap.ds, 16);
+        assert!(snap.r > 0);
     }
 
     #[test]

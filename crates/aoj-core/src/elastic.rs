@@ -118,8 +118,6 @@ impl ExpandSpec {
 /// A complete expansion plan: every parent splits in four.
 #[derive(Clone, Debug)]
 pub struct ExpansionPlan {
-    /// Mapping before expansion.
-    pub from: Mapping,
     /// Mapping after: `(2n, 2m)`.
     pub to: Mapping,
     /// Per-parent roles, indexed by machine id.
@@ -130,18 +128,6 @@ pub struct ExpansionPlan {
 /// if the per-joiner state exceeds half the capacity target `M`.
 pub fn should_expand(max_tuples_per_joiner: u64, capacity_m: u64) -> bool {
     max_tuples_per_joiner > capacity_m / 2
-}
-
-/// The live cluster-wide trigger (§4.2.2): expand when **every** active
-/// joiner stores more than `M/2` — the cluster is uniformly full, not
-/// merely skew-hot (a skewed hot spot is a migration problem, not a
-/// capacity problem). Units are whatever the caller's gauges measure
-/// (bytes under the unequal-tuple-size generalisation).
-pub fn should_expand_cluster(per_joiner_stored: &[u64], capacity_m: u64) -> bool {
-    !per_joiner_stored.is_empty()
-        && per_joiner_stored
-            .iter()
-            .all(|&stored| should_expand(stored, capacity_m))
 }
 
 /// Build the expansion plan for the current assignment. Child machine ids
@@ -156,7 +142,7 @@ pub fn plan_expansion(assign: &GridAssignment) -> ExpansionPlan {
 /// [`GridAssignment::apply_expansion_with`]): the parent occupying the
 /// `g`-th grid cell (row-major) gets `children[3g..3g+3]`. Used by the
 /// elastic runtime to re-expand into machines a contraction retired.
-pub fn plan_expansion_with(assign: &GridAssignment, children: &[usize]) -> ExpansionPlan {
+pub(crate) fn plan_expansion_with(assign: &GridAssignment, children: &[usize]) -> ExpansionPlan {
     let from = assign.mapping();
     let to = Mapping::new(from.n * 2, from.m * 2);
     assert_eq!(
@@ -178,7 +164,7 @@ pub fn plan_expansion_with(assign: &GridAssignment, children: &[usize]) -> Expan
             });
         }
     }
-    ExpansionPlan { from, to, specs }
+    ExpansionPlan { to, specs }
 }
 
 /// Per-joiner contraction predicate (the low-water mirror of
@@ -186,16 +172,6 @@ pub fn plan_expansion_with(assign: &GridAssignment, children: &[usize]) -> Expan
 /// less than the mark; a mark of 0 disables contraction outright.
 pub fn should_contract(stored: u64, low_water: u64) -> bool {
     low_water > 0 && stored < low_water
-}
-
-/// The live contraction trigger (the low-water mirror of
-/// [`should_expand_cluster`]): contract when **every** active joiner
-/// satisfies [`should_contract`].
-pub fn should_contract_cluster(per_joiner_stored: &[u64], low_water: u64) -> bool {
-    !per_joiner_stored.is_empty()
-        && per_joiner_stored
-            .iter()
-            .all(|&stored| should_contract(stored, low_water))
 }
 
 /// One machine's role in a 4→1 contraction.
@@ -220,29 +196,25 @@ pub enum ContractRole {
 
 /// One machine's contraction assignment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ContractSpec {
+pub(crate) struct ContractSpec {
     /// The machine this spec addresses.
     pub machine: usize,
     /// Its role in the merge.
-    pub role: ContractRole,
+    pub(crate) role: ContractRole,
 }
 
 /// A complete 4→1 contraction plan: every aligned 2×2 cell group merges
 /// into its lowest-indexed member.
 #[derive(Clone, Debug)]
 pub struct ContractionPlan {
-    /// Mapping before contraction.
-    pub from: Mapping,
     /// Mapping after: `(n/2, m/2)`.
     pub to: Mapping,
     /// Per-machine roles, survivors first within each group, groups in
     /// row-major order of the contracted grid.
-    pub specs: Vec<ContractSpec>,
+    pub(crate) specs: Vec<ContractSpec>,
     /// Machines that retire, sorted ascending (matches
-    /// [`GridAssignment::apply_contraction`]'s return).
+    /// `GridAssignment::apply_contraction`'s return).
     pub retired: Vec<usize>,
-    /// Machines that survive, sorted ascending.
-    pub survivors: Vec<usize>,
 }
 
 /// Build the contraction plan for the current assignment. The survivor of
@@ -261,7 +233,6 @@ pub fn plan_contraction(assign: &GridAssignment) -> ContractionPlan {
     let to = Mapping::new(from.n / 2, from.m / 2);
     let mut specs = Vec::with_capacity(from.j() as usize);
     let mut retired = Vec::new();
-    let mut survivors = Vec::new();
     for i in 0..to.n {
         for j in 0..to.m {
             let group = [
@@ -271,7 +242,6 @@ pub fn plan_contraction(assign: &GridAssignment) -> ContractionPlan {
                 assign.machine_at(2 * i + 1, 2 * j + 1),
             ];
             let survivor = *group.iter().min().expect("group of four");
-            survivors.push(survivor);
             specs.push(ContractSpec {
                 machine: survivor,
                 role: ContractRole::Survive,
@@ -303,14 +273,7 @@ pub fn plan_contraction(assign: &GridAssignment) -> ContractionPlan {
         }
     }
     retired.sort_unstable();
-    survivors.sort_unstable();
-    ContractionPlan {
-        from,
-        to,
-        specs,
-        retired,
-        survivors,
-    }
+    ContractionPlan { to, specs, retired }
 }
 
 /// Deterministic machine-slot bookkeeping for elastic runs: which indices
@@ -358,7 +321,7 @@ impl ElasticLayout {
 
     /// Commit an allocation of `need` children (see
     /// [`peek_children`](ElasticLayout::peek_children)).
-    pub fn allocate_children(&mut self, need: usize) -> Vec<usize> {
+    pub(crate) fn allocate_children(&mut self, need: usize) -> Vec<usize> {
         let out = self.peek_children(need);
         let reused = need.min(self.dormant.len());
         self.dormant.drain(..reused);
@@ -367,7 +330,7 @@ impl ElasticLayout {
     }
 
     /// Return retired machines to the dormant pool.
-    pub fn release(&mut self, retired: &[usize]) {
+    pub(crate) fn release(&mut self, retired: &[usize]) {
         self.dormant.extend_from_slice(retired);
         self.dormant.sort_unstable();
         self.dormant.dedup();
@@ -390,19 +353,23 @@ mod tests {
     use super::*;
     use crate::ticket::{partition, TicketGen};
 
+    /// The machines that survive `plan`, ascending.
+    fn survivors(plan: &ContractionPlan) -> Vec<usize> {
+        let mut out: Vec<usize> = plan
+            .specs
+            .iter()
+            .filter(|s| s.role == ContractRole::Survive)
+            .map(|s| s.machine)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn trigger_threshold() {
         assert!(!should_expand(50, 100));
         assert!(should_expand(51, 100));
         assert!(!should_expand(0, 0));
-    }
-
-    #[test]
-    fn cluster_trigger_requires_every_joiner_full() {
-        assert!(should_expand_cluster(&[51, 60, 99, 70], 100));
-        // One under-filled joiner (skew, not capacity) blocks expansion.
-        assert!(!should_expand_cluster(&[51, 60, 50, 70], 100));
-        assert!(!should_expand_cluster(&[], 100));
     }
 
     #[test]
@@ -454,19 +421,11 @@ mod tests {
     }
 
     #[test]
-    fn contraction_trigger_is_strict_low_water() {
-        assert!(should_contract_cluster(&[10, 20, 99], 100));
-        assert!(!should_contract_cluster(&[10, 20, 100], 100));
-        assert!(!should_contract_cluster(&[], 100));
-        assert!(!should_contract_cluster(&[0, 0], 0), "0 disables");
-    }
-
-    #[test]
     fn contraction_plan_roles_follow_survivor_parity() {
         let assign = GridAssignment::initial(Mapping::new(2, 2));
         let plan = plan_contraction(&assign);
         assert_eq!(plan.to, Mapping::new(1, 1));
-        assert_eq!(plan.survivors, vec![0]);
+        assert_eq!(survivors(&plan), vec![0]);
         assert_eq!(plan.retired, vec![1, 2, 3]);
         // Machine 0 sits at (0,0): machine 1 at (0,1) shares its row and
         // ships S; machine 2 at (1,0) ships R; machine 3 at (1,1) is the
@@ -557,7 +516,7 @@ mod tests {
         assert_eq!(retired, plan.retired);
         let to = assign.mapping();
         assert_eq!(to, plan.to);
-        for &k in &plan.survivors {
+        for k in survivors(&plan) {
             let pos = assign.pos_of(k);
             let mut expected: Vec<u64> = universe
                 .iter()

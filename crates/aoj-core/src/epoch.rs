@@ -198,7 +198,7 @@ pub enum Role {
 
 impl Role {
     /// Does this machine's post-change state include `t`?
-    pub fn keeps(&self, t: &Tuple) -> bool {
+    pub(crate) fn keeps(&self, t: &Tuple) -> bool {
         match self {
             Role::Step(spec) => spec.is_kept(t),
             Role::Expand(spec) => spec.destinations(t).keep,
@@ -244,7 +244,7 @@ impl Role {
     }
 
     /// End-of-state markers this role waits for before finalising.
-    pub fn markers_awaited(&self) -> usize {
+    pub(crate) fn markers_awaited(&self) -> usize {
         match self {
             Role::Step(_) => 1,
             // Parents and retirees receive no relocated state.
@@ -321,7 +321,7 @@ pub struct EpochJoiner {
     mu: Box<dyn JoinIndex>,
 
     /// Total matches emitted by this joiner (diagnostics / reports).
-    pub matches_emitted: u64,
+    pub(crate) matches_emitted: u64,
 }
 
 impl EpochJoiner {
@@ -399,11 +399,6 @@ impl EpochJoiner {
             "windowed eviction must only run on a stable joiner"
         );
         self.tau.evict_before(bound)
-    }
-
-    /// Sealed sub-window segments currently held by τ (occupancy stats).
-    pub fn sealed_segments(&self) -> usize {
-        self.tau.sealed_segments()
     }
 
     /// The live τ tuples of a quiesced joiner, for a checkpoint. Panics

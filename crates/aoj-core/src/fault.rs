@@ -17,7 +17,7 @@
 //!   machine. Liveness evidence is any control-plane frame from a
 //!   worker (gauge samples double as heartbeats — see the TCP
 //!   backend's stats cadence); a registered machine that stays silent
-//!   past [`DetectorConfig::timeout_us`] is declared dead. In-process
+//!   past `DetectorConfig::timeout_us` is declared dead. In-process
 //!   backends observe death directly (a crashed worker thread is
 //!   immediately visible) and record it without the timeout path.
 //! * [`WorkerDeath`] / [`FaultLog`] — the typed surfacing of a
@@ -92,11 +92,6 @@ impl FaultPlan {
             trigger: FaultTrigger::OnCheckpoint { k },
         });
         self
-    }
-
-    /// Is the plan empty?
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty()
     }
 }
 
@@ -179,7 +174,7 @@ pub struct DetectorConfig {
     /// evidence for this long is declared dead. Must comfortably exceed
     /// the heartbeat cadence (the TCP backend ships gauges every 5ms
     /// and idle-heartbeats at 100ms).
-    pub timeout_us: u64,
+    pub(crate) timeout_us: u64,
 }
 
 impl Default for DetectorConfig {
@@ -232,11 +227,6 @@ impl FailureDetector {
         if let Some((_, seen)) = self.last_seen.get_mut(&machine) {
             *seen = (*seen).max(now_us);
         }
-    }
-
-    /// Is `machine` currently registered?
-    pub fn watching(&self, machine: usize) -> bool {
-        self.last_seen.contains_key(&machine)
     }
 
     /// Declare machines silent past the timeout dead, deregistering
@@ -363,6 +353,22 @@ pub struct RecoveryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The oracle of the plan-builder test.
+    impl FaultPlan {
+        /// Is the plan empty?
+        fn is_empty(&self) -> bool {
+            self.kills.is_empty()
+        }
+    }
+
+    // The oracle of the deregistration test.
+    impl FailureDetector {
+        /// Is `machine` currently registered?
+        fn watching(&self, machine: usize) -> bool {
+            self.last_seen.contains_key(&machine)
+        }
+    }
 
     #[test]
     fn plan_builders_accumulate() {

@@ -59,22 +59,10 @@ impl GroupSet {
         self.sizes.len()
     }
 
-    /// Total machines.
-    #[inline]
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
     /// Size of group `g`.
     #[inline]
     pub fn size(&self, g: usize) -> u32 {
         self.sizes[g]
-    }
-
-    /// Machine index range `[offset, offset + size)` of group `g`.
-    pub fn machine_range(&self, g: usize) -> std::ops::Range<usize> {
-        let o = self.offsets[g] as usize;
-        o..o + self.sizes[g] as usize
     }
 
     /// The group that stores a tuple with (independent) hash `h`: group `g`
@@ -111,6 +99,24 @@ impl GroupSet {
 mod tests {
     use super::*;
     use crate::ticket::mix64;
+
+    // The oracle of the decomposition test.
+    impl GroupSet {
+        /// Total machines.
+        #[inline]
+        fn total(&self) -> u32 {
+            self.total
+        }
+    }
+
+    // The oracle of the machine-layout tests.
+    impl GroupSet {
+        /// Machine index range `[offset, offset + size)` of group `g`.
+        fn machine_range(&self, g: usize) -> std::ops::Range<usize> {
+            let o = self.offsets[g] as usize;
+            o..o + self.sizes[g] as usize
+        }
+    }
 
     #[test]
     fn decompose_matches_binary_digits() {

@@ -17,7 +17,7 @@ use crate::mapping::Mapping;
 /// Cardinalities are in abstract units (tuples, or bytes when sides have
 /// different tuple sizes; §4.2.2 "relative tuple sizes").
 #[inline]
-pub fn ilf_numerator(r: u64, s: u64, mapping: Mapping) -> u128 {
+pub(crate) fn ilf_numerator(r: u64, s: u64, mapping: Mapping) -> u128 {
     r as u128 * mapping.m as u128 + s as u128 * mapping.n as u128
 }
 
@@ -28,7 +28,7 @@ pub fn ilf(r: u64, s: u64, mapping: Mapping) -> f64 {
 }
 
 /// All mappings for `j` joiners (`j` a power of two): `(2^k, j/2^k)`.
-pub fn all_mappings(j: u32) -> impl Iterator<Item = Mapping> {
+pub(crate) fn all_mappings(j: u32) -> impl Iterator<Item = Mapping> {
     assert!(j.is_power_of_two(), "J must be a power of two");
     let e = j.trailing_zeros();
     (0..=e).map(move |k| Mapping::new(1 << k, 1 << (e - k)))
@@ -51,8 +51,10 @@ pub fn optimal_ilf(j: u32, r: u64, s: u64) -> f64 {
 /// The continuous lower bound on the region semi-perimeter,
 /// `2·sqrt(r·s/J)` (Theorem 3.1/3.2). Real mappings are integral, so the
 /// achievable optimum can exceed this by up to the 1.07 factor of
-/// Theorem 3.2.
-pub fn continuous_lower_bound(j: u32, r: u64, s: u64) -> f64 {
+/// Theorem 3.2. The oracle of Theorem 3.2's tests (here and in
+/// `property_invariants`).
+#[cfg(test)]
+pub(crate) fn continuous_lower_bound(j: u32, r: u64, s: u64) -> f64 {
     2.0 * ((r as f64 * s as f64) / j as f64).sqrt()
 }
 
@@ -61,7 +63,7 @@ pub fn continuous_lower_bound(j: u32, r: u64, s: u64) -> f64 {
 /// dummy tuples up to `larger / J`, keeping the ratio within `J` so that
 /// Lemma 4.1 (and everything built on it) applies. Padding multiplies the
 /// handled volume by at most `1 + 1/J`.
-pub fn effective_cardinalities(j: u32, r: u64, s: u64) -> (u64, u64) {
+pub(crate) fn effective_cardinalities(j: u32, r: u64, s: u64) -> (u64, u64) {
     let j = j as u64;
     let r_eff = r.max(s.div_ceil(j));
     let s_eff = s.max(r.div_ceil(j));

@@ -10,7 +10,7 @@
 //! |---|---|
 //! | §3.1–3.4 join matrix, grid `(n,m)`-mapping, Theorem 3.2 | [`mapping`], [`mod@ilf`] |
 //! | §3.2 content-insensitive routing | [`ticket`] (nested random partitions) |
-//! | Alg. 1 decentralised statistics | [`stats`] |
+//! | Alg. 1 decentralised statistics | [`decision`] (fed scaled increments by `aoj_operators::reshuffler`) |
 //! | Alg. 2, Lemmas 4.1–4.3, Theorem 4.2 (ε trade-off) | [`decision`] |
 //! | Lemma 4.4 locality-aware migration, Fig. 3 | [`migration`], [`mapping`] |
 //! | Alg. 3 epochs, Lemma 4.6, Theorem 4.5 | [`epoch`] |
@@ -42,27 +42,15 @@ pub mod mapping;
 pub mod migration;
 pub mod predicate;
 pub mod sketch;
-pub mod stats;
 pub mod ticket;
 pub mod tuple;
 
-pub use competitive::CompetitiveTracker;
-pub use decision::{DeciderSnapshot, Decision, DecisionConfig, MigrationDecider};
-pub use epoch::{
-    DataOutcome, Epoch, EpochJoiner, FinalizeSummary, Machines, Reconfig, Role, SignalOutcome,
-};
-pub use fault::{
-    DeathCause, DetectorConfig, FailureDetector, FaultInjection, FaultLog, FaultPlan, FaultTrigger,
-    RecoveryStats, WorkerDeath,
-};
-pub use ilf::{ilf, optimal_ilf, optimal_mapping};
-pub use index::{JoinIndex, ProbeStats, VecIndex};
-pub use lifecycle::{
-    Checkpoint, EvictStats, JoinerCheckpoint, TickSource, WindowMode, WindowOccupancy, WindowSpec,
-    WindowTracker,
-};
-pub use mapping::{GridAssignment, GridPos, Mapping, Step};
-pub use migration::{plan_step, MachineStepSpec, MigrationPlan, StateClass};
+#[cfg(test)]
+mod property_invariants;
+#[cfg(test)]
+mod protocol_correctness;
+
+pub use fault::{DeathCause, FaultLog, WorkerDeath};
+pub use lifecycle::TickSource;
 pub use predicate::Predicate;
-pub use sketch::{HeavyHitter, SkewConfig, SkewRel, SkewSketch, SpaceSaving};
 pub use tuple::{Rel, Tuple};

@@ -53,7 +53,7 @@
 //! wire frame ([`Checkpoint::to_bytes`] / [`Checkpoint::from_bytes`]).
 //!
 //! [`Checkpoint::read_from`] rejects anything that does not start with
-//! [`CHECKPOINT_MAGIC_V2`]. Restore semantics (exactly-once match delivery) are
+//! `CHECKPOINT_MAGIC_V2`. Restore semantics (exactly-once match delivery) are
 //! implemented by the session layer; this module owns the data model
 //! and its (de)serialisation.
 
@@ -136,19 +136,15 @@ impl WindowSpec {
     /// time**, read from the tuple `aux` column
     /// ([`TickSource::AuxEventTime`]).
     pub fn time_event_aux(micros: u64) -> WindowSpec {
-        WindowSpec::time_micros(micros).with_aux_event_time()
+        WindowSpec {
+            ticks: TickSource::AuxEventTime,
+            ..WindowSpec::time_micros(micros)
+        }
     }
 
     /// Override the sub-window count (clamped to at least 1).
     pub fn with_sub_windows(mut self, n: u32) -> WindowSpec {
         self.sub_windows = n.max(1);
-        self
-    }
-
-    /// Switch a time window's clock to event time from the tuple `aux`
-    /// column. Count windows ignore the tick source.
-    pub fn with_aux_event_time(mut self) -> WindowSpec {
-        self.ticks = TickSource::AuxEventTime;
         self
     }
 
@@ -193,16 +189,6 @@ impl std::ops::AddAssign for EvictStats {
 struct SealMark {
     hi_seq: u64,
     hi_tick: u64,
-}
-
-/// Live occupancy of one joiner's window (for `SessionHandle::stats()`
-/// and the future model-driven controller).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowOccupancy {
-    /// Sealed sub-windows currently awaiting expiry.
-    pub sealed_sub_windows: usize,
-    /// Tick span covered by the active (unsealed) sub-window.
-    pub active_span: u64,
 }
 
 /// Per-joiner sub-window bookkeeping: decides when the host should seal
@@ -321,17 +307,6 @@ impl WindowTracker {
         }
         self.bound
     }
-
-    /// Live occupancy for stats reporting.
-    pub fn occupancy(&self) -> WindowOccupancy {
-        WindowOccupancy {
-            sealed_sub_windows: self.seals.len(),
-            active_span: self
-                .active_start
-                .map(|s| self.latest_tick.saturating_sub(s) + 1)
-                .unwrap_or(0),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -341,7 +316,7 @@ impl WindowTracker {
 /// Binary format magic (first 8 bytes of a v2 snapshot file or of a
 /// [`Checkpoint::to_bytes`] image). Bump it on any layout change;
 /// [`Checkpoint::read_from`] rejects anything else.
-pub const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"AOJCKPT2";
+pub(crate) const CHECKPOINT_MAGIC_V2: &[u8; 8] = b"AOJCKPT2";
 
 /// One joiner's checkpointed state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -669,7 +644,7 @@ impl Checkpoint {
     }
 
     /// Read and validate a checkpoint file. Anything that does not
-    /// start with [`CHECKPOINT_MAGIC_V2`] — including the retired
+    /// start with `CHECKPOINT_MAGIC_V2` — including the retired
     /// `aoj-checkpoint v1` text layout — is `InvalidData`.
     pub fn read_from(path: &Path) -> io::Result<Checkpoint> {
         let bytes = std::fs::read(path)?;

@@ -51,31 +51,21 @@ impl Mapping {
     }
 
     /// `(n/2, 2m)` if `n ≥ 2`.
-    pub fn halve_rows(&self) -> Option<Mapping> {
+    pub(crate) fn halve_rows(&self) -> Option<Mapping> {
         (self.n >= 2).then(|| Mapping::new(self.n / 2, self.m * 2))
     }
 
     /// `(2n, m/2)` if `m ≥ 2`.
-    pub fn halve_cols(&self) -> Option<Mapping> {
+    pub(crate) fn halve_cols(&self) -> Option<Mapping> {
         (self.m >= 2).then(|| Mapping::new(self.n * 2, self.m / 2))
     }
 
     /// Partition count along `rel`'s axis: `n` for R, `m` for S.
     #[inline]
-    pub fn parts(&self, rel: Rel) -> u32 {
+    pub(crate) fn parts(&self, rel: Rel) -> u32 {
         match rel {
             Rel::R => self.n,
             Rel::S => self.m,
-        }
-    }
-
-    /// Replication factor of `rel`: how many joiners hold each partition
-    /// (`m` for R, `n` for S).
-    #[inline]
-    pub fn replication(&self, rel: Rel) -> u32 {
-        match rel {
-            Rel::R => self.m,
-            Rel::S => self.n,
         }
     }
 }
@@ -95,7 +85,7 @@ pub enum Step {
 impl Step {
     /// The relation whose partitions merge; its state is *exchanged*
     /// between partner joiners.
-    pub fn coarsens(self) -> Rel {
+    pub(crate) fn coarsens(self) -> Rel {
         match self {
             Step::HalveRows => Rel::R,
             Step::HalveCols => Rel::S,
@@ -104,7 +94,7 @@ impl Step {
 
     /// The relation whose partitions split; each joiner *discards* the half
     /// that no longer belongs to it.
-    pub fn refines(self) -> Rel {
+    pub(crate) fn refines(self) -> Rel {
         self.coarsens().other()
     }
 
@@ -237,7 +227,7 @@ impl GridAssignment {
 
     /// Grid position of a machine.
     #[inline]
-    pub fn pos_of(&self, machine: usize) -> GridPos {
+    pub(crate) fn pos_of(&self, machine: usize) -> GridPos {
         self.pos[machine]
     }
 
@@ -267,7 +257,7 @@ impl GridAssignment {
     }
 
     /// New grid position of the machine currently at `p` after `step`.
-    pub fn relabel(p: GridPos, step: Step) -> GridPos {
+    pub(crate) fn relabel(p: GridPos, step: Step) -> GridPos {
         match step {
             Step::HalveRows => GridPos {
                 row: p.row >> 1,
@@ -282,7 +272,7 @@ impl GridAssignment {
 
     /// The exchange partner (Lemma 4.4) of the machine at `p`: the sibling
     /// that owns the other half of the merged partition.
-    pub fn partner_pos(p: GridPos, step: Step) -> GridPos {
+    pub(crate) fn partner_pos(p: GridPos, step: Step) -> GridPos {
         match step {
             Step::HalveRows => GridPos {
                 row: p.row ^ 1,
@@ -301,7 +291,7 @@ impl GridAssignment {
     /// resynchronised wholesale when an expansion reactivates them);
     /// relabelling them here would write their stale positions into (or
     /// past) the new grid.
-    pub fn apply_step(&mut self, step: Step) {
+    pub(crate) fn apply_step(&mut self, step: Step) {
         let old = self.mapping;
         let new_mapping = step.apply(old).expect("mapping cannot shrink below 1");
         let mut machine = vec![0u32; new_mapping.j() as usize];
@@ -337,7 +327,7 @@ impl GridAssignment {
     /// `children[3g+2]`. This is how elastic re-expansion reuses machines
     /// retired by an earlier contraction (the dormant pool) instead of
     /// always growing the index space.
-    pub fn apply_expansion_with(&mut self, children: &[usize]) {
+    pub(crate) fn apply_expansion_with(&mut self, children: &[usize]) {
         // Single source of truth: the same plan the reshufflers route
         // and signal by also drives the grid relabelling, so the two
         // cannot drift apart.
@@ -404,7 +394,7 @@ impl GridAssignment {
     /// machine 0 (the controller's machine) can never retire. Returns the
     /// retired machine indices, sorted ascending; their `pos` entries go
     /// stale until a later expansion reactivates them.
-    pub fn apply_contraction(&mut self) -> Vec<usize> {
+    pub(crate) fn apply_contraction(&mut self) -> Vec<usize> {
         // Single source of truth: the plan the reshufflers signal by
         // (survivor choice, retiree roles) also drives the relabelling.
         let plan = crate::elastic::plan_contraction(self);
@@ -453,8 +443,6 @@ mod tests {
         let m = Mapping::new(2, 8);
         assert_eq!(m.parts(Rel::R), 2);
         assert_eq!(m.parts(Rel::S), 8);
-        assert_eq!(m.replication(Rel::R), 8);
-        assert_eq!(m.replication(Rel::S), 2);
         assert_eq!(m.j(), 16);
     }
 

@@ -21,7 +21,7 @@ use crate::tuple::{Rel, Tuple};
 /// How a stored old-state tuple is treated by a migration (the paper's
 /// `Keep` / `Migrated` / `Discard` partition of `τ ∪ Δ`, §4.3.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StateClass {
+pub(crate) enum StateClass {
     /// Stays on this machine (refining relation, matching bit).
     Keep,
     /// Stays on this machine *and* a copy is sent to the partner
@@ -34,12 +34,12 @@ pub enum StateClass {
 
 impl StateClass {
     /// Does the tuple remain part of this machine's post-migration state?
-    pub fn kept(self) -> bool {
+    pub(crate) fn kept(self) -> bool {
         !matches!(self, StateClass::Discard)
     }
 
     /// Must a copy be sent to the partner?
-    pub fn migrated(self) -> bool {
+    pub(crate) fn migrated(self) -> bool {
         matches!(self, StateClass::KeepAndMigrate)
     }
 }
@@ -59,17 +59,17 @@ pub struct MachineStepSpec {
     pub exchange_rel: Rel,
     /// Relation whose partitions split: filtered by `keep_bit`.
     pub refine_rel: Rel,
-    /// Keep `refine_rel` tuples whose [`refine_bit`] equals this.
+    /// Keep `refine_rel` tuples whose `refine_bit` equals this.
     pub keep_bit: u32,
     /// Partition count of `refine_rel` *before* the step (the granularity
-    /// at which [`refine_bit`] is evaluated).
+    /// at which `refine_bit` is evaluated).
     pub refine_parts_before: u32,
 }
 
 impl MachineStepSpec {
     /// Classify a stored tuple.
     #[inline]
-    pub fn classify(&self, t: &Tuple) -> StateClass {
+    pub(crate) fn classify(&self, t: &Tuple) -> StateClass {
         if t.rel == self.exchange_rel {
             StateClass::KeepAndMigrate
         } else if refine_bit(t.ticket, self.refine_parts_before) == self.keep_bit {
@@ -81,7 +81,7 @@ impl MachineStepSpec {
 
     /// Convenience: does this machine keep `t` after the migration?
     #[inline]
-    pub fn is_kept(&self, t: &Tuple) -> bool {
+    pub(crate) fn is_kept(&self, t: &Tuple) -> bool {
         self.classify(t).kept()
     }
 
@@ -95,10 +95,6 @@ impl MachineStepSpec {
 /// A complete single-step migration plan.
 #[derive(Clone, Debug)]
 pub struct MigrationPlan {
-    /// The step being performed.
-    pub step: Step,
-    /// Mapping before.
-    pub from: Mapping,
     /// Mapping after.
     pub to: Mapping,
     /// Per-machine roles, indexed by machine id.
@@ -107,7 +103,7 @@ pub struct MigrationPlan {
 
 /// Build the locality-aware plan for applying `step` to the current
 /// assignment. The assignment itself is not modified; apply
-/// [`GridAssignment::apply_step`] once the operator commits.
+/// `GridAssignment::apply_step` once the operator commits.
 pub fn plan_step(assign: &GridAssignment, step: Step) -> MigrationPlan {
     let from = assign.mapping();
     let to = step
@@ -142,12 +138,7 @@ pub fn plan_step(assign: &GridAssignment, step: Step) -> MigrationPlan {
             refine_parts_before,
         });
     }
-    MigrationPlan {
-        step,
-        from,
-        to,
-        specs,
-    }
+    MigrationPlan { to, specs }
 }
 
 /// Tuples moved by the naive full-repartition baseline (the blocking

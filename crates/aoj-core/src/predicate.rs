@@ -56,19 +56,12 @@ impl Predicate {
 
     /// Evaluate against a stored tuple regardless of which side is which.
     #[inline]
-    pub fn matches_pair(&self, a: &Tuple, b: &Tuple) -> bool {
+    pub(crate) fn matches_pair(&self, a: &Tuple, b: &Tuple) -> bool {
         match (a.rel, b.rel) {
             (Rel::R, Rel::S) => self.matches(a, b),
             (Rel::S, Rel::R) => self.matches(b, a),
             _ => false, // same-relation pairs never join
         }
-    }
-
-    /// True if an index on the join key can serve this predicate with a
-    /// point lookup (equi) or a range scan (band, inequality); false means
-    /// a nested-loop scan is required.
-    pub fn is_index_friendly(&self) -> bool {
-        !matches!(self, Predicate::Theta(_) | Predicate::CrossProduct)
     }
 }
 
@@ -142,12 +135,5 @@ mod tests {
         assert!(p.matches_pair(&r(1), &s(2)));
         assert!(p.matches_pair(&s(2), &r(1)));
         assert!(!p.matches_pair(&r(1), &r(1).with_aux(1)));
-    }
-
-    #[test]
-    fn index_friendliness() {
-        assert!(Predicate::Equi.is_index_friendly());
-        assert!(Predicate::Band { width: 3 }.is_index_friendly());
-        assert!(!Predicate::CrossProduct.is_index_friendly());
     }
 }

@@ -2,15 +2,15 @@
 //! invariants the paper's proofs rest on must hold for *arbitrary* inputs,
 //! not just the hand-picked cases of the unit tests.
 
-use aoj_core::elastic::{plan_expansion, ContractRole, ElasticLayout};
-use aoj_core::epoch::{Reconfig, Role};
-use aoj_core::ilf::{
+use crate::elastic::{plan_expansion, ContractRole, ElasticLayout};
+use crate::epoch::{Reconfig, Role};
+use crate::ilf::{
     continuous_lower_bound, effective_cardinalities, ilf, optimal_ilf, optimal_mapping,
 };
-use aoj_core::mapping::{GridAssignment, Mapping, Step};
-use aoj_core::migration::{plan_step, StateClass};
-use aoj_core::ticket::{partition, refine_bit};
-use aoj_core::tuple::{Rel, Tuple};
+use crate::mapping::{GridAssignment, Mapping, Step};
+use crate::migration::{plan_step, StateClass};
+use crate::ticket::{partition, refine_bit};
+use crate::tuple::{Rel, Tuple};
 use proptest::prelude::*;
 
 /// Strategy: a power-of-two J between 2 and 256 split into (n, m).

@@ -16,13 +16,13 @@
 
 use std::collections::VecDeque;
 
-use aoj_core::elastic::ElasticLayout;
-use aoj_core::epoch::{EpochJoiner, Reconfig, Role};
-use aoj_core::index::VecIndex;
-use aoj_core::mapping::{GridAssignment, Mapping, Step};
-use aoj_core::predicate::Predicate;
-use aoj_core::ticket::{partition, TicketGen};
-use aoj_core::tuple::{Rel, Tuple};
+use crate::elastic::ElasticLayout;
+use crate::epoch::{EpochJoiner, Reconfig, Role};
+use crate::index::VecIndex;
+use crate::mapping::{GridAssignment, Mapping, Step};
+use crate::predicate::Predicate;
+use crate::ticket::{partition, TicketGen};
+use crate::tuple::{Rel, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

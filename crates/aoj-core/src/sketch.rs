@@ -3,7 +3,7 @@
 //!
 //! The reshufflers cannot afford exact per-key accounting — the key domain
 //! is unbounded and the paper's migration trigger (Alg. 2) only sees total
-//! stored bytes, which is blind to skew. [`SpaceSaving`] (Metwally et al.)
+//! stored bytes, which is blind to skew. `SpaceSaving` (Metwally et al.)
 //! replaces exact accounting with `k` counters: every key whose weight
 //! exceeds `N/k` is tracked, and no estimate overshoots the weight it was
 //! fed by more than `N/k`. [`SkewSketch`] keeps one per relation, answers
@@ -61,7 +61,7 @@ struct Counter {
 /// preserves the combined `N/k` error bound and makes the result
 /// independent of merge interleaving.
 #[derive(Clone, Debug)]
-pub struct SpaceSaving {
+pub(crate) struct SpaceSaving {
     cap: usize,
     total: u64,
     counters: Vec<Counter>,
@@ -70,7 +70,7 @@ pub struct SpaceSaving {
 
 impl SpaceSaving {
     /// Creates a summary tracking at most `cap` keys (`cap >= 1`).
-    pub fn new(cap: usize) -> SpaceSaving {
+    pub(crate) fn new(cap: usize) -> SpaceSaving {
         assert!(cap >= 1, "SpaceSaving capacity must be at least 1");
         SpaceSaving {
             cap,
@@ -81,12 +81,12 @@ impl SpaceSaving {
     }
 
     /// Total weight observed (the `N` in the `N/k` bounds).
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total
     }
 
     /// Records `weight` for `key`.
-    pub fn observe(&mut self, key: i64, weight: u64) {
+    pub(crate) fn observe(&mut self, key: i64, weight: u64) {
         self.total += weight;
         if let Some(&i) = self.index.get(&key) {
             self.counters[i].count += weight;
@@ -120,15 +120,6 @@ impl SpaceSaving {
         };
     }
 
-    /// Estimated weight for `key`: the tracked upper bound, or the
-    /// summary-wide floor (minimum counter when saturated, else 0).
-    pub fn estimate(&self, key: i64) -> u64 {
-        match self.index.get(&key) {
-            Some(&i) => self.counters[i].count,
-            None => self.floor(),
-        }
-    }
-
     /// Upper bound on the weight of any untracked key.
     fn floor(&self) -> u64 {
         if self.counters.len() < self.cap {
@@ -138,21 +129,9 @@ impl SpaceSaving {
         }
     }
 
-    /// Whether `key` is tracked with an estimate at or above `threshold`.
-    ///
-    /// For any `threshold > total()/capacity()` this has no false
-    /// negatives: a key whose true weight reaches `threshold` is
-    /// guaranteed to be tracked and to report `true` here.
-    pub fn is_heavy(&self, key: i64, threshold: u64) -> bool {
-        match self.index.get(&key) {
-            Some(&i) => self.counters[i].count >= threshold,
-            None => false,
-        }
-    }
-
     /// All tracked keys with `estimate >= threshold`, heaviest first
     /// (ties broken by ascending key, so the order is deterministic).
-    pub fn heavy_hitters(&self, threshold: u64) -> Vec<HeavyHitter> {
+    pub(crate) fn heavy_hitters(&self, threshold: u64) -> Vec<HeavyHitter> {
         let mut out: Vec<HeavyHitter> = self
             .counters
             .iter()
@@ -174,7 +153,7 @@ impl SpaceSaving {
     /// *different* order can shift estimates within the error floor
     /// (intermediate truncation), but the combined `N/k` bound and the
     /// no-false-negative guarantee hold for any order.
-    pub fn merge(&mut self, other: &SpaceSaving) {
+    pub(crate) fn merge(&mut self, other: &SpaceSaving) {
         assert_eq!(
             self.cap, other.cap,
             "cannot merge SpaceSaving summaries of different capacities"
@@ -247,7 +226,7 @@ impl Default for SkewConfig {
 
 impl SkewConfig {
     /// The hot threshold in absolute weight for a given observed total.
-    pub fn threshold(&self, total: u64) -> u64 {
+    pub(crate) fn threshold(&self, total: u64) -> u64 {
         ((total as u128 * self.hot_num as u128) / self.hot_den.max(1) as u128) as u64
     }
 }
@@ -394,6 +373,30 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    // Oracles of the error-bound tests; the operator reads only `heavy_hitters`.
+    impl SpaceSaving {
+        /// Estimated weight for `key`: the tracked upper bound, or the
+        /// summary-wide floor (minimum counter when saturated, else 0).
+        fn estimate(&self, key: i64) -> u64 {
+            match self.index.get(&key) {
+                Some(&i) => self.counters[i].count,
+                None => self.floor(),
+            }
+        }
+
+        /// Whether `key` is tracked with an estimate at or above `threshold`.
+        ///
+        /// For any `threshold > total()/capacity()` this has no false
+        /// negatives: a key whose true weight reaches `threshold` is
+        /// guaranteed to be tracked and to report `true` here.
+        fn is_heavy(&self, key: i64, threshold: u64) -> bool {
+            match self.index.get(&key) {
+                Some(&i) => self.counters[i].count >= threshold,
+                None => false,
+            }
+        }
+    }
 
     fn true_counts(stream: &[(i64, u64)]) -> HashMap<i64, u64> {
         let mut m = HashMap::new();

@@ -35,7 +35,7 @@ pub fn partition(ticket: u64, parts: u32) -> u32 {
 /// partition count doubles from `parts` to `2 * parts`:
 /// `partition(t, 2p) == partition(t, p) * 2 + refine_bit(t, p)`.
 #[inline]
-pub fn refine_bit(ticket: u64, parts: u32) -> u32 {
+pub(crate) fn refine_bit(ticket: u64, parts: u32) -> u32 {
     debug_assert!(parts.is_power_of_two());
     let bits = parts.trailing_zeros();
     ((ticket >> (63 - bits)) & 1) as u32

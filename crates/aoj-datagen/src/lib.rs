@@ -16,8 +16,3 @@ pub mod queries;
 pub mod stream;
 pub mod tpch;
 pub mod zipf;
-
-pub use queries::{bci, bnci, eq5, eq7, fluct_join, StreamItem, Workload};
-pub use stream::{fluctuating, interleave, Arrivals};
-pub use tpch::{ScaledGb, TpchDb};
-pub use zipf::{Skew, ZipfSampler};

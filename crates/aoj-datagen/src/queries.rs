@@ -43,15 +43,6 @@ impl Workload {
     pub fn total(&self) -> usize {
         self.r_items.len() + self.s_items.len()
     }
-
-    /// Cardinality ratio `|S| / |R|` (∞-safe).
-    pub fn ratio(&self) -> f64 {
-        if self.r_items.is_empty() {
-            f64::INFINITY
-        } else {
-            self.s_items.len() as f64 / self.r_items.len() as f64
-        }
-    }
 }
 
 /// Bytes per materialised dimension-side tuple (keys + a few attributes).
@@ -248,6 +239,18 @@ mod tests {
     use super::*;
     use crate::tpch::ScaledGb;
     use crate::zipf::Skew;
+
+    // The oracle of the lopsidedness test.
+    impl Workload {
+        /// Cardinality ratio `|S| / |R|` (∞-safe).
+        fn ratio(&self) -> f64 {
+            if self.r_items.is_empty() {
+                f64::INFINITY
+            } else {
+                self.s_items.len() as f64 / self.r_items.len() as f64
+            }
+        }
+    }
 
     fn db() -> TpchDb {
         // 5 simulated GB keeps the O(|R|x|S|) reference joins quick.

@@ -14,6 +14,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::queries::{StreamItem, Workload};
 
+#[cfg(test)]
+mod properties;
+
 /// A fully ordered operator input: the sequence of arrivals.
 pub type Arrivals = Vec<(Rel, StreamItem)>;
 
@@ -74,9 +77,10 @@ pub fn fluctuating(w: &Workload, k: u64, _seed: u64) -> Arrivals {
     out
 }
 
-/// The running `|R|/|S|` ratio trace of an arrival sequence (diagnostics
-/// and Fig. 8c's left axis).
-pub fn ratio_trace(arrivals: &Arrivals) -> Vec<f64> {
+/// The running `|R|/|S|` ratio trace of an arrival sequence: the oracle
+/// of the fluctuation tests here and in `properties`.
+#[cfg(test)]
+fn ratio_trace(arrivals: &Arrivals) -> Vec<f64> {
     let (mut cr, mut cs) = (0u64, 0u64);
     arrivals
         .iter()

@@ -3,10 +3,10 @@
 //! within a relation) and the fluctuation schedule must respect its ratio
 //! envelope.
 
+use super::{fluctuating, interleave, ratio_trace, Arrivals};
+use crate::queries::{StreamItem, Workload};
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::Rel;
-use aoj_datagen::queries::{StreamItem, Workload};
-use aoj_datagen::stream::{fluctuating, interleave, ratio_trace, Arrivals};
 use proptest::prelude::*;
 
 fn workload(nr: usize, ns: usize) -> Workload {

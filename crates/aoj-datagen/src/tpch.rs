@@ -23,17 +23,17 @@ use rand::{Rng, SeedableRng};
 use crate::zipf::{Skew, ZipfSampler};
 
 /// TPC-H ship modes (7 values, uniformly distributed in dbgen).
-pub const SHIP_MODES: usize = 7;
+pub(crate) const SHIP_MODES: usize = 7;
 /// The `'TRUCK'` ship mode index used by BCI/BNCI.
-pub const MODE_TRUCK: u8 = 0;
+pub(crate) const MODE_TRUCK: u8 = 0;
 /// TPC-H ship instructions (4 values).
-pub const SHIP_INSTRUCTS: usize = 4;
+pub(crate) const SHIP_INSTRUCTS: usize = 4;
 /// The `'NONE'` ship instruction index used by BNCI.
-pub const INSTRUCT_NONE: u8 = 0;
+pub(crate) const INSTRUCT_NONE: u8 = 0;
 /// Distinct ship dates (TPC-H spans ~2526 days).
-pub const SHIP_DATE_DAYS: i64 = 2526;
+pub(crate) const SHIP_DATE_DAYS: i64 = 2526;
 /// TPC-H order priorities (5 values; Fluct-Join excludes 2 of them).
-pub const PRIORITIES: usize = 5;
+pub(crate) const PRIORITIES: usize = 5;
 
 /// How many rows one *simulated* GB contains, per relation. The real
 /// TPC-H ratios are preserved: lineitem : orders : supplier =
@@ -59,12 +59,12 @@ impl ScaledGb {
     }
 
     /// Lineitem row count.
-    pub fn lineitem_rows(&self) -> u64 {
+    pub(crate) fn lineitem_rows(&self) -> u64 {
         6_000_000u64 * self.gb as u64 / self.reduction as u64
     }
 
     /// Orders row count.
-    pub fn orders_rows(&self) -> u64 {
+    pub(crate) fn orders_rows(&self) -> u64 {
         1_500_000u64 * self.gb as u64 / self.reduction as u64
     }
 
@@ -73,67 +73,65 @@ impl ScaledGb {
     /// key = 1/|S| of the stream) would dominate over the Zipf skew the
     /// experiments control, and even Z0 would look skewed to a hash
     /// partitioner.
-    pub fn supplier_rows(&self) -> u64 {
+    pub(crate) fn supplier_rows(&self) -> u64 {
         (10_000u64 * self.gb as u64 * 10 / self.reduction as u64).max(25)
     }
 }
 
 /// A lineitem row (only the attributes the five queries touch).
 #[derive(Clone, Copy, Debug)]
-pub struct Lineitem {
+pub(crate) struct Lineitem {
     /// FK to orders; Zipf-skewed under Z1–Z4.
-    pub orderkey: i64,
+    pub(crate) orderkey: i64,
     /// FK to supplier; Zipf-skewed under Z1–Z4.
-    pub suppkey: i64,
+    pub(crate) suppkey: i64,
     /// 1–50, uniform (TPC-H quantity).
-    pub quantity: i32,
+    pub(crate) quantity: i32,
     /// Days since the TPC-H epoch, 0..[`SHIP_DATE_DAYS`].
-    pub shipdate: i64,
+    pub(crate) shipdate: i64,
     /// Ship mode index, uniform over [`SHIP_MODES`].
-    pub shipmode: u8,
+    pub(crate) shipmode: u8,
     /// Ship instruction index, uniform over [`SHIP_INSTRUCTS`].
-    pub shipinstruct: u8,
+    pub(crate) shipinstruct: u8,
 }
 
 /// An orders row.
 #[derive(Clone, Copy, Debug)]
-pub struct Order {
+pub(crate) struct Order {
     /// Primary key.
-    pub orderkey: i64,
+    pub(crate) orderkey: i64,
     /// Priority index, uniform over [`PRIORITIES`].
-    pub shippriority: u8,
+    pub(crate) shippriority: u8,
 }
 
 /// A supplier row.
 #[derive(Clone, Copy, Debug)]
-pub struct Supplier {
+pub(crate) struct Supplier {
     /// Primary key.
-    pub suppkey: i64,
+    pub(crate) suppkey: i64,
     /// FK to nation (25 nations).
-    pub nationkey: i64,
+    pub(crate) nationkey: i64,
 }
 
 /// A nation row (25 rows, 5 per region).
 #[derive(Clone, Copy, Debug)]
-pub struct Nation {
+pub(crate) struct Nation {
     /// Primary key, 0..25.
-    pub nationkey: i64,
+    pub(crate) nationkey: i64,
     /// FK to region, 0..5.
-    pub regionkey: i64,
+    pub(crate) regionkey: i64,
 }
 
 /// The generated database.
 pub struct TpchDb {
     /// Lineitem rows.
-    pub lineitem: Vec<Lineitem>,
+    pub(crate) lineitem: Vec<Lineitem>,
     /// Orders rows.
-    pub orders: Vec<Order>,
+    pub(crate) orders: Vec<Order>,
     /// Supplier rows.
-    pub supplier: Vec<Supplier>,
+    pub(crate) supplier: Vec<Supplier>,
     /// Nation rows (always 25).
-    pub nation: Vec<Nation>,
-    /// The skew setting the FKs were drawn with.
-    pub skew: Skew,
+    pub(crate) nation: Vec<Nation>,
 }
 
 impl TpchDb {
@@ -187,7 +185,6 @@ impl TpchDb {
             orders,
             supplier,
             nation,
-            skew,
         }
     }
 }

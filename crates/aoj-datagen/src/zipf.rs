@@ -26,7 +26,7 @@ pub enum Skew {
 
 impl Skew {
     /// The Zipf exponent.
-    pub fn z(self) -> f64 {
+    pub(crate) fn z(self) -> f64 {
         match self {
             Skew::Z0 => 0.0,
             Skew::Z1 => 0.25,
@@ -81,7 +81,7 @@ impl ZipfSampler {
     }
 
     /// Convenience constructor from a [`Skew`] setting.
-    pub fn with_skew(n: u64, skew: Skew, seed: u64) -> ZipfSampler {
+    pub(crate) fn with_skew(n: u64, skew: Skew, seed: u64) -> ZipfSampler {
         ZipfSampler::new(n, skew.z(), seed)
     }
 
@@ -94,16 +94,19 @@ impl ZipfSampler {
         let idx = self.cdf.partition_point(|&c| c < u);
         (idx.min(self.cdf.len() - 1) + 1) as u64
     }
-
-    /// Domain size.
-    pub fn n(&self) -> u64 {
-        self.cdf.len() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The oracle of the degenerate-domain test.
+    impl ZipfSampler {
+        /// Domain size.
+        fn n(&self) -> u64 {
+            self.cdf.len() as u64
+        }
+    }
 
     fn histogram(n: u64, z: f64, draws: u64) -> Vec<u64> {
         let mut s = ZipfSampler::new(n, z, 42);

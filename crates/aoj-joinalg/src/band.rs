@@ -58,11 +58,6 @@ impl BandIndex {
         }
     }
 
-    /// The band half-width.
-    pub fn width(&self) -> i64 {
-        self.width
-    }
-
     /// Sealed segments oldest-first, then the live run.
     fn segments(&self) -> impl Iterator<Item = &BandSegment> {
         self.sealed.iter().chain(std::iter::once(&self.live))

@@ -7,7 +7,7 @@
 //! relation. This crate provides the two index structures the paper's
 //! evaluation uses (§5: "As indexes, joiners use balanced binary trees for
 //! band joins and hashmaps for equi-joins"), both implementing
-//! [`aoj_core::JoinIndex`]:
+//! [`aoj_core::index::JoinIndex`]:
 //!
 //! * [`SymmetricHashIndex`] — for equi-joins (the local half of the
 //!   classic symmetric hash join): per segment, one tuple arena and one
@@ -25,7 +25,7 @@
 pub mod band;
 pub mod factory;
 pub mod storage;
-pub mod symmetric_hash;
+mod symmetric_hash;
 
 pub use band::BandIndex;
 pub use factory::index_for;

@@ -14,11 +14,10 @@
 #[derive(Clone, Copy, Debug)]
 pub struct SpillGauge {
     /// RAM budget in bytes (the paper's 2 GB heap per joiner, scaled).
-    pub ram_budget: u64,
+    pub(crate) ram_budget: u64,
     /// Cost multiplier applied to work on spilled state (the disk tier).
-    pub penalty: u64,
+    pub(crate) penalty: u64,
     stored: u64,
-    spilled_high_water: u64,
 }
 
 impl SpillGauge {
@@ -29,27 +28,12 @@ impl SpillGauge {
             ram_budget,
             penalty,
             stored: 0,
-            spilled_high_water: 0,
         }
-    }
-
-    /// An effectively unbounded gauge (pure in-memory operation).
-    pub fn unbounded() -> SpillGauge {
-        SpillGauge::new(u64::MAX, 1)
     }
 
     /// Update the gauge with the joiner's current stored bytes.
     pub fn set_stored(&mut self, bytes: u64) {
         self.stored = bytes;
-        let over = bytes.saturating_sub(self.ram_budget);
-        if over > self.spilled_high_water {
-            self.spilled_high_water = over;
-        }
-    }
-
-    /// Currently stored bytes.
-    pub fn stored(&self) -> u64 {
-        self.stored
     }
 
     /// Is any state on the disk tier right now?
@@ -62,13 +46,8 @@ impl SpillGauge {
         self.stored.saturating_sub(self.ram_budget)
     }
 
-    /// High-water mark of spilled bytes over the run.
-    pub fn spilled_high_water(&self) -> u64 {
-        self.spilled_high_water
-    }
-
     /// Fraction of state on the disk tier, in `[0, 1]`.
-    pub fn spilled_fraction(&self) -> f64 {
+    pub(crate) fn spilled_fraction(&self) -> f64 {
         if self.stored == 0 {
             0.0
         } else {
@@ -112,23 +91,6 @@ mod tests {
         assert!((g.spilled_fraction() - 0.5).abs() < 1e-9);
         // multiplier = 1 + 0.5 * 20 = 11
         assert_eq!(g.effective_cost(10), 110);
-    }
-
-    #[test]
-    fn high_water_mark_persists() {
-        let mut g = SpillGauge::new(100, 2);
-        g.set_stored(250);
-        g.set_stored(50);
-        assert!(!g.is_spilling());
-        assert_eq!(g.spilled_high_water(), 150);
-    }
-
-    #[test]
-    fn unbounded_never_spills() {
-        let mut g = SpillGauge::unbounded();
-        g.set_stored(u64::MAX - 1);
-        assert!(!g.is_spilling());
-        assert_eq!(g.effective_cost(7), 7);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The coordinator: an [`ExecBackend`] whose machines are OS processes.
 //!
-//! [`TcpBackend`] is built from the session's [`Topology`] like any
+//! `TcpBackend` is built from the session's [`Topology`] like any
 //! backend, but `run()` does not execute the joiner machines in-process.
 //! Instead it
 //!
@@ -17,7 +17,7 @@
 //!   one at a time: a spawn completes on the worker's `Ready`, and a
 //!   retirement on the retiree's confirmed exit, which waits for the
 //!   coordinator's go-ahead and for the retiree's own drain count (see
-//!   [`crate::node`]);
+//!   `crate::node`);
 //! * detects cluster quiescence with a **double probe**: two
 //!   consecutive probe rounds with identical per-node counters and
 //!   cluster-wide created = finished mean nothing is running and
@@ -87,7 +87,7 @@ const PROBE_PERIOD_BUSY: Duration = Duration::from_millis(20);
 const PROBE_PERIOD_SETTLED: Duration = Duration::from_millis(2);
 
 /// The multi-process TCP execution backend (see the module docs).
-pub struct TcpBackend {
+pub(crate) struct TcpBackend {
     /// The session topology. The coordinator runs the source machine's
     /// tasks itself; the joiner machines' stay here unrun, as each
     /// worker rebuilds its own from the plan.
@@ -142,7 +142,7 @@ impl TcpBackend {
     /// If the builder carries a [`aoj_core::predicate::Predicate::Theta`]
     /// closure — arbitrary native closures cannot cross a process
     /// boundary; use a named predicate on this backend.
-    pub fn factory(
+    pub(crate) fn factory(
         builder: &SessionBuilder,
         hub: Arc<MatchHub>,
         mut topo: Topology<OpMsg>,
@@ -566,7 +566,6 @@ impl TcpBackend {
             match ev {
                 Ev::Local(Lifecycle::Provision(m)) => queue.push_back(Op::Provision { machine: m }),
                 Ev::Local(Lifecycle::Retire(req)) => queue.push_back(Op::Retire { req }),
-                Ev::Local(Lifecycle::Stopped) => {}
                 Ev::Gone { machine } => {
                     // A retired or shut-down worker's connection drop is
                     // expected (its K_EXITING already removed it from
@@ -887,7 +886,6 @@ impl TcpBackend {
         self.final_peak = Some(peak);
         crate::record_run(RunSummary {
             spawned,
-            peak_provisioned: peak,
             reaped,
             listeners: [control_port, own_port],
         });

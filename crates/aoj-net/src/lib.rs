@@ -9,7 +9,7 @@
 //!
 //! ## Topology
 //!
-//! * The **coordinator** ([`backend::TcpBackend`]) lives in the
+//! * The **coordinator** (`backend::TcpBackend`) lives in the
 //!   session's process and is built from the session's
 //!   [`aoj_simnet::Topology`]. It runs the source machine's node itself (so
 //!   ingest pushes feed the data plane directly), spawns one **worker
@@ -64,7 +64,7 @@
 //! ```
 
 pub mod backend;
-pub mod node;
+mod node;
 pub mod wire;
 pub mod worker;
 
@@ -90,8 +90,6 @@ pub struct ReapRecord {
 pub struct RunSummary {
     /// Total worker processes spawned (eager + trigger-time).
     pub spawned: u64,
-    /// Peak simultaneously provisioned machines.
-    pub peak_provisioned: usize,
     /// Every worker exit, in reap order.
     pub reaped: Vec<ReapRecord>,
     /// The coordinator's listening ports, control then data. Both are

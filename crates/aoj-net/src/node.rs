@@ -74,18 +74,18 @@ use crate::wire::{
 /// directory (or a retiree waits for its drain to complete) before
 /// declaring the cluster wedged. Generous: provisioning a worker is a
 /// process spawn plus a topology rebuild.
-pub const PEER_WAIT: Duration = Duration::from_secs(60);
+pub(crate) const PEER_WAIT: Duration = Duration::from_secs(60);
 
 /// Total wall-clock budget one [`dial_with_retry`] spends before giving
 /// up with [`DialError::Timeout`]. A listener that is coming up accepts
 /// within milliseconds; ten seconds of refusals means the peer is gone,
 /// not slow.
-pub const DIAL_BUDGET: Duration = Duration::from_secs(10);
+pub(crate) const DIAL_BUDGET: Duration = Duration::from_secs(10);
 
 /// A failed [`dial_with_retry`]: the typed form of "the peer never
 /// accepted", carrying everything a postmortem needs.
 #[derive(Debug)]
-pub enum DialError {
+pub(crate) enum DialError {
     /// The retry budget ran out.
     Timeout {
         /// Loopback port dialed.
@@ -124,7 +124,7 @@ impl std::error::Error for DialError {}
 /// lockstep), giving up after [`DIAL_BUDGET`]. A freshly-spawned peer's
 /// listener can lose the race with our first connect; one refused
 /// connect must not kill the cluster.
-pub fn dial_with_retry(port: u16, seed: u64) -> Result<TcpStream, DialError> {
+pub(crate) fn dial_with_retry(port: u16, seed: u64) -> Result<TcpStream, DialError> {
     let started = Instant::now();
     let mut rng = seed | 1; // xorshift state must be non-zero
     let mut attempts = 0u32;
@@ -159,7 +159,7 @@ pub fn dial_with_retry(port: u16, seed: u64) -> Result<TcpStream, DialError> {
 /// is one loopback round-trip — microseconds — against latencies the
 /// cost model prices in the same unit.
 #[derive(Clone, Copy, Debug)]
-pub struct Clock {
+pub(crate) struct Clock {
     base_us: u64,
     started: Instant,
 }
@@ -175,7 +175,7 @@ impl Clock {
 
     /// Microseconds on the shared session clock.
     #[inline]
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.base_us + self.started.elapsed().as_micros() as u64
     }
 }
@@ -187,16 +187,16 @@ impl Clock {
 /// every node, created equals finished cluster-wide — which the
 /// coordinator detects with a double probe (see `backend.rs`).
 #[derive(Debug, Default)]
-pub struct Counters {
+pub(crate) struct Counters {
     /// Work items created (sends + timers).
-    pub created: AtomicU64,
+    pub(crate) created: AtomicU64,
     /// Work items fully serviced.
-    pub finished: AtomicU64,
+    pub(crate) finished: AtomicU64,
 }
 
 impl Counters {
     /// Snapshot `(created, finished)`.
-    pub fn snapshot(&self) -> (u64, u64) {
+    pub(crate) fn snapshot(&self) -> (u64, u64) {
         // Finished first: reading it before created keeps the invariant
         // finished ≤ created even if a handler completes between loads.
         let finished = self.finished.load(Ordering::Acquire);
@@ -217,7 +217,7 @@ enum Peer {
 
 /// The machine directory: who is reachable, where, at which incarnation.
 #[derive(Default)]
-pub struct Directory {
+pub(crate) struct Directory {
     state: Mutex<HashMap<usize, Peer>>,
     cv: Condvar,
 }
@@ -230,7 +230,7 @@ impl Directory {
 
     /// Record a machine's data listener (from a `MachineUp` frame). A
     /// re-provisioned machine overwrites its `Retiring` tombstone.
-    pub fn set_live(&self, machine: usize, gen: u32, port: u16) {
+    pub(crate) fn set_live(&self, machine: usize, gen: u32, port: u16) {
         let mut st = self.state.lock().unwrap();
         st.insert(machine, Peer::Live { gen, port });
         drop(st);
@@ -304,7 +304,7 @@ impl Directory {
     /// If generation `min_gen` or later is marked retiring (sending to a
     /// retiring generation is a protocol error, mirroring the threaded
     /// runtime's panics) or does not come up within [`PEER_WAIT`].
-    pub fn wait_live(&self, machine: usize, min_gen: u32) -> (u32, u16) {
+    pub(crate) fn wait_live(&self, machine: usize, min_gen: u32) -> (u32, u16) {
         let deadline = Instant::now() + PEER_WAIT;
         let mut st = self.state.lock().unwrap();
         loop {
@@ -329,7 +329,7 @@ impl Directory {
 /// announcement and as many answers as it names are in, nothing is in
 /// flight toward the retiree.
 #[derive(Default)]
-pub struct DrainCount {
+pub(crate) struct DrainCount {
     /// `(tokens announced, once the announcement is in; answers in)`.
     st: Mutex<(Option<u64>, u64)>,
     cv: Condvar,
@@ -342,20 +342,15 @@ impl DrainCount {
     }
 
     /// The applying node gave `tokens` peers a token.
-    pub fn announced(&self, tokens: u64) {
+    pub(crate) fn announced(&self, tokens: u64) {
         self.st.lock().unwrap().0 = Some(tokens);
         self.cv.notify_all();
     }
 
     /// One peer consumed its token.
-    pub fn answered(&self) {
+    pub(crate) fn answered(&self) {
         self.st.lock().unwrap().1 += 1;
         self.cv.notify_all();
-    }
-
-    /// The announcement and every answer it names are in.
-    pub fn is_complete(&self) -> bool {
-        DrainCount::complete(&self.st.lock().unwrap())
     }
 
     fn complete(st: &(Option<u64>, u64)) -> bool {
@@ -367,7 +362,7 @@ impl DrainCount {
     /// # Panics
     ///
     /// If it does not complete within [`PEER_WAIT`].
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         let deadline = Instant::now() + PEER_WAIT;
         let mut st = self.st.lock().unwrap();
         while !DrainCount::complete(&st) {
@@ -387,7 +382,7 @@ impl DrainCount {
 /// (which sends lifecycle requests from inside handlers). The lock also
 /// guards the frame buffer every send encodes into, so periodic frames
 /// (gauges, matches, probes) reuse one allocation.
-pub struct ControlOut(Mutex<(TcpStream, Vec<u8>)>);
+pub(crate) struct ControlOut(Mutex<(TcpStream, Vec<u8>)>);
 
 impl ControlOut {
     /// Wrap a connected control stream.
@@ -400,7 +395,7 @@ impl ControlOut {
     /// crash) fails with a broken pipe, and the failure detector — not
     /// this send path — is responsible for surfacing the death. A probe
     /// broadcast racing a worker's demise must not panic the reactor.
-    pub fn send(&self, kind: u8, msg: &impl Wire) {
+    pub(crate) fn send(&self, kind: u8, msg: &impl Wire) {
         let mut guard = self.0.lock().unwrap();
         let (stream, buf) = &mut *guard;
         buf.clear();
@@ -467,7 +462,7 @@ struct Handles {
 /// scheduler handoff. All
 /// connections on a node share one [`BufPool`], closing the encode →
 /// socket → return recycling loop.
-pub struct Writers {
+pub(crate) struct Writers {
     inner: Mutex<Handles>,
     directory: Arc<Directory>,
     pool: Arc<BufPool>,
@@ -489,7 +484,7 @@ impl Writers {
     }
 
     /// The node's shared frame-buffer pool.
-    pub fn pool(&self) -> Arc<BufPool> {
+    pub(crate) fn pool(&self) -> Arc<BufPool> {
         Arc::clone(&self.pool)
     }
 
@@ -500,7 +495,7 @@ impl Writers {
     /// buffer parks in the connection's backlog, so a send to a machine
     /// that is still provisioning never blocks the sender. A new
     /// connection dials the lowest generation of `dest` not yet retired.
-    pub fn enqueue(&self, dest: usize, frames: Vec<u8>) {
+    pub(crate) fn enqueue(&self, dest: usize, frames: Vec<u8>) {
         let mut map = self.inner.lock().unwrap();
         let Handles { open, floor, .. } = &mut *map;
         let handle = open.entry(dest).or_insert_with(|| {
@@ -578,7 +573,7 @@ impl Writers {
     /// carry traffic to it for [`close_to`](Writers::close_to), mark it
     /// retiring in the directory, and route later sends to `dest` onto a
     /// fresh connection that waits for generation `gen + 1`.
-    pub fn retire(&self, dest: usize, gen: u32) {
+    pub(crate) fn retire(&self, dest: usize, gen: u32) {
         let mut map = self.inner.lock().unwrap();
         if map.open.get(&dest).is_some_and(|h| h.gen <= gen) {
             let handle = map.open.remove(&dest).unwrap();
@@ -592,7 +587,7 @@ impl Writers {
     /// Close the connection [`retire`](Writers::retire) parked toward
     /// `dest` (flush + trailing [`K_EOS`] + join). A connection to a later
     /// generation stays open.
-    pub fn close_to(&self, dest: usize) {
+    pub(crate) fn close_to(&self, dest: usize) {
         let mut map = self.inner.lock().unwrap();
         let (to_dest, rest) = std::mem::take(&mut map.parked)
             .into_iter()
@@ -605,7 +600,7 @@ impl Writers {
 
     /// Close every connection (flush + trailing [`K_EOS`] + join); the
     /// node's shutdown path.
-    pub fn close_all(&self) {
+    pub(crate) fn close_all(&self) {
         let mut map = self.inner.lock().unwrap();
         let Handles { open, parked, .. } = &mut *map;
         for (_, handle) in open.drain().chain(parked.drain(..)) {
@@ -657,7 +652,7 @@ fn dialer_main(
 /// connection as a single write at batch end. One map lock and one
 /// socket write cover the whole batch — and in steady state the buffers
 /// cycle through the [`BufPool`] without touching the allocator.
-pub struct OutStage {
+pub(crate) struct OutStage {
     pool: Arc<BufPool>,
     slots: HashMap<usize, Vec<u8>>,
 }
@@ -674,7 +669,7 @@ impl OutStage {
 
     /// Append one frame of `kind` to `dest`'s staging buffer, behind
     /// everything already staged there.
-    pub fn push(&mut self, dest: usize, kind: u8, msg: &impl Wire) {
+    pub(crate) fn push(&mut self, dest: usize, kind: u8, msg: &impl Wire) {
         let buf = self.slots.entry(dest).or_default();
         if buf.capacity() == 0 {
             *buf = self.pool.get();
@@ -684,7 +679,7 @@ impl OutStage {
 
     /// Hand every dirty staging buffer to its writer. Buffers leave by
     /// value and come back through the pool once written.
-    pub fn flush(&mut self, writers: &Writers) {
+    pub(crate) fn flush(&mut self, writers: &Writers) {
         for (&dest, buf) in self.slots.iter_mut() {
             if buf.is_empty() {
                 continue;
@@ -701,7 +696,7 @@ impl OutStage {
 /// joins the Control queue as a `Work::Flush`, in order; a
 /// [`K_FLUSH_SENT`] or [`K_FLUSHED`] counts toward this node's own
 /// retirement `drain`; a [`K_EOS`] ends the connection.
-pub fn spawn_reader(
+pub(crate) fn spawn_reader(
     stream: TcpStream,
     mailbox: Arc<Mailbox<OpMsg>>,
     done: Arc<AtomicBool>,
@@ -772,7 +767,7 @@ pub fn spawn_reader(
 /// [`spawn_reader`]. The thread blocks in `accept`; teardown sets `done`
 /// and then wakes it with [`wake_acceptor`]. A worker's acceptor is
 /// never woken: it ends with its process.
-pub fn spawn_acceptor(
+pub(crate) fn spawn_acceptor(
     listener: TcpListener,
     mailbox: Arc<Mailbox<OpMsg>>,
     done: Arc<AtomicBool>,
@@ -807,7 +802,7 @@ pub fn spawn_acceptor(
 /// Wake an acceptor blocked on the loopback listener at `port` whose
 /// `done` flag is already set: one connect, which it accepts, drops and
 /// returns on — closing the listener with it.
-pub fn wake_acceptor(port: u16) {
+pub(crate) fn wake_acceptor(port: u16) {
     let _ = TcpStream::connect(("127.0.0.1", port));
 }
 
@@ -815,36 +810,34 @@ pub fn wake_acceptor(port: u16) {
 /// on by the coordinator (locally, or via a control frame from a
 /// worker).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Lifecycle {
+pub(crate) enum Lifecycle {
     /// `Effect::Provision` — spawn the machine's worker process.
     Provision(usize),
     /// `Effect::Retire`, applied here: every live peer holds a token and
     /// the retiree counts its own drain. The coordinator gives it the
     /// go-ahead to exit when the retirement's turn comes.
     Retire(RetireReq),
-    /// A task requested the run to stop.
-    Stopped,
 }
 
 /// Everything the machine loop shares with the rest of its node.
-pub struct NodeShared {
+pub(crate) struct NodeShared {
     /// The machine this node hosts.
     pub machine: usize,
     /// The node's inbound queue set.
-    pub mailbox: Arc<Mailbox<OpMsg>>,
+    pub(crate) mailbox: Arc<Mailbox<OpMsg>>,
     /// Global shutdown flag.
-    pub done: Arc<AtomicBool>,
+    pub(crate) done: Arc<AtomicBool>,
     /// The anchored session clock.
-    pub clock: Clock,
+    pub(crate) clock: Clock,
     /// Quiescence counters.
-    pub counters: Arc<Counters>,
+    pub(crate) counters: Arc<Counters>,
     /// Outbound connections.
-    pub writers: Arc<Writers>,
+    pub(crate) writers: Arc<Writers>,
     /// The machine directory the writers dial through.
-    pub directory: Arc<Directory>,
+    pub(crate) directory: Arc<Directory>,
     /// Task index → hosting machine (identical in every process: it is
     /// derived from the same plan).
-    pub task_machine: Arc<Vec<MachineId>>,
+    pub(crate) task_machine: Arc<Vec<MachineId>>,
 }
 
 /// Run this node's machine loop to completion: service the mailbox
@@ -854,7 +847,7 @@ pub struct NodeShared {
 /// its buffered matches there). Returns the metrics shard and the tasks
 /// (so finals can be harvested) once the node shuts down or its
 /// retirement drain completes.
-pub fn run_machine_loop(
+pub(crate) fn run_machine_loop(
     shared: &NodeShared,
     mut tasks: TaskMap<OpMsg>,
     mut shard: Metrics,
@@ -894,14 +887,11 @@ pub fn run_machine_loop(
                 continue;
             }
             let now = SimTime(shared.clock.now_us());
-            let (self_task, effects, stopped) = dispatch(work, &mut tasks, &mut shard, mid, now);
+            let (self_task, effects) = dispatch(work, &mut tasks, &mut shard, mid, now);
             for effect in effects {
                 apply_effect(shared, self_task, effect, &mut shard, &mut stage, lifecycle);
             }
             shared.counters.finished.fetch_add(1, Ordering::AcqRel);
-            if stopped {
-                lifecycle(Lifecycle::Stopped);
-            }
         }
         // One handoff to the socket writers per mailbox batch, not per
         // message: everything the batch staged goes out now, before the
@@ -1012,6 +1002,14 @@ fn apply_effect(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The oracle of the drain-count test.
+    impl DrainCount {
+        /// The announcement and every answer it names are in.
+        fn is_complete(&self) -> bool {
+            DrainCount::complete(&self.st.lock().unwrap())
+        }
+    }
 
     /// Accept one connection within five seconds (a dialer that never
     /// comes fails the test instead of hanging it).

@@ -62,51 +62,51 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub const WIRE_VERSION: u8 = 15;
+pub(crate) const WIRE_VERSION: u8 = 15;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
-pub const MAX_FRAME: usize = 256 << 20;
+pub(crate) const MAX_FRAME: usize = 256 << 20;
 
 // Frame kinds, each with its payload type (a bare `u64` where one number
 // says it all). One flat namespace across control and data-plane
 // connections; each endpoint only accepts the kinds meaningful for its
 // connection.
 /// Worker → coordinator: first frame on the control connection ([`Hello`]).
-pub const K_HELLO: u8 = 1;
+pub(crate) const K_HELLO: u8 = 1;
 /// Coordinator → worker: the session [`Plan`] (handshake reply).
-pub const K_PLAN: u8 = 2;
+pub(crate) const K_PLAN: u8 = 2;
 /// Worker → coordinator: topology rebuilt, data listener bound ([`Ready`]).
-pub const K_READY: u8 = 3;
+pub(crate) const K_READY: u8 = 3;
 /// Coordinator → workers: machine directory update ([`MachineUp`]).
-pub const K_MACHINE_UP: u8 = 4;
+pub(crate) const K_MACHINE_UP: u8 = 4;
 /// Coordinator → worker: quiescence probe (a nonce).
-pub const K_PROBE: u8 = 5;
+pub(crate) const K_PROBE: u8 = 5;
 /// Worker → coordinator: probe answer with work counters ([`ProbeAck`]).
-pub const K_PROBE_ACK: u8 = 6;
+pub(crate) const K_PROBE_ACK: u8 = 6;
 /// Worker → coordinator: an `Effect::Provision` for this machine index.
-pub const K_PROVISION_REQ: u8 = 7;
+pub(crate) const K_PROVISION_REQ: u8 = 7;
 /// Worker → coordinator: an `Effect::Retire` this worker applied
 /// ([`RetireReq`]).
-pub const K_RETIRE_REQ: u8 = 8;
+pub(crate) const K_RETIRE_REQ: u8 = 8;
 /// Data-plane frame, last on the link to a retiring generation from the
 /// node that applied its `Effect::Retire`: how many peers it sent a
 /// [`K_FLUSH`] token (`u64`). The retiree's drain is complete once this
 /// and as many [`K_FLUSHED`] answers are in.
-pub const K_FLUSH_SENT: u8 = 10;
+pub(crate) const K_FLUSH_SENT: u8 = 10;
 /// Coordinator → retiring worker: the retirement's turn among the
 /// serialized lifecycle operations has come; drain and exit once the
 /// drain is complete (`()`).
-pub const K_RETIRE_NOW: u8 = 11;
+pub(crate) const K_RETIRE_NOW: u8 = 11;
 /// Worker → coordinator: periodic [`GaugeSample`] for the session overlay.
 pub const K_GAUGES: u8 = 12;
 /// Coordinator → controller worker: another machine's [`GaugeSample`]
 /// (minus its sketch), relayed so the elastic trigger sees the whole
 /// cluster.
-pub const K_GAUGE_RELAY: u8 = 13;
+pub(crate) const K_GAUGE_RELAY: u8 = 13;
 /// Worker → coordinator: matches drained from the worker's local hub
 /// (`Vec<Match>`).
-pub const K_MATCH_BATCH: u8 = 14;
+pub(crate) const K_MATCH_BATCH: u8 = 14;
 /// Worker → coordinator: final task counters, shipped once at exit
 /// ([`FinalsBundle`]).
 pub const K_FINALS: u8 = 15;
@@ -115,30 +115,30 @@ pub const K_FINALS: u8 = 15;
 /// drain ends in a checkpoint).
 pub const K_SHUTDOWN: u8 = 16;
 /// Worker → coordinator: last frame before process exit ([`Exiting`]).
-pub const K_EXITING: u8 = 17;
+pub(crate) const K_EXITING: u8 = 17;
 /// First frame on every data-plane connection: who is dialing
 /// ([`Preamble`]).
-pub const K_PREAMBLE: u8 = 18;
+pub(crate) const K_PREAMBLE: u8 = 18;
 /// Data-plane frame: one routed [`OpMsg`] between two tasks ([`TaskMsg`]).
 pub const K_TASK_MSG: u8 = 19;
 /// Data-plane goodbye: no more frames will follow on this connection,
 /// whose reader ends quietly (`()`). Nothing counts these.
-pub const K_EOS: u8 = 20;
+pub(crate) const K_EOS: u8 = 20;
 /// Coordinator → worker (control): toggle live match streaming
 /// ([`MatchTap`]). A worker ships every match it emits until its first
 /// tap, which the coordinator sends once a subscriber exists or matches
 /// arrive; while off, workers count matches but never buffer or ship pair
 /// identities.
-pub const K_MATCH_TAP: u8 = 21;
+pub(crate) const K_MATCH_TAP: u8 = 21;
 /// Data-plane frame: a retirement token `(machine, gen)` — the TCP form
 /// of the threaded runtime's `Work::Flush`. The node that applies
 /// `Effect::Retire` stages one to every live peer, FIFO behind everything
 /// it sent that peer before; the peer consumes it in its machine loop and
 /// ends its link to that generation with a [`K_FLUSHED`].
-pub const K_FLUSH: u8 = 22;
+pub(crate) const K_FLUSH: u8 = 22;
 /// Data-plane frame, last on a peer's link to a retiring generation: the
 /// peer consumed its [`K_FLUSH`] token (`()`).
-pub const K_FLUSHED: u8 = 23;
+pub(crate) const K_FLUSHED: u8 = 23;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("wire: {}", msg.into()))
@@ -162,7 +162,7 @@ pub fn append_frame(buf: &mut Vec<u8>, kind: u8, msg: &impl Wire) {
 }
 
 /// Write one frame (for the rare ones not staged through a reused buffer).
-pub fn write_frame(w: &mut impl Write, kind: u8, msg: &impl Wire) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, kind: u8, msg: &impl Wire) -> io::Result<()> {
     let mut buf = Vec::new();
     append_frame(&mut buf, kind, msg);
     w.write_all(&buf)
@@ -179,7 +179,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
 /// frame kind. The buffer is cleared and refilled in place, so a reader
 /// loop that hands the payload off between frames can recycle one
 /// allocation across the whole connection.
-pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<u8> {
+pub(crate) fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<u8> {
     let mut hdr = [0u8; 5];
     r.read_exact(&mut hdr)?;
     let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
@@ -240,7 +240,7 @@ impl BufPool {
 }
 
 /// FNV-1a over the encoded plan bytes; the handshake fingerprint.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
+pub(crate) fn fingerprint(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -265,7 +265,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -280,7 +280,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Error if any bytes remain (layouts are exact, not extensible).
-    pub fn finish(&self) -> io::Result<()> {
+    pub(crate) fn finish(&self) -> io::Result<()> {
         if self.remaining() != 0 {
             return Err(bad(format!("{} trailing bytes", self.remaining())));
         }
@@ -288,7 +288,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Read a `bool` (strictly 0 or 1).
-    pub fn bool(&mut self) -> io::Result<bool> {
+    pub(crate) fn bool(&mut self) -> io::Result<bool> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -297,7 +297,7 @@ impl<'a> Dec<'a> {
     }
     /// Read a `u32` element count, sanity-checked against the bytes that
     /// remain (each element needs at least `min_elem` bytes).
-    pub fn len(&mut self, min_elem: usize) -> io::Result<usize> {
+    pub(crate) fn len(&mut self, min_elem: usize) -> io::Result<usize> {
         let n = self.u32()? as usize;
         if n.saturating_mul(min_elem.max(1)) > self.remaining() {
             return Err(bad(format!("length {n} exceeds payload")));
@@ -352,7 +352,7 @@ macro_rules! wire_le {
         impl Dec<'_> {
             #[doc = concat!("Read a little-endian `", stringify!($ty), "`.")]
             #[inline]
-            pub fn $ty(&mut self) -> io::Result<$ty> {
+            pub(crate) fn $ty(&mut self) -> io::Result<$ty> {
                 let bytes = self.take(std::mem::size_of::<$ty>())?;
                 Ok(<$ty>::from_le_bytes(bytes.try_into().unwrap()))
             }
@@ -788,10 +788,10 @@ wire_enum!(KeyFilter { 0 => All, 1 => Range { lo: i64, hi: i64 } });
 
 wire_struct! {
     /// Worker → coordinator: first frame on the control connection
-    /// ([`K_HELLO`]).
+    /// (`K_HELLO`).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct Hello {
-        /// The worker binary's [`WIRE_VERSION`].
+        /// The worker binary's `WIRE_VERSION`.
         pub version: u8,
         /// Machine index this process hosts.
         pub machine: u64,
@@ -800,12 +800,12 @@ wire_struct! {
         pub gen: u32,
     }
 
-    /// Coordinator → worker: the session plan ([`K_PLAN`]).
+    /// Coordinator → worker: the session plan (`K_PLAN`).
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct Plan {
-        /// Coordinator's [`WIRE_VERSION`].
+        /// Coordinator's `WIRE_VERSION`.
         pub version: u8,
-        /// [`fingerprint`] of `builder` — echoed back in [`Ready`].
+        /// `fingerprint` of `builder` — echoed back in [`Ready`].
         pub fingerprint: u64,
         /// Total machine count excluding the coordinator's source machine.
         pub machines: u64,
@@ -824,7 +824,7 @@ wire_struct! {
     }
 
     /// Worker → coordinator: topology rebuilt, data listener bound
-    /// ([`K_READY`]).
+    /// (`K_READY`).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct Ready {
         /// Machine index.
@@ -838,7 +838,7 @@ wire_struct! {
     }
 
     /// Coordinator → workers: a machine's data listener is reachable
-    /// ([`K_MACHINE_UP`]).
+    /// (`K_MACHINE_UP`).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct MachineUp {
         /// Machine index.
@@ -850,7 +850,7 @@ wire_struct! {
     }
 
     /// Worker → coordinator: answer to a quiescence probe (kind
-    /// [`K_PROBE_ACK`]; the probe itself carries only the nonce).
+    /// `K_PROBE_ACK`; the probe itself carries only the nonce).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct ProbeAck {
         /// Echo of the probe nonce.
@@ -862,8 +862,8 @@ wire_struct! {
     }
 
     /// Worker → coordinator: the node that applied an `Effect::Retire`
-    /// sent every live peer a [`K_FLUSH`] token and the retiree a
-    /// [`K_FLUSH_SENT`] ([`K_RETIRE_REQ`]).
+    /// sent every live peer a `K_FLUSH` token and the retiree a
+    /// `K_FLUSH_SENT` (`K_RETIRE_REQ`).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct RetireReq {
         /// The retiring machine.
@@ -890,7 +890,7 @@ wire_struct! {
         pub skew_parts: Vec<u64>,
     }
 
-    /// Coordinator → workers ([`K_MATCH_TAP`]): whether to stream matches
+    /// Coordinator → workers (`K_MATCH_TAP`): whether to stream matches
     /// at all, plus the union of the session's subscriber [`KeyFilter`]s
     /// (empty with `on` = ship everything). Pairs failing every filter are
     /// dropped at the joiner's emit path, before they ever touch the wire.
@@ -902,7 +902,7 @@ wire_struct! {
         pub filters: Vec<KeyFilter>,
     }
 
-    /// Worker → coordinator: last frame before exit ([`K_EXITING`]).
+    /// Worker → coordinator: last frame before exit (`K_EXITING`).
     /// Carries the worker's final work counters so the quiescence check
     /// can keep counting retired machines' contributions.
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -917,7 +917,7 @@ wire_struct! {
         pub finished: u64,
     }
 
-    /// First frame on every data-plane connection ([`K_PREAMBLE`]): who is
+    /// First frame on every data-plane connection (`K_PREAMBLE`): who is
     /// dialing. One TCP connection per (sender generation, receiver
     /// generation) carries every message class in send order, which keeps
     /// the per-channel FIFO order the epoch protocol relies on; the

@@ -12,12 +12,12 @@
 //!    state left with the contraction that retired it);
 //! 3. bind a data listener, report `Ready`, and run the machine loop,
 //!    which ships the matches each batch produced to the coordinator as
-//!    the batch ends and consumes retirement tokens (see [`crate::node`]);
+//!    the batch ends and consumes retirement tokens (see `crate::node`);
 //! 4. service the control connection: answer quiescence probes, stream
 //!    gauge samples to the coordinator, apply gauge relays (machine 0
 //!    hosts the controller, which reads cluster-wide storage), and, when
 //!    the coordinator's go-ahead to retire arrives, wait until its own
-//!    drain count is complete (see [`crate::node::DrainCount`]), then
+//!    drain count is complete (see `crate::node::DrainCount`), then
 //!    drain;
 //! 5. ship finals (the tasks' harvested `Finals` — with the joiner's
 //!    stored state when the shutdown frame says the session is
@@ -51,13 +51,13 @@ use crate::wire::{
 };
 
 /// Environment: flag marking a process as a worker.
-pub const ENV_WORKER: &str = "AOJ_NET_WORKER";
+pub(crate) const ENV_WORKER: &str = "AOJ_NET_WORKER";
 /// Environment: the coordinator's control address (`127.0.0.1:port`).
-pub const ENV_COORD: &str = "AOJ_NET_COORD";
+pub(crate) const ENV_COORD: &str = "AOJ_NET_COORD";
 /// Environment: the machine index this worker hosts.
-pub const ENV_MACHINE: &str = "AOJ_NET_MACHINE";
+pub(crate) const ENV_MACHINE: &str = "AOJ_NET_MACHINE";
 /// Environment: the machine's incarnation number.
-pub const ENV_GEN: &str = "AOJ_NET_GEN";
+pub(crate) const ENV_GEN: &str = "AOJ_NET_GEN";
 
 /// How often the control loop ships gauge samples. Kept tight so short
 /// runs still deliver enough ILF samples for the controller to trigger
@@ -95,7 +95,7 @@ enum Exit {
 }
 
 /// Run one worker to completion. Never returns: exits the process.
-pub fn worker_main() -> ! {
+pub(crate) fn worker_main() -> ! {
     let coord: String =
         std::env::var(ENV_COORD).expect("worker environment is missing AOJ_NET_COORD");
     let machine: usize = env_num(ENV_MACHINE);
@@ -248,9 +248,6 @@ pub fn worker_main() -> ! {
                 let lifecycle = |ev: Lifecycle| match ev {
                     Lifecycle::Provision(m) => ctrl.send(K_PROVISION_REQ, &(m as u64)),
                     Lifecycle::Retire(req) => ctrl.send(K_RETIRE_REQ, &req),
-                    // No operator task stops the run from a handler; the
-                    // coordinator owns session shutdown.
-                    Lifecycle::Stopped => {}
                 };
                 // Matches leave with the batch that made them; with no
                 // subscriber this costs one relaxed load per batch.

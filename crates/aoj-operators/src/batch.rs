@@ -44,7 +44,7 @@ pub struct BatchConfig {
     /// the timer also fires as soon as the owning machine has nothing
     /// else to run ([`FlushCause::Idle`]), so only a busy machine holds a
     /// partial batch this long. The simulator always waits it out.
-    pub max_delay: SimDuration,
+    pub(crate) max_delay: SimDuration,
 }
 
 impl Default for BatchConfig {
@@ -58,8 +58,10 @@ impl Default for BatchConfig {
 
 impl BatchConfig {
     /// A config flushing every `batch_tuples` tuples with the default age
-    /// bound.
-    pub fn new(batch_tuples: usize) -> BatchConfig {
+    /// bound — the tests' constructor; a session sets
+    /// `SessionBuilder::with_batch_tuples`.
+    #[cfg(test)]
+    pub(crate) fn new(batch_tuples: usize) -> BatchConfig {
         BatchConfig {
             batch_tuples: batch_tuples.max(1),
             ..BatchConfig::default()
@@ -87,7 +89,7 @@ struct Pending {
 /// an empty pool falls back to one exact-capacity allocation — still
 /// cheaper than the doubling growth of pushing into `Vec::new()`.
 #[derive(Debug, Default)]
-pub struct BatchPool {
+pub(crate) struct BatchPool {
     tuples: Vec<Vec<Tuple>>,
     times: Vec<Vec<SimTime>>,
     cap: usize,
@@ -95,7 +97,7 @@ pub struct BatchPool {
 
 impl BatchPool {
     /// A pool retaining at most `cap` spare vectors of each kind.
-    pub fn new(cap: usize) -> BatchPool {
+    pub(crate) fn new(cap: usize) -> BatchPool {
         BatchPool {
             tuples: Vec::new(),
             times: Vec::new(),
@@ -104,7 +106,7 @@ impl BatchPool {
     }
 
     /// An empty tuple vector with at least `reserve` slots.
-    pub fn get_tuples(&mut self, reserve: usize) -> Vec<Tuple> {
+    pub(crate) fn get_tuples(&mut self, reserve: usize) -> Vec<Tuple> {
         let mut v = self.tuples.pop().unwrap_or_default();
         v.clear();
         v.reserve(reserve);
@@ -113,7 +115,7 @@ impl BatchPool {
 
     /// An empty (tuples, arrivals) pair, each with at least `reserve`
     /// slots.
-    pub fn get_pair(&mut self, reserve: usize) -> (Vec<Tuple>, Vec<SimTime>) {
+    pub(crate) fn get_pair(&mut self, reserve: usize) -> (Vec<Tuple>, Vec<SimTime>) {
         let mut a = self.times.pop().unwrap_or_default();
         a.clear();
         a.reserve(reserve);
@@ -123,7 +125,7 @@ impl BatchPool {
     /// Return a consumed tuple vector (typically one that arrived in a
     /// message) for reuse. Dropped when the pool is full or the vector
     /// never allocated.
-    pub fn put_tuples(&mut self, mut v: Vec<Tuple>) {
+    pub(crate) fn put_tuples(&mut self, mut v: Vec<Tuple>) {
         if self.tuples.len() < self.cap && v.capacity() > 0 {
             v.clear();
             self.tuples.push(v);
@@ -131,17 +133,12 @@ impl BatchPool {
     }
 
     /// Return a consumed (tuples, arrivals) pair for reuse.
-    pub fn put_pair(&mut self, tuples: Vec<Tuple>, mut arrived: Vec<SimTime>) {
+    pub(crate) fn put_pair(&mut self, tuples: Vec<Tuple>, mut arrived: Vec<SimTime>) {
         self.put_tuples(tuples);
         if self.times.len() < self.cap && arrived.capacity() > 0 {
             arrived.clear();
             self.times.push(arrived);
         }
-    }
-
-    /// Spare vectors currently pooled, `(tuples, arrivals)`.
-    pub fn spares(&self) -> (usize, usize) {
-        (self.tuples.len(), self.times.len())
     }
 }
 
@@ -191,7 +188,7 @@ impl DataCoalescer {
     /// anything is buffered and no timer is already pending. With
     /// `batch_tuples = 1` buffers never survive a handler, so no timer
     /// is ever scheduled and the per-tuple event timeline is untouched.
-    pub fn arm_flush_timer<M: aoj_simnet::SimMessage>(
+    pub(crate) fn arm_flush_timer<M: aoj_simnet::SimMessage>(
         &mut self,
         ctx: &mut aoj_simnet::Ctx<'_, M>,
         key: u64,
@@ -206,7 +203,7 @@ impl DataCoalescer {
     /// caller drains the buffers — [`FlushCause::Idle`] when it fired
     /// before the age bound ran out (its machine went idle), else
     /// [`FlushCause::Deadline`]. The next push re-arms.
-    pub fn on_flush_timer(&mut self, now: SimTime) -> FlushCause {
+    pub(crate) fn on_flush_timer(&mut self, now: SimTime) -> FlushCause {
         match self.armed_at.take() {
             Some(armed_at) if now < armed_at + self.cfg.max_delay => FlushCause::Idle,
             _ => FlushCause::Deadline,
@@ -215,7 +212,7 @@ impl DataCoalescer {
 
     /// Move the flush counts accumulated since the last call into
     /// `machine`'s metrics row.
-    pub fn publish_flushes(&mut self, metrics: &mut Metrics, machine: MachineId) {
+    pub(crate) fn publish_flushes(&mut self, metrics: &mut Metrics, machine: MachineId) {
         let counts = std::mem::take(&mut self.flushes);
         metrics.machine_mut(machine).flushes.merge(&counts);
     }
@@ -226,22 +223,10 @@ impl DataCoalescer {
         self.cfg.batch_tuples
     }
 
-    /// The configured age bound.
-    #[inline]
-    pub fn max_delay(&self) -> SimDuration {
-        self.cfg.max_delay
-    }
-
     /// True when nothing is buffered anywhere.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buffered == 0
-    }
-
-    /// Total buffered tuples across all slots.
-    #[inline]
-    pub fn buffered(&self) -> usize {
-        self.buffered
     }
 
     /// Queue `t` (with its operator arrival time) on `slot`. Returns true
@@ -287,7 +272,10 @@ impl DataCoalescer {
 
     /// Drain every non-empty slot in slot order, counted under `cause`:
     /// `(slot, tuples, arrived)`.
-    pub fn drain_all(&mut self, cause: FlushCause) -> Vec<(usize, Vec<Tuple>, Vec<SimTime>)> {
+    pub(crate) fn drain_all(
+        &mut self,
+        cause: FlushCause,
+    ) -> Vec<(usize, Vec<Tuple>, Vec<SimTime>)> {
         let mut out = Vec::new();
         for slot in 0..self.slots.len() {
             if let Some((tuples, arrived)) = self.take_as(slot, cause) {
@@ -302,6 +290,23 @@ impl DataCoalescer {
 mod tests {
     use super::*;
     use aoj_core::tuple::Rel;
+
+    // The oracle of the buffering tests.
+    impl DataCoalescer {
+        /// Total buffered tuples across all slots.
+        #[inline]
+        fn buffered(&self) -> usize {
+            self.buffered
+        }
+    }
+
+    // The oracle of the pool-recycling tests.
+    impl BatchPool {
+        /// Spare vectors currently pooled, `(tuples, arrivals)`.
+        fn spares(&self) -> (usize, usize) {
+            (self.tuples.len(), self.times.len())
+        }
+    }
 
     fn t(seq: u64) -> Tuple {
         Tuple::new(Rel::R, seq, 0, seq)
@@ -419,12 +424,10 @@ mod tests {
     #[test]
     fn the_age_timer_is_or_idle_and_names_an_early_fire_idle() {
         use crate::messages::OpMsg;
-        use aoj_simnet::{Ctx, Effect, TaskId};
+        use aoj_simnet::{Ctx, Effect};
         let mut metrics = Metrics::default();
-        let mut stopped = false;
         let mut c = DataCoalescer::new(BatchConfig::new(4), 1);
-        let mut ctx: Ctx<'_, OpMsg> =
-            Ctx::new(SimTime(1_000), TaskId(0), &mut metrics, &mut stopped);
+        let mut ctx: Ctx<'_, OpMsg> = Ctx::new(SimTime(1_000), &mut metrics);
         c.arm_flush_timer(&mut ctx, 9);
         assert!(ctx.take_effects().is_empty(), "nothing buffered, no timer");
         for _ in 0..2 {
@@ -444,8 +447,7 @@ mod tests {
         // Fired 50 µs after arming, 150 µs ahead of its 200 µs bound.
         assert_eq!(c.on_flush_timer(SimTime(1_050)), FlushCause::Idle);
         // Re-armed; fired at the bound, as the simulator always fires it.
-        let mut ctx: Ctx<'_, OpMsg> =
-            Ctx::new(SimTime(2_000), TaskId(0), &mut metrics, &mut stopped);
+        let mut ctx: Ctx<'_, OpMsg> = Ctx::new(SimTime(2_000), &mut metrics);
         c.arm_flush_timer(&mut ctx, 9);
         assert_eq!(ctx.take_effects().len(), 1);
         assert_eq!(c.on_flush_timer(SimTime(2_200)), FlushCause::Deadline);

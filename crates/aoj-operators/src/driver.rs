@@ -16,7 +16,7 @@
 //! pre-session simulator timelines bit for bit (the golden pins in
 //! `tests/batching.rs` hold).
 
-use aoj_core::competitive::CompetitiveTracker;
+use aoj_core::competitive::RatioSample;
 use aoj_core::elastic::ElasticLayout;
 use aoj_core::epoch::{EpochJoiner, Reconfig};
 use aoj_core::ilf::optimal_mapping;
@@ -33,6 +33,7 @@ use std::io;
 use std::sync::Arc;
 
 use crate::batch::DataCoalescer;
+use crate::elastic_runtime::ElasticConfig;
 use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
 use crate::report::{machine_stats, Finals, MatchDigest, RunReport, SkewSummary, StateTransfer};
@@ -159,31 +160,31 @@ fn add_machines(
 /// phase to the drain/collect phase.
 pub(crate) struct Wiring {
     /// Registered joiner machine slots (including dormant elastic ones).
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// Joiner task ids by machine index.
-    pub joiner_ids: Vec<TaskId>,
+    pub(crate) joiner_ids: Vec<TaskId>,
     /// The source task.
-    pub source_id: TaskId,
+    pub(crate) source_id: TaskId,
     /// What only grid operators have; `None` for the SHJ baseline.
-    pub grid: Option<GridWiring>,
+    pub(crate) grid: Option<GridWiring>,
 }
 
 /// The controller side of an assembled grid operator.
 pub(crate) struct GridWiring {
     /// Reshuffler 0, which doubles as the controller.
-    pub controller_id: TaskId,
+    pub(crate) controller_id: TaskId,
     /// The initial mapping the run started with.
-    pub initial: Mapping,
+    pub(crate) initial: Mapping,
     /// The shared skew board the reshufflers publish their sketches to
     /// (one slot per reshuffler on in-process backends; on the TCP
     /// backend the session layer swaps in a coordinator board fed by
     /// worker gauge frames).
-    pub skew_board: Arc<SkewBoard>,
+    pub(crate) skew_board: Arc<SkewBoard>,
 }
 
 impl Wiring {
     /// The tasks [`harvest`](crate::report::harvest) reads results from.
-    pub fn result_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
+    pub(crate) fn result_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
         let controller = self.grid.as_ref().map(|g| g.controller_id);
         self.joiner_ids.iter().copied().chain(controller)
     }
@@ -254,7 +255,10 @@ pub(crate) fn setup_grid(
     // drain-driven mode: the hold-off gate stops being load-bearing.
     let elastic_cfg = b.elasticity.elastic.map(|e| {
         if b.lifecycle.window.is_some() {
-            e.with_drain_driven(true)
+            ElasticConfig {
+                drain_driven: true,
+                ..e
+            }
         } else {
             e
         }
@@ -685,7 +689,7 @@ fn competitive_trace(
     events: &[ControlEvent],
     samples: &[ProgressSample],
     initial: Mapping,
-) -> Vec<aoj_core::competitive::RatioSample> {
+) -> Vec<RatioSample> {
     // No samples, or no arrivals: no trace.
     if samples.is_empty() || arrivals.len() == 0 {
         return Vec::new();
@@ -698,26 +702,20 @@ fn competitive_trace(
     if events.iter().any(resizes) {
         return Vec::new();
     }
-    let mut tracker = CompetitiveTracker::new(j, 0);
+    let mut trace = Vec::with_capacity(samples.len());
     for sample in samples {
         let mut mapping = initial;
-        let mut migrating = false;
         for e in events {
-            match e {
-                ControlEvent::Begin { at, to, .. } if *at <= sample.at => {
+            if let ControlEvent::Begin { at, to, .. } = e {
+                if *at <= sample.at {
                     mapping = *to;
-                    migrating = true;
                 }
-                ControlEvent::Complete { at, .. } if *at <= sample.at => {
-                    migrating = false;
-                }
-                _ => {}
             }
         }
         let (r, s) = arrivals.counts(sample.seq + 1);
-        tracker.record(sample.seq, r, s, mapping, migrating);
+        trace.extend(RatioSample::new(j, sample.seq, r, s, mapping));
     }
-    tracker.samples().to_vec()
+    trace
 }
 
 #[cfg(test)]

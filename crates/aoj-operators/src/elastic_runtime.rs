@@ -16,7 +16,7 @@
 //!   both backends — the threaded runtime shares them atomically across
 //!   worker shards) and, at a migration checkpoint where **every** active
 //!   joiner stores more than `capacity/2`
-//!   ([`should_expand_cluster`](aoj_core::elastic::should_expand_cluster)),
+//!   ([`should_expand`](aoj_core::elastic::should_expand) for each one),
 //!   begins a [`Reconfig::Expand`](aoj_core::epoch::Reconfig): it
 //!   provisions the children, hands each newly activated reshuffler a
 //!   control-plane snapshot (`Activate`), and broadcasts the change; at a
@@ -115,30 +115,22 @@ impl ElasticConfig {
         self.contract_holdoff_tuples = tuples;
         self
     }
-
-    /// Builder: arm the contraction trigger from genuine eviction drain
-    /// instead of the stream-position hold-off (see
-    /// [`drain_driven`](ElasticConfig::drain_driven)).
-    pub fn with_drain_driven(mut self, on: bool) -> ElasticConfig {
-        self.drain_driven = on;
-        self
-    }
 }
 
 /// Controller-side elasticity state (lives inside `ControllerState`).
 #[derive(Clone, Copy, Debug)]
-pub struct ElasticControl {
+pub(crate) struct ElasticControl {
     /// The configuration the run was started with.
-    pub cfg: ElasticConfig,
+    pub(crate) cfg: ElasticConfig,
     /// Expansions already triggered.
-    pub expansions_done: u32,
+    pub(crate) expansions_done: u32,
     /// Contractions already triggered.
-    pub contractions_done: u32,
+    pub(crate) contractions_done: u32,
 }
 
 impl ElasticControl {
     /// Fresh controller-side state.
-    pub fn new(cfg: ElasticConfig) -> ElasticControl {
+    pub(crate) fn new(cfg: ElasticConfig) -> ElasticControl {
         ElasticControl {
             cfg,
             expansions_done: 0,
@@ -148,7 +140,7 @@ impl ElasticControl {
 
     /// Net expansion levels currently held (expansions minus
     /// contractions).
-    pub fn level(&self) -> u32 {
+    pub(crate) fn level(&self) -> u32 {
         self.expansions_done - self.contractions_done
     }
 
@@ -158,7 +150,7 @@ impl ElasticControl {
     /// instead of oscillating forever. Re-expansion after a drain works
     /// by budgeting more expansions than the steady level needs; it
     /// reuses retired machines (the dormant pool) before fresh slots.
-    pub fn armed_expand(&self) -> bool {
+    pub(crate) fn armed_expand(&self) -> bool {
         self.expansions_done < self.cfg.max_expansions
     }
 
@@ -170,7 +162,7 @@ impl ElasticControl {
     /// hold-off otherwise. The drain gate prevents the startup
     /// degeneracy — before any data arrives every joiner is trivially
     /// below the low-water mark.
-    pub fn armed_contract(&self, last_seq: u64, evicted_bytes: u64) -> bool {
+    pub(crate) fn armed_contract(&self, last_seq: u64, evicted_bytes: u64) -> bool {
         let armed = if self.cfg.drain_driven {
             evicted_bytes > 0
         } else {
@@ -183,7 +175,7 @@ impl ElasticControl {
 /// Total joiner machine **slots** to register for `j0` initial joiners:
 /// `j0 · 4^max_expansions`. Only `j0` of them are provisioned up front;
 /// the rest are deferred until an expansion trigger acquires them.
-pub fn provisioned_joiners(j0: u32, max_expansions: u32) -> u32 {
+pub(crate) fn provisioned_joiners(j0: u32, max_expansions: u32) -> u32 {
     4u32.checked_pow(max_expansions)
         .and_then(|f| j0.checked_mul(f))
         .expect("provisioned cluster size overflows u32")
@@ -194,7 +186,7 @@ pub fn provisioned_joiners(j0: u32, max_expansions: u32) -> u32 {
 /// gauges, which are exact on the simulator and on the threaded
 /// backend's shared atomic gauge array. Takes the explicit active
 /// machine set — after contractions it is no longer an index prefix.
-pub fn expansion_due(
+pub(crate) fn expansion_due(
     metrics: &Metrics,
     active: impl IntoIterator<Item = usize>,
     capacity_bytes: u64,
@@ -217,7 +209,7 @@ pub fn expansion_due(
 /// The controller's low-water trigger (§4.2.2 run backwards): true when
 /// every active joiner stores strictly less than `below_bytes`. A mark
 /// of 0 disables contraction.
-pub fn contraction_due(
+pub(crate) fn contraction_due(
     metrics: &Metrics,
     active: impl IntoIterator<Item = usize>,
     below_bytes: u64,
@@ -327,12 +319,12 @@ mod tests {
     fn drain_driven_arming_ignores_holdoff() {
         let el = ElasticControl {
             expansions_done: 1,
-            ..ElasticControl::new(
-                ElasticConfig::new(1000, 2)
+            ..ElasticControl::new(ElasticConfig {
+                drain_driven: true,
+                ..ElasticConfig::new(1000, 2)
                     .with_contraction(10, 1)
                     .with_contract_holdoff(1_000_000)
-                    .with_drain_driven(true),
-            )
+            })
         };
         assert!(
             !el.armed_contract(u64::MAX, 0),

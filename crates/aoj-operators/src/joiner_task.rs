@@ -18,12 +18,12 @@ use crate::report::MatchDigest;
 use crate::session::MatchHub;
 
 /// How many tuples ride in one migration batch message.
-pub const MIG_BATCH_TUPLES: usize = 64;
+pub(crate) const MIG_BATCH_TUPLES: usize = 64;
 
 /// Canonical identity of one emitted join pair: `(R seq, S seq)`.
 /// Backend-independent, so match multisets can be compared across the
 /// simulator and the threaded runtime.
-pub fn pair_key(a: &Tuple, b: &Tuple) -> (u64, u64) {
+pub(crate) fn pair_key(a: &Tuple, b: &Tuple) -> (u64, u64) {
     if a.rel == Rel::R {
         (a.seq, b.seq)
     } else {
@@ -72,7 +72,7 @@ impl LatencyStats {
     }
 
     /// Average latency in microseconds (0 when no samples).
-    pub fn avg_us(&self) -> f64 {
+    pub(crate) fn avg_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -81,7 +81,7 @@ impl LatencyStats {
     }
 
     /// Fold another joiner's samples into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
+    pub(crate) fn merge(&mut self, other: &LatencyStats) {
         self.sum_us += other.sum_us;
         self.count += other.count;
         self.max_us = self.max_us.max(other.max_us);
@@ -93,7 +93,7 @@ impl LatencyStats {
     /// Approximate `q`-quantile (`0 < q <= 1`) in microseconds: the upper
     /// bound of the histogram bucket holding the rank, clamped to the
     /// observed maximum. Log₂ buckets bound the relative error at 2x.
-    pub fn percentile_us(&self, q: f64) -> u64 {
+    pub(crate) fn percentile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -111,8 +111,7 @@ impl LatencyStats {
 }
 
 /// The state-transfer and eviction counters of one grid joiner. They
-/// only ever add, so a machine slot's incarnations combine with
-/// [`merge`](JoinerCounters::merge).
+/// only ever add, so a machine slot's incarnations combine by summing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinerCounters {
     /// Tuples received as migration state.
@@ -160,7 +159,7 @@ impl JoinerCounters {
     }
 
     /// Add another incarnation's counters to these.
-    pub fn merge(&mut self, other: &JoinerCounters) {
+    pub(crate) fn merge(&mut self, other: &JoinerCounters) {
         self.migration_tuples_in += other.migration_tuples_in;
         self.migration_bytes_in += other.migration_bytes_in;
         self.expand_stored_tuples += other.expand_stored_tuples;
@@ -176,22 +175,22 @@ impl JoinerCounters {
 /// The emit side of a joiner — grid or SHJ: what it has produced so far
 /// and where produced pairs go.
 #[derive(Default)]
-pub struct MatchTally {
+pub(crate) struct MatchTally {
     /// Matches emitted.
     pub matches: u64,
     /// When set, every emitted pair's identity is appended to
     /// [`log`](MatchTally::log) (backend-equivalence tests).
-    pub collect: bool,
+    pub(crate) collect: bool,
     /// Emitted pair identities, `(R seq, S seq)`, when collection is on.
-    pub log: Vec<(u64, u64)>,
+    pub(crate) log: Vec<(u64, u64)>,
     /// Order-independent digest of every emitted pair — always
     /// maintained (two u64 folds per pair), the cheap exactness witness
     /// wall-clock benchmarks compare across backends.
-    pub digest: MatchDigest,
+    pub(crate) digest: MatchDigest,
     /// Live match-emission path: while a subscriber is attached every
     /// produced pair is handed to the session's [`MatchHub`], which
     /// buffers it for them.
-    pub sink: Option<Arc<MatchHub>>,
+    pub(crate) sink: Option<Arc<MatchHub>>,
     /// Latency samples.
     pub latency: LatencyStats,
     /// [`emit_batch`](MatchTally::emit_batch)'s scratch: which tuples of
@@ -200,7 +199,7 @@ pub struct MatchTally {
 }
 
 /// The per-match callback [`MatchTally::emit`] lends to a probe.
-pub struct Emitter<'a> {
+pub(crate) struct Emitter<'a> {
     n: u64,
     collect: bool,
     log: &'a mut Vec<(u64, u64)>,
@@ -211,7 +210,7 @@ pub struct Emitter<'a> {
 impl Emitter<'_> {
     /// One produced pair.
     #[inline]
-    pub fn pair(&mut self, a: &Tuple, b: &Tuple) {
+    pub(crate) fn pair(&mut self, a: &Tuple, b: &Tuple) {
         self.n += 1;
         let key = pair_key(a, b);
         self.digest.fold(key.0, key.1);
@@ -231,7 +230,7 @@ impl MatchTally {
     /// here and nowhere else (a shared counter is a serial bottleneck at
     /// millions of matches per second).
     #[inline]
-    pub fn emit<R>(&mut self, probe: impl FnOnce(&mut Emitter<'_>) -> R) -> (R, u64) {
+    pub(crate) fn emit<R>(&mut self, probe: impl FnOnce(&mut Emitter<'_>) -> R) -> (R, u64) {
         let mut em = Emitter {
             n: 0,
             collect: self.collect,
@@ -278,7 +277,7 @@ impl MatchTally {
     }
 
     /// What this joiner contributes to the run's [`Finals`](crate::report::Finals).
-    pub fn to_final(&self, slot: usize, counters: JoinerCounters) -> JoinerFinal {
+    pub(crate) fn to_final(&self, slot: usize, counters: JoinerCounters) -> JoinerFinal {
         JoinerFinal {
             slot,
             matches: self.matches,
@@ -294,7 +293,7 @@ impl MatchTally {
 /// What one joiner (grid or SHJ) emitted and moved, harvested when its
 /// backend quiesces — or, on the TCP backend, when its process exits.
 /// The counters only ever add, so a machine slot's incarnations combine
-/// with [`merge`](JoinerFinal::merge).
+/// by summing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JoinerFinal {
     /// The joiner's machine slot.
@@ -320,7 +319,7 @@ pub struct JoinerFinal {
 impl JoinerFinal {
     /// Add another incarnation of the same slot to this one. At most one
     /// incarnation is alive at quiescence; its `state` is the slot's.
-    pub fn merge(&mut self, other: JoinerFinal) {
+    pub(crate) fn merge(&mut self, other: JoinerFinal) {
         self.matches += other.matches;
         self.latency.merge(&other.latency);
         self.counters.merge(&other.counters);
@@ -335,13 +334,13 @@ impl JoinerFinal {
 /// The joiner task.
 pub struct JoinerTask {
     /// This joiner's machine index within the operator (grid identity).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Epoch-protocol state machine over the local join index.
     pub epoch: EpochJoiner,
     /// RAM budget gauge (the BerkeleyDB tier of §5).
-    pub gauge: SpillGauge,
+    pub(crate) gauge: SpillGauge,
     /// Task ids of all joiners (for migration sends), by machine index.
-    pub joiner_tasks: Vec<TaskId>,
+    pub(crate) joiner_tasks: Vec<TaskId>,
     /// The controller's task id (for acks).
     pub controller: TaskId,
     /// The source task (flow-control credit returns).
@@ -351,7 +350,7 @@ pub struct JoinerTask {
     /// CPU cost model.
     pub cost: aoj_simnet::CostModel,
     /// Matches emitted, their digest, log, sink and latency samples.
-    pub tally: MatchTally,
+    pub(crate) tally: MatchTally,
     /// Migration, elasticity and eviction transfer counters.
     pub counters: JoinerCounters,
     /// Sliding-window tracker when the session has a state lifecycle
@@ -428,7 +427,7 @@ impl Outbox {
 impl JoinerTask {
     /// Build a joiner for `predicate` with the given wiring.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         index: usize,
         predicate: Predicate,
         n_reshufflers: usize,
@@ -460,12 +459,12 @@ impl JoinerTask {
 
     /// Turn this joiner into a dormant elastic child: provisioned but
     /// unborn, waking up when its parent's expansion reaches it.
-    pub fn dormant(mut self, predicate: Predicate, n_reshufflers: usize) -> JoinerTask {
+    pub(crate) fn dormant(mut self, predicate: Predicate, n_reshufflers: usize) -> JoinerTask {
         self.make_dormant(predicate, n_reshufflers);
         self
     }
 
-    /// In-place [`dormant`](JoinerTask::dormant), for callers holding the
+    /// In-place `dormant`, for callers holding the
     /// task behind a trait object: a reincarnated worker **process**
     /// rebuilds the topology (where `setup_grid` makes slot `i < j`
     /// active) and must then demote its own freshly built joiner back to
@@ -480,7 +479,7 @@ impl JoinerTask {
     /// eviction counters. `None` for an unborn (dormant or retired)
     /// joiner. A born one must be stable — the caller quiesced the
     /// backend, so Alg. 3's marker FIFO has nothing mid-air to lose.
-    pub fn checkpoint_state(&self) -> Option<JoinerCheckpoint> {
+    pub(crate) fn checkpoint_state(&self) -> Option<JoinerCheckpoint> {
         if !self.epoch.is_born() {
             return None;
         }
@@ -800,9 +799,7 @@ mod tests {
         let mut ob = Outbox::new(&role, 3, &joiner_tasks);
         let mut pool = BatchPool::new(3);
         let mut metrics = Metrics::default();
-        let mut stopped = false;
-        let mut ctx: Ctx<'_, OpMsg> =
-            Ctx::new(SimTime::ZERO, TaskId(0), &mut metrics, &mut stopped);
+        let mut ctx: Ctx<'_, OpMsg> = Ctx::new(SimTime::ZERO, &mut metrics);
         // An R tuple with row-bit 0 goes to child (0,1) only; an S tuple
         // with col-bit 1 goes to (0,1) and (1,1).
         let r = Tuple::new(Rel::R, 1, 0, 0);

@@ -25,7 +25,7 @@
 
 pub mod batch;
 pub mod driver;
-pub mod elastic_runtime;
+mod elastic_runtime;
 pub mod joiner_task;
 pub mod messages;
 pub mod report;
@@ -36,16 +36,13 @@ pub mod skew;
 pub mod source;
 pub mod supervise;
 
-pub use batch::BatchConfig;
 pub use driver::{run, BackendChoice, OperatorKind};
 pub use elastic_runtime::ElasticConfig;
 pub use messages::{Match, OpMsg};
-pub use report::{human_bytes, RunReport, StateTransfer};
-pub use report::{MachineStats, SkewSummary};
+pub use report::{human_bytes, MachineStats, RunReport};
 pub use session::{
-    assemble_topology, register_tcp_backend, FaultSection, IngestHandle, IngestQueue, JoinSession,
-    KeyFilter, LifecycleSection, MatchHub, MatchSubscription, NetBackend, NetBackendFactory,
-    PushError, SessionBuilder, SessionHandle, SessionStats, SessionTopology,
+    assemble_topology, register_tcp_backend, IngestQueue, JoinSession, KeyFilter, MatchHub,
+    MatchSubscription, NetBackend, PushError, SessionBuilder, SessionHandle, SessionStats,
 };
 pub use skew::{SkewBoard, SkewPolicy, SkewState};
 pub use source::SourcePacing;

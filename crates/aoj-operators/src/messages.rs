@@ -47,7 +47,7 @@ pub struct Match {
 
 impl Match {
     /// Build from the two matched tuples, in either order.
-    pub fn of(a: &Tuple, b: &Tuple) -> Match {
+    pub(crate) fn of(a: &Tuple, b: &Tuple) -> Match {
         let (r, s) = if a.rel == Rel::R { (a, b) } else { (b, a) };
         Match {
             r_seq: r.seq,

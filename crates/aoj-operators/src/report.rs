@@ -178,7 +178,7 @@ pub struct SkewSummary {
 
 impl SkewSummary {
     /// Summarise a merged sketch (or an empty summary for `None`).
-    pub fn from_sketch(sketch: Option<SkewSketch>) -> SkewSummary {
+    pub(crate) fn from_sketch(sketch: Option<SkewSketch>) -> SkewSummary {
         let Some(sk) = sketch else {
             return SkewSummary::default();
         };
@@ -239,7 +239,7 @@ impl MatchDigest {
     }
 
     /// Merge another digest (a disjoint partition of the multiset) in.
-    pub fn merge(&mut self, other: &MatchDigest) {
+    pub(crate) fn merge(&mut self, other: &MatchDigest) {
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
         self.xor ^= other.xor;
@@ -250,7 +250,7 @@ impl MatchDigest {
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Operator label ("Dynamic", "StaticMid", …).
-    pub operator: &'static str,
+    pub(crate) operator: &'static str,
     /// Execution backend the run used ("sim", "threaded").
     pub backend: &'static str,
     /// Workload label ("EQ5", …).
@@ -435,6 +435,61 @@ pub fn human_bytes(b: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, OperatorKind, SessionBuilder};
+
+    /// A report whose `ILF/ILF*` trace is `trace`: (tuples, |R|, |S|,
+    /// running mapping) for a `j`-joiner operator.
+    fn report_with_trace(j: u32, trace: &[(u64, u64, u64, Mapping)]) -> RunReport {
+        let mut report = run(
+            &Vec::new(),
+            &SessionBuilder::new(4, OperatorKind::StaticMid),
+        );
+        report.competitive = trace
+            .iter()
+            .filter_map(|&(tuples, r, s, m)| RatioSample::new(j, tuples, r, s, m))
+            .collect();
+        report
+    }
+
+    #[test]
+    fn optimal_mapping_has_ratio_one() {
+        let report = report_with_trace(16, &[(100, 50, 50, Mapping::new(4, 4))]);
+        assert!((report.max_competitive_ratio(0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stale_mapping_shows_elevated_ratio() {
+        // R:S = 16:1 but still running square: ILF = 16/4 + 1/4 = 4.25
+        // vs optimal (16,1): 16/16 + 1/1 = 2. Ratio = 2.125.
+        let report = report_with_trace(16, &[(17, 16, 1, Mapping::new(4, 4))]);
+        assert!((report.max_competitive_ratio(0) - 2.125).abs() < 1e-9);
+    }
+
+    #[test]
+    fn warmup_samples_are_ignored() {
+        let report = report_with_trace(
+            16,
+            &[
+                (10, 16, 1, Mapping::new(4, 4)), // terrible, but warm-up
+                (2000, 50, 50, Mapping::new(4, 4)),
+            ],
+        );
+        assert!((report.max_competitive_ratio(1000) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_ratio_beyond_j_still_counts() {
+        // |R|/|S| = 100 > J = 4, outside Theorem 4.6's assumption: the
+        // maximum keeps it.
+        let report = report_with_trace(
+            4,
+            &[
+                (101, 100, 1, Mapping::new(2, 2)),
+                (200, 100, 100, Mapping::new(2, 2)),
+            ],
+        );
+        assert!(report.max_competitive_ratio(0) > 1.0);
+    }
 
     #[test]
     fn human_bytes_formats() {

@@ -21,6 +21,9 @@ use crate::elastic_runtime::{contraction_due, expansion_due, ElasticConfig, Elas
 use crate::messages::OpMsg;
 use crate::skew::SkewState;
 
+#[cfg(test)]
+mod batching_property;
+
 /// A controller-side event, for post-run analysis (Fig. 8c's migration
 /// shading, EXPERIMENTS.md narratives).
 #[derive(Clone, Copy, Debug)]
@@ -55,7 +58,7 @@ pub enum ControlEvent {
 
 /// Periodic progress sampling shared by all operator flavours.
 #[derive(Clone, Debug)]
-pub struct ProgressRecorder {
+pub(crate) struct ProgressRecorder {
     /// Collected samples.
     pub samples: Vec<ProgressSample>,
     every: u64,
@@ -64,7 +67,7 @@ pub struct ProgressRecorder {
 
 impl ProgressRecorder {
     /// Sample roughly every `every` sequence numbers.
-    pub fn new(every: u64) -> ProgressRecorder {
+    pub(crate) fn new(every: u64) -> ProgressRecorder {
         ProgressRecorder {
             samples: Vec::new(),
             every: every.max(1),
@@ -73,7 +76,7 @@ impl ProgressRecorder {
     }
 
     /// Record a sample if `seq` crossed the sampling boundary.
-    pub fn maybe_sample(&mut self, seq: u64, ctx: &mut Ctx<'_, OpMsg>) {
+    pub(crate) fn maybe_sample(&mut self, seq: u64, ctx: &mut Ctx<'_, OpMsg>) {
         if seq < self.next_at {
             return;
         }
@@ -84,65 +87,65 @@ impl ProgressRecorder {
 }
 
 /// Controller state carried by reshuffler 0.
-pub struct ControllerState {
+pub(crate) struct ControllerState {
     /// Alg. 2 state over scaled estimates.
     pub decider: MigrationDecider,
     /// Whether the controller may trigger migrations (false for the
     /// Static operators, which still sample and count).
-    pub adaptive: bool,
+    pub(crate) adaptive: bool,
     /// The epoch change in flight, if any (gates decisions).
-    pub in_flight: Option<Reconfig>,
+    pub(crate) in_flight: Option<Reconfig>,
     /// Machines to hand back to the backend once the in-flight change
     /// completes (a contraction's retirees, once every one acked).
-    pub pending_retire: Vec<usize>,
+    pub(crate) pending_retire: Vec<usize>,
     /// Elasticity state, present when the run may scale out (§4.2.2).
     pub elastic: Option<ElasticControl>,
     /// Acks still awaited for the in-flight change.
-    pub acks_pending: usize,
+    pub(crate) acks_pending: usize,
     /// The target mapping the controller is stepping towards (multi-step
     /// chains are executed one epoch at a time).
-    pub target: Option<Mapping>,
+    pub(crate) target: Option<Mapping>,
     /// Decision/completion log.
     pub events: Vec<ControlEvent>,
     /// Progress sampling.
-    pub recorder: ProgressRecorder,
+    pub(crate) recorder: ProgressRecorder,
     /// Last global sequence number observed.
-    pub last_seq: u64,
+    pub(crate) last_seq: u64,
 }
 
 /// The reshuffler task.
 pub struct ReshufflerTask {
     /// This reshuffler's index (0 = controller).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Epoch this reshuffler routes under.
     pub epoch: Epoch,
     /// Grid assignment this reshuffler routes with.
     pub assign: GridAssignment,
     /// Joiner task ids by machine index.
-    pub joiner_tasks: Vec<TaskId>,
+    pub(crate) joiner_tasks: Vec<TaskId>,
     /// Reshuffler task ids (for controller broadcasts).
-    pub reshuffler_tasks: Vec<TaskId>,
+    pub(crate) reshuffler_tasks: Vec<TaskId>,
     /// Ticket generator (independent per reshuffler).
-    pub tickets: TicketGen,
+    pub(crate) tickets: TicketGen,
     /// Cost model.
     pub cost: aoj_simnet::CostModel,
     /// Controller duties, present on reshuffler 0 of adaptive operators.
-    pub controller: Option<ControllerState>,
+    pub(crate) controller: Option<ControllerState>,
     /// The source task (flow-control credit reports).
     pub source: TaskId,
     /// Blocking-migration baseline (§4.3 steps i–iv): stall routing while
     /// a migration is in flight and redirect buffered tuples afterwards.
     /// The paper's operator is non-blocking; this mode exists for the
     /// ablation that quantifies what Alg. 3 buys.
-    pub blocking: bool,
+    pub(crate) blocking: bool,
     /// True while this reshuffler is stalling (blocking mode only).
-    pub stalled: bool,
+    pub(crate) stalled: bool,
     /// Tuples buffered while stalled: (rel, key, aux, bytes, seq, arrived).
-    pub stall_buffer: Vec<(Rel, i64, i32, u32, u64, SimTime)>,
+    pub(crate) stall_buffer: Vec<(Rel, i64, i32, u32, u64, SimTime)>,
     /// Tuples routed by this reshuffler.
-    pub routed: u64,
+    pub(crate) routed: u64,
     /// Per-destination coalescing buffers (the batch-first data plane).
-    pub batch: DataCoalescer,
+    pub(crate) batch: DataCoalescer,
     /// True once this machine retired in a contraction and until an
     /// expansion reactivates it. A deactivated reshuffler no longer
     /// signals epoch changes, so it must route **nothing**: straggler
@@ -160,7 +163,7 @@ pub struct ReshufflerTask {
 
 impl ControllerState {
     /// Fresh controller state for `j` joiners starting at `initial`.
-    pub fn new(
+    pub(crate) fn new(
         j: u32,
         initial: Mapping,
         cfg: DecisionConfig,
@@ -182,7 +185,7 @@ impl ControllerState {
     }
 
     /// Builder: arm live elasticity with the given configuration.
-    pub fn with_elastic(mut self, cfg: Option<ElasticConfig>) -> Self {
+    pub(crate) fn with_elastic(mut self, cfg: Option<ElasticConfig>) -> Self {
         self.elastic = cfg.map(ElasticControl::new);
         self
     }
@@ -190,7 +193,7 @@ impl ControllerState {
 
 impl ReshufflerTask {
     /// Timer key used for coalescing-buffer age flushes.
-    pub const FLUSH: u64 = 2;
+    pub(crate) const FLUSH: u64 = 2;
 
     /// Route one tuple into the per-destination coalescing buffers,
     /// shipping any buffer the tuple filled. Returns the copy fan-out.

@@ -24,15 +24,16 @@ use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
-use aoj_operators::batch::{BatchConfig, DataCoalescer};
-use aoj_operators::messages::IngestItem;
-use aoj_operators::reshuffler::ReshufflerTask;
-use aoj_operators::skew::{SkewPolicy, SkewState};
-use aoj_operators::{run, ElasticConfig, OpMsg, OperatorKind, SessionBuilder};
 use aoj_simnet::{Ctx, Effect, Metrics, Process, SimTime, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use super::ReshufflerTask;
+use crate::batch::{BatchConfig, DataCoalescer};
+use crate::messages::IngestItem;
+use crate::skew::{SkewPolicy, SkewState};
+use crate::{run, ElasticConfig, OpMsg, OperatorKind, SessionBuilder};
 
 /// The session configuration for `kind` on `j` joiners over `w`.
 fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
@@ -124,9 +125,7 @@ fn drive(
         }
     };
     let mut deliver = |task: &mut ReshufflerTask, channels: &mut Vec<Vec<Ev>>, msg: OpMsg| {
-        let mut stopped = false;
-        let mut ctx: Ctx<'_, OpMsg> =
-            Ctx::new(SimTime::ZERO, TaskId(1), &mut metrics, &mut stopped);
+        let mut ctx: Ctx<'_, OpMsg> = Ctx::new(SimTime::ZERO, &mut metrics);
         task.on_message(&mut ctx, TaskId(99), msg);
         record(channels, ctx.take_effects());
     };
@@ -157,8 +156,7 @@ fn drive(
         deliver(task, &mut channels, change());
     }
     // Age-flush whatever is still coalescing (the timer path).
-    let mut stopped = false;
-    let mut ctx: Ctx<'_, OpMsg> = Ctx::new(SimTime::ZERO, TaskId(1), &mut metrics, &mut stopped);
+    let mut ctx: Ctx<'_, OpMsg> = Ctx::new(SimTime::ZERO, &mut metrics);
     task.on_timer(&mut ctx, ReshufflerTask::FLUSH);
     record(&mut channels, ctx.take_effects());
     channels

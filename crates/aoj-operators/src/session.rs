@@ -200,7 +200,7 @@ impl IngestQueue {
 
     /// Blocking push: waits while the queue is at capacity, errors once
     /// the session is closed.
-    pub fn push(&self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
+    pub(crate) fn push(&self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
         let mut st = self.state.lock().unwrap();
         loop {
             if st.closed {
@@ -222,7 +222,7 @@ impl IngestQueue {
 
     /// Non-blocking push: [`PushError::Full`] while the queue is at
     /// capacity (the flow-control window is closed end to end).
-    pub fn try_push(&self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
+    pub(crate) fn try_push(&self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
         let mut st = self.state.lock().unwrap();
         if st.closed {
             return Err(PushError::Closed);
@@ -307,12 +307,12 @@ impl IngestQueue {
     }
 
     /// Tuples accepted so far (including ones already drained).
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.state.lock().unwrap().pushed
     }
 
     /// Tuples accepted but not yet drained by the source.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
 
@@ -425,7 +425,7 @@ impl KeyFilter {
 
     /// Does `m` pass this filter?
     #[inline]
-    pub fn passes(&self, m: &Match) -> bool {
+    pub(crate) fn passes(&self, m: &Match) -> bool {
         match *self {
             KeyFilter::All => true,
             KeyFilter::Range { lo, hi } => {
@@ -858,8 +858,8 @@ impl Drop for MatchSubscription {
 ///
 /// Meaningful on a live backend, where the operator runs concurrently
 /// with producers. On the simulator backend pushes only
-/// enqueue — the session owner must still call
-/// [`SessionHandle::pump`] (or `push`/`close`) to advance virtual time,
+/// enqueue — the session owner must still call `push` or `close` on
+/// its [`SessionHandle`] to advance virtual time,
 /// and a blocking [`push`](IngestHandle::push) from another thread can
 /// wait indefinitely if the owner never does.
 #[derive(Clone)]
@@ -871,11 +871,6 @@ impl IngestHandle {
     /// Blocking push (waits while the flow-control window is closed).
     pub fn push(&self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
         self.queue.push(rel, item)
-    }
-
-    /// Non-blocking push.
-    pub fn try_push(&self, rel: Rel, item: StreamItem) -> Result<(), PushError> {
-        self.queue.try_push(rel, item)
     }
 
     /// Blocking push of a whole batch; returns the number accepted.
@@ -999,13 +994,13 @@ pub struct FaultSection {
     /// [`SupervisedSession`](crate::supervise::SupervisedSession) like
     /// `checkpoint_every_tuples`: it fires each one through
     /// [`SessionHandle::inject_kill`].
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// Failure-detector timing (TCP backend heartbeats).
     pub detector: DetectorConfig,
     /// Automatic background-checkpoint cadence for supervised sessions,
     /// in pushed tuples (0 = no automatic checkpoints). Read by the
     /// recovery controller, not by the session itself.
-    pub checkpoint_every_tuples: u64,
+    pub(crate) checkpoint_every_tuples: u64,
 }
 
 /// Default progress-sample spacing for live sessions, where the input
@@ -1400,7 +1395,7 @@ pub trait NetBackend: ExecBackend<OpMsg> + Send {
 /// restored from, if any: the topology's in-process tasks are already
 /// seeded from it, and a backend with out-of-process workers must ship
 /// it to them (or they would silently restart from empty state).
-pub type NetBackendFactory =
+pub(crate) type NetBackendFactory =
     fn(&SessionBuilder, Arc<MatchHub>, Topology<OpMsg>, Option<&Checkpoint>) -> Box<dyn NetBackend>;
 
 static TCP_BACKEND: OnceLock<NetBackendFactory> = OnceLock::new();
@@ -1468,8 +1463,7 @@ impl JoinSession {
     /// Open a session: build the operator topology on the configured
     /// backend and make it ready for pushes. On a live backend the
     /// workers start immediately (idle until data arrives); on the
-    /// simulator nothing executes until the first push or
-    /// [`pump`](SessionHandle::pump).
+    /// simulator nothing executes until the first push or the close.
     pub fn open(builder: SessionBuilder) -> SessionHandle {
         // Joiners park up to CREDIT_BATCH − 1 returned credits each, so a
         // window at or below that slack can close permanently with no
@@ -1684,16 +1678,6 @@ pub struct SessionTopology {
 }
 
 impl SessionTopology {
-    /// The source task's id (hosted on the last-registered machine).
-    pub fn source_id(&self) -> TaskId {
-        self.wiring.source_id
-    }
-
-    /// Registered joiner machine slots (excluding the source machine).
-    pub fn machine_slots(&self) -> usize {
-        self.wiring.slots
-    }
-
     /// The skew board this topology's reshufflers publish into (grid
     /// operators only). A worker process ships the board's merged parts
     /// in its gauge frames so the coordinator sees the cluster-wide
@@ -1837,16 +1821,6 @@ impl SessionHandle {
         MatchSubscription {
             hub: Arc::clone(&self.hub),
             slot,
-        }
-    }
-
-    /// Advance the simulator to quiescence on the current input
-    /// (a no-op on a live backend, which runs continuously).
-    /// `push`/`push_batch`/`close` pump implicitly; call this after
-    /// feeding tuples through an [`IngestHandle`] from another thread.
-    pub fn pump(&mut self) {
-        if let Some(Inner::Sim { sim, wiring }) = self.inner.as_mut() {
-            pump_sim(sim, wiring.source_id, &self.queue);
         }
     }
 

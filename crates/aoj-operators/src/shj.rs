@@ -18,26 +18,26 @@ use crate::reshuffler::ProgressRecorder;
 
 /// SHJ's reshuffler: key-hash routing, no statistics, no epochs. Routed
 /// tuples coalesce into per-joiner batches like the grid operator's.
-pub struct ShjReshuffler {
+pub(crate) struct ShjReshuffler {
     /// This reshuffler's machine (metrics).
     pub machine: MachineId,
     /// Joiner task ids by machine index.
-    pub joiner_tasks: Vec<TaskId>,
+    pub(crate) joiner_tasks: Vec<TaskId>,
     /// Cost model.
     pub cost: aoj_simnet::CostModel,
     /// The source task (flow-control credit reports).
     pub source: TaskId,
     /// Tuples routed.
-    pub routed: u64,
+    pub(crate) routed: u64,
     /// Progress sampling (reshuffler 0 only).
-    pub recorder: Option<ProgressRecorder>,
+    pub(crate) recorder: Option<ProgressRecorder>,
     /// Per-destination coalescing buffers.
-    pub batch: DataCoalescer,
+    pub(crate) batch: DataCoalescer,
 }
 
 impl ShjReshuffler {
     /// Timer key used for coalescing-buffer age flushes.
-    pub const FLUSH: u64 = 2;
+    pub(crate) const FLUSH: u64 = 2;
 
     fn flush_slot(&mut self, ctx: &mut Ctx<'_, OpMsg>, dst: usize) {
         if let Some((tuples, arrived)) = self.batch.take(dst) {
@@ -120,11 +120,11 @@ impl Process<OpMsg> for ShjReshuffler {
 }
 
 /// SHJ's joiner: a plain local symmetric hash join with spill accounting.
-pub struct ShjJoiner {
+pub(crate) struct ShjJoiner {
     /// Local hash state.
-    pub index: SymmetricHashIndex,
+    pub(crate) index: SymmetricHashIndex,
     /// RAM gauge.
-    pub gauge: SpillGauge,
+    pub(crate) gauge: SpillGauge,
     /// Machine for metrics.
     pub machine: MachineId,
     /// Cost model.
@@ -132,14 +132,14 @@ pub struct ShjJoiner {
     /// The source task (credit returns).
     pub source: TaskId,
     /// Matches emitted, their digest, log, sink and latency samples.
-    pub tally: MatchTally,
+    pub(crate) tally: MatchTally,
     /// Credits accumulated but not yet returned.
     unacked_credits: u32,
 }
 
 impl ShjJoiner {
     /// Build an SHJ joiner.
-    pub fn new(
+    pub(crate) fn new(
         machine: MachineId,
         cost: aoj_simnet::CostModel,
         gauge: SpillGauge,

@@ -38,13 +38,13 @@ const PUBLISH_EVERY: u64 = 4096;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SkewPolicy {
     /// Sketch sizing and the heavy-hitter threshold.
-    pub sketch: SkewConfig,
+    pub(crate) sketch: SkewConfig,
 }
 
 /// Shared board of per-machine published sketches (wire `parts` form).
 ///
 /// One slot per machine slot; a reshuffler publishes into its own slot
-/// only, so contention is negligible and [`SkewBoard::merged`] folds the
+/// only, so contention is negligible and the board's merge folds the
 /// slots in index order — deterministic across runs and backends.
 #[derive(Debug)]
 pub struct SkewBoard {
@@ -59,16 +59,6 @@ impl SkewBoard {
         })
     }
 
-    /// Number of machine slots.
-    pub fn len(&self) -> usize {
-        self.slots.lock().unwrap().len()
-    }
-
-    /// Whether the board has any slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Replace `slot`'s published sketch. Out-of-range slots are ignored
     /// (a late frame from a retired machine must not panic the session).
     pub fn publish(&self, slot: usize, parts: Vec<u64>) {
@@ -78,14 +68,9 @@ impl SkewBoard {
         }
     }
 
-    /// The latest published parts for `slot`, if any.
-    pub fn parts(&self, slot: usize) -> Option<Vec<u64>> {
-        self.slots.lock().unwrap().get(slot).cloned().flatten()
-    }
-
     /// Merge every published shard in slot order. `None` until at least
     /// one shard has published.
-    pub fn merged(&self) -> Option<SkewSketch> {
+    pub(crate) fn merged(&self) -> Option<SkewSketch> {
         let slots = self.slots.lock().unwrap();
         let mut acc: Option<SkewSketch> = None;
         for parts in slots.iter().flatten() {
@@ -114,7 +99,7 @@ impl SkewBoard {
 pub struct SkewState {
     /// The local per-relation sketch (public for checkpoint inspection
     /// and tests).
-    pub sketch: SkewSketch,
+    pub(crate) sketch: SkewSketch,
     since_publish: u64,
     board: Option<(Arc<SkewBoard>, usize)>,
 }
@@ -131,7 +116,7 @@ impl SkewState {
     }
 
     /// Builder: publish into `slot` of `board`.
-    pub fn with_board(mut self, board: Arc<SkewBoard>, slot: usize) -> SkewState {
+    pub(crate) fn with_board(mut self, board: Arc<SkewBoard>, slot: usize) -> SkewState {
         self.board = Some((board, slot));
         self
     }
@@ -172,7 +157,7 @@ impl SkewState {
 
     /// Publish the local sketch to the board now (also called on flush
     /// points so close-time summaries include the stream's tail).
-    pub fn publish(&mut self) {
+    pub(crate) fn publish(&mut self) {
         self.since_publish = 0;
         if let Some((board, slot)) = &self.board {
             board.publish(*slot, self.sketch.to_parts());
@@ -184,6 +169,14 @@ impl SkewState {
 mod tests {
     use super::*;
     use aoj_core::sketch::HeavyHitter;
+
+    // The oracle of the publication tests.
+    impl SkewBoard {
+        /// The latest published parts for `slot`, if any.
+        fn parts(&self, slot: usize) -> Option<Vec<u64>> {
+            self.slots.lock().unwrap().get(slot).cloned().flatten()
+        }
+    }
 
     #[test]
     fn random_mode_matches_bare_ticketgen() {

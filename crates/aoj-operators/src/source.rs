@@ -53,7 +53,7 @@ impl SourcePacing {
 /// eight on the TCP backend, whose credit round trip crosses sockets.
 /// The price of a wider window is queueing: saturated latency is
 /// window ÷ throughput, and triggers lag the source by up to a window.
-pub fn default_window_copies(j: u32, batch_tuples: usize) -> u64 {
+pub(crate) fn default_window_copies(j: u32, batch_tuples: usize) -> u64 {
     j as u64 * (8 * batch_tuples as u64).max(64)
 }
 
@@ -78,20 +78,20 @@ pub fn default_window_copies(j: u32, batch_tuples: usize) -> u64 {
 /// `close` that next finds the source parked wakes it — through the
 /// [`Waker`] a live backend installs, or, on the simulator, through the
 /// session pump, which starts the source's timer at the current instant.
-pub struct SourceTask {
+pub(crate) struct SourceTask {
     /// The external ingest queue this source drains.
-    pub input: Arc<IngestQueue>,
+    pub(crate) input: Arc<IngestQueue>,
     /// Arrivals consumed so far — the next tuple's global sequence
     /// number.
-    pub cursor: usize,
+    pub(crate) cursor: usize,
     /// Reshuffler task ids by machine index (the full provisioned slot
     /// space under an elastic run).
-    pub reshufflers: Vec<TaskId>,
+    pub(crate) reshufflers: Vec<TaskId>,
     /// The active round-robin targets, in machine-index order. Replaced
     /// wholesale by [`OpMsg::SourceResize`] (elastic expansion and
     /// contraction) — an explicit list, because after contractions the
     /// active machines are not an index prefix.
-    pub active: Vec<TaskId>,
+    pub(crate) active: Vec<TaskId>,
     /// Pacing.
     pub pacing: SourcePacing,
     /// Tuples per [`OpMsg::IngestBatch`]: arrivals are emitted in
@@ -102,10 +102,10 @@ pub struct SourceTask {
     /// Maximum tuple copies in flight (0 disables flow control).
     pub window_copies: u64,
     /// Copies fanned out so far (reported by reshufflers).
-    pub routed_copies: u64,
+    pub(crate) routed_copies: u64,
     /// Tuples routed so far (one [`OpMsg::RoutedCopies`] per ingest
     /// batch, carrying its tuple count).
-    pub routed_tuples: u64,
+    pub(crate) routed_tuples: u64,
     /// Copies fully processed so far (reported by joiners).
     pub processed_copies: u64,
     /// True while an emission tick is scheduled or the source is parked.
@@ -116,11 +116,11 @@ pub struct SourceTask {
 
 impl SourceTask {
     /// Timer key used for emission ticks.
-    pub const TICK: u64 = 1;
+    pub(crate) const TICK: u64 = 1;
 
     /// Build a source draining `input`, emitting `batch_tuples`-sized
     /// ingest batches under a `window_copies` flow-control window.
-    pub fn new(
+    pub(crate) fn new(
         input: Arc<IngestQueue>,
         reshufflers: Vec<TaskId>,
         pacing: SourcePacing,
@@ -316,13 +316,7 @@ mod tests {
     /// Run one source timer event and return its effects.
     fn tick(src: &mut SourceTask) -> Vec<aoj_simnet::Effect<OpMsg>> {
         let mut metrics = aoj_simnet::Metrics::default();
-        let mut stopped = false;
-        let mut ctx = Ctx::new(
-            aoj_simnet::SimTime::ZERO,
-            TaskId(9),
-            &mut metrics,
-            &mut stopped,
-        );
+        let mut ctx = Ctx::new(aoj_simnet::SimTime::ZERO, &mut metrics);
         src.on_timer(&mut ctx, SourceTask::TICK);
         ctx.take_effects()
     }

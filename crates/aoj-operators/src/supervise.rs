@@ -162,11 +162,6 @@ impl SupervisedSession {
         }
     }
 
-    /// Matches delivered so far — exactly once each, in delivery order.
-    pub fn delivered(&self) -> &[Match] {
-        &self.delivered
-    }
-
     /// Crash/recovery counters accumulated so far.
     pub fn stats(&self) -> &RecoveryStats {
         &self.stats

@@ -128,6 +128,31 @@ fn sim_kill_recovers_to_exact_multiset() {
     assert_eq!(got, expect, "sim crash recovery lost or duplicated matches");
 }
 
+/// Simulator: a fired kill is visible through `health()` from the push
+/// that fired it until the next push, which recovers it. The simulator
+/// records the death at once, so every step is deterministic.
+#[test]
+fn sim_kill_is_visible_through_health_until_the_next_push() {
+    let seed = 0xFA_0003;
+    let w = workload(300, 3_000, seed);
+    let arrivals = interleave(&w, seed ^ 0xA0A0);
+    let b = builder(seed);
+    let expect = witness(&b, &arrivals);
+
+    let faulty = b.with_fault_plan(FaultPlan::new().kill_after_tuples(1, 1_500));
+    let mut s = SupervisedSession::open(faulty, tmpdir("sim-health"));
+    for (i, &(rel, item)) in arrivals.iter().enumerate() {
+        s.push(rel, item);
+        let visible = usize::from(i + 1 == 1_500);
+        assert_eq!(s.health(), visible, "deaths visible after push {}", i + 1);
+    }
+    assert_eq!(s.stats().crashes, 1, "the injected kill never fired");
+    let outcome = s.close();
+    let mut got: Vec<(u64, u64)> = outcome.matches.iter().map(|m| (m.r_seq, m.s_seq)).collect();
+    got.sort_unstable();
+    assert_eq!(got, expect, "recovery after the observed kill diverged");
+}
+
 /// Simulator: a kill scheduled on the 2nd automatic checkpoint — the
 /// crash lands immediately after a rotation, so the rollback base is
 /// the checkpoint the victim died on and the replay suffix is empty at

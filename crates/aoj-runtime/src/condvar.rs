@@ -50,7 +50,7 @@ impl CountedCondvar {
     }
 
     /// [`wait`](CountedCondvar::wait) for at most `dur`.
-    pub fn wait_timeout<'a, T>(
+    pub(crate) fn wait_timeout<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
         dur: Duration,
@@ -68,7 +68,7 @@ impl CountedCondvar {
     }
 
     /// Release `guard`, then wake one sleeper if one slept at release.
-    pub fn notify_one_unlock<T>(&self, guard: MutexGuard<'_, T>) {
+    pub(crate) fn notify_one_unlock<T>(&self, guard: MutexGuard<'_, T>) {
         let wake = self.has_sleepers(&guard);
         drop(guard);
         if wake {

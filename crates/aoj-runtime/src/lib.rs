@@ -74,7 +74,7 @@
 //! assert_eq!(rt.task_ref::<Echo>(a).got, 3);
 //! ```
 
-pub mod condvar;
+mod condvar;
 pub mod mailbox;
 pub mod runtime;
 

@@ -27,7 +27,7 @@
 //! a hard guarantee**: an *otherwise idle* producer facing a full data
 //! queue waits up to `BACKPRESSURE_WAIT` for space and then enqueues
 //! anyway. A producer whose own mailbox holds unserviced work skips the
-//! wait entirely (the runtime checks [`Mailbox::has_queued_work`] on the
+//! wait entirely (the runtime checks `Mailbox::has_queued_work` on the
 //! sender's mailbox before a bounded push) — a machine can host both
 //! data producers and data consumers (in the operator topology every
 //! machine runs a reshuffler *and* a joiner), and a worker stalled as a
@@ -67,7 +67,7 @@
 //!   one: under load it fires at the deadline, on an idle machine the
 //!   partial batch leaves at once.
 //! * a **parked** timer ([`Ctx::park`]) has no deadline. It fires when
-//!   [`unpark`](Mailbox::unpark) names its task, from any thread; an
+//!   `unpark` names its task, from any thread; an
 //!   unpark that arrives before the park is kept and makes the park due
 //!   the moment it is recorded. The consumer yields its CPU once before
 //!   serving an unparked timer: the unpark comes from a producer's first
@@ -82,7 +82,7 @@
 //! wakes the consumer, and a pop wakes blocked producers, only when one
 //! sleeps. A busy consumer is the common case under load, and a futex
 //! wake that finds nobody costs several times the lock it follows.
-//! Shutdown, [`interrupt`](Mailbox::interrupt) and
+//! Shutdown, `interrupt` and
 //! [`complete_drain`](Mailbox::complete_drain) notify unconditionally.
 //!
 //! [`Ctx::schedule_or_idle`]: aoj_simnet::Ctx::schedule_or_idle
@@ -98,7 +98,7 @@ use std::time::{Duration, Instant};
 /// bound. Long enough that steady-state backpressure throttles a fast
 /// source; short enough that transient producer/consumer cycles resolve
 /// without visible stalls.
-pub const BACKPRESSURE_WAIT: Duration = Duration::from_millis(20);
+pub(crate) const BACKPRESSURE_WAIT: Duration = Duration::from_millis(20);
 
 use crate::condvar::CountedCondvar;
 use aoj_simnet::{
@@ -233,7 +233,7 @@ impl<M> Mailbox<M> {
 
     /// Enqueue a message carrying `units` tuple units (1 for everything
     /// that is not a tuple batch). `bounded` data pushes wait up to
-    /// [`BACKPRESSURE_WAIT`] while the data queue holds `data_capacity`
+    /// `BACKPRESSURE_WAIT` while the data queue holds `data_capacity`
     /// or more tuple units, then enqueue regardless (see module docs for
     /// why the wait must be bounded); loopback callers pass
     /// `bounded = false`.
@@ -293,7 +293,7 @@ impl<M> Mailbox<M> {
     }
 
     /// Park `task` under `key`: a timer with no deadline, due once
-    /// [`unpark`](Mailbox::unpark) names the task — at once if an unpark
+    /// `unpark` names the task — at once if an unpark
     /// already came in ahead of this park.
     pub fn park(&self, task: TaskId, key: u64) {
         let mut st = self.state.lock().unwrap();
@@ -310,7 +310,7 @@ impl<M> Mailbox<M> {
     /// Make `task`'s parked timer due now. An unpark that finds no park
     /// is kept for the task's next [`park`](Mailbox::park): the waker
     /// may beat the backend recording the park it answers.
-    pub fn unpark(&self, task: TaskId) {
+    pub(crate) fn unpark(&self, task: TaskId) {
         let mut st = self.state.lock().unwrap();
         match st.parked.iter().position(|&(t, _)| t == task.index()) {
             Some(i) => {
@@ -343,7 +343,7 @@ impl<M> Mailbox<M> {
     /// and pending timer has been serviced (the consumer distinguishes
     /// the two by checking its shutdown flag). Returns `true` with
     /// `out` non-empty otherwise — or with `out` empty right after an
-    /// [`interrupt`](Mailbox::interrupt), even one that raced shutdown.
+    /// `interrupt`, even one that raced shutdown.
     ///
     /// The per-message selection inside the batch is byte-identical to
     /// repeated single pops at the same instant: due timers and control
@@ -473,7 +473,7 @@ impl<M> Mailbox<M> {
     /// deadline is genuinely idle). Producers consult their **own** mailbox through
     /// this before paying the backpressure wait on a full destination —
     /// see the module docs for the progress argument.
-    pub fn has_queued_work(&self) -> bool {
+    pub(crate) fn has_queued_work(&self) -> bool {
         let st = self.state.lock().unwrap();
         !st.control.is_empty() || !st.data.is_empty() || !st.migration.is_empty()
     }
@@ -489,7 +489,7 @@ impl<M> Mailbox<M> {
     /// idle) [`pop_batch`](Mailbox::pop_batch) returns `true` with an
     /// empty batch, so the consumer re-checks its own flags (the
     /// threaded runtime's kill request) without waiting for work.
-    pub fn interrupt(&self) {
+    pub(crate) fn interrupt(&self) {
         self.state.lock().unwrap().interrupted = true;
         self.work_ready.notify_all();
     }
@@ -508,7 +508,7 @@ impl<M> Mailbox<M> {
     /// Re-arm a drained mailbox for a fresh consumer (re-provisioning a
     /// retired machine). The queues are empty by construction — the old
     /// consumer exited only after servicing everything.
-    pub fn reset_for_reuse(&self) {
+    pub(crate) fn reset_for_reuse(&self) {
         let mut st = self.state.lock().unwrap();
         assert!(
             st.control.is_empty() && st.data.is_empty() && st.migration.is_empty(),
@@ -572,7 +572,7 @@ pub fn install_wakers<M: SimMessage + Send + 'static>(
 /// Service one popped unit of work: run the addressed task's handler at
 /// `now`, charge machine `mid`'s row of `shard` (arrival, real CPU
 /// occupancy — not the modeled cost the handler returns —, event count)
-/// and hand back `(task, effects, stopped)`. Every live machine loop
+/// and hand back `(task, effects)`. Every live machine loop
 /// (this crate's worker threads, `aoj-net`'s nodes) dispatches through
 /// here; applying the effects — thread spawn or socket stage — is the
 /// backend's own.
@@ -583,8 +583,7 @@ pub fn dispatch<M: SimMessage>(
     shard: &mut Metrics,
     mid: MachineId,
     now: SimTime,
-) -> (TaskId, Vec<Effect<M>>, bool) {
-    let mut stopped = false;
+) -> (TaskId, Vec<Effect<M>>) {
     let started = Instant::now();
     let (self_task, effects) = match work {
         Work::Msg { from, to, msg } => {
@@ -592,7 +591,7 @@ pub fn dispatch<M: SimMessage>(
             let task = tasks
                 .get_mut(&to.index())
                 .expect("message routed to a machine not hosting its task");
-            let mut ctx = Ctx::new(now, to, shard, &mut stopped);
+            let mut ctx = Ctx::new(now, shard);
             task.on_message(&mut ctx, from, msg);
             (to, ctx.take_effects())
         }
@@ -600,7 +599,7 @@ pub fn dispatch<M: SimMessage>(
             let task = tasks
                 .get_mut(&tid.index())
                 .expect("timer fired on a machine not hosting its task");
-            let mut ctx = Ctx::new(now, tid, shard, &mut stopped);
+            let mut ctx = Ctx::new(now, shard);
             task.on_timer(&mut ctx, key);
             (tid, ctx.take_effects())
         }
@@ -612,7 +611,7 @@ pub fn dispatch<M: SimMessage>(
     shard.on_busy(mid, SimDuration(started.elapsed().as_micros() as u64));
     shard.events += 1;
     shard.last_event_at = now;
-    (self_task, effects, stopped)
+    (self_task, effects)
 }
 
 #[cfg(test)]

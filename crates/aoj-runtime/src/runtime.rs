@@ -18,6 +18,9 @@ use aoj_simnet::{
 
 use crate::mailbox::{dispatch, install_wakers, Mailbox, Work};
 
+#[cfg(test)]
+mod fifo_and_termination;
+
 /// Threaded-backend knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
@@ -277,7 +280,7 @@ impl<M: SimMessage + Send + 'static> Runtime<M> {
 
     /// Worker threads the run starts with (one per eagerly provisioned
     /// machine; deferred machines get theirs at trigger time).
-    pub fn worker_threads(&self) -> usize {
+    pub(crate) fn worker_threads(&self) -> usize {
         self.topo.eager_machines()
     }
 
@@ -304,7 +307,7 @@ fn worker<M: SimMessage + Send + 'static>(
     let mailbox = Arc::clone(&shared.mailboxes[mid.index()]);
     install_wakers(&mailbox, &mut tasks);
     let mut batch = Vec::with_capacity(DRAIN_BATCH);
-    'run: loop {
+    loop {
         if shared.kill_requested[mid.index()].load(Ordering::Relaxed) {
             // Crash, not shutdown: no finish_item, no task deposit. The
             // run wedges exactly as if the thread were lost to a real
@@ -354,7 +357,7 @@ fn worker<M: SimMessage + Send + 'static>(
                 other => other,
             };
             let now = SimTime(shared.now_us());
-            let (self_task, effects, stopped) = dispatch(work, &mut tasks, &mut shard, mid, now);
+            let (self_task, effects) = dispatch(work, &mut tasks, &mut shard, mid, now);
 
             for effect in effects {
                 match effect {
@@ -515,12 +518,6 @@ fn worker<M: SimMessage + Send + 'static>(
                 }
             }
             shared.finish_item();
-            if stopped {
-                // Mirror the simulator's stop semantics: abandon whatever
-                // is still queued (including the rest of this batch).
-                shared.shutdown();
-                break 'run;
-            }
         }
     }
     drop(guard);

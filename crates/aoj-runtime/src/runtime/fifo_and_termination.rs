@@ -5,10 +5,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use aoj_runtime::{Runtime, RuntimeConfig};
 use aoj_simnet::{
     Ctx, ExecBackend, MsgClass, Process, SimDuration, SimMessage, SimTime, TaskId, Topology,
 };
+
+use super::{Runtime, RuntimeConfig};
 
 #[derive(Clone, Debug)]
 struct Payload {

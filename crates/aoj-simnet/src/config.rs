@@ -57,17 +57,6 @@ impl CostModel {
         )
     }
 
-    /// Cost of storing one tuple, with `spilled == true` if the local store
-    /// has exceeded its RAM budget.
-    #[inline]
-    pub fn store_cost(&self, spilled: bool) -> SimDuration {
-        if spilled {
-            SimDuration(self.store_us * self.spill_penalty)
-        } else {
-            SimDuration(self.store_us)
-        }
-    }
-
     /// Cost of probing **and storing** a coalesced batch of `n` data
     /// tuples that together scanned `candidates` index entries and
     /// emitted `matches`: the fixed probe/store overheads are per tuple,
@@ -105,12 +94,5 @@ mod tests {
         assert_eq!(base.as_micros(), cm.probe_us);
         let heavy = cm.probe_cost(1000, 500);
         assert_eq!(heavy.as_micros(), cm.probe_us + 100 + 100);
-    }
-
-    #[test]
-    fn spill_penalty_applies() {
-        let cm = CostModel::default();
-        assert_eq!(cm.store_cost(false).as_micros(), 1);
-        assert_eq!(cm.store_cost(true).as_micros(), cm.spill_penalty);
     }
 }

@@ -21,7 +21,7 @@ pub(crate) enum EventKind<M> {
 pub(crate) struct Event<M> {
     pub at: SimTime,
     pub seq: u64,
-    pub kind: EventKind<M>,
+    pub(crate) kind: EventKind<M>,
 }
 
 impl<M> PartialEq for Event<M> {
@@ -54,20 +54,20 @@ pub(crate) struct EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
 
-    pub fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Event { at, seq, kind });
     }
 
-    pub fn pop(&mut self) -> Option<Event<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Event<M>> {
         self.heap.pop()
     }
 }

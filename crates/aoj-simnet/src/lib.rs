@@ -31,7 +31,7 @@
 //! paper's reshuffler/joiner/controller topology on top.
 //!
 //! ```
-//! use aoj_simnet::{Sim, SimConfig, Process, Ctx, SimMessage, MsgClass, SimDuration, TaskId, Topology};
+//! use aoj_simnet::{Sim, SimConfig, Process, Ctx, SimMessage, MsgClass, SimDuration, SimTime, TaskId, Topology};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping(u32);
@@ -42,12 +42,14 @@
 //!
 //! struct Echo { peer: Option<TaskId>, got: u32 }
 //! impl Process<Ping> for Echo {
-//!     fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, _from: TaskId, msg: Ping) -> SimDuration {
+//!     fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, from: TaskId, msg: Ping) -> SimDuration {
 //!         self.got = msg.0;
-//!         if let Some(peer) = self.peer {
-//!             if msg.0 < 3 { ctx.send(peer, Ping(msg.0 + 1)); }
-//!         }
+//!         if msg.0 < 3 { ctx.send(from, Ping(msg.0 + 1)); }
 //!         SimDuration::from_micros(5)
+//!     }
+//!     fn on_timer(&mut self, ctx: &mut Ctx<'_, Ping>, _key: u64) -> SimDuration {
+//!         if let Some(peer) = self.peer { ctx.send(peer, Ping(0)); }
+//!         SimDuration::ZERO
 //!     }
 //! }
 //!
@@ -56,13 +58,12 @@
 //! let m1 = topo.add_machine();
 //! let a = topo.add_task(m0, Box::new(Echo { peer: None, got: 0 }));
 //! let b = topo.add_task(m1, Box::new(Echo { peer: Some(a), got: 0 }));
+//! topo.start_timer_at(SimTime::ZERO, b, 0);
 //! let mut sim = Sim::new(SimConfig::default(), topo);
-//! sim.task_mut::<Echo>(a).peer = Some(b);
-//! sim.inject(a, b, Ping(0));
 //! sim.run();
-//! // b saw 0 and 2; a saw 1 and the final 3.
-//! assert_eq!(sim.task_mut::<Echo>(b).got, 2);
-//! assert_eq!(sim.task_mut::<Echo>(a).got, 3);
+//! // a saw 0 and 2; b saw 1 and the final 3.
+//! assert_eq!(sim.task_ref::<Echo>(a).got, 2);
+//! assert_eq!(sim.task_ref::<Echo>(b).got, 3);
 //! ```
 
 pub mod config;
@@ -76,7 +77,7 @@ pub mod task;
 pub mod time;
 
 pub use config::{CostModel, SimConfig};
-pub use exec::{ExecBackend, MachineSlot, TaskMap, Topology};
+pub use exec::{ExecBackend, TaskMap, Topology};
 pub use machine::{MachineId, MIGRATION_WEIGHT};
 pub use metrics::{
     FlushCause, FlushCounts, Gauge, MachineMetrics, Metrics, ProgressSample, SharedGauges,

@@ -28,28 +28,28 @@ pub const MIGRATION_WEIGHT: u32 = 2;
 
 /// A queued message awaiting CPU service.
 pub(crate) struct Queued<M> {
-    pub from: TaskId,
-    pub to: TaskId,
-    pub msg: M,
+    pub(crate) from: TaskId,
+    pub(crate) to: TaskId,
+    pub(crate) msg: M,
 }
 
 /// Internal machine state.
 pub(crate) struct Machine<M> {
-    pub nic: Nic,
+    pub(crate) nic: Nic,
     /// CPU is busy until this time.
-    pub busy_until: SimTime,
+    pub(crate) busy_until: SimTime,
     /// True if a `ProcessNext` event is already scheduled.
-    pub scheduled: bool,
-    pub control_q: VecDeque<Queued<M>>,
-    pub data_q: VecDeque<Queued<M>>,
-    pub migration_q: VecDeque<Queued<M>>,
+    pub(crate) scheduled: bool,
+    pub(crate) control_q: VecDeque<Queued<M>>,
+    pub(crate) data_q: VecDeque<Queued<M>>,
+    pub(crate) migration_q: VecDeque<Queued<M>>,
     /// Counts migration-class messages served since the last data-class
     /// message, implementing the 2:1 weighted service.
-    pub migration_credit: u32,
+    pub(crate) migration_credit: u32,
 }
 
 impl<M> Machine<M> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Machine {
             nic: Nic::default(),
             busy_until: SimTime::ZERO,
@@ -61,7 +61,7 @@ impl<M> Machine<M> {
         }
     }
 
-    pub fn enqueue(&mut self, class: MsgClass, item: Queued<M>) {
+    pub(crate) fn enqueue(&mut self, class: MsgClass, item: Queued<M>) {
         match class {
             MsgClass::Control => self.control_q.push_back(item),
             MsgClass::Data => self.data_q.push_back(item),
@@ -69,14 +69,14 @@ impl<M> Machine<M> {
         }
     }
 
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.control_q.len() + self.data_q.len() + self.migration_q.len()
     }
 
     /// Pick the next message to service. Control preempts everything;
     /// migration is served [`MIGRATION_WEIGHT`] times per data message while
     /// both queues are non-empty; otherwise whichever queue has work.
-    pub fn pop_next(&mut self) -> Option<Queued<M>> {
+    pub(crate) fn pop_next(&mut self) -> Option<Queued<M>> {
         if let Some(item) = self.control_q.pop_front() {
             return Some(item);
         }

@@ -96,11 +96,6 @@ impl SharedGauges {
         self.table[m.index()][g as usize].store(value, Ordering::Relaxed);
     }
 
-    /// How many machines the gauge table covers.
-    pub fn machine_count(&self) -> usize {
-        self.table.len()
-    }
-
     /// Data items processed cluster-wide so far.
     #[inline]
     pub fn data_processed(&self) -> u64 {
@@ -263,13 +258,10 @@ impl Metrics {
         self.per_machine.push(MachineMetrics::default());
     }
 
-    /// Number of registered machines.
-    pub fn machine_count(&self) -> usize {
-        self.per_machine.len()
-    }
-
-    /// Metrics for machine `m`.
-    pub fn machine(&self, m: MachineId) -> &MachineMetrics {
+    /// Metrics for machine `m` (the tests' oracle; callers index
+    /// [`machines`](Metrics::machines)).
+    #[cfg(test)]
+    pub(crate) fn machine(&self, m: MachineId) -> &MachineMetrics {
         &self.per_machine[m.index()]
     }
 
@@ -299,11 +291,6 @@ impl Metrics {
             }
         }
         self.shared = Some(shared);
-    }
-
-    /// The installed gauge overlay, if any.
-    pub fn shared(&self) -> Option<&Arc<SharedGauges>> {
-        self.shared.as_ref()
     }
 
     /// Record machine `m`'s reading of `g` (tasks report their own
@@ -382,15 +369,6 @@ impl Metrics {
             max_stored_bytes: self.max_stored_bytes(),
             total_stored_bytes: self.total_stored_bytes(),
         }
-    }
-
-    /// Maximum per-machine busy time; the makespan lower bound.
-    pub fn max_busy(&self) -> SimDuration {
-        self.per_machine
-            .iter()
-            .map(|m| m.busy)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Record `n` data items processed at virtual time `at`, sampling the
@@ -646,16 +624,5 @@ mod tests {
         merged.absorb(&b);
         let processed: Vec<u64> = merged.progress.iter().map(|p| p.seq).collect();
         assert_eq!(processed, vec![1, 3], "one claim per boundary");
-    }
-
-    #[test]
-    fn busy_max_is_per_machine() {
-        let mut m = Metrics::default();
-        m.add_machine();
-        m.add_machine();
-        m.on_busy(MachineId(0), SimDuration::from_micros(5));
-        m.on_busy(MachineId(0), SimDuration::from_micros(5));
-        m.on_busy(MachineId(1), SimDuration::from_micros(7));
-        assert_eq!(m.max_busy().as_micros(), 10);
     }
 }

@@ -51,17 +51,6 @@ impl Default for NetworkConfig {
     }
 }
 
-impl NetworkConfig {
-    /// Time the egress link is occupied transmitting `bytes`, rounded up
-    /// to whole microseconds (for coarse estimates; the [`Nic`] itself
-    /// accounts for fractional-microsecond occupancy exactly).
-    #[inline]
-    pub fn transmit_time(&self, bytes: u64) -> SimDuration {
-        let wire = bytes + self.per_message_overhead_bytes;
-        SimDuration(self.per_message_us + wire.div_ceil(self.bytes_per_us))
-    }
-}
-
 /// Egress link state for one machine.
 ///
 /// Occupancy is tracked at byte granularity: `debt_bytes` carries the
@@ -70,9 +59,9 @@ impl NetworkConfig {
 /// per-message rounding would add up to an artificial 1 µs-per-message
 /// floor that throttles the whole cluster through any single stage.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Nic {
+pub(crate) struct Nic {
     /// Earliest time the link is free to start a new transmission.
-    pub free_at: SimTime,
+    pub(crate) free_at: SimTime,
     /// Bytes already paid for in `free_at` but not yet "used" (remainder
     /// of integer division by the bandwidth).
     debt_bytes: u64,
@@ -81,7 +70,7 @@ pub struct Nic {
 impl Nic {
     /// Enqueue a transmission of `bytes` starting no earlier than `now`.
     /// Returns the arrival time at the receiver.
-    pub fn transmit(&mut self, now: SimTime, bytes: u64, cfg: &NetworkConfig) -> SimTime {
+    pub(crate) fn transmit(&mut self, now: SimTime, bytes: u64, cfg: &NetworkConfig) -> SimTime {
         let start = if self.free_at >= now {
             // Back-to-back transmissions: the fractional remainder carries.
             self.free_at
@@ -199,18 +188,5 @@ mod tests {
         let mut batched = Nic::default();
         let one = batched.transmit(SimTime(0), 1000, &cfg);
         assert_eq!(one.as_micros(), 13, "one message pays the term once");
-    }
-
-    #[test]
-    fn transmit_time_rounds_up() {
-        let cfg = NetworkConfig {
-            latency_us: 0,
-            bytes_per_us: 125,
-            per_message_overhead_bytes: 0,
-            per_message_us: 0,
-        };
-        assert_eq!(cfg.transmit_time(1).as_micros(), 1);
-        assert_eq!(cfg.transmit_time(125).as_micros(), 1);
-        assert_eq!(cfg.transmit_time(126).as_micros(), 2);
     }
 }

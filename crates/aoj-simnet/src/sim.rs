@@ -12,6 +12,9 @@ use crate::network::NetworkConfig;
 use crate::task::{Ctx, Effect, MsgClass, Process, SimMessage, TaskId};
 use crate::time::SimTime;
 
+#[cfg(test)]
+mod behaviour;
+
 /// Work items queued at a machine: either an arrived message or a fired
 /// timer waiting for the CPU. Timers are serviced with control priority.
 enum Work<M> {
@@ -50,7 +53,6 @@ pub struct Sim<M: SimMessage> {
     queue: EventQueue<M>,
     metrics: Metrics,
     now: SimTime,
-    stopped: bool,
 }
 
 impl<M: SimMessage + 'static> Sim<M> {
@@ -89,7 +91,6 @@ impl<M: SimMessage + 'static> Sim<M> {
             queue: EventQueue::new(),
             metrics,
             now: SimTime::ZERO,
-            stopped: false,
         };
         for (at, task, key) in timers {
             sim.start_timer_at(at, task, key);
@@ -98,25 +99,13 @@ impl<M: SimMessage + 'static> Sim<M> {
     }
 
     /// Machines currently holding execution resources.
-    pub fn provisioned_machines(&self) -> usize {
+    pub(crate) fn provisioned_machines(&self) -> usize {
         self.provisioned
     }
 
     /// High-water mark of simultaneously provisioned machines.
-    pub fn peak_provisioned_machines(&self) -> usize {
+    pub(crate) fn peak_provisioned_machines(&self) -> usize {
         self.peak_provisioned
-    }
-
-    /// The machine hosting `task`.
-    pub fn machine_of(&self, task: TaskId) -> MachineId {
-        self.task_machine[task.index()]
-    }
-
-    /// Inject a message from outside the simulation (e.g. bootstrap), to be
-    /// delivered at the current virtual time without paying network costs.
-    pub fn inject(&mut self, from: TaskId, to: TaskId, msg: M) {
-        let at = self.now;
-        self.queue.push(at, EventKind::Arrive { from, to, msg });
     }
 
     /// Schedule a timer for `task` at an explicit virtual time (bootstrap
@@ -155,19 +144,6 @@ impl<M: SimMessage + 'static> Sim<M> {
         &self.metrics
     }
 
-    /// Mutable access to a task by concrete type. Panics if the id is wrong
-    /// or the type does not match — these are programming errors in the
-    /// experiment driver, not recoverable conditions.
-    pub fn task_mut<T: Process<M> + Any>(&mut self, id: TaskId) -> &mut T {
-        let boxed = self.tasks[id.index()]
-            .as_mut()
-            .expect("task is currently executing");
-        boxed
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("task type mismatch")
-    }
-
     /// Shared access to a task by concrete type.
     pub fn task_ref<T: Process<M> + Any>(&self, id: TaskId) -> &T {
         let boxed = self.tasks[id.index()]
@@ -193,15 +169,12 @@ impl<M: SimMessage + 'static> Sim<M> {
         self.run()
     }
 
-    /// Run until quiescence (empty event queue), a task calls
-    /// [`Ctx::stop`], or the configured deadline passes. Returns the final
+    /// Run until quiescence (empty event queue) or until the configured
+    /// deadline passes. Returns the final
     /// virtual time. Re-entrant: more events may be injected after it
     /// returns and the simulation resumed (see [`pump`](Sim::pump)).
     pub fn run(&mut self) -> SimTime {
         while let Some(ev) = self.queue.pop() {
-            if self.stopped {
-                break;
-            }
             if let Some(deadline) = self.cfg.deadline {
                 if ev.at > deadline {
                     self.now = deadline;
@@ -287,14 +260,11 @@ impl<M: SimMessage + 'static> Sim<M> {
         let to = item.to;
         // Take the task out so the handler can borrow both itself and a Ctx.
         let mut task = self.tasks[to.index()].take().expect("task re-entered");
-        let mut stopped = self.stopped;
         let start = self.now;
         let mut ctx = Ctx {
             now: start,
-            self_id: to,
             effects: Vec::new(),
             metrics: &mut self.metrics,
-            stopped: &mut stopped,
         };
         let cost = match item.msg {
             Work::Msg(msg) => task.on_message(&mut ctx, item.from, msg),
@@ -302,7 +272,6 @@ impl<M: SimMessage + 'static> Sim<M> {
         };
         let effects = std::mem::take(&mut ctx.effects);
         drop(ctx);
-        self.stopped = stopped;
         self.tasks[to.index()] = Some(task);
         let done = start + cost;
         self.metrics.on_busy(mid, cost);

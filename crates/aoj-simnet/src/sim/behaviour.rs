@@ -1,9 +1,42 @@
 //! Behavioural tests of the simulator: FIFO channels, CPU serialisation,
 //! weighted migration scheduling, timers, determinism.
 
-use aoj_simnet::{
-    Ctx, MsgClass, Process, Sim, SimConfig, SimDuration, SimMessage, SimTime, TaskId, Topology,
+use std::any::Any;
+
+use super::EventKind;
+use crate::{
+    Ctx, MachineId, MsgClass, Process, Sim, SimConfig, SimDuration, SimMessage, SimTime, TaskId,
+    Topology,
 };
+
+// Bootstrap and inspection levers only these tests pull: the operator
+// starts its sources with `start_timer_at` and reads tasks by reference.
+impl<M: SimMessage + 'static> Sim<M> {
+    /// The machine hosting `task`.
+    fn machine_of(&self, task: TaskId) -> MachineId {
+        self.task_machine[task.index()]
+    }
+
+    /// Inject a message from outside the simulation (e.g. bootstrap), to be
+    /// delivered at the current virtual time without paying network costs.
+    fn inject(&mut self, from: TaskId, to: TaskId, msg: M) {
+        let at = self.now;
+        self.queue.push(at, EventKind::Arrive { from, to, msg });
+    }
+
+    /// Mutable access to a task by concrete type. Panics if the id is wrong
+    /// or the type does not match — these are programming errors in the
+    /// experiment driver, not recoverable conditions.
+    fn task_mut<T: Process<M> + Any>(&mut self, id: TaskId) -> &mut T {
+        let boxed = self.tasks[id.index()]
+            .as_mut()
+            .expect("task is currently executing");
+        boxed
+            .as_any_mut()
+            .downcast_mut::<T>()
+            .expect("task type mismatch")
+    }
+}
 
 #[derive(Clone, Debug)]
 enum Msg {

@@ -161,10 +161,8 @@ pub enum Effect<M> {
 /// picks up the output".
 pub struct Ctx<'a, M: SimMessage> {
     pub(crate) now: SimTime,
-    pub(crate) self_id: TaskId,
     pub(crate) effects: Vec<Effect<M>>,
     pub(crate) metrics: &'a mut Metrics,
-    pub(crate) stopped: &'a mut bool,
 }
 
 impl<'a, M: SimMessage> Ctx<'a, M> {
@@ -172,18 +170,11 @@ impl<'a, M: SimMessage> Ctx<'a, M> {
     /// (the simulator, `aoj-runtime`'s threaded workers) construct one
     /// per delivered message or fired timer and apply the buffered
     /// effects after the handler returns.
-    pub fn new(
-        now: SimTime,
-        self_id: TaskId,
-        metrics: &'a mut Metrics,
-        stopped: &'a mut bool,
-    ) -> Ctx<'a, M> {
+    pub fn new(now: SimTime, metrics: &'a mut Metrics) -> Ctx<'a, M> {
         Ctx {
             now,
-            self_id,
             effects: Vec::new(),
             metrics,
-            stopped,
         }
     }
 
@@ -196,12 +187,6 @@ impl<'a, M: SimMessage> Ctx<'a, M> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The id of the task currently executing.
-    #[inline]
-    pub fn self_id(&self) -> TaskId {
-        self.self_id
     }
 
     /// Send `msg` to `to`. Delivery pays NIC serialisation plus propagation
@@ -260,12 +245,5 @@ impl<'a, M: SimMessage> Ctx<'a, M> {
     #[inline]
     pub fn metrics(&mut self) -> &mut Metrics {
         self.metrics
-    }
-
-    /// Request the simulation to stop after this handler returns. Used by
-    /// drivers when the experiment's completion condition is met.
-    #[inline]
-    pub fn stop(&mut self) {
-        *self.stopped = true;
     }
 }

@@ -45,18 +45,6 @@ impl SimDuration {
         SimDuration(us)
     }
 
-    /// Build from whole milliseconds.
-    #[inline]
-    pub const fn from_millis(ms: u64) -> SimDuration {
-        SimDuration(ms * 1000)
-    }
-
-    /// Build from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> SimDuration {
-        SimDuration(s * 1_000_000)
-    }
-
     /// Microseconds in this duration.
     #[inline]
     pub fn as_micros(self) -> u64 {
@@ -67,12 +55,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Saturating multiply by an integer factor.
-    #[inline]
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
     }
 }
 
@@ -136,6 +118,21 @@ impl fmt::Display for SimTime {
 mod tests {
     use super::*;
 
+    // Constructors only these tests use.
+    impl SimDuration {
+        /// Build from whole milliseconds.
+        #[inline]
+        pub(crate) const fn from_millis(ms: u64) -> SimDuration {
+            SimDuration(ms * 1000)
+        }
+
+        /// Build from whole seconds.
+        #[inline]
+        pub(crate) const fn from_secs(s: u64) -> SimDuration {
+            SimDuration(s * 1_000_000)
+        }
+    }
+
     #[test]
     fn arithmetic_roundtrip() {
         let t = SimTime::ZERO + SimDuration::from_millis(3) + SimDuration::from_micros(21);
@@ -152,10 +149,6 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert!((SimDuration::from_secs(2).as_secs_f64() - 2.0).abs() < 1e-12);
-        assert_eq!(
-            SimDuration::from_micros(7).saturating_mul(3).as_micros(),
-            21
-        );
     }
 
     #[test]
