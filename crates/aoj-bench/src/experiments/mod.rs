@@ -108,7 +108,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         entry: ("lifecycle", scenarios::run_lifecycle),
-        about: "a count window bounds storage; checkpoint/restore round trip (sim, threaded)",
+        about: "a count window bounds storage, the decider follows it; checkpoint/restore round trip (sim, threaded, tcp)",
         panels: &[],
         scenario: true,
     },

@@ -2,21 +2,24 @@
 //! to the paper's operator — batching, elasticity in both directions,
 //! windows and checkpoints, skew observability, crash recovery.
 //!
-//! Every scenario pushes one seeded Zipf stream, at one size, through
-//! the simulator and each live backend named in its banner, and
+//! Every scenario pushes seeded Zipf streams (one; `lifecycle` two)
+//! through the simulator and each live backend named in its banner, and
 //! **panics on a violated invariant**: the join multiset must equal the
 //! simulator witness's on every backend, and the subsystem's own bound
 //! (Theorem 4.3's 2× transfer, the contraction's 1×, bounded windowed
-//! storage, exactly-once delivery across a kill, …) must hold. What a
+//! storage, a windowed decider within 1.25 of the window's optimum,
+//! exactly-once delivery across a kill, …) must hold. What a
 //! scenario prints is hardware-independent — counts, bytes, ratios,
 //! imbalance, the simulator's virtual time — and it writes no file.
 //! Speed is not measured here: `bash benchmark/run.sh` is the repo's
 //! one benchmark (see `benchmark/README.md`).
 
 use aoj_core::fault::FaultPlan;
+use aoj_core::ilf::{ilf, optimal_ilf};
 use aoj_core::predicate::Predicate;
+use aoj_core::tuple::Rel;
 use aoj_datagen::queries::{StreamItem, Workload};
-use aoj_datagen::stream::{interleave, Arrivals};
+use aoj_datagen::stream::{fluctuating, interleave, Arrivals};
 use aoj_datagen::zipf::ZipfSampler;
 use aoj_operators::driver::stream_bytes;
 use aoj_operators::BackendChoice::{Sim, Tcp, Threaded};
@@ -331,6 +334,7 @@ pub fn run_contract() {
 /// half the baseline's; and a **round trip** — checkpoint at 60 % of the
 /// stream, restore from the file, push the rest — whose pre-checkpoint
 /// and post-restore matches must union to the uninterrupted multiset.
+/// Then `run_window_decider`'s leg: Alg. 2 on the live window.
 pub fn run_lifecycle() {
     let span = 3_000u64;
     banner(&format!(
@@ -414,6 +418,106 @@ pub fn run_lifecycle() {
     println!(
         "  verified on all three backends: eviction bounds steady-state storage, \
          the round-trip multiset is exact"
+    );
+    run_window_decider();
+}
+
+/// The `lifecycle` scenario's second leg: Alg. 2 on the live window. The
+/// §5.4 fluctuation schedule (factor 4) over 125,000 tuples ends with a
+/// drain of 46,116 R after 58,404 S, so a 25,000-tuple window ends
+/// holding R alone while the cumulative count is 1:1 (the benchmark's
+/// `fluct_window_paced` at a tenth of its size, in its proportions). Per backend the
+/// windowed session must end at the simulator's mapping, its largest
+/// joiner must store within 1.25 of the window's `ILF*`, and it must
+/// emit the simulator's multiset of the pairs a
+/// window guarantees (stream distance below `span − span/sub_windows`:
+/// the last sub-window before the edge is each joiner's to keep or drop).
+/// The table prints the ratio beside the one the cumulative decider's
+/// final mapping would cost on the same window.
+fn run_window_decider() {
+    let (n, span) = (125_000usize, 25_000u64);
+    println!(
+        "  decider on a {span}-tuple count window: fluctuating stream of {n} tuples \
+         (factor 4), J=4, sim, threaded, tcp"
+    );
+    let w = Workload {
+        name: "zipf-fluct-window",
+        predicate: Predicate::Equi,
+        r_items: zipf_items(n / 2, 20_000, 0.8, 64, SEED),
+        s_items: zipf_items(n - n / 2, 20_000, 0.8, 64, SEED ^ 0xF1),
+    };
+    let arrivals = fluctuating(&w, 4, SEED);
+    let j = 4;
+    let cfg = config(j, OperatorKind::Dynamic, &w)
+        .with_seed(SEED)
+        .with_window_copies(64 * j as u64)
+        .with_collect_matches(true);
+    let windowed = cfg.clone().with_count_window(span);
+    let spec = windowed.lifecycle.window.expect("a count window");
+    let exact_gap = span - spec.sub_span();
+
+    // The window's population, and what a mapping costs on it.
+    let (mut r, mut s) = (0u64, 0u64);
+    for (rel, item) in &arrivals[arrivals.len() - span as usize..] {
+        match rel {
+            Rel::R => r += item.bytes as u64,
+            Rel::S => s += item.bytes as u64,
+        }
+    }
+    let optimal = optimal_ilf(j, r, s);
+    let cumulative = sim_witness(&cfg, &arrivals).final_mapping;
+    let cumulative_ratio = ilf(r, s, cumulative) / optimal;
+    let guaranteed = |rep: &RunReport| -> Vec<(u64, u64)> {
+        let pairs = rep.match_pairs.iter().copied();
+        pairs.filter(|&(a, b)| a.abs_diff(b) < exact_gap).collect()
+    };
+
+    let witness = sim_witness(&windowed, &arrivals);
+    let mut rows = Vec::new();
+    for backend in [Sim, Threaded, Tcp] {
+        let rep = run(&arrivals, &windowed.clone().with_backend(backend));
+        let label = rep.backend;
+        assert!(
+            !guaranteed(&witness).is_empty(),
+            "vacuous: no in-window pair"
+        );
+        assert_eq!(
+            guaranteed(&rep),
+            guaranteed(&witness),
+            "{label}: the in-window multiset diverged from the simulator's"
+        );
+        assert_eq!(
+            rep.final_mapping, witness.final_mapping,
+            "{label}: the window decider landed elsewhere than the simulator's"
+        );
+        let ratio = rep.max_ilf_bytes as f64 / optimal;
+        assert!(
+            ratio <= 1.25,
+            "{label}: final ILF/ILF* of the window {ratio:.3} > 1.25 at {:?}",
+            rep.final_mapping
+        );
+        rows.push((ratio, rep));
+    }
+    print_table(
+        &rows,
+        &[
+            ("backend", |(_, r)| r.backend.to_string()),
+            ("migrations", |(_, r)| r.migrations.to_string()),
+            ("final mapping", |(_, r)| {
+                format!("({}, {})", r.final_mapping.n, r.final_mapping.m)
+            }),
+            ("max ILF", |(_, r)| human_bytes(r.max_ilf_bytes)),
+            ("ILF/ILF* of window", |(ratio, _)| format!("{ratio:.3}")),
+        ],
+    );
+    println!(
+        "  the cumulative decider ends at ({}, {}): ILF/ILF* {cumulative_ratio:.3} on the same \
+         window before any eviction lag",
+        cumulative.n, cumulative.m
+    );
+    println!(
+        "  verified on all three backends: the decider follows the {span}-tuple window \
+         (ILF/ILF* <= 1.25), the in-window multiset is the simulator's"
     );
 }
 

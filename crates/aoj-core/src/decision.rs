@@ -20,8 +20,81 @@
 //! in `J` of the tuples and calls [`MigrationDecider::observe_only`] with
 //! `J ×` each one's size (`aoj_operators::reshuffler`), which reproduces
 //! the paper's decentralised control loop.
+//!
+//! ## Under a retention window
+//!
+//! The joiners of a windowed session store only the live window
+//! (`crate::lifecycle`), so Alg. 2 runs on that population rather than on
+//! the stream's cumulative counts. [`MigrationDecider::with_window`] gives
+//! the decider a model of it: per-sub-window `(R, S)` buckets keyed the
+//! way `WindowTracker` seals — sequence number ÷ `span / sub_windows` for
+//! count windows, the window tick for time windows. A bucket retires at
+//! the evictor's bound, once its newest tick is more than `span` behind
+//! the newest one seen, so like the joiners' storage it lags the window
+//! by up to one sub-window. A retired bucket's units leave the committed
+//! totals (and then the deltas, when the bucket postdates the last
+//! commit), so the `|ΔR| ≥ ε|R|` test and the optimum see the population
+//! the joiners store. At most `sub_windows + 2` buckets are live.
+//!
+//! Theorem 4.2's growth-only argument does not survive a sliding
+//! population. Between decision points the delta test bounds growth,
+//! `|R| < (1 + ε)|R_c|`, but not shrinkage, and shrinking is what a window
+//! does: once a count window is full its total is constant, so one
+//! relation's shrink is the other's growth. With `|R_c| = |S_c|` and a
+//! window turning over from R to S, the delta test first fires when S has
+//! doubled, by which time R has fallen to zero; at `J = 4` the square
+//! mapping then stores `|S|/2` per joiner where `(1, 4)` stores `|S|/4`
+//! (2×; 8× at `J = 64`).
+//!
+//! Lemma 4.3's proof needs less than growth: only that the ratio
+//! `x = |R|/|S|` stays within a factor `1 + ε` of the ratio `x_c` at the
+//! last decision point. Write `y = x·J/n²` for the running `(n, m)`
+//! mapping. `(n, m)` is optimal for `y ∈ [½, 2]` (Lemma 4.1), the
+//! neighbour `(2n, m/2)` for `y ∈ [2, 8]`, where
+//! `ILF/ILF* = (y + 1)/(y/2 + 2)`, and symmetrically below ½. A decision
+//! point leaves `y_c ∈ [½, 2]`; with `x/x_c ∈ (1/(1+ε), 1+ε)`,
+//! `y < 2(1 + ε)`, so `ILF/ILF* < (2(1+ε) + 1)/((1+ε) + 2) = (3+2ε)/(3+ε)`.
+//! A windowed decider therefore has one more trigger: a decision point
+//! also fires when the live ratio has drifted by `1 + ε` from `x_c`, in
+//! either direction. While nothing has retired the delta test fires
+//! first (`|R| < (1+ε)|R_c|` and `|S| ≥ |S_c|` keep `x < (1+ε)x_c`), so
+//! until the first bucket retires a windowed decider decides exactly as
+//! an unwindowed one.
+//!
+//! The bound the code guarantees is therefore Theorem 4.2's own,
+//! `β = (3 + 2ε)/(3 + ε)` (1.25 at ε = 1), on the modelled population at
+//! every instant between decision points, with the ratio within `J`; and
+//! since `y` stays inside `(1/(2(1+ε)), 2(1+ε)) ⊆ [¼, 4]`, Lemma 4.2's
+//! one-step walk holds too. `decision::tests` property-tests the bound
+//! over random phase schedules and checks the walk on a window that
+//! turns over from S to R.
+//!
+//! The modelled population `P` is the window `W` (the last `span` tuples)
+//! plus the sub-window `Λ` by which eviction lags, `|Λ| ≤ span/sub_windows`;
+//! the joiners store the same. Priced against `W` alone, as the
+//! competitive trace and the benchmark's `ilf_ratio` price it:
+//! `ILF_M(W) ≤ ILF_M(P) ≤ β·ILF*(P) ≤ β·(ILF*(W) + ILF_{M*}(Λ))` for `W`'s
+//! optimum `M*`, and `ILF_{M*}(Λ) ≤ |Λ| ≤ J·ILF*(W)/sub_windows` since
+//! every ILF of `W` is at least `|W|/J`. So against the exact window the
+//! ratio is at most `β·(1 + J/sub_windows)`: 1.875 at `J = 4` and the
+//! default 8 sub-windows, where an unwindowed decider on a window that
+//! has turned over from S to R reads 2. When the lagging sub-window has
+//! the window's mix the factor is only `1 + 1/sub_windows` (1.125), the
+//! floor a steady window sits at. Outside both bounds, as for Theorem 4.2
+//! itself: Alg. 1's scaled estimates, and the deferral of decisions while
+//! a migration is in flight. Lemma 4.5's amortised cost is not
+//! re-derived; every decision point needs an ε share of the live
+//! population to arrive, or the live ratio to move by `1 + ε`.
+//!
+//! Under a count window the model is a function of stream position alone:
+//! buckets are keyed and retired by sequence number, never by a clock or
+//! a gauge, so at a given position it holds the same population on every
+//! backend.
+
+use std::collections::VecDeque;
 
 use crate::ilf::{effective_cardinalities, ilf_numerator, optimal_mapping};
+use crate::lifecycle::WindowSpec;
 use crate::mapping::Mapping;
 
 /// Configuration for [`MigrationDecider`].
@@ -93,6 +166,90 @@ pub enum Decision {
     Migrate(Mapping),
 }
 
+/// One sub-window of [`WindowModel`]: the units it holds per relation
+/// and the newest tick observed in it.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    key: u64,
+    hi_tick: u64,
+    r: u64,
+    s: u64,
+}
+
+/// The live window's population, as the joiners' evictors will hold it
+/// (module docs, "Under a retention window").
+#[derive(Clone, Debug)]
+struct WindowModel {
+    spec: WindowSpec,
+    /// Oldest first; the newest is the one still filling.
+    buckets: VecDeque<Bucket>,
+    latest_tick: u64,
+    /// The live `(R, S)` at the last decision point: the ratio the
+    /// current mapping was chosen for.
+    decided: (u64, u64),
+    /// Units retired since the session began.
+    retired: u64,
+}
+
+impl WindowModel {
+    fn new(spec: WindowSpec) -> WindowModel {
+        WindowModel {
+            spec,
+            buckets: VecDeque::new(),
+            latest_tick: 0,
+            decided: (0, 0),
+            retired: 0,
+        }
+    }
+
+    /// Add `units` at `tick` to the bucket the tick seals into (a tick
+    /// older than the newest bucket joins the newest, as a late tuple
+    /// joins a joiner's active sub-window), then retire every bucket the
+    /// evictor's bound has passed. Returns the retired `(R, S)` units.
+    #[inline(never)]
+    fn add(&mut self, is_r: bool, units: u64, tick: u64) -> (u64, u64) {
+        let key = tick / self.spec.sub_span();
+        match self.buckets.back_mut() {
+            Some(b) if b.key >= key => {
+                b.hi_tick = b.hi_tick.max(tick);
+                if is_r {
+                    b.r += units;
+                } else {
+                    b.s += units;
+                }
+            }
+            _ => self.buckets.push_back(Bucket {
+                key,
+                hi_tick: tick,
+                r: if is_r { units } else { 0 },
+                s: if is_r { 0 } else { units },
+            }),
+        }
+        self.latest_tick = self.latest_tick.max(tick);
+        // `WindowTracker::evict_bound`'s test, on the model's buckets.
+        let watermark = self.latest_tick.saturating_sub(self.spec.span);
+        let mut out = (0, 0);
+        while let Some(b) = self.buckets.front().filter(|b| b.hi_tick < watermark) {
+            out.0 += b.r;
+            out.1 += b.s;
+            self.buckets.pop_front();
+        }
+        self.retired += out.0 + out.1;
+        out
+    }
+
+    /// Has the live ratio `r : s` moved by a factor `1 + ε` (or more) away
+    /// from the ratio of the last decision point, in either direction?
+    fn drifted(&self, r: u64, s: u64, num: u128, den: u128) -> bool {
+        let (rc, sc) = (self.decided.0 as u128, self.decided.1 as u128);
+        let (r, s) = (r as u128, s as u128);
+        let grew = |a: u128, b_c: u128, a_c: u128, b: u128| {
+            a * b_c > 0 && a * b_c * den >= (den + num) * a_c * b
+        };
+        grew(r, sc, rc, s) || grew(s, rc, sc, r)
+    }
+}
+
 /// Alg. 2 state. Cardinalities are abstract units (tuple counts, or bytes
 /// under the unequal-tuple-size generalisation).
 #[derive(Clone, Debug)]
@@ -106,6 +263,10 @@ pub struct MigrationDecider {
     ds: u64,
     decisions: u64,
     migrations: u64,
+    /// The live window, when the session evicts; `None` keeps Alg. 2's
+    /// cumulative counts. Boxed, and updated out of line, so the
+    /// unwindowed controller's per-tuple path keeps its size.
+    window: Option<Box<WindowModel>>,
 }
 
 impl MigrationDecider {
@@ -123,34 +284,77 @@ impl MigrationDecider {
             ds: 0,
             decisions: 0,
             migrations: 0,
+            window: None,
         }
+    }
+
+    /// Builder: run Alg. 2 on the live population of `window` (module
+    /// docs, "Under a retention window") instead of cumulative counts.
+    pub fn with_window(mut self, window: WindowSpec) -> MigrationDecider {
+        self.window = Some(Box::new(WindowModel::new(window)));
+        self
+    }
+
+    /// The window the decider models, if any.
+    #[inline]
+    pub fn window(&self) -> Option<WindowSpec> {
+        self.window.as_ref().map(|w| w.spec)
+    }
+
+    /// Units the window model has retired so far: 0 until the live window
+    /// first drops state, and always 0 without a window.
+    #[inline]
+    pub fn retired(&self) -> u64 {
+        self.window.as_ref().map_or(0, |w| w.retired)
     }
 
     /// Record `units` newly arrived units on R (resp. S) and check the
     /// migration condition (Alg. 1 line 6 + Alg. 2). Returns
     /// `Decision::Migrate` when the operator should change its mapping.
+    /// For an unwindowed decider; a windowed one needs each arrival's
+    /// tick ([`observe_only`](Self::observe_only)).
     pub fn observe(&mut self, is_r: bool, units: u64) -> Decision {
-        self.observe_only(is_r, units);
+        self.observe_only(is_r, units, 0);
         self.check()
     }
 
     /// Record arrivals without evaluating the migration condition. Used by
     /// operators that gate decision checks (e.g. while a migration is in
     /// flight, the controller keeps counting but defers Alg. 2 until all
-    /// joiners have acked).
+    /// joiners have acked). `tick` places the arrival in the window
+    /// model ([`WindowSpec::tick`]); an unwindowed decider ignores it.
     #[inline]
-    pub fn observe_only(&mut self, is_r: bool, units: u64) {
+    pub fn observe_only(&mut self, is_r: bool, units: u64, tick: u64) {
         if is_r {
             self.dr += units;
         } else {
             self.ds += units;
         }
+        if let Some(w) = self.window.as_mut() {
+            let (out_r, out_s) = w.add(is_r, units, tick);
+            if out_r + out_s > 0 {
+                self.retire(out_r, out_s);
+            }
+        }
+    }
+
+    /// Take retired units out of the committed totals first, and out of
+    /// the deltas for what arrived after the last commit. Keeps
+    /// `r + dr` (and `s + ds`) equal to the model's live total.
+    fn retire(&mut self, out_r: u64, out_s: u64) {
+        let from_r = out_r.min(self.r);
+        self.r -= from_r;
+        self.dr -= out_r - from_r;
+        let from_s = out_s.min(self.s);
+        self.s -= from_s;
+        self.ds -= out_s - from_s;
     }
 
     /// Evaluate the Alg. 2 condition without new arrivals.
     pub fn check(&mut self) -> Decision {
-        // Warm-up gate: do nothing until enough volume has been seen.
-        if self.r + self.s + self.dr + self.ds < self.cfg.min_total {
+        // Warm-up gate: do nothing until enough volume has been seen
+        // (retired units count: they were seen).
+        if self.r + self.s + self.dr + self.ds + self.retired() < self.cfg.min_total {
             return Decision::Stay;
         }
         // |ΔR| ≥ ε|R| or |ΔS| ≥ ε|S|, in exact arithmetic:
@@ -160,7 +364,13 @@ impl MigrationDecider {
         let den = self.cfg.epsilon_den as u128;
         let trig_r = self.dr as u128 * den >= self.r as u128 * num;
         let trig_s = self.ds as u128 * den >= self.s as u128 * num;
-        if !(trig_r && self.dr > 0 || trig_s && self.ds > 0) {
+        // Under a window, also a `1 + ε` drift of the live ratio.
+        let (r, s) = (self.r + self.dr, self.s + self.ds);
+        let drift = self
+            .window
+            .as_ref()
+            .is_some_and(|w| w.drifted(r, s, num, den));
+        if !(trig_r && self.dr > 0 || trig_s && self.ds > 0 || drift) {
             return Decision::Stay;
         }
         self.decisions += 1;
@@ -174,6 +384,9 @@ impl MigrationDecider {
         self.s += self.ds;
         self.dr = 0;
         self.ds = 0;
+        if let Some(w) = self.window.as_mut() {
+            w.decided = (self.r, self.s);
+        }
         if best != self.current && ilf_numerator(re, se, best) < ilf_numerator(re, se, self.current)
         {
             self.migrations += 1;
@@ -200,13 +413,40 @@ impl MigrationDecider {
     /// is restored separately via [`set_grid`](Self::set_grid) (it must
     /// match the restored grid's actual layout, whose `J` may differ from
     /// the initial one after elastic reconfiguration).
-    pub fn restore(&mut self, snap: DeciderSnapshot) {
+    ///
+    /// A windowed decider seeds its model the way `WindowTracker::restored`
+    /// seeds a joiner's evictor: the snapshot's live totals become one
+    /// sealed bucket stamped at `stamp`, the checkpoint's window tick (its
+    /// source cursor under a count window), and the committed totals stand
+    /// in for the last decision point's ratio. Unwindowed, `stamp` is
+    /// ignored.
+    pub fn restore(&mut self, snap: DeciderSnapshot, stamp: u64) {
         self.r = snap.r;
         self.s = snap.s;
         self.dr = snap.dr;
         self.ds = snap.ds;
         self.decisions = snap.decisions;
         self.migrations = snap.migrations;
+        if let Some(w) = self.window.as_mut() {
+            **w = WindowModel::new(w.spec);
+            let sealed = Bucket {
+                key: stamp / w.spec.sub_span(),
+                hi_tick: stamp,
+                r: snap.r + snap.dr,
+                s: snap.s + snap.ds,
+            };
+            // An empty bucket behind it takes the arrivals of the
+            // sub-window the stamp falls in, so the restored one retires
+            // on the stamp alone.
+            let open = Bucket {
+                r: 0,
+                s: 0,
+                ..sealed
+            };
+            w.buckets.extend([sealed, open]);
+            w.latest_tick = stamp;
+            w.decided = (snap.r, snap.s);
+        }
     }
 
     /// Re-seat the decider on a restored grid: adopts `mapping` *and* its
@@ -257,6 +497,8 @@ impl MigrationDecider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ticket::mix64;
+    use proptest::prelude::*;
 
     // Oracles of the decision tests; the controller reads the decider through `snapshot`.
     impl MigrationDecider {
@@ -468,6 +710,154 @@ mod tests {
         let snap = d.snapshot();
         assert_eq!(snap.r + snap.s + snap.dr + snap.ds, 16);
         assert!(snap.r > 0);
+    }
+
+    /// A windowed decider over a count window of `span` tuples in
+    /// `subs` sub-windows.
+    fn windowed(j: u32, span: u64, subs: u32, cfg: DecisionConfig) -> MigrationDecider {
+        let spec = WindowSpec::count(span).with_sub_windows(subs);
+        MigrationDecider::new(j, Mapping::square(j), cfg).with_window(spec)
+    }
+
+    /// The model's live `(R, S)`.
+    fn live(d: &MigrationDecider) -> (u64, u64) {
+        let snap = d.snapshot();
+        (snap.r + snap.dr, snap.s + snap.ds)
+    }
+
+    #[test]
+    fn sliding_flip_from_s_to_r_walks_to_j1_one_step_at_a_time() {
+        // Three windows of S only, then three of R only: the window ends
+        // holding R alone while the cumulative count is 1:1.
+        let (j, span) = (16u32, 8_000u64);
+        let mut d = windowed(j, span, 8, DecisionConfig::default());
+        let mut cumulative = decider(j);
+        let mut seen = vec![d.current()];
+        for seq in 0..6 * span {
+            let is_r = seq >= 3 * span;
+            d.observe_only(is_r, 1, seq);
+            cumulative.observe(is_r, 1);
+            if let Decision::Migrate(mp) = d.check() {
+                let prev = *seen.last().unwrap();
+                let one_step = [prev.halve_rows(), prev.halve_cols()].contains(&Some(mp));
+                assert!(one_step, "jumped from {prev:?} to {mp:?} at seq {seq}");
+                seen.push(mp);
+            }
+            if seq + 1 == 3 * span {
+                assert_eq!(d.current(), Mapping::new(1, j), "S-only window");
+            }
+        }
+        assert_eq!(
+            live(&d),
+            (span + span / 8, 0),
+            "S retired, R fills the window"
+        );
+        assert_eq!(d.current(), Mapping::new(j, 1));
+        assert!(
+            seen.contains(&Mapping::new(4, 4)),
+            "walked through the square"
+        );
+        // The cumulative count sees 1:1 and keeps the square.
+        assert_eq!(cumulative.current(), Mapping::new(4, 4));
+    }
+
+    #[test]
+    fn unretired_window_decides_like_alg2() {
+        // Until a bucket retires the drift clause never fires first, so a
+        // window wider than the stream changes no decision.
+        let cfg = DecisionConfig {
+            min_total: 8,
+            ..Default::default()
+        };
+        let mut plain = MigrationDecider::new(16, Mapping::square(16), cfg);
+        let mut wide = windowed(16, u64::MAX / 2, 8, cfg);
+        for seq in 0..200_000u64 {
+            let is_r = mix64(seq) % 7 < if seq < 50_000 { 1 } else { 5 };
+            let units = 1 + mix64(seq ^ 0xA5) % 100;
+            wide.observe_only(is_r, units, seq);
+            assert_eq!(plain.observe(is_r, units), wide.check(), "seq {seq}");
+        }
+        assert_eq!(plain.snapshot(), wide.snapshot());
+        assert_eq!(wide.retired(), 0);
+    }
+
+    #[test]
+    fn restored_bucket_retires_at_the_stamp_plus_span() {
+        let mut d = windowed(4, 1_000, 4, DecisionConfig::default());
+        let snap = DeciderSnapshot {
+            r: 600,
+            dr: 40,
+            s: 10,
+            ..Default::default()
+        };
+        d.restore(snap, 5_000);
+        assert_eq!(live(&d), (640, 10));
+        // S arrivals from the cursor on; the restored units leave once the
+        // clock is more than `span` past the stamp.
+        for seq in 5_000..=6_000u64 {
+            d.observe_only(false, 1, seq);
+        }
+        assert_eq!(live(&d), (640, 1_011), "not yet past the bound");
+        d.observe_only(false, 1, 6_001);
+        assert_eq!(live(&d), (0, 1_002), "the restored bucket retired alone");
+        assert_eq!(d.retired(), 650);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The derived bound: over a sliding count window and random
+        /// phase schedules, the model holds exactly the evictor's
+        /// population, and between decision points the running mapping's
+        /// ILF on it stays within `(3 + 2ε)/(3 + ε)` of the optimum
+        /// whenever the ratio is within `J`.
+        #[test]
+        fn sliding_window_ilf_stays_within_the_derived_bound(
+            j_exp in 1u32..=6,
+            eps_exp in 0u32..=2,
+            span in 200u64..6_000,
+            subs in 1u32..=8,
+            phases in prop::collection::vec((0u64..=8, 1u64..6_000), 1..8),
+            salt in any::<u64>(),
+        ) {
+            use crate::ilf::{ilf, optimal_ilf};
+            let j = 1u32 << j_exp;
+            let cfg = DecisionConfig {
+                epsilon_num: 1,
+                epsilon_den: 1 << eps_exp,
+                min_total: 0,
+            };
+            let bound = cfg.competitive_ratio();
+            let mut d = windowed(j, span, subs, cfg);
+            let sub = WindowSpec::count(span).with_sub_windows(subs).sub_span();
+            // Prefix counts of R and S: the oracle's window.
+            let mut prefix = vec![(0u64, 0u64)];
+            let mut seq = 0u64;
+            for &(r_eighths, len) in &phases {
+                for _ in 0..len {
+                    let is_r = mix64(seq ^ salt) % 8 < r_eighths;
+                    d.observe_only(is_r, 1, seq);
+                    d.check();
+                    let &(pr, ps) = prefix.last().unwrap();
+                    prefix.push(if is_r { (pr + 1, ps) } else { (pr, ps + 1) });
+                    // Buckets keep every sequence number from the start of
+                    // the sub-window the watermark `seq − span` falls in.
+                    let lo = (seq.saturating_sub(span) / sub * sub) as usize;
+                    let (hr, hs) = prefix[seq as usize + 1];
+                    let (r, s) = (hr - prefix[lo].0, hs - prefix[lo].1);
+                    prop_assert_eq!(live(&d), (r, s));
+                    if r.min(s) > 0 && r.max(s) <= r.min(s) * j as u64 {
+                        let ratio = ilf(r, s, d.current()) / optimal_ilf(j, r, s);
+                        prop_assert!(
+                            ratio <= bound + 1e-9,
+                            "ILF/ILF* {} > {} at seq {} with (R, S) = ({}, {})",
+                            ratio, bound, seq, r, s
+                        );
+                    }
+                    seq += 1;
+                }
+            }
+        }
     }
 
     #[test]

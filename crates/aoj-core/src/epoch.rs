@@ -756,17 +756,27 @@ impl EpochJoiner {
     /// re-activates it through the ordinary child-birth path. The epoch
     /// advances so the retirement ack carries the contraction epoch.
     pub fn finalize(&mut self) -> FinalizeSummary {
+        self.finalize_into(None)
+    }
+
+    /// [`finalize`](Self::finalize) for a joiner under a count window of
+    /// `sub_span`-tuple sub-windows. The merged tuples enter `τ` in
+    /// sequence order, one sealed segment per sub-window they fall in,
+    /// behind a seal of the live run: relocated state is up to a window
+    /// old, and merged into one run it would age with that run's newest
+    /// tuple, staying stored for up to a window past its own expiry.
+    pub fn finalize_in_sub_windows(&mut self, sub_span: u64) -> FinalizeSummary {
+        self.finalize_into(Some(sub_span))
+    }
+
+    fn finalize_into(&mut self, sub_span: Option<u64>) -> FinalizeSummary {
         assert!(self.ready_to_finalize(), "finalize called early");
         let mut summary = FinalizeSummary::default();
         if !self.born {
-            for t in self.mu.drain() {
-                self.tau.insert(t);
-                summary.merged += 1;
-            }
-            for t in self.delta_prime.drain() {
-                self.tau.insert(t);
-                summary.merged += 1;
-            }
+            let mut merged = self.mu.drain();
+            merged.extend(self.delta_prime.drain());
+            summary.merged += merged.len() as u64;
+            self.merge_into_tau(merged, sub_span);
             self.epoch = self
                 .birth_epoch
                 .take()
@@ -798,28 +808,41 @@ impl EpochJoiner {
         summary.discarded += dropped.len() as u64;
 
         // Δ: keep survivors, drop the rest.
-        for t in self.delta.drain() {
-            if role.keeps(&t) {
-                self.tau.insert(t);
-                summary.merged += 1;
-            } else {
-                summary.discarded += 1;
-            }
-        }
+        let mut merged = self.delta.drain();
+        let delta = merged.len() as u64;
+        merged.retain(|t| role.keeps(t));
+        summary.discarded += delta - merged.len() as u64;
         // µ and Δ′ belong wholesale.
-        for t in self.mu.drain() {
-            self.tau.insert(t);
-            summary.merged += 1;
-        }
-        for t in self.delta_prime.drain() {
-            self.tau.insert(t);
-            summary.merged += 1;
-        }
+        merged.extend(self.mu.drain());
+        merged.extend(self.delta_prime.drain());
+        summary.merged += merged.len() as u64;
+        self.merge_into_tau(merged, sub_span);
 
         self.epoch = self.new_epoch;
         self.migrating = false;
         self.partners_done = 0;
         summary
+    }
+
+    /// Insert `merged` into `τ`: in the given order, or under a count
+    /// window (`sub_span`) sorted by sequence number and sealed at every
+    /// sub-window boundary.
+    fn merge_into_tau(&mut self, mut merged: Vec<Tuple>, sub_span: Option<u64>) {
+        let Some(sub_span) = sub_span else {
+            merged.into_iter().for_each(|t| self.tau.insert(t));
+            return;
+        };
+        self.tau.seal_segment();
+        merged.sort_unstable_by_key(|t| t.seq);
+        let mut open = None;
+        for t in merged {
+            let sub_window = t.seq / sub_span;
+            if open.is_some_and(|o| o != sub_window) {
+                self.tau.seal_segment();
+            }
+            open = Some(sub_window);
+            self.tau.insert(t);
+        }
     }
 }
 
@@ -1015,6 +1038,40 @@ mod tests {
         let s = Tuple::new(Rel::S, 2, 4, 0);
         a.on_data(1, s, &mut collect_pairs(&mut pairs));
         assert_eq!(pairs, vec![(1, 2)]);
+    }
+
+    #[test]
+    fn relocated_state_is_sealed_by_sub_window() {
+        // S arrivals at 100..110 sit in the live run; the partner relocates
+        // R from 0..30. Merged as sub-windows of 10, the two oldest tens
+        // expire once the bound passes 20; merged into the live run,
+        // nothing could expire before the run's newest tuple.
+        for (segmented, evicted) in [(true, 20), (false, 0)] {
+            let (mut a, _b, plan) = mid_migration_pair();
+            let mut sink = Vec::new();
+            for seq in 100..110 {
+                a.on_data(
+                    0,
+                    Tuple::new(Rel::S, seq, 1, 0),
+                    &mut collect_pairs(&mut sink),
+                );
+            }
+            for seq in 0..30 {
+                let r = Tuple::new(Rel::R, seq, 2, u64::MAX);
+                a.on_migration_tuple(r, &mut collect_pairs(&mut sink));
+            }
+            a.on_partner_done();
+            a.on_signal(0, 1, Role::Step(plan.specs[0]), 2);
+            a.on_signal(1, 1, Role::Step(plan.specs[0]), 2);
+            let summary = match segmented {
+                true => a.finalize_in_sub_windows(10),
+                false => a.finalize(),
+            };
+            assert_eq!(summary.merged, 30);
+            a.seal_live_segment();
+            assert_eq!(a.evict_before(20).tuples, evicted, "segmented: {segmented}");
+            assert_eq!(a.stored_tuples(), 40 - evicted as usize);
+        }
     }
 
     #[test]

@@ -159,6 +159,16 @@ impl WindowSpec {
         }
     }
 
+    /// The tick a tuple ages by: its sequence number under a count
+    /// window, [`tick_of`](Self::tick_of) under a time window.
+    #[inline]
+    pub fn tick(&self, seq: u64, arrival_us: u64, aux: i32) -> u64 {
+        match self.mode {
+            WindowMode::Count => seq,
+            WindowMode::Time => self.tick_of(arrival_us, aux),
+        }
+    }
+
     /// The span of one sub-window in the window's tick unit.
     #[inline]
     pub fn sub_span(&self) -> u64 {
@@ -285,6 +295,28 @@ impl WindowTracker {
         } else {
             false
         }
+    }
+
+    /// Record a batch that the host indexes as one run, sealing the live
+    /// segment only after the whole batch. Returns `true` when a
+    /// sub-window closed inside it: the host must seal now. The tuples
+    /// after the closing one sit in the sealed segment, so they join the
+    /// closing sub-window's mark here too; otherwise the segment would
+    /// outlive its mark until the *next* mark expired, one sub-window
+    /// late.
+    pub fn observe_batch(&mut self, ticks: impl IntoIterator<Item = (u64, u64)>) -> bool {
+        let mut sealed = false;
+        for (seq, tick) in ticks {
+            sealed |= self.observe(seq, tick);
+        }
+        if sealed && self.active_start.is_some() {
+            let mark = self.seals.back_mut().expect("a sub-window closed");
+            mark.hi_seq = mark.hi_seq.max(self.active_hi_seq);
+            mark.hi_tick = mark.hi_tick.max(self.latest_tick);
+            self.active_start = None;
+            self.active_hi_seq = 0;
+        }
+        sealed
     }
 
     /// The current eviction bound: tuples with `seq < bound` are outside
@@ -675,6 +707,25 @@ mod tests {
         }
         assert_eq!(seals, 10, "100 tuples / sub_span 10");
         assert_eq!(w.latest(), (99, 99));
+    }
+
+    #[test]
+    fn a_mid_batch_seal_takes_the_rest_of_the_batch() {
+        let spec = WindowSpec::count(40).with_sub_windows(4); // sub_span 10
+        let mut w = WindowTracker::new(spec);
+        // The sub-window [0, 9] closes at 9; the host seals after 12, so
+        // the mark covers 0..=12 and the next sub-window opens at 13.
+        assert!(w.observe_batch((0..13u64).map(|s| (s, s))));
+        assert!(!w.observe_batch((13..22u64).map(|s| (s, s))));
+        assert!(w.observe_batch([(22, 22)]));
+        // The first segment (max seq 12) expires as soon as its mark does,
+        // once the clock passes 12 + span.
+        for seq in 23..=52u64 {
+            w.observe_batch([(seq, seq)]);
+        }
+        assert_eq!(w.evict_bound(), 0, "seq 12 is still within 40 of 52");
+        w.observe_batch([(53, 53)]);
+        assert_eq!(w.evict_bound(), 13);
     }
 
     #[test]

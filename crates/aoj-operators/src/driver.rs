@@ -20,7 +20,7 @@ use aoj_core::competitive::RatioSample;
 use aoj_core::elastic::ElasticLayout;
 use aoj_core::epoch::{EpochJoiner, Reconfig};
 use aoj_core::ilf::optimal_mapping;
-use aoj_core::lifecycle::{Checkpoint, WindowMode, WindowTracker};
+use aoj_core::lifecycle::{Checkpoint, WindowMode, WindowSpec, WindowTracker};
 use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
@@ -283,12 +283,25 @@ pub(crate) fn setup_grid(
                 initial.j(),
                 initial,
                 b.elasticity.decision,
+                b.lifecycle.window,
                 adaptive,
                 sample_spacing,
             )
             .with_elastic(elastic_cfg);
             if let Some(ckpt) = restore {
-                cs.decider.restore(ckpt.decider);
+                // The window model's restored bucket is stamped where the
+                // joiners' restored sub-windows are: the cursor under a
+                // count window, the checkpoint clock under a time window.
+                let stamp = match b.lifecycle.window.map(|w| w.mode) {
+                    Some(WindowMode::Time) => ckpt
+                        .joiners
+                        .iter()
+                        .map(|jc| jc.latest_tick)
+                        .max()
+                        .unwrap_or(0),
+                    _ => ckpt.source_cursor,
+                };
+                cs.decider.restore(ckpt.decider, stamp);
                 cs.decider.set_grid(initial);
                 cs.last_seq = ckpt.source_cursor;
                 if let (Some(ec), Some((e, c))) = (cs.elastic.as_mut(), ckpt.elastic) {
@@ -520,7 +533,7 @@ pub(crate) fn collect<B: ExecBackend<OpMsg> + ?Sized>(
     };
     let competitive = match (ctrl, &wiring.grid, arrivals) {
         (Some(c), Some(g), Some(a)) if global => {
-            competitive_trace(b.j, a, &events, &c.samples, g.initial)
+            competitive_trace(b.j, a, b.lifecycle.window, &events, &c.samples, g.initial)
         }
         _ => Vec::new(),
     };
@@ -681,11 +694,13 @@ pub(crate) fn setup_shj(
 
 /// Reconstruct the `ILF/ILF*` trace (Fig. 8c) offline: at every progress
 /// sample, the true cardinalities come from the pushed stream's
-/// arrivals (`arrivals.counts(k)` = (R, S) among the first `k`) and the
+/// arrivals (`arrivals.counts(k)` = (R, S) among the first `k`; under a
+/// count window of `span`, among the last `span` of them) and the
 /// operator's mapping from the controller's decision log.
 fn competitive_trace(
     j: u32,
     arrivals: &ArrivalBits,
+    window: Option<WindowSpec>,
     events: &[ControlEvent],
     samples: &[ProgressSample],
     initial: Mapping,
@@ -694,6 +709,13 @@ fn competitive_trace(
     if samples.is_empty() || arrivals.len() == 0 {
         return Vec::new();
     }
+    // A time window's population depends on arrival instants the trace
+    // does not record: no trace rather than a wrong one.
+    let span = match window {
+        None => None,
+        Some(w) if w.mode == WindowMode::Count => Some(w.span),
+        Some(_) => return Vec::new(),
+    };
     // The ILF/ILF* trace is defined against a fixed J; once an elastic
     // expansion changes the cluster size mid-run the fixed-J reference
     // is meaningless, so report no trace rather than a wrong one.
@@ -712,7 +734,12 @@ fn competitive_trace(
                 }
             }
         }
-        let (r, s) = arrivals.counts(sample.seq + 1);
+        let k = sample.seq + 1;
+        let (mut r, mut s) = arrivals.counts(k);
+        if let Some(span) = span {
+            let (r0, s0) = arrivals.counts(k.saturating_sub(span));
+            (r, s) = (r - r0, s - s0);
+        }
         trace.extend(RatioSample::new(j, sample.seq, r, s, mapping));
     }
     trace

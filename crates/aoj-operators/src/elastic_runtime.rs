@@ -76,14 +76,14 @@ pub struct ElasticConfig {
     /// 0 arms it from the first tuple.
     pub contract_holdoff_tuples: u64,
     /// Drain-driven arming: instead of the stream-position hold-off, the
-    /// contraction trigger arms once windowed eviction has actually
-    /// dropped state (cluster-wide evicted bytes > 0). This is the
-    /// natural gate when a retention window is configured — stored state
-    /// is no longer monotone, so "done growing" is observable directly
-    /// and no artificial hold-off is needed; the session layer turns
-    /// this on automatically when a window is set. Without eviction the
-    /// gauge never moves and the stream-position gate remains the only
-    /// sound arming signal.
+    /// contraction trigger arms once the controller's window model has
+    /// retired state (a sub-window has passed the evictors' bound; see
+    /// `aoj_core::decision`). This is the natural gate when a retention
+    /// window is configured — stored state is no longer monotone, so
+    /// "done growing" is observable directly and no artificial hold-off
+    /// is needed; the session layer turns this on automatically when a
+    /// window is set. Without a window nothing retires and the
+    /// stream-position gate remains the only sound arming signal.
     pub drain_driven: bool,
 }
 
@@ -155,16 +155,17 @@ impl ElasticControl {
     }
 
     /// May another contraction fire at stream position `last_seq` with
-    /// `evicted_bytes` dropped so far by windowed eviction? There must be
-    /// an expansion to undo, budget left, and the arming gate passed:
-    /// genuine drain (any eviction observed) under
+    /// `retired` units dropped so far from the controller's window model
+    /// (`MigrationDecider::retired`)? There must be an expansion to undo,
+    /// budget left, and the arming gate passed: genuine drain (the window
+    /// has retired something) under
     /// [`drain_driven`](ElasticConfig::drain_driven), the stream-position
     /// hold-off otherwise. The drain gate prevents the startup
     /// degeneracy — before any data arrives every joiner is trivially
     /// below the low-water mark.
-    pub(crate) fn armed_contract(&self, last_seq: u64, evicted_bytes: u64) -> bool {
+    pub(crate) fn armed_contract(&self, last_seq: u64, retired: u64) -> bool {
         let armed = if self.cfg.drain_driven {
-            evicted_bytes > 0
+            retired > 0
         } else {
             last_seq >= self.cfg.contract_holdoff_tuples
         };

@@ -4,7 +4,7 @@
 
 use aoj_core::epoch::{Epoch, EpochJoiner, Machines, Role};
 use aoj_core::index::ProbeStats;
-use aoj_core::lifecycle::{JoinerCheckpoint, WindowTracker};
+use aoj_core::lifecycle::{JoinerCheckpoint, WindowMode, WindowTracker};
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::{Rel, Tuple};
 use aoj_joinalg::{index_for, SpillGauge};
@@ -548,13 +548,8 @@ impl JoinerTask {
         // Time windows tick on the spec's extractor: the backend arrival
         // clock, or real event time from the tuple `aux` column.
         let spec = w.spec();
-        let mut seal = false;
-        for (t, at) in batch.iter().zip(arrived) {
-            if w.observe(t.seq, spec.tick_of(at.as_micros(), t.aux)) {
-                seal = true;
-            }
-        }
-        if seal {
+        let ticks = batch.iter().zip(arrived);
+        if w.observe_batch(ticks.map(|(t, at)| (t.seq, spec.tick_of(at.as_micros(), t.aux)))) {
             self.epoch.seal_live_segment();
         }
         self.run_eviction(ctx);
@@ -604,7 +599,14 @@ impl JoinerTask {
             return SimDuration::ZERO;
         }
         let retiring = self.epoch.role().is_some_and(Role::retires);
-        let summary = self.epoch.finalize();
+        // Under a count window relocated state is sealed by sub-window,
+        // so it expires with the window rather than with the migration.
+        let summary = match self.window.as_ref().map(WindowTracker::spec) {
+            Some(spec) if spec.mode == WindowMode::Count => {
+                self.epoch.finalize_in_sub_windows(spec.sub_span())
+            }
+            _ => self.epoch.finalize(),
+        };
         self.outbox = None;
         let epoch = self.epoch.epoch();
         ctx.send(

@@ -10,6 +10,7 @@
 use aoj_core::decision::{Decision, DecisionConfig, MigrationDecider};
 use aoj_core::elastic::{plan_contraction, ElasticLayout};
 use aoj_core::epoch::{Epoch, Reconfig};
+use aoj_core::lifecycle::{WindowMode, WindowSpec};
 use aoj_core::mapping::{steps_between, GridAssignment, Mapping};
 use aoj_core::ticket::{partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
@@ -162,16 +163,23 @@ pub struct ReshufflerTask {
 }
 
 impl ControllerState {
-    /// Fresh controller state for `j` joiners starting at `initial`.
+    /// Fresh controller state for `j` joiners starting at `initial`. Under
+    /// a retention `window` the decider runs on the live window's
+    /// population.
     pub(crate) fn new(
         j: u32,
         initial: Mapping,
         cfg: DecisionConfig,
+        window: Option<WindowSpec>,
         adaptive: bool,
         sample_every: u64,
     ) -> Self {
+        let decider = MigrationDecider::new(j, initial, cfg);
         ControllerState {
-            decider: MigrationDecider::new(j, initial, cfg),
+            decider: match window {
+                Some(w) => decider.with_window(w),
+                None => decider,
+            },
             adaptive,
             in_flight: None,
             pending_retire: Vec::new(),
@@ -316,7 +324,7 @@ impl ReshufflerTask {
             {
                 return self.begin(ctx, Reconfig::Expand);
             }
-            if el.armed_contract(ctrl.last_seq, ctx.metrics().total_evicted_bytes())
+            if el.armed_contract(ctrl.last_seq, ctrl.decider.retired())
                 && Reconfig::Contract.apply(current).is_some()
                 && contraction_due(
                     ctx.metrics(),
@@ -462,12 +470,20 @@ impl Process<OpMsg> for ReshufflerTask {
                 // its local sample by J to estimate global cardinalities
                 // — no statistics channel, no synchronisation. Units are
                 // bytes so the unequal-tuple-size generalisation (§4.2.2)
-                // comes for free.
+                // comes for free. Under a window each increment carries
+                // the tick it ages by, so the decider can retire it when
+                // the joiners evict it.
                 if let Some(ctrl) = self.controller.as_mut() {
                     let scale = self.assign.j() as u64;
+                    let window = ctrl.decider.window();
+                    let now_us = match window {
+                        Some(w) if w.mode == WindowMode::Time => ctx.now().as_micros(),
+                        _ => 0,
+                    };
                     for it in &items {
+                        let tick = window.map_or(0, |w| w.tick(it.seq, now_us, it.aux));
                         ctrl.decider
-                            .observe_only(it.rel == Rel::R, it.bytes as u64 * scale);
+                            .observe_only(it.rel == Rel::R, it.bytes as u64 * scale, tick);
                         ctrl.last_seq = it.seq;
                         ctrl.recorder.maybe_sample(it.seq, ctx);
                     }

@@ -20,8 +20,12 @@
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use aoj_core::lifecycle::WindowSpec;
+use aoj_core::decision::DecisionConfig;
+use aoj_core::ilf::optimal_ilf;
+use aoj_core::lifecycle::{Checkpoint, WindowSpec, DEFAULT_SUB_WINDOWS};
+use aoj_core::mapping::Mapping;
 use aoj_core::predicate::Predicate;
+use aoj_core::tuple::Rel;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::{
@@ -817,4 +821,129 @@ fn contraction_arms_from_genuine_drain_without_holdoff() {
         drained.contractions, 1,
         "genuine drain must arm the contraction"
     );
+}
+
+/// The §5.4 fluctuation schedule (factor 4) over `n` tuples of 64 B with
+/// uniform keys: R, S, R, … phases, each four times the other side's
+/// count so far. At `n = 125_000` with a 25,000-tuple window (the
+/// benchmark's `fluct_window_paced` at a tenth of its size, in the same
+/// proportions) the last two phases are 58,404 S tuples and a drain of
+/// 46,116 R, so the window ends holding R alone while the cumulative
+/// count is 1:1, and the drain is short enough (1.8 windows) that state
+/// relocated by its migrations must expire on time.
+fn fluctuating_arrivals(n: usize, seed: u64) -> Vec<(Rel, StreamItem)> {
+    let w = workload(n / 2, n - n / 2, 2_000, seed);
+    aoj_datagen::stream::fluctuating(&w, 4, seed)
+}
+
+/// `ILF*` in bytes of the last `span` arrivals: what a count window of
+/// `span` holds.
+fn window_optimal_ilf(arrivals: &[(Rel, StreamItem)], j: u32, span: u64) -> f64 {
+    let live = &arrivals[arrivals.len().saturating_sub(span as usize)..];
+    let bytes = |rel| -> u64 {
+        let of_rel = live.iter().filter(|(r, _)| *r == rel);
+        of_rel.map(|(_, it)| it.bytes as u64).sum()
+    };
+    optimal_ilf(j, bytes(Rel::R), bytes(Rel::S))
+}
+
+/// The decider runs on the live window. On a fluctuating stream whose
+/// window ends holding R alone, a J = 4 session walks to `(4, 1)`, where
+/// the cumulative count (1:1) keeps the square. Its largest joiner then
+/// stores within 1.25 of the window's `ILF*`, and once the first window
+/// has filled the window-aware competitive trace stays within the bound
+/// `aoj_core::decision` derives against the exact window,
+/// `1.25 · (1 + J/sub_windows)`.
+#[test]
+fn windowed_decider_follows_the_live_window_j4() {
+    let (n, span) = (125_000usize, 25_000u64);
+    let seed = 0x11FE_0009;
+    let arrivals = fluctuating_arrivals(n, seed);
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_seed(seed)
+        .with_backend(BackendChoice::Sim);
+    let windowed = run(&arrivals, &builder.clone().with_count_window(span));
+    let cumulative = run(&arrivals, &builder);
+    assert_eq!(windowed.final_mapping, Mapping::new(4, 1));
+    assert_eq!(cumulative.final_mapping, Mapping::new(2, 2));
+
+    let ratio = windowed.max_ilf_bytes as f64 / window_optimal_ilf(&arrivals, 4, span);
+    assert!(
+        ratio <= 1.25,
+        "final ILF/ILF* of the window {ratio:.3} > 1.25"
+    );
+    let bound =
+        DecisionConfig::default().competitive_ratio() * (1.0 + 4.0 / DEFAULT_SUB_WINDOWS as f64);
+    let trace = windowed.max_competitive_ratio(span);
+    assert!(
+        !windowed.competitive.is_empty() && trace <= bound,
+        "window-aware competitive ratio {trace:.3} > {bound}"
+    );
+    // A time window's population depends on arrival instants the trace
+    // does not record: no trace rather than a wrong one.
+    let timed = builder.with_window(WindowSpec::time_micros(1_000));
+    assert!(run(&arrivals[..2_000].to_vec(), &timed)
+        .competitive
+        .is_empty());
+}
+
+/// A session restored mid-window seeds the decider's window model with
+/// the checkpoint's population as one sealed sub-window. It retires once
+/// the stream has moved a window past the cursor: from there the model
+/// holds exactly what the uninterrupted run's holds (block routing gives
+/// the controller the same tuples), and both end at the same mapping.
+#[test]
+fn restored_window_model_retires_the_checkpoint_and_converges() {
+    let (n, span) = (125_000usize, 25_000u64);
+    let seed = 0x11FE_000A;
+    let arrivals = fluctuating_arrivals(n, seed);
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_seed(seed)
+        .with_backend(BackendChoice::Sim)
+        .with_count_window(span);
+    // The live `(R, S)` units of the decider a session ends with.
+    let ended_with = |session: aoj_operators::SessionHandle, name: &str| {
+        let path = ckpt_path(name);
+        let report = session.checkpoint(&path).unwrap();
+        let d = Checkpoint::read_from(&path).unwrap().decider;
+        std::fs::remove_file(&path).ok();
+        (report.final_mapping, (d.r + d.dr, d.s + d.ds))
+    };
+
+    let mut whole = JoinSession::open(builder.clone());
+    whole.push_batch(arrivals.iter().copied()).unwrap();
+    let (whole_mapping, whole_live) = ended_with(whole, "window-model-whole.ckpt");
+
+    // Cut 11k tuples into the R drain: the window is mixed there.
+    let (head, tail) = arrivals.split_at(90_000);
+    let mut first = JoinSession::open(builder.clone());
+    first.push_batch(head.iter().copied()).unwrap();
+    let path = ckpt_path("window-model-cut.ckpt");
+    first.checkpoint(&path).unwrap();
+    let at_cut = Checkpoint::read_from(&path).unwrap().decider;
+    // A few thousand R tuples on, the restored S is still modelled.
+    let mut early = JoinSession::restore(builder.clone(), &path).unwrap();
+    early.push_batch(tail[..4_000].iter().copied()).unwrap();
+    let (_, early_live) = ended_with(early, "window-model-early.ckpt");
+    let mut restored = JoinSession::restore(builder, &path).unwrap();
+    std::fs::remove_file(&path).ok();
+    restored.push_batch(tail.iter().copied()).unwrap();
+    let (restored_mapping, restored_live) = ended_with(restored, "window-model-restored.ckpt");
+
+    assert!(
+        at_cut.s + at_cut.ds > 0,
+        "the cut must hold S for the model to retire"
+    );
+    assert_eq!(
+        early_live.1,
+        at_cut.s + at_cut.ds,
+        "the restored S left early"
+    );
+    assert_eq!(
+        restored_live, whole_live,
+        "the restored sub-window never retired"
+    );
+    assert_eq!(restored_live.1, 0, "the window ends holding R alone");
+    assert_eq!(restored_mapping, whole_mapping);
+    assert_eq!(whole_mapping, Mapping::new(4, 1));
 }
