@@ -26,15 +26,17 @@
 //! The joiners of a windowed session store only the live window
 //! (`crate::lifecycle`), so Alg. 2 runs on that population rather than on
 //! the stream's cumulative counts. [`MigrationDecider::with_window`] gives
-//! the decider a model of it: per-sub-window `(R, S)` buckets keyed the
-//! way `WindowTracker` seals — sequence number ÷ `span / sub_windows` for
-//! count windows, the window tick for time windows. A bucket retires at
-//! the evictor's bound, once its newest tick is more than `span` behind
-//! the newest one seen, so like the joiners' storage it lags the window
-//! by up to one sub-window. A retired bucket's units leave the committed
-//! totals (and then the deltas, when the bucket postdates the last
-//! commit), so the `|ΔR| ≥ ε|R|` test and the optimum see the population
-//! the joiners store. At most `sub_windows + 2` buckets are live.
+//! the decider a model of it: per-sub-window `(R, S)` units, sealed and
+//! retired by the joiners' own rule (`lifecycle::SubWindows`, which
+//! `WindowTracker` runs too). Sub-windows are the aligned runs
+//! `[k·sub_span, (k+1)·sub_span)` of the window's tick, the sequence
+//! number under a count window. One retires once its newest tick is more
+//! than `span` behind the newest one seen, so like the joiners' storage
+//! the model lags the window by up to one sub-window. A retired
+//! sub-window's units leave the committed totals (and then the deltas,
+//! when it postdates the last commit), so the `|ΔR| ≥ ε|R|` test and the
+//! optimum see the population the joiners store. At most
+//! `sub_windows + 2` sub-windows are live.
 //!
 //! Theorem 4.2's growth-only argument does not survive a sliding
 //! population. Between decision points the delta test bounds growth,
@@ -58,7 +60,7 @@
 //! also fires when the live ratio has drifted by `1 + ε` from `x_c`, in
 //! either direction. While nothing has retired the delta test fires
 //! first (`|R| < (1+ε)|R_c|` and `|S| ≥ |S_c|` keep `x < (1+ε)x_c`), so
-//! until the first bucket retires a windowed decider decides exactly as
+//! until the first sub-window retires a windowed decider decides exactly as
 //! an unwindowed one.
 //!
 //! The bound the code guarantees is therefore Theorem 4.2's own,
@@ -86,15 +88,28 @@
 //! re-derived; every decision point needs an ε share of the live
 //! population to arrive, or the live ratio to move by `1 + ε`.
 //!
+//! What the joiners store can exceed `P` in three ways, each outside the
+//! bound:
+//! * a joiner's evictor also waits out its lateness allowance
+//!   (`crate::lifecycle`, "Window semantics"), the furthest any tuple has
+//!   reached it behind its clock, capped at one sub-window: ~2,500
+//!   sequence numbers at `J = 4` with 64-tuple batches;
+//! * a joiner seals at batch ends, so a sub-window it closes keeps the
+//!   rest of the batch that closed it;
+//! * under a time window, the model sees only the controller's `1/J`
+//!   share of the arrivals and the instants it ingested them, and a
+//!   migration merges relocated state into the receiving joiner's live
+//!   run, where it ages with that run's newest tuple (a relocated tuple
+//!   carries no arrival tick to seal it by), so it can stay stored up to
+//!   a window past its expiry. The bound above covers count windows only.
+//!
 //! Under a count window the model is a function of stream position alone:
-//! buckets are keyed and retired by sequence number, never by a clock or
+//! sub-windows are sealed and retired by sequence number, never by a clock or
 //! a gauge, so at a given position it holds the same population on every
 //! backend.
 
-use std::collections::VecDeque;
-
 use crate::ilf::{effective_cardinalities, ilf_numerator, optimal_mapping};
-use crate::lifecycle::WindowSpec;
+use crate::lifecycle::{SubWindows, WindowSpec};
 use crate::mapping::Mapping;
 
 /// Configuration for [`MigrationDecider`].
@@ -166,24 +181,12 @@ pub enum Decision {
     Migrate(Mapping),
 }
 
-/// One sub-window of [`WindowModel`]: the units it holds per relation
-/// and the newest tick observed in it.
-#[derive(Clone, Copy, Debug)]
-struct Bucket {
-    key: u64,
-    hi_tick: u64,
-    r: u64,
-    s: u64,
-}
-
 /// The live window's population, as the joiners' evictors will hold it
 /// (module docs, "Under a retention window").
 #[derive(Clone, Debug)]
 struct WindowModel {
-    spec: WindowSpec,
-    /// Oldest first; the newest is the one still filling.
-    buckets: VecDeque<Bucket>,
-    latest_tick: u64,
+    /// The joiners' sealing and expiry rule, over `(R, S)` units.
+    windows: SubWindows<(u64, u64)>,
     /// The live `(R, S)` at the last decision point: the ratio the
     /// current mapping was chosen for.
     decided: (u64, u64),
@@ -194,45 +197,25 @@ struct WindowModel {
 impl WindowModel {
     fn new(spec: WindowSpec) -> WindowModel {
         WindowModel {
-            spec,
-            buckets: VecDeque::new(),
-            latest_tick: 0,
+            windows: SubWindows::new(spec),
             decided: (0, 0),
             retired: 0,
         }
     }
 
-    /// Add `units` at `tick` to the bucket the tick seals into (a tick
-    /// older than the newest bucket joins the newest, as a late tuple
-    /// joins a joiner's active sub-window), then retire every bucket the
-    /// evictor's bound has passed. Returns the retired `(R, S)` units.
+    /// Add `units` at `tick` to the sub-window the joiners would store it
+    /// in, then retire every sub-window their evictors would drop.
+    /// Returns the retired `(R, S)` units.
     #[inline(never)]
     fn add(&mut self, is_r: bool, units: u64, tick: u64) -> (u64, u64) {
-        let key = tick / self.spec.sub_span();
-        match self.buckets.back_mut() {
-            Some(b) if b.key >= key => {
-                b.hi_tick = b.hi_tick.max(tick);
-                if is_r {
-                    b.r += units;
-                } else {
-                    b.s += units;
-                }
-            }
-            _ => self.buckets.push_back(Bucket {
-                key,
-                hi_tick: tick,
-                r: if is_r { units } else { 0 },
-                s: if is_r { 0 } else { units },
-            }),
-        }
-        self.latest_tick = self.latest_tick.max(tick);
-        // `WindowTracker::evict_bound`'s test, on the model's buckets.
-        let watermark = self.latest_tick.saturating_sub(self.spec.span);
+        self.windows.observe(tick, |(r, s)| match is_r {
+            true => *r += units,
+            false => *s += units,
+        });
         let mut out = (0, 0);
-        while let Some(b) = self.buckets.front().filter(|b| b.hi_tick < watermark) {
-            out.0 += b.r;
-            out.1 += b.s;
-            self.buckets.pop_front();
+        while let Some((r, s)) = self.windows.pop_expired() {
+            out.0 += r;
+            out.1 += s;
         }
         self.retired += out.0 + out.1;
         out
@@ -298,7 +281,7 @@ impl MigrationDecider {
     /// The window the decider models, if any.
     #[inline]
     pub fn window(&self) -> Option<WindowSpec> {
-        self.window.as_ref().map(|w| w.spec)
+        self.window.as_ref().map(|w| w.windows.spec())
     }
 
     /// Units the window model has retired so far: 0 until the live window
@@ -314,6 +297,7 @@ impl MigrationDecider {
     /// For an unwindowed decider; a windowed one needs each arrival's
     /// tick ([`observe_only`](Self::observe_only)).
     pub fn observe(&mut self, is_r: bool, units: u64) -> Decision {
+        debug_assert!(self.window.is_none(), "a windowed decider needs ticks");
         self.observe_only(is_r, units, 0);
         self.check()
     }
@@ -416,10 +400,13 @@ impl MigrationDecider {
     ///
     /// A windowed decider seeds its model the way `WindowTracker::restored`
     /// seeds a joiner's evictor: the snapshot's live totals become one
-    /// sealed bucket stamped at `stamp`, the checkpoint's window tick (its
+    /// sealed sub-window stamped at `stamp`, the checkpoint's window tick (its
     /// source cursor under a count window), and the committed totals stand
     /// in for the last decision point's ratio. Unwindowed, `stamp` is
-    /// ignored.
+    /// ignored. Under a count window the joiners restore their state by
+    /// sub-window (`WindowTracker::restored_by_sub_window`), which the
+    /// snapshot's totals cannot: for up to a window after a restore the
+    /// model still counts restored units the joiners have dropped.
     pub fn restore(&mut self, snap: DeciderSnapshot, stamp: u64) {
         self.r = snap.r;
         self.s = snap.s;
@@ -428,24 +415,12 @@ impl MigrationDecider {
         self.decisions = snap.decisions;
         self.migrations = snap.migrations;
         if let Some(w) = self.window.as_mut() {
-            **w = WindowModel::new(w.spec);
-            let sealed = Bucket {
-                key: stamp / w.spec.sub_span(),
-                hi_tick: stamp,
-                r: snap.r + snap.dr,
-                s: snap.s + snap.ds,
+            let live = (snap.r + snap.dr, snap.s + snap.ds);
+            **w = WindowModel {
+                windows: SubWindows::restored(w.windows.spec(), stamp, [(stamp, live)]),
+                decided: (snap.r, snap.s),
+                retired: 0,
             };
-            // An empty bucket behind it takes the arrivals of the
-            // sub-window the stamp falls in, so the restored one retires
-            // on the stamp alone.
-            let open = Bucket {
-                r: 0,
-                s: 0,
-                ..sealed
-            };
-            w.buckets.extend([sealed, open]);
-            w.latest_tick = stamp;
-            w.decided = (snap.r, snap.s);
         }
     }
 
@@ -499,6 +474,7 @@ mod tests {
     use super::*;
     use crate::ticket::mix64;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     // Oracles of the decision tests; the controller reads the decider through `snapshot`.
     impl MigrationDecider {
@@ -763,7 +739,7 @@ mod tests {
 
     #[test]
     fn unretired_window_decides_like_alg2() {
-        // Until a bucket retires the drift clause never fires first, so a
+        // Until a sub-window retires the drift clause never fires first, so a
         // window wider than the stream changes no decision.
         let cfg = DecisionConfig {
             min_total: 8,
@@ -801,6 +777,38 @@ mod tests {
         d.observe_only(false, 1, 6_001);
         assert_eq!(live(&d), (0, 1_002), "the restored bucket retired alone");
         assert_eq!(d.retired(), 650);
+    }
+
+    #[test]
+    fn model_holds_what_a_tracker_fed_the_same_ticks_stores() {
+        // The controller's share at J = 4: one 64-tuple block in four,
+        // mixed R and S. A joiner's tracker fed the same ticks stores
+        // exactly the tuples at or above its eviction bound.
+        use crate::lifecycle::WindowTracker;
+        let (span, subs) = (3_000u64, 8u32);
+        let mut d = windowed(4, span, subs, DecisionConfig::default());
+        let mut tracker = WindowTracker::new(WindowSpec::count(span).with_sub_windows(subs));
+        let mut stored = VecDeque::new();
+        for seq in (0..40_000u64).filter(|s| s / 64 % 4 == 1) {
+            let is_r = mix64(seq).is_multiple_of(3);
+            let units = 1 + mix64(seq ^ 0x5A) % 50;
+            d.observe_only(is_r, units, seq);
+            tracker.observe(seq, 0);
+            stored.push_back((seq, is_r, units));
+            let bound = tracker.evict_bound();
+            while stored.front().is_some_and(|&(s, ..)| s < bound) {
+                stored.pop_front();
+            }
+            let of = |rel| {
+                stored
+                    .iter()
+                    .filter(|t| t.1 == rel)
+                    .map(|t| t.2)
+                    .sum::<u64>()
+            };
+            assert_eq!(live(&d), (of(true), of(false)), "seq {seq}");
+        }
+        assert!(d.retired() > 0);
     }
 
     proptest! {

@@ -365,18 +365,25 @@ impl EpochJoiner {
 
     /// Reconstruct a stable joiner from checkpointed state: `tuples` are
     /// the live τ set of a quiesced joiner at `epoch`, inserted and then
-    /// sealed into one segment so the restored bulk expires wholesale
-    /// under windowed eviction (see [`crate::lifecycle`]).
+    /// sealed so that windowed eviction can expire them (see
+    /// [`crate::lifecycle`]). Under a count window of `sub_span`-tuple
+    /// sub-windows they are sealed one segment per sub-window they fall
+    /// in, and expire as they would have without the restore; otherwise
+    /// into one segment that expires wholesale.
     pub fn restored(
         make_index: &dyn Fn() -> Box<dyn JoinIndex>,
         n_reshufflers: usize,
         epoch: Epoch,
         tuples: &[Tuple],
+        sub_span: Option<u64>,
     ) -> EpochJoiner {
         let mut j = EpochJoiner::new(make_index, n_reshufflers);
         j.epoch = epoch;
         j.new_epoch = epoch;
-        j.tau.insert_batch(tuples);
+        match sub_span {
+            Some(_) => j.merge_into_tau(tuples.to_vec(), sub_span),
+            None => j.tau.insert_batch(tuples),
+        }
         j.tau.seal_segment();
         j
     }

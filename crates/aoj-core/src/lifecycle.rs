@@ -32,11 +32,19 @@
 //! skew: let `L` be the highest sequence number the joiner has
 //! processed (its stream clock). The tracker guarantees
 //!
-//! > a stored tuple `t` is evictable only once `t.seq + span ≤ L`
-//! > (count mode; time mode substitutes arrival timestamps),
+//! > a stored tuple `t` is evictable only once `t.seq + span + λ ≤ L`
+//! > (count mode; time mode substitutes the window's ticks),
 //!
-//! so any probe finds every partner still inside the window of the
-//! joiner's own clock. Eviction happens only while the joiner is
+//! where `λ`, the lateness allowance, is the furthest behind `L` any
+//! tuple has reached the joiner so far, capped at one sub-window. `L`
+//! runs ahead of the tuples still in flight from slower reshufflers, so
+//! without `λ` a late tuple could miss a partner that is inside the
+//! window by stream distance. With it, a tuple trailing the clock by
+//! `ℓ` finds every partner closer than `span − sub_span` unless
+//! `ℓ > λ + sub_span`: it trails by more than every earlier arrival did
+//! plus a sub-window, or by more than two sub-windows. A stored tuple
+//! stays at most `span` plus two sub-windows (plus the rest of the batch
+//! that closed its sub-window). Eviction happens only while the joiner is
 //! **stable** (no migration in flight), so Alg. 3's marker-FIFO
 //! correctness argument is untouched: the four epoch sets never change
 //! under a migration's feet.
@@ -192,13 +200,112 @@ impl std::ops::AddAssign for EvictStats {
     }
 }
 
-/// A sealed sub-window's summary: the highest sequence number and the
-/// highest tick (sequence number or arrival microsecond, per mode) of
-/// any tuple inside it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SealMark {
-    hi_seq: u64,
-    hi_tick: u64,
+/// Sub-window sealing and expiry, shared by a joiner's [`WindowTracker`]
+/// and the decider's model of what the joiners store
+/// (`crate::decision`), so the two cannot disagree on which arrivals a
+/// sub-window holds or on when it expires. `P` is what a sub-window
+/// accumulates: its newest sequence number for the tracker, `(R, S)`
+/// units for the model.
+///
+/// Sub-windows are aligned on the tick axis. One opens at the clock (the
+/// newest tick seen) and closes once the clock reaches the last tick of
+/// that tick's run `[k·sub_span, (k+1)·sub_span)`, keeping everything
+/// that arrived before it closed, late ticks included. A sealed
+/// sub-window expires once its newest tick is more than `span + λ`
+/// behind the clock, where the lateness allowance `λ` is the furthest
+/// any arrival has trailed the clock so far, capped at one sub-window
+/// (module docs, "Window semantics").
+#[derive(Clone, Debug)]
+pub(crate) struct SubWindows<P> {
+    spec: WindowSpec,
+    /// The filling sub-window: the tick it opened at, and its payload.
+    active: Option<(u64, P)>,
+    /// Closed sub-windows, oldest first: the newest tick each saw, and
+    /// its payload.
+    sealed: VecDeque<(u64, P)>,
+    latest_tick: u64,
+    lateness: u64,
+}
+
+impl<P: Default> SubWindows<P> {
+    pub(crate) fn new(spec: WindowSpec) -> SubWindows<P> {
+        SubWindows {
+            spec,
+            active: None,
+            sealed: VecDeque::new(),
+            latest_tick: 0,
+            lateness: 0,
+        }
+    }
+
+    /// Resume at clock `tick` behind `sealed`, each a restored sub-window
+    /// as `(newest tick, payload)`, oldest first.
+    pub(crate) fn restored(
+        spec: WindowSpec,
+        tick: u64,
+        sealed: impl IntoIterator<Item = (u64, P)>,
+    ) -> SubWindows<P> {
+        let mut w = SubWindows::new(spec);
+        w.latest_tick = tick;
+        w.sealed.extend(sealed);
+        w
+    }
+
+    #[inline]
+    pub(crate) fn spec(&self) -> WindowSpec {
+        self.spec
+    }
+
+    #[inline]
+    pub(crate) fn latest_tick(&self) -> u64 {
+        self.latest_tick
+    }
+
+    /// Record one arrival at `tick`, folded into the active sub-window's
+    /// payload by `add`. Returns `true` when that sub-window just closed.
+    pub(crate) fn observe(&mut self, tick: u64, add: impl FnOnce(&mut P)) -> bool {
+        self.lateness = self.lateness.max(self.latest_tick.saturating_sub(tick));
+        self.latest_tick = self.latest_tick.max(tick);
+        let clock = self.latest_tick;
+        let (start, payload) = self.active.get_or_insert_with(|| (clock, P::default()));
+        add(payload);
+        let sub = self.spec.sub_span();
+        if (*start / sub + 1).saturating_mul(sub) > clock.saturating_add(1) {
+            return false;
+        }
+        let (_, payload) = self.active.take().expect("an active sub-window");
+        self.sealed.push_back((clock, payload));
+        true
+    }
+
+    /// Count an arrival at `tick` towards the lateness allowance only.
+    pub(crate) fn note_lateness(&mut self, tick: u64) {
+        self.lateness = self.lateness.max(self.latest_tick.saturating_sub(tick));
+    }
+
+    /// Fold the active sub-window into the newest sealed one, whose
+    /// newest tick becomes the clock: the host stored them as one run.
+    pub(crate) fn fold_active(&mut self, merge: impl FnOnce(&mut P, P)) {
+        if let (Some((_, tail)), Some((hi_tick, last))) =
+            (self.active.take(), self.sealed.back_mut())
+        {
+            *hi_tick = (*hi_tick).max(self.latest_tick);
+            merge(last, tail);
+        }
+    }
+
+    /// Pop the oldest sealed sub-window if it has expired.
+    pub(crate) fn pop_expired(&mut self) -> Option<P> {
+        let watermark = self
+            .latest_tick
+            .saturating_sub(self.lateness.min(self.spec.sub_span()))
+            .saturating_sub(self.spec.span);
+        if self.sealed.front()?.0 < watermark {
+            self.sealed.pop_front().map(|(_, p)| p)
+        } else {
+            None
+        }
+    }
 }
 
 /// Per-joiner sub-window bookkeeping: decides when the host should seal
@@ -210,14 +317,9 @@ struct SealMark {
 /// [`JoinIndex::evict_before`](crate::index::JoinIndex::evict_before).
 #[derive(Clone, Debug)]
 pub struct WindowTracker {
-    spec: WindowSpec,
-    /// Tick at which the active sub-window opened (None: empty).
-    active_start: Option<u64>,
-    /// Highest sequence number in the active sub-window.
-    active_hi_seq: u64,
-    /// Sealed sub-windows, oldest first.
-    seals: VecDeque<SealMark>,
-    latest_tick: u64,
+    /// Sealing and expiry; each sub-window's payload is the highest
+    /// sequence number in it.
+    windows: SubWindows<u64>,
     latest_seq: u64,
     /// Monotone eviction bound (sequence-number space).
     bound: u64,
@@ -227,11 +329,7 @@ impl WindowTracker {
     /// An empty tracker for `spec`.
     pub fn new(spec: WindowSpec) -> WindowTracker {
         WindowTracker {
-            spec,
-            active_start: None,
-            active_hi_seq: 0,
-            seals: VecDeque::new(),
-            latest_tick: 0,
+            windows: SubWindows::new(spec),
             latest_seq: 0,
             bound: 0,
         }
@@ -241,34 +339,59 @@ impl WindowTracker {
     /// state is treated as one already-sealed sub-window whose tuples
     /// all "arrived" at the checkpoint's clock — conservative (restored
     /// tuples expire no earlier than they would have), never unsafe.
+    /// The lateness allowance is not checkpointed; it is relearned from
+    /// the arrivals after the restore.
     pub fn restored(
         spec: WindowSpec,
         latest_seq: u64,
         latest_tick: u64,
         restored_hi_seq: Option<u64>,
     ) -> WindowTracker {
-        let mut w = WindowTracker::new(spec);
-        w.latest_seq = latest_seq;
-        w.latest_tick = latest_tick;
-        if let Some(hi_seq) = restored_hi_seq {
-            w.seals.push_back(SealMark {
-                hi_seq,
-                hi_tick: latest_tick,
-            });
+        let sealed = restored_hi_seq.map(|hi_seq| (latest_tick, hi_seq));
+        WindowTracker {
+            windows: SubWindows::restored(spec, latest_tick, sealed),
+            latest_seq,
+            bound: 0,
         }
-        w
+    }
+
+    /// Rebuild a count-window tracker from a checkpoint whose restored
+    /// tuples (sequence numbers `seqs`) the host sealed one segment per
+    /// sub-window they fall in: each segment expires with its own newest
+    /// sequence number, as it would have without the restore. The clock
+    /// sits at `latest_seq` or the newest restored tuple, whichever is
+    /// later.
+    pub fn restored_by_sub_window(
+        spec: WindowSpec,
+        latest_seq: u64,
+        seqs: impl IntoIterator<Item = u64>,
+    ) -> WindowTracker {
+        debug_assert_eq!(spec.mode, WindowMode::Count);
+        let sub = spec.sub_span();
+        let mut newest = std::collections::BTreeMap::new();
+        for seq in seqs {
+            let hi = newest.entry(seq / sub).or_insert(seq);
+            *hi = (*hi).max(seq);
+        }
+        let clock = newest.values().fold(latest_seq, |c, &hi| c.max(hi));
+        let sealed = newest.into_values().map(|hi| (hi, hi));
+        WindowTracker {
+            windows: SubWindows::restored(spec, clock, sealed),
+            latest_seq: clock,
+            bound: 0,
+        }
     }
 
     /// The window specification this tracker enforces.
     #[inline]
     pub fn spec(&self) -> WindowSpec {
-        self.spec
+        self.windows.spec()
     }
 
     /// `(latest_seq, latest_tick)` — the joiner's stream clock.
     #[inline]
     pub fn latest(&self) -> (u64, u64) {
-        (self.latest_seq, self.latest_tick)
+        (self.latest_seq, self.windows.latest_tick())
     }
 
     /// Record one processed tuple. Returns `true` when the active
@@ -276,25 +399,13 @@ impl WindowTracker {
     /// [`JoinIndex::seal_segment`](crate::index::JoinIndex::seal_segment)
     /// on its live index *now*, before observing further tuples.
     pub fn observe(&mut self, seq: u64, now_us: u64) -> bool {
-        let tick = match self.spec.mode {
+        let tick = match self.spec().mode {
             WindowMode::Count => seq,
             WindowMode::Time => now_us,
         };
         self.latest_seq = self.latest_seq.max(seq);
-        self.latest_tick = self.latest_tick.max(tick);
-        self.active_hi_seq = self.active_hi_seq.max(seq);
-        let start = *self.active_start.get_or_insert(tick);
-        if self.latest_tick.saturating_sub(start) + 1 >= self.spec.sub_span() {
-            self.seals.push_back(SealMark {
-                hi_seq: self.active_hi_seq,
-                hi_tick: self.latest_tick,
-            });
-            self.active_start = None;
-            self.active_hi_seq = 0;
-            true
-        } else {
-            false
-        }
+        self.windows
+            .observe(tick, |hi_seq| *hi_seq = (*hi_seq).max(seq))
     }
 
     /// Record a batch that the host indexes as one run, sealing the live
@@ -309,33 +420,35 @@ impl WindowTracker {
         for (seq, tick) in ticks {
             sealed |= self.observe(seq, tick);
         }
-        if sealed && self.active_start.is_some() {
-            let mark = self.seals.back_mut().expect("a sub-window closed");
-            mark.hi_seq = mark.hi_seq.max(self.active_hi_seq);
-            mark.hi_tick = mark.hi_tick.max(self.latest_tick);
-            self.active_start = None;
-            self.active_hi_seq = 0;
+        if sealed {
+            self.windows
+                .fold_active(|hi_seq, tail| *hi_seq = (*hi_seq).max(tail));
         }
         sealed
     }
 
+    /// Note tuples the host stores outside the live run (arrivals during
+    /// a migration): they neither move the clock nor fill a sub-window,
+    /// but how far they trail the clock counts towards the lateness
+    /// allowance.
+    pub fn note_lateness(&mut self, ticks: impl IntoIterator<Item = u64>) {
+        ticks
+            .into_iter()
+            .for_each(|t| self.windows.note_lateness(t));
+    }
+
     /// The current eviction bound: tuples with `seq < bound` are outside
-    /// the window of the joiner's stream clock and may be dropped.
-    /// Monotone; pops fully-expired seal marks as a side effect.
+    /// the window of the joiner's stream clock, held back by the lateness
+    /// allowance, and may be dropped. Monotone; pops fully-expired
+    /// sub-windows as a side effect.
     ///
     /// Invariant (the safety property the proptests pin): the returned
     /// bound never exceeds `latest_tick − span + 1` translated to
     /// sequence space, so no tuple within `span` of the clock is ever
     /// evictable.
     pub fn evict_bound(&mut self) -> u64 {
-        let watermark = self.latest_tick.saturating_sub(self.spec.span);
-        while let Some(front) = self.seals.front() {
-            if front.hi_tick < watermark {
-                self.bound = self.bound.max(front.hi_seq + 1);
-                self.seals.pop_front();
-            } else {
-                break;
-            }
+        while let Some(hi_seq) = self.windows.pop_expired() {
+            self.bound = self.bound.max(hi_seq + 1);
         }
         self.bound
     }
@@ -714,18 +827,59 @@ mod tests {
         let spec = WindowSpec::count(40).with_sub_windows(4); // sub_span 10
         let mut w = WindowTracker::new(spec);
         // The sub-window [0, 9] closes at 9; the host seals after 12, so
-        // the mark covers 0..=12 and the next sub-window opens at 13.
+        // the mark covers 0..=12. The next one opens at 13, inside the
+        // aligned run [10, 19], and closes at 19.
         assert!(w.observe_batch((0..13u64).map(|s| (s, s))));
-        assert!(!w.observe_batch((13..22u64).map(|s| (s, s))));
-        assert!(w.observe_batch([(22, 22)]));
+        assert!(!w.observe_batch((13..19u64).map(|s| (s, s))));
+        assert!(w.observe_batch((19..22u64).map(|s| (s, s))));
         // The first segment (max seq 12) expires as soon as its mark does,
         // once the clock passes 12 + span.
-        for seq in 23..=52u64 {
+        for seq in 22..=52u64 {
             w.observe_batch([(seq, seq)]);
         }
         assert_eq!(w.evict_bound(), 0, "seq 12 is still within 40 of 52");
         w.observe_batch([(53, 53)]);
         assert_eq!(w.evict_bound(), 13);
+    }
+
+    #[test]
+    fn sub_windows_stay_aligned_after_a_late_start() {
+        // A joiner that first sees seq 13 seals at 19, 29, 39: the
+        // sub-windows the decider's model keys by `seq / sub_span`.
+        let spec = WindowSpec::count(40).with_sub_windows(4);
+        let mut w = WindowTracker::new(spec);
+        let closed: Vec<u64> = (13..40u64).filter(|&s| w.observe(s, 0)).collect();
+        assert_eq!(closed, vec![19, 29, 39]);
+    }
+
+    #[test]
+    fn eviction_waits_out_the_largest_lateness_seen() {
+        let spec = WindowSpec::count(40).with_sub_windows(4); // sub_span 10
+        let mut prompt = WindowTracker::new(spec);
+        let (mut late, mut spike) = (prompt.clone(), prompt.clone());
+        for seq in 0..=50u64 {
+            for w in [&mut prompt, &mut late, &mut spike] {
+                w.observe(seq, 0);
+            }
+        }
+        // One tuple trails the clock by 8: that tracker holds every
+        // sub-window 8 ticks longer.
+        late.observe(42, 0);
+        assert_eq!(prompt.evict_bound(), 10, "[0, 9] is behind 50 − 40");
+        assert_eq!(late.evict_bound(), 0, "[0, 9] is within 50 − 40 − 8");
+        for seq in 51..=57u64 {
+            late.observe(seq, 0);
+        }
+        assert_eq!(late.evict_bound(), 0);
+        late.observe(58, 0);
+        assert_eq!(late.evict_bound(), 10);
+        // A spike past one sub-window is allowed one sub-window only.
+        spike.observe(25, 0);
+        for seq in 51..=60u64 {
+            spike.observe(seq, 0);
+        }
+        assert_eq!(spike.evict_bound(), 10, "[0, 9] is behind 60 − 40 − 10");
+        assert!(spike.evict_bound() <= (60 + 1u64).saturating_sub(spec.span));
     }
 
     #[test]
@@ -818,6 +972,22 @@ mod tests {
         let bound = w.evict_bound();
         assert!(bound >= 200, "restored segment never expired");
         assert!(bound <= (260 + 1u64).saturating_sub(spec.span));
+    }
+
+    #[test]
+    fn a_count_restore_expires_by_sub_window() {
+        let spec = WindowSpec::count(40).with_sub_windows(4); // sub_span 10
+                                                              // Restored 15..=35: sub-windows [10, 19], [20, 29] and [30, 39].
+        let mut w = WindowTracker::restored_by_sub_window(spec, 35, 15..=35);
+        let mut flat = WindowTracker::restored(spec, 35, 35, Some(35));
+        assert_eq!(w.latest(), (35, 35));
+        assert_eq!(w.evict_bound(), 0);
+        for seq in 36..=60u64 {
+            w.observe(seq, 0);
+            flat.observe(seq, 0);
+        }
+        assert_eq!(w.evict_bound(), 20, "[10, 19] is behind 60 − 40");
+        assert_eq!(flat.evict_bound(), 0, "flattened, it waits for 35 + 40");
     }
 
     fn sample_checkpoint() -> Checkpoint {

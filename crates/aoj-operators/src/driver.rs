@@ -355,24 +355,28 @@ pub(crate) fn setup_grid(
         let seeded = restore.and_then(|c| c.joiners.iter().find(|jc| jc.machine == i));
         if let Some(jc) = seeded {
             let p = b.predicate.clone();
-            task.epoch = EpochJoiner::restored(&move || index_for(&p), total, epoch, &jc.tuples);
+            // Under a count window the restored state is sealed by
+            // sub-window and expires as it would have. Time mode has no
+            // tick per restored tuple: the state becomes one sealed
+            // sub-window at the checkpoint clock (ticks restart with the
+            // new backend's timeline, and "arrived at the checkpoint
+            // clock" is the conservative reading).
+            let window = b.lifecycle.window;
+            let sub_span = window.filter(|w| w.mode == WindowMode::Count);
+            let sub_span = sub_span.map(|w| w.sub_span());
+            task.epoch =
+                EpochJoiner::restored(&move || index_for(&p), total, epoch, &jc.tuples, sub_span);
             task.counters.evicted_tuples = jc.evicted_tuples;
             task.counters.evicted_bytes = jc.evicted_bytes;
-            task.window = b.lifecycle.window.map(|spec| {
-                // The restored state becomes one sealed sub-window. In
-                // count mode the clock must sit at (or past) the highest
-                // restored sequence number — a stale tick (e.g. a
-                // checkpoint written without a window) would expire the
-                // restored segment immediately and evict in-window
-                // tuples. Time mode keeps the checkpoint clock: ticks
-                // restart with the new backend's timeline, and "arrived
-                // at the checkpoint clock" is the conservative reading.
-                let tick = match spec.mode {
-                    WindowMode::Count => jc.latest_tick.max(jc.latest_seq),
-                    WindowMode::Time => jc.latest_tick,
-                };
-                let hi_seq = jc.tuples.iter().map(|t| t.seq).max();
-                WindowTracker::restored(spec, jc.latest_seq, tick, hi_seq)
+            let seqs = jc.tuples.iter().map(|t| t.seq);
+            task.window = window.map(|spec| match spec.mode {
+                WindowMode::Count => {
+                    WindowTracker::restored_by_sub_window(spec, jc.latest_seq, seqs)
+                }
+                WindowMode::Time => {
+                    let hi_seq = seqs.max();
+                    WindowTracker::restored(spec, jc.latest_seq, jc.latest_tick, hi_seq)
+                }
             });
             // Pre-seed the gauges so stats() is truthful before the
             // first post-restore batch refreshes them.

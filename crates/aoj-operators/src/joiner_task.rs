@@ -657,6 +657,11 @@ impl Process<OpMsg> for JoinerTask {
                 let n = tuples.len() as u64;
                 let mut stats = ProbeStats::default();
                 let stable = self.epoch.stable_for(tag);
+                if let Some(w) = self.window.as_mut().filter(|_| !stable) {
+                    let spec = w.spec();
+                    let ticks = tuples.iter().zip(&arrived);
+                    w.note_lateness(ticks.map(|(t, at)| spec.tick(t.seq, at.as_micros(), t.aux)));
+                }
                 if stable {
                     stats = self.tally.emit_batch(ctx.now(), &tuples, &arrived, |out| {
                         self.epoch.on_data_batch(tag, &tuples, out)

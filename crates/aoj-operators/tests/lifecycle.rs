@@ -849,11 +849,15 @@ fn window_optimal_ilf(arrivals: &[(Rel, StreamItem)], j: u32, span: u64) -> f64 
 
 /// The decider runs on the live window. On a fluctuating stream whose
 /// window ends holding R alone, a J = 4 session walks to `(4, 1)`, where
-/// the cumulative count (1:1) keeps the square. Its largest joiner then
-/// stores within 1.25 of the window's `ILF*`, and once the first window
-/// has filled the window-aware competitive trace stays within the bound
-/// `aoj_core::decision` derives against the exact window,
-/// `1.25 · (1 + J/sub_windows)`.
+/// the cumulative count (1:1) keeps the square, and once the first
+/// window has filled the window-aware competitive trace stays within
+/// the bound `aoj_core::decision` derives against the exact window,
+/// `1.25 · (1 + J/sub_windows)`. The largest joiner stores within 1.25
+/// of the window's `ILF*` once the in-flight volume is bounded (64·J
+/// flow-control copies, as `reproduce lifecycle`'s leg runs): with the
+/// default window tuples trail the joiners' clocks by ~2,700 sequence
+/// numbers here, and the lateness allowance keeps most of a second
+/// 3,125-tuple sub-window (1.26).
 #[test]
 fn windowed_decider_follows_the_live_window_j4() {
     let (n, span) = (125_000usize, 25_000u64);
@@ -867,7 +871,10 @@ fn windowed_decider_follows_the_live_window_j4() {
     assert_eq!(windowed.final_mapping, Mapping::new(4, 1));
     assert_eq!(cumulative.final_mapping, Mapping::new(2, 2));
 
-    let ratio = windowed.max_ilf_bytes as f64 / window_optimal_ilf(&arrivals, 4, span);
+    let bounded = builder.clone().with_window_copies(64 * 4);
+    let bounded = run(&arrivals, &bounded.with_count_window(span));
+    assert_eq!(bounded.final_mapping, Mapping::new(4, 1));
+    let ratio = bounded.max_ilf_bytes as f64 / window_optimal_ilf(&arrivals, 4, span);
     assert!(
         ratio <= 1.25,
         "final ILF/ILF* of the window {ratio:.3} > 1.25"
@@ -946,4 +953,52 @@ fn restored_window_model_retires_the_checkpoint_and_converges() {
     assert_eq!(restored_live.1, 0, "the window ends holding R alone");
     assert_eq!(restored_mapping, whole_mapping);
     assert_eq!(whole_mapping, Mapping::new(4, 1));
+}
+
+/// Small sub-windows on a J = 4 grid. A joiner's clock runs up to
+/// ~2,500 sequence numbers ahead of tuples still in flight from other
+/// reshufflers (a 64-tuple batch for one row of a `(4, 1)` grid covers
+/// a thousand sequence numbers), more than the one 1,125-tuple
+/// sub-window of margin and less than two. The lateness allowance
+/// covers the second, so the simulator emits every pair closer than
+/// `span − span/sub_windows` through the migrations of a fluctuating
+/// stream.
+#[test]
+fn small_sub_windows_keep_every_pair_inside_the_margin_j4() {
+    let (n, span) = (62_500usize, 9_000u64);
+    let seed = 0x11FE_000B;
+    let arrivals = fluctuating_arrivals(n, seed);
+    let gap = span - WindowSpec::count(span).sub_span();
+    // Key-equal `(R seq, S seq)` pairs closer than `gap`.
+    let mut by_key: std::collections::HashMap<i64, Vec<(u64, Rel)>> = Default::default();
+    for (i, (rel, it)) in arrivals.iter().enumerate() {
+        by_key.entry(it.key).or_default().push((i as u64, *rel));
+    }
+    let mut expected = std::collections::BTreeSet::new();
+    for seqs in by_key.values() {
+        for (k, &(a, ra)) in seqs.iter().enumerate() {
+            for &(b, rb) in seqs[k + 1..].iter().take_while(|(b, _)| b - a < gap) {
+                match (ra, rb) {
+                    (Rel::R, Rel::S) => expected.insert((a, b)),
+                    (Rel::S, Rel::R) => expected.insert((b, a)),
+                    _ => false,
+                };
+            }
+        }
+    }
+    let builder = SessionBuilder::new(4, OperatorKind::Dynamic)
+        .with_seed(seed)
+        .with_backend(BackendChoice::Sim)
+        .with_collect_matches(true)
+        .with_count_window(span);
+    let report = run(&arrivals, &builder);
+    assert!(report.migrations > 0, "the stream must migrate");
+    let got: std::collections::BTreeSet<(u64, u64)> = report.match_pairs.into_iter().collect();
+    let missing = expected.difference(&got).count();
+    assert_eq!(
+        missing,
+        0,
+        "{missing} of {} pairs closer than {gap} were dropped",
+        expected.len()
+    );
 }
