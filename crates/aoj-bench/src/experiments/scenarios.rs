@@ -275,20 +275,11 @@ pub fn run_elastic() {
     let (w, arrivals) = equi_stream("zipf-equi", 96, 0xE1A5, [3_000, 12_000]);
     let (r_bytes, s_bytes) = stream_bytes(&arrivals);
 
-    // Both runs pin the per-tuple plane's 64·J flow-control window: the
-    // stream and the capacity target below are sized against it. The
-    // batch-derived default (8·J·64 copies) holds so much of a
-    // few-thousand-tuple stream in flight that the last ingest block —
-    // the last point the controller evaluates the trigger — can pass
-    // before the stored-byte gauges reach M/2.
-    let at_capacity = config(j_full, OperatorKind::Dynamic, &w)
-        .with_window_copies(64 * j_full as u64)
-        .with_collect_matches(true);
+    let at_capacity = config(j_full, OperatorKind::Dynamic, &w).with_collect_matches(true);
     // Capacity target such that the small grid fills past M/2 roughly a
     // third of the way through the stream: per-joiner stored bytes on a
     // square grid track ~(copies/j0) ≈ total·√j0/j0.
     let grow = config(j0, OperatorKind::Dynamic, &w)
-        .with_window_copies(64 * j0 as u64)
         .with_collect_matches(true)
         .with_elastic(ElasticConfig::new((r_bytes + s_bytes) / 3, 1));
     run_elastic_pair(

@@ -291,6 +291,15 @@ impl MigrationDecider {
         self.window.as_ref().map_or(0, |w| w.retired)
     }
 
+    /// The current mapping's expected per-joiner load, in the decider's
+    /// units (bytes on the controller): `|R|/n + |S|/m`, which is what a
+    /// joiner of an `(n, m)` grid stores under random tickets (§4.2.2).
+    /// Under a window it counts the live window's population.
+    #[inline]
+    pub fn load(&self) -> u64 {
+        (self.r + self.dr) / self.current.n as u64 + (self.s + self.ds) / self.current.m as u64
+    }
+
     /// Record `units` newly arrived units on R (resp. S) and check the
     /// migration condition (Alg. 1 line 6 + Alg. 2). Returns
     /// `Decision::Migrate` when the operator should change its mapping.
@@ -670,6 +679,40 @@ mod tests {
             d.observe(false, 1);
         }
         assert_eq!(d.current(), Mapping::new(1, 16));
+    }
+
+    #[test]
+    fn load_is_the_current_mapping_s_per_joiner_share() {
+        // `|R|/n + |S|/m`, committed and uncommitted units alike.
+        let mut d = decider(4);
+        assert_eq!(d.load(), 0);
+        d.observe_only(true, 600, 0);
+        d.observe_only(false, 1_000, 0);
+        assert_eq!(d.load(), 300 + 500);
+        // A ×4 expansion halves it, the 4→1 contraction restores it.
+        d.expand();
+        assert_eq!(d.load(), 150 + 250);
+        d.contract();
+        assert_eq!(d.load(), 800);
+        // The mapping's shape, not only its size: (1, 4) replicates R.
+        d.set_current(Mapping::new(1, 4));
+        assert_eq!(d.load(), 600 + 250);
+    }
+
+    #[test]
+    fn windowed_load_drops_what_the_window_retires() {
+        let mut d = windowed(4, 1_000, 4, DecisionConfig::default());
+        for seq in 0..1_000u64 {
+            d.observe_only(seq % 2 == 0, 10, seq);
+        }
+        assert_eq!(d.load(), 10_000 / 2);
+        // Past the bound the oldest sub-window (250 tuples) retires, so
+        // the load stops growing with the stream.
+        for seq in 1_000..=1_250u64 {
+            d.observe_only(seq % 2 == 0, 10, seq);
+        }
+        assert_eq!(d.retired(), 2_500);
+        assert_eq!(d.load(), (12_510 - 2_500) / 2);
     }
 
     #[test]

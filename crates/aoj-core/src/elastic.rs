@@ -125,9 +125,9 @@ pub struct ExpansionPlan {
 }
 
 /// Expansion trigger (§ Elasticity): after a migration checkpoint, expand
-/// if the per-joiner state exceeds half the capacity target `M`.
-pub fn should_expand(max_tuples_per_joiner: u64, capacity_m: u64) -> bool {
-    max_tuples_per_joiner > capacity_m / 2
+/// if the per-joiner load exceeds half the capacity target `M`.
+pub fn should_expand(per_joiner: u64, capacity_m: u64) -> bool {
+    per_joiner > capacity_m / 2
 }
 
 /// Build the expansion plan for the current assignment. Child machine ids
@@ -167,11 +167,11 @@ pub(crate) fn plan_expansion_with(assign: &GridAssignment, children: &[usize]) -
     ExpansionPlan { to, specs }
 }
 
-/// Per-joiner contraction predicate (the low-water mirror of
-/// [`should_expand`]): this joiner is drained when it stores strictly
-/// less than the mark; a mark of 0 disables contraction outright.
-pub fn should_contract(stored: u64, low_water: u64) -> bool {
-    low_water > 0 && stored < low_water
+/// Contraction trigger (the low-water mirror of [`should_expand`]): the
+/// grid is drained when the per-joiner load is strictly less than the
+/// mark; a mark of 0 disables contraction outright.
+pub fn should_contract(per_joiner: u64, low_water: u64) -> bool {
+    low_water > 0 && per_joiner < low_water
 }
 
 /// One machine's role in a 4→1 contraction.
@@ -370,6 +370,9 @@ mod tests {
         assert!(!should_expand(50, 100));
         assert!(should_expand(51, 100));
         assert!(!should_expand(0, 0));
+        assert!(should_contract(399, 400));
+        assert!(!should_contract(400, 400), "strictly below the mark");
+        assert!(!should_contract(0, 0), "a mark of 0 disables contraction");
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! * runs the **source machine's** node itself, so ingest pushes flow
 //!   from the session straight into the data plane;
 //! * services the **control plane**: plan handshakes, quiescence
-//!   probes, gauge samples (fed into the session's [`SharedGauges`] and
-//!   relayed to the controller's machine), match streams (re-emitted
-//!   into the session's [`MatchHub`]), and the lifecycle operations,
-//!   one at a time: a spawn completes on the worker's `Ready`, and a
+//!   probes, gauge samples (fed into the session's [`SharedGauges`]),
+//!   match streams (re-emitted into the session's [`MatchHub`]), and the
+//!   lifecycle operations, one at a time: a spawn completes on the worker's `Ready`, and a
 //!   retirement on the retiree's confirmed exit, which waits for the
 //!   coordinator's go-ahead and for the retiree's own drain count (see
 //!   `crate::node`);
@@ -57,9 +56,9 @@ use crate::node::{
 };
 use crate::wire::{
     self, read_frame, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap, Plan,
-    ProbeAck, Ready, RetireReq, Wire, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO,
-    K_MACHINE_UP, K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ,
-    K_READY, K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
+    ProbeAck, Ready, RetireReq, Wire, K_EXITING, K_FINALS, K_GAUGES, K_HELLO, K_MACHINE_UP,
+    K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ, K_READY,
+    K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
 use crate::worker::{ENV_COORD, ENV_GEN, ENV_MACHINE, ENV_WORKER};
 use crate::{ReapRecord, RunSummary};
@@ -231,9 +230,9 @@ impl ExecBackend<OpMsg> for TcpBackend {
     }
 
     fn has_global_metrics_view(&self) -> bool {
-        // Handler-side cluster-wide gauge reads see the relayed overlay:
-        // a few milliseconds stale, not the simulator's exact global
-        // view. Collection phases that need exactness skip them.
+        // A worker's handlers see only their own machine's gauges; the
+        // coordinator's overlay is a few milliseconds stale. Collection
+        // phases that need a cluster-wide view skip mid-run readings.
         false
     }
 
@@ -722,7 +721,7 @@ impl TcpBackend {
                             }
                         }
                         K_GAUGES => {
-                            let mut g = GaugeSample::from_bytes(&payload).expect("gauge sample");
+                            let g = GaugeSample::from_bytes(&payload).expect("gauge sample");
                             let m = MachineId(g.machine as usize);
                             for (gauge, value) in Gauge::ALL.into_iter().zip(g.gauges) {
                                 gauges.set(m, gauge, value);
@@ -730,20 +729,10 @@ impl TcpBackend {
                             let gen = live.get(&machine).copied().unwrap_or(0);
                             data_proc.insert((machine, gen), g.data_processed);
                             gauges.set_data_processed(data_proc.values().sum());
-                            // The sketch stops here; what is relayed below is
-                            // the gauges alone.
-                            let skew_parts = std::mem::take(&mut g.skew_parts);
                             if let Some(board) = &skew_board {
-                                if !skew_parts.is_empty() {
-                                    board.publish(machine, skew_parts);
+                                if !g.skew_parts.is_empty() {
+                                    board.publish(machine, g.skew_parts);
                                 }
-                            }
-                            // The controller machine needs the cluster view.
-                            // (Not during shutdown: worker 0 may already have
-                            // closed its control socket by the time a peer's
-                            // last sample drains from the reactor queue.)
-                            if machine != 0 && live.contains_key(&0) && !shutting_down {
-                                send_to(&links, 0, K_GAUGE_RELAY, &g);
                             }
                         }
                         K_MATCH_BATCH => {

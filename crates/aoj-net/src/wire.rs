@@ -62,7 +62,7 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub(crate) const WIRE_VERSION: u8 = 15;
+pub(crate) const WIRE_VERSION: u8 = 16;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -100,10 +100,6 @@ pub(crate) const K_FLUSH_SENT: u8 = 10;
 pub(crate) const K_RETIRE_NOW: u8 = 11;
 /// Worker → coordinator: periodic [`GaugeSample`] for the session overlay.
 pub const K_GAUGES: u8 = 12;
-/// Coordinator → controller worker: another machine's [`GaugeSample`]
-/// (minus its sketch), relayed so the elastic trigger sees the whole
-/// cluster.
-pub(crate) const K_GAUGE_RELAY: u8 = 13;
 /// Worker → coordinator: matches drained from the worker's local hub
 /// (`Vec<Match>`).
 pub(crate) const K_MATCH_BATCH: u8 = 14;
@@ -746,7 +742,6 @@ wire_struct! {
         contract_below_bytes: u64,
         max_contractions: u32,
         contract_holdoff_tuples: u64,
-        drain_driven: bool,
     }
     ElasticitySection {
         decision: DecisionConfig,

@@ -14,11 +14,9 @@
 //!    which ships the matches each batch produced to the coordinator as
 //!    the batch ends and consumes retirement tokens (see `crate::node`);
 //! 4. service the control connection: answer quiescence probes, stream
-//!    gauge samples to the coordinator, apply gauge relays (machine 0
-//!    hosts the controller, which reads cluster-wide storage), and, when
-//!    the coordinator's go-ahead to retire arrives, wait until its own
-//!    drain count is complete (see `crate::node::DrainCount`), then
-//!    drain;
+//!    gauge samples to the coordinator, and, when the coordinator's
+//!    go-ahead to retire arrives, wait until its own drain count is
+//!    complete (see `crate::node::DrainCount`), then drain;
 //! 5. ship finals (the tasks' harvested `Finals` — with the joiner's
 //!    stored state when the shutdown frame says the session is
 //!    checkpointing — and the metrics shard) and exit — `0` for a clean
@@ -45,9 +43,9 @@ use crate::node::{
 };
 use crate::wire::{
     self, read_frame, Exiting, FinalsBundle, GaugeSample, Hello, MachineUp, MatchTap, Plan,
-    ProbeAck, Ready, Wire, K_EXITING, K_FINALS, K_GAUGES, K_GAUGE_RELAY, K_HELLO, K_MACHINE_UP,
-    K_MATCH_BATCH, K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ, K_READY,
-    K_RETIRE_NOW, K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
+    ProbeAck, Ready, Wire, K_EXITING, K_FINALS, K_GAUGES, K_HELLO, K_MACHINE_UP, K_MATCH_BATCH,
+    K_MATCH_TAP, K_PLAN, K_PROBE, K_PROBE_ACK, K_PROVISION_REQ, K_READY, K_RETIRE_NOW,
+    K_RETIRE_REQ, K_SHUTDOWN, WIRE_VERSION,
 };
 
 /// Environment: flag marking a process as a worker.
@@ -59,10 +57,9 @@ pub(crate) const ENV_MACHINE: &str = "AOJ_NET_MACHINE";
 /// Environment: the machine's incarnation number.
 pub(crate) const ENV_GEN: &str = "AOJ_NET_GEN";
 
-/// How often the control loop ships gauge samples. Kept tight so short
-/// runs still deliver enough ILF samples for the controller to trigger
-/// mid-stream migrations/expansions; the ship-on-change dedup keeps the
-/// idle cost of the fast cadence at zero. (Matches do not wait for it:
+/// How often the control loop ships gauge samples. Kept tight so a live
+/// session's `stats()` follows a short run closely; the ship-on-change
+/// dedup keeps the idle cost of the fast cadence at zero. (Matches do not wait for it:
 /// they leave at the end of the batch that produced them.)
 const STATS_PERIOD: Duration = Duration::from_millis(5);
 
@@ -193,9 +190,7 @@ pub(crate) fn worker_main() -> ! {
     }
 
     // Metrics shard with the session's gauge overlay: handler-side gauge
-    // writes land here and are shipped to the coordinator periodically;
-    // on machine 0 the overlay also receives the coordinator's relays,
-    // giving the elastic controller its cluster-wide storage view.
+    // writes land here and are shipped to the coordinator periodically.
     let gauges = SharedGauges::new(machine_count);
     let mut shard = std::mem::take(&mut graph.metrics);
     shard.install_shared(Arc::clone(&gauges));
@@ -361,13 +356,6 @@ pub(crate) fn worker_main() -> ! {
                 // the new one, never "on with stale filters".
                 hub.set_ship_filters(tap.filters);
                 hub.set_streaming(tap.on);
-            }
-            Ok((K_GAUGE_RELAY, p)) => {
-                let g = GaugeSample::from_bytes(&p).expect("gauge relay");
-                let m = MachineId(g.machine as usize);
-                for (gauge, value) in Gauge::ALL.into_iter().zip(g.gauges) {
-                    gauges.set(m, gauge, value);
-                }
             }
             Ok((K_RETIRE_NOW, _)) => {
                 // The go-ahead: once every token holder has answered,

@@ -533,7 +533,7 @@ proptest! {
         roundtrip_eq(&(a, gen)); // K_FLUSH
         roundtrip_eq(&ProbeAck { nonce: a, created: b, finished: c });
         roundtrip_eq(&RetireReq { machine: a, gen });
-        // K_GAUGES, and K_GAUGE_RELAY with the sketch dropped.
+        // K_GAUGES.
         roundtrip_eq(&GaugeSample {
             machine: a,
             gauges: Gauge::ALL.map(|g| gauges.get(g as usize).copied().unwrap_or(0)),
@@ -736,6 +736,10 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // configuration), which removes the builder's last 25 bytes: the
 // routing-mode tag `02` and the `SkewConfig` words `40 00…`, `01 00…`,
 // `14 00…` and `00 00 01 00…`. No other pinned image moved.
+// `WIRE_VERSION` 16: `ElasticConfig` lost `drain_driven` (a window arms
+// the contraction on its own), which removes the `00` byte after the
+// hold-off's eight zero bytes; the control frames lost `K_GAUGE_RELAY`
+// (tag 13), which had no image of its own. No other pinned image moved.
 //
 // The same bump covers the two control-plane frames pinned below them:
 // [`GaugeSample`] is one word per [`Gauge`] (the `Matches` word is new)
@@ -877,7 +881,7 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "1208000000",
 ];
 
-const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d00000000000000200000000000000000000000000000000100000001000000000000000000000001000001000000000002000000000000000000000000000000000000000000000000010101e803000000000000040000000102000000000000000001000400000000000000";
+const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000010101e803000000000000040000000102000000000000000001000400000000000000";
 
 fn golden_gauge_sample() -> GaugeSample {
     GaugeSample {

@@ -33,7 +33,6 @@ use std::io;
 use std::sync::Arc;
 
 use crate::batch::DataCoalescer;
-use crate::elastic_runtime::ElasticConfig;
 use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
 use crate::report::{machine_stats, Finals, MatchDigest, RunReport, SkewSummary, StateTransfer};
@@ -250,20 +249,6 @@ pub(crate) fn setup_grid(
     let active: BTreeSet<usize> = assign.machines().collect();
     let adaptive = b.kind == OperatorKind::Dynamic;
     let sample_spacing = b.sample_spacing();
-    // Windowed eviction produces the genuine state drain the 4→1
-    // contraction trigger watches for, so a window auto-arms
-    // drain-driven mode: the hold-off gate stops being load-bearing.
-    let elastic_cfg = b.elasticity.elastic.map(|e| {
-        if b.lifecycle.window.is_some() {
-            ElasticConfig {
-                drain_driven: true,
-                ..e
-            }
-        } else {
-            e
-        }
-    });
-
     topo.metrics.sample_spacing = sample_spacing;
     // Elastic runs register the bounded machine-slot space
     // (`J₀ · 4^max_expansions` ids — cheap task objects and mailbox
@@ -286,8 +271,9 @@ pub(crate) fn setup_grid(
                 b.lifecycle.window,
                 adaptive,
                 sample_spacing,
+                b.data_plane.batch_tuples,
             )
-            .with_elastic(elastic_cfg);
+            .with_elastic(b.elasticity.elastic);
             if let Some(ckpt) = restore {
                 // The window model's restored bucket is stamped where the
                 // joiners' restored sub-windows are: the cursor under a

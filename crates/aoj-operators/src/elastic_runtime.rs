@@ -12,15 +12,17 @@
 //!   acquired at expansion trigger time through
 //!   `ExecBackend`'s provision surface and handed back at contraction
 //!   (trigger-time provisioning);
-//! * the controller watches the cluster-wide stored-byte gauges (exact on
-//!   both backends — the threaded runtime shares them atomically across
-//!   worker shards) and, at a migration checkpoint where **every** active
-//!   joiner stores more than `capacity/2`
-//!   ([`should_expand`](aoj_core::elastic::should_expand) for each one),
-//!   begins a [`Reconfig::Expand`](aoj_core::epoch::Reconfig): it
-//!   provisions the children, hands each newly activated reshuffler a
-//!   control-plane snapshot (`Activate`), and broadcasts the change; at a
-//!   checkpoint where every active joiner sits **below**
+//! * the controller estimates each joiner's load from its own model: the
+//!   current `(n, m)` mapping's expected share `|R|/n + |S|/m`
+//!   ([`MigrationDecider::load`](aoj_core::decision::MigrationDecider::load)),
+//!   which it already tracks from Alg. 1's scaled increments — a function
+//!   of stream position, the same on every backend, read from no gauge.
+//!   At a migration checkpoint where that load passes `capacity/2`
+//!   ([`should_expand`](aoj_core::elastic::should_expand)) it begins a
+//!   [`Reconfig::Expand`](aoj_core::epoch::Reconfig): it provisions the
+//!   children, hands each newly activated reshuffler a control-plane
+//!   snapshot (`Activate`), and broadcasts the change; at a checkpoint
+//!   where the load sits **below**
 //!   [`ElasticConfig::contract_below_bytes`] it begins the reverse
 //!   `Reconfig::Contract` instead;
 //! * from there on both are the ordinary epoch change — `Change` →
@@ -43,13 +45,13 @@
 //! argument). The `n : m` ratio is unchanged either way, so the ILF
 //! competitive ratio is unaffected.
 
-use aoj_simnet::{Gauge, MachineId, Metrics};
+use aoj_core::decision::MigrationDecider;
 
 /// Elasticity knobs for a run (`SessionBuilder::with_elastic`).
 #[derive(Clone, Copy, Debug)]
 pub struct ElasticConfig {
     /// Per-joiner capacity target `M` in stored bytes. The controller
-    /// expands when every active joiner stores more than `capacity / 2`.
+    /// expands when the expected per-joiner load passes `capacity / 2`.
     pub capacity_bytes: u64,
     /// How many ×4 expansions may fire over the whole run (a cumulative
     /// budget; it also bounds the machine-slot space to
@@ -58,7 +60,7 @@ pub struct ElasticConfig {
     /// retired machines.
     pub max_expansions: u32,
     /// Low-water mark in stored bytes: at a migration checkpoint where
-    /// **every** active joiner stores strictly less than this, a 4→1
+    /// the expected per-joiner load is strictly less than this, a 4→1
     /// contraction fires. 0 disables contraction. Production configs
     /// should keep this well under `capacity_bytes / 2` — a merged
     /// survivor stores up to the sum of its group, so an aggressive mark
@@ -68,23 +70,18 @@ pub struct ElasticConfig {
     /// budget, so threshold misconfiguration cannot oscillate forever).
     /// 0 disables contraction.
     pub max_contractions: u32,
-    /// The low-water trigger only arms once this many tuples have entered
-    /// the operator — the stream-position analogue of the time gate real
-    /// deployments put on diurnal scale-down (don't hand machines back
-    /// during the load window; a join's stored state only ever grows, so
-    /// the gate is what separates "still small" from "done growing").
-    /// 0 arms it from the first tuple.
+    /// Without a retention window, the low-water trigger only arms once
+    /// this many tuples have entered the operator — the stream-position
+    /// analogue of the time gate real deployments put on diurnal
+    /// scale-down (don't hand machines back during the load window; a
+    /// join's stored state only ever grows, so the gate is what separates
+    /// "still small" from "done growing"). 0 arms it from the first
+    /// tuple. Under a window the trigger instead arms once the
+    /// controller's window model has retired state (a sub-window has
+    /// passed the evictors' bound; see `aoj_core::decision`): stored
+    /// state is no longer monotone, so "done growing" is observable and
+    /// this gate is not consulted.
     pub contract_holdoff_tuples: u64,
-    /// Drain-driven arming: instead of the stream-position hold-off, the
-    /// contraction trigger arms once the controller's window model has
-    /// retired state (a sub-window has passed the evictors' bound; see
-    /// `aoj_core::decision`). This is the natural gate when a retention
-    /// window is configured — stored state is no longer monotone, so
-    /// "done growing" is observable directly and no artificial hold-off
-    /// is needed; the session layer turns this on automatically when a
-    /// window is set. Without a window nothing retires and the
-    /// stream-position gate remains the only sound arming signal.
-    pub drain_driven: bool,
 }
 
 impl ElasticConfig {
@@ -97,7 +94,6 @@ impl ElasticConfig {
             contract_below_bytes: 0,
             max_contractions: 0,
             contract_holdoff_tuples: 0,
-            drain_driven: false,
         }
     }
 
@@ -154,20 +150,18 @@ impl ElasticControl {
         self.expansions_done < self.cfg.max_expansions
     }
 
-    /// May another contraction fire at stream position `last_seq` with
-    /// `retired` units dropped so far from the controller's window model
-    /// (`MigrationDecider::retired`)? There must be an expansion to undo,
+    /// May another contraction fire at stream position `last_seq`, given
+    /// the controller's `decider`? There must be an expansion to undo,
     /// budget left, and the arming gate passed: genuine drain (the window
-    /// has retired something) under
-    /// [`drain_driven`](ElasticConfig::drain_driven), the stream-position
-    /// hold-off otherwise. The drain gate prevents the startup
-    /// degeneracy — before any data arrives every joiner is trivially
-    /// below the low-water mark.
-    pub(crate) fn armed_contract(&self, last_seq: u64, retired: u64) -> bool {
-        let armed = if self.cfg.drain_driven {
-            retired > 0
-        } else {
-            last_seq >= self.cfg.contract_holdoff_tuples
+    /// model has retired something, [`MigrationDecider::retired`]) when
+    /// the decider models a window, the stream-position hold-off
+    /// otherwise. The drain gate prevents the startup degeneracy — before
+    /// any data arrives every joiner is trivially below the low-water
+    /// mark.
+    pub(crate) fn armed_contract(&self, last_seq: u64, decider: &MigrationDecider) -> bool {
+        let armed = match decider.window() {
+            Some(_) => decider.retired() > 0,
+            None => last_seq >= self.cfg.contract_holdoff_tuples,
         };
         self.level() > 0 && self.contractions_done < self.cfg.max_contractions && armed
     }
@@ -182,55 +176,12 @@ pub(crate) fn provisioned_joiners(j0: u32, max_expansions: u32) -> u32 {
         .expect("provisioned cluster size overflows u32")
 }
 
-/// The controller's live trigger: true when every **active** joiner
-/// machine stores more than `capacity/2` bytes. Reads the cluster-wide
-/// gauges, which are exact on the simulator and on the threaded
-/// backend's shared atomic gauge array. Takes the explicit active
-/// machine set — after contractions it is no longer an index prefix.
-pub(crate) fn expansion_due(
-    metrics: &Metrics,
-    active: impl IntoIterator<Item = usize>,
-    capacity_bytes: u64,
-) -> bool {
-    // Runs on the controller's per-tuple ingest path: short-circuit on
-    // the first under-filled joiner, no allocation.
-    let mut any = false;
-    for i in active {
-        any = true;
-        if !aoj_core::elastic::should_expand(
-            metrics.gauge(MachineId(i), Gauge::Stored),
-            capacity_bytes,
-        ) {
-            return false;
-        }
-    }
-    any
-}
-
-/// The controller's low-water trigger (§4.2.2 run backwards): true when
-/// every active joiner stores strictly less than `below_bytes`. A mark
-/// of 0 disables contraction.
-pub(crate) fn contraction_due(
-    metrics: &Metrics,
-    active: impl IntoIterator<Item = usize>,
-    below_bytes: u64,
-) -> bool {
-    let mut any = false;
-    for i in active {
-        any = true;
-        if !aoj_core::elastic::should_contract(
-            metrics.gauge(MachineId(i), Gauge::Stored),
-            below_bytes,
-        ) {
-            return false;
-        }
-    }
-    any
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aoj_core::decision::DecisionConfig;
+    use aoj_core::lifecycle::WindowSpec;
+    use aoj_core::mapping::Mapping;
 
     #[test]
     fn provisioning_is_j0_times_4_to_the_k() {
@@ -240,55 +191,27 @@ mod tests {
         assert_eq!(provisioned_joiners(1, 3), 64);
     }
 
-    #[test]
-    fn trigger_needs_every_active_joiner_full() {
-        let mut m = Metrics::default();
-        for _ in 0..3 {
-            m.add_machine();
-        }
-        m.set_gauge(MachineId(0), Gauge::Stored, 600);
-        m.set_gauge(MachineId(1), Gauge::Stored, 501);
-        m.set_gauge(MachineId(2), Gauge::Stored, 400); // dormant/idle machine
-        assert!(expansion_due(&m, 0..2, 1000), "both active joiners > M/2");
-        assert!(
-            !expansion_due(&m, 0..3, 1000),
-            "an under-filled machine in the active set blocks"
-        );
-        assert!(!expansion_due(&m, std::iter::empty(), 1000));
-        // The active set need not be a prefix (post-contraction shape).
-        assert!(expansion_due(&m, [0usize, 1], 1000));
-    }
-
-    #[test]
-    fn contraction_trigger_is_strict_and_disabled_at_zero() {
-        let mut m = Metrics::default();
-        for _ in 0..3 {
-            m.add_machine();
-        }
-        m.set_gauge(MachineId(0), Gauge::Stored, 100);
-        m.set_gauge(MachineId(1), Gauge::Stored, 399);
-        m.set_gauge(MachineId(2), Gauge::Stored, 400);
-        assert!(contraction_due(&m, 0..2, 400), "all strictly below");
-        assert!(!contraction_due(&m, 0..3, 400), "one at the mark blocks");
-        assert!(!contraction_due(&m, 0..2, 0), "0 disables contraction");
-        assert!(!contraction_due(&m, std::iter::empty(), 400));
+    /// A decider with no window: contraction arms on the hold-off.
+    fn unwindowed() -> MigrationDecider {
+        MigrationDecider::new(1, Mapping::square(1), DecisionConfig::default())
     }
 
     #[test]
     fn elastic_control_budgets_are_net_for_expansion() {
+        let d = unwindowed();
         let cfg = ElasticConfig::new(1000, 1).with_contraction(10, 2);
         let mut el = ElasticControl::new(cfg);
-        assert!(el.armed_expand() && !el.armed_contract(0, 0));
+        assert!(el.armed_expand() && !el.armed_contract(0, &d));
         el.expansions_done += 1;
         assert!(!el.armed_expand(), "expansion budget 1 of 1 spent");
-        assert!(el.armed_contract(0, 0));
+        assert!(el.armed_contract(0, &d));
         el.contractions_done += 1;
         assert_eq!(el.level(), 0);
         assert!(
             !el.armed_expand(),
             "the expansion budget is cumulative: contraction refunds nothing"
         );
-        assert!(!el.armed_contract(0, 0), "nothing to undo at level 0");
+        assert!(!el.armed_contract(0, &d), "nothing to undo at level 0");
         let mut el = ElasticControl::new(ElasticConfig::new(1000, 2).with_contraction(10, 2));
         el.expansions_done += 1;
         el.contractions_done += 1;
@@ -301,7 +224,7 @@ mod tests {
         // guards on level() > 0 first.
         el.expansions_done += 1;
         assert!(
-            !el.armed_contract(0, 0),
+            !el.armed_contract(0, &d),
             "the contraction budget is cumulative: 2 of 2 spent"
         );
         let el2 = ElasticControl {
@@ -312,27 +235,35 @@ mod tests {
                     .with_contract_holdoff(500),
             )
         };
-        assert!(!el2.armed_contract(499, 0), "hold-off gate still closed");
-        assert!(el2.armed_contract(500, 0));
+        assert!(!el2.armed_contract(499, &d), "hold-off gate still closed");
+        assert!(el2.armed_contract(500, &d));
     }
 
     #[test]
-    fn drain_driven_arming_ignores_holdoff() {
+    fn windowed_arming_waits_for_drain_and_ignores_holdoff() {
         let el = ElasticControl {
             expansions_done: 1,
-            ..ElasticControl::new(ElasticConfig {
-                drain_driven: true,
-                ..ElasticConfig::new(1000, 2)
+            ..ElasticControl::new(
+                ElasticConfig::new(1000, 2)
                     .with_contraction(10, 1)
-                    .with_contract_holdoff(1_000_000)
-            })
+                    .with_contract_holdoff(1_000_000),
+            )
         };
+        let mut d = unwindowed().with_window(WindowSpec::count(100).with_sub_windows(4));
+        for seq in 0..=100 {
+            d.observe_only(seq % 2 == 0, 1, seq);
+        }
+        assert_eq!(d.retired(), 0);
         assert!(
-            !el.armed_contract(u64::MAX, 0),
-            "no eviction observed: stored state may still be pre-drain"
+            !el.armed_contract(u64::MAX, &d),
+            "nothing retired: stored state may still be pre-drain"
         );
+        // The first sub-window leaves once the clock passes its newest
+        // tick (24) by more than the span.
+        d.observe_only(true, 1, 125);
+        assert!(d.retired() > 0);
         assert!(
-            el.armed_contract(0, 1),
+            el.armed_contract(0, &d),
             "genuine drain arms regardless of stream position"
         );
     }

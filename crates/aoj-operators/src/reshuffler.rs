@@ -8,7 +8,7 @@
 //! (migration decisions) and gates migrations on joiner acks.
 
 use aoj_core::decision::{Decision, DecisionConfig, MigrationDecider};
-use aoj_core::elastic::{plan_contraction, ElasticLayout};
+use aoj_core::elastic::{plan_contraction, should_contract, should_expand, ElasticLayout};
 use aoj_core::epoch::{Epoch, Reconfig};
 use aoj_core::lifecycle::{WindowMode, WindowSpec};
 use aoj_core::mapping::{steps_between, GridAssignment, Mapping};
@@ -18,7 +18,7 @@ pub use aoj_simnet::ProgressSample;
 use aoj_simnet::{Ctx, FlushCause, MachineId, Process, SimDuration, SimTime, TaskId};
 
 use crate::batch::DataCoalescer;
-use crate::elastic_runtime::{contraction_due, expansion_due, ElasticConfig, ElasticControl};
+use crate::elastic_runtime::{ElasticConfig, ElasticControl};
 use crate::messages::OpMsg;
 use crate::skew::SkewState;
 
@@ -87,6 +87,48 @@ impl ProgressRecorder {
     }
 }
 
+/// Alg. 1's scale for the controller's share of the stream. The source
+/// deals consecutive blocks of `block_tuples` arrivals round-robin over the
+/// active reshufflers, the controller first, so each block the controller
+/// receives stands for itself and the blocks dealt since its previous one:
+/// `J` of them while the active set holds still, and across an elastic
+/// resize however many the source actually dealt before and after
+/// switching. The scaled totals therefore track the stream's, whenever
+/// the source applies the resize, where a fixed `×J` counts the blocks
+/// dealt to the old set at the new set's scale.
+#[derive(Clone, Debug)]
+pub(crate) struct SampleScale {
+    block_tuples: u64,
+    /// The newest block received, and the scale it was counted at.
+    last: Option<(u64, u64)>,
+}
+
+impl SampleScale {
+    pub(crate) fn new(block_tuples: usize) -> SampleScale {
+        SampleScale {
+            block_tuples: block_tuples.max(1) as u64,
+            last: None,
+        }
+    }
+
+    /// The scale for the block holding arrival `seq` on a grid of `j`
+    /// active reshufflers: 0 for a block older than the newest one
+    /// received (a retiring reshuffler's block the source re-dealt,
+    /// already counted by the gap that spans it).
+    #[inline]
+    pub(crate) fn of(&mut self, seq: u64, j: u32) -> u64 {
+        let block = seq / self.block_tuples;
+        let scale = match self.last {
+            None => j as u64,
+            Some((last, scale)) if block == last => scale,
+            Some((last, _)) if block > last => block - last,
+            Some(_) => return 0,
+        };
+        self.last = Some((block, scale));
+        scale
+    }
+}
+
 /// Controller state carried by reshuffler 0.
 pub(crate) struct ControllerState {
     /// Alg. 2 state over scaled estimates.
@@ -112,6 +154,8 @@ pub(crate) struct ControllerState {
     pub(crate) recorder: ProgressRecorder,
     /// Last global sequence number observed.
     pub(crate) last_seq: u64,
+    /// Alg. 1's scale per ingested block.
+    pub(crate) scale: SampleScale,
 }
 
 /// The reshuffler task.
@@ -173,6 +217,7 @@ impl ControllerState {
         window: Option<WindowSpec>,
         adaptive: bool,
         sample_every: u64,
+        block_tuples: usize,
     ) -> Self {
         let decider = MigrationDecider::new(j, initial, cfg);
         ControllerState {
@@ -189,6 +234,7 @@ impl ControllerState {
             events: Vec::new(),
             recorder: ProgressRecorder::new(sample_every),
             last_seq: 0,
+            scale: SampleScale::new(block_tuples),
         }
     }
 
@@ -299,9 +345,9 @@ impl ReshufflerTask {
 
     /// Controller: evaluate Alg. 2 and, when due, begin the next migration
     /// step (one step per epoch; chains continue after acks). On elastic
-    /// runs, a migration checkpoint where every active joiner is past
-    /// half capacity begins a ×4 expansion instead (§4.2.2), and one
-    /// where every active joiner sits below the low-water mark begins the
+    /// runs, a migration checkpoint where the decider's expected
+    /// per-joiner load is past half capacity begins a ×4 expansion instead
+    /// (§4.2.2), and one where it sits below the low-water mark begins the
     /// reverse 4→1 contraction.
     fn maybe_trigger(&mut self, ctx: &mut Ctx<'_, OpMsg>) {
         let Some(ctrl) = self.controller.as_mut() else {
@@ -314,23 +360,18 @@ impl ReshufflerTask {
         // Elasticity first, and only at a true checkpoint (no multi-step
         // chain pending): cluster-wide fullness is a capacity problem
         // that no (n, m) reshape fixes, so scale-out takes priority over
-        // shape changes (and scale-in over both). The due-checks run on
-        // the controller's per-batch ingest path, so they read the grid's
-        // machine iterator directly (no allocation); after a contraction
-        // the active machines are no longer a prefix of the slot space.
+        // shape changes (and scale-in over both). The load is the
+        // controller's own estimate, a function of the stream position
+        // it has ingested, so a change fires at the same position on
+        // every backend.
         if let (None, Some(el)) = (ctrl.target, &ctrl.elastic) {
-            if el.armed_expand()
-                && expansion_due(ctx.metrics(), self.assign.machines(), el.cfg.capacity_bytes)
-            {
+            let load = ctrl.decider.load();
+            if el.armed_expand() && should_expand(load, el.cfg.capacity_bytes) {
                 return self.begin(ctx, Reconfig::Expand);
             }
-            if el.armed_contract(ctrl.last_seq, ctrl.decider.retired())
+            if el.armed_contract(ctrl.last_seq, &ctrl.decider)
                 && Reconfig::Contract.apply(current).is_some()
-                && contraction_due(
-                    ctx.metrics(),
-                    self.assign.machines(),
-                    el.cfg.contract_below_bytes,
-                )
+                && should_contract(load, el.cfg.contract_below_bytes)
             {
                 return self.begin(ctx, Reconfig::Contract);
             }
@@ -467,14 +508,17 @@ impl Process<OpMsg> for ReshufflerTask {
                 }
                 // Alg. 1 lines 3/5 ("scaled increment"): the controller
                 // sees ~1/J of the uniformly shuffled stream and scales
-                // its local sample by J to estimate global cardinalities
-                // — no statistics channel, no synchronisation. Units are
-                // bytes so the unequal-tuple-size generalisation (§4.2.2)
-                // comes for free. Under a window each increment carries
-                // the tick it ages by, so the decider can retire it when
-                // the joiners evict it.
+                // its local sample by J ([`SampleScale`]) to estimate
+                // global cardinalities — no statistics channel, no
+                // synchronisation. Units are bytes so the unequal-tuple-
+                // size generalisation (§4.2.2) comes for free. Under a
+                // window each increment carries the tick it ages by, so
+                // the decider can retire it when the joiners evict it.
                 if let Some(ctrl) = self.controller.as_mut() {
-                    let scale = self.assign.j() as u64;
+                    // An ingest batch never spans two source blocks.
+                    let scale = items
+                        .first()
+                        .map_or(0, |it| ctrl.scale.of(it.seq, self.assign.j()));
                     let window = ctrl.decider.window();
                     let now_us = match window {
                         Some(w) if w.mode == WindowMode::Time => ctx.now().as_micros(),

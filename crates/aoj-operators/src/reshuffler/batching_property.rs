@@ -244,12 +244,7 @@ proptest! {
             s_items: (0..2_000).map(|_| item(120)).collect(),
         };
         let arrivals = interleave(&w, seed ^ 0xA0A0);
-        // The 2,200-tuple stream is sized against the per-tuple plane's
-        // 64·J window: the batch-derived default (up to 8·J·199 copies)
-        // would put all of it in flight before the capacity gauges move.
-        let mut cfg = config(2, OperatorKind::Dynamic, &w)
-            .with_batch_tuples(1)
-            .with_window_copies(128);
+        let mut cfg = config(2, OperatorKind::Dynamic, &w).with_batch_tuples(1);
         cfg.backend.collect_matches = true;
         cfg.seed = seed;
         // Small capacity: one ×4 expansion fires mid-stream.

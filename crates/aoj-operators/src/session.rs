@@ -1287,8 +1287,8 @@ impl SessionBuilder {
     }
 }
 
-/// A live snapshot of the operator mid-session — the same gauges the
-/// elastic controller triggers on ([`SessionHandle::stats`]).
+/// A live snapshot of the operator mid-session: the per-machine gauges
+/// and progress counters ([`SessionHandle::stats`]).
 #[derive(Clone, Debug)]
 pub struct SessionStats {
     /// Tuples accepted by the session so far.
@@ -1865,9 +1865,8 @@ impl SessionHandle {
         let _ = self.end(End::Abort);
     }
 
-    /// A live snapshot of the gauges the elastic controller reads:
-    /// per-machine stored bytes, processed-copy counts, and the match
-    /// total.
+    /// A live snapshot of the gauges: per-machine stored bytes,
+    /// processed-copy counts, and the match total.
     pub fn stats(&self) -> SessionStats {
         let (wiring, machines, processed) = match self.inner.as_ref().expect("session closed") {
             Inner::Sim { sim, wiring } => {

@@ -11,15 +11,15 @@
 //! that guarantee on real threads.
 
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
+use aoj_core::epoch::Reconfig;
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
+use aoj_operators::reshuffler::ControlEvent;
 use aoj_operators::{
     run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, RunReport, SessionBuilder,
-    SessionHandle, SessionStats,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,14 +34,6 @@ fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
 // The TCP process backend re-executes this test binary as its workers;
 // this declares the re-exec entry point.
 aoj_net::worker_entry!();
-
-/// The elastic scenarios size their ~4.4k-tuple streams and KB-scale
-/// capacity targets against the per-tuple plane's `64·J` flow-control
-/// window (J₀ = 2) and pin it: under the batch-derived default
-/// (`8·J·64` copies) a quarter of the stream is in flight before the
-/// stored-byte gauges — periodic frames on TCP — can report the fill, and
-/// the mid-stream expansion they assert may never fire.
-const ELASTIC_WINDOW: u64 = 64 * 2;
 
 /// TCP runs record a process-global [`aoj_net::last_run_summary`], so
 /// the tests asserting on it must not interleave their runs.
@@ -119,15 +111,15 @@ fn shj_join_results_match_across_backends() {
 /// An elastic Dynamic run must (a) actually expand mid-stream on both
 /// backends, (b) emit the exact same join multiset as the equivalent
 /// non-elastic run, on both backends, and (c) respect Theorem 4.3's
-/// per-parent `transmitted ≤ 2 × stored` bound. The threaded expansion
-/// fires at a wall-clock-dependent instant — exactness must survive any
-/// interleaving of the split with live traffic.
+/// per-parent `transmitted ≤ 2 × stored` bound. The threaded split
+/// interleaves with live traffic at wall-clock-dependent instants —
+/// exactness must survive any such interleaving.
 #[test]
 fn elastic_dynamic_expands_live_and_stays_exact_across_backends() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = config(2, OperatorKind::Dynamic, &w).with_window_copies(ELASTIC_WINDOW);
+    let mut cfg = config(2, OperatorKind::Dynamic, &w);
     cfg.backend.collect_matches = true;
     cfg.seed = seed;
     // 64 B payloads, ~4.4k tuples: every joiner blows well past 32 KB of
@@ -222,65 +214,6 @@ fn tcp_shj_join_results_match_sim() {
     run_sim_vs_tcp(OperatorKind::Shj, Predicate::Equi, 0x54_2014);
 }
 
-/// Runs an elastic session on the TCP backend, pushing `arrivals` in two
-/// parts so the expansion trigger can see the fill.
-///
-/// Stored-byte gauges reach the controller only through the workers'
-/// periodic gauge frames, and a few-thousand-tuple stream drains in
-/// about one relay period. So this pushes three fifths of the stream,
-/// waits until the coordinator sees both initial joiners past the
-/// trigger's `capacity/2`, lets a few more frames land, and only then
-/// pushes the rest: the trigger is evaluated as that ingest reaches the
-/// controller.
-fn run_tcp_elastic(cfg: SessionBuilder, arrivals: &[(Rel, StreamItem)]) -> RunReport {
-    let (mut session, tail) = open_and_fill(cfg, arrivals);
-    session.push_batch(tail.iter().copied()).unwrap();
-    session.close()
-}
-
-/// Opens `cfg` on the TCP backend, pushes three fifths of `arrivals` and
-/// waits until the expansion trigger can see both initial joiners past
-/// `capacity/2` (see [`run_tcp_elastic`]). Returns the session and the
-/// arrivals not pushed yet.
-fn open_and_fill(
-    cfg: SessionBuilder,
-    arrivals: &[(Rel, StreamItem)],
-) -> (SessionHandle, &[(Rel, StreamItem)]) {
-    let half = cfg
-        .elasticity
-        .elastic
-        .expect("an elastic run")
-        .capacity_bytes
-        / 2;
-    let mut session = JoinSession::open(cfg.with_backend(BackendChoice::Tcp));
-    let (head, tail) = arrivals.split_at(arrivals.len() * 3 / 5);
-    session.push_batch(head.iter().copied()).unwrap();
-    wait_for_gauges(&session, "both initial joiners past capacity/2", |s| {
-        s.machines[..2].iter().all(|m| m.stored_bytes > half)
-    });
-    (session, tail)
-}
-
-/// Polls the coordinator's gauge view until `reached` holds (failing
-/// with `what` after five seconds), then lets a few more gauge frames
-/// reach the controller.
-fn wait_for_gauges(session: &SessionHandle, what: &str, reached: impl Fn(&SessionStats) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let stats = session.stats();
-        if reached(&stats) {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "the gauges never showed {what}: {:?}",
-            stats.machines
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    std::thread::sleep(Duration::from_millis(20));
-}
-
 /// The elastic Dynamic operator on the TCP backend: a live ×4 expansion
 /// must fire **mid-stream**, provisioning real worker processes at
 /// trigger time, and the join multiset must still be exactly the
@@ -292,7 +225,7 @@ fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = config(2, OperatorKind::Dynamic, &w).with_window_copies(ELASTIC_WINDOW);
+    let mut cfg = config(2, OperatorKind::Dynamic, &w);
     cfg.backend.collect_matches = true;
     cfg.seed = seed;
     cfg.elasticity.elastic = Some(ElasticConfig::new(64 << 10, 1));
@@ -302,7 +235,7 @@ fn tcp_elastic_expansion_provisions_processes_and_stays_exact() {
     let reference = run(&arrivals, &base_cfg);
     assert!(reference.matches > 0, "vacuous workload");
 
-    let report = run_tcp_elastic(cfg, &arrivals);
+    let report = run(&arrivals, &cfg.with_backend(BackendChoice::Tcp));
     assert!(report.expansions >= 1, "no live expansion fired");
     assert_eq!(report.final_mapping.j(), 8, "cluster did not reach 4×J₀");
     assert_eq!(
@@ -339,18 +272,20 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     let seed = 0xE1A_2014;
     let w = workload(Predicate::Equi, 400, 4_000, seed);
     let arrivals = interleave(&w, seed ^ 0xA0A0);
-    let mut cfg = config(2, OperatorKind::Dynamic, &w).with_window_copies(ELASTIC_WINDOW);
+    let mut cfg = config(2, OperatorKind::Dynamic, &w);
     cfg.backend.collect_matches = true;
     cfg.seed = seed;
-    // Expand at 72 KB a joiner — three fifths of the stream fill J₀ = 2
-    // past that (~90 KB each), four fifths leave every one of the eight
-    // children below it (~60 KB) — so a permissive contraction
-    // threshold with a short holdoff pulls the cluster back 4→1 before
-    // any second expansion could fire; the rest of the stream, pushed
-    // once the contraction is visible, re-expands onto the retired slots
-    // and contracts again.
+    // Expand at 80 KB a joiner. The controller's estimate for J₀ = 2,
+    // |R| + |S|/2 on its (1, 2) grid, passes that a little over half way
+    // through the stream; the eight joiners' (2, 4) estimate stays below
+    // it (76.8 KB with the whole stream in), so however late the
+    // expansion completes, a permissive contraction threshold past the
+    // holdoff pulls the cluster back 4→1 next. The merged estimate is
+    // past 80 KB again, so the cluster re-expands onto the retired slots
+    // and contracts once more. Each change begins as the previous one
+    // completes, so the chain runs even once the whole stream is in.
     cfg.elasticity.elastic = Some(
-        ElasticConfig::new(144 << 10, 2)
+        ElasticConfig::new(160 << 10, 2)
             .with_contraction(1 << 40, 2)
             .with_contract_holdoff(2_000),
     );
@@ -359,25 +294,32 @@ fn tcp_contraction_retires_processes_and_stays_exact() {
     base_cfg.elasticity.elastic = None;
     let reference = run(&arrivals, &base_cfg);
 
-    let (mut session, rest) = open_and_fill(cfg, &arrivals);
-    let filled = session.stats().max_stored_bytes();
-    let (middle, tail) = rest.split_at(arrivals.len() / 5);
-    session.push_batch(middle.iter().copied()).unwrap();
-    // Expanded and contracted again: two slots hold everything, each
-    // well past what the first three fifths filled a joiner to.
-    wait_for_gauges(&session, "the contraction back to two joiners", |s| {
-        let holding: Vec<u64> = s
-            .machines
-            .iter()
-            .map(|m| m.stored_bytes)
-            .filter(|&b| b > 0)
-            .collect();
-        holding.len() == 2 && holding.iter().all(|&b| b > filled + filled * 3 / 20)
-    });
-    session.push_batch(tail.iter().copied()).unwrap();
-    let report = session.close();
+    let report = run(&arrivals, &cfg.with_backend(BackendChoice::Tcp));
     assert!(report.expansions >= 2, "no re-expansion fired");
     assert!(report.contractions >= 1, "no contraction fired");
+    let resizes: Vec<Reconfig> = report
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            ControlEvent::Begin { kind, .. } if !matches!(kind, Reconfig::Step(_)) => Some(kind),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        resizes.starts_with(&[Reconfig::Expand, Reconfig::Contract, Reconfig::Expand]),
+        "expected expansion, contraction, re-expansion: {resizes:?}"
+    );
+    // The run ends contracted: two slots hold everything, each past the
+    // half capacity that fired the first expansion.
+    assert_eq!(resizes.last(), Some(&Reconfig::Contract), "{resizes:?}");
+    let holding: Vec<u64> = report
+        .machines
+        .iter()
+        .map(|m| m.stored_bytes)
+        .filter(|&b| b > 0)
+        .collect();
+    assert_eq!(holding.len(), 2, "{:?}", report.machines);
+    assert!(holding.iter().all(|&b| b > 80 << 10), "{holding:?}");
     assert_eq!(
         report.match_pairs, reference.match_pairs,
         "contracting tcp run diverged from the non-elastic output"
@@ -487,13 +429,7 @@ fn hot_key_session(
         // Same capacity target as the elastic equivalence pin: one ×4
         // expansion (J 2 → 8) fires mid-stream on every backend.
         .with_elastic(ElasticConfig::new(64 << 10, 1))
-        .with_window_copies(ELASTIC_WINDOW)
         .with_collect_matches(true);
-    if backend == BackendChoice::Tcp {
-        // The trigger sees stored bytes only through periodic gauge
-        // frames: push in two parts so the expansion can fire.
-        return run_tcp_elastic(builder, arrivals);
-    }
     let mut session = JoinSession::open(builder);
     session.push_batch(arrivals.iter().copied()).unwrap();
     session.close()

@@ -11,7 +11,11 @@
 //! accounting: an elastic run starts at `J₀ + 1` worker shards and only
 //! ever acquires what its expansions actually use.
 
+use std::sync::{Mutex, PoisonError};
+
+use aoj_core::epoch::Reconfig;
 use aoj_core::predicate::Predicate;
+use aoj_core::tuple::Rel;
 use aoj_datagen::queries::{reference_match_count, StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::reshuffler::ControlEvent;
@@ -19,17 +23,18 @@ use aoj_operators::{run, BackendChoice, ElasticConfig, OperatorKind, SessionBuil
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The session configuration for `kind` on `j` joiners over `w`. These
-/// scenarios size their few-thousand-tuple streams and KB-scale capacity
-/// targets against the per-tuple plane's `64·J` flow-control window, so
-/// they pin it: under the batch-derived default (`8·J·64` copies) most of
-/// a stream is in flight before the stored-byte gauges move, and the
-/// expand → drain → re-expand schedules they assert never get to run.
+// The TCP process backend re-executes this test binary as its workers;
+// this declares the re-exec entry point.
+aoj_net::worker_entry!();
+
+/// TCP runs spawn a worker process per machine; they take turns.
+static TCP_RUNS: Mutex<()> = Mutex::new(());
+
+/// The session configuration for `kind` on `j` joiners over `w`.
 fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
     SessionBuilder::new(j, kind)
         .with_predicate(w.predicate.clone())
         .with_workload(w.name)
-        .with_window_copies(64 * j as u64)
 }
 
 fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {
@@ -138,8 +143,8 @@ fn sawtooth_grow_then_drain_is_exact_and_retires_clean() {
 #[test]
 fn sawtooth_multiset_is_identical_across_backends() {
     // The acceptance pin: a live expand-then-contract run emits the
-    // identical join multiset on the simulator and on real threads —
-    // and both match a plain non-elastic run.
+    // identical join multiset on the simulator, on real threads and on
+    // worker processes — and each matches a plain non-elastic run.
     let seed = 0x6E_2014;
     let w = workload(400, 2_800, 250, seed);
     let arrivals = interleave(&w, seed);
@@ -149,7 +154,13 @@ fn sawtooth_multiset_is_identical_across_backends() {
     reference.backend.collect_matches = true;
     let base = run(&arrivals, &reference);
 
-    for backend in [BackendChoice::Sim, BackendChoice::Threaded] {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    for backend in [
+        BackendChoice::Sim,
+        BackendChoice::Threaded,
+        BackendChoice::Tcp,
+    ] {
         let mut cfg = config(1, OperatorKind::Dynamic, &w);
         cfg.seed = seed;
         cfg.backend.choice = backend;
@@ -188,8 +199,13 @@ fn later_burst_reexpands_into_retired_machines() {
     let arrivals = interleave(&w, seed);
     let mut cfg = config(1, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
+    // J₀ = 1 passes half of 240 KB about 55 % into the 224 KB stream.
+    // The four joiners' estimate stays below it even with the whole
+    // stream in (112 KB on (2, 2)), so however late the expansion
+    // completes, the contraction comes next; the merged estimate is past
+    // 120 KB again and re-expands into the retired machines.
     cfg.elasticity.elastic = Some(
-        ElasticConfig::new(100 << 10, 2)
+        ElasticConfig::new(240 << 10, 2)
             .with_contraction(1 << 40, 1)
             .with_contract_holdoff(1_100),
     );
@@ -231,9 +247,8 @@ fn trigger_time_provisioning_starts_small_on_both_backends() {
         &arrivals,
         &cfg.clone().with_backend(BackendChoice::Threaded),
     );
-    if report.expansions == 1 {
-        assert_eq!(report.peak_provisioned_machines, 17);
-    }
+    assert_eq!(report.expansions, 1, "the capacity target must be hit");
+    assert_eq!(report.peak_provisioned_machines, 17);
 
     // Simulator: same accounting, deterministic trigger.
     let report = run(&arrivals, &cfg);
@@ -336,5 +351,65 @@ fn contraction_interleaves_with_migrations_exactly() {
             report.final_mapping.n == 1 || report.final_mapping.m == 1,
             "contraction skipped without an axis-degenerate mapping"
         );
+    }
+}
+
+/// Where a change fires is a function of the stream, not of timing: the
+/// controller triggers on its own estimate of the per-joiner load, so on a
+/// balanced stream (the mapping never needs a step) the one expansion and,
+/// past the hold-off, the one contraction begin in the same source block
+/// on every backend.
+#[test]
+fn changes_begin_in_the_same_source_block_on_every_backend() {
+    let seed = 0xBE_2014;
+    // Strictly alternating R and S, so every 64-tuple source block holds
+    // 32 of each and the square grid stays optimal throughout.
+    let w = workload(8_000, 8_000, 300, seed);
+    let arrivals: Vec<(Rel, StreamItem)> = w
+        .r_items
+        .iter()
+        .zip(&w.s_items)
+        .flat_map(|(&r, &s)| [(Rel::R, r), (Rel::S, s)])
+        .collect();
+    // The contraction can only begin once the expansion has completed,
+    // and how far the stream runs on meanwhile is set by the flow-control
+    // window: under the per-tuple plane's 64·J it stayed within 20 blocks
+    // on every backend, under the batch-derived default (8·J·64 copies)
+    // the TCP backend's spawns let it run past 180.
+    let mut cfg = config(1, OperatorKind::Dynamic, &w).with_window_copies(64);
+    cfg.seed = seed;
+    // J₀ = 1 stores |R| + |S| per joiner: past 64 KB from tuple 1,024
+    // (block 16). The hold-off opens at block 192, which the controller
+    // receives before and after the source widens its round-robin to
+    // four reshufflers.
+    cfg.elasticity.elastic = Some(
+        ElasticConfig::new(128 << 10, 1)
+            .with_contraction(1 << 40, 1)
+            .with_contract_holdoff(192 * 64),
+    );
+    let block = cfg.data_plane.batch_tuples as u64;
+
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    for backend in [
+        BackendChoice::Sim,
+        BackendChoice::Threaded,
+        BackendChoice::Tcp,
+    ] {
+        let report = run(&arrivals, &cfg.clone().with_backend(backend));
+        let begins: Vec<(Reconfig, u64)> = report
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                ControlEvent::Begin { kind, seq, .. } => Some((kind, seq / block)),
+                ControlEvent::Complete { .. } => None,
+            })
+            .collect();
+        assert_eq!(
+            begins,
+            [(Reconfig::Expand, 16), (Reconfig::Contract, 192)],
+            "{backend:?}"
+        );
+        assert_eq!(report.matches, reference_match_count(&w), "{backend:?}");
     }
 }

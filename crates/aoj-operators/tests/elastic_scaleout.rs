@@ -2,17 +2,26 @@
 //! `(n, m) → (2n, 2m)` at migration checkpoints, exactly.
 //!
 //! `backend_equivalence.rs` pins the cross-backend guarantee for a single
-//! expansion; this suite drills the protocol itself on the deterministic
-//! simulator: chained ×4 expansions, interplay with ordinary Alg. 2
-//! migrations, event-log sanity, and the no-trigger case.
+//! expansion; this suite drills the protocol itself: chained ×4
+//! expansions (on the simulator and the TCP backend), interplay with
+//! ordinary Alg. 2 migrations, event-log sanity, and the no-trigger case.
+
+use std::sync::{Mutex, PoisonError};
 
 use aoj_core::predicate::Predicate;
 use aoj_datagen::queries::{reference_match_count, StreamItem, Workload};
 use aoj_datagen::stream::interleave;
 use aoj_operators::reshuffler::ControlEvent;
-use aoj_operators::{run, ElasticConfig, OperatorKind, SessionBuilder};
+use aoj_operators::{run, BackendChoice, ElasticConfig, OperatorKind, SessionBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+// The TCP process backend re-executes this test binary as its workers;
+// this declares the re-exec entry point.
+aoj_net::worker_entry!();
+
+/// TCP runs spawn a worker process per machine; they take turns.
+static TCP_RUNS: Mutex<()> = Mutex::new(());
 
 /// The session configuration for `kind` on `j` joiners over `w`.
 fn config(j: u32, kind: OperatorKind, w: &Workload) -> SessionBuilder {
@@ -40,25 +49,38 @@ fn workload(nr: usize, ns: usize, key_space: i64, seed: u64) -> Workload {
 fn chained_double_expansion_is_exact() {
     // J₀ = 1: the degenerate (1,1) grid grows (1,1) → (2,2) → (4,4),
     // 16 provisioned machines, two live expansions back to back.
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
     let seed = 0x2E_2014;
     let w = workload(500, 3_500, 300, seed);
     let arrivals = interleave(&w, seed);
     let mut cfg = config(1, OperatorKind::Dynamic, &w);
     cfg.seed = seed;
     cfg.elasticity.elastic = Some(ElasticConfig::new(48 << 10, 2));
-    let report = run(&arrivals, &cfg);
-    assert_eq!(report.expansions, 2, "both expansions must fire");
-    assert_eq!(report.final_mapping.j(), 16);
-    assert_eq!(
-        report.matches,
-        reference_match_count(&w),
-        "chained expansions lost or duplicated matches"
-    );
-    // Second-generation parents include first-generation children: the
-    // transfer log must cover machines beyond the initial J₀.
-    assert!(report.expand_transfers.iter().any(|t| t.joiner > 0));
-    for t in &report.expand_transfers {
-        assert!(t.sent_tuples <= 2 * t.stored_tuples, "Theorem 4.3 bound");
+    for backend in [BackendChoice::Sim, BackendChoice::Tcp] {
+        let report = run(&arrivals, &cfg.clone().with_backend(backend));
+        assert_eq!(
+            report.expansions, 2,
+            "{backend:?}: both expansions must fire"
+        );
+        assert_eq!(report.final_mapping.j(), 16, "{backend:?}");
+        assert_eq!(
+            report.matches,
+            reference_match_count(&w),
+            "{backend:?}: chained expansions lost or duplicated matches"
+        );
+        // Second-generation parents include first-generation children: the
+        // transfer log must cover machines beyond the initial J₀.
+        assert!(
+            report.expand_transfers.iter().any(|t| t.joiner > 0),
+            "{backend:?}"
+        );
+        for t in &report.expand_transfers {
+            assert!(
+                t.sent_tuples <= 2 * t.stored_tuples,
+                "{backend:?}: Theorem 4.3 bound"
+            );
+        }
     }
 }
 

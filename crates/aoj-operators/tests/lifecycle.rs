@@ -715,8 +715,10 @@ fn supervised_windowed_tcp_session_rotates_and_closes() {
     let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
     aoj_net::install();
     let seed = 0x11FE_000B;
-    // Shorter than the cadence: a restore flattens the checkpointed
-    // segments into one sealed sub-window, which only expires whole.
+    // Shorter than the cadence: under this count window the joiners
+    // restore their state by sub-window, but the controller's window
+    // model restores a checkpoint's totals as one bucket, which only
+    // retires whole (a time window's joiners flatten theirs the same way).
     let span = 900u64;
     let w = workload(1_500, 1_500, 40, seed);
     let arrivals = interleave(&w, seed);

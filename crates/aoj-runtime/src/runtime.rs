@@ -288,7 +288,7 @@ impl<M: SimMessage + Send + 'static> Runtime<M> {
     /// shard writes through. Live sessions keep the `Arc` on the caller
     /// side: the per-machine stored-byte gauges and the cluster-wide
     /// processed counter are then readable from any thread while the
-    /// run executes — the same view the elastic controller triggers on.
+    /// run executes.
     pub fn shared_gauges(&self) -> Arc<SharedGauges> {
         Arc::clone(&self.gauges)
     }
@@ -541,8 +541,8 @@ impl<M: SimMessage + Send + 'static> ExecBackend<M> for Runtime<M> {
         // Workers write private shards, but every shard carries the
         // shared atomic gauge overlay (`SharedGauges`), so mid-run
         // storage/progress readings are cluster-wide consistent — the
-        // progress/ILF timelines and the elastic controller's trigger
-        // work on real threads exactly as they do on the simulator.
+        // progress/ILF timelines work on real threads exactly as they do
+        // on the simulator.
         true
     }
 

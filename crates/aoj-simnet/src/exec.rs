@@ -201,9 +201,9 @@ pub trait ExecBackend<M: SimMessage + 'static> {
 
     /// Whether tasks observe a globally consistent cluster view of the
     /// storage/progress gauges *during* the run — the readings behind
-    /// progress/ILF timelines and the elastic controller's stored-state
-    /// trigger. True for the simulator (one `Metrics`, one event at a
-    /// time) and for sharded backends that install a
+    /// the progress/ILF timelines (observability only: no control
+    /// decision reads a gauge). True for the simulator (one `Metrics`,
+    /// one event at a time) and for sharded backends that install a
     /// [`SharedGauges`](crate::metrics::SharedGauges) overlay into every
     /// shard (the threaded runtime does). A backend whose shards have no
     /// shared overlay must return false so drivers suppress mid-run

@@ -88,9 +88,7 @@ impl SharedGauges {
     /// which keeps the local shard and the overlay in step. It exists for
     /// backends whose gauge writers are in **another process**: the TCP
     /// backend's coordinator applies the periodic gauge frames its
-    /// workers stream to the session overlay, and relays remote machines'
-    /// values into the controller worker's overlay so the elastic trigger
-    /// sees the whole cluster.
+    /// workers stream to the session overlay.
     #[inline]
     pub fn set(&self, m: MachineId, g: Gauge, value: u64) {
         self.table[m.index()][g as usize].store(value, Ordering::Relaxed);
@@ -325,12 +323,6 @@ impl Metrics {
         (0..self.per_machine.len()).map(move |i| self.gauge(MachineId(i), g))
     }
 
-    /// Total bytes dropped by windowed eviction across the cluster — the
-    /// genuine-drain signal behind the elastic contraction trigger.
-    pub fn total_evicted_bytes(&self) -> u64 {
-        self.gauge_column(Gauge::Evicted).sum()
-    }
-
     /// Total bytes sent across the cluster.
     pub fn total_bytes_sent(&self) -> u64 {
         self.per_machine.iter().map(|m| m.bytes_out).sum()
@@ -542,7 +534,6 @@ mod tests {
         m.set_gauge(MachineId(0), Gauge::Evicted, 120);
         assert_eq!(m.gauge(MachineId(0), Gauge::Evicted), 300);
         assert_eq!(shared.get(MachineId(0), Gauge::Evicted), 300);
-        assert_eq!(m.total_evicted_bytes(), 300);
         // The other gauges are plain readings.
         m.set_gauge(MachineId(0), Gauge::Occupancy, 9);
         m.set_gauge(MachineId(0), Gauge::Occupancy, 4);

@@ -86,8 +86,9 @@ fn main() {
         Instant::now() // when the last tuple was pushed
     });
 
-    // 4. Meanwhile: live gauges from the caller thread — the same
-    //    stored-byte view the elastic controller triggers on.
+    // 4. Meanwhile: live gauges from the caller thread — what each
+    //    joiner actually stores as the controller's estimate drives the
+    //    expansion.
     loop {
         std::thread::sleep(Duration::from_millis(10));
         let stats = session.stats();
