@@ -16,17 +16,16 @@ pub struct RatioSample {
     pub r: u64,
     /// True `|S|` at that instant.
     pub s: u64,
-    /// ILF of the mapping the operator was actually running.
-    ilf_actual: f64,
-    /// ILF of the oracle-optimal mapping for the true cardinalities.
-    ilf_optimal: f64,
+    /// The mapping the operator was running; its `J` is the one the
+    /// oracle is held to.
+    pub mapping: Mapping,
 }
 
 impl RatioSample {
-    /// The state of a `j`-joiner operator after processing `tuples` tuples
-    /// in total, with true cardinalities `(r, s)`, running `current`;
-    /// `None` before the first tuple (`r = s = 0`), where no ILF exists.
-    pub fn new(j: u32, tuples: u64, r: u64, s: u64, current: Mapping) -> Option<RatioSample> {
+    /// The state of an operator running `current` after processing
+    /// `tuples` tuples in total, with true cardinalities `(r, s)`; `None`
+    /// before the first tuple (`r = s = 0`), where no ILF exists.
+    pub fn new(tuples: u64, r: u64, s: u64, current: Mapping) -> Option<RatioSample> {
         if r == 0 && s == 0 {
             return None;
         }
@@ -34,17 +33,18 @@ impl RatioSample {
             tuples,
             r,
             s,
-            ilf_actual: ilf(r, s, current),
-            ilf_optimal: optimal_ilf(j, r, s),
+            mapping: current,
         })
     }
 
-    /// `ILF / ILF*` (1.0 when optimal).
+    /// `ILF / ILF*` (1.0 when optimal): the running mapping's ILF over
+    /// the oracle-optimal mapping's at the same `J`.
     pub fn ratio(&self) -> f64 {
-        if self.ilf_optimal == 0.0 {
+        let optimal = optimal_ilf(self.mapping.j(), self.r, self.s);
+        if optimal == 0.0 {
             1.0
         } else {
-            self.ilf_actual / self.ilf_optimal
+            ilf(self.r, self.s, self.mapping) / optimal
         }
     }
 }
@@ -55,6 +55,6 @@ mod tests {
 
     #[test]
     fn zero_state_is_skipped() {
-        assert!(RatioSample::new(4, 0, 0, 0, Mapping::new(2, 2)).is_none());
+        assert!(RatioSample::new(0, 0, 0, Mapping::new(2, 2)).is_none());
     }
 }

@@ -37,6 +37,7 @@
 
 use std::io::{self, Read, Write};
 
+use aoj_core::competitive::RatioSample;
 use aoj_core::decision::{DeciderSnapshot, DecisionConfig};
 use aoj_core::elastic::{ContractRole, ElasticLayout, ExpandSpec};
 use aoj_core::epoch::{Reconfig, Role};
@@ -49,7 +50,7 @@ use aoj_operators::driver::{BackendChoice, OperatorKind};
 use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
 use aoj_operators::report::{ControllerFinal, Finals, MatchDigest, Resume};
-use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
+use aoj_operators::reshuffler::ControlEvent;
 use aoj_operators::session::{
     BackendSection, DataPlaneSection, ElasticitySection, FaultSection, KeyFilter, LifecycleSection,
     SessionBuilder, SourceSection,
@@ -62,7 +63,9 @@ use aoj_simnet::{
 
 /// Protocol version; bumped on any layout change. Checked in both
 /// directions during the handshake.
-pub(crate) const WIRE_VERSION: u8 = 16;
+/// 17: `IngestBatch` carries the `ILF/ILF*` trace stamp, the plan lost
+/// `track_competitive`, and `ControllerFinal` ships the priced trace.
+pub(crate) const WIRE_VERSION: u8 = 17;
 
 /// Upper bound on a single frame's payload (a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation).
@@ -645,7 +648,7 @@ wire_via!(
 );
 
 wire_enum!(OpMsg {
-    0 => IngestBatch { items: Vec<IngestItem> },
+    0 => IngestBatch { items: Vec<IngestItem>, stamp: Option<(u64, u64, u64)> },
     1 => IngestBounced { items: Vec<IngestItem> },
     2 => DataBatch { tag: u32, store: bool, tuples: Vec<Tuple>, arrived: Vec<SimTime> },
     3 => Change { new_epoch: u32, kind: Reconfig },
@@ -755,7 +758,6 @@ wire_struct! {
         sample_every: u64,
         collect_matches: bool,
         match_buffer: usize,
-        track_competitive: bool,
     }
     // The plan every worker rebuilds its topology from. Encoding panics on
     // `Predicate::Theta` — an arbitrary closure cannot cross a process
@@ -955,7 +957,7 @@ wire_struct! {
         spilled_bytes: u64,
         flushes: FlushCounts,
     }
-    ProgressSample { seq: u64, at: SimTime, max_stored_bytes: u64, total_stored_bytes: u64 }
+    RatioSample { tuples: u64, r: u64, s: u64, mapping: Mapping }
 }
 wire_enum!(ControlEvent {
     0 => Begin { kind: Reconfig, seq: u64, at: SimTime, from: Mapping, to: Mapping, epoch: u32 },
@@ -993,7 +995,7 @@ wire_struct! {
     ControllerFinal {
         assign: GridAssignment,
         events: Vec<ControlEvent>,
-        samples: Vec<ProgressSample>,
+        trace: Vec<RatioSample>,
         resume: Option<Resume>,
     }
     Finals { joiners: Vec<JoinerFinal>, controller: Option<ControllerFinal> }

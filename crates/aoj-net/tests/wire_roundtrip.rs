@@ -12,6 +12,7 @@
 
 use std::io::ErrorKind;
 
+use aoj_core::competitive::RatioSample;
 use aoj_core::decision::DeciderSnapshot;
 use aoj_core::elastic::{ContractRole, ElasticLayout, ExpandSpec};
 use aoj_core::epoch::{Reconfig, Role};
@@ -28,7 +29,7 @@ use aoj_net::wire::{
 use aoj_operators::joiner_task::{JoinerCounters, JoinerFinal, LatencyStats};
 use aoj_operators::messages::{IngestItem, Match, OpMsg};
 use aoj_operators::report::{ControllerFinal, Finals, MatchDigest, Resume};
-use aoj_operators::reshuffler::{ControlEvent, ProgressSample};
+use aoj_operators::reshuffler::ControlEvent;
 use aoj_operators::{BackendChoice, ElasticConfig, KeyFilter, OperatorKind, SessionBuilder};
 use aoj_simnet::{FlushCause, FlushCounts, Gauge, MachineMetrics, SimDuration, SimTime, TaskId};
 use proptest::prelude::*;
@@ -234,7 +235,17 @@ fn opmsg() -> impl Strategy<Value = OpMsg> {
             }
         });
     prop_oneof![
-        items().prop_map(|items| OpMsg::IngestBatch { items }),
+        (
+            items(),
+            any::<bool>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>()
+        )
+            .prop_map(|(items, stamped, seq, r, s)| OpMsg::IngestBatch {
+                items,
+                stamp: stamped.then_some((seq, r, s)),
+            }),
         items().prop_map(|items| OpMsg::IngestBounced { items }),
         data_batch,
         (any::<u32>(), reconfig()).prop_map(|(new_epoch, kind)| OpMsg::Change { new_epoch, kind }),
@@ -388,12 +399,12 @@ fn joiner_final() -> impl Strategy<Value = JoinerFinal> {
 }
 
 fn controller_final() -> impl Strategy<Value = ControllerFinal> {
-    let sample = (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-        |(seq, at, max_stored_bytes, total_stored_bytes)| ProgressSample {
-            seq,
-            at: SimTime(at),
-            max_stored_bytes,
-            total_stored_bytes,
+    let sample = (any::<u64>(), any::<u64>(), any::<u64>(), mapping()).prop_map(
+        |(tuples, r, s, mapping)| RatioSample {
+            tuples,
+            r,
+            s,
+            mapping,
         },
     );
     let resume = (
@@ -424,10 +435,10 @@ fn controller_final() -> impl Strategy<Value = ControllerFinal> {
         proptest::collection::vec(sample, 0..6),
         prop_oneof![Just(None), resume.prop_map(Some)],
     )
-        .prop_map(|(assign, events, samples, resume)| ControllerFinal {
+        .prop_map(|(assign, events, trace, resume)| ControllerFinal {
             assign,
             events,
-            samples,
+            trace,
             resume,
         })
 }
@@ -740,6 +751,11 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // the contraction on its own), which removes the `00` byte after the
 // hold-off's eight zero bytes; the control frames lost `K_GAUGE_RELAY`
 // (tag 13), which had no image of its own. No other pinned image moved.
+// `WIRE_VERSION` 17: `IngestBatch` carries the source's `ILF/ILF*` trace
+// stamp, an `Option<(u64, u64, u64)>` after the items (the pinned one is
+// `01` then `0c 00…`, `01 00…`, `01 00…`), and `BackendSection` lost
+// `track_competitive` (the trace is always on), which removes the `00`
+// byte after `match_buffer`'s `e8 03…` word.
 //
 // The same bump covers the two control-plane frames pinned below them:
 // [`GaugeSample`] is one word per [`Gauge`] (the `Matches` word is new)
@@ -751,6 +767,9 @@ fn gauge_sample_count_exceeding_payload_is_rejected() {
 // cause, one more word at the end of each of its two rows (the `2a 00…`
 // after the batches' `09 00…` and the `2b 00…` after the tuples'
 // `0c 00…`), and the frame's length prefix grew by those 16 bytes.
+// `WIRE_VERSION` 17 re-pinned both finals frames: `ControllerFinal` ships
+// the priced `ILF/ILF*` trace (`RatioSample`: tuples, |R|, |S|, mapping)
+// where it shipped progress samples; the row is 32 bytes as before.
 
 fn golden_opmsgs() -> Vec<OpMsg> {
     let pos = |row, col| GridPos { row, col };
@@ -772,6 +791,7 @@ fn golden_opmsgs() -> Vec<OpMsg> {
     vec![
         OpMsg::IngestBatch {
             items: vec![item(0), item(1)],
+            stamp: Some((12, 1, 1)),
         },
         OpMsg::IngestBounced {
             items: vec![item(2)],
@@ -860,7 +880,7 @@ fn golden_opmsgs() -> Vec<OpMsg> {
 }
 
 const GOLDEN_OPMSGS: [&str; 19] = [
-    "000200000000fdffffffffffffff07000000400000000b0000000000000001feffffffffffffff06000000410000000c00000000000000",
+    "000200000000fdffffffffffffff07000000400000000b0000000000000001feffffffffffffff06000000410000000c00000000000000010c0000000000000001000000000000000100000000000000",
     "010100000000ffffffffffffffff05000000420000000d00000000000000",
     "020300000001020000006400000000000000010500000000000000feffffff6000000000000000efbeadde6500000000000000000400000000000000ffffffff6000000001000000efbeadde0200000011000000000000001200000000000000",
     "03040000000001",
@@ -881,7 +901,7 @@ const GOLDEN_OPMSGS: [&str; 19] = [
     "1208000000",
 ];
 
-const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000010101e803000000000000040000000102000000000000000001000400000000000000";
+const GOLDEN_BUILDER: &str = "040000000201030000000000000014200df00000000006000000676f6c64656e01010000000400000040000000010000000000000001000100000000000000100000000000001000000000000000c800000000000000ffffffffffffffff14000000000000000200000000000000010000000000000001000000000000000a0000000000000014000000000000001400000000000000010000000000000064000000000000007d000000000000002000000000000000000000000000000001000000010000000000000000000000010000010000000000020000000000000000000000000000000000000000000000010101e8030000000000000400000001020000000000000000010004000000000000";
 
 fn golden_gauge_sample() -> GaugeSample {
     GaugeSample {
@@ -951,11 +971,11 @@ fn golden_finals_bundle(snapshot: bool) -> FinalsBundle {
                     at: SimTime(21),
                     epoch: 1,
                 }],
-                samples: vec![ProgressSample {
-                    seq: 30,
-                    at: SimTime(31),
-                    max_stored_bytes: 32,
-                    total_stored_bytes: 33,
+                trace: vec![RatioSample {
+                    tuples: 30,
+                    r: 31,
+                    s: 32,
+                    mapping: Mapping::new(1, 2),
                 }],
                 resume: snapshot.then(|| Resume {
                     epoch: 1,
@@ -995,12 +1015,12 @@ fn golden_finals_bundle(snapshot: bool) -> FinalsBundle {
 // Re-pinned at `WIRE_VERSION` 9: `JoinerFinal` gained `state` and
 // `ControllerFinal` gained `resume`, so a bare close's bundle is the
 // version-8 bytes plus two `None` presence bytes (after the joiner's
-// digest and after the controller's samples) and ships no state.
-const GOLDEN_FINALS: &str = "c20200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f00010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000002a000000000000000a000000000000000b000000000000000c000000000000002b00000000000000";
+// digest and after the controller's trace) and ships no state.
+const GOLDEN_FINALS: &str = "c20200000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f00010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000000100000002000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000002a000000000000000a000000000000000b000000000000000c000000000000002b00000000000000";
 
 // The same bundle from a checkpointing shutdown: both options present,
 // carrying a one-tuple joiner state and the controller's resume point.
-const GOLDEN_FINALS_SNAPSHOT: &str = "600300000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f010200000000000000080000000000000032000000000000005a000000000000005b0000000000000001000000500000000000000001afffffffffffffff52000000530000005400000000000000010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000002100000000000000010100000004000000000000000100000003000000000000000102000000010000006400000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000002a000000000000000a000000000000000b000000000000000c000000000000002b00000000000000";
+const GOLDEN_FINALS_SNAPSHOT: &str = "600300000f020000000000000001000000010000000200000000000000460000000000000087030000000000000200000000000000840300000000000000000000000000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000003200000000000000010000000b000000000000000c00000000000000010000000000000085f943fae368c45f85f943fae368c45f010200000000000000080000000000000032000000000000005a000000000000005b0000000000000001000000500000000000000001afffffffffffffff52000000530000005400000000000000010100000002000000020000000000000000000000000000000100000002000000000000000100000001000000010000150000000000000001000000010000001e000000000000001f0000000000000020000000000000000100000002000000010100000004000000000000000100000003000000000000000102000000010000006400000000000000650000000000000066000000000000006700000000000000680000000000000069000000000000000d000000000000000e000000000000000f000000000000000100000001000000000000000200000000000000030000000000000004000000000000000500000000000000280000000000000032000000000000003c000000000000004600000000000000290000000000000006000000000000000700000000000000080000000000000009000000000000002a000000000000000a000000000000000b000000000000000c000000000000002b00000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()

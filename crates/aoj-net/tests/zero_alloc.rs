@@ -63,6 +63,7 @@ fn hot_messages() -> Vec<TaskMsg> {
                     seq: i,
                 })
                 .collect(),
+            stamp: Some((63, 32, 32)),
         },
         OpMsg::DataBatch {
             tag: 3,

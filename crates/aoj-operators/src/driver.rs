@@ -16,11 +16,10 @@
 //! pre-session simulator timelines bit for bit (the golden pins in
 //! `tests/batching.rs` hold).
 
-use aoj_core::competitive::RatioSample;
 use aoj_core::elastic::ElasticLayout;
 use aoj_core::epoch::{EpochJoiner, Reconfig};
 use aoj_core::ilf::optimal_mapping;
-use aoj_core::lifecycle::{Checkpoint, WindowMode, WindowSpec, WindowTracker};
+use aoj_core::lifecycle::{Checkpoint, WindowMode, WindowTracker};
 use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::ticket::TicketGen;
 use aoj_core::tuple::Rel;
@@ -36,13 +35,11 @@ use crate::batch::DataCoalescer;
 use crate::joiner_task::{JoinerTask, LatencyStats};
 use crate::messages::OpMsg;
 use crate::report::{machine_stats, Finals, MatchDigest, RunReport, SkewSummary, StateTransfer};
-use crate::reshuffler::{
-    ControlEvent, ControllerState, ProgressRecorder, ProgressSample, ReshufflerTask,
-};
-use crate::session::{ArrivalBits, IngestQueue, JoinSession, MatchHub, SessionBuilder};
+use crate::reshuffler::{ControlEvent, ControllerState, ReshufflerTask};
+use crate::session::{IngestQueue, JoinSession, MatchHub, SessionBuilder};
 use crate::shj::{ShjJoiner, ShjReshuffler};
 use crate::skew::{SkewBoard, SkewPolicy, SkewState};
-use crate::source::SourceTask;
+use crate::source::{SourceTask, TraceSampler};
 
 /// The four operators of §5.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,16 +87,14 @@ pub enum BackendChoice {
 /// queue holds the whole input (the source sees everything available
 /// from the first event — that is what keeps the simulator timelines
 /// bit-identical to the pre-session code), an unset `sample_every` is
-/// derived from the input length, a [`OperatorKind::StaticOpt`] run
-/// without an explicit mapping gets the oracle's, and the competitive
-/// trace is on (the stream is in memory anyway).
+/// derived from the input length, and a [`OperatorKind::StaticOpt`] run
+/// without an explicit mapping gets the oracle's.
 pub fn run(arrivals: &Arrivals, builder: &SessionBuilder) -> RunReport {
     let mut b = builder.clone();
     if b.backend.sample_every == 0 {
         b.backend.sample_every = (arrivals.len() as u64 / 200).max(1);
     }
     b.source.queue_tuples = arrivals.len().max(1);
-    b.backend.track_competitive = true;
     if b.kind == OperatorKind::StaticOpt && b.oracle_mapping.is_none() {
         let (r, s) = stream_bytes(arrivals);
         b.oracle_mapping = Some(optimal_mapping(b.j, r.max(1), s.max(1)));
@@ -172,8 +167,6 @@ pub(crate) struct Wiring {
 pub(crate) struct GridWiring {
     /// Reshuffler 0, which doubles as the controller.
     pub(crate) controller_id: TaskId,
-    /// The initial mapping the run started with.
-    pub(crate) initial: Mapping,
     /// The shared skew board the reshufflers publish their sketches to
     /// (one slot per reshuffler on in-process backends; on the TCP
     /// backend the session layer swaps in a coordinator board fed by
@@ -270,7 +263,6 @@ pub(crate) fn setup_grid(
                 b.elasticity.decision,
                 b.lifecycle.window,
                 adaptive,
-                sample_spacing,
                 b.data_plane.batch_tuples,
             )
             .with_elastic(b.elasticity.elastic);
@@ -407,6 +399,10 @@ pub(crate) fn setup_grid(
         // starts balanced and the flow-control window starts fully open.
         src.cursor = ckpt.source_cursor as usize;
         src.routed_tuples = ckpt.source_cursor;
+    } else {
+        // A restored session reports no trace: the counts would need the
+        // pre-checkpoint prefix.
+        src.trace = TraceSampler::new(sample_spacing, b.lifecycle.window);
     }
     let id = topo.add_task(machines[total], Box::new(src));
     debug_assert_eq!(id, source_id);
@@ -418,7 +414,6 @@ pub(crate) fn setup_grid(
         source_id,
         grid: Some(GridWiring {
             controller_id: reshuffler_ids[0],
-            initial,
             skew_board,
         }),
     }
@@ -456,7 +451,6 @@ pub(crate) fn collect<B: ExecBackend<OpMsg> + ?Sized>(
     finals: Finals,
     pushed: u64,
     end: SimTime,
-    arrivals: Option<&ArrivalBits>,
 ) -> RunReport {
     assert_drained(backend, wiring.source_id, pushed);
     let metrics = backend.metrics();
@@ -466,11 +460,10 @@ pub(crate) fn collect<B: ExecBackend<OpMsg> + ?Sized>(
         wiring.grid.is_some(),
         "a grid run, and only a grid run, reports a controller"
     );
-    // Mid-run cluster-wide gauge readings — the routing-side samples
-    // behind the competitive trace, the processing-side timeline behind
-    // the ILF/progress figures — are only meaningful when the backend
-    // has a global metrics view; on sharded backends they would be
-    // per-worker approximations, so report none rather than wrong ones.
+    // The processing-side timeline behind the ILF/progress figures reads
+    // cluster-wide gauges mid-run, which only a backend with a global
+    // metrics view has; on sharded backends they would be per-worker
+    // approximations, so report none rather than wrong ones.
     let global = backend.has_global_metrics_view();
 
     // Per-joiner-machine gauges at quiescence (index = machine): retired
@@ -521,12 +514,7 @@ pub(crate) fn collect<B: ExecBackend<OpMsg> + ?Sized>(
             |e: &&ControlEvent| matches!(e, ControlEvent::Complete { kind, .. } if of(*kind));
         events.iter().filter(done).count() as u64
     };
-    let competitive = match (ctrl, &wiring.grid, arrivals) {
-        (Some(c), Some(g), Some(a)) if global => {
-            competitive_trace(b.j, a, b.lifecycle.window, &events, &c.samples, g.initial)
-        }
-        _ => Vec::new(),
-    };
+    let competitive = ctrl.map_or_else(Vec::new, |c| c.trace.clone());
     let total_storage = metrics.total_stored_bytes();
     let max_spilled = metrics.machines().iter().map(|m| m.spilled_bytes).max();
 
@@ -640,14 +628,13 @@ pub(crate) fn setup_shj(
     let joiner_ids: Vec<TaskId> = (j..2 * j).map(TaskId).collect();
 
     let source_id = TaskId(2 * j);
-    for (i, &machine) in machines.iter().enumerate().take(j) {
+    for &machine in machines.iter().take(j) {
         let task = ShjReshuffler {
             machine,
             joiner_tasks: joiner_ids.clone(),
             cost: b.data_plane.cost,
             source: source_id,
             routed: 0,
-            recorder: (i == 0).then(|| ProgressRecorder::new(b.sample_spacing())),
             batch: DataCoalescer::new(b.batch_config(), j),
         };
         topo.add_task(machine, Box::new(task));
@@ -680,59 +667,6 @@ pub(crate) fn setup_shj(
         source_id,
         grid: None,
     }
-}
-
-/// Reconstruct the `ILF/ILF*` trace (Fig. 8c) offline: at every progress
-/// sample, the true cardinalities come from the pushed stream's
-/// arrivals (`arrivals.counts(k)` = (R, S) among the first `k`; under a
-/// count window of `span`, among the last `span` of them) and the
-/// operator's mapping from the controller's decision log.
-fn competitive_trace(
-    j: u32,
-    arrivals: &ArrivalBits,
-    window: Option<WindowSpec>,
-    events: &[ControlEvent],
-    samples: &[ProgressSample],
-    initial: Mapping,
-) -> Vec<RatioSample> {
-    // No samples, or no arrivals: no trace.
-    if samples.is_empty() || arrivals.len() == 0 {
-        return Vec::new();
-    }
-    // A time window's population depends on arrival instants the trace
-    // does not record: no trace rather than a wrong one.
-    let span = match window {
-        None => None,
-        Some(w) if w.mode == WindowMode::Count => Some(w.span),
-        Some(_) => return Vec::new(),
-    };
-    // The ILF/ILF* trace is defined against a fixed J; once an elastic
-    // expansion changes the cluster size mid-run the fixed-J reference
-    // is meaningless, so report no trace rather than a wrong one.
-    let resizes =
-        |e: &ControlEvent| matches!(e, ControlEvent::Begin { from, to, .. } if from.j() != to.j());
-    if events.iter().any(resizes) {
-        return Vec::new();
-    }
-    let mut trace = Vec::with_capacity(samples.len());
-    for sample in samples {
-        let mut mapping = initial;
-        for e in events {
-            if let ControlEvent::Begin { at, to, .. } = e {
-                if *at <= sample.at {
-                    mapping = *to;
-                }
-            }
-        }
-        let k = sample.seq + 1;
-        let (mut r, mut s) = arrivals.counts(k);
-        if let Some(span) = span {
-            let (r0, s0) = arrivals.counts(k.saturating_sub(span));
-            (r, s) = (r - r0, s - s0);
-        }
-        trace.extend(RatioSample::new(j, sample.seq, r, s, mapping));
-    }
-    trace
 }
 
 #[cfg(test)]

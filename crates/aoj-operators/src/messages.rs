@@ -92,6 +92,13 @@ pub enum OpMsg {
     IngestBatch {
         /// The tuples, in arrival (sequence) order.
         items: Vec<IngestItem>,
+        /// `(seq, |R|, |S|)`: the stream's exact cardinalities among the
+        /// arrivals up to and including `seq` (the live window's under a
+        /// count window), where the source samples the `ILF/ILF*` trace.
+        /// Only batches dealt to the controller carry one; the controller
+        /// prices it against the mapping in force. Not priced on the
+        /// network: observability moves no virtual time.
+        stamp: Option<(u64, u64, u64)>,
     },
     /// Deactivated reshuffler → source: ingest that arrived after this
     /// machine's contraction began. A retiring reshuffler no longer
@@ -232,7 +239,7 @@ pub enum OpMsg {
 impl SimMessage for OpMsg {
     fn bytes(&self) -> u64 {
         match self {
-            OpMsg::IngestBatch { items } | OpMsg::IngestBounced { items } => items
+            OpMsg::IngestBatch { items, .. } | OpMsg::IngestBounced { items } => items
                 .iter()
                 .map(|it| it.bytes as u64 + TUPLE_HEADER_BYTES)
                 .sum(),
@@ -297,7 +304,7 @@ impl SimMessage for OpMsg {
         // Batch-aware backends bound queues and weight their service in
         // tuple units; everything that is not a tuple batch counts as 1.
         match self {
-            OpMsg::IngestBatch { items } | OpMsg::IngestBounced { items } => {
+            OpMsg::IngestBatch { items, .. } | OpMsg::IngestBounced { items } => {
                 items.len().max(1) as u64
             }
             OpMsg::DataBatch { tuples, .. } => tuples.len().max(1) as u64,
@@ -379,8 +386,9 @@ mod tests {
                 bytes: 100,
                 seq: 0,
             }],
+            stamp: Some((0, 1, 0)),
         };
-        assert_eq!(i.bytes(), 100 + 16);
+        assert_eq!(i.bytes(), 100 + 16, "the trace stamp is not priced");
     }
 
     #[test]

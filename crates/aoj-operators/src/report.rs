@@ -9,10 +9,10 @@ use aoj_core::elastic::ElasticLayout;
 use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::sketch::{HeavyHitter, SkewSketch};
 use aoj_core::ticket::mix64;
-use aoj_simnet::{FlushCounts, Gauge, MachineId, SimDuration, TaskId};
+use aoj_simnet::{FlushCounts, Gauge, MachineId, ProgressSample, SimDuration, TaskId};
 
 use crate::joiner_task::{JoinerFinal, JoinerTask};
-use crate::reshuffler::{ControlEvent, ProgressSample, ReshufflerTask};
+use crate::reshuffler::{ControlEvent, ReshufflerTask};
 use crate::shj::ShjJoiner;
 
 /// Per-machine-slot gauges, live or at quiescence (index = machine slot;
@@ -61,8 +61,9 @@ pub struct ControllerFinal {
     pub assign: GridAssignment,
     /// The decision/migration event log.
     pub events: Vec<ControlEvent>,
-    /// Routing-side progress samples (cluster-wide gauge timeline).
-    pub samples: Vec<ProgressSample>,
+    /// The `ILF/ILF*` trace the controller priced from the source's
+    /// stamps (empty under a time window and after a restore).
+    pub trace: Vec<RatioSample>,
     /// Where a restored controller picks up — filled only when the
     /// harvest was asked for a snapshot.
     pub resume: Option<Resume>,
@@ -149,7 +150,7 @@ pub fn harvest<'a>(
                 finals.controller = Some(ControllerFinal {
                     assign: r.assign.clone(),
                     events: ctrl.events.clone(),
-                    samples: ctrl.recorder.samples.clone(),
+                    trace: ctrl.trace.clone(),
                     resume: snapshot.then(|| Resume {
                         epoch: r.epoch,
                         layout: r.layout.clone(),
@@ -327,7 +328,10 @@ pub struct RunReport {
     pub samples: Vec<ProgressSample>,
     /// Controller decision/completion log.
     pub events: Vec<ControlEvent>,
-    /// `ILF/ILF*` trace (adaptive runs; empty otherwise).
+    /// `ILF/ILF*` trace of a grid operator, on every backend: the true
+    /// `(|R|, |S|)` every `sample_every` tuples, windowed under a count
+    /// window, against the mapping and `J` in force. Empty for SHJ,
+    /// under a time window, and in a restored session.
     pub competitive: Vec<RatioSample>,
     /// Emitted pair identities `(R seq, S seq)`, sorted — only filled
     /// when `SessionBuilder::with_collect_matches` is set (equivalence testing).
@@ -438,22 +442,22 @@ mod tests {
     use crate::{run, OperatorKind, SessionBuilder};
 
     /// A report whose `ILF/ILF*` trace is `trace`: (tuples, |R|, |S|,
-    /// running mapping) for a `j`-joiner operator.
-    fn report_with_trace(j: u32, trace: &[(u64, u64, u64, Mapping)]) -> RunReport {
+    /// running mapping).
+    fn report_with_trace(trace: &[(u64, u64, u64, Mapping)]) -> RunReport {
         let mut report = run(
             &Vec::new(),
             &SessionBuilder::new(4, OperatorKind::StaticMid),
         );
         report.competitive = trace
             .iter()
-            .filter_map(|&(tuples, r, s, m)| RatioSample::new(j, tuples, r, s, m))
+            .filter_map(|&(tuples, r, s, m)| RatioSample::new(tuples, r, s, m))
             .collect();
         report
     }
 
     #[test]
     fn optimal_mapping_has_ratio_one() {
-        let report = report_with_trace(16, &[(100, 50, 50, Mapping::new(4, 4))]);
+        let report = report_with_trace(&[(100, 50, 50, Mapping::new(4, 4))]);
         assert!((report.max_competitive_ratio(0) - 1.0).abs() < 1e-12);
     }
 
@@ -461,19 +465,16 @@ mod tests {
     fn stale_mapping_shows_elevated_ratio() {
         // R:S = 16:1 but still running square: ILF = 16/4 + 1/4 = 4.25
         // vs optimal (16,1): 16/16 + 1/1 = 2. Ratio = 2.125.
-        let report = report_with_trace(16, &[(17, 16, 1, Mapping::new(4, 4))]);
+        let report = report_with_trace(&[(17, 16, 1, Mapping::new(4, 4))]);
         assert!((report.max_competitive_ratio(0) - 2.125).abs() < 1e-9);
     }
 
     #[test]
     fn warmup_samples_are_ignored() {
-        let report = report_with_trace(
-            16,
-            &[
-                (10, 16, 1, Mapping::new(4, 4)), // terrible, but warm-up
-                (2000, 50, 50, Mapping::new(4, 4)),
-            ],
-        );
+        let report = report_with_trace(&[
+            (10, 16, 1, Mapping::new(4, 4)), // terrible, but warm-up
+            (2000, 50, 50, Mapping::new(4, 4)),
+        ]);
         assert!((report.max_competitive_ratio(1000) - 1.0).abs() < 1e-12);
     }
 
@@ -481,13 +482,10 @@ mod tests {
     fn a_ratio_beyond_j_still_counts() {
         // |R|/|S| = 100 > J = 4, outside Theorem 4.6's assumption: the
         // maximum keeps it.
-        let report = report_with_trace(
-            4,
-            &[
-                (101, 100, 1, Mapping::new(2, 2)),
-                (200, 100, 100, Mapping::new(2, 2)),
-            ],
-        );
+        let report = report_with_trace(&[
+            (101, 100, 1, Mapping::new(2, 2)),
+            (200, 100, 100, Mapping::new(2, 2)),
+        ]);
         assert!(report.max_competitive_ratio(0) > 1.0);
     }
 

@@ -7,6 +7,7 @@
 //! the controller additionally runs Alg. 1 (scaled statistics) + Alg. 2
 //! (migration decisions) and gates migrations on joiner acks.
 
+use aoj_core::competitive::RatioSample;
 use aoj_core::decision::{Decision, DecisionConfig, MigrationDecider};
 use aoj_core::elastic::{plan_contraction, should_contract, should_expand, ElasticLayout};
 use aoj_core::epoch::{Epoch, Reconfig};
@@ -14,7 +15,6 @@ use aoj_core::lifecycle::{WindowMode, WindowSpec};
 use aoj_core::mapping::{steps_between, GridAssignment, Mapping};
 use aoj_core::ticket::{partition, TicketGen};
 use aoj_core::tuple::{Rel, Tuple};
-pub use aoj_simnet::ProgressSample;
 use aoj_simnet::{Ctx, FlushCause, MachineId, Process, SimDuration, SimTime, TaskId};
 
 use crate::batch::DataCoalescer;
@@ -55,36 +55,6 @@ pub enum ControlEvent {
         /// The epoch whose change completed.
         epoch: Epoch,
     },
-}
-
-/// Periodic progress sampling shared by all operator flavours.
-#[derive(Clone, Debug)]
-pub(crate) struct ProgressRecorder {
-    /// Collected samples.
-    pub samples: Vec<ProgressSample>,
-    every: u64,
-    next_at: u64,
-}
-
-impl ProgressRecorder {
-    /// Sample roughly every `every` sequence numbers.
-    pub(crate) fn new(every: u64) -> ProgressRecorder {
-        ProgressRecorder {
-            samples: Vec::new(),
-            every: every.max(1),
-            next_at: 0,
-        }
-    }
-
-    /// Record a sample if `seq` crossed the sampling boundary.
-    pub(crate) fn maybe_sample(&mut self, seq: u64, ctx: &mut Ctx<'_, OpMsg>) {
-        if seq < self.next_at {
-            return;
-        }
-        self.next_at = seq + self.every;
-        let at = ctx.now();
-        self.samples.push(ctx.metrics().progress_sample(seq, at));
-    }
 }
 
 /// Alg. 1's scale for the controller's share of the stream. The source
@@ -150,8 +120,9 @@ pub(crate) struct ControllerState {
     pub(crate) target: Option<Mapping>,
     /// Decision/completion log.
     pub events: Vec<ControlEvent>,
-    /// Progress sampling.
-    pub(crate) recorder: ProgressRecorder,
+    /// The `ILF/ILF*` trace: each source stamp priced against the
+    /// mapping in force.
+    pub trace: Vec<RatioSample>,
     /// Last global sequence number observed.
     pub(crate) last_seq: u64,
     /// Alg. 1's scale per ingested block.
@@ -216,7 +187,6 @@ impl ControllerState {
         cfg: DecisionConfig,
         window: Option<WindowSpec>,
         adaptive: bool,
-        sample_every: u64,
         block_tuples: usize,
     ) -> Self {
         let decider = MigrationDecider::new(j, initial, cfg);
@@ -232,7 +202,7 @@ impl ControllerState {
             acks_pending: 0,
             target: None,
             events: Vec::new(),
-            recorder: ProgressRecorder::new(sample_every),
+            trace: Vec::new(),
             last_seq: 0,
             scale: SampleScale::new(block_tuples),
         }
@@ -396,6 +366,21 @@ impl ReshufflerTask {
         self.begin(ctx, Reconfig::Step(step));
     }
 
+    /// Controller: add the source's trace stamp to the `ILF/ILF*` trace,
+    /// priced against the mapping and `J` in force — the latest change
+    /// begun, this handler's included.
+    fn price(&mut self, stamp: Option<(u64, u64, u64)>) {
+        let (Some(ctrl), Some((seq, r, s))) = (self.controller.as_mut(), stamp) else {
+            return;
+        };
+        let begun = ctrl.events.iter().rev().find_map(|e| match *e {
+            ControlEvent::Begin { to, .. } => Some(to),
+            ControlEvent::Complete { .. } => None,
+        });
+        let mapping = begun.unwrap_or_else(|| self.assign.mapping());
+        ctrl.trace.extend(RatioSample::new(seq, r, s, mapping));
+    }
+
     /// Controller: begin the epoch change `kind` — log it, acquire the
     /// machines it activates, broadcast it, and tell the source when the
     /// active set changes size. It completes when every participating
@@ -497,7 +482,7 @@ impl ReshufflerTask {
 impl Process<OpMsg> for ReshufflerTask {
     fn on_message(&mut self, ctx: &mut Ctx<'_, OpMsg>, _from: TaskId, msg: OpMsg) -> SimDuration {
         match msg {
-            OpMsg::IngestBatch { items } => {
+            OpMsg::IngestBatch { items, stamp } => {
                 if self.deactivated {
                     // In flight when the source shrank its round-robin
                     // set. Routing it here would bypass the signal
@@ -529,17 +514,18 @@ impl Process<OpMsg> for ReshufflerTask {
                         ctrl.decider
                             .observe_only(it.rel == Rel::R, it.bytes as u64 * scale, tick);
                         ctrl.last_seq = it.seq;
-                        ctrl.recorder.maybe_sample(it.seq, ctx);
                     }
                 }
                 if self.stalled {
                     // Blocking baseline: hold the tuples until relocation
-                    // completes; their latency clocks keep running.
+                    // completes; their latency clocks keep running. No
+                    // change can begin while one is in flight.
                     let now = ctx.now();
                     for it in items {
                         self.stall_buffer
                             .push((it.rel, it.key, it.aux, it.bytes, it.seq, now));
                     }
+                    self.price(stamp);
                     return SimDuration::from_micros(1);
                 }
                 let arrived = ctx.now();
@@ -558,6 +544,7 @@ impl Process<OpMsg> for ReshufflerTask {
                 self.publish_flushes(ctx);
                 self.batch.arm_flush_timer(ctx, Self::FLUSH);
                 self.maybe_trigger(ctx);
+                self.price(stamp);
                 SimDuration::from_micros(
                     self.cost.recv_overhead_us + copies as u64 * self.cost.store_us / 2,
                 )

@@ -148,6 +148,7 @@ fn drive(
             &mut channels,
             OpMsg::IngestBatch {
                 items: items(cursor..end),
+                stamp: None,
             },
         );
         cursor = end;

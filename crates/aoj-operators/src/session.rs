@@ -112,11 +112,6 @@ struct QueueState {
     /// are silently dropped (accepted but not enqueued) — the exactly-once
     /// dedup of [`JoinSession::restore_with_replay`].
     skip: u64,
-    /// Every arrival's relation, in push order — the per-sequence
-    /// stream statistics the offline `ILF/ILF*` competitive trace needs.
-    /// Maintained under the push lock so multi-producer sessions stay
-    /// exact; `None` when tracking is off.
-    arrivals: Option<ArrivalBits>,
     /// The source found the queue empty and open, and parked.
     parked: bool,
     /// Wakes the parked source; installed by a live backend before the
@@ -157,14 +152,13 @@ pub struct IngestQueue {
 
 impl IngestQueue {
     /// An open queue admitting at most `capacity` queued tuples.
-    pub(crate) fn bounded(capacity: usize, track_arrivals: bool) -> Arc<IngestQueue> {
+    pub(crate) fn bounded(capacity: usize) -> Arc<IngestQueue> {
         Arc::new(IngestQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
                 pushed: 0,
                 skip: 0,
-                arrivals: track_arrivals.then(ArrivalBits::default),
                 parked: false,
                 waker: None,
             }),
@@ -179,7 +173,7 @@ impl IngestQueue {
     /// the first `skip` pushes are dropped — they replay tuples already
     /// folded into the checkpointed state.
     pub(crate) fn restored(capacity: usize, base: u64, skip: u64) -> Arc<IngestQueue> {
-        let q = IngestQueue::bounded(capacity, false);
+        let q = IngestQueue::bounded(capacity);
         {
             let mut st = q.state.lock().unwrap();
             st.pushed = base;
@@ -193,7 +187,7 @@ impl IngestQueue {
     /// never executes (the coordinator process hosts the real source),
     /// so its queue only has to exist and read as drained.
     pub fn detached() -> Arc<IngestQueue> {
-        let q = IngestQueue::bounded(1, false);
+        let q = IngestQueue::bounded(1);
         q.close();
         q
     }
@@ -211,7 +205,7 @@ impl IngestQueue {
                 return Ok(()); // replay of an already-checkpointed tuple
             }
             if st.items.len() < self.capacity {
-                st.note_push(rel);
+                st.pushed += 1;
                 st.items.push_back((rel, item));
                 st.unpark();
                 return Ok(());
@@ -234,7 +228,7 @@ impl IngestQueue {
         if st.items.len() >= self.capacity {
             return Err(PushError::Full);
         }
-        st.note_push(rel);
+        st.pushed += 1;
         st.items.push_back((rel, item));
         st.unpark();
         Ok(())
@@ -315,59 +309,6 @@ impl IngestQueue {
     pub(crate) fn queued(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
-
-    /// Take the tracked arrivals out of the queue (`None` when tracking
-    /// is off or they were taken). Final once the queue is closed: no
-    /// push lands after that.
-    pub(crate) fn take_arrivals(&self) -> Option<ArrivalBits> {
-        self.state.lock().unwrap().arrivals.take()
-    }
-}
-
-/// The pushed stream's relations, one bit per arrival (set = R), in
-/// push order: the `ILF/ILF*` competitive trace reads the true `(R, S)`
-/// cardinalities at each progress sample from it
-/// ([`counts`](ArrivalBits::counts)). A bit instead of a running count
-/// pair keeps a long session's trace at 1/128 of the memory.
-#[derive(Debug, Default)]
-pub(crate) struct ArrivalBits {
-    words: Vec<u64>,
-    len: u64,
-}
-
-impl ArrivalBits {
-    fn push(&mut self, rel: Rel) {
-        let bit = self.len % 64;
-        if bit == 0 {
-            self.words.push(0);
-        }
-        if rel == Rel::R {
-            *self.words.last_mut().expect("pushed above") |= 1 << bit;
-        }
-        self.len += 1;
-    }
-
-    /// Arrivals recorded.
-    pub(crate) fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// `(R, S)` among the first `k` arrivals (all of them when `k`
-    /// exceeds [`len`](ArrivalBits::len)): a popcount over the whole words,
-    /// plus the masked last one.
-    pub(crate) fn counts(&self, k: u64) -> (u64, u64) {
-        let k = k.min(self.len);
-        let whole = (k / 64) as usize;
-        let mut r: u64 = self.words[..whole]
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        let rest = k % 64;
-        if rest > 0 {
-            r += u64::from((self.words[whole] & ((1 << rest) - 1)).count_ones());
-        }
-        (r, k - r)
-    }
 }
 
 impl QueueState {
@@ -380,13 +321,6 @@ impl QueueState {
         if let (true, Some(waker)) = (self.parked, &self.waker) {
             self.parked = false;
             waker();
-        }
-    }
-
-    fn note_push(&mut self, rel: Rel) {
-        self.pushed += 1;
-        if let Some(arrivals) = &mut self.arrivals {
-            arrivals.push(rel);
         }
     }
 }
@@ -970,12 +904,6 @@ pub struct BackendSection {
     /// Subscription buffer bound in matches (threaded backend; the
     /// single-threaded simulator is always unbounded). 0 = unbounded.
     pub match_buffer: usize,
-    /// Keep per-sequence stream statistics for the offline `ILF/ILF*`
-    /// competitive trace. Costs one bit per pushed tuple for the whole
-    /// session lifetime, so live sessions default to **off** (no
-    /// unbounded growth); the offline [`run`](crate::driver::run)
-    /// wrapper turns it on.
-    pub track_competitive: bool,
 }
 
 /// Fault-tolerance knobs: the deterministic fault-injection plan, the
@@ -1090,7 +1018,6 @@ impl SessionBuilder {
                 sample_every: 0,
                 collect_matches: false,
                 match_buffer: DEFAULT_MATCH_BUFFER,
-                track_competitive: false,
             },
             fault: FaultSection::default(),
         }
@@ -1203,11 +1130,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Builder: keep per-sequence stream statistics for the offline
-    /// `ILF/ILF*` competitive trace (one bit per pushed tuple for the
-    /// session lifetime — leave off for long-lived serving sessions).
-    pub fn with_track_competitive(mut self, track: bool) -> SessionBuilder {
-        self.backend.track_competitive = track;
+    /// Does nothing: every grid session reports its `ILF/ILF*` trace
+    /// ([`RunReport::competitive`](crate::report::RunReport::competitive)),
+    /// in source state bounded by the count window, on every backend.
+    /// Kept so existing callers compile.
+    pub fn with_track_competitive(self, _track: bool) -> SessionBuilder {
         self
     }
 
@@ -1486,8 +1413,7 @@ impl JoinSession {
             "windowed eviction requires a grid operator \
              (the SHJ baseline keeps no segmented index)"
         );
-        let queue =
-            IngestQueue::bounded(builder.queue_capacity(), builder.backend.track_competitive);
+        let queue = IngestQueue::bounded(builder.queue_capacity());
         launch(builder, queue, None)
     }
 
@@ -1522,7 +1448,7 @@ impl JoinSession {
     }
 
     fn restore_at(
-        mut builder: SessionBuilder,
+        builder: SessionBuilder,
         path: &Path,
         replay_from: Option<u64>,
     ) -> io::Result<SessionHandle> {
@@ -1575,9 +1501,6 @@ impl JoinSession {
                 )))
             }
         };
-        // Prefix statistics cannot span a restore (the pre-checkpoint
-        // prefix is gone), so the competitive trace is off.
-        builder.backend.track_competitive = false;
         let queue = IngestQueue::restored(builder.queue_capacity(), ckpt.source_cursor, skip);
         Ok(launch(builder, queue, Some(&ckpt)))
     }
@@ -1944,14 +1867,13 @@ impl SessionHandle {
         } = self.end(End::Drain)?.expect("session already closed");
         let (b, backend) = (&self.builder, &*backend);
         let pushed = self.queue.pushed();
-        let arrivals = self.queue.take_arrivals();
         let finals = remote
             .unwrap_or_else(|| harvest(wiring.result_tasks(), |id| backend.task_any(id), snapshot));
         let ckpt = snapshot.then(|| {
             let src = source_task(backend, wiring.source_id);
             build_checkpoint(b, &finals, src.cursor as u64, src.window_copies)
         });
-        let report = collect(backend, b, &wiring, finals, pushed, end, arrivals.as_ref());
+        let report = collect(backend, b, &wiring, finals, pushed, end);
         Ok((report, ckpt))
     }
 
@@ -2120,7 +2042,7 @@ mod tests {
 
     #[test]
     fn queue_bounds_and_close_semantics() {
-        let q = IngestQueue::bounded(2, true);
+        let q = IngestQueue::bounded(2);
         assert_eq!(q.try_push(Rel::R, item(1)), Ok(()));
         assert_eq!(q.try_push(Rel::S, item(2)), Ok(()));
         assert_eq!(q.try_push(Rel::R, item(3)), Err(PushError::Full));
@@ -2132,40 +2054,6 @@ mod tests {
         assert_eq!(q.try_push(Rel::R, item(4)), Err(PushError::Closed));
         assert_eq!(q.push(Rel::R, item(4)), Err(PushError::Closed));
         assert_eq!(q.pushed(), 3);
-    }
-
-    #[test]
-    fn arrival_bits_count_like_a_running_prefix() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        const N: u64 = 100_003;
-        let q = IngestQueue::bounded(N as usize, true);
-        let mut rng = StdRng::seed_from_u64(38);
-        // The naive trace: `(R, S)` after the first `k` arrivals.
-        let mut prefix = vec![(0u64, 0u64)];
-        for i in 0..N {
-            let rel = if rng.gen_bool(0.3) { Rel::R } else { Rel::S };
-            q.try_push(rel, item(i as i64)).unwrap();
-            let (r, s) = *prefix.last().unwrap();
-            prefix.push(if rel == Rel::R {
-                (r + 1, s)
-            } else {
-                (r, s + 1)
-            });
-        }
-        q.close();
-        let bits = q.take_arrivals().expect("tracking on");
-        assert_eq!(bits.len(), N);
-        let mut ks = vec![0, 1, 63, 64, 65, N];
-        ks.extend((0..1_000).map(|_| rng.gen_range(0..=N)));
-        for k in ks {
-            assert_eq!(bits.counts(k), prefix[k as usize], "k = {k}");
-        }
-        assert_eq!(bits.counts(N + 5), prefix[N as usize], "clamped to the end");
-        let heap = bits.words.capacity() * std::mem::size_of::<u64>();
-        assert!(heap <= 16 * 1024, "{heap} B for {N} arrivals");
-        assert!(q.take_arrivals().is_none(), "taken once");
-        assert!(IngestQueue::bounded(4, false).take_arrivals().is_none());
     }
 
     /// Run `blocked` on its own thread; once `asleep` sees it waiting on
@@ -2195,7 +2083,7 @@ mod tests {
 
     #[test]
     fn wake_ingest_push_on_a_full_queue_wakes_on_pop_upto() {
-        let q = IngestQueue::bounded(1, false);
+        let q = IngestQueue::bounded(1);
         q.try_push(Rel::R, item(1)).unwrap();
         let q2 = Arc::clone(&q);
         wakes_within(
@@ -2251,7 +2139,7 @@ mod tests {
 
     #[test]
     fn a_push_or_close_wakes_a_parked_source_once() {
-        let q = IngestQueue::bounded(8, false);
+        let q = IngestQueue::bounded(8);
         let (waker, wakes) = counting_waker();
         q.install_waker(waker);
         assert_eq!(q.poll_or_park(), Inlet::Parked);
@@ -2279,7 +2167,7 @@ mod tests {
 
     #[test]
     fn without_a_waker_the_park_waits_for_the_sim_pump() {
-        let q = IngestQueue::bounded(8, false);
+        let q = IngestQueue::bounded(8);
         assert_eq!(q.poll_or_park(), Inlet::Parked);
         assert!(!q.unpark_ready(), "parked on an empty queue: nothing to do");
         q.try_push(Rel::R, item(1)).unwrap();

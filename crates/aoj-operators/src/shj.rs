@@ -14,7 +14,6 @@ use aoj_simnet::{Ctx, FlushCause, Gauge, MachineId, Process, SimDuration, TaskId
 use crate::batch::DataCoalescer;
 use crate::joiner_task::MatchTally;
 use crate::messages::OpMsg;
-use crate::reshuffler::ProgressRecorder;
 
 /// SHJ's reshuffler: key-hash routing, no statistics, no epochs. Routed
 /// tuples coalesce into per-joiner batches like the grid operator's.
@@ -29,8 +28,6 @@ pub(crate) struct ShjReshuffler {
     pub source: TaskId,
     /// Tuples routed.
     pub(crate) routed: u64,
-    /// Progress sampling (reshuffler 0 only).
-    pub(crate) recorder: Option<ProgressRecorder>,
     /// Per-destination coalescing buffers.
     pub(crate) batch: DataCoalescer,
 }
@@ -72,14 +69,11 @@ impl ShjReshuffler {
 impl Process<OpMsg> for ShjReshuffler {
     fn on_message(&mut self, ctx: &mut Ctx<'_, OpMsg>, _from: TaskId, msg: OpMsg) -> SimDuration {
         match msg {
-            OpMsg::IngestBatch { items } => {
+            OpMsg::IngestBatch { items, .. } => {
                 let j = self.joiner_tasks.len() as u64;
                 let arrived = ctx.now();
                 let n_tuples = items.len() as u32;
                 for it in items {
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.maybe_sample(it.seq, ctx);
-                    }
                     let dst = (mix64(it.key as u64) % j) as usize;
                     let t = Tuple {
                         seq: it.seq,

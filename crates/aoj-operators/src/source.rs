@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use aoj_core::lifecycle::{WindowMode, WindowSpec};
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::StreamItem;
 use aoj_simnet::{Ctx, Process, SimDuration, TaskId, Waker};
@@ -55,6 +56,81 @@ impl SourcePacing {
 /// window ÷ throughput, and triggers lag the source by up to a window.
 pub(crate) fn default_window_copies(j: u32, batch_tuples: usize) -> u64 {
     j as u64 * (8 * batch_tuples as u64).max(64)
+}
+
+/// Where the `ILF/ILF*` trace samples the stream, and the exact `(R, S)`
+/// it reads there. The source sees every arrival in sequence order, so
+/// it keeps the counts; it also applies the sampling rule, since a
+/// sample may fall mid-batch and its counts are exact only there.
+///
+/// The rule: the first sequence number at or past `next_at` among the
+/// tuples dealt to the controller, then `next_at = seq + every`; at most
+/// one per ingest batch (the batch carries one stamp). Under a count
+/// window the counts cover the last `span` arrivals, whose relations a
+/// ring of `span` bits remembers; without one they are two counters.
+#[derive(Debug)]
+pub(crate) struct TraceSampler {
+    every: u64,
+    next_at: u64,
+    r: u64,
+    s: u64,
+    /// Under a count window: `span`, and the relation of arrival `seq`
+    /// at bit `seq % span` (set = R), grown to `span` bits and then
+    /// overwritten in place.
+    ring: Option<(u64, Vec<u64>)>,
+}
+
+impl TraceSampler {
+    /// A sampler every `every` sequence numbers over a fresh stream;
+    /// `None` under a time window, whose population depends on arrival
+    /// instants the source does not see.
+    pub(crate) fn new(every: u64, window: Option<WindowSpec>) -> Option<TraceSampler> {
+        let span = match window {
+            None => None,
+            Some(w) if w.mode == WindowMode::Count => Some(w.span.max(1)),
+            Some(_) => return None,
+        };
+        Some(TraceSampler {
+            every: every.max(1),
+            next_at: 0,
+            r: 0,
+            s: 0,
+            ring: span.map(|span| (span, Vec::new())),
+        })
+    }
+
+    /// Count arrival `seq` (sequence numbers arrive in order from 0)
+    /// and, when `to_controller` and the rule picks it, return its stamp
+    /// `(seq, |R|, |S|)`.
+    fn observe(&mut self, seq: u64, rel: Rel, to_controller: bool) -> Option<(u64, u64, u64)> {
+        let is_r = rel == Rel::R;
+        if let Some((span, bits)) = &mut self.ring {
+            let at = seq % *span;
+            let (word, bit) = ((at / 64) as usize, at % 64);
+            if seq >= *span {
+                // Arrival `seq - span` leaves the window.
+                if bits[word] >> bit & 1 == 1 {
+                    self.r -= 1;
+                } else {
+                    self.s -= 1;
+                }
+                bits[word] &= !(1 << bit);
+            } else if bit == 0 {
+                bits.push(0);
+            }
+            bits[word] |= u64::from(is_r) << bit;
+        }
+        if is_r {
+            self.r += 1;
+        } else {
+            self.s += 1;
+        }
+        if !to_controller || seq < self.next_at {
+            return None;
+        }
+        self.next_at = seq + self.every;
+        Some((seq, self.r, self.s))
+    }
 }
 
 /// The source task: timer-paced emission under credit-based flow control,
@@ -108,6 +184,10 @@ pub(crate) struct SourceTask {
     pub(crate) routed_tuples: u64,
     /// Copies fully processed so far (reported by joiners).
     pub processed_copies: u64,
+    /// The `ILF/ILF*` trace's counts and sampling rule; `None` for the
+    /// SHJ baseline (no controller), under a time window, and in a
+    /// restored session (the pre-checkpoint prefix is gone).
+    pub(crate) trace: Option<TraceSampler>,
     /// True while an emission tick is scheduled or the source is parked.
     tick_pending: bool,
     /// Scratch buffer for queue drains.
@@ -139,6 +219,7 @@ impl SourceTask {
             routed_copies: 0,
             routed_tuples: 0,
             processed_copies: 0,
+            trace: None,
             tick_pending: true, // the driver schedules the first tick
             scratch: Vec::new(),
         }
@@ -195,19 +276,27 @@ impl SourceTask {
             if self.scratch.is_empty() {
                 break;
             }
+            // The controller is reshuffler 0.
+            let to_controller = dst == self.reshufflers[0];
+            let mut stamp = None;
             let mut items = Vec::with_capacity(self.scratch.len());
             for (rel, item) in self.scratch.drain(..) {
+                let seq = self.cursor as u64;
+                if let Some(trace) = &mut self.trace {
+                    let picked = trace.observe(seq, rel, to_controller && stamp.is_none());
+                    stamp = stamp.or(picked);
+                }
                 items.push(IngestItem {
                     rel,
                     key: item.key,
                     aux: item.aux,
                     bytes: item.bytes,
-                    seq: self.cursor as u64,
+                    seq,
                 });
                 self.cursor += 1;
                 budget -= 1;
             }
-            ctx.send(dst, OpMsg::IngestBatch { items });
+            ctx.send(dst, OpMsg::IngestBatch { items, stamp });
         }
         // Reschedule: pace on while input is ready and the window open;
         // park while the queue is open but empty (the next push or close
@@ -253,10 +342,12 @@ impl Process<OpMsg> for SourceTask {
                 // re-route is deterministic. If another contraction
                 // raced us the target may bounce again; each hop makes
                 // progress because this list converges via SourceResize.
+                // A re-deal carries no trace stamp: the rule ran on the
+                // block's first deal.
                 if let Some(first) = items.first() {
                     let block = first.seq as usize / self.batch_tuples;
                     let dst = self.active[block % self.active.len()];
-                    ctx.send(dst, OpMsg::IngestBatch { items });
+                    ctx.send(dst, OpMsg::IngestBatch { items, stamp: None });
                 }
             }
             OpMsg::SourceResize { reshufflers } => {
@@ -324,7 +415,7 @@ mod tests {
     #[test]
     fn an_empty_open_queue_parks_the_source_and_a_push_wakes_it() {
         use aoj_simnet::Effect;
-        let input = IngestQueue::bounded(64, false);
+        let input = IngestQueue::bounded(64);
         let wakes = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mut src = SourceTask::new(
             Arc::clone(&input),
@@ -365,6 +456,138 @@ mod tests {
         assert_eq!(wakes.load(std::sync::atomic::Ordering::SeqCst), 2);
         assert!(tick(&mut src).is_empty());
         assert!(!src.tick_pending);
+    }
+
+    /// An ingest batch as (destination, sequence numbers, stamp).
+    type Dealt = (TaskId, Vec<u64>, Option<(u64, u64, u64)>);
+
+    /// Drain `rels` (true = R) through a source dealing `batch`-tuple
+    /// blocks over `j` reshufflers, sampling every `every` tuples.
+    fn deal(
+        rels: &[bool],
+        j: usize,
+        batch: usize,
+        every: u64,
+        window: Option<WindowSpec>,
+    ) -> Vec<Dealt> {
+        let input = IngestQueue::bounded(rels.len().max(1));
+        for &is_r in rels {
+            let rel = if is_r { Rel::R } else { Rel::S };
+            let item = StreamItem {
+                key: 0,
+                aux: 0,
+                bytes: 64,
+            };
+            input.push(rel, item).unwrap();
+        }
+        input.close();
+        let reshufflers = (0..j).map(TaskId).collect();
+        let mut src = SourceTask::new(input, reshufflers, SourcePacing::saturating(), 0, batch);
+        src.trace = TraceSampler::new(every, window);
+        let mut batches = Vec::new();
+        while src.cursor < rels.len() {
+            for effect in tick(&mut src) {
+                if let aoj_simnet::Effect::Send {
+                    to,
+                    msg: OpMsg::IngestBatch { items, stamp },
+                } = effect
+                {
+                    batches.push((to, items.iter().map(|it| it.seq).collect(), stamp));
+                }
+            }
+        }
+        batches
+    }
+
+    /// The controller-side rule the source took over: the first tuple
+    /// at or past `next_at` among those dealt to the controller
+    /// (reshuffler 0), then `next_at = seq + every`; with `capped`, at
+    /// most one per batch, as a batch carries one stamp.
+    fn controller_rule(batches: &[Dealt], every: u64, capped: bool) -> Vec<u64> {
+        let mut next_at = 0;
+        let mut picks = Vec::new();
+        for (_, seqs, _) in batches.iter().filter(|b| b.0 == TaskId(0)) {
+            for &seq in seqs {
+                if seq >= next_at {
+                    picks.push(seq);
+                    next_at = seq + every;
+                    if capped {
+                        break;
+                    }
+                }
+            }
+        }
+        picks
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every stamp is the exact `(|R|, |S|)` of the pushed stream up
+        /// to its tuple — over the last `span` arrivals under a count
+        /// window — and the stamps fall where the controller used to
+        /// sample.
+        #[test]
+        fn stamps_hold_exact_counts_where_the_controller_sampled(
+            rels in proptest::collection::vec(proptest::prelude::any::<bool>(), 0..1_500),
+            j_log in 0u32..4,
+            batch in 1usize..80,
+            every in 1u64..300,
+            span in 0u64..400,
+        ) {
+            let j = 1usize << j_log;
+            let window = (span > 0).then(|| WindowSpec::count(span));
+            let batches = deal(&rels, j, batch, every, window);
+            // The prefix-sum oracle: `(R, S)` among the first `k`.
+            let mut prefix = vec![(0u64, 0u64)];
+            for &is_r in &rels {
+                let (r, s) = *prefix.last().unwrap();
+                prefix.push(if is_r { (r + 1, s) } else { (r, s + 1) });
+            }
+            let counts = |seq: u64| {
+                let k = seq as usize + 1;
+                let (r, s) = prefix[k];
+                let from = if span > 0 { k.saturating_sub(span as usize) } else { 0 };
+                let (r0, s0) = prefix[from];
+                (r - r0, s - s0)
+            };
+            let mut stamped = Vec::new();
+            for (to, seqs, stamp) in &batches {
+                if let Some((seq, r, s)) = *stamp {
+                    proptest::prop_assert_eq!(*to, TaskId(0), "only the controller's batches");
+                    proptest::prop_assert!(seqs.contains(&seq));
+                    proptest::prop_assert_eq!((r, s), counts(seq), "seq {}", seq);
+                    stamped.push(seq);
+                }
+            }
+            proptest::prop_assert_eq!(&stamped, &controller_rule(&batches, every, true));
+            // A spacing of at least one block never puts two of the old
+            // rule's samples in one batch: there the points are the old
+            // rule's own.
+            let old = controller_rule(&batches, every, false);
+            if every >= batch as u64 {
+                proptest::prop_assert_eq!(&stamped, &old);
+            }
+        }
+    }
+
+    #[test]
+    fn the_count_window_ring_stays_at_span_bits() {
+        let span = 1_000u64;
+        let mut trace = TraceSampler::new(1, Some(WindowSpec::count(span))).unwrap();
+        for seq in 0..10 * span {
+            let rel = if seq % 3 == 0 { Rel::R } else { Rel::S };
+            trace.observe(seq, rel, false);
+        }
+        let (_, bits) = trace.ring.as_ref().unwrap();
+        assert_eq!(
+            bits.len() as u64,
+            span.div_ceil(64),
+            "span bits, not 10 x span"
+        );
+        assert_eq!(trace.r + trace.s, span);
+        // A time window's population depends on arrival instants.
+        assert!(TraceSampler::new(1, Some(WindowSpec::time_micros(5))).is_none());
     }
 
     #[test]

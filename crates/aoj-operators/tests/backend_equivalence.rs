@@ -214,6 +214,47 @@ fn tcp_shj_join_results_match_sim() {
     run_sim_vs_tcp(OperatorKind::Shj, Predicate::Equi, 0x54_2014);
 }
 
+/// The operator measures its own `ILF/ILF*`: the source stamps the
+/// stream's exact counts on the controller's ingest, the controller
+/// prices each stamp against the mapping in force, and the trace comes
+/// home in the controller's finals. So a seeded run reports the same
+/// `(tuples, ratio)` sequence on the simulator, the threaded runtime and
+/// the TCP processes. The 1:16 stream makes exactly one migration,
+/// `(2, 2) → (1, 4)`, which begins at the same source block on every
+/// backend; a chained second step would begin at an ack, whose timing
+/// is the backend's.
+#[test]
+fn tcp_competitive_trace_is_identical_on_every_backend() {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    let seed = 0x7AC3_2014;
+    let w = workload(Predicate::Equi, 300, 4_800, seed);
+    let arrivals = interleave(&w, seed ^ 0xA0A0);
+    let cfg = config(4, OperatorKind::Dynamic, &w).with_seed(seed);
+    let trace = |r: &RunReport| -> Vec<(u64, f64)> {
+        r.competitive
+            .iter()
+            .map(|p| (p.tuples, p.ratio()))
+            .collect()
+    };
+    let sim = run(&arrivals, &cfg.clone().with_backend(BackendChoice::Sim));
+    assert_eq!(
+        sim.migrations, 1,
+        "the stream must make exactly one migration"
+    );
+    assert!(
+        trace(&sim).len() >= 20,
+        "vacuous: {} trace points",
+        trace(&sim).len()
+    );
+    for backend in [BackendChoice::Threaded, BackendChoice::Tcp] {
+        let live = run(&arrivals, &cfg.clone().with_backend(backend));
+        assert_ne!(live.backend, sim.backend);
+        assert_eq!(live.migrations, 1, "{backend:?}: one migration");
+        assert_eq!(trace(&live), trace(&sim), "{backend:?}: the trace moved");
+    }
+}
+
 /// The elastic Dynamic operator on the TCP backend: a live ×4 expansion
 /// must fire **mid-stream**, provisioning real worker processes at
 /// trigger time, and the join multiset must still be exactly the

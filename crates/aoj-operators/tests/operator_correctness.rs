@@ -178,7 +178,7 @@ fn finals_merge_sums_a_slots_incarnations_and_takes_the_later_controller() {
             at: SimTime(epoch as u64),
             epoch,
         }],
-        samples: Vec::new(),
+        trace: Vec::new(),
         resume: None,
     };
     let mut finals = Finals {

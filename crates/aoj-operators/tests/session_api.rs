@@ -434,10 +434,8 @@ fn unset_window_follows_the_batch_size_and_an_explicit_one_is_verbatim() {
 
 /// `run()` is open / `push_batch` / close plus offline knowledge, and
 /// nothing else: resolving that knowledge by hand — queue sized to the
-/// input, sampling derived from its length, the competitive prefix trace
-/// on (live sessions leave it off, so memory does not grow per pushed
-/// tuple) — and driving the session explicitly reproduces the wrapper's
-/// simulator run bit for bit.
+/// input, sampling derived from its length — and driving the session
+/// explicitly reproduces the wrapper's simulator run bit for bit.
 #[test]
 fn run_adds_only_offline_knowledge_to_an_explicit_session() {
     let seed = 0x0FF1_0001;
@@ -447,13 +445,11 @@ fn run_adds_only_offline_knowledge_to_an_explicit_session() {
         .with_predicate(w.predicate.clone())
         .with_workload(w.name)
         .with_seed(seed);
-    assert!(!builder.backend.track_competitive);
     let wrapped = aoj_operators::run(&arrivals, &builder);
 
     let resolved = builder
         .with_queue_tuples(arrivals.len())
-        .with_sample_every(arrivals.len() as u64 / 200)
-        .with_track_competitive(true);
+        .with_sample_every(arrivals.len() as u64 / 200);
     let mut session = JoinSession::open(resolved);
     session.push_batch(arrivals.iter().copied()).unwrap();
     let explicit = session.close();

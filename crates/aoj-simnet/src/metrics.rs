@@ -111,13 +111,10 @@ impl SharedGauges {
 
 /// A point on a progress timeline: the cluster's storage when `seq` was
 /// reached. Worker tasks record one per sampling boundary of processed
-/// data items ([`Metrics::note_data_processed`], Figs. 6a/6c); the
-/// controller records one per boundary of routed sequence numbers (the
-/// competitive trace).
+/// data items ([`Metrics::note_data_processed`], Figs. 6a/6c).
 #[derive(Clone, Copy, Debug)]
 pub struct ProgressSample {
-    /// Data items processed cluster-wide, or the global sequence number
-    /// routed, when the sample was taken.
+    /// Data items processed cluster-wide when the sample was taken.
     pub seq: u64,
     /// Virtual time.
     pub at: SimTime,
@@ -354,7 +351,7 @@ impl Metrics {
     }
 
     /// The cluster's storage at `seq`, as a timeline point.
-    pub fn progress_sample(&self, seq: u64, at: SimTime) -> ProgressSample {
+    fn progress_sample(&self, seq: u64, at: SimTime) -> ProgressSample {
         ProgressSample {
             seq,
             at,
