@@ -586,17 +586,18 @@ impl EpochJoiner {
     /// index's [`JoinIndex::stream_batch`] —
     /// semantically identical to feeding each tuple to
     /// [`on_data`](EpochJoiner::on_data) in order, including intra-batch
-    /// pairs. `out(i, stored)` receives the batch index of the *probing*
-    /// tuple (for per-tuple latency attribution) plus the stored partner
-    /// — on a hot path with hundreds of matches per tuple this is the
+    /// pairs. `out(i, run)` receives the batch index of the *probing*
+    /// tuple (for per-tuple latency attribution) plus a run of its stored
+    /// partners — a whole index bucket where the index hands one over.
+    /// On a hot path with hundreds of matches per tuple this is the
     /// innermost loop, so the `(r, s)` normalisation `on_data` performs
     /// is left to the caller (who knows `batch[i]`), saving a closure
-    /// layer per match.
+    /// layer per bucket.
     pub fn on_data_batch(
         &mut self,
         tag: Epoch,
         batch: &[Tuple],
-        out: &mut dyn FnMut(usize, &Tuple),
+        out: &mut dyn FnMut(usize, &[Tuple]),
     ) -> ProbeStats {
         assert!(
             self.stable_for(tag),
@@ -906,12 +907,14 @@ mod tests {
                     seq_stats += a.on_data(0, *t, &mut collect_pairs(&mut seq_pairs)).stats;
                 }
                 assert!(b.stable_for(0));
-                bulk_stats += b.on_data_batch(0, part, &mut |i, stored| {
-                    let t = &part[i];
-                    if t.rel == Rel::R {
-                        bulk_pairs.push((t.seq, stored.seq));
-                    } else {
-                        bulk_pairs.push((stored.seq, t.seq));
+                bulk_stats += b.on_data_batch(0, part, &mut |i, run| {
+                    for stored in run {
+                        let t = &part[i];
+                        if t.rel == Rel::R {
+                            bulk_pairs.push((t.seq, stored.seq));
+                        } else {
+                            bulk_pairs.push((stored.seq, t.seq));
+                        }
                     }
                 });
                 assert_eq!(seq_stats, bulk_stats, "batch of {}", part.len());

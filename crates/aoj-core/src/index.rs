@@ -69,18 +69,21 @@ pub trait JoinIndex: Send {
 
     /// Stream-process a batch of arriving tuples: each tuple, in order,
     /// probes the state (earlier batch tuples included), then is
-    /// inserted. `on_match(i, stored)` receives the index of the probing
-    /// tuple within `batch` plus the matched stored tuple; the invocation
-    /// order is unspecified. An override must keep the per-tuple match
-    /// sets and the summed [`ProbeStats`] of this loop.
+    /// inserted. `on_run(i, run)` receives the index of the probing tuple
+    /// within `batch` plus a non-empty run of its stored partners; the
+    /// invocation order is unspecified. This loop passes each match as a
+    /// one-element run; an override hands over whole stored buckets, so
+    /// a hot key costs one call rather than one per match. An override
+    /// must keep the per-tuple match sets and the summed [`ProbeStats`]
+    /// of this loop.
     fn stream_batch(
         &mut self,
         batch: &[Tuple],
-        on_match: &mut dyn FnMut(usize, &Tuple),
+        on_run: &mut dyn FnMut(usize, &[Tuple]),
     ) -> ProbeStats {
         let mut stats = ProbeStats::default();
         for (i, t) in batch.iter().enumerate() {
-            stats += self.probe(t, &mut |stored| on_match(i, stored));
+            stats += self.probe(t, &mut |stored| on_run(i, std::slice::from_ref(stored)));
             self.insert(*t);
         }
         stats
@@ -497,8 +500,10 @@ mod tests {
         }
         let mut bulk_idx = VecIndex::new(Predicate::Equi);
         let mut bulk_pairs = Vec::new();
-        let stats = bulk_idx.stream_batch(&batch, &mut |i, m| {
-            bulk_pairs.push((batch[i].seq.min(m.seq), batch[i].seq.max(m.seq)))
+        let stats = bulk_idx.stream_batch(&batch, &mut |i, run| {
+            for m in run {
+                bulk_pairs.push((batch[i].seq.min(m.seq), batch[i].seq.max(m.seq)))
+            }
         });
         seq_pairs.sort_unstable();
         bulk_pairs.sort_unstable();

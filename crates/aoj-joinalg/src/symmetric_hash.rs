@@ -107,23 +107,22 @@ struct Arena {
 }
 
 impl Arena {
-    /// Visit every tuple of the key-side `head` names; returns how many.
+    /// Visit the key-side `head` names: a promoted run as one slice, a
+    /// chain one tuple at a time. Returns how many tuples it holds.
     #[inline]
-    fn walk(&self, head: u32, f: &mut impl FnMut(&Tuple)) -> u64 {
+    fn walk(&self, head: u32, f: &mut impl FnMut(&[Tuple])) -> u64 {
         if head == NIL {
             return 0;
         }
         if head & RUN != 0 {
             let run = &self.runs[(head & !RUN) as usize];
-            for t in run {
-                f(t);
-            }
+            f(run);
             return run.len() as u64;
         }
         let mut n = 0;
         let mut slot = head;
         while slot != NIL {
-            f(&self.tuples[slot as usize]);
+            f(std::slice::from_ref(&self.tuples[slot as usize]));
             n += 1;
             slot = self.links[slot as usize];
         }
@@ -215,9 +214,10 @@ impl Segment {
         *heads
     }
 
-    /// Visit the stored `rel` tuples with key `key`; returns how many.
+    /// Visit the stored `rel` tuples with key `key`, a run or a chain
+    /// link at a time; returns how many.
     #[inline]
-    fn probe(&self, key: i64, rel: Rel, f: &mut impl FnMut(&Tuple)) -> u64 {
+    fn probe(&self, key: i64, rel: Rel, f: &mut impl FnMut(&[Tuple])) -> u64 {
         self.heads
             .get(&key)
             .map_or(0, |heads| self.arena.walk(heads[rel.index()], f))
@@ -284,7 +284,7 @@ impl SymmetricHashIndex {
     /// Visit every stored partner of `t` in every segment; returns how
     /// many.
     #[inline]
-    fn probe_all(&self, t: &Tuple, f: &mut impl FnMut(&Tuple)) -> u64 {
+    fn probe_all(&self, t: &Tuple, f: &mut impl FnMut(&[Tuple])) -> u64 {
         let other = t.rel.other();
         self.segments().map(|seg| seg.probe(t.key, other, f)).sum()
     }
@@ -302,10 +302,12 @@ impl JoinIndex for SymmetricHashIndex {
         on_match: &mut dyn FnMut(&Tuple),
     ) -> ProbeStats {
         let mut matches = 0;
-        let candidates = self.probe_all(t, &mut |other| {
-            if filter(other) {
-                matches += 1;
-                on_match(other);
+        let candidates = self.probe_all(t, &mut |run| {
+            for other in run {
+                if filter(other) {
+                    matches += 1;
+                    on_match(other);
+                }
             }
         });
         ProbeStats {
@@ -316,15 +318,16 @@ impl JoinIndex for SymmetricHashIndex {
 
     /// One live-map entry per tuple serves both halves: append the tuple
     /// to its own key-side, then walk the opposite one (sealed segments
-    /// are probe-only lookups).
+    /// are probe-only lookups). A promoted key-side goes to `on_run` as
+    /// one slice, a chain one tuple at a time.
     fn stream_batch(
         &mut self,
         batch: &[Tuple],
-        on_match: &mut dyn FnMut(usize, &Tuple),
+        on_run: &mut dyn FnMut(usize, &[Tuple]),
     ) -> ProbeStats {
         let mut n = 0;
         for (i, t) in batch.iter().enumerate() {
-            let mut emit = |other: &Tuple| on_match(i, other);
+            let mut emit = |run: &[Tuple]| on_run(i, run);
             let other = t.rel.other();
             for seg in &self.sealed {
                 n += seg.probe(t.key, other, &mut emit);
@@ -609,11 +612,50 @@ mod tests {
         idx.seal_segment();
         let batch = [s(1, 5), r(2, 5), s(3, 5), s(4, 6)];
         let mut pairs = Vec::new();
-        let stats = idx.stream_batch(&batch, &mut |i, m| pairs.push((batch[i].seq, m.seq)));
+        let stats = idx.stream_batch(&batch, &mut |i, run| {
+            for m in run {
+                pairs.push((batch[i].seq, m.seq))
+            }
+        });
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 0), (2, 1), (3, 0), (3, 2)]);
         assert_eq!((stats.candidates, stats.matches), (4, 4));
         assert_eq!(idx.len(), 5);
+    }
+
+    #[test]
+    fn stream_batch_hands_over_promoted_runs_whole() {
+        // Key 7 holds a run longer than a chain in each of two sealed
+        // segments and in the live one; key 8 a three-tuple chain in each
+        // sealed segment.
+        let mut idx = SymmetricHashIndex::new();
+        let hot = 3 * CHAIN_MAX;
+        let mut seq = 0u64;
+        for _ in 0..2 {
+            for _ in 0..hot {
+                seq += 1;
+                idx.insert(r(seq, 7));
+            }
+            for _ in 0..3 {
+                seq += 1;
+                idx.insert(r(seq, 8));
+            }
+            idx.seal_segment();
+        }
+        for _ in 0..hot {
+            seq += 1;
+            idx.insert(r(seq, 7));
+        }
+        assert_eq!(idx.sealed_segments(), 2);
+        let batch = [s(1000, 7), s(1001, 8), s(1002, 9)];
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let stats = idx.stream_batch(&batch, &mut |i, run| runs.push((i, run.len())));
+        runs.sort_unstable();
+        let mut want = vec![(0, hot); 3];
+        want.extend([(1, 1); 6]);
+        assert_eq!(runs, want, "a run arrives whole, a chain tuple by tuple");
+        let summed: usize = runs.iter().map(|&(_, n)| n).sum();
+        assert_eq!(stats.matches, summed as u64);
     }
 
     #[test]

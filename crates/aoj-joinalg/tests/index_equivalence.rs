@@ -147,7 +147,16 @@ fn check_equivalence(make: &dyn Fn() -> Box<dyn JoinIndex>, predicate: Predicate
             Op::StreamBatch(items) => {
                 let batch = next_batch(&items);
                 let mut got = vec![Vec::new(); batch.len()];
-                let stats = candidate.stream_batch(&batch, &mut |i, m| got[i].push(m.seq));
+                let mut run_total = 0u64;
+                let stats = candidate.stream_batch(&batch, &mut |i, run| {
+                    assert!(!run.is_empty(), "stream batch handed over an empty run");
+                    run_total += run.len() as u64;
+                    got[i].extend(run.iter().map(|m| m.seq));
+                });
+                assert_eq!(
+                    run_total, stats.matches,
+                    "stream batch run lengths diverge from its match count"
+                );
                 let mut want = vec![Vec::new(); batch.len()];
                 let mut want_matches = 0;
                 let mut twin_stats = ProbeStats::default();

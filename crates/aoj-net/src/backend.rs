@@ -736,9 +736,8 @@ impl TcpBackend {
                             }
                         }
                         K_MATCH_BATCH => {
-                            for m in Vec::<Match>::from_bytes(&payload).expect("match batch") {
-                                self.hub.emit(m);
-                            }
+                            self.hub
+                                .emit_run(Vec::<Match>::from_bytes(&payload).expect("match batch"));
                             if !tapping {
                                 tapping = true;
                                 refresh_tap(&self.hub, &mut tap, &mut tap_epoch);

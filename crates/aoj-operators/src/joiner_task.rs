@@ -184,7 +184,7 @@ pub(crate) struct MatchTally {
     /// Emitted pair identities, `(R seq, S seq)`, when collection is on.
     pub(crate) log: Vec<(u64, u64)>,
     /// Order-independent digest of every emitted pair — always
-    /// maintained (two u64 folds per pair), the cheap exactness witness
+    /// maintained (a mix or two per pair), the cheap exactness witness
     /// wall-clock benchmarks compare across backends.
     pub(crate) digest: MatchDigest,
     /// Live match-emission path: while a subscriber is attached every
@@ -198,7 +198,7 @@ pub(crate) struct MatchTally {
     matched: Vec<bool>,
 }
 
-/// The per-match callback [`MatchTally::emit`] lends to a probe.
+/// The emission routine [`MatchTally::emit`] lends to a probe.
 pub(crate) struct Emitter<'a> {
     n: u64,
     collect: bool,
@@ -208,18 +208,24 @@ pub(crate) struct Emitter<'a> {
 }
 
 impl Emitter<'_> {
+    /// The pairs of `a` with each tuple of `run`, its partners of the
+    /// other relation: one digest loop and one hub lock per run.
+    #[inline]
+    pub(crate) fn pairs(&mut self, a: &Tuple, run: &[Tuple]) {
+        self.n += run.len() as u64;
+        self.digest.fold_run(a.rel == Rel::R, a.seq, run);
+        if self.collect {
+            self.log.extend(run.iter().map(|b| pair_key(a, b)));
+        }
+        if let Some(hub) = self.live {
+            hub.emit_run(run.iter().map(|b| Match::of(a, b)));
+        }
+    }
+
     /// One produced pair.
     #[inline]
     pub(crate) fn pair(&mut self, a: &Tuple, b: &Tuple) {
-        self.n += 1;
-        let key = pair_key(a, b);
-        self.digest.fold(key.0, key.1);
-        if self.collect {
-            self.log.push(key);
-        }
-        if let Some(hub) = self.live {
-            hub.emit(Match::of(a, b));
-        }
+        self.pairs(a, std::slice::from_ref(b));
     }
 }
 
@@ -244,8 +250,8 @@ impl MatchTally {
         (out, n)
     }
 
-    /// Run a whole-batch probe — `stream` reports each pair as
-    /// `(i, stored)` for `batch[i]`, the shape of
+    /// Run a whole-batch probe — `stream` reports each run of partners
+    /// as `(i, run)` for `batch[i]`, the shape of
     /// [`JoinIndex::stream_batch`](aoj_core::index::JoinIndex::stream_batch)
     /// — fold its pairs into the tally, and sample the latency of every
     /// tuple of the batch that matched. Samples come from each tuple's
@@ -256,15 +262,15 @@ impl MatchTally {
         now: SimTime,
         batch: &[Tuple],
         arrived: &[SimTime],
-        stream: impl FnOnce(&mut dyn FnMut(usize, &Tuple)) -> ProbeStats,
+        stream: impl FnOnce(&mut dyn FnMut(usize, &[Tuple])) -> ProbeStats,
     ) -> ProbeStats {
         let mut matched = std::mem::take(&mut self.matched);
         matched.clear();
         matched.resize(batch.len(), false);
         let (stats, _) = self.emit(|em| {
-            stream(&mut |i, stored| {
+            stream(&mut |i, run| {
                 matched[i] = true;
-                em.pair(&batch[i], stored);
+                em.pairs(&batch[i], run);
             })
         });
         for (&m, &at) in matched.iter().zip(arrived) {

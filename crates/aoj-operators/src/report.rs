@@ -9,6 +9,7 @@ use aoj_core::elastic::ElasticLayout;
 use aoj_core::mapping::{GridAssignment, Mapping};
 use aoj_core::sketch::{HeavyHitter, SkewSketch};
 use aoj_core::ticket::mix64;
+use aoj_core::tuple::Tuple;
 use aoj_simnet::{FlushCounts, Gauge, MachineId, ProgressSample, SimDuration, TaskId};
 
 use crate::joiner_task::{JoinerFinal, JoinerTask};
@@ -233,7 +234,25 @@ impl MatchDigest {
     pub fn fold(&mut self, r_seq: u64, s_seq: u64) {
         // Mix the S side before combining so (r, s) and (s, r) — and any
         // linear combination of seqs — hash apart.
-        let h = mix64(r_seq ^ mix64(s_seq));
+        self.add(mix64(r_seq ^ mix64(s_seq)));
+    }
+
+    /// Fold the pairs of one probing tuple (`probe_is_r`, `seq`) with
+    /// every tuple of `run`, its stored partners of the other relation:
+    /// exactly [`fold`](MatchDigest::fold) per pair, with the S side's
+    /// mix hoisted out of the loop when the prober is S.
+    #[inline]
+    pub(crate) fn fold_run(&mut self, probe_is_r: bool, seq: u64, run: &[Tuple]) {
+        if probe_is_r {
+            run.iter().for_each(|s| self.add(mix64(seq ^ mix64(s.seq))));
+        } else {
+            let s = mix64(seq);
+            run.iter().for_each(|r| self.add(mix64(r.seq ^ s)));
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, h: u64) {
         self.count += 1;
         self.sum = self.sum.wrapping_add(h);
         self.xor ^= h;
@@ -440,6 +459,8 @@ pub fn human_bytes(b: u64) -> String {
 mod tests {
     use super::*;
     use crate::{run, OperatorKind, SessionBuilder};
+    use aoj_core::tuple::Rel;
+    use proptest::prelude::*;
 
     /// A report whose `ILF/ILF*` trace is `trace`: (tuples, |R|, |S|,
     /// running mapping).
@@ -487,6 +508,29 @@ mod tests {
             (200, 100, 100, Mapping::new(2, 2)),
         ]);
         assert!(report.max_competitive_ratio(0) > 1.0);
+    }
+
+    proptest! {
+        #[test]
+        fn fold_run_equals_repeated_fold(
+            probe_is_r in any::<bool>(),
+            seq in any::<u64>(),
+            seqs in prop::collection::vec(any::<u64>(), 0..301),
+        ) {
+            let other = if probe_is_r { Rel::S } else { Rel::R };
+            let run: Vec<Tuple> = seqs.iter().map(|&s| Tuple::new(other, s, 0, 0)).collect();
+            let mut want = MatchDigest { count: 3, sum: 5, xor: 7 };
+            let mut got = want;
+            for t in &run {
+                if probe_is_r {
+                    want.fold(seq, t.seq);
+                } else {
+                    want.fold(t.seq, seq);
+                }
+            }
+            got.fold_run(probe_is_r, seq, &run);
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

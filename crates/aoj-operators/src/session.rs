@@ -554,28 +554,46 @@ impl MatchHub {
         out
     }
 
-    /// Called by joiners for every produced pair. Also the entry point
-    /// an out-of-process backend uses to re-emit matches received from
-    /// its workers into the session's stream.
+    /// One produced pair: a run of one.
     pub fn emit(&self, m: Match) {
+        self.emit_run(std::iter::once(m));
+    }
+
+    /// Buffer a run of produced pairs under one lock: what joiners call
+    /// per bucket of partners, and what an out-of-process backend calls
+    /// per frame to re-emit its workers' matches into the session's
+    /// stream. Each match passes the filter and bound checks
+    /// [`emit`](MatchHub::emit) makes on its own.
+    pub fn emit_run(&self, run: impl IntoIterator<Item = Match>) {
         if !self.attached.load(Ordering::Relaxed) {
             return;
         }
         let mut st = self.state.lock().unwrap();
-        loop {
-            // Re-evaluated after every wakeup: the subscriber set (and
-            // with it both the filter verdict and the bound) may have
-            // changed while we slept.
-            if !st.wanted(&m) {
-                return;
+        let mut pushed = false;
+        'run: for m in run {
+            loop {
+                // Re-evaluated after every wakeup: the subscriber set
+                // (and with it both the filter verdict and the bound)
+                // may have changed while we slept.
+                if !st.wanted(&m) {
+                    continue 'run;
+                }
+                if st.draining || !st.bound_reached() {
+                    break;
+                }
+                // The run so far must reach a sleeping subscriber, or
+                // the space we wait for never frees.
+                if self.ready.has_sleepers(&st) {
+                    self.ready.notify_all();
+                }
+                st = self.space.wait(st);
             }
-            if st.draining || !st.bound_reached() {
-                break;
-            }
-            st = self.space.wait(st);
+            st.buf.push_back(m);
+            pushed = true;
         }
-        st.buf.push_back(m);
-        self.ready.notify_all_unlock(st);
+        if pushed {
+            self.ready.notify_all_unlock(st);
+        }
     }
 
     /// Attach a new subscriber with its own cursor (starting at the

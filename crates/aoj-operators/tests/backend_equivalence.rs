@@ -17,6 +17,7 @@ use aoj_core::predicate::Predicate;
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::{StreamItem, Workload};
 use aoj_datagen::stream::interleave;
+use aoj_datagen::zipf::ZipfSampler;
 use aoj_operators::reshuffler::ControlEvent;
 use aoj_operators::{
     run, BackendChoice, ElasticConfig, JoinSession, OperatorKind, RunReport, SessionBuilder,
@@ -519,5 +520,108 @@ fn hot_key_stream_stays_exact_and_flagged_across_backends_and_expansion() {
             report.skew.hot_keys,
             report.skew.observed_bytes
         );
+    }
+}
+
+/// R and S over the same Zipf(0.75) key space of `keys` keys, `|R|:|S|`
+/// = 1:16 so that a Dynamic operator on J = 4 makes its one
+/// `(2, 2) → (1, 4)` migration.
+fn zipf_workload(predicate: Predicate, keys: u64, seed: u64) -> Workload {
+    let mut zipf = ZipfSampler::new(keys, 0.75, seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut item = || StreamItem {
+        key: zipf.next() as i64,
+        aux: rng.gen_range(0..1_000i32),
+        bytes: 64,
+    };
+    Workload {
+        name: "hot-runs",
+        predicate,
+        r_items: (0..300).map(|_| item()).collect(),
+        s_items: (0..4_800).map(|_| item()).collect(),
+    }
+}
+
+/// A live session over `arrivals` on `backend`, with one subscriber
+/// whose 64-match bound is shorter than a hot bucket, so emitters wait
+/// in mid-run. The session closes (which lifts every bound) only once
+/// the subscriber holds all `expected` matches. Returns the report and
+/// the subscriber's sorted pairs.
+fn subscribed_run(
+    arrivals: &[(Rel, StreamItem)],
+    cfg: &SessionBuilder,
+    backend: BackendChoice,
+    expected: usize,
+) -> (RunReport, Vec<(u64, u64)>) {
+    let builder = cfg.clone().with_backend(backend).with_match_buffer(64);
+    let mut session = JoinSession::open(builder);
+    let mut sub = session.subscribe();
+    let ingest = session.ingest();
+    let producer = std::thread::spawn({
+        let arrivals = arrivals.to_vec();
+        move || ingest.push_batch(arrivals).unwrap()
+    });
+    let (all_in, got_all) = std::sync::mpsc::channel();
+    let subscriber = std::thread::spawn(move || {
+        let mut streamed: Vec<(u64, u64)> = sub.by_ref().take(expected).map(|m| m.pair()).collect();
+        all_in.send(()).unwrap();
+        streamed.extend(sub.map(|m| m.pair()));
+        streamed
+    });
+    assert_eq!(producer.join().unwrap() as usize, arrivals.len());
+    got_all
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the subscriber stalled under its bound before close");
+    let report = session.close();
+    let mut streamed = subscriber.join().unwrap();
+    streamed.sort_unstable();
+    (report, streamed)
+}
+
+/// Matches leave the join kernels a stored bucket at a time: an equi
+/// stream over 8 keys promotes hash key-sides far past a chain into
+/// runs, and a width-2 band stream over 50 keys fills B-tree buckets
+/// with hundreds of tuples. Across the Dynamic operator's one migration
+/// the simulator, the threaded runtime and the TCP processes emit the
+/// same multiset with the same digest, and a subscriber on each live
+/// leg receives exactly that multiset.
+#[test]
+fn tcp_hot_key_runs_match_sim() {
+    let _serial = TCP_RUNS.lock().unwrap_or_else(PoisonError::into_inner);
+    aoj_net::install();
+    for (predicate, keys, seed) in [
+        (Predicate::Equi, 8, 0x8E_2014),
+        (Predicate::Band { width: 2 }, 50, 0x50_2014),
+    ] {
+        let w = zipf_workload(predicate, keys, seed);
+        let arrivals = interleave(&w, seed ^ 0xA0A0);
+        let cfg = config(4, OperatorKind::Dynamic, &w)
+            .with_seed(seed)
+            .with_collect_matches(true);
+        let sim = run(&arrivals, &cfg.clone().with_backend(BackendChoice::Sim));
+        let label = w.predicate.clone();
+        assert_eq!(sim.migrations, 1, "{label:?}: one migration");
+        assert!(
+            sim.matches > 100 * arrivals.len() as u64 / 4,
+            "{label:?}: {} matches are too few for long runs",
+            sim.matches
+        );
+        assert_eq!(sim.match_pairs.len() as u64, sim.matches);
+        for backend in [BackendChoice::Threaded, BackendChoice::Tcp] {
+            let (live, streamed) = subscribed_run(&arrivals, &cfg, backend, sim.match_pairs.len());
+            assert_eq!(live.migrations, 1, "{label:?} {backend:?}: one migration");
+            assert_eq!(
+                live.match_pairs, sim.match_pairs,
+                "{label:?} {backend:?}: join multisets diverge"
+            );
+            assert_eq!(
+                live.match_digest, sim.match_digest,
+                "{label:?} {backend:?}: digests diverge"
+            );
+            assert_eq!(
+                streamed, sim.match_pairs,
+                "{label:?} {backend:?}: the subscriber's stream diverges"
+            );
+        }
     }
 }
