@@ -666,21 +666,30 @@ impl EpochJoiner {
         self.role.as_ref()
     }
 
-    /// The state to ship when a change starts: copies of every stored
-    /// tuple the role [forwards](Role::forwards) (Alg. 3 line 3, "Send τ
-    /// for migration"). A step ships the coarsening relation (the tuples
-    /// stay in `τ` — the exchange keeps both halves, Lemma 4.4), an
-    /// expansion parent **all** of `τ` (Fig. 5 splits along both ticket
-    /// axes; the non-kept tuples are dropped at finalisation), a retiree
-    /// its forward relation, a survivor and the diagonal retiree nothing.
-    pub fn snapshot(&self) -> Vec<Tuple> {
-        let role = self.role.expect("snapshot requires an in-flight change");
-        let mut snap = Vec::new();
+    /// Visit the state to ship when a change starts: every stored tuple
+    /// the role [forwards](Role::forwards), with where it goes, in `τ`'s
+    /// iteration order (Alg. 3 line 3, "Send τ for migration"). A step
+    /// ships the coarsening relation (the tuples stay in `τ` — the
+    /// exchange keeps both halves, Lemma 4.4), an expansion parent
+    /// **all** of `τ` (Fig. 5 splits along both ticket axes; the non-kept
+    /// tuples are dropped at finalisation), a retiree its forward
+    /// relation, a survivor and the diagonal retiree nothing.
+    pub fn for_each_forwarded(&self, f: &mut dyn FnMut(&Tuple, Machines)) {
+        let role = self.role.expect("forwarding requires an in-flight change");
         self.tau.for_each(&mut |t| {
-            if !role.forwards(t).is_empty() {
-                snap.push(*t);
+            let to = role.forwards(t);
+            if !to.is_empty() {
+                f(t, to);
             }
         });
+    }
+
+    /// Copies of the tuples [`for_each_forwarded`](Self::for_each_forwarded)
+    /// visits.
+    #[cfg(test)]
+    pub fn snapshot(&self) -> Vec<Tuple> {
+        let mut snap = Vec::new();
+        self.for_each_forwarded(&mut |t, _| snap.push(*t));
         snap
     }
 

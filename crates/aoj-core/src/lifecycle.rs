@@ -338,7 +338,7 @@ impl WindowTracker {
     /// Rebuild a tracker from a checkpoint: the joiner's restored live
     /// state is treated as one already-sealed sub-window whose tuples
     /// all "arrived" at the checkpoint's clock — conservative (restored
-    /// tuples expire no earlier than they would have), never unsafe.
+    /// tuples expire no earlier than they would have), never early.
     /// The lateness allowance is not checkpointed; it is relearned from
     /// the arrivals after the restore.
     pub fn restored(

@@ -226,12 +226,22 @@ impl Segment {
     /// Move the tuples `pred` accepts to `out` and rebuild the segment
     /// from the rest, so key-sides that shrank become chains again. A
     /// stale `max_seq` only delays eviction, so it stays.
+    ///
+    /// Only the kept tuples after the first accepted one are copied out;
+    /// the ones before it are re-read from the old arena, so a segment
+    /// that gives up nothing is never copied.
     fn extract(&mut self, pred: &mut dyn FnMut(&Tuple) -> bool, out: &mut Vec<Tuple>) {
-        let before = out.len();
-        let mut kept = Vec::with_capacity(self.len());
+        let (before, len) = (out.len(), self.len());
+        let mut prefix = 0;
+        let mut kept = Vec::new();
         self.arena.for_each(&mut |t| {
             if pred(t) {
+                if out.len() == before {
+                    kept.reserve_exact(len - prefix - 1);
+                }
                 out.push(*t);
+            } else if out.len() == before {
+                prefix += 1;
             } else {
                 kept.push(*t);
             }
@@ -240,7 +250,15 @@ impl Segment {
             return;
         }
         let max_seq = self.max_seq;
-        *self = Segment::new(*self.heads.hasher());
+        let hash = *self.heads.hasher();
+        let old = std::mem::replace(self, Segment::new(hash));
+        let mut seen = 0;
+        old.arena.for_each(&mut |t| {
+            if seen < prefix {
+                self.insert(*t);
+            }
+            seen += 1;
+        });
         for t in kept {
             self.insert(t);
         }

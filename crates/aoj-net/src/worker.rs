@@ -35,6 +35,7 @@ use aoj_operators::report::harvest;
 use aoj_operators::reshuffler::ReshufflerTask;
 use aoj_operators::{assemble_topology, IngestQueue, MatchHub, SessionBuilder};
 use aoj_runtime::mailbox::Mailbox;
+use aoj_runtime::pin_mmap_threshold;
 use aoj_simnet::{Gauge, MachineId, SharedGauges, TaskId, Topology, MIGRATION_WEIGHT};
 
 use crate::node::{
@@ -93,6 +94,7 @@ enum Exit {
 
 /// Run one worker to completion. Never returns: exits the process.
 pub(crate) fn worker_main() -> ! {
+    pin_mmap_threshold();
     let coord: String =
         std::env::var(ENV_COORD).expect("worker environment is missing AOJ_NET_COORD");
     let machine: usize = env_num(ENV_MACHINE);

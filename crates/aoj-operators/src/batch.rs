@@ -76,18 +76,16 @@ struct Pending {
     arrived: Vec<SimTime>,
 }
 
-/// A capped free-list of batch storage whose heap capacity survives the
-/// flush → ship → consume cycle.
+/// A capped free-list of batch storage.
 ///
 /// Batch vectors travel *inside* messages, so their storage leaves the
-/// sender for good — but every batch a task receives off its mailbox
-/// delivers equivalent storage in return. Consumers hand consumed
-/// vectors back with [`put_pair`](BatchPool::put_pair) /
-/// [`put_tuples`](BatchPool::put_tuples) and producers draw replacements
-/// with the `get_*` methods, so in steady state batch traffic recycles
-/// a fixed working set instead of allocating per flush. A `get` against
-/// an empty pool falls back to one exact-capacity allocation — still
-/// cheaper than the doubling growth of pushing into `Vec::new()`.
+/// sender for good. A pool keeps what its owner receives: a joiner hands
+/// every consumed data and migration batch back with
+/// [`put_pair`](BatchPool::put_pair) / [`put_tuples`](BatchPool::put_tuples),
+/// and its migration outbox draws replacements with the `get_*` methods,
+/// so migration batches reuse received batches' storage. A `get`
+/// against an empty pool falls back to one exact-capacity allocation —
+/// still cheaper than the doubling growth of pushing into `Vec::new()`.
 #[derive(Debug, Default)]
 pub(crate) struct BatchPool {
     tuples: Vec<Vec<Tuple>>,
@@ -151,10 +149,12 @@ pub struct DataCoalescer {
     cfg: BatchConfig,
     slots: Vec<Pending>,
     buffered: usize,
-    /// Recycled batch storage: [`take`](DataCoalescer::take) swaps
-    /// pooled vectors in for the shipped ones, and owners that receive
-    /// batches back off the mailbox refill it via
-    /// [`recycle`](DataCoalescer::recycle).
+    /// Replacement storage for shipped batches, drawn by
+    /// [`take`](DataCoalescer::take). A reshuffler receives no batches,
+    /// so in a session nothing refills it and every flush allocates its
+    /// replacement at exact capacity; only callers that hand storage
+    /// back through [`recycle`](DataCoalescer::recycle) (the benchmark's
+    /// layer pass, the tests) reuse it.
     pool: BatchPool,
     /// When the pending age-flush timer was armed, if one is.
     armed_at: Option<SimTime>,

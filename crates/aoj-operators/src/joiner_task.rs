@@ -737,16 +737,15 @@ impl Process<OpMsg> for JoinerTask {
                     // survivor — in Migration-class batches, each
                     // stream's end marker FIFO behind its state.
                     let [tau, ..] = self.epoch.set_sizes();
-                    let snapshot = self.epoch.snapshot();
-                    // Serialising the snapshot costs CPU proportional to
-                    // its size; transmission time is paid by the NIC.
-                    cost +=
-                        SimDuration::from_micros(snapshot.len() as u64 * self.cost.store_us / 4);
                     let mut ob = Outbox::new(&role, new_epoch, &self.joiner_tasks);
-                    let mut sent = 0;
-                    for t in snapshot {
-                        sent += ob.route(t, role.forwards(&t));
-                    }
+                    let (mut shipped, mut sent) = (0, 0);
+                    self.epoch.for_each_forwarded(&mut |t, to| {
+                        shipped += 1;
+                        sent += ob.route(*t, to);
+                    });
+                    // Serialising the state costs CPU proportional to
+                    // its size; transmission time is paid by the NIC.
+                    cost += SimDuration::from_micros(shipped * self.cost.store_us / 4);
                     self.counters.note_transfer(&role, tau as u64, sent);
                     ob.flush(ctx, &mut self.pool, false);
                     self.outbox = Some(ob);

@@ -64,7 +64,7 @@ use aoj_core::mapping::Mapping;
 use aoj_core::predicate::Predicate;
 use aoj_core::tuple::Rel;
 use aoj_datagen::queries::StreamItem;
-use aoj_runtime::{CountedCondvar, Runtime, RuntimeConfig};
+use aoj_runtime::{pin_mmap_threshold, CountedCondvar, Runtime, RuntimeConfig};
 use aoj_simnet::{
     CostModel, ExecBackend, MachineId, NetworkConfig, SharedGauges, Sim, SimConfig, SimDuration,
     SimTime, TaskId, Topology, Waker,
@@ -1532,6 +1532,8 @@ fn launch(
     queue: Arc<IngestQueue>,
     restore_from: Option<&Checkpoint>,
 ) -> SessionHandle {
+    // Freed sub-windows and migration buffers go back to the OS.
+    pin_mmap_threshold();
     let sim = builder.backend.choice == BackendChoice::Sim;
     // A blocking emit on the single-threaded simulator could only
     // deadlock the pump: the hub is always unbounded there.

@@ -74,9 +74,11 @@
 //! assert_eq!(rt.task_ref::<Echo>(a).got, 3);
 //! ```
 
+mod alloc;
 mod condvar;
 pub mod mailbox;
 pub mod runtime;
 
+pub use alloc::pin_mmap_threshold;
 pub use condvar::CountedCondvar;
 pub use runtime::{KillSwitch, Runtime, RuntimeConfig, DRAIN_BATCH};
